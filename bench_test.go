@@ -169,6 +169,31 @@ func BenchmarkE10Safety(b *testing.B) {
 	}
 }
 
+// The two n=4 benchmarks are scaling guards: both checkers evaluate each
+// knowledge condition once per indistinguishability class, so a pass over
+// 32,784 runs takes tens of milliseconds; a reintroduced per-point class
+// scan shows here as ≥100× (seconds per op).
+
+func BenchmarkCheckOptimalityFIPn4(b *testing.B) {
+	sys := buildSystem(b, "fip", 4, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if vs, err := sys.CheckOptimalityFIP(context.Background(), -1, 1); err != nil || len(vs) != 0 {
+			b.Fatal("violation")
+		}
+	}
+}
+
+func BenchmarkCheckSafetyBasicn4(b *testing.B) {
+	sys := buildSystem(b, "basic", 4, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if vs, err := sys.CheckSafety(context.Background(), 1); err != nil || len(vs) != 0 {
+			b.Fatal("violation")
+		}
+	}
+}
+
 func BenchmarkE11BasicVsMin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if tb := experiments.E11BasicVsMin(); !tb.Pass {

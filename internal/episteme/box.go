@@ -87,13 +87,14 @@ func (s *System) memberNAndDecided(v model.Value) func(model.AgentID, Point) boo
 // It checks every point with time ≤ maxTime (pass s.Horizon-1 to check
 // everything the trace determines; the ⊡-reachability is computed on the
 // truncated system, which is faithful here because every decision happens
-// by round t+2 and the trace extends beyond it). The point loops shard
-// over the worker pool; violations come back in the canonical (value,
-// run, time, agent) order regardless of parallelism. An empty result is a
-// machine check that the generating protocol is optimal with respect to
-// γ_fip. When max > 0 caps the report, the final entry is a "... and N
-// more violations (truncated)" notice. Cancelling ctx aborts the check
-// with the cancellation cause.
+// by round t+2 and the trace extends beyond it). The belief is a function
+// of i's local state, so it is evaluated once per indistinguishability
+// class (foldClasses) and read per point; violations come back in the
+// canonical (value, run, time, agent) order regardless of parallelism. An
+// empty result is a machine check that the generating protocol is optimal
+// with respect to γ_fip. When max > 0 caps the report, the final entry is
+// a "... and N more violations (truncated)" notice. Cancelling ctx aborts
+// the check with the cancellation cause.
 func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]string, error) {
 	if err := s.checkableSystem(); err != nil {
 		return nil, err
@@ -102,25 +103,41 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 		maxTime = s.Horizon - 1
 	}
 	perShard := make([][]string, 2*len(s.Runs))
+	// Scratch shared by the two values: compOK[c] = every run in component
+	// c satisfies ∃v (components are named by a member run), and
+	// believes[slot][c] = B_i^N(∃v ∧ C□∃v ∧ ¬○(decided_i = 1−v)) in class
+	// c — the body holds at every nonfaulty alternative.
+	compOK := make([]bool, len(s.Runs))
+	var believes [][]bool
 
 	for vi, v := range []model.Value{model.Zero, model.One} {
 		v := v
 		comp := s.BoxComponents(s.memberNAndDecided(v.Flip()))
-		// compOK[c] = every run in component c satisfies ∃v.
-		compOK := make(map[int]bool)
+		for r := range compOK {
+			compOK[r] = true
+		}
 		for r := range s.Runs {
-			c := comp[r]
-			if _, seen := compOK[c]; !seen {
-				compOK[c] = true
-			}
 			if !s.Exists(v, Point{Run: r}) {
-				compOK[c] = false
+				compOK[comp[r]] = false
 			}
+		}
+		var err error
+		believes, err = s.foldClasses(ctx, believes, maxTime, false, func(i model.AgentID, q Point) bool {
+			if !s.Nonfaulty(i, q) {
+				return true // B^N: only nonfaulty alternatives count
+			}
+			qres := s.Runs[q.Run]
+			decidedOther := qres.Decided(i) == v.Flip() &&
+				qres.Round(i) != 0 && qres.Round(i) <= q.Time+1
+			return s.Exists(v, q) && compOK[comp[q.Run]] && !decidedOther
+		})
+		if err != nil {
+			return nil, err
 		}
 
 		base := vi * len(s.Runs)
-		err := s.parallel(ctx, len(s.Runs), func(r int) {
-			perShard[base+r] = s.optimalityViolations(v, comp, compOK, r, maxTime)
+		err = s.parallel(ctx, len(s.Runs), func(r int) {
+			perShard[base+r] = s.optimalityViolations(v, believes, r, maxTime)
 		})
 		if err != nil {
 			return nil, err
@@ -131,7 +148,7 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 
 // optimalityViolations checks both sides of the value-v equivalence at
 // every point of one run with time ≤ maxTime.
-func (s *System) optimalityViolations(v model.Value, comp []int, compOK map[int]bool, r, maxTime int) []string {
+func (s *System) optimalityViolations(v model.Value, believes [][]bool, r, maxTime int) []string {
 	var out []string
 	res := s.Runs[r]
 	for m := 0; m <= maxTime; m++ {
@@ -142,15 +159,8 @@ func (s *System) optimalityViolations(v model.Value, comp []int, compOK map[int]
 				continue
 			}
 			lhs := res.Decided(id) == v && res.Round(id) != 0 && res.Round(id) <= m+1
-			rhs := s.Knows(id, p, func(q Point) bool {
-				if !s.Nonfaulty(id, q) {
-					return true // B^N: only nonfaulty alternatives count
-				}
-				qres := s.Runs[q.Run]
-				decidedOther := qres.Decided(id) == v.Flip() &&
-					qres.Round(id) != 0 && qres.Round(id) <= q.Time+1
-				return s.Exists(v, q) && compOK[comp[q.Run]] && !decidedOther
-			})
+			slot := s.slot(id, m)
+			rhs := believes[slot][s.classOf[slot][r]]
 			if lhs != rhs {
 				out = append(out, fmt.Sprintf(
 					"v=%v run %d time %d agent %d: ○decided=%v but characterization=%v",

@@ -168,23 +168,30 @@ type kF struct {
 	i model.AgentID
 	f Formula
 	// memo caches the (local-state-determined) value of K_i f per system
-	// and per local state key; without it nested K's are quadratic in the
-	// indistinguishability-class sizes.
-	memo map[*System]map[string]bool
+	// and per indistinguishability class; without it nested K's are
+	// quadratic in the class sizes.
+	memo map[*System]map[kClass]bool
+}
+
+// kClass names an indistinguishability class by its interned index.
+type kClass struct {
+	slot  int
+	class int32
 }
 
 func (k *kF) Holds(sys *System, p Point) bool {
-	states, ok := k.memo[sys]
+	classes, ok := k.memo[sys]
 	if !ok {
-		states = make(map[string]bool)
-		k.memo[sys] = states
+		classes = make(map[kClass]bool)
+		k.memo[sys] = classes
 	}
-	key := sys.Key(k.i, p)
-	if v, ok := states[key]; ok {
+	slot := sys.slot(k.i, p.Time)
+	key := kClass{slot, sys.classOf[slot][p.Run]}
+	if v, ok := classes[key]; ok {
 		return v
 	}
 	v := sys.Knows(k.i, p, func(q Point) bool { return k.f.Holds(sys, q) })
-	states[key] = v
+	classes[key] = v
 	return v
 }
 func (k *kF) String() string { return fmt.Sprintf("K_%d %s", k.i, k.f) }
@@ -192,7 +199,7 @@ func (k *kF) String() string { return fmt.Sprintf("K_%d %s", k.i, k.f) }
 // K is the knowledge operator K_i. The returned formula caches its
 // evaluations per local state; it is not safe for concurrent use.
 func K(i model.AgentID, f Formula) Formula {
-	return &kF{i: i, f: f, memo: make(map[*System]map[string]bool)}
+	return &kF{i: i, f: f, memo: make(map[*System]map[kClass]bool)}
 }
 
 type enF struct {

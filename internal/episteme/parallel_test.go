@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -302,6 +303,68 @@ func TestTruncationNotices(t *testing.T) {
 	}
 	if len(cappedSafety) != 2 || !strings.Contains(cappedSafety[1], "truncated") {
 		t.Errorf("CheckSafety(max=1) = %v, want first violation + notice", cappedSafety)
+	}
+
+	// The cap landing inside each block of a report: after a clause (1)
+	// and after a clause (2) entry of one run, and inside the v=0 and the
+	// v=1 half of the optimality report.
+	late, err := BuildSystem(context.Background(), Context{Exchange: exchange.NewMin(3), T: 1}, lateZeroAction{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allSafety = checkSafety(t, late, 0)
+	for _, tc := range []struct {
+		max    int
+		clause string
+	}{{2, "clause 1"}, {4, "clause 2"}} {
+		if !strings.HasPrefix(allSafety[tc.max-1], tc.clause) || !strings.HasPrefix(allSafety[tc.max], "clause") {
+			t.Fatalf("safety entries %d, %d = %q, %q; want the cap to land after a %s entry",
+				tc.max-1, tc.max, allSafety[tc.max-1], allSafety[tc.max], tc.clause)
+		}
+		assertCapped(t, "CheckSafety", allSafety, checkSafety(t, late, tc.max), tc.max)
+	}
+	slow, err := BuildSystem(context.Background(), fipContext31(), slowFIPAction{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allOpt = checkOptimality(t, slow, -1, 0)
+	firstOne := slices.IndexFunc(allOpt, func(v string) bool { return strings.HasPrefix(v, "v=1") })
+	if firstOne < 2 || firstOne+2 >= len(allOpt) {
+		t.Fatalf("first v=1 violation at %d of %d; want violations of both values", firstOne, len(allOpt))
+	}
+	for _, max := range []int{2, firstOne + 2} {
+		assertCapped(t, "CheckOptimalityFIP", allOpt, checkOptimality(t, slow, -1, max), max)
+	}
+}
+
+// assertCapped checks a capped report is the first max entries of the
+// full one plus a notice counting the rest.
+func assertCapped(t *testing.T, name string, all, capped []string, max int) {
+	t.Helper()
+	want := append(slices.Clone(all[:max]), truncated(len(all)-max, "violations"))
+	if !slices.Equal(capped, want) {
+		t.Errorf("%s(max=%d) returned %d entries ending %q; want the first %d violations and %q",
+			name, max, len(capped), capped[len(capped)-1], max, want[max])
+	}
+}
+
+// lateZeroAction is P_min with the decision on an initial 0 put off to
+// round 2. Nobody decides 0 in round 1, so the round-2 deciders extend no
+// 0-chain: a protocol that violates clause (2) of Definition 6.2 as well
+// as clause (1).
+type lateZeroAction struct{}
+
+func (lateZeroAction) Name() string { return "Plate0" }
+func (lateZeroAction) Act(_ model.AgentID, s model.State) model.Action {
+	switch {
+	case s.Decided().IsSet() || s.Time() == 0:
+		return model.Noop
+	case s.Init() == model.Zero || s.JustDecided() == model.Zero:
+		return model.Decide0
+	case s.Time() == 2:
+		return model.Decide1
+	default:
+		return model.Noop
 	}
 }
 

@@ -24,17 +24,84 @@ func (s *System) receivedChainBy(i model.AgentID, run, m int) bool {
 // system (which should be generated by an implementation of P0). It
 // returns a description of every violated clause instance, in run order;
 // an empty result machine-checks Proposition 6.4 for the system's
-// context. Runs shard over the worker pool; the report is identical at
-// every parallelism level. When max > 0 caps the report, the final entry
-// is a "... and N more violations (truncated)" notice. Cancelling ctx
-// aborts the check with the cancellation cause.
+// context. Every clause quantifies over the runs agent i cannot
+// distinguish from the point, so each is evaluated once per
+// indistinguishability class (foldClasses) and read per point; the report
+// is identical at every parallelism level. When max > 0 caps the report,
+// the final entry is a "... and N more violations (truncated)" notice.
+// Cancelling ctx aborts the check with the cancellation cause.
 func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 	if err := s.checkableSystem(); err != nil {
 		return nil, err
 	}
+	// Clause (1)'s witness: some indistinguishable run is all-1.
+	allOnes, err := s.foldClasses(ctx, nil, s.Horizon, true, func(_ model.AgentID, q Point) bool {
+		for _, v := range s.Runs[q.Run].Inits {
+			if v != model.One {
+				return false
+			}
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Clause (2)'s premise ¬K_i(⋀_j ¬(deciding_j = 0)); deciding_j is
+	// undefined beyond the trace, so clause (2) stops at Horizon-1.
+	someDeciding0, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(_ model.AgentID, q Point) bool {
+		for j := 0; j < s.N; j++ {
+			if s.Deciding(model.AgentID(j), model.Zero, q) {
+				return true
+			}
+		}
+		return false
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Clause (2)'s witnesses, innermost first. chained[slot(j,m)][c]: some
+	// run r'' of j's class c has j and some j' nonfaulty, j' deciding 0 in
+	// round m of r''.
+	chained, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(j model.AgentID, q Point) bool {
+		if !s.Nonfaulty(j, q) {
+			return false
+		}
+		for jp := 0; jp < s.N; jp++ {
+			if jpd := model.AgentID(jp); s.Nonfaulty(jpd, q) && s.JustDecided(jpd, model.Zero, q) {
+				return true
+			}
+		}
+		return false
+	})
+	if err != nil {
+		return nil, err
+	}
+	// witness[slot(i,m)][c]: some run r' of i's class c has i and some j
+	// nonfaulty, j deciding 0 at (r',m), and (for m ≥ 1) an r'' as above
+	// that j cannot distinguish from r'.
+	witness, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(i model.AgentID, q Point) bool {
+		if !s.Nonfaulty(i, q) {
+			return false
+		}
+		for j := 0; j < s.N; j++ {
+			jd := model.AgentID(j)
+			if !s.Nonfaulty(jd, q) || !s.Deciding(jd, model.Zero, q) {
+				continue
+			}
+			slot := s.slot(jd, q.Time)
+			if q.Time == 0 || chained[slot][s.classOf[slot][q.Run]] {
+				return true
+			}
+		}
+		return false
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	perRun := make([][]string, len(s.Runs))
-	err := s.parallel(ctx, len(s.Runs), func(r int) {
-		perRun[r] = s.safetyViolations(r)
+	err = s.parallel(ctx, len(s.Runs), func(r int) {
+		perRun[r] = s.safetyViolations(r, allOnes, someDeciding0, witness)
 	})
 	if err != nil {
 		return nil, err
@@ -57,22 +124,21 @@ func mergeViolations(shards [][]string, max int) []string {
 	return out
 }
 
-// safetyViolations checks every clause instance of one run, in (time,
-// agent, clause) order.
-func (s *System) safetyViolations(r int) []string {
+// safetyViolations reads one run's clause instances off the per-class
+// tables, in (time, agent, clause) order.
+func (s *System) safetyViolations(r int, allOnes, someDeciding0, witness [][]bool) []string {
 	var out []string
 	res := s.Runs[r]
 	for m := 0; m <= s.Horizon; m++ {
-		p := Point{Run: r, Time: m}
 		for i := 0; i < s.N; i++ {
 			id := model.AgentID(i)
+			slot := s.slot(id, m)
+			c := s.classOf[slot][r]
 
 			// Clause (1): no 0-chain received by (r,m) → some
 			// indistinguishable point lies in an all-1 run.
-			if !s.receivedChainBy(id, r, m) {
-				if !s.existsIndistAllOnes(id, p) {
-					out = append(out, fmt.Sprintf("clause 1: run %d time %d agent %d", r, m, i))
-				}
+			if !s.receivedChainBy(id, r, m) && !allOnes[slot][c] {
+				out = append(out, fmt.Sprintf("clause 1: run %d time %d agent %d", r, m, i))
 			}
 
 			// Clause (2): premise — i cannot rule out a 0-decision and
@@ -81,79 +147,10 @@ func (s *System) safetyViolations(r int) []string {
 				continue // deciding_j is undefined beyond the trace
 			}
 			decidedBefore := res.Round(id) != 0 && res.Round(id) <= m
-			cannotRuleOut := !s.Knows(id, p, func(q Point) bool {
-				for j := 0; j < s.N; j++ {
-					if s.Deciding(model.AgentID(j), model.Zero, q) {
-						return false
-					}
-				}
-				return true
-			})
-			if decidedBefore || !cannotRuleOut {
-				continue
-			}
-			if !s.safetyClause2Witness(id, p) {
+			if !decidedBefore && someDeciding0[slot][c] && !witness[slot][c] {
 				out = append(out, fmt.Sprintf("clause 2: run %d time %d agent %d", r, m, i))
 			}
 		}
 	}
 	return out
-}
-
-// existsIndistAllOnes reports whether some run indistinguishable from p to
-// agent i has every initial preference equal to 1.
-func (s *System) existsIndistAllOnes(i model.AgentID, p Point) bool {
-	for _, r := range s.runsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run)) {
-		allOnes := true
-		for _, v := range s.Runs[r].Inits {
-			if v != model.One {
-				allOnes = false
-				break
-			}
-		}
-		if allOnes {
-			return true
-		}
-	}
-	return false
-}
-
-// safetyClause2Witness searches for the runs r' (and, for m ≥ 1, r”)
-// required by clause (2) of Definition 6.2.
-func (s *System) safetyClause2Witness(i model.AgentID, p Point) bool {
-	m := p.Time
-	for _, rp := range s.runsOfClass(i, m, s.classAt(i, m, p.Run)) {
-		q := Point{Run: rp, Time: m}
-		if !s.Nonfaulty(i, q) {
-			continue
-		}
-		for j := 0; j < s.N; j++ {
-			jd := model.AgentID(j)
-			if !s.Nonfaulty(jd, q) || !s.Deciding(jd, model.Zero, q) {
-				continue
-			}
-			if m == 0 {
-				return true
-			}
-			// Need r'' with r'_j(m) = r''_j(m), j and some j' nonfaulty in
-			// r'', and j' deciding 0 in round m of r''.
-			for _, rpp := range s.runsOfClass(jd, m, s.classAt(jd, m, rp)) {
-				qq := Point{Run: rpp, Time: m}
-				if !s.Nonfaulty(jd, qq) {
-					continue
-				}
-				for jp := 0; jp < s.N; jp++ {
-					jpd := model.AgentID(jp)
-					if !s.Nonfaulty(jpd, qq) {
-						continue
-					}
-					res := s.Runs[rpp]
-					if res.Round(jpd) == m && res.Decided(jpd) == model.Zero {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
 }

@@ -28,10 +28,12 @@
 //     that is integer indexing, never string hashing. Index slots are
 //     built in parallel.
 //   - Evaluation: a System is safe for concurrent use, per-time C_N
-//     condensations build concurrently, and the checkers shard their
-//     point loops over a worker pool (WithParallelism) while reporting
-//     violations in the canonical enumeration order — results are
-//     bit-identical at every parallelism level.
+//     condensations build concurrently, and the checkers evaluate each
+//     knowledge condition once per indistinguishability class
+//     (foldClasses), sharding slots and runs over a worker pool
+//     (WithParallelism) while reporting violations in the canonical
+//     enumeration order — results are bit-identical at every parallelism
+//     level.
 //
 // Everything here is exhaustive and therefore exponential in n, t, and the
 // horizon; it is meant for small parameter values (n ≤ 4, t ≤ 2), which is
@@ -551,6 +553,38 @@ func (s *System) Knows(i model.AgentID, p Point, phi func(Point) bool) bool {
 		}
 	}
 	return true
+}
+
+// foldClasses evaluates pred once at every point of time ≤ maxTime for
+// every agent and folds it per indistinguishability class:
+// tables[slot][c] reports whether pred holds at some point of class c
+// (exists) or at every point of it (!exists) — ¬K_i¬pred and K_i pred, as
+// functions of the local state. This is what keeps the checkers linear in
+// the number of points: a condition on agent i's class is computed in one
+// pass over the slot's runs and then read per point, never re-derived by
+// scanning the class from each of its members. Slots fold in parallel;
+// passing the previous result back as tables reuses its storage.
+func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, exists bool, pred func(i model.AgentID, q Point) bool) ([][]bool, error) {
+	nSlots := (maxTime + 1) * s.N
+	if tables == nil {
+		tables = make([][]bool, nSlots)
+	}
+	err := s.parallel(ctx, nSlots, func(slot int) {
+		if tables[slot] == nil {
+			tables[slot] = make([]bool, len(s.classRuns[slot]))
+		}
+		table := tables[slot]
+		for c := range table {
+			table[c] = !exists
+		}
+		i, m := model.AgentID(slot%s.N), slot/s.N
+		for r, c := range s.classOf[slot] {
+			if table[c] != exists && pred(i, Point{Run: r, Time: m}) == exists {
+				table[c] = exists
+			}
+		}
+	})
+	return tables, err
 }
 
 // --- point-level properties of runs -------------------------------------

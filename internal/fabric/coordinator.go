@@ -47,6 +47,9 @@ type CoordinatorConfig struct {
 
 	// now overrides the clock in tests.
 	now func() time.Time
+	// beforePublish, when set by a test, runs between a stripe's
+	// completion in the lease table and its rename into the spool.
+	beforePublish func(stripe int)
 }
 
 // Coordinator serves the fabric's coordinator side. Create one with
@@ -63,6 +66,8 @@ type Coordinator struct {
 	table   *leaseTable
 	wake    chan struct{}
 	cstore  rescache.Store
+
+	beforePublish func(stripe int) // CoordinatorConfig.beforePublish (tests only)
 
 	mu            sync.Mutex
 	phase         string
@@ -119,6 +124,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cstore:  cfg.CacheStore,
 		phase:   PhaseRunning,
 		workers: make(map[string]*workerStats),
+
+		beforePublish: cfg.beforePublish,
 	}
 	if err := c.recover(); err != nil {
 		return nil, err
@@ -387,13 +394,19 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ResultAck{Stripe: stripe, Duplicate: true, Records: records, Digest: digest})
 		return
 	}
+	if c.beforePublish != nil {
+		c.beforePublish(stripe)
+	}
 	if err := os.Rename(tmp.Name(), c.stripePath(stripe)); err != nil {
-		// The table says done but the spool write failed — surface it as
-		// a job failure rather than merge from a missing file.
+		// The stripe is taken but will never be published — fail the job
+		// rather than wait forever for it.
 		c.failJob(fmt.Errorf("fabric: spooling stripe %d: %w", stripe, err))
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	// Only now may allDone turn true: Run merges from the spool as soon
+	// as it does, so every stripe's file must already be in place.
+	c.table.publish()
 	c.creditWorker(worker, records)
 	counts, _ := c.table.snapshot()
 	c.logf("fabric: stripe %d accepted from %s (%d records, digest %s) — %d/%d done",

@@ -212,8 +212,14 @@ func TestLeaseTableExpiryStealDuplicateConflict(t *testing.T) {
 	}
 	tbl.complete(1, "d1", "w3")
 	tbl.complete(2, "d2", "w3")
+	if tbl.allDone() {
+		t.Fatal("allDone before the completed stripes were published")
+	}
+	for range 3 {
+		tbl.publish()
+	}
 	if !tbl.allDone() {
-		t.Fatal("not allDone with every stripe complete")
+		t.Fatal("not allDone with every stripe complete and published")
 	}
 
 	counts, counters := tbl.snapshot()
@@ -448,6 +454,69 @@ func TestDuplicateAndConflictingUploads(t *testing.T) {
 	}
 	if _, werr := w.Run(context.Background()); !errors.Is(werr, ErrVerification) {
 		t.Fatalf("late worker Run = %v, want ErrVerification", werr)
+	}
+}
+
+// TestStripeDoneOnlyOncePublished holds stripe 0's upload between its
+// completion in the lease table and its rename into the spool while
+// stripe 1's upload runs to the end. The job must not count as done — Run
+// merges from the spool the moment it does, and stripe 0's file is not
+// there yet.
+func TestStripeDoneOnlyOncePublished(t *testing.T) {
+	job := testJob(2)
+	held, release := make(chan struct{}), make(chan struct{})
+	c, err := NewCoordinator(CoordinatorConfig{
+		Job:      job,
+		SpoolDir: t.TempDir(),
+		LeaseTTL: time.Minute,
+		Logf:     t.Logf,
+		beforePublish: func(stripe int) {
+			if stripe == 0 {
+				close(held)
+				<-release
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	runErr := make(chan error, 1)
+	go func() { runErr <- c.Run(context.Background()) }()
+
+	p0, p1 := stripePayload(t, job, 0), stripePayload(t, job, 1)
+	status0 := make(chan int, 1)
+	go func() { status0 <- putStripe(t, srv.URL, 0, "w-slow", p0) }()
+	<-held
+	if got := putStripe(t, srv.URL, 1, "w-fast", p1); got != http.StatusOK {
+		t.Fatalf("stripe 1 upload: status %d", got)
+	}
+	// A duplicate of the held stripe is still recognised and discarded.
+	if got := putStripe(t, srv.URL, 0, "w-dup", p0); got != http.StatusOK {
+		t.Fatalf("duplicate of the held stripe: status %d", got)
+	}
+	if st := c.Status(); st.Phase != PhaseRunning || st.Stripes.Done != 1 || st.Counters.Duplicates != 1 {
+		t.Fatalf("with stripe 0 unpublished: phase %q, stripes %+v, counters %+v; want running, 1 done, 1 duplicate",
+			st.Phase, st.Stripes, st.Counters)
+	}
+	if c.table.allDone() {
+		t.Fatal("allDone while stripe 0's file is not in the spool")
+	}
+
+	close(release)
+	if got := <-status0; got != http.StatusOK {
+		t.Fatalf("stripe 0 upload: status %d", got)
+	}
+	if err := <-runErr; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	merged, err := os.ReadFile(c.MergedPath())
+	if err != nil {
+		t.Fatalf("reading merged stream: %v", err)
+	}
+	if !bytes.Equal(merged, singleSweepStream(t, job)) {
+		t.Fatal("merged stream differs from the single-process sweep")
 	}
 }
 

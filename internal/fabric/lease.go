@@ -115,7 +115,9 @@ func (t *leaseTable) heartbeat(worker string, stripe int) bool {
 // valid upload wins regardless of who holds the lease (a stolen stripe's
 // original runner may finish first — that's still the deterministic
 // answer). A duplicate with the same digest is discarded as a no-op; a
-// duplicate with a different digest is a fatal inconsistency.
+// duplicate with a different digest is a fatal inconsistency. The winner
+// owns the stripe from here on, but the stripe counts toward allDone only
+// once the caller has spooled it and called publish.
 func (t *leaseTable) complete(stripe int, digest, worker string) (first bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -138,8 +140,15 @@ func (t *leaseTable) complete(stripe int, digest, worker string) (first bool, er
 	t.state[stripe] = stripeDone
 	t.holder[stripe] = ""
 	t.digest[stripe] = digest
-	t.done++
 	return true, nil
+}
+
+// publish counts a completed stripe as done: its file is in the spool,
+// so a merge woken by allDone can open it.
+func (t *leaseTable) publish() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.done++
 }
 
 // reject requeues a stripe whose upload failed verification. Torn or

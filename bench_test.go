@@ -194,6 +194,55 @@ func BenchmarkCheckSafetyBasicn4(b *testing.B) {
 	}
 }
 
+// BenchmarkQuotientDrainN5 drains the quotiented n=5,t=1 sweep: 655,392
+// scenarios canonicalized, 7,758 kept. The enumeration itself allocates
+// one inits vector per scenario; the quotient should add nothing per
+// rejected scenario on top of that.
+func BenchmarkQuotientDrainN5(b *testing.B) {
+	const n, tf, scenarios, representatives = 5, 1, 655392, 7758
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src, err := eba.SourceSO(n, tf, tf+2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kept := 0
+		for q := eba.SourceQuotient(src); ; kept++ {
+			if _, ok := q.Next(); !ok {
+				break
+			}
+		}
+		if kept != representatives {
+			b.Fatalf("kept %d representatives, want %d", kept, representatives)
+		}
+	}
+	b.ReportMetric(float64(scenarios)*float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")
+}
+
+// BenchmarkExpandQuotientN4 expands the 1,637 fip representatives at
+// n=4,t=1 back into the full 32,784-run system.
+func BenchmarkExpandQuotientN4(b *testing.B) {
+	st := stack(b, "fip", 4, 1)
+	ec := episteme.ContextFor(st)
+	ctx := context.Background()
+	idx, err := episteme.BuildShardIndex(ctx, ec, st.Action, 0, 1, episteme.WithQuotient())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := episteme.MergeSystems(ctx, []*episteme.ShardIndex{idx})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys, err := episteme.ExpandQuotient(ctx, rep, ec)
+		if err != nil || len(sys.Runs) != 32784 {
+			b.Fatalf("runs=%d err=%v", len(sys.Runs), err)
+		}
+	}
+}
+
 func BenchmarkE11BasicVsMin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if tb := experiments.E11BasicVsMin(); !tb.Pass {

@@ -85,16 +85,18 @@ func (s *System) buildCNLayer(m int) *cnLayer {
 			adj[base[i]+c] = members
 		}
 	}
+	// One slab backs every run's out-edges (at most n each).
+	outs := make([]int, 0, runs*n)
 	for r := range s.Runs {
 		pat := s.Runs[r].Pattern
-		var outs []int
+		start := len(outs)
 		for i := 0; i < n; i++ {
 			if !pat.Nonfaulty(model.AgentID(i)) {
 				continue
 			}
 			outs = append(outs, base[i]+int(s.classOf[m*n+i][r]))
 		}
-		adj[r] = outs
+		adj[r] = outs[start:len(outs):len(outs)]
 	}
 
 	comp := tarjanSCC(adj)
@@ -110,20 +112,42 @@ func (s *System) buildCNLayer(m int) *cnLayer {
 		members: make([][]int, nComp),
 		reach:   make(map[int][]int),
 	}
-	seen := make(map[[2]int]bool)
-	for v, outs := range adj {
-		cv := comp[v]
-		for _, w := range outs {
-			cw := comp[w]
-			if cv != cw && !seen[[2]int{cv, cw}] {
-				seen[[2]int{cv, cw}] = true
-				layer.next[cv] = append(layer.next[cv], cw)
-			}
+	// Group the nodes by component with a counting sort: component c's
+	// nodes are grouped[off[c]:off[c+1]] in ascending order, its runs
+	// (the low node ids) first.
+	off := make([]int, nComp+1)
+	runCount := make([]int, nComp)
+	for v, c := range comp {
+		off[c+1]++
+		if v < runs {
+			runCount[c]++
 		}
 	}
-	for r := range s.Runs {
-		c := comp[r]
-		layer.members[c] = append(layer.members[c], r)
+	for c := 0; c < nComp; c++ {
+		off[c+1] += off[c]
+	}
+	grouped := make([]int, len(comp))
+	fill := append([]int(nil), off[:nComp]...)
+	for v, c := range comp {
+		grouped[fill[c]] = v
+		fill[c]++
+	}
+	// Walking one source component at a time lets a stamp per target
+	// component deduplicate its edges: stamp[cw] == cv+1 iff cv → cw is
+	// already in next[cv].
+	stamp := make([]int, nComp)
+	for cv := 0; cv < nComp; cv++ {
+		for _, v := range grouped[off[cv]:off[cv+1]] {
+			for _, w := range adj[v] {
+				if cw := comp[w]; cw != cv && stamp[cw] != cv+1 {
+					stamp[cw] = cv + 1
+					layer.next[cv] = append(layer.next[cv], cw)
+				}
+			}
+		}
+		if k := runCount[cv]; k > 0 {
+			layer.members[cv] = grouped[off[cv] : off[cv]+k : off[cv]+k]
+		}
 	}
 	return layer
 }
@@ -141,15 +165,18 @@ func tarjanSCC(adj [][]int) []int {
 		index[i] = -1
 		comp[i] = -1
 	}
-	var stack []int
+	// Both stacks can grow to every node of one deep component; sized for
+	// that once instead of doubling their way there.
+	type frame struct{ v, child int }
+	stack := make([]int, 0, n)
+	frames := make([]frame, 0, n)
 	counter, nComp := 0, 0
 
-	type frame struct{ v, child int }
 	for start := 0; start < n; start++ {
 		if index[start] != -1 {
 			continue
 		}
-		frames := []frame{{v: start}}
+		frames = append(frames[:0], frame{v: start})
 		index[start], low[start] = counter, counter
 		counter++
 		stack = append(stack, start)

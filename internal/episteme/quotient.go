@@ -26,6 +26,7 @@ package episteme
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -57,6 +58,9 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 		return nil, fmt.Errorf("episteme: expansion context (n=%d,t=%d,h=%d) does not match quotiented system (n=%d,t=%d,h=%d)",
 			c.Exchange.N(), c.T, c.horizonOrDefault(), n, rep.T, horizon)
 	}
+	if n > maxPermCodeAgents {
+		return nil, fmt.Errorf("episteme: ExpandQuotient interns relabelings of at most %d agents, system has %d", maxPermCodeAgents, n)
+	}
 
 	// Representatives by scenario fingerprint: the full enumeration below
 	// resolves each scenario's canonical form against this.
@@ -78,38 +82,53 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 	// (gRep[g], perms[gPerm[g]]): its representative and the relabeling π
 	// with π·g = representative. Runs are synthesized on the way: ledgers
 	// are the representative's with agents relabeled (g's agent i is the
-	// representative's agent π(i)), stats are permutation-invariant.
+	// representative's agent π(i)), stats are permutation-invariant. The
+	// loop is serial and runs once per scenario of the full sweep, so it
+	// works from the canonicalizer's key bytes and carves the runs from
+	// slabs instead of allocating per scenario.
+	total, _ := src.Count() // a capacity hint; 0 when the source cannot say
 	var (
-		gRep, gPerm []int32
-		perms       [][]model.AgentID // interned relabelings π
-		invs        [][]model.AgentID // their inverses π⁻¹
-		isID        []bool
-		permID      = make(map[string]int32)
-		counts      = make([]int64, len(rep.Runs))
-		runs        []*engine.Result
+		gRep   = make([]int32, 0, total)
+		gPerm  = make([]int32, 0, total)
+		perms  [][]model.AgentID // interned relabelings π
+		invs   [][]model.AgentID // their inverses π⁻¹
+		isID   []bool
+		permID = make(map[uint64]int32)
+		counts = make([]int64, len(rep.Runs))
+		runs   = make([]*engine.Result, 0, total)
+		canon  model.Canonicalizer
+		fp     []byte
+		perm   []model.AgentID
+		slabs  runSlabs
 	)
 	for sc, more := src.Next(); more; sc, more = src.Next() {
-		canonPat, canonInits, orbit, perm := model.CanonicalizeScenarioPerm(sc.Pattern, sc.Inits)
-		r, known := repOf[scenarioFingerprint(canonPat, canonInits)]
+		if len(runs)%expandCancelStride == 0 && ctx.Err() != nil {
+			return nil, context.Cause(ctx)
+		}
+		canon.Canonicalize(sc.Pattern, sc.Inits)
+		fp = canon.AppendRepresentativeKey(fp[:0])
+		r, known := repOf[string(fp)]
 		if !known {
 			return nil, fmt.Errorf("episteme: scenario %q canonicalizes outside the representative set (context mismatch?)",
 				scenarioFingerprint(sc.Pattern, sc.Inits))
 		}
-		if w := rep.Weight(int(r)); orbit != w {
+		if w, orbit := rep.Weight(int(r)), canon.Orbit(); orbit != w {
 			return nil, fmt.Errorf("episteme: representative %d carries weight %d, its orbit has size %d", r, w, orbit)
 		}
 		counts[r]++
-		pid, seen := permID[permFingerprint(perm)]
+		perm = canon.Perm(perm)
+		code := permCode(perm)
+		pid, seen := permID[code]
 		if !seen {
 			pid = int32(len(perms))
-			permID[permFingerprint(perm)] = pid
-			perms = append(perms, perm)
+			permID[code] = pid
+			perms = append(perms, slices.Clone(perm))
 			invs = append(invs, invertPerm(perm))
 			isID = append(isID, isIdentity(perm))
 		}
 		gRep = append(gRep, r)
 		gPerm = append(gPerm, pid)
-		runs = append(runs, expandRun(rep.Runs[r], sc, perm))
+		runs = append(runs, slabs.expandRun(rep.Runs[r], sc, perm))
 	}
 	if es, isErr := src.(core.ErrorSource); isErr {
 		if err := es.Err(); err != nil {
@@ -128,7 +147,7 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 	// the single-process buildIndex assigns. The (rep agent, relabeling,
 	// rep class) triple determines the key, so each distinct triple pays
 	// for the string rewrite once and every other run is integer lookups.
-	total := len(runs)
+	nRuns := len(runs)
 	sys := &System{N: n, T: rep.T, Horizon: horizon, Runs: runs, par: rep.parallelism()}
 	nSlots := (horizon + 1) * n
 	sys.classOf = make([][]int32, nSlots)
@@ -149,9 +168,9 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 			slot := m*n + i
 			byKey := make(map[string]int32)
 			var classKey []string
-			classOf := make([]int32, total)
+			classOf := make([]int32, nRuns)
 			cache := make(map[triple]int32)
-			for g := 0; g < total; g++ {
+			for g := 0; g < nRuns; g++ {
 				pid := gPerm[g]
 				srcAgent := perms[pid][i]
 				rc := rep.classOf[m*n+int(srcAgent)][gRep[g]]
@@ -207,29 +226,60 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 	return sys, nil
 }
 
+// expandCancelStride is how many scenarios pass 1 enumerates between
+// looks at the context.
+const expandCancelStride = 4096
+
+// runSlabs backs the runs pass 1 synthesizes: each field of an expanded
+// Result is carved from a chunk shared with its neighbours, since the
+// expanded System keeps every run alive together anyway.
+type runSlabs struct {
+	results []engine.Result
+	values  []model.Value
+	rounds  []int
+	rows    [][]model.Action
+	actions []model.Action
+}
+
+// slabRuns is the number of runs' worth of storage one slab chunk holds.
+const slabRuns = 1024
+
+// carve cuts k elements off the front of *slab, replacing an exhausted
+// slab with a fresh chunk sized for slabRuns such requests.
+func carve[T any](slab *[]T, k int) []T {
+	if len(*slab) < k {
+		*slab = make([]T, k*slabRuns)
+	}
+	out := (*slab)[:k:k]
+	*slab = (*slab)[k:]
+	return out
+}
+
 // expandRun synthesizes the run of scenario sc from its representative's
 // run: by agent symmetry run(sc) is run(rep) with the agents relabeled
 // under π⁻¹ (sc's agent i is rep's agent π(i)). State traces are not
 // reconstructed — the expanded system answers knowledge queries through
 // its interned class tables, like a merged one.
-func expandRun(repRes *engine.Result, sc core.Scenario, perm []model.AgentID) *engine.Result {
+func (sl *runSlabs) expandRun(repRes *engine.Result, sc core.Scenario, perm []model.AgentID) *engine.Result {
 	n := repRes.N
-	res := &engine.Result{
+	res := &carve(&sl.results, 1)[0]
+	*res = engine.Result{
 		N:             n,
 		Horizon:       repRes.Horizon,
 		Pattern:       sc.Pattern,
-		Inits:         append([]model.Value(nil), sc.Inits...),
-		Actions:       make([][]model.Action, len(repRes.Actions)),
-		Decision:      make([]model.Value, n),
-		DecisionRound: make([]int, n),
+		Inits:         carve(&sl.values, n),
+		Actions:       carve(&sl.rows, len(repRes.Actions)),
+		Decision:      carve(&sl.values, n),
+		DecisionRound: carve(&sl.rounds, n),
 		Stats:         repRes.Stats, // message counts are permutation-invariant
 	}
+	copy(res.Inits, sc.Inits)
 	for i := 0; i < n; i++ {
 		res.Decision[i] = repRes.Decision[perm[i]]
 		res.DecisionRound[i] = repRes.DecisionRound[perm[i]]
 	}
 	for m, row := range repRes.Actions {
-		acts := make([]model.Action, n)
+		acts := carve(&sl.actions, n)
 		for i := range acts {
 			acts[i] = row[perm[i]]
 		}
@@ -241,28 +291,20 @@ func expandRun(repRes *engine.Result, sc core.Scenario, perm []model.AgentID) *e
 // scenarioFingerprint renders a scenario's identity — the pattern's
 // canonical key plus the initial preferences — for representative lookup.
 func scenarioFingerprint(p *model.Pattern, inits []model.Value) string {
-	buf := make([]byte, 0, len(inits)+1)
-	buf = append(buf, '/')
-	for _, v := range inits {
-		switch v {
-		case model.Zero:
-			buf = append(buf, '0')
-		case model.One:
-			buf = append(buf, '1')
-		default:
-			buf = append(buf, '?')
-		}
-	}
-	return p.Key() + string(buf)
+	return string(model.AppendScenarioKey(nil, p, inits))
 }
 
-// permFingerprint renders a permutation for interning.
-func permFingerprint(perm []model.AgentID) string {
-	buf := make([]byte, len(perm))
-	for i, a := range perm {
-		buf[i] = byte(a)
+// maxPermCodeAgents is the largest agent count permCode can encode.
+const maxPermCodeAgents = 16
+
+// permCode packs a permutation of at most maxPermCodeAgents agents into
+// an integer, four bits per entry, for interning.
+func permCode(perm []model.AgentID) uint64 {
+	var code uint64
+	for _, a := range perm {
+		code = code<<4 | uint64(a)
 	}
-	return string(buf)
+	return code
 }
 
 // invertPerm returns π⁻¹.

@@ -3,7 +3,9 @@ package episteme
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/action"
@@ -236,5 +238,65 @@ func TestExpandQuotientRejects(t *testing.T) {
 	}
 	if _, err := ExpandQuotient(context.Background(), rep, Context{Exchange: exchange.NewFIP(3), T: 2}); err == nil {
 		t.Error("ExpandQuotient accepted a context with the wrong t")
+	}
+}
+
+// cancelOnNthErr is a context that cancels itself, with a cause, the nth
+// time something asks it whether it is done — a deterministic stand-in
+// for a client that disconnects while the expansion is under way.
+type cancelOnNthErr struct {
+	context.Context
+	cancel context.CancelCauseFunc
+	cause  error
+	left   atomic.Int32
+}
+
+func (c *cancelOnNthErr) Err() error {
+	if c.left.Add(-1) == 0 {
+		c.cancel(c.cause)
+	}
+	return c.Context.Err() //eba:ctxcause-ok this IS the context's Err method; callers read the cause through context.Cause
+}
+
+// countingPermuter counts the key rewrites of the wrapped exchange:
+// ExpandQuotient only rewrites keys in pass 2.
+type countingPermuter struct {
+	*exchange.FIP
+	rewrites atomic.Int64
+}
+
+func (e *countingPermuter) PermuteKey(key string, perm []model.AgentID) (string, error) {
+	e.rewrites.Add(1)
+	return e.FIP.PermuteKey(key, perm)
+}
+
+// TestExpandQuotientCancelsDuringEnumeration cancels the context while
+// pass 1 is re-enumerating the n=4 sweep (at its second look, 4,096 of
+// 32,784 scenarios in): the expansion must stop there with the cause,
+// without ever reaching pass 2's key rewriting.
+func TestExpandQuotientCancelsDuringEnumeration(t *testing.T) {
+	c := Context{Exchange: exchange.NewFIP(4), T: 1}
+	idx, err := BuildShardIndex(context.Background(), c, action.NewOpt(1), 0, 1, WithParallelism(1), WithQuotient())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := MergeSystems(context.Background(), []*ShardIndex{idx}, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cause := errors.New("client went away")
+	inner, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	ctx := &cancelOnNthErr{Context: inner, cancel: cancel, cause: cause}
+	ctx.left.Store(2)
+	ex := &countingPermuter{FIP: exchange.NewFIP(4)}
+
+	sys, err := ExpandQuotient(ctx, rep, Context{Exchange: ex, T: 1})
+	if !errors.Is(err, cause) || sys != nil {
+		t.Fatalf("ExpandQuotient under a cancelled context = (%v, %v), want the cancellation cause", sys, err)
+	}
+	if n := ex.rewrites.Load(); n != 0 {
+		t.Fatalf("expansion went on to rewrite %d keys after its context was cancelled mid-enumeration", n)
 	}
 }

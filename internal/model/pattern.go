@@ -170,17 +170,21 @@ func (p *Pattern) Clone() *Pattern {
 // Key returns a canonical fingerprint of the pattern, suitable for use as a
 // map key when deduplicating enumerated patterns.
 func (p *Pattern) Key() string {
-	buf := make([]byte, 0, 2+len(p.faulty)+len(p.drops))
-	buf = appendInt(buf, p.n)
-	buf = append(buf, ':')
+	return string(p.appendKey(make([]byte, 0, 4+len(p.faulty)+len(p.drops))))
+}
+
+// appendKey appends Key's bytes to dst.
+func (p *Pattern) appendKey(dst []byte) []byte {
+	dst = appendInt(dst, p.n)
+	dst = append(dst, ':')
 	for _, f := range p.faulty {
-		buf = append(buf, boolByte(f))
+		dst = append(dst, boolByte(f))
 	}
-	buf = append(buf, ':')
+	dst = append(dst, ':')
 	for _, d := range p.drops {
-		buf = append(buf, boolByte(d))
+		dst = append(dst, boolByte(d))
 	}
-	return string(buf)
+	return dst
 }
 
 func boolByte(b bool) byte {

@@ -1,6 +1,9 @@
 package model
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 // This file implements the agent-permutation symmetry of the paper's
 // failure models: the exchanges and action protocols treat agents
@@ -90,7 +93,9 @@ func PermuteValues(vals []Value, perm []AgentID) []Value {
 //
 // The search cost is f!·(n−f)! candidate keys for f faulty agents — the
 // only permutations that can reach the minimum are those mapping the
-// faulty set onto the top index block.
+// faulty set onto the top index block. Callers canonicalizing many
+// scenarios should hold a Canonicalizer, which pays that search once per
+// pattern instead of once per scenario.
 func CanonicalizeScenario(p *Pattern, inits []Value) (*Pattern, []Value, int64) {
 	rep, repInits, orbit, _ := CanonicalizeScenarioPerm(p, inits)
 	return rep, repInits, orbit
@@ -103,177 +108,244 @@ func CanonicalizeScenario(p *Pattern, inits []Value) (*Pattern, []Value, int64) 
 // scenario has a non-trivial stabilizer) the returned one is the first in
 // the deterministic search order.
 func CanonicalizeScenarioPerm(p *Pattern, inits []Value) (*Pattern, []Value, int64, []AgentID) {
-	s := newCanonSearch(p, inits)
-	s.run()
-	rep := p.Permute(s.best)
-	repInits := PermuteValues(inits, s.best)
-	return rep, repInits, s.orbit(), s.best
+	var c Canonicalizer
+	c.Canonicalize(p, inits)
+	perm := c.Perm(nil)
+	return p.Permute(perm), PermuteValues(inits, perm), c.Orbit(), perm
 }
 
 // IsCanonicalScenario reports whether (p, inits) is its own orbit
-// representative, returning the orbit size. Sweep quotienting uses this
-// to keep exactly one scenario per orbit without materializing the
-// representative.
+// representative, returning the orbit size.
 func IsCanonicalScenario(p *Pattern, inits []Value) (int64, bool) {
-	s := newCanonSearch(p, inits)
-	s.run()
-	return s.orbit(), s.isIdentityMin()
+	var c Canonicalizer
+	c.Canonicalize(p, inits)
+	return c.Orbit(), c.IsCanonical()
 }
 
-// canonSearch enumerates the split-respecting permutations of one
-// scenario and tracks the minimal permuted key.
-type canonSearch struct {
-	p     *Pattern
-	inits []Value
-	n     int
+// Canonicalizer canonicalizes scenarios one after another, reusing its
+// storage: after warm-up Canonicalize does not allocate. It splits the
+// lexicographic minimum the way the key is ordered. The drop bitmap
+// comes first, so per pattern it searches the split-respecting
+// permutations once for the minimal bitmap and keeps the coset of
+// permutations reaching it; per scenario it minimises only the n permuted
+// inits over that coset (a handful of members for most patterns, all n!
+// for the failure-free one).
+//
+// The pattern half is remembered for the most recent pattern, compared by
+// content against a private copy — an enumerator that mutates one Pattern
+// in place between calls cannot alias it. Exhaustive sweeps cross each
+// pattern with 2ⁿ initial vectors back to back, which is where the memo
+// pays; a source whose patterns never repeat pays one extra comparison.
+//
+// The zero value is ready to use. A Canonicalizer is not safe for
+// concurrent use, and the results of Canonicalize are valid until the
+// next call.
+type Canonicalizer struct {
+	// The remembered pattern: shape and a copy of its contents.
+	n, horizon int
+	faulty     []bool
+	drops      []bool
 
-	// slots[k] lists the old agents that may occupy new index k's block:
-	// nonfaulty agents fill indices 0..n-f-1, faulty agents the rest.
-	nonfaulty []AgentID
-	faulty    []AgentID
+	// Pattern half. agents is the search scratch: the nonfaulty agents
+	// (new indices 0..nonfaulty-1) then the faulty ones, each block
+	// permuted in place; at a leaf agents[a] is the old agent at new
+	// index a. minDrops is the minimal drop bitmap, in new-index order as
+	// '0'/'1' bytes. coset lists, n entries each and in search order,
+	// every leaf whose bitmap equals minDrops.
+	nonfaulty int
+	agents    []AgentID
+	minDrops  []byte
+	coset     []AgentID
+	idInCoset bool // the identity permutation is a coset member
 
-	// inv[a] is the old agent at new index a for the candidate under
-	// construction; perm is its inverse (old → new).
-	inv  []AgentID
-	perm []AgentID
-
-	// cur and min hold candidate key bytes: the drop bitmap in new-index
-	// order followed by the permuted inits. The faulty bitmap is omitted —
-	// every candidate shares it.
-	cur []byte
-	min []byte
-
-	best     []AgentID // first permutation achieving min
-	minCount int64     // permutations achieving min = stabilizer order
+	// Scenario half: the inits as key bytes by old agent, their minimum
+	// over the coset, the first member attaining it and how many do (the
+	// scenario's stabilizer order).
+	vals     []byte
+	minInits []byte
+	best     int
+	minCount int64
 }
 
-func newCanonSearch(p *Pattern, inits []Value) *canonSearch {
+// Canonicalize finds the canonical representative of (p, inits); the
+// other methods report it. len(inits) must equal p.N().
+func (c *Canonicalizer) Canonicalize(p *Pattern, inits []Value) {
 	if len(inits) != p.n {
 		panic("model: CanonicalizeScenario inits length does not match pattern")
 	}
-	s := &canonSearch{
-		p:         p,
-		inits:     inits,
-		n:         p.n,
-		nonfaulty: p.NonfaultySet(),
-		faulty:    p.FaultySet(),
-		inv:       make([]AgentID, p.n),
-		perm:      make([]AgentID, p.n),
-		cur:       make([]byte, len(p.drops)+p.n),
-		min:       nil,
+	if c.n != p.n || c.horizon != p.horizon || !slices.Equal(c.faulty, p.faulty) || !slices.Equal(c.drops, p.drops) {
+		c.searchPattern(p)
 	}
-	return s
-}
-
-// run enumerates every assignment of nonfaulty agents to the low block
-// and faulty agents to the high block, evaluating each candidate key.
-func (s *canonSearch) run() {
-	s.permuteBlock(s.nonfaulty, 0, func() {
-		s.permuteBlock(s.faulty, len(s.nonfaulty), func() {
-			s.evaluate()
-		})
-	})
-}
-
-// permuteBlock assigns every ordering of agents to new indices base,
-// base+1, ... via Heap-style recursion on a scratch copy.
-func (s *canonSearch) permuteBlock(agents []AgentID, base int, done func()) {
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(agents) {
-			done()
-			return
-		}
-		for i := k; i < len(agents); i++ {
-			agents[k], agents[i] = agents[i], agents[k]
-			s.inv[base+k] = agents[k]
-			rec(k + 1)
-			agents[k], agents[i] = agents[i], agents[k]
-		}
+	n := c.n
+	c.vals = c.vals[:0]
+	for _, v := range inits {
+		c.vals = append(c.vals, valueByte(v))
 	}
-	rec(0)
-}
-
-// evaluate renders the candidate key for the current inv assignment and
-// folds it into the running minimum.
-func (s *canonSearch) evaluate() {
-	p, n := s.p, s.n
-	buf := s.cur
-	w := 0
-	for m := 0; m < p.horizon; m++ {
-		mBase := m * n * n
-		for a := 0; a < n; a++ {
-			row := mBase + int(s.inv[a])*n
-			for b := 0; b < n; b++ {
-				buf[w] = boolByte(p.drops[row+int(s.inv[b])])
-				w++
-			}
-		}
-	}
-	for a := 0; a < n; a++ {
-		buf[w] = valueByte(s.inits[s.inv[a]])
-		w++
-	}
-	switch {
-	case s.min == nil || bytes.Compare(buf, s.min) < 0:
-		if s.min == nil {
-			s.min = make([]byte, len(buf))
-		}
-		copy(s.min, buf)
-		s.minCount = 1
-		s.best = s.currentPerm()
-	case bytes.Equal(buf, s.min):
-		s.minCount++
-	}
-}
-
-// currentPerm snapshots the old→new permutation for the current inv.
-func (s *canonSearch) currentPerm() []AgentID {
-	perm := make([]AgentID, s.n)
-	for a := 0; a < s.n; a++ {
-		perm[s.inv[a]] = AgentID(a)
-	}
-	return perm
-}
-
-// orbit returns n!/|stabilizer|; the candidates achieving the minimum
-// are exactly one coset of the scenario's stabilizer.
-func (s *canonSearch) orbit() int64 {
-	return factorial(s.n) / s.minCount
-}
-
-// isIdentityMin reports whether the identity permutation attains the
-// minimal key — i.e. the scenario is already canonical. The identity is
-// split-respecting only when the faulty agents already occupy the top
-// index block.
-func (s *canonSearch) isIdentityMin() bool {
-	f := len(s.faulty)
-	for k, a := range s.faulty {
-		if int(a) != s.n-f+k {
-			return false
-		}
-	}
-	p, n := s.p, s.n
-	w := 0
-	for m := 0; m < p.horizon; m++ {
-		mBase := m * n * n
-		for a := 0; a < n; a++ {
-			row := mBase + a*n
-			for b := 0; b < n; b++ {
-				if s.min[w] != boolByte(p.drops[row+b]) {
-					return false
+	for k := 0; k*n < len(c.coset); k++ {
+		member := c.coset[k*n : (k+1)*n]
+		cmp := -1 // the first member always becomes the minimum
+		if k > 0 {
+			cmp = 0
+			for a, old := range member {
+				if d := int(c.vals[old]) - int(c.minInits[a]); d != 0 {
+					cmp = d
+					break
 				}
+			}
+		}
+		switch {
+		case cmp < 0:
+			for a, old := range member {
+				c.minInits[a] = c.vals[old]
+			}
+			c.best, c.minCount = k, 1
+		case cmp == 0:
+			c.minCount++
+		}
+	}
+}
+
+// searchPattern remembers p and runs the pattern half for it.
+func (c *Canonicalizer) searchPattern(p *Pattern) {
+	c.n, c.horizon = p.n, p.horizon
+	c.faulty = append(c.faulty[:0], p.faulty...)
+	c.drops = append(c.drops[:0], p.drops...)
+
+	c.agents = c.agents[:0]
+	for i, f := range c.faulty {
+		if !f {
+			c.agents = append(c.agents, AgentID(i))
+		}
+	}
+	c.nonfaulty = len(c.agents)
+	for i, f := range c.faulty {
+		if f {
+			c.agents = append(c.agents, AgentID(i))
+		}
+	}
+	// The identity is split-respecting only when the faulty agents
+	// already occupy the top index block, i.e. agents starts out sorted.
+	c.idInCoset = true
+	for a, old := range c.agents {
+		if int(old) != a {
+			c.idInCoset = false
+		}
+	}
+
+	c.minDrops = slices.Grow(c.minDrops[:0], len(c.drops))[:len(c.drops)]
+	c.minInits = slices.Grow(c.minInits[:0], c.n)[:c.n]
+	c.coset = c.coset[:0]
+	c.search(0)
+
+	for i, d := range c.drops {
+		if c.minDrops[i] != boolByte(d) {
+			c.idInCoset = false
+			break
+		}
+	}
+}
+
+// search assigns every ordering of the nonfaulty agents to the low index
+// block and, inside each, every ordering of the faulty agents to the high
+// block, by swap recursion on agents. The order is part of the contract:
+// it decides which permutation Perm returns for a scenario with a
+// non-trivial stabilizer.
+func (c *Canonicalizer) search(k int) {
+	if k == c.n {
+		c.evaluate()
+		return
+	}
+	end := c.n
+	if k < c.nonfaulty {
+		end = c.nonfaulty
+	}
+	for i := k; i < end; i++ {
+		c.agents[k], c.agents[i] = c.agents[i], c.agents[k]
+		c.search(k + 1)
+		c.agents[k], c.agents[i] = c.agents[i], c.agents[k]
+	}
+}
+
+// evaluate renders the drop bitmap under the current assignment straight
+// into minDrops, giving up at the first byte that loses to the running
+// minimum, and folds the leaf into the coset. The faulty bitmap is not
+// rendered: every candidate shares it.
+func (c *Canonicalizer) evaluate() {
+	n, w := c.n, 0
+	less := len(c.coset) == 0 // the first leaf always becomes the minimum
+	for m := 0; m < c.horizon; m++ {
+		mBase := m * n * n
+		for _, from := range c.agents {
+			row := mBase + int(from)*n
+			for _, to := range c.agents {
+				b := boolByte(c.drops[row+int(to)])
+				if !less && b != c.minDrops[w] {
+					if b > c.minDrops[w] {
+						return
+					}
+					less = true
+				}
+				c.minDrops[w] = b
 				w++
 			}
 		}
 	}
-	for a := 0; a < n; a++ {
-		if s.min[w] != valueByte(s.inits[a]) {
-			return false
-		}
-		w++
+	if less {
+		c.coset = c.coset[:0]
 	}
-	return true
+	c.coset = append(c.coset, c.agents...)
+}
+
+// Orbit returns the orbit size n!/|stabilizer|: the coset members
+// attaining the minimal inits are exactly one coset of the scenario's
+// stabilizer.
+func (c *Canonicalizer) Orbit() int64 {
+	return factorial(c.n) / c.minCount
+}
+
+// IsCanonical reports whether the scenario is its own representative,
+// i.e. the identity permutation attains the minimal key.
+func (c *Canonicalizer) IsCanonical() bool {
+	return c.idInCoset && bytes.Equal(c.vals, c.minInits)
+}
+
+// Perm returns the permutation carrying the scenario onto its
+// representative (perm[i] is the new identity of old agent i, as
+// Pattern.Permute takes it), the first in search order when several do.
+// It is written over dst when dst has the capacity.
+func (c *Canonicalizer) Perm(dst []AgentID) []AgentID {
+	n := c.n
+	dst = slices.Grow(dst[:0], n)[:n]
+	for a, old := range c.coset[c.best*n : (c.best+1)*n] {
+		dst[old] = AgentID(a)
+	}
+	return dst
+}
+
+// AppendRepresentativeKey appends the representative's scenario key —
+// what AppendScenarioKey renders for the permuted pattern and inits,
+// without materializing either.
+func (c *Canonicalizer) AppendRepresentativeKey(dst []byte) []byte {
+	dst = appendInt(dst, c.n)
+	dst = append(dst, ':')
+	for a := 0; a < c.n; a++ {
+		dst = append(dst, boolByte(a >= c.nonfaulty))
+	}
+	dst = append(dst, ':')
+	dst = append(dst, c.minDrops...)
+	dst = append(dst, '/')
+	return append(dst, c.minInits...)
+}
+
+// AppendScenarioKey appends a fingerprint of the scenario (p, inits):
+// Pattern.Key(), a '/', and one byte per initial preference. Scenarios of
+// one shape are equal iff their keys are.
+func AppendScenarioKey(dst []byte, p *Pattern, inits []Value) []byte {
+	dst = append(p.appendKey(dst), '/')
+	for _, v := range inits {
+		dst = append(dst, valueByte(v))
+	}
+	return dst
 }
 
 func valueByte(v Value) byte {

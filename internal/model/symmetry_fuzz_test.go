@@ -77,8 +77,11 @@ func (s *fuzzScenario) decode() (*Pattern, []Value, []AgentID) {
 // orbit size, the orbit size divides n!, and IsCanonicalScenario agrees
 // with the representative comparison. These are exactly the properties
 // the quotiented sweeps (source.Quotient, episteme.ExpandQuotient) rely
-// on for full-sweep equivalence.
+// on for full-sweep equivalence. One Canonicalizer lives across the whole
+// fuzzed sequence, as it does in those sweeps, and must answer every
+// scenario as a fresh one does whatever it was shown before.
 func FuzzCanonicalizeScenario(f *testing.F) {
+	var long Canonicalizer
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{1, 1, 0xff, 0x0f, 3, 1, 2})
@@ -90,6 +93,13 @@ func FuzzCanonicalizeScenario(f *testing.F) {
 		n := p.N()
 
 		rep, repInits, orbit, perm := CanonicalizeScenarioPerm(p, inits)
+
+		long.Canonicalize(p, inits)
+		if got, want := string(long.AppendRepresentativeKey(nil)), string(AppendScenarioKey(nil, rep, repInits)); got != want ||
+			long.Orbit() != orbit || !slices.Equal(long.Perm(nil), perm) {
+			t.Fatalf("long-lived canonicalizer = (%s, %d, %v), fresh one (%s, %d, %v)",
+				got, long.Orbit(), long.Perm(nil), want, orbit, perm)
+		}
 
 		// The returned permutation is split-respecting: the
 		// representative has the same shape with its faulty agents in
@@ -127,6 +137,9 @@ func FuzzCanonicalizeScenario(f *testing.F) {
 		isRep := rep.Key() == p.Key() && slices.Equal(repInits, inits)
 		if o, ok := IsCanonicalScenario(p, inits); ok != isRep || o != orbit {
 			t.Fatalf("IsCanonicalScenario = (%d, %v), want (%d, %v)", o, ok, orbit, isRep)
+		}
+		if long.IsCanonical() != isRep {
+			t.Fatalf("long-lived canonicalizer: IsCanonical = %v, want %v", long.IsCanonical(), isRep)
 		}
 
 		// Permutation-invariant: any relabeling of the scenario reaches

@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 
 	"repro/internal/episteme"
@@ -16,6 +17,10 @@ type buildCall struct {
 	sys  *episteme.System
 	err  error
 }
+
+// errBuildPanicked is what the followers of a build that panicked get;
+// the leader's panic carries on up its own stack.
+var errBuildPanicked = errors.New("serve: system build panicked")
 
 // lruEntry is one cached System.
 type lruEntry struct {
@@ -49,7 +54,9 @@ func newSystemLRU(max int, met *metrics) *systemLRU {
 
 // get returns the key's System, building it with build on a miss.
 // Concurrent gets for one cold key share a single build call; a failed
-// build caches nothing, so the next get retries. The build runs on the
+// build caches nothing, so the next get retries — also when the build
+// panicked: the in-flight entry is cleared and the followers released on
+// every path out, so the key is never left blocked. The build runs on the
 // leader's context — if the leader disconnects mid-build, followers see
 // its cancellation error and their retry becomes the new leader.
 func (l *systemLRU) get(ctx context.Context, key string, build func(context.Context) (*episteme.System, error)) (*episteme.System, error) {
@@ -70,20 +77,22 @@ func (l *systemLRU) get(ctx context.Context, key string, build func(context.Cont
 			return nil, context.Cause(ctx)
 		}
 	}
-	call := &buildCall{done: make(chan struct{})}
+	// err stays errBuildPanicked unless build returns.
+	call := &buildCall{done: make(chan struct{}), err: errBuildPanicked}
 	l.building[key] = call
 	l.mu.Unlock()
 	l.met.lruMisses.Add(1)
 
+	defer func() {
+		l.mu.Lock()
+		delete(l.building, key)
+		if call.err == nil {
+			l.insertLocked(key, call.sys)
+		}
+		l.mu.Unlock()
+		close(call.done)
+	}()
 	call.sys, call.err = build(ctx)
-
-	l.mu.Lock()
-	delete(l.building, key)
-	if call.err == nil {
-		l.insertLocked(key, call.sys)
-	}
-	l.mu.Unlock()
-	close(call.done)
 	return call.sys, call.err
 }
 

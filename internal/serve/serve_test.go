@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/adversary"
 	rescache "repro/internal/cache"
@@ -323,6 +326,77 @@ func TestLRUEvictionAndSingleflight(t *testing.T) {
 	}
 	if builds.Load() != wantBuilds+1 {
 		t.Fatal("evicted key did not rebuild")
+	}
+}
+
+// TestLRUSurvivesPanickingBuild is the regression for a build that panics
+// (net/http recovers it per request): the key must not stay marked as
+// building. The leader's panic propagates, a follower that coalesced onto
+// the doomed build is released with an error, nothing is cached, and the
+// next get for the key builds afresh.
+func TestLRUSurvivesPanickingBuild(t *testing.T) {
+	met := newMetrics()
+	lru := newSystemLRU(2, met)
+	ctx := context.Background()
+
+	gate := make(chan struct{})
+	leaderDone := make(chan any, 1)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		lru.get(ctx, "a", func(context.Context) (*episteme.System, error) {
+			<-gate
+			panic("build blew up")
+		})
+	}()
+	// The follower joins once the leader's build is registered.
+	for met.lruMisses.Load() == 0 {
+		runtime.Gosched()
+	}
+	followerDone := make(chan error, 1)
+	go func() {
+		_, err := lru.get(ctx, "a", func(context.Context) (*episteme.System, error) {
+			// Reached only if the follower arrived after the panic cleared
+			// the entry and became a leader itself; fail like a follower.
+			return nil, errBuildPanicked
+		})
+		followerDone <- err
+	}()
+	for met.lruCoalesced.Load() == 0 {
+		runtime.Gosched()
+	}
+	close(gate)
+
+	if r := <-leaderDone; r != "build blew up" {
+		t.Fatalf("leader recovered %v, want the build's panic", r)
+	}
+	select {
+	case err := <-followerDone:
+		if !errors.Is(err, errBuildPanicked) {
+			t.Fatalf("follower of a panicked build got %v, want errBuildPanicked", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower of a panicked build blocks forever")
+	}
+	if lru.has("a") {
+		t.Fatal("a panicked build was cached")
+	}
+
+	want := &episteme.System{}
+	got := make(chan *episteme.System, 1)
+	go func() {
+		sys, err := lru.get(ctx, "a", func(context.Context) (*episteme.System, error) { return want, nil })
+		if err != nil {
+			t.Errorf("get after a panicked build: %v", err)
+		}
+		got <- sys
+	}()
+	select {
+	case sys := <-got:
+		if sys != want || !lru.has("a") {
+			t.Fatalf("get after a panicked build returned %p (cached=%v), want the fresh build %p", sys, lru.has("a"), want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("get for a key whose build panicked blocks forever")
 	}
 }
 

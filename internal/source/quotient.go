@@ -30,7 +30,8 @@ func Quotient(src Source) Source {
 }
 
 type quotientSource struct {
-	src Source
+	src   Source
+	canon model.Canonicalizer
 }
 
 func (s *quotientSource) Next() (core.Scenario, bool) {
@@ -39,11 +40,11 @@ func (s *quotientSource) Next() (core.Scenario, bool) {
 		if !ok {
 			return core.Scenario{}, false
 		}
-		orbit, canonical := model.IsCanonicalScenario(sc.Pattern, sc.Inits)
-		if !canonical {
+		s.canon.Canonicalize(sc.Pattern, sc.Inits)
+		if !s.canon.IsCanonical() {
 			continue
 		}
-		sc.Weight = sc.EffectiveWeight() * orbit
+		sc.Weight = sc.EffectiveWeight() * s.canon.Orbit()
 		return sc, true
 	}
 }

@@ -1,6 +1,7 @@
 package source
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -110,5 +111,49 @@ func TestQuotientComposesWithStride(t *testing.T) {
 func TestQuotientCountUnknown(t *testing.T) {
 	if _, ok := Quotient(soSweep(t, 3, 1, 3)).Count(); ok {
 		t.Fatal("quotient source reported a known count; representative counts are discovered")
+	}
+}
+
+// TestQuotientOverSourcesThatNeverRepeatPatterns runs Quotient where its
+// canonicalizer's per-pattern memo never pays — a filtered sweep, a
+// shuffled slice, random scenarios (fresh pattern every time, incoming
+// weights above 1) — and holds the survivors and their weights to a
+// scenario-by-scenario filter through the one-shot
+// model.IsCanonicalScenario.
+func TestQuotientOverSourcesThatNeverRepeatPatterns(t *testing.T) {
+	shuffled := drain(soSweep(t, 3, 1, 3))
+	rng := rand.New(rand.NewSource(23))
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for i := range shuffled {
+		shuffled[i].Weight = int64(1 + i%3)
+	}
+	odd := func() func(core.Scenario) bool {
+		k := 0
+		return func(core.Scenario) bool { k++; return k%2 == 1 }
+	}
+	sources := map[string]func() Source{
+		"filter":   func() Source { return Filter(soSweep(t, 3, 1, 3), odd()) },
+		"slice":    func() Source { return FromSlice(shuffled) },
+		"random":   func() Source { return RandomScenarios(rand.New(rand.NewSource(29)), 4, 2, 3, 0.4, 2000) },
+		"random-5": func() Source { return RandomScenarios(rand.New(rand.NewSource(31)), 5, 1, 3, 0.2, 2000) },
+	}
+	for name, mk := range sources {
+		var want []core.Scenario
+		for _, sc := range drain(mk()) {
+			if orbit, ok := model.IsCanonicalScenario(sc.Pattern, sc.Inits); ok {
+				sc.Weight = sc.EffectiveWeight() * orbit
+				want = append(want, sc)
+			}
+		}
+		got := drain(Quotient(mk()))
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("%s: quotient kept %d scenarios, the one-shot filter %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if scenarioKey(got[i]) != scenarioKey(want[i]) || got[i].Weight != want[i].Weight {
+				t.Fatalf("%s: survivor %d is %s weight %d, want %s weight %d", name, i,
+					scenarioKey(got[i]), got[i].Weight, scenarioKey(want[i]), want[i].Weight)
+			}
+		}
 	}
 }

@@ -11,7 +11,9 @@ package eba_test
 // communication-graph machinery behind the polynomial-time P_opt.
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -241,6 +243,72 @@ func BenchmarkExpandQuotientN4(b *testing.B) {
 			b.Fatalf("runs=%d err=%v", len(sys.Runs), err)
 		}
 	}
+}
+
+// BenchmarkOutcomeStreamN4 is the scaling guard of the outcome-stream
+// path on the fip n=4,t=1 sweep (32,784 records, 4 stripes): run executes
+// the stripes through RunShard, merge fans them back in, verify re-reads
+// the merged stream. Merge and verify execute nothing, so their cost per
+// record should stay a small fraction of run's.
+func BenchmarkOutcomeStreamN4(b *testing.B) {
+	const n, tf, stripes, records = 4, 1, 4, 32784
+	st := stack(b, "fip", n, tf)
+	runner := eba.NewRunner(st, eba.WithParallelism(0), eba.WithBufferReuse())
+	ctx := context.Background()
+	runStripes := func(b *testing.B) [][]byte {
+		out := make([][]byte, stripes)
+		for i := range out {
+			src, err := eba.SourceSO(n, tf, st.Horizon())
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := runner.RunShard(ctx, src, i, stripes, &buf); err != nil {
+				b.Fatal(err)
+			}
+			out[i] = buf.Bytes()
+		}
+		return out
+	}
+	merge := func(b *testing.B, raw [][]byte) []byte {
+		streams := make([]io.Reader, len(raw))
+		for i := range raw {
+			streams[i] = bytes.NewReader(raw[i])
+		}
+		var merged bytes.Buffer
+		if sum, err := eba.MergeOutcomes(&merged, streams...); err != nil || sum.Total != records {
+			b.Fatalf("merge: %+v, %v", sum, err)
+		}
+		return merged.Bytes()
+	}
+	perRecord := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/records, "ns/record")
+	}
+	b.Run("run", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			runStripes(b)
+		}
+		perRecord(b)
+	})
+	raw := runStripes(b)
+	b.Run("merge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			merge(b, raw)
+		}
+		perRecord(b)
+	})
+	merged := merge(b, raw)
+	b.Run("verify", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if sum, err := eba.VerifyOutcomeStream(bytes.NewReader(merged)); err != nil || sum.Records != records {
+				b.Fatalf("verify: %+v, %v", sum, err)
+			}
+		}
+		perRecord(b)
+	})
 }
 
 func BenchmarkE11BasicVsMin(b *testing.B) {

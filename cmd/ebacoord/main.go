@@ -34,13 +34,13 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	eba "repro"
+	"repro/internal/httplimit"
 )
 
 func main() {
@@ -128,7 +128,7 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", eba.ErrFabricTransport, err)
 	}
-	srv := &http.Server{Handler: coord.Handler(), ReadHeaderTimeout: *timeout}
+	srv := httplimit.NewServer(coord.Handler(), *timeout)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "ebacoord: serving %s on http://%s\n", job, ln.Addr())

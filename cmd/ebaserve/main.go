@@ -37,6 +37,7 @@ import (
 	"time"
 
 	eba "repro"
+	"repro/internal/httplimit"
 )
 
 func main() {
@@ -100,7 +101,7 @@ func serve(listen, cacheDir, cacheURL string, parallel, systems, builds, infligh
 	}
 	defer closeStore()
 
-	srv := eba.NewServer(eba.ServerConfig{
+	srv, hs := newDaemon(eba.ServerConfig{
 		Cache:          store,
 		Fingerprint:    eba.CacheFingerprint(),
 		MaxSystems:     systems,
@@ -112,7 +113,6 @@ func serve(listen, cacheDir, cacheURL string, parallel, systems, builds, infligh
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	})
-	hs := &http.Server{Handler: srv.Handler()}
 
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -146,6 +146,13 @@ func serve(listen, cacheDir, cacheURL string, parallel, systems, builds, infligh
 	}
 	fmt.Fprintln(os.Stderr, "ebaserve: drained")
 	return nil
+}
+
+// newDaemon pairs the verification server with the HTTP server that
+// fronts it, under the limits every daemon in the tree shares.
+func newDaemon(cfg eba.ServerConfig) (*eba.Server, *http.Server) {
+	srv := eba.NewServer(cfg)
+	return srv, httplimit.NewServer(srv.Handler(), httplimit.HeaderTimeout)
 }
 
 func runLoadTest(baseURL string, requests, concurrency int, stack string, n, t int) error {

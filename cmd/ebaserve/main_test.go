@@ -1,0 +1,67 @@
+package main
+
+import (
+	"io"
+	"net"
+	"net/http"
+	"strings"
+	"testing"
+
+	eba "repro"
+	"repro/internal/httplimit"
+)
+
+// TestDaemonBoundsRequests is the regression test for ROADMAP "bad days"
+// defect 4: the server ebaserve actually runs must time out a client
+// that never finishes its headers, and must refuse — with a 4xx, after
+// reading a bounded prefix — a request body that outgrows the limit. The
+// oversized bodies are valid requests behind a megabyte of leading
+// whitespace, which an unbounded decoder reads through and answers 200.
+func TestDaemonBoundsRequests(t *testing.T) {
+	_, hs := newDaemon(eba.ServerConfig{})
+	if hs.ReadHeaderTimeout <= 0 {
+		t.Fatal("ebaserve's http.Server has no ReadHeaderTimeout")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	defer func() {
+		hs.Close()
+		<-served
+	}()
+
+	post := func(path string, body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post("http://"+ln.Addr().String()+path, "application/json", body)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// Just over the limit, so the server's closing drain lets the client
+	// finish writing and the reply is never lost to a reset connection.
+	padding := strings.Repeat(" ", httplimit.MaxJSONBody)
+	for path, request := range map[string]string{
+		"/v1/sweep":     `{"stack":"min","n":3,"t":1,"shard":"0/4"}`,
+		"/v1/check":     `{"stack":"min","n":3,"t":1,"skipOptimality":true}`,
+		"/v1/knowledge": `{"stack":"min","n":3,"t":1,"query":"exists","value":1}`,
+	} {
+		if got := post(path, strings.NewReader(request)); got != http.StatusOK {
+			t.Fatalf("%s: a plain request answers %d, want 200", path, got)
+		}
+		// Declared (Content-Length) and undeclared (chunked) alike.
+		for name, body := range map[string]io.Reader{
+			"declared": strings.NewReader(padding + request),
+			"chunked":  io.MultiReader(strings.NewReader(padding), strings.NewReader(request)),
+		} {
+			if got := post(path, body); got < 400 || got > 499 {
+				t.Errorf("%s: an oversized %s body answers %d, want a 4xx", path, name, got)
+			}
+		}
+	}
+}

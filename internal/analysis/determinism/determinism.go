@@ -10,7 +10,8 @@
 //     reaches a serialization or digest sink — a hash write, a JSON
 //     encode, an fmt.Fprint* or io.Writer write, or one of the repo's
 //     own stream writers (WriteVerdicts, WriteShardIndex, RunShard,
-//     ComputeDigest, digest chaining) — emits in randomized order.
+//     ComputeDigest and the append-style record encoder and digest
+//     beneath it, digest chaining) — emits in randomized order.
 //     Reported everywhere: any output produced under map iteration is
 //     un-diffable, and the merge invariants compare streams byte for
 //     byte.
@@ -152,6 +153,10 @@ var repoSinks = []struct{ pkg, name, desc string }{
 	{"internal/episteme", "Digest", "the shard-index digest"},
 	{"internal/core", "RunShard", "the outcome-stream writer"},
 	{"internal/core", "ComputeDigest", "the outcome-record digest"},
+	{"internal/core", "appendDigest", "the outcome-record digest"},
+	{"internal/core", "appendDigestPreimage", "the outcome-record digest"},
+	{"internal/core", "appendRecordLine", "the outcome-record encoder"},
+	{"internal/core", "appendFooterLine", "the outcome-stream footer encoder"},
 	{"internal/core", "add", "the stripe digest chain"},
 }
 

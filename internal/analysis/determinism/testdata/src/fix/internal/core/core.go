@@ -27,3 +27,18 @@ func newSeeded() *rand.Rand {
 func suppressedStamp() int64 {
 	return time.Now().Unix() //eba:nondeterministic-ok: diagnostics-only field, never digested
 }
+
+// appendRecordLine stands in for the outcome stream's append-style
+// encoder: like a hash write, what it appends under a map range lands in
+// randomized order.
+func appendRecordLine(dst []byte, ord int) []byte {
+	return append(dst, byte(ord))
+}
+
+func encodeInMapOrder(byOrdinal map[int]int) []byte {
+	var stream []byte
+	for _, ord := range byOrdinal { // want `map iteration order reaches the outcome-record encoder`
+		stream = appendRecordLine(stream, ord)
+	}
+	return stream
+}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -440,5 +441,31 @@ func TestTieredBackfillsLocal(t *testing.T) {
 func TestFingerprintNonEmpty(t *testing.T) {
 	if Fingerprint() == "" {
 		t.Fatal("Fingerprint returned an empty identity")
+	}
+}
+
+// unread fails the test if anything reads it.
+type unread struct{ t *testing.T }
+
+func (u unread) Read([]byte) (int, error) {
+	u.t.Error("the server read the body of a PUT it must refuse on its declared length")
+	return 0, io.EOF
+}
+
+// TestServerRefusesOversizedPut: a PUT declaring more than a record may
+// hold is refused with a 4xx before a byte of it is read.
+func TestServerRefusesOversizedPut(t *testing.T) {
+	backing := openT(t, t.TempDir())
+	defer closeT(t, backing)
+	req := httptest.NewRequest(http.MethodPut, entryPrefix+testKey(5), unread{t})
+	req.ContentLength = maxValLen + 1
+	req.Header.Set(DigestHeader, strings.Repeat("00", 32))
+	rec := httptest.NewRecorder()
+	NewServer(backing).ServeHTTP(rec, req)
+	if rec.Code < 400 || rec.Code > 499 {
+		t.Fatalf("oversized PUT answers %d, want a 4xx", rec.Code)
+	}
+	if backing.Len() != 0 {
+		t.Fatal("refused PUT landed in the store")
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"repro/internal/httplimit"
 )
 
 // DigestHeader carries the lowercase hex SHA-256 over key bytes followed
@@ -101,7 +103,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(val)
 	case http.MethodPut:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxValLen))
+		body, err := httplimit.ReadBody(w, r, maxValLen)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("reading payload: %v", err), http.StatusBadRequest)
 			return

@@ -24,6 +24,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/engine"
@@ -81,14 +82,21 @@ func ScenarioDigest(pat *model.Pattern, inits []model.Value) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("core: encoding pattern for cache key: %w", err)
 	}
-	h := sha256.New()
-	h.Write(text)
-	h.Write([]byte{'|'})
+	return scenarioDigest(text, inits), nil
+}
+
+// scenarioDigest is ScenarioDigest over the pattern's text, for a caller
+// that needs the text as well.
+func scenarioDigest(text []byte, inits []model.Value) string {
+	pre := make([]byte, 0, len(text)+1+2*len(inits))
+	pre = append(pre, text...)
+	pre = append(pre, '|')
 	for _, v := range inits {
-		fmt.Fprintf(h, "%d,", int(v))
+		pre = strconv.AppendInt(pre, int64(v), 10)
+		pre = append(pre, ',')
 	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16]), nil
+	sum := sha256.Sum256(pre)
+	return hex.EncodeToString(sum[:16])
 }
 
 // CacheKey assembles the full cache key. The format matches
@@ -123,8 +131,13 @@ func NewCachedRun(res *engine.Result, withStates bool) (*CachedRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding pattern for cache payload: %w", err)
 	}
+	return newCachedRun(res, string(text), withStates)
+}
+
+// newCachedRun is NewCachedRun given the pattern's text.
+func newCachedRun(res *engine.Result, patternText string, withStates bool) (*CachedRun, error) {
 	cr := &CachedRun{
-		Pattern:   string(text),
+		Pattern:   patternText,
 		Inits:     make([]int, res.N),
 		Decisions: make([]int, res.N),
 		Rounds:    make([]int, res.N),
@@ -276,18 +289,20 @@ func (x *CachingExecutor) Counters() CacheCounters {
 
 // Execute consults the cache, falling back to the wrapped executor.
 func (x *CachingExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Result, error) {
-	scDigest, err := ScenarioDigest(cfg.Pattern, cfg.Inits)
+	text, err := cfg.Pattern.MarshalText()
 	if err != nil {
 		// An unencodable pattern also fails execution; let the substrate
 		// report it.
 		return x.inner.Execute(cfg, buf)
 	}
-	key := CacheKey(x.version, CacheKindRun, scDigest)
+	// The one rendering of the pattern serves the key, the check of a hit
+	// and the payload of a miss.
+	patternText := string(text)
+	key := CacheKey(x.version, CacheKindRun, scenarioDigest(text, cfg.Inits))
 	if payload, ok := x.cache.Get(key); ok {
 		var cr CachedRun
-		text, terr := cfg.Pattern.MarshalText()
-		if terr == nil && json.Unmarshal(payload, &cr) == nil &&
-			cr.Matches(string(text), cfg.Inits, cfg.Pattern.N(), cfg.Horizon, false) {
+		if json.Unmarshal(payload, &cr) == nil &&
+			cr.Matches(patternText, cfg.Inits, cfg.Pattern.N(), cfg.Horizon, false) {
 			x.hits.Add(1)
 			return cr.Restore(cfg), nil
 		}
@@ -299,7 +314,7 @@ func (x *CachingExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engi
 		return nil, err
 	}
 	x.misses.Add(1)
-	if cr, cerr := NewCachedRun(res, false); cerr == nil {
+	if cr, cerr := newCachedRun(res, patternText, false); cerr == nil {
 		if payload, jerr := json.Marshal(cr); jerr == nil {
 			x.cache.Put(key, payload)
 		}

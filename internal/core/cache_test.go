@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/spec"
 )
 
@@ -272,5 +273,27 @@ func TestCachedRunRoundTrip(t *testing.T) {
 	}
 	if restored.States != nil {
 		t.Fatal("restored run carries a state trace")
+	}
+}
+
+// TestScenarioDigestUnchanged pins the cache key's scenario half against
+// its old fmt rendering, undecided (-1) values included: a key that moved
+// would silently turn every stored entry into a miss.
+func TestScenarioDigestUnchanged(t *testing.T) {
+	for k, sc := range randomScenarios(7, 5, 2, 64) {
+		if k%3 == 0 {
+			sc.Inits[k%5] = model.None
+		}
+		text, err := sc.Pattern.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ScenarioDigest(sc.Pattern, sc.Inits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oldScenarioDigest(text, sc.Inits); got != want {
+			t.Fatalf("scenario %d: digest %s, the old rendering gives %s", k, got, want)
+		}
 	}
 }

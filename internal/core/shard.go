@@ -20,6 +20,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -105,13 +106,26 @@ func StripeSize(total int64, shardIndex, shardCount int) int64 {
 // --- the outcome stream format -------------------------------------------
 
 // Outcome streams are JSON lines: a ShardHeader, then one OutcomeRecord
-// per scenario in stripe order, then a ShardFooter. Every value is
-// written by encoding/json over fixed structs, so the byte encoding is
-// deterministic — equal streams compare equal with cmp(1).
+// per scenario in stripe order, then a ShardFooter. Each value has one
+// canonical line — its fields in declaration order under their JSON
+// keys, no whitespace, integers in shortest decimal form, a nil slice as
+// null, "mult" present exactly when non-zero, strings with printable
+// ASCII standing for itself and only ", \, control characters, <, >, &,
+// U+2028, U+2029 and invalid UTF-8 (as \ufffd) escaped, then one
+// newline — which is also what encoding/json writes for the same
+// structs. codec.go writes exactly that line and the reader accepts
+// nothing else, so equal streams compare equal with cmp(1) and a stream
+// that verifies is, byte for byte, the one its records re-encode to.
+// A line is at most maxLineBytes long.
 const (
 	outcomeKind    = "eba-outcomes"
 	footerKind     = "footer"
 	outcomeVersion = 1
+	// maxLineBytes bounds one stream line, so a reader never buffers more
+	// than this on behalf of a hostile or corrupt stream. Real lines are
+	// a few hundred bytes; a pattern losing every message at n=16, h=5
+	// has a drop list of about 10 KiB.
+	maxLineBytes = 1 << 20
 )
 
 // ShardHeader opens an outcome stream and makes it self-describing: which
@@ -186,36 +200,36 @@ type ShardFooter struct {
 	Digest  string `json:"digest"`
 }
 
-// newOutcomeRecord builds the record of one completed run standing for
-// weight sweep scenarios (weight ≤ 1 records an ordinary run).
-func newOutcomeRecord(ordinal int64, res *engine.Result, weight int64) (OutcomeRecord, error) {
-	pat, err := res.Pattern.MarshalText()
+// fill overwrites r with the record of one completed run standing for
+// weight sweep scenarios (weight ≤ 1 records an ordinary run), reusing
+// r's slices, and leaves Digest for the writer to compute. The pattern
+// text is rendered into text's storage, which comes back for the next
+// call.
+func (r *OutcomeRecord) fill(ordinal int64, res *engine.Result, weight int64, text []byte) ([]byte, error) {
+	text, err := res.Pattern.AppendText(text[:0])
 	if err != nil {
-		return OutcomeRecord{}, fmt.Errorf("core: encoding pattern of ordinal %d: %w", ordinal, err)
+		return text, fmt.Errorf("core: encoding pattern of ordinal %d: %w", ordinal, err)
 	}
-	rec := OutcomeRecord{
-		Ordinal:   ordinal,
-		Pattern:   string(pat),
-		Inits:     make([]int, res.N),
-		Decisions: make([]int, res.N),
-		Rounds:    make([]int, res.N),
-		Stats: OutcomeStats{
-			MessagesSent:      res.Stats.MessagesSent,
-			MessagesDelivered: res.Stats.MessagesDelivered,
-			BitsSent:          res.Stats.BitsSent,
-			BitsDelivered:     res.Stats.BitsDelivered,
-		},
-	}
+	r.Ordinal = ordinal
+	r.Pattern = string(text)
+	r.Inits, r.Decisions, r.Rounds = r.Inits[:0], r.Decisions[:0], r.Rounds[:0]
 	for i := 0; i < res.N; i++ {
-		rec.Inits[i] = int(res.Inits[i])
-		rec.Decisions[i] = int(res.Decision[i])
-		rec.Rounds[i] = res.DecisionRound[i]
+		r.Inits = append(r.Inits, int(res.Inits[i]))
+		r.Decisions = append(r.Decisions, int(res.Decision[i]))
+		r.Rounds = append(r.Rounds, res.DecisionRound[i])
 	}
+	r.Stats = OutcomeStats{
+		MessagesSent:      res.Stats.MessagesSent,
+		MessagesDelivered: res.Stats.MessagesDelivered,
+		BitsSent:          res.Stats.BitsSent,
+		BitsDelivered:     res.Stats.BitsDelivered,
+	}
+	r.Mult = 0
 	if weight > 1 {
-		rec.Mult = weight
+		r.Mult = weight
 	}
-	rec.Digest = rec.ComputeDigest()
-	return rec, nil
+	r.Digest = ""
+	return text, nil
 }
 
 // ComputeDigest fingerprints the record's content (everything but the
@@ -225,15 +239,8 @@ func newOutcomeRecord(ordinal int64, res *engine.Result, weight int64) (OutcomeR
 // hashed only when present (> 1), so records of unquotiented sweeps hash
 // exactly as they did before multiplicities existed.
 func (r *OutcomeRecord) ComputeDigest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%d|%s|%v|%v|%v|%d|%d|%d|%d",
-		r.Ordinal, r.Pattern, r.Inits, r.Decisions, r.Rounds,
-		r.Stats.MessagesSent, r.Stats.MessagesDelivered, r.Stats.BitsSent, r.Stats.BitsDelivered)
-	if r.Mult > 1 {
-		fmt.Fprintf(h, "|m%d", r.Mult)
-	}
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16])
+	digest, _ := appendDigest(nil, r, nil)
+	return string(digest)
 }
 
 // digestChain folds record digests in stream order; two streams carrying
@@ -241,13 +248,11 @@ func (r *OutcomeRecord) ComputeDigest() string {
 type digestChain struct{ h [sha256.Size]byte }
 
 func (c *digestChain) add(recordDigest string) {
-	h := sha256.New()
-	h.Write(c.h[:])
-	h.Write([]byte(recordDigest))
-	h.Sum(c.h[:0])
+	var buf [sha256.Size + digestLen]byte
+	c.h = sha256.Sum256(append(append(buf[:0], c.h[:]...), recordDigest...))
 }
 
-func (c *digestChain) hex() string { return hex.EncodeToString(c.h[:16]) }
+func (c *digestChain) hex() string { return hex.EncodeToString(c.h[:digestLen/2]) }
 
 // --- writing: RunShard ---------------------------------------------------
 
@@ -302,9 +307,8 @@ func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCoun
 	if c, ok := stripe.Count(); ok {
 		hdr.Count = c
 	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(hdr); err != nil {
+	sw, err := newStreamWriter(w, hdr)
+	if err != nil {
 		return nil, fmt.Errorf("core: shard %d/%d: writing header: %w", shardIndex, shardCount, err)
 	}
 
@@ -315,41 +319,34 @@ func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCoun
 	if cachingExec != nil {
 		countersBefore = cachingExec.Counters()
 	}
-	var chain digestChain
-	var records, weighted int64
+	var rec OutcomeRecord
+	var text []byte
 	for oc := range r.StreamFrom(ctx, stripe) {
 		if oc.Err != nil {
 			cancel(oc.Err)
 			return nil, fmt.Errorf("core: shard %d/%d: %w", shardIndex, shardCount, oc.Err)
 		}
 		ordinal := int64(shardIndex) + int64(oc.Index)*int64(shardCount)
-		rec, err := newOutcomeRecord(ordinal, oc.Result, oc.Scenario.EffectiveWeight())
-		if err != nil {
+		if text, err = rec.fill(ordinal, oc.Result, oc.Scenario.EffectiveWeight(), text); err != nil {
 			cancel(err)
 			return nil, err
 		}
-		chain.add(rec.Digest)
-		if err := enc.Encode(rec); err != nil {
+		if err := sw.seal(&rec); err != nil {
 			cancel(err)
 			return nil, fmt.Errorf("core: shard %d/%d: writing ordinal %d: %w", shardIndex, shardCount, ordinal, err)
 		}
-		records++
-		weighted += rec.EffectiveMult()
 	}
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}
-	if hdr.Count >= 0 && records != hdr.Count {
-		return nil, fmt.Errorf("core: shard %d/%d ran %d of %d scenarios", shardIndex, shardCount, records, hdr.Count)
+	if hdr.Count >= 0 && sw.records != hdr.Count {
+		return nil, fmt.Errorf("core: shard %d/%d ran %d of %d scenarios", shardIndex, shardCount, sw.records, hdr.Count)
 	}
-	foot := ShardFooter{Kind: footerKind, Records: records, Digest: chain.hex()}
-	if err := enc.Encode(foot); err != nil {
+	foot, err := sw.finish()
+	if err != nil {
 		return nil, fmt.Errorf("core: shard %d/%d: writing footer: %w", shardIndex, shardCount, err)
 	}
-	if err := bw.Flush(); err != nil {
-		return nil, fmt.Errorf("core: shard %d/%d: flushing stream: %w", shardIndex, shardCount, err)
-	}
-	sum := &ShardSummary{Header: hdr, Records: records, Weighted: weighted, Digest: foot.Digest, Executed: records}
+	sum := &ShardSummary{Header: hdr, Records: foot.Records, Weighted: sw.weighted, Digest: foot.Digest, Executed: foot.Records}
 	if cachingExec != nil {
 		delta := cachingExec.Counters()
 		sum.CacheHits = delta.Hits - countersBefore.Hits
@@ -358,26 +355,121 @@ func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCoun
 	return sum, nil
 }
 
+// streamWriter writes one outcome stream: the header on construction,
+// then records — chaining their digests and counting them — then the
+// footer. RunShard, WriteOutcomeStream and MergeOutcomes all write
+// through it.
+type streamWriter struct {
+	bw                *bufio.Writer
+	chain             digestChain
+	records, weighted int64
+	line, preimage    []byte
+}
+
+// newStreamWriter starts a stream on w with the header's line.
+func newStreamWriter(w io.Writer, hdr ShardHeader) (*streamWriter, error) {
+	line, err := json.Marshal(hdr)
+	if err != nil {
+		return nil, err
+	}
+	// Lines are a few hundred bytes; 64 KiB keeps a stripe written to a
+	// file or a socket to a few hundred writes.
+	sw := &streamWriter{bw: bufio.NewWriterSize(w, 64<<10)}
+	_, err = sw.bw.Write(append(line, '\n'))
+	return sw, err
+}
+
+// seal sets rec's digest from its content and writes its line.
+func (sw *streamWriter) seal(rec *OutcomeRecord) error {
+	var hexed [digestLen]byte
+	var digest []byte
+	digest, sw.preimage = appendDigest(hexed[:0], rec, sw.preimage)
+	rec.Digest = string(digest)
+	sw.line = appendRecordLine(sw.line[:0], rec)
+	return sw.verbatim(sw.line, rec)
+}
+
+// verbatim writes a line already known to be rec's canonical one.
+func (sw *streamWriter) verbatim(line []byte, rec *OutcomeRecord) error {
+	sw.chain.add(rec.Digest)
+	sw.records++
+	sw.weighted += rec.EffectiveMult()
+	_, err := sw.bw.Write(line)
+	return err
+}
+
+// finish writes the footer and flushes the stream.
+func (sw *streamWriter) finish() (ShardFooter, error) {
+	foot := ShardFooter{Kind: footerKind, Records: sw.records, Digest: sw.chain.hex()}
+	if _, err := sw.bw.Write(appendFooterLine(sw.line[:0], &foot)); err != nil {
+		return foot, err
+	}
+	return foot, sw.bw.Flush()
+}
+
 // --- reading: OutcomeReader ----------------------------------------------
 
 // OutcomeReader decodes one shard's outcome stream, verifying record
-// digests and the footer's count and chained digest as it goes. Next
+// digests and the footer's count and chained digest as it goes, and
+// refusing any line that is not the canonical one for its content. Next
 // returns io.EOF after the footer; a stream that ends without one is
 // reported as truncated (the mark RunShard leaves when it aborts).
 type OutcomeReader struct {
-	dec      *json.Decoder
+	br       *bufio.Reader
 	header   ShardHeader
 	chain    digestChain
 	records  int64
 	weighted int64
 	footer   *ShardFooter
+	// line is the last record's canonical line, valid until the next
+	// read; long holds a line that outgrew br's buffer.
+	line, long []byte
+	scratch    lineScratch
+}
+
+// errLineTooLong is what readLine refuses an over-long line with.
+var errLineTooLong = fmt.Errorf("line exceeds %d bytes", maxLineBytes)
+
+// readLine returns the stream's next line, newline included, valid until
+// the next call. A final line without a newline comes back with
+// io.ErrUnexpectedEOF; a stream with nothing left returns io.EOF.
+func (or *OutcomeReader) readLine() ([]byte, error) {
+	line, err := or.br.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		if or.long == nil {
+			// All a line may ever need, once, instead of regrowing under a
+			// hostile stream.
+			or.long = make([]byte, 0, maxLineBytes+or.br.Size())
+		}
+		or.long = append(or.long[:0], line...)
+		for errors.Is(err, bufio.ErrBufferFull) {
+			if len(or.long) > maxLineBytes {
+				return nil, errLineTooLong
+			}
+			line, err = or.br.ReadSlice('\n')
+			or.long = append(or.long, line...)
+		}
+		line = or.long
+	}
+	if len(line) > maxLineBytes {
+		return nil, errLineTooLong
+	}
+	if errors.Is(err, io.EOF) && len(line) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return line, err
 }
 
 // NewOutcomeReader reads and validates the stream's header.
 func NewOutcomeReader(r io.Reader) (*OutcomeReader, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var hdr ShardHeader
-	if err := dec.Decode(&hdr); err != nil {
+	// Lines are a few hundred bytes; longer ones spill into or.long.
+	or := &OutcomeReader{br: bufio.NewReaderSize(r, 64<<10)}
+	line, err := or.readLine()
+	if err != nil {
+		return nil, fmt.Errorf("core: reading outcome-stream header: %w", err)
+	}
+	hdr := &or.header
+	if err := json.Unmarshal(line, hdr); err != nil {
 		return nil, fmt.Errorf("core: reading outcome-stream header: %w", err)
 	}
 	if hdr.Kind != outcomeKind {
@@ -389,7 +481,10 @@ func NewOutcomeReader(r io.Reader) (*OutcomeReader, error) {
 	if hdr.Shards < 1 || hdr.Shard < 0 || hdr.Shard >= hdr.Shards {
 		return nil, fmt.Errorf("core: outcome stream declares shard %d of %d", hdr.Shard, hdr.Shards)
 	}
-	return &OutcomeReader{dec: dec, header: hdr}, nil
+	if canon, err := json.Marshal(hdr); err != nil || !bytes.Equal(append(canon, '\n'), line) {
+		return nil, fmt.Errorf("core: reading outcome-stream header: %w", errNotCanonical)
+	}
+	return or, nil
 }
 
 // Header returns the stream's header.
@@ -403,58 +498,71 @@ func (or *OutcomeReader) Footer() *ShardFooter { return or.footer }
 // against its content and, at the footer, the stream's record count and
 // chained digest; io.EOF reports a cleanly sealed stream.
 func (or *OutcomeReader) Next() (*OutcomeRecord, error) {
+	rec := new(OutcomeRecord)
+	if err := or.next(rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// next is Next into a record the caller owns, whose slices it reuses:
+// what the verifier and the merge, which keep no record, read with.
+func (or *OutcomeReader) next(rec *OutcomeRecord) error {
 	if or.footer != nil {
-		return nil, io.EOF
+		return io.EOF
 	}
-	var raw json.RawMessage
-	if err := or.dec.Decode(&raw); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("core: shard %d/%d: stream truncated after %d records (no footer)",
-				or.header.Shard, or.header.Shards, or.records)
-		}
-		return nil, fmt.Errorf("core: shard %d/%d: decoding record %d: %w",
+	line, err := or.readLine()
+	if errors.Is(err, io.EOF) {
+		return fmt.Errorf("core: shard %d/%d: stream truncated after %d records (no footer)",
+			or.header.Shard, or.header.Shards, or.records)
+	}
+	if err != nil {
+		return fmt.Errorf("core: shard %d/%d: decoding record %d: %w",
 			or.header.Shard, or.header.Shards, or.records, err)
 	}
-	var probe struct {
-		Kind string `json:"kind"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return nil, fmt.Errorf("core: shard %d/%d: decoding record %d: %w",
-			or.header.Shard, or.header.Shards, or.records, err)
-	}
-	if probe.Kind == footerKind {
+	if bytes.HasPrefix(line, []byte(`{"kind":`)) {
 		var foot ShardFooter
-		if err := json.Unmarshal(raw, &foot); err != nil {
-			return nil, fmt.Errorf("core: shard %d/%d: decoding footer: %w", or.header.Shard, or.header.Shards, err)
+		if err := parseFooterLine(line, &foot, &or.scratch); err != nil {
+			return fmt.Errorf("core: shard %d/%d: decoding footer: %w", or.header.Shard, or.header.Shards, err)
+		}
+		if foot.Kind != footerKind {
+			return fmt.Errorf("core: shard %d/%d: decoding record %d: line of kind %q",
+				or.header.Shard, or.header.Shards, or.records, foot.Kind)
 		}
 		if foot.Records != or.records {
-			return nil, fmt.Errorf("core: shard %d/%d: footer claims %d records, stream carried %d",
+			return fmt.Errorf("core: shard %d/%d: footer claims %d records, stream carried %d",
 				or.header.Shard, or.header.Shards, foot.Records, or.records)
 		}
 		if foot.Digest != or.chain.hex() {
-			return nil, fmt.Errorf("core: shard %d/%d: footer digest %s does not match the record chain %s",
+			return fmt.Errorf("core: shard %d/%d: footer digest %s does not match the record chain %s",
 				or.header.Shard, or.header.Shards, foot.Digest, or.chain.hex())
 		}
+		if _, err := or.readLine(); err == nil {
+			return fmt.Errorf("core: shard %d/%d: data after the footer", or.header.Shard, or.header.Shards)
+		} else if !errors.Is(err, io.EOF) {
+			return fmt.Errorf("core: shard %d/%d: reading past the footer: %w", or.header.Shard, or.header.Shards, err)
+		}
 		or.footer = &foot
-		return nil, io.EOF
+		return io.EOF
 	}
-	var rec OutcomeRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return nil, fmt.Errorf("core: shard %d/%d: decoding record %d: %w",
+	want, err := parseRecordLine(line, rec, &or.scratch)
+	if err != nil {
+		return fmt.Errorf("core: shard %d/%d: decoding record %d: %w",
 			or.header.Shard, or.header.Shards, or.records, err)
 	}
-	if want := rec.ComputeDigest(); rec.Digest != want {
-		return nil, fmt.Errorf("core: shard %d/%d: ordinal %d carries digest %s, content hashes to %s",
+	if rec.Digest != string(want) {
+		return fmt.Errorf("core: shard %d/%d: ordinal %d carries digest %s, content hashes to %s",
 			or.header.Shard, or.header.Shards, rec.Ordinal, rec.Digest, want)
 	}
 	if rem := rec.Ordinal % int64(or.header.Shards); rem != int64(or.header.Shard) {
-		return nil, fmt.Errorf("core: shard %d/%d: ordinal %d does not belong to this stripe",
+		return fmt.Errorf("core: shard %d/%d: ordinal %d does not belong to this stripe",
 			or.header.Shard, or.header.Shards, rec.Ordinal)
 	}
 	or.chain.add(rec.Digest)
 	or.records++
 	or.weighted += rec.EffectiveMult()
-	return &rec, nil
+	or.line = line
+	return nil
 }
 
 // VerifyOutcomeStream drains one shard's outcome stream, verifying every
@@ -469,8 +577,9 @@ func VerifyOutcomeStream(r io.Reader) (*ShardSummary, error) {
 	if err != nil {
 		return nil, err
 	}
+	var rec OutcomeRecord
 	for {
-		if _, err := or.Next(); errors.Is(err, io.EOF) {
+		if err := or.next(&rec); errors.Is(err, io.EOF) {
 			break
 		} else if err != nil {
 			return nil, err
@@ -497,26 +606,19 @@ func WriteOutcomeStream(w io.Writer, hdr ShardHeader, recs []OutcomeRecord) (*Sh
 		return nil, fmt.Errorf("core: writing outcome stream of kind %q version %d; this writer speaks %q version %d",
 			hdr.Kind, hdr.Version, outcomeKind, outcomeVersion)
 	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(hdr); err != nil {
+	sw, err := newStreamWriter(w, hdr)
+	if err != nil {
 		return nil, fmt.Errorf("core: writing header: %w", err)
 	}
-	var chain digestChain
 	for i := range recs {
 		rec := recs[i]
-		rec.Digest = rec.ComputeDigest()
-		chain.add(rec.Digest)
-		if err := enc.Encode(&rec); err != nil {
+		if err := sw.seal(&rec); err != nil {
 			return nil, fmt.Errorf("core: writing ordinal %d: %w", rec.Ordinal, err)
 		}
 	}
-	foot := ShardFooter{Kind: footerKind, Records: int64(len(recs)), Digest: chain.hex()}
-	if err := enc.Encode(foot); err != nil {
+	foot, err := sw.finish()
+	if err != nil {
 		return nil, fmt.Errorf("core: writing footer: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, fmt.Errorf("core: flushing stream: %w", err)
 	}
 	return &ShardSummary{Header: hdr, Records: foot.Records, Digest: foot.Digest}, nil
 }
@@ -587,24 +689,24 @@ func MergeOutcomes(w io.Writer, streams ...io.Reader) (*MergeSummary, error) {
 		}
 	}
 
-	var bw *bufio.Writer
-	var enc *json.Encoder
-	if w != nil {
-		bw = bufio.NewWriter(w)
-		enc = json.NewEncoder(bw)
-		mh := ref
-		mh.Shard, mh.Shards, mh.Count = 0, 1, total
-		if err := enc.Encode(mh); err != nil {
-			return nil, fmt.Errorf("core: writing merged header: %w", err)
-		}
+	// A nil w merges into the void: the checks and the summary are the
+	// same, the bytes go nowhere.
+	if w == nil {
+		w = io.Discard
+	}
+	mh := ref
+	mh.Shard, mh.Shards, mh.Count = 0, 1, total
+	sw, err := newStreamWriter(w, mh)
+	if err != nil {
+		return nil, fmt.Errorf("core: writing merged header: %w", err)
 	}
 
 	k := len(byShard)
-	var chain digestChain
-	var ord, weighted int64
+	var ord int64
+	var rec, extra OutcomeRecord
 	for {
 		or := byShard[int(ord%int64(k))]
-		rec, err := or.Next()
+		err := or.next(&rec)
 		if errors.Is(err, io.EOF) {
 			// This stripe is exhausted at ordinal ord, fixing the sweep's
 			// total; every other stripe must be exhausted too, or it holds
@@ -613,7 +715,7 @@ func MergeOutcomes(w io.Writer, streams ...io.Reader) (*MergeSummary, error) {
 				if byShard[j] == or {
 					continue
 				}
-				if extra, jerr := byShard[j].Next(); !errors.Is(jerr, io.EOF) {
+				if jerr := byShard[j].next(&extra); !errors.Is(jerr, io.EOF) {
 					if jerr != nil {
 						return nil, jerr
 					}
@@ -630,31 +732,24 @@ func MergeOutcomes(w io.Writer, streams ...io.Reader) (*MergeSummary, error) {
 			return nil, fmt.Errorf("core: shard %d emitted ordinal %d where the canonical order needs %d (gap or overlap)",
 				int(ord%int64(k)), rec.Ordinal, ord)
 		}
-		chain.add(rec.Digest)
-		weighted += rec.EffectiveMult()
-		if enc != nil {
-			if err := enc.Encode(rec); err != nil {
-				return nil, fmt.Errorf("core: writing merged ordinal %d: %w", ord, err)
-			}
+		// The reader accepted or.line as rec's canonical line, so the
+		// merged stream takes it as it stands.
+		if err := sw.verbatim(or.line, &rec); err != nil {
+			return nil, fmt.Errorf("core: writing merged ordinal %d: %w", ord, err)
 		}
 		ord++
 	}
 	if total >= 0 && ord != total {
 		return nil, fmt.Errorf("core: merged %d records, headers promised %d", ord, total)
 	}
+	foot, err := sw.finish()
+	if err != nil {
+		return nil, fmt.Errorf("core: writing merged footer: %w", err)
+	}
 
-	sum := &MergeSummary{Shards: k, Total: ord, Weighted: weighted, Digest: chain.hex(), Headers: make([]ShardHeader, k)}
+	sum := &MergeSummary{Shards: k, Total: ord, Weighted: sw.weighted, Digest: foot.Digest, Headers: make([]ShardHeader, k)}
 	for i, or := range byShard {
 		sum.Headers[i] = or.Header()
-	}
-	if enc != nil {
-		foot := ShardFooter{Kind: footerKind, Records: ord, Digest: sum.Digest}
-		if err := enc.Encode(foot); err != nil {
-			return nil, fmt.Errorf("core: writing merged footer: %w", err)
-		}
-		if err := bw.Flush(); err != nil {
-			return nil, fmt.Errorf("core: flushing merged stream: %w", err)
-		}
 	}
 	return sum, nil
 }

@@ -60,12 +60,15 @@ func fuzzStreamSeeds(f *testing.F) [][]byte {
 // stream reader. Whatever the input, the reader must not panic, must
 // report a footer exactly when it drains cleanly, and any stream it
 // accepts must survive a parse -> reseal -> verify round trip with the
-// same chained digest (the bit-identical merge contract).
+// same chained digest (the bit-identical merge contract), and must be a
+// stream the old encoding/json reader accepts with the same header,
+// records and footer: the strict reader may only narrow what is read.
 func FuzzOutcomeReader(f *testing.F) {
 	for _, seed := range fuzzStreamSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		assertReadersAgree(t, data, false)
 		or, err := NewOutcomeReader(bytes.NewReader(data))
 		if err != nil {
 			return

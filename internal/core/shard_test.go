@@ -22,6 +22,17 @@ func shardScenarios(t *testing.T, n, horizon, count int) []Scenario {
 	return scenarios
 }
 
+// newOutcomeRecord builds the sealed record of one completed run, as
+// RunShard does record by record.
+func newOutcomeRecord(ordinal int64, res *engine.Result, weight int64) (OutcomeRecord, error) {
+	var rec OutcomeRecord
+	if _, err := rec.fill(ordinal, res, weight, nil); err != nil {
+		return rec, err
+	}
+	rec.Digest = rec.ComputeDigest()
+	return rec, nil
+}
+
 // TestStrideBounds checks Stride's validation and the 1-way identity.
 func TestStrideBounds(t *testing.T) {
 	src := FromScenarios(nil)

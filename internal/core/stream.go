@@ -79,12 +79,28 @@ type streamConfig struct {
 // scenarios are in flight — dispatched to a worker but not yet emitted —
 // at any moment, so the re-sequencing buffer holds at most k outcomes no
 // matter how long the head scenario runs. k <= 0 selects the default
-// window of twice the worker count. A window smaller than the worker
-// count leaves workers idle. Completion-order streams ignore the window
-// (they buffer nothing).
+// window of defaultWindowPerWorker per worker. A window smaller than the
+// worker count leaves workers idle; one under chunksPerWorker per worker
+// hands scenarios over one at a time. Completion-order streams ignore
+// the window (they buffer nothing).
 func WithWindow(k int) StreamOption {
 	return func(c *streamConfig) { c.window = k }
 }
+
+const (
+	// defaultWindowPerWorker sizes the default reordering window. The
+	// window pays for itself by amortising hand-offs (see chunksPerWorker),
+	// and costs memory: docs/architecture.md, "Stream cost model", records
+	// the sweep of 2, 8, 32 and 128 per worker that chose it.
+	defaultWindowPerWorker = 32
+	// chunksPerWorker is how many hand-offs a window's worth of scenarios
+	// is cut into per worker: scenarios reach a worker, and outcomes come
+	// back, window/(chunksPerWorker·workers) at a time, so a channel
+	// rendezvous and its goroutine wake-up are paid once per chunk. Four
+	// chunks per worker keep every worker fed while the head chunk waits
+	// to be emitted.
+	chunksPerWorker = 4
+)
 
 // WithCompletionOrder makes StreamFrom emit outcomes as workers finish
 // them instead of re-sequencing into scenario order. Every outcome is
@@ -122,6 +138,30 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	workers := r.parallelism
+	if c, ok := src.Count(); ok && int64(workers) > c {
+		workers = int(c)
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	window := cfg.window
+	if window <= 0 {
+		window = defaultWindowPerWorker * workers
+	}
+	// Scenarios move in chunks of consecutive indexes; a completion-order
+	// stream, which may hold nothing back, moves them singly.
+	chunk := 1
+	if !cfg.completionOrder {
+		chunk = max(1, window/(chunksPerWorker*workers))
+	}
+	// permits bounds the chunks in flight of an ordered stream: the
+	// dispatcher acquires one before pulling a chunk from the source, the
+	// re-sequencer releases it after emitting the chunk.
+	var permits chan struct{}
+	if !cfg.completionOrder {
+		permits = make(chan struct{}, window/chunk)
+	}
 	out := make(chan RunOutcome)
 	go func() {
 		defer close(out)
@@ -132,31 +172,13 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 		// context.Canceled, matching the Runner's fail-fast semantics.
 		sctx, fail := context.WithCancelCause(ctx)
 		defer fail(nil)
-		workers := r.parallelism
-		if c, ok := src.Count(); ok && int64(workers) > c {
-			workers = int(c)
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		window := cfg.window
-		if window <= 0 {
-			window = 2 * workers
-		}
 
-		type job struct {
-			idx int
-			sc  Scenario
-		}
-		jobs := make(chan job)
-		results := make(chan RunOutcome, workers)
-		// tokens bounds the in-flight scenarios of an ordered stream: the
-		// dispatcher acquires before pulling from the source, the
-		// re-sequencer releases after emitting.
-		var tokens chan struct{}
-		if !cfg.completionOrder {
-			tokens = make(chan struct{}, window)
-		}
+		// A chunk travels as the outcomes it will become: the dispatcher
+		// fills in index and scenario, a worker the rest, in place. One
+		// queued chunk per worker in either direction: a worker finds its
+		// next chunk waiting and never waits to hand one back.
+		jobs := make(chan []RunOutcome, workers)
+		results := make(chan []RunOutcome, workers)
 
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -167,9 +189,12 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 				if r.bufferReuse {
 					buf = engine.NewArenaBuffers()
 				}
-				for jb := range jobs {
+				for batch := range jobs {
+					for i, jb := range batch {
+						batch[i] = r.runOne(sctx, jb.Index, jb.Scenario, buf)
+					}
 					select {
-					case results <- r.runOne(sctx, jb.idx, jb.sc, buf):
+					case results <- batch:
 					case <-sctx.Done():
 						return
 					}
@@ -178,16 +203,31 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 		}
 		go func() {
 			defer close(jobs)
-			for idx := 0; ; idx++ {
-				if tokens != nil {
+			for idx := 0; ; {
+				if permits != nil {
 					select {
-					case tokens <- struct{}{}:
+					case permits <- struct{}{}:
 					case <-sctx.Done():
 						return
 					}
 				}
-				sc, ok := src.Next()
-				if !ok {
+				batch := make([]RunOutcome, 0, chunk)
+				for len(batch) < chunk {
+					sc, ok := src.Next()
+					if !ok {
+						break
+					}
+					batch = append(batch, RunOutcome{Index: idx, Scenario: sc})
+					idx++
+				}
+				if len(batch) > 0 {
+					select {
+					case jobs <- batch:
+					case <-sctx.Done():
+						return
+					}
+				}
+				if len(batch) < chunk {
 					// A source that failed mid-stream (rather than running
 					// dry) cancels outstanding work with its error as the
 					// cause, so in-flight outcomes carry it.
@@ -196,11 +236,6 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 							fail(err)
 						}
 					}
-					return
-				}
-				select {
-				case jobs <- job{idx: idx, sc: sc}:
-				case <-sctx.Done():
 					return
 				}
 			}
@@ -223,11 +258,19 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 			}
 		}
 
-		if cfg.completionOrder {
-			for oc := range results {
+		emit := func(outs []RunOutcome) bool {
+			for _, o := range outs {
 				select {
-				case out <- oc:
+				case out <- o:
 				case <-ctx.Done():
+					return false
+				}
+			}
+			return true
+		}
+		if cfg.completionOrder {
+			for outs := range results {
+				if !emit(outs) {
 					return
 				}
 			}
@@ -236,24 +279,22 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 		}
 
 		// Re-sequence: workers finish out of order, the stream emits in
-		// scenario order. The token bound keeps pending at window size.
-		pending := make(map[int]RunOutcome, window)
+		// scenario order. The permit bound keeps pending within the window.
+		pending := make(map[int][]RunOutcome)
 		next := 0
-		for oc := range results {
-			pending[oc.Index] = oc
+		for outs := range results {
+			pending[outs[0].Index] = outs
 			for {
-				o, ok := pending[next]
+				head, ok := pending[next]
 				if !ok {
 					break
 				}
 				delete(pending, next)
-				select {
-				case out <- o:
-				case <-ctx.Done():
+				if !emit(head) {
 					return
 				}
-				<-tokens
-				next++
+				next += len(head)
+				<-permits
 			}
 		}
 		emitCause()

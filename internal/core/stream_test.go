@@ -104,6 +104,43 @@ func TestStreamFromMatchesStream(t *testing.T) {
 	}
 }
 
+// TestStreamFromChunkedHandoffMatchesRunBatch pins the ordered stream
+// across the hand-off's shapes — one scenario at a time (small windows),
+// chunks (the default window), more workers than a chunk boundary divides
+// evenly — against the sequential batch: same outcomes, same order, and
+// a sweep length that leaves a short last chunk.
+func TestStreamFromChunkedHandoffMatchesRunBatch(t *testing.T) {
+	st := MustStack("fip", WithN(4), WithT(1))
+	scenarios := randomScenarios(29, 4, 1, 301)
+	want, err := NewRunner(st).RunBatch(context.Background(), scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallelism := range []int{1, 2, 7} {
+		for _, window := range []int{1, 3, 0} {
+			label := fmt.Sprintf("parallelism %d window %d", parallelism, window)
+			runner := NewRunner(st, WithParallelism(parallelism), WithBufferReuse())
+			k := 0
+			for oc := range runner.StreamFrom(context.Background(), &countingSource{scenarios: scenarios}, WithWindow(window)) {
+				if oc.Err != nil {
+					t.Fatalf("%s: outcome %d: %v", label, oc.Index, oc.Err)
+				}
+				if oc.Index != k {
+					t.Fatalf("%s: emitted index %d, want %d", label, oc.Index, k)
+				}
+				if oc.Scenario.Pattern != scenarios[k].Pattern {
+					t.Fatalf("%s: outcome %d carries another scenario", label, k)
+				}
+				assertSameRun(t, fmt.Sprintf("%s outcome %d", label, k), want[k], oc.Result)
+				k++
+			}
+			if k != len(scenarios) {
+				t.Fatalf("%s: emitted %d outcomes, want %d", label, k, len(scenarios))
+			}
+		}
+	}
+}
+
 // TestRunSourceMatchesRunBatch checks the batch entry points agree.
 func TestRunSourceMatchesRunBatch(t *testing.T) {
 	st := MustStack("min", WithN(4), WithT(1))
@@ -329,11 +366,11 @@ func (f *failingExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engi
 // cause, so the source stops being pulled and the pool stops executing
 // long before the sweep is exhausted.
 func TestRunSourceFailsFast(t *testing.T) {
-	const total, failAt, workers = 512, 5, 4
-	st := MustStack("min", WithN(10), WithT(0))
+	const total, failAt, workers = 4096, 5, 4
+	st := MustStack("min", WithN(12), WithT(0))
 	boom := errors.New("boom")
 	exec := &failingExecutor{inner: engine.Sequential{}, failAt: failAt, err: boom}
-	src := &countingSource{scenarios: streamScenarios(10, 2, total)}
+	src := &countingSource{scenarios: streamScenarios(12, 2, total)}
 	runner := NewRunner(st, WithExecutor(exec), WithParallelism(workers))
 
 	_, err := runner.RunSource(context.Background(), src)
@@ -343,7 +380,7 @@ func TestRunSourceFailsFast(t *testing.T) {
 	// The ordered stream may have dispatched up to a reordering window of
 	// scenarios beyond the failure before the error was emitted; anything
 	// close to the full sweep means cancellation did not propagate.
-	window := 2 * workers
+	window := defaultWindowPerWorker * workers
 	bound := failAt + 2*window + workers + 1
 	if got := exec.calls.Load(); int(got) > bound {
 		t.Errorf("executor ran %d scenarios after a failure at %d (bound %d): fail-slow", got, failAt, bound)
@@ -356,13 +393,16 @@ func TestRunSourceFailsFast(t *testing.T) {
 // TestRunBatchCancelsWithCause checks RunBatch cancels outstanding work
 // with the first error as the context cause.
 func TestRunBatchCancelsWithCause(t *testing.T) {
-	const total, failAt = 256, 3
-	st := MustStack("min", WithN(10), WithT(0))
+	const workers, failAt = 4, 3
+	// Several default windows' worth, so a batch that stops within one
+	// is told apart from one that drains.
+	const total = 8 * defaultWindowPerWorker * workers
+	st := MustStack("min", WithN(12), WithT(0))
 	boom := errors.New("boom")
 	exec := &failingExecutor{inner: engine.Sequential{}, failAt: failAt, err: boom}
-	runner := NewRunner(st, WithExecutor(exec), WithParallelism(4))
+	runner := NewRunner(st, WithExecutor(exec), WithParallelism(workers))
 
-	_, err := runner.RunBatch(context.Background(), streamScenarios(10, 2, total))
+	_, err := runner.RunBatch(context.Background(), streamScenarios(12, 2, total))
 	if !errors.Is(err, boom) {
 		t.Fatalf("RunBatch error = %v, want the executor's error", err)
 	}

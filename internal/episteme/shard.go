@@ -196,7 +196,7 @@ func decodeCachedIndex(payload []byte, shardIndex, shardCount, n, t, horizon int
 
 // exportShardIndex reduces a stripe's System to its serializable partial
 // index. The ledger flattening (inits/decisions/rounds as ints, stats as
-// core.OutcomeStats) deliberately mirrors core's newOutcomeRecord — the
+// core.OutcomeStats) deliberately mirrors core's OutcomeRecord.fill — the
 // outcome-stream and shard-index formats must agree on what a run's
 // observable outcome is; extend both (and restoreRun, the inverse here)
 // together.

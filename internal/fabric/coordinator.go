@@ -22,6 +22,7 @@ import (
 	rescache "repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/episteme"
+	"repro/internal/httplimit"
 )
 
 // CoordinatorConfig configures NewCoordinator.
@@ -278,7 +279,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+	if err := httplimit.DecodeJSON(w, r, &req); err != nil || req.Worker == "" {
 		http.Error(w, "lease request needs a worker id", http.StatusBadRequest)
 		return
 	}
@@ -305,7 +306,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+	if err := httplimit.DecodeJSON(w, r, &req); err != nil || req.Worker == "" {
 		http.Error(w, "heartbeat needs a worker id and stripe", http.StatusBadRequest)
 		return
 	}

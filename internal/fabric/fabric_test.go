@@ -19,6 +19,7 @@ import (
 	rescache "repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/episteme"
+	"repro/internal/httplimit"
 )
 
 // testJob is the suite's standard sweep: small enough that a stripe runs
@@ -938,5 +939,31 @@ func TestStatusAgesStaleCacheReport(t *testing.T) {
 	}
 	if !wr.CacheStale || wr.CacheAgeMillis != 4000 {
 		t.Fatalf("stale=%v age=%dms; want stale last-known counters aged 4000ms", wr.CacheStale, wr.CacheAgeMillis)
+	}
+}
+
+// TestCoordinatorBoundsRequestBodies: a lease or heartbeat body that
+// outgrows the shared request limit is refused with a 4xx instead of
+// being read through. The oversized bodies are valid requests behind a
+// megabyte of whitespace, which an unbounded decoder accepts.
+func TestCoordinatorBoundsRequestBodies(t *testing.T) {
+	_, srv := newTestCoordinator(t, testJob(2), time.Minute)
+	padding := strings.Repeat(" ", httplimit.MaxJSONBody)
+	for path, request := range map[string]string{
+		"/lease":     `{"worker":"w0"}`,
+		"/heartbeat": `{"worker":"w0","stripe":0}`,
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(padding+request))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode > 499 {
+			t.Errorf("%s: an oversized body answers %d, want a 4xx", path, resp.StatusCode)
+		}
+	}
+	if _, status := leaseStripe(t, srv.URL, "w0"); status != http.StatusOK {
+		t.Fatalf("a plain lease after the refusals answers %d", status)
 	}
 }

@@ -14,34 +14,50 @@ import (
 // encoding.TextMarshaler, so patterns embed directly in flags, JSON, and
 // config files.
 func (p *Pattern) MarshalText() ([]byte, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d;h=%d;f=", p.n, p.horizon)
+	return p.AppendText(nil)
+}
+
+// AppendText appends the MarshalText form to dst, allocating only when
+// dst lacks the room — what per-run callers (outcome records, cache
+// keys) use with a reused buffer.
+func (p *Pattern) AppendText(dst []byte) ([]byte, error) {
+	dst = append(dst, "n="...)
+	dst = appendInt(dst, p.n)
+	dst = append(dst, ";h="...)
+	dst = appendInt(dst, p.horizon)
+	dst = append(dst, ";f="...)
 	first := true
-	for i := 0; i < p.n; i++ {
-		if p.faulty[i] {
+	for i, f := range p.faulty {
+		if f {
 			if !first {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			b.WriteString(strconv.Itoa(i))
+			dst = appendInt(dst, i)
 			first = false
 		}
 	}
-	b.WriteString(";d=")
+	dst = append(dst, ";d="...)
 	first = true
+	k := 0
 	for m := 0; m < p.horizon; m++ {
 		for i := 0; i < p.n; i++ {
 			for j := 0; j < p.n; j++ {
-				if !p.Delivered(m, AgentID(i), AgentID(j)) {
+				if p.drops[k] {
 					if !first {
-						b.WriteByte(',')
+						dst = append(dst, ',')
 					}
-					fmt.Fprintf(&b, "%d:%d:%d", m, i, j)
+					dst = appendInt(dst, m)
+					dst = append(dst, ':')
+					dst = appendInt(dst, i)
+					dst = append(dst, ':')
+					dst = appendInt(dst, j)
 					first = false
 				}
+				k++
 			}
 		}
 	}
-	return []byte(b.String()), nil
+	return dst, nil
 }
 
 // UnmarshalText decodes the MarshalText form, replacing the receiver's

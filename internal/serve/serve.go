@@ -53,6 +53,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/episteme"
 	"repro/internal/fabric"
+	"repro/internal/httplimit"
 	"repro/internal/model"
 	"repro/internal/source"
 	"repro/internal/spec"
@@ -252,7 +253,7 @@ func newStack(name string, n, t, horizon int) (core.Stack, error) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := httplimit.DecodeJSON(w, r, &req); err != nil {
 		http.Error(w, "bad sweep request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -337,7 +338,7 @@ type CheckRequest struct {
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	var req CheckRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := httplimit.DecodeJSON(w, r, &req); err != nil {
 		http.Error(w, "bad check request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -452,7 +453,7 @@ type KnowledgeResponse struct {
 
 func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 	var req KnowledgeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := httplimit.DecodeJSON(w, r, &req); err != nil {
 		http.Error(w, "bad knowledge request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -25,7 +25,7 @@ type StreamOption = core.StreamOption
 // WithWindow bounds the reordering window of an ordered stream: at most k
 // scenarios are in flight at any moment, so the re-sequencing buffer
 // holds at most k outcomes no matter how long the head scenario runs. The
-// default is twice the worker count.
+// default is 32 per worker.
 func WithWindow(k int) StreamOption { return core.WithWindow(k) }
 
 // WithCompletionOrder makes StreamFrom emit outcomes as workers finish

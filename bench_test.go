@@ -221,9 +221,10 @@ func BenchmarkQuotientDrainN5(b *testing.B) {
 	b.ReportMetric(float64(scenarios)*float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")
 }
 
-// BenchmarkExpandQuotientN4 expands the 1,637 fip representatives at
-// n=4,t=1 back into the full 32,784-run system.
-func BenchmarkExpandQuotientN4(b *testing.B) {
+// expandedFIPN4 returns a freshly expanded fip n=4,t=1 system (32,784 runs
+// from 1,637 representatives): no C_N layer built, nothing cached.
+func expandedFIPN4(b *testing.B) func() *episteme.System {
+	b.Helper()
 	st := stack(b, "fip", 4, 1)
 	ec := episteme.ContextFor(st)
 	ctx := context.Background()
@@ -235,12 +236,61 @@ func BenchmarkExpandQuotientN4(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() *episteme.System {
 		sys, err := episteme.ExpandQuotient(ctx, rep, ec)
 		if err != nil || len(sys.Runs) != 32784 {
 			b.Fatalf("runs=%d err=%v", len(sys.Runs), err)
+		}
+		return sys
+	}
+}
+
+// BenchmarkExpandQuotientN4 expands the 1,637 fip representatives at
+// n=4,t=1 back into the full 32,784-run system.
+func BenchmarkExpandQuotientN4(b *testing.B) {
+	fresh := expandedFIPN4(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fresh()
+	}
+}
+
+// BenchmarkCNCondenseN4 is the scaling guard of the C_N condensation: one
+// reachability question per time 0..2 of a fresh fip n=4 system, so each
+// iteration builds the three layers CheckImplements(P1) needs — Tarjan
+// over the implicit graph, the DAG, the folded guard — and one closure
+// each. Expansion is outside the timer.
+func BenchmarkCNCondenseN4(b *testing.B) {
+	fresh := expandedFIPN4(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys := fresh()
+		b.StartTimer()
+		for m := 0; m < sys.Horizon; m++ {
+			if len(sys.CNReachable(episteme.Point{Run: 0, Time: m})) == 0 {
+				b.Fatalf("nothing reachable at time %d", m)
+			}
+		}
+	}
+}
+
+// BenchmarkCheckImplementsP1N4 is the scaling guard of Theorem A.21's
+// check: a cold CheckImplements(P1) on a fresh fip n=4 system, layers and
+// all.
+func BenchmarkCheckImplementsP1N4(b *testing.B) {
+	fresh := expandedFIPN4(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys := fresh()
+		b.StartTimer()
+		if ms, err := sys.CheckImplements(ctx, episteme.P1, 1); err != nil || len(ms) != 0 {
+			b.Fatalf("mismatches=%v err=%v", ms, err)
 		}
 	}
 }

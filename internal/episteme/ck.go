@@ -2,6 +2,7 @@ package episteme
 
 import (
 	"context"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -13,21 +14,30 @@ import (
 // q'. To keep the edge count linear, the graph routes through class nodes:
 // run r → class(j, class_j(r)) for each j ∈ N(r), and class(j, c) → every
 // run in that class. The class nodes are the interned index's classes, so
-// assembling the graph is pure integer arithmetic. Strongly connected
-// components are condensed; queries then walk the DAG.
+// the graph is never materialised — cnGraph reads a node's successors
+// straight from the index. Strongly connected components are condensed;
+// queries then walk the DAG, except the one question the checkers ask at
+// every point — P1's common-knowledge guard — which is folded over the DAG
+// once, as the layer is built.
 type cnLayer struct {
 	// comp maps each run to its component id.
-	comp []int
-	// next is the deduplicated component DAG (successors).
-	next [][]int
+	comp []int32
+	// next is the deduplicated component DAG (successors). Tarjan numbers a
+	// component after everything it reaches, so every successor's id is
+	// lower than its source's.
+	next [][]int32
 	// members lists the runs in each component (class-node components may
 	// be empty).
 	members [][]int
+	// ck[v][c] reports C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v) at the points
+	// of component c (the formula is a function of the component: every
+	// point of it reaches the same set).
+	ck [2][]bool
 	// reach caches, per source component, the closure of reachable runs;
 	// mu guards it. Closures are pure functions of the layer, so a racing
 	// duplicate computation is benign (first store wins).
 	mu    sync.RWMutex
-	reach map[int][]int
+	reach map[int32][]int
 }
 
 // cnSlot builds one time slice's layer exactly once.
@@ -63,154 +73,277 @@ func (s *System) prebuildCN(ctx context.Context) error {
 	return s.parallel(ctx, s.Horizon, func(m int) { s.cnLayerAt(m) })
 }
 
-// buildCNLayer assembles and condenses the time-m accessibility graph.
-// Nodes are the runs followed by every index class of the slice (classes
-// no nonfaulty agent carries stay unreachable from runs and are
-// harmless); edges come straight from the interned index.
+// faultyMasks returns every run's faulty set as a bitmask over agents,
+// computed on first use.
+func (s *System) faultyMasks() []uint64 {
+	s.faultyOnce.Do(func() {
+		s.faulty = make([]uint64, len(s.Runs))
+		for r, res := range s.Runs {
+			for i := 0; i < s.N; i++ {
+				if res.Pattern.Faulty(model.AgentID(i)) {
+					s.faulty[r] |= 1 << uint(i)
+				}
+			}
+		}
+	})
+	return s.faulty
+}
+
+// cnGraph is the time-m accessibility graph, read from the interned
+// index without building adjacency lists. Nodes are the runs followed by
+// every index class of the slice: agent i's class c is node base[i]+c
+// (classes no nonfaulty agent carries stay unreachable from runs and are
+// harmless). A run's successors are the class nodes of its nonfaulty
+// agents in ascending agent order, a class node's are its runs in
+// ascending order. Node ids are int32 like the class ids they are built
+// from.
+type cnGraph struct {
+	n, runs int
+	// base has n+1 entries; base[n] is the node count.
+	base []int32
+	// classOf and classRuns are the slice's n slots of the System's.
+	classOf   [][]int32
+	classRuns [][][]int
+	faulty    []uint64
+}
+
+// classNode returns run r's successor through agent i: the node of i's
+// class at r.
+func (g *cnGraph) classNode(r int32, i int) int32 { return g.base[i] + g.classOf[i][r] }
+
+// members returns the runs of class node v.
+func (g *cnGraph) members(v int32) []int {
+	i := g.n - 1
+	for v < g.base[i] {
+		i--
+	}
+	return g.classRuns[i][v-g.base[i]]
+}
+
+// buildCNLayer condenses the time-m accessibility graph and folds the
+// common-knowledge guard over the condensation.
 func (s *System) buildCNLayer(m int) *cnLayer {
 	n := s.N
 	runs := len(s.Runs)
-
-	// base[i] is the node id of agent i's class 0; classes of slot (m, i)
-	// occupy [base[i], base[i+1]).
-	base := make([]int, n+1)
-	base[0] = runs
-	for i := 0; i < n; i++ {
-		base[i+1] = base[i] + len(s.classRuns[m*n+i])
+	g := &cnGraph{
+		n: n, runs: runs,
+		base:      make([]int32, n+1),
+		classOf:   s.classOf[m*n : (m+1)*n],
+		classRuns: s.classRuns[m*n : (m+1)*n],
+		faulty:    s.faultyMasks(),
 	}
-	adj := make([][]int, base[n])
+	g.base[0] = int32(runs)
 	for i := 0; i < n; i++ {
-		slot := m*n + i
-		for c, members := range s.classRuns[slot] {
-			adj[base[i]+c] = members
-		}
-	}
-	// One slab backs every run's out-edges (at most n each).
-	outs := make([]int, 0, runs*n)
-	for r := range s.Runs {
-		pat := s.Runs[r].Pattern
-		start := len(outs)
-		for i := 0; i < n; i++ {
-			if !pat.Nonfaulty(model.AgentID(i)) {
-				continue
-			}
-			outs = append(outs, base[i]+int(s.classOf[m*n+i][r]))
-		}
-		adj[r] = outs[start:len(outs):len(outs)]
+		g.base[i+1] = g.base[i] + int32(len(g.classRuns[i]))
 	}
 
-	comp := tarjanSCC(adj)
-	nComp := 0
-	for _, c := range comp {
-		if c+1 > nComp {
-			nComp = c + 1
-		}
-	}
+	comp, nComp := g.scc()
 	layer := &cnLayer{
 		comp:    comp[:runs],
-		next:    make([][]int, nComp),
+		next:    make([][]int32, nComp),
 		members: make([][]int, nComp),
-		reach:   make(map[int][]int),
+		reach:   make(map[int32][]int),
 	}
 	// Group the nodes by component with a counting sort: component c's
 	// nodes are grouped[off[c]:off[c+1]] in ascending order, its runs
-	// (the low node ids) first.
-	off := make([]int, nComp+1)
-	runCount := make([]int, nComp)
+	// (the low node ids) first; the runs alone land in memberSlab at
+	// runOff[c]:runOff[c+1].
+	off := make([]int32, nComp+1)
+	runOff := make([]int32, nComp+1)
 	for v, c := range comp {
 		off[c+1]++
 		if v < runs {
-			runCount[c]++
+			runOff[c+1]++
 		}
 	}
 	for c := 0; c < nComp; c++ {
 		off[c+1] += off[c]
+		runOff[c+1] += runOff[c]
 	}
-	grouped := make([]int, len(comp))
-	fill := append([]int(nil), off[:nComp]...)
+	grouped := make([]int32, len(comp))
+	fill := append([]int32(nil), off[:nComp]...)
 	for v, c := range comp {
-		grouped[fill[c]] = v
+		grouped[fill[c]] = int32(v)
 		fill[c]++
 	}
-	// Walking one source component at a time lets a stamp per target
-	// component deduplicate its edges: stamp[cw] == cv+1 iff cv → cw is
-	// already in next[cv].
-	stamp := make([]int, nComp)
-	for cv := 0; cv < nComp; cv++ {
-		for _, v := range grouped[off[cv]:off[cv+1]] {
-			for _, w := range adj[v] {
-				if cw := comp[w]; cw != cv && stamp[cw] != cv+1 {
-					stamp[cw] = cv + 1
-					layer.next[cv] = append(layer.next[cv], cw)
+	memberSlab := make([]int, runs)
+
+	// Build the DAG and fold the guard over it. Walking one source
+	// component at a time lets a stamp per target component deduplicate its
+	// edges: stamp[cw] == cv+1 iff cv → cw is already in next[cv]. Every
+	// successor is numbered below cv, so what the fold knows of it is final
+	// when cv reads it. The fold takes the cheap conjunct first: inter[cv],
+	// the faulty sets common to everything cv reaches, is that of cv's own
+	// runs and of each successor's reach, and where it has fewer than t
+	// members both guards fail without a look at the runs.
+	ck0, ck1 := make([]bool, nComp), make([]bool, nComp)
+	inter := make([]uint64, nComp)
+	stamp := make([]int32, nComp)
+	link := func(cv, cw int32) {
+		stamp[cw] = cv + 1
+		layer.next[cv] = append(layer.next[cv], cw)
+		inter[cv] &= inter[cw]
+	}
+	for cv := int32(0); int(cv) < nComp; cv++ {
+		nodes := grouped[off[cv]:off[cv+1]]
+		nRuns := runOff[cv+1] - runOff[cv]
+		inter[cv] = ^uint64(0)
+		for _, v := range nodes[:nRuns] {
+			fm := g.faulty[v]
+			for i := 0; i < n; i++ {
+				if fm>>uint(i)&1 != 0 {
+					continue
+				}
+				if cw := comp[g.classNode(v, i)]; cw != cv && stamp[cw] != cv+1 {
+					link(cv, cw)
 				}
 			}
 		}
-		if k := runCount[cv]; k > 0 {
-			layer.members[cv] = grouped[off[cv] : off[cv]+k : off[cv]+k]
+		for _, v := range nodes[nRuns:] {
+			for _, w := range g.members(v) {
+				if cw := comp[w]; cw != cv && stamp[cw] != cv+1 {
+					link(cv, cw)
+				}
+			}
+		}
+		if nRuns > 0 {
+			members := memberSlab[runOff[cv]:runOff[cv+1]:runOff[cv+1]]
+			for k, v := range nodes[:nRuns] {
+				members[k] = int(v)
+				inter[cv] &= g.faulty[v]
+			}
+			layer.members[cv] = members
+		}
+		enough := bits.OnesCount64(inter[cv]) >= s.T
+		ck0[cv], ck1[cv] = enough, enough
+	}
+	// The guard bodies, read off the runs in run order (the walk above
+	// visits them by component, which is no order in memory) and only
+	// where a guard can still hold; then down the DAG once more: a body
+	// holds throughout what cv reaches iff it holds at cv's own runs and
+	// throughout what each successor reaches. (A successor short of t
+	// common faulty agents fails the guard and so does cv, whose set is no
+	// larger — so the successor's ck can stand in for "its body holds
+	// throughout".)
+	for r, c := range layer.comp {
+		if ck0[c] || ck1[c] {
+			b := s.guardBody(r, m, g.faulty[r])
+			ck0[c] = ck0[c] && b[0]
+			ck1[c] = ck1[c] && b[1]
 		}
 	}
+	for cv, succs := range layer.next {
+		for _, cw := range succs {
+			ck0[cv] = ck0[cv] && ck0[cw]
+			ck1[cv] = ck1[cv] && ck1[cw]
+		}
+	}
+	layer.ck = [2][]bool{ck0, ck1}
 	return layer
 }
 
-// tarjanSCC computes strongly connected components (iteratively, to be
-// safe on deep graphs), returning a component id per node. Component ids
-// are in reverse topological order of the condensation.
-func tarjanSCC(adj [][]int) []int {
-	n := len(adj)
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	comp := make([]int, n)
-	for i := range index {
-		index[i] = -1
-		comp[i] = -1
-	}
-	// Both stacks can grow to every node of one deep component; sized for
-	// that once instead of doubling their way there.
-	type frame struct{ v, child int }
-	stack := make([]int, 0, n)
-	frames := make([]frame, 0, n)
-	counter, nComp := 0, 0
-
-	for start := 0; start < n; start++ {
-		if index[start] != -1 {
+// guardBody evaluates no-decided_N(1−v) ∧ ∃v at (run, m) for v = 0 and 1,
+// the body of P1's common-knowledge guards, with the run's nonfaulty set
+// read from its faulty mask.
+func (s *System) guardBody(run, m int, faulty uint64) [2]bool {
+	res := s.Runs[run]
+	var exists, decidedN [2]bool
+	for i, iv := range res.Inits {
+		if iv.IsSet() {
+			exists[iv] = true
+		}
+		if faulty>>uint(i)&1 != 0 {
 			continue
 		}
-		frames = append(frames[:0], frame{v: start})
-		index[start], low[start] = counter, counter
+		if r := res.DecisionRound[i]; r > 0 && r <= m && res.Decision[i].IsSet() {
+			decidedN[res.Decision[i]] = true
+		}
+	}
+	return [2]bool{exists[0] && !decidedN[1], exists[1] && !decidedN[0]}
+}
+
+// scc computes the graph's strongly connected components with Tarjan's
+// algorithm (iteratively, to be safe on deep graphs), returning a
+// component id per node and the component count. Component ids are in
+// reverse topological order of the condensation.
+func (g *cnGraph) scc() (comp []int32, nComp int) {
+	total := int(g.base[g.n])
+	// A node's visit number (from 1; 0 marks it unvisited) beside its
+	// low-link, so following an edge touches one cache line of state. A
+	// node whose component is numbered gets the visit number numbered,
+	// above every live one: "w is on the stack and was visited before
+	// low[v]" is then the single test index[w] < low[v].
+	type mark struct{ index, low int32 }
+	const numbered = math.MaxInt32
+	marks := make([]mark, total)
+	comp = make([]int32, total)
+	// Both stacks can grow to every node of one deep component; sized for
+	// that once instead of doubling their way there.
+	type frame struct{ v, child int32 }
+	stack := make([]int32, 0, total)
+	frames := make([]frame, 0, total)
+	counter := int32(0)
+
+	for start := int32(0); int(start) < total; start++ {
+		if marks[start].index != 0 {
+			continue
+		}
 		counter++
+		marks[start] = mark{counter, counter}
 		stack = append(stack, start)
-		onStack[start] = true
+		frames = append(frames[:0], frame{v: start})
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.child < len(adj[f.v]) {
-				w := adj[f.v][f.child]
-				f.child++
-				if index[w] == -1 {
-					index[w], low[w] = counter, counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
+			v := f.v
+			// Scan v's successors from the cursor up to the first
+			// unvisited one, which the walk descends into.
+			low, next := marks[v].low, int32(-1)
+			if int(v) < g.runs {
+				fm := g.faulty[v]
+				for i := int(f.child); i < g.n; i++ {
+					if fm>>uint(i)&1 != 0 {
+						continue
+					}
+					w := g.classNode(v, i)
+					if wi := marks[w].index; wi == 0 {
+						next, f.child = w, int32(i+1)
+						break
+					} else if wi < low {
+						low = wi
+					}
 				}
+			} else {
+				members := g.members(v)
+				for k := int(f.child); k < len(members); k++ {
+					if wi := marks[members[k]].index; wi == 0 {
+						next, f.child = int32(members[k]), int32(k+1)
+						break
+					} else if wi < low {
+						low = wi
+					}
+				}
+			}
+			marks[v].low = low
+			if next >= 0 {
+				counter++
+				marks[next] = mark{counter, counter}
+				stack = append(stack, next)
+				frames = append(frames, frame{v: next})
 				continue
 			}
-			v := f.v
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
 				parent := frames[len(frames)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
+				if marks[v].low < marks[parent].low {
+					marks[parent].low = marks[v].low
 				}
 			}
-			if low[v] == index[v] {
+			if marks[v].low == marks[v].index {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = nComp
+					marks[w].index = numbered
+					comp[w] = int32(nComp)
 					if w == v {
 						break
 					}
@@ -219,35 +352,42 @@ func tarjanSCC(adj [][]int) []int {
 			}
 		}
 	}
-	return comp
+	return comp, nComp
 }
 
 // computeReach walks the condensation DAG from src, collecting the runs
 // of every reachable component. Pure: it reads only immutable layer
 // state.
-func (l *cnLayer) computeReach(src int) []int {
-	visited := make([]bool, len(l.next))
-	var out []int
-	var stack []int
-	push := func(c int) {
-		if !visited[c] {
-			visited[c] = true
-			stack = append(stack, c)
-		}
-	}
+func (l *cnLayer) computeReach(src int32) []int {
 	// ≥1 step: start from the successors of src — but src's own component
 	// is reachable whenever it lies on a cycle, which it always does here
 	// (a nonfaulty agent's self-indistinguishability routes r back to r
 	// through its class node, and N is nonempty since t < n). Components
 	// containing runs always have such a cycle, so include src.
-	push(src)
+	//
+	// The walk lists the reachable components in visiting order first, so
+	// the result — most runs of the slice, typically — is allocated once
+	// instead of doubling its way up.
+	visited := make([]bool, len(l.next))
+	visited[src] = true
+	stack := []int32{src}
+	var order []int32
+	size := 0
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		out = append(out, l.members[c]...)
+		order = append(order, c)
+		size += len(l.members[c])
 		for _, d := range l.next[c] {
-			push(d)
+			if !visited[d] {
+				visited[d] = true
+				stack = append(stack, d)
+			}
 		}
+	}
+	out := make([]int, 0, size)
+	for _, c := range order {
+		out = append(out, l.members[c]...)
 	}
 	return out
 }
@@ -276,42 +416,27 @@ func (s *System) CNReachable(p Point) []int {
 	return out
 }
 
-// faultyMask returns the faulty set of a run as a bitmask.
-func (s *System) faultyMask(run int) uint64 {
-	var mask uint64
-	pat := s.Runs[run].Pattern
-	for i := 0; i < s.N; i++ {
-		if pat.Faulty(model.AgentID(i)) {
-			mask |= 1 << uint(i)
-		}
-	}
-	return mask
-}
-
 // CKTFaulty evaluates the paper's C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v)
 // at q. Unfolding the t-faulty abbreviation, the formula asks for a set A
 // of exactly t agents such that C_N holds of "every agent in A is faulty,
 // no nonfaulty agent has decided 1−v, and some agent started with v". Such
 // an A exists iff the intersection of the faulty sets over every
-// C_N-reachable point has at least t members.
+// C_N-reachable point has at least t members — which buildCNLayer folded
+// per component, so this is two index reads.
 func (s *System) CKTFaulty(q Point, v model.Value) bool {
-	reach := s.CNReachable(q)
-	if len(reach) == 0 {
-		return false
-	}
-	inter := ^uint64(0)
-	for _, run := range reach {
-		pt := Point{Run: run, Time: q.Time}
-		if !s.NoDecidedN(v.Flip(), pt) || !s.Exists(v, pt) {
-			return false
-		}
-		inter &= s.faultyMask(run)
-	}
-	return bits.OnesCount64(inter) >= s.T
+	layer := s.cnLayerAt(q.Time)
+	return layer.ck[v][layer.comp[q.Run]]
 }
 
 // KnowsCK evaluates K_i(C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v)) at p:
 // the common-knowledge guard of the knowledge-based program P1.
 func (s *System) KnowsCK(i model.AgentID, p Point, v model.Value) bool {
-	return s.Knows(i, p, func(q Point) bool { return s.CKTFaulty(q, v) })
+	layer := s.cnLayerAt(p.Time)
+	ck := layer.ck[v]
+	for _, r := range s.runsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run)) {
+		if !ck[layer.comp[r]] {
+			return false
+		}
+	}
+	return true
 }

@@ -3,11 +3,14 @@ package episteme
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"math/rand"
 	goruntime "runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/action"
+	"repro/internal/engine"
 	"repro/internal/exchange"
 	"repro/internal/model"
 )
@@ -227,4 +230,540 @@ func firstDiff(got, want []string) string {
 		}
 	}
 	return "none"
+}
+
+// --- oracles of the flat integer kernels --------------------------------
+//
+// What follows keeps, verbatim, the three implementations the dense
+// tables replaced: the C_N condensation over an explicit adjacency list,
+// the common-knowledge guard evaluated per point by walking CNReachable,
+// and expansion pass 2 interning through a map keyed by (source agent,
+// relabeling, representative class).
+
+// oracleCNLayer is what buildCNLayer returned before the graph went
+// implicit: component per run, deduplicated DAG, runs per component.
+type oracleCNLayer struct {
+	comp    []int
+	next    [][]int
+	members [][]int
+}
+
+// oracleBuildCNLayer assembles the time-m accessibility graph as
+// adjacency lists and condenses it.
+func oracleBuildCNLayer(s *System, m int) *oracleCNLayer {
+	n := s.N
+	runs := len(s.Runs)
+
+	// base[i] is the node id of agent i's class 0; classes of slot (m, i)
+	// occupy [base[i], base[i+1]).
+	base := make([]int, n+1)
+	base[0] = runs
+	for i := 0; i < n; i++ {
+		base[i+1] = base[i] + len(s.classRuns[m*n+i])
+	}
+	adj := make([][]int, base[n])
+	for i := 0; i < n; i++ {
+		slot := m*n + i
+		for c, members := range s.classRuns[slot] {
+			adj[base[i]+c] = members
+		}
+	}
+	// One slab backs every run's out-edges (at most n each).
+	outs := make([]int, 0, runs*n)
+	for r := range s.Runs {
+		pat := s.Runs[r].Pattern
+		start := len(outs)
+		for i := 0; i < n; i++ {
+			if !pat.Nonfaulty(model.AgentID(i)) {
+				continue
+			}
+			outs = append(outs, base[i]+int(s.classOf[m*n+i][r]))
+		}
+		adj[r] = outs[start:len(outs):len(outs)]
+	}
+
+	comp := oracleTarjanSCC(adj)
+	nComp := 0
+	for _, c := range comp {
+		if c+1 > nComp {
+			nComp = c + 1
+		}
+	}
+	layer := &oracleCNLayer{
+		comp:    comp[:runs],
+		next:    make([][]int, nComp),
+		members: make([][]int, nComp),
+	}
+	// Group the nodes by component with a counting sort: component c's
+	// nodes are grouped[off[c]:off[c+1]] in ascending order, its runs
+	// (the low node ids) first.
+	off := make([]int, nComp+1)
+	runCount := make([]int, nComp)
+	for v, c := range comp {
+		off[c+1]++
+		if v < runs {
+			runCount[c]++
+		}
+	}
+	for c := 0; c < nComp; c++ {
+		off[c+1] += off[c]
+	}
+	grouped := make([]int, len(comp))
+	fill := append([]int(nil), off[:nComp]...)
+	for v, c := range comp {
+		grouped[fill[c]] = v
+		fill[c]++
+	}
+	// Walking one source component at a time lets a stamp per target
+	// component deduplicate its edges: stamp[cw] == cv+1 iff cv → cw is
+	// already in next[cv].
+	stamp := make([]int, nComp)
+	for cv := 0; cv < nComp; cv++ {
+		for _, v := range grouped[off[cv]:off[cv+1]] {
+			for _, w := range adj[v] {
+				if cw := comp[w]; cw != cv && stamp[cw] != cv+1 {
+					stamp[cw] = cv + 1
+					layer.next[cv] = append(layer.next[cv], cw)
+				}
+			}
+		}
+		if k := runCount[cv]; k > 0 {
+			layer.members[cv] = grouped[off[cv] : off[cv]+k : off[cv]+k]
+		}
+	}
+	return layer
+}
+
+// oracleTarjanSCC computes strongly connected components (iteratively, to
+// be safe on deep graphs), returning a component id per node. Component
+// ids are in reverse topological order of the condensation.
+func oracleTarjanSCC(adj [][]int) []int {
+	n := len(adj)
+	index := make([]int, n)
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	comp := make([]int, n)
+	for i := range index {
+		index[i] = -1
+		comp[i] = -1
+	}
+	// Both stacks can grow to every node of one deep component; sized for
+	// that once instead of doubling their way there.
+	type frame struct{ v, child int }
+	stack := make([]int, 0, n)
+	frames := make([]frame, 0, n)
+	counter, nComp := 0, 0
+
+	for start := 0; start < n; start++ {
+		if index[start] != -1 {
+			continue
+		}
+		frames = append(frames[:0], frame{v: start})
+		index[start], low[start] = counter, counter
+		counter++
+		stack = append(stack, start)
+		onStack[start] = true
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			if f.child < len(adj[f.v]) {
+				w := adj[f.v][f.child]
+				f.child++
+				if index[w] == -1 {
+					index[w], low[w] = counter, counter
+					counter++
+					stack = append(stack, w)
+					onStack[w] = true
+					frames = append(frames, frame{v: w})
+				} else if onStack[w] && index[w] < low[f.v] {
+					low[f.v] = index[w]
+				}
+				continue
+			}
+			v := f.v
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				parent := frames[len(frames)-1].v
+				if low[v] < low[parent] {
+					low[parent] = low[v]
+				}
+			}
+			if low[v] == index[v] {
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					onStack[w] = false
+					comp[w] = nComp
+					if w == v {
+						break
+					}
+				}
+				nComp++
+			}
+		}
+	}
+	return comp
+}
+
+// oracleFaultyMask returns the faulty set of a run as a bitmask.
+func oracleFaultyMask(s *System, run int) uint64 {
+	var mask uint64
+	pat := s.Runs[run].Pattern
+	for i := 0; i < s.N; i++ {
+		if pat.Faulty(model.AgentID(i)) {
+			mask |= 1 << uint(i)
+		}
+	}
+	return mask
+}
+
+// oracleCKTFaulty evaluates C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v) at q
+// point by point: such a set of t faulty agents exists iff the
+// intersection of the faulty sets over every C_N-reachable point has at
+// least t members.
+func oracleCKTFaulty(s *System, q Point, v model.Value) bool {
+	reach := s.CNReachable(q)
+	if len(reach) == 0 {
+		return false
+	}
+	inter := ^uint64(0)
+	for _, run := range reach {
+		pt := Point{Run: run, Time: q.Time}
+		if !s.NoDecidedN(v.Flip(), pt) || !s.Exists(v, pt) {
+			return false
+		}
+		inter &= oracleFaultyMask(s, run)
+	}
+	return bits.OnesCount64(inter) >= s.T
+}
+
+// oracleIntern is expansion pass 2 as it was: one worker per time slice,
+// one map lookup per run and slot.
+func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPermuter) (*System, error) {
+	n, horizon := rep.N, rep.Horizon
+	gRep, gPerm, perms, invs, isID, runs := om.gRep, om.gPerm, om.perms, om.invs, om.isID, om.runs
+
+	nRuns := len(runs)
+	sys := &System{N: n, T: rep.T, Horizon: horizon, Runs: runs, par: rep.parallelism()}
+	nSlots := (horizon + 1) * n
+	sys.classOf = make([][]int32, nSlots)
+	sys.classRuns = make([][][]int, nSlots)
+	sys.classKey = make([][]string, nSlots)
+	sys.classGlobal = make([][]int32, nSlots)
+	sys.byKey = make([]map[string]int32, nSlots)
+	sys.globalByKey = make(map[string]int32)
+
+	type triple struct {
+		src model.AgentID
+		pid int32
+		rc  int32
+	}
+	sliceErr := make([]error, horizon+1)
+	err := parallelDo(ctx, sys.par, horizon+1, func(m int) {
+		for i := 0; i < n && sliceErr[m] == nil; i++ {
+			slot := m*n + i
+			byKey := make(map[string]int32)
+			var classKey []string
+			classOf := make([]int32, nRuns)
+			cache := make(map[triple]int32)
+			for g := 0; g < nRuns; g++ {
+				pid := gPerm[g]
+				srcAgent := perms[pid][i]
+				rc := rep.classOf[m*n+int(srcAgent)][gRep[g]]
+				tk := triple{src: srcAgent, pid: pid, rc: rc}
+				cls, hit := cache[tk]
+				if !hit {
+					key := rep.classKey[m*n+int(srcAgent)][rc]
+					if !isID[pid] {
+						key, sliceErr[m] = kp.PermuteKey(key, invs[pid])
+						if sliceErr[m] != nil {
+							return
+						}
+					}
+					cls, hit = byKey[key]
+					if !hit {
+						cls = int32(len(classKey))
+						byKey[key] = cls
+						classKey = append(classKey, key)
+					}
+					cache[tk] = cls
+				}
+				classOf[g] = cls
+			}
+			sys.classOf[slot] = classOf
+			sys.classRuns[slot] = packClassRuns(classOf, len(classKey))
+			sys.classKey[slot] = classKey
+			sys.byKey[slot] = byKey
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range sliceErr {
+		if e != nil {
+			return nil, fmt.Errorf("episteme: expanding quotiented keys: %w", e)
+		}
+	}
+	// Fold the system-wide key interning sequentially in slot order,
+	// exactly as buildIndex and MergeSystems do.
+	for slot := 0; slot < nSlots; slot++ {
+		keys := sys.classKey[slot]
+		global := make([]int32, len(keys))
+		for c, key := range keys {
+			id, known := sys.globalByKey[key]
+			if !known {
+				id = int32(len(sys.globalByKey))
+				sys.globalByKey[key] = id
+			}
+			global[c] = id
+		}
+		sys.classGlobal[slot] = global
+	}
+	return sys, nil
+}
+
+// compareCNLayer fails the test unless the layer condensed from the
+// implicit graph equals the explicit-adjacency oracle's: the same
+// component per run, the same DAG in the same edge order, the same runs
+// per component.
+func compareCNLayer(t *testing.T, label string, got *cnLayer, want *oracleCNLayer) {
+	t.Helper()
+	if len(got.comp) != len(want.comp) || len(got.next) != len(want.next) || len(got.members) != len(want.members) {
+		t.Fatalf("%s: %d runs, %d/%d components; oracle %d runs, %d/%d components",
+			label, len(got.comp), len(got.next), len(got.members), len(want.comp), len(want.next), len(want.members))
+	}
+	for r, c := range want.comp {
+		if int(got.comp[r]) != c {
+			t.Fatalf("%s: run %d in component %d, oracle %d", label, r, got.comp[r], c)
+		}
+	}
+	for c := range want.next {
+		if len(got.next[c]) != len(want.next[c]) {
+			t.Fatalf("%s: component %d has successors %v, oracle %v", label, c, got.next[c], want.next[c])
+		}
+		for k, d := range want.next[c] {
+			if int(got.next[c][k]) != d {
+				t.Fatalf("%s: component %d has successors %v, oracle %v", label, c, got.next[c], want.next[c])
+			}
+			if d >= c {
+				t.Fatalf("%s: component %d has successor %d, not numbered below it", label, c, d)
+			}
+		}
+		if !slices.Equal(got.members[c], want.members[c]) {
+			t.Fatalf("%s: component %d holds runs %v, oracle %v", label, c, got.members[c], want.members[c])
+		}
+	}
+}
+
+// compareCKFold fails the test unless the guard folded into the time-m
+// layer equals the per-point oracle at every run and both values; it
+// returns how many of the entries hold.
+func compareCKFold(t *testing.T, label string, sys *System, m int) (holding int) {
+	t.Helper()
+	for r := range sys.Runs {
+		q := Point{Run: r, Time: m}
+		for _, v := range []model.Value{model.Zero, model.One} {
+			got, want := sys.CKTFaulty(q, v), oracleCKTFaulty(sys, q, v)
+			if got != want {
+				t.Fatalf("%s: C_N guard for %v at run %d time %d folds to %v, per-point oracle %v", label, v, r, m, got, want)
+			}
+			if got {
+				holding++
+			}
+		}
+	}
+	return holding
+}
+
+// TestCNLayerMatchesExplicitGraph pins the implicit-graph condensation —
+// Tarjan and the edge walk reading successors off classOf and classRuns —
+// to the explicit-adjacency build it replaced, at every time of the fip
+// n=3 and n=4 systems. The layers of a Synthesize'd P1 system are built
+// while it grows (the guards of round m+1 are evaluated when only times
+// ≤ m exist) and the fold is eager, so those must equal what the finished
+// system gives: the build may read only state that is final at time m.
+func TestCNLayerMatchesExplicitGraph(t *testing.T) {
+	for _, n := range []int{3, 4} {
+		sys, err := BuildSystem(context.Background(), Context{Exchange: exchange.NewFIP(n), T: 1}, action.NewOpt(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := 0; m <= sys.Horizon; m++ {
+			compareCNLayer(t, fmt.Sprintf("fip n=%d time %d", n, m), sys.cnLayerAt(m), oracleBuildCNLayer(sys, m))
+		}
+	}
+
+	_, grown, err := Synthesize(context.Background(), Context{Exchange: exchange.NewFIP(3), T: 1}, P1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := 0; m < grown.Horizon; m++ {
+		slot := grown.cn[m]
+		if slot == nil || slot.layer == nil {
+			t.Fatalf("synthesis of P1 built no C_N layer at time %d", m)
+		}
+		label := fmt.Sprintf("synth(P1) time %d, built as the system grew", m)
+		compareCNLayer(t, label, slot.layer, oracleBuildCNLayer(grown, m))
+		compareCKFold(t, label, grown, m)
+	}
+}
+
+// TestCKFoldMatchesPerPoint pins the guard folded once per component to
+// the evaluator that walked the reachable set from every point, and
+// KnowsCK — now a scan of one class over the folded table — to K_i of
+// that evaluator (at n=3; the per-point K_i at n=4 is Σ|class|·|reach|).
+func TestCKFoldMatchesPerPoint(t *testing.T) {
+	fip := func(n int) Context { return Context{Exchange: exchange.NewFIP(n), T: 1} }
+	cases := []struct {
+		name  string
+		c     Context
+		act   model.ActionProtocol
+		holds bool // the guard holds somewhere (over min nobody learns who is faulty)
+	}{
+		{"fip+Popt n=3", fip(3), action.NewOpt(1), true},
+		{"fip+Pmin n=3", fip(3), action.NewMin(1), true},
+		{"fip+Plate0 n=3", fip(3), lateZeroAction{}, true},
+		{"min n=3", Context{Exchange: exchange.NewMin(3), T: 1}, action.NewMin(1), false},
+		{"fip+Popt n=4", fip(4), action.NewOpt(1), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := BuildSystem(context.Background(), tc.c, tc.act)
+			if err != nil {
+				t.Fatal(err)
+			}
+			holding := 0
+			for m := 0; m <= sys.Horizon; m++ {
+				holding += compareCKFold(t, fmt.Sprintf("time %d", m), sys, m)
+			}
+			if entries := 2 * (sys.Horizon + 1) * len(sys.Runs); (holding > 0) != tc.holds || holding == entries {
+				t.Fatalf("the guard holds at %d of %d entries (some expected: %v); the comparison is vacuous", holding, entries, tc.holds)
+			}
+			if sys.N > 3 {
+				return
+			}
+			sys.Points(-1, func(p Point) {
+				for i := 0; i < sys.N; i++ {
+					for _, v := range []model.Value{model.Zero, model.One} {
+						id := model.AgentID(i)
+						want := sys.Knows(id, p, func(q Point) bool { return oracleCKTFaulty(sys, q, v) })
+						if got := sys.KnowsCK(id, p, v); got != want {
+							t.Fatalf("KnowsCK(%d, %v, %v) = %v, per-point oracle %v", i, p, v, got, want)
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestExpandPass2MatchesTripleMap pins the dense (relabeling, rep class)
+// table of expansion pass 2, sharded over slots, to the map-keyed pass it
+// replaced, sharded over time slices: one pass 1, both interners, every
+// class table identical.
+func TestExpandPass2MatchesTripleMap(t *testing.T) {
+	for _, n := range []int{3, 4} {
+		for _, par := range []int{1, 2, 7} {
+			ex := exchange.NewFIP(n)
+			c := Context{Exchange: ex, T: 1}
+			idx, err := BuildShardIndex(context.Background(), c, action.NewOpt(1), 0, 1, WithParallelism(par), WithQuotient())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := MergeSystems(context.Background(), []*ShardIndex{idx}, WithParallelism(par))
+			if err != nil {
+				t.Fatal(err)
+			}
+			om, err := mapOrbits(context.Background(), rep, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := om.intern(context.Background(), rep, ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracleIntern(context.Background(), om, rep, ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareSystems(t, fmt.Sprintf("n=%d parallelism %d", n, par), got, want)
+		}
+	}
+}
+
+// TestCKFoldOnRandomSystems runs both differentials on systems no
+// protocol generates. In a system enumerated under SO(t), a component
+// whose runs share t faulty agents has no successors — its nonfaulty
+// agents know the whole faulty set, so every run they consider possible
+// is one in which they are nonfaulty themselves — and the fold's walk
+// down the DAG never changes an answer. Random faulty sets, decisions
+// and class tables (one time slice, m=1) make it matter: the test
+// requires components whose own runs pass the guard and whose successors
+// veto it, and guards that hold across an edge.
+func TestCKFoldOnRandomSystems(t *testing.T) {
+	const n, tf, runs = 4, 1, 40
+	rng := rand.New(rand.NewSource(15))
+	vetoed, heldAcrossEdge := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		sys := &System{N: n, T: tf, Horizon: 1, Runs: make([]*engine.Result, runs)}
+		for r := range sys.Runs {
+			// Agent 0 is faulty in most runs and one more agent in a few,
+			// so that a faulty set is often common to a component and
+			// sometimes lost across an edge.
+			pat := model.NewPattern(n, 1)
+			if rng.Intn(8) > 0 {
+				pat.SetFaulty(0)
+			}
+			if rng.Intn(4) == 0 {
+				pat.SetFaulty(model.AgentID(1 + rng.Intn(n-1)))
+			}
+			res := &engine.Result{N: n, Horizon: 1, Pattern: pat,
+				Inits: make([]model.Value, n), Decision: make([]model.Value, n), DecisionRound: make([]int, n)}
+			for i := 0; i < n; i++ {
+				res.Inits[i] = model.Value(rng.Intn(2))
+				res.Decision[i] = model.None
+				if rng.Intn(16) == 0 {
+					res.Decision[i], res.DecisionRound[i] = model.Value(rng.Intn(2)), 1
+				}
+			}
+			sys.Runs[r] = res
+		}
+		sys.classOf = make([][]int32, 2*n)
+		sys.classRuns = make([][][]int, 2*n)
+		for slot := range sys.classOf {
+			k := runs/3 + rng.Intn(runs)
+			sys.classOf[slot] = make([]int32, runs)
+			for r := range sys.classOf[slot] {
+				sys.classOf[slot][r] = int32(rng.Intn(k))
+			}
+			sys.classRuns[slot] = packClassRuns(sys.classOf[slot], k)
+		}
+
+		label := fmt.Sprintf("random system %d", trial)
+		layer := sys.cnLayerAt(1)
+		compareCNLayer(t, label, layer, oracleBuildCNLayer(sys, 1))
+		compareCKFold(t, label, sys, 1)
+		for c, members := range layer.members {
+			if len(members) == 0 || len(layer.next[c]) == 0 {
+				continue
+			}
+			for v, val := range []model.Value{model.Zero, model.One} {
+				own, common := true, ^uint64(0)
+				for _, r := range members {
+					p := Point{Run: r, Time: 1}
+					own = own && sys.NoDecidedN(val.Flip(), p) && sys.Exists(val, p)
+					common &= oracleFaultyMask(sys, r)
+				}
+				own = own && bits.OnesCount64(common) >= tf
+				if own && !layer.ck[v][c] {
+					vetoed++
+				}
+				if layer.ck[v][c] {
+					heldAcrossEdge++
+				}
+			}
+		}
+	}
+	if vetoed == 0 || heldAcrossEdge == 0 {
+		t.Fatalf("successors vetoed %d guards their component's own runs pass, %d guards hold across an edge; the walk down the DAG went unexercised", vetoed, heldAcrossEdge)
+	}
 }

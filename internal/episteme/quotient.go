@@ -61,7 +61,28 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 	if n > maxPermCodeAgents {
 		return nil, fmt.Errorf("episteme: ExpandQuotient interns relabelings of at most %d agents, system has %d", maxPermCodeAgents, n)
 	}
+	om, err := mapOrbits(ctx, rep, c)
+	if err != nil {
+		return nil, err
+	}
+	return om.intern(ctx, rep, kp)
+}
 
+// orbitMap is pass 1's account of the full sweep: scenario ordinal g is
+// representative gRep[g] relabeled by perms[gPerm[g]] (π with π·g =
+// representative; invs holds π⁻¹, isID marks the identity), and runs[g] is
+// its synthesized run.
+type orbitMap struct {
+	gRep, gPerm []int32
+	perms, invs [][]model.AgentID
+	isID        []bool
+	runs        []*engine.Result
+}
+
+// mapOrbits is pass 1 of ExpandQuotient, which has validated c against
+// rep.
+func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
+	n, horizon := rep.N, rep.Horizon
 	// Representatives by scenario fingerprint: the full enumeration below
 	// resolves each scenario's canonical form against this.
 	repOf := make(map[string]int32, len(rep.Runs))
@@ -140,15 +161,23 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 			return nil, fmt.Errorf("episteme: representative %d stands for %d scenarios, enumeration visited %d (context mismatch?)", r, w, cnt)
 		}
 	}
+	return &orbitMap{gRep: gRep, gPerm: gPerm, perms: perms, invs: invs, isID: isID, runs: runs}, nil
+}
 
-	// Pass 2 — intern the full system's class tables. For slot (m, i),
-	// run g's key is the representative's key at (m, π(i)) rewritten under
-	// π⁻¹; interning in ascending g reproduces the first-appearance order
-	// the single-process buildIndex assigns. The (rep agent, relabeling,
-	// rep class) triple determines the key, so each distinct triple pays
-	// for the string rewrite once and every other run is integer lookups.
-	nRuns := len(runs)
-	sys := &System{N: n, T: rep.T, Horizon: horizon, Runs: runs, par: rep.parallelism()}
+// intern is pass 2 of ExpandQuotient: it interns the full system's class
+// tables, one worker per slot. For slot (m, i), run g's key is the
+// representative's key at (m, π(i)) rewritten under π⁻¹; interning in
+// ascending g reproduces the first-appearance order the single-process
+// buildIndex assigns. Inside a slot the relabeling fixes the source agent
+// π(i), so (relabeling, rep class) alone determines the key: a dense table
+// at pid*stride + rc holds its class id + 1 (0 = unseen), each distinct
+// pair pays for the string rewrite once, and every other run is two
+// integer reads.
+func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermuter) (*System, error) {
+	n, horizon := rep.N, rep.Horizon
+	gRep, gPerm, perms, invs, isID := om.gRep, om.gPerm, om.perms, om.invs, om.isID
+	nRuns := len(om.runs)
+	sys := &System{N: n, T: rep.T, Horizon: horizon, Runs: om.runs, par: rep.parallelism()}
 	nSlots := (horizon + 1) * n
 	sys.classOf = make([][]int32, nSlots)
 	sys.classRuns = make([][][]int, nSlots)
@@ -157,53 +186,51 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 	sys.byKey = make([]map[string]int32, nSlots)
 	sys.globalByKey = make(map[string]int32)
 
-	type triple struct {
-		src model.AgentID
-		pid int32
-		rc  int32
+	// strides[m] is the largest representative class count of time slice m:
+	// the row length of that slice's dense tables.
+	strides := make([]int, horizon+1)
+	for slot, keys := range rep.classKey {
+		strides[slot/n] = max(strides[slot/n], len(keys))
 	}
-	sliceErr := make([]error, horizon+1)
-	err = parallelDo(ctx, sys.par, horizon+1, func(m int) {
-		for i := 0; i < n && sliceErr[m] == nil; i++ {
-			slot := m*n + i
-			byKey := make(map[string]int32)
-			var classKey []string
-			classOf := make([]int32, nRuns)
-			cache := make(map[triple]int32)
-			for g := 0; g < nRuns; g++ {
-				pid := gPerm[g]
-				srcAgent := perms[pid][i]
-				rc := rep.classOf[m*n+int(srcAgent)][gRep[g]]
-				tk := triple{src: srcAgent, pid: pid, rc: rc}
-				cls, hit := cache[tk]
-				if !hit {
-					key := rep.classKey[m*n+int(srcAgent)][rc]
-					if !isID[pid] {
-						key, sliceErr[m] = kp.PermuteKey(key, invs[pid])
-						if sliceErr[m] != nil {
-							return
-						}
+	slotErr := make([]error, nSlots)
+	err := parallelDo(ctx, sys.par, nSlots, func(slot int) {
+		m, i := slot/n, slot%n
+		stride := strides[m]
+		byKey := make(map[string]int32)
+		var classKey []string
+		classOf := make([]int32, nRuns)
+		seen := make([]int32, len(perms)*stride)
+		for g, pid := range gPerm {
+			repSlot := m*n + int(perms[pid][i])
+			rc := rep.classOf[repSlot][gRep[g]]
+			cell := &seen[int(pid)*stride+int(rc)]
+			if *cell == 0 {
+				key := rep.classKey[repSlot][rc]
+				if !isID[pid] {
+					key, slotErr[slot] = kp.PermuteKey(key, invs[pid])
+					if slotErr[slot] != nil {
+						return
 					}
-					cls, hit = byKey[key]
-					if !hit {
-						cls = int32(len(classKey))
-						byKey[key] = cls
-						classKey = append(classKey, key)
-					}
-					cache[tk] = cls
 				}
-				classOf[g] = cls
+				cls, known := byKey[key]
+				if !known {
+					cls = int32(len(classKey))
+					byKey[key] = cls
+					classKey = append(classKey, key)
+				}
+				*cell = cls + 1
 			}
-			sys.classOf[slot] = classOf
-			sys.classRuns[slot] = packClassRuns(classOf, len(classKey))
-			sys.classKey[slot] = classKey
-			sys.byKey[slot] = byKey
+			classOf[g] = *cell - 1
 		}
+		sys.classOf[slot] = classOf
+		sys.classRuns[slot] = packClassRuns(classOf, len(classKey))
+		sys.classKey[slot] = classKey
+		sys.byKey[slot] = byKey
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range sliceErr {
+	for _, e := range slotErr {
 		if e != nil {
 			return nil, fmt.Errorf("episteme: expanding quotiented keys: %w", e)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -298,5 +299,76 @@ func TestExpandQuotientCancelsDuringEnumeration(t *testing.T) {
 	}
 	if n := ex.rewrites.Load(); n != 0 {
 		t.Fatalf("expansion went on to rewrite %d keys after its context was cancelled mid-enumeration", n)
+	}
+}
+
+// refusingPermuter fails every rewrite of one chosen key, naming the call
+// in its error.
+type refusingPermuter struct {
+	*exchange.FIP
+	refuse   string
+	refusals atomic.Int64
+}
+
+func (e *refusingPermuter) PermuteKey(key string, perm []model.AgentID) (string, error) {
+	if key == e.refuse {
+		e.refusals.Add(1)
+		return "", fmt.Errorf("refusing to rewrite %q under %v", key, perm)
+	}
+	return e.FIP.PermuteKey(key, perm)
+}
+
+// TestExpandQuotientReportsLowestFailingSlot: pass 2 shards over (time,
+// agent) slots, and a key rewrite that fails in several of them must come
+// back as one error — the lowest failing slot's first failure, wrapped,
+// whatever the worker count — with no half-interned System beside it.
+func TestExpandQuotientReportsLowestFailingSlot(t *testing.T) {
+	c := Context{Exchange: exchange.NewFIP(4), T: 1}
+	idx, err := BuildShardIndex(context.Background(), c, action.NewOpt(1), 0, 1, WithQuotient())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A time-1 key of agent 1: every relabeling that moves an agent onto 1
+	// rewrites it, so the slots of several agents fail.
+	var refuse string
+	{
+		rep, err := MergeSystems(context.Background(), []*ShardIndex{idx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refuse = rep.classKey[1*rep.N+1][0]
+	}
+	var want string
+	for _, par := range []int{1, 2, 7} {
+		rep, err := MergeSystems(context.Background(), []*ShardIndex{idx}, WithParallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := &refusingPermuter{FIP: exchange.NewFIP(4), refuse: refuse}
+		sys, err := ExpandQuotient(context.Background(), rep, Context{Exchange: ex, T: 1})
+		if err == nil || sys != nil {
+			t.Fatalf("parallelism %d: ExpandQuotient = (%v, %v), want only an error", par, sys, err)
+		}
+		if !strings.HasPrefix(err.Error(), "episteme: expanding quotiented keys: refusing to rewrite ") {
+			t.Fatalf("parallelism %d: error %q is not the wrapped rewrite failure", par, err)
+		}
+		if par == 1 {
+			// A slot stops at its first failure, so each refusal is a slot.
+			if k := ex.refusals.Load(); k < 2 {
+				t.Fatalf("%d slots failed; want several, so that which one is reported is a choice", k)
+			}
+			// The slot-by-slot serial pass defines the answer; the map-keyed
+			// pass it replaced, failing on the same key, agrees.
+			want = err.Error()
+			om, err := mapOrbits(context.Background(), rep, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := oracleIntern(context.Background(), om, rep, ex); err == nil || err.Error() != want {
+				t.Fatalf("the triple-map pass reports %v, the dense pass %q", err, want)
+			}
+		} else if err.Error() != want {
+			t.Fatalf("parallelism %d reports %q, parallelism 1 %q", par, err, want)
+		}
 	}
 }

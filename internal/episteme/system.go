@@ -28,16 +28,19 @@
 //     that is integer indexing, never string hashing. Index slots are
 //     built in parallel.
 //   - Evaluation: a System is safe for concurrent use, per-time C_N
-//     condensations build concurrently, and the checkers evaluate each
-//     knowledge condition once per indistinguishability class
-//     (foldClasses), sharding slots and runs over a worker pool
-//     (WithParallelism) while reporting violations in the canonical
-//     enumeration order — results are bit-identical at every parallelism
-//     level.
+//     condensations build concurrently — each folding P1's
+//     common-knowledge guard once per component as it is built — and the
+//     checkers evaluate each knowledge condition once per
+//     indistinguishability class (foldClasses), sharding slots and runs
+//     over a worker pool (WithParallelism) while reporting violations in
+//     the canonical enumeration order — results are bit-identical at every
+//     parallelism level.
 //
 // Everything here is exhaustive and therefore exponential in n, t, and the
-// horizon; it is meant for small parameter values (n ≤ 4, t ≤ 2), which is
-// where the paper's knowledge-theoretic claims are machine-checkable.
+// horizon. Every pass is linear in the number of points, so what bounds
+// it is the enumeration itself: n=5,t=1 (655,392 runs, through the
+// symmetry quotient) checks in seconds within a gigabyte; n=6,t=2 is the
+// open frontier (ROADMAP).
 package episteme
 
 import (
@@ -258,6 +261,12 @@ type System struct {
 	// accessibility graph; cnMu guards the map, each slot builds once.
 	cnMu sync.Mutex
 	cn   map[int]*cnSlot
+
+	// faulty[r] is run r's faulty set as a bitmask over agents, filled on
+	// first use (faultyMasks): the C_N graph walk and the guard fold read
+	// it once per edge, where Runs[r].Pattern is a pointer chase.
+	faultyOnce sync.Once
+	faulty     []uint64
 }
 
 // Quotiented reports whether the system's runs are symmetry-orbit

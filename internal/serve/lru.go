@@ -57,30 +57,39 @@ func newSystemLRU(max int, met *metrics) *systemLRU {
 // build caches nothing, so the next get retries — also when the build
 // panicked: the in-flight entry is cleared and the followers released on
 // every path out, so the key is never left blocked. The build runs on the
-// leader's context — if the leader disconnects mid-build, followers see
-// its cancellation error and their retry becomes the new leader.
+// leader's context — if the leader disconnects mid-build, a follower
+// whose own context is live looks the key up again: a hit, another build
+// to follow, or its own to lead.
 func (l *systemLRU) get(ctx context.Context, key string, build func(context.Context) (*episteme.System, error)) (*episteme.System, error) {
-	l.mu.Lock()
-	if el, ok := l.entries[key]; ok {
-		l.order.MoveToFront(el)
-		l.mu.Unlock()
-		l.met.lruHits.Add(1)
-		return el.Value.(*lruEntry).sys, nil
-	}
-	if call, ok := l.building[key]; ok {
+	var call *buildCall
+	for {
+		l.mu.Lock()
+		if el, ok := l.entries[key]; ok {
+			l.order.MoveToFront(el)
+			l.mu.Unlock()
+			l.met.lruHits.Add(1)
+			return el.Value.(*lruEntry).sys, nil
+		}
+		inflight, ok := l.building[key]
+		if !ok {
+			// err stays errBuildPanicked unless build returns.
+			call = &buildCall{done: make(chan struct{}), err: errBuildPanicked}
+			l.building[key] = call
+			l.mu.Unlock()
+			break
+		}
 		l.mu.Unlock()
 		l.met.lruCoalesced.Add(1)
 		select {
-		case <-call.done:
-			return call.sys, call.err
+		case <-inflight.done:
+			if isCancellation(inflight.err) && ctx.Err() == nil {
+				continue // the leader's client went away, this one did not
+			}
+			return inflight.sys, inflight.err
 		case <-ctx.Done():
 			return nil, context.Cause(ctx)
 		}
 	}
-	// err stays errBuildPanicked unless build returns.
-	call := &buildCall{done: make(chan struct{}), err: errBuildPanicked}
-	l.building[key] = call
-	l.mu.Unlock()
 	l.met.lruMisses.Add(1)
 
 	defer func() {
@@ -94,6 +103,12 @@ func (l *systemLRU) get(ctx context.Context, key string, build func(context.Cont
 	}()
 	call.sys, call.err = build(ctx)
 	return call.sys, call.err
+}
+
+// isCancellation reports whether err is a context's cancellation or
+// deadline: the requesting client's doing, not the server's.
+func isCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // insertLocked files a built System at the front and evicts past max.

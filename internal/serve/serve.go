@@ -376,7 +376,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 // systemError maps a failed System resolution to a status code:
 // cancellation is the client's, everything else the server's.
 func (s *Server) systemError(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if isCancellation(err) {
 		http.Error(w, err.Error(), http.StatusRequestTimeout)
 		return
 	}

@@ -400,6 +400,72 @@ func TestLRUSurvivesPanickingBuild(t *testing.T) {
 	}
 }
 
+// TestLRUFollowerSurvivesLeaderCancel is the regression for a leader
+// whose client disconnects mid-build: the build runs on the leader's
+// context and fails with its cancellation, but followers whose own
+// contexts are live must not inherit that error (it would reach their
+// clients as a 408). They look the key up again; one of them leads the
+// one rebuild and both get its System.
+func TestLRUFollowerSurvivesLeaderCancel(t *testing.T) {
+	met := newMetrics()
+	lru := newSystemLRU(2, met)
+
+	leaderCtx, disconnect := context.WithCancel(context.Background())
+	defer disconnect()
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := lru.get(leaderCtx, "a", func(ctx context.Context) (*episteme.System, error) {
+			<-ctx.Done()
+			return nil, context.Cause(ctx)
+		})
+		leaderDone <- err
+	}()
+	// The followers join once the leader's build is registered.
+	for met.lruMisses.Load() == 0 {
+		runtime.Gosched()
+	}
+	want := &episteme.System{}
+	var rebuilds atomic.Int64
+	type result struct {
+		sys *episteme.System
+		err error
+	}
+	followers := make(chan result, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			sys, err := lru.get(context.Background(), "a", func(context.Context) (*episteme.System, error) {
+				rebuilds.Add(1)
+				return want, nil
+			})
+			followers <- result{sys, err}
+		}()
+	}
+	for met.lruCoalesced.Load() < 2 {
+		runtime.Gosched()
+	}
+	disconnect()
+
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader whose context was cancelled got %v, want context.Canceled", err)
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case r := <-followers:
+			if r.err != nil || r.sys != want {
+				t.Fatalf("follower with a live context got (%p, %v) from a build its leader abandoned, want the rebuilt System %p", r.sys, r.err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("follower of a cancelled build blocks forever")
+		}
+	}
+	if n := rebuilds.Load(); n != 1 {
+		t.Fatalf("%d rebuilds after the leader's cancellation, want exactly 1", n)
+	}
+	if !lru.has("a") {
+		t.Fatal("the rebuilt System was not cached")
+	}
+}
+
 // TestServerSingleflight asserts the end-to-end property: N concurrent
 // knowledge queries against one cold stack trigger exactly one build.
 func TestServerSingleflight(t *testing.T) {

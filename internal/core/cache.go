@@ -127,16 +127,26 @@ type CachedRun struct {
 // (slot = m*n + i). State keys are fresh strings (model.State.Key
 // allocates), so the payload never aliases arena memory.
 func NewCachedRun(res *engine.Result, withStates bool) (*CachedRun, error) {
-	text, err := res.Pattern.MarshalText()
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding pattern for cache payload: %w", err)
+	cr := new(CachedRun)
+	if err := cr.Encode(res, withStates); err != nil {
+		return nil, err
 	}
-	return newCachedRun(res, string(text), withStates)
+	return cr, nil
 }
 
-// newCachedRun is NewCachedRun given the pattern's text.
-func newCachedRun(res *engine.Result, patternText string, withStates bool) (*CachedRun, error) {
-	cr := &CachedRun{
+// Encode is NewCachedRun in place, for callers that fill a slice of
+// ledgers (a shard index's runs) without a heap object per run.
+func (cr *CachedRun) Encode(res *engine.Result, withStates bool) error {
+	text, err := res.Pattern.MarshalText()
+	if err != nil {
+		return fmt.Errorf("core: encoding pattern for cache payload: %w", err)
+	}
+	return cr.encode(res, string(text), withStates)
+}
+
+// encode is Encode given the pattern's text.
+func (cr *CachedRun) encode(res *engine.Result, patternText string, withStates bool) error {
+	*cr = CachedRun{
 		Pattern:   patternText,
 		Inits:     make([]int, res.N),
 		Decisions: make([]int, res.N),
@@ -164,7 +174,7 @@ func newCachedRun(res *engine.Result, patternText string, withStates bool) (*Cac
 	if withStates {
 		cr.StateKeys = make([]string, (res.Horizon+1)*res.N)
 		if len(res.States) != res.Horizon+1 {
-			return nil, fmt.Errorf("core: caching a trace-free result as an episteme entry")
+			return fmt.Errorf("core: caching a trace-free result as an episteme entry")
 		}
 		for m := 0; m <= res.Horizon; m++ {
 			for i := 0; i < res.N; i++ {
@@ -172,16 +182,14 @@ func newCachedRun(res *engine.Result, patternText string, withStates bool) (*Cac
 			}
 		}
 	}
-	return cr, nil
+	return nil
 }
 
 // Matches reports whether the payload answers the given scenario with a
 // well-formed outcome: the restated scenario must equal the asked one
-// and every ledger must have the scenario's shape with in-range values
-// (withStates additionally demands a full slot-major state-key table).
-// Anything else is treated as a miss.
+// and the ledgers must be WellFormed. Anything else is treated as a miss.
 func (cr *CachedRun) Matches(patternText string, inits []model.Value, n, horizon int, withStates bool) bool {
-	if cr.Pattern != patternText || len(cr.Inits) != n {
+	if cr.Pattern != patternText || !cr.WellFormed(n, horizon, withStates) {
 		return false
 	}
 	for i, v := range inits {
@@ -189,10 +197,23 @@ func (cr *CachedRun) Matches(patternText string, inits []model.Value, n, horizon
 			return false
 		}
 	}
-	if len(cr.Decisions) != n || len(cr.Rounds) != n || len(cr.Actions) != horizon {
+	return true
+}
+
+// WellFormed reports whether every ledger has the shape of an n-agent run
+// of the given horizon with in-range values (withStates additionally
+// demands a full slot-major state-key table) — what Restore and the
+// int8-narrowing conversions behind it take on trust. Readers of payloads
+// that crossed a process boundary (cache entries, shard indexes) check it
+// first.
+func (cr *CachedRun) WellFormed(n, horizon int, withStates bool) bool {
+	if len(cr.Inits) != n || len(cr.Decisions) != n || len(cr.Rounds) != n || len(cr.Actions) != horizon {
 		return false
 	}
 	for i := 0; i < n; i++ {
+		if v := cr.Inits[i]; v < int(model.Zero) || v > int(model.One) {
+			return false
+		}
 		if d := cr.Decisions[i]; d < int(model.None) || d > int(model.One) {
 			return false
 		}
@@ -210,10 +231,7 @@ func (cr *CachedRun) Matches(patternText string, inits []model.Value, n, horizon
 			}
 		}
 	}
-	if withStates && len(cr.StateKeys) != (horizon+1)*n {
-		return false
-	}
-	return true
+	return !withStates || len(cr.StateKeys) == (horizon+1)*n
 }
 
 // Restore synthesizes the engine.Result a fresh execution of cfg would
@@ -314,8 +332,9 @@ func (x *CachingExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engi
 		return nil, err
 	}
 	x.misses.Add(1)
-	if cr, cerr := newCachedRun(res, patternText, false); cerr == nil {
-		if payload, jerr := json.Marshal(cr); jerr == nil {
+	var cr CachedRun
+	if cr.encode(res, patternText, false) == nil {
+		if payload, jerr := json.Marshal(&cr); jerr == nil {
 			x.cache.Put(key, payload)
 		}
 	}

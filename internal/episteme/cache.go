@@ -4,12 +4,10 @@
 //
 // The cache payload of one run is core.CachedRun with the episteme
 // extension: the decision ledger plus the canonical local-state key of
-// every (time, agent) slot — exactly the reduction a ShardIndex ships
-// across a process boundary. Assembly therefore mirrors MergeSystems:
-// every run (hit or miss alike) is restored trace-free and the class
-// tables are re-interned from the slot keys in first-appearance-by-
-// global-run order, the order buildIndex assigns, so the cached build's
-// verdicts are bit-identical to the uncached one's at any hit/miss mix.
+// every (time, agent) slot. Every run (hit or miss alike) is restored
+// trace-free and handed to the index kernel (index.go) as its slot keys,
+// so the cached build's tables and verdicts are bit-identical to the
+// uncached one's at any hit/miss mix.
 
 package episteme
 
@@ -23,9 +21,9 @@ import (
 	"repro/internal/model"
 )
 
-// cacheStack is the stack identity cached episteme builds derive their
-// version digest from (and buildSystemCached executes misses on). Both
-// the per-scenario entries here and the stripe-index entries in
+// cacheStack is the stack every episteme build executes its runs on, and
+// the identity cached builds derive their version digest from. Both the
+// per-scenario entries here and the stripe-index entries in
 // BuildShardIndex must key off the same digest, so both build it here.
 func cacheStack(c Context, act model.ActionProtocol, n, horizon int) core.Stack {
 	return core.Stack{
@@ -123,57 +121,11 @@ func buildSystemCached(ctx context.Context, c Context, act model.ActionProtocol,
 		}
 	}
 
+	// The cache-restore producer: a slot's key is the payload's own, and
+	// nothing identifies two runs' keys short of comparing them, so there
+	// is no memo code.
 	sys := &System{N: n, T: c.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}
-	nSlots := (horizon + 1) * n
-	sys.classOf = make([][]int32, nSlots)
-	sys.classRuns = make([][][]int, nSlots)
-	sys.classKey = make([][]string, nSlots)
-	sys.classGlobal = make([][]int32, nSlots)
-	sys.byKey = make([]map[string]int32, nSlots)
-	sys.globalByKey = make(map[string]int32)
-
-	// Re-intern each time slice's slots in parallel from the payloads'
-	// slot keys, assigning class ids by first appearance in global run
-	// order — the order buildIndex and MergeSystems assign them.
-	err := parallelDo(ctx, o.par, horizon+1, func(mi int) {
-		for i := 0; i < n; i++ {
-			slot := mi*n + i
-			byKey := make(map[string]int32)
-			var classKey []string
-			classOf := make([]int32, total)
-			for g := 0; g < total; g++ {
-				key := cached[g].StateKeys[slot]
-				cl, ok := byKey[key]
-				if !ok {
-					cl = int32(len(classKey))
-					byKey[key] = cl
-					classKey = append(classKey, key)
-				}
-				classOf[g] = cl
-			}
-			sys.classOf[slot] = classOf
-			sys.classRuns[slot] = packClassRuns(classOf, len(classKey))
-			sys.classKey[slot] = classKey
-			sys.byKey[slot] = byKey
-		}
+	return sys.indexed(ctx, func(slot int) slotRows {
+		return slotRows{key: func(g int) (string, error) { return cached[g].StateKeys[slot], nil }}
 	})
-	if err != nil {
-		return nil, err
-	}
-	// Fold the system-wide key interning sequentially in slot order,
-	// exactly as buildIndex does.
-	for slot := 0; slot < nSlots; slot++ {
-		keys := sys.classKey[slot]
-		global := make([]int32, len(keys))
-		for cl, key := range keys {
-			id, ok := sys.globalByKey[key]
-			if !ok {
-				id = int32(len(sys.globalByKey))
-				sys.globalByKey[key] = id
-			}
-			global[cl] = id
-		}
-		sys.classGlobal[slot] = global
-	}
-	return sys, nil
 }

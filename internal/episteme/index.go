@@ -1,0 +1,148 @@
+// Index construction: the one place class ids are assigned.
+//
+// Four constructions produce a System — the direct build (system.go), the
+// cache restore (cache.go), the shard merge (shard.go) and the quotient
+// expansion (quotient.go) — and all four must yield the same tables for
+// the same sweep. They do because none of them assigns an id: each only
+// says, per slot, what run g's local-state key is (slotRows), and
+// internSlots numbers the classes by first appearance in ascending run
+// order. Keys (model.State.Key) and run order are functions of the sweep
+// alone, so the tables are — whichever producer supplied the rows and
+// however many workers interned them. docs/architecture.md, "Index
+// construction: one kernel, four producers".
+
+package episteme
+
+import "context"
+
+// slotRows is a producer's account of one slot: key(g) is run g's
+// local-state key there. A producer that can tell cheaply that two runs
+// carry the same key says so with a memo code — code(g) in [0, codes),
+// equal codes implying equal keys — and the kernel asks key once per
+// distinct code instead of once per run. A producer with nothing smaller
+// than the run itself leaves code nil.
+type slotRows struct {
+	codes int
+	code  func(g int) int
+	key   func(g int) (string, error)
+}
+
+// allocIndex allocates the empty per-slot tables of the whole horizon.
+func (s *System) allocIndex() {
+	nSlots := (s.Horizon + 1) * s.N
+	s.classOf = make([][]int32, nSlots)
+	s.classRuns = make([][][]int, nSlots)
+	s.classKey = make([][]string, nSlots)
+	s.classGlobal = make([][]int32, nSlots)
+	s.byKey = make([]map[string]int32, nSlots)
+	s.globalByKey = make(map[string]int32)
+}
+
+// internSlots builds the index of slots [lo, hi) over runs [0, nRuns)
+// from the producer's rows, one worker per slot: class ids by first
+// appearance in ascending run order through a dense first-sight table
+// over the memo codes (seen[code] = class id + 1, so the key is asked for
+// and hashed once per first-seen code), member lists packed per class.
+// The new classes are then folded into the system-wide key interning
+// sequentially in slot order. It returns the context's cancellation
+// cause, or else the lowest failing slot's first key error — the same
+// error at every worker count; after an error the slots hold no usable
+// index.
+func (s *System) internSlots(ctx context.Context, lo, hi, nRuns int, rows func(slot int) slotRows) error {
+	slotErr := make([]error, hi-lo)
+	err := s.parallel(ctx, hi-lo, func(k int) {
+		slot := lo + k
+		p := rows(slot)
+		byKey := make(map[string]int32)
+		var classKey []string
+		classOf := make([]int32, nRuns)
+		seen := make([]int32, p.codes)
+		for g := range classOf {
+			var cell *int32
+			if p.code != nil {
+				cell = &seen[p.code(g)]
+				if *cell != 0 {
+					classOf[g] = *cell - 1
+					continue
+				}
+			}
+			key, err := p.key(g)
+			if err != nil {
+				slotErr[k] = err
+				return
+			}
+			cls, known := byKey[key]
+			if !known {
+				cls = int32(len(classKey))
+				byKey[key] = cls
+				classKey = append(classKey, key)
+			}
+			if cell != nil {
+				*cell = cls + 1
+			}
+			classOf[g] = cls
+		}
+		s.classOf[slot] = classOf
+		s.classRuns[slot] = packClassRuns(classOf, len(classKey))
+		s.classKey[slot] = classKey
+		s.byKey[slot] = byKey
+	})
+	if err != nil {
+		return err
+	}
+	for _, e := range slotErr {
+		if e != nil {
+			return e
+		}
+	}
+	for slot := lo; slot < hi; slot++ {
+		keys := s.classKey[slot]
+		global := make([]int32, len(keys))
+		for c, key := range keys {
+			id, known := s.globalByKey[key]
+			if !known {
+				id = int32(len(s.globalByKey))
+				s.globalByKey[key] = id
+			}
+			global[c] = id
+		}
+		s.classGlobal[slot] = global
+	}
+	return nil
+}
+
+// indexed builds s's whole index from the producer's rows and returns s,
+// or no System at all when the build fails: the restoring constructions
+// (cache, merge, expansion) all end here.
+func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*System, error) {
+	s.allocIndex()
+	if err := s.internSlots(ctx, 0, (s.Horizon+1)*s.N, len(s.Runs), rows); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// packClassRuns carves a slot's per-class member lists out of one flat
+// arena: a counting pass sizes each class, every list is a subslice of a
+// single []int slab, and a fill pass appends runs in ascending order —
+// the same member order the append-per-class construction produced, at
+// one allocation per slot instead of one per class. Index slots at late
+// times have tens of thousands of near-singleton classes; the slab is
+// what keeps building them allocation-cheap.
+func packClassRuns(classOf []int32, nClasses int) [][]int {
+	counts := make([]int, nClasses)
+	for _, c := range classOf {
+		counts[c]++
+	}
+	slab := make([]int, len(classOf))
+	out := make([][]int, nClasses)
+	off := 0
+	for c, cnt := range counts {
+		out[c] = slab[off : off : off+cnt]
+		off += cnt
+	}
+	for r, c := range classOf {
+		out[c] = append(out[c], r)
+	}
+	return out
+}

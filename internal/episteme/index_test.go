@@ -1,0 +1,160 @@
+package episteme
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/action"
+	"repro/internal/engine"
+)
+
+// literalSystem is an unindexed System of the given shape whose runs are
+// only counted, never read: all the index kernel knows of them.
+func literalSystem(n, horizon, nRuns, par int) *System {
+	return &System{N: n, Horizon: horizon, Runs: make([]*engine.Result, nRuns), par: par}
+}
+
+// TestInternSlotsFirstAppearance pins the kernel's whole contract on one
+// literal slot: class ids by first appearance in ascending run order,
+// members ascending, two memo codes with one key sharing a class, and the
+// key asked for once per distinct code.
+func TestInternSlotsFirstAppearance(t *testing.T) {
+	keys := []string{"b", "a", "b", "c", "a", "b", "c"}
+	// Runs 0 and 2 share code 0, run 5 carries the same key under code 3.
+	codes := []int{0, 1, 0, 2, 1, 3, 2}
+	for _, memo := range []bool{true, false} {
+		asked := make([]int, len(keys))
+		rows := slotRows{key: func(g int) (string, error) {
+			asked[g]++
+			return keys[g], nil
+		}}
+		wantAsked := []int{1, 1, 1, 1, 1, 1, 1}
+		if memo {
+			rows.codes = 4
+			rows.code = func(g int) int { return codes[g] }
+			wantAsked = []int{1, 1, 0, 1, 0, 1, 0}
+		}
+		sys, err := literalSystem(1, 0, len(keys), 1).indexed(context.Background(), func(int) slotRows { return rows })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sys.classOf[0], []int32{0, 1, 0, 2, 1, 0, 2}; !reflect.DeepEqual(got, want) {
+			t.Errorf("memo %v: classOf = %v, want %v", memo, got, want)
+		}
+		if got, want := sys.classRuns[0], [][]int{{0, 2, 5}, {1, 4}, {3, 6}}; !reflect.DeepEqual(got, want) {
+			t.Errorf("memo %v: classRuns = %v, want %v", memo, got, want)
+		}
+		if got, want := sys.classKey[0], []string{"b", "a", "c"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("memo %v: classKey = %v, want %v", memo, got, want)
+		}
+		if got, want := sys.byKey[0], map[string]int32{"b": 0, "a": 1, "c": 2}; !reflect.DeepEqual(got, want) {
+			t.Errorf("memo %v: byKey = %v, want %v", memo, got, want)
+		}
+		if !reflect.DeepEqual(asked, wantAsked) {
+			t.Errorf("memo %v: key asked %v times per run, want %v", memo, asked, wantAsked)
+		}
+	}
+}
+
+// TestInternSlotsGlobalFold: the system-wide ids are assigned in slot
+// order, then class order, and a key met again in a later slot — or a
+// later internSlots call, as Synthesize makes — keeps its id.
+func TestInternSlotsGlobalFold(t *testing.T) {
+	keys := [][]string{{"x", "y", "x"}, {"y", "z", "z"}, {"w", "x", "z"}, {"y", "y", "v"}}
+	rows := func(slot int) slotRows {
+		return slotRows{key: func(g int) (string, error) { return keys[slot][g], nil }}
+	}
+	want := [][]int32{{0, 1}, {1, 2}, {3, 0, 2}, {1, 4}}
+	for _, par := range []int{1, 3} {
+		whole, err := literalSystem(2, 1, 3, par).indexed(context.Background(), rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sliced := literalSystem(2, 1, 3, par)
+		sliced.allocIndex()
+		for m := 0; m <= 1; m++ {
+			if err := sliced.internSlots(context.Background(), 2*m, 2*m+2, 3, rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sys := range []*System{whole, sliced} {
+			if !reflect.DeepEqual(sys.classGlobal, want) {
+				t.Errorf("parallelism %d: classGlobal = %v, want %v", par, sys.classGlobal, want)
+			}
+			if got := len(sys.globalByKey); got != 5 {
+				t.Errorf("parallelism %d: %d global keys, want 5", par, got)
+			}
+		}
+	}
+}
+
+// TestInternSlotsReportsLowestFailingSlot: key errors in slots 3 and 7
+// come back as slot 3's, and no System, at every worker count.
+func TestInternSlotsReportsLowestFailingSlot(t *testing.T) {
+	for _, par := range []int{1, 2, 7} {
+		sys, err := literalSystem(4, 1, 5, par).indexed(context.Background(), func(slot int) slotRows {
+			return slotRows{key: func(g int) (string, error) {
+				if (slot == 3 || slot == 7) && g >= 2 {
+					return "", fmt.Errorf("slot %d run %d has no key", slot, g)
+				}
+				return fmt.Sprint(g % 2), nil
+			}}
+		})
+		if sys != nil || err == nil || err.Error() != "slot 3 run 2 has no key" {
+			t.Errorf("parallelism %d: indexed = (system: %v, %v), want only slot 3's first error", par, sys != nil, err)
+		}
+	}
+}
+
+// TestInternSlotsCancellation: a context cancelled before the first slot,
+// or between the first and the second, ends the build with its cause and
+// no System.
+func TestInternSlotsCancellation(t *testing.T) {
+	cause := errors.New("operator gave up")
+	for _, looks := range []int32{1, 2} {
+		inner, cancel := context.WithCancelCause(context.Background())
+		ctx := &cancelOnNthErr{Context: inner, cancel: cancel, cause: cause}
+		ctx.left.Store(looks)
+		var slots atomic.Int32
+		sys, err := literalSystem(2, 1, 3, 1).indexed(ctx, func(int) slotRows {
+			slots.Add(1)
+			return slotRows{key: func(int) (string, error) { return "k", nil }}
+		})
+		cancel(nil)
+		if sys != nil || !errors.Is(err, cause) {
+			t.Errorf("cancelled at look %d: indexed = (system: %v, %v), want only the cause", looks, sys != nil, err)
+		}
+		if got := slots.Load(); got != looks-1 {
+			t.Errorf("cancelled at look %d: %d slots interned, want %d", looks, got, looks-1)
+		}
+	}
+}
+
+// TestRestoringBuildsCancellation: the two constructions that reach the
+// kernel without executing anything — a shard merge and a fully warm
+// cached build — give a cancelled context's cause and no System.
+func TestRestoringBuildsCancellation(t *testing.T) {
+	c := fipContext31()
+	act := action.NewOpt(1)
+	store := newTestStore()
+	if _, err := BuildSystem(context.Background(), c, act, WithCache(store, "fp")); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := BuildShardIndex(context.Background(), c, act, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause := errors.New("operator gave up")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	if sys, err := BuildSystem(ctx, c, act, WithCache(store, "fp")); sys != nil || !errors.Is(err, cause) {
+		t.Errorf("warm cached BuildSystem = (system: %v, %v), want only the cause", sys != nil, err)
+	}
+	if sys, err := MergeSystems(ctx, []*ShardIndex{idx}); sys != nil || !errors.Is(err, cause) {
+		t.Errorf("MergeSystems = (system: %v, %v), want only the cause", sys != nil, err)
+	}
+}

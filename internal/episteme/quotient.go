@@ -9,11 +9,10 @@
 // re-enumerates the full sweep WITHOUT executing it, maps each scenario
 // to (representative, relabeling), and synthesizes the full system's
 // decision ledgers and interned class tables by permuting the
-// representative's — class ids assigned by first appearance in global
-// run order, the same order buildIndex and MergeSystems assign them, so
-// every verdict over the expanded system is bit-identical to the
-// unquotiented build's (pinned by TestQuotientSystemBitIdentical and the
-// CI quotient smoke).
+// representative's — class ids assigned by the same index kernel
+// (index.go) every other construction uses, so every verdict over the
+// expanded system is bit-identical to the unquotiented build's (pinned by
+// TestQuotientSystemBitIdentical and the CI quotient smoke).
 //
 // Local-state identity crosses the relabeling through model.KeyPermuter:
 // agent i's state key in run g is the key of agent π(i)'s state in the
@@ -164,93 +163,46 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	return &orbitMap{gRep: gRep, gPerm: gPerm, perms: perms, invs: invs, isID: isID, runs: runs}, nil
 }
 
-// intern is pass 2 of ExpandQuotient: it interns the full system's class
-// tables, one worker per slot. For slot (m, i), run g's key is the
-// representative's key at (m, π(i)) rewritten under π⁻¹; interning in
-// ascending g reproduces the first-appearance order the single-process
-// buildIndex assigns. Inside a slot the relabeling fixes the source agent
-// π(i), so (relabeling, rep class) alone determines the key: a dense table
-// at pid*stride + rc holds its class id + 1 (0 = unseen), each distinct
-// pair pays for the string rewrite once, and every other run is two
-// integer reads.
+// intern is pass 2 of ExpandQuotient: the expansion's rows for the index
+// kernel (index.go). For slot (m, i), run g's key is the representative's
+// key at (m, π(i)) rewritten under π⁻¹. Inside a slot the relabeling fixes
+// the source agent π(i), so (relabeling, rep class) alone determines the
+// key and is the memo code, pid*stride + rc: each distinct pair pays for
+// the string rewrite once, and every other run is two integer reads.
 func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermuter) (*System, error) {
-	n, horizon := rep.N, rep.Horizon
+	n := rep.N
 	gRep, gPerm, perms, invs, isID := om.gRep, om.gPerm, om.perms, om.invs, om.isID
-	nRuns := len(om.runs)
-	sys := &System{N: n, T: rep.T, Horizon: horizon, Runs: om.runs, par: rep.parallelism()}
-	nSlots := (horizon + 1) * n
-	sys.classOf = make([][]int32, nSlots)
-	sys.classRuns = make([][][]int, nSlots)
-	sys.classKey = make([][]string, nSlots)
-	sys.classGlobal = make([][]int32, nSlots)
-	sys.byKey = make([]map[string]int32, nSlots)
-	sys.globalByKey = make(map[string]int32)
-
 	// strides[m] is the largest representative class count of time slice m:
-	// the row length of that slice's dense tables.
-	strides := make([]int, horizon+1)
+	// the row length of that slice's code space.
+	strides := make([]int, rep.Horizon+1)
 	for slot, keys := range rep.classKey {
 		strides[slot/n] = max(strides[slot/n], len(keys))
 	}
-	slotErr := make([]error, nSlots)
-	err := parallelDo(ctx, sys.par, nSlots, func(slot int) {
+	sys := &System{N: n, T: rep.T, Horizon: rep.Horizon, Runs: om.runs, par: rep.parallelism()}
+	return sys.indexed(ctx, func(slot int) slotRows {
 		m, i := slot/n, slot%n
 		stride := strides[m]
-		byKey := make(map[string]int32)
-		var classKey []string
-		classOf := make([]int32, nRuns)
-		seen := make([]int32, len(perms)*stride)
-		for g, pid := range gPerm {
-			repSlot := m*n + int(perms[pid][i])
-			rc := rep.classOf[repSlot][gRep[g]]
-			cell := &seen[int(pid)*stride+int(rc)]
-			if *cell == 0 {
-				key := rep.classKey[repSlot][rc]
-				if !isID[pid] {
-					key, slotErr[slot] = kp.PermuteKey(key, invs[pid])
-					if slotErr[slot] != nil {
-						return
-					}
+		return slotRows{
+			codes: len(perms) * stride,
+			code: func(g int) int {
+				pid := gPerm[g]
+				return int(pid)*stride + int(rep.classOf[m*n+int(perms[pid][i])][gRep[g]])
+			},
+			key: func(g int) (string, error) {
+				pid := gPerm[g]
+				repSlot := m*n + int(perms[pid][i])
+				key := rep.classKey[repSlot][rep.classOf[repSlot][gRep[g]]]
+				if isID[pid] {
+					return key, nil
 				}
-				cls, known := byKey[key]
-				if !known {
-					cls = int32(len(classKey))
-					byKey[key] = cls
-					classKey = append(classKey, key)
+				key, err := kp.PermuteKey(key, invs[pid])
+				if err != nil {
+					return "", fmt.Errorf("episteme: expanding quotiented keys: %w", err)
 				}
-				*cell = cls + 1
-			}
-			classOf[g] = *cell - 1
+				return key, nil
+			},
 		}
-		sys.classOf[slot] = classOf
-		sys.classRuns[slot] = packClassRuns(classOf, len(classKey))
-		sys.classKey[slot] = classKey
-		sys.byKey[slot] = byKey
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range slotErr {
-		if e != nil {
-			return nil, fmt.Errorf("episteme: expanding quotiented keys: %w", e)
-		}
-	}
-	// Fold the system-wide key interning sequentially in slot order,
-	// exactly as buildIndex and MergeSystems do.
-	for slot := 0; slot < nSlots; slot++ {
-		keys := sys.classKey[slot]
-		global := make([]int32, len(keys))
-		for c, key := range keys {
-			id, known := sys.globalByKey[key]
-			if !known {
-				id = int32(len(sys.globalByKey))
-				sys.globalByKey[key] = id
-			}
-			global[c] = id
-		}
-		sys.classGlobal[slot] = global
-	}
-	return sys, nil
 }
 
 // expandCancelStride is how many scenarios pass 1 enumerates between

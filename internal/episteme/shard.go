@@ -1,23 +1,23 @@
 // Sharded system construction: the model checker's multi-process face.
 //
-// BuildSystem's enumeration is the expensive half of every check, and the
-// ROADMAP's next scale step is to split one System's enumeration across
-// machines. The split rides the same deterministic striding the Runner's
-// sweeps use: shard i of K enumerates the scenarios at global ordinals
-// ≡ i mod K, runs them through the memoizing executor, and interns its
-// own (time, agent) class tables over its stripe. The resulting
-// ShardIndex is serializable — runs are reduced to their decision ledger
-// plus the interned class rows keyed by the canonical local-state key —
-// so K processes can each emit one and a fan-in process can MergeSystems
-// them back into a single *System.
+// BuildSystem's enumeration is the expensive half of every check, so it
+// splits across processes, riding the same deterministic striding the
+// Runner's sweeps use: shard i of K enumerates the scenarios at global
+// ordinals ≡ i mod K, runs them through the memoizing executor, and
+// interns its own (time, agent) class tables over its stripe. The
+// resulting ShardIndex is serializable — runs are reduced to their
+// decision ledger plus the interned class rows keyed by the canonical
+// local-state key — so K processes can each emit one and a fan-in process
+// can MergeSystems them back into a single *System.
 //
 // The merge invariant, pinned by TestMergeSystemsBitIdentical and the CI
 // shard-equivalence smoke: class keys are canonical fingerprints of local
-// states (model.State.Key), so re-interning K partial tables in global
-// run order reproduces the exact class structure — ids, member lists,
-// global interning — the single-process build produces, and every verdict
-// (CheckImplements, CheckSafety, CheckOptimalityFIP) over the merged
-// System is bit-identical to the unsharded one.
+// states (model.State.Key), so handing the index kernel (index.go) the K
+// partial tables in global run order reproduces the exact class structure
+// — ids, member lists, global interning — the single-process build
+// produces, and every verdict (CheckImplements, CheckSafety,
+// CheckOptimalityFIP) over the merged System is bit-identical to the
+// unsharded one.
 
 package episteme
 
@@ -43,23 +43,11 @@ const (
 
 // ShardRun is one enumerated run reduced to what the knowledge checkers
 // consult: the scenario (pattern text + inits), the decision ledger, the
-// recorded actions, and the traffic stats. State traces stay in the
-// process that ran them — the class rows below carry their canonical
-// keys, which is all the knowledge relations need.
-type ShardRun struct {
-	// Pattern is the failure pattern in model.Pattern's text form.
-	Pattern string `json:"pattern"`
-	// Inits holds the initial preferences as 0/1.
-	Inits []int `json:"inits"`
-	// Decisions[i] is the value agent i decided (-1 for none); Rounds[i]
-	// the round it first decided in (0 for never).
-	Decisions []int `json:"decisions"`
-	Rounds    []int `json:"rounds"`
-	// Actions[m][i] is agent i's recorded action at time m.
-	Actions [][]int `json:"actions"`
-	// Stats aggregates the run's message traffic.
-	Stats core.OutcomeStats `json:"stats"`
-}
+// recorded actions, and the traffic stats — core's trace-free run ledger,
+// without its state keys (the class rows below carry those, once per
+// class instead of once per run). State traces stay in the process that
+// ran them.
+type ShardRun = core.CachedRun
 
 // ShardIndex is one shard's serializable contribution to a sharded
 // System: its stripe's runs plus the per-(time, agent) interned class
@@ -148,7 +136,10 @@ func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, s
 	if err != nil {
 		return nil, err
 	}
-	idx := exportShardIndex(sys, shardIndex, shardCount)
+	idx, err := exportShardIndex(sys, shardIndex, shardCount)
+	if err != nil {
+		return nil, err
+	}
 	if o.cache != nil {
 		// Best-effort, like every cache store: a full disk or unreachable
 		// server never fails the build.
@@ -195,12 +186,9 @@ func decodeCachedIndex(payload []byte, shardIndex, shardCount, n, t, horizon int
 }
 
 // exportShardIndex reduces a stripe's System to its serializable partial
-// index. The ledger flattening (inits/decisions/rounds as ints, stats as
-// core.OutcomeStats) deliberately mirrors core's OutcomeRecord.fill — the
-// outcome-stream and shard-index formats must agree on what a run's
-// observable outcome is; extend both (and restoreRun, the inverse here)
-// together.
-func exportShardIndex(sys *System, shardIndex, shardCount int) *ShardIndex {
+// index. The index takes the System's class tables rather than copying
+// them: BuildShardIndex drops the System once it is exported.
+func exportShardIndex(sys *System, shardIndex, shardCount int) (*ShardIndex, error) {
 	idx := &ShardIndex{
 		Kind:    shardIndexKind,
 		Version: shardIndexVersion,
@@ -216,42 +204,12 @@ func exportShardIndex(sys *System, shardIndex, shardCount int) *ShardIndex {
 		idx.Mults = append([]int64{}, sys.weights...)
 	}
 	for k, res := range sys.Runs {
-		pat, _ := res.Pattern.MarshalText()
-		sr := ShardRun{
-			Pattern:   string(pat),
-			Inits:     make([]int, res.N),
-			Decisions: make([]int, res.N),
-			Rounds:    make([]int, res.N),
-			Actions:   make([][]int, len(res.Actions)),
-			Stats: core.OutcomeStats{
-				MessagesSent:      res.Stats.MessagesSent,
-				MessagesDelivered: res.Stats.MessagesDelivered,
-				BitsSent:          res.Stats.BitsSent,
-				BitsDelivered:     res.Stats.BitsDelivered,
-			},
+		if err := idx.Runs[k].Encode(res, false); err != nil {
+			return nil, err
 		}
-		for i := 0; i < res.N; i++ {
-			sr.Inits[i] = int(res.Inits[i])
-			sr.Decisions[i] = int(res.Decision[i])
-			sr.Rounds[i] = res.DecisionRound[i]
-		}
-		for m, row := range res.Actions {
-			acts := make([]int, len(row))
-			for i, a := range row {
-				acts[i] = int(a)
-			}
-			sr.Actions[m] = acts
-		}
-		idx.Runs[k] = sr
 	}
-	nSlots := (sys.Horizon + 1) * sys.N
-	idx.ClassKeys = make([][]string, nSlots)
-	idx.ClassOf = make([][]int32, nSlots)
-	for slot := 0; slot < nSlots; slot++ {
-		idx.ClassKeys[slot] = append([]string(nil), sys.classKey[slot]...)
-		idx.ClassOf[slot] = append([]int32(nil), sys.classOf[slot]...)
-	}
-	return idx
+	idx.ClassKeys, idx.ClassOf = sys.classKey, sys.classOf
+	return idx, nil
 }
 
 // WriteShardIndex serializes the index as JSON.
@@ -296,7 +254,8 @@ func (idx *ShardIndex) Digest() string {
 }
 
 // Validate checks the index's internal consistency: bounds, table shapes,
-// and class ids referencing declared classes. ReadShardIndex callers that
+// class ids referencing declared classes, and every run's ledgers in
+// shape and in range (ShardRun.WellFormed). ReadShardIndex callers that
 // accept indexes across a trust boundary (the fabric coordinator) call it
 // before merging; MergeSystems always does.
 func (idx *ShardIndex) Validate() error {
@@ -336,28 +295,19 @@ func (idx *ShardIndex) Validate() error {
 	} else if len(idx.Mults) != 0 {
 		return fmt.Errorf("episteme: shard %d/%d carries multiplicities but is not quotiented", idx.Shard, idx.Shards)
 	}
-	for k, sr := range idx.Runs {
-		if len(sr.Inits) != idx.N || len(sr.Decisions) != idx.N || len(sr.Rounds) != idx.N {
+	for k := range idx.Runs {
+		if !idx.Runs[k].WellFormed(idx.N, idx.Horizon, false) {
 			return fmt.Errorf("episteme: shard %d/%d run %d has malformed ledgers", idx.Shard, idx.Shards, k)
-		}
-		if len(sr.Actions) != idx.Horizon {
-			return fmt.Errorf("episteme: shard %d/%d run %d records %d action rows, want %d",
-				idx.Shard, idx.Shards, k, len(sr.Actions), idx.Horizon)
-		}
-		for m, row := range sr.Actions {
-			if len(row) != idx.N {
-				return fmt.Errorf("episteme: shard %d/%d run %d time %d has %d actions, want %d",
-					idx.Shard, idx.Shards, k, m, len(row), idx.N)
-			}
 		}
 	}
 	return nil
 }
 
-// restoreRun rebuilds the engine.Result of one exported run. States stay
-// nil: a merged System answers every knowledge query through the interned
-// class tables, never through state traces.
-func (sr *ShardRun) restoreRun(n, horizon int) (*engine.Result, error) {
+// restoreRun rebuilds the engine.Result of one exported run, whose
+// ledgers Validate has vetted. States stay nil: a merged System answers
+// every knowledge query through the interned class tables, never through
+// state traces.
+func restoreRun(sr *ShardRun, n, horizon int) (*engine.Result, error) {
 	pat := new(model.Pattern)
 	if err := pat.UnmarshalText([]byte(sr.Pattern)); err != nil {
 		return nil, err
@@ -365,47 +315,24 @@ func (sr *ShardRun) restoreRun(n, horizon int) (*engine.Result, error) {
 	if pat.N() != n {
 		return nil, fmt.Errorf("pattern is for %d agents, system for %d", pat.N(), n)
 	}
-	res := &engine.Result{
-		N:             n,
-		Horizon:       horizon,
-		Pattern:       pat,
-		Inits:         make([]model.Value, n),
-		Actions:       make([][]model.Action, horizon),
-		Decision:      make([]model.Value, n),
-		DecisionRound: make([]int, n),
-		Stats: engine.Stats{
-			MessagesSent:      sr.Stats.MessagesSent,
-			MessagesDelivered: sr.Stats.MessagesDelivered,
-			BitsSent:          sr.Stats.BitsSent,
-			BitsDelivered:     sr.Stats.BitsDelivered,
-		},
+	inits := make([]model.Value, n)
+	for i, v := range sr.Inits {
+		inits[i] = model.Value(v)
 	}
-	for i := 0; i < n; i++ {
-		res.Inits[i] = model.Value(sr.Inits[i])
-		res.Decision[i] = model.Value(sr.Decisions[i])
-		res.DecisionRound[i] = sr.Rounds[i]
-	}
-	for m, row := range sr.Actions {
-		acts := make([]model.Action, n)
-		for i, a := range row {
-			acts[i] = model.Action(a)
-		}
-		res.Actions[m] = acts
-	}
-	return res, nil
+	return sr.Restore(engine.Config{Pattern: pat, Inits: inits, Horizon: horizon}), nil
 }
 
 // MergeSystems re-interns K partial indexes — one per stripe of a K-way
 // deterministic split, in any order — into one System. Global run r comes
 // from shard r mod K at stripe position r div K, restoring the canonical
 // enumeration order; each (time, agent) slot's classes are re-interned by
-// their canonical keys in first-appearance-by-global-run order, which is
-// exactly the order the single-process buildIndex assigns, so the merged
-// class tables — ids, member lists, and the system-wide global interning
-// — and every verdict computed from them are bit-identical to the
-// unsharded BuildSystem's. The merge verifies the stripes partition one
-// sweep: K distinct shards of a K-way split, agreeing on (n, t, horizon),
-// with stripe lengths consistent with one total (no gap, no overlap).
+// their canonical keys through the index kernel every build uses
+// (index.go), so the merged class tables — ids, member lists, and the
+// system-wide global interning — and every verdict computed from them are
+// bit-identical to the unsharded BuildSystem's. The merge verifies the
+// stripes partition one sweep: K distinct shards of a K-way split,
+// agreeing on (n, t, horizon), with stripe lengths consistent with one
+// total (no gap, no overlap).
 //
 // Merged Systems carry no state traces (System.State is unavailable;
 // Key and every checker work off the interned index), which is what lets
@@ -471,7 +398,7 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 	}
 	for g := 0; g < total; g++ {
 		idx := byShard[g%k]
-		res, err := idx.Runs[g/k].restoreRun(n, horizon)
+		res, err := restoreRun(&idx.Runs[g/k], n, horizon)
 		if err != nil {
 			return nil, fmt.Errorf("episteme: shard %d run %d (global %d): %w", g%k, g/k, g, err)
 		}
@@ -481,58 +408,23 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 		}
 	}
 
+	// The shard-merge producer: global run g's key is its shard's key for
+	// its shard-local class, so (shard, local class) is the memo code.
 	sys := &System{N: n, T: ref.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}
-	nSlots := (horizon + 1) * n
-	sys.classOf = make([][]int32, nSlots)
-	sys.classRuns = make([][][]int, nSlots)
-	sys.classKey = make([][]string, nSlots)
-	sys.classGlobal = make([][]int32, nSlots)
-	sys.byKey = make([]map[string]int32, nSlots)
-	sys.globalByKey = make(map[string]int32)
-
-	// Re-intern each time slice's slots in parallel (slots are
-	// independent), assigning class ids by first appearance in global run
-	// order — the same order the single-process buildIndex assigns them.
-	err := parallelDo(ctx, o.par, horizon+1, func(mi int) {
-		for i := 0; i < n; i++ {
-			slot := mi*n + i
-			byKey := make(map[string]int32)
-			var classKey []string
-			classOf := make([]int32, total)
-			for g := 0; g < total; g++ {
+	return sys.indexed(ctx, func(slot int) slotRows {
+		stride := 0
+		for _, idx := range byShard {
+			stride = max(stride, len(idx.ClassKeys[slot]))
+		}
+		return slotRows{
+			codes: k * stride,
+			code: func(g int) int {
+				return (g%k)*stride + int(byShard[g%k].ClassOf[slot][g/k])
+			},
+			key: func(g int) (string, error) {
 				idx := byShard[g%k]
-				key := idx.ClassKeys[slot][idx.ClassOf[slot][g/k]]
-				c, ok := byKey[key]
-				if !ok {
-					c = int32(len(classKey))
-					byKey[key] = c
-					classKey = append(classKey, key)
-				}
-				classOf[g] = c
-			}
-			sys.classOf[slot] = classOf
-			sys.classRuns[slot] = packClassRuns(classOf, len(classKey))
-			sys.classKey[slot] = classKey
-			sys.byKey[slot] = byKey
+				return idx.ClassKeys[slot][idx.ClassOf[slot][g/k]], nil
+			},
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	// Fold the system-wide key interning sequentially in slot order,
-	// exactly as buildIndex does.
-	for slot := 0; slot < nSlots; slot++ {
-		keys := sys.classKey[slot]
-		global := make([]int32, len(keys))
-		for c, key := range keys {
-			id, ok := sys.globalByKey[key]
-			if !ok {
-				id = int32(len(sys.globalByKey))
-				sys.globalByKey[key] = id
-			}
-			global[c] = id
-		}
-		sys.classGlobal[slot] = global
-	}
-	return sys, nil
 }

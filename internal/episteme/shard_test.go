@@ -216,3 +216,86 @@ func TestMergeSystemsStackMetadata(t *testing.T) {
 		t.Fatal("merge accepted conflicting stack names")
 	}
 }
+
+// TestShardIndexDigestPinned pins the wire format by value: the digests of
+// the indexes `ebashard -check [-quotient] -stack S -n 3 -t 1` writes
+// (stack name set, shard 0/1), read back through ReadShardIndex, as
+// recorded before ShardRun became core.CachedRun. A mixed-version fleet
+// resolves duplicate stripe uploads by this digest, so a change that moves
+// it is a format break even when every round trip still passes.
+func TestShardIndexDigestPinned(t *testing.T) {
+	fip, min := fipContext31(), Context{Exchange: exchange.NewMin(3), T: 1}
+	for _, tc := range []struct {
+		stack string
+		c     Context
+		act   model.ActionProtocol
+		opts  []Option
+		want  string
+	}{
+		{"fip", fip, action.NewOpt(1), nil, "4bce7e759b78ea7401883440592905af"},
+		{"fip", fip, action.NewOpt(1), []Option{WithQuotient()}, "c5223b7e60527c0c621f16d171fc81c9"},
+		{"min", min, action.NewMin(1), nil, "20c1700faf4d40cd2bac990b53acb224"},
+	} {
+		idx, err := BuildShardIndex(context.Background(), tc.c, tc.act, 0, 1, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx.Stack = tc.stack
+		var buf bytes.Buffer
+		if err := WriteShardIndex(&buf, idx); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadShardIndex(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := back.Digest(); got != tc.want || idx.Digest() != tc.want {
+			t.Errorf("%s (quotient=%v): digest %s read back, %s as built; pinned %s",
+				tc.stack, idx.Quotient, got, idx.Digest(), tc.want)
+		}
+	}
+}
+
+// TestShardIndexRejectsOutOfRangeLedgers doctors run 5 of a well-formed
+// index with values an engine.Result's int8 fields would silently wrap
+// (256 reads as "decided 0") or that no run of the horizon can carry: each
+// is refused by Validate and by MergeSystems instead of being narrowed
+// into a plausible run.
+func TestShardIndexRejectsOutOfRangeLedgers(t *testing.T) {
+	idx, err := BuildShardIndex(context.Background(), Context{Exchange: exchange.NewMin(3), T: 1}, action.NewMin(1), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pristine bytes.Buffer
+	if err := WriteShardIndex(&pristine, idx); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		doctor func(sr *ShardRun, horizon int)
+	}{
+		{"decision 256", func(sr *ShardRun, _ int) { sr.Decisions[0] = 256 }},
+		{"decision -2", func(sr *ShardRun, _ int) { sr.Decisions[1] = -2 }},
+		{"round -1", func(sr *ShardRun, _ int) { sr.Rounds[0] = -1 }},
+		{"round horizon+1", func(sr *ShardRun, h int) { sr.Rounds[2] = h + 1 }},
+		{"action 3", func(sr *ShardRun, _ int) { sr.Actions[0][1] = 3 }},
+		{"action 259", func(sr *ShardRun, h int) { sr.Actions[h-1][0] = 259 }},
+		{"init 2", func(sr *ShardRun, _ int) { sr.Inits[2] = 2 }},
+	} {
+		bad, err := ReadShardIndex(bytes.NewReader(pristine.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bad.Validate(); err != nil {
+			t.Fatalf("the undoctored index fails Validate: %v", err)
+		}
+		tc.doctor(&bad.Runs[5], bad.Horizon)
+		const want = "episteme: shard 0/1 run 5 has malformed ledgers"
+		if err := bad.Validate(); err == nil || err.Error() != want {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, want)
+		}
+		if sys, err := MergeSystems(context.Background(), []*ShardIndex{bad}); sys != nil || err == nil || err.Error() != want {
+			t.Errorf("%s: MergeSystems = (system: %v, %v), want only %q", tc.name, sys != nil, err, want)
+		}
+	}
+}

@@ -346,14 +346,7 @@ func buildSystemFromSource(ctx context.Context, c Context, act model.ActionProto
 	}
 	n := c.Exchange.N()
 	horizon := c.horizonOrDefault()
-	stack := core.Stack{
-		Name:     "episteme(" + act.Name() + ")",
-		Exchange: c.Exchange,
-		Action:   act,
-		N:        n,
-		T:        c.T,
-	}.AtHorizon(horizon)
-	runner := core.NewRunner(stack,
+	runner := core.NewRunner(cacheStack(c, act, n, horizon),
 		core.WithExecutor(newMemoExec(n)),
 		core.WithParallelism(o.par),
 		core.WithBufferReuse())
@@ -393,111 +386,48 @@ func buildSystemFromSource(ctx context.Context, c Context, act model.ActionProto
 	return sys, nil
 }
 
-// buildIndex interns the local states of times [m0, m1): each (time,
-// agent) slot is built by one worker (slots are independent), then the
-// new classes are folded into the system-wide key interning sequentially.
-// Synthesize grows the index one time slice per round; BuildSystem builds
-// all slices at once.
+// buildIndex interns the local states of times [m0, m1) from the runs'
+// state traces (index.go's direct-build producer). Synthesize grows the
+// index one time slice per round; BuildSystem builds all slices at once.
 func (s *System) buildIndex(ctx context.Context, m0, m1 int) error {
 	n := s.N
 	if s.classOf == nil {
-		nSlots := (s.Horizon + 1) * n
-		s.classOf = make([][]int32, nSlots)
-		s.classRuns = make([][][]int, nSlots)
-		s.classKey = make([][]string, nSlots)
-		s.classGlobal = make([][]int32, nSlots)
-		s.byKey = make([]map[string]int32, nSlots)
-		s.globalByKey = make(map[string]int32)
+		s.allocIndex()
 	}
-	err := parallelDo(ctx, s.parallelism(), m1-m0, func(k int) {
+	// The memoizing executor aliases identical state rows across runs, so
+	// group runs by row identity first, once per time: a slot's memo code
+	// is the run's row group, and the keys are rendered once per distinct
+	// row instead of once per run. Systems without aliasing (Synthesize's
+	// skeletons) just see one group per run.
+	rowOf := make([][]int32, m1-m0)
+	rowCount := make([]int, m1-m0)
+	err := s.parallel(ctx, m1-m0, func(k int) {
 		m := m0 + k
-		// The memoizing executor aliases identical state rows across
-		// runs, so group runs by row identity first: the string-keyed
-		// interning then runs once per distinct row instead of once per
-		// run. Systems without aliasing (Synthesize's skeletons) just
-		// see one group per run.
-		rowOf := make([]int32, len(s.Runs))
-		rowRep := make([]int, 0, 64)
+		groups := make([]int32, len(s.Runs))
 		rowIdx := make(map[*model.State]int32, len(s.Runs))
 		for r, res := range s.Runs {
-			row := res.States[m]
-			head := &row[0]
+			head := &res.States[m][0]
 			g, ok := rowIdx[head]
 			if !ok {
-				g = int32(len(rowRep))
+				g = int32(len(rowIdx))
 				rowIdx[head] = g
-				rowRep = append(rowRep, r)
 			}
-			rowOf[r] = g
+			groups[r] = g
 		}
-		for i := 0; i < n; i++ {
-			slot := m*n + i
-			byKey := make(map[string]int32, len(rowRep))
-			classOfRow := make([]int32, len(rowRep))
-			var classKey []string
-			for g, rep := range rowRep {
-				key := s.Runs[rep].States[m][i].Key()
-				c, ok := byKey[key]
-				if !ok {
-					c = int32(len(classKey))
-					byKey[key] = c
-					classKey = append(classKey, key)
-				}
-				classOfRow[g] = c
-			}
-			classOf := make([]int32, len(s.Runs))
-			for r := range s.Runs {
-				classOf[r] = classOfRow[rowOf[r]]
-			}
-			s.classOf[slot] = classOf
-			s.classRuns[slot] = packClassRuns(classOf, len(classKey))
-			s.classKey[slot] = classKey
-			s.byKey[slot] = byKey
-		}
+		rowOf[k], rowCount[k] = groups, len(rowIdx)
 	})
 	if err != nil {
 		return err
 	}
-	lo, hi := m0*n, m1*n
-	for slot := lo; slot < hi; slot++ {
-		keys := s.classKey[slot]
-		global := make([]int32, len(keys))
-		for c, key := range keys {
-			id, ok := s.globalByKey[key]
-			if !ok {
-				id = int32(len(s.globalByKey))
-				s.globalByKey[key] = id
-			}
-			global[c] = id
+	return s.internSlots(ctx, m0*n, m1*n, len(s.Runs), func(slot int) slotRows {
+		m, i := slot/n, slot%n
+		groups := rowOf[m-m0]
+		return slotRows{
+			codes: rowCount[m-m0],
+			code:  func(r int) int { return int(groups[r]) },
+			key:   func(r int) (string, error) { return s.Runs[r].States[m][i].Key(), nil },
 		}
-		s.classGlobal[slot] = global
-	}
-	return nil
-}
-
-// packClassRuns carves a slot's per-class member lists out of one flat
-// arena: a counting pass sizes each class, every list is a subslice of a
-// single []int slab, and a fill pass appends runs in ascending order —
-// the same member order the append-per-class construction produced, at
-// one allocation per slot instead of one per class. Index slots at late
-// times have tens of thousands of near-singleton classes; the slab is
-// what keeps building (and merging, and expanding) them allocation-cheap.
-func packClassRuns(classOf []int32, nClasses int) [][]int {
-	counts := make([]int, nClasses)
-	for _, c := range classOf {
-		counts[c]++
-	}
-	slab := make([]int, len(classOf))
-	out := make([][]int, nClasses)
-	off := 0
-	for c, cnt := range counts {
-		out[c] = slab[off : off : off+cnt]
-		off += cnt
-	}
-	for r, c := range classOf {
-		out[c] = append(out[c], r)
-	}
-	return out
+	})
 }
 
 // slot returns the index slot of agent i at time m.

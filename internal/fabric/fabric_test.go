@@ -548,6 +548,63 @@ func TestTamperedUploadRequeued(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRejectsOutOfRangeLedgers uploads check-job indexes whose
+// run ledgers hold values an engine.Result's int8 fields would wrap (256
+// reads as "decided 0") or no run of the horizon can carry: the trust
+// boundary refuses each one, and the honest index still lands.
+func TestCoordinatorRejectsOutOfRangeLedgers(t *testing.T) {
+	job := JobSpec{Kind: CheckJob, Stack: "min", N: 3, T: 1, Stripes: 1}
+	c, srv := newTestCoordinator(t, job, time.Minute)
+	st, err := job.NewStack()
+	if err != nil {
+		t.Fatalf("NewStack: %v", err)
+	}
+	idx, err := episteme.BuildShardIndex(context.Background(), episteme.ContextFor(st), st.Action, 0, 1)
+	if err != nil {
+		t.Fatalf("BuildShardIndex 0/1: %v", err)
+	}
+	idx.Stack = job.Stack
+	encode := func() []byte {
+		var buf bytes.Buffer
+		if err := episteme.WriteShardIndex(&buf, idx); err != nil {
+			t.Fatalf("WriteShardIndex: %v", err)
+		}
+		return buf.Bytes()
+	}
+	honest := encode()
+
+	run, h := &idx.Runs[5], idx.Horizon
+	cells := []struct {
+		name string
+		cell *int
+		bad  int
+	}{
+		{"decision 256", &run.Decisions[0], 256},
+		{"decision -2", &run.Decisions[1], -2},
+		{"round -1", &run.Rounds[0], -1},
+		{"round horizon+1", &run.Rounds[2], h + 1},
+		{"action 3", &run.Actions[0][1], 3},
+		{"action 259", &run.Actions[h-1][0], 259},
+		{"init 2", &run.Inits[2], 2},
+	}
+	for _, tc := range cells {
+		good := *tc.cell
+		*tc.cell = tc.bad
+		payload := encode()
+		*tc.cell = good
+		if got := putStripe(t, srv.URL, 0, "w-evil", payload); got != http.StatusBadRequest {
+			t.Errorf("%s: upload status %d, want %d", tc.name, got, http.StatusBadRequest)
+		}
+	}
+	status := c.Status()
+	if status.Counters.Rejects != int64(len(cells)) || status.Stripes.Done != 0 {
+		t.Fatalf("counters = %+v, stripes = %+v; want %d rejects and nothing done", status.Counters, status.Stripes, len(cells))
+	}
+	if got := putStripe(t, srv.URL, 0, "w-honest", honest); got != http.StatusOK {
+		t.Fatalf("honest upload after the rejects: status %d", got)
+	}
+}
+
 // TestWorkerTransportExhaustion checks a worker facing a dead
 // coordinator gives up after its bounded retries with ErrTransport —
 // the exit-code-3 class.

@@ -518,8 +518,9 @@ func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 // a hit is free, a cold key builds once under the build semaphore (and
 // singleflight — concurrent identical queries share the one build) with
 // every scenario the result cache can answer skipped. Stored Systems
-// are always fully expanded, never quotiented, so every query surface
-// sees the complete sweep.
+// are always fully expanded, never quotiented (BuildSystem expands a
+// quotiented build before returning it), so every query surface sees
+// the complete sweep.
 func (s *Server) system(ctx context.Context, stack core.Stack, par int) (*episteme.System, error) {
 	key := fmt.Sprintf("%s/%d/%d/%d", stack.VersionDigest(s.cfg.Fingerprint), stack.N, stack.T, stack.Horizon())
 	return s.lru.get(ctx, key, func(ctx context.Context) (*episteme.System, error) {
@@ -547,15 +548,6 @@ func (s *Server) system(ctx context.Context, stack core.Stack, par int) (*episte
 		sys, err := episteme.BuildSystem(ctx, ec, stack.Action, opts...)
 		if err != nil {
 			return nil, err
-		}
-		if sys.Quotiented() {
-			// Expand once at build time: the stored System answers every
-			// later query without re-expansion, and its verdicts are
-			// bit-identical to an unquotiented build's.
-			sys, err = episteme.ExpandQuotient(ctx, sys, ec)
-			if err != nil {
-				return nil, err
-			}
 		}
 		s.met.buildSeconds.observe(time.Since(t0).Seconds())
 		s.cfg.Logf("serve: built system %s n=%d t=%d h=%d (%d runs, %.3fs)",

@@ -39,9 +39,8 @@ func (s *System) BoxComponents(member func(i model.AgentID, p Point) bool) []int
 	for m := 0; m <= s.Horizon; m++ {
 		for i := 0; i < s.N; i++ {
 			id := model.AgentID(i)
-			slot := m*s.N + i
 			// first[c] is the first S-member run seen in class c.
-			first := make([]int, len(s.classRuns[slot]))
+			first := make([]int, s.classCount(id, m))
 			for c := range first {
 				first[c] = -1
 			}
@@ -49,7 +48,7 @@ func (s *System) BoxComponents(member func(i model.AgentID, p Point) bool) []int
 				if !member(id, Point{Run: r, Time: m}) {
 					continue
 				}
-				c := s.classOf[slot][r]
+				c := s.classAt(id, m, r)
 				if first[c] < 0 {
 					first[c] = r
 				} else {
@@ -159,8 +158,7 @@ func (s *System) optimalityViolations(v model.Value, believes [][]bool, r, maxTi
 				continue
 			}
 			lhs := res.Decided(id) == v && res.Round(id) != 0 && res.Round(id) <= m+1
-			slot := s.slot(id, m)
-			rhs := believes[slot][s.classOf[slot][r]]
+			rhs := believes[s.slot(id, m)][s.classAt(id, m, r)]
 			if lhs != rhs {
 				out = append(out, fmt.Sprintf(
 					"v=%v run %d time %d agent %d: ○decided=%v but characterization=%v",

@@ -126,6 +126,6 @@ func buildSystemCached(ctx context.Context, c Context, act model.ActionProtocol,
 	// is no memo code.
 	sys := &System{N: n, T: c.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}
 	return sys.indexed(ctx, func(slot int) slotRows {
-		return slotRows{key: func(g int) (string, error) { return cached[g].StateKeys[slot], nil }}
+		return slotRows{n: total, key: func(g int) (string, error) { return cached[g].StateKeys[slot], nil }}
 	})
 }

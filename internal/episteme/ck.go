@@ -19,14 +19,20 @@ import (
 // queries then walk the DAG, except the one question the checkers ask at
 // every point — P1's common-knowledge guard — which is folded over the DAG
 // once, as the layer is built.
+//
+// The graph's run nodes are the slice's index rows (system.go, "Rows"):
+// before the horizon of a time-layered system one node stands for a whole
+// prefix unit, whose runs share their faulty set, their classes and the
+// guard body, hence their successors and their component; the layer is
+// linear in units there, and only CNReachable turns rows back into runs.
 type cnLayer struct {
-	// comp maps each run to its component id.
+	// comp maps each row to its component id.
 	comp []int32
 	// next is the deduplicated component DAG (successors). Tarjan numbers a
 	// component after everything it reaches, so every successor's id is
 	// lower than its source's.
 	next [][]int32
-	// members lists the runs in each component (class-node components may
+	// members lists the rows in each component (class-node components may
 	// be empty).
 	members [][]int
 	// ck[v][c] reports C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v) at the points
@@ -73,30 +79,41 @@ func (s *System) prebuildCN(ctx context.Context) error {
 	return s.parallel(ctx, s.Horizon, func(m int) { s.cnLayerAt(m) })
 }
 
-// faultyMasks returns every run's faulty set as a bitmask over agents,
-// computed on first use.
-func (s *System) faultyMasks() []uint64 {
-	s.faultyOnce.Do(func() {
-		s.faulty = make([]uint64, len(s.Runs))
-		for r, res := range s.Runs {
+// faultyTable is a per-row table of faulty sets, built once.
+type faultyTable struct {
+	once  sync.Once
+	masks []uint64
+}
+
+// faultyMasks returns the faulty set of every time-m row as a bitmask
+// over agents, computed on first use.
+func (s *System) faultyMasks(m int) []uint64 {
+	tab := &s.runFaulty
+	if s.layered(m) {
+		tab = &s.unitFaulty
+	}
+	tab.once.Do(func() {
+		tab.masks = make([]uint64, s.rowCount(m))
+		for row := range tab.masks {
+			pat := s.Runs[s.rowRun(m, row)].Pattern
 			for i := 0; i < s.N; i++ {
-				if res.Pattern.Faulty(model.AgentID(i)) {
-					s.faulty[r] |= 1 << uint(i)
+				if pat.Faulty(model.AgentID(i)) {
+					tab.masks[row] |= 1 << uint(i)
 				}
 			}
 		}
 	})
-	return s.faulty
+	return tab.masks
 }
 
 // cnGraph is the time-m accessibility graph, read from the interned
-// index without building adjacency lists. Nodes are the runs followed by
-// every index class of the slice: agent i's class c is node base[i]+c
-// (classes no nonfaulty agent carries stay unreachable from runs and are
-// harmless). A run's successors are the class nodes of its nonfaulty
-// agents in ascending agent order, a class node's are its runs in
-// ascending order. Node ids are int32 like the class ids they are built
-// from.
+// index without building adjacency lists. Nodes are the slice's rows
+// ("runs" below) followed by every index class of the slice: agent i's
+// class c is node base[i]+c (classes no nonfaulty agent carries stay
+// unreachable from runs and are harmless). A run's successors are the
+// class nodes of its nonfaulty agents in ascending agent order, a class
+// node's are its runs in ascending order. Node ids are int32 like the
+// class ids they are built from.
 type cnGraph struct {
 	n, runs int
 	// base has n+1 entries; base[n] is the node count.
@@ -124,13 +141,13 @@ func (g *cnGraph) members(v int32) []int {
 // common-knowledge guard over the condensation.
 func (s *System) buildCNLayer(m int) *cnLayer {
 	n := s.N
-	runs := len(s.Runs)
+	runs := s.rowCount(m)
 	g := &cnGraph{
 		n: n, runs: runs,
 		base:      make([]int32, n+1),
 		classOf:   s.classOf[m*n : (m+1)*n],
 		classRuns: s.classRuns[m*n : (m+1)*n],
-		faulty:    s.faultyMasks(),
+		faulty:    s.faultyMasks(m),
 	}
 	g.base[0] = int32(runs)
 	for i := 0; i < n; i++ {
@@ -227,7 +244,7 @@ func (s *System) buildCNLayer(m int) *cnLayer {
 	// throughout".)
 	for r, c := range layer.comp {
 		if ck0[c] || ck1[c] {
-			b := s.guardBody(r, m, g.faulty[r])
+			b := s.guardBody(s.rowRun(m, r), m, g.faulty[r])
 			ck0[c] = ck0[c] && b[0]
 			ck1[c] = ck1[c] && b[1]
 		}
@@ -355,7 +372,7 @@ func (g *cnGraph) scc() (comp []int32, nComp int) {
 	return comp, nComp
 }
 
-// computeReach walks the condensation DAG from src, collecting the runs
+// computeReach walks the condensation DAG from src, collecting the rows
 // of every reachable component. Pure: it reads only immutable layer
 // state.
 func (l *cnLayer) computeReach(src int32) []int {
@@ -392,13 +409,26 @@ func (l *cnLayer) computeReach(src int32) []int {
 	return out
 }
 
+// runsOfUnits returns the runs of the given units, unit by unit.
+func (s *System) runsOfUnits(units []int) []int {
+	size := 0
+	for _, u := range units {
+		size += len(s.unitRuns[u])
+	}
+	out := make([]int, 0, size)
+	for _, u := range units {
+		out = append(out, s.unitRuns[u]...)
+	}
+	return out
+}
+
 // CNReachable returns the runs whose time-p.Time points are reachable from
 // p in one or more steps of the C_N accessibility relation. Reachability
 // is served from the per-time condensation; closures are cached per
 // source component. Safe for concurrent use.
 func (s *System) CNReachable(p Point) []int {
 	layer := s.cnLayerAt(p.Time)
-	src := layer.comp[p.Run]
+	src := layer.comp[s.rowOf(p.Time, p.Run)]
 	layer.mu.RLock()
 	out, ok := layer.reach[src]
 	layer.mu.RUnlock()
@@ -406,6 +436,9 @@ func (s *System) CNReachable(p Point) []int {
 		return out
 	}
 	out = layer.computeReach(src)
+	if s.layered(p.Time) {
+		out = s.runsOfUnits(out)
+	}
 	layer.mu.Lock()
 	if prev, ok := layer.reach[src]; ok {
 		out = prev
@@ -425,7 +458,7 @@ func (s *System) CNReachable(p Point) []int {
 // per component, so this is two index reads.
 func (s *System) CKTFaulty(q Point, v model.Value) bool {
 	layer := s.cnLayerAt(q.Time)
-	return layer.ck[v][layer.comp[q.Run]]
+	return layer.ck[v][layer.comp[s.rowOf(q.Time, q.Run)]]
 }
 
 // KnowsCK evaluates K_i(C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v)) at p:
@@ -433,8 +466,8 @@ func (s *System) CKTFaulty(q Point, v model.Value) bool {
 func (s *System) KnowsCK(i model.AgentID, p Point, v model.Value) bool {
 	layer := s.cnLayerAt(p.Time)
 	ck := layer.ck[v]
-	for _, r := range s.runsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run)) {
-		if !ck[layer.comp[r]] {
+	for _, row := range s.rowsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run)) {
+		if !ck[layer.comp[row]] {
 			return false
 		}
 	}

@@ -185,8 +185,7 @@ func (k *kF) Holds(sys *System, p Point) bool {
 		classes = make(map[kClass]bool)
 		k.memo[sys] = classes
 	}
-	slot := sys.slot(k.i, p.Time)
-	key := kClass{slot, sys.classOf[slot][p.Run]}
+	key := kClass{sys.slot(k.i, p.Time), sys.classAt(k.i, p.Time, p.Run)}
 	if v, ok := classes[key]; ok {
 		return v
 	}

@@ -15,13 +15,17 @@ package episteme
 
 import "context"
 
-// slotRows is a producer's account of one slot: key(g) is run g's
-// local-state key there. A producer that can tell cheaply that two runs
-// carry the same key says so with a memo code — code(g) in [0, codes),
-// equal codes implying equal keys — and the kernel asks key once per
-// distinct code instead of once per run. A producer with nothing smaller
-// than the run itself leaves code nil.
+// slotRows is a producer's account of one slot: it has n rows, and key(g)
+// is row g's local-state key there. A row is a run, except in the slots
+// before the horizon of a time-layered system, where it is a prefix unit
+// (system.go, "Rows") — the kernel is told a count and never looks. A
+// producer that can tell cheaply that two rows carry the same key says so
+// with a memo code — code(g) in [0, codes), equal codes implying equal
+// keys — and the kernel asks key once per distinct code instead of once
+// per row. A producer with nothing smaller than the row itself leaves
+// code nil.
 type slotRows struct {
+	n     int
 	codes int
 	code  func(g int) int
 	key   func(g int) (string, error)
@@ -34,13 +38,12 @@ func (s *System) allocIndex() {
 	s.classRuns = make([][][]int, nSlots)
 	s.classKey = make([][]string, nSlots)
 	s.classGlobal = make([][]int32, nSlots)
-	s.byKey = make([]map[string]int32, nSlots)
 	s.globalByKey = make(map[string]int32)
 }
 
-// internSlots builds the index of slots [lo, hi) over runs [0, nRuns)
-// from the producer's rows, one worker per slot: class ids by first
-// appearance in ascending run order through a dense first-sight table
+// internSlots builds the index of slots [lo, hi) from the producer's
+// rows, one worker per slot: class ids by first appearance in ascending
+// row order through a dense first-sight table
 // over the memo codes (seen[code] = class id + 1, so the key is asked for
 // and hashed once per first-seen code), member lists packed per class.
 // The new classes are then folded into the system-wide key interning
@@ -48,14 +51,17 @@ func (s *System) allocIndex() {
 // cause, or else the lowest failing slot's first key error — the same
 // error at every worker count; after an error the slots hold no usable
 // index.
-func (s *System) internSlots(ctx context.Context, lo, hi, nRuns int, rows func(slot int) slotRows) error {
+func (s *System) internSlots(ctx context.Context, lo, hi int, rows func(slot int) slotRows) error {
 	slotErr := make([]error, hi-lo)
 	err := s.parallel(ctx, hi-lo, func(k int) {
 		slot := lo + k
 		p := rows(slot)
-		byKey := make(map[string]int32)
+		// A producer's codes bound its keys from above; half of that is
+		// where the late slots of a sweep land, and starting there spares
+		// the map most of its doublings. No code, no hint.
+		byKey := make(map[string]int32, min(p.codes, p.n)/2)
 		var classKey []string
-		classOf := make([]int32, nRuns)
+		classOf := make([]int32, p.n)
 		seen := make([]int32, p.codes)
 		for g := range classOf {
 			var cell *int32
@@ -85,7 +91,6 @@ func (s *System) internSlots(ctx context.Context, lo, hi, nRuns int, rows func(s
 		s.classOf[slot] = classOf
 		s.classRuns[slot] = packClassRuns(classOf, len(classKey))
 		s.classKey[slot] = classKey
-		s.byKey[slot] = byKey
 	})
 	if err != nil {
 		return err
@@ -94,6 +99,14 @@ func (s *System) internSlots(ctx context.Context, lo, hi, nRuns int, rows func(s
 		if e != nil {
 			return e
 		}
+	}
+	if len(s.globalByKey) == 0 {
+		// The first fold of a system knows how many keys it can meet.
+		classes := 0
+		for slot := lo; slot < hi; slot++ {
+			classes += len(s.classKey[slot])
+		}
+		s.globalByKey = make(map[string]int32, classes)
 	}
 	for slot := lo; slot < hi; slot++ {
 		keys := s.classKey[slot]
@@ -116,7 +129,7 @@ func (s *System) internSlots(ctx context.Context, lo, hi, nRuns int, rows func(s
 // (cache, merge, expansion) all end here.
 func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*System, error) {
 	s.allocIndex()
-	if err := s.internSlots(ctx, 0, (s.Horizon+1)*s.N, len(s.Runs), rows); err != nil {
+	if err := s.internSlots(ctx, 0, (s.Horizon+1)*s.N, rows); err != nil {
 		return nil, err
 	}
 	return s, nil

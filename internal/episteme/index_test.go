@@ -13,7 +13,8 @@ import (
 )
 
 // literalSystem is an unindexed System of the given shape whose runs are
-// only counted, never read: all the index kernel knows of them.
+// never read: the index kernel is told a row count by its producer and
+// knows nothing else of them.
 func literalSystem(n, horizon, nRuns, par int) *System {
 	return &System{N: n, Horizon: horizon, Runs: make([]*engine.Result, nRuns), par: par}
 }
@@ -28,7 +29,7 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 	codes := []int{0, 1, 0, 2, 1, 3, 2}
 	for _, memo := range []bool{true, false} {
 		asked := make([]int, len(keys))
-		rows := slotRows{key: func(g int) (string, error) {
+		rows := slotRows{n: len(keys), key: func(g int) (string, error) {
 			asked[g]++
 			return keys[g], nil
 		}}
@@ -51,9 +52,6 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 		if got, want := sys.classKey[0], []string{"b", "a", "c"}; !reflect.DeepEqual(got, want) {
 			t.Errorf("memo %v: classKey = %v, want %v", memo, got, want)
 		}
-		if got, want := sys.byKey[0], map[string]int32{"b": 0, "a": 1, "c": 2}; !reflect.DeepEqual(got, want) {
-			t.Errorf("memo %v: byKey = %v, want %v", memo, got, want)
-		}
 		if !reflect.DeepEqual(asked, wantAsked) {
 			t.Errorf("memo %v: key asked %v times per run, want %v", memo, asked, wantAsked)
 		}
@@ -66,7 +64,7 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 func TestInternSlotsGlobalFold(t *testing.T) {
 	keys := [][]string{{"x", "y", "x"}, {"y", "z", "z"}, {"w", "x", "z"}, {"y", "y", "v"}}
 	rows := func(slot int) slotRows {
-		return slotRows{key: func(g int) (string, error) { return keys[slot][g], nil }}
+		return slotRows{n: 3, key: func(g int) (string, error) { return keys[slot][g], nil }}
 	}
 	want := [][]int32{{0, 1}, {1, 2}, {3, 0, 2}, {1, 4}}
 	for _, par := range []int{1, 3} {
@@ -77,7 +75,7 @@ func TestInternSlotsGlobalFold(t *testing.T) {
 		sliced := literalSystem(2, 1, 3, par)
 		sliced.allocIndex()
 		for m := 0; m <= 1; m++ {
-			if err := sliced.internSlots(context.Background(), 2*m, 2*m+2, 3, rows); err != nil {
+			if err := sliced.internSlots(context.Background(), 2*m, 2*m+2, rows); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -97,7 +95,7 @@ func TestInternSlotsGlobalFold(t *testing.T) {
 func TestInternSlotsReportsLowestFailingSlot(t *testing.T) {
 	for _, par := range []int{1, 2, 7} {
 		sys, err := literalSystem(4, 1, 5, par).indexed(context.Background(), func(slot int) slotRows {
-			return slotRows{key: func(g int) (string, error) {
+			return slotRows{n: 5, key: func(g int) (string, error) {
 				if (slot == 3 || slot == 7) && g >= 2 {
 					return "", fmt.Errorf("slot %d run %d has no key", slot, g)
 				}
@@ -122,7 +120,7 @@ func TestInternSlotsCancellation(t *testing.T) {
 		var slots atomic.Int32
 		sys, err := literalSystem(2, 1, 3, 1).indexed(ctx, func(int) slotRows {
 			slots.Add(1)
-			return slotRows{key: func(int) (string, error) { return "k", nil }}
+			return slotRows{n: 3, key: func(int) (string, error) { return "k", nil }}
 		})
 		cancel(nil)
 		if sys != nil || !errors.Is(err, cause) {

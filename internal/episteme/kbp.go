@@ -71,7 +71,7 @@ func (s *System) kbpPhaseA(prog Program, i model.AgentID, p Point) (model.Action
 		}
 		return false
 	}
-	if s.Knows(i, p, someJustDecided0) {
+	if s.knowsOfRows(i, p, someJustDecided0) {
 		return model.Decide0, true
 	}
 	return model.Noop, false
@@ -80,7 +80,8 @@ func (s *System) kbpPhaseA(prog Program, i model.AgentID, p Point) (model.Action
 // kbpPhaseB resolves the decide-1 guard K_i(⋀_j ¬(deciding_j = 0)), with
 // "j is deciding 0 at q" supplied by the caller: the recorded actions for
 // a completed system, or the phase-A resolutions during lockstep
-// construction.
+// construction — either way a function of q's ledger, asked once per row
+// (System.rowRun).
 func (s *System) kbpPhaseB(i model.AgentID, p Point, deciding0 func(q Point, j model.AgentID) bool) model.Action {
 	nobodyDeciding0 := func(q Point) bool {
 		for j := 0; j < s.N; j++ {
@@ -90,7 +91,7 @@ func (s *System) kbpPhaseB(i model.AgentID, p Point, deciding0 func(q Point, j m
 		}
 		return true
 	}
-	if s.Knows(i, p, nobodyDeciding0) {
+	if s.knowsOfRows(i, p, nobodyDeciding0) {
 		return model.Decide1
 	}
 	return model.Noop
@@ -169,22 +170,25 @@ func (s *System) CheckImplements(ctx context.Context, prog Program, maxMismatche
 
 	// One work item per distinct (agent, state) pair, in first-occurrence
 	// (run, time, agent) order — the order the sequential checker visited
-	// them in.
+	// them in. The scan reads times < Horizon only, where every slot has
+	// the same rows; rows ascend with their first runs, and a run that is
+	// not its row's first repeats the first's states, so walking the rows
+	// finds the same first occurrences as walking the runs.
 	seen := make([][]bool, s.N)
 	for i := range seen {
 		seen[i] = make([]bool, len(s.globalByKey))
 	}
 	var items []implItem
-	for ri := range s.Runs {
+	for row, rows := 0, s.rowCount(0); row < rows; row++ {
 		for m := 0; m < s.Horizon; m++ {
 			for i := 0; i < s.N; i++ {
 				slot := m*s.N + i
-				gid := s.classGlobal[slot][s.classOf[slot][ri]]
+				gid := s.classGlobal[slot][s.classOf[slot][row]]
 				if seen[i][gid] {
 					continue
 				}
 				seen[i][gid] = true
-				items = append(items, implItem{agent: model.AgentID(i), run: ri, time: m})
+				items = append(items, implItem{agent: model.AgentID(i), run: s.rowRun(m, row), time: m})
 			}
 		}
 	}

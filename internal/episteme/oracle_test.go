@@ -449,7 +449,6 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 	sys.classRuns = make([][][]int, nSlots)
 	sys.classKey = make([][]string, nSlots)
 	sys.classGlobal = make([][]int32, nSlots)
-	sys.byKey = make([]map[string]int32, nSlots)
 	sys.globalByKey = make(map[string]int32)
 
 	type triple struct {
@@ -492,7 +491,6 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 			sys.classOf[slot] = classOf
 			sys.classRuns[slot] = packClassRuns(classOf, len(classKey))
 			sys.classKey[slot] = classKey
-			sys.byKey[slot] = byKey
 		}
 	})
 	if err != nil {

@@ -19,6 +19,16 @@
 // representative, rewritten under π⁻¹. Exchanges whose keys don't
 // implement KeyPermuter cannot expand — ExpandQuotient refuses rather
 // than producing silently wrong class structure.
+//
+// The expanded system is time-layered (system.go, "Rows"). The sweep
+// crosses every earlier history with every last-round drop set, and in a
+// synchronous context nothing an agent holds before time Horizon can
+// depend on the last round's omissions; so pass 1 also groups the
+// scenarios into prefix units — same inits, same faulty set, same drops
+// before the last round — whose runs share one ledger, and pass 2 interns
+// the slots of times < Horizon over units. Only the last time slice is
+// interned over runs, under a memo code that says which unit a run
+// belongs to and what the last round dropped toward the slot's agent.
 
 package episteme
 
@@ -60,6 +70,9 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 	if n > maxPermCodeAgents {
 		return nil, fmt.Errorf("episteme: ExpandQuotient interns relabelings of at most %d agents, system has %d", maxPermCodeAgents, n)
 	}
+	if n*rep.T > 64 {
+		return nil, fmt.Errorf("episteme: ExpandQuotient packs a run's last-round drops into 64 bits, n·t = %d", n*rep.T)
+	}
 	om, err := mapOrbits(ctx, rep, c)
 	if err != nil {
 		return nil, err
@@ -70,12 +83,18 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 // orbitMap is pass 1's account of the full sweep: scenario ordinal g is
 // representative gRep[g] relabeled by perms[gPerm[g]] (π with π·g =
 // representative; invs holds π⁻¹, isID marks the identity), and runs[g] is
-// its synthesized run.
+// its synthesized run. unitOf and unitFirst are the System's (system.go,
+// "Rows"); lastDrops[g] packs the last round's drops of scenario g, t bits
+// per recipient: bit i·t+k says the k-th faulty agent's message to agent i
+// is lost.
 type orbitMap struct {
 	gRep, gPerm []int32
 	perms, invs [][]model.AgentID
 	isID        []bool
 	runs        []*engine.Result
+	unitOf      []int32
+	unitFirst   []int32
+	lastDrops   []uint64
 }
 
 // mapOrbits is pass 1 of ExpandQuotient, which has validated c against
@@ -106,6 +125,13 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	// loop is serial and runs once per scenario of the full sweep, so it
 	// works from the canonicalizer's key bytes and carves the runs from
 	// slabs instead of allocating per scenario.
+	//
+	// Units are numbered on the way too. The source hands every scenario of
+	// one pattern the same *model.Pattern (the runs keep it, so it is
+	// immutable from here on), which makes the pattern's share of the unit
+	// — faulty set and drops before the last round, interned to a dense
+	// prefix id — and its last-round drop bits once-per-pattern work; per
+	// scenario a unit is one first-sight cell over (prefix id, inits bits).
 	total, _ := src.Count() // a capacity hint; 0 when the source cannot say
 	var (
 		gRep   = make([]int32, 0, total)
@@ -120,10 +146,38 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 		fp     []byte
 		perm   []model.AgentID
 		slabs  runSlabs
+
+		unitOf    = make([]int32, 0, total)
+		unitFirst []int32
+		lastDrops = make([]uint64, 0, total)
+		prefixID  = make(map[string]int32)
+		unitSeen  []int32        // [prefix id << n | inits bits] → unit + 1, 0 = unseen
+		pat       *model.Pattern // the pattern prefix and drops were computed for
+		prefix    int32
+		drops     uint64
+		prefixKey []byte
 	)
 	for sc, more := src.Next(); more; sc, more = src.Next() {
-		if len(runs)%expandCancelStride == 0 && ctx.Err() != nil {
+		g := len(runs)
+		if g%expandCancelStride == 0 && ctx.Err() != nil {
 			return nil, context.Cause(ctx)
+		}
+		if sc.Pattern != pat {
+			pat = sc.Pattern
+			if f := pat.NumFaulty(); f > rep.T {
+				return nil, fmt.Errorf("episteme: scenario %d has %d faulty agents, the system bounds them by %d (context mismatch?)", g, f, rep.T)
+			}
+			prefixKey = pat.AppendPrefixKey(prefixKey[:0], horizon-1)
+			id, known := prefixID[string(prefixKey)]
+			if !known {
+				id = int32(len(prefixID))
+				prefixID[string(prefixKey)] = id
+				unitSeen = append(unitSeen, make([]int32, 1<<n)...)
+			}
+			prefix, drops = id, 0
+			for j := 0; j < n; j++ {
+				drops |= pat.FaultyDropsTo(horizon-1, model.AgentID(j)) << (j * rep.T)
+			}
 		}
 		canon.Canonicalize(sc.Pattern, sc.Inits)
 		fp = canon.AppendRepresentativeKey(fp[:0])
@@ -148,7 +202,24 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 		}
 		gRep = append(gRep, r)
 		gPerm = append(gPerm, pid)
-		runs = append(runs, slabs.expandRun(rep.Runs[r], sc, perm))
+
+		cell := &unitSeen[int(prefix)<<n|initsBits(sc.Inits)]
+		var first *engine.Result
+		if *cell == 0 {
+			unitFirst = append(unitFirst, int32(g))
+			*cell = int32(len(unitFirst))
+		} else {
+			first = runs[unitFirst[*cell-1]]
+		}
+		u := *cell - 1
+		unitOf = append(unitOf, u)
+		lastDrops = append(lastDrops, drops)
+		res := slabs.expandRun(rep.Runs[r], sc, perm, first)
+		if res == nil {
+			return nil, fmt.Errorf("episteme: runs %d and %d share their initial preferences, faulty set and every drop before the last round, but their relabeled ledgers differ (asymmetric stack or context mismatch?)",
+				unitFirst[u], g)
+		}
+		runs = append(runs, res)
 	}
 	if es, isErr := src.(core.ErrorSource); isErr {
 		if err := es.Err(); err != nil {
@@ -160,47 +231,88 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 			return nil, fmt.Errorf("episteme: representative %d stands for %d scenarios, enumeration visited %d (context mismatch?)", r, w, cnt)
 		}
 	}
-	return &orbitMap{gRep: gRep, gPerm: gPerm, perms: perms, invs: invs, isID: isID, runs: runs}, nil
+	return &orbitMap{gRep: gRep, gPerm: gPerm, perms: perms, invs: invs, isID: isID, runs: runs,
+		unitOf: unitOf, unitFirst: unitFirst, lastDrops: lastDrops}, nil
+}
+
+// initsBits packs an initial vector into an integer, bit i set iff agent
+// i prefers 1. (Two vectors that differ only where neither holds 0 or 1
+// would collide; the ledger check of pass 1 compares the vectors
+// themselves.)
+func initsBits(inits []model.Value) int {
+	bits := 0
+	for i, v := range inits {
+		if v == model.One {
+			bits |= 1 << uint(i)
+		}
+	}
+	return bits
 }
 
 // intern is pass 2 of ExpandQuotient: the expansion's rows for the index
 // kernel (index.go). For slot (m, i), run g's key is the representative's
-// key at (m, π(i)) rewritten under π⁻¹. Inside a slot the relabeling fixes
-// the source agent π(i), so (relabeling, rep class) alone determines the
-// key and is the memo code, pid*stride + rc: each distinct pair pays for
-// the string rewrite once, and every other run is two integer reads.
+// key at (m, π(i)) rewritten under π⁻¹.
+//
+// Before the horizon a row is a unit, read at its first run. Inside a
+// slot the relabeling fixes the source agent π(i), so (relabeling, rep
+// class) alone determines the key and is the memo code, pid*stride + rc:
+// each distinct pair pays for the string rewrite once, and every other
+// unit is two integer reads.
+//
+// At the horizon a row is a run, and the code is unitOf[g]<<t |
+// (the last round's drops toward i): agent i's final state is a function
+// of the states before the last round — the unit's — and of which of the
+// faulty agents' last-round messages reach i, nonfaulty senders always
+// delivering; so equal codes imply equal keys. A unit's runs differ in at
+// most those t bits per agent, which makes the code near-exact: it asks
+// for about one key per class where (relabeling, rep class) asked for
+// more than two.
 func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermuter) (*System, error) {
-	n := rep.N
+	n, t := rep.N, uint(rep.T)
 	gRep, gPerm, perms, invs, isID := om.gRep, om.gPerm, om.perms, om.invs, om.isID
+	unitOf, unitFirst, lastDrops := om.unitOf, om.unitFirst, om.lastDrops
 	// strides[m] is the largest representative class count of time slice m:
 	// the row length of that slice's code space.
 	strides := make([]int, rep.Horizon+1)
 	for slot, keys := range rep.classKey {
 		strides[slot/n] = max(strides[slot/n], len(keys))
 	}
-	sys := &System{N: n, T: rep.T, Horizon: rep.Horizon, Runs: om.runs, par: rep.parallelism()}
+	sys := &System{N: n, T: rep.T, Horizon: rep.Horizon, Runs: om.runs, par: rep.parallelism(),
+		unitOf: unitOf, unitFirst: unitFirst, unitRuns: packClassRuns(unitOf, len(unitFirst))}
 	return sys.indexed(ctx, func(slot int) slotRows {
 		m, i := slot/n, slot%n
+		key := func(g int) (string, error) {
+			pid := gPerm[g]
+			repSlot := m*n + int(perms[pid][i])
+			repKey := rep.classKey[repSlot][rep.classOf[repSlot][gRep[g]]]
+			if isID[pid] {
+				return repKey, nil
+			}
+			rewritten, err := kp.PermuteKey(repKey, invs[pid])
+			if err != nil {
+				return "", fmt.Errorf("episteme: expanding quotiented keys: %w", err)
+			}
+			return rewritten, nil
+		}
+		if m == rep.Horizon {
+			shift, mask := uint(i)*t, uint64(1)<<t-1
+			return slotRows{
+				n:     len(om.runs),
+				codes: len(unitFirst) << t,
+				code:  func(g int) int { return int(unitOf[g])<<t | int(lastDrops[g]>>shift&mask) },
+				key:   key,
+			}
+		}
 		stride := strides[m]
 		return slotRows{
+			n:     len(unitFirst),
 			codes: len(perms) * stride,
-			code: func(g int) int {
+			code: func(u int) int {
+				g := unitFirst[u]
 				pid := gPerm[g]
 				return int(pid)*stride + int(rep.classOf[m*n+int(perms[pid][i])][gRep[g]])
 			},
-			key: func(g int) (string, error) {
-				pid := gPerm[g]
-				repSlot := m*n + int(perms[pid][i])
-				key := rep.classKey[repSlot][rep.classOf[repSlot][gRep[g]]]
-				if isID[pid] {
-					return key, nil
-				}
-				key, err := kp.PermuteKey(key, invs[pid])
-				if err != nil {
-					return "", fmt.Errorf("episteme: expanding quotiented keys: %w", err)
-				}
-				return key, nil
-			},
+			key: func(u int) (string, error) { return key(int(unitFirst[u])) },
 		}
 	})
 }
@@ -238,20 +350,30 @@ func carve[T any](slab *[]T, k int) []T {
 // run: by agent symmetry run(sc) is run(rep) with the agents relabeled
 // under π⁻¹ (sc's agent i is rep's agent π(i)). State traces are not
 // reconstructed — the expanded system answers knowledge queries through
-// its interned class tables, like a merged one.
-func (sl *runSlabs) expandRun(repRes *engine.Result, sc core.Scenario, perm []model.AgentID) *engine.Result {
+// its interned class tables, like a merged one. first is the run of the
+// lowest scenario of sc's unit, nil when sc is that scenario: a later
+// member's relabeled ledger must equal first's, whose slices it then
+// shares; expandRun returns nil when it does not.
+func (sl *runSlabs) expandRun(repRes *engine.Result, sc core.Scenario, perm []model.AgentID, first *engine.Result) *engine.Result {
 	n := repRes.N
 	res := &carve(&sl.results, 1)[0]
 	*res = engine.Result{
-		N:             n,
-		Horizon:       repRes.Horizon,
-		Pattern:       sc.Pattern,
-		Inits:         carve(&sl.values, n),
-		Actions:       carve(&sl.rows, len(repRes.Actions)),
-		Decision:      carve(&sl.values, n),
-		DecisionRound: carve(&sl.rounds, n),
-		Stats:         repRes.Stats, // message counts are permutation-invariant
+		N:       n,
+		Horizon: repRes.Horizon,
+		Pattern: sc.Pattern,
+		Stats:   repRes.Stats, // message counts are permutation-invariant
 	}
+	if first != nil {
+		if !relabelsTo(repRes, sc.Inits, perm, first) {
+			return nil
+		}
+		res.Inits, res.Actions, res.Decision, res.DecisionRound = first.Inits, first.Actions, first.Decision, first.DecisionRound
+		return res
+	}
+	res.Inits = carve(&sl.values, n)
+	res.Actions = carve(&sl.rows, len(repRes.Actions))
+	res.Decision = carve(&sl.values, n)
+	res.DecisionRound = carve(&sl.rounds, n)
 	copy(res.Inits, sc.Inits)
 	for i := 0; i < n; i++ {
 		res.Decision[i] = repRes.Decision[perm[i]]
@@ -265,6 +387,25 @@ func (sl *runSlabs) expandRun(repRes *engine.Result, sc core.Scenario, perm []mo
 		res.Actions[m] = acts
 	}
 	return res
+}
+
+// relabelsTo reports whether repRes relabeled under perm, with the given
+// initial preferences, is run's ledger.
+func relabelsTo(repRes *engine.Result, inits []model.Value, perm []model.AgentID, run *engine.Result) bool {
+	if !slices.Equal(inits, run.Inits) || len(repRes.Actions) != len(run.Actions) {
+		return false
+	}
+	for i, a := range perm {
+		if repRes.Decision[a] != run.Decision[i] || repRes.DecisionRound[a] != run.DecisionRound[i] {
+			return false
+		}
+		for m, row := range repRes.Actions {
+			if row[a] != run.Actions[m][i] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // scenarioFingerprint renders a scenario's identity — the pattern's

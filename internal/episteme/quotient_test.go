@@ -18,7 +18,9 @@ import (
 // identical: shapes, every run's ledgers, and the full interned index
 // (class ids, member lists, keys, global interning). Field-by-field
 // rather than fingerprint strings so the n=4 comparison (32,784 runs)
-// stays cheap.
+// stays cheap. Class ids and member lists are read run by run through
+// the accessors, so a time-layered system and a per-run one compare equal
+// exactly when they answer alike.
 func compareSystems(t *testing.T, label string, got, want *System) {
 	t.Helper()
 	if got.N != want.N || got.T != want.T || got.Horizon != want.Horizon {
@@ -57,14 +59,14 @@ func compareSystems(t *testing.T, label string, got, want *System) {
 					label, slot, c, got.classGlobal[slot][c], want.classGlobal[slot][c])
 			}
 		}
-		for r := range want.classOf[slot] {
-			if got.classOf[slot][r] != want.classOf[slot][r] {
-				t.Fatalf("%s: slot %d run %d class %d, want %d",
-					label, slot, r, got.classOf[slot][r], want.classOf[slot][r])
+		i, m := model.AgentID(slot%want.N), slot/want.N
+		for r := range want.Runs {
+			if g, w := got.classAt(i, m, r), want.classAt(i, m, r); g != w {
+				t.Fatalf("%s: slot %d run %d class %d, want %d", label, slot, r, g, w)
 			}
 		}
-		for c := range want.classRuns[slot] {
-			gr, wr := got.classRuns[slot][c], want.classRuns[slot][c]
+		for c := range want.classKey[slot] {
+			gr, wr := got.runsOfClass(i, m, int32(c)), want.runsOfClass(i, m, int32(c))
 			if len(gr) != len(wr) {
 				t.Fatalf("%s: slot %d class %d has %d members, want %d", label, slot, c, len(gr), len(wr))
 			}

@@ -88,8 +88,7 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 			if !s.Nonfaulty(jd, q) || !s.Deciding(jd, model.Zero, q) {
 				continue
 			}
-			slot := s.slot(jd, q.Time)
-			if q.Time == 0 || chained[slot][s.classOf[slot][q.Run]] {
+			if q.Time == 0 || chained[s.slot(jd, q.Time)][s.classAt(jd, q.Time, q.Run)] {
 				return true
 			}
 		}
@@ -133,7 +132,7 @@ func (s *System) safetyViolations(r int, allOnes, someDeciding0, witness [][]boo
 		for i := 0; i < s.N; i++ {
 			id := model.AgentID(i)
 			slot := s.slot(id, m)
-			c := s.classOf[slot][r]
+			c := s.classAt(id, m, r)
 
 			// Clause (1): no 0-chain received by (r,m) → some
 			// indistinguishable point lies in an all-1 run.

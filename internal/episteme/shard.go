@@ -417,6 +417,7 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 			stride = max(stride, len(idx.ClassKeys[slot]))
 		}
 		return slotRows{
+			n:     total,
 			codes: k * stride,
 			code: func(g int) int {
 				return (g%k)*stride + int(byShard[g%k].ClassOf[slot][g/k])

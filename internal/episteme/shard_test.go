@@ -33,12 +33,23 @@ func buildMerged(t *testing.T, c Context, act model.ActionProtocol, k int) *Syst
 }
 
 // indexFingerprint renders a System's full interned index: class tables,
-// member lists, and global ids per slot.
+// member lists, and global ids per slot — the class of every run and the
+// runs of every class, read through the accessors so that a time-layered
+// system renders as the per-run system it stands for.
 func indexFingerprint(sys *System) string {
 	var b strings.Builder
 	for slot := range sys.classKey {
+		i, m := model.AgentID(slot%sys.N), slot/sys.N
+		of := make([]int32, len(sys.Runs))
+		for r := range of {
+			of[r] = sys.classAt(i, m, r)
+		}
+		runs := make([][]int, len(sys.classKey[slot]))
+		for c := range runs {
+			runs[c] = sys.runsOfClass(i, m, int32(c))
+		}
 		fmt.Fprintf(&b, "slot %d keys=%q global=%v\n", slot, sys.classKey[slot], sys.classGlobal[slot])
-		fmt.Fprintf(&b, "slot %d of=%v runs=%v\n", slot, sys.classOf[slot], sys.classRuns[slot])
+		fmt.Fprintf(&b, "slot %d of=%v runs=%v\n", slot, of, runs)
 	}
 	return b.String()
 }

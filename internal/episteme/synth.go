@@ -118,13 +118,13 @@ func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*
 		}
 		memoA := make([][]phaseAEntry, n)
 		for i := 0; i < n; i++ {
-			memoA[i] = make([]phaseAEntry, len(sys.classRuns[m*n+i]))
+			memoA[i] = make([]phaseAEntry, sys.classCount(model.AgentID(i), m))
 		}
 		for r := range sys.Runs {
 			p := Point{Run: r, Time: m}
 			for i := 0; i < n; i++ {
 				id := model.AgentID(i)
-				cls := sys.classOf[m*n+i][r]
+				cls := sys.classAt(id, m, r)
 				e := &memoA[i][cls]
 				if !e.resolved {
 					e.act, e.det = sys.kbpPhaseA(prog, id, p)
@@ -144,7 +144,7 @@ func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*
 		}
 		memoB := make([][]phaseBEntry, n)
 		for i := 0; i < n; i++ {
-			memoB[i] = make([]phaseBEntry, len(sys.classRuns[m*n+i]))
+			memoB[i] = make([]phaseBEntry, sys.classCount(model.AgentID(i), m))
 		}
 		for r := range sys.Runs {
 			p := Point{Run: r, Time: m}
@@ -155,7 +155,7 @@ func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*
 				if determined[r][i] {
 					acts[i] = phaseA[r][i]
 				} else {
-					cls := sys.classOf[m*n+i][r]
+					cls := sys.classAt(id, m, r)
 					e := &memoB[i][cls]
 					if !e.resolved {
 						e.act = sys.kbpPhaseB(id, p, deciding0)
@@ -175,7 +175,7 @@ func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*
 			id := model.AgentID(i)
 			slot := m*n + i
 			for cls, members := range sys.classRuns[slot] {
-				rep := members[0]
+				rep := sys.rowRun(m, members[0])
 				table[synthKey(id, sys.classKey[slot][cls])] = sys.Runs[rep].Actions[m][i]
 			}
 		}

@@ -26,7 +26,11 @@
 //   - Representation: local states are interned into dense class ids per
 //     (time, agent) slot at index-build time; every knowledge query after
 //     that is integer indexing, never string hashing. Index slots are
-//     built in parallel.
+//     built in parallel. A system expanded from the symmetry quotient is
+//     time-layered: before the horizon its index has one row per prefix
+//     unit — the runs that differ only in the last round's omissions,
+//     which nothing before time Horizon can depend on — instead of one
+//     per run (System, "Rows").
 //   - Evaluation: a System is safe for concurrent use, per-time C_N
 //     condensations build concurrently — each folding P1's
 //     common-knowledge guard once per component as it is built — and the
@@ -38,15 +42,16 @@
 //
 // Everything here is exhaustive and therefore exponential in n, t, and the
 // horizon. Every pass is linear in the number of points, so what bounds
-// it is the enumeration itself: n=5,t=1 (655,392 runs, through the
-// symmetry quotient) checks in seconds within a gigabyte; n=6,t=2 is the
-// open frontier (ROADMAP).
+// it is the enumeration itself: n=5,t=1 (655,392 runs in 40,992 prefix
+// units, through the symmetry quotient) checks in about a second within a
+// gigabyte; n=6,t=2 is the open frontier (ROADMAP).
 package episteme
 
 import (
 	"context"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -240,21 +245,41 @@ type System struct {
 	// par is the checker worker count (resolved, >= 1).
 	par int
 
+	// Rows. unitOf, when non-nil, marks a time-layered system (only
+	// ExpandQuotient builds one): unitOf[run] is the run's prefix unit —
+	// the runs sharing its initial vector, faulty set and every drop sent
+	// before the last round. The context is synchronous and the engine
+	// deterministic, so a unit's runs share every local state at every time
+	// < Horizon and the whole ledger (Inits, Decision, DecisionRound,
+	// Actions — the last recorded action is taken on a time-(Horizon−1)
+	// state); only their time-Horizon states differ. Units are numbered by
+	// first appearance in run order: unitFirst[u] is unit u's lowest run,
+	// unitRuns[u] its runs, ascending. The index slots of times < Horizon
+	// of a layered system have one row per unit instead of one per run;
+	// everywhere else — the last time slice, and every slot of a system
+	// with unitOf nil — a row is a run. layered, rowOf and rowRun are the
+	// whole of that knowledge; docs/architecture.md, "Time-layered
+	// expansion: prefix units".
+	unitOf    []int32
+	unitFirst []int32
+	unitRuns  [][]int
+
 	// Interned local-state index. A slot is a (time, agent) pair,
-	// slot = m*N + i; within a slot, runs carrying the same local state
+	// slot = m*N + i; within a slot, rows carrying the same local state
 	// form a class identified by a dense int:
 	//
-	//	classOf[slot][run]    → the run's class id in the slot
-	//	classRuns[slot][c]    → the runs of class c, ascending
+	//	classOf[slot][row]    → the row's class id in the slot
+	//	classRuns[slot][c]    → the rows of class c, ascending
 	//	classKey[slot][c]     → the class's local-state key
 	//	classGlobal[slot][c]  → system-wide dense id of that key, shared
 	//	                        across slots (cross-time state identity)
-	//	byKey[slot]           → key → class id (string lookups only)
+	//
+	// Class ids are by first appearance in run order either way: a class's
+	// first run is always its unit's first run.
 	classOf     [][]int32
 	classRuns   [][][]int
 	classKey    [][]string
 	classGlobal [][]int32
-	byKey       []map[string]int32
 	globalByKey map[string]int32
 
 	// cn lazily caches the per-time condensations of the C_N
@@ -262,11 +287,11 @@ type System struct {
 	cnMu sync.Mutex
 	cn   map[int]*cnSlot
 
-	// faulty[r] is run r's faulty set as a bitmask over agents, filled on
-	// first use (faultyMasks): the C_N graph walk and the guard fold read
-	// it once per edge, where Runs[r].Pattern is a pointer chase.
-	faultyOnce sync.Once
-	faulty     []uint64
+	// runFaulty and unitFaulty hold every row's faulty set as a bitmask
+	// over agents, per run and per unit, each filled on first use
+	// (faultyMasks): the C_N graph walk and the guard fold read it once per
+	// edge, where Runs[r].Pattern is a pointer chase.
+	runFaulty, unitFaulty faultyTable
 }
 
 // Quotiented reports whether the system's runs are symmetry-orbit
@@ -419,10 +444,11 @@ func (s *System) buildIndex(ctx context.Context, m0, m1 int) error {
 	if err != nil {
 		return err
 	}
-	return s.internSlots(ctx, m0*n, m1*n, len(s.Runs), func(slot int) slotRows {
+	return s.internSlots(ctx, m0*n, m1*n, func(slot int) slotRows {
 		m, i := slot/n, slot%n
 		groups := rowOf[m-m0]
 		return slotRows{
+			n:     len(s.Runs),
 			codes: rowCount[m-m0],
 			code:  func(r int) int { return int(groups[r]) },
 			key:   func(r int) (string, error) { return s.Runs[r].States[m][i].Key(), nil },
@@ -433,14 +459,50 @@ func (s *System) buildIndex(ctx context.Context, m0, m1 int) error {
 // slot returns the index slot of agent i at time m.
 func (s *System) slot(i model.AgentID, m int) int { return m*s.N + int(i) }
 
-// classAt returns the dense class id of agent i's local state at (run, m).
-func (s *System) classAt(i model.AgentID, m, run int) int32 {
-	return s.classOf[s.slot(i, m)][run]
+// layered reports whether the time-m index slots have one row per prefix
+// unit rather than one per run.
+func (s *System) layered(m int) bool { return s.unitOf != nil && m < s.Horizon }
+
+// rowCount returns the number of index rows at time m.
+func (s *System) rowCount(m int) int {
+	if s.layered(m) {
+		return len(s.unitFirst)
+	}
+	return len(s.Runs)
 }
 
-// runsOfClass returns the runs of class c in agent i's time-m slot. The
-// returned slice is shared; do not mutate.
-func (s *System) runsOfClass(i model.AgentID, m int, c int32) []int {
+// rowOf returns the time-m index row of a run.
+func (s *System) rowOf(m, run int) int {
+	if s.layered(m) {
+		return int(s.unitOf[run])
+	}
+	return run
+}
+
+// rowRun returns the lowest run of a time-m index row. A predicate that
+// reads only a run's ledger, faulty set and states before the horizon —
+// all that the knowledge-based programs and the C_N guard ask about —
+// holds at a row's first run iff it holds at all of its runs.
+func (s *System) rowRun(m, row int) int {
+	if s.layered(m) {
+		return int(s.unitFirst[row])
+	}
+	return row
+}
+
+// classAt returns the dense class id of agent i's local state at (run, m).
+func (s *System) classAt(i model.AgentID, m, run int) int32 {
+	return s.classOf[s.slot(i, m)][s.rowOf(m, run)]
+}
+
+// classCount returns the number of classes in agent i's time-m slot.
+func (s *System) classCount(i model.AgentID, m int) int {
+	return len(s.classKey[s.slot(i, m)])
+}
+
+// rowsOfClass returns the rows of class c in agent i's time-m slot,
+// ascending. The returned slice is shared; do not mutate.
+func (s *System) rowsOfClass(i model.AgentID, m int, c int32) []int {
 	return s.classRuns[s.slot(i, m)][c]
 }
 
@@ -449,8 +511,7 @@ func (s *System) Key(i model.AgentID, p Point) string {
 	if s.classKey == nil {
 		return s.Runs[p.Run].States[p.Time][i].Key()
 	}
-	slot := s.slot(i, p.Time)
-	return s.classKey[slot][s.classOf[slot][p.Run]]
+	return s.classKey[s.slot(i, p.Time)][s.classAt(i, p.Time, p.Run)]
 }
 
 // State returns agent i's local state at point p. Systems assembled by
@@ -461,19 +522,21 @@ func (s *System) State(i model.AgentID, p Point) model.State {
 	return s.Runs[p.Run].States[p.Time][i]
 }
 
-// SameState returns the runs whose agent i has, at time m, the given local
-// state key: the ~_i equivalence class. The returned slice is shared; do
-// not mutate.
-func (s *System) SameState(i model.AgentID, m int, key string) []int {
-	slot := s.slot(i, m)
-	c, ok := s.byKey[slot][key]
-	if !ok {
-		return nil
+// runsOfClass returns the runs of class c in agent i's time-m slot,
+// ascending. The returned slice may be shared; do not mutate.
+func (s *System) runsOfClass(i model.AgentID, m int, c int32) []int {
+	rows := s.rowsOfClass(i, m, c)
+	if !s.layered(m) {
+		return rows
 	}
-	return s.classRuns[slot][c]
+	// Units interleave in run order: their concatenation needs sorting.
+	runs := s.runsOfUnits(rows)
+	slices.Sort(runs)
+	return runs
 }
 
-// Class returns the points agent i cannot distinguish from p.
+// Class returns the points agent i cannot distinguish from p, in run
+// order.
 func (s *System) Class(i model.AgentID, p Point) []Point {
 	runs := s.runsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run))
 	out := make([]Point, len(runs))
@@ -484,10 +547,33 @@ func (s *System) Class(i model.AgentID, p Point) []Point {
 }
 
 // Knows evaluates K_i φ at p: φ holds at every point i cannot distinguish
-// from p.
+// from p. φ may be any function of the point, so on a layered slot every
+// run of every unit of the class is asked.
 func (s *System) Knows(i model.AgentID, p Point, phi func(Point) bool) bool {
-	for _, r := range s.runsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run)) {
-		if !phi(Point{Run: r, Time: p.Time}) {
+	rows := s.rowsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run))
+	if !s.layered(p.Time) {
+		for _, r := range rows {
+			if !phi(Point{Run: r, Time: p.Time}) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, u := range rows {
+		for _, r := range s.unitRuns[u] {
+			if !phi(Point{Run: r, Time: p.Time}) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// knowsOfRows evaluates K_i φ at p for a φ that is constant on a row (see
+// rowRun): one question per row of the class, put to the row's first run.
+func (s *System) knowsOfRows(i model.AgentID, p Point, phi func(Point) bool) bool {
+	for _, row := range s.rowsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run)) {
+		if !phi(Point{Run: s.rowRun(p.Time, row), Time: p.Time}) {
 			return false
 		}
 	}
@@ -500,25 +586,27 @@ func (s *System) Knows(i model.AgentID, p Point, phi func(Point) bool) bool {
 // (exists) or at every point of it (!exists) — ¬K_i¬pred and K_i pred, as
 // functions of the local state. This is what keeps the checkers linear in
 // the number of points: a condition on agent i's class is computed in one
-// pass over the slot's runs and then read per point, never re-derived by
-// scanning the class from each of its members. Slots fold in parallel;
-// passing the previous result back as tables reuses its storage.
+// pass over the runs and then read per point, never re-derived by
+// scanning the class from each of its members. pred may be any function
+// of the point, so it is asked at every run, not once per row. Slots fold
+// in parallel; passing the previous result back as tables reuses its
+// storage.
 func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, exists bool, pred func(i model.AgentID, q Point) bool) ([][]bool, error) {
 	nSlots := (maxTime + 1) * s.N
 	if tables == nil {
 		tables = make([][]bool, nSlots)
 	}
 	err := s.parallel(ctx, nSlots, func(slot int) {
+		i, m := model.AgentID(slot%s.N), slot/s.N
 		if tables[slot] == nil {
-			tables[slot] = make([]bool, len(s.classRuns[slot]))
+			tables[slot] = make([]bool, s.classCount(i, m))
 		}
 		table := tables[slot]
 		for c := range table {
 			table[c] = !exists
 		}
-		i, m := model.AgentID(slot%s.N), slot/s.N
-		for r, c := range s.classOf[slot] {
-			if table[c] != exists && pred(i, Point{Run: r, Time: m}) == exists {
+		for r := range s.Runs {
+			if c := s.classAt(i, m, r); table[c] != exists && pred(i, Point{Run: r, Time: m}) == exists {
 				table[c] = exists
 			}
 		}

@@ -1,0 +1,290 @@
+package episteme
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/action"
+	"repro/internal/exchange"
+	"repro/internal/model"
+)
+
+// The bit-identity tests compare tables; the tests below compare answers,
+// run by run, between a time-layered system (ExpandQuotient's: index rows
+// before the horizon are prefix units) and the directly built per-run
+// system of the same sweep.
+
+// sortedCopy returns the runs in ascending order without disturbing the
+// (shared, cached) slice it was handed.
+func sortedCopy(runs []int) []int {
+	out := slices.Clone(runs)
+	slices.Sort(out)
+	return out
+}
+
+// pointDiffer compares the two systems' answers at one (run, time, agent)
+// after another, remembering which pairs of reachability closures it has
+// already compared (closures are cached per component and shared).
+type pointDiffer struct {
+	t           *testing.T
+	label       string
+	got, want   *System
+	firstOfUnit func(Point) bool
+	reachSame   map[[2]*int]bool
+	// knowsTrue and knowsFalse count the outcomes of the run-ordinal
+	// predicate, so a vacuous comparison is caught.
+	knowsTrue, knowsFalse, later int
+}
+
+func newPointDiffer(t *testing.T, label string, got, want *System) *pointDiffer {
+	if got.unitOf == nil || want.unitOf != nil {
+		t.Fatalf("%s: want a layered system against a per-run one", label)
+	}
+	return &pointDiffer{
+		t: t, label: label, got: got, want: want,
+		// "q is the lowest run of its prefix unit" depends on the run
+		// ordinal alone, and is false exactly at the runs an evaluator that
+		// asked each unit's first run only would never ask.
+		firstOfUnit: func(q Point) bool { return int(got.unitFirst[got.unitOf[q.Run]]) == q.Run },
+		reachSame:   make(map[[2]*int]bool),
+	}
+}
+
+func (d *pointDiffer) at(i model.AgentID, p Point) {
+	t, got, want := d.t, d.got, d.want
+	t.Helper()
+	if !d.firstOfUnit(p) {
+		d.later++
+	}
+	if g, w := got.Key(i, p), want.Key(i, p); g != w {
+		t.Fatalf("%s: Key(%d, %v) = %q, direct build %q", d.label, i, p, g, w)
+	}
+	if g, w := got.classAt(i, p.Time, p.Run), want.classAt(i, p.Time, p.Run); g != w {
+		t.Fatalf("%s: class of agent %d at %v is %d, direct build %d", d.label, i, p, g, w)
+	}
+	gc, wc := got.Class(i, p), want.Class(i, p)
+	if !slices.Equal(gc, wc) {
+		t.Fatalf("%s: Class(%d, %v) has %d points, direct build %d; or they differ in order", d.label, i, p, len(gc), len(wc))
+	}
+	if !slices.IsSortedFunc(gc, func(a, b Point) int { return a.Run - b.Run }) {
+		t.Fatalf("%s: Class(%d, %v) is not in run order", d.label, i, p)
+	}
+	for name, phi := range map[string]func(Point) bool{
+		"first of its unit":  d.firstOfUnit,
+		"ordinal not 2 of 5": func(q Point) bool { return q.Run%5 != 2 },
+		"ordinal above p's":  func(q Point) bool { return q.Run >= p.Run },
+	} {
+		g, w := got.Knows(i, p, phi), want.Knows(i, p, phi)
+		if g != w {
+			t.Fatalf("%s: Knows(%d, %v, %s) = %v, direct build %v", d.label, i, p, name, g, w)
+		}
+		if g {
+			d.knowsTrue++
+		} else {
+			d.knowsFalse++
+		}
+	}
+	for _, v := range []model.Value{model.Zero, model.One} {
+		if g, w := got.KnowsCK(i, p, v), want.KnowsCK(i, p, v); g != w {
+			t.Fatalf("%s: KnowsCK(%d, %v, %v) = %v, direct build %v", d.label, i, p, v, g, w)
+		}
+		if g, w := got.CKTFaulty(p, v), want.CKTFaulty(p, v); g != w {
+			t.Fatalf("%s: CKTFaulty(%v, %v) = %v, direct build %v", d.label, p, v, g, w)
+		}
+	}
+	gr, wr := got.CNReachable(p), want.CNReachable(p)
+	if len(gr) == 0 || len(gr) != len(wr) {
+		t.Fatalf("%s: CNReachable(%v) has %d runs, direct build %d", d.label, p, len(gr), len(wr))
+	}
+	pair := [2]*int{&gr[0], &wr[0]}
+	if !d.reachSame[pair] {
+		if !slices.Equal(sortedCopy(gr), sortedCopy(wr)) {
+			t.Fatalf("%s: CNReachable(%v) is a different set of runs from the direct build's", d.label, p)
+		}
+		d.reachSame[pair] = true
+	}
+}
+
+// done fails the test when the comparison could not have caught an
+// evaluator that asked each unit's first run only: the predicates must
+// come out both ways and a fair share of the points (crash units are
+// small) must lie on later members.
+func (d *pointDiffer) done(points int) {
+	d.t.Helper()
+	if d.knowsTrue == 0 || d.knowsFalse == 0 {
+		d.t.Fatalf("%s: the run-ordinal predicates came out true %d times and false %d times; the comparison is vacuous", d.label, d.knowsTrue, d.knowsFalse)
+	}
+	if 5*d.later < points {
+		d.t.Fatalf("%s: only %d of %d points lie on a run that is not its unit's first", d.label, d.later, points)
+	}
+}
+
+// TestLayeredSystemAnswersLikeDirect: an expanded system and the directly
+// built one are the same system (compareSystems) and give the same answer
+// to every question at every (run, time, agent) — all of them at the small
+// shapes, a seeded sample at the large ones — including at time Horizon,
+// where rows are runs again. The shapes cover units that are 2^(n−1)
+// copies (SO, t=1), units of uneven size (crash), no round before the last
+// (horizon 1: a unit is inits × faulty set), and two drop bits per
+// recipient (t=2; the theorems fail there — ROADMAP's n−t=1 item — but
+// the systems must still be identical).
+func TestLayeredSystemAnswersLikeDirect(t *testing.T) {
+	fip := func(n int) model.Exchange { return exchange.NewFIP(n) }
+	cases := []struct {
+		name   string
+		c      Context
+		act    model.ActionProtocol
+		sample int // 0 = every point
+		units  int // 0 = not pinned
+	}{
+		{name: "fip n=3", c: Context{Exchange: fip(3), T: 1}, act: action.NewOpt(1), units: 392},
+		{name: "fip n=4", c: Context{Exchange: fip(4), T: 1}, act: action.NewOpt(1), sample: 20000, units: 4112},
+		{name: "fip n=4 crash", c: Context{Exchange: fip(4), T: 1, Crash: true}, act: action.NewOpt(1), sample: 20000},
+		{name: "fip n=3 horizon 1", c: Context{Exchange: fip(3), T: 1, Horizon: 1}, act: action.NewOpt(1), units: 8 * 4},
+		{name: "fip n=3 t=2 horizon 3", c: Context{Exchange: fip(3), T: 2, Horizon: 3}, act: action.NewOpt(2), sample: 4000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sample := tc.sample
+			if raceEnabled {
+				sample /= 10
+			}
+			ctx := context.Background()
+			want, err := BuildSystem(ctx, tc.c, tc.act, WithParallelism(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := BuildSystem(ctx, tc.c, tc.act, WithParallelism(2), WithQuotient())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if units := len(got.unitFirst); units >= len(got.Runs) || (tc.units != 0 && units != tc.units) {
+				t.Fatalf("%d units for %d runs, want %d (0: fewer than runs)", units, len(got.Runs), tc.units)
+			}
+			compareSystems(t, tc.name, got, want)
+
+			d := newPointDiffer(t, tc.name, got, want)
+			points := 0
+			if sample == 0 {
+				got.Points(-1, func(p Point) {
+					for i := 0; i < got.N; i++ {
+						d.at(model.AgentID(i), p)
+						points++
+					}
+				})
+			} else {
+				rng := rand.New(rand.NewSource(18))
+				for ; points < sample; points++ {
+					p := Point{Run: rng.Intn(len(got.Runs)), Time: rng.Intn(got.Horizon + 1)}
+					d.at(model.AgentID(rng.Intn(got.N)), p)
+				}
+			}
+			d.done(points)
+		})
+	}
+}
+
+// TestLayeredVerdictsListSameRuns: the systems that have mismatches and
+// clause violations report them at the same run ordinals, in the same
+// order and with the same truncation counts, through an expanded system
+// as through a direct one.
+func TestLayeredVerdictsListSameRuns(t *testing.T) {
+	for _, act := range []model.ActionProtocol{lateZeroAction{}, slowFIPAction{}} {
+		c := Context{Exchange: exchange.NewFIP(3), T: 1}
+		ctx := context.Background()
+		direct, err := BuildSystem(ctx, c, act)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 2, 7} {
+			sys, err := BuildSystem(ctx, c, act, WithParallelism(par), WithQuotient())
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("fip+%s parallelism %d", act.Name(), par)
+			for _, max := range []int{0, 3} {
+				want := checkImplements(t, direct, P1, max)
+				if len(want) == 0 {
+					t.Fatalf("%s: the direct build has no mismatches; the comparison is vacuous", label)
+				}
+				if got := checkImplements(t, sys, P1, max); !slices.Equal(got, want) {
+					t.Errorf("%s: CheckImplements(max %d) lists %v, direct build %v", label, max, got, want)
+				}
+				if got, want := checkSafety(t, sys, max), checkSafety(t, direct, max); len(want) == 0 || !slices.Equal(got, want) {
+					t.Errorf("%s: CheckSafety(max %d) lists %d violations, direct build %d: %s", label, max, len(got), len(want), firstDiff(got, want))
+				}
+				if got, want := checkOptimality(t, sys, -1, max), checkOptimality(t, direct, -1, max); len(want) == 0 || !slices.Equal(got, want) {
+					t.Errorf("%s: CheckOptimalityFIP(max %d) lists %d violations, direct build %d: %s", label, max, len(got), len(want), firstDiff(got, want))
+				}
+			}
+		}
+	}
+}
+
+// TestExpandQuotientRefusesDoctoredLedger: the runs of a prefix unit share
+// one ledger, so pass 1 checks that every later member's relabeled ledger
+// is its unit's first member's. A representative whose decision was
+// changed after the build gives some unit two ledgers; the expansion must
+// refuse, naming the lowest such pair of run ordinals, whatever the worker
+// count of the system it expands.
+func TestExpandQuotientRefusesDoctoredLedger(t *testing.T) {
+	c := Context{Exchange: exchange.NewFIP(4), T: 1}
+	ctx := context.Background()
+	idx, err := BuildShardIndex(ctx, c, action.NewOpt(1), 0, 1, WithQuotient())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, 7} {
+		rep, err := MergeSystems(ctx, []*ShardIndex{idx}, WithParallelism(par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		om, err := mapOrbits(ctx, rep, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Doctor the representative of the first run that is a later member
+		// of a unit whose first member has another representative.
+		doctored := -1
+		for g, u := range om.unitOf {
+			if f := om.unitFirst[u]; int(f) != g && om.gRep[f] != om.gRep[g] {
+				doctored = int(om.gRep[g])
+				break
+			}
+		}
+		if doctored < 0 {
+			t.Fatal("every unit's runs share one representative; nothing to doctor")
+		}
+		dec := rep.Runs[doctored].Decision
+		if dec[0] == model.One {
+			dec[0] = model.Zero
+		} else {
+			dec[0] = model.One
+		}
+		// The lowest pair the doctoring sets apart, from pass 1's own map.
+		decision := func(g, i int) model.Value {
+			return rep.Runs[om.gRep[g]].Decision[om.perms[om.gPerm[g]][i]]
+		}
+		want := ""
+		for g, u := range om.unitOf {
+			f := int(om.unitFirst[u])
+			for i := 0; i < rep.N && want == ""; i++ {
+				if decision(g, i) != decision(f, i) {
+					want = fmt.Sprintf("episteme: runs %d and %d share ", f, g)
+				}
+			}
+		}
+		if want == "" {
+			t.Fatal("the doctored decision set no unit apart")
+		}
+		sys, err := ExpandQuotient(ctx, rep, c)
+		if sys != nil || err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("parallelism %d: ExpandQuotient of a doctored representative = (system: %v, %v), want only an error starting %q",
+				par, sys != nil, err, want)
+		}
+	}
+}

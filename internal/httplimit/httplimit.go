@@ -6,6 +6,7 @@ package httplimit
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"time"
@@ -49,10 +50,23 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 }
 
 // DecodeJSON decodes r's JSON body, of at most MaxJSONBody bytes, into v.
+// The body must be that one value: anything but white space after it is
+// an error, so what a daemon acts on is all the client sent.
 func DecodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	body, err := bound(w, r, MaxJSONBody)
 	if err != nil {
 		return err
 	}
-	return json.NewDecoder(body).Decode(v)
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case errors.Is(err, io.EOF):
+		return nil
+	case err != nil:
+		return err
+	default:
+		return errors.New("data after the JSON value")
+	}
 }

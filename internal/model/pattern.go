@@ -187,6 +187,39 @@ func (p *Pattern) appendKey(dst []byte) []byte {
 	return dst
 }
 
+// AppendPrefixKey appends a fingerprint of the faulty set and of every
+// drop sent before time m (rounds 1..m): two patterns of one shape agree
+// on those iff their prefix keys are equal. m is clipped to the horizon.
+func (p *Pattern) AppendPrefixKey(dst []byte, m int) []byte {
+	for _, f := range p.faulty {
+		dst = append(dst, boolByte(f))
+	}
+	dst = append(dst, ':')
+	for _, d := range p.drops[:min(max(m, 0), p.horizon)*p.n*p.n] {
+		dst = append(dst, boolByte(d))
+	}
+	return dst
+}
+
+// FaultyDropsTo reports which faulty agents drop the message they send to
+// j at time m, as a bitmask over the faulty agents in increasing order
+// (bit k is the k-th faulty agent) — everything about round m+1 that
+// reaches j, since nonfaulty senders always deliver.
+func (p *Pattern) FaultyDropsTo(m int, j AgentID) uint64 {
+	var bits uint64
+	k := uint(0)
+	for i, f := range p.faulty {
+		if !f {
+			continue
+		}
+		if !p.Delivered(m, AgentID(i), j) {
+			bits |= 1 << k
+		}
+		k++
+	}
+	return bits
+}
+
 func boolByte(b bool) byte {
 	if b {
 		return '1'

@@ -174,6 +174,46 @@ func TestPatternString(t *testing.T) {
 	}
 }
 
+// TestPatternPrefixKeyAndLastDrops: the prefix key sees the faulty set and
+// the drops before time m and nothing later; FaultyDropsTo numbers the
+// faulty senders in increasing order and reads one round only.
+func TestPatternPrefixKeyAndLastDrops(t *testing.T) {
+	base := NewPattern(4, 3)
+	base.Drop(0, 1, 2)
+	base.SetFaulty(3)
+	key := func(p *Pattern, m int) string { return string(p.AppendPrefixKey(nil, m)) }
+
+	late := base.Clone()
+	late.Drop(2, 3, 0)
+	late.Drop(2, 1, 0)
+	if key(late, 2) != key(base, 2) {
+		t.Error("a drop sent at time 2 changed the prefix key of times < 2")
+	}
+	if key(late, 3) == key(base, 3) || key(late, 9) != key(late, 3) {
+		t.Error("the whole-pattern prefix key misses a time-2 drop, or m is not clipped to the horizon")
+	}
+	early := base.Clone()
+	early.Drop(1, 1, 0)
+	if key(early, 2) == key(base, 2) || key(early, 1) != key(base, 1) {
+		t.Error("a drop sent at time 1 must change the prefix key of times < 2 and not of times < 1")
+	}
+	quiet := base.Clone()
+	quiet.SetFaulty(0)
+	if key(quiet, 0) == key(base, 0) {
+		t.Error("the prefix key misses a faulty agent that drops nothing")
+	}
+
+	// Faulty agents of late are 1 and 3: bit 0 is agent 1, bit 1 agent 3.
+	for j, want := range []uint64{0b11, 0, 0, 0} {
+		if got := late.FaultyDropsTo(2, AgentID(j)); got != want {
+			t.Errorf("FaultyDropsTo(2, %d) = %b, want %b", j, got, want)
+		}
+	}
+	if got := late.FaultyDropsTo(0, 2); got != 0b01 {
+		t.Errorf("FaultyDropsTo(0, 2) = %b, want 1 (agent 1 alone drops to 2 at time 0)", got)
+	}
+}
+
 func TestSOAdmits(t *testing.T) {
 	p := NewPattern(4, 3)
 	p.Silence(0, 0, 3)

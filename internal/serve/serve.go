@@ -451,6 +451,30 @@ type KnowledgeResponse struct {
 	Horizon int `json:"horizon"`
 }
 
+// knowledgeQueries evaluates each query kind at a validated point; the
+// handler adds the echoed dimensions.
+var knowledgeQueries = map[string]func(sys *episteme.System, i model.AgentID, p episteme.Point, v model.Value) KnowledgeResponse{
+	QueryExists: func(sys *episteme.System, _ model.AgentID, p episteme.Point, v model.Value) KnowledgeResponse {
+		return KnowledgeResponse{Holds: sys.Exists(v, p)}
+	},
+	QueryKnowsExists: func(sys *episteme.System, i model.AgentID, p episteme.Point, v model.Value) KnowledgeResponse {
+		return KnowledgeResponse{Holds: sys.Knows(i, p, func(q episteme.Point) bool { return sys.Exists(v, q) })}
+	},
+	QueryKnowsCK: func(sys *episteme.System, i model.AgentID, p episteme.Point, v model.Value) KnowledgeResponse {
+		return KnowledgeResponse{Holds: sys.KnowsCK(i, p, v)}
+	},
+	QueryNonfaulty: func(sys *episteme.System, i model.AgentID, p episteme.Point, _ model.Value) KnowledgeResponse {
+		return KnowledgeResponse{Holds: sys.Nonfaulty(i, p)}
+	},
+	QueryDecided: func(sys *episteme.System, i model.AgentID, p episteme.Point, v model.Value) KnowledgeResponse {
+		d := sys.DecidedVal(i, p)
+		if !d.IsSet() {
+			return KnowledgeResponse{Decided: -1}
+		}
+		return KnowledgeResponse{Holds: d == v, Decided: int(d)}
+	},
+}
+
 func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 	var req KnowledgeRequest
 	if err := httplimit.DecodeJSON(w, r, &req); err != nil {
@@ -464,6 +488,13 @@ func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Value != 0 && req.Value != 1 {
 		http.Error(w, fmt.Sprintf("value %d is not a consensus value (0 or 1)", req.Value), http.StatusBadRequest)
+		return
+	}
+	// Everything the request alone decides is refused before the System is
+	// resolved: a cold n=5 build costs seconds and a gigabyte.
+	answer, known := knowledgeQueries[req.Query]
+	if !known {
+		http.Error(w, fmt.Sprintf("unknown query %q", req.Query), http.StatusBadRequest)
 		return
 	}
 	sys, err := s.system(r.Context(), stack, s.parallelism(req.Parallelism))
@@ -484,30 +515,8 @@ func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	p := episteme.Point{Run: req.Run, Time: req.Time}
-	i := model.AgentID(req.Agent)
-	v := model.Value(req.Value)
-	resp := KnowledgeResponse{Runs: len(sys.Runs), Horizon: sys.Horizon}
-	switch req.Query {
-	case QueryExists:
-		resp.Holds = sys.Exists(v, p)
-	case QueryKnowsExists:
-		resp.Holds = sys.Knows(i, p, func(q episteme.Point) bool { return sys.Exists(v, q) })
-	case QueryKnowsCK:
-		resp.Holds = sys.KnowsCK(i, p, v)
-	case QueryNonfaulty:
-		resp.Holds = sys.Nonfaulty(i, p)
-	case QueryDecided:
-		d := sys.DecidedVal(i, p)
-		resp.Decided = -1
-		if d.IsSet() {
-			resp.Decided = int(d)
-		}
-		resp.Holds = d.IsSet() && d == v
-	default:
-		http.Error(w, fmt.Sprintf("unknown query %q", req.Query), http.StatusBadRequest)
-		return
-	}
+	resp := answer(sys, model.AgentID(req.Agent), episteme.Point{Run: req.Run, Time: req.Time}, model.Value(req.Value))
+	resp.Runs, resp.Horizon = len(sys.Runs), sys.Horizon
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }

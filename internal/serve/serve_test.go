@@ -257,6 +257,20 @@ func TestKnowledgeQueries(t *testing.T) {
 	}
 }
 
+// TestUnknownQueryBuildsNothing: the query kind is the request's own to
+// get wrong, so a cold server refuses it before resolving the System — no
+// LRU miss, no build, nothing cached.
+func TestUnknownQueryBuildsNothing(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	resp := postJSON(t, ts.URL+"/v1/knowledge", KnowledgeRequest{Stack: "fip", N: 3, T: 1, Query: "nonsense"})
+	if body := string(readAll(t, resp.Body)); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, `unknown query "nonsense"`) {
+		t.Fatalf("status %d, body %q; want 400 naming the query", resp.StatusCode, body)
+	}
+	if misses, builds := s.met.lruMisses.Load(), s.lru.len(); misses != 0 || builds != 0 {
+		t.Fatalf("an unknown query cost %d LRU misses and left %d Systems cached, want none", misses, builds)
+	}
+}
+
 func withQuery(base KnowledgeRequest, q string, agent, run, tm, v int) KnowledgeRequest {
 	base.Query, base.Agent, base.Run, base.Time, base.Value = q, agent, run, tm, v
 	return base

@@ -59,6 +59,29 @@ func NewCacheClient(baseURL string) *CacheClient { return cache.NewClient(baseUR
 // NewTieredCache layers local over remote.
 func NewTieredCache(local, remote CacheStore) *TieredCache { return cache.NewTiered(local, remote) }
 
+// OpenResultCache resolves a cache directory and a shared cache server
+// URL (either may be empty) into one store: the directory alone, the
+// server alone, or the directory tiered over the server. The returned
+// close function closes the local store, if any; the store is nil when
+// both arguments are empty.
+func OpenResultCache(dir, url string) (ResultCache, func() error, error) {
+	noop := func() error { return nil }
+	switch {
+	case dir == "" && url == "":
+		return nil, noop, nil
+	case dir == "":
+		return NewCacheClient(url), noop, nil
+	}
+	local, err := OpenCache(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	if url == "" {
+		return local, local.Close, nil
+	}
+	return NewTieredCache(local, NewCacheClient(url)), local.Close, nil
+}
+
 // NewCacheServer exposes a store over HTTP for NewCacheClient to
 // consume. Mount it on any mux; both directions are digest-verified.
 func NewCacheServer(store CacheStore) *cache.Server { return cache.NewServer(store) }

@@ -92,7 +92,7 @@ func run(args []string) error {
 			return fmt.Errorf("%s cannot apply to -sweep (the sweep draws random adversaries and inits and prints a summary; symmetry quotients are for exhaustive sweeps — see ebashard -quotient)",
 				strings.Join(incompatible, ", "))
 		}
-		store, closeStore, err := openResultCache(*cacheDir, *cacheURL)
+		store, closeStore, err := eba.OpenResultCache(*cacheDir, *cacheURL)
 		if err != nil {
 			return err
 		}
@@ -257,27 +257,6 @@ func runSweep(stack eba.Stack, executor eba.Executor, count, seed int64, drop fl
 		fmt.Println("(expected: the naive stack is the paper's counterexample)")
 	}
 	return nil
-}
-
-// openResultCache resolves the -cache/-cache-url pair into one store:
-// the directory alone, the server alone, or the directory tiered over
-// the server. Returns a nil store when neither flag is set.
-func openResultCache(dir, url string) (eba.ResultCache, func() error, error) {
-	noop := func() error { return nil }
-	switch {
-	case dir == "" && url == "":
-		return nil, noop, nil
-	case dir == "":
-		return eba.NewCacheClient(url), noop, nil
-	}
-	local, err := eba.OpenCache(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if url == "" {
-		return local, local.Close, nil
-	}
-	return eba.NewTieredCache(local, eba.NewCacheClient(url)), local.Close, nil
 }
 
 // makeStack resolves a registered stack name, falling back to the

@@ -95,7 +95,7 @@ func run(args []string) error {
 }
 
 func serve(listen, cacheDir, cacheURL string, parallel, systems, builds, inflight int, quotient bool, drainTimeout time.Duration) error {
-	store, closeStore, err := openResultCache(cacheDir, cacheURL)
+	store, closeStore, err := eba.OpenResultCache(cacheDir, cacheURL)
 	if err != nil {
 		return err
 	}
@@ -175,25 +175,4 @@ func runLoadTest(baseURL string, requests, concurrency int, stack string, n, t i
 	fmt.Fprintf(os.Stderr, "ebaserve: loadtest %d requests, %d errors, %.0f req/s, p50 %.1fms p99 %.1fms, %d retries\n",
 		sum.Requests, sum.Errors, sum.RequestsPerSecond, sum.P50Millis, sum.P99Millis, sum.Retried429)
 	return sum.Err()
-}
-
-// openResultCache resolves the -cache/-cache-url pair into one store:
-// the directory alone, the server alone, or the directory tiered over
-// the server. Returns a nil store when neither flag is set.
-func openResultCache(dir, url string) (eba.ResultCache, func() error, error) {
-	noop := func() error { return nil }
-	switch {
-	case dir == "" && url == "":
-		return nil, noop, nil
-	case dir == "":
-		return eba.NewCacheClient(url), noop, nil
-	}
-	local, err := eba.OpenCache(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if url == "" {
-		return local, local.Close, nil
-	}
-	return eba.NewTieredCache(local, eba.NewCacheClient(url)), local.Close, nil
 }

@@ -143,7 +143,7 @@ func run(args []string) error {
 	if *cacheGC {
 		return runCacheGC(*cacheDir, *cacheMax)
 	}
-	store, closeStore, err := openResultCache(*cacheDir, *cacheURL)
+	store, closeStore, err := eba.OpenResultCache(*cacheDir, *cacheURL)
 	if err != nil {
 		return err
 	}
@@ -161,28 +161,6 @@ func run(args []string) error {
 	default:
 		return runStripe(*stackName, *n, *t, shard, *out, *parallel, *spec, *quotient, store)
 	}
-}
-
-// openResultCache resolves the -cache/-cache-url pair into one store:
-// the directory alone, the server alone, or the directory tiered over
-// the server (local hits win, remote hits back-fill, puts write to
-// both). Returns a nil store when neither flag is set.
-func openResultCache(dir, url string) (eba.ResultCache, func() error, error) {
-	noop := func() error { return nil }
-	switch {
-	case dir == "" && url == "":
-		return nil, noop, nil
-	case dir == "":
-		return eba.NewCacheClient(url), noop, nil
-	}
-	local, err := eba.OpenCache(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if url == "" {
-		return local, local.Close, nil
-	}
-	return eba.NewTieredCache(local, eba.NewCacheClient(url)), local.Close, nil
 }
 
 // runCacheGC compacts the cache directory and reports what survived.

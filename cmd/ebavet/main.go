@@ -1,8 +1,7 @@
 // Command ebavet is the repo's contract checker: a go/analysis
-// multichecker enforcing the arena-ownership, determinism,
-// cancellation-cause, and error-taxonomy contracts (see
-// internal/analysis). It speaks the `go vet -vettool` protocol, which
-// is how CI and developers run it:
+// multichecker enforcing the determinism, cancellation-cause, and
+// error-taxonomy contracts (see internal/analysis). It speaks the
+// `go vet -vettool` protocol, which is how CI and developers run it:
 //
 //	go build -o bin/ebavet ./cmd/ebavet
 //	go vet -vettool=$(pwd)/bin/ebavet ./...

@@ -15,7 +15,6 @@ import (
 
 	"golang.org/x/tools/go/analysis"
 
-	"repro/internal/analysis/arenasafety"
 	"repro/internal/analysis/ctxcause"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/errtaxonomy"
@@ -24,7 +23,6 @@ import (
 // Contracts maps each analyzer name to the one-line contract it
 // enforces, as printed by `ebavet -list`.
 var Contracts = map[string]string{
-	"arenasafety": "acquired arena values are released or handed off; arena-backed values are detached before retention",
 	"determinism": "no map-iteration order or ambient time/rand reaches the digest-to-merge pipeline (//eba:nondeterministic-ok to waive a line)",
 	"ctxcause":    "packages establishing WithCancelCause surface context.Cause, never a bare ctx.Err(), and cancel on all paths",
 	"errtaxonomy": "sentinel errors are wrapped with %w and matched with errors.Is; exit-code mappers keep their errors.Is guards",
@@ -33,7 +31,6 @@ var Contracts = map[string]string{
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		arenasafety.Analyzer,
 		ctxcause.Analyzer,
 		determinism.Analyzer,
 		errtaxonomy.Analyzer,

@@ -187,7 +187,7 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 				defer wg.Done()
 				var buf *engine.Buffers
 				if r.bufferReuse {
-					buf = engine.NewArenaBuffers()
+					buf = engine.NewBuffers()
 				}
 				for batch := range jobs {
 					for i, jb := range batch {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -45,8 +46,8 @@ func runSignature(res *Result) string {
 	return b.String()
 }
 
-// arenaScenarios builds a deterministic mixed scenario list.
-func arenaScenarios(n, tf, count int, seed int64) []Config {
+// mixedScenarios builds a deterministic mixed scenario list.
+func mixedScenarios(n, tf, count int, seed int64) []Config {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Config, count)
 	for k := range out {
@@ -90,11 +91,11 @@ func scribbleState(st model.State) int {
 	return count
 }
 
-// TestArenaTraceIdentityAllStacks checks the non-negotiable invariant of
-// the arena refactor: for every registered stack, the fresh-allocation
-// path, the plain buffered path, and the arena-backed buffered path
-// produce bit-identical traces, run after run over shared buffers.
-func TestArenaTraceIdentityAllStacks(t *testing.T) {
+// TestBufferedTraceIdentityAllStacks checks that, for every registered
+// stack, the fresh-allocation path (plain μ into a new slice) and the
+// buffered path (MessagesInto over reused rows) produce bit-identical
+// traces, run after run over shared buffers.
+func TestBufferedTraceIdentityAllStacks(t *testing.T) {
 	n, tf := 5, 2
 	for _, name := range registry.StackNames() {
 		info, err := registry.Stack(name)
@@ -105,39 +106,31 @@ func TestArenaTraceIdentityAllStacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, arena := NewBuffers(), NewArenaBuffers()
-		for k, cfg := range arenaScenarios(n, tf, 12, 41) {
+		buf := NewBuffers()
+		for k, cfg := range mixedScenarios(n, tf, 12, 41) {
 			cfg.Exchange, cfg.Action = ex, act
 			fresh, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := runSignature(fresh)
-			bres, err := RunBuffered(cfg, plain)
+			bres, err := RunBuffered(cfg, buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := runSignature(bres); got != want {
-				t.Fatalf("%s scenario %d: plain buffered trace diverged", name, k)
-			}
-			ares, err := RunBuffered(cfg, arena)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := runSignature(ares); got != want {
-				t.Fatalf("%s scenario %d: arena-backed trace diverged", name, k)
+			if runSignature(bres) != runSignature(fresh) {
+				t.Fatalf("%s scenario %d: buffered trace diverged", name, k)
 			}
 		}
 	}
 }
 
-// TestArenaResultsOwnTheirMemory is the aliasing property test: after an
-// arena-backed run, every returned Result owns its memory outright. It
+// TestBufferedResultsOwnTheirMemory is the aliasing property test: after
+// a buffered run, every returned Result owns its memory outright. It
 // mutates everything reachable from the returned results, re-runs the
 // same scenarios over the same buffers, and requires (a) the fresh
 // results to be pristine and (b) the mutations to survive — either
 // failing means recycled scratch was shared with a live Result.
-func TestArenaResultsOwnTheirMemory(t *testing.T) {
+func TestBufferedResultsOwnTheirMemory(t *testing.T) {
 	n, tf := 4, 1
 	for _, name := range []string{"fip", "fip+pmin", "fip-nock", "min", "basic"} {
 		info, err := registry.Stack(name)
@@ -148,8 +141,8 @@ func TestArenaResultsOwnTheirMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scenarios := arenaScenarios(n, tf, 16, 97)
-		buf := NewArenaBuffers()
+		scenarios := mixedScenarios(n, tf, 16, 97)
+		buf := NewBuffers()
 
 		reference := make([]string, len(scenarios))
 		results := make([]*Result, len(scenarios))
@@ -164,7 +157,7 @@ func TestArenaResultsOwnTheirMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := runSignature(results[k]); got != reference[k] {
-				t.Fatalf("%s scenario %d: arena run diverged before mutation", name, k)
+				t.Fatalf("%s scenario %d: buffered run diverged before mutation", name, k)
 			}
 		}
 
@@ -205,10 +198,10 @@ func TestArenaResultsOwnTheirMemory(t *testing.T) {
 	}
 }
 
-// TestArenaClonesAreIndependent covers Clone, CloneFor, CloneExtended,
-// and Detach on graphs that came out of an arena-backed run: clones must
-// never share backing memory with their source.
-func TestArenaClonesAreIndependent(t *testing.T) {
+// TestGraphClonesAreIndependent covers Clone, CloneFor and CloneExtended
+// on a graph that came out of a buffered run: clones must never share
+// backing memory with their source.
+func TestGraphClonesAreIndependent(t *testing.T) {
 	n, tf := 4, 1
 	info, err := registry.Stack("fip")
 	if err != nil {
@@ -218,18 +211,14 @@ func TestArenaClonesAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := arenaScenarios(n, tf, 1, 7)[0]
+	cfg := mixedScenarios(n, tf, 1, 7)[0]
 	cfg.Exchange, cfg.Action = ex, act
-	buf := NewArenaBuffers()
-	res, err := RunBuffered(cfg, buf)
+	res, err := RunBuffered(cfg, NewBuffers())
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := res.States[tf+1][0].(*exchange.FIPState).Graph()
 	key := g.Key()
-	if g.Detach() != g {
-		t.Fatal("Detach must return the receiver")
-	}
 
 	clones := []*graph.Graph{g.Clone(), g.CloneFor(1), g.CloneExtended()}
 	cloneKeys := []string{clones[0].Key(), clones[1].Key(), clones[2].Key()}
@@ -261,6 +250,54 @@ func TestArenaClonesAreIndependent(t *testing.T) {
 		}
 		if g.Key() != key {
 			t.Fatalf("scribbling clone %d reached the source", c)
+		}
+	}
+}
+
+// TestBufferedRunAllocCeilings pins the allocation cost of one buffered
+// run on the two reference stacks. Allocation counts are deterministic,
+// so any growth is a real regression on the sweep hot path: what is
+// left per run is the Result's own trace (fresh by the ownership rule)
+// plus, for fip, one graph (four objects) and one state per agent per
+// round. Lower a ceiling when a change earns it; raise one only with
+// the reason.
+func TestBufferedRunAllocCeilings(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's instrumentation allocates on its own")
+			}
+		}
+	}
+	for _, tc := range []struct {
+		stack   string
+		n, tf   int
+		ceiling float64
+	}{
+		{"fip", 4, 1, 97},
+		{"min", 8, 2, 47},
+	} {
+		info, err := registry.Stack(tc.stack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, act, err := registry.Compose(info.Exchange, info.Action, tc.n, tc.tf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{
+			Exchange: ex, Action: act,
+			Pattern: adversary.Example71(tc.n, tc.tf, tc.tf+2),
+			Inits:   adversary.UniformInits(tc.n, model.One),
+		}
+		buf := NewBuffers()
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := RunBuffered(cfg, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.ceiling {
+			t.Errorf("%s n=%d t=%d: %.0f allocs per buffered run, ceiling %.0f", tc.stack, tc.n, tc.tf, got, tc.ceiling)
 		}
 	}
 }

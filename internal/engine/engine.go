@@ -75,57 +75,33 @@ type Result struct {
 }
 
 // Buffers holds the per-round scratch of an execution — the outbox and
-// inbox matrices, the rolling state slices, and (for arena-backed
-// buffers) the exchange's own scratch — so that a caller running many
-// configurations (a batch worker, a benchmark loop) can reuse them
+// inbox matrices and the rolling state slices — so that a caller running
+// many configurations (a batch worker, a benchmark loop) can reuse them
 // across runs instead of reallocating per round. A Buffers value belongs
 // to one goroutine at a time; the zero value is ready to use.
 //
-// Ownership rule (the memory model of the buffered path): everything
-// reachable from a returned *Result is detached — states recorded in the
-// trace are frozen against scratch recycling (model.Detacher) and the
-// trace's own slices are fresh — while everything else (the matrices,
-// the rolling state slices, the exchange scratch and its arena) is
-// recycled on the next RunBuffered with the same Buffers. So the same
-// buffers can be reused run after run while every earlier Result stays
-// live and mutation-safe.
+// Ownership rule: nothing reachable from a returned *Result aliases the
+// buffers — the trace's slices are fresh and the states in it are the
+// exchange's own heap values — so the same buffers can be reused run
+// after run while every earlier Result stays live and mutation-safe.
 type Buffers struct {
 	outbox [][]model.Message
 	inbox  [][]model.Message
 	cur    []model.State
 	next   []model.State
 
-	// pooled selects the arena-backed mode: beginRun acquires (and
-	// recycles) exchange scratch, and exchanges that implement
-	// model.BufferedExchange run their δ against it.
-	pooled bool
 	// bex is non-nil while the buffers are bound to a buffered exchange
-	// (set by beginRun for the duration of a run).
+	// (set by BeginRun for the duration of a run).
 	bex model.BufferedExchange
-	// scratch is the exchange scratch acquired from scratchEx; nil for
-	// scratchless exchanges and in non-pooled mode.
-	scratch   model.Scratch
-	scratchEx model.BufferedExchange
 }
 
-// NewBuffers returns an empty buffer set, sized lazily on first use. The
-// engine's matrices are reused across runs; exchanges run their buffered
-// μ (MessagesInto) but δ stays on the plain allocation path. Use
-// NewArenaBuffers to also recycle the exchanges' own allocations.
+// NewBuffers returns an empty buffer set, sized lazily on first use.
 func NewBuffers() *Buffers { return &Buffers{} }
 
-// NewArenaBuffers returns buffers that additionally own per-exchange
-// scratch: exchanges implementing model.BufferedExchange draw their
-// per-round allocations (Efip's graph clones) from an arena that is
-// recycled on the next RunBuffered. Traces are bit-identical to every
-// other execution path; only the allocation behavior differs.
-func NewArenaBuffers() *Buffers { return &Buffers{pooled: true} }
-
-// ArenaBacked reports whether the buffers own exchange scratch
-// (NewArenaBuffers): executors that cannot share the Buffers value
-// itself (the goroutine-per-agent runtime) use it to decide whether
-// their per-agent scratch should include the exchanges' arenas.
-func (b *Buffers) ArenaBacked() bool { return b.pooled }
+// NewArenaBuffers is NewBuffers under the name benchmark/layers.go still
+// calls: there is one kind of Buffers, and benchmark/ changes only in a
+// benchmark-kind PR, which switches that call and deletes this alias.
+func NewArenaBuffers() *Buffers { return NewBuffers() }
 
 // ensure sizes the buffers for n agents.
 func (b *Buffers) ensure(n int) {
@@ -161,30 +137,11 @@ func (b *Buffers) ensure(n int) {
 	b.next = b.next[:n]
 }
 
-// BeginRun binds the buffers to one run of ex: sizes the matrices,
-// resolves the buffered-exchange interface, and — in arena mode —
-// acquires (or recycles, per the ownership rule) the exchange scratch.
+// BeginRun binds the buffers to one run of ex: sizes the matrices and
+// resolves the buffered-exchange interface.
 func (b *Buffers) BeginRun(ex model.Exchange) {
 	b.ensure(ex.N())
-	bex, ok := ex.(model.BufferedExchange)
-	if !ok {
-		b.bex = nil
-		return
-	}
-	b.bex = bex
-	if !b.pooled {
-		return
-	}
-	if b.scratchEx != bex {
-		if b.scratchEx != nil {
-			b.scratchEx.ReleaseScratch(b.scratch)
-		}
-		b.scratchEx = bex
-		b.scratch = bex.AcquireScratch()
-	}
-	if b.scratch != nil {
-		b.scratch.Reset()
-	}
+	b.bex, _ = ex.(model.BufferedExchange)
 }
 
 // Run executes the configuration and returns the completed run.
@@ -272,13 +229,6 @@ func RunBuffered(cfg Config, buf *Buffers) (*Result, error) {
 		cur, next = next, cur
 		res.States[m+1] = append([]model.State(nil), cur...)
 	}
-	if buf != nil && buf.scratch != nil {
-		// The ownership rule: everything reachable from the Result is
-		// detached before the scratch can be recycled by the next run.
-		for _, row := range res.States {
-			model.DetachAll(row)
-		}
-	}
 	return res, nil
 }
 
@@ -298,12 +248,10 @@ func Step(ex model.Exchange, pat *model.Pattern, m int, states []model.State, ac
 
 // StepInto is Step for executors that manage their own trace and
 // buffers: it writes the time-m+1 states into next, drawing the message
-// matrices and the exchange scratch from buf (bind buf to the exchange
-// with BeginRun once per run; a nil buf allocates per round as Step
-// does). States produced through arena-backed buffers reference
-// recyclable scratch memory: a caller that retains them beyond the
-// run — the model checker's memoizing executor interning transition
-// rows — must freeze them first with model.DetachAll.
+// matrices from buf (bind buf to the exchange with BeginRun once per
+// run; a nil buf allocates per round as Step does). The produced states
+// never alias buf, so a caller may retain them — the model checker's
+// memoizing executor interns transition rows across runs.
 func StepInto(ex model.Exchange, pat *model.Pattern, m int, states []model.State, acts []model.Action,
 	next []model.State, buf *Buffers) (Stats, error) {
 	return stepInto(ex, pat, m, states, acts, next, buf)
@@ -311,11 +259,10 @@ func StepInto(ex model.Exchange, pat *model.Pattern, m int, states []model.State
 
 // stepInto is Step writing the time-m+1 states into next, drawing the
 // outbox and inbox matrices — and, for buffered exchanges, μ's target
-// slices and δ's scratch — from buf when one is provided (buf must have
-// been bound to ex with beginRun). The exchanges are contracted not to
-// retain the inbox slice they receive (they copy what they need into the
-// fresh state), which is what makes inbox reuse across rounds and runs
-// sound.
+// slices — from buf when one is provided (buf must have been bound to
+// ex with BeginRun). The exchanges are contracted not to retain the
+// inbox slice they receive (they copy what they need into the fresh
+// state), which is what makes inbox reuse across rounds and runs sound.
 func stepInto(ex model.Exchange, pat *model.Pattern, m int, states []model.State, acts []model.Action,
 	next []model.State, buf *Buffers) (Stats, error) {
 
@@ -323,10 +270,9 @@ func stepInto(ex model.Exchange, pat *model.Pattern, m int, states []model.State
 	var stats Stats
 	var outbox, inbox [][]model.Message
 	var bex model.BufferedExchange
-	var scratch model.Scratch
 	if buf != nil {
 		outbox, inbox = buf.outbox, buf.inbox
-		bex, scratch = buf.bex, buf.scratch
+		bex = buf.bex
 	} else {
 		outbox = make([][]model.Message, n)
 		inbox = make([][]model.Message, n)
@@ -367,11 +313,7 @@ func stepInto(ex model.Exchange, pat *model.Pattern, m int, states []model.State
 	}
 
 	for i := 0; i < n; i++ {
-		if bex != nil {
-			next[i] = bex.UpdateScratch(model.AgentID(i), states[i], acts[i], inbox[i], scratch)
-		} else {
-			next[i] = ex.Update(model.AgentID(i), states[i], acts[i], inbox[i])
-		}
+		next[i] = ex.Update(model.AgentID(i), states[i], acts[i], inbox[i])
 		if got := next[i].Time(); got != m+1 {
 			return stats, fmt.Errorf("engine: %s.Update produced time %d at time %d",
 				ex.Name(), got, m+1)

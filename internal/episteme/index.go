@@ -136,8 +136,8 @@ func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*Sy
 }
 
 // packClassRuns carves a slot's per-class member lists out of one flat
-// arena: a counting pass sizes each class, every list is a subslice of a
-// single []int slab, and a fill pass appends runs in ascending order —
+// []int slab: a counting pass sizes each class, every list is a subslice
+// of the slab, and a fill pass appends runs in ascending order —
 // the same member order the append-per-class construction produced, at
 // one allocation per slot instead of one per class. Index slots at late
 // times have tens of thousands of near-singleton classes; the slab is

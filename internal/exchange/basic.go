@@ -84,7 +84,6 @@ func (s BasicState) Key() string {
 
 // Basic is the basic information-exchange protocol Ebasic(n).
 type Basic struct {
-	scratchless
 	n       int
 	initial [2]model.State
 }
@@ -140,12 +139,6 @@ func (e *Basic) MessagesInto(_ model.AgentID, s model.State, a model.Action, out
 		out[j] = msg
 	}
 	return out
-}
-
-// UpdateScratch is Update; Ebasic's δ allocates nothing, so there is no
-// scratch to draw from.
-func (e *Basic) UpdateScratch(i model.AgentID, s model.State, a model.Action, received []model.Message, _ model.Scratch) model.State {
-	return e.Update(i, s, a, received)
 }
 
 // Update advances time, records decisions and jd as in Emin, and sets #1

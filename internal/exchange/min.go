@@ -63,7 +63,6 @@ func minKey(tag string, time int, vs ...model.Value) string {
 
 // Min is the minimal information-exchange protocol Emin(n).
 type Min struct {
-	scratchless
 	n       int
 	initial [2]model.State
 }
@@ -111,12 +110,6 @@ func (e *Min) MessagesInto(_ model.AgentID, _ model.State, a model.Action, out [
 		out[j] = msg
 	}
 	return out
-}
-
-// UpdateScratch is Update; Emin's δ allocates nothing, so there is no
-// scratch to draw from.
-func (e *Min) UpdateScratch(i model.AgentID, s model.State, a model.Action, received []model.Message, _ model.Scratch) model.State {
-	return e.Update(i, s, a, received)
 }
 
 // Update advances time, records the decision taken this round, and sets jd

@@ -66,10 +66,6 @@ type Graph struct {
 	// Atomic so concurrent readers of a quiescent graph (the model
 	// checker's worker pool) may race benignly on the first computation.
 	key atomic.Pointer[string]
-	// arena, when non-nil, is the Arena the graph's backing memory was
-	// carved from; Detach clears it (see arena.go). Plain heap graphs
-	// (New, Clone, CloneFor, CloneExtended) carry nil.
-	arena *Arena
 }
 
 // New returns the time-0 communication graph of the given agent: no edges,
@@ -167,9 +163,7 @@ func (g *Graph) Extend() {
 
 // CloneExtended is Clone followed by Extend in one backing allocation:
 // the per-round hot path of the full-information exchange, which clones
-// the owner's graph and opens the next round every Update. The copy is
-// plain-heap regardless of where g lives; CloneExtendedIn (arena.go) is
-// the arena-backed variant the buffered exchange uses.
+// the owner's graph and opens the next round every Update.
 func (g *Graph) CloneExtended() *Graph {
 	sz := g.n * g.n
 	flat := make([]Label, (g.m+1)*sz)
@@ -189,9 +183,7 @@ func (g *Graph) CloneExtended() *Graph {
 	return h
 }
 
-// Clone returns a deep copy (with the same owner). The copy is always
-// plain-heap — never arena-backed — so it is safe to retain no matter
-// where g was allocated.
+// Clone returns a deep copy (with the same owner).
 func (g *Graph) Clone() *Graph {
 	h := &Graph{
 		owner: g.owner,

@@ -17,26 +17,22 @@ import (
 
 // Concurrent is the goroutine-per-agent engine.Executor: Execute is Run.
 // A non-nil Buffers opts the run into scratch reuse: each agent goroutine
-// draws a pooled per-agent scratch set (double-buffered outboxes, plus —
-// when the buffers are arena-backed — the exchange's own scratch, Efip's
-// graph arena), and the router reuses one inbox per agent across rounds,
-// so WithBufferReuse is as real on the concurrent substrate as on the
-// sequential one. Traces are identical either way.
+// draws a pooled per-agent scratch set (double-buffered outboxes) and the
+// router reuses one inbox per agent across rounds, so WithBufferReuse is
+// as real on the concurrent substrate as on the sequential one. Traces
+// are identical either way.
 type Concurrent struct{}
 
 // Name returns "concurrent".
 func (Concurrent) Name() string { return "concurrent" }
 
 // Execute runs the configuration on the concurrent runtime; a non-nil
-// buf enables per-agent scratch reuse, and an arena-backed buf
-// (engine.NewArenaBuffers) additionally engages the exchanges' own
-// scratch, mirroring the sequential engine's plain/arena distinction.
-// The engine.Buffers itself cannot be shared across the n agent
-// goroutines, so it serves as the opt-in signal while the actual
-// scratch comes from a package pool — every agent acquires and releases
-// its own set.
+// buf enables per-agent scratch reuse. The engine.Buffers itself cannot
+// be shared across the n agent goroutines, so it serves as the opt-in
+// signal while the actual scratch comes from a package pool — every
+// agent acquires and releases its own set.
 func (Concurrent) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Result, error) {
-	return run(cfg, buf != nil, buf != nil && buf.ArenaBacked())
+	return run(cfg, buf != nil)
 }
 
 var _ engine.Executor = Concurrent{}
@@ -45,8 +41,7 @@ var _ engine.Executor = Concurrent{}
 // slices used on alternating rounds (the router may still be reading
 // round m's outbox while the agent prepares round m+1's; it is
 // guaranteed done with round m's before round m+2 — the delivery of the
-// round-m+1 inbox happens after the round-m delivery loop completes) and
-// the exchange scratch for the buffered δ.
+// round-m+1 inbox happens after the round-m delivery loop completes).
 type agentScratch struct {
 	outbox [2][]model.Message
 }
@@ -75,12 +70,10 @@ type agentReport struct {
 
 // Run executes the configuration with one goroutine per agent. The result
 // is identical to engine.Run's for the same configuration.
-func Run(cfg engine.Config) (*engine.Result, error) { return run(cfg, false, false) }
+func Run(cfg engine.Config) (*engine.Result, error) { return run(cfg, false) }
 
-// run is Run with optional scratch reuse; pooled additionally engages
-// the exchanges' own scratch (the arenas), matching the sequential
-// engine's NewBuffers/NewArenaBuffers split.
-func run(cfg engine.Config, reuse, pooled bool) (res *engine.Result, err error) {
+// run is Run with optional scratch reuse.
+func run(cfg engine.Config, reuse bool) (res *engine.Result, err error) {
 	ex, act, pat := cfg.Exchange, cfg.Action, cfg.Pattern
 	if ex == nil || act == nil || pat == nil {
 		return nil, fmt.Errorf("runtime: Exchange, Action, and Pattern are all required")
@@ -156,17 +149,9 @@ func run(cfg engine.Config, reuse, pooled bool) (res *engine.Result, err error) 
 				}
 			}()
 			var scratch *agentScratch
-			var exScratch model.Scratch
 			if bex != nil {
 				scratch = agentScratchPool.Get().(*agentScratch)
 				defer agentScratchPool.Put(scratch)
-				if pooled {
-					exScratch = bex.AcquireScratch()
-					if exScratch != nil {
-						exScratch.Reset()
-						defer bex.ReleaseScratch(exScratch)
-					}
-				}
 			}
 			for m := 0; m < horizon; m++ {
 				a := act.Act(id, state)
@@ -187,19 +172,7 @@ func run(cfg engine.Config, reuse, pooled bool) (res *engine.Result, err error) 
 				case <-done:
 					return
 				}
-				if bex != nil {
-					state = bex.UpdateScratch(id, state, a, inbox, exScratch)
-					if exScratch != nil {
-						// The state escapes into the Result's trace
-						// while this goroutine's scratch is recycled on
-						// release: freeze it.
-						if d, ok := state.(model.Detacher); ok {
-							d.DetachState()
-						}
-					}
-				} else {
-					state = ex.Update(id, state, a, inbox)
-				}
+				state = ex.Update(id, state, a, inbox)
 				select {
 				case stateCh <- agentReport{id: id, state: state}:
 				case <-done:

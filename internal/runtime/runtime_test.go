@@ -87,7 +87,7 @@ func TestExecutorInterfaceMatches(t *testing.T) {
 	if executors[0].Name() != "sequential" || executors[1].Name() != "concurrent" {
 		t.Fatalf("executor names: %q, %q", executors[0].Name(), executors[1].Name())
 	}
-	buffers := []*engine.Buffers{engine.NewBuffers(), engine.NewArenaBuffers()}
+	buf := engine.NewBuffers()
 	for _, name := range registry.StackNames() {
 		info, err := registry.Stack(name)
 		if err != nil {
@@ -108,18 +108,16 @@ func TestExecutorInterfaceMatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Plain-buffered and arena-backed runs on both substrates
-			// must reproduce the unbuffered trace exactly. On the
-			// concurrent executor a non-nil Buffers engages the pooled
-			// per-agent scratch (outbox double-buffers, exchange arena).
+			// Buffered runs on both substrates must reproduce the
+			// unbuffered trace exactly. On the concurrent executor a
+			// non-nil Buffers engages the pooled per-agent scratch
+			// (outbox double-buffers).
 			for _, x := range executors {
-				for _, buf := range buffers {
-					got, err := x.Execute(cfg, buf)
-					if err != nil {
-						t.Fatalf("%s on %s: %v", x.Name(), name, err)
-					}
-					assertSameResult(t, want, got)
+				got, err := x.Execute(cfg, buf)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", x.Name(), name, err)
 				}
+				assertSameResult(t, want, got)
 			}
 		}
 	}
@@ -127,14 +125,14 @@ func TestExecutorInterfaceMatches(t *testing.T) {
 
 // TestConcurrentReuseResultsOwnTheirMemory re-runs configurations over
 // the reuse path and checks earlier results survive untouched: the
-// per-agent pooled scratch (and the exchanges' arenas) must never alias
-// memory reachable from a returned Result.
+// per-agent pooled scratch must never alias memory reachable from a
+// returned Result.
 func TestConcurrentReuseResultsOwnTheirMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	n, tf := 4, 1
 	ex := exchange.NewFIP(n)
 	act := action.NewOpt(tf)
-	buf := engine.NewArenaBuffers()
+	buf := engine.NewBuffers()
 	type snap struct {
 		res  *engine.Result
 		keys []string

@@ -6,9 +6,7 @@
 // request-dependent), and knowledge queries must answer within the
 // system's dimensions. 429s are part of the admission contract, not
 // failures — the harness backs off and retries, and reports how often
-// it had to. The Summary joins the CI bench gate through
-// experiments.GateBench's serve kind, so a throughput collapse fails CI
-// the same way an allocation regression does.
+// it had to.
 package loadtest
 
 import (
@@ -51,8 +49,7 @@ type Config struct {
 }
 
 // Summary is the run's outcome: the request mix, every failure, the
-// latency distribution, and the throughput number the bench gate
-// consumes.
+// latency distribution, and the throughput.
 type Summary struct {
 	Requests  int `json:"requests"`
 	Sweeps    int `json:"sweeps"`
@@ -66,7 +63,7 @@ type Summary struct {
 	Retried429 int64 `json:"retried_429"`
 	// Records totals the outcome records of all verified sweep streams.
 	Records int64 `json:"records"`
-	// Seconds is the wall-clock run time; RequestsPerSecond the gated
+	// Seconds is the wall-clock run time; RequestsPerSecond the
 	// throughput; P50Millis/P99Millis the request latency distribution.
 	Seconds           float64 `json:"seconds"`
 	RequestsPerSecond float64 `json:"requests_per_second"`

@@ -14,31 +14,44 @@ import (
 
 // TestRunAgainstInProcessServer drives the full mixed load against an
 // httptest server and expects a clean summary — including when the
-// admission pool is small enough that 429 retries are exercised.
+// admission pool is small enough that 429 retries are exercised. The
+// mix is deterministic, so each load verifies an exact number of sweep
+// records (9650 for the fixed 1000-request min n=3,t=1 mix); a drift
+// means the served stream changed shape.
 func TestRunAgainstInProcessServer(t *testing.T) {
-	s := serve.NewServer(serve.Config{MaxInflight: 4, MaxParallelism: 1})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	for _, tc := range []struct {
+		name        string
+		server      serve.Config
+		load        Config
+		wantRecords int64
+	}{
+		{"small admission pool", serve.Config{MaxInflight: 4, MaxParallelism: 1},
+			Config{Requests: 200, Concurrency: 16}, 1930},
+		{"fixed mix", serve.Config{},
+			Config{Requests: 1000, Concurrency: 32, Stack: "min", N: 3, T: 1}, 9650},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(serve.NewServer(tc.server).Handler())
+			defer ts.Close()
 
-	sum, err := Run(context.Background(), Config{
-		BaseURL:     ts.URL,
-		Requests:    200,
-		Concurrency: 16,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := sum.Err(); err != nil {
-		t.Fatalf("summary: %v (details %v)", err, sum.Details)
-	}
-	if sum.Sweeps+sum.Checks+sum.Knowledge != sum.Requests {
-		t.Fatalf("mix %d+%d+%d != %d", sum.Sweeps, sum.Checks, sum.Knowledge, sum.Requests)
-	}
-	if sum.Records == 0 {
-		t.Fatal("no sweep records verified")
-	}
-	if sum.RequestsPerSecond <= 0 || sum.P99Millis < sum.P50Millis {
-		t.Fatalf("implausible latency summary: %+v", sum)
+			tc.load.BaseURL = ts.URL
+			sum, err := Run(context.Background(), tc.load)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if err := sum.Err(); err != nil {
+				t.Fatalf("summary: %v (details %v)", err, sum.Details)
+			}
+			if sum.Sweeps+sum.Checks+sum.Knowledge != sum.Requests {
+				t.Fatalf("mix %d+%d+%d != %d", sum.Sweeps, sum.Checks, sum.Knowledge, sum.Requests)
+			}
+			if sum.Records != tc.wantRecords {
+				t.Fatalf("%d sweep records verified, want %d", sum.Records, tc.wantRecords)
+			}
+			if sum.RequestsPerSecond <= 0 || sum.P99Millis < sum.P50Millis {
+				t.Fatalf("implausible latency summary: %+v", sum)
+			}
+		})
 	}
 }
 

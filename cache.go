@@ -6,10 +6,12 @@ import (
 	"repro/internal/episteme"
 )
 
-// The persistent result cache: sweeps and model checks keyed by
-// (version digest, scenario digest) so a re-run of an already-swept
-// scenario restores its outcome instead of re-executing it. The cache
-// is content-addressed and verify-on-read — a corrupt, truncated, or
+// The persistent result cache: sweep runs keyed by (version digest,
+// scenario digest), so a re-run of an already-swept scenario restores its
+// outcome instead of re-executing it, and model-checker stripe indexes
+// keyed by (version digest, stripe digest), so a re-build of an
+// already-built stripe reads its index back. The cache is
+// content-addressed and verify-on-read — a corrupt, truncated, or
 // misfiled entry is a miss, never a wrong answer — and the cached paths
 // are bit-identical to the uncached ones at any hit/miss mix: RunShard
 // streams and checker verdicts over a warm cache cmp-equal a cold run's.
@@ -91,8 +93,10 @@ func NewCacheServer(store CacheStore) *cache.Server { return cache.NewServer(sto
 // else the module version, else "unversioned".
 func CacheFingerprint() string { return cache.Fingerprint() }
 
-// WithCheckCache makes BuildSystem/BuildShardIndex answer scenarios
-// from the cache and execute only the misses, bit-identically.
+// WithCheckCache makes BuildShardIndex restore its stripe's index from
+// the cache when the same stripe of the same stack was built before, and
+// store the index it builds otherwise; BuildSystem treats the whole
+// sweep as one stripe. Restored and built indexes are bit-identical.
 func WithCheckCache(c ResultCache, fingerprint string) CheckOption {
 	return episteme.WithCache(c, fingerprint)
 }

@@ -14,11 +14,10 @@
 // With -sweep N the command streams N seeded random scenarios (drop
 // probability from -drop, seed from -seed) through the Runner's
 // source-driven path instead of executing one configuration, and prints
-// the decision-round distribution; -order completion emits outcomes as
-// workers finish them instead of in scenario order:
+// the decision-round distribution:
 //
 //	ebarun -stack fip -n 6 -t 2 -sweep 10000 -drop 0.4
-//	ebarun -stack basic -n 8 -t 3 -sweep 100000 -order completion
+//	ebarun -stack basic -n 8 -t 3 -sweep 100000
 package main
 
 import (
@@ -54,7 +53,6 @@ func run(args []string) error {
 		concurrent = fs.Bool("concurrent", false, "deprecated alias for -executor concurrent")
 		format     = fs.String("format", "summary", "output: summary, trace (message-level), or json")
 		sweepN     = fs.Int64("sweep", 0, "stream this many seeded random scenarios through the Runner instead of one configured run")
-		order      = fs.String("order", "ordered", "sweep emission order: ordered (scenario order) or completion (as workers finish)")
 		quotient   = fs.Bool("quotient", false, "run the canonical representative of the configured scenario's agent-permutation orbit instead of the scenario itself")
 		cacheDir   = fs.String("cache", "", "-sweep: result cache directory — answer already-executed scenarios from it instead of re-running")
 		cacheURL   = fs.String("cache-url", "", "-sweep: shared result cache server URL (see ebacoord -cache); combine with -cache for a local tier over it")
@@ -97,7 +95,7 @@ func run(args []string) error {
 			return err
 		}
 		defer closeStore()
-		return runSweep(stack, executor, *sweepN, *seed, *drop, *order, store)
+		return runSweep(stack, executor, *sweepN, *seed, *drop, store)
 	}
 	if *cacheDir != "" || *cacheURL != "" {
 		return fmt.Errorf("-cache/-cache-url apply to -sweep only (single runs print full traces, which the cache does not store)")
@@ -197,18 +195,8 @@ func run(args []string) error {
 // runSweep streams count seeded random scenarios through the Runner's
 // source-driven path — never materializing them — and prints the
 // distribution of final nonfaulty decision rounds plus any specification
-// violations. With -order completion the outcomes are consumed as workers
-// finish them (the aggregate is order-independent, so the summary is
-// identical either way).
-func runSweep(stack eba.Stack, executor eba.Executor, count, seed int64, drop float64, order string, store eba.ResultCache) error {
-	var streamOpts []eba.StreamOption
-	switch order {
-	case "ordered":
-	case "completion":
-		streamOpts = append(streamOpts, eba.WithCompletionOrder())
-	default:
-		return fmt.Errorf("unknown sweep order %q (have ordered, completion)", order)
-	}
+// violations.
+func runSweep(stack eba.Stack, executor eba.Executor, count, seed int64, drop float64, store eba.ResultCache) error {
 	src := eba.SourceRandomSO(seed, stack.N, stack.T, stack.Horizon(), drop, count)
 	runnerOpts := []eba.RunnerOption{
 		eba.WithExecutor(executor),
@@ -221,12 +209,12 @@ func runSweep(stack eba.Stack, executor eba.Executor, count, seed int64, drop fl
 	}
 	runner := eba.NewRunner(stack, runnerOpts...)
 
-	fmt.Printf("sweep: stack=%s n=%d t=%d horizon=%d executor=%s scenarios=%d drop=%.2f seed=%d order=%s\n\n",
-		stack.Name, stack.N, stack.T, stack.Horizon(), executor.Name(), count, drop, seed, order)
+	fmt.Printf("sweep: stack=%s n=%d t=%d horizon=%d executor=%s scenarios=%d drop=%.2f seed=%d\n\n",
+		stack.Name, stack.N, stack.T, stack.Horizon(), executor.Name(), count, drop, seed)
 	hist := make([]int64, stack.Horizon()+1)
 	var runs, violations int64
 	var firstViolation error
-	for oc := range runner.StreamFrom(context.Background(), src, streamOpts...) {
+	for oc := range runner.StreamFrom(context.Background(), src) {
 		runs++
 		if oc.Err != nil {
 			violations++

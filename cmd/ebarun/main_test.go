@@ -29,12 +29,12 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSweepEndToEnd exercises the streaming sweep mode in both emission
-// orders, including the naive stack's expected violations.
+// TestSweepEndToEnd exercises the streaming sweep mode, including the
+// naive stack's expected violations.
 func TestSweepEndToEnd(t *testing.T) {
 	cases := [][]string{
 		{"-stack", "min", "-n", "4", "-t", "1", "-sweep", "200"},
-		{"-stack", "fip", "-n", "4", "-t", "1", "-sweep", "200", "-order", "completion"},
+		{"-stack", "fip", "-n", "4", "-t", "1", "-sweep", "200"},
 		{"-stack", "naive", "-n", "3", "-t", "1", "-sweep", "200", "-drop", "0.6"},
 		// The executor flag applies to sweeps.
 		{"-stack", "basic", "-n", "3", "-t", "1", "-sweep", "50", "-executor", "concurrent"},
@@ -43,9 +43,6 @@ func TestSweepEndToEnd(t *testing.T) {
 		if err := run(args); err != nil {
 			t.Errorf("run(%v) = %v", args, err)
 		}
-	}
-	if err := run([]string{"-stack", "min", "-n", "3", "-t", "1", "-sweep", "10", "-order", "bogus"}); err == nil {
-		t.Error("unknown sweep order accepted")
 	}
 	// Flags the sweep cannot apply are rejected, not silently dropped.
 	for _, args := range [][]string{

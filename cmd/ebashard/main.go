@@ -37,9 +37,12 @@
 // unquotiented run's.
 //
 // Result cache: -cache DIR answers already-swept scenarios from a
-// persistent content-addressed store instead of re-executing them —
-// streams and indexes stay byte-identical, a warm re-run just skips the
-// execution. -cache-url URL consults a shared cache server instead
+// persistent content-addressed store instead of re-executing them, and
+// in -check mode restores a stripe's whole index when the same stripe of
+// the same stack was built before — streams and indexes stay
+// byte-identical, a warm re-run just skips the work (the stderr summary
+// says executed=/hits= for a sweep, "index built" or "index restored" for
+// a check). -cache-url URL consults a shared cache server instead
 // (ebacoord -cache serves one at <coordinator>/cache); giving both
 // tiers the directory over the server. Keys fold in the binary's VCS
 // revision, so a rebuilt binary never reuses stale entries, and every
@@ -116,7 +119,7 @@ func run(args []string) error {
 		worker     = fs.String("worker", "", "join the fabric coordinator at this URL as a worker")
 		workerID   = fs.String("id", "", "worker identity reported to the coordinator (default hostname-pid)")
 		timeout    = fs.Duration("timeout", 30*time.Second, "worker mode: per-request timeout on every network call")
-		cacheDir   = fs.String("cache", "", "result cache directory: answer already-swept scenarios from it instead of re-executing")
+		cacheDir   = fs.String("cache", "", "result cache directory: answer already-swept scenarios (-check: an already-built stripe index) from it instead of re-executing")
 		cacheURL   = fs.String("cache-url", "", "shared result cache server URL (ebacoord -cache serves one at <coordinator>/cache); combine with -cache for a local tier over it")
 		cacheGC    = fs.Bool("cache-gc", false, "compact the -cache directory (drop dead and damaged entries) and exit")
 		cacheMax   = fs.Int64("cache-max-bytes", 0, "-cache-gc: evict oldest entries until the cache payload fits this budget (0 = keep everything live)")
@@ -333,8 +336,10 @@ func buildIndex(stackName string, n, t int, shard eba.ShardSpec, out string, par
 	if quotient {
 		opts = append(opts, eba.WithCheckQuotient())
 	}
+	var watch *putWatcher
 	if store != nil {
-		opts = append(opts, eba.WithCheckCache(store, eba.CacheFingerprint()))
+		watch = &putWatcher{ResultCache: store}
+		opts = append(opts, eba.WithCheckCache(watch, eba.CacheFingerprint()))
 	}
 	idx, err := eba.BuildShardIndex(context.Background(), stack, shard.Index, shard.Count, opts...)
 	if err != nil {
@@ -351,9 +356,30 @@ func buildIndex(stackName string, n, t int, shard eba.ShardSpec, out string, par
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "ebashard: indexed shard %s of %s n=%d t=%d: %d runs\n",
-		shard.String(), stack.Name, n, t, len(idx.Runs))
+	cacheNote := ""
+	if watch != nil {
+		// The CI cache-restore smoke greps "index restored" off this line.
+		cacheNote = " (index restored)"
+		if watch.stored {
+			cacheNote = " (index built)"
+		}
+	}
+	fmt.Fprintf(os.Stderr, "ebashard: indexed shard %s of %s n=%d t=%d: %d runs%s\n",
+		shard.String(), stack.Name, n, t, len(idx.Runs), cacheNote)
 	return nil
+}
+
+// putWatcher notes whether a checker build stored anything: BuildShardIndex
+// stores its stripe's index exactly when it built the stripe instead of
+// restoring it.
+type putWatcher struct {
+	eba.ResultCache
+	stored bool
+}
+
+func (w *putWatcher) Put(key string, val []byte) error {
+	w.stored = true
+	return w.ResultCache.Put(key, val)
 }
 
 // mergeIndexes re-interns the listed partial indexes into one system and

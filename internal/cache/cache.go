@@ -18,10 +18,10 @@
 // same discipline as the fabric coordinator's spool). Open trusts the
 // index only when it exactly describes the sealed segments on disk;
 // otherwise it rescans them, verifying every record digest and setting
-// torn segments aside as .rejected. Reads are served from a read-only
-// mmap of the sealed segments where the platform provides one and verify
-// the record digest on every Get — a corrupted entry is dropped and
-// reported as a miss (forcing recomputation), never served.
+// torn segments aside as .rejected. Reads of sealed entries go through
+// ReadAt on the open segment and verify the record digest on every Get —
+// a corrupted entry is dropped and reported as a miss (forcing
+// recomputation), never served.
 //
 // Verification is against corruption, not against an adversary with
 // write access to the directory: keys address inputs, so a consistently
@@ -125,8 +125,7 @@ type segFile struct {
 	name string // file name within the cache directory
 	seq  int
 	size int64
-	f    *os.File // nil when the segment is mmapped
-	data []byte   // read-only mapping, nil on platforms without one
+	f    *os.File
 }
 
 // Cache is the on-disk store. Open one per directory; Get and Put are
@@ -320,47 +319,26 @@ func (c *Cache) rescan(segNames []string) error {
 	return nil
 }
 
-// openSeg opens one sealed segment for reading, preferring a read-only
-// mmap; without one the file handle stays open for ReadAt.
+// openSeg opens one sealed segment for reading; the handle stays open
+// for ReadAt.
 func openSeg(dir, name string, size int64) (*segFile, error) {
 	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
 		return nil, err
 	}
-	sf := &segFile{name: name, seq: segSeq(name), size: size}
-	if data, _ := mapFile(f, size); data != nil {
-		sf.data = data
-		f.Close()
-	} else {
-		sf.f = f
-	}
-	return sf, nil
+	return &segFile{name: name, seq: segSeq(name), size: size, f: f}, nil
 }
 
-// image returns the segment's full byte image (the mapping, or a read of
-// the whole file).
-func (s *segFile) image() ([]byte, error) {
-	if s.data != nil {
-		return s.data, nil
-	}
-	buf := make([]byte, s.size)
-	if _, err := s.f.ReadAt(buf, 0); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
+// scan reads the whole segment and parses its records.
 func (s *segFile) scan() ([]segRecord, error) {
-	img, err := s.image()
-	if err != nil {
+	img := make([]byte, s.size)
+	if _, err := s.f.ReadAt(img, 0); err != nil {
 		return nil, err
 	}
 	return scanSegment(img)
 }
 
 func (s *segFile) close() {
-	unmapFile(s.data)
-	s.data = nil
 	if s.f != nil {
 		s.f.Close()
 		s.f = nil
@@ -418,14 +396,8 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 
 // readLocked reads and digest-verifies one sealed entry (read lock held).
 func (c *Cache) readLocked(loc entryLoc, key string) ([]byte, error) {
-	seg := c.segs[loc.seg]
 	val := make([]byte, loc.vlen)
-	if seg.data != nil {
-		if loc.off+int64(loc.vlen) > int64(len(seg.data)) {
-			return nil, errors.New("cache: entry outside its segment")
-		}
-		copy(val, seg.data[loc.off:])
-	} else if _, err := seg.f.ReadAt(val, loc.off); err != nil {
+	if _, err := c.segs[loc.seg].f.ReadAt(val, loc.off); err != nil {
 		return nil, err
 	}
 	if recordSum(key, val) != loc.sum {

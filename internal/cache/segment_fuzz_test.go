@@ -15,7 +15,7 @@ func FuzzCacheSegment(f *testing.F) {
 	var good []byte
 	good = append(good, segMagic...)
 	good = appendRecord(good, "aa/run/bb", []byte("payload"), recordSum("aa/run/bb", []byte("payload")))
-	good = appendRecord(good, "aa/sys/cc", []byte(""), recordSum("aa/sys/cc", []byte("")))
+	good = appendRecord(good, "aa/idx/cc", []byte(""), recordSum("aa/idx/cc", []byte("")))
 	f.Add(good)
 	f.Add(good[:len(good)-3])             // truncated tail
 	f.Add([]byte(segMagic))               // sealed but empty

@@ -27,9 +27,10 @@ const DigestHeader = "X-Eba-Digest"
 const entryPrefix = "/v1/entry/"
 
 // Key assembles the canonical cache key of a payload: the stack version
-// digest, the payload kind ("run" for sweep outcomes, "sys" for interned
-// checker rows), and the scenario digest, slash-joined. The components
-// are validated by the HTTP layer, so a key built here routes cleanly.
+// digest, the payload kind ("run" for sweep outcomes, "idx" for the
+// checker's stripe indexes), and the scenario (for "idx", stripe) digest,
+// slash-joined. The components are validated by the HTTP layer, so a key
+// built here routes cleanly.
 func Key(versionDigest, kind, scenarioDigest string) string {
 	return versionDigest + "/" + kind + "/" + scenarioDigest
 }

@@ -4,9 +4,9 @@
 // Keys are "<version>/<kind>/<scenario>": the version digest pins the
 // stack's semantic identity (exchange and action protocol by registered
 // name, n, t, horizon) together with a build fingerprint, the kind
-// separates sweep outcomes ("run") from the episteme checker's interned
-// rows ("sys") and whole stripe indexes ("idx"), and the scenario
-// digest pins the (pattern, inits) input.
+// separates sweep outcomes ("run") from the episteme checker's whole
+// stripe indexes ("idx"), and the scenario digest pins the (pattern,
+// inits) input (for "idx", the stripe and enumeration parameters).
 // Any change to protocol code, configuration, or input lands on a
 // different key and misses — the differential tests pin this. Payloads
 // are digest-verified by the store (internal/cache); on top of that the
@@ -23,6 +23,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -45,17 +46,12 @@ const cacheSchema = "eba-cache-v1"
 
 // Cache payload kinds.
 const (
-	// CacheKindRun marks a sweep outcome (CachedRun without state keys).
+	// CacheKindRun marks a sweep outcome (a CachedRun).
 	CacheKindRun = "run"
-	// CacheKindSys marks an episteme row (CachedRun with the interned
-	// state key of every (time, agent) slot).
-	CacheKindSys = "sys"
 	// CacheKindIndex marks a whole serialized episteme shard index: the
 	// digest slot fingerprints the stripe parameters instead of a
 	// scenario, and the payload is the WriteShardIndex serialization. A
-	// hit skips the stripe's enumeration entirely — per-scenario "sys"
-	// entries cannot, because probing them still walks (and for
-	// quotiented sweeps, canonicalizes) every scenario.
+	// hit skips the stripe's enumeration entirely.
 	CacheKindIndex = "idx"
 )
 
@@ -73,20 +69,10 @@ func (s Stack) VersionDigest(fingerprint string) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// ScenarioDigest fingerprints one (pattern, inits) input. Quotient
+// scenarioDigest fingerprints one (pattern text, inits) input. Quotient
 // weights are deliberately excluded: the run's outcome does not depend
 // on how many sweep scenarios the representative stands for, so
 // quotiented and plain sweeps share entries.
-func ScenarioDigest(pat *model.Pattern, inits []model.Value) (string, error) {
-	text, err := pat.MarshalText()
-	if err != nil {
-		return "", fmt.Errorf("core: encoding pattern for cache key: %w", err)
-	}
-	return scenarioDigest(text, inits), nil
-}
-
-// scenarioDigest is ScenarioDigest over the pattern's text, for a caller
-// that needs the text as well.
 func scenarioDigest(text []byte, inits []model.Value) string {
 	pre := make([]byte, 0, len(text)+1+2*len(inits))
 	pre = append(pre, text...)
@@ -108,10 +94,8 @@ func CacheKey(versionDigest, kind, scenarioDigest string) string {
 
 // CachedRun is the cache payload of one completed run: the scenario
 // restated (so a misfiled entry is detected on read), the observable
-// outcome, and the per-round actions spec checking needs. For episteme
-// entries StateKeys[m*n+i] additionally carries agent i's canonical
-// state key at time m — the interning input — while sweep entries omit
-// it. Full traces are never cached.
+// outcome, and the per-round actions spec checking needs. States are
+// never cached.
 type CachedRun struct {
 	Pattern   string       `json:"pattern"`
 	Inits     []int        `json:"inits"`
@@ -119,15 +103,17 @@ type CachedRun struct {
 	Rounds    []int        `json:"rounds"`
 	Actions   [][]int      `json:"actions"`
 	Stats     OutcomeStats `json:"stats"`
-	StateKeys []string     `json:"stateKeys,omitempty"`
 }
 
-// NewCachedRun encodes a completed run. withStates selects the episteme
-// form: the canonical key of every state in the trace, slot-major
-// (slot = m*n + i).
+// NewCachedRun encodes a completed run. The second argument must be
+// false — a CachedRun carries no state keys — and exists only because
+// benchmark/, frozen outside benchmark-kind PRs, passes it (ROADMAP).
 func NewCachedRun(res *engine.Result, withStates bool) (*CachedRun, error) {
+	if withStates {
+		return nil, errors.New("core: a CachedRun carries no state keys")
+	}
 	cr := new(CachedRun)
-	if err := cr.Encode(res, withStates); err != nil {
+	if err := cr.Encode(res); err != nil {
 		return nil, err
 	}
 	return cr, nil
@@ -135,16 +121,17 @@ func NewCachedRun(res *engine.Result, withStates bool) (*CachedRun, error) {
 
 // Encode is NewCachedRun in place, for callers that fill a slice of
 // ledgers (a shard index's runs) without a heap object per run.
-func (cr *CachedRun) Encode(res *engine.Result, withStates bool) error {
+func (cr *CachedRun) Encode(res *engine.Result) error {
 	text, err := res.Pattern.MarshalText()
 	if err != nil {
 		return fmt.Errorf("core: encoding pattern for cache payload: %w", err)
 	}
-	return cr.encode(res, string(text), withStates)
+	cr.encode(res, string(text))
+	return nil
 }
 
 // encode is Encode given the pattern's text.
-func (cr *CachedRun) encode(res *engine.Result, patternText string, withStates bool) error {
+func (cr *CachedRun) encode(res *engine.Result, patternText string) {
 	*cr = CachedRun{
 		Pattern:   patternText,
 		Inits:     make([]int, res.N),
@@ -170,25 +157,13 @@ func (cr *CachedRun) encode(res *engine.Result, patternText string, withStates b
 		}
 		cr.Actions[m] = row
 	}
-	if withStates {
-		cr.StateKeys = make([]string, (res.Horizon+1)*res.N)
-		if len(res.States) != res.Horizon+1 {
-			return fmt.Errorf("core: caching a trace-free result as an episteme entry")
-		}
-		for m := 0; m <= res.Horizon; m++ {
-			for i := 0; i < res.N; i++ {
-				cr.StateKeys[m*res.N+i] = res.States[m][i].Key()
-			}
-		}
-	}
-	return nil
 }
 
 // Matches reports whether the payload answers the given scenario with a
 // well-formed outcome: the restated scenario must equal the asked one
 // and the ledgers must be WellFormed. Anything else is treated as a miss.
-func (cr *CachedRun) Matches(patternText string, inits []model.Value, n, horizon int, withStates bool) bool {
-	if cr.Pattern != patternText || !cr.WellFormed(n, horizon, withStates) {
+func (cr *CachedRun) Matches(patternText string, inits []model.Value, n, horizon int) bool {
+	if cr.Pattern != patternText || !cr.WellFormed(n, horizon) {
 		return false
 	}
 	for i, v := range inits {
@@ -200,12 +175,11 @@ func (cr *CachedRun) Matches(patternText string, inits []model.Value, n, horizon
 }
 
 // WellFormed reports whether every ledger has the shape of an n-agent run
-// of the given horizon with in-range values (withStates additionally
-// demands a full slot-major state-key table) — what Restore and the
+// of the given horizon with in-range values — what Restore and the
 // int8-narrowing conversions behind it take on trust. Readers of payloads
 // that crossed a process boundary (cache entries, shard indexes) check it
 // first.
-func (cr *CachedRun) WellFormed(n, horizon int, withStates bool) bool {
+func (cr *CachedRun) WellFormed(n, horizon int) bool {
 	if len(cr.Inits) != n || len(cr.Decisions) != n || len(cr.Rounds) != n || len(cr.Actions) != horizon {
 		return false
 	}
@@ -230,7 +204,7 @@ func (cr *CachedRun) WellFormed(n, horizon int, withStates bool) bool {
 			}
 		}
 	}
-	return !withStates || len(cr.StateKeys) == (horizon+1)*n
+	return true
 }
 
 // Restore synthesizes the engine.Result a fresh execution of cfg would
@@ -319,7 +293,7 @@ func (x *CachingExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engi
 	if payload, ok := x.cache.Get(key); ok {
 		var cr CachedRun
 		if json.Unmarshal(payload, &cr) == nil &&
-			cr.Matches(patternText, cfg.Inits, cfg.Pattern.N(), cfg.Horizon, false) {
+			cr.Matches(patternText, cfg.Inits, cfg.Pattern.N(), cfg.Horizon) {
 			x.hits.Add(1)
 			return cr.Restore(cfg), nil
 		}
@@ -332,10 +306,9 @@ func (x *CachingExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engi
 	}
 	x.misses.Add(1)
 	var cr CachedRun
-	if cr.encode(res, patternText, false) == nil {
-		if payload, jerr := json.Marshal(&cr); jerr == nil {
-			x.cache.Put(key, payload)
-		}
+	cr.encode(res, patternText)
+	if payload, jerr := json.Marshal(&cr); jerr == nil {
+		x.cache.Put(key, payload)
 	}
 	return res, nil
 }

@@ -47,10 +47,11 @@ func uniqueScenarios(t *testing.T, seed int64, n, tf, count int) []Scenario {
 	var out []Scenario
 	for draw := 0; len(out) < count && draw < 64; draw++ {
 		for _, sc := range randomScenarios(seed+int64(draw)*1000, n, tf, count) {
-			digest, err := ScenarioDigest(sc.Pattern, sc.Inits)
+			text, err := sc.Pattern.MarshalText()
 			if err != nil {
 				t.Fatal(err)
 			}
+			digest := scenarioDigest(text, sc.Inits)
 			if !seen[digest] {
 				seen[digest] = true
 				out = append(out, sc)
@@ -237,13 +238,17 @@ func TestCacheSpecCheckJudgesHits(t *testing.T) {
 }
 
 // TestCachedRunRoundTrip pins payload encode/restore fidelity against a
-// real execution, including the actions ledger.
+// real execution, including the actions ledger, and that the state-key
+// form of the payload is refused.
 func TestCachedRunRoundTrip(t *testing.T) {
 	st := MustStack("fip", WithN(4), WithT(1))
 	sc := randomScenarios(2, 4, 1, 1)[0]
 	res, err := NewRunner(st).Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cr, err := NewCachedRun(res, true); err == nil {
+		t.Fatalf("NewCachedRun(res, true) = %+v, want an error", cr)
 	}
 	cr, err := NewCachedRun(res, false)
 	if err != nil {
@@ -288,11 +293,7 @@ func TestScenarioDigestUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ScenarioDigest(sc.Pattern, sc.Inits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := oldScenarioDigest(text, sc.Inits); got != want {
+		if got, want := scenarioDigest(text, sc.Inits), oldScenarioDigest(text, sc.Inits); got != want {
 			t.Fatalf("scenario %d: digest %s, the old rendering gives %s", k, got, want)
 		}
 	}

@@ -158,7 +158,7 @@ func oldWriteOutcomeStream(w io.Writer, hdr ShardHeader, recs []OutcomeRecord) (
 	return &ShardSummary{Header: hdr, Records: foot.Records, Digest: foot.Digest}, nil
 }
 
-// oldScenarioDigest is ScenarioDigest as it was: every init rendered by
+// oldScenarioDigest is scenarioDigest as it was: every init rendered by
 // fmt into the hash.
 func oldScenarioDigest(text []byte, inits []model.Value) string {
 	h := sha256.New()

@@ -36,8 +36,7 @@ type Source interface {
 // StreamFrom checks Err when the source ends: a non-nil error cancels the
 // stream's work with that error as the context cause (the fail-fast
 // semantics RunBatch and RunSource already have) and the stream's final
-// outcome carries it — Index -1, Err set — so consumers learn the cause
-// even in completion-order mode.
+// outcome carries it — Index -1, Err set.
 type ErrorSource interface {
 	Source
 	Err() error
@@ -67,50 +66,24 @@ func (s *sliceSource) Next() (Scenario, bool) {
 
 func (s *sliceSource) Count() (int64, bool) { return int64(len(s.scenarios)), true }
 
-// StreamOption configures StreamFrom.
-type StreamOption func(*streamConfig)
-
-type streamConfig struct {
-	window          int
-	completionOrder bool
-}
-
-// WithWindow bounds the reordering window of an ordered stream: at most k
-// scenarios are in flight — dispatched to a worker but not yet emitted —
-// at any moment, so the re-sequencing buffer holds at most k outcomes no
-// matter how long the head scenario runs. k <= 0 selects the default
-// window of defaultWindowPerWorker per worker. A window smaller than the
-// worker count leaves workers idle; one under chunksPerWorker per worker
-// hands scenarios over one at a time. Completion-order streams ignore
-// the window (they buffer nothing).
-func WithWindow(k int) StreamOption {
-	return func(c *streamConfig) { c.window = k }
-}
-
 const (
-	// defaultWindowPerWorker sizes the default reordering window. The
-	// window pays for itself by amortising hand-offs (see chunksPerWorker),
-	// and costs memory: docs/architecture.md, "Stream cost model", records
-	// the sweep of 2, 8, 32 and 128 per worker that chose it.
-	defaultWindowPerWorker = 32
+	// windowPerWorker sizes the reordering window of a stream: at most
+	// windowPerWorker scenarios per worker are in flight — dispatched but
+	// not yet emitted — at any moment, so the re-sequencing buffer stays
+	// that small no matter how long the head scenario runs. The window
+	// pays for itself by amortising hand-offs (see chunksPerWorker), and
+	// costs memory: docs/architecture.md, "Stream cost model", records the
+	// sweep of 2, 8, 32 and 128 per worker that chose it.
+	windowPerWorker = 32
 	// chunksPerWorker is how many hand-offs a window's worth of scenarios
 	// is cut into per worker: scenarios reach a worker, and outcomes come
-	// back, window/(chunksPerWorker·workers) at a time, so a channel
-	// rendezvous and its goroutine wake-up are paid once per chunk. Four
-	// chunks per worker keep every worker fed while the head chunk waits
-	// to be emitted.
+	// back, a chunk at a time, so a channel rendezvous and its goroutine
+	// wake-up are paid once per chunk. Four chunks per worker keep every
+	// worker fed while the head chunk waits to be emitted.
 	chunksPerWorker = 4
+	// chunk is the number of consecutive scenarios in one hand-off.
+	chunk = windowPerWorker / chunksPerWorker
 )
-
-// WithCompletionOrder makes StreamFrom emit outcomes as workers finish
-// them instead of re-sequencing into scenario order. Every outcome is
-// emitted exactly once and carries its scenario Index for correlation;
-// nothing is buffered, so a slow scenario delays only itself. Use it for
-// latency-sensitive consumers that aggregate rather than correspond
-// run-by-run.
-func WithCompletionOrder() StreamOption {
-	return func(c *streamConfig) { c.completionOrder = true }
-}
 
 // Stream executes the scenarios over the worker pool and emits outcomes
 // on the returned channel in scenario order. The channel closes when
@@ -123,21 +96,16 @@ func (r *Runner) Stream(ctx context.Context, scenarios []Scenario) <-chan RunOut
 }
 
 // StreamFrom pulls scenarios lazily from the source, executes them over
-// the worker pool, and emits outcomes on the returned channel — by
-// default in scenario order through a bounded reordering window (see
-// WithWindow), or in completion order with WithCompletionOrder. Ordered
-// streams are bit-identical to the eager Stream/RunBatch paths over the
-// same scenarios; memory stays bounded by the window regardless of the
+// the worker pool, and emits outcomes on the returned channel in scenario
+// order through a bounded reordering window (windowPerWorker). The stream
+// is bit-identical to the eager Stream/RunBatch paths over the same
+// scenarios; memory stays bounded by the window regardless of the
 // source's size, so exhaustive sweeps can run without materializing.
 // The channel closes when the source is exhausted and every outcome has
 // been emitted, or when the context is cancelled; the consumer must drain
 // the channel or cancel the context to release the workers. A
 // per-scenario error does not stop the stream.
-func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOption) <-chan RunOutcome {
-	cfg := streamConfig{}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+func (r *Runner) StreamFrom(ctx context.Context, src Source) <-chan RunOutcome {
 	workers := r.parallelism
 	if c, ok := src.Count(); ok && int64(workers) > c {
 		workers = int(c)
@@ -145,23 +113,10 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 	if workers < 1 {
 		workers = 1
 	}
-	window := cfg.window
-	if window <= 0 {
-		window = defaultWindowPerWorker * workers
-	}
-	// Scenarios move in chunks of consecutive indexes; a completion-order
-	// stream, which may hold nothing back, moves them singly.
-	chunk := 1
-	if !cfg.completionOrder {
-		chunk = max(1, window/(chunksPerWorker*workers))
-	}
-	// permits bounds the chunks in flight of an ordered stream: the
-	// dispatcher acquires one before pulling a chunk from the source, the
-	// re-sequencer releases it after emitting the chunk.
-	var permits chan struct{}
-	if !cfg.completionOrder {
-		permits = make(chan struct{}, window/chunk)
-	}
+	// permits bounds the chunks in flight: the dispatcher acquires one
+	// before pulling a chunk from the source, the re-sequencer releases it
+	// after emitting the chunk.
+	permits := make(chan struct{}, chunksPerWorker*workers)
 	out := make(chan RunOutcome)
 	go func() {
 		defer close(out)
@@ -204,12 +159,10 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 		go func() {
 			defer close(jobs)
 			for idx := 0; ; {
-				if permits != nil {
-					select {
-					case permits <- struct{}{}:
-					case <-sctx.Done():
-						return
-					}
+				select {
+				case permits <- struct{}{}:
+				case <-sctx.Done():
+					return
 				}
 				batch := make([]RunOutcome, 0, chunk)
 				for len(batch) < chunk {
@@ -245,39 +198,6 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 			close(results)
 		}()
 
-		// emitCause surfaces a stream-internal failure (a failed source) as
-		// the stream's final outcome: Index -1, Err the cancellation cause.
-		// External cancellation is the caller's own context; they hold its
-		// cause already, so nothing is appended for it.
-		emitCause := func() {
-			if cause := context.Cause(sctx); cause != nil && ctx.Err() == nil {
-				select {
-				case out <- RunOutcome{Index: -1, Err: cause}:
-				case <-ctx.Done():
-				}
-			}
-		}
-
-		emit := func(outs []RunOutcome) bool {
-			for _, o := range outs {
-				select {
-				case out <- o:
-				case <-ctx.Done():
-					return false
-				}
-			}
-			return true
-		}
-		if cfg.completionOrder {
-			for outs := range results {
-				if !emit(outs) {
-					return
-				}
-			}
-			emitCause()
-			return
-		}
-
 		// Re-sequence: workers finish out of order, the stream emits in
 		// scenario order. The permit bound keeps pending within the window.
 		pending := make(map[int][]RunOutcome)
@@ -290,14 +210,27 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source, opts ...StreamOptio
 					break
 				}
 				delete(pending, next)
-				if !emit(head) {
-					return
+				for _, o := range head {
+					select {
+					case out <- o:
+					case <-ctx.Done():
+						return
+					}
 				}
 				next += len(head)
 				<-permits
 			}
 		}
-		emitCause()
+		// A stream-internal failure (a failed source) surfaces as the
+		// stream's final outcome: Index -1, Err the cancellation cause.
+		// External cancellation is the caller's own context; they hold its
+		// cause already, so nothing is appended for it.
+		if cause := context.Cause(sctx); cause != nil && ctx.Err() == nil {
+			select {
+			case out <- RunOutcome{Index: -1, Err: cause}:
+			case <-ctx.Done():
+			}
+		}
 	}()
 	return out
 }

@@ -104,11 +104,10 @@ func TestStreamFromMatchesStream(t *testing.T) {
 	}
 }
 
-// TestStreamFromChunkedHandoffMatchesRunBatch pins the ordered stream
-// across the hand-off's shapes — one scenario at a time (small windows),
-// chunks (the default window), more workers than a chunk boundary divides
-// evenly — against the sequential batch: same outcomes, same order, and
-// a sweep length that leaves a short last chunk.
+// TestStreamFromChunkedHandoffMatchesRunBatch pins the stream across
+// worker counts — one, two, more than a chunk boundary divides evenly —
+// against the sequential batch: same outcomes, same order, and a sweep
+// length that leaves a short last chunk.
 func TestStreamFromChunkedHandoffMatchesRunBatch(t *testing.T) {
 	st := MustStack("fip", WithN(4), WithT(1))
 	scenarios := randomScenarios(29, 4, 1, 301)
@@ -117,26 +116,24 @@ func TestStreamFromChunkedHandoffMatchesRunBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, parallelism := range []int{1, 2, 7} {
-		for _, window := range []int{1, 3, 0} {
-			label := fmt.Sprintf("parallelism %d window %d", parallelism, window)
-			runner := NewRunner(st, WithParallelism(parallelism), WithBufferReuse())
-			k := 0
-			for oc := range runner.StreamFrom(context.Background(), &countingSource{scenarios: scenarios}, WithWindow(window)) {
-				if oc.Err != nil {
-					t.Fatalf("%s: outcome %d: %v", label, oc.Index, oc.Err)
-				}
-				if oc.Index != k {
-					t.Fatalf("%s: emitted index %d, want %d", label, oc.Index, k)
-				}
-				if oc.Scenario.Pattern != scenarios[k].Pattern {
-					t.Fatalf("%s: outcome %d carries another scenario", label, k)
-				}
-				assertSameRun(t, fmt.Sprintf("%s outcome %d", label, k), want[k], oc.Result)
-				k++
+		label := fmt.Sprintf("parallelism %d", parallelism)
+		runner := NewRunner(st, WithParallelism(parallelism), WithBufferReuse())
+		k := 0
+		for oc := range runner.StreamFrom(context.Background(), &countingSource{scenarios: scenarios}) {
+			if oc.Err != nil {
+				t.Fatalf("%s: outcome %d: %v", label, oc.Index, oc.Err)
 			}
-			if k != len(scenarios) {
-				t.Fatalf("%s: emitted %d outcomes, want %d", label, k, len(scenarios))
+			if oc.Index != k {
+				t.Fatalf("%s: emitted index %d, want %d", label, oc.Index, k)
 			}
+			if oc.Scenario.Pattern != scenarios[k].Pattern {
+				t.Fatalf("%s: outcome %d carries another scenario", label, k)
+			}
+			assertSameRun(t, fmt.Sprintf("%s outcome %d", label, k), want[k], oc.Result)
+			k++
+		}
+		if k != len(scenarios) {
+			t.Fatalf("%s: emitted %d outcomes, want %d", label, k, len(scenarios))
 		}
 	}
 }
@@ -164,18 +161,20 @@ func TestRunSourceMatchesRunBatch(t *testing.T) {
 
 // TestStreamFromBoundedWindow holds the head scenario hostage and checks
 // the dispatcher stops pulling from the source once the reordering window
-// is full — the memory bound that lets unbounded sweeps stream.
+// is full — the memory bound that lets unbounded sweeps stream. The window
+// is written out (32 scenarios per worker, two workers): the test pins
+// windowPerWorker's value, not its name.
 func TestStreamFromBoundedWindow(t *testing.T) {
-	const n, window, count = 4, 4, 64
+	const n, workers, window, count = 4, 2, 64, 256
 	st := MustStack("min", WithN(n), WithT(1))
 	scenarios := streamScenarios(n, st.Horizon(), count)
 	gate := &gateExecutor{inner: engine.Sequential{}, target: scenarios[0].Pattern, release: make(chan struct{})}
 	src := &countingSource{scenarios: scenarios}
-	runner := NewRunner(st, WithExecutor(gate), WithParallelism(2))
+	runner := NewRunner(st, WithExecutor(gate), WithParallelism(workers))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	out := runner.StreamFrom(ctx, src, WithWindow(window))
+	out := runner.StreamFrom(ctx, src)
 
 	// With scenario 0 blocked nothing can be emitted, so the dispatcher
 	// must stall after pulling at most `window` scenarios. Give the
@@ -207,45 +206,6 @@ func TestStreamFromBoundedWindow(t *testing.T) {
 	}
 	if seen != count {
 		t.Fatalf("stream emitted %d outcomes, want %d", seen, count)
-	}
-}
-
-// TestStreamFromCompletionOrder blocks the head scenario and checks the
-// completion-order stream still delivers every other outcome first, each
-// exactly once — no head-of-line blocking, no reordering buffer.
-func TestStreamFromCompletionOrder(t *testing.T) {
-	const n, count = 4, 16
-	st := MustStack("min", WithN(n), WithT(1))
-	scenarios := streamScenarios(n, st.Horizon(), count)
-	gate := &gateExecutor{inner: engine.Sequential{}, target: scenarios[0].Pattern, release: make(chan struct{})}
-	src := &countingSource{scenarios: scenarios}
-	runner := NewRunner(st, WithExecutor(gate), WithParallelism(2))
-
-	out := runner.StreamFrom(context.Background(), src, WithCompletionOrder())
-	seen := make(map[int]int)
-	emitted := 0
-	for oc := range out {
-		if oc.Err != nil {
-			t.Fatalf("outcome %d: %v", oc.Index, oc.Err)
-		}
-		seen[oc.Index]++
-		emitted++
-		// Index 0 is gated: it must not appear until everything else has
-		// been emitted and the gate opens.
-		if emitted == count-1 {
-			if seen[0] != 0 {
-				t.Fatal("gated scenario emitted before the gate opened")
-			}
-			close(gate.release)
-		}
-	}
-	if emitted != count {
-		t.Fatalf("stream emitted %d outcomes, want %d", emitted, count)
-	}
-	for k := 0; k < count; k++ {
-		if seen[k] != 1 {
-			t.Fatalf("outcome %d emitted %d times, want exactly once", k, seen[k])
-		}
 	}
 }
 
@@ -380,7 +340,7 @@ func TestRunSourceFailsFast(t *testing.T) {
 	// The ordered stream may have dispatched up to a reordering window of
 	// scenarios beyond the failure before the error was emitted; anything
 	// close to the full sweep means cancellation did not propagate.
-	window := defaultWindowPerWorker * workers
+	window := windowPerWorker * workers
 	bound := failAt + 2*window + workers + 1
 	if got := exec.calls.Load(); int(got) > bound {
 		t.Errorf("executor ran %d scenarios after a failure at %d (bound %d): fail-slow", got, failAt, bound)
@@ -394,9 +354,9 @@ func TestRunSourceFailsFast(t *testing.T) {
 // with the first error as the context cause.
 func TestRunBatchCancelsWithCause(t *testing.T) {
 	const workers, failAt = 4, 3
-	// Several default windows' worth, so a batch that stops within one
+	// Several windows' worth, so a batch that stops within one
 	// is told apart from one that drains.
-	const total = 8 * defaultWindowPerWorker * workers
+	const total = 8 * windowPerWorker * workers
 	st := MustStack("min", WithN(12), WithT(0))
 	boom := errors.New("boom")
 	exec := &failingExecutor{inner: engine.Sequential{}, failAt: failAt, err: boom}
@@ -438,42 +398,12 @@ func (s *brokenSource) Err() error {
 	return nil
 }
 
-// TestStreamFromCompletionOrderSourceFailureCause is the PR 5 regression
-// test: a source that fails mid-stream (a failed shard reader) must
-// surface its error as the stream's cancellation cause — on the final
-// outcome and on any outcome cancelled in flight — never as a bare
-// context.Canceled, matching the PR 2/3 fail-fast semantics.
-func TestStreamFromCompletionOrderSourceFailureCause(t *testing.T) {
-	const n = 4
-	st := MustStack("min", WithN(n), WithT(1))
-	readErr := errors.New("shard reader: stream truncated after 7 records (no footer)")
-	src := &brokenSource{scenarios: streamScenarios(n, st.Horizon(), 16), breakAt: 7, err: readErr}
-	runner := NewRunner(st, WithParallelism(2))
-
-	sawCause := false
-	for oc := range runner.StreamFrom(context.Background(), src, WithCompletionOrder()) {
-		if oc.Err == nil {
-			continue
-		}
-		if errors.Is(oc.Err, context.Canceled) && !errors.Is(oc.Err, readErr) {
-			t.Fatalf("outcome %d carries bare context.Canceled instead of the source's error", oc.Index)
-		}
-		if errors.Is(oc.Err, readErr) {
-			sawCause = true
-			if oc.Index == -1 && oc.Result != nil {
-				t.Fatal("stream-failure outcome carries a result")
-			}
-		}
-	}
-	if !sawCause {
-		t.Fatal("completion-order stream swallowed the failed source's error")
-	}
-}
-
-// TestStreamFromOrderedSourceFailureCause checks the ordered path
-// surfaces a failed source the same way, and that RunSource — which
-// rides it — returns the source's error rather than succeeding on the
-// truncated prefix.
+// TestStreamFromOrderedSourceFailureCause: a source that fails
+// mid-stream (a failed shard reader) must surface its error as the
+// stream's cancellation cause — on the final outcome, Index -1 and no
+// result, and on any outcome cancelled in flight — never as a bare
+// context.Canceled, and RunSource — which rides the stream — returns the
+// source's error rather than succeeding on the truncated prefix.
 func TestStreamFromOrderedSourceFailureCause(t *testing.T) {
 	const n = 4
 	st := MustStack("min", WithN(n), WithT(1))
@@ -484,8 +414,15 @@ func TestStreamFromOrderedSourceFailureCause(t *testing.T) {
 
 	sawCause := false
 	for oc := range NewRunner(st, WithParallelism(2)).StreamFrom(context.Background(), mk()) {
-		if oc.Err != nil && errors.Is(oc.Err, readErr) {
-			sawCause = true
+		if oc.Err == nil {
+			continue
+		}
+		if !errors.Is(oc.Err, readErr) {
+			t.Fatalf("outcome %d carries %v instead of the source's error", oc.Index, oc.Err)
+		}
+		sawCause = true
+		if oc.Index == -1 && oc.Result != nil {
+			t.Fatal("stream-failure outcome carries a result")
 		}
 	}
 	if !sawCause {
@@ -507,7 +444,7 @@ func TestStreamFromExternalCancelNoSyntheticOutcome(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	src := &countingSource{scenarios: streamScenarios(4, st.Horizon(), 64)}
 	seen := 0
-	for oc := range NewRunner(st, WithParallelism(2)).StreamFrom(ctx, src, WithCompletionOrder()) {
+	for oc := range NewRunner(st, WithParallelism(2)).StreamFrom(ctx, src) {
 		seen++
 		if seen == 3 {
 			cancel(cause)

@@ -34,6 +34,39 @@ type Config struct {
 	Horizon int
 }
 
+// Validate checks that the configuration describes a run — the three
+// protocols present, pattern and initial preferences sized for the
+// exchange's agents, every preference set, no negative horizon — and
+// returns the agent count and the resolved horizon. Every executor
+// (RunBuffered here, internal/runtime, the model checker's memoizing one)
+// starts with it, so all of them refuse the same inputs with the same
+// words.
+func (cfg Config) Validate() (n, horizon int, err error) {
+	if cfg.Exchange == nil || cfg.Action == nil || cfg.Pattern == nil {
+		return 0, 0, errors.New("engine: Exchange, Action, and Pattern are all required")
+	}
+	n = cfg.Exchange.N()
+	if cfg.Pattern.N() != n {
+		return 0, 0, fmt.Errorf("engine: pattern is for %d agents, exchange for %d", cfg.Pattern.N(), n)
+	}
+	if len(cfg.Inits) != n {
+		return 0, 0, fmt.Errorf("engine: %d initial values for %d agents", len(cfg.Inits), n)
+	}
+	for i, v := range cfg.Inits {
+		if !v.IsSet() {
+			return 0, 0, fmt.Errorf("engine: agent %d has no initial preference", i)
+		}
+	}
+	horizon = cfg.Horizon
+	if horizon == 0 {
+		horizon = cfg.Pattern.Horizon()
+	}
+	if horizon < 0 {
+		return 0, 0, fmt.Errorf("engine: negative horizon %d", horizon)
+	}
+	return n, horizon, nil
+}
+
 // Stats aggregates message traffic for the complexity experiments
 // (Proposition 8.1). Senders are charged for every non-⊥ message they
 // emit whether or not the adversary delivers it.
@@ -152,29 +185,11 @@ func Run(cfg Config) (*Result, error) { return RunBuffered(cfg, nil) }
 // Result never aliases buf, so the same buffers can be reused for the
 // next run while earlier results stay live.
 func RunBuffered(cfg Config, buf *Buffers) (*Result, error) {
+	n, horizon, err := cfg.Validate()
+	if err != nil {
+		return nil, err
+	}
 	ex, act, pat := cfg.Exchange, cfg.Action, cfg.Pattern
-	if ex == nil || act == nil || pat == nil {
-		return nil, errors.New("engine: Exchange, Action, and Pattern are all required")
-	}
-	n := ex.N()
-	if pat.N() != n {
-		return nil, fmt.Errorf("engine: pattern is for %d agents, exchange for %d", pat.N(), n)
-	}
-	if len(cfg.Inits) != n {
-		return nil, fmt.Errorf("engine: %d initial values for %d agents", len(cfg.Inits), n)
-	}
-	for i, v := range cfg.Inits {
-		if !v.IsSet() {
-			return nil, fmt.Errorf("engine: agent %d has no initial preference", i)
-		}
-	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = pat.Horizon()
-	}
-	if horizon < 0 {
-		return nil, fmt.Errorf("engine: negative horizon %d", horizon)
-	}
 
 	res := &Result{
 		N:             n,

@@ -1,30 +1,27 @@
-// The cached system build: BuildSystem/BuildShardIndex with WithCache
-// answer each scenario from a core.ResultCache when they can and execute
-// only the misses.
-//
-// The cache payload of one run is core.CachedRun with the episteme
-// extension: the decision ledger plus the canonical local-state key of
-// every (time, agent) slot. Every run (hit or miss alike) is restored
-// trace-free and handed to the index kernel (index.go) as its slot keys,
-// so the cached build's tables and verdicts are bit-identical to the
-// uncached one's at any hit/miss mix.
+// What the checker caches: one entry per stripe, the stripe's serialized
+// shard index. BuildShardIndex with WithCache probes that one key; a hit
+// is the index, without enumerating, canonicalizing or executing
+// anything, and a miss builds the stripe as an uncached build would and
+// stores it. BuildSystem with WithCache is the one-stripe case followed by
+// the merge (cachedSystem). There is no per-scenario level: restoring a
+// System run by run measured slower than executing it
+// (docs/architecture.md, "What the checker caches").
 
 package episteme
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/model"
 )
 
 // cacheStack is the stack every episteme build executes its runs on, and
-// the identity cached builds derive their version digest from. Both the
-// per-scenario entries here and the stripe-index entries in
-// BuildShardIndex must key off the same digest, so both build it here.
+// the identity cached builds derive their version digest from.
 func cacheStack(c Context, act model.ActionProtocol, n, horizon int) core.Stack {
 	return core.Stack{
 		Name:     "episteme(" + act.Name() + ")",
@@ -35,97 +32,53 @@ func cacheStack(c Context, act model.ActionProtocol, n, horizon int) core.Stack 
 	}.AtHorizon(horizon)
 }
 
-// buildSystemCached is buildSystemFromSource's cache-consulting twin.
-// Pass 1 materializes the source's scenarios (CrossInits hands each
-// scenario its own inits; the pattern is shared read-only, which is all
-// this pass needs) and probes the cache; pass 2 batch-executes the
-// misses on the canonical runner and stores their payloads; assembly
-// then treats every run uniformly as a cached payload.
-func buildSystemCached(ctx context.Context, c Context, act model.ActionProtocol, src core.Source, o options) (*System, error) {
-	n := c.Exchange.N()
-	horizon := c.horizonOrDefault()
-	stack := cacheStack(c, act, n, horizon)
-	version := stack.VersionDigest(o.fingerprint)
+// cachedSystem is BuildSystem with a cache: the whole sweep as its one
+// stripe, restored or built by BuildShardIndex, then assembled as every
+// sharded build is.
+func cachedSystem(ctx context.Context, c Context, act model.ActionProtocol, opts []Option) (*System, error) {
+	idx, err := BuildShardIndex(ctx, c, act, 0, 1, opts...)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := MergeSystems(ctx, []*ShardIndex{idx}, opts...)
+	if err != nil || !sys.Quotiented() {
+		return sys, err
+	}
+	return ExpandQuotient(ctx, sys, c)
+}
 
-	var scenarios []core.Scenario
-	for {
-		sc, ok := src.Next()
-		if !ok {
-			break
-		}
-		scenarios = append(scenarios, sc)
-	}
-	if es, ok := src.(core.ErrorSource); ok {
-		if err := es.Err(); err != nil {
-			return nil, err
-		}
-	}
-	total := len(scenarios)
+// shardIndexCacheKey derives the cache key of a whole stripe index: the
+// version digest pins the stack (exchange, action, n, t, horizon, build
+// fingerprint), so the digest slot covers what else decides the stripe's
+// content — the stripe, whether the sweep is quotiented, and the two
+// Context fields that pick the enumeration (Options.MaxPatterns only
+// refuses one, so it stays out).
+func shardIndexCacheKey(version string, c Context, shardIndex, shardCount int, quotient bool) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "shard=%d/%d|quotient=%v|crash=%v|selfdrops=%v",
+		shardIndex, shardCount, quotient, c.Crash, c.Options.IncludeSelfDrops)
+	sum := h.Sum(nil)
+	return core.CacheKey(version, core.CacheKindIndex, hex.EncodeToString(sum[:16]))
+}
 
-	cached := make([]*core.CachedRun, total)
-	keys := make([]string, total)
-	var missIdx []int
-	var missScn []core.Scenario
-	for g, sc := range scenarios {
-		digest, err := core.ScenarioDigest(sc.Pattern, sc.Inits)
-		if err != nil {
-			return nil, err
-		}
-		keys[g] = core.CacheKey(version, core.CacheKindSys, digest)
-		if payload, ok := o.cache.Get(keys[g]); ok {
-			cr := new(core.CachedRun)
-			text, terr := sc.Pattern.MarshalText()
-			if terr == nil && json.Unmarshal(payload, cr) == nil &&
-				cr.Matches(string(text), sc.Inits, n, horizon, true) {
-				cached[g] = cr
-				continue
-			}
-			// Corrupt or misfiled: recompute below and overwrite.
-		}
-		missIdx = append(missIdx, g)
-		missScn = append(missScn, sc)
+// decodeCachedIndex decodes and vets a cached stripe index. Beyond the
+// store's digest verification, the index must restate the build being
+// answered — shard, split, shape, quotienting — and pass the same
+// Validate the fabric applies at its trust boundary; anything else is
+// an error the caller treats as a miss.
+func decodeCachedIndex(payload []byte, shardIndex, shardCount, n, t, horizon int, quotient bool) (*ShardIndex, error) {
+	idx, err := ReadShardIndex(bytes.NewReader(payload))
+	if err != nil {
+		return nil, err
 	}
-
-	if len(missScn) > 0 {
-		runner := core.NewRunner(stack,
-			core.WithExecutor(newMemoExec(n)),
-			core.WithParallelism(o.par),
-			core.WithBufferReuse())
-		results, err := runner.RunBatch(ctx, missScn)
-		if err != nil {
-			return nil, err
-		}
-		for j, res := range results {
-			cr, err := core.NewCachedRun(res, true)
-			if err != nil {
-				return nil, fmt.Errorf("episteme: encoding run for the cache: %w", err)
-			}
-			cached[missIdx[j]] = cr
-			// Storing is best-effort: a full disk or unreachable server
-			// never fails the build.
-			if payload, jerr := json.Marshal(cr); jerr == nil {
-				o.cache.Put(keys[missIdx[j]], payload)
-			}
-		}
+	if idx.Shard != shardIndex || idx.Shards != shardCount ||
+		idx.N != n || idx.T != t || idx.Horizon != horizon || idx.Quotient != quotient {
+		return nil, fmt.Errorf("episteme: cached index answers shard %d/%d (n=%d,t=%d,h=%d,quotient=%v), asked for %d/%d (n=%d,t=%d,h=%d,quotient=%v)",
+			idx.Shard, idx.Shards, idx.N, idx.T, idx.Horizon, idx.Quotient,
+			shardIndex, shardCount, n, t, horizon, quotient)
 	}
-
-	runs := make([]*engine.Result, total)
-	var weights []int64
-	if o.quotient {
-		weights = []int64{} // non-nil even for an empty stripe: quotiented-ness is structural
+	if err := idx.Validate(); err != nil {
+		return nil, err
 	}
-	for g, sc := range scenarios {
-		runs[g] = cached[g].Restore(stack.Config(sc.Pattern, sc.Inits))
-		if o.quotient {
-			weights = append(weights, sc.EffectiveWeight())
-		}
-	}
-
-	// The cache-restore producer: a slot's key is the payload's own, and
-	// nothing identifies two runs' keys short of comparing them, so there
-	// is no memo code.
-	sys := &System{N: n, T: c.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}
-	return sys.indexed(ctx, func(slot int) slotRows {
-		return slotRows{n: total, key: func(g int) (string, error) { return cached[g].StateKeys[slot], nil }}
-	})
+	return idx, nil
 }

@@ -1,8 +1,6 @@
 package episteme
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/engine"
@@ -179,33 +177,15 @@ func dropMask(pat *model.Pattern, m, n int) uint64 {
 // cfg.Inits, which the model checker's scenario source allocates per
 // scenario.
 func (e *memoExec) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Result, error) {
-	ex, act, pat := cfg.Exchange, cfg.Action, cfg.Pattern
-	if ex == nil || act == nil || pat == nil {
-		return nil, errors.New("engine: Exchange, Action, and Pattern are all required")
+	n, horizon, err := cfg.Validate()
+	if err != nil {
+		return nil, err
 	}
-	n := ex.N()
 	if n > 8 {
 		// The memo's packed keys cover n ≤ 8; beyond that, run plain.
 		return engine.RunBuffered(cfg, buf)
 	}
-	if pat.N() != n {
-		return nil, fmt.Errorf("engine: pattern is for %d agents, exchange for %d", pat.N(), n)
-	}
-	if len(cfg.Inits) != n {
-		return nil, fmt.Errorf("engine: %d initial values for %d agents", len(cfg.Inits), n)
-	}
-	for i, v := range cfg.Inits {
-		if !v.IsSet() {
-			return nil, fmt.Errorf("engine: agent %d has no initial preference", i)
-		}
-	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = pat.Horizon()
-	}
-	if horizon < 0 {
-		return nil, fmt.Errorf("engine: negative horizon %d", horizon)
-	}
+	ex, act, pat := cfg.Exchange, cfg.Action, cfg.Pattern
 	if buf != nil {
 		// Bind the worker's buffers to this run; fresh transitions are
 		// computed through the buffered step.

@@ -1,15 +1,15 @@
 // Index construction: the one place class ids are assigned.
 //
-// Four constructions produce a System — the direct build (system.go), the
-// cache restore (cache.go), the shard merge (shard.go) and the quotient
-// expansion (quotient.go) — and all four must yield the same tables for
-// the same sweep. They do because none of them assigns an id: each only
-// says, per slot, what run g's local-state key is (slotRows), and
-// internSlots numbers the classes by first appearance in ascending run
-// order. Keys (model.State.Key) and run order are functions of the sweep
-// alone, so the tables are — whichever producer supplied the rows and
-// however many workers interned them. docs/architecture.md, "Index
-// construction: one kernel, four producers".
+// Three constructions produce a System — the direct build (system.go),
+// the shard merge (shard.go) and the quotient expansion (quotient.go) —
+// and all three must yield the same tables for the same sweep. They do
+// because none of them assigns an id: each only says, per slot, what run
+// g's local-state key is (slotRows), and internSlots numbers the classes
+// by first appearance in ascending run order. Keys (model.State.Key) and
+// run order are functions of the sweep alone, so the tables are —
+// whichever producer supplied the rows and however many workers interned
+// them. docs/architecture.md, "Index construction: one kernel, three
+// producers".
 
 package episteme
 
@@ -126,7 +126,7 @@ func (s *System) internSlots(ctx context.Context, lo, hi int, rows func(slot int
 
 // indexed builds s's whole index from the producer's rows and returns s,
 // or no System at all when the build fails: the restoring constructions
-// (cache, merge, expansion) all end here.
+// (merge, expansion) both end here.
 func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*System, error) {
 	s.allocIndex()
 	if err := s.internSlots(ctx, 0, (s.Horizon+1)*s.N, rows); err != nil {

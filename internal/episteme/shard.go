@@ -43,10 +43,9 @@ const (
 
 // ShardRun is one enumerated run reduced to what the knowledge checkers
 // consult: the scenario (pattern text + inits), the decision ledger, the
-// recorded actions, and the traffic stats — core's trace-free run ledger,
-// without its state keys (the class rows below carry those, once per
-// class instead of once per run). State traces stay in the process that
-// ran them.
+// recorded actions, and the traffic stats — core's trace-free run ledger.
+// The class rows below carry the state keys, once per class; state traces
+// stay in the process that ran them.
 type ShardRun = core.CachedRun
 
 // ShardIndex is one shard's serializable contribution to a sharded
@@ -98,19 +97,14 @@ func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, s
 	o := newOptions(opts)
 	n := c.Exchange.N()
 	horizon := c.horizonOrDefault()
-	// Index-level cache: the whole stripe, keyed by the stack version and
-	// the stripe parameters. Per-scenario "sys" entries make a warm build
-	// skip execution, but probing them still enumerates — and for
-	// quotiented sweeps canonicalizes — every scenario, which dominates
-	// once execution is cached. A hit here returns the verified
-	// WriteShardIndex serialization without enumerating at all; its
-	// decode round-trips to identical bytes (the digest identity the
-	// fabric's duplicate resolution already relies on), so warm indexes
-	// stay bit-identical to cold ones.
+	// A hit is the verified WriteShardIndex serialization; its decode
+	// round-trips to identical bytes (the digest identity the fabric's
+	// duplicate resolution already relies on), so a restored index is
+	// bit-identical to a built one.
 	var idxKey string
 	if o.cache != nil {
 		version := cacheStack(c, act, n, horizon).VersionDigest(o.fingerprint)
-		idxKey = shardIndexCacheKey(version, shardIndex, shardCount, o.quotient)
+		idxKey = shardIndexCacheKey(version, c, shardIndex, shardCount, o.quotient)
 		if payload, ok := o.cache.Get(idxKey); ok {
 			if idx, err := decodeCachedIndex(payload, shardIndex, shardCount, n, c.T, horizon, o.quotient); err == nil {
 				return idx, nil
@@ -151,40 +145,6 @@ func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, s
 	return idx, nil
 }
 
-// shardIndexCacheKey derives the cache key of a whole stripe index: the
-// version digest pins the stack (exchange, action, n, t, horizon, build
-// fingerprint), so the digest slot only needs the enumeration parameters
-// that vary under one stack — the stripe and whether the sweep is
-// quotiented.
-func shardIndexCacheKey(version string, shardIndex, shardCount int, quotient bool) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "shard=%d/%d|quotient=%v", shardIndex, shardCount, quotient)
-	sum := h.Sum(nil)
-	return core.CacheKey(version, core.CacheKindIndex, hex.EncodeToString(sum[:16]))
-}
-
-// decodeCachedIndex decodes and vets a cached stripe index. Beyond the
-// store's digest verification, the index must restate the build being
-// answered — shard, split, shape, quotienting — and pass the same
-// Validate the fabric applies at its trust boundary; anything else is
-// an error the caller treats as a miss.
-func decodeCachedIndex(payload []byte, shardIndex, shardCount, n, t, horizon int, quotient bool) (*ShardIndex, error) {
-	idx, err := ReadShardIndex(bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	if idx.Shard != shardIndex || idx.Shards != shardCount ||
-		idx.N != n || idx.T != t || idx.Horizon != horizon || idx.Quotient != quotient {
-		return nil, fmt.Errorf("episteme: cached index answers shard %d/%d (n=%d,t=%d,h=%d,quotient=%v), asked for %d/%d (n=%d,t=%d,h=%d,quotient=%v)",
-			idx.Shard, idx.Shards, idx.N, idx.T, idx.Horizon, idx.Quotient,
-			shardIndex, shardCount, n, t, horizon, quotient)
-	}
-	if err := idx.Validate(); err != nil {
-		return nil, err
-	}
-	return idx, nil
-}
-
 // exportShardIndex reduces a stripe's System to its serializable partial
 // index. The index takes the System's class tables rather than copying
 // them: BuildShardIndex drops the System once it is exported.
@@ -204,7 +164,7 @@ func exportShardIndex(sys *System, shardIndex, shardCount int) (*ShardIndex, err
 		idx.Mults = append([]int64{}, sys.weights...)
 	}
 	for k, res := range sys.Runs {
-		if err := idx.Runs[k].Encode(res, false); err != nil {
+		if err := idx.Runs[k].Encode(res); err != nil {
 			return nil, err
 		}
 	}
@@ -296,7 +256,7 @@ func (idx *ShardIndex) Validate() error {
 		return fmt.Errorf("episteme: shard %d/%d carries multiplicities but is not quotiented", idx.Shard, idx.Shards)
 	}
 	for k := range idx.Runs {
-		if !idx.Runs[k].WellFormed(idx.N, idx.Horizon, false) {
+		if !idx.Runs[k].WellFormed(idx.N, idx.Horizon) {
 			return fmt.Errorf("episteme: shard %d/%d run %d has malformed ledgers", idx.Shard, idx.Shards, k)
 		}
 	}

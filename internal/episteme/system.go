@@ -96,14 +96,15 @@ func WithQuotient() Option {
 	return func(o *options) { o.quotient = true }
 }
 
-// WithCache consults a result cache before executing each run and
-// stores what it executed, keyed by the stack's full semantic identity
+// WithCache makes BuildShardIndex probe a result cache for its stripe's
+// serialized index before building it, and store the index it built: one
+// entry per stripe, keyed by the stack's full semantic identity
 // (exchange, action protocol, n, t, horizon, build fingerprint — see
-// core.Stack.VersionDigest) and the scenario. A cached build assembles
-// the system from decision ledgers plus interned state keys, exactly as
-// MergeSystems assembles a sharded one, so every verdict is
-// bit-identical to the uncached build's — but, like a merged System, it
-// carries no state traces (System.State is unavailable; Key and every
+// core.Stack.VersionDigest), the stripe and the enumeration parameters.
+// BuildSystem with a cache is BuildShardIndex(0, 1) followed by
+// MergeSystems (and ExpandQuotient under WithQuotient), so every verdict
+// is bit-identical to the uncached build's — but, like any merged System,
+// it carries no state traces (System.State is unavailable; Key and every
 // checker work off the interned index).
 func WithCache(c core.ResultCache, fingerprint string) Option {
 	return func(o *options) {
@@ -345,6 +346,9 @@ func BuildSystem(ctx context.Context, c Context, act model.ActionProtocol, opts 
 		return nil, fmt.Errorf("episteme: Exchange and action protocol are required")
 	}
 	o := newOptions(opts)
+	if o.cache != nil {
+		return cachedSystem(ctx, c, act, opts)
+	}
 	n := c.Exchange.N()
 	horizon := c.horizonOrDefault()
 
@@ -366,9 +370,6 @@ func BuildSystem(ctx context.Context, c Context, act model.ActionProtocol, opts 
 // scenario source — the whole sweep for BuildSystem, one deterministic
 // stripe of it for BuildShardIndex — and indexes the local states.
 func buildSystemFromSource(ctx context.Context, c Context, act model.ActionProtocol, src core.Source, o options) (*System, error) {
-	if o.cache != nil {
-		return buildSystemCached(ctx, c, act, src, o)
-	}
 	n := c.Exchange.N()
 	horizon := c.horizonOrDefault()
 	runner := core.NewRunner(cacheStack(c, act, n, horizon),

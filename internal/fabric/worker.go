@@ -53,13 +53,14 @@ type WorkerConfig struct {
 	Client *http.Client
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
-	// Cache, when set, is consulted before every run and fed every
-	// execution (core.WithResultCache / episteme.WithCache): a warmed
-	// worker answers repeat stripes without executing. Fingerprint is the
-	// code identity folded into the cache keys (internal/cache.Fingerprint
-	// in the CLIs). If the store also implements internal/cache's
-	// Stats() (its Cache, Client, and Tiered all do), the worker reports
-	// its counters in every heartbeat.
+	// Cache, when set, is consulted before every run of a sweep stripe
+	// and fed every execution (core.WithResultCache), and holds one entry
+	// per stripe of a check job, the stripe's index (episteme.WithCache):
+	// a warmed worker answers repeat stripes without executing.
+	// Fingerprint is the code identity folded into the cache keys
+	// (internal/cache.Fingerprint in the CLIs). If the store also
+	// implements internal/cache's Stats() (its Cache, Client, and Tiered
+	// all do), the worker reports its counters in every heartbeat.
 	Cache       core.ResultCache
 	Fingerprint string
 }

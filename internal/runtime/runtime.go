@@ -16,48 +16,19 @@ import (
 )
 
 // Concurrent is the goroutine-per-agent engine.Executor: Execute is Run.
-// A non-nil Buffers opts the run into scratch reuse: each agent goroutine
-// draws a pooled per-agent scratch set (double-buffered outboxes) and the
-// router reuses one inbox per agent across rounds, so WithBufferReuse is
-// as real on the concurrent substrate as on the sequential one. Traces
-// are identical either way.
 type Concurrent struct{}
 
 // Name returns "concurrent".
 func (Concurrent) Name() string { return "concurrent" }
 
-// Execute runs the configuration on the concurrent runtime; a non-nil
-// buf enables per-agent scratch reuse. The engine.Buffers itself cannot
-// be shared across the n agent goroutines, so it serves as the opt-in
-// signal while the actual scratch comes from a package pool — every
-// agent acquires and releases its own set.
-func (Concurrent) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Result, error) {
-	return run(cfg, buf != nil)
+// Execute runs the configuration on the concurrent runtime. It has no
+// use for scratch buffers — a Buffers cannot be shared across the n agent
+// goroutines — and ignores buf, as engine.Executor allows.
+func (Concurrent) Execute(cfg engine.Config, _ *engine.Buffers) (*engine.Result, error) {
+	return Run(cfg)
 }
 
 var _ engine.Executor = Concurrent{}
-
-// agentScratch is one agent goroutine's reusable memory: two outbox
-// slices used on alternating rounds (the router may still be reading
-// round m's outbox while the agent prepares round m+1's; it is
-// guaranteed done with round m's before round m+2 — the delivery of the
-// round-m+1 inbox happens after the round-m delivery loop completes).
-type agentScratch struct {
-	outbox [2][]model.Message
-}
-
-// agentScratchPool recycles agentScratch values across runs and agents.
-var agentScratchPool = sync.Pool{New: func() any { return new(agentScratch) }}
-
-// outboxFor returns the round-m outbox sized for n agents.
-func (s *agentScratch) outboxFor(m, n int) []model.Message {
-	ob := s.outbox[m%2]
-	if cap(ob) < n {
-		ob = make([]model.Message, n)
-		s.outbox[m%2] = ob
-	}
-	return ob[:n]
-}
 
 // agentReport is what an agent hands the router each round: the action it
 // performed and the messages it wants sent.
@@ -70,37 +41,12 @@ type agentReport struct {
 
 // Run executes the configuration with one goroutine per agent. The result
 // is identical to engine.Run's for the same configuration.
-func Run(cfg engine.Config) (*engine.Result, error) { return run(cfg, false) }
-
-// run is Run with optional scratch reuse.
-func run(cfg engine.Config, reuse bool) (res *engine.Result, err error) {
+func Run(cfg engine.Config) (res *engine.Result, err error) {
+	n, horizon, err := cfg.Validate()
+	if err != nil {
+		return nil, err
+	}
 	ex, act, pat := cfg.Exchange, cfg.Action, cfg.Pattern
-	if ex == nil || act == nil || pat == nil {
-		return nil, fmt.Errorf("runtime: Exchange, Action, and Pattern are all required")
-	}
-	n := ex.N()
-	if pat.N() != n {
-		return nil, fmt.Errorf("runtime: pattern is for %d agents, exchange for %d", pat.N(), n)
-	}
-	if len(cfg.Inits) != n {
-		return nil, fmt.Errorf("runtime: %d initial values for %d agents", len(cfg.Inits), n)
-	}
-	for i, v := range cfg.Inits {
-		if !v.IsSet() {
-			return nil, fmt.Errorf("runtime: agent %d has no initial preference", i)
-		}
-	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = pat.Horizon()
-	}
-	if horizon < 0 {
-		return nil, fmt.Errorf("runtime: negative horizon %d", horizon)
-	}
-	var bex model.BufferedExchange
-	if reuse {
-		bex, _ = ex.(model.BufferedExchange)
-	}
 
 	res = &engine.Result{
 		N:             n,
@@ -148,19 +94,9 @@ func run(cfg engine.Config, reuse bool) (res *engine.Result, err error) {
 					}
 				}
 			}()
-			var scratch *agentScratch
-			if bex != nil {
-				scratch = agentScratchPool.Get().(*agentScratch)
-				defer agentScratchPool.Put(scratch)
-			}
 			for m := 0; m < horizon; m++ {
 				a := act.Act(id, state)
-				var out []model.Message
-				if bex != nil {
-					out = bex.MessagesInto(id, state, a, scratch.outboxFor(m, n))
-				} else {
-					out = ex.Messages(id, state, a)
-				}
+				out := ex.Messages(id, state, a)
 				select {
 				case reportCh <- agentReport{id: id, action: a, outbox: out}:
 				case <-done:
@@ -183,7 +119,7 @@ func run(cfg engine.Config, reuse bool) (res *engine.Result, err error) {
 	}
 
 	// The router drives the rounds.
-	routerErr := router(res, pat, horizon, n, reuse, reportCh, stateCh, deliver, errCh)
+	routerErr := router(res, pat, horizon, n, reportCh, stateCh, deliver, errCh)
 	close(done)
 
 	wg.Wait()
@@ -205,22 +141,10 @@ func run(cfg engine.Config, reuse bool) (res *engine.Result, err error) {
 // router collects each round's reports, applies the failure pattern,
 // delivers inboxes, and records the trace. Iteration over agents is in a
 // fixed order so that statistics match the sequential engine exactly.
-// With reuse on it keeps one inbox per agent across rounds: agent j has
-// finished reading its round-m inbox before it reports its round-m
-// state, and the router only rebuilds the inbox after collecting all
-// round-m+1 action reports, which happen after that — the channel
-// operations carry the happens-before edges.
-func router(res *engine.Result, pat *model.Pattern, horizon, n int, reuse bool,
+func router(res *engine.Result, pat *model.Pattern, horizon, n int,
 	reportCh, stateCh chan agentReport, deliver []chan []model.Message, errCh chan error) error {
 
 	outboxes := make([][]model.Message, n)
-	var inboxes [][]model.Message
-	if reuse {
-		inboxes = make([][]model.Message, n)
-		for j := range inboxes {
-			inboxes[j] = make([]model.Message, n)
-		}
-	}
 	for m := 0; m < horizon; m++ {
 		acts := make([]model.Action, n)
 		for k := 0; k < n; k++ {
@@ -252,12 +176,7 @@ func router(res *engine.Result, pat *model.Pattern, horizon, n int, reuse bool,
 
 		states := make([]model.State, n)
 		for j := 0; j < n; j++ {
-			var inbox []model.Message
-			if reuse {
-				inbox = inboxes[j]
-			} else {
-				inbox = make([]model.Message, n)
-			}
+			inbox := make([]model.Message, n)
 			for i := 0; i < n; i++ {
 				msg := outboxes[i][j]
 				if msg != nil && !pat.Delivered(m, model.AgentID(i), model.AgentID(j)) {

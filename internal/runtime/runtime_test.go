@@ -109,9 +109,8 @@ func TestExecutorInterfaceMatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Buffered runs on both substrates must reproduce the
-			// unbuffered trace exactly. On the concurrent executor a
-			// non-nil Buffers engages the pooled per-agent scratch
-			// (outbox double-buffers).
+			// unbuffered trace exactly (the concurrent executor ignores
+			// the buffers).
 			for _, x := range executors {
 				got, err := x.Execute(cfg, buf)
 				if err != nil {
@@ -123,10 +122,11 @@ func TestExecutorInterfaceMatches(t *testing.T) {
 	}
 }
 
-// TestConcurrentReuseResultsOwnTheirMemory re-runs configurations over
-// the reuse path and checks earlier results survive untouched: the
-// per-agent pooled scratch must never alias memory reachable from a
-// returned Result.
+// TestConcurrentReuseResultsOwnTheirMemory re-runs configurations with
+// one Buffers in hand — the calls a Runner under WithBufferReuse makes —
+// and checks earlier results survive untouched: an executor may do what
+// it likes with scratch, but nothing reachable from a returned Result
+// may be reused.
 func TestConcurrentReuseResultsOwnTheirMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	n, tf := 4, 1

@@ -19,9 +19,9 @@
 // keyed by (stack version digest, n, t, horizon) with singleflight
 // deduplication — N concurrent queries against a cold entry trigger one
 // build, everyone else waits for it. The LRU is backed by the result
-// cache (Config.Cache) when one is configured, so even a cold LRU entry
-// is a warm build: the build's scenarios are answered from the
-// persistent store instead of re-executed.
+// cache (Config.Cache) when one is configured, so a cold LRU entry whose
+// sweep was built before — by this process or an earlier one — is
+// restored from the sweep's one stored index instead of re-executed.
 //
 // Admission control bounds what a burst can do: at most MaxInflight
 // requests are in flight (beyond that the server answers 429 without
@@ -525,8 +525,9 @@ func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 
 // system resolves the stack's full interpreted System through the LRU:
 // a hit is free, a cold key builds once under the build semaphore (and
-// singleflight — concurrent identical queries share the one build) with
-// every scenario the result cache can answer skipped. Stored Systems
+// singleflight — concurrent identical queries share the one build), or,
+// when a result cache is configured and holds the sweep's index, restores
+// it from that one entry. Stored Systems
 // are always fully expanded, never quotiented (BuildSystem expands a
 // quotiented build before returning it), so every query surface sees
 // the complete sweep.

@@ -18,22 +18,6 @@ import (
 // one goroutine.
 type Source = core.Source
 
-// StreamOption configures Runner.StreamFrom: WithWindow, and
-// WithCompletionOrder.
-type StreamOption = core.StreamOption
-
-// WithWindow bounds the reordering window of an ordered stream: at most k
-// scenarios are in flight at any moment, so the re-sequencing buffer
-// holds at most k outcomes no matter how long the head scenario runs. The
-// default is 32 per worker.
-func WithWindow(k int) StreamOption { return core.WithWindow(k) }
-
-// WithCompletionOrder makes StreamFrom emit outcomes as workers finish
-// them instead of re-sequencing into scenario order: nothing is buffered,
-// a slow scenario delays only itself, and every outcome still carries its
-// scenario Index for correlation.
-func WithCompletionOrder() StreamOption { return core.WithCompletionOrder() }
-
 // SourceSO returns the exhaustive SO(t) sweep as a lazy source: every
 // failure pattern in SO(t) over n agents and the given horizon (excluding
 // the behaviorally invisible self-omissions), crossed with every

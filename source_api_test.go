@@ -55,12 +55,13 @@ func (m *meteredSource) sawEmitted() {
 // scenario list (49 patterns × 8 init vectors = 392 scenarios) is never
 // materialized.
 func TestSourceSOSweepMatchesEagerSlice(t *testing.T) {
-	const n, tf, horizon, window = 3, 1, 2, 4
+	// window is the runner's reordering window: 32 scenarios per worker.
+	const n, tf, horizon, workers, window = 3, 1, 2, 4, 32 * 4
 	stack, err := eba.NewStack("fip", eba.WithN(n), eba.WithT(tf), eba.WithHorizon(horizon))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := eba.NewRunner(stack, eba.WithParallelism(4), eba.WithBufferReuse())
+	runner := eba.NewRunner(stack, eba.WithParallelism(workers), eba.WithBufferReuse())
 
 	// Eager path: materialize the whole sweep, run it as a batch.
 	var scenarios []eba.Scenario
@@ -94,7 +95,7 @@ func TestSourceSOSweepMatchesEagerSlice(t *testing.T) {
 	}
 	metered := &meteredSource{inner: src}
 	k := 0
-	for oc := range runner.StreamFrom(context.Background(), metered, eba.WithWindow(window)) {
+	for oc := range runner.StreamFrom(context.Background(), metered) {
 		metered.sawEmitted()
 		if oc.Err != nil {
 			t.Fatalf("scenario %d: %v", oc.Index, oc.Err)

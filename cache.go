@@ -22,8 +22,8 @@ import (
 // CacheFingerprint for the running binary's VCS revision), so entries
 // written by one version of the code are invisible to another.
 
-// ResultCache stores cached run payloads; OpenCache, NewCacheClient,
-// and NewTieredCache all satisfy it.
+// ResultCache stores cached run payloads; the store OpenCache returns
+// satisfies it.
 type ResultCache = core.ResultCache
 
 // Cache is the on-disk store: append-only digested segments under one
@@ -37,56 +37,22 @@ type CacheStats = cache.Stats
 // CacheGCResult reports what a GC pass kept and dropped.
 type CacheGCResult = cache.GCResult
 
-// CacheStore is the storage interface the shared cache server exposes
-// over HTTP; Cache, CacheClient, and TieredCache all satisfy it.
-type CacheStore = cache.Store
-
-// CacheClient is an HTTP client of a shared cache server (ebacoord
-// -cache, or any mount of NewCacheServer). Transport and server
-// failures degrade to misses.
-type CacheClient = cache.Client
-
-// TieredCache layers a local store over a remote one: local hits win,
-// remote hits back-fill the local store, puts write through to both.
-type TieredCache = cache.Tiered
-
 // OpenCache opens (or creates) the result cache rooted at dir,
 // verifying or quarantining anything damaged it finds there.
 func OpenCache(dir string) (*Cache, error) { return cache.Open(dir) }
 
-// NewCacheClient returns a client of the shared cache server at
-// baseURL (for ebacoord -cache, that is coordinatorURL + "/cache").
-func NewCacheClient(baseURL string) *CacheClient { return cache.NewClient(baseURL) }
-
-// NewTieredCache layers local over remote.
-func NewTieredCache(local, remote CacheStore) *TieredCache { return cache.NewTiered(local, remote) }
-
-// OpenResultCache resolves a cache directory and a shared cache server
-// URL (either may be empty) into one store: the directory alone, the
-// server alone, or the directory tiered over the server. The returned
-// close function closes the local store, if any; the store is nil when
-// both arguments are empty.
-func OpenResultCache(dir, url string) (ResultCache, func() error, error) {
-	noop := func() error { return nil }
-	switch {
-	case dir == "" && url == "":
-		return nil, noop, nil
-	case dir == "":
-		return NewCacheClient(url), noop, nil
+// OpenResultCache resolves a -cache flag value: the store rooted at dir
+// and its Close, or a nil store and a no-op when dir is empty.
+func OpenResultCache(dir string) (ResultCache, func() error, error) {
+	if dir == "" {
+		return nil, func() error { return nil }, nil
 	}
-	local, err := OpenCache(dir)
+	c, err := OpenCache(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	if url == "" {
-		return local, local.Close, nil
-	}
-	return NewTieredCache(local, NewCacheClient(url)), local.Close, nil
+	return c, c.Close, nil
 }
-
-// NewCacheServer exposes a store over HTTP for NewCacheClient to
-// consume. Mount it on any mux; both directions are digest-verified.
-func NewCacheServer(store CacheStore) *cache.Server { return cache.NewServer(store) }
 
 // CacheFingerprint identifies the running binary for cache keying: the
 // VCS revision when built from a repository ("+dirty" when modified),

@@ -19,14 +19,22 @@
 // however large the sweep. -knowledge=false skips the knowledge checks,
 // so `-sweep -knowledge=false` is a fast streaming smoke test.
 //
+// The knowledge checks print the verdict block ebashard -check -merge and
+// the fabric coordinator print (one writer, eba.WriteVerdicts), so the
+// three diff clean; the sweep's line and all timings go to stderr. Exit
+// status 2 means a verdict failed, 1 anything else.
+//
 // Everything is exhaustive: expect exponential cost beyond n=4, t=1.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,8 +42,11 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ebacheck:", err)
+		if errors.Is(err, eba.ErrFabricVerification) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -56,10 +67,11 @@ func checkableStacks() []string {
 	return names
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ebacheck", flag.ContinueOnError)
+	checkable := checkableStacks()
 	var (
-		stackName  = fs.String("stack", "min", "protocol stack: "+strings.Join(checkableStacks(), ", "))
+		stackName  = fs.String("stack", "min", "protocol stack: "+strings.Join(checkable, ", "))
 		n          = fs.Int("n", 3, "number of agents")
 		t          = fs.Int("t", 1, "failure bound t")
 		safety     = fs.Bool("safety", false, "also check the Definition 6.2 safety condition")
@@ -72,24 +84,13 @@ func run(args []string) error {
 		return err
 	}
 
-	var info eba.StackInfo
-	for _, si := range eba.Stacks() {
-		if si.Name == *stackName && si.Program != "" {
-			info = si
-			break
-		}
-	}
-	if info.Name == "" {
+	if !slices.Contains(checkable, *stackName) {
 		return fmt.Errorf("unknown or uncheckable stack %q (have %s)",
-			*stackName, strings.Join(checkableStacks(), ", "))
+			*stackName, strings.Join(checkable, ", "))
 	}
-	stack, err := eba.NewStack(info.Name, eba.WithN(*n), eba.WithT(*t))
+	stack, err := eba.NewStack(*stackName, eba.WithN(*n), eba.WithT(*t))
 	if err != nil {
 		return err
-	}
-	prog := eba.ProgramP0
-	if info.Program == "P1" {
-		prog = eba.ProgramP1
 	}
 
 	if !*sweep && !*knowledge {
@@ -101,77 +102,20 @@ func run(args []string) error {
 		}
 	}
 	if !*knowledge {
-		fmt.Println("\nall checks passed")
 		return nil
 	}
 
 	ctx := context.Background()
-	fmt.Printf("building exhaustive system for %s (n=%d, t=%d, horizon=%d)...\n",
-		stack.Name, *n, *t, stack.Horizon())
 	t0 := time.Now()
 	sys, err := eba.BuildSystem(ctx, stack, eba.WithCheckParallelism(*parallel))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  %d runs in %.2fs\n\n", len(sys.Runs), time.Since(t0).Seconds())
-
-	fmt.Printf("checking: %s implements %s ... ", stack.Action.Name(), prog)
-	t0 = time.Now()
-	ms, err := sys.CheckImplements(ctx, prog, 5)
-	if err != nil {
-		return err
-	}
-	if len(ms) == 0 {
-		fmt.Printf("OK (%.2fs)\n", time.Since(t0).Seconds())
-	} else {
-		fmt.Printf("FAILED (%.2fs)\n", time.Since(t0).Seconds())
-		for _, m := range ms {
-			fmt.Println("  ", m)
-		}
-		return fmt.Errorf("implementation check failed")
-	}
-
-	if *safety {
-		fmt.Printf("checking: Definition 6.2 safety condition ... ")
-		t0 = time.Now()
-		vs, err := sys.CheckSafety(ctx, 5)
-		if err != nil {
-			return err
-		}
-		if len(vs) == 0 {
-			fmt.Printf("OK (%.2fs)\n", time.Since(t0).Seconds())
-		} else {
-			fmt.Printf("violated (%.2fs)\n", time.Since(t0).Seconds())
-			for _, v := range vs {
-				fmt.Println("  ", v)
-			}
-			if strings.HasPrefix(stack.Name, "fip") {
-				fmt.Println("  (expected: Section 6 notes P0 is not safe wrt full information)")
-			} else {
-				return fmt.Errorf("safety check failed")
-			}
-		}
-	}
-
-	if stack.Name == "fip" && *optimality {
-		fmt.Printf("checking: Theorem 7.5 optimality characterization ... ")
-		t0 = time.Now()
-		vs, err := sys.CheckOptimalityFIP(ctx, -1, 5)
-		if err != nil {
-			return err
-		}
-		if len(vs) == 0 {
-			fmt.Printf("OK (%.2fs)\n", time.Since(t0).Seconds())
-		} else {
-			fmt.Printf("FAILED (%.2fs)\n", time.Since(t0).Seconds())
-			for _, v := range vs {
-				fmt.Println("  ", v)
-			}
-			return fmt.Errorf("optimality check failed")
-		}
-	}
-	fmt.Println("\nall checks passed")
-	return nil
+	built := time.Now()
+	err = eba.WriteVerdicts(ctx, stdout, sys, stack.Name, eba.VerdictOptions{Safety: *safety, Optimality: *optimality})
+	fmt.Fprintf(os.Stderr, "ebacheck: built in %.2fs, checked in %.2fs\n",
+		built.Sub(t0).Seconds(), time.Since(built).Seconds())
+	return err
 }
 
 // runSweep streams the exhaustive SO(t) sweep — every failure pattern ×
@@ -186,7 +130,7 @@ func runSweep(stack eba.Stack, n, t int) error {
 	if c, ok := src.Count(); ok {
 		total = fmt.Sprint(c)
 	}
-	fmt.Printf("streaming exhaustive SO(%d) spec sweep for %s (n=%d, horizon=%d, %s scenarios) ... ",
+	fmt.Fprintf(os.Stderr, "streaming exhaustive SO(%d) spec sweep for %s (n=%d, horizon=%d, %s scenarios) ... ",
 		t, stack.Name, n, stack.Horizon(), total)
 	t0 := time.Now()
 	runner := eba.NewRunner(stack,
@@ -205,9 +149,9 @@ func runSweep(stack eba.Stack, n, t int) error {
 		}
 	}
 	if failures > 0 {
-		fmt.Printf("FAILED (%.2fs)\n", time.Since(t0).Seconds())
+		fmt.Fprintf(os.Stderr, "FAILED (%.2fs)\n", time.Since(t0).Seconds())
 		return fmt.Errorf("sweep: %d of %d runs failed the EBA specification (first: %v)", failures, runs, firstErr)
 	}
-	fmt.Printf("OK: %d runs (%.2fs)\n", runs, time.Since(t0).Seconds())
+	fmt.Fprintf(os.Stderr, "OK: %d runs (%.2fs)\n", runs, time.Since(t0).Seconds())
 	return nil
 }

@@ -1,40 +1,76 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"context"
+	"io"
+	"testing"
 
-func TestCheckMinEndToEnd(t *testing.T) {
+	eba "repro"
+)
+
+// mergedVerdicts is the block ebashard -check -merge -safety prints for
+// the stack at n=3,t=1: two stripe indexes, merged, through the shared
+// verdict writer.
+func mergedVerdicts(t *testing.T, stackName string) []byte {
+	t.Helper()
+	ctx := context.Background()
+	stack, err := eba.NewStack(stackName, eba.WithN(3), eba.WithT(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]*eba.ShardIndex, 2)
+	for i := range shards {
+		if shards[i], err = eba.BuildShardIndex(ctx, stack, i, len(shards)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys, err := eba.MergeSystems(ctx, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := eba.WriteVerdicts(ctx, &buf, sys, stackName, eba.VerdictOptions{Safety: true, Optimality: true}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkEndToEnd runs ebacheck -safety on the stack and requires its
+// stdout to be ebashard -check -merge's block, byte for byte.
+func checkEndToEnd(t *testing.T, stackName string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	if err := run([]string{"-stack", "min", "-n", "3", "-t", "1", "-safety"}); err != nil {
-		t.Errorf("ebacheck min failed: %v", err)
+	var got bytes.Buffer
+	if err := run([]string{"-stack", stackName, "-n", "3", "-t", "1", "-safety"}, &got); err != nil {
+		t.Errorf("ebacheck %s failed: %v", stackName, err)
+	}
+	if want := mergedVerdicts(t, stackName); len(want) == 0 || !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("ebacheck %s prints\n%s\nebashard -check -merge prints\n%s", stackName, got.Bytes(), want)
 	}
 }
 
-func TestCheckFIPEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	// fip includes the Theorem 7.5 check and the (expected) safety
-	// violation report for full information.
-	if err := run([]string{"-stack", "fip", "-n", "3", "-t", "1", "-safety"}); err != nil {
-		t.Errorf("ebacheck fip failed: %v", err)
-	}
-}
+func TestCheckMinEndToEnd(t *testing.T) { checkEndToEnd(t, "min") }
+
+// fip includes the Theorem 7.5 check and the (expected) safety violation
+// report for full information.
+func TestCheckFIPEndToEnd(t *testing.T) { checkEndToEnd(t, "fip") }
 
 // TestCheckSweepStreaming exercises the source-driven exhaustive sweep —
 // the path the CI smoke step runs — without the slower knowledge checks.
 func TestCheckSweepStreaming(t *testing.T) {
-	if err := run([]string{"-stack", "min", "-n", "3", "-t", "1", "-sweep", "-knowledge=false"}); err != nil {
+	if err := run([]string{"-stack", "min", "-n", "3", "-t", "1", "-sweep", "-knowledge=false"}, io.Discard); err != nil {
 		t.Errorf("ebacheck -sweep failed: %v", err)
 	}
 }
 
 func TestCheckErrors(t *testing.T) {
-	if err := run([]string{"-stack", "bogus"}); err == nil {
+	if err := run([]string{"-stack", "bogus"}, io.Discard); err == nil {
 		t.Error("unknown stack accepted")
 	}
-	if err := run([]string{"-bogusflag"}); err == nil {
+	if err := run([]string{"-bogusflag"}, io.Discard); err == nil {
 		t.Error("unknown flag accepted")
 	}
 }

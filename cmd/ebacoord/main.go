@@ -16,11 +16,9 @@
 // restarted over the same spool re-verifies what's on disk and resumes
 // with only the missing stripes outstanding.
 //
-// With -cache DIR the coordinator also hosts a shared result cache over
-// that directory at <listen>/cache; workers that join with
-// -cache-url http://<coordinator>/cache answer already-swept scenarios
-// from it instead of re-executing them, and /status reports the store's
-// traffic alongside every worker's own cache counters.
+// Workers that run with a result cache (ebashard -worker … -cache DIR)
+// report its counters in their heartbeats, and /status shows them per
+// worker.
 //
 // Exit codes match ebashard's: 2 for verification failures (torn or
 // tampered stripes, digest conflicts between duplicate uploads, failed
@@ -80,7 +78,6 @@ func run(args []string) error {
 		timeout   = fs.Duration("timeout", 30*time.Second, "bound on server request headers and on shutdown")
 		linger    = fs.Duration("linger", 2*time.Second, "how long to keep answering workers after the job ends, so they drain")
 		out       = fs.String("out", "", "also copy the merged output here when the job completes (\"-\" for stdout)")
-		cacheDir  = fs.String("cache", "", "host a shared result cache over this directory at <listen>/cache (workers join it with -cache-url)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,7 +99,7 @@ func run(args []string) error {
 		Stripes:   *stripes,
 		SpecCheck: *spec,
 	}
-	cfg := eba.CoordinatorConfig{
+	coord, err := eba.NewCoordinator(eba.CoordinatorConfig{
 		Job:         job,
 		SpoolDir:    *spool,
 		LeaseTTL:    *leaseTTL,
@@ -110,16 +107,7 @@ func run(args []string) error {
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
-	}
-	if *cacheDir != "" {
-		store, err := eba.OpenCache(*cacheDir)
-		if err != nil {
-			return err
-		}
-		defer store.Close()
-		cfg.CacheStore = store
-	}
-	coord, err := eba.NewCoordinator(cfg)
+	})
 	if err != nil {
 		return err
 	}
@@ -165,11 +153,6 @@ func run(args []string) error {
 		status.Phase, status.Stripes.Done, status.Stripes.Total,
 		status.Counters.Leases, status.Counters.Expirations, status.Counters.Steals,
 		status.Counters.Rejects, status.Counters.Duplicates)
-	if status.Cache != nil {
-		fmt.Fprintf(os.Stderr, "ebacoord: shared cache: %d hits, %d misses, %d puts, %d bytes served, %d written\n",
-			status.Cache.Hits, status.Cache.Misses, status.Cache.Puts,
-			status.Cache.BytesServed, status.Cache.BytesWritten)
-	}
 
 	if *out != "" && (status.Phase == eba.FabricComplete) {
 		if err := copyMerged(coord.MergedPath(), *out); err != nil {

@@ -55,7 +55,6 @@ func run(args []string) error {
 		sweepN     = fs.Int64("sweep", 0, "stream this many seeded random scenarios through the Runner instead of one configured run")
 		quotient   = fs.Bool("quotient", false, "run the canonical representative of the configured scenario's agent-permutation orbit instead of the scenario itself")
 		cacheDir   = fs.String("cache", "", "-sweep: result cache directory — answer already-executed scenarios from it instead of re-running")
-		cacheURL   = fs.String("cache-url", "", "-sweep: shared result cache server URL (see ebacoord -cache); combine with -cache for a local tier over it")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -90,15 +89,15 @@ func run(args []string) error {
 			return fmt.Errorf("%s cannot apply to -sweep (the sweep draws random adversaries and inits and prints a summary; symmetry quotients are for exhaustive sweeps — see ebashard -quotient)",
 				strings.Join(incompatible, ", "))
 		}
-		store, closeStore, err := eba.OpenResultCache(*cacheDir, *cacheURL)
+		store, closeStore, err := eba.OpenResultCache(*cacheDir)
 		if err != nil {
 			return err
 		}
 		defer closeStore()
 		return runSweep(stack, executor, *sweepN, *seed, *drop, store)
 	}
-	if *cacheDir != "" || *cacheURL != "" {
-		return fmt.Errorf("-cache/-cache-url apply to -sweep only (single runs print full traces, which the cache does not store)")
+	if *cacheDir != "" {
+		return fmt.Errorf("-cache applies to -sweep only (single runs print full traces, which the cache does not store)")
 	}
 	pat, err := makeAdversary(*advSpec, *n, *t, stack.Horizon(), *seed, *drop)
 	if err != nil {

@@ -67,7 +67,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("ebaserve", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:8080", "address to serve on (host:0 picks a free port and logs it)")
 	cacheDir := fs.String("cache", "", "result cache directory backing builds and sweeps")
-	cacheURL := fs.String("cache-url", "", "shared result cache server URL (tiered under -cache when both are set)")
 	parallel := fs.Int("parallel", 0, "per-request worker budget cap (0 = GOMAXPROCS)")
 	systems := fs.Int("systems", 0, "hot Systems kept in the LRU (0 = default 8)")
 	builds := fs.Int("builds", 0, "concurrent System builds (0 = default 2)")
@@ -91,11 +90,11 @@ func run(args []string) error {
 	if *loadURL != "" {
 		return runLoadTest(*loadURL, *requests, *concurrency, *stackName, *n, *t)
 	}
-	return serve(*listen, *cacheDir, *cacheURL, *parallel, *systems, *builds, *inflight, *quotient, *drainTimeout)
+	return serve(*listen, *cacheDir, *parallel, *systems, *builds, *inflight, *quotient, *drainTimeout)
 }
 
-func serve(listen, cacheDir, cacheURL string, parallel, systems, builds, inflight int, quotient bool, drainTimeout time.Duration) error {
-	store, closeStore, err := eba.OpenResultCache(cacheDir, cacheURL)
+func serve(listen, cacheDir string, parallel, systems, builds, inflight int, quotient bool, drainTimeout time.Duration) error {
+	store, closeStore, err := eba.OpenResultCache(cacheDir)
 	if err != nil {
 		return err
 	}

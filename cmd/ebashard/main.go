@@ -42,13 +42,11 @@
 // the same stack was built before — streams and indexes stay
 // byte-identical, a warm re-run just skips the work (the stderr summary
 // says executed=/hits= for a sweep, "index built" or "index restored" for
-// a check). -cache-url URL consults a shared cache server instead
-// (ebacoord -cache serves one at <coordinator>/cache); giving both
-// tiers the directory over the server. Keys fold in the binary's VCS
-// revision, so a rebuilt binary never reuses stale entries, and every
-// entry is digest-verified on read — damage means recompute, never a
-// wrong answer. -cache-gc compacts the directory (bound its size with
-// -cache-max-bytes) and exits.
+// a check). Keys fold in the binary's VCS revision, so a rebuilt binary
+// never reuses stale entries, and every entry is digest-verified on
+// read — damage means recompute, never a wrong answer. -cache-gc
+// compacts the directory (bound its size with -cache-max-bytes) and
+// exits.
 //
 //	ebashard -stack fip -n 4 -t 1 -quotient -cache ~/.eba-cache -out sweep.jsonl
 //	ebashard -cache-gc -cache ~/.eba-cache -cache-max-bytes 1000000000
@@ -120,7 +118,6 @@ func run(args []string) error {
 		workerID   = fs.String("id", "", "worker identity reported to the coordinator (default hostname-pid)")
 		timeout    = fs.Duration("timeout", 30*time.Second, "worker mode: per-request timeout on every network call")
 		cacheDir   = fs.String("cache", "", "result cache directory: answer already-swept scenarios (-check: an already-built stripe index) from it instead of re-executing")
-		cacheURL   = fs.String("cache-url", "", "shared result cache server URL (ebacoord -cache serves one at <coordinator>/cache); combine with -cache for a local tier over it")
 		cacheGC    = fs.Bool("cache-gc", false, "compact the -cache directory (drop dead and damaged entries) and exit")
 		cacheMax   = fs.Int64("cache-max-bytes", 0, "-cache-gc: evict oldest entries until the cache payload fits this budget (0 = keep everything live)")
 	)
@@ -146,7 +143,7 @@ func run(args []string) error {
 	if *cacheGC {
 		return runCacheGC(*cacheDir, *cacheMax)
 	}
-	store, closeStore, err := eba.OpenResultCache(*cacheDir, *cacheURL)
+	store, closeStore, err := eba.OpenResultCache(*cacheDir)
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,7 @@ import (
 	"sync/atomic"
 )
 
-// Stats is a point-in-time snapshot of a store's traffic counters.
+// Stats is a point-in-time snapshot of a cache's traffic counters.
 type Stats struct {
 	// Hits and Misses count Get probes; Puts counts stored entries.
 	Hits   int64 `json:"hits"`
@@ -71,20 +71,12 @@ func (s Stats) Add(o Stats) Stats {
 	}
 }
 
-// Store is the cache contract shared by the on-disk Cache, the HTTP
-// Client, and the Tiered composition: digest-verified content-addressed
-// Get/Put plus traffic counters. Implementations are safe for concurrent
-// use.
-type Store interface {
-	// Get returns the payload stored under key, or false. A stored entry
-	// that fails digest verification is reported as a miss, never served.
-	Get(key string) ([]byte, bool)
-	// Put stores the payload under key. Storing the identical payload
-	// again is a no-op; a Put error leaves the cache usable (callers
-	// treat caching as best-effort).
-	Put(key string, val []byte) error
-	// Stats snapshots the store's traffic counters.
-	Stats() Stats
+// Key assembles the canonical cache key of a payload: the stack version
+// digest, the payload kind ("run" for sweep outcomes, "idx" for the
+// checker's stripe indexes), and the scenario (for "idx", stripe) digest,
+// slash-joined.
+func Key(versionDigest, kind, scenarioDigest string) string {
+	return versionDigest + "/" + kind + "/" + scenarioDigest
 }
 
 // counters is the atomic backing of Stats.
@@ -146,8 +138,6 @@ type Cache struct {
 
 	stats counters
 }
-
-var _ Store = (*Cache)(nil)
 
 const indexName = "index.json"
 

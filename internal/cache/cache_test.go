@@ -5,9 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -308,164 +305,8 @@ func TestCacheConcurrentPutGet(t *testing.T) {
 	wg.Wait()
 }
 
-// --- the HTTP tiers -------------------------------------------------------
-
-func TestServerClientRoundTrip(t *testing.T) {
-	backing := openT(t, t.TempDir())
-	defer closeT(t, backing)
-	srv := httptest.NewServer(NewServer(backing))
-	defer srv.Close()
-	cl := NewClient(srv.URL)
-
-	key := testKey(3)
-	if _, ok := cl.Get(key); ok {
-		t.Fatal("empty server hit")
-	}
-	if err := cl.Put(key, []byte("shared")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	val, ok := cl.Get(key)
-	if !ok || string(val) != "shared" {
-		t.Fatalf("Get: %q %v", val, ok)
-	}
-	st := cl.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
-		t.Fatalf("client stats %+v", st)
-	}
-	if bst := backing.Stats(); bst.Puts != 1 || bst.Hits != 1 {
-		t.Fatalf("backing stats %+v", bst)
-	}
-}
-
-func TestServerRejectsBadDigestAndPath(t *testing.T) {
-	backing := openT(t, t.TempDir())
-	defer closeT(t, backing)
-	srv := httptest.NewServer(NewServer(backing))
-	defer srv.Close()
-
-	key := testKey(3)
-	// PUT without a digest.
-	req, _ := http.NewRequest(http.MethodPut, srv.URL+entryPrefix+key, strings.NewReader("v"))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("digest-less PUT: %s", resp.Status)
-	}
-	// PUT with a wrong digest.
-	req, _ = http.NewRequest(http.MethodPut, srv.URL+entryPrefix+key, strings.NewReader("v"))
-	req.Header.Set(DigestHeader, strings.Repeat("00", 32))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("wrong-digest PUT: %s", resp.Status)
-	}
-	if backing.Len() != 0 {
-		t.Fatal("rejected PUT landed in the store")
-	}
-	// Malformed key paths never route.
-	for _, p := range []string{"/v1/entry/xyz", "/v1/entry/UPPER/run/abcd", "/v1/entry/ab/run/cd/extra", "/other"} {
-		resp, err := http.Get(srv.URL + p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s: %s, want 404", p, resp.Status)
-		}
-	}
-}
-
-// A server returning tampered payloads must not be believed: the client
-// verifies the digest against the full key and misses on mismatch.
-func TestClientRejectsTamperedPayload(t *testing.T) {
-	key := testKey(5)
-	tampered := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sum := recordSum(key, []byte("genuine"))
-		w.Header().Set(DigestHeader, hex.EncodeToString(sum[:]))
-		w.Write([]byte("tampered"))
-	})
-	srv := httptest.NewServer(tampered)
-	defer srv.Close()
-	cl := NewClient(srv.URL)
-	if val, ok := cl.Get(key); ok {
-		t.Fatalf("tampered payload accepted: %q", val)
-	}
-	if st := cl.Stats(); st.Rejects != 1 {
-		t.Fatalf("client stats %+v, want 1 reject", st)
-	}
-}
-
-func TestTieredBackfillsLocal(t *testing.T) {
-	local := openT(t, t.TempDir())
-	defer closeT(t, local)
-	shared := openT(t, t.TempDir())
-	defer closeT(t, shared)
-	srv := httptest.NewServer(NewServer(shared))
-	defer srv.Close()
-	tiered := NewTiered(local, NewClient(srv.URL))
-
-	key := testKey(8)
-	if err := shared.Put(key, []byte("from-the-fleet")); err != nil {
-		t.Fatal(err)
-	}
-	val, ok := tiered.Get(key)
-	if !ok || string(val) != "from-the-fleet" {
-		t.Fatalf("tiered Get: %q %v", val, ok)
-	}
-	// The shared hit back-filled the local tier.
-	if val, ok := local.Get(key); !ok || string(val) != "from-the-fleet" {
-		t.Fatalf("local tier after backfill: %q %v", val, ok)
-	}
-	// Put writes through to both tiers.
-	key2 := testKey(9)
-	if err := tiered.Put(key2, []byte("both")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := shared.Get(key2); !ok {
-		t.Fatal("write-through missed the shared tier")
-	}
-	if _, ok := local.Get(key2); !ok {
-		t.Fatal("write-through missed the local tier")
-	}
-	if st := tiered.Stats(); st.Hits != 1 || st.Puts != 1 {
-		t.Fatalf("tiered stats %+v", st)
-	}
-}
-
 func TestFingerprintNonEmpty(t *testing.T) {
 	if Fingerprint() == "" {
 		t.Fatal("Fingerprint returned an empty identity")
-	}
-}
-
-// unread fails the test if anything reads it.
-type unread struct{ t *testing.T }
-
-func (u unread) Read([]byte) (int, error) {
-	u.t.Error("the server read the body of a PUT it must refuse on its declared length")
-	return 0, io.EOF
-}
-
-// TestServerRefusesOversizedPut: a PUT declaring more than a record may
-// hold is refused with a 4xx before a byte of it is read.
-func TestServerRefusesOversizedPut(t *testing.T) {
-	backing := openT(t, t.TempDir())
-	defer closeT(t, backing)
-	req := httptest.NewRequest(http.MethodPut, entryPrefix+testKey(5), unread{t})
-	req.ContentLength = maxValLen + 1
-	req.Header.Set(DigestHeader, strings.Repeat("00", 32))
-	rec := httptest.NewRecorder()
-	NewServer(backing).ServeHTTP(rec, req)
-	if rec.Code < 400 || rec.Code > 499 {
-		t.Fatalf("oversized PUT answers %d, want a 4xx", rec.Code)
-	}
-	if backing.Len() != 0 {
-		t.Fatal("refused PUT landed in the store")
 	}
 }

@@ -34,7 +34,7 @@ import (
 
 // ResultCache is the store the runner consults: Get misses on any
 // failure (the caller recomputes), Put is best-effort persistence.
-// internal/cache's Cache, Client, and Tiered all implement it.
+// internal/cache's Cache implements it; tests fake it.
 type ResultCache interface {
 	Get(key string) ([]byte, bool)
 	Put(key string, val []byte) error
@@ -85,9 +85,7 @@ func scenarioDigest(text []byte, inits []model.Value) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// CacheKey assembles the full cache key. The format matches
-// internal/cache.Key, so keys built here route through the shared cache
-// server unchanged.
+// CacheKey assembles the full cache key, in internal/cache.Key's format.
 func CacheKey(versionDigest, kind, scenarioDigest string) string {
 	return versionDigest + "/" + kind + "/" + scenarioDigest
 }

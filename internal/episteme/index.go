@@ -22,8 +22,7 @@ import "context"
 // producer that can tell cheaply that two rows carry the same key says so
 // with a memo code — code(g) in [0, codes), equal codes implying equal
 // keys — and the kernel asks key once per distinct code instead of once
-// per row. A producer with nothing smaller than the row itself leaves
-// code nil.
+// per row.
 type slotRows struct {
 	n     int
 	codes int
@@ -58,19 +57,16 @@ func (s *System) internSlots(ctx context.Context, lo, hi int, rows func(slot int
 		p := rows(slot)
 		// A producer's codes bound its keys from above; half of that is
 		// where the late slots of a sweep land, and starting there spares
-		// the map most of its doublings. No code, no hint.
+		// the map most of its doublings.
 		byKey := make(map[string]int32, min(p.codes, p.n)/2)
 		var classKey []string
 		classOf := make([]int32, p.n)
 		seen := make([]int32, p.codes)
 		for g := range classOf {
-			var cell *int32
-			if p.code != nil {
-				cell = &seen[p.code(g)]
-				if *cell != 0 {
-					classOf[g] = *cell - 1
-					continue
-				}
+			cell := &seen[p.code(g)]
+			if *cell != 0 {
+				classOf[g] = *cell - 1
+				continue
 			}
 			key, err := p.key(g)
 			if err != nil {
@@ -83,9 +79,7 @@ func (s *System) internSlots(ctx context.Context, lo, hi int, rows func(slot int
 				byKey[key] = cls
 				classKey = append(classKey, key)
 			}
-			if cell != nil {
-				*cell = cls + 1
-			}
+			*cell = cls + 1
 			classOf[g] = cls
 		}
 		s.classOf[slot] = classOf

@@ -19,6 +19,11 @@ func literalSystem(n, horizon, nRuns, par int) *System {
 	return &System{N: n, Horizon: horizon, Runs: make([]*engine.Result, nRuns), par: par}
 }
 
+// perRow is the rows of a producer whose memo code is the row itself.
+func perRow(n int, key func(g int) (string, error)) slotRows {
+	return slotRows{n: n, codes: n, code: func(g int) int { return g }, key: key}
+}
+
 // TestInternSlotsFirstAppearance pins the kernel's whole contract on one
 // literal slot: class ids by first appearance in ascending run order,
 // members ascending, two memo codes with one key sharing a class, and the
@@ -27,34 +32,31 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 	keys := []string{"b", "a", "b", "c", "a", "b", "c"}
 	// Runs 0 and 2 share code 0, run 5 carries the same key under code 3.
 	codes := []int{0, 1, 0, 2, 1, 3, 2}
-	for _, memo := range []bool{true, false} {
-		asked := make([]int, len(keys))
-		rows := slotRows{n: len(keys), key: func(g int) (string, error) {
+	asked := make([]int, len(keys))
+	rows := slotRows{
+		n:     len(keys),
+		codes: 4,
+		code:  func(g int) int { return codes[g] },
+		key: func(g int) (string, error) {
 			asked[g]++
 			return keys[g], nil
-		}}
-		wantAsked := []int{1, 1, 1, 1, 1, 1, 1}
-		if memo {
-			rows.codes = 4
-			rows.code = func(g int) int { return codes[g] }
-			wantAsked = []int{1, 1, 0, 1, 0, 1, 0}
-		}
-		sys, err := literalSystem(1, 0, len(keys), 1).indexed(context.Background(), func(int) slotRows { return rows })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := sys.classOf[0], []int32{0, 1, 0, 2, 1, 0, 2}; !reflect.DeepEqual(got, want) {
-			t.Errorf("memo %v: classOf = %v, want %v", memo, got, want)
-		}
-		if got, want := sys.classRuns[0], [][]int{{0, 2, 5}, {1, 4}, {3, 6}}; !reflect.DeepEqual(got, want) {
-			t.Errorf("memo %v: classRuns = %v, want %v", memo, got, want)
-		}
-		if got, want := sys.classKey[0], []string{"b", "a", "c"}; !reflect.DeepEqual(got, want) {
-			t.Errorf("memo %v: classKey = %v, want %v", memo, got, want)
-		}
-		if !reflect.DeepEqual(asked, wantAsked) {
-			t.Errorf("memo %v: key asked %v times per run, want %v", memo, asked, wantAsked)
-		}
+		},
+	}
+	sys, err := literalSystem(1, 0, len(keys), 1).indexed(context.Background(), func(int) slotRows { return rows })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sys.classOf[0], []int32{0, 1, 0, 2, 1, 0, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("classOf = %v, want %v", got, want)
+	}
+	if got, want := sys.classRuns[0], [][]int{{0, 2, 5}, {1, 4}, {3, 6}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("classRuns = %v, want %v", got, want)
+	}
+	if got, want := sys.classKey[0], []string{"b", "a", "c"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("classKey = %v, want %v", got, want)
+	}
+	if want := []int{1, 1, 0, 1, 0, 1, 0}; !reflect.DeepEqual(asked, want) {
+		t.Errorf("key asked %v times per run, want %v", asked, want)
 	}
 }
 
@@ -64,7 +66,7 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 func TestInternSlotsGlobalFold(t *testing.T) {
 	keys := [][]string{{"x", "y", "x"}, {"y", "z", "z"}, {"w", "x", "z"}, {"y", "y", "v"}}
 	rows := func(slot int) slotRows {
-		return slotRows{n: 3, key: func(g int) (string, error) { return keys[slot][g], nil }}
+		return perRow(3, func(g int) (string, error) { return keys[slot][g], nil })
 	}
 	want := [][]int32{{0, 1}, {1, 2}, {3, 0, 2}, {1, 4}}
 	for _, par := range []int{1, 3} {
@@ -95,12 +97,12 @@ func TestInternSlotsGlobalFold(t *testing.T) {
 func TestInternSlotsReportsLowestFailingSlot(t *testing.T) {
 	for _, par := range []int{1, 2, 7} {
 		sys, err := literalSystem(4, 1, 5, par).indexed(context.Background(), func(slot int) slotRows {
-			return slotRows{n: 5, key: func(g int) (string, error) {
+			return perRow(5, func(g int) (string, error) {
 				if (slot == 3 || slot == 7) && g >= 2 {
 					return "", fmt.Errorf("slot %d run %d has no key", slot, g)
 				}
 				return fmt.Sprint(g % 2), nil
-			}}
+			})
 		})
 		if sys != nil || err == nil || err.Error() != "slot 3 run 2 has no key" {
 			t.Errorf("parallelism %d: indexed = (system: %v, %v), want only slot 3's first error", par, sys != nil, err)
@@ -120,7 +122,7 @@ func TestInternSlotsCancellation(t *testing.T) {
 		var slots atomic.Int32
 		sys, err := literalSystem(2, 1, 3, 1).indexed(ctx, func(int) slotRows {
 			slots.Add(1)
-			return slotRows{n: 3, key: func(int) (string, error) { return "k", nil }}
+			return perRow(3, func(int) (string, error) { return "k", nil })
 		})
 		cancel(nil)
 		if sys != nil || !errors.Is(err, cause) {

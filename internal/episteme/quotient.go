@@ -42,6 +42,18 @@ import (
 	"repro/internal/model"
 )
 
+// KeyPermuterOf returns the exchange's key relabeling, which a quotiented
+// system cannot be expanded without, or the error every quotiented
+// construction refuses with: the builders before enumerating anything,
+// ExpandQuotient as the merge-side guard.
+func KeyPermuterOf(ex model.Exchange) (model.KeyPermuter, error) {
+	kp, ok := ex.(model.KeyPermuter)
+	if !ok {
+		return nil, fmt.Errorf("episteme: exchange %q does not implement model.KeyPermuter; its local-state keys cannot cross an agent relabeling", ex.Name())
+	}
+	return kp, nil
+}
+
 // ExpandQuotient rebuilds the full interpreted system from a quotiented
 // one (BuildSystem with WithQuotient builds and expands in one call;
 // sharded flows expand once, after MergeSystems reassembles the
@@ -58,9 +70,9 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 	if c.Exchange == nil {
 		return nil, fmt.Errorf("episteme: ExpandQuotient needs the context's exchange")
 	}
-	kp, ok := c.Exchange.(model.KeyPermuter)
-	if !ok {
-		return nil, fmt.Errorf("episteme: exchange %q does not implement model.KeyPermuter; its local-state keys cannot cross an agent relabeling", c.Exchange.Name())
+	kp, err := KeyPermuterOf(c.Exchange)
+	if err != nil {
+		return nil, err
 	}
 	n, horizon := rep.N, rep.Horizon
 	if c.Exchange.N() != n || c.T != rep.T || c.horizonOrDefault() != horizon {

@@ -189,6 +189,66 @@ func TestQuotientRequiresKeyPermuter(t *testing.T) {
 	}
 }
 
+// startCounter counts the runs an exchange is asked to start.
+type startCounter struct {
+	model.Exchange
+	starts atomic.Int64
+}
+
+func (e *startCounter) Initial(i model.AgentID, init model.Value) model.State {
+	e.starts.Add(1)
+	return e.Exchange.Initial(i, init)
+}
+
+// TestQuotientRefusedBeforeEnumerating: a quotiented build over an
+// exchange nothing can expand is refused by every builder, with
+// ExpandQuotient's sentence, before a run is executed or the cache is
+// touched. (BuildShardIndex used to build and store the index, and the
+// error appeared only when -check -merge tried to expand it.)
+func TestQuotientRefusedBeforeEnumerating(t *testing.T) {
+	for name, mk := range map[string]func() (model.Exchange, model.ActionProtocol){
+		"min":   func() (model.Exchange, model.ActionProtocol) { return exchange.NewMin(3), action.NewMin(1) },
+		"basic": func() (model.Exchange, model.ActionProtocol) { return exchange.NewBasic(3), action.NewBasic(3) },
+	} {
+		ex, act := mk()
+		_, want := ExpandQuotient(context.Background(), &System{weights: []int64{}}, Context{Exchange: ex, T: 1})
+		if want == nil || !strings.Contains(want.Error(), "does not implement model.KeyPermuter") {
+			t.Fatalf("%s: ExpandQuotient refuses with %v", name, want)
+		}
+		store := newTestStore()
+		for builder, build := range map[string]func(Context) error{
+			"BuildShardIndex": func(c Context) error {
+				_, err := BuildShardIndex(context.Background(), c, act, 0, 2, WithQuotient())
+				return err
+			},
+			"BuildShardIndex with a cache": func(c Context) error {
+				_, err := BuildShardIndex(context.Background(), c, act, 0, 2, WithQuotient(), WithCache(store, "fp"))
+				return err
+			},
+			"BuildSystem": func(c Context) error {
+				_, err := BuildSystem(context.Background(), c, act, WithQuotient())
+				return err
+			},
+			"BuildSystem with a cache": func(c Context) error {
+				_, err := BuildSystem(context.Background(), c, act, WithQuotient(), WithCache(store, "fp"))
+				return err
+			},
+		} {
+			counted := &startCounter{Exchange: ex}
+			err := build(Context{Exchange: counted, T: 1})
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s, %s: error %v, want %v", name, builder, err, want)
+			}
+			if n := counted.starts.Load(); n != 0 {
+				t.Errorf("%s, %s: %d agent states were initialised before the refusal", name, builder, n)
+			}
+		}
+		if gets, _, puts := store.counts(); gets != 0 || puts != 0 {
+			t.Errorf("%s: the refused builds made %d cache probes and %d puts", name, gets, puts)
+		}
+	}
+}
+
 // TestCheckersRefuseQuotientedSystem: an unexpanded representative
 // system must not be checkable — its verdicts would quantify over one
 // run per orbit.

@@ -95,6 +95,12 @@ func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, s
 		return nil, fmt.Errorf("episteme: Exchange and action protocol are required")
 	}
 	o := newOptions(opts)
+	if o.quotient {
+		// An index nothing can expand is refused before it is paid for.
+		if _, err := KeyPermuterOf(c.Exchange); err != nil {
+			return nil, err
+		}
+	}
 	n := c.Exchange.N()
 	horizon := c.horizonOrDefault()
 	// A hit is the verified WriteShardIndex serialization; its decode
@@ -135,8 +141,8 @@ func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, s
 		return nil, err
 	}
 	if o.cache != nil {
-		// Best-effort, like every cache store: a full disk or unreachable
-		// server never fails the build.
+		// Best-effort, like every cache store: a full disk never fails the
+		// build.
 		var buf bytes.Buffer
 		if err := WriteShardIndex(&buf, idx); err == nil {
 			o.cache.Put(idxKey, buf.Bytes())

@@ -357,6 +357,10 @@ func BuildSystem(ctx context.Context, c Context, act model.ActionProtocol, opts 
 		return nil, err
 	}
 	if o.quotient {
+		// Refuse before enumerating what ExpandQuotient would refuse after.
+		if _, err := KeyPermuterOf(c.Exchange); err != nil {
+			return nil, err
+		}
 		rep, err := buildSystemFromSource(ctx, c, act, source.Quotient(src), o)
 		if err != nil {
 			return nil, err

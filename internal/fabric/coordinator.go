@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	rescache "repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/episteme"
 	"repro/internal/httplimit"
@@ -41,10 +40,6 @@ type CoordinatorConfig struct {
 	Parallelism int
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
-	// CacheStore, when set, is served under /cache/ as a shared result
-	// cache for the fleet (workers point -cache-url at it); its traffic
-	// shows up in StatusReport.Cache.
-	CacheStore rescache.Store
 
 	// now overrides the clock in tests.
 	now func() time.Time
@@ -66,7 +61,6 @@ type Coordinator struct {
 	now     func() time.Time
 	table   *leaseTable
 	wake    chan struct{}
-	cstore  rescache.Store
 
 	beforePublish func(stripe int) // CoordinatorConfig.beforePublish (tests only)
 
@@ -122,7 +116,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		now:     cfg.now,
 		table:   newLeaseTable(cfg.Job.Stripes, cfg.LeaseTTL, cfg.now),
 		wake:    make(chan struct{}, 1),
-		cstore:  cfg.CacheStore,
 		phase:   PhaseRunning,
 		workers: make(map[string]*workerStats),
 
@@ -235,9 +228,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/result/", c.handleResult)
 	mux.HandleFunc("/status", c.handleStatus)
 	mux.HandleFunc("/merged", c.handleMerged)
-	if c.cstore != nil {
-		mux.Handle("/cache/", http.StripPrefix("/cache", rescache.NewServer(c.cstore)))
-	}
 	return mux
 }
 
@@ -534,16 +524,6 @@ func (c *Coordinator) Status() StatusReport {
 				wr.CacheAgeMillis = now.Sub(ws.cacheAt).Milliseconds()
 			}
 			rep.Workers[id] = wr
-		}
-	}
-	if c.cstore != nil {
-		st := c.cstore.Stats()
-		rep.Cache = &CacheReport{
-			Hits:         st.Hits,
-			Misses:       st.Misses,
-			Puts:         st.Puts,
-			BytesServed:  st.BytesServed,
-			BytesWritten: st.BytesWritten,
 		}
 	}
 	return rep

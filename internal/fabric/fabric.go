@@ -165,9 +165,8 @@ type LeaseGrant struct {
 	TTLMillis int64 `json:"ttlMillis"`
 }
 
-// CacheReport snapshots one side's result-cache traffic: a worker's
-// local/tiered cache in heartbeats, the coordinator-hosted shared store
-// in StatusReport.
+// CacheReport snapshots a worker's result-cache traffic; it travels in
+// heartbeats and shows up in the worker's row of StatusReport.
 type CacheReport struct {
 	Hits         int64 `json:"hits"`
 	Misses       int64 `json:"misses"`
@@ -274,7 +273,4 @@ type StatusReport struct {
 	// Error carries the failure when Phase is "failed" (or the verdict
 	// failure of a complete check job).
 	Error string `json:"error,omitempty"`
-	// Cache reports the coordinator-hosted shared cache store's traffic
-	// (absent when the coordinator hosts none).
-	Cache *CacheReport `json:"cache,omitempty"`
 }

@@ -125,6 +125,12 @@ func leaseStripe(t *testing.T, baseURL, worker string) (LeaseGrant, int) {
 // of them; any worker error fails the test.
 func runWorkers(t *testing.T, ctx context.Context, url string, n int) {
 	t.Helper()
+	runCachedWorkers(t, ctx, url, n, nil)
+}
+
+// runCachedWorkers is runWorkers with one result cache shared by all n.
+func runCachedWorkers(t *testing.T, ctx context.Context, url string, n int, store core.ResultCache) {
+	t.Helper()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -134,6 +140,8 @@ func runWorkers(t *testing.T, ctx context.Context, url string, n int) {
 			PollInterval: 20 * time.Millisecond,
 			BaseBackoff:  5 * time.Millisecond,
 			Logf:         t.Logf,
+			Cache:        store,
+			Fingerprint:  "fp",
 		})
 		if err != nil {
 			t.Fatalf("NewWorker: %v", err)
@@ -747,63 +755,10 @@ func TestJobSpecValidate(t *testing.T) {
 
 // --- result cache ---------------------------------------------------------
 
-// newCacheCoordinator is newTestCoordinator with a hosted shared cache
-// store mounted under /cache/.
-func newCacheCoordinator(t *testing.T, job JobSpec, store rescache.Store) (*Coordinator, *httptest.Server) {
-	t.Helper()
-	c, err := NewCoordinator(CoordinatorConfig{
-		Job:        job,
-		SpoolDir:   t.TempDir(),
-		LeaseTTL:   2 * time.Second,
-		Logf:       t.Logf,
-		CacheStore: store,
-	})
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	srv := httptest.NewServer(c.Handler())
-	t.Cleanup(srv.Close)
-	return c, srv
-}
-
-// runCachedWorkers runs n workers whose result cache is a client of the
-// coordinator-hosted shared store.
-func runCachedWorkers(t *testing.T, ctx context.Context, url, fingerprint string, n int) {
-	t.Helper()
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		w, err := NewWorker(WorkerConfig{
-			Coordinator:  url,
-			ID:           fmt.Sprintf("cw%d", i),
-			PollInterval: 20 * time.Millisecond,
-			BaseBackoff:  5 * time.Millisecond,
-			Logf:         t.Logf,
-			Cache:        rescache.NewClient(url + "/cache"),
-			Fingerprint:  fingerprint,
-		})
-		if err != nil {
-			t.Fatalf("NewWorker: %v", err)
-		}
-		wg.Add(1)
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			_, errs[i] = w.Run(ctx)
-		}(i, w)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("cached worker %d: %v", i, err)
-		}
-	}
-}
-
-// TestFabricSharedCache runs one sweep job twice against a single
-// coordinator-hosted shared cache store: the first fleet fills it, the
-// second answers from it, and both merged streams are byte-identical to
-// the single-process reference. The hosted store's traffic shows up in
-// the coordinator's status report.
+// TestFabricSharedCache runs one sweep job twice with two workers that
+// share a single cache directory: the first fleet fills it, the second
+// answers from it, and both merged streams are byte-identical to the
+// single-process reference.
 func TestFabricSharedCache(t *testing.T) {
 	job := testJob(4)
 	want := singleSweepStream(t, job)
@@ -815,10 +770,11 @@ func TestFabricSharedCache(t *testing.T) {
 
 	var merged [2][]byte
 	for round, label := range []string{"cold", "warm"} {
-		c, srv := newCacheCoordinator(t, job, store)
+		before := store.Stats()
+		c, srv := newTestCoordinator(t, job, 2*time.Second)
 		runErr := make(chan error, 1)
 		go func() { runErr <- c.Run(context.Background()) }()
-		runCachedWorkers(t, context.Background(), srv.URL, "fp", 2)
+		runCachedWorkers(t, context.Background(), srv.URL, 2, store)
 		if err := <-runErr; err != nil {
 			t.Fatalf("%s coordinator Run: %v", label, err)
 		}
@@ -829,14 +785,11 @@ func TestFabricSharedCache(t *testing.T) {
 		if !bytes.Equal(merged[round], want) {
 			t.Fatalf("%s fabric-merged stream differs from the single-process stream", label)
 		}
-		rep := c.Status()
-		if rep.Cache == nil {
-			t.Fatalf("%s status reports no hosted cache", label)
-		}
-		if round == 0 && rep.Cache.Puts == 0 {
+		after := store.Stats()
+		if round == 0 && after.Puts == before.Puts {
 			t.Fatal("cold fleet stored nothing in the shared cache")
 		}
-		if round == 1 && rep.Cache.Hits == 0 {
+		if round == 1 && after.Hits == before.Hits {
 			t.Fatal("warm fleet hit nothing in the shared cache")
 		}
 	}
@@ -872,9 +825,9 @@ func TestFabricSharedCacheCheckJob(t *testing.T) {
 	}
 	defer store.Close()
 	for _, label := range []string{"cold", "warm"} {
-		c, srv := newCacheCoordinator(t, job, store)
+		c, srv := newTestCoordinator(t, job, 2*time.Second)
 		go func() { runErr <- c.Run(context.Background()) }()
-		runCachedWorkers(t, context.Background(), srv.URL, "fp", 2)
+		runCachedWorkers(t, context.Background(), srv.URL, 2, store)
 		if err := <-runErr; err != nil {
 			t.Fatalf("%s coordinator Run: %v", label, err)
 		}
@@ -924,9 +877,6 @@ func TestHeartbeatCarriesCacheReport(t *testing.T) {
 	}
 	if wr.Cache.Hits != 7 || wr.Cache.Misses != 3 || wr.Cache.BytesServed != 700 {
 		t.Fatalf("worker cache report = %+v", wr.Cache)
-	}
-	if rep.Cache != nil {
-		t.Fatal("coordinator hosts no store but reports cache traffic")
 	}
 	if wr.CacheStale {
 		t.Fatal("a report delivered by the latest heartbeat is flagged stale")

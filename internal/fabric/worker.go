@@ -58,9 +58,9 @@ type WorkerConfig struct {
 	// per stripe of a check job, the stripe's index (episteme.WithCache):
 	// a warmed worker answers repeat stripes without executing.
 	// Fingerprint is the code identity folded into the cache keys
-	// (internal/cache.Fingerprint in the CLIs). If the store also
-	// implements internal/cache's Stats() (its Cache, Client, and Tiered
-	// all do), the worker reports its counters in every heartbeat.
+	// (internal/cache.Fingerprint in the CLIs). If the store also has
+	// internal/cache's Stats() (its Cache does), the worker reports its
+	// counters in every heartbeat.
 	Cache       core.ResultCache
 	Fingerprint string
 }

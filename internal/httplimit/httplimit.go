@@ -1,7 +1,7 @@
-// Package httplimit holds the limits every daemon in the tree (ebaserve,
-// ebacoord, the cache server) puts on what a client can make it wait for
-// or read: a bound on how long request headers may take to arrive, and a
-// bound on how much of a request body a handler will buffer.
+// Package httplimit holds the limits both daemons in the tree (ebaserve,
+// ebacoord) put on what a client can make them wait for or read: a bound
+// on how long request headers may take to arrive, and a bound on how much
+// of a request body a handler will buffer.
 package httplimit
 
 import (

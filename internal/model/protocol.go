@@ -105,10 +105,9 @@ type BufferedExchange interface {
 // system into the full one by string rewriting alone (the permuted runs
 // were never executed, so no State values exist for them).
 //
-// Exchanges whose keys mention no agent identities (Emin, Ebasic, the
-// report exchange) need not implement KeyPermuter: for them the permuted
-// key is the key itself, and consumers treat absence as the identity
-// rewrite.
+// Only Efip implements it today. An exchange that does not cannot be
+// quotiented: the model checker's builders refuse it before enumerating
+// (episteme.KeyPermuterOf).
 type KeyPermuter interface {
 	// PermuteKey rewrites key under perm, where perm[i] is the new
 	// identity of old agent i (the Pattern.Permute convention). It

@@ -546,7 +546,7 @@ func (s *Server) system(ctx context.Context, stack core.Stack, par int) (*episte
 		t0 := time.Now()
 		ec := episteme.ContextFor(stack)
 		opts := []episteme.Option{episteme.WithParallelism(par)}
-		if _, ok := ec.Exchange.(model.KeyPermuter); s.cfg.Quotient && ok {
+		if _, err := episteme.KeyPermuterOf(ec.Exchange); s.cfg.Quotient && err == nil {
 			// Quotient is best-effort: only exchanges whose keys can cross
 			// an agent relabeling (model.KeyPermuter) support it; the rest
 			// build the full system directly.
@@ -586,8 +586,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // resultCacheStats snapshots the configured result cache's counters
-// when the store can report them (internal/cache's Cache, Client, and
-// Tiered all can).
+// when the store can report them (internal/cache's Cache can).
 func (s *Server) resultCacheStats() *rescache.Stats {
 	if statser, ok := s.cfg.Cache.(interface{ Stats() rescache.Stats }); ok {
 		st := statser.Stats()

@@ -228,7 +228,7 @@ func expandedFIPN4(b *testing.B) func() *episteme.System {
 	st := stack(b, "fip", 4, 1)
 	ec := episteme.ContextFor(st)
 	ctx := context.Background()
-	idx, err := episteme.BuildShardIndex(ctx, ec, st.Action, 0, 1, episteme.WithQuotient())
+	idx, err := episteme.BuildShardIndex(ctx, ec, st.Action, 0, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

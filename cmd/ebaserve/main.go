@@ -71,7 +71,6 @@ func run(args []string) error {
 	systems := fs.Int("systems", 0, "hot Systems kept in the LRU (0 = default 8)")
 	builds := fs.Int("builds", 0, "concurrent System builds (0 = default 2)")
 	inflight := fs.Int("inflight", 0, "concurrent requests before 429 (0 = default 256)")
-	quotient := fs.Bool("quotient", false, "build Systems through the symmetry quotient where supported")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight requests")
 
 	loadURL := fs.String("loadtest", "", "run as the load harness against this base URL instead of serving")
@@ -90,10 +89,10 @@ func run(args []string) error {
 	if *loadURL != "" {
 		return runLoadTest(*loadURL, *requests, *concurrency, *stackName, *n, *t)
 	}
-	return serve(*listen, *cacheDir, *parallel, *systems, *builds, *inflight, *quotient, *drainTimeout)
+	return serve(*listen, *cacheDir, *parallel, *systems, *builds, *inflight, *drainTimeout)
 }
 
-func serve(listen, cacheDir string, parallel, systems, builds, inflight int, quotient bool, drainTimeout time.Duration) error {
+func serve(listen, cacheDir string, parallel, systems, builds, inflight int, drainTimeout time.Duration) error {
 	store, closeStore, err := eba.OpenResultCache(cacheDir)
 	if err != nil {
 		return err
@@ -107,7 +106,6 @@ func serve(listen, cacheDir string, parallel, systems, builds, inflight int, quo
 		MaxBuilds:      builds,
 		MaxInflight:    inflight,
 		MaxParallelism: parallel,
-		Quotient:       quotient,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -65,3 +65,12 @@ func TestDaemonBoundsRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestQuotientFlagGone: whether a System is built through the symmetry
+// quotient is the checker's decision, so the daemon has no flag for it.
+func TestQuotientFlagGone(t *testing.T) {
+	err := run([]string{"-quotient", "-listen", "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -quotient") {
+		t.Fatalf("ebaserve -quotient: %v; want an unknown-flag error", err)
+	}
+}

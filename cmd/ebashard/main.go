@@ -29,12 +29,14 @@
 // so sharded and unsharded checker outputs can be diffed directly.
 // -shard defaults to $EBA_SHARD when set ("i/k"), else to 0/1.
 //
-// -quotient reduces either mode's enumeration to one representative per
-// agent-permutation orbit (up to n! fewer executions): sweep-mode
-// outcome records carry their orbit size as a multiplicity, and
-// quotiented checker indexes are expanded back to the full system at
-// -check -merge time, so the verdict lines still diff clean against an
-// unquotiented run's.
+// -quotient is a sweep-mode flag: it reduces the enumeration to one
+// representative per agent-permutation orbit (up to n! fewer executions)
+// and the outcome records carry their orbit size as a multiplicity — a
+// different stream, so the caller chooses. The model checker takes no
+// such flag: it enumerates representatives whenever the stack's exchange
+// lets it rebuild the full system from them (fip; -check -merge expands),
+// its verdict lines are the same bytes either way, and -check -quotient
+// is a usage error.
 //
 // Result cache: -cache DIR answers already-swept scenarios from a
 // persistent content-addressed store instead of re-executing them, and
@@ -113,7 +115,7 @@ func run(args []string) error {
 		spec       = fs.Bool("spec", true, "sweep mode: spec-check every run (a violation aborts the shard)")
 		safety     = fs.Bool("safety", false, "-check -merge: also check the Definition 6.2 safety condition")
 		optimality = fs.Bool("optimality", true, "-check -merge: for fip, check the Theorem 7.5 characterization")
-		quotient   = fs.Bool("quotient", false, "enumerate one representative per agent-permutation orbit (weighting outcomes by orbit size; -check -merge expands automatically)")
+		quotient   = fs.Bool("quotient", false, "sweep mode: enumerate one representative per agent-permutation orbit, weighting outcomes by orbit size")
 		worker     = fs.String("worker", "", "join the fabric coordinator at this URL as a worker")
 		workerID   = fs.String("id", "", "worker identity reported to the coordinator (default hostname-pid)")
 		timeout    = fs.Duration("timeout", 30*time.Second, "worker mode: per-request timeout on every network call")
@@ -140,6 +142,9 @@ func run(args []string) error {
 		shard = eba.ShardSpec{Index: 0, Count: 1}
 	}
 
+	if *check && *quotient {
+		return fmt.Errorf("-quotient applies to sweeps, where it changes the stream; the checker decides from the stack's exchange whether to enumerate orbit representatives, and the verdicts are the same bytes either way")
+	}
 	if *cacheGC {
 		return runCacheGC(*cacheDir, *cacheMax)
 	}
@@ -157,7 +162,7 @@ func run(args []string) error {
 	case *merge:
 		return mergeStreams(fs.Args(), *out)
 	case *check:
-		return buildIndex(*stackName, *n, *t, shard, *out, *parallel, *quotient, store)
+		return buildIndex(*stackName, *n, *t, shard, *out, *parallel, store)
 	default:
 		return runStripe(*stackName, *n, *t, shard, *out, *parallel, *spec, *quotient, store)
 	}
@@ -318,10 +323,11 @@ func mergeStreams(paths []string, out string) error {
 }
 
 // buildIndex builds one stripe of the model checker's enumeration and
-// writes the partial epistemic index. With quotient, the stripe holds
-// orbit representatives with their multiplicities; -check -merge expands
-// the merged system back to the full sweep before writing verdicts.
-func buildIndex(stackName string, n, t int, shard eba.ShardSpec, out string, parallel int, quotient bool, store eba.ResultCache) error {
+// writes the partial epistemic index. Over an exchange that allows it the
+// stripe holds orbit representatives with their multiplicities;
+// -check -merge expands the merged system back to the full sweep before
+// writing verdicts.
+func buildIndex(stackName string, n, t int, shard eba.ShardSpec, out string, parallel int, store eba.ResultCache) error {
 	if err := shard.Validate(); err != nil {
 		return err
 	}
@@ -330,9 +336,6 @@ func buildIndex(stackName string, n, t int, shard eba.ShardSpec, out string, par
 		return err
 	}
 	opts := []eba.CheckOption{eba.WithCheckParallelism(parallel)}
-	if quotient {
-		opts = append(opts, eba.WithCheckQuotient())
-	}
 	var watch *putWatcher
 	if store != nil {
 		watch = &putWatcher{ResultCache: store}

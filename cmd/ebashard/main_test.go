@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -122,5 +123,16 @@ func TestShardErrors(t *testing.T) {
 	}
 	if err := run([]string{"-stack", "bogus", "-out", os.DevNull}); err == nil {
 		t.Error("unknown stack accepted")
+	}
+	// The checker picks the quotient from the stack's exchange; the flag
+	// would only let a script believe it had chosen something.
+	for _, args := range [][]string{
+		{"-check", "-quotient", "-stack", "fip", "-out", os.DevNull},
+		{"-check", "-quotient", "-stack", "min", "-out", os.DevNull},
+		{"-check", "-merge", "-quotient"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-quotient applies to sweeps") {
+			t.Errorf("%v: %v; want the usage error that says who picks the quotient", args, err)
+		}
 	}
 }

@@ -181,17 +181,6 @@ type CheckOption = episteme.Option
 // path reassembles its output in the canonical enumeration order.
 func WithCheckParallelism(k int) CheckOption { return episteme.WithParallelism(k) }
 
-// WithCheckQuotient makes BuildSystem and BuildShardIndex enumerate only
-// one canonical representative per agent-permutation orbit
-// (SourceQuotient) — up to n! fewer protocol executions. BuildSystem
-// transparently expands the representative system back to the full one,
-// so every verdict is bit-identical to the unquotiented build's;
-// BuildShardIndex exports a quotiented stripe, and the expansion happens
-// once after MergeSystems (ExpandQuotient). The stack's exchange must
-// support key permutation (fip does; min and basic do not) — builds over
-// other exchanges fail rather than mis-intern.
-func WithCheckQuotient() CheckOption { return episteme.WithQuotient() }
-
 // BuildSystem builds the stack's interpreted system by exhaustive
 // enumeration of every failure pattern and initial assignment in the
 // stack's EBA context (small n and t only — the construction is
@@ -199,6 +188,13 @@ func WithCheckQuotient() CheckOption { return episteme.WithQuotient() }
 // uses; ctx cancels the build, and WithCheckParallelism tunes it. The
 // returned System serves the knowledge checks (CheckImplements,
 // CheckSafety, CheckOptimalityFIP) and is safe for concurrent use.
+//
+// The checker, not the caller, picks the symmetry quotient: when the
+// stack's exchange can rewrite a local-state key under an agent
+// relabeling (fip can; min and basic cannot) only one representative per
+// agent-permutation orbit is executed — up to n! fewer runs — and the
+// full System is rebuilt from them, with verdicts bit-identical to the
+// run-everything build's.
 func BuildSystem(ctx context.Context, stack Stack, opts ...CheckOption) (*System, error) {
 	return episteme.BuildSystem(ctx, episteme.ContextFor(stack), stack.Action, opts...)
 }

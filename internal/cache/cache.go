@@ -12,6 +12,7 @@
 //	seg-000002.tmp    an unsealed segment a live writer is appending to
 //	index.json        the entry index over the sealed segments
 //	*.rejected        quarantined torn or corrupt files
+//	LOCK              flock(2)ed by the one open Cache of the directory
 //
 // Writers append to a .tmp segment and seal it — fsync, rename — only on
 // Close, so a crash leaves a temp file the next Open quarantines (the
@@ -42,6 +43,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 )
 
 // Stats is a point-in-time snapshot of a cache's traffic counters.
@@ -120,13 +122,15 @@ type segFile struct {
 	f    *os.File
 }
 
-// Cache is the on-disk store. Open one per directory; Get and Put are
-// safe for concurrent use; Close seals the write segment and rewrites
-// the index. Multiple processes may share a directory sequentially (the
-// CI warm-run pattern); concurrent writers from different processes are
-// safe but may leave the index stale, costing the next Open a rescan.
+// Cache is the on-disk store. Get and Put are safe for concurrent use;
+// Close seals the write segment and rewrites the index. One process per
+// cache directory: an open Cache holds its lock until Close and a second
+// Open fails, because Open quarantines every .tmp segment as a dead
+// writer's. Processes may share a directory one after another (CI's warm
+// runs).
 type Cache struct {
-	dir string
+	dir  string
+	lock *os.File // LOCK, flocked for the life of the Cache
 
 	mu      sync.RWMutex
 	closed  bool
@@ -163,20 +167,35 @@ type indexEnt struct {
 	Sum string `json:"sum"`
 }
 
-// Open opens (creating if needed) the cache directory: quarantines
-// leftover temp files, loads the index when it exactly matches the
+// Open opens (creating if needed) the cache directory: takes its lock or
+// fails when another Cache holds it, quarantines leftover temp files, loads the index when it exactly matches the
 // sealed segments on disk, and otherwise rescans them with full record
 // verification, setting torn segments aside as .rejected.
-func Open(dir string) (*Cache, error) {
+func Open(dir string) (c *Cache, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: creating %s: %w", dir, err)
+	}
+	lock, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("cache: locking %s: %w", dir, err)
+	}
+	defer func() {
+		if err != nil {
+			lock.Close()
+		}
+	}()
+	// Exclusive, non-blocking, and the file's: closing it, or the process
+	// dying, frees the directory.
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		return nil, fmt.Errorf("cache: %s is held by another open Cache (one process per cache directory): %w", dir, err)
 	}
 	listing, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("cache: reading %s: %w", dir, err)
 	}
-	c := &Cache{
+	c = &Cache{
 		dir:     dir,
+		lock:    lock,
 		entries: make(map[string]entryLoc),
 		mem:     make(map[string]memEntry),
 		nextSeq: 1,
@@ -480,6 +499,7 @@ func (c *Cache) Close() error {
 	c.segs = nil
 	c.entries = nil
 	c.mem = nil
+	c.lock.Close() // frees the directory; nothing was written through it
 	return firstErr
 }
 
@@ -532,8 +552,8 @@ type segWriter struct {
 }
 
 // newSegWriter claims the next free segment sequence number with an
-// O_EXCL create, so concurrent writers sharing a directory take distinct
-// segments.
+// O_EXCL create: a name some earlier file still holds is skipped, never
+// overwritten.
 func newSegWriter(dir string, nextSeq *int) (*segWriter, error) {
 	for tries := 0; tries < 10000; tries++ {
 		seq := *nextSeq

@@ -200,7 +200,8 @@ func TestCacheUnsealedTmpQuarantined(t *testing.T) {
 	if err := c.Put(testKey(1), []byte("never-sealed")); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash: no Close.
+	// Simulate the crash: no Close, and the dead process's lock is gone.
+	c.lock.Close()
 	tmps, _ := filepath.Glob(filepath.Join(dir, "seg-*.tmp"))
 	if len(tmps) != 1 {
 		t.Fatalf("%d tmp segments while writing, want 1", len(tmps))
@@ -214,6 +215,44 @@ func TestCacheUnsealedTmpQuarantined(t *testing.T) {
 	rejected, _ := filepath.Glob(filepath.Join(dir, "*.rejected"))
 	if len(rejected) != 1 {
 		t.Fatalf("%d quarantined files, want 1", len(rejected))
+	}
+}
+
+// TestCacheOneProcessPerDirectory: a directory with a live writer cannot
+// be opened again. (It could, and the second Open quarantined the first
+// writer's open segment as a dead one's, re-created the freed name, and
+// the first writer's seal then renamed that file into place: of two
+// workers sharing -cache DIR, one lost everything it had stored.)
+func TestCacheOneProcessPerDirectory(t *testing.T) {
+	dir := t.TempDir()
+	first := openT(t, dir)
+	put := func(i int) {
+		t.Helper()
+		if err := first.Put(testKey(i), []byte(fmt.Sprintf("payload-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(0)
+	second, err := Open(dir)
+	if err == nil {
+		second.Close()
+		t.Fatal("a second Open of a held directory succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, dir) || !strings.Contains(msg, "one process per cache directory") {
+		t.Fatalf("second Open: %v; want the directory and the one-process rule", err)
+	}
+	put(1)
+	closeT(t, first)
+
+	third := openT(t, dir)
+	defer closeT(t, third)
+	for i := 0; i < 2; i++ {
+		if val, ok := third.Get(testKey(i)); !ok || string(val) != fmt.Sprintf("payload-%d", i) {
+			t.Errorf("entry %d of the first writer after the refused Open: %q, %v", i, val, ok)
+		}
+	}
+	if rejected, _ := filepath.Glob(filepath.Join(dir, "*.rejected")); len(rejected) != 0 {
+		t.Errorf("quarantined files after a refused Open: %v", rejected)
 	}
 }
 

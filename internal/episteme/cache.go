@@ -52,7 +52,8 @@ func cachedSystem(ctx context.Context, c Context, act model.ActionProtocol, opts
 // fingerprint), so the digest slot covers what else decides the stripe's
 // content — the stripe, whether the sweep is quotiented, and the two
 // Context fields that pick the enumeration (Options.MaxPatterns only
-// refuses one, so it stays out).
+// refuses one, so it stays out). quotient is derived (buildOptions) and
+// stays in the key: a change of that rule must not hit the other sweep.
 func shardIndexCacheKey(version string, c Context, shardIndex, shardCount int, quotient bool) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "shard=%d/%d|quotient=%v|crash=%v|selfdrops=%v",

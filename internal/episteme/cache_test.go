@@ -87,30 +87,31 @@ func (a *countingAct) Act(i model.AgentID, s model.State) model.Action {
 }
 
 // TestCachedBuildOneEntry pins what WithCache means, for BuildSystem and
-// BuildShardIndex, quotiented and not: a cold build is one missing probe
-// and one store, a warm one is one hitting probe of the same key — no
-// execution, no store, no other key.
+// BuildShardIndex, quotiented (fip) and not (fip with its KeyPermuter
+// hidden): a cold build is one missing probe and one store, a warm one is
+// one hitting probe of the same key — no execution, no store, no other
+// key.
 func TestCachedBuildOneEntry(t *testing.T) {
-	c := fipContext31()
-	builds := map[string]func(act model.ActionProtocol, opts ...Option) error{
-		"BuildSystem": func(act model.ActionProtocol, opts ...Option) error {
+	builds := map[string]func(c Context, act model.ActionProtocol, opts ...Option) error{
+		"BuildSystem": func(c Context, act model.ActionProtocol, opts ...Option) error {
 			_, err := BuildSystem(context.Background(), c, act, opts...)
 			return err
 		},
-		"BuildShardIndex": func(act model.ActionProtocol, opts ...Option) error {
+		"BuildShardIndex": func(c Context, act model.ActionProtocol, opts ...Option) error {
 			_, err := BuildShardIndex(context.Background(), c, act, 1, 2, opts...)
 			return err
 		},
 	}
 	for name, build := range builds {
 		for _, quotient := range []bool{false, true} {
+			c := fipContext31()
+			if !quotient {
+				c = perRunContext(c)
+			}
 			store := newTestStore()
 			act := &countingAct{ActionProtocol: action.NewOpt(1)}
 			opts := []Option{WithParallelism(2), WithCache(store, "fp")}
-			if quotient {
-				opts = append(opts, WithQuotient())
-			}
-			if err := build(act, opts...); err != nil {
+			if err := build(c, act, opts...); err != nil {
 				t.Fatalf("cold %s (quotient %v): %v", name, quotient, err)
 			}
 			if gets, hits, puts := store.counts(); gets != 1 || hits != 0 || puts != 1 || len(store.m) != 1 {
@@ -121,7 +122,7 @@ func TestCachedBuildOneEntry(t *testing.T) {
 				t.Fatalf("cold %s (quotient %v) executed nothing", name, quotient)
 			}
 			act.calls.Store(0)
-			if err := build(act, opts...); err != nil {
+			if err := build(c, act, opts...); err != nil {
 				t.Fatalf("warm %s (quotient %v): %v", name, quotient, err)
 			}
 			if gets, hits, puts := store.counts(); gets != 2 || hits != 1 || puts != 1 || len(store.m) != 1 {
@@ -137,9 +138,10 @@ func TestCachedBuildOneEntry(t *testing.T) {
 
 // TestCachedBuildBitIdentical: a cold cached build and a warm one both
 // reproduce the uncached build's index and verdicts exactly, from the one
-// entry the cold build stored.
+// entry the cold build stored — on the per-run route (the one min and
+// basic take; TestCachedBuildQuotient is the quotiented one).
 func TestCachedBuildBitIdentical(t *testing.T) {
-	c := fipContext31()
+	c := perRunContext(fipContext31())
 	act := action.NewOpt(1)
 	single, err := BuildSystem(context.Background(), c, act, WithParallelism(2))
 	if err != nil {
@@ -164,11 +166,11 @@ func TestCachedBuildBitIdentical(t *testing.T) {
 
 // TestCachedBuildQuotient runs the same equivalence through the
 // symmetry quotient: quotiented cached builds (cold and warm) expand to
-// the full system's verdicts, and multiplicities survive the cache.
+// the per-run system's verdicts, and multiplicities survive the cache.
 func TestCachedBuildQuotient(t *testing.T) {
 	c := fipContext31()
 	act := action.NewOpt(1)
-	single, err := BuildSystem(context.Background(), c, act, WithParallelism(2))
+	single, err := BuildSystem(context.Background(), perRunContext(c), act, WithParallelism(2))
 	if err != nil {
 		t.Fatalf("BuildSystem: %v", err)
 	}
@@ -177,7 +179,7 @@ func TestCachedBuildQuotient(t *testing.T) {
 	store := newTestStore()
 	for round, label := range []string{"cold", "warm"} {
 		sys, err := BuildSystem(context.Background(), c, act,
-			WithParallelism(2), WithQuotient(), WithCache(store, "fp"))
+			WithParallelism(2), WithCache(store, "fp"))
 		if err != nil {
 			t.Fatalf("%s quotiented cached BuildSystem: %v", label, err)
 		}
@@ -195,12 +197,12 @@ func TestCachedBuildQuotient(t *testing.T) {
 
 // TestCachedShardIndexBitIdentical: BuildShardIndex with a cache
 // produces the same shard indexes — digest-identical — as without,
-// restored (stripe 0) or built (stripe 1), and MergeSystems over them
-// matches the uncached single-process build.
+// restored (stripe 0) or built (stripe 1), and MergeSystems over them,
+// expanded, matches the uncached single-process per-run build.
 func TestCachedShardIndexBitIdentical(t *testing.T) {
 	c := fipContext31()
 	act := action.NewOpt(1)
-	single, err := BuildSystem(context.Background(), c, act, WithParallelism(2))
+	single, err := BuildSystem(context.Background(), perRunContext(c), act, WithParallelism(2))
 	if err != nil {
 		t.Fatalf("BuildSystem: %v", err)
 	}
@@ -234,6 +236,9 @@ func TestCachedShardIndexBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MergeSystems: %v", err)
 	}
+	if merged, err = ExpandQuotient(context.Background(), merged, c); err != nil {
+		t.Fatalf("ExpandQuotient: %v", err)
+	}
 	if got := systemVerdicts(t, merged); got != want {
 		t.Fatal("merged cached shard indexes differ from the single-process build")
 	}
@@ -248,7 +253,7 @@ func TestCachedShardIndexWarmSkipsEnumeration(t *testing.T) {
 	c := fipContext31()
 	act := action.NewOpt(1)
 	store := newTestStore()
-	opts := []Option{WithParallelism(2), WithQuotient(), WithCache(store, "fp")}
+	opts := []Option{WithParallelism(2), WithCache(store, "fp")}
 	cold, err := BuildShardIndex(context.Background(), c, act, 0, 1, opts...)
 	if err != nil {
 		t.Fatalf("cold BuildShardIndex: %v", err)

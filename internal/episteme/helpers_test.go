@@ -3,7 +3,21 @@ package episteme
 import (
 	"context"
 	"testing"
+
+	"repro/internal/model"
 )
+
+// perRun hides every optional interface of the wrapped exchange —
+// model.KeyPermuter among them — so a build over it runs every scenario
+// through the code a build over Emin or Ebasic runs: the reference the
+// quotiented builds are compared against.
+type perRun struct{ model.Exchange }
+
+// perRunContext is c with its exchange's KeyPermuter hidden.
+func perRunContext(c Context) Context {
+	c.Exchange = perRun{c.Exchange}
+	return c
+}
 
 // The checker wrappers below keep the theorem tests focused on verdicts:
 // they run a checker with a background context and fail the test on an

@@ -115,12 +115,17 @@ func TestGraphCommonVMatchesSemanticCommonKnowledge(t *testing.T) {
 	// no-decided_N(1−v) ∧ ∃v)) evaluated semantically over the full
 	// interpreted system. This is stronger than CheckImplements, which
 	// only compares final actions.
-	sys := buildFIP(t, 3, 1, 0)
+	// The graph is read off the state trace, which only a per-run build
+	// keeps.
+	sys, err := BuildSystem(context.Background(), perRunContext(fipContext31()), action.NewOpt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	checked, fired := 0, 0
 	sys.Points(-1, func(p Point) {
 		for i := 0; i < sys.N; i++ {
 			id := model.AgentID(i)
-			st := sys.State(id, p).(*exchange.FIPState)
+			st := sys.Runs[p.Run].States[p.Time][i].(*exchange.FIPState)
 			ref := graph.NewRef(sys.T, st.Graph())
 			for _, v := range []model.Value{model.Zero, model.One} {
 				got := ref.CommonV(v, id, p.Time)

@@ -188,19 +188,23 @@ func TestCheckersMatchPerPointOracle(t *testing.T) {
 			if tc.slow && (testing.Short() || raceEnabled) {
 				t.Skip("the per-point oracle at n=4 takes about a minute, ten under the race detector")
 			}
-			var wantOpt, wantSafety []string
+			// The oracle scans classes point by point: it runs on the per-run
+			// build, the checkers on the build every front-end gets (for fip,
+			// the expanded one).
+			ref, err := BuildSystem(context.Background(), perRunContext(tc.c), tc.act, WithParallelism(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantOpt := append(oracleOptimality(ref, model.Zero, -1), oracleOptimality(ref, model.One, -1)...)
+			wantSafety := oracleSafety(ref)
+			if tc.wantOp != (len(wantOpt) > 0) || tc.wantSf != (len(wantSafety) > 0) {
+				t.Fatalf("oracle found %d optimality and %d safety violations; expected some: %v, %v — the comparison is vacuous",
+					len(wantOpt), len(wantSafety), tc.wantOp, tc.wantSf)
+			}
 			for _, par := range []int{1, goruntime.GOMAXPROCS(0), 7} {
 				sys, err := BuildSystem(context.Background(), tc.c, tc.act, WithParallelism(par))
 				if err != nil {
 					t.Fatal(err)
-				}
-				if par == 1 {
-					wantOpt = append(oracleOptimality(sys, model.Zero, -1), oracleOptimality(sys, model.One, -1)...)
-					wantSafety = oracleSafety(sys)
-					if tc.wantOp != (len(wantOpt) > 0) || tc.wantSf != (len(wantSafety) > 0) {
-						t.Fatalf("oracle found %d optimality and %d safety violations; expected some: %v, %v — the comparison is vacuous",
-							len(wantOpt), len(wantSafety), tc.wantOp, tc.wantSf)
-					}
 				}
 				if got := checkOptimality(t, sys, -1, 0); !slices.Equal(got, wantOpt) {
 					t.Errorf("par=%d: CheckOptimalityFIP returned %d violations, oracle %d; first difference: %s",
@@ -581,7 +585,8 @@ func compareCKFold(t *testing.T, label string, sys *System, m int) (holding int)
 // system gives: the build may read only state that is final at time m.
 func TestCNLayerMatchesExplicitGraph(t *testing.T) {
 	for _, n := range []int{3, 4} {
-		sys, err := BuildSystem(context.Background(), Context{Exchange: exchange.NewFIP(n), T: 1}, action.NewOpt(1))
+		// The explicit graph has one node per run: a per-run build.
+		sys, err := BuildSystem(context.Background(), perRunContext(Context{Exchange: exchange.NewFIP(n), T: 1}), action.NewOpt(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -663,7 +668,7 @@ func TestExpandPass2MatchesTripleMap(t *testing.T) {
 		for _, par := range []int{1, 2, 7} {
 			ex := exchange.NewFIP(n)
 			c := Context{Exchange: ex, T: 1}
-			idx, err := BuildShardIndex(context.Background(), c, action.NewOpt(1), 0, 1, WithParallelism(par), WithQuotient())
+			idx, err := BuildShardIndex(context.Background(), c, action.NewOpt(1), 0, 1, WithParallelism(par))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -41,9 +41,10 @@ func fipContext31() Context {
 
 // TestBuildSystemMatchesPlainEngine pins the memoizing executor against
 // the plain engine: every run of the system must be bit-identical to
-// executing its scenario through engine.Run.
+// executing its scenario through engine.Run — state traces included, so
+// the build is the per-run one.
 func TestBuildSystemMatchesPlainEngine(t *testing.T) {
-	sys, err := BuildSystem(context.Background(), fipContext31(), action.NewOpt(1))
+	sys, err := BuildSystem(context.Background(), perRunContext(fipContext31()), action.NewOpt(1))
 	if err != nil {
 		t.Fatal(err)
 	}

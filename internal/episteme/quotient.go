@@ -11,14 +11,16 @@
 // decision ledgers and interned class tables by permuting the
 // representative's — class ids assigned by the same index kernel
 // (index.go) every other construction uses, so every verdict over the
-// expanded system is bit-identical to the unquotiented build's (pinned by
-// TestQuotientSystemBitIdentical and the CI quotient smoke).
+// expanded system is bit-identical to the per-run build's (pinned by
+// TestQuotientSystemBitIdentical against an exchange whose KeyPermuter is
+// hidden, and by the committed verdict goldens).
 //
 // Local-state identity crosses the relabeling through model.KeyPermuter:
 // agent i's state key in run g is the key of agent π(i)'s state in the
 // representative, rewritten under π⁻¹. Exchanges whose keys don't
-// implement KeyPermuter cannot expand — ExpandQuotient refuses rather
-// than producing silently wrong class structure.
+// implement KeyPermuter cannot expand, so the builders never quotient them
+// (expandable) — and ExpandQuotient refuses rather than producing
+// silently wrong class structure.
 //
 // The expanded system is time-layered (system.go, "Rows"). The sweep
 // crosses every earlier history with every last-round drop set, and in a
@@ -42,27 +44,33 @@ import (
 	"repro/internal/model"
 )
 
-// KeyPermuterOf returns the exchange's key relabeling, which a quotiented
-// system cannot be expanded without, or the error every quotiented
-// construction refuses with: the builders before enumerating anything,
-// ExpandQuotient as the merge-side guard.
-func KeyPermuterOf(ex model.Exchange) (model.KeyPermuter, error) {
-	kp, ok := ex.(model.KeyPermuter)
+// expandable returns the key relabeling ExpandQuotient rebuilds a
+// quotiented system of context c with, or why it cannot: the exchange's
+// keys do not cross an agent relabeling, or n, n·t are beyond what the
+// expansion's memo codes pack. It is the builders' selection
+// (buildOptions) and ExpandQuotient's guard, so a stripe is quotiented
+// exactly when the merge can expand it.
+func expandable(c Context) (model.KeyPermuter, error) {
+	kp, ok := c.Exchange.(model.KeyPermuter)
 	if !ok {
-		return nil, fmt.Errorf("episteme: exchange %q does not implement model.KeyPermuter; its local-state keys cannot cross an agent relabeling", ex.Name())
+		return nil, fmt.Errorf("episteme: exchange %q does not implement model.KeyPermuter; its local-state keys cannot cross an agent relabeling", c.Exchange.Name())
+	}
+	if n := c.Exchange.N(); n > maxPermCodeAgents {
+		return nil, fmt.Errorf("episteme: ExpandQuotient interns relabelings of at most %d agents, system has %d", maxPermCodeAgents, n)
+	} else if n*c.T > 64 {
+		return nil, fmt.Errorf("episteme: ExpandQuotient packs a run's last-round drops into 64 bits, n·t = %d", n*c.T)
 	}
 	return kp, nil
 }
 
 // ExpandQuotient rebuilds the full interpreted system from a quotiented
-// one (BuildSystem with WithQuotient builds and expands in one call;
-// sharded flows expand once, after MergeSystems reassembles the
-// representative system). c must be the context the quotiented system
-// was built in — the expansion re-enumerates c's scenario source and
-// cross-checks every orbit against the representative weights, so a
-// mismatched context fails loudly instead of mis-expanding. The expanded
-// system carries no state traces (like a merged one): System.Key and the
-// checkers ride the interned class tables.
+// one (BuildSystem builds and expands in one call; sharded flows expand
+// once, after MergeSystems reassembles the representative system). c must
+// be the context the quotiented system was built in — the expansion
+// re-enumerates c's scenario source and cross-checks every orbit against
+// the representative weights, so a mismatched context fails loudly instead
+// of mis-expanding. The expanded system carries no state traces (like a
+// merged one): System.Key and the checkers ride the interned class tables.
 func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error) {
 	if !rep.Quotiented() {
 		return nil, fmt.Errorf("episteme: ExpandQuotient on a system that is not quotiented")
@@ -70,7 +78,7 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 	if c.Exchange == nil {
 		return nil, fmt.Errorf("episteme: ExpandQuotient needs the context's exchange")
 	}
-	kp, err := KeyPermuterOf(c.Exchange)
+	kp, err := expandable(c)
 	if err != nil {
 		return nil, err
 	}
@@ -78,12 +86,6 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 	if c.Exchange.N() != n || c.T != rep.T || c.horizonOrDefault() != horizon {
 		return nil, fmt.Errorf("episteme: expansion context (n=%d,t=%d,h=%d) does not match quotiented system (n=%d,t=%d,h=%d)",
 			c.Exchange.N(), c.T, c.horizonOrDefault(), n, rep.T, horizon)
-	}
-	if n > maxPermCodeAgents {
-		return nil, fmt.Errorf("episteme: ExpandQuotient interns relabelings of at most %d agents, system has %d", maxPermCodeAgents, n)
-	}
-	if n*rep.T > 64 {
-		return nil, fmt.Errorf("episteme: ExpandQuotient packs a run's last-round drops into 64 bits, n·t = %d", n*rep.T)
 	}
 	om, err := mapOrbits(ctx, rep, c)
 	if err != nil {

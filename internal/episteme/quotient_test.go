@@ -79,18 +79,19 @@ func compareSystems(t *testing.T, label string, got, want *System) {
 	}
 }
 
-// buildMergedQuotient builds the K quotiented shard indexes, round-trips
-// each through its JSON serialization, merges, and expands.
+// buildMergedQuotient builds the K shard indexes of an exchange the
+// checker quotients, round-trips each through its JSON serialization,
+// merges, and expands.
 func buildMergedQuotient(t *testing.T, c Context, act model.ActionProtocol, k int) *System {
 	t.Helper()
 	shards := make([]*ShardIndex, k)
 	for i := 0; i < k; i++ {
-		idx, err := BuildShardIndex(context.Background(), c, act, i, k, WithParallelism(2), WithQuotient())
+		idx, err := BuildShardIndex(context.Background(), c, act, i, k, WithParallelism(2))
 		if err != nil {
 			t.Fatalf("BuildShardIndex %d/%d: %v", i, k, err)
 		}
 		if !idx.Quotient {
-			t.Fatalf("BuildShardIndex %d/%d: WithQuotient produced an unquotiented index", i, k)
+			t.Fatalf("BuildShardIndex %d/%d: an unquotiented index over a KeyPermuter exchange", i, k)
 		}
 		var buf bytes.Buffer
 		if err := WriteShardIndex(&buf, idx); err != nil {
@@ -121,19 +122,22 @@ func buildMergedQuotient(t *testing.T, c Context, act model.ActionProtocol, k in
 
 // TestQuotientSystemBitIdentical is the tentpole acceptance bar for the
 // model checker: at n=3 and n=4 (t=1, fip), the quotiented build —
-// unsharded (BuildSystem WithQuotient) and sharded K ∈ {1,2,3}
-// (BuildShardIndex + MergeSystems + ExpandQuotient) — yields a System
-// whose runs, interned index, and every verdict are bit-identical to the
-// full-sweep BuildSystem's.
+// unsharded (BuildSystem) and sharded K ∈ {1,2,3} (BuildShardIndex +
+// MergeSystems + ExpandQuotient) — yields a System whose runs, interned
+// index, and every verdict are bit-identical to the per-run build's: the
+// same exchange with its KeyPermuter hidden, every scenario executed.
 func TestQuotientSystemBitIdentical(t *testing.T) {
 	for _, n := range []int{3, 4} {
 		n := n
 		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
 			c := Context{Exchange: exchange.NewFIP(n), T: 1}
 			act := action.NewOpt(1)
-			full, err := BuildSystem(context.Background(), c, act, WithParallelism(2))
+			full, err := BuildSystem(context.Background(), perRunContext(c), act, WithParallelism(2))
 			if err != nil {
-				t.Fatalf("BuildSystem: %v", err)
+				t.Fatalf("per-run BuildSystem: %v", err)
+			}
+			if full.unitOf != nil || full.Runs[0].States == nil {
+				t.Fatal("the reference build went through the quotient")
 			}
 			wantImpl := checkImplements(t, full, P1, 50)
 			wantSafety := checkSafety(t, full, 50)
@@ -152,9 +156,12 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 			systems := map[string]*System{
 				"quotient-unsharded": nil,
 			}
-			quot, err := BuildSystem(context.Background(), c, act, WithParallelism(2), WithQuotient())
+			quot, err := BuildSystem(context.Background(), c, act, WithParallelism(2))
 			if err != nil {
-				t.Fatalf("BuildSystem WithQuotient: %v", err)
+				t.Fatalf("BuildSystem: %v", err)
+			}
+			if quot.unitOf == nil {
+				t.Fatal("BuildSystem over fip did not go through the quotient")
 			}
 			systems["quotient-unsharded"] = quot
 			for k := 1; k <= 3; k++ {
@@ -179,16 +186,6 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 	}
 }
 
-// TestQuotientRequiresKeyPermuter: the min exchange's local-state keys
-// cannot cross an agent relabeling (no model.KeyPermuter), so a
-// quotiented build must refuse rather than mis-intern.
-func TestQuotientRequiresKeyPermuter(t *testing.T) {
-	c := Context{Exchange: exchange.NewMin(3), T: 1}
-	if _, err := BuildSystem(context.Background(), c, action.NewMin(1), WithQuotient()); err == nil {
-		t.Fatal("quotiented build over the min exchange succeeded; want a KeyPermuter error")
-	}
-}
-
 // startCounter counts the runs an exchange is asked to start.
 type startCounter struct {
 	model.Exchange
@@ -200,51 +197,71 @@ func (e *startCounter) Initial(i model.AgentID, init model.Value) model.State {
 	return e.Exchange.Initial(i, init)
 }
 
-// TestQuotientRefusedBeforeEnumerating: a quotiented build over an
-// exchange nothing can expand is refused by every builder, with
-// ExpandQuotient's sentence, before a run is executed or the cache is
-// touched. (BuildShardIndex used to build and store the index, and the
-// error appeared only when -check -merge tried to expand it.)
-func TestQuotientRefusedBeforeEnumerating(t *testing.T) {
-	for name, mk := range map[string]func() (model.Exchange, model.ActionProtocol){
-		"min":   func() (model.Exchange, model.ActionProtocol) { return exchange.NewMin(3), action.NewMin(1) },
-		"basic": func() (model.Exchange, model.ActionProtocol) { return exchange.NewBasic(3), action.NewBasic(3) },
+// TestQuotientRequiresKeyPermuter: the min and basic exchanges' keys
+// cannot cross an agent relabeling (no model.KeyPermuter), so every
+// builder, cached or not, runs their sweep scenario by scenario — the
+// stripes hold all 1,544 runs of n=3,t=1 between them, not the 276 orbit
+// representatives, the index says so on the wire, and nothing needs
+// expanding — while ExpandQuotient, handed such a context, still refuses
+// with the KeyPermuter sentence rather than mis-intern.
+func TestQuotientRequiresKeyPermuter(t *testing.T) {
+	const scenarios = 1544
+	for _, tc := range []struct {
+		name string
+		ex   model.Exchange
+		act  model.ActionProtocol
+	}{
+		{"min", exchange.NewMin(3), action.NewMin(1)},
+		{"basic", exchange.NewBasic(3), action.NewBasic(3)},
 	} {
-		ex, act := mk()
-		_, want := ExpandQuotient(context.Background(), &System{weights: []int64{}}, Context{Exchange: ex, T: 1})
-		if want == nil || !strings.Contains(want.Error(), "does not implement model.KeyPermuter") {
-			t.Fatalf("%s: ExpandQuotient refuses with %v", name, want)
+		name, act := tc.name, tc.act
+		counted := &startCounter{Exchange: tc.ex}
+		c := Context{Exchange: counted, T: 1}
+		_, err := ExpandQuotient(context.Background(), &System{weights: []int64{}}, c)
+		if err == nil || !strings.Contains(err.Error(), "does not implement model.KeyPermuter") {
+			t.Fatalf("%s: ExpandQuotient refuses with %v", name, err)
 		}
+		if n := counted.starts.Load(); n != 0 {
+			t.Errorf("%s: %d agent states were initialised before the refusal", name, n)
+		}
+
 		store := newTestStore()
-		for builder, build := range map[string]func(Context) error{
-			"BuildShardIndex": func(c Context) error {
-				_, err := BuildShardIndex(context.Background(), c, act, 0, 2, WithQuotient())
-				return err
-			},
-			"BuildShardIndex with a cache": func(c Context) error {
-				_, err := BuildShardIndex(context.Background(), c, act, 0, 2, WithQuotient(), WithCache(store, "fp"))
-				return err
-			},
-			"BuildSystem": func(c Context) error {
-				_, err := BuildSystem(context.Background(), c, act, WithQuotient())
-				return err
-			},
-			"BuildSystem with a cache": func(c Context) error {
-				_, err := BuildSystem(context.Background(), c, act, WithQuotient(), WithCache(store, "fp"))
-				return err
-			},
-		} {
-			counted := &startCounter{Exchange: ex}
-			err := build(Context{Exchange: counted, T: 1})
-			if err == nil || err.Error() != want.Error() {
-				t.Errorf("%s, %s: error %v, want %v", name, builder, err, want)
+		for _, cached := range []bool{false, true} {
+			label, opts := "", []Option(nil)
+			if cached {
+				label, opts = " with a cache", []Option{WithCache(store, "fp")}
 			}
-			if n := counted.starts.Load(); n != 0 {
-				t.Errorf("%s, %s: %d agent states were initialised before the refusal", name, builder, n)
+			runs := 0
+			for i := 0; i < 2; i++ {
+				idx, err := BuildShardIndex(context.Background(), c, act, i, 2, opts...)
+				if err != nil {
+					t.Fatalf("%s, BuildShardIndex%s: %v", name, label, err)
+				}
+				var wire bytes.Buffer
+				if err := WriteShardIndex(&wire, idx); err != nil {
+					t.Fatal(err)
+				}
+				if idx.Quotient || idx.Mults != nil || bytes.Contains(wire.Bytes(), []byte(`"quotient"`)) {
+					t.Errorf("%s, BuildShardIndex%s: stripe %d/2 is quotiented", name, label, i)
+				}
+				runs += len(idx.Runs)
+			}
+			if runs != scenarios {
+				t.Errorf("%s, BuildShardIndex%s: the stripes hold %d runs, the sweep has %d", name, label, runs, scenarios)
+			}
+			sys, err := BuildSystem(context.Background(), c, act, opts...)
+			if err != nil {
+				t.Fatalf("%s, BuildSystem%s: %v", name, label, err)
+			}
+			if sys.Quotiented() || sys.unitOf != nil || len(sys.Runs) != scenarios {
+				t.Errorf("%s, BuildSystem%s: %d runs (quotiented %v, layered %v), want %d per-run",
+					name, label, len(sys.Runs), sys.Quotiented(), sys.unitOf != nil, scenarios)
 			}
 		}
-		if gets, _, puts := store.counts(); gets != 0 || puts != 0 {
-			t.Errorf("%s: the refused builds made %d cache probes and %d puts", name, gets, puts)
+		for key, val := range store.m {
+			if bytes.Contains(val, []byte(`"quotient"`)) {
+				t.Errorf("%s: cache entry %s holds a quotiented index", name, key)
+			}
 		}
 	}
 }
@@ -255,7 +272,7 @@ func TestQuotientRefusedBeforeEnumerating(t *testing.T) {
 func TestCheckersRefuseQuotientedSystem(t *testing.T) {
 	c := fipContext31()
 	act := action.NewOpt(1)
-	idx, err := BuildShardIndex(context.Background(), c, act, 0, 1, WithQuotient())
+	idx, err := BuildShardIndex(context.Background(), c, act, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +305,7 @@ func TestExpandQuotientRejects(t *testing.T) {
 		t.Error("ExpandQuotient accepted a non-quotiented system")
 	}
 
-	idx, err := BuildShardIndex(context.Background(), c, act, 0, 1, WithQuotient())
+	idx, err := BuildShardIndex(context.Background(), c, act, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +356,7 @@ func (e *countingPermuter) PermuteKey(key string, perm []model.AgentID) (string,
 // without ever reaching pass 2's key rewriting.
 func TestExpandQuotientCancelsDuringEnumeration(t *testing.T) {
 	c := Context{Exchange: exchange.NewFIP(4), T: 1}
-	idx, err := BuildShardIndex(context.Background(), c, action.NewOpt(1), 0, 1, WithParallelism(1), WithQuotient())
+	idx, err := BuildShardIndex(context.Background(), c, action.NewOpt(1), 0, 1, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +403,7 @@ func (e *refusingPermuter) PermuteKey(key string, perm []model.AgentID) (string,
 // whatever the worker count — with no half-interned System beside it.
 func TestExpandQuotientReportsLowestFailingSlot(t *testing.T) {
 	c := Context{Exchange: exchange.NewFIP(4), T: 1}
-	idx, err := BuildShardIndex(context.Background(), c, action.NewOpt(1), 0, 1, WithQuotient())
+	idx, err := BuildShardIndex(context.Background(), c, action.NewOpt(1), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

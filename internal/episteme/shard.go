@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
-	"repro/internal/source"
 )
 
 const (
@@ -68,11 +67,12 @@ type ShardIndex struct {
 	Horizon int `json:"horizon"`
 	// Runs holds the stripe's runs in stripe order.
 	Runs []ShardRun `json:"runs"`
-	// Quotient marks a symmetry-quotiented stripe (built with
-	// WithQuotient): Runs are canonical orbit representatives and Mults[k]
-	// is run k's orbit size. MergeSystems requires the flag to agree
-	// across shards and reassembles a quotiented System; ExpandQuotient
-	// then rebuilds the full one.
+	// Quotient marks a symmetry-quotiented stripe (every build over an
+	// exchange with model.KeyPermuter — buildOptions): Runs are canonical
+	// orbit representatives and Mults[k] is run k's orbit size.
+	// MergeSystems requires the flag to agree across shards and
+	// reassembles a quotiented System; ExpandQuotient then rebuilds the
+	// full one.
 	Quotient bool    `json:"quotient,omitempty"`
 	Mults    []int64 `json:"mults,omitempty"`
 	// ClassKeys[slot] lists the class keys of slot (time m, agent i),
@@ -89,18 +89,15 @@ type ShardIndex struct {
 // memoizing executor, same parallel index build), and exports the
 // stripe's interned index. K processes running distinct stripes of the
 // same context partition BuildSystem's enumeration exactly; MergeSystems
-// reassembles their indexes into the single-process System.
+// reassembles their indexes into the single-process System. Like
+// BuildSystem, it takes the symmetry quotient whenever the exchange allows
+// (ShardIndex.Quotient says which sweep the stripe is of); the merge of
+// quotiented stripes is expanded once, by ExpandQuotient.
 func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, shardIndex, shardCount int, opts ...Option) (*ShardIndex, error) {
 	if c.Exchange == nil || act == nil {
 		return nil, fmt.Errorf("episteme: Exchange and action protocol are required")
 	}
-	o := newOptions(opts)
-	if o.quotient {
-		// An index nothing can expand is refused before it is paid for.
-		if _, err := KeyPermuterOf(c.Exchange); err != nil {
-			return nil, err
-		}
-	}
+	o := buildOptions(c, opts)
 	n := c.Exchange.N()
 	horizon := c.horizonOrDefault()
 	// A hit is the verified WriteShardIndex serialization; its decode
@@ -118,21 +115,7 @@ func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, s
 			// Corrupt or misfiled: rebuild below and overwrite.
 		}
 	}
-	src, err := c.scenarioSource(n, horizon)
-	if err != nil {
-		return nil, err
-	}
-	// Quotient inside the stride: the stripes then partition the
-	// representative enumeration, so every orbit is executed exactly once
-	// across the fleet and the stripe ordinals are quotient ordinals.
-	if o.quotient {
-		src = source.Quotient(src)
-	}
-	stripe, err := core.Stride(src, shardIndex, shardCount)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := buildSystemFromSource(ctx, c, act, stripe, o)
+	sys, err := buildStripe(ctx, c, act, shardIndex, shardCount, o)
 	if err != nil {
 		return nil, err
 	}
@@ -300,9 +283,9 @@ func restoreRun(sr *ShardRun, n, horizon int) (*engine.Result, error) {
 // agreeing on (n, t, horizon), with stripe lengths consistent with one
 // total (no gap, no overlap).
 //
-// Merged Systems carry no state traces (System.State is unavailable;
-// Key and every checker work off the interned index), which is what lets
-// a shard's contribution cross a process boundary as JSON.
+// Merged Systems carry no state traces (Key and every checker work off
+// the interned index), which is what lets a shard's contribution cross a
+// process boundary as JSON.
 func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*System, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("episteme: merge of zero shard indexes")

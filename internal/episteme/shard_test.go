@@ -58,9 +58,12 @@ func indexFingerprint(sys *System) string {
 // acceptance bar: for K ∈ {1, 2, 3}, merging K shard indexes of the fip
 // n=3, t=1 enumeration yields a System whose interned index and every
 // verdict — CheckImplements, CheckSafety, CheckOptimalityFIP — are
-// bit-identical to the single-process BuildSystem's.
+// bit-identical to the single-process BuildSystem's. This is the merge of
+// per-run stripes, the one min and basic take, over fip's keys and
+// against P1 (KeyPermuter hidden); the merge of quotiented stripes, which
+// must then be expanded, is TestQuotientSystemBitIdentical's.
 func TestMergeSystemsBitIdentical(t *testing.T) {
-	c := fipContext31()
+	c := perRunContext(fipContext31())
 	act := action.NewOpt(1)
 	single, err := BuildSystem(context.Background(), c, act, WithParallelism(2))
 	if err != nil {
@@ -229,9 +232,11 @@ func TestMergeSystemsStackMetadata(t *testing.T) {
 }
 
 // TestShardIndexDigestPinned pins the wire format by value: the digests of
-// the indexes `ebashard -check [-quotient] -stack S -n 3 -t 1` writes
+// the indexes `ebashard -check [-quotient] -stack S -n 3 -t 1` wrote
 // (stack name set, shard 0/1), read back through ReadShardIndex, as
-// recorded before ShardRun became core.CachedRun. A mixed-version fleet
+// recorded before ShardRun became core.CachedRun. The checker now picks
+// the quotient itself, so the per-run fip index is the one built with the
+// exchange's KeyPermuter hidden. A mixed-version fleet
 // resolves duplicate stripe uploads by this digest, so a change that moves
 // it is a format break even when every round trip still passes.
 func TestShardIndexDigestPinned(t *testing.T) {
@@ -240,14 +245,13 @@ func TestShardIndexDigestPinned(t *testing.T) {
 		stack string
 		c     Context
 		act   model.ActionProtocol
-		opts  []Option
 		want  string
 	}{
-		{"fip", fip, action.NewOpt(1), nil, "4bce7e759b78ea7401883440592905af"},
-		{"fip", fip, action.NewOpt(1), []Option{WithQuotient()}, "c5223b7e60527c0c621f16d171fc81c9"},
-		{"min", min, action.NewMin(1), nil, "20c1700faf4d40cd2bac990b53acb224"},
+		{"fip", perRunContext(fip), action.NewOpt(1), "4bce7e759b78ea7401883440592905af"},
+		{"fip", fip, action.NewOpt(1), "c5223b7e60527c0c621f16d171fc81c9"},
+		{"min", min, action.NewMin(1), "20c1700faf4d40cd2bac990b53acb224"},
 	} {
-		idx, err := BuildShardIndex(context.Background(), tc.c, tc.act, 0, 1, tc.opts...)
+		idx, err := BuildShardIndex(context.Background(), tc.c, tc.act, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,9 @@
 //     cancellation, and ordering machinery every other sweep in the
 //     repository uses. Action decisions are memoized per local state
 //     across runs, so the thousands of runs that revisit a state pay for
-//     its analysis once.
+//     its analysis once. Over an exchange with model.KeyPermuter (Efip)
+//     only one run per agent-permutation orbit is executed and the rest
+//     are rebuilt by relabeling (quotient.go); the builders decide.
 //   - Representation: local states are interned into dense class ids per
 //     (time, agent) slot at index-build time; every knowledge query after
 //     that is integer indexing, never string hashing. Index slots are
@@ -67,9 +69,9 @@ type Option func(*options)
 
 type options struct {
 	par         int
-	quotient    bool
 	cache       core.ResultCache
 	fingerprint string
+	quotient    bool // not an option: buildOptions derives it from the context
 }
 
 // WithParallelism sets the worker count used to execute runs, build the
@@ -81,19 +83,12 @@ func WithParallelism(k int) Option {
 	return func(o *options) { o.par = k }
 }
 
-// WithQuotient makes BuildSystem and BuildShardIndex enumerate only the
-// canonical representative of each agent-permutation orbit
-// (source.Quotient) instead of the full pattern × inits sweep — up to n!
-// fewer executions. BuildSystem transparently expands the representative
-// system back to the full one (ExpandQuotient), so its verdicts are
-// bit-identical to the unquotiented build; BuildShardIndex exports the
-// representative stripe (ShardIndex.Quotient) and the expansion happens
-// once after MergeSystems. Requires the context's exchange to implement
-// model.KeyPermuter and an agent-symmetric stack (every registered stack
-// is; the expansion cross-checks orbit sizes and fails loudly on
-// asymmetry in the enumeration).
+// WithQuotient does nothing: the context's exchange, not the caller,
+// decides whether a build goes through the symmetry quotient (BuildSystem).
+//
+// Deprecated: the frozen benchmark harness still calls it (ROADMAP 2(d)).
 func WithQuotient() Option {
-	return func(o *options) { o.quotient = true }
+	return func(*options) {}
 }
 
 // WithCache makes BuildShardIndex probe a result cache for its stripe's
@@ -102,10 +97,10 @@ func WithQuotient() Option {
 // (exchange, action protocol, n, t, horizon, build fingerprint — see
 // core.Stack.VersionDigest), the stripe and the enumeration parameters.
 // BuildSystem with a cache is BuildShardIndex(0, 1) followed by
-// MergeSystems (and ExpandQuotient under WithQuotient), so every verdict
-// is bit-identical to the uncached build's — but, like any merged System,
-// it carries no state traces (System.State is unavailable; Key and every
-// checker work off the interned index).
+// MergeSystems (and ExpandQuotient when the stripe is quotiented), so
+// every verdict is bit-identical to the uncached build's — but, like any
+// merged System, it carries no state traces (Key and every checker work
+// off the interned index).
 func WithCache(c core.ResultCache, fingerprint string) Option {
 	return func(o *options) {
 		o.cache = c
@@ -121,6 +116,18 @@ func newOptions(opts []Option) options {
 	if o.par <= 0 {
 		o.par = goruntime.GOMAXPROCS(0)
 	}
+	return o
+}
+
+// buildOptions resolves a build's options in context c, and picks the
+// quotient: one representative per agent-permutation orbit is enumerated
+// exactly when ExpandQuotient could rebuild the full system from them. No
+// size has the per-run build ahead (docs/architecture.md, "Who picks the
+// quotient").
+func buildOptions(c Context, opts []Option) options {
+	o := newOptions(opts)
+	_, err := expandable(c)
+	o.quotient = err == nil
 	return o
 }
 
@@ -296,9 +303,9 @@ type System struct {
 }
 
 // Quotiented reports whether the system's runs are symmetry-orbit
-// representatives (built with WithQuotient, or merged from quotiented
-// shard indexes) rather than the full enumeration. A quotiented system
-// must be passed through ExpandQuotient before checking.
+// representatives (merged from quotiented shard indexes) rather than the
+// full enumeration. A quotiented system must be passed through
+// ExpandQuotient before checking.
 func (s *System) Quotiented() bool { return s.weights != nil }
 
 // Weight returns the number of full-sweep runs run r stands for: its
@@ -341,41 +348,46 @@ func (s *System) parallel(ctx context.Context, count int, fn func(k int)) error 
 // bit-identical at every parallelism level. The first execution error or
 // ctx cancellation aborts the build, cancelling outstanding work via the
 // context cause.
+//
+// When the exchange's keys can cross an agent relabeling
+// (model.KeyPermuter — Efip), one representative per agent-permutation
+// orbit is executed, up to n! fewer runs, and ExpandQuotient rebuilds the
+// System that running every scenario yields, verdicts byte for byte, minus
+// the state traces. Over any other exchange every scenario is run.
 func BuildSystem(ctx context.Context, c Context, act model.ActionProtocol, opts ...Option) (*System, error) {
 	if c.Exchange == nil || act == nil {
 		return nil, fmt.Errorf("episteme: Exchange and action protocol are required")
 	}
-	o := newOptions(opts)
+	o := buildOptions(c, opts)
 	if o.cache != nil {
 		return cachedSystem(ctx, c, act, opts)
 	}
+	sys, err := buildStripe(ctx, c, act, 0, 1, o)
+	if err != nil || !sys.Quotiented() {
+		return sys, err
+	}
+	return ExpandQuotient(ctx, sys, c)
+}
+
+// buildStripe enumerates stripe shardIndex of a shardCount-way split of
+// the context's sweep — all of it at 0/1 — and indexes the local states.
+// Under o.quotient the sweep is reduced to representatives before
+// striding: the stripes partition them, so every orbit is executed exactly
+// once across a fleet and the stripe ordinals are quotient ordinals.
+func buildStripe(ctx context.Context, c Context, act model.ActionProtocol, shardIndex, shardCount int, o options) (*System, error) {
 	n := c.Exchange.N()
 	horizon := c.horizonOrDefault()
-
 	src, err := c.scenarioSource(n, horizon)
 	if err != nil {
 		return nil, err
 	}
 	if o.quotient {
-		// Refuse before enumerating what ExpandQuotient would refuse after.
-		if _, err := KeyPermuterOf(c.Exchange); err != nil {
-			return nil, err
-		}
-		rep, err := buildSystemFromSource(ctx, c, act, source.Quotient(src), o)
-		if err != nil {
-			return nil, err
-		}
-		return ExpandQuotient(ctx, rep, c)
+		src = source.Quotient(src)
 	}
-	return buildSystemFromSource(ctx, c, act, src, o)
-}
-
-// buildSystemFromSource enumerates the system's runs from the given
-// scenario source — the whole sweep for BuildSystem, one deterministic
-// stripe of it for BuildShardIndex — and indexes the local states.
-func buildSystemFromSource(ctx context.Context, c Context, act model.ActionProtocol, src core.Source, o options) (*System, error) {
-	n := c.Exchange.N()
-	horizon := c.horizonOrDefault()
+	src, err = core.Stride(src, shardIndex, shardCount)
+	if err != nil {
+		return nil, err
+	}
 	runner := core.NewRunner(cacheStack(c, act, n, horizon),
 		core.WithExecutor(newMemoExec(n)),
 		core.WithParallelism(o.par),
@@ -402,7 +414,6 @@ func buildSystemFromSource(ctx context.Context, c Context, act model.ActionProto
 			return nil, context.Cause(rctx)
 		}
 	} else {
-		var err error
 		runs, err = runner.RunSource(ctx, src)
 		if err != nil {
 			return nil, err
@@ -511,20 +522,13 @@ func (s *System) rowsOfClass(i model.AgentID, m int, c int32) []int {
 	return s.classRuns[s.slot(i, m)][c]
 }
 
-// Key returns agent i's local-state key at point p.
+// Key returns agent i's local-state key at point p, from the index:
+// merged, cached and expanded Systems carry no state traces.
 func (s *System) Key(i model.AgentID, p Point) string {
 	if s.classKey == nil {
 		return s.Runs[p.Run].States[p.Time][i].Key()
 	}
 	return s.classKey[s.slot(i, p.Time)][s.classAt(i, p.Time, p.Run)]
-}
-
-// State returns agent i's local state at point p. Systems assembled by
-// MergeSystems carry no state traces (their runs crossed a process
-// boundary as decision ledgers plus interned class keys) and panic here;
-// use Key, which every merged System serves from the index.
-func (s *System) State(i model.AgentID, p Point) model.State {
-	return s.Runs[p.Run].States[p.Time][i]
 }
 
 // runsOfClass returns the runs of class c in agent i's time-m slot,

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/action"
+	"repro/internal/adversary"
 	"repro/internal/exchange"
 	"repro/internal/model"
 )
@@ -16,7 +17,8 @@ import (
 // The bit-identity tests compare tables; the tests below compare answers,
 // run by run, between a time-layered system (ExpandQuotient's: index rows
 // before the horizon are prefix units) and the directly built per-run
-// system of the same sweep.
+// system of the same sweep (perRunContext: the same exchange, not
+// quotiented because its KeyPermuter is hidden).
 
 // sortedCopy returns the runs in ascending order without disturbing the
 // (shared, cached) slice it was handed.
@@ -146,6 +148,8 @@ func TestLayeredSystemAnswersLikeDirect(t *testing.T) {
 		{name: "fip n=4 crash", c: Context{Exchange: fip(4), T: 1, Crash: true}, act: action.NewOpt(1), sample: 20000},
 		{name: "fip n=3 horizon 1", c: Context{Exchange: fip(3), T: 1, Horizon: 1}, act: action.NewOpt(1), units: 8 * 4},
 		{name: "fip n=3 t=2 horizon 3", c: Context{Exchange: fip(3), T: 2, Horizon: 3}, act: action.NewOpt(2), sample: 4000},
+		{name: "fip n=3 self-drops", c: Context{Exchange: fip(3), T: 1, Options: adversary.Options{IncludeSelfDrops: true}}, act: action.NewOpt(1), sample: 20000},
+		{name: "fip n=3 crash self-drops", c: Context{Exchange: fip(3), T: 1, Crash: true, Options: adversary.Options{IncludeSelfDrops: true}}, act: action.NewOpt(1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -154,11 +158,11 @@ func TestLayeredSystemAnswersLikeDirect(t *testing.T) {
 				sample /= 10
 			}
 			ctx := context.Background()
-			want, err := BuildSystem(ctx, tc.c, tc.act, WithParallelism(2))
+			want, err := BuildSystem(ctx, perRunContext(tc.c), tc.act, WithParallelism(2))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := BuildSystem(ctx, tc.c, tc.act, WithParallelism(2), WithQuotient())
+			got, err := BuildSystem(ctx, tc.c, tc.act, WithParallelism(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,12 +200,15 @@ func TestLayeredVerdictsListSameRuns(t *testing.T) {
 	for _, act := range []model.ActionProtocol{lateZeroAction{}, slowFIPAction{}} {
 		c := Context{Exchange: exchange.NewFIP(3), T: 1}
 		ctx := context.Background()
-		direct, err := BuildSystem(ctx, c, act)
+		direct, err := BuildSystem(ctx, perRunContext(c), act)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if direct.unitOf != nil {
+			t.Fatal("the reference build went through the quotient")
+		}
 		for _, par := range []int{1, 2, 7} {
-			sys, err := BuildSystem(ctx, c, act, WithParallelism(par), WithQuotient())
+			sys, err := BuildSystem(ctx, c, act, WithParallelism(par))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +241,7 @@ func TestLayeredVerdictsListSameRuns(t *testing.T) {
 func TestExpandQuotientRefusesDoctoredLedger(t *testing.T) {
 	c := Context{Exchange: exchange.NewFIP(4), T: 1}
 	ctx := context.Background()
-	idx, err := BuildShardIndex(ctx, c, action.NewOpt(1), 0, 1, WithQuotient())
+	idx, err := BuildShardIndex(ctx, c, action.NewOpt(1), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -297,45 +297,73 @@ func TestFabricSweepStealsFromSilentWorker(t *testing.T) {
 
 // TestFabricCheckJobVerdictsIdentical distributes the model checker and
 // checks the coordinator's verdict file is byte-identical to a
-// single-process check of the same stack.
+// single-process check of the same stack — merged from one 1-way index,
+// and built whole as ebacheck builds it — for a stack whose stripes are
+// per-run (min) and one whose stripes the workers build through the
+// symmetry quotient without being asked (fip): the spooled indexes say
+// which, and the coordinator expands.
 func TestFabricCheckJobVerdictsIdentical(t *testing.T) {
-	job := JobSpec{Kind: CheckJob, Stack: "min", N: 3, T: 1, Stripes: 4}
-	c, srv := newTestCoordinator(t, job, 2*time.Second)
+	for _, tc := range []struct {
+		stack    string
+		quotient bool
+	}{{"min", false}, {"fip", true}} {
+		t.Run(tc.stack, func(t *testing.T) {
+			job := JobSpec{Kind: CheckJob, Stack: tc.stack, N: 3, T: 1, Stripes: 4}
+			c, srv := newTestCoordinator(t, job, 2*time.Second)
 
-	runErr := make(chan error, 1)
-	go func() { runErr <- c.Run(context.Background()) }()
-	runWorkers(t, context.Background(), srv.URL, 2)
-	if err := <-runErr; err != nil {
-		t.Fatalf("coordinator Run: %v", err)
-	}
+			runErr := make(chan error, 1)
+			go func() { runErr <- c.Run(context.Background()) }()
+			runWorkers(t, context.Background(), srv.URL, 2)
+			if err := <-runErr; err != nil {
+				t.Fatalf("coordinator Run: %v", err)
+			}
 
-	got, err := os.ReadFile(c.MergedPath())
-	if err != nil {
-		t.Fatalf("reading verdicts: %v", err)
-	}
+			got, err := os.ReadFile(c.MergedPath())
+			if err != nil {
+				t.Fatalf("reading verdicts: %v", err)
+			}
+			for stripe := 0; stripe < job.Stripes; stripe++ {
+				spooled, err := os.ReadFile(c.stripePath(stripe))
+				if err != nil {
+					t.Fatalf("reading spooled stripe %d: %v", stripe, err)
+				}
+				if bytes.Contains(spooled, []byte(`"quotient":true`)) != tc.quotient {
+					t.Errorf("spooled stripe %d: quotiented is not %v", stripe, tc.quotient)
+				}
+			}
 
-	// The single-process reference: one 1-way shard index, merged, same
-	// verdict writer, same options as the coordinator.
-	ctx := context.Background()
-	st, err := job.NewStack()
-	if err != nil {
-		t.Fatalf("NewStack: %v", err)
-	}
-	idx, err := episteme.BuildShardIndex(ctx, episteme.ContextFor(st), st.Action, 0, 1)
-	if err != nil {
-		t.Fatalf("BuildShardIndex 0/1: %v", err)
-	}
-	idx.Stack = job.Stack
-	sys, err := episteme.MergeSystems(ctx, []*episteme.ShardIndex{idx})
-	if err != nil {
-		t.Fatalf("MergeSystems: %v", err)
-	}
-	var want bytes.Buffer
-	if err := WriteVerdicts(ctx, &want, sys, job.Stack, VerdictOptions{Safety: true, Optimality: true}); err != nil {
-		t.Fatalf("single-process verdicts: %v", err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("fabric verdicts differ from single-process:\n got: %q\nwant: %q", got, want.Bytes())
+			// The single-process references: one 1-way shard index, merged,
+			// and the whole System built at once; same verdict writer, same
+			// options as the coordinator.
+			ctx := context.Background()
+			st, err := job.NewStack()
+			if err != nil {
+				t.Fatalf("NewStack: %v", err)
+			}
+			idx, err := episteme.BuildShardIndex(ctx, episteme.ContextFor(st), st.Action, 0, 1)
+			if err != nil {
+				t.Fatalf("BuildShardIndex 0/1: %v", err)
+			}
+			idx.Stack = job.Stack
+			merged, err := episteme.MergeSystems(ctx, []*episteme.ShardIndex{idx})
+			if err != nil {
+				t.Fatalf("MergeSystems: %v", err)
+			}
+			built, err := episteme.BuildSystem(ctx, episteme.ContextFor(st), st.Action)
+			if err != nil {
+				t.Fatalf("BuildSystem: %v", err)
+			}
+			for k, sys := range []*episteme.System{merged, built} {
+				name := []string{"a merged 1-way index", "ebacheck's build"}[k]
+				var want bytes.Buffer
+				if err := WriteVerdicts(ctx, &want, sys, job.Stack, VerdictOptions{Safety: true, Optimality: true}); err != nil {
+					t.Fatalf("verdicts of %s: %v", name, err)
+				}
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("fabric verdicts differ from those of %s:\n got: %q\nwant: %q", name, got, want.Bytes())
+				}
+			}
+		})
 	}
 }
 

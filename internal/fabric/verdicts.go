@@ -58,10 +58,10 @@ func WriteVerdicts(ctx context.Context, w io.Writer, sys *episteme.System, stack
 		max = 5
 	}
 
-	// A symmetry-quotiented system (shards built with -quotient) carries
-	// one run per agent-permutation orbit; expand it back to the full
-	// sweep before checking, so the verdict block — including the run
-	// count — is byte-identical to an unquotiented run's.
+	// A symmetry-quotiented system (the merge of quotiented stripes, which
+	// is what every fip stripe is) carries one run per agent-permutation
+	// orbit; expand it back to the full sweep before checking, so the
+	// verdict block — including the run count — is the full sweep's.
 	if sys.Quotiented() {
 		stack, err := core.NewStack(stackName, core.WithN(sys.N), core.WithT(sys.T), core.WithHorizon(sys.Horizon))
 		if err != nil {

@@ -105,9 +105,10 @@ type BufferedExchange interface {
 // system into the full one by string rewriting alone (the permuted runs
 // were never executed, so no State values exist for them).
 //
-// Only Efip implements it today. An exchange that does not cannot be
-// quotiented: the model checker's builders refuse it before enumerating
-// (episteme.KeyPermuterOf).
+// Only Efip implements it today. Implementing it is the whole selection:
+// the model checker builds such an exchange's systems from one
+// representative per agent-permutation orbit, and enumerates every run of
+// an exchange that does not (episteme.BuildSystem).
 type KeyPermuter interface {
 	// PermuteKey rewrites key under perm, where perm[i] is the new
 	// identity of old agent i (the Pattern.Permute convention). It

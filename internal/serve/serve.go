@@ -87,13 +87,6 @@ type Config struct {
 	// reaches WithParallelism (default GOMAXPROCS). Requests asking for
 	// 0 get the full budget.
 	MaxParallelism int
-	// Quotient builds Systems (and sweeps that ask for it) through the
-	// agent-permutation symmetry quotient where the stack supports it.
-	// Served bytes are identical either way; quotiented builds just
-	// execute up to n! fewer runs. Sweep responses are quotiented only
-	// when the request says so — the stream's records carry
-	// multiplicities, so quotienting changes the bytes there.
-	Quotient bool
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -527,10 +520,9 @@ func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 // a hit is free, a cold key builds once under the build semaphore (and
 // singleflight — concurrent identical queries share the one build), or,
 // when a result cache is configured and holds the sweep's index, restores
-// it from that one entry. Stored Systems
-// are always fully expanded, never quotiented (BuildSystem expands a
-// quotiented build before returning it), so every query surface sees
-// the complete sweep.
+// it from that one entry. Stored Systems are always the complete sweep:
+// whether a build goes through the symmetry quotient is BuildSystem's
+// decision, and it expands before returning.
 func (s *Server) system(ctx context.Context, stack core.Stack, par int) (*episteme.System, error) {
 	key := fmt.Sprintf("%s/%d/%d/%d", stack.VersionDigest(s.cfg.Fingerprint), stack.N, stack.T, stack.Horizon())
 	return s.lru.get(ctx, key, func(ctx context.Context) (*episteme.System, error) {
@@ -546,12 +538,6 @@ func (s *Server) system(ctx context.Context, stack core.Stack, par int) (*episte
 		t0 := time.Now()
 		ec := episteme.ContextFor(stack)
 		opts := []episteme.Option{episteme.WithParallelism(par)}
-		if _, err := episteme.KeyPermuterOf(ec.Exchange); s.cfg.Quotient && err == nil {
-			// Quotient is best-effort: only exchanges whose keys can cross
-			// an agent relabeling (model.KeyPermuter) support it; the rest
-			// build the full system directly.
-			opts = append(opts, episteme.WithQuotient())
-		}
 		if s.cfg.Cache != nil {
 			opts = append(opts, episteme.WithCache(s.cfg.Cache, s.cfg.Fingerprint))
 		}

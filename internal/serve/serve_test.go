@@ -122,40 +122,46 @@ func TestSweepMatchesCLIBytes(t *testing.T) {
 	}
 }
 
+// everyRun hides the exchange's optional interfaces, so the checker
+// executes every scenario over it instead of one per agent-permutation
+// orbit: the reference Systems are built the way min's and basic's are,
+// whatever the stack.
+type everyRun struct{ model.Exchange }
+
+// buildReferenceSystem builds the stack's System run by run.
 func buildReferenceSystem(t *testing.T, stackName string, n, tf int) (core.Stack, *episteme.System) {
 	t.Helper()
 	stack, err := core.NewStack(stackName, core.WithN(n), core.WithT(tf))
 	if err != nil {
 		t.Fatalf("stack: %v", err)
 	}
-	sys, err := episteme.BuildSystem(context.Background(), episteme.ContextFor(stack), stack.Action)
+	ec := episteme.ContextFor(stack)
+	ec.Exchange = everyRun{ec.Exchange}
+	sys, err := episteme.BuildSystem(context.Background(), ec, stack.Action)
 	if err != nil {
 		t.Fatalf("build system: %v", err)
+	}
+	if sys.Runs[0].States == nil {
+		t.Fatalf("the %s reference build kept no state traces: it was not built run by run", stackName)
 	}
 	return stack, sys
 }
 
 // TestCheckMatchesCLIBytes pins the served verdict block byte-identical
-// to the fabric/CLI WriteVerdicts output, for a plain and a quotiented
-// server.
+// to the fabric/CLI WriteVerdicts output over a System built run by run,
+// for a stack the checker quotients (fip) and one it cannot (min).
 func TestCheckMatchesCLIBytes(t *testing.T) {
 	cases := []struct {
-		name     string
-		stack    string
-		quotient bool
-		req      CheckRequest
+		name string
+		req  CheckRequest
 	}{
-		{"min", "min", false, CheckRequest{Stack: "min", N: 3, T: 1, Safety: true}},
-		// Quotient=true on a non-KeyPermuter stack falls back to a full
-		// build; on fip it builds quotiented and expands — the served
-		// bytes must be identical either way.
-		{"min-quotient-fallback", "min", true, CheckRequest{Stack: "min", N: 3, T: 1, Safety: true}},
-		{"fip-quotient", "fip", true, CheckRequest{Stack: "fip", N: 3, T: 1, SkipOptimality: true}},
+		{"min", CheckRequest{Stack: "min", N: 3, T: 1, Safety: true}},
+		{"fip-quotient", CheckRequest{Stack: "fip", N: 3, T: 1, SkipOptimality: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts := newTestServer(t, Config{Quotient: tc.quotient})
-			stack, sys := buildReferenceSystem(t, tc.stack, 3, 1)
+			_, ts := newTestServer(t, Config{})
+			stack, sys := buildReferenceSystem(t, tc.req.Stack, 3, 1)
 			var want bytes.Buffer
 			if err := fabric.WriteVerdicts(context.Background(), &want, sys, stack.Name,
 				fabric.VerdictOptions{Safety: tc.req.Safety, Optimality: !tc.req.SkipOptimality}); err != nil {
@@ -177,10 +183,20 @@ func TestCheckMatchesCLIBytes(t *testing.T) {
 }
 
 // TestKnowledgeQueries exercises every query kind against semantics
-// computed directly on the reference System.
+// computed directly on the reference System, for a stack served from a
+// per-run System (min) and one served from an expanded one (fip), whose
+// index rows before the horizon are prefix units: there the points must
+// fall both on a unit's first run and on its later ones, where an answer
+// read off the wrong row would show.
 func TestKnowledgeQueries(t *testing.T) {
+	for _, stackName := range []string{"min", "fip"} {
+		t.Run(stackName, func(t *testing.T) { testKnowledgeQueries(t, stackName) })
+	}
+}
+
+func testKnowledgeQueries(t *testing.T, stackName string) {
 	_, ts := newTestServer(t, Config{})
-	_, sys := buildReferenceSystem(t, "min", 3, 1)
+	_, sys := buildReferenceSystem(t, stackName, 3, 1)
 
 	query := func(req KnowledgeRequest) KnowledgeResponse {
 		t.Helper()
@@ -195,18 +211,34 @@ func TestKnowledgeQueries(t *testing.T) {
 		return kr
 	}
 
-	base := KnowledgeRequest{Stack: "min", N: 3, T: 1}
+	base := KnowledgeRequest{Stack: stackName, N: 3, T: 1}
 	// Echoed dimensions describe the full system.
 	kr := query(withQuery(base, QueryExists, 0, 0, 0, 0))
 	if kr.Runs != len(sys.Runs) || kr.Horizon != sys.Horizon {
 		t.Fatalf("echoed dims %d/%d, want %d/%d", kr.Runs, kr.Horizon, len(sys.Runs), sys.Horizon)
 	}
 
+	// A prefix unit is the runs that share inits, faulty set and every drop
+	// before the last round; its first run is its lowest.
+	unitFirst := make(map[string]int)
+	unitOf := make([]string, len(sys.Runs))
+	for r, res := range sys.Runs {
+		unitOf[r] = fmt.Sprint(res.Inits) + string(res.Pattern.AppendPrefixKey(nil, sys.Horizon-1))
+		if _, seen := unitFirst[unitOf[r]]; !seen {
+			unitFirst[unitOf[r]] = r
+		}
+	}
+
 	// Cross-check every query kind on a spread of points against the
 	// in-process System.
-	checked := 0
+	checked, onFirst, offFirst := 0, 0, 0
 	for run := 0; run < len(sys.Runs); run += 7 {
-		for _, tm := range []int{0, sys.Horizon} {
+		if unitFirst[unitOf[run]] == run {
+			onFirst++
+		} else {
+			offFirst++
+		}
+		for _, tm := range []int{0, sys.Horizon - 1, sys.Horizon} {
 			p := episteme.Point{Run: run, Time: tm}
 			for v := 0; v <= 1; v++ {
 				vv := model.Value(v)
@@ -238,8 +270,8 @@ func TestKnowledgeQueries(t *testing.T) {
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no points checked")
+	if checked == 0 || onFirst == 0 || offFirst == 0 {
+		t.Fatalf("%d points checked, %d runs first of their prefix unit and %d not", checked, onFirst, offFirst)
 	}
 
 	// Validation errors.

@@ -94,7 +94,8 @@ type ShardIndex = episteme.ShardIndex
 // BuildShardIndex enumerates stripe shardIndex of a shardCount-way split
 // of the stack's exhaustive sweep — exactly the stripe of the
 // enumeration BuildSystem performs whole — and exports the stripe's
-// interned index for MergeSystems.
+// interned index for MergeSystems; where BuildSystem takes the symmetry
+// quotient (fip), a stripe of the representative sweep (ShardIndex.Quotient).
 func BuildShardIndex(ctx context.Context, stack Stack, shardIndex, shardCount int, opts ...CheckOption) (*ShardIndex, error) {
 	idx, err := episteme.BuildShardIndex(ctx, episteme.ContextFor(stack), stack.Action, shardIndex, shardCount, opts...)
 	if err != nil {
@@ -110,14 +111,16 @@ func BuildShardIndex(ctx context.Context, stack Stack, shardIndex, shardCount in
 // single-process BuildSystem's. It verifies the stripes partition one
 // sweep: K distinct shards of a K-way split agreeing on (n, t, horizon),
 // with stripe lengths consistent with one total. Merged Systems carry no
-// state traces: System.Key and every checker ride the interned index.
+// state traces: System.Key and every checker ride the interned index. The
+// merge of quotiented stripes (System.Quotiented; every fip stripe is one)
+// is checkable only after ExpandQuotient; WriteVerdicts expands by itself.
 func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...CheckOption) (*System, error) {
 	return episteme.MergeSystems(ctx, shards, opts...)
 }
 
 // ExpandQuotient rebuilds the full interpreted system from a
 // symmetry-quotiented one — the System MergeSystems returns when the
-// shards were built with WithCheckQuotient. The expansion re-enumerates
+// shards are quotiented (System.Quotiented). The expansion re-enumerates
 // the stack's sweep without executing it, synthesizing each run and its
 // interned local-state classes from the run's orbit representative via
 // agent relabeling; the result is bit-identical to the unquotiented

@@ -286,6 +286,13 @@ func TestPublicShardAndMerge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MergeSystems: %v", err)
 	}
+	// fip's stripes hold orbit representatives: the merge is expanded once.
+	if !mergedSys.Quotiented() {
+		t.Fatal("the merge of fip stripes is not quotiented")
+	}
+	if mergedSys, err = eba.ExpandQuotient(ctx, mergedSys, stack); err != nil {
+		t.Fatalf("ExpandQuotient: %v", err)
+	}
 	got, err := mergedSys.CheckImplements(ctx, eba.ProgramP1, 10)
 	if err != nil {
 		t.Fatal(err)

@@ -303,7 +303,7 @@ func BenchmarkCheckImplementsP1N4(b *testing.B) {
 func BenchmarkOutcomeStreamN4(b *testing.B) {
 	const n, tf, stripes, records = 4, 1, 4, 32784
 	st := stack(b, "fip", n, tf)
-	runner := eba.NewRunner(st, eba.WithParallelism(0), eba.WithBufferReuse())
+	runner := eba.NewRunner(st, eba.WithParallelism(0))
 	ctx := context.Background()
 	runStripes := func(b *testing.B) [][]byte {
 		out := make([][]byte, stripes)
@@ -469,9 +469,8 @@ func batchScenarios(n, tf, count int) []eba.Scenario {
 	return scenarios
 }
 
-// BenchmarkRunnerBatch measures the batch hot path across executor,
-// parallelism, and buffer-reuse configurations on the same 64-scenario
-// workload.
+// BenchmarkRunnerBatch measures the batch hot path across executor and
+// parallelism configurations on the same 64-scenario workload.
 func BenchmarkRunnerBatch(b *testing.B) {
 	n, tf := 8, 2
 	st := stack(b, "basic", n, tf)
@@ -482,8 +481,7 @@ func BenchmarkRunnerBatch(b *testing.B) {
 		opts []eba.RunnerOption
 	}{
 		{"sequential", nil},
-		{"sequential-reuse", []eba.RunnerOption{eba.WithBufferReuse()}},
-		{"parallel4-reuse", []eba.RunnerOption{eba.WithParallelism(4), eba.WithBufferReuse()}},
+		{"parallel4", []eba.RunnerOption{eba.WithParallelism(4)}},
 		{"concurrent-parallel4", []eba.RunnerOption{eba.WithExecutor(eba.Concurrent), eba.WithParallelism(4)}},
 	}
 	for _, c := range cases {
@@ -498,11 +496,11 @@ func BenchmarkRunnerBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineBufferReuse isolates the allocation savings of the
-// reusable scratch buffers on single runs of the min and fip stacks. CI
-// runs it with -benchtime=1x as a smoke test that the hot path still
-// runs; the allocation ceilings themselves are pinned by
-// internal/engine's TestBufferedRunAllocCeilings.
+// BenchmarkEngineBufferReuse isolates what keeping one Buffers across
+// runs saves on single runs of the min and fip stacks: the fresh row is
+// engine.Run, which draws a throwaway Buffers per run; the reused row
+// hands every run the same one. The allocation ceilings themselves are
+// pinned by internal/engine's TestBufferedRunAllocCeilings.
 func BenchmarkEngineBufferReuse(b *testing.B) {
 	cases := []struct {
 		stackName string

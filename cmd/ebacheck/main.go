@@ -135,7 +135,6 @@ func runSweep(stack eba.Stack, n, t int) error {
 	t0 := time.Now()
 	runner := eba.NewRunner(stack,
 		eba.WithParallelism(0),
-		eba.WithBufferReuse(),
 		eba.WithSpecCheck(eba.SpecOptions{RoundBound: stack.Horizon(), ValidityAllAgents: true}))
 	runs, failures := 0, 0
 	var firstErr error

@@ -200,7 +200,6 @@ func runSweep(stack eba.Stack, executor eba.Executor, count, seed int64, drop fl
 	runnerOpts := []eba.RunnerOption{
 		eba.WithExecutor(executor),
 		eba.WithParallelism(0),
-		eba.WithBufferReuse(),
 		eba.WithSpecCheck(eba.SpecOptions{RoundBound: stack.Horizon()}),
 	}
 	if store != nil {

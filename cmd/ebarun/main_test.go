@@ -81,6 +81,10 @@ func TestRunErrors(t *testing.T) {
 		{"-inits", "01x01"},                             // bad digit
 		{"-format", "bogus", "-n", "3", "-t", "1"},      // unknown format
 		{"-stack", "naive", "-n", "3", "-t", "1", "-x"}, // unknown flag
+		// t ≥ n: each of these panicked in the adversary package.
+		{"-n", "3", "-t", "5", "-adversary", "random", "-seed", "1"},
+		{"-n", "3", "-t", "5", "-sweep", "50", "-seed", "1"},
+		{"-n", "3", "-t", "3", "-adversary", "example71"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

@@ -255,7 +255,7 @@ func runStripe(stackName string, n, t int, shard eba.ShardSpec, out string, para
 	if quotient {
 		src = eba.SourceQuotient(src)
 	}
-	opts := []eba.RunnerOption{eba.WithParallelism(parallel), eba.WithBufferReuse()}
+	opts := []eba.RunnerOption{eba.WithParallelism(parallel)}
 	if spec {
 		opts = append(opts, eba.WithSpecCheck(eba.SpecOptions{RoundBound: stack.Horizon(), ValidityAllAgents: true}))
 	}

@@ -35,7 +35,7 @@
 //
 // Batches fan out over a worker pool and stay deterministic:
 //
-//	runner = eba.NewRunner(stack, eba.WithParallelism(8), eba.WithBufferReuse())
+//	runner = eba.NewRunner(stack, eba.WithParallelism(8))
 //	results, err := runner.RunBatch(ctx, scenarios) // results[k] ↔ scenarios[k]
 //
 // Any registry-valid ⟨exchange, action⟩ pairing the paper discusses is

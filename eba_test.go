@@ -65,11 +65,11 @@ func TestPublicDominance(t *testing.T) {
 		{Pattern: eba.FailureFree(n, tf+2), Inits: eba.UniformInits(n, eba.One)},
 		{Pattern: eba.FailureFree(n, tf+2), Inits: []eba.Value{eba.Zero, eba.One, eba.One, eba.One}},
 	}
-	runsB, err := eba.NewRunner(basic, eba.WithBufferReuse()).RunBatch(context.Background(), scenarios)
+	runsB, err := eba.NewRunner(basic).RunBatch(context.Background(), scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runsM, err := eba.NewRunner(min, eba.WithBufferReuse()).RunBatch(context.Background(), scenarios)
+	runsM, err := eba.NewRunner(min).RunBatch(context.Background(), scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +236,7 @@ func TestPublicRunnerBatchAndStream(t *testing.T) {
 	runner := eba.NewRunner(stack,
 		eba.WithExecutor(eba.Sequential),
 		eba.WithParallelism(4),
-		eba.WithSpecCheck(eba.SpecOptions{RoundBound: stack.Horizon()}),
-		eba.WithBufferReuse())
+		eba.WithSpecCheck(eba.SpecOptions{RoundBound: stack.Horizon()}))
 	batch, err := runner.RunBatch(ctx, scenarios)
 	if err != nil {
 		t.Fatal(err)

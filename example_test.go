@@ -72,8 +72,8 @@ func ExampleCompareRuns() {
 	basic, _ := eba.NewStack("basic", eba.WithN(n), eba.WithT(t))
 	min, _ := eba.NewStack("min", eba.WithN(n), eba.WithT(t))
 	ctx := context.Background()
-	runsBasic, _ := eba.NewRunner(basic, eba.WithBufferReuse()).RunBatch(ctx, scenarios)
-	runsMin, _ := eba.NewRunner(min, eba.WithBufferReuse()).RunBatch(ctx, scenarios)
+	runsBasic, _ := eba.NewRunner(basic).RunBatch(ctx, scenarios)
+	runsMin, _ := eba.NewRunner(min).RunBatch(ctx, scenarios)
 	dom, _ := eba.CompareRuns(runsBasic, runsMin)
 	fmt.Println("basic strictly dominates min here:", dom.Strictly())
 	// Output:

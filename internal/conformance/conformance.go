@@ -11,7 +11,11 @@
 //  4. δ records decisions in the decided component and never un-decides;
 //  5. jd reflects the decide announcements received in the last round;
 //  6. δ is a function: equal states, actions, and inboxes give equal
-//     successor states (checked by re-application).
+//     successor states (checked by re-application);
+//  7. μ fills the row it is handed: the result has length N and every
+//     entry is overwritten, so a row still holding an earlier round's
+//     messages and a clean one yield the same messages — the engine hands
+//     every exchange the same rows round after round.
 //
 // Two drivers exercise the conventions: CheckExchange samples random
 // omission behavior (cheap, any n), and CheckExchangePatterns drives the
@@ -51,6 +55,21 @@ type lazyLabel func() string
 
 func (l lazyLabel) String() string { return l() }
 
+// staleMessage is what a used row holds before μ is called on it.
+type staleMessage struct{}
+
+func (staleMessage) Announces() model.Value { return model.None }
+func (staleMessage) Bits() int              { return 0 }
+func (staleMessage) String() string         { return "stale entry" }
+
+// sameMessage compares two messages by everything a Message exposes.
+func sameMessage(a, b model.Message) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return a.Announces() == b.Announces() && a.Bits() == b.Bits() && a.String() == b.String()
+}
+
 // initialStates builds and convention-checks the initial states (1).
 func initialStates(ex model.Exchange, inits []model.Value, label lazyLabel, r *reporter) []model.State {
 	n := ex.N()
@@ -66,7 +85,7 @@ func initialStates(ex model.Exchange, inits []model.Value, label lazyLabel, r *r
 }
 
 // checkRound drives one round: every agent sends under its action, the
-// deliver rule decides which messages arrive, and conventions 2–6 are
+// deliver rule decides which messages arrive, and conventions 2–7 are
 // verified on the resulting transition. It returns the successor states,
 // or false when a structural violation (wrong outbox size) makes
 // continuing meaningless.
@@ -75,10 +94,21 @@ func checkRound(ex model.Exchange, m int, states []model.State, acts []model.Act
 	n := ex.N()
 	outbox := make([][]model.Message, n)
 	for i := 0; i < n; i++ {
-		outbox[i] = ex.Messages(model.AgentID(i), states[i], acts[i])
-		if len(outbox[i]) != n {
-			r.report("%s round %d: agent %d sent %d messages for %d agents", label, m, i, len(outbox[i]), n)
+		outbox[i] = ex.Messages(model.AgentID(i), states[i], acts[i], make([]model.Message, n))
+		// Convention 7: a used row yields the same messages as a clean one.
+		used := make([]model.Message, n)
+		for j := range used {
+			used[j] = staleMessage{}
+		}
+		used = ex.Messages(model.AgentID(i), states[i], acts[i], used)
+		if len(outbox[i]) != n || len(used) != n {
+			r.report("%s round %d: agent %d sent %d messages (%d into a used row) for %d agents", label, m, i, len(outbox[i]), len(used), n)
 			return nil, false
+		}
+		for j := range used {
+			if !sameMessage(used[j], outbox[i][j]) {
+				r.report("%s round %d: agent %d entry %d is %v in a used row, %v in a clean one", label, m, i, j, used[j], outbox[i][j])
+			}
 		}
 		// Convention 3: the class of every message matches the action.
 		want := acts[i].Decision()

@@ -35,8 +35,8 @@ func (m mislabeled) Announces() model.Value { return model.None }
 func (m mislabeled) Bits() int              { return m.inner.Bits() }
 func (m mislabeled) String() string         { return m.inner.String() }
 
-func (e brokenExchange) Messages(i model.AgentID, s model.State, a model.Action) []model.Message {
-	out := e.Min.Messages(i, s, a)
+func (e brokenExchange) Messages(i model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
+	out = e.Min.Messages(i, s, a, out)
 	if a == model.Decide1 {
 		for j, msg := range out {
 			if msg != nil {
@@ -60,6 +60,38 @@ func TestConformanceCatchesMislabeledClass(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("violations do not mention the class mismatch: %v", vs)
+	}
+}
+
+// staleRowExchange wraps Min but writes only the entries that carry a
+// message, so a row the engine has used keeps an earlier round's.
+type staleRowExchange struct {
+	*exchange.Min
+}
+
+func (e staleRowExchange) Messages(i model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
+	for j, msg := range e.Min.Messages(i, s, a, make([]model.Message, len(out))) {
+		if msg != nil {
+			out[j] = msg
+		}
+	}
+	return out
+}
+
+// TestConformanceCatchesStaleRow is convention 7's negative case, under
+// both drivers.
+func TestConformanceCatchesStaleRow(t *testing.T) {
+	pats, err := adversary.NewSOPatterns(3, 1, 3, adversary.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, vs := range map[string][]string{
+		"random":   CheckExchange(staleRowExchange{exchange.NewMin(3)}, 7, 5),
+		"patterns": CheckExchangePatterns(staleRowExchange{exchange.NewMin(3)}, pats, 7),
+	} {
+		if len(vs) == 0 || !strings.Contains(vs[0], "used row") {
+			t.Errorf("%s driver: stale row entry not detected: %v", name, vs)
+		}
 	}
 }
 

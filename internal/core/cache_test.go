@@ -82,7 +82,7 @@ func TestCacheWarmShardByteIdentical(t *testing.T) {
 	}
 	store := newMapStore()
 
-	cold := NewRunner(st, WithParallelism(4), WithBufferReuse(), WithResultCache(store, "test-build"))
+	cold := NewRunner(st, WithParallelism(4), WithResultCache(store, "test-build"))
 	sumCold, streamCold := runShardStream(t, cold, scenarios, 0, 1)
 	if sumCold.Executed != sumCold.Records || sumCold.CacheHits != 0 {
 		t.Fatalf("cold summary executed=%d hits=%d records=%d", sumCold.Executed, sumCold.CacheHits, sumCold.Records)
@@ -91,7 +91,7 @@ func TestCacheWarmShardByteIdentical(t *testing.T) {
 		t.Fatalf("cold run stored %d entries, want %d", store.len(), len(scenarios))
 	}
 
-	warm := NewRunner(st, WithParallelism(4), WithBufferReuse(), WithResultCache(store, "test-build"))
+	warm := NewRunner(st, WithParallelism(4), WithResultCache(store, "test-build"))
 	sumWarm, streamWarm := runShardStream(t, warm, scenarios, 0, 1)
 	if sumWarm.Executed != 0 || sumWarm.CacheHits != sumWarm.Records {
 		t.Fatalf("warm summary executed=%d hits=%d records=%d", sumWarm.Executed, sumWarm.CacheHits, sumWarm.Records)
@@ -101,7 +101,7 @@ func TestCacheWarmShardByteIdentical(t *testing.T) {
 	}
 
 	// A cache-free runner agrees too — caching never changes the stream.
-	plain := NewRunner(st, WithParallelism(4), WithBufferReuse())
+	plain := NewRunner(st, WithParallelism(4))
 	sumPlain, streamPlain := runShardStream(t, plain, scenarios, 0, 1)
 	if sumPlain.Executed != sumPlain.Records || sumPlain.CacheHits != 0 {
 		t.Fatalf("plain summary executed=%d hits=%d records=%d", sumPlain.Executed, sumPlain.CacheHits, sumPlain.Records)

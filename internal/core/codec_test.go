@@ -333,7 +333,7 @@ func TestReaderBoundsLineLength(t *testing.T) {
 func BenchmarkStreamCodec(b *testing.B) {
 	st := MustStack("fip", WithN(4), WithT(1))
 	var raw bytes.Buffer
-	if _, err := NewRunner(st, WithBufferReuse()).RunShard(context.Background(), FromScenarios(randomScenarios(5, 4, 1, 4096)), 0, 1, &raw); err != nil {
+	if _, err := NewRunner(st).RunShard(context.Background(), FromScenarios(randomScenarios(5, 4, 1, 4096)), 0, 1, &raw); err != nil {
 		b.Fatal(err)
 	}
 	or, err := NewOutcomeReader(bytes.NewReader(raw.Bytes()))

@@ -60,7 +60,7 @@ type stackConfig struct {
 // WithN sets the number of agents (default 5).
 func WithN(n int) Option { return func(c *stackConfig) { c.n = n } }
 
-// WithT sets the failure bound t (default 2).
+// WithT sets the failure bound t (default 2); Compose refuses t ≥ n.
 func WithT(t int) Option { return func(c *stackConfig) { c.t = t } }
 
 // WithHorizon overrides the stack's execution horizon (default t+2, the
@@ -97,6 +97,9 @@ func Compose(exchangeName, actionName string, opts ...Option) (Stack, error) {
 	}
 	if cfg.t < 0 {
 		return Stack{}, fmt.Errorf("core: negative failure bound %d", cfg.t)
+	}
+	if cfg.t >= cfg.n {
+		return Stack{}, fmt.Errorf("core: failure bound t=%d with n=%d agents; every context needs t < n, so that some agent is guaranteed nonfaulty", cfg.t, cfg.n)
 	}
 	if cfg.horizon < 0 {
 		return Stack{}, fmt.Errorf("core: negative horizon %d", cfg.horizon)

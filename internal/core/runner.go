@@ -4,11 +4,10 @@
 // order-preserving parallel batch (RunBatch), or as a stream of outcomes
 // (Stream over slices, StreamFrom/RunSource over lazy Sources — see
 // stream.go). Batches fan out over a worker pool of WithParallelism(k)
-// workers; each worker owns its own engine.Buffers when WithBufferReuse
-// is on, so the engine's message matrices are allocated once per worker,
-// not once per round. Because every run is deterministic, parallel
-// batches are bit-for-bit identical to sequential ones — a property the
-// tests enforce.
+// workers; each worker owns its own engine.Buffers, so the engine's
+// message matrices are allocated once per worker, not once per run.
+// Because every run is deterministic, parallel batches are bit-for-bit
+// identical to sequential ones — a property the tests enforce.
 
 package core
 
@@ -27,7 +26,6 @@ type Runner struct {
 	exec        engine.Executor
 	parallelism int
 	specOpts    *spec.Options
-	bufferReuse bool
 	cache       ResultCache
 	fingerprint string
 }
@@ -61,16 +59,11 @@ func WithSpecCheck(opts spec.Options) RunnerOption {
 	return func(r *Runner) { r.specOpts = &opts }
 }
 
-// WithBufferReuse gives every batch worker a private engine.Buffers
-// reused across its runs: the engine's per-round message matrices and
-// rolling state slices are recycled, and exchanges that implement
-// model.BufferedExchange write μ into them. Nothing reachable from a
-// returned Result aliases the buffers, so results outlive the workers
-// safely; traces are bit-identical with or without reuse. This applies
-// to Run, RunBatch, Stream, StreamFrom, and RunSource alike.
-func WithBufferReuse() RunnerOption {
-	return func(r *Runner) { r.bufferReuse = true }
-}
+// WithBufferReuse does nothing: every worker owns an engine.Buffers and
+// there is no other way to run. It stays under the name benchmark/sweep.go
+// still calls; benchmark/ changes only in a benchmark-kind PR, which drops
+// that call and deletes this option (ROADMAP item 2(d)).
+func WithBufferReuse() RunnerOption { return func(*Runner) {} }
 
 // WithResultCache consults the cache before every execution: a hit
 // restores the run without executing, a miss executes and stores the
@@ -140,11 +133,7 @@ func (e *SpecError) Error() string {
 
 // Run executes one scenario.
 func (r *Runner) Run(ctx context.Context, sc Scenario) (*engine.Result, error) {
-	var buf *engine.Buffers
-	if r.bufferReuse {
-		buf = engine.NewBuffers()
-	}
-	out := r.runOne(ctx, 0, sc, buf)
+	out := r.runOne(ctx, 0, sc, engine.NewBuffers())
 	if out.Err != nil {
 		return nil, out.Err
 	}

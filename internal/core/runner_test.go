@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/adversary"
@@ -66,7 +67,7 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	scenarios := randomScenarios(11, n, tf, 20)
 	for _, name := range registry.StackNames() {
 		st := MustStack(name, WithN(n), WithT(tf))
-		parallel, err := NewRunner(st, WithParallelism(4), WithBufferReuse()).
+		parallel, err := NewRunner(st, WithParallelism(4)).
 			RunBatch(context.Background(), scenarios)
 		if err != nil {
 			t.Fatalf("%s: RunBatch: %v", name, err)
@@ -174,7 +175,7 @@ func TestExecutorTraceEquivalence(t *testing.T) {
 	scenarios := randomScenarios(23, n, tf, 10)
 	for _, name := range registry.StackNames() {
 		st := MustStack(name, WithN(n), WithT(tf))
-		seq, err := NewRunner(st, WithExecutor(engine.Sequential{}), WithParallelism(2), WithBufferReuse()).
+		seq, err := NewRunner(st, WithExecutor(engine.Sequential{}), WithParallelism(2)).
 			RunBatch(context.Background(), scenarios)
 		if err != nil {
 			t.Fatalf("%s sequential: %v", name, err)
@@ -251,6 +252,8 @@ func TestStackOptions(t *testing.T) {
 		{WithN(-3)},
 		{WithT(-1)},
 		{WithHorizon(-2)},
+		{WithN(3), WithT(3)}, // t ≥ n: no agent guaranteed nonfaulty
+		{WithN(2)},           // against the default t=2
 	} {
 		if _, err := NewStack("min", bad...); err == nil {
 			t.Errorf("NewStack with %d bad option(s) accepted", len(bad))
@@ -261,6 +264,31 @@ func TestStackOptions(t *testing.T) {
 	}
 	if _, err := Compose("min", "popt"); err == nil {
 		t.Error("incompatible composition accepted")
+	}
+}
+
+// TestBareRunnerBatchAllocCeiling pins what a Runner built with no
+// options allocates per batch at what the buffer-reusing Runner did while
+// reuse was still an option (3,059 on this workload; the option-less one
+// took 7,966): every worker owns a Buffers now, so there is no cheaper
+// Runner to ask for. Allocation counts are deterministic at parallelism 1.
+func TestBareRunnerBatchAllocCeiling(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's instrumentation allocates on its own")
+			}
+		}
+	}
+	runner := NewRunner(MustStack("basic", WithN(8), WithT(2)))
+	scenarios := randomScenarios(5, 8, 2, 64)
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := runner.RunBatch(context.Background(), scenarios); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 3059 {
+		t.Errorf("%.0f allocs per 64-scenario batch, ceiling 3059", got)
 	}
 }
 

@@ -94,7 +94,7 @@ func runShardStream(t *testing.T, runner *Runner, scenarios []Scenario, shard, s
 func TestShardMergeBitIdentical(t *testing.T) {
 	st := MustStack("fip", WithN(3), WithT(1))
 	scenarios := shardScenarios(t, 3, st.Horizon(), 41)
-	runner := NewRunner(st, WithParallelism(4), WithBufferReuse())
+	runner := NewRunner(st, WithParallelism(4))
 
 	single, singleStream := runShardStream(t, runner, scenarios, 0, 1)
 	if single.Records != 41 {

@@ -140,10 +140,7 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source) <-chan RunOutcome {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var buf *engine.Buffers
-				if r.bufferReuse {
-					buf = engine.NewBuffers()
-				}
+				buf := engine.NewBuffers()
 				for batch := range jobs {
 					for i, jb := range batch {
 						batch[i] = r.runOne(sctx, jb.Index, jb.Scenario, buf)

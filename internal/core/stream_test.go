@@ -80,7 +80,7 @@ func streamScenarios(n, horizon, count int) []Scenario {
 func TestStreamFromMatchesStream(t *testing.T) {
 	st := MustStack("basic", WithN(4), WithT(1))
 	scenarios := randomScenarios(9, 4, 1, 24)
-	runner := NewRunner(st, WithParallelism(4), WithBufferReuse())
+	runner := NewRunner(st, WithParallelism(4))
 
 	var fromSlice []RunOutcome
 	for oc := range runner.Stream(context.Background(), scenarios) {
@@ -117,7 +117,7 @@ func TestStreamFromChunkedHandoffMatchesRunBatch(t *testing.T) {
 	}
 	for _, parallelism := range []int{1, 2, 7} {
 		label := fmt.Sprintf("parallelism %d", parallelism)
-		runner := NewRunner(st, WithParallelism(parallelism), WithBufferReuse())
+		runner := NewRunner(st, WithParallelism(parallelism))
 		k := 0
 		for oc := range runner.StreamFrom(context.Background(), &countingSource{scenarios: scenarios}) {
 			if oc.Err != nil {
@@ -142,7 +142,7 @@ func TestStreamFromChunkedHandoffMatchesRunBatch(t *testing.T) {
 func TestRunSourceMatchesRunBatch(t *testing.T) {
 	st := MustStack("min", WithN(4), WithT(1))
 	scenarios := randomScenarios(17, 4, 1, 16)
-	runner := NewRunner(st, WithParallelism(3), WithBufferReuse())
+	runner := NewRunner(st, WithParallelism(3))
 	batch, err := runner.RunBatch(context.Background(), scenarios)
 	if err != nil {
 		t.Fatal(err)

@@ -92,9 +92,9 @@ func scribbleState(st model.State) int {
 }
 
 // TestBufferedTraceIdentityAllStacks checks that, for every registered
-// stack, the fresh-allocation path (plain μ into a new slice) and the
-// buffered path (MessagesInto over reused rows) produce bit-identical
-// traces, run after run over shared buffers.
+// stack, one Buffers reused over twelve runs and a throwaway Buffers per
+// run (Run) produce bit-identical traces: nothing a run leaves in the
+// rows reaches the next one.
 func TestBufferedTraceIdentityAllStacks(t *testing.T) {
 	n, tf := 5, 2
 	for _, name := range registry.StackNames() {
@@ -119,6 +119,38 @@ func TestBufferedTraceIdentityAllStacks(t *testing.T) {
 			}
 			if runSignature(bres) != runSignature(fresh) {
 				t.Fatalf("%s scenario %d: buffered trace diverged", name, k)
+			}
+		}
+	}
+}
+
+// TestBuffersFollowTheExchange runs 5-, 3- and 5-agent configurations
+// over one Buffers, with a run refused for a short μ row in between: the
+// buffers resize themselves, and the refused row is not kept.
+func TestBuffersFollowTheExchange(t *testing.T) {
+	buf := NewBuffers()
+	for _, n := range []int{5, 3, 5} {
+		ex, act, err := registry.Compose("basic", "pbasic", n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := Config{Exchange: shortExchange{stubExchange{n: n}}, Action: stubAction{},
+			Pattern: adversary.FailureFree(n, 2), Inits: adversary.UniformInits(n, model.One)}
+		if _, err := RunBuffered(bad, buf); err == nil {
+			t.Fatal("short message vector not rejected")
+		}
+		for k, cfg := range mixedScenarios(n, 1, 4, 13) {
+			cfg.Exchange, cfg.Action = ex, act
+			fresh, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bres, err := RunBuffered(cfg, buf)
+			if err != nil {
+				t.Fatalf("n=%d scenario %d on the shared buffers: %v", n, k, err)
+			}
+			if runSignature(bres) != runSignature(fresh) {
+				t.Fatalf("n=%d scenario %d: trace diverged on the shared buffers", n, k)
 			}
 		}
 	}

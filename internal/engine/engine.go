@@ -107,11 +107,60 @@ type Result struct {
 	Stats Stats
 }
 
+// NewResult returns the empty ledger of a run of n agents over horizon
+// rounds: the trace slices sized, every decision None, inits recorded as
+// given (an executor that must not alias its caller's slice passes a
+// copy). The executors that keep their own round loop — RunBuffered, the
+// model checker's memoizing one, the knowledge-based-program builder —
+// start from it and fill it in through Record and Stats.Add, so the
+// ledger's rules are written once.
+func NewResult(n, horizon int, pat *model.Pattern, inits []model.Value) *Result {
+	res := &Result{
+		N:             n,
+		Horizon:       horizon,
+		Pattern:       pat,
+		Inits:         inits,
+		States:        make([][]model.State, horizon+1),
+		Actions:       make([][]model.Action, horizon),
+		Decision:      make([]model.Value, n),
+		DecisionRound: make([]int, n),
+	}
+	for i := range res.Decision {
+		res.Decision[i] = model.None
+	}
+	return res
+}
+
+// Record enters the actions performed at time m (round m+1) into the
+// ledger: acts becomes the trace's row — it is retained, not copied — and
+// an agent's first deciding action fixes its Decision and DecisionRound;
+// later ones are ignored.
+func (r *Result) Record(m int, acts []model.Action) {
+	r.Actions[m] = acts
+	for i, a := range acts {
+		if d := a.Decision(); d.IsSet() && r.Decision[i] == model.None {
+			r.Decision[i] = d
+			r.DecisionRound[i] = m + 1
+		}
+	}
+}
+
+// Add accumulates one round's traffic into s.
+func (s *Stats) Add(round Stats) {
+	s.MessagesSent += round.MessagesSent
+	s.MessagesDelivered += round.MessagesDelivered
+	s.BitsSent += round.BitsSent
+	s.BitsDelivered += round.BitsDelivered
+}
+
 // Buffers holds the per-round scratch of an execution — the outbox and
-// inbox matrices and the rolling state slices — so that a caller running
-// many configurations (a batch worker, a benchmark loop) can reuse them
-// across runs instead of reallocating per round. A Buffers value belongs
-// to one goroutine at a time; the zero value is ready to use.
+// inbox matrices and the rolling state slices. Every round runs on one:
+// μ writes each agent's messages into an outbox row, the failure pattern
+// filters them into the inbox rows δ reads. A caller running many
+// configurations (a batch worker, a benchmark loop) keeps one Buffers and
+// the matrices are allocated once, not once per run. A Buffers value
+// belongs to one goroutine at a time; the zero value is ready to use and
+// resizes itself when the agent count changes.
 //
 // Ownership rule: nothing reachable from a returned *Result aliases the
 // buffers — the trace's slices are fresh and the states in it are the
@@ -122,10 +171,6 @@ type Buffers struct {
 	inbox  [][]model.Message
 	cur    []model.State
 	next   []model.State
-
-	// bex is non-nil while the buffers are bound to a buffered exchange
-	// (set by BeginRun for the duration of a run).
-	bex model.BufferedExchange
 }
 
 // NewBuffers returns an empty buffer set, sized lazily on first use.
@@ -136,82 +181,60 @@ func NewBuffers() *Buffers { return &Buffers{} }
 // benchmark-kind PR, which switches that call and deletes this alias.
 func NewArenaBuffers() *Buffers { return NewBuffers() }
 
-// ensure sizes the buffers for n agents.
+// ensure sizes the message matrices for n agents. Both are sized
+// together, so the length of one tells whether either needs work.
 func (b *Buffers) ensure(n int) {
-	if cap(b.outbox) < n {
-		b.outbox = make([][]model.Message, n)
+	if len(b.outbox) == n {
+		return
 	}
-	b.outbox = b.outbox[:n]
-	if cap(b.inbox) < n {
-		b.inbox = make([][]model.Message, n)
-	}
-	b.inbox = b.inbox[:n]
-	for j := range b.inbox {
-		if cap(b.inbox[j]) < n {
-			b.inbox[j] = make([]model.Message, n)
-		}
-		b.inbox[j] = b.inbox[j][:n]
-	}
-	// The outbox rows double as MessagesInto targets for buffered
-	// exchanges; plain exchanges overwrite the row with their own slice.
-	for i := range b.outbox {
-		if cap(b.outbox[i]) < n {
-			b.outbox[i] = make([]model.Message, n)
-		}
-		b.outbox[i] = b.outbox[i][:n]
-	}
-	if cap(b.cur) < n {
-		b.cur = make([]model.State, n)
-	}
-	b.cur = b.cur[:n]
-	if cap(b.next) < n {
-		b.next = make([]model.State, n)
-	}
-	b.next = b.next[:n]
+	b.outbox = squareRows(b.outbox, n)
+	b.inbox = squareRows(b.inbox, n)
 }
 
-// BeginRun binds the buffers to one run of ex: sizes the matrices and
-// resolves the buffered-exchange interface.
-func (b *Buffers) BeginRun(ex model.Exchange) {
-	b.ensure(ex.N())
-	b.bex, _ = ex.(model.BufferedExchange)
+// states returns the two rolling state slices, sized for n agents.
+func (b *Buffers) states(n int) (cur, next []model.State) {
+	if cap(b.cur) < n {
+		b.cur = make([]model.State, n)
+		b.next = make([]model.State, n)
+	}
+	return b.cur[:n], b.next[:n]
+}
+
+// squareRows returns rows resized to an n×n matrix, keeping the storage
+// that is large enough.
+func squareRows(rows [][]model.Message, n int) [][]model.Message {
+	if cap(rows) < n {
+		rows = make([][]model.Message, n)
+	}
+	rows = rows[:n]
+	for i := range rows {
+		if cap(rows[i]) < n {
+			rows[i] = make([]model.Message, n)
+		}
+		rows[i] = rows[i][:n]
+	}
+	return rows
 }
 
 // Run executes the configuration and returns the completed run.
 func Run(cfg Config) (*Result, error) { return RunBuffered(cfg, nil) }
 
-// RunBuffered is Run with caller-provided scratch buffers; buf may be nil,
-// in which case scratch is allocated per round as Run does. The returned
-// Result never aliases buf, so the same buffers can be reused for the
-// next run while earlier results stay live.
+// RunBuffered is Run on the caller's scratch buffers; a nil buf draws a
+// throwaway Buffers for this one run. The returned Result never aliases
+// buf, so the same buffers can be reused for the next run while earlier
+// results stay live.
 func RunBuffered(cfg Config, buf *Buffers) (*Result, error) {
 	n, horizon, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
+	if buf == nil {
+		buf = NewBuffers()
+	}
 	ex, act, pat := cfg.Exchange, cfg.Action, cfg.Pattern
 
-	res := &Result{
-		N:             n,
-		Horizon:       horizon,
-		Pattern:       pat,
-		Inits:         append([]model.Value(nil), cfg.Inits...),
-		States:        make([][]model.State, horizon+1),
-		Actions:       make([][]model.Action, horizon),
-		Decision:      make([]model.Value, n),
-		DecisionRound: make([]int, n),
-	}
-	for i := range res.Decision {
-		res.Decision[i] = model.None
-	}
-
-	var cur, next []model.State
-	if buf != nil {
-		buf.BeginRun(ex)
-		cur, next = buf.cur, buf.next
-	} else {
-		cur = make([]model.State, n)
-	}
+	res := NewResult(n, horizon, pat, append([]model.Value(nil), cfg.Inits...))
+	cur, next := buf.states(n)
 	for i := 0; i < n; i++ {
 		cur[i] = ex.Initial(model.AgentID(i), cfg.Inits[i])
 	}
@@ -223,89 +246,59 @@ func RunBuffered(cfg Config, buf *Buffers) (*Result, error) {
 		acts := make([]model.Action, n)
 		for i := 0; i < n; i++ {
 			acts[i] = act.Act(model.AgentID(i), cur[i])
-			if d := acts[i].Decision(); d.IsSet() && res.Decision[i] == model.None {
-				res.Decision[i] = d
-				res.DecisionRound[i] = m + 1
-			}
 		}
-		res.Actions[m] = acts
+		res.Record(m, acts)
 
-		if buf == nil {
-			next = make([]model.State, n)
-		}
-		stats, err := stepInto(ex, pat, m, cur, acts, next, buf)
+		stats, err := StepInto(ex, pat, m, cur, acts, next, buf)
 		if err != nil {
 			return nil, err
 		}
-		res.Stats.MessagesSent += stats.MessagesSent
-		res.Stats.MessagesDelivered += stats.MessagesDelivered
-		res.Stats.BitsSent += stats.BitsSent
-		res.Stats.BitsDelivered += stats.BitsDelivered
+		res.Stats.Add(stats)
 		cur, next = next, cur
 		res.States[m+1] = append([]model.State(nil), cur...)
 	}
 	return res, nil
 }
 
-// Step executes one synchronous round (round m+1): μ selects the messages
-// each agent sends given its chosen action, the failure pattern filters
-// deliveries, and δ produces the time-m+1 states. It is the common kernel
-// of Run and of the knowledge-based-program builder in internal/episteme,
-// which must choose actions by evaluating knowledge tests between rounds.
+// Step executes one synchronous round (round m+1) on a throwaway Buffers
+// and returns the time-m+1 states in a fresh slice. It serves callers
+// that advance a run one round at a time between other work — the
+// knowledge-based-program builder in internal/episteme chooses actions by
+// evaluating knowledge tests between rounds.
 func Step(ex model.Exchange, pat *model.Pattern, m int, states []model.State, acts []model.Action) ([]model.State, Stats, error) {
 	next := make([]model.State, ex.N())
-	stats, err := stepInto(ex, pat, m, states, acts, next, nil)
+	stats, err := StepInto(ex, pat, m, states, acts, next, NewBuffers())
 	if err != nil {
 		return nil, stats, err
 	}
 	return next, stats, nil
 }
 
-// StepInto is Step for executors that manage their own trace and
-// buffers: it writes the time-m+1 states into next, drawing the message
-// matrices from buf (bind buf to the exchange with BeginRun once per
-// run; a nil buf allocates per round as Step does). The produced states
-// never alias buf, so a caller may retain them — the model checker's
-// memoizing executor interns transition rows across runs.
+// StepInto is the round, written once: μ selects the messages each agent
+// sends given its chosen action, writing them into buf's outbox rows; the
+// failure pattern filters deliveries into the inbox rows; and δ produces
+// the time-m+1 states, which are written into next. buf must not be nil;
+// it is resized to the exchange on demand. Exchanges are contracted to
+// overwrite every entry of the row μ is handed and not to retain the
+// inbox slice δ receives (they copy what they need into the fresh state),
+// which is what makes reusing both across rounds and runs sound. The
+// produced states never alias buf, so a caller may retain them — the
+// model checker's memoizing executor interns transition rows across runs.
 func StepInto(ex model.Exchange, pat *model.Pattern, m int, states []model.State, acts []model.Action,
-	next []model.State, buf *Buffers) (Stats, error) {
-	return stepInto(ex, pat, m, states, acts, next, buf)
-}
-
-// stepInto is Step writing the time-m+1 states into next, drawing the
-// outbox and inbox matrices — and, for buffered exchanges, μ's target
-// slices — from buf when one is provided (buf must have been bound to
-// ex with BeginRun). The exchanges are contracted not to retain the
-// inbox slice they receive (they copy what they need into the fresh
-// state), which is what makes inbox reuse across rounds and runs sound.
-func stepInto(ex model.Exchange, pat *model.Pattern, m int, states []model.State, acts []model.Action,
 	next []model.State, buf *Buffers) (Stats, error) {
 
 	n := ex.N()
+	buf.ensure(n)
+	outbox, inbox := buf.outbox, buf.inbox
 	var stats Stats
-	var outbox, inbox [][]model.Message
-	var bex model.BufferedExchange
-	if buf != nil {
-		outbox, inbox = buf.outbox, buf.inbox
-		bex = buf.bex
-	} else {
-		outbox = make([][]model.Message, n)
-		inbox = make([][]model.Message, n)
-		for j := range inbox {
-			inbox[j] = make([]model.Message, n)
-		}
-	}
 	for i := 0; i < n; i++ {
-		if bex != nil {
-			outbox[i] = bex.MessagesInto(model.AgentID(i), states[i], acts[i], outbox[i])
-		} else {
-			outbox[i] = ex.Messages(model.AgentID(i), states[i], acts[i])
-		}
-		if len(outbox[i]) != n {
+		row := ex.Messages(model.AgentID(i), states[i], acts[i], outbox[i])
+		if len(row) != n {
 			return stats, fmt.Errorf("engine: %s.Messages returned %d entries for %d agents",
-				ex.Name(), len(outbox[i]), n)
+				ex.Name(), len(row), n)
 		}
-		for _, msg := range outbox[i] {
+		outbox[i] = row
+		for _, msg := range row {
 			if msg != nil {
 				stats.MessagesSent++
 				stats.BitsSent += int64(msg.Bits())
@@ -346,8 +339,9 @@ func stepInto(ex model.Exchange, pat *model.Pattern, m int, states []model.State
 type Executor interface {
 	// Name identifies the executor ("sequential", "concurrent").
 	Name() string
-	// Execute runs one configuration to completion. Executors that do not
-	// support scratch reuse ignore buf.
+	// Execute runs one configuration to completion on the calling
+	// worker's scratch buffers, which the core Runner always supplies.
+	// Executors that keep no scratch ignore buf.
 	Execute(cfg Config, buf *Buffers) (*Result, error)
 }
 

@@ -45,12 +45,13 @@ func (e stubExchange) N() int       { return e.n }
 func (e stubExchange) Initial(_ model.AgentID, init model.Value) model.State {
 	return stubState{init: init, decided: model.None, jd: model.None}
 }
-func (e stubExchange) Messages(_ model.AgentID, _ model.State, a model.Action) []model.Message {
-	out := make([]model.Message, e.n)
+func (e stubExchange) Messages(_ model.AgentID, _ model.State, a model.Action, out []model.Message) []model.Message {
+	var msg model.Message
 	if d := a.Decision(); d.IsSet() {
-		for j := range out {
-			out[j] = stubMsg{v: d}
-		}
+		msg = stubMsg{v: d}
+	}
+	for j := range out {
+		out[j] = msg
 	}
 	return out
 }

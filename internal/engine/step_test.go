@@ -11,8 +11,8 @@ import (
 // shortExchange misbehaves by returning too few messages from μ.
 type shortExchange struct{ stubExchange }
 
-func (e shortExchange) Messages(model.AgentID, model.State, model.Action) []model.Message {
-	return make([]model.Message, 1)
+func (e shortExchange) Messages(_ model.AgentID, _ model.State, _ model.Action, out []model.Message) []model.Message {
+	return out[:1]
 }
 
 // timeWarpExchange misbehaves by not advancing the time component.

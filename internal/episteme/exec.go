@@ -186,25 +186,7 @@ func (e *memoExec) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Resu
 		return engine.RunBuffered(cfg, buf)
 	}
 	ex, act, pat := cfg.Exchange, cfg.Action, cfg.Pattern
-	if buf != nil {
-		// Bind the worker's buffers to this run; fresh transitions are
-		// computed through the buffered step.
-		buf.BeginRun(ex)
-	}
-
-	res := &engine.Result{
-		N:             n,
-		Horizon:       horizon,
-		Pattern:       pat,
-		Inits:         cfg.Inits,
-		States:        make([][]model.State, horizon+1),
-		Actions:       make([][]model.Action, horizon),
-		Decision:      make([]model.Value, n),
-		DecisionRound: make([]int, n),
-	}
-	for i := range res.Decision {
-		res.Decision[i] = model.None
-	}
+	res := engine.NewResult(n, horizon, pat, cfg.Inits)
 	cur := e.initialStates(ex, cfg.Inits)
 	res.States[0] = cur
 
@@ -216,12 +198,8 @@ func (e *memoExec) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Resu
 		acts := e.actVecFor(act, key.states, cur)
 		for i := 0; i < n; i++ {
 			key.acts[i] = int8(acts[i])
-			if d := acts[i].Decision(); d.IsSet() && res.Decision[i] == model.None {
-				res.Decision[i] = d
-				res.DecisionRound[i] = m + 1
-			}
 		}
-		res.Actions[m] = acts
+		res.Record(m, acts)
 
 		e.mu.RLock()
 		val, ok := e.steps[key]
@@ -241,10 +219,7 @@ func (e *memoExec) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Resu
 			}
 			e.mu.Unlock()
 		}
-		res.Stats.MessagesSent += val.stats.MessagesSent
-		res.Stats.MessagesDelivered += val.stats.MessagesDelivered
-		res.Stats.BitsSent += val.stats.BitsSent
-		res.Stats.BitsDelivered += val.stats.BitsDelivered
+		res.Stats.Add(val.stats)
 		cur = val.next
 		res.States[m+1] = cur
 	}

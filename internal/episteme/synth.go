@@ -73,19 +73,7 @@ func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*
 		return nil, nil, err
 	}
 	for sc, ok := src.Next(); ok; sc, ok = src.Next() {
-		res := &engine.Result{
-			N:             n,
-			Horizon:       horizon,
-			Pattern:       sc.Pattern,
-			Inits:         sc.Inits,
-			States:        make([][]model.State, horizon+1),
-			Actions:       make([][]model.Action, horizon),
-			Decision:      make([]model.Value, n),
-			DecisionRound: make([]int, n),
-		}
-		for i := range res.Decision {
-			res.Decision[i] = model.None
-		}
+		res := engine.NewResult(n, horizon, sc.Pattern, sc.Inits)
 		states := make([]model.State, n)
 		for i := 0; i < n; i++ {
 			states[i] = c.Exchange.Initial(model.AgentID(i), res.Inits[i])
@@ -148,7 +136,6 @@ func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*
 		}
 		for r := range sys.Runs {
 			p := Point{Run: r, Time: m}
-			res := sys.Runs[r]
 			acts := make([]model.Action, n)
 			for i := 0; i < n; i++ {
 				id := model.AgentID(i)
@@ -163,12 +150,8 @@ func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*
 					}
 					acts[i] = e.act
 				}
-				if d := acts[i].Decision(); d.IsSet() && res.Decision[i] == model.None {
-					res.Decision[i] = d
-					res.DecisionRound[i] = m + 1
-				}
 			}
-			res.Actions[m] = acts
+			sys.Runs[r].Record(m, acts)
 		}
 		// Record the fixpoint's choices once per (agent, state) class.
 		for i := 0; i < n; i++ {
@@ -194,10 +177,7 @@ func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*
 				cancelStep(err)
 				return
 			}
-			res.Stats.MessagesSent += stats.MessagesSent
-			res.Stats.MessagesDelivered += stats.MessagesDelivered
-			res.Stats.BitsSent += stats.BitsSent
-			res.Stats.BitsDelivered += stats.BitsDelivered
+			res.Stats.Add(stats)
 			res.States[m+1] = next
 		})
 		cancelStep(nil)

@@ -390,34 +390,33 @@ func buildStripe(ctx context.Context, c Context, act model.ActionProtocol, shard
 	}
 	runner := core.NewRunner(cacheStack(c, act, n, horizon),
 		core.WithExecutor(newMemoExec(n)),
-		core.WithParallelism(o.par),
-		core.WithBufferReuse())
+		core.WithParallelism(o.par))
+	// A quotiented source annotates each representative with its orbit
+	// size as the scenario Weight; RunSource drops scenarios, so collect
+	// run results and weights side by side from the stream (same ordering
+	// and fail-fast semantics as RunSource, and its capped preallocation).
 	var runs []*engine.Result
+	if count, ok := src.Count(); ok && count >= 0 {
+		runs = make([]*engine.Result, 0, min(count, 1<<20))
+	}
 	var weights []int64
 	if o.quotient {
-		// A quotiented source annotates each representative with its orbit
-		// size as the scenario Weight; RunSource drops scenarios, so stream
-		// the outcomes to capture run results and weights side by side
-		// (same ordering and fail-fast semantics as RunSource).
 		weights = []int64{} // non-nil even for an empty stripe: quotiented-ness is structural
-		rctx, cancel := context.WithCancelCause(ctx)
-		defer cancel(nil)
-		for oc := range runner.StreamFrom(rctx, src) {
-			if oc.Err != nil {
-				cancel(oc.Err)
-				return nil, oc.Err
-			}
-			runs = append(runs, oc.Result)
+	}
+	rctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	for oc := range runner.StreamFrom(rctx, src) {
+		if oc.Err != nil {
+			cancel(oc.Err)
+			return nil, oc.Err
+		}
+		runs = append(runs, oc.Result)
+		if o.quotient {
 			weights = append(weights, oc.Scenario.EffectiveWeight())
 		}
-		if rctx.Err() != nil {
-			return nil, context.Cause(rctx)
-		}
-	} else {
-		runs, err = runner.RunSource(ctx, src)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if rctx.Err() != nil {
+		return nil, context.Cause(rctx)
 	}
 
 	sys := &System{N: n, T: c.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}

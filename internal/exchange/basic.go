@@ -117,12 +117,7 @@ func (e *Basic) Initial(_ model.AgentID, init model.Value) model.State {
 // Messages broadcasts the decided bit in a deciding round; an undecided,
 // unprompted agent with initial preference 1 broadcasts (init,1);
 // otherwise the agent is silent (μ of Ebasic).
-func (e *Basic) Messages(i model.AgentID, s model.State, a model.Action) []model.Message {
-	return e.MessagesInto(i, s, a, make([]model.Message, e.n))
-}
-
-// MessagesInto is Messages broadcasting into the caller's slice.
-func (e *Basic) MessagesInto(_ model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
+func (e *Basic) Messages(_ model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
 	var msg model.Message
 	switch d := a.Decision(); {
 	case d == model.Zero:

@@ -9,12 +9,6 @@ var (
 	_ model.Exchange = (*Report)(nil)
 	_ model.Exchange = (*FIP)(nil)
 
-	// Every built-in exchange writes μ into the engine's reused rows.
-	_ model.BufferedExchange = (*Min)(nil)
-	_ model.BufferedExchange = (*Basic)(nil)
-	_ model.BufferedExchange = (*Report)(nil)
-	_ model.BufferedExchange = (*FIP)(nil)
-
 	_ model.State = MinState{}
 	_ model.State = BasicState{}
 	_ model.State = ReportState{}

@@ -6,6 +6,11 @@ import (
 	"repro/internal/model"
 )
 
+// send is μ into a clean row.
+func send(e model.Exchange, i model.AgentID, s model.State, a model.Action) []model.Message {
+	return e.Messages(i, s, a, make([]model.Message, e.N()))
+}
+
 func TestMinStateAccessors(t *testing.T) {
 	e := NewMin(3)
 	s := e.Initial(0, model.One).(MinState)
@@ -17,12 +22,12 @@ func TestMinStateAccessors(t *testing.T) {
 func TestMinMessagesOnlyOnDecide(t *testing.T) {
 	e := NewMin(3)
 	s := e.Initial(0, model.One)
-	for _, m := range e.Messages(0, s, model.Noop) {
+	for _, m := range send(e, 0, s, model.Noop) {
 		if m != nil {
 			t.Error("noop round sent a message")
 		}
 	}
-	out := e.Messages(0, s, model.Decide1)
+	out := send(e, 0, s, model.Decide1)
 	for j, m := range out {
 		if m == nil {
 			t.Fatalf("decide round sent no message to %d", j)
@@ -71,7 +76,7 @@ func TestMinKeysDistinguishStates(t *testing.T) {
 func TestBasicInit1Broadcast(t *testing.T) {
 	e := NewBasic(3)
 	s := e.Initial(0, model.One)
-	out := e.Messages(0, s, model.Noop)
+	out := send(e, 0, s, model.Noop)
 	for _, m := range out {
 		bm, ok := m.(BasicMsg)
 		if !ok || bm.Kind != BasicInit1 {
@@ -86,7 +91,7 @@ func TestBasicInit1Broadcast(t *testing.T) {
 	}
 	// An init-0 agent stays silent on noop.
 	s0 := e.Initial(0, model.Zero)
-	for _, m := range e.Messages(0, s0, model.Noop) {
+	for _, m := range send(e, 0, s0, model.Noop) {
 		if m != nil {
 			t.Error("init-0 agent broadcast on noop")
 		}
@@ -98,7 +103,7 @@ func TestBasicNoInit1AfterDecisionOrJD(t *testing.T) {
 	s := e.Initial(0, model.One)
 	// After deciding, noop rounds are silent.
 	s1 := e.Update(0, s, model.Decide1, []model.Message{nil, nil})
-	for _, m := range e.Messages(0, s1, model.Noop) {
+	for _, m := range send(e, 0, s1, model.Noop) {
 		if m != nil {
 			t.Error("decided agent broadcast (init,1)")
 		}
@@ -108,7 +113,7 @@ func TestBasicNoInit1AfterDecisionOrJD(t *testing.T) {
 	if s2.(BasicState).JustDecided() != model.One {
 		t.Fatal("jd not recorded")
 	}
-	for _, m := range e.Messages(0, s2, model.Noop) {
+	for _, m := range send(e, 0, s2, model.Noop) {
 		if m != nil {
 			t.Error("agent with jd set broadcast (init,1)")
 		}
@@ -155,7 +160,7 @@ func TestBasicKeyIncludesNumOnes(t *testing.T) {
 func TestReportInit0Broadcast(t *testing.T) {
 	e := NewReport(3)
 	s := e.Initial(0, model.Zero)
-	for _, m := range e.Messages(0, s, model.Noop) {
+	for _, m := range send(e, 0, s, model.Noop) {
 		rm, ok := m.(ReportMsg)
 		if !ok || rm.Kind != ReportInit0 {
 			t.Fatalf("expected (init,0), got %v", m)
@@ -164,7 +169,7 @@ func TestReportInit0Broadcast(t *testing.T) {
 	// Crucially, the report continues after the agent decided: the late
 	// report is what breaks the naive protocol.
 	s1 := e.Update(0, s, model.Decide0, []model.Message{nil, nil, nil})
-	for _, m := range e.Messages(0, s1, model.Noop) {
+	for _, m := range send(e, 0, s1, model.Noop) {
 		rm, ok := m.(ReportMsg)
 		if !ok || rm.Kind != ReportInit0 {
 			t.Fatalf("expected post-decision (init,0), got %v", m)
@@ -224,7 +229,7 @@ func TestFIPInitialState(t *testing.T) {
 func TestFIPBroadcastsEveryRound(t *testing.T) {
 	e := NewFIP(2)
 	s := e.Initial(0, model.Zero)
-	out := e.Messages(0, s, model.Noop)
+	out := send(e, 0, s, model.Noop)
 	for _, m := range out {
 		fm, ok := m.(FIPMsg)
 		if !ok {
@@ -234,7 +239,7 @@ func TestFIPBroadcastsEveryRound(t *testing.T) {
 			t.Error("noop round should announce nothing")
 		}
 	}
-	out = e.Messages(0, s, model.Decide0)
+	out = send(e, 0, s, model.Decide0)
 	if out[1].Announces() != model.Zero {
 		t.Error("decide round should announce 0")
 	}
@@ -300,12 +305,13 @@ func TestFIPKeyExcludesDecided(t *testing.T) {
 	}
 }
 
-// TestBufferedPathMatchesPlain drives every built-in exchange through a
-// few rounds and checks the model.BufferedExchange contract: stale
-// entries in the MessagesInto target are overwritten and the produced
-// messages equal Messages'.
-func TestBufferedPathMatchesPlain(t *testing.T) {
-	exchanges := []model.BufferedExchange{NewMin(3), NewBasic(3), NewReport(3), NewFIP(3)}
+// TestMessagesOverwriteDirtyRow (TestBufferedPathMatchesPlain while μ
+// had an allocating method and a row-filling one to compare) drives every
+// built-in exchange through a few rounds and checks the row contract of
+// model.Exchange: μ into a dirty row — stale garbage first, then whatever
+// the previous call left — yields the same messages as μ into a clean one.
+func TestMessagesOverwriteDirtyRow(t *testing.T) {
+	exchanges := []model.Exchange{NewMin(3), NewBasic(3), NewReport(3), NewFIP(3)}
 	inits := []model.Value{model.One, model.Zero, model.One}
 	acts := []model.Action{model.Noop, model.Decide0, model.Decide1}
 	for _, ex := range exchanges {
@@ -315,7 +321,7 @@ func TestBufferedPathMatchesPlain(t *testing.T) {
 		}
 		out := make([]model.Message, 3)
 		for i := range out {
-			out[i] = MinMsg{V: model.One} // stale garbage MessagesInto must clear
+			out[i] = MinMsg{V: model.One} // stale garbage μ must clear
 		}
 		for round := 0; round < 3; round++ {
 			// Snapshot the synchronized round: all sends happen from the
@@ -323,14 +329,14 @@ func TestBufferedPathMatchesPlain(t *testing.T) {
 			outboxes := make([][]model.Message, 3)
 			for i := range states {
 				a := acts[(i+round)%len(acts)]
-				outboxes[i] = ex.Messages(model.AgentID(i), states[i], a)
-				got := ex.MessagesInto(model.AgentID(i), states[i], a, out)
+				outboxes[i] = send(ex, model.AgentID(i), states[i], a)
+				got := ex.Messages(model.AgentID(i), states[i], a, out)
 				for j := range outboxes[i] {
 					if (outboxes[i][j] == nil) != (got[j] == nil) {
-						t.Fatalf("%s: MessagesInto entry %d nil-ness differs from Messages", ex.Name(), j)
+						t.Fatalf("%s: entry %d nil-ness differs between a dirty and a clean row", ex.Name(), j)
 					}
 					if outboxes[i][j] != nil && outboxes[i][j].String() != got[j].String() {
-						t.Fatalf("%s: MessagesInto entry %d = %v, Messages = %v", ex.Name(), j, got[j], outboxes[i][j])
+						t.Fatalf("%s: entry %d = %v in a dirty row, %v in a clean one", ex.Name(), j, got[j], outboxes[i][j])
 					}
 				}
 			}

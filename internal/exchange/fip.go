@@ -97,16 +97,10 @@ func (e *FIP) Initial(i model.AgentID, init model.Value) model.State {
 }
 
 // Messages broadcasts the agent's graph to everyone, every round, tagged
-// with this round's decision class.
-func (e *FIP) Messages(i model.AgentID, s model.State, a model.Action) []model.Message {
-	return e.MessagesInto(i, s, a, make([]model.Message, e.n))
-}
-
-// MessagesInto is Messages broadcasting into the caller's slice: the
-// graph is shared by pointer and the FIPMsg is boxed once, so the
-// per-round send side of the full-information exchange allocates exactly
-// one interface header.
-func (e *FIP) MessagesInto(_ model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
+// with this round's decision class. The graph is shared by pointer and
+// the FIPMsg is boxed once, so the per-round send side of the
+// full-information exchange allocates exactly one interface header.
+func (e *FIP) Messages(_ model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
 	st := s.(*FIPState)
 	var msg model.Message = FIPMsg{G: st.g, Announce: a.Decision()}
 	for j := range out {

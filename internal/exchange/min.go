@@ -96,12 +96,7 @@ func (e *Min) Initial(_ model.AgentID, init model.Value) model.State {
 
 // Messages broadcasts the decided bit in a deciding round and stays silent
 // otherwise (μ of Emin).
-func (e *Min) Messages(i model.AgentID, s model.State, a model.Action) []model.Message {
-	return e.MessagesInto(i, s, a, make([]model.Message, e.n))
-}
-
-// MessagesInto is Messages broadcasting into the caller's slice.
-func (e *Min) MessagesInto(_ model.AgentID, _ model.State, a model.Action, out []model.Message) []model.Message {
+func (e *Min) Messages(_ model.AgentID, _ model.State, a model.Action, out []model.Message) []model.Message {
 	var msg model.Message
 	if d := a.Decision(); d.IsSet() {
 		msg = MinMsg{V: d}

@@ -121,12 +121,7 @@ func (e *Report) Initial(_ model.AgentID, init model.Value) model.State {
 // agent whose initial preference is 0 broadcasts (init,0) — even after it
 // has decided, which is exactly the late-report behavior the introduction
 // exploits.
-func (e *Report) Messages(i model.AgentID, s model.State, a model.Action) []model.Message {
-	return e.MessagesInto(i, s, a, make([]model.Message, e.n))
-}
-
-// MessagesInto is Messages broadcasting into the caller's slice.
-func (e *Report) MessagesInto(_ model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
+func (e *Report) Messages(_ model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
 	var msg model.Message
 	switch d := a.Decision(); {
 	case d == model.Zero:

@@ -29,10 +29,7 @@ func mustRun(st core.Stack, pat *model.Pattern, inits []model.Value) *engine.Res
 // per-worker buffer reuse, order-preserving so results correspond to
 // scenarios index by index.
 func mustRunBatch(st core.Stack, scenarios []core.Scenario, parallelism int) []*engine.Result {
-	results, err := core.NewRunner(st,
-		core.WithParallelism(parallelism),
-		core.WithBufferReuse(),
-	).RunBatch(context.Background(), scenarios)
+	results, err := core.NewRunner(st, core.WithParallelism(parallelism)).RunBatch(context.Background(), scenarios)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", st.Name, err))
 	}
@@ -45,10 +42,7 @@ func mustRunBatch(st core.Stack, scenarios []core.Scenario, parallelism int) []*
 // and a result slice. Any execution error is a bug in the experiment
 // definition.
 func mustStream(st core.Stack, src core.Source, parallelism int, fn func(*engine.Result)) {
-	runner := core.NewRunner(st,
-		core.WithParallelism(parallelism),
-		core.WithBufferReuse(),
-	)
+	runner := core.NewRunner(st, core.WithParallelism(parallelism))
 	for oc := range runner.StreamFrom(context.Background(), src) {
 		if oc.Err != nil {
 			panic(fmt.Sprintf("experiments: %s: scenario %d: %v", st.Name, oc.Index, oc.Err))

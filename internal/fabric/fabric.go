@@ -125,11 +125,7 @@ func (j JobSpec) Validate() error {
 
 // NewStack constructs the job's protocol stack.
 func (j JobSpec) NewStack() (core.Stack, error) {
-	opts := []core.Option{core.WithN(j.N), core.WithT(j.T)}
-	if j.Horizon > 0 {
-		opts = append(opts, core.WithHorizon(j.Horizon))
-	}
-	return core.NewStack(j.Stack, opts...)
+	return core.NewStack(j.Stack, core.WithN(j.N), core.WithT(j.T), core.WithHorizon(j.Horizon))
 }
 
 // newSource returns a fresh canonical enumeration of the job's sweep.

@@ -59,7 +59,7 @@ func singleSweepStream(t *testing.T, job JobSpec) []byte {
 		t.Fatalf("newSource: %v", err)
 	}
 	var buf bytes.Buffer
-	if _, err := core.NewRunner(st, core.WithBufferReuse()).RunShard(context.Background(), src, 0, 1, &buf); err != nil {
+	if _, err := core.NewRunner(st).RunShard(context.Background(), src, 0, 1, &buf); err != nil {
 		t.Fatalf("RunShard 0/1: %v", err)
 	}
 	return buf.Bytes()
@@ -767,6 +767,9 @@ func TestJobSpecValidate(t *testing.T) {
 		{Kind: SweepJob, Stack: "", N: 3, T: 1, Stripes: 2},
 		{Kind: SweepJob, Stack: "min", N: 3, T: 1, Stripes: 0},
 		{Kind: SweepJob, Stack: "no-such-stack", N: 3, T: 1, Stripes: 2},
+		{Kind: CheckJob, Stack: "fip", N: 2, T: 2, Stripes: 2},              // t ≥ n: every worker panicked
+		{Kind: SweepJob, Stack: "min", N: 3, T: 5, Stripes: 2},              // t ≥ n
+		{Kind: SweepJob, Stack: "min", N: 3, T: 1, Horizon: -5, Stripes: 2}, // was "the default"
 	}
 	for _, j := range bad {
 		if err := j.Validate(); err == nil {

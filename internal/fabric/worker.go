@@ -210,7 +210,7 @@ func (w *Worker) Run(ctx context.Context) (*WorkerSummary, error) {
 	}
 	var runner *core.Runner
 	if job.Kind == SweepJob {
-		opts := []core.RunnerOption{core.WithParallelism(w.par), core.WithBufferReuse()}
+		opts := []core.RunnerOption{core.WithParallelism(w.par)}
 		if job.SpecCheck {
 			opts = append(opts, core.WithSpecCheck(spec.Options{RoundBound: st.Horizon(), ValidityAllAgents: true}))
 		}

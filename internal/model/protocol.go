@@ -68,33 +68,19 @@ type Exchange interface {
 	Initial(i AgentID, init Value) State
 
 	// Messages implements μ_i: the messages agent i sends this round given
-	// its state s and the action a it performs this round. The result has
-	// length N(); entry j is the message to agent j, nil meaning ⊥.
-	Messages(i AgentID, s State, a Action) []Message
+	// its state s and the action a it performs this round, written into the
+	// caller's row out, which has length N(): entry j is set to the message
+	// to agent j, nil meaning ⊥. Every entry must be overwritten — the
+	// engine hands the same row to round after round, so out arrives
+	// holding an earlier round's messages — and out is returned; the row
+	// must not be retained.
+	Messages(i AgentID, s State, a Action, out []Message) []Message
 
 	// Update implements δ_i: the state after a round in which agent i
 	// performed action a and received the given messages (entry j is the
 	// message received from agent j, nil meaning ⊥). The new state's Time
 	// is s.Time()+1.
 	Update(i AgentID, s State, a Action, received []Message) State
-}
-
-// BufferedExchange is the opt-in extension of Exchange for the engine's
-// reused buffers: μ writes into a caller-owned slice instead of
-// allocating one. Exchanges that do not implement it keep working
-// unchanged through Messages; the engine type-asserts and falls back.
-//
-// The buffered path is contracted to be observationally identical to the
-// plain one: MessagesInto must produce exactly the messages Messages
-// would. The engine's trace-equivalence tests enforce this for every
-// registered exchange.
-type BufferedExchange interface {
-	Exchange
-
-	// MessagesInto is μ_i writing into out, which has length N(): entry j
-	// is set to the message for agent j (nil meaning ⊥ — implementations
-	// must overwrite every entry, stale values included). It returns out.
-	MessagesInto(i AgentID, s State, a Action, out []Message) []Message
 }
 
 // KeyPermuter is the opt-in symmetry extension of Exchange: it rewrites

@@ -96,7 +96,7 @@ func Run(cfg engine.Config) (res *engine.Result, err error) {
 			}()
 			for m := 0; m < horizon; m++ {
 				a := act.Act(id, state)
-				out := ex.Messages(id, state, a)
+				out := ex.Messages(id, state, a, make([]model.Message, ex.N()))
 				select {
 				case reportCh <- agentReport{id: id, action: a, outbox: out}:
 				case <-done:

@@ -123,7 +123,7 @@ func TestExecutorInterfaceMatches(t *testing.T) {
 }
 
 // TestConcurrentReuseResultsOwnTheirMemory re-runs configurations with
-// one Buffers in hand — the calls a Runner under WithBufferReuse makes —
+// one Buffers in hand — the calls a Runner worker makes —
 // and checks earlier results survive untouched: an executor may do what
 // it likes with scratch, but nothing reachable from a returned Result
 // may be reused.

@@ -237,11 +237,7 @@ type SweepRequest struct {
 
 // newStack resolves the request's stack against the registry.
 func newStack(name string, n, t, horizon int) (core.Stack, error) {
-	opts := []core.Option{core.WithN(n), core.WithT(t)}
-	if horizon > 0 {
-		opts = append(opts, core.WithHorizon(horizon))
-	}
-	return core.NewStack(name, opts...)
+	return core.NewStack(name, core.WithN(n), core.WithT(t), core.WithHorizon(horizon))
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -276,7 +272,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := []core.RunnerOption{
 		core.WithParallelism(s.parallelism(req.Parallelism)),
-		core.WithBufferReuse(),
 	}
 	if !req.SkipSpec {
 		opts = append(opts, core.WithSpecCheck(specOptions(stack)))

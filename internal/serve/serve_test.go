@@ -79,7 +79,6 @@ func referenceShard(t *testing.T, stackName string, n, tf int, shard source.Shar
 	var buf bytes.Buffer
 	r := core.NewRunner(stack,
 		core.WithParallelism(2),
-		core.WithBufferReuse(),
 		core.WithSpecCheck(specOptions(stack)))
 	if _, err := r.RunShard(context.Background(), csrc, shard.Index, shard.Count, &buf); err != nil {
 		t.Fatalf("reference RunShard: %v", err)
@@ -300,6 +299,33 @@ func TestUnknownQueryBuildsNothing(t *testing.T) {
 	}
 	if misses, builds := s.met.lruMisses.Load(), s.lru.len(); misses != 0 || builds != 0 {
 		t.Fatalf("an unknown query cost %d LRU misses and left %d Systems cached, want none", misses, builds)
+	}
+}
+
+// TestFaultBoundRefused: t ≥ n used to reach graph.Ref and panic in a
+// Runner worker goroutine, taking the daemon with it; a negative horizon
+// used to become the default. Both are 400s naming the numbers, and the
+// same server answers the next request.
+func TestFaultBoundRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/sweep", "/v1/check"} {
+		for _, tc := range []struct {
+			req  SweepRequest // the fields /v1/check shares
+			want string
+		}{
+			{SweepRequest{Stack: "fip", N: 2, T: 2}, "t=2 with n=2"},
+			{SweepRequest{Stack: "min", N: 3, T: 5}, "t=5 with n=3"},
+			{SweepRequest{Stack: "fip", N: 3, T: 1, Horizon: -5}, "negative horizon -5"},
+		} {
+			resp := postJSON(t, ts.URL+path, tc.req)
+			if body := string(readAll(t, resp.Body)); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, tc.want) {
+				t.Errorf("%s %+v: status %d, body %q; want 400 naming %q", path, tc.req, resp.StatusCode, body, tc.want)
+			}
+		}
+		resp := postJSON(t, ts.URL+path, SweepRequest{Stack: "fip", N: 2, T: 1})
+		if readAll(t, resp.Body); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s after the refusals: status %d, want 200", path, resp.StatusCode)
+		}
 	}
 }
 

@@ -226,7 +226,7 @@ func TestCollect(t *testing.T) {
 func TestSourceDrivesRunner(t *testing.T) {
 	n, tf := 3, 1
 	st := core.MustStack("min", core.WithN(n), core.WithT(tf))
-	runner := core.NewRunner(st, core.WithParallelism(4), core.WithBufferReuse())
+	runner := core.NewRunner(st, core.WithParallelism(4))
 
 	eager := eagerSOScenarios(n, tf, st.Horizon())
 	want, err := runner.RunBatch(context.Background(), eager)

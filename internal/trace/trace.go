@@ -89,7 +89,7 @@ func New(res *engine.Result, ex model.Exchange, actionName string) *Record {
 		for i := 0; i < res.N; i++ {
 			id := model.AgentID(i)
 			round.Actions[i] = res.Actions[m][i].String()
-			out := ex.Messages(id, res.States[m][i], res.Actions[m][i])
+			out := ex.Messages(id, res.States[m][i], res.Actions[m][i], make([]model.Message, res.N))
 			for j, msg := range out {
 				if msg == nil || j == i {
 					continue

@@ -14,7 +14,7 @@ import (
 type Runner = core.Runner
 
 // RunnerOption configures NewRunner: WithExecutor, WithParallelism,
-// WithSpecCheck, WithBufferReuse.
+// WithSpecCheck, WithResultCache.
 type RunnerOption = core.RunnerOption
 
 // RunOutcome is one completed (or failed) scenario of a Runner.Stream.
@@ -39,13 +39,14 @@ var (
 )
 
 // NewRunner returns a Runner for the stack. With no options it runs
-// scenarios one at a time on the sequential engine:
+// scenarios one at a time on the sequential engine; every worker keeps
+// its own scratch buffers across its runs, so there is nothing to switch
+// on for the hot path (README "Memory model"):
 //
 //	stack, _ := eba.NewStack("fip", eba.WithN(6), eba.WithT(2))
 //	runner := eba.NewRunner(stack,
 //		eba.WithParallelism(8),
-//		eba.WithSpecCheck(eba.SpecOptions{RoundBound: stack.Horizon()}),
-//		eba.WithBufferReuse())
+//		eba.WithSpecCheck(eba.SpecOptions{RoundBound: stack.Horizon()}))
 //	results, err := runner.RunBatch(ctx, scenarios)
 func NewRunner(stack Stack, opts ...RunnerOption) *Runner { return core.NewRunner(stack, opts...) }
 
@@ -70,11 +71,3 @@ func WithSpecCheck(opts SpecOptions) RunnerOption { return core.WithSpecCheck(op
 func WithResultCache(c ResultCache, fingerprint string) RunnerOption {
 	return core.WithResultCache(c, fingerprint)
 }
-
-// WithBufferReuse gives every batch worker a private scratch buffer
-// reused across its runs: the engine's per-round message matrices are
-// allocated once per worker instead of once per round. Results never
-// alias the buffer, so they stay valid and mutation-safe indefinitely;
-// traces are bit-identical with or without reuse. See README "Memory
-// model".
-func WithBufferReuse() RunnerOption { return core.WithBufferReuse() }

@@ -61,7 +61,7 @@ func TestSourceSOSweepMatchesEagerSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := eba.NewRunner(stack, eba.WithParallelism(workers), eba.WithBufferReuse())
+	runner := eba.NewRunner(stack, eba.WithParallelism(workers))
 
 	// Eager path: materialize the whole sweep, run it as a batch.
 	var scenarios []eba.Scenario
@@ -178,7 +178,7 @@ func TestSourceLimitThroughRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := eba.NewRunner(stack, eba.WithParallelism(2), eba.WithBufferReuse())
+	runner := eba.NewRunner(stack, eba.WithParallelism(2))
 	src := eba.SourceLimit(eba.SourceRandomSO(7, 4, 1, stack.Horizon(), 0.4, -1), 25)
 	results, err := runner.RunSource(context.Background(), src)
 	if err != nil {
@@ -233,7 +233,7 @@ func TestPublicShardAndMerge(t *testing.T) {
 		t.Fatalf("stripe 2/3 counts %d of %d", c, whole)
 	}
 
-	runner := eba.NewRunner(stack, eba.WithParallelism(4), eba.WithBufferReuse())
+	runner := eba.NewRunner(stack, eba.WithParallelism(4))
 	var single bytes.Buffer
 	singleSum, err := runner.RunShard(ctx, sweep(), 0, 1, &single)
 	if err != nil {

@@ -18,7 +18,8 @@ type StackInfo = registry.StackInfo
 // WithN sets the number of agents (default 5).
 func WithN(n int) StackOption { return core.WithN(n) }
 
-// WithT sets the failure bound t (default 2).
+// WithT sets the failure bound t (default 2); NewStack and Compose
+// refuse t ≥ n.
 func WithT(t int) StackOption { return core.WithT(t) }
 
 // WithHorizon overrides the execution horizon (default t+2, the bound of

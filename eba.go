@@ -191,10 +191,10 @@ func WithCheckParallelism(k int) CheckOption { return episteme.WithParallelism(k
 //
 // The checker, not the caller, picks the symmetry quotient: when the
 // stack's exchange can rewrite a local-state key under an agent
-// relabeling (fip can; min and basic cannot) only one representative per
-// agent-permutation orbit is executed — up to n! fewer runs — and the
-// full System is rebuilt from them, with verdicts bit-identical to the
-// run-everything build's.
+// relabeling (fip, min and basic can; naive's report exchange cannot)
+// only one representative per agent-permutation orbit is executed — up
+// to n! fewer runs — and the full System is rebuilt from them, with
+// verdicts bit-identical to the run-everything build's.
 func BuildSystem(ctx context.Context, stack Stack, opts ...CheckOption) (*System, error) {
 	return episteme.BuildSystem(ctx, episteme.ContextFor(stack), stack.Action, opts...)
 }

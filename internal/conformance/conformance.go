@@ -15,7 +15,9 @@
 //  7. μ fills the row it is handed: the result has length N and every
 //     entry is overwritten, so a row still holding an earlier round's
 //     messages and a clean one yield the same messages — the engine hands
-//     every exchange the same rows round after round.
+//     every exchange the same rows round after round;
+//  8. a model.KeyPermuter maps agent i's key to agent π(i)'s key in the
+//     scenario's twin relabeled by π (drawn from the seed), at every time.
 //
 // Two drivers exercise the conventions: CheckExchange samples random
 // omission behavior (cheap, any n), and CheckExchangePatterns drives the
@@ -84,13 +86,63 @@ func initialStates(ex model.Exchange, inits []model.Value, label lazyLabel, r *r
 	return states
 }
 
+// twin is convention 8's run of a scenario relabeled by perm, stepped
+// beside it; its states are indexed by new identity.
+type twin struct {
+	perm   []model.AgentID
+	states []model.State
+}
+
+// newTwin starts the twin of a scenario and checks the time-0 states; it
+// is nil, checking nothing, when the exchange has no model.KeyPermuter.
+func newTwin(ex model.Exchange, inits []model.Value, states []model.State, rng *rand.Rand, label lazyLabel, r *reporter) *twin {
+	if _, ok := ex.(model.KeyPermuter); !ok {
+		return nil
+	}
+	tw := &twin{}
+	for _, p := range rng.Perm(ex.N()) {
+		tw.perm = append(tw.perm, model.AgentID(p))
+	}
+	tw.states = initialStates(ex, model.PermuteValues(inits, tw.perm), label, &reporter{})
+	tw.check(ex, states, label, r)
+	return tw
+}
+
+// follow steps the twin through the scenario's round m — the same actions,
+// and a message delivered iff its counterpart arrived or was ⊥ — and
+// checks convention 8 on the scenario's successors next.
+func (tw *twin) follow(ex model.Exchange, m int, acts []model.Action, outbox, inbox [][]model.Message, next []model.State, label lazyLabel, r *reporter) {
+	if tw == nil || tw.states == nil {
+		return
+	}
+	inv, tacts := make([]model.AgentID, len(acts)), make([]model.Action, len(acts))
+	for i, p := range tw.perm {
+		inv[p], tacts[p] = model.AgentID(i), acts[i]
+	}
+	tw.states, _ = checkRound(ex, m, tw.states, tacts, func(p, q model.AgentID) bool {
+		return inbox[inv[q]][inv[p]] != nil || outbox[inv[p]][inv[q]] == nil
+	}, nil, label, &reporter{})
+	tw.check(ex, next, label, r)
+}
+
+// check verifies convention 8 at one time.
+func (tw *twin) check(ex model.Exchange, states []model.State, label lazyLabel, r *reporter) {
+	for i, s := range states {
+		want := tw.states[tw.perm[i]].Key()
+		if got, err := ex.(model.KeyPermuter).PermuteKey(s.Key(), tw.perm); err != nil || got != want {
+			r.report("%s time %d: agent %d's key %q rewrites under %v to %q (err %v), but the relabeled run's agent %d holds %q",
+				label, s.Time(), i, s.Key(), tw.perm, got, err, tw.perm[i], want)
+		}
+	}
+}
+
 // checkRound drives one round: every agent sends under its action, the
-// deliver rule decides which messages arrive, and conventions 2–7 are
+// deliver rule decides which messages arrive, and conventions 2–8 are
 // verified on the resulting transition. It returns the successor states,
 // or false when a structural violation (wrong outbox size) makes
 // continuing meaningless.
 func checkRound(ex model.Exchange, m int, states []model.State, acts []model.Action,
-	deliver func(i, j model.AgentID) bool, label lazyLabel, r *reporter) ([]model.State, bool) {
+	deliver func(i, j model.AgentID) bool, tw *twin, label lazyLabel, r *reporter) ([]model.State, bool) {
 	n := ex.N()
 	outbox := make([][]model.Message, n)
 	for i := 0; i < n; i++ {
@@ -181,6 +233,7 @@ func checkRound(ex model.Exchange, m int, states []model.State, acts []model.Act
 			r.report("%s round %d: agent %d initial preference changed", label, m, i)
 		}
 	}
+	tw.follow(ex, m, acts, outbox, inbox, next, label, r)
 	return next, true
 }
 
@@ -202,7 +255,7 @@ func randomActions(rng *rand.Rand, states []model.State) []model.Action {
 // hold for every action protocol, not just the intended one.
 func CheckExchange(ex model.Exchange, seed int64, trials int) []string {
 	r := &reporter{}
-	rng := rand.New(rand.NewSource(seed))
+	rng, perms := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 	n := ex.N()
 
 	for trial := 0; trial < trials; trial++ {
@@ -212,13 +265,14 @@ func CheckExchange(ex model.Exchange, seed int64, trials int) []string {
 			inits[i] = model.Value(rng.Intn(2))
 		}
 		states := initialStates(ex, inits, label, r)
+		tw := newTwin(ex, inits, states, perms, label, r)
 		rounds := 2 + rng.Intn(4)
 		for m := 0; m < rounds; m++ {
 			acts := randomActions(rng, states)
 			// Random omissions: self-messages always arrive.
 			next, ok := checkRound(ex, m, states, acts, func(i, j model.AgentID) bool {
 				return i == j || rng.Intn(3) != 0
-			}, label, r)
+			}, tw, label, r)
 			if !ok {
 				return r.out
 			}
@@ -237,7 +291,7 @@ func CheckExchange(ex model.Exchange, seed int64, trials int) []string {
 // every convention violation found; nil means conformant.
 func CheckExchangePatterns(ex model.Exchange, patterns Patterns, seed int64) []string {
 	r := &reporter{}
-	rng := rand.New(rand.NewSource(seed))
+	rng, perms := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 	n := ex.N()
 
 	for k := 0; ; k++ {
@@ -255,11 +309,12 @@ func CheckExchangePatterns(ex model.Exchange, patterns Patterns, seed int64) []s
 			inits[i] = model.Value(rng.Intn(2))
 		}
 		states := initialStates(ex, inits, label, r)
+		tw := newTwin(ex, inits, states, perms, label, r)
 		for m := 0; m < pat.Horizon(); m++ {
 			acts := randomActions(rng, states)
 			next, ok := checkRound(ex, m, states, acts, func(i, j model.AgentID) bool {
 				return pat.Delivered(m, i, j)
-			}, label, r)
+			}, tw, label, r)
 			if !ok {
 				return r.out
 			}

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -143,6 +144,73 @@ func TestPatternCheckCatchesMislabeledClass(t *testing.T) {
 	vs := CheckExchangePatterns(brokenExchange{exchange.NewMin(3)}, pats, 7)
 	if len(vs) == 0 {
 		t.Fatal("mislabeled message class not detected under enumerated patterns")
+	}
+}
+
+// idKeyExchange is Emin with the agent's id appended to every state key
+// while keeping Emin's identity PermuteKey — the one-line method copied
+// onto an exchange whose keys do name an agent.
+type idKeyExchange struct {
+	*exchange.Min
+}
+
+type idKeyState struct {
+	model.State
+	id model.AgentID
+}
+
+func (s idKeyState) Key() string { return fmt.Sprintf("%s@%d", s.State.Key(), s.id) }
+
+func (e idKeyExchange) Initial(i model.AgentID, init model.Value) model.State {
+	return idKeyState{e.Min.Initial(i, init), i}
+}
+
+func (e idKeyExchange) Messages(i model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
+	return e.Min.Messages(i, s.(idKeyState).State, a, out)
+}
+
+func (e idKeyExchange) Update(i model.AgentID, s model.State, a model.Action, recv []model.Message) model.State {
+	return idKeyState{e.Min.Update(i, s.(idKeyState).State, a, recv), i}
+}
+
+// identityFIP is Efip with Emin's identity PermuteKey in place of the
+// graph rewrite its keys need.
+type identityFIP struct {
+	*exchange.FIP
+}
+
+func (identityFIP) PermuteKey(key string, _ []model.AgentID) (string, error) { return key, nil }
+
+// TestConformanceChecksKeyPermuter is convention 8 under both drivers:
+// the exchanges the model checker quotients keep the model.KeyPermuter
+// contract against their relabeled twins, and an identity PermuteKey over
+// keys that embed the agent id is reported.
+func TestConformanceChecksKeyPermuter(t *testing.T) {
+	drivers := map[string]func(model.Exchange) []string{
+		"random": func(ex model.Exchange) []string { return CheckExchange(ex, 11, 20) },
+		"patterns": func(ex model.Exchange) []string {
+			pats, err := adversary.NewSOPatterns(3, 1, 3, adversary.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return CheckExchangePatterns(ex, pats, 11)
+		},
+	}
+	for name, check := range drivers {
+		for _, ex := range []model.Exchange{exchange.NewMin(3), exchange.NewBasic(3), exchange.NewFIP(3)} {
+			if _, ok := ex.(model.KeyPermuter); !ok {
+				t.Fatalf("%s does not implement model.KeyPermuter; convention 8 would not run", ex.Name())
+			}
+			if vs := check(ex); len(vs) != 0 {
+				t.Errorf("%s driver: %s breaks the KeyPermuter contract:\n  %s", name, ex.Name(), strings.Join(vs, "\n  "))
+			}
+		}
+		for _, ex := range []model.Exchange{idKeyExchange{exchange.NewMin(3)}, identityFIP{exchange.NewFIP(3)}} {
+			vs := check(ex)
+			if len(vs) == 0 || !strings.Contains(vs[0], "relabeled run") {
+				t.Errorf("%s driver: an identity PermuteKey over agent-named %T keys was not reported: %v", name, ex, vs)
+			}
+		}
 	}
 }
 

@@ -121,17 +121,45 @@ func buildMergedQuotient(t *testing.T, c Context, act model.ActionProtocol, k in
 }
 
 // TestQuotientSystemBitIdentical is the tentpole acceptance bar for the
-// model checker: at n=3 and n=4 (t=1, fip), the quotiented build —
+// model checker: for every exchange it quotients — fip against P1, min and
+// basic against P0 — at n=3 and n=4 (t=1), the quotiented build —
 // unsharded (BuildSystem) and sharded K ∈ {1,2,3} (BuildShardIndex +
 // MergeSystems + ExpandQuotient) — yields a System whose runs, interned
 // index, and every verdict are bit-identical to the per-run build's: the
-// same exchange with its KeyPermuter hidden, every scenario executed.
+// same exchange with its KeyPermuter hidden, every scenario executed. The
+// n=2 rows are min's and basic's n−t = 1 boundary, where P0 is not
+// implemented: the quotient must list the per-run build's mismatches.
 func TestQuotientSystemBitIdentical(t *testing.T) {
-	for _, n := range []int{3, 4} {
-		n := n
-		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
-			c := Context{Exchange: exchange.NewFIP(n), T: 1}
-			act := action.NewOpt(1)
+	type stack struct {
+		name string
+		ex   func(n int) model.Exchange
+		act  func(n, t int) model.ActionProtocol
+		prog Program
+	}
+	fip := stack{"fip", func(n int) model.Exchange { return exchange.NewFIP(n) },
+		func(_, t int) model.ActionProtocol { return action.NewOpt(t) }, P1}
+	min := stack{"min", func(n int) model.Exchange { return exchange.NewMin(n) },
+		func(_, t int) model.ActionProtocol { return action.NewMin(t) }, P0}
+	basic := stack{"basic", func(n int) model.Exchange { return exchange.NewBasic(n) },
+		func(n, _ int) model.ActionProtocol { return action.NewBasic(n) }, P0}
+	for _, tc := range []struct {
+		stack
+		n       int
+		failsP0 bool // the n−t = 1 boundary: the protocol decides a round late
+	}{
+		{fip, 3, false}, {fip, 4, false},
+		{min, 2, true}, {min, 3, false}, {min, 4, false},
+		{basic, 2, true}, {basic, 3, false}, {basic, 4, false},
+	} {
+		n := tc.n
+		// fip's rows keep the names they had when only fip quotiented.
+		name := fmt.Sprintf("n%d", n)
+		if tc.name != "fip" {
+			name = tc.name + "-" + name
+		}
+		t.Run(name, func(t *testing.T) {
+			c := Context{Exchange: tc.ex(n), T: 1}
+			act := tc.act(n, 1)
 			full, err := BuildSystem(context.Background(), perRunContext(c), act, WithParallelism(2))
 			if err != nil {
 				t.Fatalf("per-run BuildSystem: %v", err)
@@ -139,7 +167,10 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 			if full.unitOf != nil || full.Runs[0].States == nil {
 				t.Fatal("the reference build went through the quotient")
 			}
-			wantImpl := checkImplements(t, full, P1, 50)
+			wantImpl := checkImplements(t, full, tc.prog, 50)
+			if (len(wantImpl) != 0) != tc.failsP0 {
+				t.Fatalf("the per-run build lists %d mismatches against %v, want mismatches %v", len(wantImpl), tc.prog, tc.failsP0)
+			}
 			wantSafety := checkSafety(t, full, 50)
 			// CheckOptimalityFIP costs ~30s per n=4 system (⊡-reachability
 			// over 32,784 runs); compareSystems below pins the runs and the
@@ -147,7 +178,7 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 			// function of those, so running it at n=3 plus the two cheap
 			// checkers at both sizes keeps the differential complete without
 			// the 30s-per-variant bill.
-			checkOpt := n <= 3
+			checkOpt := tc.name == "fip" && n <= 3
 			var wantOpt []string
 			if checkOpt {
 				wantOpt = checkOptimality(t, full, -1, 50)
@@ -161,7 +192,7 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 				t.Fatalf("BuildSystem: %v", err)
 			}
 			if quot.unitOf == nil {
-				t.Fatal("BuildSystem over fip did not go through the quotient")
+				t.Fatalf("BuildSystem over %s did not go through the quotient", tc.name)
 			}
 			systems["quotient-unsharded"] = quot
 			for k := 1; k <= 3; k++ {
@@ -170,7 +201,7 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 
 			for label, sys := range systems {
 				compareSystems(t, label, sys, full)
-				if gotImpl := checkImplements(t, sys, P1, 50); fmt.Sprint(gotImpl) != fmt.Sprint(wantImpl) {
+				if gotImpl := checkImplements(t, sys, tc.prog, 50); fmt.Sprint(gotImpl) != fmt.Sprint(wantImpl) {
 					t.Fatalf("%s: CheckImplements differs:\n got %v\nwant %v", label, gotImpl, wantImpl)
 				}
 				if gotSafety := checkSafety(t, sys, 50); fmt.Sprint(gotSafety) != fmt.Sprint(wantSafety) {
@@ -197,13 +228,15 @@ func (e *startCounter) Initial(i model.AgentID, init model.Value) model.State {
 	return e.Exchange.Initial(i, init)
 }
 
-// TestQuotientRequiresKeyPermuter: the min and basic exchanges' keys
-// cannot cross an agent relabeling (no model.KeyPermuter), so every
-// builder, cached or not, runs their sweep scenario by scenario — the
-// stripes hold all 1,544 runs of n=3,t=1 between them, not the 276 orbit
-// representatives, the index says so on the wire, and nothing needs
-// expanding — while ExpandQuotient, handed such a context, still refuses
-// with the KeyPermuter sentence rather than mis-intern.
+// TestQuotientRequiresKeyPermuter: an exchange without model.KeyPermuter
+// — here min and basic with the method hidden by startCounter, which
+// embeds only model.Exchange — has keys the expansion cannot carry across
+// an agent relabeling, so every builder, cached or not, runs its sweep
+// scenario by scenario — the stripes hold all 1,544 runs of n=3,t=1
+// between them, not the 276 orbit representatives, the index says so on
+// the wire, and nothing needs expanding — while ExpandQuotient, handed
+// such a context, still refuses with the KeyPermuter sentence rather than
+// mis-intern.
 func TestQuotientRequiresKeyPermuter(t *testing.T) {
 	const scenarios = 1544
 	for _, tc := range []struct {

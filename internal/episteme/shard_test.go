@@ -59,9 +59,10 @@ func indexFingerprint(sys *System) string {
 // n=3, t=1 enumeration yields a System whose interned index and every
 // verdict — CheckImplements, CheckSafety, CheckOptimalityFIP — are
 // bit-identical to the single-process BuildSystem's. This is the merge of
-// per-run stripes, the one min and basic take, over fip's keys and
-// against P1 (KeyPermuter hidden); the merge of quotiented stripes, which
-// must then be expanded, is TestQuotientSystemBitIdentical's.
+// per-run stripes, the one an exchange without model.KeyPermuter takes,
+// over fip's keys and against P1 (KeyPermuter hidden); the merge of
+// quotiented stripes, which must then be expanded, is
+// TestQuotientSystemBitIdentical's.
 func TestMergeSystemsBitIdentical(t *testing.T) {
 	c := perRunContext(fipContext31())
 	act := action.NewOpt(1)
@@ -116,7 +117,9 @@ func TestMergeSystemsBitIdentical(t *testing.T) {
 }
 
 // TestMergeSystemsMinStack runs the same equivalence over the min stack
-// (program P0), whose exchange interns differently from fip's graphs.
+// (program P0), whose exchange interns differently from fip's graphs. Its
+// stripes are quotiented like fip's, so the merge is expanded before it is
+// checked, as every fan-in does.
 func TestMergeSystemsMinStack(t *testing.T) {
 	c := Context{Exchange: exchange.NewMin(3), T: 1}
 	act := action.NewMin(1)
@@ -125,7 +128,7 @@ func TestMergeSystemsMinStack(t *testing.T) {
 		t.Fatalf("BuildSystem: %v", err)
 	}
 	want := checkImplements(t, single, P0, 10)
-	merged := buildMerged(t, c, act, 3)
+	merged := buildMergedQuotient(t, c, act, 3)
 	if got := checkImplements(t, merged, P0, 10); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("merged min verdicts differ: got %v, want %v", got, want)
 	}
@@ -205,6 +208,33 @@ func TestMergeSystemsRejectsBadPartitions(t *testing.T) {
 	}
 }
 
+// TestMergeSystemsRefusesMixedQuotient: a min stripe built through the
+// quotient and one built run by run — what two versions of a fleet upload
+// for one job — are each well formed, but they stride different sweeps,
+// and the merge says so rather than fusing representatives with runs.
+func TestMergeSystemsRefusesMixedQuotient(t *testing.T) {
+	ctx := context.Background()
+	c := Context{Exchange: exchange.NewMin(3), T: 1}
+	act := action.NewMin(1)
+	quot, err := BuildShardIndex(ctx, c, act, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun, err := BuildShardIndex(ctx, perRunContext(c), act, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !quot.Quotient || perRun.Quotient {
+		t.Fatalf("stripes quotiented %v and %v, want true and false", quot.Quotient, perRun.Quotient)
+	}
+	for _, pair := range [][]*ShardIndex{{quot, perRun}, {perRun, quot}} {
+		sys, err := MergeSystems(ctx, pair)
+		if sys != nil || err == nil || !strings.HasSuffix(err.Error(), "; the stripes enumerate different sweeps") {
+			t.Errorf("MergeSystems of a quotiented and a per-run stripe = (system: %v, %v), want only the different-sweeps refusal", sys != nil, err)
+		}
+	}
+}
+
 // TestMergeSystemsStackMetadata checks the optional Stack field: empty
 // names merge with named ones, but two conflicting names are rejected.
 func TestMergeSystemsStackMetadata(t *testing.T) {
@@ -235,8 +265,9 @@ func TestMergeSystemsStackMetadata(t *testing.T) {
 // the indexes `ebashard -check [-quotient] -stack S -n 3 -t 1` wrote
 // (stack name set, shard 0/1), read back through ReadShardIndex, as
 // recorded before ShardRun became core.CachedRun. The checker now picks
-// the quotient itself, so the per-run fip index is the one built with the
-// exchange's KeyPermuter hidden. A mixed-version fleet
+// the quotient itself, for fip and min alike, so each per-run index is the
+// one built with the exchange's KeyPermuter hidden; the per-run wire
+// format is unchanged by min quotienting. A mixed-version fleet
 // resolves duplicate stripe uploads by this digest, so a change that moves
 // it is a format break even when every round trip still passes.
 func TestShardIndexDigestPinned(t *testing.T) {
@@ -249,7 +280,8 @@ func TestShardIndexDigestPinned(t *testing.T) {
 	}{
 		{"fip", perRunContext(fip), action.NewOpt(1), "4bce7e759b78ea7401883440592905af"},
 		{"fip", fip, action.NewOpt(1), "c5223b7e60527c0c621f16d171fc81c9"},
-		{"min", min, action.NewMin(1), "20c1700faf4d40cd2bac990b53acb224"},
+		{"min", perRunContext(min), action.NewMin(1), "20c1700faf4d40cd2bac990b53acb224"},
+		{"min", min, action.NewMin(1), "4c951637776a482e870909f39be6fd9a"},
 	} {
 		idx, err := BuildShardIndex(context.Background(), tc.c, tc.act, 0, 1)
 		if err != nil {

@@ -22,9 +22,10 @@
 //     cancellation, and ordering machinery every other sweep in the
 //     repository uses. Action decisions are memoized per local state
 //     across runs, so the thousands of runs that revisit a state pay for
-//     its analysis once. Over an exchange with model.KeyPermuter (Efip)
-//     only one run per agent-permutation orbit is executed and the rest
-//     are rebuilt by relabeling (quotient.go); the builders decide.
+//     its analysis once. Over an exchange with model.KeyPermuter (Efip,
+//     Emin, Ebasic) only one run per agent-permutation orbit is executed
+//     and the rest are rebuilt by relabeling (quotient.go); the builders
+//     decide.
 //   - Representation: local states are interned into dense class ids per
 //     (time, agent) slot at index-build time; every knowledge query after
 //     that is integer indexing, never string hashing. Index slots are
@@ -350,10 +351,11 @@ func (s *System) parallel(ctx context.Context, count int, fn func(k int)) error 
 // context cause.
 //
 // When the exchange's keys can cross an agent relabeling
-// (model.KeyPermuter — Efip), one representative per agent-permutation
-// orbit is executed, up to n! fewer runs, and ExpandQuotient rebuilds the
-// System that running every scenario yields, verdicts byte for byte, minus
-// the state traces. Over any other exchange every scenario is run.
+// (model.KeyPermuter — Efip rewrites them, Emin and Ebasic name no agent),
+// one representative per agent-permutation orbit is executed, up to n!
+// fewer runs, and ExpandQuotient rebuilds the System that running every
+// scenario yields, verdicts byte for byte, minus the state traces. Over
+// any other exchange (Ereport) every scenario is run.
 func BuildSystem(ctx context.Context, c Context, act model.ActionProtocol, opts ...Option) (*System, error) {
 	if c.Exchange == nil || act == nil {
 		return nil, fmt.Errorf("episteme: Exchange and action protocol are required")

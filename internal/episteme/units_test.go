@@ -79,6 +79,9 @@ func (d *pointDiffer) at(i model.AgentID, p Point) {
 		"first of its unit":  d.firstOfUnit,
 		"ordinal not 2 of 5": func(q Point) bool { return q.Run%5 != 2 },
 		"ordinal above p's":  func(q Point) bool { return q.Run >= p.Run },
+		// True sometimes even where classes span most of the sweep (min
+		// and basic at t=2): it fails only at p's predecessor.
+		"ordinal not p's − 1": func(q Point) bool { return q.Run != p.Run-1 },
 	} {
 		g, w := got.Knows(i, p, phi), want.Knows(i, p, phi)
 		if g != w {
@@ -133,9 +136,11 @@ func (d *pointDiffer) done(points int) {
 // copies (SO, t=1), units of uneven size (crash), no round before the last
 // (horizon 1: a unit is inits × faulty set), and two drop bits per
 // recipient (t=2; the theorems fail there — ROADMAP's n−t=1 item — but
-// the systems must still be identical).
+// the systems must still be identical), over fip's graph keys and over
+// the min and basic tuples, which name no agent.
 func TestLayeredSystemAnswersLikeDirect(t *testing.T) {
 	fip := func(n int) model.Exchange { return exchange.NewFIP(n) }
+	min, basic := exchange.NewMin(3), exchange.NewBasic(3)
 	cases := []struct {
 		name   string
 		c      Context
@@ -150,6 +155,14 @@ func TestLayeredSystemAnswersLikeDirect(t *testing.T) {
 		{name: "fip n=3 t=2 horizon 3", c: Context{Exchange: fip(3), T: 2, Horizon: 3}, act: action.NewOpt(2), sample: 4000},
 		{name: "fip n=3 self-drops", c: Context{Exchange: fip(3), T: 1, Options: adversary.Options{IncludeSelfDrops: true}}, act: action.NewOpt(1), sample: 20000},
 		{name: "fip n=3 crash self-drops", c: Context{Exchange: fip(3), T: 1, Crash: true, Options: adversary.Options{IncludeSelfDrops: true}}, act: action.NewOpt(1)},
+		{name: "min n=3", c: Context{Exchange: min, T: 1}, act: action.NewMin(1), units: 392},
+		{name: "min n=3 crash", c: Context{Exchange: min, T: 1, Crash: true}, act: action.NewMin(1)},
+		{name: "min n=3 self-drops", c: Context{Exchange: min, T: 1, Options: adversary.Options{IncludeSelfDrops: true}}, act: action.NewMin(1), sample: 5000},
+		{name: "min n=3 t=2 horizon 3", c: Context{Exchange: min, T: 2, Horizon: 3}, act: action.NewMin(2), sample: 1000},
+		{name: "basic n=3", c: Context{Exchange: basic, T: 1}, act: action.NewBasic(3), units: 392},
+		{name: "basic n=3 crash", c: Context{Exchange: basic, T: 1, Crash: true}, act: action.NewBasic(3)},
+		{name: "basic n=3 self-drops", c: Context{Exchange: basic, T: 1, Options: adversary.Options{IncludeSelfDrops: true}}, act: action.NewBasic(3), sample: 5000},
+		{name: "basic n=3 t=2 horizon 3", c: Context{Exchange: basic, T: 2, Horizon: 3}, act: action.NewBasic(3), sample: 1000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -114,6 +114,11 @@ func (e *Basic) Initial(_ model.AgentID, init model.Value) model.State {
 	return BasicState{init: init, decided: model.None, jd: model.None}
 }
 
+// PermuteKey returns an Ebasic key unchanged (model.KeyPermuter).
+func (e *Basic) PermuteKey(key string, _ []model.AgentID) (string, error) {
+	return anonymousKey(key, "basic", 5)
+}
+
 // Messages broadcasts the decided bit in a deciding round; an undecided,
 // unprompted agent with initial preference 1 broadcasts (init,1);
 // otherwise the agent is silent (μ of Ebasic).

@@ -14,8 +14,12 @@ var (
 	_ model.State = ReportState{}
 	_ model.State = (*FIPState)(nil)
 
-	// The full-information exchange's keys embed agent identities, so it
-	// opts into the symmetry rewrite the quotiented model checker needs.
+	// The exchanges the model checker quotients by agent relabeling: the
+	// full-information keys embed agent identities and are rewritten, the
+	// min and basic tuples name no agent and map to themselves. Ereport is
+	// never model-checked and stays per-run.
+	_ model.KeyPermuter = (*Min)(nil)
+	_ model.KeyPermuter = (*Basic)(nil)
 	_ model.KeyPermuter = (*FIP)(nil)
 
 	_ model.Message = MinMsg{}

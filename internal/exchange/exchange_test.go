@@ -157,6 +157,38 @@ func TestBasicKeyIncludesNumOnes(t *testing.T) {
 	}
 }
 
+// TestAnonymousPermuteKey: Emin and Ebasic keys name no agent, so
+// PermuteKey hands every key of the exchange back unchanged under any
+// relabeling, and refuses what is not a key of that exchange — the other
+// tuple exchange's, a truncated one, a full-information one.
+func TestAnonymousPermuteKey(t *testing.T) {
+	perm := []model.AgentID{2, 0, 1}
+	min, basic := NewMin(3), NewBasic(3)
+	s := basic.Update(0, basic.Initial(0, model.One), model.Noop,
+		[]model.Message{BasicMsg{Kind: BasicInit1}, nil, BasicMsg{Kind: BasicInit1}})
+	for _, tc := range []struct {
+		ex   model.KeyPermuter
+		good []string
+		bad  []string
+	}{
+		{min, []string{min.Initial(1, model.Zero).Key(), "min:3:1:0:⊥"},
+			[]string{"", "min", "min:", "min:1:0:⊥", "basic:0:1:⊥:⊥:0", "minimal:0:1:⊥:⊥", NewFIP(3).Initial(0, model.One).Key()}},
+		{basic, []string{s.Key(), basic.Initial(2, model.Zero).Key()},
+			[]string{"basic:0:1:⊥:⊥", "min:0:1:⊥:⊥", "basics:0:1:⊥:⊥:0", NewReport(3).Initial(0, model.One).Key()}},
+	} {
+		for _, key := range tc.good {
+			if got, err := tc.ex.PermuteKey(key, perm); err != nil || got != key {
+				t.Errorf("%T.PermuteKey(%q) = (%q, %v), want the key unchanged", tc.ex, key, got, err)
+			}
+		}
+		for _, key := range tc.bad {
+			if got, err := tc.ex.PermuteKey(key, perm); err == nil {
+				t.Errorf("%T.PermuteKey(%q) = %q, want an error", tc.ex, key, got)
+			}
+		}
+	}
+}
+
 func TestReportInit0Broadcast(t *testing.T) {
 	e := NewReport(3)
 	s := e.Initial(0, model.Zero)

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -61,6 +62,15 @@ func minKey(tag string, time int, vs ...model.Value) string {
 	return b.String()
 }
 
+// anonymousKey is PermuteKey for minKey's tuples, which name no agent: the
+// key itself, once its tag and field count show it is one.
+func anonymousKey(key, tag string, fields int) (string, error) {
+	if !strings.HasPrefix(key, tag+":") || strings.Count(key, ":") != fields {
+		return "", fmt.Errorf("exchange: %q is not a well-formed %s state key", key, tag)
+	}
+	return key, nil
+}
+
 // Min is the minimal information-exchange protocol Emin(n).
 type Min struct {
 	n       int
@@ -92,6 +102,11 @@ func (e *Min) Initial(_ model.AgentID, init model.Value) model.State {
 		return e.initial[init]
 	}
 	return MinState{init: init, decided: model.None, jd: model.None}
+}
+
+// PermuteKey returns an Emin key unchanged (model.KeyPermuter).
+func (e *Min) PermuteKey(key string, _ []model.AgentID) (string, error) {
+	return anonymousKey(key, "min", 4)
 }
 
 // Messages broadcasts the decided bit in a deciding round and stays silent

@@ -633,8 +633,12 @@ func (c *Coordinator) merge(ctx context.Context) error {
 		if err := os.Rename(tmp.Name(), c.MergedPath()); err != nil {
 			return fmt.Errorf("fabric: publishing verdicts: %w", err)
 		}
+		var runs int64 // the verdict block's "runs:", not the orbit representatives
+		for r := range sys.Runs {
+			runs += sys.Weight(r)
+		}
 		c.mu.Lock()
-		c.mergedRecords = int64(len(sys.Runs))
+		c.mergedRecords = runs
 		c.verdictErr = verdictErr
 		c.mu.Unlock()
 		return nil

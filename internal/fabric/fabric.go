@@ -263,7 +263,9 @@ type StatusReport struct {
 	Workers  map[string]WorkerReport `json:"workers,omitempty"`
 	Counters Counters                `json:"counters"`
 	// MergedRecords and MergedDigest describe the canonical merge once
-	// Phase is "complete" (sweep jobs report the chained stream digest).
+	// Phase is "complete" (sweep jobs report the chained stream digest;
+	// check jobs, the runs checked — the full sweep's, not the orbit
+	// representatives' a quotiented merge holds).
 	MergedRecords int64  `json:"mergedRecords,omitempty"`
 	MergedDigest  string `json:"mergedDigest,omitempty"`
 	// Error carries the failure when Phase is "failed" (or the verdict

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/episteme"
 	"repro/internal/httplimit"
+	"repro/internal/model"
 )
 
 // testJob is the suite's standard sweep: small enough that a stripe runs
@@ -298,17 +299,15 @@ func TestFabricSweepStealsFromSilentWorker(t *testing.T) {
 // TestFabricCheckJobVerdictsIdentical distributes the model checker and
 // checks the coordinator's verdict file is byte-identical to a
 // single-process check of the same stack — merged from one 1-way index,
-// and built whole as ebacheck builds it — for a stack whose stripes are
-// per-run (min) and one whose stripes the workers build through the
-// symmetry quotient without being asked (fip): the spooled indexes say
-// which, and the coordinator expands.
+// and built whole as ebacheck builds it — for a stack whose keys name no
+// agent (min) and one whose keys the expansion rewrites (fip). The workers
+// build both through the symmetry quotient without being asked, the
+// spooled indexes say so, the coordinator expands, and /status counts the
+// sweep's runs — the block's "runs:" line — not the representatives.
 func TestFabricCheckJobVerdictsIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		stack    string
-		quotient bool
-	}{{"min", false}, {"fip", true}} {
-		t.Run(tc.stack, func(t *testing.T) {
-			job := JobSpec{Kind: CheckJob, Stack: tc.stack, N: 3, T: 1, Stripes: 4}
+	for _, stack := range []string{"min", "fip"} {
+		t.Run(stack, func(t *testing.T) {
+			job := JobSpec{Kind: CheckJob, Stack: stack, N: 3, T: 1, Stripes: 4}
 			c, srv := newTestCoordinator(t, job, 2*time.Second)
 
 			runErr := make(chan error, 1)
@@ -327,9 +326,12 @@ func TestFabricCheckJobVerdictsIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reading spooled stripe %d: %v", stripe, err)
 				}
-				if bytes.Contains(spooled, []byte(`"quotient":true`)) != tc.quotient {
-					t.Errorf("spooled stripe %d: quotiented is not %v", stripe, tc.quotient)
+				if !bytes.Contains(spooled, []byte(`"quotient":true`)) {
+					t.Errorf("spooled stripe %d is not quotiented", stripe)
 				}
+			}
+			if rec := c.Status().MergedRecords; !bytes.Contains(got, []byte(fmt.Sprintf("\nruns: %d\n", rec))) {
+				t.Errorf("/status counts %d runs checked; the verdict block says otherwise:\n%s", rec, got)
 			}
 
 			// The single-process references: one 1-way shard index, merged,
@@ -364,6 +366,56 @@ func TestFabricCheckJobVerdictsIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// everyRun hides the exchange's model.KeyPermuter, so a stripe built over
+// it holds every run of its share of the sweep: what a worker built before
+// the exchange quotiented uploads.
+type everyRun struct{ model.Exchange }
+
+// TestFabricCheckJobRefusesMixedStripes feeds a min check job one stripe
+// built through the symmetry quotient and one built run by run, as a fleet
+// of two versions would. Each passes the upload checks; together they
+// enumerate different sweeps, so the merge fails the job with
+// ErrVerification instead of writing a verdict.
+func TestFabricCheckJobRefusesMixedStripes(t *testing.T) {
+	job := JobSpec{Kind: CheckJob, Stack: "min", N: 3, T: 1, Stripes: 2}
+	c, srv := newTestCoordinator(t, job, time.Minute)
+	st, err := job.NewStack()
+	if err != nil {
+		t.Fatalf("NewStack: %v", err)
+	}
+	for stripe, quotiented := range []bool{true, false} {
+		ec := episteme.ContextFor(st)
+		if !quotiented {
+			ec.Exchange = everyRun{ec.Exchange}
+		}
+		idx, err := episteme.BuildShardIndex(context.Background(), ec, st.Action, stripe, job.Stripes)
+		if err != nil {
+			t.Fatalf("BuildShardIndex %d/%d: %v", stripe, job.Stripes, err)
+		}
+		if idx.Quotient != quotiented {
+			t.Fatalf("stripe %d: quotiented %v, want %v", stripe, idx.Quotient, quotiented)
+		}
+		idx.Stack = job.Stack
+		var buf bytes.Buffer
+		if err := episteme.WriteShardIndex(&buf, idx); err != nil {
+			t.Fatalf("WriteShardIndex: %v", err)
+		}
+		if got := putStripe(t, srv.URL, stripe, "w0", buf.Bytes()); got != http.StatusOK {
+			t.Fatalf("uploading stripe %d: status %d", stripe, got)
+		}
+	}
+	err = c.Run(context.Background())
+	if !errors.Is(err, ErrVerification) || !strings.Contains(err.Error(), "the stripes enumerate different sweeps") {
+		t.Fatalf("Run over mixed stripes = %v, want ErrVerification naming the different sweeps", err)
+	}
+	if st := c.Status(); st.Phase != PhaseFailed || st.MergedRecords != 0 {
+		t.Fatalf("status phase %q, %d runs checked; want a failed job and no count", st.Phase, st.MergedRecords)
+	}
+	if _, err := os.Stat(c.MergedPath()); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a verdict file was published for mixed stripes: %v", err)
 	}
 }
 

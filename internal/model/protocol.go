@@ -91,10 +91,13 @@ type Exchange interface {
 // system into the full one by string rewriting alone (the permuted runs
 // were never executed, so no State values exist for them).
 //
-// Only Efip implements it today. Implementing it is the whole selection:
-// the model checker builds such an exchange's systems from one
-// representative per agent-permutation orbit, and enumerates every run of
-// an exchange that does not (episteme.BuildSystem).
+// Efip rewrites the agent ids its graph keys embed; Emin and Ebasic, whose
+// keys name no agent, return them unchanged — an identity that is only
+// right because no key names an agent (conformance convention 8 checks
+// it). Implementing it is the whole selection: the model checker builds
+// such an exchange's systems from one representative per
+// agent-permutation orbit, and enumerates every run of an exchange that
+// does not (episteme.BuildSystem).
 type KeyPermuter interface {
 	// PermuteKey rewrites key under perm, where perm[i] is the new
 	// identity of old agent i (the Pattern.Permute convention). It

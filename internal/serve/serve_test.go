@@ -123,8 +123,7 @@ func TestSweepMatchesCLIBytes(t *testing.T) {
 
 // everyRun hides the exchange's optional interfaces, so the checker
 // executes every scenario over it instead of one per agent-permutation
-// orbit: the reference Systems are built the way min's and basic's are,
-// whatever the stack.
+// orbit: the reference Systems are built run by run, whatever the stack.
 type everyRun struct{ model.Exchange }
 
 // buildReferenceSystem builds the stack's System run by run.
@@ -148,7 +147,8 @@ func buildReferenceSystem(t *testing.T, stackName string, n, tf int) (core.Stack
 
 // TestCheckMatchesCLIBytes pins the served verdict block byte-identical
 // to the fabric/CLI WriteVerdicts output over a System built run by run,
-// for a stack the checker quotients (fip) and one it cannot (min).
+// for a stack whose keys the quotient's expansion rewrites (fip) and one
+// whose keys name no agent (min); the server quotients both.
 func TestCheckMatchesCLIBytes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -182,9 +182,9 @@ func TestCheckMatchesCLIBytes(t *testing.T) {
 }
 
 // TestKnowledgeQueries exercises every query kind against semantics
-// computed directly on the reference System, for a stack served from a
-// per-run System (min) and one served from an expanded one (fip), whose
-// index rows before the horizon are prefix units: there the points must
+// computed directly on the reference System, for two stacks served from an
+// expanded System (min, whose keys name no agent, and fip), whose index
+// rows before the horizon are prefix units: there the points must
 // fall both on a unit's first run and on its later ones, where an answer
 // read off the wrong row would show.
 func TestKnowledgeQueries(t *testing.T) {

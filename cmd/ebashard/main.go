@@ -36,7 +36,7 @@
 // such flag: it enumerates representatives whenever the stack's exchange
 // lets it rebuild the full system from them (fip; -check -merge expands),
 // its verdict lines are the same bytes either way, and -check -quotient
-// is a usage error.
+// is a usage error. Plain sweeps relabel within orbits (relabeled=N).
 //
 // Result cache: -cache DIR answers already-swept scenarios from a
 // persistent content-addressed store instead of re-executing them, and
@@ -273,10 +273,10 @@ func runStripe(stackName string, n, t int, shard eba.ShardSpec, out string, para
 	if err != nil {
 		return err
 	}
-	cacheNote := ""
+	cacheNote := fmt.Sprintf(" (relabeled=%d)", sum.Relabeled)
 	if store != nil {
 		// The CI warm-cache smoke greps executed=0 off this line.
-		cacheNote = fmt.Sprintf(" (executed=%d hits=%d)", sum.Executed, sum.CacheHits)
+		cacheNote = fmt.Sprintf(" (executed=%d hits=%d relabeled=%d)", sum.Executed, sum.CacheHits, sum.Relabeled)
 	}
 	if sum.Weighted != sum.Records {
 		fmt.Fprintf(os.Stderr, "ebashard: shard %s of %s n=%d t=%d: %d runs standing for %d, digest %s%s\n",

@@ -14,6 +14,7 @@
 //	*.rejected        quarantined torn or corrupt files
 //	LOCK              flock(2)ed by the one open Cache of the directory
 //
+// Without flock(2) — on Windows, say — Open takes no lock (lock_other.go).
 // Writers append to a .tmp segment and seal it — fsync, rename — only on
 // Close, so a crash leaves a temp file the next Open quarantines (the
 // same discipline as the fabric coordinator's spool). Open trusts the
@@ -43,7 +44,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 )
 
 // Stats is a point-in-time snapshot of a cache's traffic counters.
@@ -186,7 +186,7 @@ func Open(dir string) (c *Cache, err error) {
 	}()
 	// Exclusive, non-blocking, and the file's: closing it, or the process
 	// dying, frees the directory.
-	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+	if err := lockDir(lock.Fd()); err != nil {
 		return nil, fmt.Errorf("cache: %s is held by another open Cache (one process per cache directory): %w", dir, err)
 	}
 	listing, err := os.ReadDir(dir)

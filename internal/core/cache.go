@@ -255,17 +255,16 @@ type CacheCounters struct {
 // check observes, so caching — like sharding — can never change what a
 // sweep reports.
 type CachingExecutor struct {
-	inner   engine.Executor
-	cache   ResultCache
-	version string
-	hits    atomic.Int64
-	misses  atomic.Int64
+	inner        engine.Executor
+	cache        ResultCache
+	version      string
+	hits, misses *atomic.Int64 // shared with the orbit memo's copies
 }
 
 // NewCachingExecutor wraps the executor; version is the stack's
 // VersionDigest.
 func NewCachingExecutor(inner engine.Executor, cache ResultCache, version string) *CachingExecutor {
-	return &CachingExecutor{inner: inner, cache: cache, version: version}
+	return &CachingExecutor{inner: inner, cache: cache, version: version, hits: new(atomic.Int64), misses: new(atomic.Int64)}
 }
 
 // Name identifies the substrate, wrapping the inner executor's name.

@@ -39,7 +39,8 @@ type Stack struct {
 	Name string
 	// Exchange is the information-exchange protocol E.
 	Exchange model.Exchange
-	// Action is the action protocol P.
+	// Action is the action protocol P. Over a model.KeyPermuter exchange
+	// it must treat agents by role, not id: RunShard relabels runs.
 	Action model.ActionProtocol
 	// N is the number of agents, T the failure bound.
 	N, T int

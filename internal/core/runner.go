@@ -28,6 +28,8 @@ type Runner struct {
 	specOpts    *spec.Options
 	cache       ResultCache
 	fingerprint string
+	orbitBytes  int        // orbitMemoBytes; tests lower it
+	memo        *orbitMemo // set on RunShard's copy; unweighted scenarios use it
 }
 
 // RunnerOption configures NewRunner.
@@ -35,7 +37,8 @@ type RunnerOption func(*Runner)
 
 // WithExecutor selects the execution substrate (default
 // engine.Sequential{}; runtime.Concurrent{} runs one goroutine per
-// agent). Both substrates produce identical results.
+// agent). Both substrates produce identical results. RunShard calls it
+// once per agent-permutation orbit of an equivariant stack (orbit.go).
 func WithExecutor(x engine.Executor) RunnerOption {
 	return func(r *Runner) { r.exec = x }
 }
@@ -82,7 +85,7 @@ func WithResultCache(c ResultCache, fingerprint string) RunnerOption {
 // NewRunner returns a Runner for the stack. With no options it runs
 // scenarios one at a time on the sequential engine.
 func NewRunner(stack Stack, opts ...RunnerOption) *Runner {
-	r := &Runner{stack: stack, exec: engine.Sequential{}, parallelism: 1}
+	r := &Runner{stack: stack, exec: engine.Sequential{}, parallelism: 1, orbitBytes: orbitMemoBytes}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -133,7 +136,7 @@ func (e *SpecError) Error() string {
 
 // Run executes one scenario.
 func (r *Runner) Run(ctx context.Context, sc Scenario) (*engine.Result, error) {
-	out := r.runOne(ctx, 0, sc, engine.NewBuffers())
+	out := r.runOne(ctx, 0, sc, r.exec, engine.NewBuffers())
 	if out.Err != nil {
 		return nil, out.Err
 	}
@@ -171,15 +174,15 @@ func (r *Runner) RunBatch(ctx context.Context, scenarios []Scenario) ([]*engine.
 	return out, nil
 }
 
-// runOne executes one scenario, translating context cancellation,
+// runOne executes one scenario on exec, translating context cancellation,
 // execution errors, and specification violations into the outcome.
-func (r *Runner) runOne(ctx context.Context, idx int, sc Scenario, buf *engine.Buffers) RunOutcome {
+func (r *Runner) runOne(ctx context.Context, idx int, sc Scenario, exec engine.Executor, buf *engine.Buffers) RunOutcome {
 	oc := RunOutcome{Index: idx, Scenario: sc}
 	if ctx.Err() != nil {
 		oc.Err = context.Cause(ctx)
 		return oc
 	}
-	res, err := r.exec.Execute(r.stack.Config(sc.Pattern, sc.Inits), buf)
+	res, err := exec.Execute(r.stack.Config(sc.Pattern, sc.Inits), buf)
 	if err != nil {
 		oc.Err = fmt.Errorf("runner: scenario %d: %w", idx, err)
 		return oc

@@ -268,14 +268,11 @@ type ShardSummary struct {
 	Weighted int64
 	// Digest is the chained digest over the stripe's records.
 	Digest string
-	// Executed is the number of records actually executed; CacheHits the
-	// number restored from the result cache (WithResultCache). Without a
-	// cache Executed equals Records and CacheHits is 0. Stream verifiers
-	// (VerifyOutcomeStream) leave both zero — the stream does not record
-	// how its runs were obtained, because it could not matter: hits are
-	// bit-identical to executions.
-	Executed  int64
-	CacheHits int64
+	// Executed counts the records the result cache (WithResultCache) did
+	// not serve, CacheHits those it did, and Relabeled the Executed ones
+	// relabeled from an orbit member's run (orbit.go). VerifyOutcomeStream
+	// leaves all three zero: the stream cannot tell them from executions.
+	Executed, CacheHits, Relabeled int64
 }
 
 // RunShard executes stripe shardIndex of shardCount of the source's sweep
@@ -284,10 +281,12 @@ type ShardSummary struct {
 // FULL sweep; RunShard strides it, so K processes handed the same source
 // constructor and distinct indexes partition the sweep exactly. Runs fan
 // out over the runner's worker pool (WithParallelism); the stream is
-// emitted in stripe order regardless. The first execution error,
-// specification violation, or cancellation aborts the shard with that
-// error as the context cause — a partial stream carries no footer, so
-// MergeOutcomes rejects it.
+// emitted in stripe order regardless. Over a model.KeyPermuter exchange it
+// runs one member per agent-permutation orbit and relabels the others'
+// runs, trusting the whole stack to be equivariant (orbit.go). The first
+// execution error, specification violation, or cancellation aborts the
+// shard with that error as the context cause — a partial stream carries
+// no footer, so MergeOutcomes rejects it.
 func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCount int, w io.Writer) (*ShardSummary, error) {
 	stripe, err := Stride(src, shardIndex, shardCount)
 	if err != nil {
@@ -319,9 +318,11 @@ func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCoun
 	if cachingExec != nil {
 		countersBefore = cachingExec.Counters()
 	}
+	run := *r
+	run.memo = r.newOrbitMemo()
 	var rec OutcomeRecord
 	var text []byte
-	for oc := range r.StreamFrom(ctx, stripe) {
+	for oc := range run.StreamFrom(ctx, stripe) {
 		if oc.Err != nil {
 			cancel(oc.Err)
 			return nil, fmt.Errorf("core: shard %d/%d: %w", shardIndex, shardCount, oc.Err)
@@ -351,6 +352,9 @@ func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCoun
 		delta := cachingExec.Counters()
 		sum.CacheHits = delta.Hits - countersBefore.Hits
 		sum.Executed = delta.Misses - countersBefore.Misses
+	}
+	if run.memo != nil {
+		sum.Relabeled = run.memo.relabeled.Load()
 	}
 	return sum, nil
 }

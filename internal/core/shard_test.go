@@ -250,12 +250,36 @@ func TestMergeDetectsGapsAndOverlaps(t *testing.T) {
 }
 
 // TestRunShardFailFast checks a failing run aborts the shard with the
-// run's error and leaves an unsealed (footer-less) stream behind.
+// run's error and leaves an unsealed (footer-less) stream behind. The
+// stack's KeyPermuter is hidden, so every scenario reaches the executor
+// and the one that fails is the one asked for.
 func TestRunShardFailFast(t *testing.T) {
-	st := MustStack("min", WithN(4), WithT(1))
+	st := perRunStack(MustStack("min", WithN(4), WithT(1)))
 	scenarios := shardScenarios(t, 4, st.Horizon(), 12)
 	boom := errors.New("executor detonated")
 	exec := &failingExecutor{inner: engine.Sequential{}, failAt: 6, err: boom}
+	runner := NewRunner(st, WithExecutor(exec), WithParallelism(2))
+
+	var buf bytes.Buffer
+	_, err := runner.RunShard(context.Background(), FromScenarios(scenarios), 0, 1, &buf)
+	if !errors.Is(err, boom) {
+		t.Fatalf("RunShard error = %v, want %v", err, boom)
+	}
+	if _, err := MergeOutcomes(nil, bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("merge accepted the aborted shard's unsealed stream")
+	}
+}
+
+// TestRunShardFailFastThroughOrbitMemo is the same through the orbit
+// memo, which hands the executor one member per orbit: the executor fails
+// every member of failAt's orbit (the failure-free scenarios whose inits
+// hold two ones), so whichever member runs first fails, nothing is stored
+// for the orbit, and the shard aborts with the executor's error.
+func TestRunShardFailFastThroughOrbitMemo(t *testing.T) {
+	st := MustStack("min", WithN(4), WithT(1))
+	scenarios := shardScenarios(t, 4, st.Horizon(), 12)
+	boom := errors.New("executor detonated")
+	exec := &failingExecutor{inner: engine.Sequential{}, failAt: 6, orbit: true, err: boom}
 	runner := NewRunner(st, WithExecutor(exec), WithParallelism(2))
 
 	var buf bytes.Buffer

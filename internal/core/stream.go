@@ -141,9 +141,17 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source) <-chan RunOutcome {
 			go func() {
 				defer wg.Done()
 				buf := engine.NewBuffers()
+				orbit := r.exec
+				if r.memo != nil {
+					orbit = r.memo.executor(r.exec)
+				}
 				for batch := range jobs {
 					for i, jb := range batch {
-						batch[i] = r.runOne(sctx, jb.Index, jb.Scenario, buf)
+						exec := orbit
+						if jb.Scenario.Weight != 0 {
+							exec = r.exec
+						}
+						batch[i] = r.runOne(sctx, jb.Index, jb.Scenario, exec, buf)
 					}
 					select {
 					case results <- batch:

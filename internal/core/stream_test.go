@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
@@ -296,11 +297,14 @@ func TestCancellationCausePropagates(t *testing.T) {
 	}
 }
 
-// failingExecutor errors on the scenario whose inits encode failAt and
-// counts every Execute call, so tests can assert how much work ran.
+// failingExecutor errors on the scenario whose inits encode failAt — with
+// orbit set, on every scenario whose inits hold as many ones, failAt's
+// orbit among failure-free scenarios — and counts every Execute call, so
+// tests can assert how much work ran.
 type failingExecutor struct {
 	inner  engine.Executor
 	failAt int
+	orbit  bool
 	err    error
 	calls  atomic.Int64
 }
@@ -313,7 +317,7 @@ func (f *failingExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engi
 	for i, v := range cfg.Inits {
 		idx |= int(v) << i
 	}
-	if idx == f.failAt {
+	if idx == f.failAt || f.orbit && bits.OnesCount(uint(idx)) == bits.OnesCount(uint(f.failAt)) {
 		return nil, f.err
 	}
 	return f.inner.Execute(cfg, buf)

@@ -94,10 +94,10 @@ type Exchange interface {
 // Efip rewrites the agent ids its graph keys embed; Emin and Ebasic, whose
 // keys name no agent, return them unchanged — an identity that is only
 // right because no key names an agent (conformance convention 8 checks
-// it). Implementing it is the whole selection: the model checker builds
-// such an exchange's systems from one representative per
-// agent-permutation orbit, and enumerates every run of an exchange that
-// does not (episteme.BuildSystem).
+// it). Implementing it is the whole selection: episteme.BuildSystem and
+// core.Runner.RunShard run one representative per agent-permutation orbit
+// of such an exchange, trusting its action protocol to be symmetric too,
+// and every run of an exchange that does not.
 type KeyPermuter interface {
 	// PermuteKey rewrites key under perm, where perm[i] is the new
 	// identity of old agent i (the Pattern.Permute convention). It

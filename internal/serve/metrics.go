@@ -36,6 +36,7 @@ type metrics struct {
 
 	sweepRecords   atomic.Int64 // outcome records streamed
 	sweepCacheHits atomic.Int64 // sweep records restored from the result cache
+	sweepRelabeled atomic.Int64 // sweep records relabeled from an orbit member's run
 
 	// System-LRU traffic: hits (cached System reused), misses (a build
 	// ran), coalesced (waited on another request's in-flight build),
@@ -109,6 +110,7 @@ func (m *metrics) render(w io.Writer, inflightTotal int, cache *rescache.Stats) 
 
 	counter("eba_sweep_records_total", "Outcome records streamed by sweep requests.", m.sweepRecords.Load())
 	counter("eba_sweep_result_cache_hits_total", "Sweep records restored from the result cache.", m.sweepCacheHits.Load())
+	counter("eba_sweep_relabeled_total", "Sweep records relabeled from the run of another member of their agent-permutation orbit.", m.sweepRelabeled.Load())
 
 	hits, misses := m.lruHits.Load(), m.lruMisses.Load()
 	counter("eba_system_lru_hits_total", "Queries answered by a cached System.", hits)

@@ -292,6 +292,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.sweepRecords.Add(int64(sum.Records))
 	s.met.observeCacheHits(sum.CacheHits)
+	s.met.sweepRelabeled.Add(sum.Relabeled)
 }
 
 // specOptions is the spec-check configuration every sweep surface in

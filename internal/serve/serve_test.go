@@ -695,8 +695,13 @@ func TestMetricsContent(t *testing.T) {
 	if strings.Contains(text, "eba_system_lru_hit_ratio 0\n") {
 		t.Error("LRU hit ratio is zero after repeated identical queries")
 	}
-	if !strings.Contains(text, "eba_sweep_records_total") {
+	if !strings.Contains(text, "eba_sweep_records_total 1544\n") {
 		t.Error("metrics exposition missing sweep record counter")
+	}
+	// Emin has a KeyPermuter: most of the sweep's 1,544 records are
+	// relabeled from the 276 orbits' runs.
+	if !strings.Contains(text, "eba_sweep_relabeled_total ") || strings.Contains(text, "eba_sweep_relabeled_total 0\n") {
+		t.Error("metrics exposition reports no relabeled sweep records")
 	}
 }
 

@@ -20,6 +20,23 @@ func TestSynthBasicEndToEnd(t *testing.T) {
 	}
 }
 
+func TestSynthFipEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	if err := run([]string{"-exchange", "fip", "-n", "3", "-t", "1"}); err != nil {
+		t.Errorf("ebasynth fip failed: %v", err)
+	}
+}
+
+// TestSynthReportsDisagreements: at n−t = 1 synth(P0) decides 1 a round
+// before Pmin does, and ebasynth fails on it.
+func TestSynthReportsDisagreements(t *testing.T) {
+	if err := run([]string{"-exchange", "min", "-n", "2", "-t", "1"}); err == nil {
+		t.Error("synth(P0) over Emin at n=2,t=1 reported no disagreement with Pmin")
+	}
+}
+
 func TestSynthErrors(t *testing.T) {
 	if err := run([]string{"-exchange", "bogus"}); err == nil {
 		t.Error("unknown exchange accepted")

@@ -2,6 +2,8 @@ package episteme
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"testing"
 
 	"repro/internal/action"
@@ -187,25 +189,12 @@ func TestSynthesizeP0MatchesPmin(t *testing.T) {
 	// Epistemic synthesis (§8 outlook): extracting a concrete protocol
 	// from P0 in γ_min reproduces P_min exactly — Theorem 6.5 from the
 	// synthesis side.
-	c := Context{Exchange: exchange.NewMin(3), T: 1}
-	synth, sys, err := Synthesize(context.Background(), c, P0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	synth, sys, ms := synthDiff(t, Context{Exchange: exchange.NewMin(3), T: 1}, P0, action.NewMin(1))
 	if synth.Size() == 0 {
 		t.Fatal("empty synthesis table")
 	}
-	pmin := action.NewMin(1)
-	for _, res := range sys.Runs {
-		for m := 0; m < sys.Horizon; m++ {
-			for i := 0; i < sys.N; i++ {
-				id := model.AgentID(i)
-				if got, want := synth.Act(id, res.States[m][i]), pmin.Act(id, res.States[m][i]); got != want {
-					t.Fatalf("synth(P0) and Pmin differ at state %s: %v vs %v",
-						res.States[m][i].Key(), got, want)
-				}
-			}
-		}
+	if len(ms) != 0 {
+		t.Fatalf("synth(P0) and Pmin differ: %v", ms[0])
 	}
 	// The synthesized system is self-consistent: its own actions implement
 	// the program.
@@ -215,47 +204,94 @@ func TestSynthesizeP0MatchesPmin(t *testing.T) {
 }
 
 func TestSynthesizeP0MatchesPbasic(t *testing.T) {
-	c := Context{Exchange: exchange.NewBasic(3), T: 1}
-	synth, sys, err := Synthesize(context.Background(), c, P0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pbasic := action.NewBasic(3)
-	for _, res := range sys.Runs {
-		for m := 0; m < sys.Horizon; m++ {
-			for i := 0; i < sys.N; i++ {
-				id := model.AgentID(i)
-				if got, want := synth.Act(id, res.States[m][i]), pbasic.Act(id, res.States[m][i]); got != want {
-					t.Fatalf("synth(P0) and Pbasic differ at state %s: %v vs %v",
-						res.States[m][i].Key(), got, want)
-				}
-			}
-		}
+	_, _, ms := synthDiff(t, Context{Exchange: exchange.NewBasic(3), T: 1}, P0, action.NewBasic(3))
+	if len(ms) != 0 {
+		t.Fatalf("synth(P0) and Pbasic differ: %v", ms[0])
 	}
 }
 
 func TestSynthesizeP1MatchesPopt(t *testing.T) {
 	// Synthesis from P1 over the full-information exchange re-derives the
 	// polynomial-time P_opt: Theorem A.21 from the synthesis side.
-	c := Context{Exchange: exchange.NewFIP(3), T: 1}
-	synth, sys, err := Synthesize(context.Background(), c, P1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	popt := action.NewOpt(1)
-	for _, res := range sys.Runs {
-		for m := 0; m < sys.Horizon; m++ {
-			for i := 0; i < sys.N; i++ {
-				id := model.AgentID(i)
-				if got, want := synth.Act(id, res.States[m][i]), popt.Act(id, res.States[m][i]); got != want {
-					t.Fatalf("synth(P1) and Popt differ at run with inits %v time %d agent %d: %v vs %v",
-						res.Inits, m, i, got, want)
-				}
-			}
-		}
+	_, sys, ms := synthDiff(t, Context{Exchange: exchange.NewFIP(3), T: 1}, P1, action.NewOpt(1))
+	if len(ms) != 0 {
+		t.Fatalf("synth(P1) and Popt differ: %v", ms[0])
 	}
 	if ms := checkImplements(t, sys, P1, 3); len(ms) != 0 {
 		t.Errorf("synthesized P1 system is not self-consistent: %v", ms[0])
+	}
+}
+
+// TestSynthesisAtNMinusTOne pins the n−t = 1 boundary at n=2,t=1: with
+// one nonfaulty agent, P0 decides 1 at time t where Pmin and Pbasic wait
+// for t+1 — exactly two (agent, state) entries each, both at time 1 — while
+// synth(P1) over Efip still equals Popt.
+func TestSynthesisAtNMinusTOne(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    Context
+		prog Program
+		ref  model.ActionProtocol
+		want int
+	}{
+		{"min", Context{Exchange: exchange.NewMin(2), T: 1}, P0, action.NewMin(1), 2},
+		{"basic", Context{Exchange: exchange.NewBasic(2), T: 1}, P0, action.NewBasic(2), 2},
+		{"fip", Context{Exchange: exchange.NewFIP(2), T: 1}, P1, action.NewOpt(1), 0},
+	} {
+		_, _, ms := synthDiff(t, tc.c, tc.prog, tc.ref)
+		if len(ms) != tc.want {
+			t.Fatalf("%s: synth(%v) differs from %s at %d entries, want %d: %v", tc.name, tc.prog, tc.ref.Name(), len(ms), tc.want, ms)
+		}
+		for _, m := range ms {
+			if m.Time != 1 || m.Got != model.Noop || m.Want != model.Decide1 {
+				t.Errorf("%s: %v; want time 1, protocol noop, program decide(1)", tc.name, m)
+			}
+		}
+	}
+}
+
+// TestSynthesizeQuotientMatchesPerRun: every build of a synthesis goes
+// through the symmetry quotient over a KeyPermuter exchange, which is
+// sound only if each partial table is invariant under agent relabeling.
+// The same synthesis with the KeyPermuter hidden runs every scenario; the
+// tables and every run's ledger must come out the same.
+func TestSynthesizeQuotientMatchesPerRun(t *testing.T) {
+	type tc struct {
+		c    Context
+		prog Program
+	}
+	cases := map[string]tc{
+		"crash basic n=3": {Context{Exchange: exchange.NewBasic(3), T: 1, Crash: true}, P0},
+		"crash fip n=3":   {Context{Exchange: exchange.NewFIP(3), T: 1, Crash: true}, P1},
+	}
+	for _, n := range []int{3, 4} {
+		cases[fmt.Sprintf("min n=%d", n)] = tc{Context{Exchange: exchange.NewMin(n), T: 1}, P0}
+		cases[fmt.Sprintf("basic n=%d", n)] = tc{Context{Exchange: exchange.NewBasic(n), T: 1}, P0}
+		cases[fmt.Sprintf("fip n=%d", n)] = tc{Context{Exchange: exchange.NewFIP(n), T: 1}, P1}
+	}
+	for name, tc := range cases {
+		quoSynth, quoSys, err := Synthesize(context.Background(), tc.c, tc.prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runSynth, runSys, err := Synthesize(context.Background(), perRunContext(tc.c), tc.prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if quoSys.unitOf == nil || runSys.unitOf != nil {
+			t.Fatalf("%s: the quotiented synthesis is not expanded, or the per-run one is", name)
+		}
+		if !maps.Equal(quoSynth.table, runSynth.table) {
+			t.Fatalf("%s: the quotiented table (%d entries) differs from the per-run one (%d)", name, quoSynth.Size(), runSynth.Size())
+		}
+		if len(quoSys.Runs) != len(runSys.Runs) {
+			t.Fatalf("%s: %d vs %d runs", name, len(quoSys.Runs), len(runSys.Runs))
+		}
+		for r := range runSys.Runs {
+			if got, want := ledgerFingerprint(quoSys.Runs[r]), ledgerFingerprint(runSys.Runs[r]); got != want {
+				t.Fatalf("%s: run %d differs:\nquotiented: %s\nper-run:    %s", name, r, got, want)
+			}
+		}
 	}
 }
 
@@ -290,12 +326,19 @@ func TestSynthesizedPanicsOutsideContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	foreign := exchange.NewBasic(2).Initial(0, model.One)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Act on a foreign state did not panic")
+	// While the table grows, a state at or past the cutoff does noop and
+	// one before it must be in the table.
+	for cutoff, want := range map[int]bool{-1: true, 0: false, 1: true} {
+		synth.noopFrom = cutoff
+		panicked := func() (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			synth.Act(0, foreign)
+			return false
+		}()
+		if panicked != want {
+			t.Errorf("cutoff %d: Act on a foreign time-0 state panicked: %v, want %v", cutoff, panicked, want)
 		}
-	}()
-	synth.Act(0, foreign)
+	}
 }
 
 func TestMismatchString(t *testing.T) {

@@ -23,6 +23,25 @@ func perRunContext(c Context) Context {
 // they run a checker with a background context and fail the test on an
 // infrastructure error (which none of these checks should produce).
 
+// synthDiff synthesizes prog in c and diffs the table against the system
+// of the reference protocol ref.
+func synthDiff(t *testing.T, c Context, prog Program, ref model.ActionProtocol) (*Synthesized, *System, []Mismatch) {
+	t.Helper()
+	synth, sys, err := Synthesize(context.Background(), c, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSys, err := BuildSystem(context.Background(), c, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := synth.Diff(context.Background(), refSys, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return synth, sys, ms
+}
+
 func checkImplements(t *testing.T, sys *System, prog Program, max int) []Mismatch {
 	t.Helper()
 	ms, err := sys.CheckImplements(context.Background(), prog, max)

@@ -4,7 +4,7 @@
 // the shard merge (shard.go) and the quotient expansion (quotient.go) —
 // and all three must yield the same tables for the same sweep. They do
 // because none of them assigns an id: each only says, per slot, what run
-// g's local-state key is (slotRows), and internSlots numbers the classes
+// g's local-state key is (slotRows), and indexed numbers the classes
 // by first appearance in ascending run order. Keys (model.State.Key) and
 // run order are functions of the sweep alone, so the tables are —
 // whichever producer supplied the rows and however many workers interned
@@ -30,30 +30,23 @@ type slotRows struct {
 	key   func(g int) (string, error)
 }
 
-// allocIndex allocates the empty per-slot tables of the whole horizon.
-func (s *System) allocIndex() {
+// indexed builds s's whole index from the producer's rows and returns s,
+// or no System at all when the build fails: every construction ends here.
+// Slots are interned one worker per slot: class ids by first appearance in
+// ascending row order through a dense first-sight table over the memo
+// codes (seen[code] = class id + 1, so the key is asked for and hashed
+// once per first-seen code), member lists packed per class. The classes
+// are then folded into the system-wide key interning sequentially in slot
+// order. The error is the context's cancellation cause, or else the lowest
+// failing slot's first key error — the same error at every worker count.
+func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*System, error) {
 	nSlots := (s.Horizon + 1) * s.N
 	s.classOf = make([][]int32, nSlots)
 	s.classRuns = make([][][]int, nSlots)
 	s.classKey = make([][]string, nSlots)
 	s.classGlobal = make([][]int32, nSlots)
-	s.globalByKey = make(map[string]int32)
-}
-
-// internSlots builds the index of slots [lo, hi) from the producer's
-// rows, one worker per slot: class ids by first appearance in ascending
-// row order through a dense first-sight table
-// over the memo codes (seen[code] = class id + 1, so the key is asked for
-// and hashed once per first-seen code), member lists packed per class.
-// The new classes are then folded into the system-wide key interning
-// sequentially in slot order. It returns the context's cancellation
-// cause, or else the lowest failing slot's first key error — the same
-// error at every worker count; after an error the slots hold no usable
-// index.
-func (s *System) internSlots(ctx context.Context, lo, hi int, rows func(slot int) slotRows) error {
-	slotErr := make([]error, hi-lo)
-	err := s.parallel(ctx, hi-lo, func(k int) {
-		slot := lo + k
+	slotErr := make([]error, nSlots)
+	err := s.parallel(ctx, nSlots, func(slot int) {
 		p := rows(slot)
 		// A producer's codes bound its keys from above; half of that is
 		// where the late slots of a sweep land, and starting there spares
@@ -70,7 +63,7 @@ func (s *System) internSlots(ctx context.Context, lo, hi int, rows func(slot int
 			}
 			key, err := p.key(g)
 			if err != nil {
-				slotErr[k] = err
+				slotErr[slot] = err
 				return
 			}
 			cls, known := byKey[key]
@@ -87,23 +80,19 @@ func (s *System) internSlots(ctx context.Context, lo, hi int, rows func(slot int
 		s.classKey[slot] = classKey
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, e := range slotErr {
 		if e != nil {
-			return e
+			return nil, e
 		}
 	}
-	if len(s.globalByKey) == 0 {
-		// The first fold of a system knows how many keys it can meet.
-		classes := 0
-		for slot := lo; slot < hi; slot++ {
-			classes += len(s.classKey[slot])
-		}
-		s.globalByKey = make(map[string]int32, classes)
+	classes := 0
+	for _, keys := range s.classKey {
+		classes += len(keys)
 	}
-	for slot := lo; slot < hi; slot++ {
-		keys := s.classKey[slot]
+	s.globalByKey = make(map[string]int32, classes)
+	for slot, keys := range s.classKey {
 		global := make([]int32, len(keys))
 		for c, key := range keys {
 			id, known := s.globalByKey[key]
@@ -114,17 +103,6 @@ func (s *System) internSlots(ctx context.Context, lo, hi int, rows func(slot int
 			global[c] = id
 		}
 		s.classGlobal[slot] = global
-	}
-	return nil
-}
-
-// indexed builds s's whole index from the producer's rows and returns s,
-// or no System at all when the build fails: the restoring constructions
-// (merge, expansion) both end here.
-func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*System, error) {
-	s.allocIndex()
-	if err := s.internSlots(ctx, 0, (s.Horizon+1)*s.N, rows); err != nil {
-		return nil, err
 	}
 	return s, nil
 }

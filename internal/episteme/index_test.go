@@ -61,8 +61,8 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 }
 
 // TestInternSlotsGlobalFold: the system-wide ids are assigned in slot
-// order, then class order, and a key met again in a later slot — or a
-// later internSlots call, as Synthesize makes — keeps its id.
+// order, then class order, and a key met again in a later slot keeps its
+// id.
 func TestInternSlotsGlobalFold(t *testing.T) {
 	keys := [][]string{{"x", "y", "x"}, {"y", "z", "z"}, {"w", "x", "z"}, {"y", "y", "v"}}
 	rows := func(slot int) slotRows {
@@ -70,24 +70,15 @@ func TestInternSlotsGlobalFold(t *testing.T) {
 	}
 	want := [][]int32{{0, 1}, {1, 2}, {3, 0, 2}, {1, 4}}
 	for _, par := range []int{1, 3} {
-		whole, err := literalSystem(2, 1, 3, par).indexed(context.Background(), rows)
+		sys, err := literalSystem(2, 1, 3, par).indexed(context.Background(), rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sliced := literalSystem(2, 1, 3, par)
-		sliced.allocIndex()
-		for m := 0; m <= 1; m++ {
-			if err := sliced.internSlots(context.Background(), 2*m, 2*m+2, rows); err != nil {
-				t.Fatal(err)
-			}
+		if !reflect.DeepEqual(sys.classGlobal, want) {
+			t.Errorf("parallelism %d: classGlobal = %v, want %v", par, sys.classGlobal, want)
 		}
-		for _, sys := range []*System{whole, sliced} {
-			if !reflect.DeepEqual(sys.classGlobal, want) {
-				t.Errorf("parallelism %d: classGlobal = %v, want %v", par, sys.classGlobal, want)
-			}
-			if got := len(sys.globalByKey); got != 5 {
-				t.Errorf("parallelism %d: %d global keys, want 5", par, got)
-			}
+		if got := len(sys.globalByKey); got != 5 {
+			t.Errorf("parallelism %d: %d global keys, want 5", par, got)
 		}
 	}
 }

@@ -79,8 +79,8 @@ func (s *System) kbpPhaseA(prog Program, i model.AgentID, p Point) (model.Action
 
 // kbpPhaseB resolves the decide-1 guard K_i(⋀_j ¬(deciding_j = 0)), with
 // "j is deciding 0 at q" supplied by the caller: the recorded actions for
-// a completed system, or the phase-A resolutions during lockstep
-// construction — either way a function of q's ledger, asked once per row
+// a completed system, or the phase-A resolutions while Synthesize grows
+// its table — either way a function of q's ledger, asked once per row
 // (System.rowRun).
 func (s *System) kbpPhaseB(i model.AgentID, p Point, deciding0 func(q Point, j model.AgentID) bool) model.Action {
 	nobodyDeciding0 := func(q Point) bool {
@@ -167,7 +167,20 @@ func (s *System) CheckImplements(ctx context.Context, prog Program, maxMismatche
 			return nil, err
 		}
 	}
+	return s.mismatches(ctx, maxMismatches, func(i model.AgentID, p Point) (model.Action, bool) {
+		return s.KBPAction(prog, i, p), true
+	})
+}
 
+// mismatches asks want once per distinct (agent, local state) of the times
+// before the horizon and reports where its action differs from the
+// recorded one; ok = false from want skips the state. The states shard
+// over the worker pool and come back in the canonical first-occurrence
+// order; maxMismatches caps the report as CheckImplements documents.
+func (s *System) mismatches(ctx context.Context, maxMismatches int, want func(i model.AgentID, p Point) (model.Action, bool)) ([]Mismatch, error) {
+	if err := s.checkableSystem(); err != nil {
+		return nil, err
+	}
 	// One work item per distinct (agent, state) pair, in first-occurrence
 	// (run, time, agent) order — the order the sequential checker visited
 	// them in. The scan reads times < Horizon only, where every slot has
@@ -197,12 +210,12 @@ func (s *System) CheckImplements(ctx context.Context, prog Program, maxMismatche
 	err := s.parallel(ctx, len(items), func(k int) {
 		it := items[k]
 		p := Point{Run: it.run, Time: it.time}
-		want := s.KBPAction(prog, it.agent, p)
+		act, ok := want(it.agent, p)
 		got := s.Runs[it.run].Actions[it.time][it.agent]
-		if got != want {
+		if ok && got != act {
 			found[k] = &Mismatch{
 				Agent: it.agent, Run: it.run, Time: it.time,
-				Key: s.Key(it.agent, p), Got: got, Want: want,
+				Key: s.Key(it.agent, p), Got: got, Want: act,
 			}
 		}
 	})

@@ -579,10 +579,9 @@ func compareCKFold(t *testing.T, label string, sys *System, m int) (holding int)
 // TestCNLayerMatchesExplicitGraph pins the implicit-graph condensation —
 // Tarjan and the edge walk reading successors off classOf and classRuns —
 // to the explicit-adjacency build it replaced, at every time of the fip
-// n=3 and n=4 systems. The layers of a Synthesize'd P1 system are built
-// while it grows (the guards of round m+1 are evaluated when only times
-// ≤ m exist) and the fold is eager, so those must equal what the finished
-// system gives: the build may read only state that is final at time m.
+// n=3 and n=4 systems, and at every time before the horizon of the system
+// synthesized from P1 — the program's own system, whose guards read those
+// layers.
 func TestCNLayerMatchesExplicitGraph(t *testing.T) {
 	for _, n := range []int{3, 4} {
 		// The explicit graph has one node per run: a per-run build.
@@ -595,18 +594,14 @@ func TestCNLayerMatchesExplicitGraph(t *testing.T) {
 		}
 	}
 
-	_, grown, err := Synthesize(context.Background(), Context{Exchange: exchange.NewFIP(3), T: 1}, P1)
+	_, synth, err := Synthesize(context.Background(), perRunContext(Context{Exchange: exchange.NewFIP(3), T: 1}), P1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for m := 0; m < grown.Horizon; m++ {
-		slot := grown.cn[m]
-		if slot == nil || slot.layer == nil {
-			t.Fatalf("synthesis of P1 built no C_N layer at time %d", m)
-		}
-		label := fmt.Sprintf("synth(P1) time %d, built as the system grew", m)
-		compareCNLayer(t, label, slot.layer, oracleBuildCNLayer(grown, m))
-		compareCKFold(t, label, grown, m)
+	for m := 0; m < synth.Horizon; m++ {
+		label := fmt.Sprintf("synth(P1) time %d", m)
+		compareCNLayer(t, label, synth.cnLayerAt(m), oracleBuildCNLayer(synth, m))
+		compareCKFold(t, label, synth, m)
 	}
 }
 

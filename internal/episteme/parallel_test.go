@@ -22,17 +22,20 @@ import (
 // every checker.
 func resultFingerprint(res *engine.Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "pat=%s inits=%v dec=%v rounds=%v stats=%+v\n",
-		res.Pattern.Key(), res.Inits, res.Decision, res.DecisionRound, res.Stats)
+	b.WriteString(ledgerFingerprint(res))
 	for m := range res.States {
 		for i := range res.States[m] {
 			fmt.Fprintf(&b, "s[%d][%d]=%s\n", m, i, res.States[m][i].Key())
 		}
 	}
-	for m := range res.Actions {
-		fmt.Fprintf(&b, "a[%d]=%v\n", m, res.Actions[m])
-	}
 	return b.String()
+}
+
+// ledgerFingerprint is resultFingerprint without the state traces, which
+// an expanded system does not carry.
+func ledgerFingerprint(res *engine.Result) string {
+	return fmt.Sprintf("pat=%s inits=%v dec=%v rounds=%v stats=%+v acts=%v\n",
+		res.Pattern.Key(), res.Inits, res.Decision, res.DecisionRound, res.Stats, res.Actions)
 }
 
 func fipContext31() Context {
@@ -129,29 +132,37 @@ func TestCheckersParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestSynthesizeParallelismDeterminism checks the fixpoint construction
-// is bit-identical at parallelism 1 and GOMAXPROCS.
+// TestSynthesizeParallelismDeterminism checks synthesis is bit-identical
+// at parallelism 1 and GOMAXPROCS, for P0 over Emin and P1 over Efip.
 func TestSynthesizeParallelismDeterminism(t *testing.T) {
-	c := Context{Exchange: exchange.NewMin(3), T: 1}
-	seqSynth, seqSys, err := Synthesize(context.Background(), c, P0, WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parSynth, parSys, err := Synthesize(context.Background(), c, P0, WithParallelism(goruntime.GOMAXPROCS(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqSynth.Size() != parSynth.Size() {
-		t.Fatalf("table sizes differ: %d vs %d", seqSynth.Size(), parSynth.Size())
-	}
-	for k, a := range seqSynth.table {
-		if parSynth.table[k] != a {
-			t.Fatalf("table entry %q differs: %v vs %v", k, a, parSynth.table[k])
+	for _, tc := range []struct {
+		c    Context
+		prog Program
+	}{
+		{Context{Exchange: exchange.NewMin(3), T: 1}, P0},
+		{fipContext31(), P1},
+	} {
+		seqSynth, seqSys, err := Synthesize(context.Background(), tc.c, tc.prog, WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for r := range seqSys.Runs {
-		if resultFingerprint(seqSys.Runs[r]) != resultFingerprint(parSys.Runs[r]) {
-			t.Fatalf("synthesized run %d differs between parallelism levels", r)
+		parSynth, parSys, err := Synthesize(context.Background(), tc.c, tc.prog, WithParallelism(goruntime.GOMAXPROCS(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := tc.c.Exchange.Name()
+		if seqSynth.Size() != parSynth.Size() {
+			t.Fatalf("%s: table sizes differ: %d vs %d", name, seqSynth.Size(), parSynth.Size())
+		}
+		for k, a := range seqSynth.table {
+			if parSynth.table[k] != a {
+				t.Fatalf("%s: table entry %q differs: %v vs %v", name, k, a, parSynth.table[k])
+			}
+		}
+		for r := range seqSys.Runs {
+			if resultFingerprint(seqSys.Runs[r]) != resultFingerprint(parSys.Runs[r]) {
+				t.Fatalf("%s: synthesized run %d differs between parallelism levels", name, r)
+			}
 		}
 	}
 }

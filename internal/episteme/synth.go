@@ -5,18 +5,21 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/engine"
 	"repro/internal/model"
 )
 
 // Synthesized is a concrete action protocol extracted from a
-// knowledge-based program by fixpoint construction: a lookup table from
-// local states to actions, covering every state reachable in the program's
-// own system. It realizes, for small parameters, the "epistemic synthesis"
-// direction the paper's discussion proposes.
+// knowledge-based program: a lookup table from local states to actions,
+// covering every state reachable in the program's own system. It realizes,
+// for small parameters, the "epistemic synthesis" direction the paper's
+// discussion proposes.
 type Synthesized struct {
 	name  string
 	table map[string]model.Action
+	// noopFrom is, while Synthesize grows the table, the first time it
+	// does not cover yet: every state from then on does noop. It is -1
+	// once the table is complete.
+	noopFrom int
 }
 
 // Name identifies the synthesized protocol, e.g. "synth(P0)".
@@ -29,6 +32,9 @@ func (p *Synthesized) Size() int { return len(p.table) }
 // outside the table: such a state is not reachable in the context the
 // protocol was synthesized for.
 func (p *Synthesized) Act(i model.AgentID, s model.State) model.Action {
+	if p.noopFrom >= 0 && s.Time() >= p.noopFrom {
+		return model.Noop
+	}
 	a, ok := p.table[synthKey(i, s.Key())]
 	if !ok {
 		panic(fmt.Sprintf("episteme: %s has no action for agent %d state %s", p.name, i, s.Key()))
@@ -44,155 +50,100 @@ func synthKey(i model.AgentID, stateKey string) string {
 var _ model.ActionProtocol = (*Synthesized)(nil)
 
 // Synthesize constructs the system generated by the knowledge-based
-// program itself: at each time it evaluates the program's knowledge tests
-// against the partially built system (sound because knowledge at time m
-// depends only on time-m states), resolves the decide-0 guards first and
-// the decide-1 guard against them, advances every run one round, and
-// repeats. Run skeletons come from the same streaming scenario source
-// BuildSystem enumerates from; each time slice's index is interned as it
-// is built, so the fixpoint's knowledge tests and its memoization are
-// dense-int lookups evaluated once per (agent, state) class. The run
-// advance and the index build shard over the worker pool; the guard
-// evaluation itself is sequential, so the result is bit-identical at
-// every parallelism level. It returns the induced concrete protocol and
-// the program's own interpreted system. Cancelling ctx aborts the
-// construction with the cancellation cause.
+// program itself, in Horizon+1 BuildSystem calls and no loop of its own.
+// Knowledge at time m depends only on the runs' ledgers before m and on
+// their time-m states and faulty sets, so for m = 0 … Horizon−1 it builds
+// the system of the partial table — the table's actions before time m,
+// noop from m on — evaluates the program once per (agent, class) of the
+// time-m slots, resolving the decide-0 guards first and the decide-1 guard
+// against them, and adds those actions to the table. The last build is the
+// program's own system. Every build is BuildSystem's, memoizing executor
+// and symmetry quotient included (docs/architecture.md, "Synthesis is
+// Horizon+1 builds"); of the options only WithParallelism is forwarded —
+// never a cache, since the table protocol's name does not pin its table.
+// Results are bit-identical at every parallelism level. It returns the
+// induced concrete protocol and the program's own interpreted system.
+// Cancelling ctx aborts the construction with the cancellation cause.
 func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*Synthesized, *System, error) {
 	if c.Exchange == nil {
 		return nil, nil, fmt.Errorf("episteme: Exchange is required")
 	}
-	o := newOptions(opts)
-	n := c.Exchange.N()
+	par := WithParallelism(newOptions(opts).par)
 	horizon := c.horizonOrDefault()
-	sys := &System{N: n, T: c.T, Horizon: horizon, par: o.par}
-
-	// Materialize the runs' skeletons — pattern + inits + initial states —
-	// from the shared scenario source.
-	src, err := c.scenarioSource(n, horizon)
-	if err != nil {
-		return nil, nil, err
-	}
-	for sc, ok := src.Next(); ok; sc, ok = src.Next() {
-		res := engine.NewResult(n, horizon, sc.Pattern, sc.Inits)
-		states := make([]model.State, n)
-		for i := 0; i < n; i++ {
-			states[i] = c.Exchange.Initial(model.AgentID(i), res.Inits[i])
-		}
-		res.States[0] = states
-		sys.Runs = append(sys.Runs, res)
-	}
-	if err := sys.buildIndex(ctx, 0, 1); err != nil {
-		return nil, nil, err
-	}
-
-	table := make(map[string]model.Action)
-	phaseA := make([][]model.Action, len(sys.Runs))
-	determined := make([][]bool, len(sys.Runs))
-	for r := range sys.Runs {
-		phaseA[r] = make([]model.Action, n)
-		determined[r] = make([]bool, n)
-	}
-
+	synth := &Synthesized{name: "synth(" + prog.String() + ")", table: make(map[string]model.Action)}
 	for m := 0; m < horizon; m++ {
-		if ctx.Err() != nil {
-			return nil, nil, context.Cause(ctx)
-		}
-		// Phase A: past-determined guards, evaluated once per (agent,
-		// state) class of the time slice.
-		type phaseAEntry struct {
-			act      model.Action
-			det      bool
-			resolved bool
-		}
-		memoA := make([][]phaseAEntry, n)
-		for i := 0; i < n; i++ {
-			memoA[i] = make([]phaseAEntry, sys.classCount(model.AgentID(i), m))
-		}
-		for r := range sys.Runs {
-			p := Point{Run: r, Time: m}
-			for i := 0; i < n; i++ {
-				id := model.AgentID(i)
-				cls := sys.classAt(id, m, r)
-				e := &memoA[i][cls]
-				if !e.resolved {
-					e.act, e.det = sys.kbpPhaseA(prog, id, p)
-					e.resolved = true
-				}
-				phaseA[r][i], determined[r][i] = e.act, e.det
-			}
-		}
-		// Phase B: the decide-1 guard, against phase-A decide-0
-		// resolutions.
-		deciding0 := func(q Point, j model.AgentID) bool {
-			return phaseA[q.Run][j] == model.Decide0 && determined[q.Run][j]
-		}
-		type phaseBEntry struct {
-			act      model.Action
-			resolved bool
-		}
-		memoB := make([][]phaseBEntry, n)
-		for i := 0; i < n; i++ {
-			memoB[i] = make([]phaseBEntry, sys.classCount(model.AgentID(i), m))
-		}
-		for r := range sys.Runs {
-			p := Point{Run: r, Time: m}
-			acts := make([]model.Action, n)
-			for i := 0; i < n; i++ {
-				id := model.AgentID(i)
-				if determined[r][i] {
-					acts[i] = phaseA[r][i]
-				} else {
-					cls := sys.classAt(id, m, r)
-					e := &memoB[i][cls]
-					if !e.resolved {
-						e.act = sys.kbpPhaseB(id, p, deciding0)
-						e.resolved = true
-					}
-					acts[i] = e.act
-				}
-			}
-			sys.Runs[r].Record(m, acts)
-		}
-		// Record the fixpoint's choices once per (agent, state) class.
-		for i := 0; i < n; i++ {
-			id := model.AgentID(i)
-			slot := m*n + i
-			for cls, members := range sys.classRuns[slot] {
-				rep := sys.rowRun(m, members[0])
-				table[synthKey(id, sys.classKey[slot][cls])] = sys.Runs[rep].Actions[m][i]
-			}
-		}
-		// Advance every run one round, sharded over the worker pool (runs
-		// are independent; each worker writes only its own run's slots).
-		// The first step error cancels the round's outstanding work via
-		// the context cause — the same fail-fast contract the Runner path
-		// has — and the lowest-indexed recorded error is reported.
-		stepCtx, cancelStep := context.WithCancelCause(ctx)
-		stepErrs := make([]error, len(sys.Runs))
-		err := sys.parallel(stepCtx, len(sys.Runs), func(r int) {
-			res := sys.Runs[r]
-			next, stats, err := engine.Step(c.Exchange, res.Pattern, m, res.States[m], res.Actions[m])
-			if err != nil {
-				stepErrs[r] = err
-				cancelStep(err)
-				return
-			}
-			res.Stats.Add(stats)
-			res.States[m+1] = next
-		})
-		cancelStep(nil)
-		for _, stepErr := range stepErrs {
-			if stepErr != nil {
-				return nil, nil, stepErr
-			}
-		}
+		synth.noopFrom = m
+		sys, err := BuildSystem(ctx, c, synth, par)
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := sys.buildIndex(ctx, m+1, m+2); err != nil {
+		if err := sys.synthesizeSlice(ctx, prog, m, synth.table); err != nil {
 			return nil, nil, err
 		}
 	}
+	synth.noopFrom = -1
+	sys, err := BuildSystem(ctx, c, synth, par)
+	if err != nil {
+		return nil, nil, err
+	}
+	return synth, sys, nil
+}
 
-	return &Synthesized{name: "synth(" + prog.String() + ")", table: table}, sys, nil
+// synthesizeSlice evaluates the program once per (agent, class) of the
+// time-m slots and records the actions in table: phase A's past-determined
+// guards first, then the decide-1 guard against phase A's decide-0
+// resolutions.
+func (s *System) synthesizeSlice(ctx context.Context, prog Program, m int, table map[string]model.Action) error {
+	acts := make([][]model.Action, s.N)
+	determined := make([][]bool, s.N)
+	classes := func(i int, fn func(id model.AgentID, c int, p Point)) error {
+		id := model.AgentID(i)
+		return s.parallel(ctx, s.classCount(id, m), func(c int) {
+			fn(id, c, Point{Run: s.rowRun(m, s.rowsOfClass(id, m, int32(c))[0]), Time: m})
+		})
+	}
+	for i := range acts {
+		acts[i] = make([]model.Action, s.classCount(model.AgentID(i), m))
+		determined[i] = make([]bool, len(acts[i]))
+		if err := classes(i, func(id model.AgentID, c int, p Point) {
+			acts[i][c], determined[i][c] = s.kbpPhaseA(prog, id, p)
+		}); err != nil {
+			return err
+		}
+	}
+	deciding0 := func(q Point, j model.AgentID) bool {
+		c := s.classAt(j, m, q.Run)
+		return determined[j][c] && acts[j][c] == model.Decide0
+	}
+	for i := range acts {
+		if err := classes(i, func(id model.AgentID, c int, p Point) {
+			if !determined[i][c] {
+				acts[i][c] = s.kbpPhaseB(id, p, deciding0)
+			}
+		}); err != nil {
+			return err
+		}
+	}
+	for i, row := range acts {
+		for c, key := range s.classKey[s.slot(model.AgentID(i), m)] {
+			table[synthKey(model.AgentID(i), key)] = row[c]
+		}
+	}
+	return nil
+}
+
+// Diff compares the table with the protocol that generated ref, a system
+// of the same context: one Mismatch per distinct (agent, local state) of
+// ref at a time before the horizon that the table covers and where ref's
+// recorded action (Got) differs from the table's (Want), in the canonical
+// first-occurrence order of CheckImplements, capped like it. An empty
+// result means the two protocols agree on every state reachable under
+// either: the two systems are then the same system, and a state of ref
+// missing from the table is reachable only through an earlier
+// disagreement (docs/architecture.md, "Synthesis is Horizon+1 builds").
+func (p *Synthesized) Diff(ctx context.Context, ref *System, maxMismatches int) ([]Mismatch, error) {
+	return ref.mismatches(ctx, maxMismatches, func(i model.AgentID, q Point) (model.Action, bool) {
+		a, ok := p.table[synthKey(i, ref.Key(i, q))]
+		return a, ok
+	})
 }

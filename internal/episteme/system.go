@@ -12,8 +12,9 @@
 //   - CheckOptimalityFIP: Theorem 7.5 — the optimality characterization
 //     for full-information protocols.
 //   - Synthesize: the Section 8 "epistemic synthesis" direction — derive a
-//     concrete action protocol from a knowledge-based program by fixpoint
-//     construction and export it as a runnable ActionProtocol.
+//     concrete action protocol from a knowledge-based program and export it
+//     as a runnable ActionProtocol. It has no loop of its own: it is
+//     Horizon+1 BuildSystem calls, each over the table grown so far.
 //
 // The checker is built in three sharded layers:
 //
@@ -210,10 +211,9 @@ func (c Context) patternSource(n, horizon int) (source.Patterns, error) {
 	return source.SO(n, c.T, horizon, c.Options)
 }
 
-// scenarioSource returns the streaming pattern × inits product both
-// BuildSystem and Synthesize enumerate the system's runs from — the one
-// definition of the run skeletons, shared so the two constructions cannot
-// drift.
+// scenarioSource returns the streaming pattern × inits product the
+// builders enumerate the system's runs from and ExpandQuotient
+// re-enumerates — the one definition of the run skeletons.
 func (c Context) scenarioSource(n, horizon int) (core.Source, error) {
 	pats, err := c.patternSource(n, horizon)
 	if err != nil {
@@ -422,29 +422,23 @@ func buildStripe(ctx context.Context, c Context, act model.ActionProtocol, shard
 	}
 
 	sys := &System{N: n, T: c.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}
-	if err := sys.buildIndex(ctx, 0, horizon+1); err != nil {
+	if err := sys.buildIndex(ctx); err != nil {
 		return nil, err
 	}
 	return sys, nil
 }
 
-// buildIndex interns the local states of times [m0, m1) from the runs'
-// state traces (index.go's direct-build producer). Synthesize grows the
-// index one time slice per round; BuildSystem builds all slices at once.
-func (s *System) buildIndex(ctx context.Context, m0, m1 int) error {
+// buildIndex interns the local states of every time from the runs' state
+// traces (index.go's direct-build producer).
+func (s *System) buildIndex(ctx context.Context) error {
 	n := s.N
-	if s.classOf == nil {
-		s.allocIndex()
-	}
 	// The memoizing executor aliases identical state rows across runs, so
 	// group runs by row identity first, once per time: a slot's memo code
 	// is the run's row group, and the keys are rendered once per distinct
-	// row instead of once per run. Systems without aliasing (Synthesize's
-	// skeletons) just see one group per run.
-	rowOf := make([][]int32, m1-m0)
-	rowCount := make([]int, m1-m0)
-	err := s.parallel(ctx, m1-m0, func(k int) {
-		m := m0 + k
+	// row instead of once per run.
+	rowOf := make([][]int32, s.Horizon+1)
+	rowCount := make([]int, s.Horizon+1)
+	err := s.parallel(ctx, s.Horizon+1, func(m int) {
 		groups := make([]int32, len(s.Runs))
 		rowIdx := make(map[*model.State]int32, len(s.Runs))
 		for r, res := range s.Runs {
@@ -456,21 +450,22 @@ func (s *System) buildIndex(ctx context.Context, m0, m1 int) error {
 			}
 			groups[r] = g
 		}
-		rowOf[k], rowCount[k] = groups, len(rowIdx)
+		rowOf[m], rowCount[m] = groups, len(rowIdx)
 	})
 	if err != nil {
 		return err
 	}
-	return s.internSlots(ctx, m0*n, m1*n, func(slot int) slotRows {
+	_, err = s.indexed(ctx, func(slot int) slotRows {
 		m, i := slot/n, slot%n
-		groups := rowOf[m-m0]
+		groups := rowOf[m]
 		return slotRows{
 			n:     len(s.Runs),
-			codes: rowCount[m-m0],
+			codes: rowCount[m],
 			code:  func(r int) int { return int(groups[r]) },
 			key:   func(r int) (string, error) { return s.Runs[r].States[m][i].Key(), nil },
 		}
 	})
+	return err
 }
 
 // slot returns the index slot of agent i at time m.

@@ -40,15 +40,6 @@ func bound(w http.ResponseWriter, r *http.Request, limit int64) (io.ReadCloser, 
 	return http.MaxBytesReader(w, r.Body, limit), nil
 }
 
-// ReadBody reads r's whole body, refusing one of more than limit bytes.
-func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	body, err := bound(w, r, limit)
-	if err != nil {
-		return nil, err
-	}
-	return io.ReadAll(body)
-}
-
 // DecodeJSON decodes r's JSON body, of at most MaxJSONBody bytes, into v.
 // The body must be that one value: anything but white space after it is
 // an error, so what a daemon acts on is all the client sent.

@@ -1,7 +1,6 @@
 package httplimit
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -31,50 +30,15 @@ func isTooLarge(err error, limit int64) bool {
 	return errors.As(err, &tooLarge) && tooLarge.Limit == limit
 }
 
-func TestReadBodyAtAndOverTheLimit(t *testing.T) {
-	const limit = 64
-	exact := bytes.Repeat([]byte("x"), limit)
-	got, err := ReadBody(httptest.NewRecorder(), post(bytes.NewReader(exact)), limit)
-	if err != nil || !bytes.Equal(got, exact) {
-		t.Fatalf("a body of exactly the limit: %d bytes, %v", len(got), err)
-	}
-
-	// One byte over, with an honest Content-Length: refused up front.
-	over := append(exact, 'x')
-	if _, err := ReadBody(httptest.NewRecorder(), post(bytes.NewReader(over)), limit); !isTooLarge(err, limit) {
-		t.Fatalf("limit+1 declared bytes: %v, want *http.MaxBytesError{Limit: %d}", err, limit)
-	}
-
-	// One byte over with no declared length (chunked): the read that
-	// crosses the limit fails.
-	req := post(io.MultiReader(bytes.NewReader(over)))
-	if req.ContentLength > 0 {
-		t.Fatalf("test request declares %d bytes, want an undeclared length", req.ContentLength)
-	}
-	if _, err := ReadBody(httptest.NewRecorder(), req, limit); !isTooLarge(err, limit) {
-		t.Fatalf("limit+1 undeclared bytes: %v, want *http.MaxBytesError{Limit: %d}", err, limit)
-	}
-}
-
 func TestDeclaredOversizeIsRefusedUnread(t *testing.T) {
-	for name, read := range map[string]func(http.ResponseWriter, *http.Request) error{
-		"ReadBody": func(w http.ResponseWriter, r *http.Request) error {
-			_, err := ReadBody(w, r, MaxJSONBody)
-			return err
-		},
-		"DecodeJSON": func(w http.ResponseWriter, r *http.Request) error {
-			return DecodeJSON(w, r, new(map[string]any))
-		},
-	} {
-		body := new(failingBody)
-		req := post(body)
-		req.ContentLength = MaxJSONBody + 1
-		if err := read(httptest.NewRecorder(), req); !isTooLarge(err, MaxJSONBody) {
-			t.Errorf("%s of a request declaring limit+1 bytes: %v, want *http.MaxBytesError", name, err)
-		}
-		if body.reads != 0 {
-			t.Errorf("%s read the body %d times before refusing its declared length", name, body.reads)
-		}
+	body := new(failingBody)
+	req := post(body)
+	req.ContentLength = MaxJSONBody + 1
+	if err := DecodeJSON(httptest.NewRecorder(), req, new(map[string]any)); !isTooLarge(err, MaxJSONBody) {
+		t.Errorf("DecodeJSON of a request declaring limit+1 bytes: %v, want *http.MaxBytesError", err)
+	}
+	if body.reads != 0 {
+		t.Errorf("DecodeJSON read the body %d times before refusing its declared length", body.reads)
 	}
 }
 
@@ -86,10 +50,17 @@ func TestDecodeJSONAtAndOverTheLimit(t *testing.T) {
 	if err := DecodeJSON(httptest.NewRecorder(), post(strings.NewReader(value(MaxJSONBody))), &v); err != nil || len(v.K) == 0 {
 		t.Fatalf("a value of exactly MaxJSONBody bytes: %v", err)
 	}
+	// One byte over, with an honest Content-Length: refused up front.
 	if err := DecodeJSON(httptest.NewRecorder(), post(strings.NewReader(value(MaxJSONBody+1))), &v); !isTooLarge(err, MaxJSONBody) {
 		t.Fatalf("a value of MaxJSONBody+1 declared bytes: %v, want *http.MaxBytesError", err)
 	}
-	if err := DecodeJSON(httptest.NewRecorder(), post(io.MultiReader(strings.NewReader(value(MaxJSONBody+1)))), &v); !isTooLarge(err, MaxJSONBody) {
+	// One byte over with no declared length (chunked): the read that
+	// crosses the limit fails.
+	req := post(io.MultiReader(strings.NewReader(value(MaxJSONBody + 1))))
+	if req.ContentLength > 0 {
+		t.Fatalf("test request declares %d bytes, want an undeclared length", req.ContentLength)
+	}
+	if err := DecodeJSON(httptest.NewRecorder(), req, &v); !isTooLarge(err, MaxJSONBody) {
 		t.Fatalf("a value of MaxJSONBody+1 undeclared bytes: %v, want *http.MaxBytesError", err)
 	}
 }

@@ -73,15 +73,17 @@ func ActionNames() []string { return registry.ActionNames() }
 func Stacks() []StackInfo { return registry.Stacks() }
 
 // Synthesized is a concrete action protocol derived from a knowledge-based
-// program by epistemic fixpoint construction.
+// program by epistemic synthesis; Diff compares it with a reference
+// protocol's system.
 type Synthesized = episteme.Synthesized
 
 // Synthesize derives a concrete action protocol from the knowledge-based
-// program by exhaustive epistemic fixpoint construction over the stack's
-// EBA context (the "epistemic synthesis" direction of the paper's
-// discussion). Exponential: small n and t only. ctx cancels the
-// construction; WithCheckParallelism tunes the worker pool it shards
-// over.
+// program over the stack's EBA context (the "epistemic synthesis"
+// direction of the paper's discussion) in Horizon+1 model-checker builds,
+// time by time: each build runs the table derived so far and decides the
+// next time's actions. Exponential: small n and t only. ctx cancels the
+// construction; WithCheckParallelism tunes the worker pool it shards over,
+// and is the only option it forwards.
 func Synthesize(ctx context.Context, stack Stack, prog Program, opts ...CheckOption) (*Synthesized, *System, error) {
 	return episteme.Synthesize(ctx, episteme.ContextFor(stack), prog, opts...)
 }

@@ -120,6 +120,12 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source) <-chan RunOutcome {
 	out := make(chan RunOutcome)
 	go func() {
 		defer close(out)
+		// The channel closes only after every worker has returned: a
+		// cancelled stream leaves no scenario running behind it. A worker
+		// stops within the scenario it is executing; the dispatcher may
+		// be blocked in the source's Next and is not waited for.
+		var wg sync.WaitGroup
+		defer wg.Wait()
 		// sctx carries stream-internal failure: when the source itself
 		// fails mid-stream (ErrorSource), outstanding work is cancelled
 		// with the source's error as the cause, and outcomes produced
@@ -135,7 +141,6 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source) <-chan RunOutcome {
 		jobs := make(chan []RunOutcome, workers)
 		results := make(chan []RunOutcome, workers)
 
-		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
@@ -145,7 +150,17 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source) <-chan RunOutcome {
 				if r.memo != nil {
 					orbit = r.memo.executor(r.exec)
 				}
-				for batch := range jobs {
+				for {
+					var batch []RunOutcome
+					select {
+					case b, ok := <-jobs:
+						if !ok {
+							return
+						}
+						batch = b
+					case <-sctx.Done():
+						return
+					}
 					for i, jb := range batch {
 						exec := orbit
 						if jb.Scenario.Weight != 0 {

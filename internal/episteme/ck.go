@@ -141,6 +141,9 @@ func (g *cnGraph) members(v int32) []int {
 // common-knowledge guard over the condensation.
 func (s *System) buildCNLayer(m int) *cnLayer {
 	n := s.N
+	if m == s.Horizon {
+		s.lastLayer()
+	}
 	runs := s.rowCount(m)
 	g := &cnGraph{
 		n: n, runs: runs,

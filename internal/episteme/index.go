@@ -30,14 +30,12 @@ type slotRows struct {
 	key   func(g int) (string, error)
 }
 
-// indexed builds s's whole index from the producer's rows and returns s,
-// or no System at all when the build fails: every construction ends here.
-// Slots are interned one worker per slot: class ids by first appearance in
-// ascending row order through a dense first-sight table over the memo
-// codes (seen[code] = class id + 1, so the key is asked for and hashed
-// once per first-seen code), member lists packed per class. The classes
-// are then folded into the system-wide key interning sequentially in slot
-// order. The error is the context's cancellation cause, or else the lowest
+// indexed builds s's index from the producer's rows and returns s, or no
+// System at all when the build fails: every construction ends here. The
+// slots of times before the horizon are interned now; the time-Horizon
+// slots keep the producer's rows and are interned on first read
+// (lastLayer), since Theorems 6.5, 6.6 and A.21's checks never read them.
+// The error is the context's cancellation cause, or else the lowest
 // failing slot's first key error — the same error at every worker count.
 func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*System, error) {
 	nSlots := (s.Horizon + 1) * s.N
@@ -45,8 +43,40 @@ func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*Sy
 	s.classRuns = make([][][]int, nSlots)
 	s.classKey = make([][]string, nSlots)
 	s.classGlobal = make([][]int32, nSlots)
-	slotErr := make([]error, nSlots)
-	err := s.parallel(ctx, nSlots, func(slot int) {
+	if err := s.intern(ctx, 0, s.Horizon*s.N, rows); err != nil {
+		return nil, err
+	}
+	s.lastRows = rows
+	return s, nil
+}
+
+// lastLayer interns the time-Horizon slots once, as an eager build would
+// have, and drops the producer's rows; every reader of such a slot asks
+// for it first, and none has a context to give. Only ExpandQuotient's keys
+// can fail, and it vets them before it returns the System.
+func (s *System) lastLayer() {
+	s.lastOnce.Do(func() {
+		if s.lastRows == nil {
+			return // a System assembled literally
+		}
+		if err := s.intern(context.Background(), s.Horizon*s.N, len(s.classOf), s.lastRows); err != nil {
+			panic(err)
+		}
+		s.lastRows = nil
+	})
+}
+
+// intern builds index slots [from, to), one worker per slot: class ids by
+// first appearance in ascending row order through a dense first-sight
+// table over the memo codes (seen[code] = class id + 1, so the key is
+// asked for and hashed once per first-seen code), member lists packed per
+// class. The classes are then folded into the system-wide ids in slot
+// order, replaying slots [0, from): a map sized once costs less than one
+// kept and grown.
+func (s *System) intern(ctx context.Context, from, to int, rows func(slot int) slotRows) error {
+	slotErr := make([]error, to-from)
+	err := s.parallel(ctx, to-from, func(k int) {
+		slot := from + k
 		p := rows(slot)
 		// A producer's codes bound its keys from above; half of that is
 		// where the late slots of a sweep land, and starting there spares
@@ -63,7 +93,7 @@ func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*Sy
 			}
 			key, err := p.key(g)
 			if err != nil {
-				slotErr[slot] = err
+				slotErr[k] = err
 				return
 			}
 			cls, known := byKey[key]
@@ -80,31 +110,33 @@ func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*Sy
 		s.classKey[slot] = classKey
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, e := range slotErr {
 		if e != nil {
-			return nil, e
+			return e
 		}
 	}
 	classes := 0
-	for _, keys := range s.classKey {
+	for _, keys := range s.classKey[:to] {
 		classes += len(keys)
 	}
-	s.globalByKey = make(map[string]int32, classes)
-	for slot, keys := range s.classKey {
+	globalByKey := make(map[string]int32, classes)
+	for slot, keys := range s.classKey[:to] {
 		global := make([]int32, len(keys))
 		for c, key := range keys {
-			id, known := s.globalByKey[key]
+			id, known := globalByKey[key]
 			if !known {
-				id = int32(len(s.globalByKey))
-				s.globalByKey[key] = id
+				id = int32(len(globalByKey))
+				globalByKey[key] = id
 			}
 			global[c] = id
 		}
-		s.classGlobal[slot] = global
+		if slot >= from {
+			s.classGlobal[slot] = global
+		}
 	}
-	return s, nil
+	return nil
 }
 
 // packClassRuns carves a slot's per-class member lists out of one flat

@@ -42,10 +42,15 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 			return keys[g], nil
 		},
 	}
+	// At horizon 0 the one slot is the last layer: interned on first read.
 	sys, err := literalSystem(1, 0, len(keys), 1).indexed(context.Background(), func(int) slotRows { return rows })
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sys.classOf[0] != nil || !reflect.DeepEqual(asked, make([]int, len(keys))) {
+		t.Fatal("the time-Horizon slot was interned before anything read it")
+	}
+	sys.lastLayer()
 	if got, want := sys.classOf[0], []int32{0, 1, 0, 2, 1, 0, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("classOf = %v, want %v", got, want)
 	}
@@ -74,11 +79,16 @@ func TestInternSlotsGlobalFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The time-Horizon slots 2 and 3 fold on first read, continuing the
+		// ids of slots 0 and 1.
+		if !reflect.DeepEqual(sys.classGlobal, append(want[:2:2], nil, nil)) {
+			t.Errorf("parallelism %d: before the first read, classGlobal = %v", par, sys.classGlobal)
+		}
+		if got := sys.classCount(0, 1); got != 3 {
+			t.Errorf("parallelism %d: slot 2 has %d classes, want 3", par, got)
+		}
 		if !reflect.DeepEqual(sys.classGlobal, want) {
 			t.Errorf("parallelism %d: classGlobal = %v, want %v", par, sys.classGlobal, want)
-		}
-		if got := len(sys.globalByKey); got != 5 {
-			t.Errorf("parallelism %d: %d global keys, want 5", par, got)
 		}
 	}
 }

@@ -186,10 +186,17 @@ func (s *System) mismatches(ctx context.Context, maxMismatches int, want func(i 
 	// them in. The scan reads times < Horizon only, where every slot has
 	// the same rows; rows ascend with their first runs, and a run that is
 	// not its row's first repeats the first's states, so walking the rows
-	// finds the same first occurrences as walking the runs.
+	// finds the same first occurrences as walking the runs. seen is sized
+	// from those slots' ids, never from the last layer's.
+	globals := 0
+	for _, ids := range s.classGlobal[:s.Horizon*s.N] {
+		for _, id := range ids {
+			globals = max(globals, int(id)+1)
+		}
+	}
 	seen := make([][]bool, s.N)
 	for i := range seen {
-		seen[i] = make([]bool, len(s.globalByKey))
+		seen[i] = make([]bool, globals)
 	}
 	var items []implItem
 	for row, rows := 0, s.rowCount(0); row < rows; row++ {

@@ -2,6 +2,8 @@ package episteme
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/action"
@@ -153,5 +155,93 @@ func TestP0AndP1AgreeInLimitedContexts(t *testing.T) {
 	sys := buildMin(t, 3, 1)
 	if ms := checkImplements(t, sys, P1, 5); len(ms) != 0 {
 		t.Errorf("P1 differs from Pmin in γ_min: %v", ms[0])
+	}
+}
+
+// TestNMinusTOneMismatchSets pins the n−t = 1 points the checker reaches
+// under SO — n=2,t=1 and n=3,t=2 — to the two arguments that explain them
+// (docs/architecture.md, "n − t = 1: where the implementations fall
+// short"). Over Efip (P1) and Ebasic (P0) a mismatch is only ever at an
+// agent that knows every other agent is faulty: N = {i}, and agreement
+// among the nonfaulty is vacuous. Over Emin (P0) it is at an agent that
+// does not know anyone is faulty, at a time m with min(t+1, n−1) ≤ m <
+// t+1: from min(t+1, n−1) on K_i(nobody is deciding 0) holds by counting,
+// and Pmin waits until t+1.
+func TestNMinusTOneMismatchSets(t *testing.T) {
+	type stack struct {
+		name   string
+		build  func(n, tf int) *System
+		prog   Program
+		alone  bool  // the isolation argument, else the counting one
+		byTime []int // mismatches at times 0, 1, …
+	}
+	fip := func(n, tf int) *System { return buildFIP(t, n, tf, 0) }
+	basic := func(n, tf int) *System { return buildBasic(t, n, tf) }
+	pmin := func(n, tf int) *System { return buildMin(t, n, tf) }
+	for _, tc := range []struct {
+		n, t   int
+		stacks []stack
+	}{
+		{2, 1, []stack{
+			{"fip", fip, P1, true, nil},
+			{"basic", basic, P0, true, []int{0, 2}},
+			{"min", pmin, P0, false, []int{0, 2}},
+		}},
+		{3, 2, []stack{
+			{"fip", fip, P1, true, []int{0, 3, 78}},
+			{"basic", basic, P0, true, []int{0, 0, 3}},
+			{"min", pmin, P0, false, []int{0, 0, 3}},
+		}},
+	} {
+		if tc.n == 3 && (testing.Short() || raceEnabled) {
+			t.Log("n=3,t=2 (1,579,016 runs per stack) skipped in short and race runs")
+			continue
+		}
+		for _, st := range tc.stacks {
+			label := fmt.Sprintf("%s n=%d,t=%d", st.name, tc.n, tc.t)
+			sys := st.build(tc.n, tc.t)
+			var byTime []int
+			for _, m := range checkImplements(t, sys, st.prog, 0) {
+				for len(byTime) <= m.Time {
+					byTime = append(byTime, 0)
+				}
+				byTime[m.Time]++
+				p := Point{Run: m.Run, Time: m.Time}
+				if st.alone {
+					everyOtherFaulty := func(q Point) bool {
+						for j := 0; j < sys.N; j++ {
+							if model.AgentID(j) != m.Agent && sys.Nonfaulty(model.AgentID(j), q) {
+								return false
+							}
+						}
+						return true
+					}
+					if !sys.Knows(m.Agent, p, everyOtherFaulty) {
+						t.Errorf("%s: %v is at an agent that does not know it is the only nonfaulty one", label, m)
+					}
+					continue
+				}
+				someoneFaulty := func(q Point) bool {
+					for j := 0; j < sys.N; j++ {
+						if !sys.Nonfaulty(model.AgentID(j), q) {
+							return true
+						}
+					}
+					return false
+				}
+				if sys.Knows(m.Agent, p, someoneFaulty) {
+					t.Errorf("%s: %v is at an agent that knows someone is faulty", label, m)
+				}
+				if lo := min(tc.t+1, tc.n-1); m.Time < lo || m.Time >= tc.t+1 {
+					t.Errorf("%s: %v is outside min(t+1, n−1) = %d ≤ m < t+1 = %d", label, m, lo, tc.t+1)
+				}
+			}
+			for len(byTime) < len(st.byTime) {
+				byTime = append(byTime, 0)
+			}
+			if !slices.Equal(byTime, st.byTime) {
+				t.Errorf("%s: mismatches by time %v, want %v", label, byTime, st.byTime)
+			}
+		}
 	}
 }

@@ -255,6 +255,7 @@ type oracleCNLayer struct {
 // oracleBuildCNLayer assembles the time-m accessibility graph as
 // adjacency lists and condenses it.
 func oracleBuildCNLayer(s *System, m int) *oracleCNLayer {
+	s.lastLayer()
 	n := s.N
 	runs := len(s.Runs)
 
@@ -443,6 +444,7 @@ func oracleCKTFaulty(s *System, q Point, v model.Value) bool {
 // oracleIntern is expansion pass 2 as it was: one worker per time slice,
 // one map lookup per run and slot.
 func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPermuter) (*System, error) {
+	rep.lastLayer()
 	n, horizon := rep.N, rep.Horizon
 	gRep, gPerm, perms, invs, isID, runs := om.gRep, om.gPerm, om.perms, om.invs, om.isID, om.runs
 
@@ -453,7 +455,7 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 	sys.classRuns = make([][][]int, nSlots)
 	sys.classKey = make([][]string, nSlots)
 	sys.classGlobal = make([][]int32, nSlots)
-	sys.globalByKey = make(map[string]int32)
+	globalByKey := make(map[string]int32)
 
 	type triple struct {
 		src model.AgentID
@@ -511,10 +513,10 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 		keys := sys.classKey[slot]
 		global := make([]int32, len(keys))
 		for c, key := range keys {
-			id, known := sys.globalByKey[key]
+			id, known := globalByKey[key]
 			if !known {
-				id = int32(len(sys.globalByKey))
-				sys.globalByKey[key] = id
+				id = int32(len(globalByKey))
+				globalByKey[key] = id
 			}
 			global[c] = id
 		}

@@ -30,7 +30,8 @@
 // before the last round — whose runs share one ledger, and pass 2 interns
 // the slots of times < Horizon over units. Only the last time slice is
 // interned over runs, under a memo code that says which unit a run
-// belongs to and what the last round dropped toward the slot's agent.
+// belongs to and what the last round dropped toward the slot's agent —
+// and only when something first reads it (index.go, lastLayer).
 
 package episteme
 
@@ -71,6 +72,9 @@ func expandable(c Context) (model.KeyPermuter, error) {
 // the representative weights, so a mismatched context fails loudly instead
 // of mis-expanding. The expanded system carries no state traces (like a
 // merged one): System.Key and the checkers ride the interned class tables.
+// Its time-Horizon slots are interned on first read, which the
+// implements checks never make; until then the system keeps pass 1's
+// per-run arrays and rep alive.
 func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error) {
 	if !rep.Quotiented() {
 		return nil, fmt.Errorf("episteme: ExpandQuotient on a system that is not quotiented")
@@ -112,7 +116,23 @@ type orbitMap struct {
 }
 
 // mapOrbits is pass 1 of ExpandQuotient, which has validated c against
-// rep.
+// rep: it re-enumerates the full sweep, mapping scenario ordinal g to its
+// representative and the relabeling π with π·g = representative, and
+// synthesizes g's run, the representative's ledger relabeled (g's agent i
+// is the representative's agent π(i)). The source is read in batches of
+// one orbitChunk-scenario chunk per worker of rep's pool. The workers
+// canonicalize their chunks; a serial stitch in ordinal order numbers
+// relabelings, prefixes and units and counts the orbits; the workers then
+// synthesize their chunks' runs, units' first runs before the rest. Ids
+// depend on ordinals alone and the lowest ordinal's error is reported, so
+// the map and its errors are the same at every worker count.
+//
+// The source hands every scenario of one pattern the same *model.Pattern
+// (the runs keep it, so it is immutable from here on), which makes the
+// pattern's share of the unit — faulty set and drops before the last
+// round, interned to a dense prefix id — and its last-round drop bits
+// once-per-pattern work; per scenario a unit is one first-sight cell over
+// (prefix id, inits bits).
 func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	n, horizon := rep.N, rep.Horizon
 	// Representatives by scenario fingerprint: the full enumeration below
@@ -130,110 +150,103 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Pass 1 — re-enumerate the full sweep, mapping scenario ordinal g to
-	// (gRep[g], perms[gPerm[g]]): its representative and the relabeling π
-	// with π·g = representative. Runs are synthesized on the way: ledgers
-	// are the representative's with agents relabeled (g's agent i is the
-	// representative's agent π(i)), stats are permutation-invariant. The
-	// loop is serial and runs once per scenario of the full sweep, so it
-	// works from the canonicalizer's key bytes and carves the runs from
-	// slabs instead of allocating per scenario.
-	//
-	// Units are numbered on the way too. The source hands every scenario of
-	// one pattern the same *model.Pattern (the runs keep it, so it is
-	// immutable from here on), which makes the pattern's share of the unit
-	// — faulty set and drops before the last round, interned to a dense
-	// prefix id — and its last-round drop bits once-per-pattern work; per
-	// scenario a unit is one first-sight cell over (prefix id, inits bits).
 	total, _ := src.Count() // a capacity hint; 0 when the source cannot say
+	om := &orbitMap{
+		gRep:      make([]int32, 0, total),
+		gPerm:     make([]int32, 0, total),
+		runs:      make([]*engine.Result, 0, total),
+		unitOf:    make([]int32, 0, total),
+		lastDrops: make([]uint64, 0, total),
+	}
 	var (
-		gRep   = make([]int32, 0, total)
-		gPerm  = make([]int32, 0, total)
-		perms  [][]model.AgentID // interned relabelings π
-		invs   [][]model.AgentID // their inverses π⁻¹
-		isID   []bool
-		permID = make(map[uint64]int32)
-		counts = make([]int64, len(rep.Runs))
-		runs   = make([]*engine.Result, 0, total)
-		canon  model.Canonicalizer
-		fp     []byte
-		perm   []model.AgentID
-		slabs  runSlabs
-
-		unitOf    = make([]int32, 0, total)
-		unitFirst []int32
-		lastDrops = make([]uint64, 0, total)
+		permID    = make(map[uint64]int32)
+		counts    = make([]int64, len(rep.Runs))
 		prefixID  = make(map[string]int32)
 		unitSeen  []int32        // [prefix id << n | inits bits] → unit + 1, 0 = unseen
 		pat       *model.Pattern // the pattern prefix and drops were computed for
 		prefix    int32
 		drops     uint64
 		prefixKey []byte
+		workers   = make([]orbitWorker, rep.parallelism())
+		chunks    = func(fn func(wk *orbitWorker)) error {
+			return parallelDo(ctx, len(workers), len(workers), func(w int) { fn(&workers[w]) })
+		}
 	)
-	for sc, more := src.Next(); more; sc, more = src.Next() {
-		g := len(runs)
-		if g%expandCancelStride == 0 && ctx.Err() != nil {
-			return nil, context.Cause(ctx)
-		}
-		if sc.Pattern != pat {
-			pat = sc.Pattern
-			if f := pat.NumFaulty(); f > rep.T {
-				return nil, fmt.Errorf("episteme: scenario %d has %d faulty agents, the system bounds them by %d (context mismatch?)", g, f, rep.T)
-			}
-			prefixKey = pat.AppendPrefixKey(prefixKey[:0], horizon-1)
-			id, known := prefixID[string(prefixKey)]
-			if !known {
-				id = int32(len(prefixID))
-				prefixID[string(prefixKey)] = id
-				unitSeen = append(unitSeen, make([]int32, 1<<n)...)
-			}
-			prefix, drops = id, 0
-			for j := 0; j < n; j++ {
-				drops |= pat.FaultyDropsTo(horizon-1, model.AgentID(j)) << (j * rep.T)
+	for w := range workers {
+		workers[w] = orbitWorker{sc: make([]core.Scenario, 0, orbitChunk),
+			rep: make([]int32, orbitChunk), perm: make([]model.AgentID, n*orbitChunk)}
+	}
+	for more := true; more; {
+		for w := range workers {
+			wk := &workers[w]
+			wk.base, wk.sc = len(om.runs)+w*orbitChunk, wk.sc[:0]
+			for more && len(wk.sc) < orbitChunk {
+				var sc core.Scenario
+				if sc, more = src.Next(); more {
+					wk.sc = append(wk.sc, sc)
+				}
 			}
 		}
-		canon.Canonicalize(sc.Pattern, sc.Inits)
-		fp = canon.AppendRepresentativeKey(fp[:0])
-		r, known := repOf[string(fp)]
-		if !known {
-			return nil, fmt.Errorf("episteme: scenario %q canonicalizes outside the representative set (context mismatch?)",
-				scenarioFingerprint(sc.Pattern, sc.Inits))
+		if err := chunks(func(wk *orbitWorker) { wk.canonicalize(rep, repOf) }); err != nil {
+			return nil, err
 		}
-		if w, orbit := rep.Weight(int(r)), canon.Orbit(); orbit != w {
-			return nil, fmt.Errorf("episteme: representative %d carries weight %d, its orbit has size %d", r, w, orbit)
-		}
-		counts[r]++
-		perm = canon.Perm(perm)
-		code := permCode(perm)
-		pid, seen := permID[code]
-		if !seen {
-			pid = int32(len(perms))
-			permID[code] = pid
-			perms = append(perms, slices.Clone(perm))
-			invs = append(invs, invertPerm(perm))
-			isID = append(isID, isIdentity(perm))
-		}
-		gRep = append(gRep, r)
-		gPerm = append(gPerm, pid)
+		failed := false
+		for w := range workers {
+			wk := &workers[w]
+			if failed {
+				wk.sc, wk.err = wk.sc[:0], nil // past an error, of a higher ordinal
+			}
+			failed = failed || wk.err != nil
+			for k, sc := range wk.sc {
+				g, r := wk.base+k, wk.rep[k]
+				counts[r]++
+				perm := wk.perm[k*n : (k+1)*n]
+				code := permCode(perm)
+				pid, seen := permID[code]
+				if !seen {
+					pid = int32(len(om.perms))
+					permID[code] = pid
+					om.perms = append(om.perms, slices.Clone(perm))
+					om.invs = append(om.invs, invertPerm(perm))
+					om.isID = append(om.isID, isIdentity(perm))
+				}
+				om.gRep = append(om.gRep, r)
+				om.gPerm = append(om.gPerm, pid)
 
-		cell := &unitSeen[int(prefix)<<n|initsBits(sc.Inits)]
-		var first *engine.Result
-		if *cell == 0 {
-			unitFirst = append(unitFirst, int32(g))
-			*cell = int32(len(unitFirst))
-		} else {
-			first = runs[unitFirst[*cell-1]]
+				if sc.Pattern != pat {
+					pat = sc.Pattern
+					prefixKey = pat.AppendPrefixKey(prefixKey[:0], horizon-1)
+					id, known := prefixID[string(prefixKey)]
+					if !known {
+						id = int32(len(prefixID))
+						prefixID[string(prefixKey)] = id
+						unitSeen = append(unitSeen, make([]int32, 1<<n)...)
+					}
+					prefix, drops = id, 0
+					for j := 0; j < n; j++ {
+						drops |= pat.FaultyDropsTo(horizon-1, model.AgentID(j)) << (j * rep.T)
+					}
+				}
+				cell := &unitSeen[int(prefix)<<n|initsBits(sc.Inits)]
+				if *cell == 0 {
+					om.unitFirst = append(om.unitFirst, int32(g))
+					*cell = int32(len(om.unitFirst))
+				}
+				om.unitOf = append(om.unitOf, *cell-1)
+				om.lastDrops = append(om.lastDrops, drops)
+				om.runs = append(om.runs, nil)
+			}
 		}
-		u := *cell - 1
-		unitOf = append(unitOf, u)
-		lastDrops = append(lastDrops, drops)
-		res := slabs.expandRun(rep.Runs[r], sc, perm, first)
-		if res == nil {
-			return nil, fmt.Errorf("episteme: runs %d and %d share their initial preferences, faulty set and every drop before the last round, but their relabeled ledgers differ (asymmetric stack or context mismatch?)",
-				unitFirst[u], g)
+		for _, firsts := range []bool{true, false} {
+			if err := chunks(func(wk *orbitWorker) { wk.expand(rep, om, firsts) }); err != nil {
+				return nil, err
+			}
 		}
-		runs = append(runs, res)
+		for w := range workers {
+			if err := workers[w].err; err != nil {
+				return nil, err
+			}
+		}
 	}
 	if es, isErr := src.(core.ErrorSource); isErr {
 		if err := es.Err(); err != nil {
@@ -245,8 +258,83 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 			return nil, fmt.Errorf("episteme: representative %d stands for %d scenarios, enumeration visited %d (context mismatch?)", r, w, cnt)
 		}
 	}
-	return &orbitMap{gRep: gRep, gPerm: gPerm, perms: perms, invs: invs, isID: isID, runs: runs,
-		unitOf: unitOf, unitFirst: unitFirst, lastDrops: lastDrops}, nil
+	return om, nil
+}
+
+// orbitChunk is how many scenarios one pass-1 worker takes per batch.
+const orbitChunk = 2048
+
+// orbitWorker is one pass-1 worker: its chunk of the current batch —
+// scenarios base, base+1, … — what canonicalize learned of each, the
+// chunk's first error, and the scratch and run slabs it keeps from batch to
+// batch.
+type orbitWorker struct {
+	base  int
+	sc    []core.Scenario
+	rep   []int32
+	perm  []model.AgentID // n per scenario
+	err   error
+	canon model.Canonicalizer
+	fp    []byte
+	slabs runSlabs
+}
+
+// canonicalize finds each scenario's representative and relabeling,
+// checking the scenario against the fault bound and the representative's
+// weight. At the first failure it records the error and cuts the chunk
+// there.
+func (wk *orbitWorker) canonicalize(rep *System, repOf map[string]int32) {
+	n := rep.N
+	var pat *model.Pattern
+	for k, sc := range wk.sc {
+		g := wk.base + k
+		if sc.Pattern != pat {
+			pat = sc.Pattern
+			if f := pat.NumFaulty(); f > rep.T {
+				wk.err, wk.sc = fmt.Errorf("episteme: scenario %d has %d faulty agents, the system bounds them by %d (context mismatch?)", g, f, rep.T), wk.sc[:k]
+				return
+			}
+		}
+		wk.canon.Canonicalize(sc.Pattern, sc.Inits)
+		wk.fp = wk.canon.AppendRepresentativeKey(wk.fp[:0])
+		r, known := repOf[string(wk.fp)]
+		if !known {
+			wk.err, wk.sc = fmt.Errorf("episteme: scenario %q canonicalizes outside the representative set (context mismatch?)",
+				scenarioFingerprint(sc.Pattern, sc.Inits)), wk.sc[:k]
+			return
+		}
+		if w, orbit := rep.Weight(int(r)), wk.canon.Orbit(); orbit != w {
+			wk.err, wk.sc = fmt.Errorf("episteme: representative %d carries weight %d, its orbit has size %d", r, w, orbit), wk.sc[:k]
+			return
+		}
+		wk.rep[k] = r
+		wk.canon.Perm(wk.perm[k*n : (k+1)*n])
+	}
+}
+
+// expand synthesizes the runs of the chunk's stitched scenarios: the ones
+// that open their unit when firsts, the others otherwise, whose unit's
+// first run is then synthesized already. At a run whose ledger differs
+// from its unit's first it records the error, lower than any the chunk
+// had, and stops.
+func (wk *orbitWorker) expand(rep *System, om *orbitMap, firsts bool) {
+	for k, sc := range wk.sc {
+		g := wk.base + k
+		f := int(om.unitFirst[om.unitOf[g]])
+		if (f == g) != firsts {
+			continue
+		}
+		var first *engine.Result
+		if f != g {
+			first = om.runs[f]
+		}
+		res := wk.slabs.expandRun(rep.Runs[om.gRep[g]], sc, om.perms[om.gPerm[g]], first)
+		if res == nil {
+			wk.err = fmt.Errorf("episteme: runs %d and %d share their initial preferences, faulty set and every drop before the last round, but their relabeled ledgers differ (asymmetric stack or context mismatch?)", f, g)
+			return
+		}
+		om.runs[g] = res
+	}
 }
 
 // initsBits packs an initial vector into an integer, bit i set iff agent
@@ -285,6 +373,7 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	n, t := rep.N, uint(rep.T)
 	gRep, gPerm, perms, invs, isID := om.gRep, om.gPerm, om.perms, om.invs, om.isID
 	unitOf, unitFirst, lastDrops := om.unitOf, om.unitFirst, om.lastDrops
+	rep.lastLayer()
 	// strides[m] is the largest representative class count of time slice m:
 	// the row length of that slice's code space.
 	strides := make([]int, rep.Horizon+1)
@@ -293,7 +382,7 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	}
 	sys := &System{N: n, T: rep.T, Horizon: rep.Horizon, Runs: om.runs, par: rep.parallelism(),
 		unitOf: unitOf, unitFirst: unitFirst, unitRuns: packClassRuns(unitOf, len(unitFirst))}
-	return sys.indexed(ctx, func(slot int) slotRows {
+	sys, err := sys.indexed(ctx, func(slot int) slotRows {
 		m, i := slot/n, slot%n
 		key := func(g int) (string, error) {
 			pid := gPerm[g]
@@ -329,11 +418,24 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 			key: func(u int) (string, error) { return key(int(unitFirst[u])) },
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
+	// The time-Horizon slots are interned when first read, too late to
+	// refuse; KeyPermuter's error is a function of the key alone, so every
+	// representative key of that slice is rewritten once here, under the
+	// first relabeling that moves an agent.
+	if pid := slices.Index(isID, false); pid >= 0 {
+		for _, keys := range rep.classKey[rep.Horizon*n:] {
+			for _, k := range keys {
+				if _, err := kp.PermuteKey(k, invs[pid]); err != nil {
+					return nil, fmt.Errorf("episteme: expanding quotiented keys: %w", err)
+				}
+			}
+		}
+	}
+	return sys, nil
 }
-
-// expandCancelStride is how many scenarios pass 1 enumerates between
-// looks at the context.
-const expandCancelStride = 4096
 
 // runSlabs backs the runs pass 1 synthesizes: each field of an expanded
 // Result is carved from a chunk shared with its neighbours, since the

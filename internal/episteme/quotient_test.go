@@ -20,9 +20,12 @@ import (
 // rather than fingerprint strings so the n=4 comparison (32,784 runs)
 // stays cheap. Class ids and member lists are read run by run through
 // the accessors, so a time-layered system and a per-run one compare equal
-// exactly when they answer alike.
+// exactly when they answer alike. Both systems' time-Horizon layers are
+// interned first, so the tables compared are whole.
 func compareSystems(t *testing.T, label string, got, want *System) {
 	t.Helper()
+	got.lastLayer()
+	want.lastLayer()
 	if got.N != want.N || got.T != want.T || got.Horizon != want.Horizon {
 		t.Fatalf("%s: shape (%d,%d,%d), want (%d,%d,%d)", label, got.N, got.T, got.Horizon, want.N, want.T, want.Horizon)
 	}
@@ -384,8 +387,8 @@ func (e *countingPermuter) PermuteKey(key string, perm []model.AgentID) (string,
 }
 
 // TestExpandQuotientCancelsDuringEnumeration cancels the context while
-// pass 1 is re-enumerating the n=4 sweep (at its second look, 4,096 of
-// 32,784 scenarios in): the expansion must stop there with the cause,
+// pass 1 is re-enumerating the n=4 sweep (at its second look, one
+// 2,048-scenario chunk of 32,784 in): the expansion must stop there with the cause,
 // without ever reaching pass 2's key rewriting.
 func TestExpandQuotientCancelsDuringEnumeration(t *testing.T) {
 	c := Context{Exchange: exchange.NewFIP(4), T: 1}

@@ -157,6 +157,7 @@ func exportShardIndex(sys *System, shardIndex, shardCount int) (*ShardIndex, err
 			return nil, err
 		}
 	}
+	sys.lastLayer()
 	idx.ClassKeys, idx.ClassOf = sys.classKey, sys.classOf
 	return idx, nil
 }

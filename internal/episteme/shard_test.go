@@ -37,6 +37,7 @@ func buildMerged(t *testing.T, c Context, act model.ActionProtocol, k int) *Syst
 // runs of every class, read through the accessors so that a time-layered
 // system renders as the per-run system it stands for.
 func indexFingerprint(sys *System) string {
+	sys.lastLayer()
 	var b strings.Builder
 	for slot := range sys.classKey {
 		i, m := model.AgentID(slot%sys.N), slot/sys.N

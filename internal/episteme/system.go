@@ -268,7 +268,8 @@ type System struct {
 	// everywhere else — the last time slice, and every slot of a system
 	// with unitOf nil — a row is a run. layered, rowOf and rowRun are the
 	// whole of that knowledge; docs/architecture.md, "Time-layered
-	// expansion: prefix units".
+	// expansion: prefix units". The time-Horizon slots, the one slice whose
+	// rows are runs in every system, are interned on first read (lastLayer).
 	unitOf    []int32
 	unitFirst []int32
 	unitRuns  [][]int
@@ -284,12 +285,14 @@ type System struct {
 	//	                        across slots (cross-time state identity)
 	//
 	// Class ids are by first appearance in run order either way: a class's
-	// first run is always its unit's first run.
+	// first run is always its unit's first run. The time-Horizon slots are
+	// nil until lastLayer interns them from the producer's lastRows.
 	classOf     [][]int32
 	classRuns   [][][]int
 	classKey    [][]string
 	classGlobal [][]int32
-	globalByKey map[string]int32
+	lastOnce    sync.Once
+	lastRows    func(slot int) slotRows
 
 	// cn lazily caches the per-time condensations of the C_N
 	// accessibility graph; cnMu guards the map, each slot builds once.
@@ -471,6 +474,15 @@ func (s *System) buildIndex(ctx context.Context) error {
 // slot returns the index slot of agent i at time m.
 func (s *System) slot(i model.AgentID, m int) int { return m*s.N + int(i) }
 
+// readSlot is slot for a reader of the index: at time Horizon it interns
+// the last layer first.
+func (s *System) readSlot(i model.AgentID, m int) int {
+	if m == s.Horizon {
+		s.lastLayer()
+	}
+	return s.slot(i, m)
+}
+
 // layered reports whether the time-m index slots have one row per prefix
 // unit rather than one per run.
 func (s *System) layered(m int) bool { return s.unitOf != nil && m < s.Horizon }
@@ -504,18 +516,18 @@ func (s *System) rowRun(m, row int) int {
 
 // classAt returns the dense class id of agent i's local state at (run, m).
 func (s *System) classAt(i model.AgentID, m, run int) int32 {
-	return s.classOf[s.slot(i, m)][s.rowOf(m, run)]
+	return s.classOf[s.readSlot(i, m)][s.rowOf(m, run)]
 }
 
 // classCount returns the number of classes in agent i's time-m slot.
 func (s *System) classCount(i model.AgentID, m int) int {
-	return len(s.classKey[s.slot(i, m)])
+	return len(s.classKey[s.readSlot(i, m)])
 }
 
 // rowsOfClass returns the rows of class c in agent i's time-m slot,
 // ascending. The returned slice is shared; do not mutate.
 func (s *System) rowsOfClass(i model.AgentID, m int, c int32) []int {
-	return s.classRuns[s.slot(i, m)][c]
+	return s.classRuns[s.readSlot(i, m)][c]
 }
 
 // Key returns agent i's local-state key at point p, from the index:
@@ -524,7 +536,7 @@ func (s *System) Key(i model.AgentID, p Point) string {
 	if s.classKey == nil {
 		return s.Runs[p.Run].States[p.Time][i].Key()
 	}
-	return s.classKey[s.slot(i, p.Time)][s.classAt(i, p.Time, p.Run)]
+	return s.classKey[s.readSlot(i, p.Time)][s.classAt(i, p.Time, p.Run)]
 }
 
 // runsOfClass returns the runs of class c in agent i's time-m slot,
@@ -600,6 +612,9 @@ func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, 
 	nSlots := (maxTime + 1) * s.N
 	if tables == nil {
 		tables = make([][]bool, nSlots)
+	}
+	if maxTime >= s.Horizon {
+		s.lastLayer()
 	}
 	err := s.parallel(ctx, nSlots, func(slot int) {
 		i, m := model.AgentID(slot%s.N), slot/s.N

@@ -249,8 +249,8 @@ func TestLayeredVerdictsListSameRuns(t *testing.T) {
 // one ledger, so pass 1 checks that every later member's relabeled ledger
 // is its unit's first member's. A representative whose decision was
 // changed after the build gives some unit two ledgers; the expansion must
-// refuse, naming the lowest such pair of run ordinals, whatever the worker
-// count of the system it expands.
+// refuse, naming the lowest such pair of run ordinals, in the same words
+// whatever the worker count of the system it expands.
 func TestExpandQuotientRefusesDoctoredLedger(t *testing.T) {
 	c := Context{Exchange: exchange.NewFIP(4), T: 1}
 	ctx := context.Background()
@@ -258,6 +258,7 @@ func TestExpandQuotientRefusesDoctoredLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var first string
 	for _, par := range []int{1, 2, 7} {
 		rep, err := MergeSystems(ctx, []*ShardIndex{idx}, WithParallelism(par))
 		if err != nil {
@@ -305,6 +306,11 @@ func TestExpandQuotientRefusesDoctoredLedger(t *testing.T) {
 		if sys != nil || err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Fatalf("parallelism %d: ExpandQuotient of a doctored representative = (system: %v, %v), want only an error starting %q",
 				par, sys != nil, err, want)
+		}
+		if par == 1 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("parallelism %d reports %q, parallelism 1 %q", par, err, first)
 		}
 	}
 }

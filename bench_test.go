@@ -176,8 +176,26 @@ func BenchmarkE10Safety(b *testing.B) {
 // 32,784 runs takes tens of milliseconds; a reintroduced per-point class
 // scan shows here as ≥100× (seconds per op).
 
+// BenchmarkCheckOptimalityFIPn3 is the Thm 7.5 check a served fip n=3
+// /v1/check runs, on one worker.
+func BenchmarkCheckOptimalityFIPn3(b *testing.B) {
+	st := stack(b, "fip", 3, 1)
+	sys, err := episteme.BuildSystem(context.Background(), episteme.ContextFor(st), st.Action, episteme.WithParallelism(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if vs, err := sys.CheckOptimalityFIP(context.Background(), -1, 1); err != nil || len(vs) != 0 {
+			b.Fatal("violation")
+		}
+	}
+}
+
 func BenchmarkCheckOptimalityFIPn4(b *testing.B) {
 	sys := buildSystem(b, "fip", 4, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if vs, err := sys.CheckOptimalityFIP(context.Background(), -1, 1); err != nil || len(vs) != 0 {
@@ -188,6 +206,7 @@ func BenchmarkCheckOptimalityFIPn4(b *testing.B) {
 
 func BenchmarkCheckSafetyBasicn4(b *testing.B) {
 	sys := buildSystem(b, "basic", 4, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if vs, err := sys.CheckSafety(context.Background(), 1); err != nil || len(vs) != 0 {

@@ -76,6 +76,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -102,7 +103,7 @@ func exitCode(err error) int {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("ebashard", flag.ContinueOnError)
 	var (
 		stackName  = fs.String("stack", "fip", "protocol stack (see eba.Stacks)")
@@ -122,6 +123,7 @@ func run(args []string) error {
 		cacheDir   = fs.String("cache", "", "result cache directory: answer already-swept scenarios (-check: an already-built stripe index) from it instead of re-executing")
 		cacheGC    = fs.Bool("cache-gc", false, "compact the -cache directory (drop dead and damaged entries) and exit")
 		cacheMax   = fs.Int64("cache-max-bytes", 0, "-cache-gc: evict oldest entries until the cache payload fits this budget (0 = keep everything live)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole command to this file (go tool pprof reads it)")
 	)
 	shard := eba.ShardSpec{}
 	if env := os.Getenv(eba.ShardEnvVar); env != "" {
@@ -134,6 +136,19 @@ func run(args []string) error {
 	fs.Var(&shard, "shard", "stripe to run, as index/count (default $"+eba.ShardEnvVar+" or 0/1)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return errors.Join(err, f.Close())
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
 	}
 	if shard == (eba.ShardSpec{}) {
 		// No -shard and no $EBA_SHARD: the documented default is the

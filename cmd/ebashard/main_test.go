@@ -110,6 +110,29 @@ func TestShardEnvDefault(t *testing.T) {
 	}
 }
 
+// TestCPUProfile checks -cpuprofile writes a profile on a successful run
+// and stops profiling on a failing one, so the next start succeeds.
+func TestCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	failed := filepath.Join(dir, "failed.prof")
+	if err := run([]string{"-stack", "bogus", "-cpuprofile", failed, "-out", os.DevNull}); err == nil {
+		t.Fatal("unknown stack accepted")
+	}
+	prof := filepath.Join(dir, "cpu.prof")
+	if err := run([]string{"-stack", "min", "-n", "3", "-t", "1", "-cpuprofile", prof, "-out", os.DevNull}); err != nil {
+		t.Fatalf("profiled run: %v", err)
+	}
+	for _, path := range []string{failed, prof} {
+		// A CPU profile is a gzipped protobuf.
+		if b, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s: not a CPU profile (%d bytes, err %v)", path, len(b), err)
+		}
+	}
+	if err := run([]string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.prof"), "-out", os.DevNull}); err == nil {
+		t.Error("unwritable profile path accepted")
+	}
+}
+
 // TestShardErrors covers the argument-validation paths.
 func TestShardErrors(t *testing.T) {
 	if err := run([]string{"-shard", "3/3"}); err == nil {

@@ -4,23 +4,26 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/model"
 )
 
 // BoxComponents computes the connected components of the S-⊡-reachability
 // relation of Halpern, Moses, and Waarts (Section 7), for an indexical set
-// S given by its membership test. Within a run, any time can reach any
-// other time (the ⊡ part), so runs are the component units; two runs are
-// joined when some agent belongs to S at equal-time points of both and has
-// the same local state there. Grouping rides the interned index, so the
-// pass is pure integer work. The result maps each run to a component id.
-func (s *System) BoxComponents(member func(i model.AgentID, p Point) bool) []int {
+// S whose members at a point member returns as a mask. Within a run, any
+// time can reach any other time (the ⊡ part), so runs are the component
+// units; two runs are joined when some agent belongs to S at equal-time
+// points of both and has the same local state there. member must be a row
+// function (see foldClasses): it is asked once per prefix unit and time.
+// Before the horizon rows are unioned, and a unit with a member joins its
+// own runs once; at time Horizon runs are unioned, reading their unit's
+// members. The result maps each run to a component id.
+func (s *System) BoxComponents(member func(q Point, faulty uint64) uint64) []int {
 	parent := make([]int, len(s.Runs))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -28,31 +31,43 @@ func (s *System) BoxComponents(member func(i model.AgentID, p Point) bool) []int
 		return x
 	}
 	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
+		if ra, rb := find(a), find(b); ra != rb {
 			parent[ra] = rb
 		}
 	}
-
-	// Group runs by (time, agent, class) among points where the agent is
-	// an S-member; union each group.
+	// The time-0 rows are the units (the runs, when nothing is layered):
+	// bits[u] holds unit u's members at time m, joined[u] whether its runs
+	// are joined yet.
+	faulty := s.faultyMasks(0)
+	bits, joined := make([]uint64, len(faulty)), make([]bool, len(faulty))
 	for m := 0; m <= s.Horizon; m++ {
+		for u := range bits {
+			bits[u] = member(Point{Run: s.rowRun(0, u), Time: m}, faulty[u])
+			if s.layered(m) && bits[u] != 0 && !joined[u] {
+				joined[u] = true
+				for _, r := range s.unitRuns[u][1:] {
+					union(s.unitRuns[u][0], r)
+				}
+			}
+		}
+		// Group rows by (time, agent, class) among S-members; union each
+		// group through its rows' first runs.
 		for i := 0; i < s.N; i++ {
-			id := model.AgentID(i)
+			slot := s.readSlot(model.AgentID(i), m)
 			// first[c] is the first S-member run seen in class c.
-			first := make([]int, s.classCount(id, m))
+			first := make([]int, len(s.classKey[slot]))
 			for c := range first {
 				first[c] = -1
 			}
-			for r := range s.Runs {
-				if !member(id, Point{Run: r, Time: m}) {
+			for row, c := range s.classOf[slot] {
+				run := s.rowRun(m, row)
+				if bits[s.rowOf(0, run)]>>uint(i)&1 == 0 {
 					continue
 				}
-				c := s.classAt(id, m, r)
 				if first[c] < 0 {
-					first[c] = r
+					first[c] = run
 				} else {
-					union(first[c], r)
+					union(first[c], run)
 				}
 			}
 		}
@@ -66,14 +81,18 @@ func (s *System) BoxComponents(member func(i model.AgentID, p Point) bool) []int
 
 // memberNAndDecided returns the membership test for the indexical sets
 // N∧O (v = 1) and N∧Z (v = 0): nonfaulty agents that have decided v or
-// are about to decide v at the point.
-func (s *System) memberNAndDecided(v model.Value) func(model.AgentID, Point) bool {
-	return func(i model.AgentID, p Point) bool {
-		if !s.Nonfaulty(i, p) {
-			return false
-		}
+// are about to decide v at the point. It reads the ledger and the faulty
+// set only.
+func (s *System) memberNAndDecided(v model.Value) func(Point, uint64) uint64 {
+	return func(p Point, faulty uint64) uint64 {
 		res := s.Runs[p.Run]
-		return res.Decided(i) == v && res.Round(i) != 0 && res.Round(i) <= p.Time+1
+		var members uint64
+		for i := range res.DecisionRound {
+			if id := model.AgentID(i); decided(res, id, v, p.Time) && !faultyAt(faulty, id) {
+				members |= 1 << uint(i)
+			}
+		}
+		return members
 	}
 }
 
@@ -88,12 +107,13 @@ func (s *System) memberNAndDecided(v model.Value) func(model.AgentID, Point) boo
 // truncated system, which is faithful here because every decision happens
 // by round t+2 and the trace extends beyond it). The belief is a function
 // of i's local state, so it is evaluated once per indistinguishability
-// class (foldClasses) and read per point; violations come back in the
-// canonical (value, run, time, agent) order regardless of parallelism. An
-// empty result is a machine check that the generating protocol is optimal
-// with respect to γ_fip. When max > 0 caps the report, the final entry is
-// a "... and N more violations (truncated)" notice. Cancelling ctx aborts
-// the check with the cancellation cause.
+// class (foldClasses) and read per row; only the runs of a failing row are
+// walked, and violations come back in the canonical (value, run, time,
+// agent) order regardless of parallelism. An empty result is a machine
+// check that the generating protocol is optimal with respect to γ_fip.
+// When max > 0 caps the report, the final entry is a "... and N more
+// violations (truncated)" notice. Cancelling ctx aborts the check with the
+// cancellation cause.
 func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]string, error) {
 	if err := s.checkableSystem(); err != nil {
 		return nil, err
@@ -101,7 +121,7 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 	if maxTime < 0 || maxTime >= s.Horizon {
 		maxTime = s.Horizon - 1
 	}
-	perShard := make([][]string, 2*len(s.Runs))
+	rp := report{max: max}
 	// Scratch shared by the two values: compOK[c] = every run in component
 	// c satisfies ∃v (components are named by a member run), and
 	// believes[slot][c] = B_i^N(∃v ∧ C□∃v ∧ ¬○(decided_i = 1−v)) in class
@@ -109,8 +129,7 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 	compOK := make([]bool, len(s.Runs))
 	var believes [][]bool
 
-	for vi, v := range []model.Value{model.Zero, model.One} {
-		v := v
+	for _, v := range []model.Value{model.Zero, model.One} {
 		comp := s.BoxComponents(s.memberNAndDecided(v.Flip()))
 		for r := range compOK {
 			compOK[r] = true
@@ -120,51 +139,50 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 				compOK[comp[r]] = false
 			}
 		}
+		// compOK[comp[r]] is a row function before the horizon: a unit with
+		// an N∧Z (N∧O) member is one component, and a unit with none has
+		// none at the horizon either, so its runs are singletons whose
+		// compOK is the unit's ∃v (docs/architecture.md, "Readers").
 		var err error
-		believes, err = s.foldClasses(ctx, believes, maxTime, false, func(i model.AgentID, q Point) bool {
-			if !s.Nonfaulty(i, q) {
+		believes, err = s.foldClasses(ctx, believes, maxTime, false, func(i model.AgentID, q Point, faulty uint64) bool {
+			if faultyAt(faulty, i) {
 				return true // B^N: only nonfaulty alternatives count
 			}
-			qres := s.Runs[q.Run]
-			decidedOther := qres.Decided(i) == v.Flip() &&
-				qres.Round(i) != 0 && qres.Round(i) <= q.Time+1
-			return s.Exists(v, q) && compOK[comp[q.Run]] && !decidedOther
+			return s.Exists(v, q) && compOK[comp[q.Run]] && !decided(s.Runs[q.Run], i, v.Flip(), q.Time)
 		})
 		if err != nil {
 			return nil, err
 		}
 
-		base := vi * len(s.Runs)
-		err = s.parallel(ctx, len(s.Runs), func(r int) {
-			perShard[base+r] = s.optimalityViolations(v, believes, r, maxTime)
+		// The equivalence fails at a nonfaulty agent whose ○decided_i = v
+		// differs from the belief.
+		err = s.screen(ctx, maxTime, func(m, row int) (bad uint64) {
+			res, faulty := s.Runs[s.rowRun(m, row)], s.faultyMasks(m)[row]
+			for i := 0; i < s.N; i++ {
+				slot := m*s.N + i
+				if !faultyAt(faulty, model.AgentID(i)) &&
+					decided(res, model.AgentID(i), v, m) != believes[slot][s.classOf[slot][row]] {
+					bad |= 1 << uint(i)
+				}
+			}
+			return bad
+		}, func(i model.AgentID, m, run, _ int) {
+			if rp.keep() {
+				lhs := decided(s.Runs[run], i, v, m)
+				rp.lines = append(rp.lines, fmt.Sprintf(
+					"v=%v run %d time %d agent %d: ○decided=%v but characterization=%v",
+					v, run, m, i, lhs, !lhs))
+			}
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	return mergeViolations(perShard, max), nil
+	return rp.done(), nil
 }
 
-// optimalityViolations checks both sides of the value-v equivalence at
-// every point of one run with time ≤ maxTime.
-func (s *System) optimalityViolations(v model.Value, believes [][]bool, r, maxTime int) []string {
-	var out []string
-	res := s.Runs[r]
-	for m := 0; m <= maxTime; m++ {
-		p := Point{Run: r, Time: m}
-		for i := 0; i < s.N; i++ {
-			id := model.AgentID(i)
-			if !s.Nonfaulty(id, p) {
-				continue
-			}
-			lhs := res.Decided(id) == v && res.Round(id) != 0 && res.Round(id) <= m+1
-			rhs := believes[s.slot(id, m)][s.classAt(id, m, r)]
-			if lhs != rhs {
-				out = append(out, fmt.Sprintf(
-					"v=%v run %d time %d agent %d: ○decided=%v but characterization=%v",
-					v, r, m, i, lhs, rhs))
-			}
-		}
-	}
-	return out
+// decided reports ○(decided_i = v) at time m of a run: agent i decides v
+// in a round ≤ m+1.
+func decided(res *engine.Result, i model.AgentID, v model.Value, m int) bool {
+	return res.Decided(i) == v && res.Round(i) != 0 && res.Round(i) <= m+1
 }

@@ -86,7 +86,10 @@ func TestBoxComponentsJoinRuns(t *testing.T) {
 
 func TestMemberNAndDecided(t *testing.T) {
 	sys := buildFIP(t, 3, 1, 0)
-	member := sys.memberNAndDecided(model.One)
+	members := sys.memberNAndDecided(model.One)
+	member := func(i model.AgentID, p Point) bool {
+		return members(p, sys.faultyMasks(p.Time)[sys.rowOf(p.Time, p.Run)])>>uint(i)&1 != 0
+	}
 	// In the all-1 failure-free run, agents decide 1 in round 2 (time 1):
 	// members from time 0 ("about to decide") onward... the set includes
 	// agents with DecisionRound ≤ time+1, so at time 0 deciders-in-round-1

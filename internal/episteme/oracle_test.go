@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	goruntime "runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/action"
@@ -28,7 +29,7 @@ func oracleOptimality(s *System, v model.Value, maxTime int) []string {
 		maxTime = s.Horizon - 1
 	}
 	var out []string
-	comp := s.BoxComponents(s.memberNAndDecided(v.Flip()))
+	comp := oracleBoxComponents(s, oracleMemberNAndDecided(s, v.Flip()))
 	compOK := make(map[int]bool)
 	for r := range s.Runs {
 		c := comp[r]
@@ -66,6 +67,71 @@ func oracleOptimality(s *System, v model.Value, maxTime int) []string {
 		}
 	}
 	return out
+}
+
+// oracleBoxComponents is the per-run ⊡-component pass BoxComponents is
+// compared with: member is asked at every (run, time, agent) and every
+// member run is unioned into its class's group.
+func oracleBoxComponents(s *System, member func(i model.AgentID, p Point) bool) []int {
+	parent := make([]int, len(s.Runs))
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int) {
+		ra, rb := find(a), find(b)
+		if ra != rb {
+			parent[ra] = rb
+		}
+	}
+
+	// Group runs by (time, agent, class) among points where the agent is
+	// an S-member; union each group.
+	for m := 0; m <= s.Horizon; m++ {
+		for i := 0; i < s.N; i++ {
+			id := model.AgentID(i)
+			// first[c] is the first S-member run seen in class c.
+			first := make([]int, s.classCount(id, m))
+			for c := range first {
+				first[c] = -1
+			}
+			for r := range s.Runs {
+				if !member(id, Point{Run: r, Time: m}) {
+					continue
+				}
+				c := s.classAt(id, m, r)
+				if first[c] < 0 {
+					first[c] = r
+				} else {
+					union(first[c], r)
+				}
+			}
+		}
+	}
+	comp := make([]int, len(s.Runs))
+	for r := range comp {
+		comp[r] = find(r)
+	}
+	return comp
+}
+
+// oracleMemberNAndDecided is the per-point membership test of N∧O (v = 1)
+// and N∧Z (v = 0), reading the faulty set through the run's pattern.
+func oracleMemberNAndDecided(s *System, v model.Value) func(model.AgentID, Point) bool {
+	return func(i model.AgentID, p Point) bool {
+		if !s.Nonfaulty(i, p) {
+			return false
+		}
+		res := s.Runs[p.Run]
+		return res.Decided(i) == v && res.Round(i) != 0 && res.Round(i) <= p.Time+1
+	}
 }
 
 // oracleSafety is CheckSafety with every clause evaluated per point.
@@ -161,20 +227,21 @@ func oracleSafetyClause2Witness(s *System, i model.AgentID, p Point) bool {
 	return false
 }
 
-// TestCheckersMatchPerPointOracle asserts the class-folded checkers
-// return exactly the oracle's full violation lists — on systems that
-// satisfy the theorems, on systems with real violations of each kind, and
-// at several parallelism levels.
-func TestCheckersMatchPerPointOracle(t *testing.T) {
+// oracleCase is one system the class-folded checkers are compared with
+// the per-point oracles on.
+type oracleCase struct {
+	name   string
+	c      Context
+	act    model.ActionProtocol
+	slow   bool // skipped under -short and -race
+	wantOp bool // real optimality violations expected
+	wantSf bool // real safety violations expected
+}
+
+// oracleCases returns the systems of TestCheckersMatchPerPointOracle.
+func oracleCases() []oracleCase {
 	fip := func(n int) Context { return Context{Exchange: exchange.NewFIP(n), T: 1} }
-	cases := []struct {
-		name   string
-		c      Context
-		act    model.ActionProtocol
-		slow   bool // skipped under -short and -race
-		wantOp bool // real optimality violations expected
-		wantSf bool // real safety violations expected
-	}{
+	return []oracleCase{
 		{name: "fip+Popt n=3", c: fip(3), act: action.NewOpt(1), wantSf: true},
 		{name: "fip+Pmin n=3", c: fip(3), act: action.NewMin(1), wantOp: true, wantSf: true},
 		{name: "min n=3", c: Context{Exchange: exchange.NewMin(3), T: 1}, act: action.NewMin(1)},
@@ -183,7 +250,14 @@ func TestCheckersMatchPerPointOracle(t *testing.T) {
 		{name: "fip+Plate0 n=3", c: fip(3), act: lateZeroAction{}, wantOp: true, wantSf: true},
 		{name: "fip+Popt n=4", c: fip(4), act: action.NewOpt(1), slow: true, wantSf: true},
 	}
-	for _, tc := range cases {
+}
+
+// TestCheckersMatchPerPointOracle asserts the class-folded checkers
+// return exactly the oracle's full violation lists — on systems that
+// satisfy the theorems, on systems with real violations of each kind, and
+// at several parallelism levels.
+func TestCheckersMatchPerPointOracle(t *testing.T) {
+	for _, tc := range oracleCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.slow && (testing.Short() || raceEnabled) {
 				t.Skip("the per-point oracle at n=4 takes about a minute, ten under the race detector")
@@ -214,9 +288,162 @@ func TestCheckersMatchPerPointOracle(t *testing.T) {
 					t.Errorf("par=%d: CheckSafety returned %d violations, oracle %d; first difference: %s",
 						par, len(got), len(wantSafety), firstDiff(got, wantSafety))
 				}
+				// A cap renders its prefix and counts the rest.
+				const max = 3
+				if len(wantOpt) > max {
+					assertCapped(t, fmt.Sprintf("par=%d: CheckOptimalityFIP", par), wantOpt, checkOptimality(t, sys, -1, max), max)
+				}
+				if len(wantSafety) > max {
+					assertCapped(t, fmt.Sprintf("par=%d: CheckSafety", par), wantSafety, checkSafety(t, sys, max), max)
+				}
 			}
 		})
 	}
+}
+
+// TestBoxComponentsMatchPerRun pins the row-based ⊡-components to the
+// per-run pass: on every system of TestCheckersMatchPerPointOracle and on
+// crash fip n=3,t=2, for both indexical sets, the partition of the runs
+// equals the oracle's on the per-run build (root ids may differ, since
+// the unions come in another order). It also asserts what makes the
+// Thm 7.5 belief a row function: each prefix unit is one component, or
+// every run of it is a singleton.
+func TestBoxComponentsMatchPerRun(t *testing.T) {
+	cases := append(oracleCases(), oracleCase{name: "crash fip+Popt n=3 t=2",
+		c: Context{Exchange: exchange.NewFIP(3), T: 2, Crash: true}, act: action.NewOpt(2)})
+	joinedUnits := 0
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.slow && (testing.Short() || raceEnabled) {
+				t.Skip("the per-run pass at n=4 is slow under the race detector")
+			}
+			ref, err := BuildSystem(context.Background(), perRunContext(tc.c), tc.act, WithParallelism(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := BuildSystem(context.Background(), tc.c, tc.act)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []model.Value{model.Zero, model.One} {
+				got := partitionLabels(sys.BoxComponents(sys.memberNAndDecided(v)))
+				want := partitionLabels(oracleBoxComponents(ref, oracleMemberNAndDecided(ref, v)))
+				if !slices.Equal(got, want) {
+					t.Fatalf("v=%v: row-based ⊡-components differ from the per-run partition; first difference: %s", v, firstDiff(labelStrings(got), labelStrings(want)))
+				}
+				size := make(map[int]int)
+				for _, c := range got {
+					size[c]++
+				}
+				for u, runs := range sys.unitRuns {
+					one, singletons := true, true
+					for _, r := range runs {
+						one = one && got[r] == got[runs[0]]
+						singletons = singletons && size[got[r]] == 1
+					}
+					if !one && !singletons {
+						t.Fatalf("v=%v: unit %d (runs %v) is neither one component nor singletons", v, u, runs)
+					}
+					if one && len(runs) > 1 {
+						joinedUnits++
+					}
+				}
+			}
+		})
+	}
+	if joinedUnits == 0 {
+		t.Fatal("no unit of several runs joined a component: the unit join went unexercised")
+	}
+}
+
+// TestCrashT2TheoremCounts pins the first theorem verdicts at t=2: crash
+// Efip with Popt. At n=3 (4,376 runs) Def 6.2 fails at 60 clause-2
+// instances and Thm 7.5 at 48 points, both equal to the per-point
+// oracles; every Thm 7.5 violation is v=1 at time 1, at an agent that
+// knows every other agent is faulty. At n=4 (82,608 runs) safety fails at
+// 216 instances and Thm 7.5 holds. Whether clause 2 should range over
+// agents that know they are faulty is an open decision; these are the
+// counts of the definition as coded.
+func TestCrashT2TheoremCounts(t *testing.T) {
+	for _, tc := range []struct {
+		n, runs, safety, optimality int
+	}{
+		{3, 4376, 60, 48},
+		{4, 82608, 216, 0},
+	} {
+		if tc.n == 4 && (testing.Short() || raceEnabled) {
+			t.Log("n=4 skipped in short and race runs")
+			continue
+		}
+		c := Context{Exchange: exchange.NewFIP(tc.n), T: 2, Crash: true}
+		sys, err := BuildSystem(context.Background(), c, action.NewOpt(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		safety, opt := checkSafety(t, sys, 0), checkOptimality(t, sys, -1, 0)
+		if len(sys.Runs) != tc.runs || len(safety) != tc.safety || len(opt) != tc.optimality {
+			t.Fatalf("n=%d: %d runs, %d safety and %d Thm 7.5 violations; want %d, %d, %d",
+				tc.n, len(sys.Runs), len(safety), len(opt), tc.runs, tc.safety, tc.optimality)
+		}
+		for _, line := range safety {
+			if !strings.HasPrefix(line, "clause 2: ") {
+				t.Fatalf("n=%d: %q is not a clause-2 instance", tc.n, line)
+			}
+		}
+		for _, line := range opt {
+			var v, run, m, i int
+			if _, err := fmt.Sscanf(line, "v=%d run %d time %d agent %d:", &v, &run, &m, &i); err != nil {
+				t.Fatalf("n=%d: %q: %v", tc.n, line, err)
+			}
+			everyOtherFaulty := func(q Point) bool {
+				for j := 0; j < sys.N; j++ {
+					if j != i && sys.Nonfaulty(model.AgentID(j), q) {
+						return false
+					}
+				}
+				return true
+			}
+			if v != 1 || m != 1 || !sys.Knows(model.AgentID(i), Point{Run: run, Time: m}, everyOtherFaulty) {
+				t.Fatalf("n=%d: %q is not v=1 at time 1 at an agent that knows every other agent is faulty", tc.n, line)
+			}
+		}
+		if tc.n > 3 {
+			continue
+		}
+		ref, err := BuildSystem(context.Background(), perRunContext(c), action.NewOpt(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleSafety(ref); !slices.Equal(safety, want) {
+			t.Errorf("n=%d: CheckSafety differs from the oracle; first difference: %s", tc.n, firstDiff(safety, want))
+		}
+		if want := append(oracleOptimality(ref, model.Zero, -1), oracleOptimality(ref, model.One, -1)...); !slices.Equal(opt, want) {
+			t.Errorf("n=%d: CheckOptimalityFIP differs from the oracle; first difference: %s", tc.n, firstDiff(opt, want))
+		}
+	}
+}
+
+// partitionLabels names each run's component by its lowest run, so two
+// partitions compare equal whatever ids their unions left.
+func partitionLabels(comp []int) []int {
+	lowest := make(map[int]int)
+	out := make([]int, len(comp))
+	for r, c := range comp {
+		if _, ok := lowest[c]; !ok {
+			lowest[c] = r
+		}
+		out[r] = lowest[c]
+	}
+	return out
+}
+
+// labelStrings renders partition labels for firstDiff.
+func labelStrings(labels []int) []string {
+	out := make([]string, len(labels))
+	for r, l := range labels {
+		out[r] = fmt.Sprintf("run %d in the component of run %d", r, l)
+	}
+	return out
 }
 
 // firstDiff renders the first position where two reports disagree.

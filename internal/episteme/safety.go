@@ -16,8 +16,7 @@ import (
 // to an initial 0). Receipt by time m is therefore equivalent to having
 // decided 0 by round m+1.
 func (s *System) receivedChainBy(i model.AgentID, run, m int) bool {
-	res := s.Runs[run]
-	return res.Decided(i) == model.Zero && res.Round(i) != 0 && res.Round(i) <= m+1
+	return decided(s.Runs[run], i, model.Zero, m)
 }
 
 // CheckSafety verifies the safety condition of Definition 6.2 for the
@@ -26,16 +25,17 @@ func (s *System) receivedChainBy(i model.AgentID, run, m int) bool {
 // an empty result machine-checks Proposition 6.4 for the system's
 // context. Every clause quantifies over the runs agent i cannot
 // distinguish from the point, so each is evaluated once per
-// indistinguishability class (foldClasses) and read per point; the report
-// is identical at every parallelism level. When max > 0 caps the report,
-// the final entry is a "... and N more violations (truncated)" notice.
-// Cancelling ctx aborts the check with the cancellation cause.
+// indistinguishability class (foldClasses) and read per row; only the
+// runs of a failing row are walked, and the report is identical at every
+// parallelism level. When max > 0 caps the report, the final entry is a
+// "... and N more violations (truncated)" notice. Cancelling ctx aborts
+// the check with the cancellation cause.
 func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 	if err := s.checkableSystem(); err != nil {
 		return nil, err
 	}
 	// Clause (1)'s witness: some indistinguishable run is all-1.
-	allOnes, err := s.foldClasses(ctx, nil, s.Horizon, true, func(_ model.AgentID, q Point) bool {
+	allOnes, err := s.foldClasses(ctx, nil, s.Horizon, true, func(_ model.AgentID, q Point, _ uint64) bool {
 		for _, v := range s.Runs[q.Run].Inits {
 			if v != model.One {
 				return false
@@ -48,7 +48,7 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 	}
 	// Clause (2)'s premise ¬K_i(⋀_j ¬(deciding_j = 0)); deciding_j is
 	// undefined beyond the trace, so clause (2) stops at Horizon-1.
-	someDeciding0, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(_ model.AgentID, q Point) bool {
+	someDeciding0, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(_ model.AgentID, q Point, _ uint64) bool {
 		for j := 0; j < s.N; j++ {
 			if s.Deciding(model.AgentID(j), model.Zero, q) {
 				return true
@@ -62,12 +62,12 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 	// Clause (2)'s witnesses, innermost first. chained[slot(j,m)][c]: some
 	// run r'' of j's class c has j and some j' nonfaulty, j' deciding 0 in
 	// round m of r''.
-	chained, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(j model.AgentID, q Point) bool {
-		if !s.Nonfaulty(j, q) {
+	chained, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(j model.AgentID, q Point, faulty uint64) bool {
+		if faultyAt(faulty, j) {
 			return false
 		}
 		for jp := 0; jp < s.N; jp++ {
-			if jpd := model.AgentID(jp); s.Nonfaulty(jpd, q) && s.JustDecided(jpd, model.Zero, q) {
+			if jpd := model.AgentID(jp); !faultyAt(faulty, jpd) && s.JustDecided(jpd, model.Zero, q) {
 				return true
 			}
 		}
@@ -79,13 +79,13 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 	// witness[slot(i,m)][c]: some run r' of i's class c has i and some j
 	// nonfaulty, j deciding 0 at (r',m), and (for m ≥ 1) an r'' as above
 	// that j cannot distinguish from r'.
-	witness, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(i model.AgentID, q Point) bool {
-		if !s.Nonfaulty(i, q) {
+	witness, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(i model.AgentID, q Point, faulty uint64) bool {
+		if faultyAt(faulty, i) {
 			return false
 		}
 		for j := 0; j < s.N; j++ {
 			jd := model.AgentID(j)
-			if !s.Nonfaulty(jd, q) || !s.Deciding(jd, model.Zero, q) {
+			if faultyAt(faulty, jd) || !s.Deciding(jd, model.Zero, q) {
 				continue
 			}
 			if q.Time == 0 || chained[s.slot(jd, q.Time)][s.classAt(jd, q.Time, q.Run)] {
@@ -98,58 +98,41 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 		return nil, err
 	}
 
-	perRun := make([][]string, len(s.Runs))
-	err = s.parallel(ctx, len(s.Runs), func(r int) {
-		perRun[r] = s.safetyViolations(r, allOnes, someDeciding0, witness)
+	// The clause instances at agent i of a row. Clause (1): no 0-chain
+	// received by (r,m) → some indistinguishable point lies in an all-1
+	// run; at time Horizon a row is a run, and the class table is read
+	// first. Clause (2): i cannot rule out a 0-decision and has not decided
+	// before round m+1; deciding_j is undefined beyond the trace.
+	clauses := func(i model.AgentID, m, row int) (one, two bool) {
+		slot := s.slot(i, m)
+		c, run := s.classOf[slot][row], s.rowRun(m, row)
+		one = !allOnes[slot][c] && !s.receivedChainBy(i, run, m)
+		if m < s.Horizon {
+			res := s.Runs[run]
+			decidedBefore := res.Round(i) != 0 && res.Round(i) <= m
+			two = !decidedBefore && someDeciding0[slot][c] && !witness[slot][c]
+		}
+		return one, two
+	}
+	rp := report{max: max}
+	err = s.screen(ctx, s.Horizon, func(m, row int) (bad uint64) {
+		for i := 0; i < s.N; i++ {
+			if one, two := clauses(model.AgentID(i), m, row); one || two {
+				bad |= 1 << uint(i)
+			}
+		}
+		return bad
+	}, func(i model.AgentID, m, run, row int) {
+		one, two := clauses(i, m, row)
+		if one && rp.keep() {
+			rp.lines = append(rp.lines, fmt.Sprintf("clause 1: run %d time %d agent %d", run, m, i))
+		}
+		if two && rp.keep() {
+			rp.lines = append(rp.lines, fmt.Sprintf("clause 2: run %d time %d agent %d", run, m, i))
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return mergeViolations(perRun, max), nil
-}
-
-// mergeViolations concatenates per-shard violation lists in shard order
-// and applies the cap, appending the truncation notice when violations
-// were dropped.
-func mergeViolations(shards [][]string, max int) []string {
-	var out []string
-	for _, vs := range shards {
-		out = append(out, vs...)
-	}
-	if max > 0 && len(out) > max {
-		extra := len(out) - max
-		out = append(out[:max], truncated(extra, "violations"))
-	}
-	return out
-}
-
-// safetyViolations reads one run's clause instances off the per-class
-// tables, in (time, agent, clause) order.
-func (s *System) safetyViolations(r int, allOnes, someDeciding0, witness [][]bool) []string {
-	var out []string
-	res := s.Runs[r]
-	for m := 0; m <= s.Horizon; m++ {
-		for i := 0; i < s.N; i++ {
-			id := model.AgentID(i)
-			slot := s.slot(id, m)
-			c := s.classAt(id, m, r)
-
-			// Clause (1): no 0-chain received by (r,m) → some
-			// indistinguishable point lies in an all-1 run.
-			if !s.receivedChainBy(id, r, m) && !allOnes[slot][c] {
-				out = append(out, fmt.Sprintf("clause 1: run %d time %d agent %d", r, m, i))
-			}
-
-			// Clause (2): premise — i cannot rule out a 0-decision and
-			// has not decided before round m+1.
-			if m >= s.Horizon {
-				continue // deciding_j is undefined beyond the trace
-			}
-			decidedBefore := res.Round(id) != 0 && res.Round(id) <= m
-			if !decidedBefore && someDeciding0[slot][c] && !witness[slot][c] {
-				out = append(out, fmt.Sprintf("clause 2: run %d time %d agent %d", r, m, i))
-			}
-		}
-	}
-	return out
+	return rp.done(), nil
 }

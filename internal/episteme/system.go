@@ -54,6 +54,7 @@ package episteme
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	goruntime "runtime"
 	"slices"
 	"sync"
@@ -597,18 +598,20 @@ func (s *System) knowsOfRows(i model.AgentID, p Point, phi func(Point) bool) boo
 	return true
 }
 
-// foldClasses evaluates pred once at every point of time ≤ maxTime for
+// foldClasses evaluates pred once at every row of time ≤ maxTime for
 // every agent and folds it per indistinguishability class:
 // tables[slot][c] reports whether pred holds at some point of class c
 // (exists) or at every point of it (!exists) — ¬K_i¬pred and K_i pred, as
 // functions of the local state. This is what keeps the checkers linear in
 // the number of points: a condition on agent i's class is computed in one
-// pass over the runs and then read per point, never re-derived by
-// scanning the class from each of its members. pred may be any function
-// of the point, so it is asked at every run, not once per row. Slots fold
-// in parallel; passing the previous result back as tables reuses its
+// pass over the rows and then read per point, never re-derived by
+// scanning the class from each of its members. pred is asked at each
+// row's first run (rowRun) and given the row's faulty set as a mask, so
+// it must be a row function: it may read the ledger, the faulty set and
+// the states before the horizon (at time Horizon rows are runs). Slots
+// fold in parallel; passing the previous result back as tables reuses its
 // storage.
-func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, exists bool, pred func(i model.AgentID, q Point) bool) ([][]bool, error) {
+func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, exists bool, pred func(i model.AgentID, q Point, faulty uint64) bool) ([][]bool, error) {
 	nSlots := (maxTime + 1) * s.N
 	if tables == nil {
 		tables = make([][]bool, nSlots)
@@ -621,17 +624,76 @@ func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, 
 		if tables[slot] == nil {
 			tables[slot] = make([]bool, s.classCount(i, m))
 		}
-		table := tables[slot]
+		table, faulty := tables[slot], s.faultyMasks(m)
 		for c := range table {
 			table[c] = !exists
 		}
-		for r := range s.Runs {
-			if c := s.classAt(i, m, r); table[c] != exists && pred(i, Point{Run: r, Time: m}) == exists {
+		for row, c := range s.classOf[slot] {
+			if table[c] != exists && pred(i, Point{Run: s.rowRun(m, row), Time: m}, faulty[row]) == exists {
 				table[c] = exists
 			}
 		}
 	})
 	return tables, err
+}
+
+// faultyAt reports whether agent i is in the faulty set mask.
+func faultyAt(mask uint64, i model.AgentID) bool { return mask>>uint(i)&1 != 0 }
+
+// screen asks fails once per row of every time ≤ maxTime, on the worker
+// pool, for the agents (bit i for agent i) at which the row fails — a row
+// function (see foldClasses) — then calls add at every point so marked,
+// in the canonical (run, time, agent) order, with the point's row.
+func (s *System) screen(ctx context.Context, maxTime int, fails func(m, row int) uint64, add func(i model.AgentID, m, run, row int)) error {
+	const chunk = 1024
+	bad := make([][]uint64, maxTime+1)
+	var marked []int // the times with a failing row
+	for m := range bad {
+		bad[m] = make([]uint64, s.rowCount(m))
+		err := s.parallel(ctx, (len(bad[m])+chunk-1)/chunk, func(k int) {
+			rows := bad[m][k*chunk : min(k*chunk+chunk, len(bad[m]))]
+			for j := range rows {
+				rows[j] = fails(m, k*chunk+j)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		if slices.ContainsFunc(bad[m], func(b uint64) bool { return b != 0 }) {
+			marked = append(marked, m)
+		}
+	}
+	for r := 0; r < len(s.Runs) && len(marked) > 0; r++ {
+		for _, m := range marked {
+			row := s.rowOf(m, r)
+			for mask := bad[m][row]; mask != 0; mask &= mask - 1 {
+				add(model.AgentID(bits.TrailingZeros64(mask)), m, r, row)
+			}
+		}
+	}
+	return nil
+}
+
+// report collects a checker's violations as screen meets them: the first
+// max are rendered, the rest only counted (max ≤ 0 renders them all).
+type report struct {
+	max, met int
+	lines    []string
+}
+
+// keep counts the next violation and reports whether it is rendered.
+func (rp *report) keep() bool {
+	rp.met++
+	return rp.max <= 0 || rp.met <= rp.max
+}
+
+// done returns the rendered lines, with the truncation notice when the
+// cap dropped some.
+func (rp *report) done() []string {
+	if dropped := rp.met - len(rp.lines); dropped > 0 {
+		return append(rp.lines, truncated(dropped, "violations"))
+	}
+	return rp.lines
 }
 
 // --- point-level properties of runs -------------------------------------

@@ -19,6 +19,7 @@ import (
 
 	eba "repro"
 	"repro/internal/adversary"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/episteme"
 	"repro/internal/exchange"
@@ -191,6 +192,71 @@ func BenchmarkCheckOptimalityFIPn3(b *testing.B) {
 			b.Fatal("violation")
 		}
 	}
+}
+
+// BenchmarkShardIndexCodecN4 measures the shard index's codec on fip
+// n=4,t=1 stripe 0/4, the file each ebashard -check process hands over:
+// write encodes it, read decodes and re-encodes it.
+func BenchmarkShardIndexCodecN4(b *testing.B) {
+	st := stack(b, "fip", 4, 1)
+	idx, err := episteme.BuildShardIndex(context.Background(), episteme.ContextFor(st), st.Action, 0, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := episteme.WriteShardIndex(&doc, idx); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(doc.Len()))
+		for i := 0; i < b.N; i++ {
+			if err := episteme.WriteShardIndex(io.Discard, idx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(doc.Len()))
+		for i := 0; i < b.N; i++ {
+			if _, err := episteme.ReadShardIndex(bytes.NewReader(doc.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkCachedRunCodec measures one run-cache payload of fip n=4,t=1:
+// encode is a miss's store, decode a hit's read.
+func BenchmarkCachedRunCodec(b *testing.B) {
+	st := stack(b, "fip", 4, 1)
+	res, err := eba.NewRunner(st).Run(context.Background(), eba.Scenario{
+		Pattern: model.NewPattern(4, st.Horizon()), Inits: []model.Value{0, 1, 1, 0}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cr core.CachedRun
+	if err := cr.Encode(res); err != nil {
+		b.Fatal(err)
+	}
+	payload := cr.AppendJSON(nil)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf = cr.AppendJSON(buf[:0])
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var back core.CachedRun
+			if !back.DecodeJSON(payload) {
+				b.Fatal("payload refused")
+			}
+		}
+	})
 }
 
 func BenchmarkCheckOptimalityFIPn4(b *testing.B) {

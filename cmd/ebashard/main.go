@@ -76,6 +76,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime"
 	"runtime/pprof"
 	"syscall"
 	"time"
@@ -124,6 +125,7 @@ func run(args []string) (err error) {
 		cacheGC    = fs.Bool("cache-gc", false, "compact the -cache directory (drop dead and damaged entries) and exit")
 		cacheMax   = fs.Int64("cache-max-bytes", 0, "-cache-gc: evict oldest entries until the cache payload fits this budget (0 = keep everything live)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole command to this file (go tool pprof reads it)")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file when the command returns (go tool pprof reads it)")
 	)
 	shard := eba.ShardSpec{}
 	if env := os.Getenv(eba.ShardEnvVar); env != "" {
@@ -148,6 +150,16 @@ func run(args []string) (err error) {
 		defer func() {
 			pprof.StopCPUProfile()
 			err = errors.Join(err, f.Close())
+		}()
+	}
+	if *memProfile != "" {
+		f, err := os.Create(*memProfile)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			runtime.GC() // the profile's in-use figures are then what survives the command
+			err = errors.Join(err, pprof.WriteHeapProfile(f), f.Close())
 		}()
 	}
 	if shard == (eba.ShardSpec{}) {

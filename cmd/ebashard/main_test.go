@@ -133,6 +133,28 @@ func TestCPUProfile(t *testing.T) {
 	}
 }
 
+// TestMemProfile checks -memprofile writes a heap profile on a
+// successful run and on a failing one.
+func TestMemProfile(t *testing.T) {
+	dir := t.TempDir()
+	failed, prof := filepath.Join(dir, "failed.prof"), filepath.Join(dir, "mem.prof")
+	if err := run([]string{"-stack", "bogus", "-memprofile", failed, "-out", os.DevNull}); err == nil {
+		t.Fatal("unknown stack accepted")
+	}
+	if err := run([]string{"-check", "-stack", "min", "-n", "3", "-t", "1", "-memprofile", prof, "-out", os.DevNull}); err != nil {
+		t.Fatalf("profiled run: %v", err)
+	}
+	for _, path := range []string{failed, prof} {
+		// A heap profile is a gzipped protobuf.
+		if b, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s: not a heap profile (%d bytes, err %v)", path, len(b), err)
+		}
+	}
+	if err := run([]string{"-memprofile", filepath.Join(dir, "missing", "mem.prof"), "-out", os.DevNull}); err == nil {
+		t.Error("unwritable profile path accepted")
+	}
+}
+
 // TestShardErrors covers the argument-validation paths.
 func TestShardErrors(t *testing.T) {
 	if err := run([]string{"-shard", "3/3"}); err == nil {

@@ -151,6 +151,9 @@ var repoSinks = []struct{ pkg, name, desc string }{
 	{"internal/fabric", "WriteVerdicts", "the deterministic verdict writer"},
 	{"internal/episteme", "WriteShardIndex", "the shard-index writer"},
 	{"internal/episteme", "Digest", "the shard-index digest"},
+	{"internal/episteme", "appendShardIndex", "the shard-index encoder"},
+	{"internal/core", "AppendJSON", "the cached-run encoder"},
+	{"internal/cache", "appendIndex", "the cache index encoder"},
 	{"internal/core", "RunShard", "the outcome-stream writer"},
 	{"internal/core", "ComputeDigest", "the outcome-record digest"},
 	{"internal/core", "appendDigest", "the outcome-record digest"},

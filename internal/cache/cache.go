@@ -33,17 +33,20 @@
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/wire"
 )
 
 // Stats is a point-in-time snapshot of a cache's traffic counters.
@@ -145,7 +148,8 @@ type Cache struct {
 
 const indexName = "index.json"
 
-// indexFile is the JSON index over the sealed segments: which segments
+// indexFile is the JSON index over the sealed segments (appendIndex
+// writes it, parseIndex reads it): which segments
 // (by name and exact size) the entries live in. An index that does not
 // exactly describe the directory is discarded and rebuilt by rescan.
 type indexFile struct {
@@ -165,6 +169,82 @@ type indexEnt struct {
 	Off int64  `json:"off"`
 	Len int    `json:"len"`
 	Sum string `json:"sum"`
+}
+
+// appendIndex appends idx's document: exactly what json.Marshal writes
+// for it, and the only spelling parseIndex accepts.
+func appendIndex(dst []byte, idx *indexFile) []byte {
+	dst = append(dst, `{"v":`...)
+	dst = strconv.AppendInt(dst, int64(idx.Version), 10)
+	dst = append(dst, `,"segments":`...)
+	dst = wire.AppendList(dst, idx.Segments, func(dst []byte, s *indexSeg) []byte {
+		dst = append(dst, `{"name":`...)
+		dst = wire.AppendString(dst, s.Name)
+		dst = append(dst, `,"size":`...)
+		dst = strconv.AppendInt(dst, s.Size, 10)
+		return append(dst, '}')
+	})
+	dst = append(dst, `,"entries":`...)
+	dst = wire.AppendList(dst, idx.Entries, func(dst []byte, e *indexEnt) []byte {
+		dst = append(dst, `{"key":`...)
+		dst = wire.AppendString(dst, e.Key)
+		dst = append(dst, `,"seg":`...)
+		dst = strconv.AppendInt(dst, int64(e.Seg), 10)
+		dst = append(dst, `,"off":`...)
+		dst = strconv.AppendInt(dst, e.Off, 10)
+		dst = append(dst, `,"len":`...)
+		dst = strconv.AppendInt(dst, int64(e.Len), 10)
+		dst = append(dst, `,"sum":`...)
+		dst = wire.AppendString(dst, e.Sum)
+		return append(dst, '}')
+	})
+	return append(dst, '}')
+}
+
+// parseIndex decodes an index document, accepting only appendIndex's
+// spelling of what it holds.
+func parseIndex(data []byte) (*indexFile, bool) {
+	p := wire.Parser{Rest: data}
+	idx := new(indexFile)
+	p.Lit(`{"v":`)
+	idx.Version = int(p.Int64())
+	p.Lit(`,"segments":`)
+	idx.Segments = []indexSeg{}
+	if !p.Elems(func() {
+		var s indexSeg
+		p.Lit(`{"name":`)
+		s.Name = string(p.Str())
+		p.Lit(`,"size":`)
+		s.Size = p.Int64()
+		p.Lit("}")
+		idx.Segments = append(idx.Segments, s)
+	}) {
+		idx.Segments = nil
+	}
+	p.Lit(`,"entries":`)
+	idx.Entries = make([]indexEnt, 0, bytes.Count(p.Rest, []byte(`{"key":`)))
+	if !p.Elems(func() {
+		var e indexEnt
+		p.Lit(`{"key":`)
+		e.Key = string(p.Str())
+		p.Lit(`,"seg":`)
+		e.Seg = int(p.Int64())
+		p.Lit(`,"off":`)
+		e.Off = p.Int64()
+		p.Lit(`,"len":`)
+		e.Len = int(p.Int64())
+		p.Lit(`,"sum":`)
+		e.Sum = string(p.Str())
+		p.Lit("}")
+		idx.Entries = append(idx.Entries, e)
+	}) {
+		idx.Entries = nil
+	}
+	p.Lit("}")
+	if p.Bad || len(p.Rest) != 0 {
+		return nil, false
+	}
+	return idx, bytes.Equal(appendIndex(make([]byte, 0, len(data)), idx), data)
 }
 
 // Open opens (creating if needed) the cache directory: takes its lock or
@@ -251,8 +331,8 @@ func (c *Cache) loadIndex(segNames []string) bool {
 	if err != nil {
 		return false
 	}
-	var idx indexFile
-	if err := json.Unmarshal(data, &idx); err != nil || idx.Version != 1 {
+	idx, ok := parseIndex(data)
+	if !ok || idx.Version != 1 {
 		return false
 	}
 	if len(idx.Segments) != len(segNames) {
@@ -508,13 +588,17 @@ func (c *Cache) Close() error {
 // written entries (the GC path).
 func (c *Cache) writeIndexLocked(keep map[string]bool) error {
 	idx := indexFile{Version: 1}
+	// size bounds the document from above, so its buffer is allocated once.
+	size := 64
 	for _, s := range c.segs {
 		idx.Segments = append(idx.Segments, indexSeg{Name: s.name, Size: s.size})
+		size += len(s.name) + 48
 	}
 	for key, loc := range c.entries {
 		if keep != nil && !keep[key] {
 			continue
 		}
+		size += len(key) + 2*len(loc.sum) + 64
 		idx.Entries = append(idx.Entries, indexEnt{
 			Key: key, Seg: loc.seg, Off: loc.off, Len: loc.vlen, Sum: hex.EncodeToString(loc.sum[:]),
 		})
@@ -526,10 +610,7 @@ func (c *Cache) writeIndexLocked(keep map[string]bool) error {
 		}
 		return idx.Entries[a].Off < idx.Entries[b].Off
 	})
-	data, err := json.Marshal(&idx)
-	if err != nil {
-		return fmt.Errorf("cache: encoding index: %w", err)
-	}
+	data := appendIndex(make([]byte, 0, size), &idx)
 	tmp := filepath.Join(c.dir, indexName+".tmp")
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("cache: writing index: %w", err)

@@ -20,9 +20,9 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -30,10 +30,12 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 // ResultCache is the store the runner consults: Get misses on any
-// failure (the caller recomputes), Put is best-effort persistence.
+// failure (the caller recomputes), Put is best-effort persistence and
+// keeps no reference to val once it returns.
 // internal/cache's Cache implements it; tests fake it.
 type ResultCache interface {
 	Get(key string) ([]byte, bool)
@@ -155,6 +157,84 @@ func (cr *CachedRun) encode(res *engine.Result, patternText string) {
 		}
 		cr.Actions[m] = row
 	}
+}
+
+// AppendJSON appends cr's canonical encoding: exactly what json.Marshal
+// writes for it, which is the run cache's payload and one element of a
+// shard index's "runs".
+func (cr *CachedRun) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"pattern":`...)
+	dst = wire.AppendString(dst, cr.Pattern)
+	dst = append(dst, `,"inits":`...)
+	dst = wire.AppendInts(dst, cr.Inits)
+	dst = append(dst, `,"decisions":`...)
+	dst = wire.AppendInts(dst, cr.Decisions)
+	dst = append(dst, `,"rounds":`...)
+	dst = wire.AppendInts(dst, cr.Rounds)
+	dst = append(dst, `,"actions":`...)
+	dst = wire.AppendList(dst, cr.Actions, func(dst []byte, row *[]int) []byte { return wire.AppendInts(dst, *row) })
+	dst = append(dst, `,"stats":{"sent":`...)
+	dst = strconv.AppendInt(dst, int64(cr.Stats.MessagesSent), 10)
+	dst = append(dst, `,"delivered":`...)
+	dst = strconv.AppendInt(dst, int64(cr.Stats.MessagesDelivered), 10)
+	dst = append(dst, `,"bitsSent":`...)
+	dst = strconv.AppendInt(dst, cr.Stats.BitsSent, 10)
+	dst = append(dst, `,"bitsDelivered":`...)
+	dst = strconv.AppendInt(dst, cr.Stats.BitsDelivered, 10)
+	return append(dst, '}', '}')
+}
+
+// Parse reads one CachedRun object from p, the superset of AppendJSON's
+// form the wire parser accepts; the caller checks the canonical form by
+// re-encoding.
+func (cr *CachedRun) Parse(p *wire.Parser) {
+	var intBuf [64]int
+	var rowBuf [16][]int
+	scratch, rows := intBuf[:0], rowBuf[:0]
+	p.Lit(`{"pattern":`)
+	pattern := p.Str()
+	p.Lit(`,"inits":`)
+	cr.Inits, scratch = wire.Exact(p, scratch)
+	p.Lit(`,"decisions":`)
+	cr.Decisions, scratch = wire.Exact(p, scratch)
+	p.Lit(`,"rounds":`)
+	cr.Rounds, scratch = wire.Exact(p, scratch)
+	p.Lit(`,"actions":`)
+	cr.Actions = nil
+	if p.Elems(func() {
+		var row []int
+		row, scratch = wire.Exact(p, scratch)
+		rows = append(rows, row)
+	}) {
+		cr.Actions = append(make([][]int, 0, len(rows)), rows...)
+	}
+	p.Lit(`,"stats":{"sent":`)
+	cr.Stats.MessagesSent = int(p.Int64())
+	p.Lit(`,"delivered":`)
+	cr.Stats.MessagesDelivered = int(p.Int64())
+	p.Lit(`,"bitsSent":`)
+	cr.Stats.BitsSent = p.Int64()
+	p.Lit(`,"bitsDelivered":`)
+	cr.Stats.BitsDelivered = p.Int64()
+	p.Lit("}}")
+	cr.Pattern = string(pattern)
+}
+
+// cachedRunScratch sizes the stack buffer a payload is encoded into:
+// large enough for every run of the stacks the tree checks, and a larger
+// one only costs a heap buffer.
+const cachedRunScratch = 512
+
+// DecodeJSON parses a cache payload and accepts it only if it is exactly
+// AppendJSON's encoding of what it holds.
+func (cr *CachedRun) DecodeJSON(payload []byte) bool {
+	p := wire.Parser{Rest: payload}
+	cr.Parse(&p)
+	if p.Bad || len(p.Rest) != 0 {
+		return false
+	}
+	var scratch [cachedRunScratch]byte
+	return bytes.Equal(cr.AppendJSON(scratch[:0]), payload)
 }
 
 // Matches reports whether the payload answers the given scenario with a
@@ -289,7 +369,7 @@ func (x *CachingExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engi
 	key := CacheKey(x.version, CacheKindRun, scenarioDigest(text, cfg.Inits))
 	if payload, ok := x.cache.Get(key); ok {
 		var cr CachedRun
-		if json.Unmarshal(payload, &cr) == nil &&
+		if cr.DecodeJSON(payload) &&
 			cr.Matches(patternText, cfg.Inits, cfg.Pattern.N(), cfg.Horizon) {
 			x.hits.Add(1)
 			return cr.Restore(cfg), nil
@@ -304,8 +384,7 @@ func (x *CachingExecutor) Execute(cfg engine.Config, buf *engine.Buffers) (*engi
 	x.misses.Add(1)
 	var cr CachedRun
 	cr.encode(res, patternText)
-	if payload, jerr := json.Marshal(&cr); jerr == nil {
-		x.cache.Put(key, payload)
-	}
+	var scratch [cachedRunScratch]byte
+	x.cache.Put(key, bytes.Clone(cr.AppendJSON(scratch[:0])))
 	return res, nil
 }

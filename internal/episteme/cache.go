@@ -10,7 +10,6 @@
 package episteme
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -68,7 +67,7 @@ func shardIndexCacheKey(version string, c Context, shardIndex, shardCount int, q
 // Validate the fabric applies at its trust boundary; anything else is
 // an error the caller treats as a miss.
 func decodeCachedIndex(payload []byte, shardIndex, shardCount, n, t, horizon int, quotient bool) (*ShardIndex, error) {
-	idx, err := ReadShardIndex(bytes.NewReader(payload))
+	idx, err := parseShardIndex(payload)
 	if err != nil {
 		return nil, err
 	}

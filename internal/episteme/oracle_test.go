@@ -364,12 +364,23 @@ func TestBoxComponentsMatchPerRun(t *testing.T) {
 // 216 instances and Thm 7.5 holds. Whether clause 2 should range over
 // agents that know they are faulty is an open decision; these are the
 // counts of the definition as coded.
+//
+// The other stacks over the same context: at n=4 Popt implements P1,
+// Pmin and Pbasic implement P0 and pass Def 6.2, Popt-nock misses P0 at
+// 60 points, and Popt decides before Popt-nock for 576 (agent, run)
+// pairs in 288 runs and never after. At n=3, where n−t = 1, Popt, Pmin
+// and Pbasic each miss their program at 3 points, Pbasic fails Def 6.2's
+// clause 2 at 48 instances, and Popt and Popt-nock decide alike.
 func TestCrashT2TheoremCounts(t *testing.T) {
 	for _, tc := range []struct {
 		n, runs, safety, optimality int
+		// Popt against P1; Popt-nock, Pmin and Pbasic against P0; Def 6.2
+		// for Pmin and Pbasic; the (agent, run) pairs at which Popt
+		// decides earlier than Popt-nock, and their runs.
+		optP1, nockP0, minP0, basicP0, minSafety, basicSafety, earlier, earlierRuns int
 	}{
-		{3, 4376, 60, 48},
-		{4, 82608, 216, 0},
+		{3, 4376, 60, 48, 3, 0, 3, 3, 0, 48, 0, 0},
+		{4, 82608, 216, 0, 0, 60, 0, 0, 0, 0, 576, 288},
 	} {
 		if tc.n == 4 && (testing.Short() || raceEnabled) {
 			t.Log("n=4 skipped in short and race runs")
@@ -406,6 +417,47 @@ func TestCrashT2TheoremCounts(t *testing.T) {
 			if v != 1 || m != 1 || !sys.Knows(model.AgentID(i), Point{Run: run, Time: m}, everyOtherFaulty) {
 				t.Fatalf("n=%d: %q is not v=1 at time 1 at an agent that knows every other agent is faulty", tc.n, line)
 			}
+		}
+		build := func(ex model.Exchange, act model.ActionProtocol) *System {
+			s, err := BuildSystem(context.Background(), Context{Exchange: ex, T: 2, Crash: true}, act)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		nock := build(exchange.NewFIP(tc.n), action.NewOptNoCK(2))
+		minSys := build(exchange.NewMin(tc.n), action.NewMin(2))
+		basic := build(exchange.NewBasic(tc.n), action.NewBasic(tc.n))
+		got := [...]int{
+			len(checkImplements(t, sys, P1, 0)), len(checkImplements(t, nock, P0, 0)),
+			len(checkImplements(t, minSys, P0, 0)), len(checkImplements(t, basic, P0, 0)),
+			len(checkSafety(t, minSys, 0)), len(checkSafety(t, basic, 0)),
+		}
+		if want := [...]int{tc.optP1, tc.nockP0, tc.minP0, tc.basicP0, tc.minSafety, tc.basicSafety}; got != want {
+			t.Fatalf("n=%d: mismatches Popt/P1, Popt-nock/P0, Pmin/P0, Pbasic/P0 and Def 6.2 violations of Pmin, Pbasic %v; want %v",
+				tc.n, got, want)
+		}
+		earlier, earlierRuns := 0, 0
+		for r, res := range sys.Runs {
+			other, before := nock.Runs[r], earlier
+			if res.Pattern.String() != other.Pattern.String() || !slices.Equal(res.Inits, other.Inits) {
+				t.Fatalf("n=%d: run %d enumerates different scenarios under Popt and Popt-nock", tc.n, r)
+			}
+			for i, d := range res.DecisionRound {
+				switch e := other.DecisionRound[i]; {
+				case (d == 0) != (e == 0) || d > e:
+					t.Fatalf("n=%d: run %d agent %d decides in round %d under Popt, %d under Popt-nock", tc.n, r, i, d, e)
+				case d < e:
+					earlier++
+				}
+			}
+			if earlier > before {
+				earlierRuns++
+			}
+		}
+		if earlier != tc.earlier || earlierRuns != tc.earlierRuns {
+			t.Fatalf("n=%d: Popt decides earlier than Popt-nock for %d (agent, run) pairs in %d runs; want %d in %d",
+				tc.n, earlier, earlierRuns, tc.earlier, tc.earlierRuns)
 		}
 		if tc.n > 3 {
 			continue

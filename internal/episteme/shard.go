@@ -26,13 +26,18 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"slices"
+	"strconv"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/wire"
 )
 
 const (
@@ -126,10 +131,9 @@ func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, s
 	if o.cache != nil {
 		// Best-effort, like every cache store: a full disk never fails the
 		// build.
-		var buf bytes.Buffer
-		if err := WriteShardIndex(&buf, idx); err == nil {
-			o.cache.Put(idxKey, buf.Bytes())
-		}
+		bp := encodeIndex(idx, 0)
+		o.cache.Put(idxKey, *bp)
+		indexBufs.Put(bp)
 	}
 	return idx, nil
 }
@@ -162,44 +166,216 @@ func exportShardIndex(sys *System, shardIndex, shardCount int) (*ShardIndex, err
 	return idx, nil
 }
 
-// WriteShardIndex serializes the index as JSON.
+// The canonical index document is what encoding/json writes for a
+// ShardIndex, followed by one newline: the fields in declaration order
+// under their JSON keys, no whitespace, integers in shortest decimal form,
+// a nil slice as null, "stack" present exactly when non-empty,
+// "quotient" exactly when true and "mults" exactly when non-empty, each
+// run in CachedRun's canonical form, and strings escaped as the outcome
+// stream's lines escape them (internal/wire). WriteShardIndex writes
+// exactly that document and ReadShardIndex accepts nothing else, so two
+// indexes are equal exactly when their files compare equal with cmp(1),
+// and Digest hashes the document without its newline.
+
+// indexBufs lends the codec its document buffers from call to call, the
+// way encoding/json's encoder pool does.
+var indexBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeIndex returns a pooled buffer holding idx's document, newline
+// included; the caller puts it back. size, when known, is the document's
+// length.
+func encodeIndex(idx *ShardIndex, size int) *[]byte {
+	if size == 0 {
+		size = indexSize(idx)
+	}
+	bp := indexBufs.Get().(*[]byte)
+	*bp = append(appendShardIndex(slices.Grow((*bp)[:0], size), idx), '\n')
+	return bp
+}
+
+// indexSize estimates the length of idx's document, erring high, so that
+// a buffer is sized once: append's own steps, a quarter of the length
+// each, would allocate about five times a large document. Runs differ
+// from the first run's encoding by their pattern texts and a few digits.
+func indexSize(idx *ShardIndex) int {
+	var scratch [512]byte
+	size := 512 + len(idx.Stack) + 21*len(idx.Mults) // 21 bytes bound an int64 and its comma
+	if len(idx.Runs) > 0 {
+		size += len(idx.Runs) * (len(idx.Runs[0].AppendJSON(scratch[:0])) - len(idx.Runs[0].Pattern) + 16)
+	}
+	for k := range idx.Runs {
+		size += len(idx.Runs[k].Pattern)
+	}
+	for slot, keys := range idx.ClassKeys {
+		for _, key := range keys {
+			size += len(key) + 3
+		}
+		if slot < len(idx.ClassOf) {
+			size += len(idx.ClassOf[slot]) * (len(strconv.AppendInt(scratch[:0], int64(len(keys)), 10)) + 1)
+		}
+	}
+	return size + 4*len(idx.ClassOf)
+}
+
+// appendShardIndex appends idx's canonical document, without its newline.
+func appendShardIndex(dst []byte, idx *ShardIndex) []byte {
+	dst = append(dst, `{"kind":`...)
+	dst = wire.AppendString(dst, idx.Kind)
+	dst = append(dst, `,"v":`...)
+	dst = strconv.AppendInt(dst, int64(idx.Version), 10)
+	dst = append(dst, `,"shard":`...)
+	dst = strconv.AppendInt(dst, int64(idx.Shard), 10)
+	dst = append(dst, `,"shards":`...)
+	dst = strconv.AppendInt(dst, int64(idx.Shards), 10)
+	if idx.Stack != "" {
+		dst = append(dst, `,"stack":`...)
+		dst = wire.AppendString(dst, idx.Stack)
+	}
+	dst = append(dst, `,"n":`...)
+	dst = strconv.AppendInt(dst, int64(idx.N), 10)
+	dst = append(dst, `,"t":`...)
+	dst = strconv.AppendInt(dst, int64(idx.T), 10)
+	dst = append(dst, `,"horizon":`...)
+	dst = strconv.AppendInt(dst, int64(idx.Horizon), 10)
+	dst = append(dst, `,"runs":`...)
+	dst = wire.AppendList(dst, idx.Runs, func(dst []byte, r *ShardRun) []byte { return r.AppendJSON(dst) })
+	if idx.Quotient {
+		dst = append(dst, `,"quotient":true`...)
+	}
+	if len(idx.Mults) != 0 {
+		dst = append(dst, `,"mults":`...)
+		dst = wire.AppendInts(dst, idx.Mults)
+	}
+	dst = append(dst, `,"classKeys":`...)
+	dst = wire.AppendList(dst, idx.ClassKeys, func(dst []byte, keys *[]string) []byte {
+		return wire.AppendList(dst, *keys, func(dst []byte, key *string) []byte { return wire.AppendString(dst, *key) })
+	})
+	dst = append(dst, `,"classOf":`...)
+	dst = wire.AppendList(dst, idx.ClassOf, func(dst []byte, row *[]int32) []byte { return wire.AppendInts(dst, *row) })
+	return append(dst, '}')
+}
+
+// WriteShardIndex writes the index's canonical document in one Write.
 func WriteShardIndex(w io.Writer, idx *ShardIndex) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(idx); err != nil {
+	bp := encodeIndex(idx, 0)
+	defer indexBufs.Put(bp)
+	if _, err := w.Write(*bp); err != nil {
 		return fmt.Errorf("episteme: writing shard index %d/%d: %w", idx.Shard, idx.Shards, err)
 	}
 	return nil
 }
 
-// ReadShardIndex deserializes and validates a WriteShardIndex stream.
+// ReadShardIndex reads a WriteShardIndex document: the whole stream, into
+// one pooled buffer sized from the reader when it can tell (a bytes or
+// strings reader, a file). Only the canonical document is accepted.
 func ReadShardIndex(r io.Reader) (*ShardIndex, error) {
-	var idx ShardIndex
-	if err := json.NewDecoder(r).Decode(&idx); err != nil {
+	size := 0
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		size = r.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil {
+			size = int(fi.Size())
+		}
+	}
+	bp := indexBufs.Get().(*[]byte)
+	defer indexBufs.Put(bp)
+	buf := bytes.NewBuffer((*bp)[:0])
+	buf.Grow(size + bytes.MinRead) // room for the read that meets EOF
+	_, err := buf.ReadFrom(r)
+	*bp = buf.Bytes()
+	if err != nil {
 		return nil, fmt.Errorf("episteme: reading shard index: %w", err)
 	}
-	if idx.Kind != shardIndexKind {
-		return nil, fmt.Errorf("episteme: not a shard index (kind %q, want %q)", idx.Kind, shardIndexKind)
-	}
-	if idx.Version != shardIndexVersion {
-		return nil, fmt.Errorf("episteme: shard index version %d, this reader speaks %d", idx.Version, shardIndexVersion)
-	}
-	return &idx, nil
+	return parseShardIndex(buf.Bytes())
 }
 
-// Digest fingerprints the index's canonical JSON serialization. Two
-// indexes digest equal exactly when WriteShardIndex would emit identical
-// bytes for them — the identity the fabric coordinator resolves duplicate
-// stripe uploads by (first sealed valid upload wins; a conflicting digest
-// for the same stripe is a fatal inconsistency).
-func (idx *ShardIndex) Digest() string {
-	data, err := json.Marshal(idx)
-	if err != nil {
-		// Marshaling fixed structs of ints and strings cannot fail; an
-		// impossible-input digest keeps the failure observable without
-		// burdening every caller with an error path.
-		return "unmarshalable:" + err.Error()
+// parseShardIndex decodes one canonical index document. A foreign kind or
+// version is reported as such as soon as the header is read.
+func parseShardIndex(data []byte) (*ShardIndex, error) {
+	p := wire.Parser{Rest: data}
+	idx := new(ShardIndex)
+	p.Lit(`{"kind":`)
+	idx.Kind = string(p.Str())
+	if !p.Bad && idx.Kind != shardIndexKind {
+		return nil, fmt.Errorf("episteme: not a shard index (kind %q, want %q)", idx.Kind, shardIndexKind)
 	}
-	sum := sha256.Sum256(data)
+	p.Lit(`,"v":`)
+	idx.Version = int(p.Int64())
+	if !p.Bad && idx.Version != shardIndexVersion {
+		return nil, fmt.Errorf("episteme: shard index version %d, this reader speaks %d", idx.Version, shardIndexVersion)
+	}
+	p.Lit(`,"shard":`)
+	idx.Shard = int(p.Int64())
+	p.Lit(`,"shards":`)
+	idx.Shards = int(p.Int64())
+	if p.Opt(`,"stack":`) {
+		idx.Stack = string(p.Str())
+	}
+	p.Lit(`,"n":`)
+	idx.N = int(p.Int64())
+	p.Lit(`,"t":`)
+	idx.T = int(p.Int64())
+	p.Lit(`,"horizon":`)
+	idx.Horizon = int(p.Int64())
+	p.Lit(`,"runs":`)
+	// A canonical document holds no other `{"pattern":`: the count sizes
+	// the runs exactly.
+	idx.Runs = make([]ShardRun, 0, bytes.Count(p.Rest, []byte(`{"pattern":`)))
+	if !p.Elems(func() {
+		idx.Runs = append(idx.Runs, ShardRun{})
+		idx.Runs[len(idx.Runs)-1].Parse(&p)
+	}) {
+		idx.Runs = nil
+	}
+	idx.Quotient = p.Opt(`,"quotient":true`)
+	if p.Opt(`,"mults":`) {
+		idx.Mults, _ = wire.Exact[int64](&p, nil)
+	}
+	p.Lit(`,"classKeys":`)
+	var keys []string
+	idx.ClassKeys = [][]string{}
+	if !p.Elems(func() {
+		keys = keys[:0]
+		var row []string
+		if p.Elems(func() { keys = append(keys, string(p.Str())) }) {
+			row = append(make([]string, 0, len(keys)), keys...)
+		}
+		idx.ClassKeys = append(idx.ClassKeys, row)
+	}) {
+		idx.ClassKeys = nil
+	}
+	p.Lit(`,"classOf":`)
+	var scratch []int32
+	idx.ClassOf = make([][]int32, 0, len(idx.ClassKeys))
+	if !p.Elems(func() {
+		var row []int32
+		row, scratch = wire.Exact(&p, scratch)
+		idx.ClassOf = append(idx.ClassOf, row)
+	}) {
+		idx.ClassOf = nil
+	}
+	p.Lit("}\n")
+	if p.Bad || len(p.Rest) != 0 {
+		return nil, errors.New("episteme: reading shard index: malformed document")
+	}
+	bp := encodeIndex(idx, len(data))
+	defer indexBufs.Put(bp)
+	if !bytes.Equal(*bp, data) {
+		return nil, errors.New("episteme: reading shard index: not the canonical encoding of its content")
+	}
+	return idx, nil
+}
+
+// Digest fingerprints the index's canonical document (without its
+// newline). Two indexes digest equal exactly when WriteShardIndex would
+// emit identical bytes for them — the identity the fabric coordinator
+// resolves duplicate stripe uploads by (first sealed valid upload wins; a
+// conflicting digest for the same stripe is a fatal inconsistency).
+func (idx *ShardIndex) Digest() string {
+	bp := encodeIndex(idx, 0)
+	defer indexBufs.Put(bp)
+	sum := sha256.Sum256((*bp)[:len(*bp)-1])
 	return hex.EncodeToString(sum[:16])
 }
 

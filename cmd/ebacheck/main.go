@@ -20,7 +20,7 @@
 // so `-sweep -knowledge=false` is a fast streaming smoke test.
 //
 // The knowledge checks print the verdict block ebashard -check -merge and
-// the fabric coordinator print (one writer, eba.WriteVerdicts), so the
+// ebaserve's /v1/check print (one writer, eba.WriteVerdicts), so the
 // three diff clean; the sweep's line and all timings go to stderr. Exit
 // status 2 means a verdict failed, 1 anything else.
 //

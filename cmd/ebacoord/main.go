@@ -1,13 +1,13 @@
 // Command ebacoord coordinates a cross-machine sweep: it holds one job —
-// a stack's exhaustive SO(t) sweep or model check, split into -stripes
-// deterministic stripes — and serves the fabric wire protocol to any
-// number of ebashard -worker processes. Workers pull stripe leases,
+// a stack's exhaustive SO(t) sweep, split into -stripes deterministic
+// stripes — and serves the fabric wire protocol to any number of
+// ebashard -worker processes. Workers pull stripe leases,
 // heartbeat while they run, and upload sealed results; the coordinator
 // verifies every upload (record digests, stripe membership, sealed
 // footer) before trusting it, requeues the stripes of workers that go
 // silent past the lease TTL so surviving workers steal them, and — when
 // the last stripe lands — runs the canonical merge. The merged outcome
-// stream (or verdict block) is bit-identical to a single-process run's.
+// stream is bit-identical to a single-process run's.
 //
 //	ebacoord -stack fip -n 4 -t 1 -stripes 16 -spool /tmp/fab &
 //	ebashard -worker http://localhost:8123   # on as many machines as you like
@@ -16,13 +16,13 @@
 // restarted over the same spool re-verifies what's on disk and resumes
 // with only the missing stripes outstanding.
 //
-// Workers that run with a result cache (ebashard -worker … -cache DIR)
-// report its counters in their heartbeats, and /status shows them per
-// worker.
+// Model checks are not distributed: run `ebashard -check -shard i/k` per
+// stripe (on as many machines as you like) and one `ebashard -check
+// -merge` over the indexes.
 //
 // Exit codes match ebashard's: 2 for verification failures (torn or
-// tampered stripes, digest conflicts between duplicate uploads, failed
-// verdicts), 3 for transport failures, 1 for everything else.
+// tampered stripes, digest conflicts between duplicate uploads), 3 for
+// transport failures, 1 for everything else.
 package main
 
 import (
@@ -69,12 +69,10 @@ func run(args []string) error {
 		t         = fs.Int("t", 1, "failure bound t")
 		horizon   = fs.Int("horizon", 0, "execution horizon override (0 = the stack default)")
 		stripes   = fs.Int("stripes", 16, "stripe count M — keep M well above the worker count")
-		check     = fs.Bool("check", false, "distribute the model checker's enumeration instead of a sweep")
-		spec      = fs.Bool("spec", true, "sweep jobs: workers spec-check every run")
+		spec      = fs.Bool("spec", true, "workers spec-check every run")
 		spool     = fs.String("spool", "", "spool directory for verified stripes and the merged output (required)")
 		listen    = fs.String("listen", "127.0.0.1:8123", "address to serve the fabric protocol on (port 0 picks one)")
 		leaseTTL  = fs.Duration("lease-ttl", 10*time.Second, "heartbeat TTL before a stripe lease expires and is requeued")
-		parallel  = fs.Int("parallel", 0, "merge/verdict workers (0 = one per CPU; never changes the output)")
 		timeout   = fs.Duration("timeout", 30*time.Second, "bound on server request headers and on shutdown")
 		linger    = fs.Duration("linger", 2*time.Second, "how long to keep answering workers after the job ends, so they drain")
 		out       = fs.String("out", "", "also copy the merged output here when the job completes (\"-\" for stdout)")
@@ -86,12 +84,8 @@ func run(args []string) error {
 		return fmt.Errorf("-spool is required (it is where verified stripes and the merged output live)")
 	}
 
-	kind := eba.JobSweep
-	if *check {
-		kind = eba.JobCheck
-	}
 	job := eba.JobSpec{
-		Kind:      kind,
+		Kind:      eba.JobSweep,
 		Stack:     *stackName,
 		N:         *n,
 		T:         *t,
@@ -100,10 +94,9 @@ func run(args []string) error {
 		SpecCheck: *spec,
 	}
 	coord, err := eba.NewCoordinator(eba.CoordinatorConfig{
-		Job:         job,
-		SpoolDir:    *spool,
-		LeaseTTL:    *leaseTTL,
-		Parallelism: *parallel,
+		Job:      job,
+		SpoolDir: *spool,
+		LeaseTTL: *leaseTTL,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -90,10 +90,12 @@ func TestCoordSweepEndToEnd(t *testing.T) {
 func TestCoordFlagErrors(t *testing.T) {
 	spool := t.TempDir()
 	for name, args := range map[string][]string{
-		"-spool missing": {"-stack", "min"},
-		"-stripes 0":     {"-spool", spool, "-stripes", "0"},
-		"unknown stack":  {"-spool", spool, "-stack", "bogus"},
-		"-cache is gone": {"-spool", spool, "-cache", spool},
+		"-spool missing":    {"-stack", "min"},
+		"-stripes 0":        {"-spool", spool, "-stripes", "0"},
+		"unknown stack":     {"-spool", spool, "-stack", "bogus"},
+		"-cache is gone":    {"-spool", spool, "-cache", spool},
+		"-check is gone":    {"-spool", spool, "-check"},
+		"-parallel is gone": {"-spool", spool, "-parallel", "2"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("%s: accepted", name)

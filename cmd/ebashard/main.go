@@ -53,12 +53,15 @@
 //	ebashard -stack fip -n 4 -t 1 -quotient -cache ~/.eba-cache -out sweep.jsonl
 //	ebashard -cache-gc -cache ~/.eba-cache -cache-max-bytes 1000000000
 //
-// Fleet mode: -worker joins a cross-machine fabric instead of running a
-// fixed -shard stripe. The worker pulls stripe leases from the ebacoord
-// coordinator at the given URL, runs them through the same paths as
-// above, heartbeats while a stripe runs, and uploads sealed results with
-// bounded retry and backoff. SIGTERM drains gracefully (the stripe in
-// hand finishes and uploads); a second signal aborts.
+// Fleet mode: -worker joins a cross-machine sweep fabric instead of
+// running a fixed -shard stripe. The worker pulls sweep stripe leases
+// from the ebacoord coordinator at the given URL, runs them through the
+// same path as sweep mode, heartbeats while a stripe runs, and uploads
+// sealed results with bounded retry and backoff. SIGTERM drains
+// gracefully (the stripe in hand finishes and uploads); a second signal
+// aborts. A worker runs without a result cache: -worker with -cache is a
+// usage error. Model checks are not fleet jobs; -check -shard and
+// -check -merge above are their multi-process path.
 //
 //	ebashard -worker http://coord:8123 -parallel 4
 //
@@ -172,6 +175,9 @@ func run(args []string) (err error) {
 	if *check && *quotient {
 		return fmt.Errorf("-quotient applies to sweeps, where it changes the stream; the checker decides from the stack's exchange whether to enumerate orbit representatives, and the verdicts are the same bytes either way")
 	}
+	if *worker != "" && *cacheDir != "" {
+		return fmt.Errorf("-worker runs without a result cache; drop -cache")
+	}
 	if *cacheGC {
 		return runCacheGC(*cacheDir, *cacheMax)
 	}
@@ -183,7 +189,7 @@ func run(args []string) (err error) {
 
 	switch {
 	case *worker != "":
-		return runWorker(*worker, *workerID, *parallel, *timeout, store)
+		return runWorker(*worker, *workerID, *parallel, *timeout)
 	case *merge && *check:
 		return mergeIndexes(fs.Args(), *out, *parallel, *safety, *optimality)
 	case *merge:
@@ -217,14 +223,12 @@ func runCacheGC(dir string, maxBytes int64) error {
 // runWorker joins the fabric coordinator at coordURL and runs stripes
 // until the job completes. The first SIGTERM/SIGINT drains gracefully —
 // the stripe in hand finishes and uploads — and a second aborts.
-func runWorker(coordURL, id string, parallel int, timeout time.Duration, store eba.ResultCache) error {
+func runWorker(coordURL, id string, parallel int, timeout time.Duration) error {
 	w, err := eba.NewFabricWorker(eba.WorkerConfig{
 		Coordinator:    coordURL,
 		ID:             id,
 		Parallelism:    parallel,
 		RequestTimeout: timeout,
-		Cache:          store,
-		Fingerprint:    eba.CacheFingerprint(),
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -451,9 +455,9 @@ func mergeIndexes(paths []string, out string, parallel int, safety, optimality b
 	if err != nil {
 		return err
 	}
-	// The one shared verdict writer: the fabric coordinator's check-job
-	// merge goes through the same function, so a fleet run's verdicts and
-	// this command's diff clean.
+	// The one shared verdict writer: ebacheck and ebaserve's /v1/check go
+	// through the same function, so their verdicts and this command's
+	// diff clean.
 	verdictErr := eba.WriteVerdicts(ctx, w, sys, stackName, eba.VerdictOptions{Safety: safety, Optimality: optimality})
 	if cerr := closeOut(); verdictErr == nil {
 		verdictErr = cerr

@@ -181,3 +181,12 @@ func TestShardErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerRefusesCache: a fleet worker runs without a result cache, so
+// -worker with -cache is a usage error, caught before any connection.
+func TestWorkerRefusesCache(t *testing.T) {
+	err := run([]string{"-worker", "http://127.0.0.1:1", "-cache", t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), "-worker runs without a result cache") {
+		t.Fatalf("-worker -cache: %v; want the usage error", err)
+	}
+}

@@ -8,15 +8,17 @@ import (
 	"repro/internal/fabric"
 )
 
-// The cross-machine sweep fabric: distribute the deterministic stripes
-// of shard.go over HTTP. A Coordinator (cmd/ebacoord) holds one JobSpec
-// and a lease table over its stripes; Workers (ebashard -worker) pull
-// leases, run stripes through the same RunShard/BuildShardIndex paths a
-// single process uses, and upload sealed results. Every upload is
-// verified on receipt; a worker that stops heartbeating loses its lease
-// and the stripe is stolen; the coordinator's final merge is the
-// canonical MergeOutcomes/MergeSystems fan-in, so the fabric's merged
-// output is bit-identical to a single-process run's.
+// The cross-machine sweep fabric: distribute the deterministic sweep
+// stripes of shard.go over HTTP. A Coordinator (cmd/ebacoord) holds one
+// JobSpec and a lease table over its stripes; Workers (ebashard -worker)
+// pull leases, run stripes through the same RunShard path a single
+// process uses, and upload sealed results. Every upload is verified on
+// receipt; a worker that stops heartbeating loses its lease and the
+// stripe is stolen; the coordinator's final merge is the canonical
+// MergeOutcomes fan-in, so the fabric's merged stream is bit-identical to
+// a single-process run's. Model checks spread over processes with
+// BuildShardIndex per stripe and one MergeSystems (ebashard -check), not
+// through the fabric.
 
 // Fabric error classes for exit-code mapping with errors.Is: retrying a
 // FabricVerification failure reproduces it, retrying a FabricTransport
@@ -32,14 +34,11 @@ var (
 	ErrFabricConflict = fabric.ErrConflict
 )
 
-// JobKind selects what a fabric job distributes: sweep outcome streams
-// (JobSweep) or model-checker shard indexes (JobCheck).
+// JobKind names what a fabric job distributes.
 type JobKind = fabric.JobKind
 
-const (
-	JobSweep = fabric.SweepJob
-	JobCheck = fabric.CheckJob
-)
+// JobSweep distributes sweep outcome streams; it is the only JobKind.
+const JobSweep = fabric.SweepJob
 
 // JobSpec is the one job a fabric coordinator distributes.
 type JobSpec = fabric.JobSpec
@@ -87,8 +86,8 @@ type VerdictOptions = fabric.VerdictOptions
 
 // WriteVerdicts writes the deterministic verdict block for a merged (or
 // directly built) System — the one verdict writer shared by ebashard
-// -check -merge and the fabric coordinator, so their outputs compare
-// byte for byte. Failed verdicts return an error wrapping
+// -check -merge, ebacheck and ebaserve, so their outputs compare byte
+// for byte. Failed verdicts return an error wrapping
 // ErrFabricVerification after the full block is written.
 func WriteVerdicts(ctx context.Context, w io.Writer, sys *System, stackName string, opts VerdictOptions) error {
 	return fabric.WriteVerdicts(ctx, w, sys, stackName, opts)

@@ -222,7 +222,7 @@ func TestCacheUnsealedTmpQuarantined(t *testing.T) {
 // be opened again. (It could, and the second Open quarantined the first
 // writer's open segment as a dead one's, re-created the freed name, and
 // the first writer's seal then renamed that file into place: of two
-// workers sharing -cache DIR, one lost everything it had stored.)
+// processes sharing -cache DIR, one lost everything it had stored.)
 func TestCacheOneProcessPerDirectory(t *testing.T) {
 	dir := t.TempDir()
 	first := openT(t, dir)

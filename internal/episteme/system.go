@@ -751,18 +751,6 @@ func (s *System) NoDecidedN(v model.Value, p Point) bool {
 	return true
 }
 
-// FaultyAll reports whether every agent in mask (a bitmask over agents) is
-// faulty at p.
-func (s *System) FaultyAll(mask uint64, p Point) bool {
-	pat := s.Runs[p.Run].Pattern
-	for i := 0; i < s.N; i++ {
-		if mask&(1<<uint(i)) != 0 && pat.Nonfaulty(model.AgentID(i)) {
-			return false
-		}
-	}
-	return true
-}
-
 // Points calls fn for every point of the system with time ≤ maxTime
 // (maxTime < 0 means the full horizon).
 func (s *System) Points(maxTime int, fn func(Point)) {

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/episteme"
 	"repro/internal/httplimit"
 )
 
@@ -36,7 +35,8 @@ type CoordinatorConfig struct {
 	// before the stripe is requeued (default 10s). Slow and crashed
 	// workers are treated identically: silence past the TTL is failure.
 	LeaseTTL time.Duration
-	// Parallelism bounds the merge/verdict worker pool (0 = one per CPU).
+	// Parallelism is not read: the merge is one sequential k-way pass
+	// over the spooled streams.
 	Parallelism int
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
@@ -56,7 +56,6 @@ type Coordinator struct {
 	horizon int // the stack's effective execution horizon
 	spool   string
 	ttl     time.Duration
-	par     int
 	logf    func(string, ...any)
 	now     func() time.Time
 	table   *leaseTable
@@ -70,15 +69,12 @@ type Coordinator struct {
 	workers       map[string]*workerStats
 	mergedRecords int64
 	mergedDigest  string
-	verdictErr    error
 }
 
 type workerStats struct {
 	stripes     int
 	records     int64
 	first, last time.Time
-	cache       *CacheReport // last-known cache counters, nil if never reported
-	cacheAt     time.Time    // when that report arrived (zero if never)
 }
 
 // NewCoordinator validates the job, prepares the spool directory, and
@@ -111,7 +107,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		horizon: st.Horizon(),
 		spool:   cfg.SpoolDir,
 		ttl:     cfg.LeaseTTL,
-		par:     cfg.Parallelism,
 		logf:    cfg.Logf,
 		now:     cfg.now,
 		table:   newLeaseTable(cfg.Job.Stripes, cfg.LeaseTTL, cfg.now),
@@ -129,20 +124,12 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 
 // stripePath is the spool location of a verified stripe.
 func (c *Coordinator) stripePath(stripe int) string {
-	ext := "jsonl"
-	if c.job.Kind == CheckJob {
-		ext = "json"
-	}
-	return filepath.Join(c.spool, fmt.Sprintf("stripe-%04d.%s", stripe, ext))
+	return filepath.Join(c.spool, fmt.Sprintf("stripe-%04d.jsonl", stripe))
 }
 
-// MergedPath is the spool location of the merged output: the canonical
-// outcome stream of a sweep job, the verdict lines of a check job. The
-// file exists once Run has completed the merge.
+// MergedPath is the spool location of the merged canonical outcome
+// stream. The file exists once Run has completed the merge.
 func (c *Coordinator) MergedPath() string {
-	if c.job.Kind == CheckJob {
-		return filepath.Join(c.spool, "verdicts.txt")
-	}
 	return filepath.Join(c.spool, "merged.jsonl")
 }
 
@@ -184,23 +171,6 @@ func (c *Coordinator) recover() error {
 // must describe exactly stripe `stripe` of this job. It returns the
 // stripe's digest and record count.
 func (c *Coordinator) verifyStripe(r io.Reader, stripe int) (digest string, records int64, err error) {
-	if c.job.Kind == CheckJob {
-		idx, err := episteme.ReadShardIndex(r)
-		if err != nil {
-			return "", 0, err
-		}
-		if err := idx.Validate(); err != nil {
-			return "", 0, err
-		}
-		if idx.Shard != stripe || idx.Shards != c.job.Stripes {
-			return "", 0, fmt.Errorf("index is stripe %d/%d, expected %d/%d", idx.Shard, idx.Shards, stripe, c.job.Stripes)
-		}
-		if idx.Stack != c.job.Stack || idx.N != c.job.N || idx.T != c.job.T || idx.Horizon != c.horizon {
-			return "", 0, fmt.Errorf("index built %s(n=%d,t=%d,h=%d), job is %s(n=%d,t=%d,h=%d)",
-				idx.Stack, idx.N, idx.T, idx.Horizon, c.job.Stack, c.job.N, c.job.T, c.horizon)
-		}
-		return idx.Digest(), int64(len(idx.Runs)), nil
-	}
 	sum, err := core.VerifyOutcomeStream(r)
 	if err != nil {
 		return "", 0, err
@@ -305,19 +275,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.touchWorker(req.Worker)
-	// A heartbeat without a CacheReport (a worker restarted without its
-	// cache, or one that never ran one) must not clear the last-known
-	// counters: Status keeps them and flags them stale instead, so the
-	// fleet's cache history survives a cacheless restart.
-	if req.Cache != nil {
-		snap := *req.Cache
-		c.mu.Lock()
-		if ws := c.workers[req.Worker]; ws != nil {
-			ws.cache = &snap
-			ws.cacheAt = c.now()
-		}
-		c.mu.Unlock()
-	}
 	if !c.table.heartbeat(req.Worker, req.Stripe) {
 		http.Error(w, "lease lost", http.StatusConflict)
 		return
@@ -500,8 +457,6 @@ func (c *Coordinator) Status() StatusReport {
 	}
 	if c.failure != nil {
 		rep.Error = c.failure.Error()
-	} else if c.verdictErr != nil {
-		rep.Error = c.verdictErr.Error()
 	}
 	if len(c.workers) > 0 {
 		rep.Workers = make(map[string]WorkerReport, len(c.workers))
@@ -514,15 +469,6 @@ func (c *Coordinator) Status() StatusReport {
 			if window := ws.last.Sub(ws.first); window > 0 && ws.records > 0 {
 				wr.RecordsPerSecond = float64(ws.records) / window.Seconds()
 			}
-			if ws.cache != nil {
-				snap := *ws.cache
-				wr.Cache = &snap
-				// Stale: the worker has been heard from since its last
-				// cache report, so the counters are history, not a live
-				// snapshot.
-				wr.CacheStale = ws.last.After(ws.cacheAt)
-				wr.CacheAgeMillis = now.Sub(ws.cacheAt).Milliseconds()
-			}
 			rep.Workers[id] = wr
 		}
 	}
@@ -533,9 +479,7 @@ func (c *Coordinator) Status() StatusReport {
 
 // Run drives the job: it expires stale leases on a ticker, waits for the
 // last stripe, runs the canonical merge, and returns. A digest conflict
-// or spool failure fails the job (ErrVerification); a check job whose
-// merged verdicts fail returns that verification error with the job still
-// complete (the verdict file names the violations). The HTTP handlers
+// or spool failure fails the job (ErrVerification). The HTTP handlers
 // stay functional after Run returns — polling workers see 410 and drain.
 func (c *Coordinator) Run(ctx context.Context) error {
 	interval := c.ttl / 2
@@ -580,19 +524,14 @@ func (c *Coordinator) Run(ctx context.Context) error {
 	}
 	c.mu.Lock()
 	c.phase = PhaseComplete
-	verdictErr := c.verdictErr
 	records, digest := c.mergedRecords, c.mergedDigest
 	c.mu.Unlock()
-	if c.job.Kind == CheckJob {
-		c.logf("fabric: job complete: %d runs checked (verdicts in %s)", records, c.MergedPath())
-	} else {
-		c.logf("fabric: job complete: %d records, digest %s (%s)", records, digest, c.MergedPath())
-	}
-	return verdictErr
+	c.logf("fabric: job complete: %d records, digest %s (%s)", records, digest, c.MergedPath())
+	return nil
 }
 
 // merge runs the canonical fan-in over the spooled stripes. The merged
-// output is written through a temp file and renamed, so the spool never
+// stream is written through a temp file and renamed, so the spool never
 // holds a torn merged file.
 func (c *Coordinator) merge(ctx context.Context) error {
 	tmp, err := os.CreateTemp(c.spool, "merged-*")
@@ -600,49 +539,6 @@ func (c *Coordinator) merge(ctx context.Context) error {
 		return fmt.Errorf("fabric: creating merged output: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-
-	if c.job.Kind == CheckJob {
-		shards := make([]*episteme.ShardIndex, c.job.Stripes)
-		for i := range shards {
-			f, err := os.Open(c.stripePath(i))
-			if err != nil {
-				tmp.Close()
-				return fmt.Errorf("%w: opening spooled stripe: %v", ErrVerification, err)
-			}
-			idx, rerr := episteme.ReadShardIndex(f)
-			f.Close()
-			if rerr != nil {
-				tmp.Close()
-				return fmt.Errorf("%w: re-reading stripe %d: %v", ErrVerification, i, rerr)
-			}
-			shards[i] = idx
-		}
-		sys, err := episteme.MergeSystems(ctx, shards, episteme.WithParallelism(c.par))
-		if err != nil {
-			tmp.Close()
-			return fmt.Errorf("%w: merging shard indexes: %v", ErrVerification, err)
-		}
-		verdictErr := WriteVerdicts(ctx, tmp, sys, c.job.Stack, VerdictOptions{Safety: true, Optimality: true})
-		if verdictErr != nil && !errors.Is(verdictErr, ErrVerification) {
-			tmp.Close()
-			return verdictErr
-		}
-		if err := tmp.Close(); err != nil {
-			return fmt.Errorf("fabric: writing verdicts: %w", err)
-		}
-		if err := os.Rename(tmp.Name(), c.MergedPath()); err != nil {
-			return fmt.Errorf("fabric: publishing verdicts: %w", err)
-		}
-		var runs int64 // the verdict block's "runs:", not the orbit representatives
-		for r := range sys.Runs {
-			runs += sys.Weight(r)
-		}
-		c.mu.Lock()
-		c.mergedRecords = runs
-		c.verdictErr = verdictErr
-		c.mu.Unlock()
-		return nil
-	}
 
 	readers := make([]io.Reader, c.job.Stripes)
 	files := make([]*os.File, c.job.Stripes)

@@ -1,10 +1,10 @@
 // Package fabric is the cross-machine sweep fabric: a pull-based
-// coordinator/worker subsystem that distributes ShardSpec stripes over
-// HTTP and re-merges their results with the shard-and-merge machinery of
-// internal/core and internal/episteme.
+// coordinator/worker subsystem that distributes ShardSpec stripes of an
+// exhaustive sweep over HTTP and re-merges their outcome streams with
+// internal/core's MergeOutcomes.
 //
-// The design leans on the property PR 5 established: a sweep splits into
-// M coordination-free stripes whose outcome streams and shard indexes are
+// The design leans on one property of the shard machinery: a sweep
+// splits into M coordination-free stripes whose outcome streams are
 // self-describing, digested, and sealed by a footer. The fabric never has
 // to trust a worker — it verifies every uploaded stripe on receipt
 // (record digests, stripe membership, sealed footer), so a crashed, slow,
@@ -19,13 +19,19 @@
 // The coordinator (cmd/ebacoord) holds a JobSpec and a lease table over
 // M stripes (M ≫ worker count, so assignment is elastic load balancing);
 // workers (ebashard -worker) pull leases, execute stripes through the
-// existing Runner.RunShard / BuildShardIndex paths, heartbeat while they
-// run, and upload sealed results with bounded retry, exponential backoff,
-// and jitter. When every stripe lands, the coordinator runs the canonical
-// merge — MergeOutcomes for sweeps, MergeSystems + WriteVerdicts for
-// model checks — so the fabric's merged output is bit-identical to a
-// single-process run: distributing a sweep can never change what it
+// existing Runner.RunShard path, heartbeat while they run, and upload
+// sealed results with bounded retry, exponential backoff, and jitter.
+// When every stripe lands, the coordinator runs the canonical
+// MergeOutcomes fan-in, so the fabric's merged stream is bit-identical to
+// a single-process run: distributing a sweep can never change what it
 // observes.
+//
+// Model checks are not distributed here: their fan-in (MergeSystems,
+// expansion, the checkers) runs over the whole system in one process
+// whoever built the stripes, so the multi-process check path is
+// `ebashard -check -shard i/k` per stripe and one `ebashard -check
+// -merge`. This package keeps WriteVerdicts, the verdict writer that
+// merge and the benchmark share.
 //
 // Wire protocol (all JSON unless noted):
 //
@@ -33,12 +39,11 @@
 //	POST /lease          LeaseRequest → 200 LeaseGrant | 204 (nothing
 //	                     leasable right now) | 410 JobDone
 //	POST /heartbeat      HeartbeatRequest → 200 | 409 (lease lost) | 410
-//	PUT  /result/{i}     raw outcome stream or shard index → 200
-//	                     ResultAck | 400 (verification failed; stripe
-//	                     requeued) | 409 (digest conflict; job aborts) |
-//	                     410
+//	PUT  /result/{i}     raw outcome stream → 200 ResultAck | 400
+//	                     (verification failed; stripe requeued) | 409
+//	                     (digest conflict; job aborts) | 410
 //	GET  /status         → StatusReport
-//	GET  /merged         → merged stream / verdicts (404 until complete)
+//	GET  /merged         → merged stream (404 until complete)
 package fabric
 
 import (
@@ -69,26 +74,21 @@ var (
 	ErrConflict = fmt.Errorf("%w: conflicting digests for one stripe", ErrVerification)
 )
 
-// JobKind selects what the fabric distributes: a sweep's outcome streams
-// or the model checker's shard indexes.
+// JobKind names what a job distributes. SweepJob is the only kind: the
+// field stays so the job's JSON says what it is.
 type JobKind string
 
-const (
-	// SweepJob distributes Runner.RunShard stripes and merges their
-	// outcome streams with MergeOutcomes.
-	SweepJob JobKind = "sweep"
-	// CheckJob distributes BuildShardIndex stripes and merges their
-	// indexes with MergeSystems, emitting deterministic verdict lines.
-	CheckJob JobKind = "check"
-)
+// SweepJob distributes Runner.RunShard stripes and merges their outcome
+// streams with MergeOutcomes.
+const SweepJob JobKind = "sweep"
 
 // JobSpec is the one job a coordinator runs: which stack's exhaustive
-// SO(t) enumeration to sweep (or check), split into how many stripes.
+// SO(t) enumeration to sweep, split into how many stripes.
 // Stripes should comfortably exceed the worker count — fine striding is
 // what turns the fixed i/k split into elastic load balancing, and what
 // bounds the work lost when a worker dies to one stripe.
 type JobSpec struct {
-	// Kind is SweepJob or CheckJob.
+	// Kind is SweepJob.
 	Kind JobKind `json:"kind"`
 	// Stack names the protocol stack (see the registry); N, T its size.
 	Stack string `json:"stack"`
@@ -99,17 +99,15 @@ type JobSpec struct {
 	Horizon int `json:"horizon,omitempty"`
 	// Stripes is M, the stripe count of the deterministic M-way split.
 	Stripes int `json:"stripes"`
-	// SpecCheck makes sweep workers verify every run against the EBA
+	// SpecCheck makes workers verify every run against the EBA
 	// specification (a violation aborts the stripe).
 	SpecCheck bool `json:"specCheck,omitempty"`
 }
 
 // Validate reports whether the spec names a runnable job.
 func (j JobSpec) Validate() error {
-	switch j.Kind {
-	case SweepJob, CheckJob:
-	default:
-		return fmt.Errorf("fabric: job kind %q (want %q or %q)", j.Kind, SweepJob, CheckJob)
+	if j.Kind != SweepJob {
+		return fmt.Errorf("fabric: job kind %q (want %q); to check a stack across processes, run `ebashard -check -shard i/k` per stripe, then `ebashard -check -merge`", j.Kind, SweepJob)
 	}
 	if j.Stack == "" {
 		return fmt.Errorf("fabric: job names no stack")
@@ -161,24 +159,10 @@ type LeaseGrant struct {
 	TTLMillis int64 `json:"ttlMillis"`
 }
 
-// CacheReport snapshots a worker's result-cache traffic; it travels in
-// heartbeats and shows up in the worker's row of StatusReport.
-type CacheReport struct {
-	Hits         int64 `json:"hits"`
-	Misses       int64 `json:"misses"`
-	Puts         int64 `json:"puts"`
-	BytesServed  int64 `json:"bytesServed"`
-	BytesWritten int64 `json:"bytesWritten"`
-}
-
-// HeartbeatRequest renews a lease mid-stripe. Cache, when the worker
-// runs one, carries its current result-cache counters — heartbeats are
-// re-marshaled every tick, so the coordinator's status always shows the
-// latest snapshot.
+// HeartbeatRequest renews a lease mid-stripe.
 type HeartbeatRequest struct {
-	Worker string       `json:"worker"`
-	Stripe int          `json:"stripe"`
-	Cache  *CacheReport `json:"cache,omitempty"`
+	Worker string `json:"worker"`
+	Stripe int    `json:"stripe"`
 }
 
 // ResultAck acknowledges an accepted stripe upload.
@@ -187,7 +171,7 @@ type ResultAck struct {
 	// Duplicate reports the stripe was already complete with the same
 	// digest (the upload was discarded; first sealed valid upload wins).
 	Duplicate bool `json:"duplicate,omitempty"`
-	// Records is the stripe's record count (runs, for a check job).
+	// Records is the stripe's record count.
 	Records int64 `json:"records"`
 	// Digest is the stripe's accepted digest.
 	Digest string `json:"digest"`
@@ -242,16 +226,6 @@ type WorkerReport struct {
 	RecordsPerSecond float64 `json:"recordsPerSecond"`
 	// IdleMillis is the time since the worker was last heard from.
 	IdleMillis int64 `json:"idleMillis"`
-	// Cache is the worker's last-known result-cache counters (absent
-	// when the worker never reported any). A worker that heartbeats
-	// without a CacheReport — e.g. restarted without its cache — does
-	// NOT clear them; CacheStale marks them as history instead.
-	Cache *CacheReport `json:"cache,omitempty"`
-	// CacheStale reports that the worker has been heard from since its
-	// last cache report, so Cache is last-known history rather than a
-	// live snapshot. CacheAgeMillis is the time since that report.
-	CacheStale     bool  `json:"cacheStale,omitempty"`
-	CacheAgeMillis int64 `json:"cacheAgeMillis,omitempty"`
 }
 
 // StatusReport is the coordinator's JSON status: machine-readable for the
@@ -262,13 +236,10 @@ type StatusReport struct {
 	Stripes  StripeCounts            `json:"stripes"`
 	Workers  map[string]WorkerReport `json:"workers,omitempty"`
 	Counters Counters                `json:"counters"`
-	// MergedRecords and MergedDigest describe the canonical merge once
-	// Phase is "complete" (sweep jobs report the chained stream digest;
-	// check jobs, the runs checked — the full sweep's, not the orbit
-	// representatives' a quotiented merge holds).
+	// MergedRecords and MergedDigest describe the merged stream (its
+	// record count and chained digest) once Phase is "complete".
 	MergedRecords int64  `json:"mergedRecords,omitempty"`
 	MergedDigest  string `json:"mergedDigest,omitempty"`
-	// Error carries the failure when Phase is "failed" (or the verdict
-	// failure of a complete check job).
+	// Error carries the failure when Phase is "failed".
 	Error string `json:"error,omitempty"`
 }

@@ -16,11 +16,8 @@ import (
 	"testing"
 	"time"
 
-	rescache "repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/episteme"
 	"repro/internal/httplimit"
-	"repro/internal/model"
 )
 
 // testJob is the suite's standard sweep: small enough that a stripe runs
@@ -126,12 +123,6 @@ func leaseStripe(t *testing.T, baseURL, worker string) (LeaseGrant, int) {
 // of them; any worker error fails the test.
 func runWorkers(t *testing.T, ctx context.Context, url string, n int) {
 	t.Helper()
-	runCachedWorkers(t, ctx, url, n, nil)
-}
-
-// runCachedWorkers is runWorkers with one result cache shared by all n.
-func runCachedWorkers(t *testing.T, ctx context.Context, url string, n int, store core.ResultCache) {
-	t.Helper()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
@@ -141,8 +132,6 @@ func runCachedWorkers(t *testing.T, ctx context.Context, url string, n int, stor
 			PollInterval: 20 * time.Millisecond,
 			BaseBackoff:  5 * time.Millisecond,
 			Logf:         t.Logf,
-			Cache:        store,
-			Fingerprint:  "fp",
 		})
 		if err != nil {
 			t.Fatalf("NewWorker: %v", err)
@@ -293,129 +282,6 @@ func TestFabricSweepStealsFromSilentWorker(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(served, merged) {
 		t.Fatalf("GET /merged: status %d, %d bytes; want the merged stream", resp.StatusCode, len(served))
-	}
-}
-
-// TestFabricCheckJobVerdictsIdentical distributes the model checker and
-// checks the coordinator's verdict file is byte-identical to a
-// single-process check of the same stack — merged from one 1-way index,
-// and built whole as ebacheck builds it — for a stack whose keys name no
-// agent (min) and one whose keys the expansion rewrites (fip). The workers
-// build both through the symmetry quotient without being asked, the
-// spooled indexes say so, the coordinator expands, and /status counts the
-// sweep's runs — the block's "runs:" line — not the representatives.
-func TestFabricCheckJobVerdictsIdentical(t *testing.T) {
-	for _, stack := range []string{"min", "fip"} {
-		t.Run(stack, func(t *testing.T) {
-			job := JobSpec{Kind: CheckJob, Stack: stack, N: 3, T: 1, Stripes: 4}
-			c, srv := newTestCoordinator(t, job, 2*time.Second)
-
-			runErr := make(chan error, 1)
-			go func() { runErr <- c.Run(context.Background()) }()
-			runWorkers(t, context.Background(), srv.URL, 2)
-			if err := <-runErr; err != nil {
-				t.Fatalf("coordinator Run: %v", err)
-			}
-
-			got, err := os.ReadFile(c.MergedPath())
-			if err != nil {
-				t.Fatalf("reading verdicts: %v", err)
-			}
-			for stripe := 0; stripe < job.Stripes; stripe++ {
-				spooled, err := os.ReadFile(c.stripePath(stripe))
-				if err != nil {
-					t.Fatalf("reading spooled stripe %d: %v", stripe, err)
-				}
-				if !bytes.Contains(spooled, []byte(`"quotient":true`)) {
-					t.Errorf("spooled stripe %d is not quotiented", stripe)
-				}
-			}
-			if rec := c.Status().MergedRecords; !bytes.Contains(got, []byte(fmt.Sprintf("\nruns: %d\n", rec))) {
-				t.Errorf("/status counts %d runs checked; the verdict block says otherwise:\n%s", rec, got)
-			}
-
-			// The single-process references: one 1-way shard index, merged,
-			// and the whole System built at once; same verdict writer, same
-			// options as the coordinator.
-			ctx := context.Background()
-			st, err := job.NewStack()
-			if err != nil {
-				t.Fatalf("NewStack: %v", err)
-			}
-			idx, err := episteme.BuildShardIndex(ctx, episteme.ContextFor(st), st.Action, 0, 1)
-			if err != nil {
-				t.Fatalf("BuildShardIndex 0/1: %v", err)
-			}
-			idx.Stack = job.Stack
-			merged, err := episteme.MergeSystems(ctx, []*episteme.ShardIndex{idx})
-			if err != nil {
-				t.Fatalf("MergeSystems: %v", err)
-			}
-			built, err := episteme.BuildSystem(ctx, episteme.ContextFor(st), st.Action)
-			if err != nil {
-				t.Fatalf("BuildSystem: %v", err)
-			}
-			for k, sys := range []*episteme.System{merged, built} {
-				name := []string{"a merged 1-way index", "ebacheck's build"}[k]
-				var want bytes.Buffer
-				if err := WriteVerdicts(ctx, &want, sys, job.Stack, VerdictOptions{Safety: true, Optimality: true}); err != nil {
-					t.Fatalf("verdicts of %s: %v", name, err)
-				}
-				if !bytes.Equal(got, want.Bytes()) {
-					t.Fatalf("fabric verdicts differ from those of %s:\n got: %q\nwant: %q", name, got, want.Bytes())
-				}
-			}
-		})
-	}
-}
-
-// everyRun hides the exchange's model.KeyPermuter, so a stripe built over
-// it holds every run of its share of the sweep: what a worker built before
-// the exchange quotiented uploads.
-type everyRun struct{ model.Exchange }
-
-// TestFabricCheckJobRefusesMixedStripes feeds a min check job one stripe
-// built through the symmetry quotient and one built run by run, as a fleet
-// of two versions would. Each passes the upload checks; together they
-// enumerate different sweeps, so the merge fails the job with
-// ErrVerification instead of writing a verdict.
-func TestFabricCheckJobRefusesMixedStripes(t *testing.T) {
-	job := JobSpec{Kind: CheckJob, Stack: "min", N: 3, T: 1, Stripes: 2}
-	c, srv := newTestCoordinator(t, job, time.Minute)
-	st, err := job.NewStack()
-	if err != nil {
-		t.Fatalf("NewStack: %v", err)
-	}
-	for stripe, quotiented := range []bool{true, false} {
-		ec := episteme.ContextFor(st)
-		if !quotiented {
-			ec.Exchange = everyRun{ec.Exchange}
-		}
-		idx, err := episteme.BuildShardIndex(context.Background(), ec, st.Action, stripe, job.Stripes)
-		if err != nil {
-			t.Fatalf("BuildShardIndex %d/%d: %v", stripe, job.Stripes, err)
-		}
-		if idx.Quotient != quotiented {
-			t.Fatalf("stripe %d: quotiented %v, want %v", stripe, idx.Quotient, quotiented)
-		}
-		idx.Stack = job.Stack
-		var buf bytes.Buffer
-		if err := episteme.WriteShardIndex(&buf, idx); err != nil {
-			t.Fatalf("WriteShardIndex: %v", err)
-		}
-		if got := putStripe(t, srv.URL, stripe, "w0", buf.Bytes()); got != http.StatusOK {
-			t.Fatalf("uploading stripe %d: status %d", stripe, got)
-		}
-	}
-	err = c.Run(context.Background())
-	if !errors.Is(err, ErrVerification) || !strings.Contains(err.Error(), "the stripes enumerate different sweeps") {
-		t.Fatalf("Run over mixed stripes = %v, want ErrVerification naming the different sweeps", err)
-	}
-	if st := c.Status(); st.Phase != PhaseFailed || st.MergedRecords != 0 {
-		t.Fatalf("status phase %q, %d runs checked; want a failed job and no count", st.Phase, st.MergedRecords)
-	}
-	if _, err := os.Stat(c.MergedPath()); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("a verdict file was published for mixed stripes: %v", err)
 	}
 }
 
@@ -636,63 +502,6 @@ func TestTamperedUploadRequeued(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsOutOfRangeLedgers uploads check-job indexes whose
-// run ledgers hold values an engine.Result's int8 fields would wrap (256
-// reads as "decided 0") or no run of the horizon can carry: the trust
-// boundary refuses each one, and the honest index still lands.
-func TestCoordinatorRejectsOutOfRangeLedgers(t *testing.T) {
-	job := JobSpec{Kind: CheckJob, Stack: "min", N: 3, T: 1, Stripes: 1}
-	c, srv := newTestCoordinator(t, job, time.Minute)
-	st, err := job.NewStack()
-	if err != nil {
-		t.Fatalf("NewStack: %v", err)
-	}
-	idx, err := episteme.BuildShardIndex(context.Background(), episteme.ContextFor(st), st.Action, 0, 1)
-	if err != nil {
-		t.Fatalf("BuildShardIndex 0/1: %v", err)
-	}
-	idx.Stack = job.Stack
-	encode := func() []byte {
-		var buf bytes.Buffer
-		if err := episteme.WriteShardIndex(&buf, idx); err != nil {
-			t.Fatalf("WriteShardIndex: %v", err)
-		}
-		return buf.Bytes()
-	}
-	honest := encode()
-
-	run, h := &idx.Runs[5], idx.Horizon
-	cells := []struct {
-		name string
-		cell *int
-		bad  int
-	}{
-		{"decision 256", &run.Decisions[0], 256},
-		{"decision -2", &run.Decisions[1], -2},
-		{"round -1", &run.Rounds[0], -1},
-		{"round horizon+1", &run.Rounds[2], h + 1},
-		{"action 3", &run.Actions[0][1], 3},
-		{"action 259", &run.Actions[h-1][0], 259},
-		{"init 2", &run.Inits[2], 2},
-	}
-	for _, tc := range cells {
-		good := *tc.cell
-		*tc.cell = tc.bad
-		payload := encode()
-		*tc.cell = good
-		if got := putStripe(t, srv.URL, 0, "w-evil", payload); got != http.StatusBadRequest {
-			t.Errorf("%s: upload status %d, want %d", tc.name, got, http.StatusBadRequest)
-		}
-	}
-	status := c.Status()
-	if status.Counters.Rejects != int64(len(cells)) || status.Stripes.Done != 0 {
-		t.Fatalf("counters = %+v, stripes = %+v; want %d rejects and nothing done", status.Counters, status.Stripes, len(cells))
-	}
-	if got := putStripe(t, srv.URL, 0, "w-honest", honest); got != http.StatusOK {
-		t.Fatalf("honest upload after the rejects: status %d", got)
-	}
-}
-
 // TestWorkerTransportExhaustion checks a worker facing a dead
 // coordinator gives up after its bounded retries with ErrTransport —
 // the exit-code-3 class.
@@ -819,7 +628,8 @@ func TestJobSpecValidate(t *testing.T) {
 		{Kind: SweepJob, Stack: "", N: 3, T: 1, Stripes: 2},
 		{Kind: SweepJob, Stack: "min", N: 3, T: 1, Stripes: 0},
 		{Kind: SweepJob, Stack: "no-such-stack", N: 3, T: 1, Stripes: 2},
-		{Kind: CheckJob, Stack: "fip", N: 2, T: 2, Stripes: 2},              // t ≥ n: every worker panicked
+		{Kind: "check", Stack: "min", N: 3, T: 1, Stripes: 2},               // checks run as ebashard -check stripes + -merge
+		{Kind: SweepJob, Stack: "fip", N: 2, T: 2, Stripes: 2},              // t ≥ n: every worker panicked
 		{Kind: SweepJob, Stack: "min", N: 3, T: 5, Stripes: 2},              // t ≥ n
 		{Kind: SweepJob, Stack: "min", N: 3, T: 1, Horizon: -5, Stripes: 2}, // was "the default"
 	}
@@ -828,207 +638,15 @@ func TestJobSpecValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) accepted an invalid job", j)
 		}
 	}
+	check := JobSpec{Kind: "check", Stack: "min", N: 3, T: 1, Stripes: 2}
+	if err := check.Validate(); err == nil || !strings.Contains(err.Error(), "ebashard -check -merge") {
+		t.Errorf("Validate(check job) = %v; want the refusal that names ebashard -check -merge", err)
+	}
 	if err := testJob(4).Validate(); err != nil {
 		t.Errorf("Validate(testJob) = %v", err)
 	}
 	if s := testJob(4).String(); !strings.Contains(s, "min") || !strings.Contains(s, "4") {
 		t.Errorf("String() = %q", s)
-	}
-}
-
-// --- result cache ---------------------------------------------------------
-
-// TestFabricSharedCache runs one sweep job twice with two workers that
-// share a single cache directory: the first fleet fills it, the second
-// answers from it, and both merged streams are byte-identical to the
-// single-process reference.
-func TestFabricSharedCache(t *testing.T) {
-	job := testJob(4)
-	want := singleSweepStream(t, job)
-	store, err := rescache.Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("cache.Open: %v", err)
-	}
-	defer store.Close()
-
-	var merged [2][]byte
-	for round, label := range []string{"cold", "warm"} {
-		before := store.Stats()
-		c, srv := newTestCoordinator(t, job, 2*time.Second)
-		runErr := make(chan error, 1)
-		go func() { runErr <- c.Run(context.Background()) }()
-		runCachedWorkers(t, context.Background(), srv.URL, 2, store)
-		if err := <-runErr; err != nil {
-			t.Fatalf("%s coordinator Run: %v", label, err)
-		}
-		merged[round], err = os.ReadFile(c.MergedPath())
-		if err != nil {
-			t.Fatalf("reading %s merged stream: %v", label, err)
-		}
-		if !bytes.Equal(merged[round], want) {
-			t.Fatalf("%s fabric-merged stream differs from the single-process stream", label)
-		}
-		after := store.Stats()
-		if round == 0 && after.Puts == before.Puts {
-			t.Fatal("cold fleet stored nothing in the shared cache")
-		}
-		if round == 1 && after.Hits == before.Hits {
-			t.Fatal("warm fleet hit nothing in the shared cache")
-		}
-	}
-	if !bytes.Equal(merged[0], merged[1]) {
-		t.Fatal("cold and warm merged streams differ")
-	}
-	if st := store.Stats(); st.Hits == 0 || st.Puts == 0 {
-		t.Fatalf("shared store stats = %+v; want both puts and hits", st)
-	}
-}
-
-// TestFabricSharedCacheCheckJob runs the same warm/cold equivalence for
-// a distributed model check: cached verdicts match the uncached fleet's.
-func TestFabricSharedCacheCheckJob(t *testing.T) {
-	job := JobSpec{Kind: CheckJob, Stack: "min", N: 3, T: 1, Stripes: 2}
-
-	// Uncached reference fleet.
-	ref, refSrv := newTestCoordinator(t, job, 2*time.Second)
-	runErr := make(chan error, 1)
-	go func() { runErr <- ref.Run(context.Background()) }()
-	runWorkers(t, context.Background(), refSrv.URL, 2)
-	if err := <-runErr; err != nil {
-		t.Fatalf("reference coordinator Run: %v", err)
-	}
-	want, err := os.ReadFile(ref.MergedPath())
-	if err != nil {
-		t.Fatalf("reading reference verdicts: %v", err)
-	}
-
-	store, err := rescache.Open(t.TempDir())
-	if err != nil {
-		t.Fatalf("cache.Open: %v", err)
-	}
-	defer store.Close()
-	for _, label := range []string{"cold", "warm"} {
-		c, srv := newTestCoordinator(t, job, 2*time.Second)
-		go func() { runErr <- c.Run(context.Background()) }()
-		runCachedWorkers(t, context.Background(), srv.URL, 2, store)
-		if err := <-runErr; err != nil {
-			t.Fatalf("%s coordinator Run: %v", label, err)
-		}
-		got, err := os.ReadFile(c.MergedPath())
-		if err != nil {
-			t.Fatalf("reading %s verdicts: %v", label, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s cached fleet verdicts differ from the uncached fleet's", label)
-		}
-	}
-	if st := store.Stats(); st.Hits == 0 {
-		t.Fatalf("shared store stats = %+v; warm check job hit nothing", st)
-	}
-}
-
-// TestHeartbeatCarriesCacheReport pins the status plumbing: a heartbeat
-// with cache counters lands in the worker's status row; one without
-// leaves the last report standing.
-func TestHeartbeatCarriesCacheReport(t *testing.T) {
-	c, srv := newTestCoordinator(t, testJob(2), time.Minute)
-	grant, status := leaseStripe(t, srv.URL, "wx")
-	if status != http.StatusOK {
-		t.Fatalf("lease status = %d", status)
-	}
-
-	beat := func(req HeartbeatRequest) {
-		t.Helper()
-		body, _ := json.Marshal(req)
-		resp, err := http.Post(srv.URL+"/heartbeat", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("POST /heartbeat: %v", err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("heartbeat status = %d", resp.StatusCode)
-		}
-	}
-
-	beat(HeartbeatRequest{Worker: "wx", Stripe: grant.Stripe,
-		Cache: &CacheReport{Hits: 7, Misses: 3, Puts: 3, BytesServed: 700, BytesWritten: 300}})
-	rep := c.Status()
-	wr, ok := rep.Workers["wx"]
-	if !ok || wr.Cache == nil {
-		t.Fatalf("status = %+v; worker wx has no cache report", rep.Workers)
-	}
-	if wr.Cache.Hits != 7 || wr.Cache.Misses != 3 || wr.Cache.BytesServed != 700 {
-		t.Fatalf("worker cache report = %+v", wr.Cache)
-	}
-	if wr.CacheStale {
-		t.Fatal("a report delivered by the latest heartbeat is flagged stale")
-	}
-
-	// A cache-less heartbeat must not erase the last report — it must
-	// survive as last-known counters, flagged stale.
-	beat(HeartbeatRequest{Worker: "wx", Stripe: grant.Stripe})
-	wr = c.Status().Workers["wx"]
-	if wr.Cache == nil || wr.Cache.Hits != 7 {
-		t.Fatalf("cache report after plain heartbeat = %+v; want the last snapshot kept", wr.Cache)
-	}
-	if !wr.CacheStale {
-		t.Fatal("last-known counters after a cacheless heartbeat are not flagged stale")
-	}
-}
-
-// TestStatusAgesStaleCacheReport drives the staleness accounting with a
-// fake clock: a worker that reports cache counters once and then
-// heartbeats cacheless (a restart without its cache, say) keeps its
-// last-known counters in /status, flagged stale and aged from the
-// moment the report arrived.
-func TestStatusAgesStaleCacheReport(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	c, err := NewCoordinator(CoordinatorConfig{
-		Job:      testJob(2),
-		SpoolDir: t.TempDir(),
-		LeaseTTL: time.Hour,
-		Logf:     t.Logf,
-		now:      func() time.Time { return now },
-	})
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-	grant, status := leaseStripe(t, srv.URL, "wr")
-	if status != http.StatusOK {
-		t.Fatalf("lease status = %d", status)
-	}
-	beat := func(req HeartbeatRequest) {
-		t.Helper()
-		body, _ := json.Marshal(req)
-		resp, err := http.Post(srv.URL+"/heartbeat", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("POST /heartbeat: %v", err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("heartbeat status = %d", resp.StatusCode)
-		}
-	}
-
-	beat(HeartbeatRequest{Worker: "wr", Stripe: grant.Stripe, Cache: &CacheReport{Hits: 5, Misses: 1}})
-	wr := c.Status().Workers["wr"]
-	if wr.Cache == nil || wr.CacheStale || wr.CacheAgeMillis != 0 {
-		t.Fatalf("fresh report: cache=%+v stale=%v age=%dms; want a live zero-age snapshot",
-			wr.Cache, wr.CacheStale, wr.CacheAgeMillis)
-	}
-
-	now = now.Add(4 * time.Second)
-	beat(HeartbeatRequest{Worker: "wr", Stripe: grant.Stripe})
-	wr = c.Status().Workers["wr"]
-	if wr.Cache == nil || wr.Cache.Hits != 5 {
-		t.Fatalf("cache report after cacheless heartbeat = %+v; want the counters preserved", wr.Cache)
-	}
-	if !wr.CacheStale || wr.CacheAgeMillis != 4000 {
-		t.Fatalf("stale=%v age=%dms; want stale last-known counters aged 4000ms", wr.CacheStale, wr.CacheAgeMillis)
 	}
 }
 

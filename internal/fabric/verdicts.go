@@ -1,6 +1,6 @@
 // Deterministic verdict output, shared by every fan-in: cmd/ebashard's
-// -check -merge and the fabric coordinator's check-job merge write their
-// verdict lines through this one function, so a fabric run's verdicts
+// -check -merge, ebacheck and ebaserve's /v1/check write their
+// verdict lines through this one function, so a sharded run's verdicts
 // diff clean against a single-process run's.
 
 package fabric
@@ -27,8 +27,8 @@ type VerdictOptions struct {
 }
 
 // WriteVerdicts writes the deterministic verdict block — stack line, run
-// count, then one verdict per enabled check, no timings — so sharded,
-// fabric-merged, and single-process outputs compare byte for byte. The
+// count, then one verdict per enabled check, no timings — so sharded and
+// single-process outputs compare byte for byte. The
 // stack name is resolved against the registry for its knowledge-based
 // program. Failed verdicts return an ErrVerification-wrapped error after
 // the full block is written; the output itself names the violations.

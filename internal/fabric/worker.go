@@ -1,5 +1,5 @@
 // The worker client: pull a lease, run the stripe through the existing
-// single-process paths (Runner.RunShard / BuildShardIndex), heartbeat
+// single-process path (Runner.RunShard), heartbeat
 // while it runs, upload the sealed result, repeat. Transport failures
 // retry with exponential backoff and jitter, bounded; a lost lease just
 // abandons the stripe (someone else owns it now); SIGTERM-style draining
@@ -22,9 +22,7 @@ import (
 	"sync"
 	"time"
 
-	rescache "repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/episteme"
 	"repro/internal/spec"
 )
 
@@ -53,16 +51,6 @@ type WorkerConfig struct {
 	Client *http.Client
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
-	// Cache, when set, is consulted before every run of a sweep stripe
-	// and fed every execution (core.WithResultCache), and holds one entry
-	// per stripe of a check job, the stripe's index (episteme.WithCache):
-	// a warmed worker answers repeat stripes without executing.
-	// Fingerprint is the code identity folded into the cache keys
-	// (internal/cache.Fingerprint in the CLIs). If the store also has
-	// internal/cache's Stats() (its Cache does), the worker reports its
-	// counters in every heartbeat.
-	Cache       core.ResultCache
-	Fingerprint string
 }
 
 // Worker runs stripes for one coordinator until the job is done, the
@@ -78,8 +66,6 @@ type Worker struct {
 	poll       time.Duration
 	client     *http.Client
 	logf       func(string, ...any)
-	cache      core.ResultCache
-	fprint     string
 
 	drainOnce sync.Once
 	drainCh   chan struct{}
@@ -148,27 +134,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		poll:       cfg.PollInterval,
 		client:     cfg.Client,
 		logf:       cfg.Logf,
-		cache:      cfg.Cache,
-		fprint:     cfg.Fingerprint,
 		drainCh:    make(chan struct{}),
 	}, nil
-}
-
-// cacheReport snapshots the worker's cache counters for a heartbeat,
-// nil when the worker has no cache or the store reports no stats.
-func (w *Worker) cacheReport() *CacheReport {
-	statser, ok := w.cache.(interface{ Stats() rescache.Stats })
-	if !ok {
-		return nil
-	}
-	st := statser.Stats()
-	return &CacheReport{
-		Hits:         st.Hits,
-		Misses:       st.Misses,
-		Puts:         st.Puts,
-		BytesServed:  st.BytesServed,
-		BytesWritten: st.BytesWritten,
-	}
 }
 
 // ID returns the worker's identity as the coordinator sees it.
@@ -208,17 +175,11 @@ func (w *Worker) Run(ctx context.Context) (*WorkerSummary, error) {
 	if err != nil {
 		return sum, err
 	}
-	var runner *core.Runner
-	if job.Kind == SweepJob {
-		opts := []core.RunnerOption{core.WithParallelism(w.par)}
-		if job.SpecCheck {
-			opts = append(opts, core.WithSpecCheck(spec.Options{RoundBound: st.Horizon(), ValidityAllAgents: true}))
-		}
-		if w.cache != nil {
-			opts = append(opts, core.WithResultCache(w.cache, w.fprint))
-		}
-		runner = core.NewRunner(st, opts...)
+	opts := []core.RunnerOption{core.WithParallelism(w.par)}
+	if job.SpecCheck {
+		opts = append(opts, core.WithSpecCheck(spec.Options{RoundBound: st.Horizon(), ValidityAllAgents: true}))
 	}
+	runner := core.NewRunner(st, opts...)
 	w.logf("fabric: %s: joined %s", w.id, job)
 
 	consecutiveRejects := 0
@@ -339,37 +300,18 @@ func (w *Worker) runStripe(ctx context.Context, job JobSpec, st core.Stack, runn
 	defer func() { cancel(nil); <-hbDone }()
 
 	var buf bytes.Buffer
-	var records int64
 	start := time.Now()
-	if job.Kind == CheckJob {
-		eopts := []episteme.Option{episteme.WithParallelism(w.par)}
-		if w.cache != nil {
-			eopts = append(eopts, episteme.WithCache(w.cache, w.fprint))
-		}
-		idx, err := episteme.BuildShardIndex(runCtx, episteme.ContextFor(st), st.Action,
-			grant.Stripe, grant.Stripes, eopts...)
-		if err != nil {
-			return nil, 0, runCause(runCtx, err)
-		}
-		idx.Stack = job.Stack
-		if err := episteme.WriteShardIndex(&buf, idx); err != nil {
-			return nil, 0, err
-		}
-		records = int64(len(idx.Runs))
-	} else {
-		src, err := job.newSource(st)
-		if err != nil {
-			return nil, 0, err
-		}
-		s, err := runner.RunShard(runCtx, src, grant.Stripe, grant.Stripes, &buf)
-		if err != nil {
-			return nil, 0, runCause(runCtx, err)
-		}
-		records = s.Records
+	src, err := job.newSource(st)
+	if err != nil {
+		return nil, 0, err
+	}
+	sum, err := runner.RunShard(runCtx, src, grant.Stripe, grant.Stripes, &buf)
+	if err != nil {
+		return nil, 0, runCause(runCtx, err)
 	}
 	w.logf("fabric: %s: stripe %d/%d: %d records in %v",
-		w.id, grant.Stripe, grant.Stripes, records, time.Since(start).Round(time.Millisecond))
-	return buf.Bytes(), records, nil
+		w.id, grant.Stripe, grant.Stripes, sum.Records, time.Since(start).Round(time.Millisecond))
+	return buf.Bytes(), sum.Records, nil
 }
 
 // runCause maps a stripe failure onto the heartbeat loop's cancellation
@@ -401,9 +343,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cancel context.CancelCauseFu
 			return
 		case <-ticker.C:
 		}
-		// Re-marshal every tick: the heartbeat carries the cache counters
-		// as they stand, not as they stood when the stripe started.
-		body, _ := json.Marshal(HeartbeatRequest{Worker: w.id, Stripe: grant.Stripe, Cache: w.cacheReport()})
+		body, _ := json.Marshal(HeartbeatRequest{Worker: w.id, Stripe: grant.Stripe})
 		status, _, err := w.doOnce(ctx, http.MethodPost, "/heartbeat", body, nil)
 		switch {
 		case err != nil:

@@ -43,34 +43,27 @@ func run(args []string) error {
 	var (
 		stackName = fs.String("stack", "basic",
 			"protocol stack: "+strings.Join(eba.StackNames(), ", ")+", or an ad-hoc \"exchange+action\" pairing")
-		n          = fs.Int("n", 5, "number of agents")
-		t          = fs.Int("t", 2, "failure bound t")
-		advSpec    = fs.String("adversary", "none", "adversary: "+eba.AdversarySpecSyntax)
-		seed       = fs.Int64("seed", 1, "seed for -adversary random")
-		drop       = fs.Float64("drop", 0.5, "drop probability for -adversary random")
-		initsSpec  = fs.String("inits", "all1", "initial preferences: all0, all1, or a 0/1 string")
-		execName   = fs.String("executor", "sequential", "execution substrate: sequential or concurrent")
-		concurrent = fs.Bool("concurrent", false, "deprecated alias for -executor concurrent")
-		format     = fs.String("format", "summary", "output: summary, trace (message-level), or json")
-		sweepN     = fs.Int64("sweep", 0, "stream this many seeded random scenarios through the Runner instead of one configured run")
-		quotient   = fs.Bool("quotient", false, "run the canonical representative of the configured scenario's agent-permutation orbit instead of the scenario itself")
-		cacheDir   = fs.String("cache", "", "-sweep: result cache directory — answer already-executed scenarios from it instead of re-running")
+		n         = fs.Int("n", 5, "number of agents")
+		t         = fs.Int("t", 2, "failure bound t")
+		advSpec   = fs.String("adversary", "none", "adversary: "+eba.AdversarySpecSyntax)
+		seed      = fs.Int64("seed", 1, "seed for -adversary random")
+		drop      = fs.Float64("drop", 0.5, "drop probability for -adversary random")
+		initsSpec = fs.String("inits", "all1", "initial preferences: all0, all1, or a 0/1 string")
+		execName  = fs.String("executor", "sequential", "execution substrate: sequential or concurrent")
+		format    = fs.String("format", "summary", "output: summary, trace (message-level), or json")
+		sweepN    = fs.Int64("sweep", 0, "stream this many seeded random scenarios through the Runner instead of one configured run")
+		quotient  = fs.Bool("quotient", false, "run the canonical representative of the configured scenario's agent-permutation orbit instead of the scenario itself")
+		cacheDir  = fs.String("cache", "", "-sweep: result cache directory — answer already-executed scenarios from it instead of re-running")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	executorSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "executor" {
-			executorSet = true
-		}
-	})
 
 	stack, err := makeStack(*stackName, *n, *t)
 	if err != nil {
 		return err
 	}
-	executor, err := makeExecutor(*execName, *concurrent, executorSet)
+	executor, err := makeExecutor(*execName)
 	if err != nil {
 		return err
 	}
@@ -262,26 +255,15 @@ func makeStack(name string, n, t int) (eba.Stack, error) {
 	return eba.Stack{}, err
 }
 
-// makeExecutor resolves the executor name; the deprecated -concurrent
-// alias applies only after the name validates, and conflicts with an
-// explicit -executor sequential rather than silently overriding it.
-func makeExecutor(name string, concurrentFlag, executorSet bool) (eba.Executor, error) {
-	var executor eba.Executor
+// makeExecutor resolves the executor name.
+func makeExecutor(name string) (eba.Executor, error) {
 	switch name {
 	case "sequential":
-		executor = eba.Sequential
+		return eba.Sequential, nil
 	case "concurrent":
-		executor = eba.Concurrent
-	default:
-		return nil, fmt.Errorf("unknown executor %q (have sequential, concurrent)", name)
+		return eba.Concurrent, nil
 	}
-	if concurrentFlag {
-		if executorSet && name == "sequential" {
-			return nil, fmt.Errorf("-concurrent conflicts with -executor sequential")
-		}
-		executor = eba.Concurrent
-	}
-	return executor, nil
+	return nil, fmt.Errorf("unknown executor %q (have sequential, concurrent)", name)
 }
 
 // makeAdversary delegates to the library's spec parser, the single place

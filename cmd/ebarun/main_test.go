@@ -12,7 +12,6 @@ func TestRunEndToEnd(t *testing.T) {
 		{"-stack", "basic", "-n", "4", "-t", "1", "-adversary", "silent:0", "-inits", "0111"},
 		{"-stack", "fip", "-n", "4", "-t", "2", "-adversary", "example71", "-inits", "all1"},
 		{"-stack", "min", "-n", "4", "-t", "1", "-adversary", "random", "-seed", "3", "-inits", "all0"},
-		{"-stack", "basic", "-n", "3", "-t", "1", "-concurrent"},
 		{"-stack", "basic", "-n", "3", "-t", "1", "-executor", "concurrent"},
 		{"-stack", "min", "-n", "3", "-t", "1", "-format", "trace"},
 		{"-stack", "min", "-n", "3", "-t", "1", "-format", "json"},
@@ -81,6 +80,8 @@ func TestRunErrors(t *testing.T) {
 		{"-inits", "01x01"},                             // bad digit
 		{"-format", "bogus", "-n", "3", "-t", "1"},      // unknown format
 		{"-stack", "naive", "-n", "3", "-t", "1", "-x"}, // unknown flag
+		// The removed alias of -executor concurrent.
+		{"-stack", "basic", "-n", "3", "-t", "1", "-concurrent"},
 		// t ≥ n: each of these panicked in the adversary package.
 		{"-n", "3", "-t", "5", "-adversary", "random", "-seed", "1"},
 		{"-n", "3", "-t", "5", "-sweep", "50", "-seed", "1"},

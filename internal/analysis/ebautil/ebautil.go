@@ -1,5 +1,5 @@
 // Package ebautil holds the object-matching helpers shared by the
-// ebavet analyzers. The analyzers identify the repo's contract-carrying
+// contract analyzers. The analyzers identify the repo's contract-carrying
 // functions by (package-path suffix, name) pairs so the same matchers
 // work against the real tree (import paths rooted at "repro") and
 // against analyzertest fixtures (import paths rooted wherever the

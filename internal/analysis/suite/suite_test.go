@@ -1,55 +1,50 @@
 package suite
 
 import (
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis/atest"
 )
 
-func TestAnalyzersHaveContracts(t *testing.T) {
-	for _, a := range Analyzers() {
-		if _, ok := Contracts[a.Name]; !ok {
-			t.Errorf("analyzer %s has no one-line contract in Contracts", a.Name)
-		}
-	}
-	if len(Contracts) != len(Analyzers()) {
-		t.Errorf("Contracts has %d entries, Analyzers has %d", len(Contracts), len(Analyzers()))
-	}
-}
-
-func TestSelect(t *testing.T) {
-	all, err := Select(nil)
-	if err != nil || len(all) != len(Analyzers()) {
-		t.Fatalf("Select(nil) = %d analyzers, err %v; want %d, nil", len(all), err, len(Analyzers()))
-	}
-
-	some, err := Select([]string{"determinism"})
+// TestTreeIsClean runs the suite over every package of the module, each
+// with its tests, as `go vet ./...` would: any diagnostic fails.
+func TestTreeIsClean(t *testing.T) {
+	root, err := filepath.Abs("../../..")
 	if err != nil {
-		t.Fatalf("Select(determinism): %v", err)
+		t.Fatal(err)
 	}
-	for _, a := range some {
-		if a.Name == "determinism" {
-			t.Errorf("disabled analyzer %s still selected", a.Name)
+	var dirs []string
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
-	}
-	if len(some) != len(all)-1 {
-		t.Errorf("Select dropped %d analyzers, want 1", len(all)-len(some))
-	}
-
-	if _, err := Select([]string{"nosuchanalyzer"}); err == nil {
-		t.Error("Select with an unknown name should error")
-	}
-	if _, err := Select(Names()); err == nil {
-		t.Error("Select disabling every analyzer should error")
-	}
-}
-
-func TestListMentionsEveryAnalyzer(t *testing.T) {
-	var sb strings.Builder
-	List(&sb)
-	out := sb.String()
-	for _, name := range Names() {
-		if !strings.Contains(out, name) {
-			t.Errorf("List output missing %s:\n%s", name, out)
+		if !d.IsDir() {
+			return nil
 		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		name := d.Name()
+		if rel != "." && (name == "vendor" || name == "testdata" || rel == "benchmark/out" ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if goFiles, _ := filepath.Glob(filepath.Join(path, "*.go")); len(goFiles) > 0 {
+			dirs = append(dirs, rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := atest.Module(root, Analyzers(), dirs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		d.Pos.Filename, _ = filepath.Rel(root, d.Pos.Filename)
+		t.Error(d)
 	}
 }

@@ -1,7 +1,8 @@
-// Package suppress implements ebavet's escape-hatch comments. A
-// diagnostic is suppressed by a //eba:<kind>-ok comment on the exact
-// line it would be reported on — either a trailing comment on that line
-// or a full-line comment of its own on that line (not the line above).
+// Package suppress implements the contract analyzers' escape-hatch
+// comments. A diagnostic is suppressed by a //eba:<kind>-ok comment on
+// the exact line it would be reported on — either a trailing comment on
+// that line or a full-line comment of its own on that line (not the
+// line above).
 // A suppression that suppresses nothing is itself a diagnostic: stale
 // escape hatches rot into silent blanket waivers, so the analyzer
 // rejects them the moment the code they excused goes away.

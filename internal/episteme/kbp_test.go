@@ -2,8 +2,10 @@ package episteme
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/action"
@@ -167,13 +169,26 @@ func TestP0AndP1AgreeInLimitedContexts(t *testing.T) {
 // does not know anyone is faulty, at a time m with min(t+1, n−1) ≤ m <
 // t+1: from min(t+1, n−1) on K_i(nobody is deciding 0) holds by counting,
 // and Pmin waits until t+1.
+//
+// The counting argument predicts Pmin's set exactly, so it is checked in
+// both directions: the mismatches are exactly the (agent, time, key)
+// triples of undecided agents whose Pmin action is noop at a time m with
+// min(t+1, n−1) ≤ m < t+1. The isolation argument only bounds where the
+// Popt and Pbasic mismatches can be, so their sets are pinned by the
+// sha256 of the sorted "agent time key" lines.
 func TestNMinusTOneMismatchSets(t *testing.T) {
 	type stack struct {
 		name   string
 		build  func(n, tf int) *System
 		prog   Program
-		alone  bool  // the isolation argument, else the counting one
-		byTime []int // mismatches at times 0, 1, …
+		alone  bool   // the isolation argument, else the counting one
+		byTime []int  // mismatches at times 0, 1, …
+		digest string // of the mismatch set, for the isolation argument
+	}
+	type at struct {
+		agent model.AgentID
+		time  int
+		key   string
 	}
 	fip := func(n, tf int) *System { return buildFIP(t, n, tf, 0) }
 	basic := func(n, tf int) *System { return buildBasic(t, n, tf) }
@@ -183,14 +198,14 @@ func TestNMinusTOneMismatchSets(t *testing.T) {
 		stacks []stack
 	}{
 		{2, 1, []stack{
-			{"fip", fip, P1, true, nil},
-			{"basic", basic, P0, true, []int{0, 2}},
-			{"min", pmin, P0, false, []int{0, 2}},
+			{"fip", fip, P1, true, nil, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+			{"basic", basic, P0, true, []int{0, 2}, "b64d284eb15b274c8b993208f8b8e41c6e7857b2a4e8e48e21ab853cacfc4d19"},
+			{"min", pmin, P0, false, []int{0, 2}, ""},
 		}},
 		{3, 2, []stack{
-			{"fip", fip, P1, true, []int{0, 3, 78}},
-			{"basic", basic, P0, true, []int{0, 0, 3}},
-			{"min", pmin, P0, false, []int{0, 0, 3}},
+			{"fip", fip, P1, true, []int{0, 3, 78}, "8fc2ef78253427cdb95b1f0fae0c99329dd0dab0713fe63d19027c5de83c3109"},
+			{"basic", basic, P0, true, []int{0, 0, 3}, "31dfe5a9cc4e2ae4f8c5fa74dc48685d97c16368045662fec6fd394bd1167ef4"},
+			{"min", pmin, P0, false, []int{0, 0, 3}, ""},
 		}},
 	} {
 		if tc.n == 3 && (testing.Short() || raceEnabled) {
@@ -201,11 +216,13 @@ func TestNMinusTOneMismatchSets(t *testing.T) {
 			label := fmt.Sprintf("%s n=%d,t=%d", st.name, tc.n, tc.t)
 			sys := st.build(tc.n, tc.t)
 			var byTime []int
+			got := map[at]bool{}
 			for _, m := range checkImplements(t, sys, st.prog, 0) {
 				for len(byTime) <= m.Time {
 					byTime = append(byTime, 0)
 				}
 				byTime[m.Time]++
+				got[at{m.Agent, m.Time, m.Key}] = true
 				p := Point{Run: m.Run, Time: m.Time}
 				if st.alone {
 					everyOtherFaulty := func(q Point) bool {
@@ -241,6 +258,39 @@ func TestNMinusTOneMismatchSets(t *testing.T) {
 			}
 			if !slices.Equal(byTime, st.byTime) {
 				t.Errorf("%s: mismatches by time %v, want %v", label, byTime, st.byTime)
+			}
+			if st.alone {
+				var lines []string
+				for a := range got {
+					lines = append(lines, fmt.Sprintf("%d %d %s\n", a.agent, a.time, a.key))
+				}
+				slices.Sort(lines)
+				if d := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(lines, "")))); d != st.digest {
+					t.Errorf("%s: mismatch set digest %s, want %s", label, d, st.digest)
+				}
+				continue
+			}
+			predicted := map[at]bool{}
+			for m := min(tc.t+1, tc.n-1); m < tc.t+1; m++ {
+				for r := range sys.Runs {
+					p := Point{Run: r, Time: m}
+					for i := 0; i < sys.N; i++ {
+						id := model.AgentID(i)
+						if sys.DecidedVal(id, p) == model.None && sys.Runs[r].Actions[m][i] == model.Noop {
+							predicted[at{id, m, sys.Key(id, p)}] = true
+						}
+					}
+				}
+			}
+			for a := range got {
+				if !predicted[a] {
+					t.Errorf("%s: mismatch %+v is not predicted by the counting argument", label, a)
+				}
+			}
+			for a := range predicted {
+				if !got[a] {
+					t.Errorf("%s: the counting argument predicts %+v, which is no mismatch", label, a)
+				}
 			}
 		}
 	}

@@ -23,9 +23,12 @@ func (s *System) receivedChainBy(i model.AgentID, run, m int) bool {
 // system (which should be generated by an implementation of P0). It
 // returns a description of every violated clause instance, in run order;
 // an empty result machine-checks Proposition 6.4 for the system's
-// context. Every clause quantifies over the runs agent i cannot
-// distinguish from the point, so each is evaluated once per
-// indistinguishability class (foldClasses) and read per row; only the
+// context. Clause (2) binds only an agent that does not know it is
+// faulty: it asks for an indistinguishable run in which i is nonfaulty,
+// and an agent that knows it is faulty has none (docs/architecture.md,
+// "Def 6.2 clause 2: which agents it binds"). Every clause quantifies
+// over the runs agent i cannot distinguish from the point, so each is
+// evaluated once per indistinguishability class (foldClasses) and read per row; only the
 // runs of a failing row are walked, and the report is identical at every
 // parallelism level. When max > 0 caps the report, the final entry is a
 // "... and N more violations (truncated)" notice. Cancelling ctx aborts
@@ -101,8 +104,9 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 	// The clause instances at agent i of a row. Clause (1): no 0-chain
 	// received by (r,m) → some indistinguishable point lies in an all-1
 	// run; at time Horizon a row is a run, and the class table is read
-	// first. Clause (2): i cannot rule out a 0-decision and has not decided
-	// before round m+1; deciding_j is undefined beyond the trace.
+	// first. Clause (2): i cannot rule out a 0-decision, has not decided
+	// before round m+1 and does not know it is faulty; deciding_j is
+	// undefined beyond the trace.
 	clauses := func(i model.AgentID, m, row int) (one, two bool) {
 		slot := s.slot(i, m)
 		c, run := s.classOf[slot][row], s.rowRun(m, row)
@@ -110,7 +114,7 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 		if m < s.Horizon {
 			res := s.Runs[run]
 			decidedBefore := res.Round(i) != 0 && res.Round(i) <= m
-			two = !decidedBefore && someDeciding0[slot][c] && !witness[slot][c]
+			two = !decidedBefore && someDeciding0[slot][c] && !witness[slot][c] && !s.knowsFaulty(i, m, c)
 		}
 		return one, two
 	}
@@ -135,4 +139,16 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 		return nil, err
 	}
 	return rp.done(), nil
+}
+
+// knowsFaulty reports K_i(i ∉ N) in agent i's time-m class c: every row
+// of the class has i faulty.
+func (s *System) knowsFaulty(i model.AgentID, m int, c int32) bool {
+	faulty := s.faultyMasks(m)
+	for _, row := range s.rowsOfClass(i, m, c) {
+		if !faultyAt(faulty[row], i) {
+			return false
+		}
+	}
+	return true
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/action"
 	"repro/internal/exchange"
@@ -78,68 +77,6 @@ type StackInfo struct {
 	Program string
 }
 
-var (
-	mu        sync.RWMutex
-	exchanges = map[string]ExchangeInfo{}
-	actions   = map[string]ActionInfo{}
-	stacks    = map[string]StackInfo{}
-)
-
-// RegisterExchange adds an exchange to the registry. It panics on an
-// empty name, a nil constructor, or a duplicate registration —
-// registration happens at init time, so these are programming errors.
-func RegisterExchange(info ExchangeInfo) {
-	if info.Name == "" || info.New == nil {
-		panic("registry: RegisterExchange needs a name and a constructor")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := exchanges[info.Name]; dup {
-		panic(fmt.Sprintf("registry: exchange %q registered twice", info.Name))
-	}
-	exchanges[info.Name] = info
-}
-
-// RegisterAction adds an action protocol to the registry. Panics as
-// RegisterExchange does.
-func RegisterAction(info ActionInfo) {
-	if info.Name == "" || info.New == nil {
-		panic("registry: RegisterAction needs a name and a constructor")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := actions[info.Name]; dup {
-		panic(fmt.Sprintf("registry: action %q registered twice", info.Name))
-	}
-	actions[info.Name] = info
-}
-
-// RegisterStack adds a named pairing to the registry. Both components
-// must already be registered and compatible; panics otherwise.
-func RegisterStack(info StackInfo) {
-	if info.Name == "" {
-		panic("registry: RegisterStack needs a name")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := stacks[info.Name]; dup {
-		panic(fmt.Sprintf("registry: stack %q registered twice", info.Name))
-	}
-	ex, ok := exchanges[info.Exchange]
-	if !ok {
-		panic(fmt.Sprintf("registry: stack %q uses unregistered exchange %q", info.Name, info.Exchange))
-	}
-	act, ok := actions[info.Action]
-	if !ok {
-		panic(fmt.Sprintf("registry: stack %q uses unregistered action %q", info.Name, info.Action))
-	}
-	if !compatible(act, ex.Family) {
-		panic(fmt.Sprintf("registry: stack %q pairs action %q with incompatible exchange %q",
-			info.Name, info.Action, info.Exchange))
-	}
-	stacks[info.Name] = info
-}
-
 func compatible(act ActionInfo, fam Family) bool {
 	if len(act.Families) == 0 {
 		return true
@@ -154,36 +91,30 @@ func compatible(act ActionInfo, fam Family) bool {
 
 // Exchange resolves an exchange by name.
 func Exchange(name string) (ExchangeInfo, error) {
-	mu.RLock()
-	defer mu.RUnlock()
 	info, ok := exchanges[name]
 	if !ok {
 		return ExchangeInfo{}, fmt.Errorf("registry: unknown exchange %q (have %s)",
-			name, strings.Join(namesLocked(exchanges), ", "))
+			name, strings.Join(names(exchanges), ", "))
 	}
 	return info, nil
 }
 
 // Action resolves an action protocol by name.
 func Action(name string) (ActionInfo, error) {
-	mu.RLock()
-	defer mu.RUnlock()
 	info, ok := actions[name]
 	if !ok {
 		return ActionInfo{}, fmt.Errorf("registry: unknown action %q (have %s)",
-			name, strings.Join(namesLocked(actions), ", "))
+			name, strings.Join(names(actions), ", "))
 	}
 	return info, nil
 }
 
 // Stack resolves a named pairing by name.
 func Stack(name string) (StackInfo, error) {
-	mu.RLock()
-	defer mu.RUnlock()
 	info, ok := stacks[name]
 	if !ok {
 		return StackInfo{}, fmt.Errorf("registry: unknown stack %q (have %s)",
-			name, strings.Join(namesLocked(stacks), ", "))
+			name, strings.Join(names(stacks), ", "))
 	}
 	return info, nil
 }
@@ -191,8 +122,6 @@ func Stack(name string) (StackInfo, error) {
 // StackFor returns the registered stack that pairs exactly the given
 // components, if any — used to give composed stacks their canonical name.
 func StackFor(exchangeName, actionName string) (StackInfo, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
 	for _, info := range stacks {
 		if info.Exchange == exchangeName && info.Action == actionName {
 			return info, true
@@ -220,37 +149,29 @@ func Compose(exchangeName, actionName string, n, t int) (model.Exchange, model.A
 
 // ExchangeNames lists the registered exchange names, sorted.
 func ExchangeNames() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return namesLocked(exchanges)
+	return names(exchanges)
 }
 
 // ActionNames lists the registered action-protocol names, sorted.
 func ActionNames() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return namesLocked(actions)
+	return names(actions)
 }
 
 // StackNames lists the registered stack names, sorted.
 func StackNames() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return namesLocked(stacks)
+	return names(stacks)
 }
 
 // Stacks lists the registered stacks, sorted by name.
 func Stacks() []StackInfo {
-	mu.RLock()
-	defer mu.RUnlock()
 	out := make([]StackInfo, 0, len(stacks))
-	for _, name := range namesLocked(stacks) {
+	for _, name := range names(stacks) {
 		out = append(out, stacks[name])
 	}
 	return out
 }
 
-func namesLocked[T any](m map[string]T) []string {
+func names[T any](m map[string]T) []string {
 	out := make([]string, 0, len(m))
 	for name := range m {
 		out = append(out, name)
@@ -259,103 +180,109 @@ func namesLocked[T any](m map[string]T) []string {
 	return out
 }
 
-// The paper's components, registered at init time.
-func init() {
-	RegisterExchange(ExchangeInfo{
+// The paper's components, by name. TestCatalogues checks that every
+// entry is filed under its own name and has a constructor, and that
+// every stack pairs registered, compatible components.
+var exchanges = map[string]ExchangeInfo{
+	"min": {
 		Name:        "min",
 		Description: "Emin: broadcast only decide announcements (n² bits per run)",
 		Family:      FamilyMin,
 		New:         func(n int) model.Exchange { return exchange.NewMin(n) },
-	})
-	RegisterExchange(ExchangeInfo{
+	},
+	"basic": {
 		Name:        "basic",
 		Description: "Ebasic: Emin plus first-round init reports and the #1 counter (O(n²t) bits)",
 		Family:      FamilyBasic,
 		New:         func(n int) model.Exchange { return exchange.NewBasic(n) },
-	})
-	RegisterExchange(ExchangeInfo{
+	},
+	"fip": {
 		Name:        "fip",
 		Description: "Efip: full-information exchange of communication graphs (O(n⁴t²) bits)",
 		Family:      FamilyFIP,
 		New:         func(n int) model.Exchange { return exchange.NewFIP(n) },
-	})
-	RegisterExchange(ExchangeInfo{
+	},
+	"report": {
 		Name:        "report",
 		Description: "Ereport: the introduction's exchange that forwards stale init-0 reports",
 		Family:      FamilyReport,
 		New:         func(n int) model.Exchange { return exchange.NewReport(n) },
-	})
+	},
+}
 
-	RegisterAction(ActionInfo{
+var actions = map[string]ActionInfo{
+	"pmin": {
 		Name:        "pmin",
 		Description: "Pmin (Thm 6.5): decide 0 on a fresh 0-chain, else 1 at time t+1",
 		// Pmin reads only the guaranteed state components, so it runs over
 		// any exchange (the fip+pmin baseline relies on this).
 		New: func(_, t int) model.ActionProtocol { return action.NewMin(t) },
-	})
-	RegisterAction(ActionInfo{
+	},
+	"pbasic": {
 		Name:        "pbasic",
 		Description: "Pbasic (Thm 6.6): Pmin plus the #1 > n−time early-1 rule",
 		Families:    []Family{FamilyBasic},
 		New:         func(n, _ int) model.ActionProtocol { return action.NewBasic(n) },
-	})
-	RegisterAction(ActionInfo{
+	},
+	"popt": {
 		Name:        "popt",
 		Description: "Popt (Prop 7.9): the polynomial-time optimum over full information",
 		Families:    []Family{FamilyFIP},
 		New:         func(_, t int) model.ActionProtocol { return action.NewOpt(t) },
-	})
-	RegisterAction(ActionInfo{
+	},
+	"popt-nock": {
 		Name:        "popt-nock",
 		Description: "Popt without the common-knowledge guards (P0 over full information)",
 		Families:    []Family{FamilyFIP},
 		New:         func(_, t int) model.ActionProtocol { return action.NewOptNoCK(t) },
-	})
-	RegisterAction(ActionInfo{
+	},
+	"pnaive": {
 		Name:        "pnaive",
 		Description: "Pnaive: the introduction's eager 0-biased counterexample",
 		Families:    []Family{FamilyReport},
 		New:         func(_, t int) model.ActionProtocol { return action.NewNaive(t) },
-	})
+	},
+}
 
-	RegisterStack(StackInfo{
+var stacks = map[string]StackInfo{
+	"min": {
 		Name:        "min",
 		Description: "⟨Emin, Pmin⟩ — optimal wrt the minimal exchange (Cor 6.7)",
 		Exchange:    "min",
 		Action:      "pmin",
 		Program:     "P0",
-	})
-	RegisterStack(StackInfo{
+	},
+	"basic": {
 		Name:        "basic",
 		Description: "⟨Ebasic, Pbasic⟩ — optimal wrt the basic exchange (Cor 6.7)",
 		Exchange:    "basic",
 		Action:      "pbasic",
 		Program:     "P0",
-	})
-	RegisterStack(StackInfo{
+	},
+	"fip": {
 		Name:        "fip",
 		Description: "⟨Efip, Popt⟩ — optimal wrt full information (Cor 7.8)",
 		Exchange:    "fip",
 		Action:      "popt",
 		Program:     "P1",
-	})
-	RegisterStack(StackInfo{
+	},
+	"fip+pmin": {
 		Name:        "fip+pmin",
 		Description: "⟨Efip, Pmin⟩ — full-information costs, minimal decisions (dominated baseline)",
 		Exchange:    "fip",
 		Action:      "pmin",
-	})
-	RegisterStack(StackInfo{
+	},
+	"fip-nock": {
 		Name:        "fip-nock",
 		Description: "⟨Efip, Popt-nock⟩ — the common-knowledge ablation (E15)",
 		Exchange:    "fip",
 		Action:      "popt-nock",
 		Program:     "P0",
-	})
-	RegisterStack(StackInfo{
+	},
+	"naive": {
 		Name:        "naive",
 		Description: "⟨Ereport, Pnaive⟩ — the introduction's counterexample (violates Agreement)",
 		Exchange:    "report",
 		Action:      "pnaive",
-	})
+	},
 }

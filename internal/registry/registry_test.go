@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -100,30 +101,131 @@ func TestStackForCanonicalName(t *testing.T) {
 	}
 }
 
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate exchange registration did not panic")
+// catalogueErrors checks catalogues as registration once did at init
+// time: every entry is filed under its own, non-empty name and can be
+// constructed, and every stack pairs registered, compatible components,
+// no two stacks the same pair.
+func catalogueErrors(exs map[string]ExchangeInfo, acts map[string]ActionInfo, sts map[string]StackInfo) []string {
+	var errs []string
+	for _, name := range names(exs) {
+		if info := exs[name]; name == "" || info.Name != name || info.New == nil {
+			errs = append(errs, fmt.Sprintf("exchange %q: filed as %q, constructor %v", info.Name, name, info.New != nil))
 		}
-	}()
-	RegisterExchange(ExchangeInfo{Name: "min", New: exchanges["min"].New})
+	}
+	for _, name := range names(acts) {
+		if info := acts[name]; name == "" || info.Name != name || info.New == nil {
+			errs = append(errs, fmt.Sprintf("action %q: filed as %q, constructor %v", info.Name, name, info.New != nil))
+		}
+	}
+	pairs := map[[2]string]string{}
+	for _, name := range names(sts) {
+		info := sts[name]
+		if name == "" || info.Name != name {
+			errs = append(errs, fmt.Sprintf("stack %q: filed as %q", info.Name, name))
+		}
+		ex, exOK := exs[info.Exchange]
+		if !exOK {
+			errs = append(errs, fmt.Sprintf("stack %q uses unregistered exchange %q", name, info.Exchange))
+		}
+		act, actOK := acts[info.Action]
+		if !actOK {
+			errs = append(errs, fmt.Sprintf("stack %q uses unregistered action %q", name, info.Action))
+		}
+		if exOK && actOK && !compatible(act, ex.Family) {
+			errs = append(errs, fmt.Sprintf("stack %q pairs action %q with incompatible exchange %q", name, info.Action, info.Exchange))
+		}
+		pair := [2]string{info.Exchange, info.Action}
+		if other, dup := pairs[pair]; dup {
+			errs = append(errs, fmt.Sprintf("stacks %q and %q pair the same components %v", other, name, pair))
+		}
+		pairs[pair] = name
+	}
+	return errs
 }
 
-func TestInvalidRegistrationPanics(t *testing.T) {
-	cases := []func(){
-		func() { RegisterExchange(ExchangeInfo{Name: "nameless"}) },
-		func() { RegisterAction(ActionInfo{Name: "nameless"}) },
-		func() { RegisterStack(StackInfo{Name: "dangling", Exchange: "bogus", Action: "pmin"}) },
-		func() { RegisterStack(StackInfo{Name: "illtyped", Exchange: "min", Action: "popt"}) },
+// TestCatalogues checks the package's own tables.
+func TestCatalogues(t *testing.T) {
+	for _, err := range catalogueErrors(exchanges, actions, stacks) {
+		t.Error(err)
 	}
-	for i, reg := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: invalid registration did not panic", i)
-				}
-			}()
-			reg()
-		}()
+}
+
+// withExchange returns a copy of the exchange table with info filed
+// under name.
+func withExchange(name string, info ExchangeInfo) map[string]ExchangeInfo {
+	out := map[string]ExchangeInfo{name: info}
+	for k, v := range exchanges {
+		if k != name {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+func withAction(name string, info ActionInfo) map[string]ActionInfo {
+	out := map[string]ActionInfo{name: info}
+	for k, v := range actions {
+		if k != name {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+func withStack(name string, info StackInfo) map[string]StackInfo {
+	out := map[string]StackInfo{name: info}
+	for k, v := range stacks {
+		if k != name {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// TestDuplicateRegistrationPanics keeps the name of the check that a
+// second registration of a name panicked. A map literal cannot repeat a
+// key, so what is left to catch is an entry filed a second time under
+// another name, or a second stack for the same pairing; the catalogue
+// check must reject both.
+func TestDuplicateRegistrationPanics(t *testing.T) {
+	cases := map[string]func() []string{
+		"exchange filed twice": func() []string {
+			return catalogueErrors(withExchange("min2", exchanges["min"]), actions, stacks)
+		},
+		"stack pairing twice": func() []string {
+			dup := stacks["fip"]
+			dup.Name = "fip2"
+			return catalogueErrors(exchanges, actions, withStack("fip2", dup))
+		},
+	}
+	for _, name := range names(cases) {
+		if errs := cases[name](); len(errs) == 0 {
+			t.Errorf("%s: catalogue check passed a duplicate", name)
+		}
+	}
+}
+
+// TestInvalidRegistrationPanics keeps the name of the check that an
+// invalid registration panicked; the catalogue check must reject the
+// same entries that registration did.
+func TestInvalidRegistrationPanics(t *testing.T) {
+	cases := map[string]func() []string{
+		"nameless exchange": func() []string {
+			return catalogueErrors(withExchange("nameless", ExchangeInfo{Name: "nameless"}), actions, stacks)
+		},
+		"nameless action": func() []string {
+			return catalogueErrors(exchanges, withAction("nameless", ActionInfo{Name: "nameless"}), stacks)
+		},
+		"dangling stack": func() []string {
+			return catalogueErrors(exchanges, actions, withStack("dangling", StackInfo{Name: "dangling", Exchange: "bogus", Action: "pmin"}))
+		},
+		"ill-typed stack": func() []string {
+			return catalogueErrors(exchanges, actions, withStack("illtyped", StackInfo{Name: "illtyped", Exchange: "min", Action: "popt"}))
+		},
+	}
+	for _, name := range names(cases) {
+		if errs := cases[name](); len(errs) == 0 {
+			t.Errorf("%s: catalogue check passed an invalid entry", name)
+		}
 	}
 }

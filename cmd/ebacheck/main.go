@@ -12,17 +12,13 @@
 //	ebacheck -stack basic -n 3 -t 1 -safety  # + Definition 6.2
 //	ebacheck -stack fip-nock -n 3 -t 1       # the ablation implements P0
 //
-// With -sweep it additionally streams the exhaustive SO(t) scenario sweep
-// (every failure pattern × every initial vector) through the Runner's
-// source-driven path and spec-checks every run — the brute-force
-// Proposition 6.1 counterpart of the knowledge checks, at bounded memory
-// however large the sweep. -knowledge=false skips the knowledge checks,
-// so `-sweep -knowledge=false` is a fast streaming smoke test.
+// The brute-force counterpart, the exhaustive SO(t) sweep with every
+// run spec-checked, is ebashard's sweep mode.
 //
-// The knowledge checks print the verdict block ebashard -check -merge and
-// ebaserve's /v1/check print (one writer, eba.WriteVerdicts), so the
-// three diff clean; the sweep's line and all timings go to stderr. Exit
-// status 2 means a verdict failed, 1 anything else.
+// ebacheck prints the verdict block ebashard -check -merge and ebaserve's
+// /v1/check print (one writer, eba.WriteVerdicts), so the three diff
+// clean; timings go to stderr. Exit status 2 means a verdict failed, 1
+// anything else.
 //
 // Everything is exhaustive: expect exponential cost beyond n=4, t=1.
 package main
@@ -76,8 +72,6 @@ func run(args []string, stdout io.Writer) error {
 		t          = fs.Int("t", 1, "failure bound t")
 		safety     = fs.Bool("safety", false, "also check the Definition 6.2 safety condition")
 		optimality = fs.Bool("optimality", true, "for -stack fip: check the Theorem 7.5 characterization")
-		sweep      = fs.Bool("sweep", false, "stream the exhaustive SO(t) scenario sweep through the Runner and spec-check every run")
-		knowledge  = fs.Bool("knowledge", true, "run the knowledge-theoretic checks (implements/safety/optimality)")
 		parallel   = fs.Int("parallel", 0, "model-checker workers (0 = one per CPU; never changes the verdicts)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -93,18 +87,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	if !*sweep && !*knowledge {
-		return fmt.Errorf("nothing to check: -knowledge=false without -sweep selects no checks")
-	}
-	if *sweep {
-		if err := runSweep(stack, *n, *t); err != nil {
-			return err
-		}
-	}
-	if !*knowledge {
-		return nil
-	}
-
 	ctx := context.Background()
 	t0 := time.Now()
 	sys, err := eba.BuildSystem(ctx, stack, eba.WithCheckParallelism(*parallel))
@@ -116,41 +98,4 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(os.Stderr, "ebacheck: built in %.2fs, checked in %.2fs\n",
 		built.Sub(t0).Seconds(), time.Since(built).Seconds())
 	return err
-}
-
-// runSweep streams the exhaustive SO(t) sweep — every failure pattern ×
-// every initial vector — through the Runner's source-driven path with
-// specification checking on, never materializing the scenario list.
-func runSweep(stack eba.Stack, n, t int) error {
-	src, err := eba.SourceSO(n, t, stack.Horizon())
-	if err != nil {
-		return err
-	}
-	total := "?"
-	if c, ok := src.Count(); ok {
-		total = fmt.Sprint(c)
-	}
-	fmt.Fprintf(os.Stderr, "streaming exhaustive SO(%d) spec sweep for %s (n=%d, horizon=%d, %s scenarios) ... ",
-		t, stack.Name, n, stack.Horizon(), total)
-	t0 := time.Now()
-	runner := eba.NewRunner(stack,
-		eba.WithParallelism(0),
-		eba.WithSpecCheck(eba.SpecOptions{RoundBound: stack.Horizon(), ValidityAllAgents: true}))
-	runs, failures := 0, 0
-	var firstErr error
-	for oc := range runner.StreamFrom(context.Background(), src) {
-		runs++
-		if oc.Err != nil {
-			failures++
-			if firstErr == nil {
-				firstErr = oc.Err
-			}
-		}
-	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "FAILED (%.2fs)\n", time.Since(t0).Seconds())
-		return fmt.Errorf("sweep: %d of %d runs failed the EBA specification (first: %v)", failures, runs, firstErr)
-	}
-	fmt.Fprintf(os.Stderr, "OK: %d runs (%.2fs)\n", runs, time.Since(t0).Seconds())
-	return nil
 }

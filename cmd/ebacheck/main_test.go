@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"strings"
 	"testing"
 
 	eba "repro"
@@ -58,19 +59,19 @@ func TestCheckMinEndToEnd(t *testing.T) { checkEndToEnd(t, "min") }
 // report for full information.
 func TestCheckFIPEndToEnd(t *testing.T) { checkEndToEnd(t, "fip") }
 
-// TestCheckSweepStreaming exercises the source-driven exhaustive sweep —
-// the path the CI smoke step runs — without the slower knowledge checks.
-func TestCheckSweepStreaming(t *testing.T) {
-	if err := run([]string{"-stack", "min", "-n", "3", "-t", "1", "-sweep", "-knowledge=false"}, io.Discard); err != nil {
-		t.Errorf("ebacheck -sweep failed: %v", err)
-	}
-}
-
 func TestCheckErrors(t *testing.T) {
 	if err := run([]string{"-stack", "bogus"}, io.Discard); err == nil {
 		t.Error("unknown stack accepted")
 	}
 	if err := run([]string{"-bogusflag"}, io.Discard); err == nil {
 		t.Error("unknown flag accepted")
+	}
+	// The spec-checked exhaustive sweep is ebashard's; ebacheck checks
+	// knowledge only.
+	for _, flag := range []string{"-sweep", "-knowledge"} {
+		err := run([]string{"-stack", "min", flag}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
+			t.Errorf("ebacheck %s: %v; want an unknown-flag error", flag, err)
+		}
 	}
 }

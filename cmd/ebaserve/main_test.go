@@ -66,11 +66,15 @@ func TestDaemonBoundsRequests(t *testing.T) {
 	}
 }
 
-// TestQuotientFlagGone: whether a System is built through the symmetry
-// quotient is the checker's decision, so the daemon has no flag for it.
+// TestQuotientFlagGone pins the daemon's removed flags: whether a System
+// is built through the symmetry quotient is the checker's decision, and
+// the mixed-load check is a test of internal/serve, so ebaserve has a
+// flag for neither.
 func TestQuotientFlagGone(t *testing.T) {
-	err := run([]string{"-quotient", "-listen", "127.0.0.1:0"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -quotient") {
-		t.Fatalf("ebaserve -quotient: %v; want an unknown-flag error", err)
+	for _, flag := range []string{"-quotient", "-loadtest"} {
+		err := run([]string{flag, "-listen", "127.0.0.1:0"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
+			t.Errorf("ebaserve %s: %v; want an unknown-flag error", flag, err)
+		}
 	}
 }

@@ -12,7 +12,8 @@
 // smoke pins this with cmp), and a merged model-checker index yields
 // verdicts bit-identical to the single-process checker.
 //
-// Sweep mode (outcome streams):
+// Sweep mode (outcome streams; every run is checked against the EBA
+// specification, and a violation aborts the stripe):
 //
 //	ebashard -stack fip -n 3 -t 1 -shard 0/3 -out shard0.jsonl
 //	ebashard -stack fip -n 3 -t 1 -shard 1/3 -out shard1.jsonl
@@ -117,7 +118,6 @@ func run(args []string) (err error) {
 		merge      = fs.Bool("merge", false, "merge the listed shard files instead of running a stripe")
 		check      = fs.Bool("check", false, "model-checker mode: build (or, with -merge, merge) epistemic shard indexes")
 		parallel   = fs.Int("parallel", 0, "workers per process (0 = one per CPU; never changes the output)")
-		spec       = fs.Bool("spec", true, "sweep mode: spec-check every run (a violation aborts the shard)")
 		safety     = fs.Bool("safety", false, "-check -merge: also check the Definition 6.2 safety condition")
 		optimality = fs.Bool("optimality", true, "-check -merge: for fip, check the Theorem 7.5 characterization")
 		quotient   = fs.Bool("quotient", false, "sweep mode: enumerate one representative per agent-permutation orbit, weighting outcomes by orbit size")
@@ -197,7 +197,7 @@ func run(args []string) (err error) {
 	case *check:
 		return buildIndex(*stackName, *n, *t, shard, *out, *parallel, store)
 	default:
-		return runStripe(*stackName, *n, *t, shard, *out, *parallel, *spec, *quotient, store)
+		return runStripe(*stackName, *n, *t, shard, *out, *parallel, *quotient, store)
 	}
 }
 
@@ -266,12 +266,13 @@ func openOut(path string) (io.Writer, func() error, error) {
 	return f, f.Close, nil
 }
 
-// runStripe executes one stripe of the stack's exhaustive SO(t) sweep
-// and writes its outcome stream. With quotient, the sweep is reduced to
+// runStripe executes one stripe of the stack's exhaustive SO(t) sweep,
+// spec-checking every run (a violation aborts the stripe), and writes its
+// outcome stream. With quotient, the sweep is reduced to
 // one representative per agent-permutation orbit BEFORE striding, so the
 // stripes partition the representative enumeration and each outcome
 // record carries its orbit size as a multiplicity.
-func runStripe(stackName string, n, t int, shard eba.ShardSpec, out string, parallel int, spec, quotient bool, store eba.ResultCache) error {
+func runStripe(stackName string, n, t int, shard eba.ShardSpec, out string, parallel int, quotient bool, store eba.ResultCache) error {
 	if err := shard.Validate(); err != nil {
 		return err
 	}
@@ -286,9 +287,9 @@ func runStripe(stackName string, n, t int, shard eba.ShardSpec, out string, para
 	if quotient {
 		src = eba.SourceQuotient(src)
 	}
-	opts := []eba.RunnerOption{eba.WithParallelism(parallel)}
-	if spec {
-		opts = append(opts, eba.WithSpecCheck(eba.SpecOptions{RoundBound: stack.Horizon(), ValidityAllAgents: true}))
+	opts := []eba.RunnerOption{
+		eba.WithParallelism(parallel),
+		eba.WithSpecCheck(eba.SpecOptions{RoundBound: stack.Horizon(), ValidityAllAgents: true}),
 	}
 	if store != nil {
 		opts = append(opts, eba.WithResultCache(store, eba.CacheFingerprint()))

@@ -169,6 +169,13 @@ func TestShardErrors(t *testing.T) {
 	if err := run([]string{"-stack", "bogus", "-out", os.DevNull}); err == nil {
 		t.Error("unknown stack accepted")
 	}
+	// Every sweep is spec-checked: Pnaive's agreement violation aborts it.
+	if err := run([]string{"-stack", "naive", "-n", "3", "-t", "1", "-out", os.DevNull}); err == nil || !strings.Contains(err.Error(), "violates the EBA specification") {
+		t.Errorf("ebashard -stack naive: %v; want a spec violation", err)
+	}
+	if err := run([]string{"-spec=false", "-out", os.DevNull}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -spec") {
+		t.Errorf("ebashard -spec=false: %v; want an unknown-flag error", err)
+	}
 	// The checker picks the quotient from the stack's exchange; the flag
 	// would only let a script believe it had chosen something.
 	for _, args := range [][]string{

@@ -404,7 +404,7 @@ func (c *Cache) rescan(segNames []string) error {
 	}
 	// Persist the rebuilt index so the next Open skips the rescan; a
 	// failed write only costs that next Open another scan.
-	c.writeIndexLocked(nil)
+	c.writeIndexLocked()
 	return nil
 }
 
@@ -572,7 +572,7 @@ func (c *Cache) Close() error {
 		}
 		c.w = nil
 	}
-	if err := c.writeIndexLocked(nil); err != nil && firstErr == nil {
+	if err := c.writeIndexLocked(); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	closeSegs(c.segs)
@@ -584,9 +584,8 @@ func (c *Cache) Close() error {
 }
 
 // writeIndexLocked rewrites index.json atomically from the current
-// sealed state (write lock held). keep, when non-nil, restricts the
-// written entries (the GC path).
-func (c *Cache) writeIndexLocked(keep map[string]bool) error {
+// sealed state (write lock held).
+func (c *Cache) writeIndexLocked() error {
 	idx := indexFile{Version: 1}
 	// size bounds the document from above, so its buffer is allocated once.
 	size := 64
@@ -595,9 +594,6 @@ func (c *Cache) writeIndexLocked(keep map[string]bool) error {
 		size += len(s.name) + 48
 	}
 	for key, loc := range c.entries {
-		if keep != nil && !keep[key] {
-			continue
-		}
 		size += len(key) + 2*len(loc.sum) + 64
 		idx.Entries = append(idx.Entries, indexEnt{
 			Key: key, Seg: loc.seg, Off: loc.off, Len: loc.vlen, Sum: hex.EncodeToString(loc.sum[:]),
@@ -823,7 +819,7 @@ func (c *Cache) GC(maxBytes int64) (GCResult, error) {
 			}
 		}
 	}
-	if err := c.writeIndexLocked(nil); err != nil {
+	if err := c.writeIndexLocked(); err != nil {
 		return res, err
 	}
 	return res, nil

@@ -296,7 +296,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // specOptions is the spec-check configuration every sweep surface in
-// this repository uses (ebashard's -spec default).
+// this repository uses (ebashard checks every run with it).
 func specOptions(stack core.Stack) spec.Options {
 	return spec.Options{RoundBound: stack.Horizon(), ValidityAllAgents: true}
 }

@@ -211,11 +211,6 @@ func testKnowledgeQueries(t *testing.T, stackName string) {
 	}
 
 	base := KnowledgeRequest{Stack: stackName, N: 3, T: 1}
-	// Echoed dimensions describe the full system.
-	kr := query(withQuery(base, QueryExists, 0, 0, 0, 0))
-	if kr.Runs != len(sys.Runs) || kr.Horizon != sys.Horizon {
-		t.Fatalf("echoed dims %d/%d, want %d/%d", kr.Runs, kr.Horizon, len(sys.Runs), sys.Horizon)
-	}
 
 	// A prefix unit is the runs that share inits, faulty set and every drop
 	// before the last round; its first run is its lowest.
@@ -238,33 +233,15 @@ func testKnowledgeQueries(t *testing.T, stackName string) {
 			offFirst++
 		}
 		for _, tm := range []int{0, sys.Horizon - 1, sys.Horizon} {
-			p := episteme.Point{Run: run, Time: tm}
 			for v := 0; v <= 1; v++ {
-				vv := model.Value(v)
-				if got := query(withQuery(base, QueryExists, 0, run, tm, v)).Holds; got != sys.Exists(vv, p) {
-					t.Fatalf("exists(%d) at %+v: served %v", v, p, got)
-				}
-				for agent := 0; agent < sys.N; agent++ {
-					i := model.AgentID(agent)
-					if got := query(withQuery(base, QueryKnowsExists, agent, run, tm, v)).Holds; got != sys.Knows(i, p, func(q episteme.Point) bool { return sys.Exists(vv, q) }) {
-						t.Fatalf("knows_exists(%d,%d) at %+v: served %v", agent, v, p, got)
+				for _, q := range queryKinds {
+					for agent := 0; agent < sys.N; agent++ {
+						req := withQuery(base, q, agent, run, tm, v)
+						if got, want := query(req), referenceAnswer(sys, req); got != want {
+							t.Fatalf("%s(agent %d, value %d) at run %d, time %d: served %+v, want %+v", q, agent, v, run, tm, got, want)
+						}
+						checked++
 					}
-					if got := query(withQuery(base, QueryKnowsCK, agent, run, tm, v)).Holds; got != sys.KnowsCK(i, p, vv) {
-						t.Fatalf("knows_ck(%d,%d) at %+v: served %v", agent, v, p, got)
-					}
-					if got := query(withQuery(base, QueryNonfaulty, agent, run, tm, v)).Holds; got != sys.Nonfaulty(i, p) {
-						t.Fatalf("nonfaulty(%d) at %+v: served %v", agent, p, got)
-					}
-					dr := query(withQuery(base, QueryDecided, agent, run, tm, v))
-					d := sys.DecidedVal(i, p)
-					wantDecided := -1
-					if d.IsSet() {
-						wantDecided = int(d)
-					}
-					if dr.Decided != wantDecided || dr.Holds != (d.IsSet() && int(d) == v) {
-						t.Fatalf("decided(%d) at %+v: served %+v, system says %d", agent, p, dr, wantDecided)
-					}
-					checked++
 				}
 			}
 		}
@@ -327,6 +304,32 @@ func TestFaultBoundRefused(t *testing.T) {
 			t.Errorf("%s after the refusals: status %d, want 200", path, resp.StatusCode)
 		}
 	}
+}
+
+// queryKinds lists every knowledge query kind.
+var queryKinds = []string{QueryExists, QueryKnowsExists, QueryKnowsCK, QueryNonfaulty, QueryDecided}
+
+// referenceAnswer evaluates a knowledge request on sys directly, with the
+// dimensions the server echoes.
+func referenceAnswer(sys *episteme.System, req KnowledgeRequest) KnowledgeResponse {
+	i, p, v := model.AgentID(req.Agent), episteme.Point{Run: req.Run, Time: req.Time}, model.Value(req.Value)
+	want := KnowledgeResponse{Runs: len(sys.Runs), Horizon: sys.Horizon}
+	switch req.Query {
+	case QueryExists:
+		want.Holds = sys.Exists(v, p)
+	case QueryKnowsExists:
+		want.Holds = sys.Knows(i, p, func(q episteme.Point) bool { return sys.Exists(v, q) })
+	case QueryKnowsCK:
+		want.Holds = sys.KnowsCK(i, p, v)
+	case QueryNonfaulty:
+		want.Holds = sys.Nonfaulty(i, p)
+	case QueryDecided:
+		want.Decided = -1
+		if d := sys.DecidedVal(i, p); d.IsSet() {
+			want.Holds, want.Decided = d == v, int(d)
+		}
+	}
+	return want
 }
 
 func withQuery(base KnowledgeRequest, q string, agent, run, tm, v int) KnowledgeRequest {
@@ -572,6 +575,112 @@ func TestServerSingleflight(t *testing.T) {
 	if got := s.lru.len(); got != 1 {
 		t.Fatalf("LRU holds %d systems, want 1", got)
 	}
+}
+
+// TestConcurrentMixedLoad drives the served mix of one sweep stripe, two
+// checks and seven knowledge queries in every ten requests through an
+// admission pool of 4 from 16 goroutines, retrying 429s as a client
+// must, and checks every answer against a System built run by run: each
+// stripe verifies end to end, each check is the WriteVerdicts block, and
+// each knowledge answer is the reference's. The plan is fixed by the
+// request index, so the 20 stripes always total 1,930 records.
+func TestConcurrentMixedLoad(t *testing.T) {
+	t.Run("small_admission_pool", func(t *testing.T) {
+		const requests, workers, stripes = 200, 16, 16
+		_, ts := newTestServer(t, Config{MaxInflight: 4, MaxParallelism: 1})
+		stack, sys := buildReferenceSystem(t, "min", 3, 1)
+		var wantCheck bytes.Buffer
+		if err := fabric.WriteVerdicts(context.Background(), &wantCheck, sys, stack.Name, fabric.VerdictOptions{Optimality: true}); err != nil {
+			t.Fatalf("reference verdicts: %v", err)
+		}
+
+		plan := func(i int) (string, any) {
+			switch i % 10 {
+			case 0:
+				return "/v1/sweep", SweepRequest{Stack: "min", N: 3, T: 1, Shard: fmt.Sprintf("%d/%d", i%stripes, stripes), Parallelism: 1}
+			case 1, 5:
+				return "/v1/check", CheckRequest{Stack: "min", N: 3, T: 1, Parallelism: 1}
+			}
+			return "/v1/knowledge", KnowledgeRequest{Stack: "min", N: 3, T: 1,
+				Query: queryKinds[i%len(queryKinds)], Agent: i % sys.N,
+				Run: i % len(sys.Runs), Time: i % (sys.Horizon + 1), Value: i % 2}
+		}
+		// post runs off the test goroutine, so it reports instead of failing
+		// the test; a 429 is the admission contract, answered by backing off.
+		post := func(path string, req any) ([]byte, error) {
+			payload, err := json.Marshal(req)
+			if err != nil {
+				return nil, err
+			}
+			for attempt := 1; ; attempt++ {
+				resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(payload))
+				if err != nil {
+					return nil, err
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch {
+				case err != nil:
+					return nil, err
+				case resp.StatusCode == http.StatusTooManyRequests && attempt < 100:
+					time.Sleep(time.Duration(attempt) * time.Millisecond)
+				case resp.StatusCode != http.StatusOK:
+					return nil, fmt.Errorf("status %d: %s", resp.StatusCode, body)
+				default:
+					return body, nil
+				}
+			}
+		}
+
+		bodies, errs := make([][]byte, requests), make([]error, requests)
+		work := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range work {
+					bodies[i], errs[i] = post(plan(i))
+				}
+			}()
+		}
+		for i := 0; i < requests; i++ {
+			work <- i
+		}
+		close(work)
+		wg.Wait()
+
+		var records int64
+		for i, body := range bodies {
+			path, req := plan(i)
+			if errs[i] != nil {
+				t.Fatalf("request %d (%s): %v", i, path, errs[i])
+			}
+			switch req := req.(type) {
+			case SweepRequest:
+				sum, err := core.VerifyOutcomeStream(bytes.NewReader(body))
+				if err != nil {
+					t.Fatalf("request %d: stripe %s fails verification: %v", i, req.Shard, err)
+				}
+				records += sum.Records
+			case CheckRequest:
+				if !bytes.Equal(body, wantCheck.Bytes()) {
+					t.Fatalf("request %d: served verdicts differ from WriteVerdicts:\n got: %s\nwant: %s", i, body, wantCheck.Bytes())
+				}
+			case KnowledgeRequest:
+				var got KnowledgeResponse
+				if err := json.Unmarshal(body, &got); err != nil {
+					t.Fatalf("request %d: decode: %v", i, err)
+				}
+				if want := referenceAnswer(sys, req); got != want {
+					t.Fatalf("request %d: %+v answers %+v, want %+v", i, req, got, want)
+				}
+			}
+		}
+		if records != 1930 {
+			t.Fatalf("the stripes hold %d records, want 1930", records)
+		}
+	})
 }
 
 // TestAdmission429 fills the in-flight pool and expects the next

@@ -1,11 +1,6 @@
 package eba
 
-import (
-	"context"
-
-	"repro/internal/serve"
-	"repro/internal/serve/loadtest"
-)
+import "repro/internal/serve"
 
 // The serving layer: a long-running HTTP daemon (cmd/ebaserve) exposing
 // the Runner and the model checker as a service. Sweep responses are
@@ -49,17 +44,3 @@ const (
 	QueryNonfaulty   = serve.QueryNonfaulty
 	QueryDecided     = serve.QueryDecided
 )
-
-// LoadTestConfig tunes RunLoadTest; LoadTestSummary is its verified
-// outcome (Err folds failures into the fabric error taxonomy).
-type (
-	LoadTestConfig  = loadtest.Config
-	LoadTestSummary = loadtest.Summary
-)
-
-// RunLoadTest drives a serving base URL with a deterministic mix of
-// concurrent sweep, check, and knowledge requests, verifying every
-// response it can.
-func RunLoadTest(ctx context.Context, cfg LoadTestConfig) (*LoadTestSummary, error) {
-	return loadtest.Run(ctx, cfg)
-}

@@ -16,11 +16,11 @@ import (
 // are bit-identical to the uncached ones at any hit/miss mix: RunShard
 // streams and checker verdicts over a warm cache cmp-equal a cold run's.
 //
-// Wire a cache into a sweep with WithResultCache, into the checker with
-// WithCheckCache, or into a fabric worker via WorkerConfig.Cache. The
-// fingerprint argument folds the build's identity into every key (use
-// CacheFingerprint for the running binary's VCS revision), so entries
-// written by one version of the code are invisible to another.
+// Wire a cache into a sweep with WithResultCache or into the checker with
+// WithCheckCache. The fingerprint argument folds the build's identity
+// into every key (use CacheFingerprint for the running binary's VCS
+// revision), so entries written by one version of the code are invisible
+// to another.
 
 // ResultCache stores cached run payloads; the store OpenCache returns
 // satisfies it.

@@ -54,22 +54,8 @@
 //	ebashard -stack fip -n 4 -t 1 -quotient -cache ~/.eba-cache -out sweep.jsonl
 //	ebashard -cache-gc -cache ~/.eba-cache -cache-max-bytes 1000000000
 //
-// Fleet mode: -worker joins a cross-machine sweep fabric instead of
-// running a fixed -shard stripe. The worker pulls sweep stripe leases
-// from the ebacoord coordinator at the given URL, runs them through the
-// same path as sweep mode, heartbeats while a stripe runs, and uploads
-// sealed results with bounded retry and backoff. SIGTERM drains
-// gracefully (the stripe in hand finishes and uploads); a second signal
-// aborts. A worker runs without a result cache: -worker with -cache is a
-// usage error. Model checks are not fleet jobs; -check -shard and
-// -check -merge above are their multi-process path.
-//
-//	ebashard -worker http://coord:8123 -parallel 4
-//
-// Exit codes separate failure classes: 2 for verification failures
-// (torn/tampered data, digest conflicts, failed verdicts — a rerun
-// reproduces them), 3 for transport failures (coordinator unreachable
-// after bounded retries — a rerun might not), 1 for everything else.
+// Exit codes: 2 for failed verdicts (a rerun reproduces them), 1 for
+// everything else.
 package main
 
 import (
@@ -79,11 +65,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"syscall"
-	"time"
 
 	eba "repro"
 )
@@ -95,17 +78,13 @@ func main() {
 	}
 }
 
-// exitCode maps an error to the command's exit code: verification
-// failures and transport failures are distinguishable by the caller.
+// exitCode maps an error to the command's exit code: failed verdicts
+// are distinguishable from every other failure by the caller.
 func exitCode(err error) int {
-	switch {
-	case errors.Is(err, eba.ErrFabricVerification):
+	if errors.Is(err, eba.ErrFabricVerification) {
 		return 2
-	case errors.Is(err, eba.ErrFabricTransport):
-		return 3
-	default:
-		return 1
 	}
+	return 1
 }
 
 func run(args []string) (err error) {
@@ -121,9 +100,6 @@ func run(args []string) (err error) {
 		safety     = fs.Bool("safety", false, "-check -merge: also check the Definition 6.2 safety condition")
 		optimality = fs.Bool("optimality", true, "-check -merge: for fip, check the Theorem 7.5 characterization")
 		quotient   = fs.Bool("quotient", false, "sweep mode: enumerate one representative per agent-permutation orbit, weighting outcomes by orbit size")
-		worker     = fs.String("worker", "", "join the fabric coordinator at this URL as a worker")
-		workerID   = fs.String("id", "", "worker identity reported to the coordinator (default hostname-pid)")
-		timeout    = fs.Duration("timeout", 30*time.Second, "worker mode: per-request timeout on every network call")
 		cacheDir   = fs.String("cache", "", "result cache directory: answer already-swept scenarios (-check: an already-built stripe index) from it instead of re-executing")
 		cacheGC    = fs.Bool("cache-gc", false, "compact the -cache directory (drop dead and damaged entries) and exit")
 		cacheMax   = fs.Int64("cache-max-bytes", 0, "-cache-gc: evict oldest entries until the cache payload fits this budget (0 = keep everything live)")
@@ -175,9 +151,6 @@ func run(args []string) (err error) {
 	if *check && *quotient {
 		return fmt.Errorf("-quotient applies to sweeps, where it changes the stream; the checker decides from the stack's exchange whether to enumerate orbit representatives, and the verdicts are the same bytes either way")
 	}
-	if *worker != "" && *cacheDir != "" {
-		return fmt.Errorf("-worker runs without a result cache; drop -cache")
-	}
 	if *cacheGC {
 		return runCacheGC(*cacheDir, *cacheMax)
 	}
@@ -188,8 +161,6 @@ func run(args []string) (err error) {
 	defer closeStore()
 
 	switch {
-	case *worker != "":
-		return runWorker(*worker, *workerID, *parallel, *timeout)
 	case *merge && *check:
 		return mergeIndexes(fs.Args(), *out, *parallel, *safety, *optimality)
 	case *merge:
@@ -218,40 +189,6 @@ func runCacheGC(dir string, maxBytes int64) error {
 	fmt.Fprintf(os.Stderr, "ebashard: cache %s: %d entries kept, %d dropped; %d segment(s) %d bytes -> %d segment(s) %d bytes\n",
 		dir, res.Kept, res.Dropped, res.SegmentsBefore, res.BytesBefore, res.SegmentsAfter, res.BytesAfter)
 	return nil
-}
-
-// runWorker joins the fabric coordinator at coordURL and runs stripes
-// until the job completes. The first SIGTERM/SIGINT drains gracefully —
-// the stripe in hand finishes and uploads — and a second aborts.
-func runWorker(coordURL, id string, parallel int, timeout time.Duration) error {
-	w, err := eba.NewFabricWorker(eba.WorkerConfig{
-		Coordinator:    coordURL,
-		ID:             id,
-		Parallelism:    parallel,
-		RequestTimeout: timeout,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithCancelCause(context.Background())
-	defer cancel(nil)
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "ebashard: draining — finishing the stripe in hand (signal again to abort)")
-		w.Drain()
-		<-sig
-		cancel(fmt.Errorf("aborted by second signal"))
-	}()
-	sum, err := w.Run(ctx)
-	fmt.Fprintf(os.Stderr, "ebashard: worker %s done: %d stripe(s), %d records, %d lease(s) lost, %d reject(s)\n",
-		w.ID(), sum.Stripes, sum.Records, sum.LeasesLost, sum.Rejects)
-	return err
 }
 
 // openOut resolves -out: stdout for "-", else the file (truncated).

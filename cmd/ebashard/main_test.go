@@ -2,10 +2,17 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+
+	eba "repro"
 )
 
 // shardFiles runs the min n=3,t=1 sweep as k stripes into dir and
@@ -187,13 +194,35 @@ func TestShardErrors(t *testing.T) {
 			t.Errorf("%v: %v; want the usage error that says who picks the quotient", args, err)
 		}
 	}
+	// The fleet worker mode is gone; its flags must not parse.
+	for _, args := range [][]string{
+		{"-worker", "http://127.0.0.1:1"},
+		{"-id", "w1"},
+		{"-timeout", "5s"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: %v; want an unknown-flag error", args, err)
+		}
+	}
 }
 
-// TestWorkerRefusesCache: a fleet worker runs without a result cache, so
-// -worker with -cache is a usage error, caught before any connection.
-func TestWorkerRefusesCache(t *testing.T) {
-	err := run([]string{"-worker", "http://127.0.0.1:1", "-cache", t.TempDir()})
-	if err == nil || !strings.Contains(err.Error(), "-worker runs without a result cache") {
-		t.Fatalf("-worker -cache: %v; want the usage error", err)
+// TestExitCode pins the exit-code mapping: a failed verdict, however
+// wrapped, exits 2; every other failure exits 1.
+func TestExitCode(t *testing.T) {
+	refused := &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}
+	for _, tc := range []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"verification", eba.ErrFabricVerification, 2},
+		{"wrapped verification", fmt.Errorf("merging: %w", eba.ErrFabricVerification), 2},
+		{"joined verification", errors.Join(io.ErrUnexpectedEOF, eba.ErrFabricVerification), 2},
+		{"plain", errors.New("unknown stack"), 1},
+		{"transport", fmt.Errorf("posting stripe: %w", refused), 1},
+	} {
+		if got := exitCode(tc.err); got != tc.want {
+			t.Errorf("%s: exitCode(%v) = %d, want %d", tc.name, tc.err, got, tc.want)
+		}
 	}
 }

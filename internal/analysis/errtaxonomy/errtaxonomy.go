@@ -1,6 +1,6 @@
-// Package errtaxonomy protects the fabric's error taxonomy and the
+// Package errtaxonomy protects the repo's error taxonomy and the
 // documented exit-code mapping built on it (ErrVerification -> 2,
-// ErrTransport -> 3). Three rules:
+// everything else -> 1). Three rules:
 //
 //  1. Sentinel comparisons use errors.Is: comparing an error against a
 //     repo-declared sentinel (a package-level Err* variable) with ==
@@ -16,8 +16,8 @@
 //
 //  3. The exit-code mapper is guarded: in a main package, a function
 //     named exitCode must guard every non-{0,1} literal return with an
-//     errors.Is test against a named sentinel, so codes 2 and 3 cannot
-//     drift away from the taxonomy without the analyzer noticing.
+//     errors.Is test against a named sentinel, so code 2 cannot drift
+//     away from the taxonomy without the analyzer noticing.
 //
 // A reviewed exception is waived with //eba:errtaxonomy-ok on the
 // exact reported line; unused waivers are themselves diagnosed as

@@ -379,7 +379,7 @@ func BuildSystem(ctx context.Context, c Context, act model.ActionProtocol, opts 
 // the context's sweep — all of it at 0/1 — and indexes the local states.
 // Under o.quotient the sweep is reduced to representatives before
 // striding: the stripes partition them, so every orbit is executed exactly
-// once across a fleet and the stripe ordinals are quotient ordinals.
+// once across the stripes and the stripe ordinals are quotient ordinals.
 func buildStripe(ctx context.Context, c Context, act model.ActionProtocol, shardIndex, shardCount int, o options) (*System, error) {
 	n := c.Exchange.N()
 	horizon := c.horizonOrDefault()

@@ -27,7 +27,7 @@ func Generators(cfg Config) []func() *Table {
 		E2FailureFreeZero,
 		E3FailureFreeOnes,
 		E4Example71,
-		func() *Table { return E5TerminationBound(cfg.Seed, cfg.Trials, cfg.Parallelism) },
+		func() *Table { return E20EarlyStopping(cfg.Seed, cfg.Trials, cfg.Parallelism) },
 	}
 	if !cfg.SkipSlow {
 		gens = append(gens,

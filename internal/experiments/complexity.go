@@ -3,14 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/source"
-	"repro/internal/spec"
 )
 
 // mustRun executes a stack on one scenario through the Runner, panicking
@@ -216,49 +214,5 @@ func E4Example71() *Table {
 	}
 	t.Notes = append(t.Notes,
 		"common knowledge of the faulty set forms after 2 rounds; Popt converts it into a round-3 decision")
-	return t
-}
-
-// E5TerminationBound exercises Proposition 6.1's bound under random
-// adversaries: every agent decides by round t+2 with no specification
-// violations, and the decision-round distribution is reported (the
-// figure-like series).
-func E5TerminationBound(seed int64, trials, parallelism int) *Table {
-	t := &Table{
-		ID:      "E5",
-		Title:   fmt.Sprintf("termination bound under random SO(t) adversaries (%d trials)", trials),
-		Claim:   "Prop 6.1: every implementation decides within t+2 rounds of message exchange",
-		Columns: []string{"stack", "round 1", "round 2", "round 3", "round 4", "max", "violations"},
-		Pass:    true,
-	}
-	n, tf := 6, 2
-	rng := rand.New(rand.NewSource(seed))
-	for _, name := range []string{"min", "basic", "fip"} {
-		st := core.MustStack(name, core.WithN(n), core.WithT(tf))
-		// Each stack sweeps its own lazily generated scenarios: the source
-		// draws from the rng in the same order the eager loop did, so the
-		// table is unchanged, but nothing is materialized.
-		src := source.RandomScenarios(rng, n, tf, tf+2, 0.45, int64(trials))
-		hist := make([]int, tf+3)
-		violations := 0
-		maxRound := 0
-		mustStream(st, src, parallelism, func(res *engine.Result) {
-			violations += len(spec.CheckRun(res, spec.Options{RoundBound: tf + 2, ValidityAllAgents: true}))
-			for i := 0; i < n; i++ {
-				r := res.Round(model.AgentID(i))
-				if r > maxRound {
-					maxRound = r
-				}
-				if r >= 1 && r <= tf+2 {
-					hist[r]++
-				}
-			}
-		})
-		if violations > 0 || maxRound > tf+2 {
-			t.Pass = false
-		}
-		t.AddRow(st.Name, hist[1], hist[2], hist[3], hist[4], maxRound, violations)
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("n=%d, t=%d, drop probability 0.45, seed %d", n, tf, seed))
 	return t
 }

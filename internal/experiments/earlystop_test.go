@@ -1,84 +1,44 @@
 package experiments
 
 import (
-	"fmt"
+	"strings"
+	"sync"
 	"testing"
-
-	"repro/internal/adversary"
-	"repro/internal/engine"
-	"repro/internal/model"
-	"repro/internal/source"
 )
 
-// omitters counts the agents that omit at least one message in p: the
-// faults that actually occur, where NumFaulty counts the ones allowed.
-func omitters(p *model.Pattern) int {
-	f := 0
-	for i := 0; i < p.N(); i++ {
-	sender:
-		for m := 0; m < p.Horizon(); m++ {
-			for j := 0; j < p.N(); j++ {
-				if !p.Delivered(m, model.AgentID(i), model.AgentID(j)) {
-					f++
-					break sender
-				}
-			}
-		}
+// e20 is the E20 table the tests share, so the exhaustive contexts are
+// swept once per test binary.
+var e20 = sync.OnceValue(func() *Table { return E20EarlyStopping(7, 60, 0) })
+
+func TestE20EarlyStopping(t *testing.T) {
+	tb := e20()
+	if !tb.Pass {
+		t.Fatalf("E20 failed:\n%s", tb.Render())
 	}
-	return f
+	if len(tb.Rows) != 20 {
+		t.Errorf("E20 rows = %d, want 20", len(tb.Rows))
+	}
 }
 
-// TestEarlyStopping sweeps every pattern and initial vector and compares
-// each nonfaulty agent's decision round with min(f+2, t+2), where f is
-// the number of agents that omit at least one message. Pbasic, Popt and
-// Popt-nock never exceed it: every agent sends in every round, so a
-// missing message exposes its sender. Pmin can: Emin never reveals an
-// omission, so no agent learns f, and the runs in which it decides later
-// than the bound are pinned.
+// TestEarlyStopping reads E20's exhaustive rows: Pbasic, Popt and
+// Popt-nock have no run in which a nonfaulty agent decides after round
+// min(f+2, t+2), and Pmin's runs past it are pinned. The random rows'
+// gate is the table's own verdict, which TestE20EarlyStopping checks.
 func TestEarlyStopping(t *testing.T) {
-	for _, c := range []struct {
-		crash   bool
-		n, t    int
-		minLate int
-	}{
-		{false, 3, 1, 4},
-		{false, 4, 1, 5},
-		{true, 3, 2, 124},
-		{true, 4, 2, 475},
-	} {
-		kind, patterns := "SO", func(h int) (source.Patterns, error) { return source.SO(c.n, c.t, h, adversary.Options{}) }
-		if c.crash {
-			kind, patterns = "crash", func(h int) (source.Patterns, error) { return source.Crash(c.n, c.t, h) }
+	minOver := map[string]string{"SO n3 t1": "4", "SO n4 t1": "5", "crash n3 t2": "124", "crash n4 t2": "475"}
+	for _, row := range e20().Rows {
+		context, stack, over := row[0], row[1], row[6]
+		if strings.HasPrefix(context, "random") {
+			continue
 		}
-		for _, name := range []string{"min", "basic", "fip", "fip-nock"} {
-			t.Run(fmt.Sprintf("%s_n%d_t%d/%s", kind, c.n, c.t, name), func(t *testing.T) {
-				st := stackFor(name, c.n, c.t)
-				pats, err := patterns(st.Horizon())
-				if err != nil {
-					t.Fatal(err)
-				}
-				src, err := source.CrossInits(pats, st.N)
-				if err != nil {
-					t.Fatal(err)
-				}
-				late := 0
-				mustStream(st, src, 0, func(res *engine.Result) {
-					bound := min(omitters(res.Pattern)+2, c.t+2)
-					for _, i := range res.Pattern.NonfaultySet() {
-						if res.Round(i) > bound {
-							late++
-							return
-						}
-					}
-				})
-				want := 0
-				if name == "min" {
-					want = c.minLate
-				}
-				if late != want {
-					t.Errorf("%d runs in which a nonfaulty agent decides after round min(f+2, t+2), want %d", late, want)
-				}
-			})
-		}
+		t.Run(context+"/"+stack, func(t *testing.T) {
+			want := "0"
+			if stack == "min" {
+				want = minOver[context]
+			}
+			if over != want {
+				t.Errorf("%s runs in which a nonfaulty agent decides after round min(f+2, t+2), want %s", over, want)
+			}
+		})
 	}
 }

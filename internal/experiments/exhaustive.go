@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
-	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/source"
 	"repro/internal/spec"
 )
 
@@ -40,24 +36,12 @@ func E17ExhaustiveSpec() *Table {
 		{stackFor("fip", 3, 1), true},
 	}
 	for _, c := range cases {
-		var pats source.Patterns
-		var err error
 		kind := "SO"
 		if c.crash {
 			kind = "crash"
-			pats, err = source.Crash(c.st.N, c.st.T, c.st.Horizon())
-		} else {
-			pats, err = source.SO(c.st.N, c.st.T, c.st.Horizon(), adversary.Options{})
-		}
-		if err != nil {
-			panic(fmt.Sprintf("experiments: E17: %v", err))
-		}
-		src, err := source.CrossInits(pats, c.st.N)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: E17: %v", err))
 		}
 		runs, violations := 0, 0
-		mustStream(c.st, src, 0, func(res *engine.Result) {
+		mustStream(c.st, exhaustiveSource(c.st, c.crash), 0, func(res *engine.Result) {
 			runs++
 			violations += len(spec.CheckRun(res, spec.Options{
 				RoundBound:        c.st.Horizon(),

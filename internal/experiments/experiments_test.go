@@ -55,12 +55,6 @@ func TestE4Example71(t *testing.T) {
 	}
 }
 
-func TestE5TerminationBound(t *testing.T) {
-	if tb := E5TerminationBound(7, 60, 2); !tb.Pass {
-		t.Fatalf("E5 failed:\n%s", tb.Render())
-	}
-}
-
 func TestE11BasicVsMin(t *testing.T) {
 	if tb := E11BasicVsMin(); !tb.Pass {
 		t.Fatalf("E11 failed:\n%s", tb.Render())

@@ -1,7 +1,8 @@
-// Package httplimit holds the limits both daemons in the tree (ebaserve,
-// ebacoord) put on what a client can make them wait for or read: a bound
-// on how long request headers may take to arrive, and a bound on how much
-// of a request body a handler will buffer.
+// Package httplimit holds the limits an HTTP server in the tree (ebaserve,
+// and the sweep coordinator the benchmark runs in process) puts on what a
+// client can make it wait for or read: a bound on how long request
+// headers may take to arrive, and a bound on how much of a request body a
+// handler will buffer.
 package httplimit
 
 import (
@@ -17,8 +18,8 @@ const (
 	// request headers before dropping the connection.
 	HeaderTimeout = 30 * time.Second
 	// MaxJSONBody bounds a JSON request body. The largest request any
-	// daemon takes — a heartbeat carrying cache counters — is well under
-	// a kilobyte.
+	// server takes — a sweep, check or knowledge query — is well under a
+	// kilobyte.
 	MaxJSONBody = 1 << 20
 )
 

@@ -17,7 +17,7 @@ import (
 // Quotient composes with the other combinators, but order matters with
 // the sharding ones: put it INSIDE Stride (quotient first), so the K
 // stripes partition the quotient enumeration and every representative is
-// executed exactly once across the fleet. The representative count is
+// executed exactly once across the stripes. The representative count is
 // not predictable without running the enumeration, so Count is unknown —
 // stripe sizes of a quotiented sweep are discovered, not declared.
 //

@@ -1,7 +1,8 @@
 // Command ebaserve serves the verification stack over HTTP: sweep
 // stripes (byte-identical to ebashard's streams), model-check verdict
 // blocks, and epistemic point queries, answered from a hot-System LRU
-// with admission control and Prometheus-style /metrics.
+// with admission control and Prometheus-style /metrics (-pprof adds
+// net/http/pprof's /debug/pprof/).
 //
 //	ebaserve -listen 127.0.0.1:8080 -cache /var/eba-cache -parallel 4
 //
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"os"
 	"os/signal"
 	"syscall"
@@ -46,16 +48,17 @@ func run(args []string) error {
 	builds := fs.Int("builds", 0, "concurrent System builds (0 = default 2)")
 	inflight := fs.Int("inflight", 0, "concurrent requests before 429 (0 = default 256)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight requests")
+	withPprof := fs.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	return serve(*listen, *cacheDir, *parallel, *systems, *builds, *inflight, *drainTimeout)
+	return serve(*listen, *cacheDir, *parallel, *systems, *builds, *inflight, *drainTimeout, *withPprof)
 }
 
-func serve(listen, cacheDir string, parallel, systems, builds, inflight int, drainTimeout time.Duration) error {
+func serve(listen, cacheDir string, parallel, systems, builds, inflight int, drainTimeout time.Duration, withPprof bool) error {
 	store, closeStore, err := eba.OpenResultCache(cacheDir)
 	if err != nil {
 		return err
@@ -72,7 +75,7 @@ func serve(listen, cacheDir string, parallel, systems, builds, inflight int, dra
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
-	})
+	}, withPprof)
 
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -109,8 +112,16 @@ func serve(listen, cacheDir string, parallel, systems, builds, inflight int, dra
 }
 
 // newDaemon pairs the verification server with the HTTP server that
-// fronts it, under the limits every daemon in the tree shares.
-func newDaemon(cfg eba.ServerConfig) (*eba.Server, *http.Server) {
+// fronts it, under the limits every daemon in the tree shares; withPprof
+// mounts the profiling endpoints beside the server's routes.
+func newDaemon(cfg eba.ServerConfig, withPprof bool) (*eba.Server, *http.Server) {
 	srv := eba.NewServer(cfg)
-	return srv, httplimit.NewServer(srv.Handler(), httplimit.HeaderTimeout)
+	h := srv.Handler()
+	if withPprof {
+		mux := http.NewServeMux()
+		mux.Handle("/", h)
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
+		h = mux
+	}
+	return srv, httplimit.NewServer(h, httplimit.HeaderTimeout)
 }

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 // oversized bodies are valid requests behind a megabyte of leading
 // whitespace, which an unbounded decoder reads through and answers 200.
 func TestDaemonBoundsRequests(t *testing.T) {
-	_, hs := newDaemon(eba.ServerConfig{})
+	_, hs := newDaemon(eba.ServerConfig{}, false)
 	if hs.ReadHeaderTimeout <= 0 {
 		t.Fatal("ebaserve's http.Server has no ReadHeaderTimeout")
 	}
@@ -75,6 +76,25 @@ func TestQuotientFlagGone(t *testing.T) {
 		err := run([]string{flag, "-listen", "127.0.0.1:0"})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
 			t.Errorf("ebaserve %s: %v; want an unknown-flag error", flag, err)
+		}
+	}
+}
+
+// TestPprofOptIn pins -pprof: the profiling index answers only when the
+// flag asked for it, and the server's own routes answer either way.
+func TestPprofOptIn(t *testing.T) {
+	for _, withPprof := range []bool{false, true} {
+		_, hs := newDaemon(eba.ServerConfig{}, withPprof)
+		index := http.StatusNotFound
+		if withPprof {
+			index = http.StatusOK
+		}
+		for path, want := range map[string]int{"/debug/pprof/": index, "/healthz": http.StatusOK} {
+			rec := httptest.NewRecorder()
+			hs.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != want {
+				t.Errorf("pprof %v: GET %s answers %d, want %d", withPprof, path, rec.Code, want)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/episteme"
+	"repro/internal/fabric"
 )
 
 // buildCall is one in-flight System build, shared by every request that
@@ -22,10 +23,29 @@ type buildCall struct {
 // the leader's panic carries on up its own stack.
 var errBuildPanicked = errors.New("serve: system build panicked")
 
-// lruEntry is one cached System.
+// lruEntry is one cached System and the verdict blocks written for it,
+// which go when it is evicted.
 type lruEntry struct {
-	key string
-	sys *episteme.System
+	key      string
+	sys      *episteme.System
+	verdicts map[verdictKey]verdict
+}
+
+// maxVerdicts bounds one entry's verdict blocks: MaxViolations is the
+// client's choice, so the key space has no bound of its own.
+const maxVerdicts = 8
+
+// verdictKey is what a verdict block depends on besides the System
+// (MaxViolations with its default applied); Parallelism never changes it.
+type verdictKey struct {
+	stack string
+	opts  fabric.VerdictOptions
+}
+
+// verdict is one WriteVerdicts block and its VerdictHeader value.
+type verdict struct {
+	body    []byte
+	outcome string
 }
 
 // systemLRU is the hot-System cache: at most max built Systems keyed by
@@ -119,12 +139,37 @@ func (l *systemLRU) insertLocked(key string, sys *episteme.System) {
 		l.order.MoveToFront(el)
 		return
 	}
-	l.entries[key] = l.order.PushFront(&lruEntry{key: key, sys: sys})
+	l.entries[key] = l.order.PushFront(&lruEntry{key: key, sys: sys, verdicts: map[verdictKey]verdict{}})
 	for l.order.Len() > l.max {
 		oldest := l.order.Back()
 		l.order.Remove(oldest)
 		delete(l.entries, oldest.Value.(*lruEntry).key)
 		l.met.lruEvictions.Add(1)
+	}
+}
+
+// verdict returns the block memoized for vk on the key's System.
+func (l *systemLRU) verdict(key string, vk verdictKey) (v verdict, hit bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if el, ok := l.entries[key]; ok {
+		if v, hit = el.Value.(*lruEntry).verdicts[vk]; hit {
+			l.met.checkMemoHits.Add(1)
+		}
+	}
+	return v, hit
+}
+
+// storeVerdict memoizes a block on the key's System. The first store
+// wins; an evicted System or a full memo keeps nothing.
+func (l *systemLRU) storeVerdict(key string, vk verdictKey, v verdict) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if el, ok := l.entries[key]; ok {
+		e := el.Value.(*lruEntry)
+		if _, dup := e.verdicts[vk]; !dup && len(e.verdicts) < maxVerdicts {
+			e.verdicts[vk] = v
+		}
 	}
 }
 

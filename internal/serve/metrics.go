@@ -42,6 +42,7 @@ type metrics struct {
 	// ran), coalesced (waited on another request's in-flight build),
 	// evictions.
 	lruHits, lruMisses, lruCoalesced, lruEvictions atomic.Int64
+	checkMemoHits                                  atomic.Int64 // checks answered by a memoized verdict block
 
 	buildSeconds *histogram // System build latency
 }
@@ -118,6 +119,7 @@ func (m *metrics) render(w io.Writer, inflightTotal int, cache *rescache.Stats) 
 	counter("eba_system_lru_coalesced_total", "Queries that joined another request's in-flight build.", m.lruCoalesced.Load())
 	counter("eba_system_lru_evictions_total", "Systems evicted from the LRU.", m.lruEvictions.Load())
 	gauge("eba_system_lru_hit_ratio", "Hits over probes of the System LRU.", ratio(hits, hits+misses+m.lruCoalesced.Load()))
+	counter("eba_check_memo_hits_total", "Checks answered by the verdict block memoized on their cached System.", m.checkMemoHits.Load())
 
 	if cache != nil {
 		counter("eba_result_cache_hits_total", "Result cache hits.", cache.Hits)

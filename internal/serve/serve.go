@@ -22,6 +22,8 @@
 // cache (Config.Cache) when one is configured, so a cold LRU entry whose
 // sweep was built before — by this process or an earlier one — is
 // restored from the sweep's one stored index instead of re-executed.
+// Each cached System keeps the verdict blocks written for it (at most
+// maxVerdicts), so a repeated check is answered with the stored bytes.
 //
 // Admission control bounds what a burst can do: at most MaxInflight
 // requests are in flight (beyond that the server answers 429 without
@@ -336,30 +338,35 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sys, err := s.system(r.Context(), stack, s.parallelism(req.Parallelism))
+	key := s.lruKey(stack)
+	sys, err := s.system(r.Context(), key, stack, s.parallelism(req.Parallelism))
 	if err != nil {
 		s.systemError(w, err)
 		return
 	}
-	// Verdicts buffer through bytes so a failed check can still set its
-	// header; the block itself names the violations either way.
-	var buf writeCounter
-	verdictErr := fabric.WriteVerdicts(r.Context(), &buf, sys, stack.Name, fabric.VerdictOptions{
-		Safety:        req.Safety,
-		Optimality:    !req.SkipOptimality,
-		MaxViolations: req.MaxViolations,
-	})
-	switch {
-	case verdictErr == nil:
-		w.Header().Set(VerdictHeader, "ok")
-	case errors.Is(verdictErr, fabric.ErrVerification):
-		w.Header().Set(VerdictHeader, "failed")
-	default:
-		http.Error(w, verdictErr.Error(), http.StatusInternalServerError)
-		return
+	vk := verdictKey{stack.Name, fabric.VerdictOptions{Safety: req.Safety, Optimality: !req.SkipOptimality, MaxViolations: req.MaxViolations}}
+	if vk.opts.MaxViolations <= 0 {
+		vk.opts.MaxViolations = 5 // WriteVerdicts' own default
 	}
+	v, hit := s.lru.verdict(key, vk)
+	if !hit {
+		// Verdicts buffer through bytes so a failed check can still set its
+		// header, and so the block can be memoized.
+		var buf writeCounter
+		err := fabric.WriteVerdicts(r.Context(), &buf, sys, stack.Name, vk.opts)
+		if err != nil && !errors.Is(err, fabric.ErrVerification) {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		v = verdict{body: buf.buf, outcome: "ok"}
+		if err != nil {
+			v.outcome = "failed"
+		}
+		s.lru.storeVerdict(key, vk, v)
+	}
+	w.Header().Set(VerdictHeader, v.outcome)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(buf.buf)
+	w.Write(v.body)
 }
 
 // systemError maps a failed System resolution to a status code:
@@ -486,7 +493,7 @@ func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown query %q", req.Query), http.StatusBadRequest)
 		return
 	}
-	sys, err := s.system(r.Context(), stack, s.parallelism(req.Parallelism))
+	sys, err := s.system(r.Context(), s.lruKey(stack), stack, s.parallelism(req.Parallelism))
 	if err != nil {
 		s.systemError(w, err)
 		return
@@ -512,15 +519,15 @@ func (s *Server) handleKnowledge(w http.ResponseWriter, r *http.Request) {
 
 // --- system resolution -----------------------------------------------------
 
-// system resolves the stack's full interpreted System through the LRU:
+// system resolves the stack's full interpreted System through the LRU,
+// filed under key (lruKey):
 // a hit is free, a cold key builds once under the build semaphore (and
 // singleflight — concurrent identical queries share the one build), or,
 // when a result cache is configured and holds the sweep's index, restores
 // it from that one entry. Stored Systems are always the complete sweep:
 // whether a build goes through the symmetry quotient is BuildSystem's
 // decision, and it expands before returning.
-func (s *Server) system(ctx context.Context, stack core.Stack, par int) (*episteme.System, error) {
-	key := fmt.Sprintf("%s/%d/%d/%d", stack.VersionDigest(s.cfg.Fingerprint), stack.N, stack.T, stack.Horizon())
+func (s *Server) system(ctx context.Context, key string, stack core.Stack, par int) (*episteme.System, error) {
 	return s.lru.get(ctx, key, func(ctx context.Context) (*episteme.System, error) {
 		// The build semaphore bounds concurrent builds across ALL keys;
 		// respect cancellation while queued.
@@ -546,6 +553,11 @@ func (s *Server) system(ctx context.Context, stack core.Stack, par int) (*episte
 			stack.Name, stack.N, stack.T, stack.Horizon(), len(sys.Runs), time.Since(t0).Seconds())
 		return sys, nil
 	})
+}
+
+// lruKey names the stack's System in the LRU.
+func (s *Server) lruKey(stack core.Stack) string {
+	return fmt.Sprintf("%s/%d/%d/%d", stack.VersionDigest(s.cfg.Fingerprint), stack.N, stack.T, stack.Horizon())
 }
 
 // --- health and metrics ----------------------------------------------------

@@ -181,6 +181,151 @@ func TestCheckMatchesCLIBytes(t *testing.T) {
 	}
 }
 
+// memoSize reports how many verdict blocks the stack's cached System has
+// memoized, or -1 when the System is not cached.
+func memoSize(t *testing.T, s *Server, stackName string, n, tf int) int {
+	t.Helper()
+	stack, err := newStack(stackName, n, tf, 0)
+	if err != nil {
+		t.Fatalf("stack: %v", err)
+	}
+	s.lru.mu.Lock()
+	defer s.lru.mu.Unlock()
+	el, ok := s.lru.entries[s.lruKey(stack)]
+	if !ok {
+		return -1
+	}
+	return len(el.Value.(*lruEntry).verdicts)
+}
+
+// TestCheckMemo pins the verdict memo: a repeated check is answered from
+// the block stored on its cached System with the same bytes and header;
+// parallelism and the spellings of the default MaxViolations share a
+// block; nothing is stored for a check that did not finish, nothing
+// outlives its System's eviction, and one System stores at most
+// maxVerdicts blocks.
+func TestCheckMemo(t *testing.T) {
+	check := func(t *testing.T, url string, req CheckRequest) (body []byte, outcome string) {
+		t.Helper()
+		resp := postJSON(t, url+"/v1/check", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: status %d: %s", req, resp.StatusCode, readAll(t, resp.Body))
+		}
+		return readAll(t, resp.Body), resp.Header.Get(VerdictHeader)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		req     CheckRequest
+		outcome string
+	}{
+		{"ok", CheckRequest{Stack: "fip", N: 3, T: 1}, "ok"},
+		// n−t = 1: Pmin decides later than P0 says it may.
+		{"failed", CheckRequest{Stack: "min", N: 2, T: 1}, "failed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			first, firstOutcome := check(t, ts.URL, tc.req)
+			if firstOutcome != tc.outcome || s.met.checkMemoHits.Load() != 0 {
+				t.Fatalf("first check: %s = %q, %d memo hits; want %q, 0", VerdictHeader, firstOutcome, s.met.checkMemoHits.Load(), tc.outcome)
+			}
+			again, againOutcome := check(t, ts.URL, tc.req)
+			if !bytes.Equal(again, first) || againOutcome != firstOutcome {
+				t.Fatalf("memoized check answers %q with\n%s\nwant %q with\n%s", againOutcome, again, firstOutcome, first)
+			}
+			if got := s.met.checkMemoHits.Load(); got != 1 {
+				t.Fatalf("%d memo hits after a repeated check, want 1", got)
+			}
+			mresp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mresp.Body.Close()
+			if text := string(readAll(t, mresp.Body)); !strings.Contains(text, "\neba_check_memo_hits_total 1\n") {
+				t.Fatal("metrics exposition does not report the memo hit")
+			}
+		})
+	}
+
+	t.Run("shared_keys", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{})
+		base := CheckRequest{Stack: "min", N: 2, T: 1}
+		want, _ := check(t, ts.URL, base)
+		for _, req := range []CheckRequest{
+			{Stack: "min", N: 2, T: 1, Parallelism: 1},
+			{Stack: "min", N: 2, T: 1, Parallelism: 7},
+			{Stack: "min", N: 2, T: 1, MaxViolations: -1},
+			{Stack: "min", N: 2, T: 1, MaxViolations: 5},
+		} {
+			if got, _ := check(t, ts.URL, req); !bytes.Equal(got, want) {
+				t.Fatalf("%+v answers\n%s\nwant\n%s", req, got, want)
+			}
+		}
+		if hits, size := s.met.checkMemoHits.Load(), memoSize(t, s, "min", 2, 1); hits != 4 || size != 1 {
+			t.Fatalf("%d memo hits over %d blocks, want 4 over 1", hits, size)
+		}
+		one, _ := check(t, ts.URL, CheckRequest{Stack: "min", N: 2, T: 1, MaxViolations: 1})
+		if bytes.Equal(one, want) {
+			t.Fatal("maxViolations 1 answers the default block")
+		}
+		if hits, size := s.met.checkMemoHits.Load(), memoSize(t, s, "min", 2, 1); hits != 4 || size != 2 {
+			t.Fatalf("%d memo hits over %d blocks, want 4 over 2", hits, size)
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{})
+		// Build the System first, so the cancelled check reaches the checker.
+		if resp := postJSON(t, ts.URL+"/v1/knowledge", KnowledgeRequest{Stack: "min", N: 3, T: 1, Query: QueryExists}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("knowledge status %d", resp.StatusCode)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		body, _ := json.Marshal(CheckRequest{Stack: "min", N: 3, T: 1})
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/check", bytes.NewReader(body)).WithContext(ctx))
+		if rec.Code == http.StatusOK {
+			t.Fatal("a cancelled check answered 200")
+		}
+		if size := memoSize(t, s, "min", 3, 1); size != 0 {
+			t.Fatalf("a cancelled check stored %d blocks", size)
+		}
+		check(t, ts.URL, CheckRequest{Stack: "min", N: 3, T: 1})
+		if hits := s.met.checkMemoHits.Load(); hits != 0 {
+			t.Fatalf("the check after a cancelled one made %d memo hits, want 0", hits)
+		}
+	})
+
+	t.Run("evicted_with_system", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{MaxSystems: 1})
+		first := CheckRequest{Stack: "min", N: 3, T: 1}
+		check(t, ts.URL, first)
+		check(t, ts.URL, CheckRequest{Stack: "basic", N: 3, T: 1})
+		if size := memoSize(t, s, "min", 3, 1); size != -1 {
+			t.Fatalf("min's System is still cached with %d blocks after basic evicted it", size)
+		}
+		check(t, ts.URL, first)
+		if hits := s.met.checkMemoHits.Load(); hits != 0 {
+			t.Fatalf("a check on a rebuilt System made %d memo hits, want 0", hits)
+		}
+	})
+
+	t.Run("bounded", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{})
+		for max := 1; max <= maxVerdicts+2; max++ {
+			check(t, ts.URL, CheckRequest{Stack: "min", N: 2, T: 1, MaxViolations: max})
+		}
+		if size := memoSize(t, s, "min", 2, 1); size != maxVerdicts {
+			t.Fatalf("the memo holds %d blocks after %d distinct checks, want %d", size, maxVerdicts+2, maxVerdicts)
+		}
+		// Past the bound, checks are computed again, not stored.
+		check(t, ts.URL, CheckRequest{Stack: "min", N: 2, T: 1, MaxViolations: maxVerdicts + 2})
+		if hits := s.met.checkMemoHits.Load(); hits != 0 {
+			t.Fatalf("a check past the bound made %d memo hits, want 0", hits)
+		}
+	})
+}
+
 // TestKnowledgeQueries exercises every query kind against semantics
 // computed directly on the reference System, for two stacks served from an
 // expanded System (min, whose keys name no agent, and fip), whose index

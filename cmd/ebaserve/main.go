@@ -44,7 +44,7 @@ func run(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:8080", "address to serve on (host:0 picks a free port and logs it)")
 	cacheDir := fs.String("cache", "", "result cache directory backing builds and sweeps")
 	parallel := fs.Int("parallel", 0, "per-request worker budget cap (0 = GOMAXPROCS)")
-	systems := fs.Int("systems", 0, "hot Systems kept in the LRU (0 = default 8)")
+	systems := fs.Int("systems", 0, "hot Systems kept in the LRU, and sweep orbit memos (0 = default 8)")
 	builds := fs.Int("builds", 0, "concurrent System builds (0 = default 2)")
 	inflight := fs.Int("inflight", 0, "concurrent requests before 429 (0 = default 256)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a drain waits for in-flight requests")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -15,33 +16,47 @@ import (
 // orbitMemoMaxAgents is the largest n measured to gain from the memo.
 const orbitMemoBytes, orbitEntryBytes, orbitMemoMaxAgents = 40 << 20, 88, 5
 
-// orbitMemo is RunShard's memo of one executed run per agent-permutation
+// OrbitMemo is RunShard's memo of one executed run per agent-permutation
 // orbit, in representative labels and in flat slices the collector never
-// scans (docs/architecture.md, "The orbit memo"). The entry that would
-// pass limit fills it: it drops its entries and stops canonicalizing.
-type orbitMemo struct {
-	limit     int
-	mu        sync.RWMutex
-	seed      maphash.Seed
-	index     map[uint64]int32 // a key whose hash is taken is not stored
-	keys      []byte           // all of one length
-	acts      []model.Action   // horizon·n per entry, by time then agent
-	stats     []engine.Stats
-	full      atomic.Bool
+// scans (docs/architecture.md, "The orbit memo"). RunShard makes a fresh
+// one per call unless WithOrbitMemo hands it one to share across calls,
+// concurrent ones too. The entry that would pass limit fills it: it drops
+// its entries, its calls stop canonicalizing, and later ones make their own.
+type OrbitMemo struct {
+	stack string // orbitIdentity of the stack it was made for
+	limit int
+	mu    sync.RWMutex
+	seed  maphash.Seed
+	index map[uint64]int32 // a key whose hash is taken is not stored
+	keys  []byte           // all of one length
+	acts  []model.Action   // horizon·n per entry, by time then agent
+	stats []engine.Stats
+	full  atomic.Bool
+}
+
+// NewOrbitMemo returns an empty memo for the stack's sweeps, or nil when
+// the stack's exchange has no model.KeyPermuter or it has too many agents.
+func NewOrbitMemo(stack Stack) *OrbitMemo {
+	if _, ok := stack.Exchange.(model.KeyPermuter); !ok || stack.N > orbitMemoMaxAgents {
+		return nil
+	}
+	return &OrbitMemo{stack: orbitIdentity(stack), limit: orbitMemoBytes, seed: maphash.MakeSeed(), index: make(map[uint64]int32)}
+}
+
+// orbitIdentity names what a memo's entries depend on.
+func orbitIdentity(s Stack) string {
+	return fmt.Sprintf("%s+%s n=%d t=%d horizon %d", s.Exchange.Name(), s.Action.Name(), s.N, s.T, s.Horizon())
+}
+
+// orbitCall is one RunShard call's use of a memo: it counts the call's
+// relabeled runs, which calls sharing the memo do not see.
+type orbitCall struct {
+	*OrbitMemo
 	relabeled atomic.Int64
 }
 
-// newOrbitMemo returns RunShard's memo, or nil when the stack's exchange
-// has no model.KeyPermuter or it has too many agents.
-func (r *Runner) newOrbitMemo() *orbitMemo {
-	if _, ok := r.stack.Exchange.(model.KeyPermuter); !ok || r.stack.N > orbitMemoMaxAgents {
-		return nil
-	}
-	return &orbitMemo{limit: r.orbitBytes, seed: maphash.MakeSeed(), index: make(map[uint64]int32)}
-}
-
 // executor returns a worker's executor over x, under x's result cache.
-func (m *orbitMemo) executor(x engine.Executor) engine.Executor {
+func (m *orbitCall) executor(x engine.Executor) engine.Executor {
 	if c, ok := x.(*CachingExecutor); ok {
 		over := *c
 		over.inner = m.executor(c.inner)
@@ -54,7 +69,7 @@ func (m *orbitMemo) executor(x engine.Executor) engine.Executor {
 // its canonicalizer, as it owns its engine.Buffers, to keep its pattern memo.
 type orbitExecutor struct {
 	engine.Executor
-	memo  *orbitMemo
+	memo  *orbitCall
 	canon model.Canonicalizer
 	perm  []model.AgentID
 	key   []byte

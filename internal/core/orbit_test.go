@@ -8,7 +8,9 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/adversary"
@@ -273,9 +275,9 @@ func runStripes(t *testing.T, r *Runner, src func() Source, k int) ([][]byte, []
 	return streams, sums
 }
 
-// restripe cuts a 1-way stream into the K stripes RunShard writes for the
-// same sweep, for K = 1, 2, 3, so one reference run serves every K.
-func restripe(t *testing.T, whole []byte) [][][]byte {
+// restripe cuts a 1-way stream into the k stripes RunShard writes for the
+// same sweep, so one reference run serves every K.
+func restripe(t *testing.T, whole []byte, k int) [][]byte {
 	t.Helper()
 	or, err := NewOutcomeReader(bytes.NewReader(whole))
 	if err != nil {
@@ -288,23 +290,21 @@ func restripe(t *testing.T, whole []byte) [][][]byte {
 		}
 		recs = append(recs, *rec)
 	}
-	byK := make([][][]byte, 4)
-	for k := 1; k <= 3; k++ {
-		for i := range k {
-			hdr := or.Header()
-			hdr.Shard, hdr.Shards, hdr.Count = i, k, StripeSize(hdr.Count, i, k)
-			var stripe []OutcomeRecord
-			for j := i; j < len(recs); j += k {
-				stripe = append(stripe, recs[j])
-			}
-			var buf bytes.Buffer
-			if _, err := WriteOutcomeStream(&buf, hdr, stripe); err != nil {
-				t.Fatal(err)
-			}
-			byK[k] = append(byK[k], buf.Bytes())
+	stripes := make([][]byte, k)
+	for i := range k {
+		hdr := or.Header()
+		hdr.Shard, hdr.Shards, hdr.Count = i, k, StripeSize(hdr.Count, i, k)
+		var stripe []OutcomeRecord
+		for j := i; j < len(recs); j += k {
+			stripe = append(stripe, recs[j])
 		}
+		var buf bytes.Buffer
+		if _, err := WriteOutcomeStream(&buf, hdr, stripe); err != nil {
+			t.Fatal(err)
+		}
+		stripes[i] = buf.Bytes()
 	}
-	return byK
+	return stripes
 }
 
 // orbitCount is the number of distinct agent-permutation orbits among the
@@ -328,12 +328,82 @@ var differentialSweeps = []sweep{
 	{n: 2, t: 1, self: true}, {n: 3, t: 1, self: true},
 }
 
+// memoMode is how the K stripes of a sweep get their orbit memo.
+type memoMode int
+
+const (
+	ownMemo        memoMode = iota // a fresh one per RunShard call, as ebashard's stripes
+	sharedMemo                     // one (WithOrbitMemo), stripes run one after another
+	concurrentMemo                 // one, stripes run concurrently, as ebaserve may serve them
+)
+
+func (m memoMode) String() string {
+	return [...]string{"own memos", "one memo", "one memo, concurrent"}[m]
+}
+
+// countingExec counts the scenarios its substrate runs.
+type countingExec struct {
+	engine.Executor
+	runs atomic.Int64
+}
+
+func (x *countingExec) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Result, error) {
+	x.runs.Add(1)
+	return x.Executor.Execute(cfg, buf)
+}
+
+// runMemoStripes runs the K stripes of src's sweep over st at parallelism
+// par, each through its own Runner over a counting substrate, with the
+// memos mode says, and returns their streams, summaries and engine runs.
+func runMemoStripes(t *testing.T, st Stack, par int, mode memoMode, src func() Source, k int) ([][]byte, []*ShardSummary, []int64) {
+	t.Helper()
+	var memo *OrbitMemo
+	if mode != ownMemo {
+		memo = NewOrbitMemo(st)
+	}
+	got, sums, runs, errs := make([][]byte, k), make([]*ShardSummary, k), make([]int64, k), make([]error, k)
+	stripe := func(i int) {
+		x := &countingExec{Executor: engine.Sequential{}}
+		var buf bytes.Buffer
+		r := NewRunner(st, WithExecutor(x), WithParallelism(par), specOpts(st), WithOrbitMemo(memo))
+		sums[i], errs[i] = r.RunShard(context.Background(), src(), i, k, &buf)
+		got[i], runs[i] = buf.Bytes(), x.runs.Load()
+	}
+	var wg sync.WaitGroup
+	for i := range k {
+		if mode != concurrentMemo {
+			stripe(i)
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stripe(i)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("RunShard %d/%d, parallelism %d, %v: %v", i, k, par, mode, err)
+		}
+	}
+	return got, sums, runs
+}
+
 // TestRunShardOrbitMemoByteIdentical is the memo's differential test:
 // for every stack it serves and every differential sweep, the K stripes
-// RunShard writes at parallelism 1, 2 and 7 are byte-identical to the
-// per-run reference's, and so is the stream of a memo bounded to a few
-// entries. At parallelism 1 the engine runs exactly one member per orbit.
+// RunShard writes at parallelism 1, 2 and 7 — each call with its own
+// memo, with one memo shared one call after another, and with one shared
+// by concurrent calls — are byte-identical to the per-run reference's,
+// and so is the stream of a memo bounded to a few entries. Each call's
+// Relabeled is exactly the records its own engine did not run, and at
+// parallelism 1 the engine runs exactly one member per orbit of the
+// whole sweep when one call or one shared memo sees it all.
 func TestRunShardOrbitMemoByteIdentical(t *testing.T) {
+	ks, pars := []int{1, 3, 16}, []int{1, 2, 7}
+	if raceEnabled {
+		ks, pars = []int{1, 16}, []int{7}
+	}
 	for _, name := range orbitStacks {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -341,27 +411,30 @@ func TestRunShardOrbitMemoByteIdentical(t *testing.T) {
 				st := MustStack(name, WithN(c.n), WithT(c.t))
 				src := func() Source { return c.source(t) }
 				label := fmt.Sprintf("%s over %v", name, c)
+				orbits := int64(orbitCount(src()))
 				whole, _ := runStripes(t, NewRunner(perRunStack(st), WithParallelism(2), specOpts(st)), src, 1)
-				byK := restripe(t, whole[0])
-				for k := 1; k <= 3; k++ {
-					want := byK[k]
-					for _, par := range []int{1, 2, 7} {
-						got, sums := runStripes(t, NewRunner(st, WithParallelism(par), specOpts(st)), src, k)
-						var records, relabeled int64
-						for i := range k {
-							if !bytes.Equal(got[i], want[i]) {
-								t.Fatalf("%s: stripe %d/%d at parallelism %d differs from the per-run reference", label, i, k, par)
-							}
-							if s := sums[i]; s.Executed != s.Records || s.CacheHits != 0 || s.Relabeled > s.Records {
-								t.Fatalf("%s: stripe %d/%d summary executed=%d hits=%d relabeled=%d records=%d",
-									label, i, k, s.Executed, s.CacheHits, s.Relabeled, s.Records)
-							}
-							records += sums[i].Records
-							relabeled += sums[i].Relabeled
+				for _, k := range ks {
+					want := restripe(t, whole[0], k)
+					for _, par := range pars {
+						modes := []memoMode{ownMemo, sharedMemo, concurrentMemo}
+						if k == 1 {
+							modes = modes[:1] // one stripe is one call: a shared memo is its own
 						}
-						if k == 1 && par == 1 {
-							if orbits := int64(orbitCount(src())); records-relabeled != orbits {
-								t.Fatalf("%s: the engine ran %d of %d scenarios; they fall into %d orbits", label, records-relabeled, records, orbits)
+						for _, mode := range modes {
+							got, sums, runs := runMemoStripes(t, st, par, mode, src, k)
+							var executed int64
+							for i := range k {
+								if !bytes.Equal(got[i], want[i]) {
+									t.Fatalf("%s: stripe %d/%d at parallelism %d, %v, differs from the per-run reference", label, i, k, par, mode)
+								}
+								if s := sums[i]; s.Executed != s.Records || s.CacheHits != 0 || s.Relabeled != s.Records-runs[i] {
+									t.Fatalf("%s: stripe %d/%d at parallelism %d, %v: summary executed=%d hits=%d relabeled=%d records=%d; the engine ran %d",
+										label, i, k, par, mode, s.Executed, s.CacheHits, s.Relabeled, s.Records, runs[i])
+								}
+								executed += runs[i]
+							}
+							if executed < orbits || par == 1 && (k == 1 || mode == sharedMemo) && executed != orbits {
+								t.Fatalf("%s: K=%d at parallelism %d, %v: the engine ran %d times for %d orbits", label, k, par, mode, executed, orbits)
 							}
 						}
 					}
@@ -369,9 +442,9 @@ func TestRunShardOrbitMemoByteIdentical(t *testing.T) {
 
 				// A memo bounded to a few entries fills early and passes the rest
 				// through without canonicalizing: the same bytes.
-				small := NewRunner(st, WithParallelism(2), specOpts(st))
-				small.orbitBytes = 512 // three or four entries
-				got, sums := runStripes(t, small, src, 1)
+				memo := NewOrbitMemo(st)
+				memo.limit = 512 // three or four entries
+				got, sums := runStripes(t, NewRunner(st, WithParallelism(2), specOpts(st), WithOrbitMemo(memo)), src, 1)
 				if !bytes.Equal(got[0], whole[0]) {
 					t.Fatalf("%s: the stream of a memo bounded to a few entries differs from the per-run reference", label)
 				}
@@ -435,5 +508,56 @@ func TestRunShardOrbitMemoUnderCache(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunShardSharedOrbitMemo pins what ebaserve relies on when its
+// sweeps share one memo per stack: the 16 stripes of fip n=3,t=1 and
+// n=4,t=1, run one after another at parallelism 1, run the engine once
+// per orbit (276 and 1,637); a shared memo that filled in one call is
+// passed over by the next, which relabels as a fresh memo would; and a
+// memo made for another stack is refused, naming both.
+func TestRunShardSharedOrbitMemo(t *testing.T) {
+	for _, tc := range []struct {
+		c      sweep
+		orbits int64
+	}{{sweep{n: 3, t: 1}, 276}, {sweep{n: 4, t: 1}, 1637}} {
+		st := MustStack("fip", WithN(tc.c.n), WithT(tc.c.t))
+		_, _, runs := runMemoStripes(t, st, 1, sharedMemo, func() Source { return tc.c.source(t) }, 16)
+		var executed int64
+		for _, r := range runs {
+			executed += r
+		}
+		if executed != tc.orbits {
+			t.Fatalf("fip over %v: 16 stripes sharing a memo ran the engine %d times, want %d", tc.c, executed, tc.orbits)
+		}
+	}
+
+	fip3 := MustStack("fip", WithN(3), WithT(1))
+	src := func() Source { return sweep{n: 3, t: 1}.source(t) }
+	memo := NewOrbitMemo(fip3)
+	memo.limit = 512 // three or four entries
+	_, first := runStripes(t, NewRunner(fip3, specOpts(fip3), WithOrbitMemo(memo)), src, 1)
+	if !memo.full.Load() || first[0].Relabeled*2 > first[0].Records {
+		t.Fatalf("a memo bounded to a few entries relabeled %d of %d records (full %v)", first[0].Relabeled, first[0].Records, memo.full.Load())
+	}
+	_, next := runStripes(t, NewRunner(fip3, specOpts(fip3), WithOrbitMemo(memo)), src, 1)
+	if next[0].Relabeled != 1544-276 {
+		t.Fatalf("the call after a shared memo filled relabeled %d records; a fresh memo relabels %d", next[0].Relabeled, 1544-276)
+	}
+
+	memo = NewOrbitMemo(fip3)
+	for _, other := range []Stack{MustStack("fip", WithN(4), WithT(1)), MustStack("min", WithN(3), WithT(1))} {
+		var buf bytes.Buffer
+		_, err := NewRunner(other, WithOrbitMemo(memo)).RunShard(context.Background(), sweep{n: other.N, t: 1}.source(t), 0, 1, &buf)
+		if err == nil || !strings.Contains(err.Error(), orbitIdentity(fip3)) || !strings.Contains(err.Error(), orbitIdentity(other)) {
+			t.Fatalf("a memo made for %s served %s: %v", orbitIdentity(fip3), orbitIdentity(other), err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("a refused memo wrote %d bytes", buf.Len())
+		}
+	}
+	if NewOrbitMemo(perRunStack(fip3)) != nil || NewOrbitMemo(MustStack("fip", WithN(orbitMemoMaxAgents+1), WithT(1))) != nil {
+		t.Fatal("a memo was made for a stack RunShard runs per run")
 	}
 }

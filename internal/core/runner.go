@@ -28,8 +28,8 @@ type Runner struct {
 	specOpts    *spec.Options
 	cache       ResultCache
 	fingerprint string
-	orbitBytes  int        // orbitMemoBytes; tests lower it
-	memo        *orbitMemo // set on RunShard's copy; unweighted scenarios use it
+	shared      *OrbitMemo // WithOrbitMemo's; RunShard's memo when set
+	memo        *orbitCall // set on RunShard's copy; unweighted scenarios use it
 }
 
 // RunnerOption configures NewRunner.
@@ -62,6 +62,15 @@ func WithSpecCheck(opts spec.Options) RunnerOption {
 	return func(r *Runner) { r.specOpts = &opts }
 }
 
+// WithOrbitMemo hands RunShard a memo (NewOrbitMemo) to use instead of a
+// fresh one, so calls that share it share the orbits they executed; once
+// it is full, later calls make their own. A memo made for another stack
+// makes RunShard fail; nil changes nothing. Run, RunBatch and StreamFrom
+// keep no memo.
+func WithOrbitMemo(m *OrbitMemo) RunnerOption {
+	return func(r *Runner) { r.shared = m }
+}
+
 // WithBufferReuse does nothing: every worker owns an engine.Buffers and
 // there is no other way to run. It stays under the name benchmark/sweep.go
 // still calls; benchmark/ changes only in a benchmark-kind PR, which drops
@@ -85,7 +94,7 @@ func WithResultCache(c ResultCache, fingerprint string) RunnerOption {
 // NewRunner returns a Runner for the stack. With no options it runs
 // scenarios one at a time on the sequential engine.
 func NewRunner(stack Stack, opts ...RunnerOption) *Runner {
-	r := &Runner{stack: stack, exec: engine.Sequential{}, parallelism: 1, orbitBytes: orbitMemoBytes}
+	r := &Runner{stack: stack, exec: engine.Sequential{}, parallelism: 1}
 	for _, opt := range opts {
 		opt(r)
 	}

@@ -283,14 +283,23 @@ type ShardSummary struct {
 // out over the runner's worker pool (WithParallelism); the stream is
 // emitted in stripe order regardless. Over a model.KeyPermuter exchange it
 // runs one member per agent-permutation orbit and relabels the others'
-// runs, trusting the whole stack to be equivariant (orbit.go). The first
-// execution error, specification violation, or cancellation aborts the
-// shard with that error as the context cause — a partial stream carries
-// no footer, so MergeOutcomes rejects it.
+// runs, trusting the whole stack to be equivariant (orbit.go). Its memo is
+// WithOrbitMemo's, or a fresh one when that is unset or full; one made for
+// another stack identity (exchange, action, n, t, horizon) is refused.
+// The first execution error, specification violation, or cancellation
+// aborts the shard with that error as the context cause — a partial
+// stream carries no footer, so MergeOutcomes rejects it.
 func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCount int, w io.Writer) (*ShardSummary, error) {
 	stripe, err := Stride(src, shardIndex, shardCount)
 	if err != nil {
 		return nil, err
+	}
+	memo := r.shared
+	if memo != nil && memo.stack != orbitIdentity(r.stack) {
+		return nil, fmt.Errorf("core: shard %d/%d: an orbit memo made for %s cannot serve %s", shardIndex, shardCount, memo.stack, orbitIdentity(r.stack))
+	}
+	if memo == nil || memo.full.Load() { // a memo that filled serves no later call
+		memo = NewOrbitMemo(r.stack)
 	}
 	hdr := ShardHeader{
 		Kind:    outcomeKind,
@@ -319,7 +328,9 @@ func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCoun
 		countersBefore = cachingExec.Counters()
 	}
 	run := *r
-	run.memo = r.newOrbitMemo()
+	if memo != nil {
+		run.memo = &orbitCall{OrbitMemo: memo}
+	}
 	var rec OutcomeRecord
 	var text []byte
 	for oc := range run.StreamFrom(ctx, stripe) {

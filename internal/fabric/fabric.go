@@ -16,22 +16,21 @@
 // mean the sweep itself is non-deterministic somewhere, and the job
 // aborts loudly rather than merge an ambiguous result.
 //
-// The coordinator (cmd/ebacoord) holds a JobSpec and a lease table over
-// M stripes (M ≫ worker count, so assignment is elastic load balancing);
-// workers (ebashard -worker) pull leases, execute stripes through the
-// existing Runner.RunShard path, heartbeat while they run, and upload
-// sealed results with bounded retry, exponential backoff, and jitter.
-// When every stripe lands, the coordinator runs the canonical
-// MergeOutcomes fan-in, so the fabric's merged stream is bit-identical to
-// a single-process run: distributing a sweep can never change what it
-// observes.
+// The coordinator holds a JobSpec and a lease table over M stripes;
+// workers pull leases, run stripes through Runner.RunShard, heartbeat,
+// and upload sealed results with bounded retry, backoff and jitter. When
+// every stripe lands, the coordinator runs the canonical MergeOutcomes
+// fan-in, so the merged stream is bit-identical to a single-process run.
+// No command runs the pair any more (multi-process sweeps are `ebashard
+// -shard i/k` plus `ebashard -merge`): only the benchmark's loopback
+// phase does, until ROADMAP item 3 deletes both.
 //
 // Model checks are not distributed here: their fan-in (MergeSystems,
 // expansion, the checkers) runs over the whole system in one process
 // whoever built the stripes, so the multi-process check path is
 // `ebashard -check -shard i/k` per stripe and one `ebashard -check
 // -merge`. This package keeps WriteVerdicts, the verdict writer that
-// merge and the benchmark share.
+// internal/serve, ebashard and the benchmark share.
 //
 // Wire protocol (all JSON unless noted):
 //

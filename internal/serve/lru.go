@@ -6,6 +6,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/episteme"
 	"repro/internal/fabric"
 )
@@ -171,6 +172,41 @@ func (l *systemLRU) storeVerdict(key string, vk verdictKey, v verdict) {
 			e.verdicts[vk] = v
 		}
 	}
+}
+
+// orbitMemos keeps one core.OrbitMemo per stack for sweeps, under the
+// System LRU's keys: stripes of one sweep, and repeats of it, relabel the
+// orbits another request executed. At most max memos (MaxSystems), the
+// least recently swept evicted first.
+type orbitMemos struct {
+	mu    sync.Mutex
+	max   int
+	order *list.List // front = most recently swept; values *memoEntry
+	byKey map[string]*list.Element
+}
+
+type memoEntry struct {
+	key  string
+	memo *core.OrbitMemo
+}
+
+// get returns the stack's memo, making it on first use; nil when the
+// stack gets none (core.NewOrbitMemo).
+func (m *orbitMemos) get(key string, stack core.Stack) *core.OrbitMemo {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.byKey[key]; ok {
+		m.order.MoveToFront(el)
+		return el.Value.(*memoEntry).memo
+	}
+	memo := core.NewOrbitMemo(stack)
+	if memo != nil {
+		m.byKey[key] = m.order.PushFront(&memoEntry{key: key, memo: memo})
+		if m.order.Len() > m.max {
+			delete(m.byKey, m.order.Remove(m.order.Back()).(*memoEntry).key)
+		}
+	}
+	return memo
 }
 
 // len reports the number of cached Systems (tests).

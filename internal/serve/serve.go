@@ -24,6 +24,8 @@
 // restored from the sweep's one stored index instead of re-executed.
 // Each cached System keeps the verdict blocks written for it (at most
 // maxVerdicts), so a repeated check is answered with the stored bytes.
+// Sweeps share one core.OrbitMemo per stack under the same keys, so a
+// stripe relabels the orbits other stripes executed.
 //
 // Admission control bounds what a burst can do: at most MaxInflight
 // requests are in flight (beyond that the server answers 429 without
@@ -42,6 +44,7 @@
 package serve
 
 import (
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -76,7 +79,8 @@ type Config struct {
 	Cache       core.ResultCache
 	Fingerprint string
 	// MaxSystems caps the System LRU (default 8). Evicted Systems are
-	// rebuilt on demand — warm, if a result cache is configured.
+	// rebuilt on demand — warm, if a result cache is configured. It caps
+	// the sweeps' orbit memos (one per stack, 40 MiB each) too.
 	MaxSystems int
 	// MaxBuilds bounds concurrent System builds (default 2): builds are
 	// the expensive admission unit, so a burst of cold queries queues
@@ -98,6 +102,7 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	lru      *systemLRU
+	memos    *orbitMemos
 	met      *metrics
 	inflight chan struct{}
 	builds   chan struct{}
@@ -125,6 +130,7 @@ func NewServer(cfg Config) *Server {
 	return &Server{
 		cfg:      cfg,
 		lru:      newSystemLRU(cfg.MaxSystems, met),
+		memos:    &orbitMemos{max: cfg.MaxSystems, order: list.New(), byKey: make(map[string]*list.Element)},
 		met:      met,
 		inflight: make(chan struct{}, cfg.MaxInflight),
 		builds:   make(chan struct{}, cfg.MaxBuilds),
@@ -269,11 +275,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var csrc core.Source = src
+	var memo *core.OrbitMemo // quotient sweeps skip it
 	if req.Quotient {
 		csrc = source.Quotient(src)
+	} else {
+		memo = s.memos.get(s.lruKey(stack), stack)
 	}
 	opts := []core.RunnerOption{
 		core.WithParallelism(s.parallelism(req.Parallelism)),
+		core.WithOrbitMemo(memo),
 	}
 	if !req.SkipSpec {
 		opts = append(opts, core.WithSpecCheck(specOptions(stack)))

@@ -121,6 +121,69 @@ func TestSweepMatchesCLIBytes(t *testing.T) {
 	}
 }
 
+// sweepPass serves the 16 stripes of fip n=3,t=1 at parallelism 1, one
+// after another, and returns their merge.
+func sweepPass(t *testing.T, url string) []byte {
+	t.Helper()
+	stripes := make([]io.Reader, 16)
+	for i := range stripes {
+		resp := postJSON(t, url+"/v1/sweep", SweepRequest{Stack: "fip", N: 3, T: 1, Shard: fmt.Sprintf("%d/16", i), Parallelism: 1})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stripe %d/16: status %d", i, resp.StatusCode)
+		}
+		stripes[i] = bytes.NewReader(readAll(t, resp.Body))
+	}
+	var merged bytes.Buffer
+	if _, err := core.MergeOutcomes(&merged, stripes...); err != nil {
+		t.Fatal(err)
+	}
+	return merged.Bytes()
+}
+
+// TestSweepSharesOrbitMemo serves the 16 stripes of fip n=3,t=1 twice:
+// the stripes share the stack's orbit memo, so the engine runs once per
+// orbit (276 of 1,544 records) in the first pass and never in the second,
+// and both passes merge to the single-process stream. With MaxSystems 1,
+// sweeping another stack evicts the memo and the next pass runs 276 again.
+func TestSweepSharesOrbitMemo(t *testing.T) {
+	want := referenceShard(t, "fip", 3, 1, source.ShardSpec{Index: 0, Count: 1}, false)
+	s, ts := newTestServer(t, Config{})
+	for pass, relabeled := range []int64{1544 - 276, 2812} {
+		if got := sweepPass(t, ts.URL); !bytes.Equal(got, want) {
+			t.Fatalf("pass %d: the merged stripes differ from the single-process stream", pass+1)
+		}
+		if got := s.met.sweepRelabeled.Load(); got != relabeled {
+			t.Fatalf("pass %d: %d records relabeled, want %d", pass+1, got, relabeled)
+		}
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	if text := string(readAll(t, mresp.Body)); !strings.Contains(text, "\neba_sweep_relabeled_total 2812\n") {
+		t.Fatal("metrics exposition does not report the second pass's relabeled records")
+	}
+
+	s, ts = newTestServer(t, Config{MaxSystems: 1})
+	sweepPass(t, ts.URL)
+	resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Stack: "min", N: 3, T: 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("min sweep: status %d", resp.StatusCode)
+	}
+	readAll(t, resp.Body)
+	if n := s.memos.order.Len(); n != 1 {
+		t.Fatalf("%d orbit memos kept with MaxSystems 1", n)
+	}
+	before := s.met.sweepRelabeled.Load()
+	if got := sweepPass(t, ts.URL); !bytes.Equal(got, want) {
+		t.Fatal("after eviction, the merged stripes differ from the single-process stream")
+	}
+	if got := s.met.sweepRelabeled.Load() - before; got != 1544-276 {
+		t.Fatalf("after eviction, the pass relabeled %d records, want %d", got, 1544-276)
+	}
+}
+
 // everyRun hides the exchange's optional interfaces, so the checker
 // executes every scenario over it instead of one per agent-permutation
 // orbit: the reference Systems are built run by run, whatever the stack.

@@ -173,7 +173,7 @@ func (c *Canonicalizer) Canonicalize(p *Pattern, inits []Value) {
 	if len(inits) != p.n {
 		panic("model: CanonicalizeScenario inits length does not match pattern")
 	}
-	if c.n != p.n || c.horizon != p.horizon || !slices.Equal(c.faulty, p.faulty) || !slices.Equal(c.drops, p.drops) {
+	if !c.remembers(p) {
 		c.searchPattern(p)
 	}
 	n := c.n
@@ -203,6 +203,32 @@ func (c *Canonicalizer) Canonicalize(p *Pattern, inits []Value) {
 			c.minCount++
 		}
 	}
+}
+
+// CanonicalPattern reports whether some scenario of p is its own
+// representative. That needs the faulty agents in the top index block,
+// which is checked first and without a search, and the identity among
+// the permutations attaining the minimal drop bitmap, which is the
+// remembered pattern half. The answer is exact: with all-equal inits
+// every coset member ties on the inits, so the identity attains the
+// minimal key whenever it attains the minimal bitmap. When the answer is
+// false no scenario of p is canonical. A search invalidates the results
+// of an earlier Canonicalize.
+func (c *Canonicalizer) CanonicalPattern(p *Pattern) bool {
+	for i := 1; i < p.n; i++ {
+		if p.faulty[i-1] && !p.faulty[i] {
+			return false
+		}
+	}
+	if !c.remembers(p) {
+		c.searchPattern(p)
+	}
+	return c.idInCoset
+}
+
+// remembers reports whether p is the pattern the pattern half was run for.
+func (c *Canonicalizer) remembers(p *Pattern) bool {
+	return c.n == p.n && c.horizon == p.horizon && slices.Equal(c.faulty, p.faulty) && slices.Equal(c.drops, p.drops)
 }
 
 // searchPattern remembers p and runs the pattern half for it.

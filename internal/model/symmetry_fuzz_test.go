@@ -77,9 +77,10 @@ func (s *fuzzScenario) decode() (*Pattern, []Value, []AgentID) {
 // orbit size, the orbit size divides n!, and IsCanonicalScenario agrees
 // with the representative comparison. These are exactly the properties
 // the quotiented sweeps (source.Quotient, episteme.ExpandQuotient) rely
-// on for full-sweep equivalence. One Canonicalizer lives across the whole
+// on for full-sweep equivalence. CanonicalPattern, Quotient's per-pattern
+// prefilter, must be exact. One Canonicalizer lives across the whole
 // fuzzed sequence, as it does in those sweeps, and must answer every
-// scenario as a fresh one does whatever it was shown before.
+// scenario as a fresh one does whatever it was shown or asked before.
 func FuzzCanonicalizeScenario(f *testing.F) {
 	var long Canonicalizer
 	f.Add([]byte{})
@@ -88,11 +89,35 @@ func FuzzCanonicalizeScenario(f *testing.F) {
 	f.Add([]byte{2, 2, 0xa5, 0x5a, 0xa5, 0x5a, 0xa5, 0x5a, 7, 11, 13})
 	f.Add([]byte{3, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5})
 	f.Add([]byte{3, 0, 0x01, 0x80, 0x00, 0x40, 2, 0, 1, 9})
+	f.Add([]byte{1, 0, 0x40}) // only agent 0 drops: a top-block reject
+	f.Add([]byte{1, 0, 0x01}) // only agent 2 drops, to agent 1: a canonical pattern
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, inits, sigma := (&fuzzScenario{data: data}).decode()
 		n := p.N()
 
 		rep, repInits, orbit, perm := CanonicalizeScenarioPerm(p, inits)
+		isRep := rep.Key() == p.Key() && slices.Equal(repInits, inits)
+
+		// The pattern question is exact: it answers whether the scenario
+		// with all-equal inits is canonical, and a pattern it rejects has
+		// no canonical scenario. The long-lived canonicalizer is asked it
+		// about a relabeling of p between scenarios — often a faulty set
+		// outside the top block, rejected without a search — and must
+		// still answer the scenario below as a fresh one does.
+		zeros := make([]Value, n)
+		var fresh Canonicalizer
+		_, want := IsCanonicalScenario(p, zeros)
+		if got := fresh.CanonicalPattern(p); got != want {
+			t.Fatalf("CanonicalPattern = %v, IsCanonicalScenario with all-zero inits = %v", got, want)
+		}
+		if !want && isRep {
+			t.Fatalf("CanonicalPattern rejects a pattern whose scenario (%s, %v) is canonical", p.Key(), inits)
+		}
+		q := p.Permute(sigma)
+		qInits := PermuteValues(inits, sigma)
+		if _, want := IsCanonicalScenario(q, zeros); long.CanonicalPattern(q) != want {
+			t.Fatalf("long-lived canonicalizer: CanonicalPattern(%s) = %v, want %v", q.Key(), !want, want)
+		}
 
 		long.Canonicalize(p, inits)
 		if got, want := string(long.AppendRepresentativeKey(nil)), string(AppendScenarioKey(nil, rep, repInits)); got != want ||
@@ -134,7 +159,6 @@ func FuzzCanonicalizeScenario(f *testing.F) {
 
 		// IsCanonicalScenario agrees with the representative comparison
 		// on the original scenario.
-		isRep := rep.Key() == p.Key() && slices.Equal(repInits, inits)
 		if o, ok := IsCanonicalScenario(p, inits); ok != isRep || o != orbit {
 			t.Fatalf("IsCanonicalScenario = (%d, %v), want (%d, %v)", o, ok, orbit, isRep)
 		}
@@ -144,8 +168,6 @@ func FuzzCanonicalizeScenario(f *testing.F) {
 
 		// Permutation-invariant: any relabeling of the scenario reaches
 		// the same representative and orbit.
-		q := p.Permute(sigma)
-		qInits := PermuteValues(inits, sigma)
 		rq, rqInits, orbitQ := CanonicalizeScenario(q, qInits)
 		if rq.Key() != rep.Key() || !slices.Equal(rqInits, repInits) || orbitQ != orbit {
 			t.Fatalf("orbit member canonicalizes differently: (%s, %v, %d) vs (%s, %v, %d)",

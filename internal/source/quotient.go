@@ -25,8 +25,22 @@ import (
 // representatives are not guaranteed; exhaustive enumerations (CrossInits
 // over SO/Crash patterns) satisfy this trivially since they never repeat
 // a scenario.
+//
+// Handed the CrossInits product itself, Quotient first asks each pattern
+// whether any of its scenarios can be canonical
+// (model.Canonicalizer.CanonicalPattern) and skips a pattern that fails
+// — faulty agents outside the top index block, or an identity that does
+// not attain the minimal drop bitmap — before it is cloned or crossed
+// with its 2ⁿ inits. No scenario of a skipped pattern could have
+// survived, so the output (representatives, order and weights) is the
+// same as filtering every scenario. Quotient takes over src: the product
+// must not be drained elsewhere.
 func Quotient(src Source) Source {
-	return &quotientSource{src: src}
+	q := &quotientSource{src: src}
+	if cross, ok := src.(*crossInits); ok {
+		cross.keep = q.canon.CanonicalPattern
+	}
+	return q
 }
 
 type quotientSource struct {

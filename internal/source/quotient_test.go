@@ -78,31 +78,39 @@ func TestQuotientReduction(t *testing.T) {
 // the quotient partitions the representative enumeration exactly, with
 // weights intact.
 func TestQuotientComposesWithStride(t *testing.T) {
-	whole := drain(Quotient(soSweep(t, 3, 1, 3)))
-	for _, k := range []int{1, 2, 3} {
-		var merged []core.Scenario
-		stripes := make([][]core.Scenario, k)
-		for i := 0; i < k; i++ {
-			stripe, err := Stride(Quotient(soSweep(t, 3, 1, 3)), i, k)
-			if err != nil {
-				t.Fatal(err)
+	for _, cfg := range []struct {
+		n, t, horizon int
+		ks            []int
+	}{
+		{3, 1, 3, []int{1, 2, 3}},
+		{4, 1, 3, []int{1, 3, 7}},
+	} {
+		whole := drain(Quotient(soSweep(t, cfg.n, cfg.t, cfg.horizon)))
+		for _, k := range cfg.ks {
+			var merged []core.Scenario
+			stripes := make([][]core.Scenario, k)
+			for i := 0; i < k; i++ {
+				stripe, err := Stride(Quotient(soSweep(t, cfg.n, cfg.t, cfg.horizon)), i, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stripes[i] = drain(stripe)
 			}
-			stripes[i] = drain(stripe)
-		}
-		// Round-robin re-interleave in ordinal order.
-		for pos := 0; ; pos++ {
-			i, j := pos%k, pos/k
-			if j >= len(stripes[i]) {
-				break
+			// Round-robin re-interleave in ordinal order.
+			for pos := 0; ; pos++ {
+				i, j := pos%k, pos/k
+				if j >= len(stripes[i]) {
+					break
+				}
+				merged = append(merged, stripes[i][j])
 			}
-			merged = append(merged, stripes[i][j])
-		}
-		if len(merged) != len(whole) {
-			t.Fatalf("K=%d: stripes merge to %d scenarios, quotient has %d", k, len(merged), len(whole))
-		}
-		for idx := range whole {
-			if scenarioKey(merged[idx]) != scenarioKey(whole[idx]) || merged[idx].Weight != whole[idx].Weight {
-				t.Fatalf("K=%d: merged ordinal %d differs from unsharded quotient", k, idx)
+			if len(merged) != len(whole) {
+				t.Fatalf("n=%d K=%d: stripes merge to %d scenarios, quotient has %d", cfg.n, k, len(merged), len(whole))
+			}
+			for idx := range whole {
+				if scenarioKey(merged[idx]) != scenarioKey(whole[idx]) || merged[idx].Weight != whole[idx].Weight {
+					t.Fatalf("n=%d K=%d: merged ordinal %d differs from unsharded quotient", cfg.n, k, idx)
+				}
 			}
 		}
 	}
@@ -117,7 +125,9 @@ func TestQuotientCountUnknown(t *testing.T) {
 // TestQuotientOverSourcesThatNeverRepeatPatterns runs Quotient where its
 // canonicalizer's per-pattern memo never pays — a filtered sweep, a
 // shuffled slice, random scenarios (fresh pattern every time, incoming
-// weights above 1) — and holds the survivors and their weights to a
+// weights above 1) — and over the exhaustive CrossInits products, where
+// Quotient drops whole patterns before crossing them with inits. Either
+// way the survivors, their order and their weights must be a
 // scenario-by-scenario filter through the one-shot
 // model.IsCanonicalScenario.
 func TestQuotientOverSourcesThatNeverRepeatPatterns(t *testing.T) {
@@ -131,29 +141,64 @@ func TestQuotientOverSourcesThatNeverRepeatPatterns(t *testing.T) {
 		k := 0
 		return func(core.Scenario) bool { k++; return k%2 == 1 }
 	}
+	crash := func(n, tf int) Source {
+		pats, err := Crash(n, tf, tf+2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := CrossInits(pats, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
 	sources := map[string]func() Source{
-		"filter":   func() Source { return Filter(soSweep(t, 3, 1, 3), odd()) },
-		"slice":    func() Source { return FromSlice(shuffled) },
-		"random":   func() Source { return RandomScenarios(rand.New(rand.NewSource(29)), 4, 2, 3, 0.4, 2000) },
-		"random-5": func() Source { return RandomScenarios(rand.New(rand.NewSource(31)), 5, 1, 3, 0.2, 2000) },
+		"filter":      func() Source { return Filter(soSweep(t, 3, 1, 3), odd()) },
+		"slice":       func() Source { return FromSlice(shuffled) },
+		"random":      func() Source { return RandomScenarios(rand.New(rand.NewSource(29)), 4, 2, 3, 0.4, 2000) },
+		"random-5":    func() Source { return RandomScenarios(rand.New(rand.NewSource(31)), 5, 1, 3, 0.2, 2000) },
+		"so-n3-t1":    func() Source { return soSweep(t, 3, 1, 3) },
+		"so-n4-t1":    func() Source { return soSweep(t, 4, 1, 3) },
+		"so-n5-t1":    func() Source { return soSweep(t, 5, 1, 3) },
+		"so-n3-t2":    func() Source { return soSweep(t, 3, 2, 4) },
+		"crash-n3-t2": func() Source { return crash(3, 2) },
+		"crash-n4-t2": func() Source { return crash(4, 2) },
+	}
+	if raceEnabled {
+		// 2.2M one-shot canonicalizations on one goroutine: ≈90 s under
+		// the detector, which has nothing to watch here. Plain runs keep them.
+		delete(sources, "so-n5-t1")
+		delete(sources, "so-n3-t2")
 	}
 	for name, mk := range sources {
-		var want []core.Scenario
-		for _, sc := range drain(mk()) {
-			if orbit, ok := model.IsCanonicalScenario(sc.Pattern, sc.Inits); ok {
-				sc.Weight = sc.EffectiveWeight() * orbit
-				want = append(want, sc)
+		// The filter streams beside the quotient: the largest products
+		// hold 1.6M scenarios.
+		got, full := Quotient(mk()), mk()
+		var gotKey, wantKey []byte
+		kept := 0
+		for sc, ok := full.Next(); ok; sc, ok = full.Next() {
+			orbit, canonical := model.IsCanonicalScenario(sc.Pattern, sc.Inits)
+			if !canonical {
+				continue
 			}
-		}
-		got := drain(Quotient(mk()))
-		if len(got) != len(want) || len(want) == 0 {
-			t.Fatalf("%s: quotient kept %d scenarios, the one-shot filter %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if scenarioKey(got[i]) != scenarioKey(want[i]) || got[i].Weight != want[i].Weight {
-				t.Fatalf("%s: survivor %d is %s weight %d, want %s weight %d", name, i,
-					scenarioKey(got[i]), got[i].Weight, scenarioKey(want[i]), want[i].Weight)
+			g, ok := got.Next()
+			if !ok {
+				t.Fatalf("%s: quotient ended after %d survivors, the one-shot filter keeps more", name, kept)
 			}
+			gotKey = model.AppendScenarioKey(gotKey[:0], g.Pattern, g.Inits)
+			wantKey = model.AppendScenarioKey(wantKey[:0], sc.Pattern, sc.Inits)
+			if string(gotKey) != string(wantKey) || g.Weight != sc.EffectiveWeight()*orbit {
+				t.Fatalf("%s: survivor %d is %s weight %d, want %s weight %d", name, kept,
+					gotKey, g.Weight, wantKey, sc.EffectiveWeight()*orbit)
+			}
+			kept++
+		}
+		if g, ok := got.Next(); ok {
+			t.Fatalf("%s: the one-shot filter keeps %d scenarios, the quotient more: %s", name, kept,
+				model.AppendScenarioKey(nil, g.Pattern, g.Inits))
+		}
+		if kept == 0 {
+			t.Fatalf("%s: no survivors", name)
 		}
 	}
 }

@@ -71,6 +71,9 @@ type crossInits struct {
 	current  *model.Pattern
 	total    int64
 	hasTotal bool
+	// keep, when set, drops a pattern before it is cloned or crossed
+	// (Quotient sets it).
+	keep func(*model.Pattern) bool
 }
 
 // CrossInits returns the product stream pattern × initial vector: every
@@ -98,6 +101,9 @@ func (s *crossInits) Next() (core.Scenario, bool) {
 			p, ok := s.patterns.Next()
 			if !ok {
 				return core.Scenario{}, false
+			}
+			if s.keep != nil && !s.keep(p) {
+				continue
 			}
 			// One clone per pattern: the iterator will mutate p, and the
 			// scenarios built from it outlive this call.

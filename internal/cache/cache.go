@@ -126,11 +126,11 @@ type segFile struct {
 }
 
 // Cache is the on-disk store. Get and Put are safe for concurrent use;
-// Close seals the write segment and rewrites the index. One process per
-// cache directory: an open Cache holds its lock until Close and a second
-// Open fails, because Open quarantines every .tmp segment as a dead
-// writer's. Processes may share a directory one after another (CI's warm
-// runs).
+// Close seals the write segment and rewrites the index if it changed.
+// One process per cache directory: an open Cache holds its lock until
+// Close and a second Open fails, because Open quarantines every .tmp
+// segment as a dead writer's. Processes may share a directory one after
+// another (CI's warm runs).
 type Cache struct {
 	dir  string
 	lock *os.File // LOCK, flocked for the life of the Cache
@@ -142,6 +142,9 @@ type Cache struct {
 	mem     map[string]memEntry
 	w       *segWriter
 	nextSeq int
+	// dirty is set when a Put, a rejected entry or a GC moves the store
+	// away from index.json; Close then rewrites it.
+	dirty bool
 
 	stats counters
 }
@@ -473,6 +476,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		c.mu.Lock()
 		if cur, still := c.entries[key]; still && cur == loc {
 			delete(c.entries, key)
+			c.dirty = true
 		}
 		c.mu.Unlock()
 		c.stats.misses.Add(1)
@@ -528,6 +532,7 @@ func (c *Cache) Put(key string, val []byte) error {
 		return err
 	}
 	c.mem[key] = memEntry{val: append([]byte(nil), val...), sum: sum}
+	c.dirty = true
 	c.stats.puts.Add(1)
 	c.stats.bytesWritten.Add(int64(len(val)))
 	return nil
@@ -550,7 +555,8 @@ func (c *Cache) Len() int {
 }
 
 // Close seals the open write segment (flush, fsync, rename) and rewrites
-// the index atomically. The cache is unusable afterwards.
+// the index atomically unless the session only read. The cache is
+// unusable afterwards.
 func (c *Cache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -572,8 +578,10 @@ func (c *Cache) Close() error {
 		}
 		c.w = nil
 	}
-	if err := c.writeIndexLocked(); err != nil && firstErr == nil {
-		firstErr = err
+	if c.dirty {
+		if err := c.writeIndexLocked(); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
 	closeSegs(c.segs)
 	c.segs = nil
@@ -819,6 +827,7 @@ func (c *Cache) GC(maxBytes int64) (GCResult, error) {
 			}
 		}
 	}
+	c.dirty = true
 	if err := c.writeIndexLocked(); err != nil {
 		return res, err
 	}

@@ -179,7 +179,8 @@ func (s Stack) AtHorizon(h int) Stack {
 type Scenario struct {
 	// Pattern is the failure pattern.
 	Pattern *model.Pattern
-	// Inits holds the initial preferences.
+	// Inits holds the initial preferences, read-only: a source may share
+	// one slice among scenarios (source.CrossInits does); executors copy it.
 	Inits []model.Value
 	// Weight is the number of sweep scenarios this one stands for: 1 for
 	// an ordinary enumeration, the orbit size for the representative of a

@@ -43,29 +43,33 @@ type patternStream interface {
 }
 
 // crossSource crosses every pattern with every initial vector, inits
-// varying fastest: source.CrossInits, which core cannot import.
+// varying fastest: source.CrossInits, which core cannot import. Like it,
+// every scenario's inits is a row of one table shared by every pattern.
 type crossSource struct {
-	pats  patternStream
-	n     int
-	cur   *model.Pattern
-	inits *adversary.InitVectors
+	pats patternStream
+	n    int
+	cur  *model.Pattern
+	rows [][]model.Value
+	next int
 }
 
 func (s *crossSource) Next() (Scenario, bool) {
-	for {
-		if s.cur == nil {
-			p, ok := s.pats.Next()
-			if !ok {
-				return Scenario{}, false
-			}
-			s.cur = p.Clone()
-			s.inits, _ = adversary.NewInitVectors(s.n)
+	if s.rows == nil {
+		inits, _ := adversary.NewInitVectors(s.n)
+		for in, ok := inits.Next(); ok; in, ok = inits.Next() {
+			s.rows = append(s.rows, slices.Clone(in))
 		}
-		if in, ok := s.inits.Next(); ok {
-			return Scenario{Pattern: s.cur, Inits: slices.Clone(in)}, true
-		}
-		s.cur = nil
+		s.next = len(s.rows)
 	}
+	if s.next == len(s.rows) {
+		p, ok := s.pats.Next()
+		if !ok {
+			return Scenario{}, false
+		}
+		s.cur, s.next = p.Clone(), 0
+	}
+	s.next++
+	return Scenario{Pattern: s.cur, Inits: s.rows[s.next-1]}, true
 }
 
 func (s *crossSource) Count() (int64, bool) {

@@ -74,7 +74,7 @@ func WithOrbitMemo(m *OrbitMemo) RunnerOption {
 // WithBufferReuse does nothing: every worker owns an engine.Buffers and
 // there is no other way to run. It stays under the name benchmark/sweep.go
 // still calls; benchmark/ changes only in a benchmark-kind PR, which drops
-// that call and deletes this option (ROADMAP item 2(d)).
+// that call and deletes this option (ROADMAP item 3(d)).
 func WithBufferReuse() RunnerOption { return func(*Runner) {} }
 
 // WithResultCache consults the cache before every execution: a hit

@@ -49,7 +49,15 @@ func Stride(src Source, shardIndex, shardCount int) (Source, error) {
 	if shardCount == 1 {
 		return src, nil
 	}
-	return &strideSource{src: src, index: shardIndex, count: shardCount, skip: shardIndex}, nil
+	return &strideSource{src: src, index: shardIndex, count: shardCount, skip: int64(shardIndex)}, nil
+}
+
+// SkipSource is a Source that can pass over scenarios without building
+// them; Stride skips through one instead of pulling. Skip passes over the
+// next k and returns how many, fewer than k only when the source ran out.
+type SkipSource interface {
+	Source
+	Skip(k int64) int64
 }
 
 // strideSource discards the scenarios between the stripe's ordinals.
@@ -59,10 +67,13 @@ type strideSource struct {
 	count int
 	// skip is how many scenarios to discard before the next yield: index
 	// before the first yield, count-1 between yields.
-	skip int
+	skip int64
 }
 
 func (s *strideSource) Next() (Scenario, bool) {
+	if sk, ok := s.src.(SkipSource); ok {
+		s.skip -= sk.Skip(s.skip)
+	}
 	for s.skip > 0 {
 		if _, ok := s.src.Next(); !ok {
 			return Scenario{}, false
@@ -73,7 +84,7 @@ func (s *strideSource) Next() (Scenario, bool) {
 	if !ok {
 		return Scenario{}, false
 	}
-	s.skip = s.count - 1
+	s.skip = int64(s.count - 1)
 	return sc, true
 }
 

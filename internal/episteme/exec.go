@@ -174,8 +174,8 @@ func dropMask(pat *model.Pattern, m, n int) uint64 {
 // when identical ones have already been computed. Results are
 // bit-identical to the plain engine's (shared state objects are equal by
 // construction); only the work is shared. Result.Inits aliases
-// cfg.Inits, which the model checker's scenario source allocates per
-// scenario.
+// cfg.Inits, a row the scenario source shares read-only, and a System's
+// runs are never written.
 func (e *memoExec) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Result, error) {
 	n, horizon, err := cfg.Validate()
 	if err != nil {

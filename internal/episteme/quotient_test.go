@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -484,6 +485,48 @@ func TestExpandQuotientReportsLowestFailingSlot(t *testing.T) {
 			}
 		} else if err.Error() != want {
 			t.Fatalf("parallelism %d reports %q, parallelism 1 %q", par, err, want)
+		}
+	}
+}
+
+// TestExpandedRunsOwnTheirInits writes into every Inits of an expanded
+// fip n=3 system. ExpandQuotient carves its runs' inits from its own
+// slabs: no run holds a row of its scenario source, and the
+// representatives' runs, which do hold rows of their build's source
+// (memoExec aliases them), must read as before.
+func TestExpandedRunsOwnTheirInits(t *testing.T) {
+	c := Context{Exchange: exchange.NewFIP(3), T: 1}
+	rep, err := buildStripe(context.Background(), c, action.NewOpt(1), 0, 1, buildOptions(c, []Option{WithParallelism(2)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Quotiented() {
+		t.Fatal("fip n=3 built unquotiented")
+	}
+	before := make([][]model.Value, len(rep.Runs))
+	for r, res := range rep.Runs {
+		before[r] = slices.Clone(res.Inits)
+	}
+	sys, err := ExpandQuotient(context.Background(), rep, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Runs share an inits slice only as members of one unit, which share
+	// their whole ledger; a row of the expansion's own source would be
+	// shared by every pattern's runs with that vector.
+	ledger := make(map[*model.Value]*model.Value)
+	for r, res := range sys.Runs {
+		if d, seen := ledger[&res.Inits[0]]; seen && d != &res.Decision[0] {
+			t.Fatalf("run %d shares its inits with a run of another ledger", r)
+		}
+		ledger[&res.Inits[0]] = &res.Decision[0]
+		for i := range res.Inits {
+			res.Inits[i] = model.None
+		}
+	}
+	for r, res := range rep.Runs {
+		if !slices.Equal(res.Inits, before[r]) {
+			t.Fatalf("representative %d's inits read %v after the expanded runs were written, want %v", r, res.Inits, before[r])
 		}
 	}
 }

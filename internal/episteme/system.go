@@ -89,7 +89,7 @@ func WithParallelism(k int) Option {
 // WithQuotient does nothing: the context's exchange, not the caller,
 // decides whether a build goes through the symmetry quotient (BuildSystem).
 //
-// Deprecated: the frozen benchmark harness still calls it (ROADMAP 2(d)).
+// Deprecated: the frozen benchmark harness still calls it (ROADMAP 3(d)).
 func WithQuotient() Option {
 	return func(*options) {}
 }

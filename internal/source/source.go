@@ -66,11 +66,18 @@ func Crash(n, t, horizon int) (Patterns, error) {
 // crossInits crosses every pattern with every initial-preference vector.
 type crossInits struct {
 	patterns Patterns
-	inits    *adversary.InitVectors
 	n        int
-	current  *model.Pattern
-	total    int64
-	hasTotal bool
+	vectors  int64 // 2^n
+	// rows holds init vector m at [m·n, (m+1)·n), appended from gen when
+	// the product first reaches m and shared read-only by every pattern.
+	rows []model.Value
+	gen  *adversary.InitVectors
+	// pat is the open pattern as the stream returned it, shared its clone
+	// (made at its first scenario), next its next vector; vectors: none.
+	pat, shared *model.Pattern
+	next        int64
+	total       int64
+	hasTotal    bool
 	// keep, when set, drops a pattern before it is cloned or crossed
 	// (Quotient sets it).
 	keep func(*model.Pattern) bool
@@ -81,14 +88,16 @@ type crossInits struct {
 // preferences to the n agents, inits varying fastest — the run space the
 // paper's exhaustive claims quantify over, in the enumeration order the
 // eager call sites use. Each pattern is cloned once and shared read-only
-// by its 2^n scenarios; each scenario owns its inits.
+// by its 2^n scenarios; inits are rows of one table shared read-only by
+// every pattern — copy one before writing to it. Stride skips through the
+// product (core.SkipSource) without building what it discards.
 func CrossInits(patterns Patterns, n int) (Source, error) {
-	probe, err := adversary.NewInitVectors(n)
+	gen, err := adversary.NewInitVectors(n)
 	if err != nil {
 		return nil, err
 	}
-	vectors, _ := probe.Count()
-	src := &crossInits{patterns: patterns, n: n}
+	vectors, _ := gen.Count()
+	src := &crossInits{patterns: patterns, n: n, vectors: vectors, gen: gen, next: vectors}
 	if c, ok := patterns.Count(); ok && (c == 0 || vectors <= math.MaxInt64/c) {
 		src.total, src.hasTotal = c*vectors, true
 	}
@@ -96,30 +105,48 @@ func CrossInits(patterns Patterns, n int) (Source, error) {
 }
 
 func (s *crossInits) Next() (core.Scenario, bool) {
-	for {
-		if s.current == nil {
-			p, ok := s.patterns.Next()
-			if !ok {
-				return core.Scenario{}, false
-			}
-			if s.keep != nil && !s.keep(p) {
-				continue
-			}
-			// One clone per pattern: the iterator will mutate p, and the
-			// scenarios built from it outlive this call.
-			s.current = p.Clone()
-			s.inits, _ = adversary.NewInitVectors(s.n)
-		}
-		inits, ok := s.inits.Next()
-		if !ok {
-			s.current = nil
-			continue
-		}
-		return core.Scenario{
-			Pattern: s.current,
-			Inits:   append([]model.Value(nil), inits...),
-		}, true
+	if !s.open() {
+		return core.Scenario{}, false
 	}
+	if s.shared == nil {
+		// One clone per pattern: the stream will mutate pat, and the
+		// scenarios built from it outlive this call.
+		s.shared = s.pat.Clone()
+	}
+	n := int(s.next) * s.n
+	for len(s.rows) <= n {
+		v, _ := s.gen.Next()
+		s.rows = append(s.rows, v...)
+	}
+	s.next++
+	return core.Scenario{Pattern: s.shared, Inits: s.rows[n : n+s.n : n+s.n]}, true
+}
+
+// Skip passes over k scenarios without building them: init vectors by
+// arithmetic, whole patterns uncloned, dropping what keep drops.
+func (s *crossInits) Skip(k int64) int64 {
+	var done int64
+	for done < k && s.open() {
+		step := min(k-done, s.vectors-s.next)
+		s.next += step
+		done += step
+	}
+	return done
+}
+
+// open pulls the next kept pattern once the open one is done; false when
+// the patterns ran out.
+func (s *crossInits) open() bool {
+	for s.next == s.vectors {
+		p, ok := s.patterns.Next()
+		if !ok {
+			return false
+		}
+		if s.keep == nil || s.keep(p) {
+			s.pat, s.shared, s.next = p, nil, 0
+		}
+	}
+	return true
 }
 
 func (s *crossInits) Count() (int64, bool) { return s.total, s.hasTotal }

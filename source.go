@@ -24,9 +24,9 @@ type Source = core.Source
 // assignment of initial preferences — the run space the paper's
 // optimality results quantify over. Scenarios stream in the canonical
 // enumeration order, so driving the source through Runner.StreamFrom is
-// bit-identical to running the eager slice while never materializing it.
-// It returns an error when the sweep's bounds are rejected (n, t, or
-// horizon out of range).
+// bit-identical to running the eager slice while never materializing it;
+// scenarios share their Inits rows read-only. It returns an error when the
+// sweep's bounds are rejected (n, t, or horizon out of range).
 func SourceSO(n, t, horizon int) (Source, error) {
 	pats, err := source.SO(n, t, horizon, adversary.Options{})
 	if err != nil {

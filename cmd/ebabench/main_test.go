@@ -2,14 +2,21 @@ package main
 
 import "testing"
 
-func TestBenchSkipSlowEndToEnd(t *testing.T) {
-	if err := run([]string{"-skip-slow", "-trials", "25", "-seed", "7"}); err != nil {
+func TestBenchEndToEnd(t *testing.T) {
+	if err := run([]string{"-trials", "25", "-seed", "7"}); err != nil {
 		t.Errorf("ebabench failed: %v", err)
 	}
 }
 
 func TestBenchFlagError(t *testing.T) {
-	if err := run([]string{"-unknown"}); err == nil {
-		t.Error("unknown flag accepted")
+	for _, args := range [][]string{
+		{"-unknown"},
+		{"-skip-slow"},
+		{"-trials", "0"},  // no random trial: E12's verdict would rest on no evidence
+		{"-trials", "-1"}, // a negative count would make the random sources unbounded
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("ebabench %v accepted", args)
+		}
 	}
 }

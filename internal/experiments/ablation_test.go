@@ -13,12 +13,3 @@ func TestE16Sweep(t *testing.T) {
 		t.Fatalf("E16 failed:\n%s", tb.Render())
 	}
 }
-
-func TestE17ExhaustiveSpec(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	if tb := E17ExhaustiveSpec(); !tb.Pass {
-		t.Fatalf("E17 failed:\n%s", tb.Render())
-	}
-}

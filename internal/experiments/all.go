@@ -11,9 +11,6 @@ type Config struct {
 	// the numbers: batches are deterministic and order-preserving, and
 	// the model checker reassembles its reports in enumeration order.
 	Parallelism int
-	// SkipSlow skips the exhaustive model-checking experiments (E6–E10,
-	// E14), which take 0.01–0.07 s each on 2 vCPUs.
-	SkipSlow bool
 }
 
 // DefaultConfig is used by cmd/ebabench when no flags are given.
@@ -22,38 +19,20 @@ var DefaultConfig = Config{Seed: 20230510, Trials: 400}
 // Generators returns every experiment as a named generator, in order, so
 // that callers can time or select individual tables.
 func Generators(cfg Config) []func() *Table {
-	gens := []func() *Table{
+	return []func() *Table{
 		E1MessageComplexity,
 		E2FailureFreeZero,
 		E3FailureFreeOnes,
 		E4Example71,
 		func() *Table { return E20EarlyStopping(cfg.Seed, cfg.Trials, cfg.Parallelism) },
-	}
-	if !cfg.SkipSlow {
-		gens = append(gens,
-			func() *Table { return E6ImplementsMin(cfg.Parallelism) },
-			func() *Table { return E7ImplementsBasic(cfg.Parallelism) },
-			func() *Table { return E8ImplementsFIP(cfg.Parallelism) },
-			func() *Table { return E9Optimality(cfg.Parallelism) },
-			func() *Table { return E10Safety(cfg.Parallelism) },
-		)
-	}
-	gens = append(gens,
+		func() *Table { return E6TheoremMatrix(cfg.Parallelism) },
 		E11BasicVsMin,
 		func() *Table { return E12BasicVsFip(cfg.Seed, cfg.Trials, cfg.Parallelism) },
 		E13CrashVsOmission,
-	)
-	if !cfg.SkipSlow {
-		gens = append(gens, func() *Table { return E14Synthesis(cfg.Parallelism) })
-	}
-	gens = append(gens,
+		func() *Table { return E14Synthesis(cfg.Parallelism) },
 		E15CommonKnowledgeAblation,
 		func() *Table { return E16DropProbabilitySweep(cfg.Seed, cfg.Trials/4+1, cfg.Parallelism) },
-	)
-	if !cfg.SkipSlow {
-		gens = append(gens, E17ExhaustiveSpec)
 	}
-	return gens
 }
 
 // All regenerates every experiment table in order.

@@ -29,15 +29,51 @@ func omitters(p *model.Pattern) int {
 	return f
 }
 
+// earlyStop folds runs into the decision-round columns E6 and E20 share:
+// the largest nonfaulty decision round per number f of agents that
+// actually omit, the runs in which a nonfaulty agent decides after
+// min(f+2, t+2), the latest decision of any agent, and the violations of
+// the EBA specification (strong Validity, every decision by t+2).
+type earlyStop struct {
+	t                        int
+	byF                      [3]int // 0 when no run has that f
+	over, latest, violations int
+}
+
+func (e *earlyStop) add(res *engine.Result) {
+	f, late := omitters(res.Pattern), false
+	for _, i := range res.Pattern.NonfaultySet() {
+		e.byF[f] = max(e.byF[f], res.Round(i))
+		late = late || res.Round(i) > min(f+2, e.t+2)
+	}
+	if late {
+		e.over++
+	}
+	e.latest = max(e.latest, slices.Max(res.DecisionRound))
+	e.violations += len(spec.CheckRun(res, spec.Options{RoundBound: e.t + 2, ValidityAllAgents: true}))
+}
+
+// ok reports the gates every row shares: the specification holds and no
+// agent decides after round t+2.
+func (e *earlyStop) ok() bool { return e.violations == 0 && e.latest <= e.t+2 }
+
+// roundCells renders the per-f decision rounds, "-" where no run has that f.
+func (e *earlyStop) roundCells() []any {
+	cells := make([]any, len(e.byF))
+	for f, r := range e.byF {
+		cells[f] = r
+		if r == 0 {
+			cells[f] = "-"
+		}
+	}
+	return cells
+}
+
 // E20EarlyStopping compares each nonfaulty agent's decision round with
-// min(f+2, t+2), where f is the number of agents that omit at least one
-// message. Over the exhaustive contexts Pbasic, Popt and Popt-nock never
-// exceed it: every agent sends in every round, so a missing message
-// exposes its sender. Pmin can: Emin never reveals an omission, so no
-// agent learns f, and its runs past the bound are pinned. Every row is
-// gated on the t+2 bound for every agent and on the full specification;
-// the random SO(2) rows at n=6 report their runs past min(f+2, t+2) but
-// are not gated on them.
+// min(f+2, t+2) over random SO(2) runs at n=6, beyond the exhaustive
+// contexts of E6, which pins the same columns there. Every row is gated on
+// the t+2 bound for every agent and on the full specification; the runs
+// past min(f+2, t+2) are reported, not gated.
 func E20EarlyStopping(seed int64, trials, parallelism int) *Table {
 	t := &Table{
 		ID:      "E20",
@@ -47,49 +83,19 @@ func E20EarlyStopping(seed int64, trials, parallelism int) *Table {
 		Pass:    true,
 	}
 	rng := rand.New(rand.NewSource(seed))
-	for _, c := range []struct {
-		kind    string
-		n, t    int
-		minOver int // Pmin's pinned runs past the bound; -1 marks the random rows, which pin none
-	}{{"SO", 3, 1, 4}, {"SO", 4, 1, 5}, {"crash", 3, 2, 124}, {"crash", 4, 2, 475}, {"random SO", 6, 2, -1}} {
-		for _, name := range []string{"min", "basic", "fip", "fip-nock"} {
-			st := stackFor(name, c.n, c.t)
-			src := source.RandomScenarios(rng, c.n, c.t, c.t+2, 0.45, int64(trials))
-			if c.minOver >= 0 {
-				src = exhaustiveSource(st, c.kind == "crash")
-			}
-			byF := make([]int, 3) // largest nonfaulty decision round per f; 0 when no run has that f
-			runs, over, worst, violations := 0, 0, 0, 0
-			mustStream(st, src, parallelism, func(res *engine.Result) {
-				runs++
-				f, late := omitters(res.Pattern), false
-				for _, i := range res.Pattern.NonfaultySet() {
-					byF[f] = max(byF[f], res.Round(i))
-					late = late || res.Round(i) > min(f+2, c.t+2)
-				}
-				if late {
-					over++
-				}
-				worst = max(worst, slices.Max(res.DecisionRound))
-				violations += len(spec.CheckRun(res, spec.Options{RoundBound: c.t + 2, ValidityAllAgents: true}))
-			})
-			want := 0
-			if name == "min" {
-				want = c.minOver
-			}
-			if c.minOver >= 0 && over != want || worst > c.t+2 || violations > 0 {
-				t.Pass = false
-			}
-			row := []any{fmt.Sprintf("%s n%d t%d", c.kind, c.n, c.t), st.Name, runs}
-			for _, r := range byF {
-				cell := any(r)
-				if r == 0 {
-					cell = "-"
-				}
-				row = append(row, cell)
-			}
-			t.AddRow(append(row, over, violations)...)
+	n, tf := 6, 2
+	for _, name := range []string{"min", "basic", "fip", "fip-nock"} {
+		st := stackFor(name, n, tf)
+		es, runs := earlyStop{t: tf}, 0
+		mustStream(st, source.RandomScenarios(rng, n, tf, tf+2, 0.45, int64(trials)), parallelism, func(res *engine.Result) {
+			runs++
+			es.add(res)
+		})
+		if !es.ok() {
+			t.Pass = false
 		}
+		row := append([]any{fmt.Sprintf("random SO n%d t%d", n, tf), st.Name, runs}, es.roundCells()...)
+		t.AddRow(append(row, es.over, es.violations)...)
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("random SO: drop probability 0.45, %d trials per stack, seed %d", trials, seed))
 	return t

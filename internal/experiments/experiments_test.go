@@ -74,25 +74,14 @@ func TestE13CrashVsOmission(t *testing.T) {
 }
 
 func TestModelCheckingExperiments(t *testing.T) {
-	// E6–E10 and E14 build exhaustive systems; run the (3,1)-sized ones.
+	// The theorem matrix (shared with TestTheoremMatrix) and E14 build
+	// exhaustive systems.
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, gen := range []func(parallelism int) *Table{E8ImplementsFIP, E9Optimality, E10Safety, E14Synthesis} {
-		if tb := gen(0); !tb.Pass {
-			t.Fatalf("%s failed:\n%s", tb.ID, tb.Render())
-		}
-	}
-}
-
-func TestAllSkipSlow(t *testing.T) {
-	tables := All(Config{Seed: 7, Trials: 20, SkipSlow: true})
-	if len(tables) != 10 {
-		t.Fatalf("got %d tables, want 10", len(tables))
-	}
-	for _, tb := range tables {
+	for _, tb := range []*Table{matrix(), E14Synthesis(0)} {
 		if !tb.Pass {
-			t.Errorf("%s failed:\n%s", tb.ID, tb.Render())
+			t.Fatalf("%s failed:\n%s", tb.ID, tb.Render())
 		}
 	}
 }

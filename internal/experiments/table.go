@@ -1,9 +1,10 @@
 // Package experiments regenerates every quantitative claim of the paper's
 // evaluation and discussion sections, plus the theorem-level claims that
 // the epistemic model checker can verify on small systems. Each experiment
-// has an identifier (E1–E13), a generator returning a Table, and a
-// matching benchmark at the repository root; DESIGN.md carries the full
-// index and EXPERIMENTS.md the recorded outputs.
+// has an identifier (E1–E4, E6, E11–E16, E20) and a generator returning a
+// Table; Generators lists them in the order cmd/ebabench prints them.
+// E6 is the theorem matrix: one exhaustive system per (context, stack),
+// with every theorem-level column read from it.
 package experiments
 
 import (

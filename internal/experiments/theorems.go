@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/action"
 	"repro/internal/core"
 	"repro/internal/episteme"
-	"repro/internal/exchange"
+	"repro/internal/registry"
 )
 
 // checkOpts translates the experiments' Parallelism knob into model
@@ -23,146 +22,115 @@ func buildStackSystem(st core.Stack, parallelism int) (*episteme.System, error) 
 	return episteme.BuildSystem(context.Background(), episteme.ContextFor(st), st.Action, checkOpts(parallelism)...)
 }
 
-// implementsRow model-checks one implementation theorem and appends a row.
-func implementsRow(t *Table, label string, st core.Stack, prog episteme.Program, parallelism int) {
-	sys, err := buildStackSystem(st, parallelism)
+// must unwraps a model-checking result. The experiment grids use
+// compile-time sizes and registered stacks, so an error is a bug.
+func must[T any](v T, err error) T {
 	if err != nil {
-		panic(fmt.Sprintf("experiments: %s: %v", label, err))
+		panic("experiments: " + err.Error())
 	}
-	ms, err := sys.CheckImplements(context.Background(), prog, 0)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s: %v", label, err))
-	}
-	if len(ms) != 0 {
-		t.Pass = false
-	}
-	t.AddRow(label, len(sys.Runs), len(ms))
+	return v
 }
 
-// E6ImplementsMin machine-checks Theorem 6.5: P_min implements the
-// knowledge-based program P0 in γ_min, over every SO(t) failure pattern
-// and every initial assignment.
-func E6ImplementsMin(parallelism int) *Table {
-	t := &Table{
-		ID:      "E6",
-		Title:   "Pmin implements P0 in γ_min (exhaustive model check)",
-		Claim:   "Theorem 6.5",
-		Columns: []string{"context", "runs", "mismatches"},
-		Pass:    true,
+// dash renders an absent count (-1) as "-".
+func dash(v int) any {
+	if v < 0 {
+		return "-"
 	}
-	implementsRow(t, "γ_min(n=3,t=1)", stackFor("min", 3, 1), episteme.P0, parallelism)
-	implementsRow(t, "γ_min(n=4,t=1)", stackFor("min", 4, 1), episteme.P0, parallelism)
-	return t
+	return v
 }
 
-// E7ImplementsBasic machine-checks Theorem 6.6: P_basic implements P0 in
-// γ_basic.
-func E7ImplementsBasic(parallelism int) *Table {
+// E6TheoremMatrix machine-checks the paper's theorem-level claims over
+// every failure pattern and initial assignment of each context, crossed
+// with every stack. Each cell builds one interpreted system and reads
+// every column from it:
+//   - implements: Theorems 6.5 and 6.6 (P0 in γ_min, γ_basic) and
+//     Theorem A.21 / Prop 7.9 (P1 in γ_fip), against the knowledge-based
+//     program the registry names for the stack ("-" for fip+pmin, which
+//     implements neither);
+//   - safety: Prop 6.4, Definition 6.2 — P0 is safe wrt γ_min and
+//     γ_basic, and not wrt full information;
+//   - Thm 7.5: the optimality characterization over Efip (Cor 7.8): Popt
+//     satisfies it, Pmin run over Efip (correct but dominated) does not;
+//   - spec: Prop 6.1, the EBA specification with strong Validity and
+//     every decision by round t+2;
+//   - the largest nonfaulty decision round per number f of agents that
+//     actually omit, and the runs over min(f+2, t+2) (E20's early-stopping
+//     columns): Pbasic, Popt and Popt-nock never exceed it, since every
+//     agent sends in every round and a missing message exposes its
+//     sender; Pmin's runs past it are pinned, since its rule reads only
+//     an initial or announced 0 and the clock, over Emin or Efip alike.
+//
+// The theorems assume sending omissions with n−t ≥ 2, so the n−t = 1 and
+// crash cells are reported, not gated on the knowledge columns.
+func E6TheoremMatrix(parallelism int) *Table {
 	t := &Table{
-		ID:      "E7",
-		Title:   "Pbasic implements P0 in γ_basic (exhaustive model check)",
-		Claim:   "Theorem 6.6",
-		Columns: []string{"context", "runs", "mismatches"},
-		Pass:    true,
-	}
-	implementsRow(t, "γ_basic(n=3,t=1)", stackFor("basic", 3, 1), episteme.P0, parallelism)
-	implementsRow(t, "γ_basic(n=4,t=1)", stackFor("basic", 4, 1), episteme.P0, parallelism)
-	return t
-}
-
-// E8ImplementsFIP machine-checks Theorem A.21 / Proposition 7.9: the
-// polynomial-time P_opt implements the knowledge-based program P1 in the
-// full-information context, with the common-knowledge guards evaluated
-// semantically.
-func E8ImplementsFIP(parallelism int) *Table {
-	t := &Table{
-		ID:      "E8",
-		Title:   "Popt implements P1 in γ_fip (exhaustive model check)",
-		Claim:   "Theorem A.21 / Prop 7.9",
-		Columns: []string{"context", "runs", "mismatches"},
-		Pass:    true,
-	}
-	implementsRow(t, "γ_fip(n=3,t=1)", stackFor("fip", 3, 1), episteme.P1, parallelism)
-	return t
-}
-
-// E9Optimality machine-checks Theorem 7.5's characterization of optimal
-// full-information protocols: P_opt satisfies both equivalences; P_min
-// run over the full-information exchange (correct but slower) does not.
-func E9Optimality(parallelism int) *Table {
-	t := &Table{
-		ID:      "E9",
-		Title:   "Theorem 7.5 optimality characterization over γ_fip",
-		Claim:   "Popt is optimal wrt full information (Cor 7.8); a dominated protocol must fail the characterization",
-		Columns: []string{"protocol", "runs", "violations", "expected"},
-		Pass:    true,
+		ID:    "E6",
+		Title: "theorem matrix: one exhaustive system per (context, stack), every check read from it",
+		Claim: "Thms 6.5, 6.6, A.21 (implements); Prop 6.4 (safety); Thm 7.5 / Cor 7.8; Prop 6.1 (spec, decided by t+2); early stopping by min(f+2, t+2)",
+		Columns: []string{"context", "stack", "runs", "implements", "safety", "Thm 7.5", "spec",
+			"max round f=0", "f=1", "f=2", "runs over min(f+2,t+2)"},
+		Pass: true,
 	}
 	ctx := context.Background()
-	sysOpt, err := buildStackSystem(stackFor("fip", 3, 1), parallelism)
-	if err != nil {
-		panic(err)
-	}
-	vsOpt, err := sysOpt.CheckOptimalityFIP(ctx, -1, 0)
-	if err != nil {
-		panic(err)
-	}
-	if len(vsOpt) != 0 {
-		t.Pass = false
-	}
-	t.AddRow("Popt", len(sysOpt.Runs), len(vsOpt), 0)
-
-	sysMin, err := episteme.BuildSystem(ctx,
-		episteme.Context{Exchange: exchange.NewFIP(3), T: 1}, action.NewMin(1), checkOpts(parallelism)...)
-	if err != nil {
-		panic(err)
-	}
-	vsMin, err := sysMin.CheckOptimalityFIP(ctx, -1, 0)
-	if err != nil {
-		panic(err)
-	}
-	if len(vsMin) == 0 {
-		t.Pass = false
-	}
-	t.AddRow("Pmin over Efip", len(sysMin.Runs), len(vsMin), ">0")
-	t.Notes = append(t.Notes,
-		"⊡-reachability is computed on the horizon-(t+2) system; all decisions fall within it")
-	return t
-}
-
-// E10Safety machine-checks Proposition 6.4: the knowledge-based program
-// P0 is safe (Definition 6.2) with respect to γ_min and γ_basic, and —
-// per the Section 6 remark — NOT safe with respect to full information.
-func E10Safety(parallelism int) *Table {
-	t := &Table{
-		ID:      "E10",
-		Title:   "safety condition of Definition 6.2",
-		Claim:   "Prop 6.4: P0 safe wrt γ_min and γ_basic (n−t ≥ 2); not safe wrt γ_fip",
-		Columns: []string{"context", "violations", "expected"},
-		Pass:    true,
-	}
 	for _, c := range []struct {
-		label  string
-		st     core.Stack
-		expect string
-	}{
-		{"γ_min(3,1)", stackFor("min", 3, 1), "0"},
-		{"γ_basic(3,1)", stackFor("basic", 3, 1), "0"},
-		{"γ_fip(3,1)", stackFor("fip", 3, 1), ">0"},
-	} {
-		sys, err := buildStackSystem(c.st, parallelism)
-		if err != nil {
-			panic(err)
+		kind    string
+		n, t    int
+		minOver int // Pmin's pinned runs past min(f+2, t+2); -1 where they are reported only
+	}{{"SO", 2, 1, -1}, {"SO", 3, 1, 4}, {"SO", 4, 1, 5}, {"crash", 3, 1, -1}, {"crash", 3, 2, 124}, {"crash", 4, 2, 475}} {
+		crash := c.kind == "crash"
+		for _, name := range []string{"min", "basic", "fip", "fip-nock", "fip+pmin"} {
+			st := stackFor(name, c.n, c.t)
+			info := must(registry.Stack(name))
+			mc := episteme.ContextFor(st)
+			mc.Crash = crash
+			sys := must(episteme.BuildSystem(ctx, mc, st.Action, checkOpts(parallelism)...))
+
+			implements, optimality := -1, -1
+			switch info.Program {
+			case "P0":
+				implements = len(must(sys.CheckImplements(ctx, episteme.P0, 0)))
+			case "P1":
+				implements = len(must(sys.CheckImplements(ctx, episteme.P1, 0)))
+			}
+			safety := len(must(sys.CheckSafety(ctx, 0)))
+			if info.Exchange == "fip" {
+				optimality = len(must(sys.CheckOptimalityFIP(ctx, -1, 0)))
+			}
+			es := earlyStop{t: c.t}
+			for _, res := range sys.Runs {
+				es.add(res)
+			}
+
+			pass := es.ok()
+			switch name {
+			case "min":
+				pass = pass && (c.minOver < 0 || es.over == c.minOver)
+			case "basic", "fip", "fip-nock":
+				pass = pass && es.over == 0
+			}
+			if !crash && c.n-c.t >= 2 {
+				pass = pass && implements <= 0 // -1: fip+pmin has no program
+				switch name {
+				case "min", "basic":
+					pass = pass && safety == 0
+				case "fip":
+					pass = pass && safety > 0 && optimality == 0
+				case "fip+pmin":
+					pass = pass && optimality > 0
+				}
+			}
+			if !pass {
+				t.Pass = false
+			}
+			row := []any{fmt.Sprintf("%s n%d t%d", c.kind, c.n, c.t), name, len(sys.Runs),
+				dash(implements), safety, dash(optimality), es.violations}
+			t.AddRow(append(append(row, es.roundCells()...), es.over)...)
 		}
-		vs, err := sys.CheckSafety(context.Background(), 0)
-		if err != nil {
-			panic(err)
-		}
-		ok := (c.expect == "0") == (len(vs) == 0)
-		if !ok {
-			t.Pass = false
-		}
-		t.AddRow(c.label, len(vs), c.expect)
 	}
+	t.Notes = append(t.Notes,
+		"gated in SO with n−t ≥ 2: implements 0; safety 0 for min and basic, >0 for fip; Thm 7.5 0 for fip, >0 for fip+pmin",
+		"gated everywhere: spec 0 (Validity in the strong form, per Prop 6.1); no decision after t+2; runs over 0 for basic, fip and fip-nock, and min's pinned in SO n3,n4 t1 and crash n3,n4 t2",
+		"⊡-reachability is computed on the horizon-(t+2) system; all decisions fall within it")
 	return t
 }
 
@@ -196,14 +164,7 @@ func E14Synthesis(parallelism int) *Table {
 		if err != nil {
 			panic(err)
 		}
-		ref, err := buildStackSystem(c.st, parallelism)
-		if err != nil {
-			panic(err)
-		}
-		ms, err := synth.Diff(ctx, ref, 0)
-		if err != nil {
-			panic(err)
-		}
+		ms := must(synth.Diff(ctx, must(buildStackSystem(c.st, parallelism)), 0))
 		if len(ms) != c.expect {
 			t.Pass = false
 		}

@@ -116,21 +116,7 @@ func E13CrashVsOmission() *Table {
 	n, tf := 3, 1
 
 	count := func(st core.Stack, crash bool) (runs, violations int) {
-		var pats source.Patterns
-		var err error
-		if crash {
-			pats, err = source.Crash(n, tf, tf+2)
-		} else {
-			pats, err = source.SO(n, tf, tf+2, adversary.Options{})
-		}
-		if err != nil {
-			panic(fmt.Sprintf("experiments: E13: %v", err))
-		}
-		src, err := source.CrossInits(pats, n)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: E13: %v", err))
-		}
-		mustStream(st, src, 0, func(res *engine.Result) {
+		mustStream(st, exhaustiveSource(st, crash), 0, func(res *engine.Result) {
 			runs++
 			for _, v := range spec.CheckRun(res, spec.Options{}) {
 				if v.Property == "Agreement" {

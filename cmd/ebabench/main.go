@@ -46,6 +46,9 @@ func run(args []string) error {
 	if *trials < 1 {
 		return fmt.Errorf("-trials %d: need at least 1 random trial per experiment", *trials)
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: need 0 (one worker per CPU) or more", *parallel)
+	}
 
 	cfg := experiments.Config{Seed: *seed, Trials: *trials, Parallelism: *parallel}
 	fmt.Printf("Reproduction harness — Alpturer, Halpern, van der Meyden (PODC 2023)\n")

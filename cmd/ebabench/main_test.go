@@ -14,6 +14,7 @@ func TestBenchFlagError(t *testing.T) {
 		{"-skip-slow"},
 		{"-trials", "0"},  // no random trial: E12's verdict would rest on no evidence
 		{"-trials", "-1"}, // a negative count would make the random sources unbounded
+		{"-parallel", "-5"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("ebabench %v accepted", args)

@@ -77,6 +77,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: need 0 (one worker per CPU) or more", *parallel)
+	}
 
 	if !slices.Contains(checkable, *stackName) {
 		return fmt.Errorf("unknown or uncheckable stack %q (have %s)",

@@ -66,6 +66,9 @@ func TestCheckErrors(t *testing.T) {
 	if err := run([]string{"-bogusflag"}, io.Discard); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	if err := run([]string{"-parallel", "-5"}, io.Discard); err == nil || !strings.Contains(err.Error(), "need 0 (one worker per CPU) or more") {
+		t.Errorf("ebacheck -parallel -5: %v; want a usage error", err)
+	}
 	// The spec-checked exhaustive sweep is ebashard's; ebacheck checks
 	// knowledge only.
 	for _, flag := range []string{"-sweep", "-knowledge"} {

@@ -55,6 +55,9 @@ func run(args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
+	if min(*parallel, *systems, *builds, *inflight) < 0 {
+		return fmt.Errorf("-parallel %d -systems %d -builds %d -inflight %d: each needs 0 (the default) or more", *parallel, *systems, *builds, *inflight)
+	}
 	return serve(*listen, *cacheDir, *parallel, *systems, *builds, *inflight, *drainTimeout, *withPprof)
 }
 

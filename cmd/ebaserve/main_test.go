@@ -70,12 +70,19 @@ func TestDaemonBoundsRequests(t *testing.T) {
 // TestQuotientFlagGone pins the daemon's removed flags: whether a System
 // is built through the symmetry quotient is the checker's decision, and
 // the mixed-load check is a test of internal/serve, so ebaserve has a
-// flag for neither.
+// flag for neither. A negative budget is refused before anything is
+// served, not read as the default.
 func TestQuotientFlagGone(t *testing.T) {
 	for _, flag := range []string{"-quotient", "-loadtest"} {
 		err := run([]string{flag, "-listen", "127.0.0.1:0"})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
 			t.Errorf("ebaserve %s: %v; want an unknown-flag error", flag, err)
+		}
+	}
+	for _, flag := range []string{"-parallel", "-systems", "-builds", "-inflight"} {
+		err := run([]string{flag, "-1", "-listen", "127.0.0.1:0"})
+		if err == nil || !strings.Contains(err.Error(), flag+" -1") || !strings.Contains(err.Error(), "each needs 0 (the default) or more") {
+			t.Errorf("ebaserve %s -1: %v; want a usage error", flag, err)
 		}
 	}
 }

@@ -118,6 +118,9 @@ func run(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: need 0 (one worker per CPU) or more", *parallel)
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -176,6 +176,14 @@ func TestShardErrors(t *testing.T) {
 	if err := run([]string{"-stack", "bogus", "-out", os.DevNull}); err == nil {
 		t.Error("unknown stack accepted")
 	}
+	for _, args := range [][]string{
+		{"-parallel", "-5", "-out", os.DevNull},
+		{"-check", "-parallel", "-1", "-out", os.DevNull},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "need 0 (one worker per CPU) or more") {
+			t.Errorf("%v: %v; want a usage error", args, err)
+		}
+	}
 	// Every sweep is spec-checked: Pnaive's agreement violation aborts it.
 	if err := run([]string{"-stack", "naive", "-n", "3", "-t", "1", "-out", os.DevNull}); err == nil || !strings.Contains(err.Error(), "violates the EBA specification") {
 		t.Errorf("ebashard -stack naive: %v; want a spec violation", err)

@@ -59,6 +59,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d: need 0 (one worker per CPU) or more", *parallel)
+	}
 
 	ref, ok := references[*exName]
 	if !ok {

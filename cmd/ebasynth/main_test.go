@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestSynthMinEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -43,5 +46,8 @@ func TestSynthErrors(t *testing.T) {
 	}
 	if err := run([]string{"-nope"}); err == nil {
 		t.Error("unknown flag accepted")
+	}
+	if err := run([]string{"-parallel", "-5"}); err == nil || !strings.Contains(err.Error(), "need 0 (one worker per CPU) or more") {
+		t.Errorf("ebasynth -parallel -5: %v; want a usage error", err)
 	}
 }

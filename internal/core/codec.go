@@ -21,12 +21,14 @@ import (
 // bytes of a SHA-256, in hex.
 const digestLen = 32
 
-// appendRecordLine appends r's canonical line, newline included.
-func appendRecordLine(dst []byte, r *OutcomeRecord) []byte {
+// appendRecordLine appends r's canonical line, newline included, with
+// pattern and digest standing for r's two strings: its own, or views of
+// the line a reader is checking.
+func appendRecordLine[S string | []byte](dst []byte, r *OutcomeRecord, pattern, digest S) []byte {
 	dst = append(dst, `{"ord":`...)
 	dst = strconv.AppendInt(dst, r.Ordinal, 10)
 	dst = append(dst, `,"pattern":`...)
-	dst = wire.AppendString(dst, r.Pattern)
+	dst = wire.AppendString(dst, pattern)
 	dst = append(dst, `,"inits":`...)
 	dst = wire.AppendInts(dst, r.Inits)
 	dst = append(dst, `,"decisions":`...)
@@ -47,7 +49,7 @@ func appendRecordLine(dst []byte, r *OutcomeRecord) []byte {
 		dst = strconv.AppendInt(dst, r.Mult, 10)
 	}
 	dst = append(dst, `,"digest":`...)
-	dst = wire.AppendString(dst, r.Digest)
+	dst = wire.AppendString(dst, digest)
 	return append(dst, '}', '\n')
 }
 
@@ -64,11 +66,12 @@ func appendFooterLine(dst []byte, f *ShardFooter) []byte {
 
 // appendDigestPreimage appends the bytes a record's digest hashes: every
 // field but Digest, '|'-separated, slices in fmt's %v form, and the
-// multiplicity only when it is above 1.
-func appendDigestPreimage(dst []byte, r *OutcomeRecord) []byte {
+// multiplicity only when it is above 1, with pattern standing for
+// r.Pattern.
+func appendDigestPreimage[S string | []byte](dst []byte, r *OutcomeRecord, pattern S) []byte {
 	dst = strconv.AppendInt(dst, r.Ordinal, 10)
 	dst = append(dst, '|')
-	dst = append(dst, r.Pattern...)
+	dst = append(dst, pattern...)
 	for _, xs := range [...][]int{r.Inits, r.Decisions, r.Rounds} {
 		dst = append(dst, '|', '[')
 		for i, x := range xs {
@@ -94,10 +97,11 @@ func appendDigestPreimage(dst []byte, r *OutcomeRecord) []byte {
 	return dst
 }
 
-// appendDigest appends r's content digest in hex. scratch lends its
-// capacity to the preimage and comes back for the next call.
-func appendDigest(dst []byte, r *OutcomeRecord, scratch []byte) (digest, preimage []byte) {
-	preimage = appendDigestPreimage(scratch[:0], r)
+// appendDigest appends r's content digest in hex, with pattern standing
+// for r.Pattern. scratch lends its capacity to the preimage and comes
+// back for the next call.
+func appendDigest[S string | []byte](dst []byte, r *OutcomeRecord, pattern S, scratch []byte) (digest, preimage []byte) {
+	preimage = appendDigestPreimage(scratch[:0], r, pattern)
 	sum := sha256.Sum256(preimage)
 	return hex.AppendEncode(dst, sum[:digestLen/2]), preimage
 }
@@ -117,15 +121,17 @@ var (
 )
 
 // parseRecordLine decodes one record line (newline included) into r,
-// reusing r's slices, and accepts it only if it is byte for byte what
-// appendRecordLine writes for r. It returns the digest the content
-// hashes to, valid until the scratch is used again.
-func parseRecordLine(line []byte, r *OutcomeRecord, s *lineScratch) (want []byte, err error) {
+// reusing r's slices but leaving its Pattern and Digest alone: it returns
+// those as views of the line (copies only when escaped), and accepts the
+// line only if it is byte for byte what appendRecordLine writes for them.
+// want is the digest the content hashes to, valid until the scratch is
+// used again. Nothing is allocated for a canonical line.
+func parseRecordLine(line []byte, r *OutcomeRecord, s *lineScratch) (pattern, digest, want []byte, err error) {
 	p := wire.Parser{Rest: line}
 	p.Lit(`{"ord":`)
 	r.Ordinal = p.Int64()
 	p.Lit(`,"pattern":`)
-	pattern := p.Str()
+	pattern = p.Str()
 	p.Lit(`,"inits":`)
 	r.Inits = p.Ints(r.Inits)
 	p.Lit(`,"decisions":`)
@@ -146,18 +152,17 @@ func parseRecordLine(line []byte, r *OutcomeRecord, s *lineScratch) (want []byte
 		r.Mult = p.Int64()
 	}
 	p.Lit(`,"digest":`)
-	digest := p.Str()
+	digest = p.Str()
 	p.Lit("}\n")
 	if p.Bad || len(p.Rest) != 0 {
-		return nil, errMalformed
+		return nil, nil, nil, errMalformed
 	}
-	r.Pattern, r.Digest = string(pattern), string(digest)
-	s.line = appendRecordLine(s.line[:0], r)
+	s.line = appendRecordLine(s.line[:0], r, pattern, digest)
 	if !bytes.Equal(s.line, line) {
-		return nil, errNotCanonical
+		return nil, nil, nil, errNotCanonical
 	}
-	s.digest, s.preimage = appendDigest(s.digest[:0], r, s.preimage)
-	return s.digest, nil
+	s.digest, s.preimage = appendDigest(s.digest[:0], r, pattern, s.preimage)
+	return pattern, digest, s.digest, nil
 }
 
 // parseFooterLine is parseRecordLine's counterpart for the footer.

@@ -98,14 +98,14 @@ func TestCodecMatchesOldCodec(t *testing.T) {
 	var back OutcomeRecord
 	for k := 0; k < 5000; k++ {
 		rec := genRecord(rng)
-		line := appendRecordLine(nil, &rec)
+		line := appendRecordLine(nil, &rec, rec.Pattern, rec.Digest)
 		if want := oldLine(t, &rec); !bytes.Equal(line, want) {
 			t.Fatalf("record %+v:\n  appended %q\n  json     %q", rec, line, want)
 		}
 		if got, want := rec.ComputeDigest(), oldComputeDigest(&rec); got != want {
 			t.Fatalf("record %+v: digest %s, fmt digest %s", rec, got, want)
 		}
-		chain.add(rec.Digest)
+		chain.add([]byte(rec.Digest))
 		oldChain.add(rec.Digest)
 		if chain.hex() != oldChain.hex() {
 			t.Fatalf("after %d records the chain reads %s, the old chain %s", k+1, chain.hex(), oldChain.hex())
@@ -119,7 +119,8 @@ func TestCodecMatchesOldCodec(t *testing.T) {
 		if err := json.Unmarshal(line, &viaJSON); err != nil {
 			t.Fatalf("encoding/json refuses the appended line %q: %v", line, err)
 		}
-		_, err := parseRecordLine(line, &back, &scratch)
+		pattern, digest, _, err := parseRecordLine(line, &back, &scratch)
+		back.Pattern, back.Digest = string(pattern), string(digest)
 		if reflect.DeepEqual(viaJSON, rec) {
 			if err != nil {
 				t.Fatalf("parser refuses the canonical line %q: %v", line, err)
@@ -234,7 +235,7 @@ func assertReadersAgree(t *testing.T, data []byte, both bool) {
 func TestReaderRefusesNonCanonicalLines(t *testing.T) {
 	rec := OutcomeRecord{Ordinal: 0, Pattern: "n=3;h=3;f=;d=", Inits: []int{0, 1, 1}, Decisions: []int{0, 0, 0}, Rounds: []int{2, 2, 2}}
 	rec.Digest = rec.ComputeDigest()
-	canon := string(appendRecordLine(nil, &rec))
+	canon := string(appendRecordLine(nil, &rec, rec.Pattern, rec.Digest))
 	stream := func(line string) []byte {
 		var buf bytes.Buffer
 		if _, err := WriteOutcomeStream(&buf, ShardHeader{Shards: 1, Stack: "min", N: 3, T: 1, Horizon: 3, Count: 1}, []OutcomeRecord{rec}); err != nil {

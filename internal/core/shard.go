@@ -28,8 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-
-	"repro/internal/engine"
+	goruntime "runtime"
 )
 
 // Stride returns the shard's stripe of the source: the scenarios at
@@ -211,38 +210,6 @@ type ShardFooter struct {
 	Digest  string `json:"digest"`
 }
 
-// fill overwrites r with the record of one completed run standing for
-// weight sweep scenarios (weight ≤ 1 records an ordinary run), reusing
-// r's slices, and leaves Digest for the writer to compute. The pattern
-// text is rendered into text's storage, which comes back for the next
-// call.
-func (r *OutcomeRecord) fill(ordinal int64, res *engine.Result, weight int64, text []byte) ([]byte, error) {
-	text, err := res.Pattern.AppendText(text[:0])
-	if err != nil {
-		return text, fmt.Errorf("core: encoding pattern of ordinal %d: %w", ordinal, err)
-	}
-	r.Ordinal = ordinal
-	r.Pattern = string(text)
-	r.Inits, r.Decisions, r.Rounds = r.Inits[:0], r.Decisions[:0], r.Rounds[:0]
-	for i := 0; i < res.N; i++ {
-		r.Inits = append(r.Inits, int(res.Inits[i]))
-		r.Decisions = append(r.Decisions, int(res.Decision[i]))
-		r.Rounds = append(r.Rounds, res.DecisionRound[i])
-	}
-	r.Stats = OutcomeStats{
-		MessagesSent:      res.Stats.MessagesSent,
-		MessagesDelivered: res.Stats.MessagesDelivered,
-		BitsSent:          res.Stats.BitsSent,
-		BitsDelivered:     res.Stats.BitsDelivered,
-	}
-	r.Mult = 0
-	if weight > 1 {
-		r.Mult = weight
-	}
-	r.Digest = ""
-	return text, nil
-}
-
 // ComputeDigest fingerprints the record's content (everything but the
 // Digest field itself). It is the stripe-level integrity primitive the
 // cross-machine fabric verifies uploads with: a record is intact exactly
@@ -250,7 +217,7 @@ func (r *OutcomeRecord) fill(ordinal int64, res *engine.Result, weight int64, te
 // hashed only when present (> 1), so records of unquotiented sweeps hash
 // exactly as they did before multiplicities existed.
 func (r *OutcomeRecord) ComputeDigest() string {
-	digest, _ := appendDigest(nil, r, nil)
+	digest, _ := appendDigest(nil, r, r.Pattern, nil)
 	return string(digest)
 }
 
@@ -258,7 +225,19 @@ func (r *OutcomeRecord) ComputeDigest() string {
 // the same records in the same order chain to the same value.
 type digestChain struct{ h [sha256.Size]byte }
 
-func (c *digestChain) add(recordDigest string) {
+// tally folds a stream's records: digest chain, count, multiplicities.
+type tally struct {
+	chain             digestChain
+	records, weighted int64
+}
+
+func (t *tally) add(ref *lineRef) {
+	t.chain.add(ref.digest[:])
+	t.records++
+	t.weighted += ref.mult
+}
+
+func (c *digestChain) add(recordDigest []byte) {
 	var buf [sha256.Size + digestLen]byte
 	c.h = sha256.Sum256(append(append(buf[:0], c.h[:]...), recordDigest...))
 }
@@ -300,6 +279,10 @@ type ShardSummary struct {
 // The first execution error, specification violation, or cancellation
 // aborts the shard with that error as the context cause — a partial
 // stream carries no footer, so MergeOutcomes rejects it.
+// The worker that runs a chunk also fills, digests and encodes its
+// records, into the chunk's line buffer; the calling goroutine chains the
+// digests and writes the lines. A stripe of fewer than serialBelow
+// records is sealed on the calling goroutine, into one buffer.
 func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCount int, w io.Writer) (*ShardSummary, error) {
 	stripe, err := Stride(src, shardIndex, shardCount)
 	if err != nil {
@@ -342,23 +325,31 @@ func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCoun
 	if memo != nil {
 		run.memo = &orbitCall{OrbitMemo: memo}
 	}
-	var rec OutcomeRecord
-	var text []byte
-	for oc := range run.StreamFrom(ctx, stripe) {
-		if oc.Err != nil {
-			cancel(oc.Err)
-			return nil, fmt.Errorf("core: shard %d/%d: %w", shardIndex, shardCount, oc.Err)
-		}
-		ordinal := int64(shardIndex) + int64(oc.Index)*int64(shardCount)
-		if text, err = rec.fill(ordinal, oc.Result, oc.Scenario.EffectiveWeight(), text); err != nil {
-			cancel(err)
-			return nil, err
-		}
-		if err := sw.seal(&rec); err != nil {
-			cancel(err)
-			return nil, fmt.Errorf("core: shard %d/%d: writing ordinal %d: %w", shardIndex, shardCount, ordinal, err)
-		}
+	var seal func(*batch)
+	var one sealed
+	if hdr.Count < 0 || hdr.Count >= serialBelow {
+		seal = func(b *batch) { b.lines.sealOutcomes(b.outs, shardIndex, shardCount) }
 	}
+	run.pool(ctx, stripe, seal, func(err error) {
+		cancel(fmt.Errorf("core: shard %d/%d: %w", shardIndex, shardCount, err))
+	}, func(b *batch) bool {
+		c := &b.lines
+		if seal == nil {
+			c = &one // sealed here, into one buffer
+			c.sealOutcomes(b.outs, shardIndex, shardCount)
+		}
+		for i := range c.recs {
+			if err := sw.verbatim(c.line(i), &c.recs[i]); err != nil {
+				cancel(fmt.Errorf("core: shard %d/%d: writing ordinal %d: %w", shardIndex, shardCount, c.recs[i].ordinal, err))
+				return false
+			}
+		}
+		if c.err != nil {
+			cancel(c.err)
+			return false
+		}
+		return true
+	})
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}
@@ -381,15 +372,84 @@ func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCoun
 	return sum, nil
 }
 
+// serialBelow is the header record count (-1 is unknown, not below)
+// under which a stream is sealed, verified and merged on one goroutine:
+// below it the parallel paths are within noise of the serial ones and
+// allocate several times more (docs/architecture.md, "Stream cost model",
+// has the measurements). linesPerChunk is how many lines readChunks hands
+// on at a time, fewer once a chunk would pass its byte budget.
+const serialBelow, linesPerChunk = 512, 32
+
+// sealed is a chunk of canonical record lines, back to back in buf, and
+// the scratch that seals them. err is what ended it early, after recs.
+type sealed struct {
+	buf            []byte
+	recs           []lineRef
+	first          int64 // the stream position of recs[0]
+	err            error
+	rec            OutcomeRecord
+	text, preimage []byte // text stands for rec.Pattern
+}
+
+// sealOutcomes overwrites c with the records of outs, outcomes of stripe
+// shard of shards, stopping at the first failed outcome with its error.
+func (c *sealed) sealOutcomes(outs []RunOutcome, shard, shards int) {
+	c.reset()
+	r := &c.rec
+	for _, oc := range outs {
+		res, ordinal := oc.Result, int64(shard)+int64(oc.Index)*int64(shards)
+		if oc.Err != nil {
+			c.err = fmt.Errorf("core: shard %d/%d: %w", shard, shards, oc.Err)
+			return
+		}
+		var err error
+		if c.text, err = res.Pattern.AppendText(c.text[:0]); err != nil {
+			c.err = fmt.Errorf("core: encoding pattern of ordinal %d: %w", ordinal, err)
+			return
+		}
+		r.Ordinal = ordinal
+		r.Inits, r.Decisions, r.Rounds = r.Inits[:0], r.Decisions[:0], r.Rounds[:0]
+		for i := 0; i < res.N; i++ {
+			r.Inits = append(r.Inits, int(res.Inits[i]))
+			r.Decisions = append(r.Decisions, int(res.Decision[i]))
+			r.Rounds = append(r.Rounds, res.DecisionRound[i])
+		}
+		r.Stats = OutcomeStats(res.Stats)
+		r.Mult = 0
+		if w := oc.Scenario.EffectiveWeight(); w > 1 {
+			r.Mult = w
+		}
+		c.seal(r, c.text)
+	}
+}
+
+// lineRef is buf[start:end] and what a tally folds of it.
+type lineRef struct {
+	start, end    int
+	ordinal, mult int64
+	digest        [digestLen]byte
+}
+
+func (c *sealed) reset() { c.buf, c.recs, c.err = c.buf[:0], c.recs[:0], nil }
+
+func (c *sealed) line(i int) []byte { return c.buf[c.recs[i].start:c.recs[i].end] }
+
+// seal appends rec's line and digest, pattern standing for rec.Pattern.
+func (c *sealed) seal(rec *OutcomeRecord, pattern []byte) {
+	ref := lineRef{start: len(c.buf), ordinal: rec.Ordinal, mult: rec.EffectiveMult()}
+	_, c.preimage = appendDigest(ref.digest[:0], rec, pattern, c.preimage)
+	c.buf = appendRecordLine(c.buf, rec, pattern, ref.digest[:])
+	ref.end = len(c.buf)
+	c.recs = append(c.recs, ref)
+}
+
 // streamWriter writes one outcome stream: the header on construction,
 // then records — chaining their digests and counting them — then the
 // footer. RunShard, WriteOutcomeStream and MergeOutcomes all write
 // through it.
 type streamWriter struct {
-	bw                *bufio.Writer
-	chain             digestChain
-	records, weighted int64
-	line, preimage    []byte
+	bw *bufio.Writer
+	tally
 }
 
 // newStreamWriter starts a stream on w with the header's line.
@@ -405,21 +465,9 @@ func newStreamWriter(w io.Writer, hdr ShardHeader) (*streamWriter, error) {
 	return sw, err
 }
 
-// seal sets rec's digest from its content and writes its line.
-func (sw *streamWriter) seal(rec *OutcomeRecord) error {
-	var hexed [digestLen]byte
-	var digest []byte
-	digest, sw.preimage = appendDigest(hexed[:0], rec, sw.preimage)
-	rec.Digest = string(digest)
-	sw.line = appendRecordLine(sw.line[:0], rec)
-	return sw.verbatim(sw.line, rec)
-}
-
-// verbatim writes a line already known to be rec's canonical one.
-func (sw *streamWriter) verbatim(line []byte, rec *OutcomeRecord) error {
-	sw.chain.add(rec.Digest)
-	sw.records++
-	sw.weighted += rec.EffectiveMult()
+// verbatim writes a line already known to be canonical.
+func (sw *streamWriter) verbatim(line []byte, ref *lineRef) error {
+	sw.add(ref)
 	_, err := sw.bw.Write(line)
 	return err
 }
@@ -427,7 +475,7 @@ func (sw *streamWriter) verbatim(line []byte, rec *OutcomeRecord) error {
 // finish writes the footer and flushes the stream.
 func (sw *streamWriter) finish() (ShardFooter, error) {
 	foot := ShardFooter{Kind: footerKind, Records: sw.records, Digest: sw.chain.hex()}
-	if _, err := sw.bw.Write(appendFooterLine(sw.line[:0], &foot)); err != nil {
+	if _, err := sw.bw.Write(appendFooterLine(nil, &foot)); err != nil {
 		return foot, err
 	}
 	return foot, sw.bw.Flush()
@@ -441,16 +489,17 @@ func (sw *streamWriter) finish() (ShardFooter, error) {
 // returns io.EOF after the footer; a stream that ends without one is
 // reported as truncated (the mark RunShard leaves when it aborts).
 type OutcomeReader struct {
-	br       *bufio.Reader
-	header   ShardHeader
-	chain    digestChain
-	records  int64
-	weighted int64
-	footer   *ShardFooter
-	// line is the last record's canonical line, valid until the next
-	// read; long holds a line that outgrew br's buffer.
-	line, long []byte
-	scratch    lineScratch
+	br     *bufio.Reader
+	header ShardHeader
+	tally
+	footer *ShardFooter
+	long   []byte // a line that outgrew br's buffer
+	// A line and its error read but left for the next read.
+	unread    []byte
+	unreadErr error
+	// What next reads into for the readers that keep no record.
+	scratch lineScratch
+	rec     OutcomeRecord
 }
 
 // errLineTooLong is what readLine refuses an over-long line with.
@@ -460,6 +509,10 @@ var errLineTooLong = fmt.Errorf("line exceeds %d bytes", maxLineBytes)
 // the next call. A final line without a newline comes back with
 // io.ErrUnexpectedEOF; a stream with nothing left returns io.EOF.
 func (or *OutcomeReader) readLine() ([]byte, error) {
+	if line, err := or.unread, or.unreadErr; line != nil || err != nil {
+		or.unread, or.unreadErr = nil, nil
+		return line, err
+	}
 	line, err := or.br.ReadSlice('\n')
 	if errors.Is(err, bufio.ErrBufferFull) {
 		if or.long == nil {
@@ -485,6 +538,9 @@ func (or *OutcomeReader) readLine() ([]byte, error) {
 	}
 	return line, err
 }
+
+// isFooter reports whether a line is not a record's.
+func isFooter(line []byte) bool { return bytes.HasPrefix(line, []byte(`{"kind":`)) }
 
 // NewOutcomeReader reads and validates the stream's header.
 func NewOutcomeReader(r io.Reader) (*OutcomeReader, error) {
@@ -525,91 +581,112 @@ func (or *OutcomeReader) Footer() *ShardFooter { return or.footer }
 // chained digest; io.EOF reports a cleanly sealed stream.
 func (or *OutcomeReader) Next() (*OutcomeRecord, error) {
 	rec := new(OutcomeRecord)
-	if err := or.next(rec); err != nil {
+	var ref lineRef
+	_, pattern, err := or.next(rec, &ref)
+	if err != nil {
 		return nil, err
 	}
+	rec.Pattern, rec.Digest = string(pattern), string(ref.digest[:])
 	return rec, nil
 }
 
-// next is Next into a record the caller owns, whose slices it reuses:
-// what the verifier and the merge, which keep no record, read with.
-func (or *OutcomeReader) next(rec *OutcomeRecord) error {
+// next reads the next record into rec but for Pattern and Digest, and
+// into ref; its line and Pattern come back as views valid until the next
+// read. io.EOF follows a sealed footer.
+func (or *OutcomeReader) next(rec *OutcomeRecord, ref *lineRef) (line, pattern []byte, err error) {
 	if or.footer != nil {
-		return io.EOF
+		return nil, nil, io.EOF
 	}
-	line, err := or.readLine()
+	line, err = or.readLine()
 	if errors.Is(err, io.EOF) {
-		return fmt.Errorf("core: shard %d/%d: stream truncated after %d records (no footer)",
+		return nil, nil, fmt.Errorf("core: shard %d/%d: stream truncated after %d records (no footer)",
 			or.header.Shard, or.header.Shards, or.records)
 	}
 	if err != nil {
-		return fmt.Errorf("core: shard %d/%d: decoding record %d: %w",
+		return nil, nil, fmt.Errorf("core: shard %d/%d: decoding record %d: %w",
 			or.header.Shard, or.header.Shards, or.records, err)
 	}
-	if bytes.HasPrefix(line, []byte(`{"kind":`)) {
+	if isFooter(line) {
 		var foot ShardFooter
 		if err := parseFooterLine(line, &foot, &or.scratch); err != nil {
-			return fmt.Errorf("core: shard %d/%d: decoding footer: %w", or.header.Shard, or.header.Shards, err)
+			return nil, nil, fmt.Errorf("core: shard %d/%d: decoding footer: %w", or.header.Shard, or.header.Shards, err)
 		}
 		if foot.Kind != footerKind {
-			return fmt.Errorf("core: shard %d/%d: decoding record %d: line of kind %q",
+			return nil, nil, fmt.Errorf("core: shard %d/%d: decoding record %d: line of kind %q",
 				or.header.Shard, or.header.Shards, or.records, foot.Kind)
 		}
 		if foot.Records != or.records {
-			return fmt.Errorf("core: shard %d/%d: footer claims %d records, stream carried %d",
+			return nil, nil, fmt.Errorf("core: shard %d/%d: footer claims %d records, stream carried %d",
 				or.header.Shard, or.header.Shards, foot.Records, or.records)
 		}
 		if foot.Digest != or.chain.hex() {
-			return fmt.Errorf("core: shard %d/%d: footer digest %s does not match the record chain %s",
+			return nil, nil, fmt.Errorf("core: shard %d/%d: footer digest %s does not match the record chain %s",
 				or.header.Shard, or.header.Shards, foot.Digest, or.chain.hex())
 		}
 		if _, err := or.readLine(); err == nil {
-			return fmt.Errorf("core: shard %d/%d: data after the footer", or.header.Shard, or.header.Shards)
+			return nil, nil, fmt.Errorf("core: shard %d/%d: data after the footer", or.header.Shard, or.header.Shards)
 		} else if !errors.Is(err, io.EOF) {
-			return fmt.Errorf("core: shard %d/%d: reading past the footer: %w", or.header.Shard, or.header.Shards, err)
+			return nil, nil, fmt.Errorf("core: shard %d/%d: reading past the footer: %w", or.header.Shard, or.header.Shards, err)
 		}
 		or.footer = &foot
-		return io.EOF
+		return nil, nil, io.EOF
 	}
-	want, err := parseRecordLine(line, rec, &or.scratch)
+	if pattern, err = verifyRecord(line, &or.header, or.records, rec, &or.scratch, ref); err != nil {
+		return nil, nil, err
+	}
+	or.add(ref)
+	return line, pattern, nil
+}
+
+// verifyRecord checks the index-th record line of stripe hdr: canonical
+// form, digest, stripe membership. It decodes the line as next does and
+// fills ref; a canonical line costs no allocation. Every reader checks
+// records through it.
+func verifyRecord(line []byte, hdr *ShardHeader, index int64, rec *OutcomeRecord, s *lineScratch, ref *lineRef) (pattern []byte, err error) {
+	pattern, digest, want, err := parseRecordLine(line, rec, s)
 	if err != nil {
-		return fmt.Errorf("core: shard %d/%d: decoding record %d: %w",
-			or.header.Shard, or.header.Shards, or.records, err)
+		return nil, fmt.Errorf("core: shard %d/%d: decoding record %d: %w", hdr.Shard, hdr.Shards, index, err)
 	}
-	if rec.Digest != string(want) {
-		return fmt.Errorf("core: shard %d/%d: ordinal %d carries digest %s, content hashes to %s",
-			or.header.Shard, or.header.Shards, rec.Ordinal, rec.Digest, want)
+	if !bytes.Equal(digest, want) {
+		return nil, fmt.Errorf("core: shard %d/%d: ordinal %d carries digest %s, content hashes to %s",
+			hdr.Shard, hdr.Shards, rec.Ordinal, digest, want)
 	}
-	if rem := rec.Ordinal % int64(or.header.Shards); rem != int64(or.header.Shard) {
-		return fmt.Errorf("core: shard %d/%d: ordinal %d does not belong to this stripe",
-			or.header.Shard, or.header.Shards, rec.Ordinal)
+	if rem := rec.Ordinal % int64(hdr.Shards); rem != int64(hdr.Shard) {
+		return nil, fmt.Errorf("core: shard %d/%d: ordinal %d does not belong to this stripe",
+			hdr.Shard, hdr.Shards, rec.Ordinal)
 	}
-	or.chain.add(rec.Digest)
-	or.records++
-	or.weighted += rec.EffectiveMult()
-	or.line = line
-	return nil
+	ref.ordinal, ref.mult = rec.Ordinal, rec.EffectiveMult()
+	copy(ref.digest[:], want)
+	return pattern, nil
 }
 
 // VerifyOutcomeStream drains one shard's outcome stream, verifying every
 // record digest, the stripe membership of every ordinal, and the sealing
 // footer, and returns the stream's summary (header, record count, chained
 // digest). It is the acceptance check a fan-in process — cmd/ebashard's
-// -merge, the fabric coordinator's upload endpoint — runs before trusting
+// -merge, the fabric coordinator's upload check — runs before trusting
 // a stripe: a torn, truncated, or tampered stream is reported as an
 // error, never as a summary.
+//
+// A stream of fewer than serialBelow records is checked on the calling
+// goroutine. A longer one goes through readChunks first: GOMAXPROCS
+// workers check its records, and the chain folds on the calling goroutine
+// in stream order, which checks the footer. Either way the first error in
+// the stream is reported, in the same words. An error is returned once
+// the Read in progress on r, if any, has returned.
 func VerifyOutcomeStream(r io.Reader) (*ShardSummary, error) {
 	or, err := NewOutcomeReader(r)
 	if err != nil {
 		return nil, err
 	}
-	var rec OutcomeRecord
-	for {
-		if err := or.next(&rec); errors.Is(err, io.EOF) {
-			break
-		} else if err != nil {
-			return nil, err
-		}
+	if c := or.header.Count; c < 0 || c >= serialBelow {
+		err = readChunks([]*OutcomeReader{or}, func([]byte, *lineRef) error { return nil })
+	}
+	for err == nil {
+		_, _, err = or.next(&or.rec, &lineRef{})
+	}
+	if !errors.Is(err, io.EOF) {
+		return nil, err
 	}
 	foot := or.Footer()
 	return &ShardSummary{Header: or.Header(), Records: foot.Records, Weighted: or.weighted, Digest: foot.Digest}, nil
@@ -636,10 +713,12 @@ func WriteOutcomeStream(w io.Writer, hdr ShardHeader, recs []OutcomeRecord) (*Sh
 	if err != nil {
 		return nil, fmt.Errorf("core: writing header: %w", err)
 	}
+	var c sealed
 	for i := range recs {
-		rec := recs[i]
-		if err := sw.seal(&rec); err != nil {
-			return nil, fmt.Errorf("core: writing ordinal %d: %w", rec.Ordinal, err)
+		c.reset()
+		c.seal(&recs[i], []byte(recs[i].Pattern))
+		if err := sw.verbatim(c.line(0), &c.recs[0]); err != nil {
+			return nil, fmt.Errorf("core: writing ordinal %d: %w", recs[i].Ordinal, err)
 		}
 	}
 	foot, err := sw.finish()
@@ -680,6 +759,15 @@ type MergeSummary struct {
 // format, as the single stripe of a 1-way split — byte-identical to what
 // one process running the whole sweep writes, so sharded and unsharded
 // runs can be compared with cmp(1).
+//
+// A merge of fewer than serialBelow records reads its stripes on the
+// calling goroutine. A longer one goes through readChunks first:
+// GOMAXPROCS workers check each record against its stripe's header, and
+// the merging goroutine folds the stripes' chains, keeps the ordinal, gap
+// and overlap checks, chains the output, copies each line and checks the
+// footers. Either way the first error met is the one a serial merge would
+// report. An error is returned once the Read in progress on each stream,
+// if any, has returned.
 func MergeOutcomes(w io.Writer, streams ...io.Reader) (*MergeSummary, error) {
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("core: merge of zero outcome streams")
@@ -729,41 +817,51 @@ func MergeOutcomes(w io.Writer, streams ...io.Reader) (*MergeSummary, error) {
 
 	k := len(byShard)
 	var ord int64
-	var rec, extra OutcomeRecord
+	put := func(line []byte, rec *lineRef) error {
+		if rec.ordinal != ord {
+			return fmt.Errorf("core: shard %d emitted ordinal %d where the canonical order needs %d (gap or overlap)",
+				ord%int64(k), rec.ordinal, ord)
+		}
+		// The stripe's reader accepted line as canonical.
+		if err := sw.verbatim(line, rec); err != nil {
+			return fmt.Errorf("core: writing merged ordinal %d: %w", ord, err)
+		}
+		ord++
+		return nil
+	}
+	if total < 0 || total >= serialBelow {
+		if err := readChunks(byShard, put); err != nil {
+			return nil, err
+		}
+	}
+	var rec lineRef
 	for {
-		or := byShard[int(ord%int64(k))]
-		err := or.next(&rec)
+		j := int(ord % int64(k))
+		line, _, err := byShard[j].next(&byShard[j].rec, &rec)
 		if errors.Is(err, io.EOF) {
 			// This stripe is exhausted at ordinal ord, fixing the sweep's
 			// total; every other stripe must be exhausted too, or it holds
 			// a record the canonical order has no slot for.
-			for j := 0; j < k; j++ {
-				if byShard[j] == or {
+			for i, or := range byShard {
+				if i == j {
 					continue
 				}
-				if jerr := byShard[j].next(&extra); !errors.Is(jerr, io.EOF) {
-					if jerr != nil {
-						return nil, jerr
+				if _, _, ferr := or.next(&or.rec, &rec); !errors.Is(ferr, io.EOF) {
+					if ferr != nil {
+						return nil, ferr
 					}
 					return nil, fmt.Errorf("core: shard %d carries ordinal %d beyond the sweep's end at %d (gap or overlap)",
-						j, extra.Ordinal, ord)
+						i, rec.ordinal, ord)
 				}
 			}
 			break
 		}
+		if err == nil {
+			err = put(line, &rec)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if rec.Ordinal != ord {
-			return nil, fmt.Errorf("core: shard %d emitted ordinal %d where the canonical order needs %d (gap or overlap)",
-				int(ord%int64(k)), rec.Ordinal, ord)
-		}
-		// The reader accepted or.line as rec's canonical line, so the
-		// merged stream takes it as it stands.
-		if err := sw.verbatim(or.line, &rec); err != nil {
-			return nil, fmt.Errorf("core: writing merged ordinal %d: %w", ord, err)
-		}
-		ord++
 	}
 	if total >= 0 && ord != total {
 		return nil, fmt.Errorf("core: merged %d records, headers promised %d", ord, total)
@@ -778,4 +876,59 @@ func MergeOutcomes(w io.Writer, streams ...io.Reader) (*MergeSummary, error) {
 		sum.Headers[i] = or.Header()
 	}
 	return sum, nil
+}
+
+// readChunks reads the record lines of ors in merge order, the line at
+// position p from stream p mod len(ors), a chunk at a time on a goroutine
+// of its own. GOMAXPROCS workers check the records (verifyRecord), and
+// emit has them on the calling goroutine in order, each folded into its
+// stream's tally. readChunks stops at the first error in a record. It
+// also stops, with nil, before a footer, a read error or a line too long
+// for any chunk, which it leaves to the serial reader. The chunks in
+// flight hold at most maxLineBytes together. It returns once the Read in
+// progress, if any, has returned.
+func readChunks(ors []*OutcomeReader, emit func(line []byte, ref *lineRef) error) (err error) {
+	k, pos := int64(len(ors)), int64(0)
+	workers := goruntime.GOMAXPROCS(0)
+	window := chunksPerWorker * workers
+	budget := maxLineBytes / window
+	produced := inOrder(nil, workers, window, func(c *sealed, _ int) bool {
+		c.reset()
+		for c.first = pos; len(c.recs) < linesPerChunk; pos++ {
+			or := ors[pos%k]
+			line, err := or.readLine()
+			if err != nil || isFooter(line) || len(c.buf)+len(line) > budget {
+				// The line starts the next chunk, or it is the serial
+				// reader's, with its error.
+				or.unread, or.unreadErr = line, err
+				return err == nil && !isFooter(line) && len(line) <= budget
+			}
+			c.recs = append(c.recs, lineRef{start: len(c.buf), end: len(c.buf) + len(line)})
+			c.buf = append(c.buf, line...)
+		}
+		return true
+	}, func() func(*sealed) {
+		var rec OutcomeRecord
+		var s lineScratch
+		return func(c *sealed) {
+			for i := range c.recs {
+				p := c.first + int64(i)
+				if _, err := verifyRecord(c.line(i), &ors[p%k].header, p/k, &rec, &s, &c.recs[i]); err != nil {
+					c.recs, c.err = c.recs[:i], err
+					return
+				}
+			}
+		}
+	}, func(c *sealed) bool {
+		for i := range c.recs {
+			ors[(c.first+int64(i))%k].add(&c.recs[i])
+			if err = emit(c.line(i), &c.recs[i]); err != nil {
+				return false
+			}
+		}
+		err = c.err
+		return err == nil
+	})
+	<-produced
+	return err
 }

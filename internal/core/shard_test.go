@@ -25,11 +25,12 @@ func shardScenarios(t *testing.T, n, horizon, count int) []Scenario {
 // newOutcomeRecord builds the sealed record of one completed run, as
 // RunShard does record by record.
 func newOutcomeRecord(ordinal int64, res *engine.Result, weight int64) (OutcomeRecord, error) {
-	var rec OutcomeRecord
-	if _, err := rec.fill(ordinal, res, weight, nil); err != nil {
-		return rec, err
+	var c sealed
+	if c.sealOutcomes([]RunOutcome{{Index: int(ordinal), Result: res, Scenario: Scenario{Weight: weight}}}, 0, 1); c.err != nil {
+		return OutcomeRecord{}, c.err
 	}
-	rec.Digest = rec.ComputeDigest()
+	rec := c.rec
+	rec.Pattern, rec.Digest = string(c.text), string(c.recs[0].digest[:])
 	return rec, nil
 }
 

@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/engine"
@@ -106,26 +107,9 @@ func (r *Runner) Stream(ctx context.Context, scenarios []Scenario) <-chan RunOut
 // the channel or cancel the context to release the workers. A
 // per-scenario error does not stop the stream.
 func (r *Runner) StreamFrom(ctx context.Context, src Source) <-chan RunOutcome {
-	workers := r.parallelism
-	if c, ok := src.Count(); ok && int64(workers) > c {
-		workers = int(c)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// permits bounds the chunks in flight: the dispatcher acquires one
-	// before pulling a chunk from the source, the re-sequencer releases it
-	// after emitting the chunk.
-	permits := make(chan struct{}, chunksPerWorker*workers)
 	out := make(chan RunOutcome)
 	go func() {
 		defer close(out)
-		// The channel closes only after every worker has returned: a
-		// cancelled stream leaves no scenario running behind it. A worker
-		// stops within the scenario it is executing; the dispatcher may
-		// be blocked in the source's Next and is not waited for.
-		var wg sync.WaitGroup
-		defer wg.Wait()
 		// sctx carries stream-internal failure: when the source itself
 		// fails mid-stream (ErrorSource), outstanding work is cancelled
 		// with the source's error as the cause, and outcomes produced
@@ -133,114 +117,18 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source) <-chan RunOutcome {
 		// context.Canceled, matching the Runner's fail-fast semantics.
 		sctx, fail := context.WithCancelCause(ctx)
 		defer fail(nil)
-
-		// A chunk travels as the outcomes it will become: the dispatcher
-		// fills in index and scenario, a worker the rest, in place. One
-		// queued chunk per worker in either direction: a worker finds its
-		// next chunk waiting and never waits to hand one back.
-		jobs := make(chan []RunOutcome, workers)
-		results := make(chan []RunOutcome, workers)
-
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				buf := engine.NewBuffers()
-				orbit := r.exec
-				if r.memo != nil {
-					orbit = r.memo.executor(r.exec)
-				}
-				for {
-					var batch []RunOutcome
-					select {
-					case b, ok := <-jobs:
-						if !ok {
-							return
-						}
-						batch = b
-					case <-sctx.Done():
-						return
-					}
-					for i, jb := range batch {
-						exec := orbit
-						if jb.Scenario.Weight != 0 {
-							exec = r.exec
-						}
-						batch[i] = r.runOne(sctx, jb.Index, jb.Scenario, exec, buf)
-					}
-					select {
-					case results <- batch:
-					case <-sctx.Done():
-						return
-					}
-				}
-			}()
-		}
-		go func() {
-			defer close(jobs)
-			for idx := 0; ; {
+		// The channel closes only after every worker has returned: a
+		// cancelled stream leaves no scenario running behind it.
+		r.pool(sctx, src, nil, fail, func(b *batch) bool {
+			for _, o := range b.outs {
 				select {
-				case permits <- struct{}{}:
-				case <-sctx.Done():
-					return
-				}
-				batch := make([]RunOutcome, 0, chunk)
-				for len(batch) < chunk {
-					sc, ok := src.Next()
-					if !ok {
-						break
-					}
-					batch = append(batch, RunOutcome{Index: idx, Scenario: sc})
-					idx++
-				}
-				if len(batch) > 0 {
-					select {
-					case jobs <- batch:
-					case <-sctx.Done():
-						return
-					}
-				}
-				if len(batch) < chunk {
-					// A source that failed mid-stream (rather than running
-					// dry) cancels outstanding work with its error as the
-					// cause, so in-flight outcomes carry it.
-					if es, isErrSource := src.(ErrorSource); isErrSource {
-						if err := es.Err(); err != nil {
-							fail(err)
-						}
-					}
-					return
+				case out <- o:
+				case <-ctx.Done():
+					return false
 				}
 			}
-		}()
-		go func() {
-			wg.Wait()
-			close(results)
-		}()
-
-		// Re-sequence: workers finish out of order, the stream emits in
-		// scenario order. The permit bound keeps pending within the window.
-		pending := make(map[int][]RunOutcome)
-		next := 0
-		for outs := range results {
-			pending[outs[0].Index] = outs
-			for {
-				head, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				for _, o := range head {
-					select {
-					case out <- o:
-					case <-ctx.Done():
-						return
-					}
-				}
-				next += len(head)
-				<-permits
-			}
-		}
+			return true
+		})
 		// A stream-internal failure (a failed source) surfaces as the
 		// stream's final outcome: Index -1, Err the cancellation cause.
 		// External cancellation is the caller's own context; they hold its
@@ -253,6 +141,143 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source) <-chan RunOutcome {
 		}
 	}()
 	return out
+}
+
+// batch is one chunk of a stream, travelling as the outcomes it will
+// become: the dispatcher fills in index and scenario, a worker the rest
+// and, under RunShard, the chunk's sealed lines.
+type batch struct {
+	outs  []RunOutcome
+	lines sealed
+}
+
+// pool runs the source's scenarios on the runner's workers a chunk at a
+// time, the worker also sealing each chunk when seal is not nil, and
+// hands emit the chunks in scenario order; a source that fails mid-stream
+// is reported to fail. pool returns once every worker has; the dispatcher
+// may be blocked in the source's Next and is not waited for.
+func (r *Runner) pool(ctx context.Context, src Source, seal func(*batch), fail func(error), emit func(*batch) bool) {
+	workers := r.parallelism
+	if c, ok := src.Count(); ok && int64(workers) > c {
+		workers = int(c)
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	inOrder(ctx.Done(), workers, chunksPerWorker*workers, func(b *batch, i int) bool {
+		b.outs = slices.Grow(b.outs[:0], chunk)
+		for idx := i * chunk; len(b.outs) < chunk; idx++ {
+			sc, ok := src.Next()
+			if !ok {
+				// A source that failed mid-stream (rather than running
+				// dry) cancels outstanding work with its error as the
+				// cause, so in-flight outcomes carry it.
+				if es, isErrSource := src.(ErrorSource); isErrSource && es.Err() != nil {
+					fail(es.Err())
+				}
+				return false
+			}
+			b.outs = append(b.outs, RunOutcome{Index: idx, Scenario: sc})
+		}
+		return true
+	}, func() func(*batch) {
+		buf := engine.NewBuffers()
+		orbit := r.exec
+		if r.memo != nil {
+			orbit = r.memo.executor(r.exec)
+		}
+		return func(b *batch) {
+			for i, jb := range b.outs {
+				exec := orbit
+				if jb.Scenario.Weight != 0 {
+					exec = r.exec
+				}
+				b.outs[i] = r.runOne(ctx, jb.Index, jb.Scenario, exec, buf)
+			}
+			if seal != nil {
+				seal(b)
+			}
+		}
+	}, emit)
+}
+
+// inOrder is the pipeline under StreamFrom, RunShard and readChunks.
+// produce fills the i-th chunk on a goroutine of its own, one of workers
+// goroutines processes it (work makes one worker's step), and emit takes
+// the chunks back on the calling goroutine in the order they were
+// produced. window chunks exist, and each is refilled
+// only after emit has had it, so at most window are in flight and their
+// buffers are recycled, never regrown. produce reports false with its
+// last chunk; emit false stops early, as does closing done. inOrder
+// returns once every worker has; the channel it returns closes once the
+// producer has, which can take until the produce in progress returns.
+func inOrder[C any](done <-chan struct{}, workers, window int, produce func(c *C, i int) bool, work func() func(*C), emit func(*C) bool) <-chan struct{} {
+	type slot struct {
+		c           C
+		last, ready bool // ready is the calling goroutine's alone
+	}
+	slots := make([]slot, window)
+	permits := make(chan struct{}, window)
+	// One queued chunk per worker: a worker finds its next chunk waiting.
+	jobs, results := make(chan *slot, workers), make(chan *slot, window)
+	stop, produced := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(produced)
+		for i := 0; ; i++ {
+			select {
+			case permits <- struct{}{}:
+			case <-stop:
+				return
+			}
+			s := &slots[i%window]
+			s.last = !produce(&s.c, i)
+			select {
+			case jobs <- s:
+			case <-stop:
+				return
+			}
+			if s.last {
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			step := work()
+			for {
+				select {
+				case s := <-jobs:
+					step(&s.c)
+					results <- s // never blocks: it has room for every slot
+				case <-stop:
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; ; i++ {
+		s := &slots[i%window]
+		for !s.ready {
+			select {
+			case r := <-results:
+				r.ready = true
+			case <-done:
+				return produced
+			}
+		}
+		s.ready = false
+		if !emit(&s.c) || s.last {
+			return produced
+		}
+		<-permits
+	}
 }
 
 // RunSource executes every scenario the source produces over the worker

@@ -60,8 +60,9 @@ var plainASCII = func() (plain [256]bool) {
 // AppendString appends s as a canonical JSON string. Plain ASCII —
 // every pattern text, state key and digest the pipeline itself produces —
 // is copied through; anything else is escaped the way encoding/json
-// escapes it.
-func AppendString(dst []byte, s string) []byte {
+// escapes it. s may be a view of a line being checked, so that reading
+// costs no string.
+func AppendString[S string | []byte](dst []byte, s S) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -92,7 +93,7 @@ func AppendString(dst []byte, s string) []byte {
 			start = i
 			continue
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
+		c, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		switch {
 		case c == utf8.RuneError && size == 1:
 			dst = append(dst, s[start:i]...)

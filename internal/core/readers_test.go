@@ -285,8 +285,8 @@ func (w *cancellingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestRunShardCancelLeaksNoGoroutines cancels RunShard mid-stripe, with
-// the stripe sealed on the workers, and checks the pool winds down.
+// TestRunShardCancelLeaksNoGoroutines cancels RunShard mid-stripe, while
+// the calling goroutine seals records, and checks the pool winds down.
 func TestRunShardCancelLeaksNoGoroutines(t *testing.T) {
 	st := MustStack("fip", WithN(4), WithT(1))
 	before := goruntime.NumGoroutine()
@@ -413,5 +413,125 @@ func TestReadersBoundLongLines(t *testing.T) {
 		return err
 	}); got > bound {
 		t.Errorf("MergeOutcomes allocated %d bytes, bound %d", got, bound)
+	}
+}
+
+// TestVerifyRejectsMisplacedRecords re-seals the fip n=4 stream and its
+// stripe 0/4 after dropping or swapping records, so every digest, the
+// chain and the footer agree with what is left: VerifyOutcomeStream must
+// still refuse a stream that carries fewer records than its header
+// declares and a stripe whose records are out of their places, on the
+// chunked path and on the serial one.
+func TestVerifyRejectsMisplacedRecords(t *testing.T) {
+	whole, stripes := fipN4Streams(t)
+	swapped := func(recs []OutcomeRecord) []OutcomeRecord {
+		recs[0], recs[1] = recs[1], recs[0]
+		return recs
+	}
+	// A stripe under serialBelow records, checked on the calling goroutine.
+	short := resealed(t, stripes[0], func(recs []OutcomeRecord) []OutcomeRecord { return recs[:100] })
+	short = edited(short, 0, bytes.Replace(streamLines(short)[0], []byte(`"count":8196`), []byte(`"count":100`), 1))
+	for name, tc := range map[string]struct {
+		stream []byte
+		want   string
+	}{
+		"a stream cut to 3 records": {resealed(t, whole, func(recs []OutcomeRecord) []OutcomeRecord { return recs[:3] }),
+			"core: shard 0/1: footer seals 3 records, header declares 32784"},
+		"a stream cut by its last record": {resealed(t, whole, func(recs []OutcomeRecord) []OutcomeRecord { return recs[:len(recs)-1] }),
+			"core: shard 0/1: footer seals 32783 records, header declares 32784"},
+		"stripe 0 with its first two records swapped": {resealed(t, stripes[0], swapped),
+			"core: shard 0/4: record 0 carries ordinal 4 where the stripe needs 0"},
+		"a short stripe with its first two records swapped": {resealed(t, short, swapped),
+			"core: shard 0/4: record 0 carries ordinal 4 where the stripe needs 0"},
+		"a short stripe cut by its last record": {resealed(t, short, func(recs []OutcomeRecord) []OutcomeRecord { return recs[:99] }),
+			"core: shard 0/4: footer seals 99 records, header declares 100"},
+	} {
+		if _, err := serialRead(tc.stream); err != nil {
+			t.Fatalf("%s: the serial reader refuses it: %v", name, err)
+		}
+		if _, err := VerifyOutcomeStream(bytes.NewReader(tc.stream)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: VerifyOutcomeStream = %v; want %s", name, err, tc.want)
+		}
+	}
+	if sum, err := VerifyOutcomeStream(bytes.NewReader(short)); err != nil || sum.Records != 100 {
+		t.Fatalf("the short stripe: VerifyOutcomeStream = %+v, %v", sum, err)
+	}
+}
+
+// stallingReader serves data, then blocks in Read until release closes
+// and reports io.EOF; stalled closes when the first Read blocks.
+type stallingReader struct {
+	data             []byte
+	stalled, release chan struct{}
+}
+
+func (r *stallingReader) Read(p []byte) (int, error) {
+	if len(r.data) > 0 {
+		n := copy(p, r.data)
+		r.data = r.data[n:]
+		return n, nil
+	}
+	select {
+	case <-r.stalled:
+	default:
+		close(r.stalled)
+	}
+	<-r.release
+	return 0, io.EOF
+}
+
+// TestReadersWaitForAStalledRead holds VerifyOutcomeStream and
+// MergeOutcomes to their documented wait: a long stream whose first
+// record is corrupt, served by a reader that then stalls in Read, gets no
+// answer until the Read returns, and then the first error, with no
+// goroutine left behind.
+func TestReadersWaitForAStalledRead(t *testing.T) {
+	whole, stripes := fipN4Streams(t)
+	// The stall comes after a whole chunk of positions and within the
+	// window at any GOMAXPROCS: record 40 of the stream, record 10 of the
+	// merge's stripe 1 (position 41).
+	for name, tc := range map[string]struct {
+		corrupt []byte
+		records int
+		read    func(r io.Reader) error
+	}{
+		"VerifyOutcomeStream": {flipDigest(whole, 0), 40, func(r io.Reader) error {
+			_, err := VerifyOutcomeStream(r)
+			return err
+		}},
+		"MergeOutcomes": {flipDigest(stripes[1], 0), 10, func(r io.Reader) error {
+			_, err := MergeOutcomes(io.Discard, bytes.NewReader(stripes[0]), r, bytes.NewReader(stripes[2]), bytes.NewReader(stripes[3]))
+			return err
+		}},
+	} {
+		_, want := serialRead(tc.corrupt)
+		if want == nil {
+			t.Fatalf("%s: the serial reader accepts the corrupt stream", name)
+		}
+		lines := streamLines(tc.corrupt)
+		sr := &stallingReader{data: bytes.Join(lines[:1+tc.records], nil), stalled: make(chan struct{}), release: make(chan struct{})}
+		before := goruntime.NumGoroutine()
+		done := make(chan error, 1)
+		go func() { done <- tc.read(sr) }()
+		select {
+		case <-sr.stalled:
+		case err := <-done:
+			t.Fatalf("%s: returned %v before the Read stalled", name, err)
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("%s: returned %v while a Read was stalled", name, err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(sr.release)
+		select {
+		case err := <-done:
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s = %v; the serial reader says %v", name, err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: no answer after the Read returned", name)
+		}
+		noLeak(t, name, before)
 	}
 }

@@ -279,10 +279,8 @@ type ShardSummary struct {
 // The first execution error, specification violation, or cancellation
 // aborts the shard with that error as the context cause — a partial
 // stream carries no footer, so MergeOutcomes rejects it.
-// The worker that runs a chunk also fills, digests and encodes its
-// records, into the chunk's line buffer; the calling goroutine chains the
-// digests and writes the lines. A stripe of fewer than serialBelow
-// records is sealed on the calling goroutine, into one buffer.
+// Each record is filled, digested and encoded on the calling goroutine,
+// in stripe order, straight into the stream writer's buffer.
 func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCount int, w io.Writer) (*ShardSummary, error) {
 	stripe, err := Stride(src, shardIndex, shardCount)
 	if err != nil {
@@ -325,28 +323,14 @@ func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCoun
 	if memo != nil {
 		run.memo = &orbitCall{OrbitMemo: memo}
 	}
-	var seal func(*batch)
-	var one sealed
-	if hdr.Count < 0 || hdr.Count >= serialBelow {
-		seal = func(b *batch) { b.lines.sealOutcomes(b.outs, shardIndex, shardCount) }
-	}
-	run.pool(ctx, stripe, seal, func(err error) {
+	run.pool(ctx, stripe, func(err error) {
 		cancel(fmt.Errorf("core: shard %d/%d: %w", shardIndex, shardCount, err))
-	}, func(b *batch) bool {
-		c := &b.lines
-		if seal == nil {
-			c = &one // sealed here, into one buffer
-			c.sealOutcomes(b.outs, shardIndex, shardCount)
-		}
-		for i := range c.recs {
-			if err := sw.verbatim(c.line(i), &c.recs[i]); err != nil {
-				cancel(fmt.Errorf("core: shard %d/%d: writing ordinal %d: %w", shardIndex, shardCount, c.recs[i].ordinal, err))
+	}, func(outs []RunOutcome) bool {
+		for i := range outs {
+			if err := sw.outcome(&outs[i], int64(shardIndex)+int64(outs[i].Index)*int64(shardCount)); err != nil {
+				cancel(fmt.Errorf("core: shard %d/%d: %w", shardIndex, shardCount, err))
 				return false
 			}
-		}
-		if c.err != nil {
-			cancel(c.err)
-			return false
 		}
 		return true
 	})
@@ -373,54 +357,21 @@ func (r *Runner) RunShard(ctx context.Context, src Source, shardIndex, shardCoun
 }
 
 // serialBelow is the header record count (-1 is unknown, not below)
-// under which a stream is sealed, verified and merged on one goroutine:
-// below it the parallel paths are within noise of the serial ones and
-// allocate several times more (docs/architecture.md, "Stream cost model",
-// has the measurements). linesPerChunk is how many lines readChunks hands
-// on at a time, fewer once a chunk would pass its byte budget.
+// under which VerifyOutcomeStream and MergeOutcomes read on one goroutine.
+// It is the smallest size measured at which both chunked paths beat the
+// serial ones: below it they are slower or within noise and allocate two
+// to five times the bytes (docs/architecture.md, "Every core on the
+// stream", has the table). linesPerChunk is how many lines readChunks
+// hands on at a time, fewer once a chunk would pass its byte budget.
 const serialBelow, linesPerChunk = 512, 32
 
-// sealed is a chunk of canonical record lines, back to back in buf, and
-// the scratch that seals them. err is what ended it early, after recs.
+// sealed is a chunk of canonical record lines, back to back in buf, as
+// readChunks reads them. err is what ended it early, after recs.
 type sealed struct {
-	buf            []byte
-	recs           []lineRef
-	first          int64 // the stream position of recs[0]
-	err            error
-	rec            OutcomeRecord
-	text, preimage []byte // text stands for rec.Pattern
-}
-
-// sealOutcomes overwrites c with the records of outs, outcomes of stripe
-// shard of shards, stopping at the first failed outcome with its error.
-func (c *sealed) sealOutcomes(outs []RunOutcome, shard, shards int) {
-	c.reset()
-	r := &c.rec
-	for _, oc := range outs {
-		res, ordinal := oc.Result, int64(shard)+int64(oc.Index)*int64(shards)
-		if oc.Err != nil {
-			c.err = fmt.Errorf("core: shard %d/%d: %w", shard, shards, oc.Err)
-			return
-		}
-		var err error
-		if c.text, err = res.Pattern.AppendText(c.text[:0]); err != nil {
-			c.err = fmt.Errorf("core: encoding pattern of ordinal %d: %w", ordinal, err)
-			return
-		}
-		r.Ordinal = ordinal
-		r.Inits, r.Decisions, r.Rounds = r.Inits[:0], r.Decisions[:0], r.Rounds[:0]
-		for i := 0; i < res.N; i++ {
-			r.Inits = append(r.Inits, int(res.Inits[i]))
-			r.Decisions = append(r.Decisions, int(res.Decision[i]))
-			r.Rounds = append(r.Rounds, res.DecisionRound[i])
-		}
-		r.Stats = OutcomeStats(res.Stats)
-		r.Mult = 0
-		if w := oc.Scenario.EffectiveWeight(); w > 1 {
-			r.Mult = w
-		}
-		c.seal(r, c.text)
-	}
+	buf   []byte
+	recs  []lineRef
+	first int64 // the stream position of recs[0]
+	err   error
 }
 
 // lineRef is buf[start:end] and what a tally folds of it.
@@ -430,26 +381,18 @@ type lineRef struct {
 	digest        [digestLen]byte
 }
 
-func (c *sealed) reset() { c.buf, c.recs, c.err = c.buf[:0], c.recs[:0], nil }
-
 func (c *sealed) line(i int) []byte { return c.buf[c.recs[i].start:c.recs[i].end] }
-
-// seal appends rec's line and digest, pattern standing for rec.Pattern.
-func (c *sealed) seal(rec *OutcomeRecord, pattern []byte) {
-	ref := lineRef{start: len(c.buf), ordinal: rec.Ordinal, mult: rec.EffectiveMult()}
-	_, c.preimage = appendDigest(ref.digest[:0], rec, pattern, c.preimage)
-	c.buf = appendRecordLine(c.buf, rec, pattern, ref.digest[:])
-	ref.end = len(c.buf)
-	c.recs = append(c.recs, ref)
-}
 
 // streamWriter writes one outcome stream: the header on construction,
 // then records — chaining their digests and counting them — then the
 // footer. RunShard, WriteOutcomeStream and MergeOutcomes all write
-// through it.
+// through it, and record is the one place a record is sealed.
 type streamWriter struct {
 	bw *bufio.Writer
 	tally
+	// The sealing scratch: outcome's record and pattern text, record's preimage.
+	rec            OutcomeRecord
+	text, preimage []byte
 }
 
 // newStreamWriter starts a stream on w with the header's line.
@@ -463,6 +406,42 @@ func newStreamWriter(w io.Writer, hdr ShardHeader) (*streamWriter, error) {
 	sw := &streamWriter{bw: bufio.NewWriterSize(w, 64<<10)}
 	_, err = sw.bw.Write(append(line, '\n'))
 	return sw, err
+}
+
+// record seals rec, pattern standing for rec.Pattern: it digests the
+// record and encodes its line straight into the writer's buffer.
+func (sw *streamWriter) record(rec *OutcomeRecord, pattern []byte) error {
+	ref := lineRef{ordinal: rec.Ordinal, mult: rec.EffectiveMult()}
+	_, sw.preimage = appendDigest(ref.digest[:0], rec, pattern, sw.preimage)
+	return sw.verbatim(appendRecordLine(sw.bw.AvailableBuffer(), rec, pattern, ref.digest[:]), &ref)
+}
+
+// outcome writes the record of a run at ordinal, or returns its error.
+func (sw *streamWriter) outcome(oc *RunOutcome, ordinal int64) error {
+	if oc.Err != nil {
+		return oc.Err
+	}
+	res, r := oc.Result, &sw.rec
+	var err error
+	if sw.text, err = res.Pattern.AppendText(sw.text[:0]); err != nil {
+		return fmt.Errorf("encoding pattern of ordinal %d: %w", ordinal, err)
+	}
+	r.Ordinal = ordinal
+	r.Inits, r.Decisions, r.Rounds = r.Inits[:0], r.Decisions[:0], r.Rounds[:0]
+	for i := 0; i < res.N; i++ {
+		r.Inits = append(r.Inits, int(res.Inits[i]))
+		r.Decisions = append(r.Decisions, int(res.Decision[i]))
+		r.Rounds = append(r.Rounds, res.DecisionRound[i])
+	}
+	r.Stats = OutcomeStats(res.Stats)
+	r.Mult = 0
+	if w := oc.Scenario.EffectiveWeight(); w > 1 {
+		r.Mult = w
+	}
+	if err := sw.record(r, sw.text); err != nil {
+		return fmt.Errorf("writing ordinal %d: %w", ordinal, err)
+	}
+	return nil
 }
 
 // verbatim writes a line already known to be canonical.
@@ -661,35 +640,53 @@ func verifyRecord(line []byte, hdr *ShardHeader, index int64, rec *OutcomeRecord
 }
 
 // VerifyOutcomeStream drains one shard's outcome stream, verifying every
-// record digest, the stripe membership of every ordinal, and the sealing
-// footer, and returns the stream's summary (header, record count, chained
-// digest). It is the acceptance check a fan-in process — cmd/ebashard's
-// -merge, the fabric coordinator's upload check — runs before trusting
-// a stripe: a torn, truncated, or tampered stream is reported as an
-// error, never as a summary.
+// record digest, that the record at stripe position i carries ordinal
+// Shard + i·Shards, and the sealing footer, whose count must be a
+// declared header count; it returns the stream's summary (header, record
+// count, chained digest). It is the acceptance check a fan-in process —
+// cmd/ebashard's -merge, the fabric coordinator's upload check — runs
+// before trusting a stripe: a torn, truncated, reordered or tampered
+// stream is reported as an error, never as a summary.
 //
 // A stream of fewer than serialBelow records is checked on the calling
 // goroutine. A longer one goes through readChunks first: GOMAXPROCS
-// workers check its records, and the chain folds on the calling goroutine
-// in stream order, which checks the footer. Either way the first error in
-// the stream is reported, in the same words. An error is returned once
-// the Read in progress on r, if any, has returned.
+// workers check its records, and the chain and the positions fold on the
+// calling goroutine in stream order, which checks the footer. Either way
+// the first error in the stream is reported, in the same words. An error
+// is returned once the Read in progress on r, if any, has returned.
 func VerifyOutcomeStream(r io.Reader) (*ShardSummary, error) {
 	or, err := NewOutcomeReader(r)
 	if err != nil {
 		return nil, err
 	}
-	if c := or.header.Count; c < 0 || c >= serialBelow {
-		err = readChunks([]*OutcomeReader{or}, func([]byte, *lineRef) error { return nil })
+	hdr := or.Header()
+	var pos int64
+	inPlace := func(_ []byte, ref *lineRef) error { // stripe position pos
+		if want := int64(hdr.Shard) + pos*int64(hdr.Shards); ref.ordinal != want {
+			return fmt.Errorf("core: shard %d/%d: record %d carries ordinal %d where the stripe needs %d",
+				hdr.Shard, hdr.Shards, pos, ref.ordinal, want)
+		}
+		pos++
+		return nil
 	}
+	if c := hdr.Count; c < 0 || c >= serialBelow {
+		err = readChunks([]*OutcomeReader{or}, inPlace)
+	}
+	var ref lineRef
 	for err == nil {
-		_, _, err = or.next(&or.rec, &lineRef{})
+		if _, _, err = or.next(&or.rec, &ref); err == nil {
+			err = inPlace(nil, &ref)
+		}
 	}
 	if !errors.Is(err, io.EOF) {
 		return nil, err
 	}
 	foot := or.Footer()
-	return &ShardSummary{Header: or.Header(), Records: foot.Records, Weighted: or.weighted, Digest: foot.Digest}, nil
+	if hdr.Count >= 0 && foot.Records != hdr.Count {
+		return nil, fmt.Errorf("core: shard %d/%d: footer seals %d records, header declares %d",
+			hdr.Shard, hdr.Shards, foot.Records, hdr.Count)
+	}
+	return &ShardSummary{Header: hdr, Records: foot.Records, Weighted: or.weighted, Digest: foot.Digest}, nil
 }
 
 // WriteOutcomeStream re-seals records into a valid outcome stream:
@@ -713,11 +710,8 @@ func WriteOutcomeStream(w io.Writer, hdr ShardHeader, recs []OutcomeRecord) (*Sh
 	if err != nil {
 		return nil, fmt.Errorf("core: writing header: %w", err)
 	}
-	var c sealed
 	for i := range recs {
-		c.reset()
-		c.seal(&recs[i], []byte(recs[i].Pattern))
-		if err := sw.verbatim(c.line(0), &c.recs[0]); err != nil {
+		if err := sw.record(&recs[i], []byte(recs[i].Pattern)); err != nil {
 			return nil, fmt.Errorf("core: writing ordinal %d: %w", recs[i].Ordinal, err)
 		}
 	}
@@ -893,7 +887,7 @@ func readChunks(ors []*OutcomeReader, emit func(line []byte, ref *lineRef) error
 	window := chunksPerWorker * workers
 	budget := maxLineBytes / window
 	produced := inOrder(nil, workers, window, func(c *sealed, _ int) bool {
-		c.reset()
+		c.buf, c.recs, c.err = c.buf[:0], c.recs[:0], nil
 		for c.first = pos; len(c.recs) < linesPerChunk; pos++ {
 			or := ors[pos%k]
 			line, err := or.readLine()

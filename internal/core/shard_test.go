@@ -22,16 +22,29 @@ func shardScenarios(t *testing.T, n, horizon, count int) []Scenario {
 	return scenarios
 }
 
-// newOutcomeRecord builds the sealed record of one completed run, as
-// RunShard does record by record.
+// newOutcomeRecord builds the sealed record of one completed run as
+// RunShard's stream writer writes it, read back through the reader.
 func newOutcomeRecord(ordinal int64, res *engine.Result, weight int64) (OutcomeRecord, error) {
-	var c sealed
-	if c.sealOutcomes([]RunOutcome{{Index: int(ordinal), Result: res, Scenario: Scenario{Weight: weight}}}, 0, 1); c.err != nil {
-		return OutcomeRecord{}, c.err
+	var buf bytes.Buffer
+	sw, err := newStreamWriter(&buf, ShardHeader{Kind: outcomeKind, Version: outcomeVersion, Shards: 1, Count: -1})
+	if err == nil {
+		err = sw.outcome(&RunOutcome{Result: res, Scenario: Scenario{Weight: weight}}, ordinal)
 	}
-	rec := c.rec
-	rec.Pattern, rec.Digest = string(c.text), string(c.recs[0].digest[:])
-	return rec, nil
+	if err == nil {
+		_, err = sw.finish()
+	}
+	if err != nil {
+		return OutcomeRecord{}, err
+	}
+	or, err := NewOutcomeReader(&buf)
+	if err != nil {
+		return OutcomeRecord{}, err
+	}
+	rec, err := or.Next()
+	if err != nil {
+		return OutcomeRecord{}, err
+	}
+	return *rec, nil
 }
 
 // TestStrideBounds checks Stride's validation and the 1-way identity.

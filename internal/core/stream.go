@@ -119,8 +119,8 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source) <-chan RunOutcome {
 		defer fail(nil)
 		// The channel closes only after every worker has returned: a
 		// cancelled stream leaves no scenario running behind it.
-		r.pool(sctx, src, nil, fail, func(b *batch) bool {
-			for _, o := range b.outs {
+		r.pool(sctx, src, fail, func(outs []RunOutcome) bool {
+			for _, o := range outs {
 				select {
 				case out <- o:
 				case <-ctx.Done():
@@ -143,20 +143,13 @@ func (r *Runner) StreamFrom(ctx context.Context, src Source) <-chan RunOutcome {
 	return out
 }
 
-// batch is one chunk of a stream, travelling as the outcomes it will
-// become: the dispatcher fills in index and scenario, a worker the rest
-// and, under RunShard, the chunk's sealed lines.
-type batch struct {
-	outs  []RunOutcome
-	lines sealed
-}
-
 // pool runs the source's scenarios on the runner's workers a chunk at a
-// time, the worker also sealing each chunk when seal is not nil, and
-// hands emit the chunks in scenario order; a source that fails mid-stream
-// is reported to fail. pool returns once every worker has; the dispatcher
-// may be blocked in the source's Next and is not waited for.
-func (r *Runner) pool(ctx context.Context, src Source, seal func(*batch), fail func(error), emit func(*batch) bool) {
+// time and hands emit the chunks in scenario order. A chunk travels as
+// the outcomes it will become: the dispatcher fills in index and
+// scenario, a worker the rest. A source that fails mid-stream is reported
+// to fail. pool returns once every worker has; the dispatcher may be
+// blocked in the source's Next and is not waited for.
+func (r *Runner) pool(ctx context.Context, src Source, fail func(error), emit func([]RunOutcome) bool) {
 	workers := r.parallelism
 	if c, ok := src.Count(); ok && int64(workers) > c {
 		workers = int(c)
@@ -164,9 +157,9 @@ func (r *Runner) pool(ctx context.Context, src Source, seal func(*batch), fail f
 	if workers < 1 {
 		workers = 1
 	}
-	inOrder(ctx.Done(), workers, chunksPerWorker*workers, func(b *batch, i int) bool {
-		b.outs = slices.Grow(b.outs[:0], chunk)
-		for idx := i * chunk; len(b.outs) < chunk; idx++ {
+	inOrder(ctx.Done(), workers, chunksPerWorker*workers, func(outs *[]RunOutcome, i int) bool {
+		*outs = slices.Grow((*outs)[:0], chunk)
+		for idx := i * chunk; len(*outs) < chunk; idx++ {
 			sc, ok := src.Next()
 			if !ok {
 				// A source that failed mid-stream (rather than running
@@ -177,28 +170,25 @@ func (r *Runner) pool(ctx context.Context, src Source, seal func(*batch), fail f
 				}
 				return false
 			}
-			b.outs = append(b.outs, RunOutcome{Index: idx, Scenario: sc})
+			*outs = append(*outs, RunOutcome{Index: idx, Scenario: sc})
 		}
 		return true
-	}, func() func(*batch) {
+	}, func() func(*[]RunOutcome) {
 		buf := engine.NewBuffers()
 		orbit := r.exec
 		if r.memo != nil {
 			orbit = r.memo.executor(r.exec)
 		}
-		return func(b *batch) {
-			for i, jb := range b.outs {
+		return func(outs *[]RunOutcome) {
+			for i, jb := range *outs {
 				exec := orbit
 				if jb.Scenario.Weight != 0 {
 					exec = r.exec
 				}
-				b.outs[i] = r.runOne(ctx, jb.Index, jb.Scenario, exec, buf)
-			}
-			if seal != nil {
-				seal(b)
+				(*outs)[i] = r.runOne(ctx, jb.Index, jb.Scenario, exec, buf)
 			}
 		}
-	}, emit)
+	}, func(outs *[]RunOutcome) bool { return emit(*outs) })
 }
 
 // inOrder is the pipeline under StreamFrom, RunShard and readChunks.

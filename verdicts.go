@@ -32,7 +32,7 @@ func WriteVerdicts(ctx context.Context, w io.Writer, sys *System, stackName stri
 }
 
 // VerifyOutcomeStream reads a shard outcome stream end to end, verifying
-// record digests and the sealing footer, and returns its summary.
+// record digests, stripe positions and the footer, and returns its summary.
 func VerifyOutcomeStream(r io.Reader) (*ShardSummary, error) {
 	return core.VerifyOutcomeStream(r)
 }

@@ -493,7 +493,7 @@ func BenchmarkE12BasicVsFipFaulty(b *testing.B) {
 	}
 }
 
-func BenchmarkE13CrashVsOmission(b *testing.B) {
+func BenchmarkNaiveSweep(b *testing.B) {
 	// One exhaustive naive-protocol sweep over SO(1), n=3.
 	st := stack(b, "naive", 3, 1)
 	for i := 0; i < b.N; i++ {

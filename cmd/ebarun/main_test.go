@@ -70,7 +70,7 @@ func TestEveryRegisteredStackIsSelectable(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-stack", "bogus"},
-		{"-stack", "fip+pnaive"},                     // incompatible composition
+		{"-stack", "min+pnaive"},                     // incompatible composition
 		{"-stack", "bogus+pmin"},                     // unknown exchange in composition
 		{"-executor", "bogus", "-n", "3", "-t", "1"}, // unknown executor
 		{"-adversary", "bogus"},

@@ -16,7 +16,7 @@
 //	           (SIAM J. Comput. 2001)
 //	fip+pmin = ⟨Efip,  Pmin⟩      — correct-but-dominated baseline
 //	fip-nock = ⟨Efip,  Popt-nock⟩ — the common-knowledge ablation
-//	naive    = ⟨Ereport, Pnaive⟩   — the introduction's counterexample
+//	naive    = ⟨Efip,  Pnaive⟩    — the introduction's counterexample
 //
 // — and executed through a Runner over a sequential or concurrent
 // substrate, one scenario at a time or as an order-preserving parallel
@@ -191,10 +191,10 @@ func WithCheckParallelism(k int) CheckOption { return episteme.WithParallelism(k
 //
 // The checker, not the caller, picks the symmetry quotient: when the
 // stack's exchange can rewrite a local-state key under an agent
-// relabeling (fip, min and basic can; naive's report exchange cannot)
-// only one representative per agent-permutation orbit is executed — up
-// to n! fewer runs — and the full System is rebuilt from them, with
-// verdicts bit-identical to the run-everything build's.
+// relabeling (every registered exchange can) only one representative per
+// agent-permutation orbit is executed — up to n! fewer runs — and the
+// full System is rebuilt from them, with verdicts bit-identical to the
+// run-everything build's.
 func BuildSystem(ctx context.Context, stack Stack, opts ...CheckOption) (*System, error) {
 	return episteme.BuildSystem(ctx, episteme.ContextFor(stack), stack.Action, opts...)
 }

@@ -165,7 +165,7 @@ func TestPublicRegistryConstruction(t *testing.T) {
 			t.Errorf("%q ran %d agents, want 4", name, res.N)
 		}
 	}
-	if len(eba.ExchangeNames()) != 4 || len(eba.ActionNames()) != 5 {
+	if len(eba.ExchangeNames()) != 3 || len(eba.ActionNames()) != 5 {
 		t.Errorf("component listings: %v / %v", eba.ExchangeNames(), eba.ActionNames())
 	}
 	for _, info := range eba.Stacks() {
@@ -267,7 +267,7 @@ func TestPublicRunnerBatchAndStream(t *testing.T) {
 
 func TestPublicNaiveIsBroken(t *testing.T) {
 	// The exported counterexample stack must still violate agreement under
-	// the introduction's adversary (E13 in miniature).
+	// the introduction's adversary (run r′; E6's naive rows in full).
 	stack := mustStack(t, "naive", 3, 1)
 	pat := eba.NewPattern(3, stack.Horizon())
 	pat.Silence(0, 0, stack.Horizon())

@@ -79,14 +79,15 @@ func main() {
 	fmt.Println()
 
 	// The naive protocol decides 0 on any evidence of an initial 0 —
-	// including agent 0's stale (init,0) report in round 2 of r′.
+	// including news of agent 0's that reaches agent 2 late, in round 2
+	// of r′.
 	naive, err := eba.NewStack("naive", eba.WithN(n), eba.WithT(t))
 	if err != nil {
 		log.Fatal(err)
 	}
 	report("naive protocol on run r′", runRPrime(naive))
 
-	// P_min on the same adversary: the late report carries no decide-0
+	// P_min on the same adversary: the late delivery carries no decide-0
 	// announcement, so no 0-chain forms and both nonfaulty agents decide 1.
 	min, err := eba.NewStack("min", eba.WithN(n), eba.WithT(t))
 	if err != nil {

@@ -163,12 +163,13 @@ func (p *OptNoCK) Act(_ model.AgentID, s model.State) model.Action {
 }
 
 // Naive is the introduction's 0-biased protocol: decide 0 as soon as the
-// agent learns that some agent had an initial preference of 0 — whether
-// through a fresh 0-decision (a 0-chain) or through a stale (init,0)
-// report — and decide 1 at time t+1 otherwise. Under crash failures stale
-// reports cannot exist, so Naive is safe; under omission failures the
-// adversary of the introduction's run r′ makes two nonfaulty agents
-// disagree (see internal/experiments, E13).
+// agent's communication graph records an initial preference of 0 for some
+// agent, however late and by whatever chain that news arrives, and decide
+// 1 at time t+1 otherwise. Under crash failures news of a 0 that reaches
+// one nonfaulty agent reaches all of them a round later, so Naive is safe;
+// under omission failures the adversary of the introduction's run r′
+// makes two nonfaulty agents disagree (see internal/experiments, E6's
+// naive rows).
 type Naive struct {
 	t int
 }
@@ -185,22 +186,25 @@ func NewNaive(t int) *Naive {
 func (p *Naive) Name() string { return "Pnaive" }
 
 // Act decides 0 eagerly on any evidence of an initial 0. It requires a
-// report-exchange state (it reads the heard0 latch).
+// FIP exchange state (it reads the graph's initial preferences).
 func (p *Naive) Act(_ model.AgentID, s model.State) model.Action {
-	st, ok := s.(exchange.ReportState)
+	st, ok := s.(*exchange.FIPState)
 	if !ok {
-		panic(fmt.Sprintf("action: Pnaive needs a Report exchange state, got %T", s))
+		panic(fmt.Sprintf("action: Pnaive needs a FIP exchange state, got %T", s))
 	}
-	switch {
-	case st.Decided().IsSet():
+	if st.Decided().IsSet() {
 		return model.Noop
-	case st.Init() == model.Zero || st.JustDecided() == model.Zero || st.Heard0():
-		return model.Decide0
-	case st.Time() == p.t+1:
+	}
+	g := st.Graph()
+	for j := 0; j < g.N(); j++ {
+		if g.Pref(model.AgentID(j)) == model.Zero {
+			return model.Decide0
+		}
+	}
+	if st.Time() == p.t+1 {
 		return model.Decide1
-	default:
-		return model.Noop
 	}
+	return model.Noop
 }
 
 // Interface compliance.

@@ -210,8 +210,8 @@ func TestAgreementValidityTerminationRandom(t *testing.T) {
 func TestNaiveCounterexampleIntroRunRPrime(t *testing.T) {
 	// The introduction's run r′ with n=3, t=1: agent 0 is faulty with
 	// initial preference 0; its round-1 decide-0 broadcast is dropped, and
-	// its only delivered message is the (init,0) report that reaches agent
-	// 2 in round 2. Agent 1 times out and decides 1 in round 3; agent 2
+	// its only delivered message is the round-2 one to agent 2, whose graph
+	// records that initial 0. Agent 1 times out and decides 1 in round 3; agent 2
 	// hears about the 0 and decides 0 in round 3 — two nonfaulty agents
 	// disagree, so the naive 0-biased protocol is not an EBA protocol
 	// under omission failures.
@@ -222,7 +222,7 @@ func TestNaiveCounterexampleIntroRunRPrime(t *testing.T) {
 	pat = restoreDelivery(pat, 1, 0, 2, tf+2, n) // ...except round 2 to agent 2
 
 	inits := []model.Value{model.Zero, model.One, model.One}
-	res := runStack(t, exchange.NewReport(n), NewNaive(tf), pat, inits)
+	res := runStack(t, exchange.NewFIP(n), NewNaive(tf), pat, inits)
 
 	if res.Decided(1) != model.One || res.Round(1) != 3 {
 		t.Fatalf("agent 1: %v in round %d, want 1 in round 3", res.Decided(1), res.Round(1))
@@ -275,7 +275,7 @@ func TestNaiveSafeUnderCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 		for inits, ok2 := ivs.Next(); ok2; inits, ok2 = ivs.Next() {
-			res := runStack(t, exchange.NewReport(n), NewNaive(tf), p,
+			res := runStack(t, exchange.NewFIP(n), NewNaive(tf), p,
 				append([]model.Value(nil), inits...))
 			var dec model.Value = model.None
 			for i := 0; i < n; i++ {

@@ -14,7 +14,6 @@ func TestAllExchangesConform(t *testing.T) {
 	for _, ex := range []model.Exchange{
 		exchange.NewMin(4),
 		exchange.NewBasic(4),
-		exchange.NewReport(4),
 		exchange.NewFIP(4),
 	} {
 		if vs := CheckExchange(ex, 42, 40); len(vs) != 0 {
@@ -120,7 +119,6 @@ func TestAllExchangesConformUnderEnumeratedPatterns(t *testing.T) {
 	for _, ex := range []model.Exchange{
 		exchange.NewMin(3),
 		exchange.NewBasic(3),
-		exchange.NewReport(3),
 		exchange.NewFIP(3),
 	} {
 		pats, err := adversary.NewSOPatterns(3, 1, 3, adversary.Options{})

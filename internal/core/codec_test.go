@@ -138,7 +138,9 @@ func TestCodecMatchesOldCodec(t *testing.T) {
 
 // TestStreamMatchesOldStream re-seals generated records with both
 // writers and reads the result with both readers: same bytes, same
-// verdict, same records.
+// verdict, same records. The new reader also checks each record's place
+// in its stripe, which the old one did not: the same records re-sealed
+// with one of them out of its place must be refused.
 func TestStreamMatchesOldStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for k := 0; k < 200; k++ {
@@ -147,10 +149,7 @@ func TestStreamMatchesOldStream(t *testing.T) {
 		recs := make([]OutcomeRecord, rng.Intn(6))
 		for i := range recs {
 			recs[i] = genRecord(rng)
-			// Mostly put the record in its stripe, so streams verify.
-			if rng.Intn(8) > 0 {
-				recs[i].Ordinal = int64(hdr.Shard + shards*i)
-			}
+			recs[i].Ordinal = int64(hdr.Shard + shards*i)
 		}
 		var got, want bytes.Buffer
 		sum, err := WriteOutcomeStream(&got, hdr, recs)
@@ -168,6 +167,19 @@ func TestStreamMatchesOldStream(t *testing.T) {
 			t.Fatalf("summaries differ: %+v vs %+v", sum, oldSum)
 		}
 		assertReadersAgree(t, got.Bytes(), true)
+
+		if len(recs) == 0 {
+			continue
+		}
+		i := rng.Intn(len(recs))
+		recs[i].Ordinal += 1 + rng.Int63n(int64(2*shards))
+		var misplaced bytes.Buffer
+		if _, err := WriteOutcomeStream(&misplaced, hdr, recs); err != nil {
+			t.Fatalf("WriteOutcomeStream: %v", err)
+		}
+		if _, err := serialRead(misplaced.Bytes()); err == nil {
+			t.Fatalf("the reader accepts record %d at ordinal %d of stripe %d/%d: %q", i, recs[i].Ordinal, hdr.Shard, shards, misplaced.Bytes())
+		}
 	}
 }
 

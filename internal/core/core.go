@@ -12,7 +12,7 @@
 //	fip      = ⟨Efip,  Popt⟩      — O(n⁴t²) bits, optimal (Corollary 7.8)
 //	fip+pmin = ⟨Efip,  Pmin⟩      — correct-but-dominated baseline
 //	fip-nock = ⟨Efip,  Popt-nock⟩ — the common-knowledge ablation
-//	naive    = ⟨Ereport, Pnaive⟩   — NOT an EBA protocol under omissions
+//	naive    = ⟨Efip,  Pnaive⟩    — NOT an EBA protocol under omissions
 //
 // NewStack resolves a named pairing; Compose builds any registry-valid
 // ⟨exchange, action⟩ pair, named after the registered stack it matches or

@@ -228,13 +228,17 @@ func TestParallelReadersMatchSerialReader(t *testing.T) {
 	}
 
 	// The merge reports a corrupt stripe's first error as the serial
-	// reader words it, and a gap or an overlap in the canonical order.
+	// reader words it, a gap or an overlap in the canonical order among
+	// them.
 	dropped := resealed(t, stripes[2], func(recs []OutcomeRecord) []OutcomeRecord {
 		return append(recs[:100:100], recs[101:]...)
 	})
 	doubled := resealed(t, stripes[3], func(recs []OutcomeRecord) []OutcomeRecord {
 		return append(recs[:201:201], recs[200:]...)
 	})
+	short := resealed(t, stripes[2], func(recs []OutcomeRecord) []OutcomeRecord { return recs[:len(recs)-1] })
+	// Without a declared count only the other stripes show where it ended.
+	shortUncounted := edited(short, 0, bytes.Replace(streamLines(short)[0], []byte(`"count":8196`), []byte(`"count":-1`), 1))
 	for name, tc := range map[string]struct {
 		stripe int
 		stream []byte
@@ -245,14 +249,15 @@ func TestParallelReadersMatchSerialReader(t *testing.T) {
 			recs[12].Pattern = strings.Repeat("x", maxLineBytes/(chunksPerWorker*goruntime.GOMAXPROCS(0))+1)
 			return recs
 		}), 300), ""},
-		"digest of the last record":    {3, flipDigest(stripes[3], 8195), ""},
-		"a record of another stripe":   {1, corrupt["a record of another stripe (1/4)"], ""},
-		"truncated before the footer":  {0, bytes.Join(streamLines(stripes[0])[:8197], nil), ""},
-		"footer count off by one":      {2, edited(stripes[2], 8197, bytes.Replace(streamLines(stripes[2])[8197], []byte(`"records":8196`), []byte(`"records":8197`), 1)), ""},
-		"data after the footer":        {1, append(bytes.Clone(stripes[1]), streamLines(stripes[1])[1]...), ""},
-		"a gap in the canonical order": {2, dropped, "core: shard 2 emitted ordinal 406 where the canonical order needs 402 (gap or overlap)"},
-		"an overlap in the order":      {3, doubled, "core: shard 3 emitted ordinal 803 where the canonical order needs 807 (gap or overlap)"},
-		"a stripe that ends a record early": {2, resealed(t, stripes[2], func(recs []OutcomeRecord) []OutcomeRecord { return recs[:len(recs)-1] }),
+		"digest of the last record":         {3, flipDigest(stripes[3], 8195), ""},
+		"a record of another stripe":        {1, corrupt["a record of another stripe (1/4)"], ""},
+		"truncated before the footer":       {0, bytes.Join(streamLines(stripes[0])[:8197], nil), ""},
+		"footer count off by one":           {2, edited(stripes[2], 8197, bytes.Replace(streamLines(stripes[2])[8197], []byte(`"records":8196`), []byte(`"records":8197`), 1)), ""},
+		"data after the footer":             {1, append(bytes.Clone(stripes[1]), streamLines(stripes[1])[1]...), ""},
+		"a gap in the canonical order":      {2, dropped, "core: shard 2/4: record 100 carries ordinal 406 where the stripe needs 402"},
+		"an overlap in the order":           {3, doubled, "core: shard 3/4: record 201 carries ordinal 803 where the stripe needs 807"},
+		"a stripe that ends a record early": {2, short, "core: shard 2/4: footer seals 8195 records, header declares 8196"},
+		"a stripe of no declared count that ends a record early": {2, shortUncounted,
 			"core: shard 3 carries ordinal 32783 beyond the sweep's end at 32782 (gap or overlap)"},
 	} {
 		if tc.want == "" {
@@ -418,10 +423,11 @@ func TestReadersBoundLongLines(t *testing.T) {
 
 // TestVerifyRejectsMisplacedRecords re-seals the fip n=4 stream and its
 // stripe 0/4 after dropping or swapping records, so every digest, the
-// chain and the footer agree with what is left: VerifyOutcomeStream must
-// still refuse a stream that carries fewer records than its header
-// declares and a stripe whose records are out of their places, on the
-// chunked path and on the serial one.
+// chain and the footer agree with what is left: the serial reader and
+// VerifyOutcomeStream must still refuse, in the same words, a stream that
+// carries fewer records than its header declares and a stripe whose
+// records are out of their places, on the chunked path and on the serial
+// one.
 func TestVerifyRejectsMisplacedRecords(t *testing.T) {
 	whole, stripes := fipN4Streams(t)
 	swapped := func(recs []OutcomeRecord) []OutcomeRecord {
@@ -446,8 +452,8 @@ func TestVerifyRejectsMisplacedRecords(t *testing.T) {
 		"a short stripe cut by its last record": {resealed(t, short, func(recs []OutcomeRecord) []OutcomeRecord { return recs[:99] }),
 			"core: shard 0/4: footer seals 99 records, header declares 100"},
 	} {
-		if _, err := serialRead(tc.stream); err != nil {
-			t.Fatalf("%s: the serial reader refuses it: %v", name, err)
+		if _, err := serialRead(tc.stream); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: the serial reader = %v; want %s", name, err, tc.want)
 		}
 		if _, err := VerifyOutcomeStream(bytes.NewReader(tc.stream)); err == nil || err.Error() != tc.want {
 			t.Errorf("%s: VerifyOutcomeStream = %v; want %s", name, err, tc.want)

@@ -556,7 +556,8 @@ func (or *OutcomeReader) Header() ShardHeader { return or.header }
 func (or *OutcomeReader) Footer() *ShardFooter { return or.footer }
 
 // Next returns the stream's next record. It verifies the record's digest
-// against its content and, at the footer, the stream's record count and
+// against its content and its place in the stripe and, at the footer, the
+// stream's record count, against the header's when it declares one, and
 // chained digest; io.EOF reports a cleanly sealed stream.
 func (or *OutcomeReader) Next() (*OutcomeRecord, error) {
 	rec := new(OutcomeRecord)
@@ -607,6 +608,10 @@ func (or *OutcomeReader) next(rec *OutcomeRecord, ref *lineRef) (line, pattern [
 		} else if !errors.Is(err, io.EOF) {
 			return nil, nil, fmt.Errorf("core: shard %d/%d: reading past the footer: %w", or.header.Shard, or.header.Shards, err)
 		}
+		if c := or.header.Count; c >= 0 && foot.Records != c {
+			return nil, nil, fmt.Errorf("core: shard %d/%d: footer seals %d records, header declares %d",
+				or.header.Shard, or.header.Shards, foot.Records, c)
+		}
 		or.footer = &foot
 		return nil, nil, io.EOF
 	}
@@ -618,9 +623,9 @@ func (or *OutcomeReader) next(rec *OutcomeRecord, ref *lineRef) (line, pattern [
 }
 
 // verifyRecord checks the index-th record line of stripe hdr: canonical
-// form, digest, stripe membership. It decodes the line as next does and
-// fills ref; a canonical line costs no allocation. Every reader checks
-// records through it.
+// form, digest, and its place, ordinal Shard + index·Shards. It decodes
+// the line as next does and fills ref; a canonical line costs no
+// allocation. Every reader checks records through it.
 func verifyRecord(line []byte, hdr *ShardHeader, index int64, rec *OutcomeRecord, s *lineScratch, ref *lineRef) (pattern []byte, err error) {
 	pattern, digest, want, err := parseRecordLine(line, rec, s)
 	if err != nil {
@@ -630,9 +635,9 @@ func verifyRecord(line []byte, hdr *ShardHeader, index int64, rec *OutcomeRecord
 		return nil, fmt.Errorf("core: shard %d/%d: ordinal %d carries digest %s, content hashes to %s",
 			hdr.Shard, hdr.Shards, rec.Ordinal, digest, want)
 	}
-	if rem := rec.Ordinal % int64(hdr.Shards); rem != int64(hdr.Shard) {
-		return nil, fmt.Errorf("core: shard %d/%d: ordinal %d does not belong to this stripe",
-			hdr.Shard, hdr.Shards, rec.Ordinal)
+	if want := int64(hdr.Shard) + index*int64(hdr.Shards); rec.Ordinal != want {
+		return nil, fmt.Errorf("core: shard %d/%d: record %d carries ordinal %d where the stripe needs %d",
+			hdr.Shard, hdr.Shards, index, rec.Ordinal, want)
 	}
 	ref.ordinal, ref.mult = rec.Ordinal, rec.EffectiveMult()
 	copy(ref.digest[:], want)
@@ -650,7 +655,7 @@ func verifyRecord(line []byte, hdr *ShardHeader, index int64, rec *OutcomeRecord
 //
 // A stream of fewer than serialBelow records is checked on the calling
 // goroutine. A longer one goes through readChunks first: GOMAXPROCS
-// workers check its records, and the chain and the positions fold on the
+// workers check its records, places included, and the chain folds on the
 // calling goroutine in stream order, which checks the footer. Either way
 // the first error in the stream is reported, in the same words. An error
 // is returned once the Read in progress on r, if any, has returned.
@@ -660,32 +665,17 @@ func VerifyOutcomeStream(r io.Reader) (*ShardSummary, error) {
 		return nil, err
 	}
 	hdr := or.Header()
-	var pos int64
-	inPlace := func(_ []byte, ref *lineRef) error { // stripe position pos
-		if want := int64(hdr.Shard) + pos*int64(hdr.Shards); ref.ordinal != want {
-			return fmt.Errorf("core: shard %d/%d: record %d carries ordinal %d where the stripe needs %d",
-				hdr.Shard, hdr.Shards, pos, ref.ordinal, want)
-		}
-		pos++
-		return nil
-	}
 	if c := hdr.Count; c < 0 || c >= serialBelow {
-		err = readChunks([]*OutcomeReader{or}, inPlace)
+		err = readChunks([]*OutcomeReader{or}, func([]byte, *lineRef) error { return nil })
 	}
 	var ref lineRef
 	for err == nil {
-		if _, _, err = or.next(&or.rec, &ref); err == nil {
-			err = inPlace(nil, &ref)
-		}
+		_, _, err = or.next(&or.rec, &ref)
 	}
 	if !errors.Is(err, io.EOF) {
 		return nil, err
 	}
 	foot := or.Footer()
-	if hdr.Count >= 0 && foot.Records != hdr.Count {
-		return nil, fmt.Errorf("core: shard %d/%d: footer seals %d records, header declares %d",
-			hdr.Shard, hdr.Shards, foot.Records, hdr.Count)
-	}
 	return &ShardSummary{Header: hdr, Records: foot.Records, Weighted: or.weighted, Digest: foot.Digest}, nil
 }
 
@@ -756,11 +746,11 @@ type MergeSummary struct {
 //
 // A merge of fewer than serialBelow records reads its stripes on the
 // calling goroutine. A longer one goes through readChunks first:
-// GOMAXPROCS workers check each record against its stripe's header, and
-// the merging goroutine folds the stripes' chains, keeps the ordinal, gap
-// and overlap checks, chains the output, copies each line and checks the
-// footers. Either way the first error met is the one a serial merge would
-// report. An error is returned once the Read in progress on each stream,
+// GOMAXPROCS workers check each record against its stripe's header, its
+// place included, which rules out a gap or an overlap inside a stripe, and
+// the merging goroutine folds the stripes' chains, chains the output,
+// copies each line and checks the footers. Either way the first error met
+// is the one a serial merge would report. An error is returned once the Read in progress on each stream,
 // if any, has returned.
 func MergeOutcomes(w io.Writer, streams ...io.Reader) (*MergeSummary, error) {
 	if len(streams) == 0 {
@@ -812,11 +802,8 @@ func MergeOutcomes(w io.Writer, streams ...io.Reader) (*MergeSummary, error) {
 	k := len(byShard)
 	var ord int64
 	put := func(line []byte, rec *lineRef) error {
-		if rec.ordinal != ord {
-			return fmt.Errorf("core: shard %d emitted ordinal %d where the canonical order needs %d (gap or overlap)",
-				ord%int64(k), rec.ordinal, ord)
-		}
-		// The stripe's reader accepted line as canonical.
+		// The stripe's reader accepted line as canonical, at ordinal ord:
+		// the ord/k-th record of stripe ord mod k.
 		if err := sw.verbatim(line, rec); err != nil {
 			return fmt.Errorf("core: writing merged ordinal %d: %w", ord, err)
 		}
@@ -856,9 +843,6 @@ func MergeOutcomes(w io.Writer, streams ...io.Reader) (*MergeSummary, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if total >= 0 && ord != total {
-		return nil, fmt.Errorf("core: merged %d records, headers promised %d", ord, total)
 	}
 	foot, err := sw.finish()
 	if err != nil {

@@ -411,7 +411,7 @@ func (s *brokenSource) Err() error {
 func TestStreamFromOrderedSourceFailureCause(t *testing.T) {
 	const n = 4
 	st := MustStack("min", WithN(n), WithT(1))
-	readErr := errors.New("shard reader: ordinal 12 does not belong to this stripe")
+	readErr := errors.New("shard reader: record 4 carries ordinal 12 where the stripe needs 9")
 	mk := func() *brokenSource {
 		return &brokenSource{scenarios: streamScenarios(n, st.Horizon(), 16), breakAt: 5, err: readErr}
 	}

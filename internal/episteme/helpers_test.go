@@ -8,9 +8,9 @@ import (
 )
 
 // perRun hides every optional interface of the wrapped exchange —
-// model.KeyPermuter among them — so a build over it runs every scenario
-// through the code a build over an exchange without the method (Ereport)
-// runs: the reference the quotiented builds are compared against.
+// model.KeyPermuter among them — so a build over it runs every scenario,
+// as a build over an exchange without the method would: the reference the
+// quotiented builds are compared against.
 type perRun struct{ model.Exchange }
 
 // perRunContext is c with its exchange's KeyPermuter hidden.

@@ -146,14 +146,19 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 		func(_, t int) model.ActionProtocol { return action.NewMin(t) }, P0}
 	basic := stack{"basic", func(n int) model.Exchange { return exchange.NewBasic(n) },
 		func(n, _ int) model.ActionProtocol { return action.NewBasic(n) }, P0}
+	naive := stack{"naive", func(n int) model.Exchange { return exchange.NewFIP(n) },
+		func(_, t int) model.ActionProtocol { return action.NewNaive(t) }, P1}
 	for _, tc := range []struct {
 		stack
-		n       int
-		failsP0 bool // the n−t = 1 boundary: the protocol decides a round late
+		n int
+		// The protocol does not implement prog: at the n−t = 1 boundary it
+		// decides a round late, and naive implements no program.
+		fails bool
 	}{
 		{fip, 3, false}, {fip, 4, false},
 		{min, 2, true}, {min, 3, false}, {min, 4, false},
 		{basic, 2, true}, {basic, 3, false}, {basic, 4, false},
+		{naive, 3, true},
 	} {
 		n := tc.n
 		// fip's rows keep the names they had when only fip quotiented.
@@ -172,8 +177,8 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 				t.Fatal("the reference build went through the quotient")
 			}
 			wantImpl := checkImplements(t, full, tc.prog, 50)
-			if (len(wantImpl) != 0) != tc.failsP0 {
-				t.Fatalf("the per-run build lists %d mismatches against %v, want mismatches %v", len(wantImpl), tc.prog, tc.failsP0)
+			if (len(wantImpl) != 0) != tc.fails {
+				t.Fatalf("the per-run build lists %d mismatches against %v, want mismatches %v", len(wantImpl), tc.prog, tc.fails)
 			}
 			wantSafety := checkSafety(t, full, 50)
 			// CheckOptimalityFIP costs ~30s per n=4 system (⊡-reachability
@@ -182,7 +187,7 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 			// function of those, so running it at n=3 plus the two cheap
 			// checkers at both sizes keeps the differential complete without
 			// the 30s-per-variant bill.
-			checkOpt := tc.name == "fip" && n <= 3
+			checkOpt := tc.prog == P1 && n <= 3
 			var wantOpt []string
 			if checkOpt {
 				wantOpt = checkOptimality(t, full, -1, 50)

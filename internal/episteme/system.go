@@ -359,7 +359,7 @@ func (s *System) parallel(ctx context.Context, count int, fn func(k int)) error 
 // one representative per agent-permutation orbit is executed, up to n!
 // fewer runs, and ExpandQuotient rebuilds the System that running every
 // scenario yields, verdicts byte for byte, minus the state traces. Over
-// any other exchange (Ereport) every scenario is run.
+// an exchange without the method every scenario is run.
 func BuildSystem(ctx context.Context, c Context, act model.ActionProtocol, opts ...Option) (*System, error) {
 	if c.Exchange == nil || act == nil {
 		return nil, fmt.Errorf("episteme: Exchange and action protocol are required")

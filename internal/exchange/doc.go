@@ -6,10 +6,6 @@
 //     undecided agents with initial preference 1 broadcast (init,1) every
 //     round, and states carry the counter #1 of such messages received in
 //     the last round.
-//   - Report: a small extension of Min in which agents with initial
-//     preference 0 keep broadcasting (init,0). It is the substrate for the
-//     introduction's counterexample showing that deciding 0 eagerly on
-//     hearing about a 0 is unsafe under omission failures.
 //   - FIP: the full-information exchange Efip(n) of Section 7 / A.2.7,
 //     with communication graphs as both local states and messages.
 //

@@ -174,7 +174,7 @@ func TestAnonymousPermuteKey(t *testing.T) {
 		{min, []string{min.Initial(1, model.Zero).Key(), "min:3:1:0:⊥"},
 			[]string{"", "min", "min:", "min:1:0:⊥", "basic:0:1:⊥:⊥:0", "minimal:0:1:⊥:⊥", NewFIP(3).Initial(0, model.One).Key()}},
 		{basic, []string{s.Key(), basic.Initial(2, model.Zero).Key()},
-			[]string{"basic:0:1:⊥:⊥", "min:0:1:⊥:⊥", "basics:0:1:⊥:⊥:0", NewReport(3).Initial(0, model.One).Key()}},
+			[]string{"basic:0:1:⊥:⊥", "min:0:1:⊥:⊥", "basics:0:1:⊥:⊥:0", NewFIP(3).Initial(0, model.One).Key()}},
 	} {
 		for _, key := range tc.good {
 			if got, err := tc.ex.PermuteKey(key, perm); err != nil || got != key {
@@ -189,42 +189,6 @@ func TestAnonymousPermuteKey(t *testing.T) {
 	}
 }
 
-func TestReportInit0Broadcast(t *testing.T) {
-	e := NewReport(3)
-	s := e.Initial(0, model.Zero)
-	for _, m := range send(e, 0, s, model.Noop) {
-		rm, ok := m.(ReportMsg)
-		if !ok || rm.Kind != ReportInit0 {
-			t.Fatalf("expected (init,0), got %v", m)
-		}
-	}
-	// Crucially, the report continues after the agent decided: the late
-	// report is what breaks the naive protocol.
-	s1 := e.Update(0, s, model.Decide0, []model.Message{nil, nil, nil})
-	for _, m := range send(e, 0, s1, model.Noop) {
-		rm, ok := m.(ReportMsg)
-		if !ok || rm.Kind != ReportInit0 {
-			t.Fatalf("expected post-decision (init,0), got %v", m)
-		}
-	}
-}
-
-func TestReportHeard0Latches(t *testing.T) {
-	e := NewReport(2)
-	s := e.Initial(0, model.One)
-	s1 := e.Update(0, s, model.Noop, []model.Message{nil, ReportMsg{Kind: ReportInit0}})
-	if !s1.(ReportState).Heard0() {
-		t.Fatal("heard0 not set")
-	}
-	s2 := e.Update(0, s1, model.Noop, []model.Message{nil, nil})
-	if !s2.(ReportState).Heard0() {
-		t.Error("heard0 did not latch")
-	}
-	if s1.Key() == s.Key() {
-		t.Error("heard0/time not reflected in key")
-	}
-}
-
 func TestMessageStrings(t *testing.T) {
 	cases := []struct {
 		msg  model.Message
@@ -234,8 +198,6 @@ func TestMessageStrings(t *testing.T) {
 		{BasicMsg{Kind: BasicInit1}, "(init,1)"},
 		{BasicMsg{Kind: BasicDecide0}, "decide:0"},
 		{BasicMsg{Kind: BasicDecide1}, "decide:1"},
-		{ReportMsg{Kind: ReportInit0}, "(init,0)"},
-		{ReportMsg{Kind: ReportDecide1}, "decide:1"},
 	}
 	for _, c := range cases {
 		if got := c.msg.String(); got != c.want {
@@ -343,7 +305,7 @@ func TestFIPKeyExcludesDecided(t *testing.T) {
 // model.Exchange: μ into a dirty row — stale garbage first, then whatever
 // the previous call left — yields the same messages as μ into a clean one.
 func TestMessagesOverwriteDirtyRow(t *testing.T) {
-	exchanges := []model.Exchange{NewMin(3), NewBasic(3), NewReport(3), NewFIP(3)}
+	exchanges := []model.Exchange{NewMin(3), NewBasic(3), NewFIP(3)}
 	inits := []model.Value{model.One, model.Zero, model.One}
 	acts := []model.Action{model.Noop, model.Decide0, model.Decide1}
 	for _, ex := range exchanges {

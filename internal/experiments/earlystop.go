@@ -53,8 +53,8 @@ func (e *earlyStop) add(res *engine.Result) {
 	e.violations += len(spec.CheckRun(res, spec.Options{RoundBound: e.t + 2, ValidityAllAgents: true}))
 }
 
-// ok reports the gates every row shares: the specification holds and no
-// agent decides after round t+2.
+// ok reports the gates every E20 row shares, and every E6 row but naive's
+// under SO: the specification holds and no agent decides after round t+2.
 func (e *earlyStop) ok() bool { return e.violations == 0 && e.latest <= e.t+2 }
 
 // roundCells renders the per-f decision rounds, "-" where no run has that f.

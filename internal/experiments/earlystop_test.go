@@ -15,7 +15,8 @@ func TestE20EarlyStopping(t *testing.T) {
 // TestEarlyStopping reads the theorem matrix's "runs over" column: Pbasic,
 // Popt and Popt-nock have no run in which a nonfaulty agent decides after
 // round min(f+2, t+2), and Pmin's runs past it are pinned — the same over
-// Emin and over Efip. The random rows' gate is E20's own verdict, which
+// Emin and over Efip, and for Pnaive, which decides 1 at time t+1 as Pmin
+// does. The random rows' gate is E20's own verdict, which
 // TestE20EarlyStopping checks.
 func TestEarlyStopping(t *testing.T) {
 	pminOver := map[string]string{
@@ -26,7 +27,7 @@ func TestEarlyStopping(t *testing.T) {
 		context, stack, over := row[0], row[1], row[len(row)-1]
 		t.Run(context+"/"+stack, func(t *testing.T) {
 			want := "0"
-			if stack == "min" || stack == "fip+pmin" {
+			if stack == "min" || stack == "fip+pmin" || stack == "naive" {
 				want = pminOver[context]
 			}
 			if over != want {

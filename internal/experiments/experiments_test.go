@@ -67,12 +67,6 @@ func TestE12BasicVsFip(t *testing.T) {
 	}
 }
 
-func TestE13CrashVsOmission(t *testing.T) {
-	if tb := E13CrashVsOmission(); !tb.Pass {
-		t.Fatalf("E13 failed:\n%s", tb.Render())
-	}
-}
-
 func TestModelCheckingExperiments(t *testing.T) {
 	// The theorem matrix (shared with TestTheoremMatrix) and E14 build
 	// exhaustive systems.

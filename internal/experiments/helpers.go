@@ -4,7 +4,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/source"
 )
 
 // stackFor builds a registered stack for the experiment tables. Names
@@ -28,22 +27,4 @@ func forEachInits(n int, fn func([]model.Value) bool) {
 			return
 		}
 	}
-}
-
-// exhaustiveSource crosses every SO(t) failure pattern of st's size — or,
-// with crash, every crash(t) pattern — with every initial vector. The
-// grids use compile-time sizes, so a rejected bound is a bug and panics.
-func exhaustiveSource(st core.Stack, crash bool) core.Source {
-	pats, err := source.SO(st.N, st.T, st.Horizon(), adversary.Options{})
-	if crash {
-		pats, err = source.Crash(st.N, st.T, st.Horizon())
-	}
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	src, err := source.CrossInits(pats, st.N)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return src
 }

@@ -52,7 +52,9 @@ func dash(v int) any {
 //   - Thm 7.5: the optimality characterization over Efip (Cor 7.8): Popt
 //     satisfies it, Pmin run over Efip (correct but dominated) does not;
 //   - spec: Prop 6.1, the EBA specification with strong Validity and
-//     every decision by round t+2;
+//     every decision by round t+2; the naive stack, the introduction's
+//     eager 0-biased rule, breaks it under SO with n−t ≥ 2 (run r′) and
+//     keeps it under crash failures;
 //   - the largest nonfaulty decision round per number f of agents that
 //     actually omit, and the runs over min(f+2, t+2) (E20's early-stopping
 //     columns): Pbasic, Popt and Popt-nock never exceed it, since every
@@ -66,7 +68,7 @@ func E6TheoremMatrix(parallelism int) *Table {
 	t := &Table{
 		ID:    "E6",
 		Title: "theorem matrix: one exhaustive system per (context, stack), every check read from it",
-		Claim: "Thms 6.5, 6.6, A.21 (implements); Prop 6.4 (safety); Thm 7.5 / Cor 7.8; Prop 6.1 (spec, decided by t+2); early stopping by min(f+2, t+2)",
+		Claim: "Thms 6.5, 6.6, A.21 (implements); Prop 6.4 (safety); Thm 7.5 / Cor 7.8; Prop 6.1 (spec, decided by t+2); §1 (no eager 0-bias under omissions); early stopping by min(f+2, t+2)",
 		Columns: []string{"context", "stack", "runs", "implements", "safety", "Thm 7.5", "spec",
 			"max round f=0", "f=1", "f=2", "runs over min(f+2,t+2)"},
 		Pass: true,
@@ -78,7 +80,7 @@ func E6TheoremMatrix(parallelism int) *Table {
 		minOver int // Pmin's pinned runs past min(f+2, t+2); -1 where they are reported only
 	}{{"SO", 2, 1, -1}, {"SO", 3, 1, 4}, {"SO", 4, 1, 5}, {"crash", 3, 1, -1}, {"crash", 3, 2, 124}, {"crash", 4, 2, 475}} {
 		crash := c.kind == "crash"
-		for _, name := range []string{"min", "basic", "fip", "fip-nock", "fip+pmin"} {
+		for _, name := range []string{"min", "basic", "fip", "fip-nock", "fip+pmin", "naive"} {
 			st := stackFor(name, c.n, c.t)
 			info := must(registry.Stack(name))
 			mc := episteme.ContextFor(st)
@@ -101,7 +103,8 @@ func E6TheoremMatrix(parallelism int) *Table {
 				es.add(res)
 			}
 
-			pass := es.ok()
+			// Naive's spec is gated below, where it must fail.
+			pass := es.latest <= c.t+2 && (es.violations == 0 || name == "naive" && !crash)
 			switch name {
 			case "min":
 				pass = pass && (c.minOver < 0 || es.over == c.minOver)
@@ -117,6 +120,8 @@ func E6TheoremMatrix(parallelism int) *Table {
 					pass = pass && safety > 0 && optimality == 0
 				case "fip+pmin":
 					pass = pass && optimality > 0
+				case "naive":
+					pass = pass && es.violations > 0
 				}
 			}
 			if !pass {
@@ -128,8 +133,8 @@ func E6TheoremMatrix(parallelism int) *Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"gated in SO with n−t ≥ 2: implements 0; safety 0 for min and basic, >0 for fip; Thm 7.5 0 for fip, >0 for fip+pmin",
-		"gated everywhere: spec 0 (Validity in the strong form, per Prop 6.1); no decision after t+2; runs over 0 for basic, fip and fip-nock, and min's pinned in SO n3,n4 t1 and crash n3,n4 t2",
+		"gated in SO with n−t ≥ 2: implements 0; safety 0 for min and basic, >0 for fip; Thm 7.5 0 for fip, >0 for fip+pmin; spec >0 for naive",
+		"gated everywhere: spec 0 (Validity in the strong form, per Prop 6.1), but for naive under SO; no decision after t+2; runs over 0 for basic, fip and fip-nock, and min's pinned in SO n3,n4 t1 and crash n3,n4 t2",
 		"⊡-reachability is computed on the horizon-(t+2) system; all decisions fall within it")
 	return t
 }

@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/source"
-	"repro/internal/spec"
 )
 
 // E11BasicVsMin reproduces the Section 8 remark that, over failure-free
@@ -97,58 +95,5 @@ func E12BasicVsFip(seed int64, trials, parallelism int) *Table {
 			fmt.Sprintf("%.2f", avgBasic), fmt.Sprintf("%.2f", avgFip))
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("drop probability 0.5, seed %d", seed))
-	return t
-}
-
-// E13CrashVsOmission reproduces the introduction's impossibility argument:
-// the naive 0-biased protocol (decide 0 on any evidence of an initial 0)
-// violates Agreement under omission failures but satisfies the full EBA
-// specification under crash failures — exhaustively over all patterns and
-// initial vectors. The paper's protocols stay correct under both models.
-func E13CrashVsOmission() *Table {
-	t := &Table{
-		ID:      "E13",
-		Title:   "eager 0-bias under crash vs omission failures (exhaustive, n=3, t=1)",
-		Claim:   "§1: no eager 0-biased protocol exists under omissions; the run r′ forces disagreement",
-		Columns: []string{"stack", "model", "runs", "agreement violations", "expected"},
-		Pass:    true,
-	}
-	n, tf := 3, 1
-
-	count := func(st core.Stack, crash bool) (runs, violations int) {
-		mustStream(st, exhaustiveSource(st, crash), 0, func(res *engine.Result) {
-			runs++
-			for _, v := range spec.CheckRun(res, spec.Options{}) {
-				if v.Property == "Agreement" {
-					violations++
-				}
-			}
-		})
-		return runs, violations
-	}
-
-	for _, c := range []struct {
-		st     core.Stack
-		crash  bool
-		expect string
-	}{
-		{stackFor("naive", n, tf), false, ">0"},
-		{stackFor("naive", n, tf), true, "0"},
-		{stackFor("min", n, tf), false, "0"},
-		{stackFor("min", n, tf), true, "0"},
-		{stackFor("basic", n, tf), false, "0"},
-		{stackFor("fip", n, tf), false, "0"},
-	} {
-		runs, violations := count(c.st, c.crash)
-		kind := "SO"
-		if c.crash {
-			kind = "crash"
-		}
-		ok := (c.expect == "0") == (violations == 0)
-		if !ok {
-			t.Pass = false
-		}
-		t.AddRow(c.st.Name, kind, runs, violations, c.expect)
-	}
 	return t
 }

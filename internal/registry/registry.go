@@ -30,15 +30,14 @@ type Family string
 
 // The built-in state families.
 const (
-	FamilyMin    Family = "min"    // Emin states: ⟨time, init, decided, jd⟩
-	FamilyBasic  Family = "basic"  // Ebasic states: + the #1 counter
-	FamilyFIP    Family = "fip"    // Efip states: + the communication graph
-	FamilyReport Family = "report" // Ereport states: + the heard0 latch
+	FamilyMin   Family = "min"   // Emin states: ⟨time, init, decided, jd⟩
+	FamilyBasic Family = "basic" // Ebasic states: + the #1 counter
+	FamilyFIP   Family = "fip"   // Efip states: + the communication graph
 )
 
 // ExchangeInfo describes a registered information-exchange protocol.
 type ExchangeInfo struct {
-	// Name is the registry name ("min", "basic", "fip", "report").
+	// Name is the registry name ("min", "basic", "fip").
 	Name string
 	// Description is a one-line human summary for CLI help.
 	Description string
@@ -202,12 +201,6 @@ var exchanges = map[string]ExchangeInfo{
 		Family:      FamilyFIP,
 		New:         func(n int) model.Exchange { return exchange.NewFIP(n) },
 	},
-	"report": {
-		Name:        "report",
-		Description: "Ereport: the introduction's exchange that forwards stale init-0 reports",
-		Family:      FamilyReport,
-		New:         func(n int) model.Exchange { return exchange.NewReport(n) },
-	},
 }
 
 var actions = map[string]ActionInfo{
@@ -239,7 +232,7 @@ var actions = map[string]ActionInfo{
 	"pnaive": {
 		Name:        "pnaive",
 		Description: "Pnaive: the introduction's eager 0-biased counterexample",
-		Families:    []Family{FamilyReport},
+		Families:    []Family{FamilyFIP},
 		New:         func(_, t int) model.ActionProtocol { return action.NewNaive(t) },
 	},
 }
@@ -281,8 +274,8 @@ var stacks = map[string]StackInfo{
 	},
 	"naive": {
 		Name:        "naive",
-		Description: "⟨Ereport, Pnaive⟩ — the introduction's counterexample (violates Agreement)",
-		Exchange:    "report",
+		Description: "⟨Efip, Pnaive⟩ — the introduction's counterexample (violates Agreement)",
+		Exchange:    "fip",
 		Action:      "pnaive",
 	},
 }

@@ -39,7 +39,7 @@ func TestBuiltinsResolve(t *testing.T) {
 
 func TestExchangeAndActionNames(t *testing.T) {
 	ex := ExchangeNames()
-	wantEx := []string{"basic", "fip", "min", "report"}
+	wantEx := []string{"basic", "fip", "min"}
 	if strings.Join(ex, ",") != strings.Join(wantEx, ",") {
 		t.Errorf("ExchangeNames() = %v, want %v", ex, wantEx)
 	}
@@ -51,14 +51,14 @@ func TestExchangeAndActionNames(t *testing.T) {
 }
 
 func TestComposeRejectsIncompatiblePairings(t *testing.T) {
-	// Pbasic needs the #1 counter of Ebasic states; Popt needs Efip
-	// graphs; Pnaive needs the Ereport heard0 latch.
+	// Pbasic needs the #1 counter of Ebasic states; Popt, Popt-nock and
+	// Pnaive need Efip graphs.
 	bad := [][2]string{
 		{"min", "pbasic"},
 		{"min", "popt"},
 		{"basic", "popt-nock"},
-		{"fip", "pnaive"},
-		{"report", "pbasic"},
+		{"min", "pnaive"},
+		{"basic", "pnaive"},
 	}
 	for _, pair := range bad {
 		if _, _, err := Compose(pair[0], pair[1], 4, 1); err == nil {
@@ -77,7 +77,7 @@ func TestUnknownNamesListAlternatives(t *testing.T) {
 	if _, err := Stack("bogus"); err == nil || !strings.Contains(err.Error(), "fip+pmin") {
 		t.Errorf("Stack(bogus) error should list known names, got %v", err)
 	}
-	if _, err := Exchange("bogus"); err == nil || !strings.Contains(err.Error(), "report") {
+	if _, err := Exchange("bogus"); err == nil || !strings.Contains(err.Error(), "basic") {
 		t.Errorf("Exchange(bogus) error should list known names, got %v", err)
 	}
 	if _, err := Action("bogus"); err == nil || !strings.Contains(err.Error(), "popt-nock") {

@@ -70,7 +70,7 @@ type (
 )
 
 // NewOutcomeReader decodes one shard's outcome stream, verifying record
-// digests and the sealing footer as it reads.
+// digests, stripe positions and the sealing footer as it reads.
 func NewOutcomeReader(r io.Reader) (*OutcomeReader, error) { return core.NewOutcomeReader(r) }
 
 // MergeOutcomes fans K shard outcome streams (in any order) back into

@@ -34,7 +34,7 @@ func WithHorizon(h int) StackOption { return core.WithHorizon(h) }
 //	fip      = ⟨Efip,  Popt⟩      — optimal wrt full information
 //	fip+pmin = ⟨Efip,  Pmin⟩      — correct-but-dominated baseline
 //	fip-nock = ⟨Efip,  Popt-nock⟩ — the common-knowledge ablation
-//	naive    = ⟨Ereport, Pnaive⟩   — the introduction's counterexample
+//	naive    = ⟨Efip,  Pnaive⟩    — the introduction's counterexample
 //
 // Example:
 //
@@ -44,7 +44,7 @@ func NewStack(name string, opts ...StackOption) (Stack, error) {
 }
 
 // Compose constructs the stack pairing any registered information
-// exchange ("min", "basic", "fip", "report") with any registered action
+// exchange ("min", "basic", "fip") with any registered action
 // protocol ("pmin", "pbasic", "popt", "popt-nock", "pnaive"), validating
 // that the action protocol can read the exchange's local states. This is
 // the paper's central move made operational: a protocol is the pair

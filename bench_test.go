@@ -1,7 +1,8 @@
 package eba_test
 
-// One benchmark per experiment table/figure (E1–E14, mirroring DESIGN.md's
-// index), plus micro-benchmarks for the load-bearing substrates. Run with:
+// One benchmark per experiment table/figure (E1–E12, mirroring DESIGN.md's
+// index), one of synthesis, plus micro-benchmarks for the load-bearing
+// substrates. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -516,10 +517,12 @@ func BenchmarkNaiveSweep(b *testing.B) {
 	}
 }
 
-func BenchmarkE14Synthesize(b *testing.B) {
-	c := episteme.Context{Exchange: exchange.NewMin(3), T: 1}
+// BenchmarkSynthesize derives P1's protocol over Efip at n=3, t=2, one
+// build per time at that time as the horizon.
+func BenchmarkSynthesize(b *testing.B) {
+	c := episteme.Context{Exchange: exchange.NewFIP(3), T: 2}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := episteme.Synthesize(context.Background(), c, episteme.P0); err != nil {
+		if _, err := episteme.Synthesize(context.Background(), c, episteme.P1); err != nil {
 			b.Fatal(err)
 		}
 	}

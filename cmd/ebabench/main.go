@@ -1,8 +1,9 @@
 // Command ebabench regenerates every experiment table of the
-// reproduction (E1–E4, E6 and E11–E16, E20; one generator each in
-// internal/experiments): the message-complexity and decision-time claims
-// of Section 8, Example 7.1, the theorem matrix that model-checks every
-// (context, stack) system, synthesis, the ablations, and early stopping.
+// reproduction (E1–E4, E6, E11, E12, E15, E16 and E20; one generator each
+// in internal/experiments): the message-complexity and decision-time
+// claims of Section 8, Example 7.1, the theorem matrix that model-checks
+// every (context, stack) system and compares it with the protocol
+// synthesized from its program, the ablations, and early stopping.
 // Each table is printed with its pass/fail verdict and the command exits
 // nonzero if any experiment fails to reproduce the paper's claim. Randomized scenario sweeps fan out over
 // the library's batch Runner; -parallel controls the worker count and

@@ -189,7 +189,8 @@ func TestSynthesizeP0MatchesPmin(t *testing.T) {
 	// Epistemic synthesis (§8 outlook): extracting a concrete protocol
 	// from P0 in γ_min reproduces P_min exactly — Theorem 6.5 from the
 	// synthesis side.
-	synth, sys, ms := synthDiff(t, Context{Exchange: exchange.NewMin(3), T: 1}, P0, action.NewMin(1))
+	c := Context{Exchange: exchange.NewMin(3), T: 1}
+	synth, ms := synthDiff(t, c, P0, action.NewMin(1))
 	if synth.Size() == 0 {
 		t.Fatal("empty synthesis table")
 	}
@@ -198,13 +199,13 @@ func TestSynthesizeP0MatchesPmin(t *testing.T) {
 	}
 	// The synthesized system is self-consistent: its own actions implement
 	// the program.
-	if ms := checkImplements(t, sys, P0, 3); len(ms) != 0 {
+	if ms := checkImplements(t, build(t, c, synth), P0, 3); len(ms) != 0 {
 		t.Errorf("synthesized system does not implement P0: %v", ms[0])
 	}
 }
 
 func TestSynthesizeP0MatchesPbasic(t *testing.T) {
-	_, _, ms := synthDiff(t, Context{Exchange: exchange.NewBasic(3), T: 1}, P0, action.NewBasic(3))
+	_, ms := synthDiff(t, Context{Exchange: exchange.NewBasic(3), T: 1}, P0, action.NewBasic(3))
 	if len(ms) != 0 {
 		t.Fatalf("synth(P0) and Pbasic differ: %v", ms[0])
 	}
@@ -213,11 +214,12 @@ func TestSynthesizeP0MatchesPbasic(t *testing.T) {
 func TestSynthesizeP1MatchesPopt(t *testing.T) {
 	// Synthesis from P1 over the full-information exchange re-derives the
 	// polynomial-time P_opt: Theorem A.21 from the synthesis side.
-	_, sys, ms := synthDiff(t, Context{Exchange: exchange.NewFIP(3), T: 1}, P1, action.NewOpt(1))
+	c := Context{Exchange: exchange.NewFIP(3), T: 1}
+	synth, ms := synthDiff(t, c, P1, action.NewOpt(1))
 	if len(ms) != 0 {
 		t.Fatalf("synth(P1) and Popt differ: %v", ms[0])
 	}
-	if ms := checkImplements(t, sys, P1, 3); len(ms) != 0 {
+	if ms := checkImplements(t, build(t, c, synth), P1, 3); len(ms) != 0 {
 		t.Errorf("synthesized P1 system is not self-consistent: %v", ms[0])
 	}
 }
@@ -238,13 +240,57 @@ func TestSynthesisAtNMinusTOne(t *testing.T) {
 		{"basic", Context{Exchange: exchange.NewBasic(2), T: 1}, P0, action.NewBasic(2), 2},
 		{"fip", Context{Exchange: exchange.NewFIP(2), T: 1}, P1, action.NewOpt(1), 0},
 	} {
-		_, _, ms := synthDiff(t, tc.c, tc.prog, tc.ref)
+		_, ms := synthDiff(t, tc.c, tc.prog, tc.ref)
 		if len(ms) != tc.want {
 			t.Fatalf("%s: synth(%v) differs from %s at %d entries, want %d: %v", tc.name, tc.prog, tc.ref.Name(), len(ms), tc.want, ms)
 		}
 		for _, m := range ms {
 			if m.Time != 1 || m.Got != model.Noop || m.Want != model.Decide1 {
 				t.Errorf("%s: %v; want time 1, protocol noop, program decide(1)", tc.name, m)
+			}
+		}
+	}
+}
+
+// TestSynthesizedImplementsItsProgram: every slice of a synthesis comes
+// from the build at that time as the horizon, and the protocol it yields
+// implements its program in the system of the full horizon — P0 over Emin
+// and Ebasic, P1 over Efip, in SO n=2,3,4 t=1 and crash n=3 t=1,2. The
+// table sizes are pinned (min / basic / fip), and at SO n=3,t=2 only
+// they are: there the synthesized systems are left unbuilt.
+func TestSynthesizedImplementsItsProgram(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		n, t    int
+		crash   bool
+		sizes   [3]int
+		checked bool
+	}{
+		{"SO n=2", 2, 1, false, [3]int{20, 22, 52}, true},
+		{"SO n=3", 3, 1, false, [3]int{30, 39, 462}, true},
+		{"SO n=4", 4, 1, false, [3]int{40, 52, 3464}, true},
+		{"crash n=3,t=1", 3, 1, true, [3]int{30, 39, 318}, true},
+		{"crash n=3,t=2", 3, 2, true, [3]int{51, 69, 2184}, true},
+		{"SO n=3,t=2", 3, 2, false, [3]int{51, 72, 29400}, false},
+	} {
+		for k, ex := range []struct {
+			e    model.Exchange
+			prog Program
+		}{{exchange.NewMin(tc.n), P0}, {exchange.NewBasic(tc.n), P0}, {exchange.NewFIP(tc.n), P1}} {
+			c := Context{Exchange: ex.e, T: tc.t, Crash: tc.crash}
+			synth, err := Synthesize(context.Background(), c, ex.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := tc.name + " " + ex.e.Name()
+			if synth.Size() != tc.sizes[k] {
+				t.Errorf("%s: synth(%v) has %d entries, want %d", name, ex.prog, synth.Size(), tc.sizes[k])
+			}
+			if !tc.checked {
+				continue
+			}
+			if ms := checkImplements(t, build(t, c, synth), ex.prog, 3); len(ms) != 0 {
+				t.Errorf("%s: synth(%v) does not implement %v: %v", name, ex.prog, ex.prog, ms)
 			}
 		}
 	}
@@ -270,14 +316,15 @@ func TestSynthesizeQuotientMatchesPerRun(t *testing.T) {
 		cases[fmt.Sprintf("fip n=%d", n)] = tc{Context{Exchange: exchange.NewFIP(n), T: 1}, P1}
 	}
 	for name, tc := range cases {
-		quoSynth, quoSys, err := Synthesize(context.Background(), tc.c, tc.prog)
+		quoSynth, err := Synthesize(context.Background(), tc.c, tc.prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runSynth, runSys, err := Synthesize(context.Background(), perRunContext(tc.c), tc.prog)
+		runSynth, err := Synthesize(context.Background(), perRunContext(tc.c), tc.prog)
 		if err != nil {
 			t.Fatal(err)
 		}
+		quoSys, runSys := build(t, tc.c, quoSynth), build(t, perRunContext(tc.c), runSynth)
 		if quoSys.unitOf == nil || runSys.unitOf != nil {
 			t.Fatalf("%s: the quotiented synthesis is not expanded, or the per-run one is", name)
 		}
@@ -298,7 +345,7 @@ func TestSynthesizeQuotientMatchesPerRun(t *testing.T) {
 func TestSynthesizedRunsUnderEngine(t *testing.T) {
 	// The synthesized protocol is a real ActionProtocol: run it under the
 	// engine on a pattern from its context and check it decides like Pmin.
-	synth, _, err := Synthesize(context.Background(), Context{Exchange: exchange.NewMin(3), T: 1}, P0)
+	synth, err := Synthesize(context.Background(), Context{Exchange: exchange.NewMin(3), T: 1}, P0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +368,7 @@ func TestSynthesizedRunsUnderEngine(t *testing.T) {
 }
 
 func TestSynthesizedPanicsOutsideContext(t *testing.T) {
-	synth, _, err := Synthesize(context.Background(), Context{Exchange: exchange.NewMin(2), T: 0, Horizon: 2}, P0)
+	synth, err := Synthesize(context.Background(), Context{Exchange: exchange.NewMin(2), T: 0, Horizon: 2}, P0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,21 +25,27 @@ func perRunContext(c Context) Context {
 
 // synthDiff synthesizes prog in c and diffs the table against the system
 // of the reference protocol ref.
-func synthDiff(t *testing.T, c Context, prog Program, ref model.ActionProtocol) (*Synthesized, *System, []Mismatch) {
+func synthDiff(t *testing.T, c Context, prog Program, ref model.ActionProtocol) (*Synthesized, []Mismatch) {
 	t.Helper()
-	synth, sys, err := Synthesize(context.Background(), c, prog)
+	synth, err := Synthesize(context.Background(), c, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSys, err := BuildSystem(context.Background(), c, ref)
+	ms, err := synth.Diff(context.Background(), build(t, c, ref), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := synth.Diff(context.Background(), refSys, 0)
+	return synth, ms
+}
+
+// build builds the system of act in c.
+func build(t *testing.T, c Context, act model.ActionProtocol) *System {
+	t.Helper()
+	sys, err := BuildSystem(context.Background(), c, act)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return synth, sys, ms
+	return sys
 }
 
 func checkImplements(t *testing.T, sys *System, prog Program, max int) []Mismatch {

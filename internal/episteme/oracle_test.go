@@ -880,10 +880,12 @@ func TestCNLayerMatchesExplicitGraph(t *testing.T) {
 		}
 	}
 
-	_, synth, err := Synthesize(context.Background(), perRunContext(Context{Exchange: exchange.NewFIP(3), T: 1}), P1)
+	c := perRunContext(Context{Exchange: exchange.NewFIP(3), T: 1})
+	p1, err := Synthesize(context.Background(), c, P1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	synth := build(t, c, p1)
 	for m := 0; m < synth.Horizon; m++ {
 		label := fmt.Sprintf("synth(P1) time %d", m)
 		compareCNLayer(t, label, synth.cnLayerAt(m), oracleBuildCNLayer(synth, m))

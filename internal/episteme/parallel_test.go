@@ -142,14 +142,15 @@ func TestSynthesizeParallelismDeterminism(t *testing.T) {
 		{Context{Exchange: exchange.NewMin(3), T: 1}, P0},
 		{fipContext31(), P1},
 	} {
-		seqSynth, seqSys, err := Synthesize(context.Background(), tc.c, tc.prog, WithParallelism(1))
+		seqSynth, err := Synthesize(context.Background(), tc.c, tc.prog, WithParallelism(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parSynth, parSys, err := Synthesize(context.Background(), tc.c, tc.prog, WithParallelism(goruntime.GOMAXPROCS(0)))
+		parSynth, err := Synthesize(context.Background(), tc.c, tc.prog, WithParallelism(goruntime.GOMAXPROCS(0)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		seqSys, parSys := build(t, tc.c, seqSynth), build(t, tc.c, parSynth)
 		name := tc.c.Exchange.Name()
 		if seqSynth.Size() != parSynth.Size() {
 			t.Fatalf("%s: table sizes differ: %d vs %d", name, seqSynth.Size(), parSynth.Size())
@@ -239,7 +240,7 @@ func TestBuildSystemCancellation(t *testing.T) {
 	if _, err := BuildSystem(ctx, fipContext31(), action.NewOpt(1)); !errors.Is(err, cause) {
 		t.Fatalf("BuildSystem error = %v, want the cancellation cause", err)
 	}
-	if _, _, err := Synthesize(ctx, Context{Exchange: exchange.NewMin(3), T: 1}, P0); !errors.Is(err, cause) {
+	if _, err := Synthesize(ctx, Context{Exchange: exchange.NewMin(3), T: 1}, P0); !errors.Is(err, cause) {
 		t.Fatalf("Synthesize error = %v, want the cancellation cause", err)
 	}
 }

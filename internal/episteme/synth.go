@@ -49,48 +49,58 @@ func synthKey(i model.AgentID, stateKey string) string {
 // Interface compliance.
 var _ model.ActionProtocol = (*Synthesized)(nil)
 
-// Synthesize constructs the system generated by the knowledge-based
-// program itself, in Horizon+1 BuildSystem calls and no loop of its own.
-// Knowledge at time m depends only on the runs' ledgers before m and on
-// their time-m states and faulty sets, so for m = 0 … Horizon−1 it builds
-// the system of the partial table — the table's actions before time m,
-// noop from m on — evaluates the program once per (agent, class) of the
-// time-m slots, resolving the decide-0 guards first and the decide-1 guard
-// against them, and adds those actions to the table. The last build is the
-// program's own system. Every build is BuildSystem's, memoizing executor
-// and symmetry quotient included (docs/architecture.md, "Synthesis is
-// Horizon+1 builds"); of the options only WithParallelism is forwarded —
-// never a cache, since the table protocol's name does not pin its table.
-// Results are bit-identical at every parallelism level. It returns the
-// induced concrete protocol and the program's own interpreted system.
-// Cancelling ctx aborts the construction with the cancellation cause.
-func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*Synthesized, *System, error) {
+// Synthesize derives the concrete protocol the knowledge-based program
+// induces in the context, in Horizon BuildSystem calls and no loop of its
+// own. Knowledge at time m depends only on the runs' ledgers before m and
+// on their time-m states and faulty sets, and the build at horizon m has
+// exactly the time-m points of the build at the context's horizon: every
+// failure pattern of horizon m is the prefix of one of the full horizon,
+// and a crash after round m is, up to time m, a faulty agent that never
+// crashes.
+// So for m = 0 … Horizon−1 it builds the system of the partial table — the
+// table's actions before time m, noop from m on — at horizon max(m, 1),
+// evaluates the program once per (agent, class) of that build's time-m
+// slots, resolving the decide-0 guards first and the decide-1 guard
+// against them, and adds those actions to the table. Once the table is
+// complete it stops: no build ever runs at the full horizon, and a caller
+// that wants the program's own system builds it with BuildSystem(ctx, c,
+// synth). Every build is BuildSystem's, memoizing executor and symmetry
+// quotient included (docs/architecture.md, "Synthesis grows the horizon");
+// of the options only WithParallelism is forwarded — never a cache, since
+// the table protocol's name does not pin its table. Results are
+// bit-identical at every parallelism level. A context whose full-horizon
+// enumeration is refused is refused here too. Cancelling ctx aborts the
+// construction with the cancellation cause.
+func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*Synthesized, error) {
 	if c.Exchange == nil {
-		return nil, nil, fmt.Errorf("episteme: Exchange is required")
+		return nil, fmt.Errorf("episteme: Exchange is required")
+	}
+	horizon := c.horizonOrDefault()
+	if _, err := c.patternSource(c.Exchange.N(), horizon); err != nil {
+		return nil, err
 	}
 	par := WithParallelism(newOptions(opts).par)
-	horizon := c.horizonOrDefault()
 	synth := &Synthesized{name: "synth(" + prog.String() + ")", table: make(map[string]model.Action)}
 	for m := 0; m < horizon; m++ {
 		synth.noopFrom = m
+		// A Horizon of 0 means the default, so slice 0 comes from a
+		// horizon-1 build, whose every action is noop.
+		c.Horizon = max(m, 1)
 		sys, err := BuildSystem(ctx, c, synth, par)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := sys.synthesizeSlice(ctx, prog, m, synth.table); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	synth.noopFrom = -1
-	sys, err := BuildSystem(ctx, c, synth, par)
-	if err != nil {
-		return nil, nil, err
-	}
-	return synth, sys, nil
+	return synth, nil
 }
 
 // synthesizeSlice evaluates the program once per (agent, class) of the
-// time-m slots and records the actions in table: phase A's past-determined
+// time-m slots — for m ≥ 1 the build's last layer, interned on first read
+// (readSlot) — and records the actions in table: phase A's past-determined
 // guards first, then the decide-1 guard against phase A's decide-0
 // resolutions.
 func (s *System) synthesizeSlice(ctx context.Context, prog Program, m int, table map[string]model.Action) error {
@@ -125,7 +135,7 @@ func (s *System) synthesizeSlice(ctx context.Context, prog Program, m int, table
 		}
 	}
 	for i, row := range acts {
-		for c, key := range s.classKey[s.slot(model.AgentID(i), m)] {
+		for c, key := range s.classKey[s.readSlot(model.AgentID(i), m)] {
 			table[synthKey(model.AgentID(i), key)] = row[c]
 		}
 	}
@@ -140,7 +150,7 @@ func (s *System) synthesizeSlice(ctx context.Context, prog Program, m int, table
 // result means the two protocols agree on every state reachable under
 // either: the two systems are then the same system, and a state of ref
 // missing from the table is reachable only through an earlier
-// disagreement (docs/architecture.md, "Synthesis is Horizon+1 builds").
+// disagreement (docs/architecture.md, "Synthesis grows the horizon").
 func (p *Synthesized) Diff(ctx context.Context, ref *System, maxMismatches int) ([]Mismatch, error) {
 	return ref.mismatches(ctx, maxMismatches, func(i model.AgentID, q Point) (model.Action, bool) {
 		a, ok := p.table[synthKey(i, ref.Key(i, q))]

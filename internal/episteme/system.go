@@ -13,8 +13,9 @@
 //     for full-information protocols.
 //   - Synthesize: the Section 8 "epistemic synthesis" direction — derive a
 //     concrete action protocol from a knowledge-based program and export it
-//     as a runnable ActionProtocol. It has no loop of its own: it is
-//     Horizon+1 BuildSystem calls, each over the table grown so far.
+//     as a runnable ActionProtocol. It has no loop of its own: time m's
+//     actions come from the BuildSystem call at horizon m over the table
+//     grown so far, and nothing is built at the full horizon.
 //
 // The checker is built in three sharded layers:
 //

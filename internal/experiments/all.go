@@ -28,7 +28,6 @@ func Generators(cfg Config) []func() *Table {
 		func() *Table { return E6TheoremMatrix(cfg.Parallelism) },
 		E11BasicVsMin,
 		func() *Table { return E12BasicVsFip(cfg.Seed, cfg.Trials, cfg.Parallelism) },
-		func() *Table { return E14Synthesis(cfg.Parallelism) },
 		E15CommonKnowledgeAblation,
 		func() *Table { return E16DropProbabilitySweep(cfg.Seed, cfg.Trials/4+1, cfg.Parallelism) },
 	}

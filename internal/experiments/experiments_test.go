@@ -66,16 +66,3 @@ func TestE12BasicVsFip(t *testing.T) {
 		t.Fatalf("E12 failed:\n%s", tb.Render())
 	}
 }
-
-func TestModelCheckingExperiments(t *testing.T) {
-	// The theorem matrix (shared with TestTheoremMatrix) and E14 build
-	// exhaustive systems.
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	for _, tb := range []*Table{matrix(), E14Synthesis(0)} {
-		if !tb.Pass {
-			t.Fatalf("%s failed:\n%s", tb.ID, tb.Render())
-		}
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/episteme"
 	"repro/internal/registry"
 )
@@ -16,11 +15,8 @@ func checkOpts(parallelism int) []episteme.Option {
 	return []episteme.Option{episteme.WithParallelism(parallelism)}
 }
 
-// buildStackSystem builds the interpreted system of a stack's EBA context
-// over the model checker's worker pool.
-func buildStackSystem(st core.Stack, parallelism int) (*episteme.System, error) {
-	return episteme.BuildSystem(context.Background(), episteme.ContextFor(st), st.Action, checkOpts(parallelism)...)
-}
+// programs resolves the registry's program names.
+var programs = map[string]episteme.Program{"P0": episteme.P0, "P1": episteme.P1}
 
 // must unwraps a model-checking result. The experiment grids use
 // compile-time sizes and registered stacks, so an error is a bug.
@@ -47,6 +43,12 @@ func dash(v int) any {
 //     Theorem A.21 / Prop 7.9 (P1 in γ_fip), against the knowledge-based
 //     program the registry names for the stack ("-" for fip+pmin, which
 //     implements neither);
+//   - synth: the disagreements between the cell's system and the protocol
+//     synthesized from that program over the cell's exchange (the
+//     epistemic synthesis of Section 8, one per exchange and program in a
+//     context: fip's P1 and fip-nock's P0 over Efip are two); the system
+//     implements the program exactly when synthesis re-derives its
+//     protocol, so synth is 0 iff implements is, in every cell;
 //   - safety: Prop 6.4, Definition 6.2 — P0 is safe wrt γ_min and
 //     γ_basic, and not wrt full information;
 //   - Thm 7.5: the optimality characterization over Efip (Cor 7.8): Popt
@@ -68,8 +70,8 @@ func E6TheoremMatrix(parallelism int) *Table {
 	t := &Table{
 		ID:    "E6",
 		Title: "theorem matrix: one exhaustive system per (context, stack), every check read from it",
-		Claim: "Thms 6.5, 6.6, A.21 (implements); Prop 6.4 (safety); Thm 7.5 / Cor 7.8; Prop 6.1 (spec, decided by t+2); §1 (no eager 0-bias under omissions); early stopping by min(f+2, t+2)",
-		Columns: []string{"context", "stack", "runs", "implements", "safety", "Thm 7.5", "spec",
+		Claim: "Thms 6.5, 6.6, A.21 (implements); §8 (synth); Prop 6.4 (safety); Thm 7.5 / Cor 7.8; Prop 6.1 (spec, decided by t+2); §1 (no eager 0-bias under omissions); early stopping by min(f+2, t+2)",
+		Columns: []string{"context", "stack", "runs", "implements", "synth", "safety", "Thm 7.5", "spec",
 			"max round f=0", "f=1", "f=2", "runs over min(f+2,t+2)"},
 		Pass: true,
 	}
@@ -80,6 +82,7 @@ func E6TheoremMatrix(parallelism int) *Table {
 		minOver int // Pmin's pinned runs past min(f+2, t+2); -1 where they are reported only
 	}{{"SO", 2, 1, -1}, {"SO", 3, 1, 4}, {"SO", 4, 1, 5}, {"crash", 3, 1, -1}, {"crash", 3, 2, 124}, {"crash", 4, 2, 475}} {
 		crash := c.kind == "crash"
+		synths := make(map[string]*episteme.Synthesized) // by exchange and program
 		for _, name := range []string{"min", "basic", "fip", "fip-nock", "fip+pmin", "naive"} {
 			st := stackFor(name, c.n, c.t)
 			info := must(registry.Stack(name))
@@ -87,12 +90,14 @@ func E6TheoremMatrix(parallelism int) *Table {
 			mc.Crash = crash
 			sys := must(episteme.BuildSystem(ctx, mc, st.Action, checkOpts(parallelism)...))
 
-			implements, optimality := -1, -1
-			switch info.Program {
-			case "P0":
-				implements = len(must(sys.CheckImplements(ctx, episteme.P0, 0)))
-			case "P1":
-				implements = len(must(sys.CheckImplements(ctx, episteme.P1, 0)))
+			implements, synthesized, optimality := -1, -1, -1
+			if prog, ok := programs[info.Program]; ok {
+				implements = len(must(sys.CheckImplements(ctx, prog, 0)))
+				key := info.Exchange + "/" + info.Program
+				if synths[key] == nil {
+					synths[key] = must(episteme.Synthesize(ctx, mc, prog, checkOpts(parallelism)...))
+				}
+				synthesized = len(must(synths[key].Diff(ctx, sys, 0)))
 			}
 			safety := len(must(sys.CheckSafety(ctx, 0)))
 			if info.Exchange == "fip" {
@@ -104,7 +109,8 @@ func E6TheoremMatrix(parallelism int) *Table {
 			}
 
 			// Naive's spec is gated below, where it must fail.
-			pass := es.latest <= c.t+2 && (es.violations == 0 || name == "naive" && !crash)
+			pass := es.latest <= c.t+2 && (es.violations == 0 || name == "naive" && !crash) &&
+				(synthesized == 0) == (implements == 0)
 			switch name {
 			case "min":
 				pass = pass && (c.minOver < 0 || es.over == c.minOver)
@@ -128,54 +134,13 @@ func E6TheoremMatrix(parallelism int) *Table {
 				t.Pass = false
 			}
 			row := []any{fmt.Sprintf("%s n%d t%d", c.kind, c.n, c.t), name, len(sys.Runs),
-				dash(implements), safety, dash(optimality), es.violations}
+				dash(implements), dash(synthesized), safety, dash(optimality), es.violations}
 			t.AddRow(append(append(row, es.roundCells()...), es.over)...)
 		}
 	}
 	t.Notes = append(t.Notes,
 		"gated in SO with n−t ≥ 2: implements 0; safety 0 for min and basic, >0 for fip; Thm 7.5 0 for fip, >0 for fip+pmin; spec >0 for naive",
-		"gated everywhere: spec 0 (Validity in the strong form, per Prop 6.1), but for naive under SO; no decision after t+2; runs over 0 for basic, fip and fip-nock, and min's pinned in SO n3,n4 t1 and crash n3,n4 t2",
+		"gated everywhere: synth 0 iff implements 0; spec 0 (Validity in the strong form, per Prop 6.1), but for naive under SO; no decision after t+2; runs over 0 for basic, fip and fip-nock, and min's pinned in SO n3,n4 t1 and crash n3,n4 t2",
 		"⊡-reachability is computed on the horizon-(t+2) system; all decisions fall within it")
-	return t
-}
-
-// E14Synthesis exercises the epistemic-synthesis direction of Section 8:
-// extracting concrete protocols from P0 and P1 and comparing them with the
-// hand-written implementations, state by reachable state. At n−t = 1 the
-// paper's P0 protocols are a round late, and synthesis says so.
-func E14Synthesis(parallelism int) *Table {
-	t := &Table{
-		ID:      "E14",
-		Title:   "epistemic synthesis of concrete protocols from P0 and P1",
-		Claim:   "§8 outlook: concrete implementations are derivable from the knowledge-based program",
-		Columns: []string{"context", "program", "table states", "reference", "disagreements", "expected"},
-		Pass:    true,
-	}
-	ctx := context.Background()
-	for _, c := range []struct {
-		label  string
-		st     core.Stack
-		prog   episteme.Program
-		expect int
-	}{
-		{"γ_min(2,1)", stackFor("min", 2, 1), episteme.P0, 2},
-		{"γ_basic(2,1)", stackFor("basic", 2, 1), episteme.P0, 2},
-		{"γ_fip(2,1)", stackFor("fip", 2, 1), episteme.P1, 0},
-		{"γ_min(3,1)", stackFor("min", 3, 1), episteme.P0, 0},
-		{"γ_basic(3,1)", stackFor("basic", 3, 1), episteme.P0, 0},
-		{"γ_fip(3,1)", stackFor("fip", 3, 1), episteme.P1, 0},
-	} {
-		synth, _, err := episteme.Synthesize(ctx, episteme.ContextFor(c.st), c.prog, checkOpts(parallelism)...)
-		if err != nil {
-			panic(err)
-		}
-		ms := must(synth.Diff(ctx, must(buildStackSystem(c.st, parallelism)), 0))
-		if len(ms) != c.expect {
-			t.Pass = false
-		}
-		t.AddRow(c.label, c.prog, synth.Size(), c.st.Action.Name(), len(ms), c.expect)
-	}
-	t.Notes = append(t.Notes,
-		"n−t = 1: P0 decides 1 at time t where Pmin and Pbasic wait until t+1 (both disagreements are at time 1)")
 	return t
 }

@@ -79,11 +79,13 @@ type Synthesized = episteme.Synthesized
 
 // Synthesize derives a concrete action protocol from the knowledge-based
 // program over the stack's EBA context (the "epistemic synthesis"
-// direction of the paper's discussion) in Horizon+1 model-checker builds,
-// time by time: each build runs the table derived so far and decides the
-// next time's actions. Exponential: small n and t only. ctx cancels the
-// construction; WithCheckParallelism tunes the worker pool it shards over,
-// and is the only option it forwards.
-func Synthesize(ctx context.Context, stack Stack, prog Program, opts ...CheckOption) (*Synthesized, *System, error) {
+// direction of the paper's discussion) in one model-checker build per
+// time, each at that time as its horizon: the build runs the table derived
+// so far and decides that time's actions. It never builds the program's
+// own system; BuildSystem over the stack with the returned protocol as its
+// Action does. Exponential: small n and t only. ctx cancels the
+// construction; WithCheckParallelism tunes the worker pool it shards
+// over, and is the only option it forwards.
+func Synthesize(ctx context.Context, stack Stack, prog Program, opts ...CheckOption) (*Synthesized, error) {
 	return episteme.Synthesize(ctx, episteme.ContextFor(stack), prog, opts...)
 }

@@ -283,9 +283,9 @@ func BenchmarkCheckSafetyBasicn4(b *testing.B) {
 }
 
 // BenchmarkQuotientDrainN5 drains the quotiented n=5,t=1 sweep: 655,392
-// scenarios canonicalized, 7,758 kept. The enumeration itself allocates
-// one inits vector per scenario; the quotient should add nothing per
-// rejected scenario on top of that.
+// scenarios, 7,758 kept. The enumeration shares one table of inits
+// vectors and the quotient clones only the patterns it keeps, so a drain
+// allocates per kept pattern (about 1,100 times), never per scenario.
 func BenchmarkQuotientDrainN5(b *testing.B) {
 	const n, tf, scenarios, representatives = 5, 1, 655392, 7758
 	b.ReportAllocs()
@@ -307,11 +307,11 @@ func BenchmarkQuotientDrainN5(b *testing.B) {
 	b.ReportMetric(float64(scenarios)*float64(b.N)/b.Elapsed().Seconds(), "scenarios/s")
 }
 
-// expandedFIPN4 returns a freshly expanded fip n=4,t=1 system (32,784 runs
-// from 1,637 representatives): no C_N layer built, nothing cached.
-func expandedFIPN4(b *testing.B) func() *episteme.System {
+// expandedFIP returns a freshly expanded fip n,t=1 system of the given
+// number of runs: no C_N layer built, nothing cached.
+func expandedFIP(b *testing.B, n, runs int) func() *episteme.System {
 	b.Helper()
-	st := stack(b, "fip", 4, 1)
+	st := stack(b, "fip", n, 1)
 	ec := episteme.ContextFor(st)
 	ctx := context.Background()
 	idx, err := episteme.BuildShardIndex(ctx, ec, st.Action, 0, 1)
@@ -324,7 +324,7 @@ func expandedFIPN4(b *testing.B) func() *episteme.System {
 	}
 	return func() *episteme.System {
 		sys, err := episteme.ExpandQuotient(ctx, rep, ec)
-		if err != nil || len(sys.Runs) != 32784 {
+		if err != nil || len(sys.Runs) != runs {
 			b.Fatalf("runs=%d err=%v", len(sys.Runs), err)
 		}
 		return sys
@@ -337,7 +337,7 @@ func expandedFIPN4(b *testing.B) func() *episteme.System {
 // expansion leaves that slice to be interned then, and the cost it moved
 // stays in sight here.
 func BenchmarkExpandQuotientN4(b *testing.B) {
-	fresh := expandedFIPN4(b)
+	fresh := expandedFIP(b, 4, 32784)
 	b.Run("expand", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -357,13 +357,24 @@ func BenchmarkExpandQuotientN4(b *testing.B) {
 	})
 }
 
+// BenchmarkExpandQuotientN5 expands the 7,758 fip representatives at
+// n=5,t=1 back into the full 655,392-run system: the expansion of
+// ROADMAP's verify-fip-n5 anchor, the build and merge left out.
+func BenchmarkExpandQuotientN5(b *testing.B) {
+	fresh := expandedFIP(b, 5, 655392)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fresh()
+	}
+}
+
 // BenchmarkCNCondenseN4 is the scaling guard of the C_N condensation: one
 // reachability question per time 0..2 of a fresh fip n=4 system, so each
 // iteration builds the three layers CheckImplements(P1) needs — Tarjan
 // over the implicit graph, the DAG, the folded guard — and one closure
 // each. Expansion is outside the timer.
 func BenchmarkCNCondenseN4(b *testing.B) {
-	fresh := expandedFIPN4(b)
+	fresh := expandedFIP(b, 4, 32784)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -382,7 +393,7 @@ func BenchmarkCNCondenseN4(b *testing.B) {
 // check: a cold CheckImplements(P1) on a fresh fip n=4 system, layers and
 // all.
 func BenchmarkCheckImplementsP1N4(b *testing.B) {
-	fresh := expandedFIPN4(b)
+	fresh := expandedFIP(b, 4, 32784)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,9 +7,11 @@
 // agent-symmetric, so the run of any scenario g is the run of its
 // canonical representative with the agents relabeled. ExpandQuotient
 // re-enumerates the full sweep WITHOUT executing it, maps each scenario
-// to (representative, relabeling), and synthesizes the full system's
-// decision ledgers and interned class tables by permuting the
-// representative's — class ids assigned by the same index kernel
+// to (representative, relabeling) — per pattern one canonical search and
+// one lookup of the representative pattern's slots (repTable), per
+// scenario the inits minimised and one slot read — and synthesizes the
+// full system's decision ledgers and interned class tables by permuting
+// the representative's — class ids assigned by the same index kernel
 // (index.go) every other construction uses, so every verdict over the
 // expanded system is bit-identical to the per-run build's (pinned by
 // TestQuotientSystemBitIdentical against an exchange whose KeyPermuter is
@@ -135,15 +137,9 @@ type orbitMap struct {
 // (prefix id, inits bits).
 func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	n, horizon := rep.N, rep.Horizon
-	// Representatives by scenario fingerprint: the full enumeration below
-	// resolves each scenario's canonical form against this.
-	repOf := make(map[string]int32, len(rep.Runs))
-	for r, res := range rep.Runs {
-		fp := scenarioFingerprint(res.Pattern, res.Inits)
-		if _, dup := repOf[fp]; dup {
-			return nil, fmt.Errorf("episteme: quotiented system carries representative %q twice", fp)
-		}
-		repOf[fp] = int32(r)
+	reps, err := newRepTable(rep)
+	if err != nil {
+		return nil, err
 	}
 
 	src, err := c.scenarioSource(n, horizon)
@@ -187,7 +183,7 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 				}
 			}
 		}
-		if err := chunks(func(wk *orbitWorker) { wk.canonicalize(rep, repOf) }); err != nil {
+		if err := chunks(func(wk *orbitWorker) { wk.canonicalize(rep, reps) }); err != nil {
 			return nil, err
 		}
 		failed := false
@@ -227,7 +223,8 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 						drops |= pat.FaultyDropsTo(horizon-1, model.AgentID(j)) << (j * rep.T)
 					}
 				}
-				cell := &unitSeen[int(prefix)<<n|initsBits(sc.Inits)]
+				bits, _ := initsBits(sc.Inits) // binary: canonicalize found its representative
+				cell := &unitSeen[int(prefix)<<n|bits]
 				if *cell == 0 {
 					om.unitFirst = append(om.unitFirst, int32(g))
 					*cell = int32(len(om.unitFirst))
@@ -275,17 +272,20 @@ type orbitWorker struct {
 	perm  []model.AgentID // n per scenario
 	err   error
 	canon model.Canonicalizer
-	fp    []byte
+	key   []byte
 	slabs runSlabs
 }
 
 // canonicalize finds each scenario's representative and relabeling,
 // checking the scenario against the fault bound and the representative's
-// weight. At the first failure it records the error and cuts the chunk
+// weight: per pattern the canonicalizer's pattern half and the lookup of
+// the representative pattern's slots, per scenario its inits half and one
+// slot read. At the first failure it records the error and cuts the chunk
 // there.
-func (wk *orbitWorker) canonicalize(rep *System, repOf map[string]int32) {
+func (wk *orbitWorker) canonicalize(rep *System, reps *repTable) {
 	n := rep.N
 	var pat *model.Pattern
+	base := 0 // pat's slots in reps
 	for k, sc := range wk.sc {
 		g := wk.base + k
 		if sc.Pattern != pat {
@@ -294,11 +294,14 @@ func (wk *orbitWorker) canonicalize(rep *System, repOf map[string]int32) {
 				wk.err, wk.sc = fmt.Errorf("episteme: scenario %d has %d faulty agents, the system bounds them by %d (context mismatch?)", g, f, rep.T), wk.sc[:k]
 				return
 			}
+			wk.canon.SearchPattern(pat)
+			wk.key = wk.canon.AppendPatternKey(wk.key[:0])
+			base = int(reps.base[string(wk.key)])
 		}
-		wk.canon.Canonicalize(sc.Pattern, sc.Inits)
-		wk.fp = wk.canon.AppendRepresentativeKey(wk.fp[:0])
-		r, known := repOf[string(wk.fp)]
-		if !known {
+		wk.canon.MinimizeInits(sc.Inits)
+		bits, ok := wk.canon.InitsBits()
+		r := reps.slots[base+bits] - 1
+		if !ok || r < 0 {
 			wk.err, wk.sc = fmt.Errorf("episteme: scenario %q canonicalizes outside the representative set (context mismatch?)",
 				scenarioFingerprint(sc.Pattern, sc.Inits)), wk.sc[:k]
 			return
@@ -337,18 +340,54 @@ func (wk *orbitWorker) expand(rep *System, om *orbitMap, firsts bool) {
 	}
 }
 
-// initsBits packs an initial vector into an integer, bit i set iff agent
-// i prefers 1. (Two vectors that differ only where neither holds 0 or 1
-// would collide; the ledger check of pass 1 compares the vectors
-// themselves.)
-func initsBits(inits []model.Value) int {
-	bits := 0
-	for i, v := range inits {
-		if v == model.One {
-			bits |= 1 << uint(i)
+// repTable finds a representative by its pattern key and its inits as
+// bits: base maps a representative pattern's key to the offset of its 2ⁿ
+// slots, and slots[base+bits] is the index + 1 of the representative of
+// that pattern whose inits are bits, 0 where there is none. The first 2ⁿ
+// slots belong to no pattern, so a key the map lacks reads empty slots.
+type repTable struct {
+	base  map[string]int32
+	slots []int32
+}
+
+// newRepTable indexes rep's runs, refusing a representative that is there
+// twice or whose inits are not n preferences in {0,1}.
+func newRepTable(rep *System) (*repTable, error) {
+	n := rep.N
+	reps := &repTable{base: make(map[string]int32), slots: make([]int32, 1<<n)}
+	for r, res := range rep.Runs {
+		bits, ok := initsBits(res.Inits)
+		if !ok || len(res.Inits) != n {
+			return nil, fmt.Errorf("episteme: quotiented system's representative %q does not prefer 0 or 1 at each of its %d agents",
+				scenarioFingerprint(res.Pattern, res.Inits), n)
 		}
+		key := res.Pattern.Key()
+		base, known := reps.base[key]
+		if !known {
+			base = int32(len(reps.slots))
+			reps.base[key] = base
+			reps.slots = append(reps.slots, make([]int32, 1<<n)...)
+		}
+		slot := &reps.slots[int(base)+bits]
+		if *slot != 0 {
+			return nil, fmt.Errorf("episteme: quotiented system carries representative %q twice", scenarioFingerprint(res.Pattern, res.Inits))
+		}
+		*slot = int32(r) + 1
 	}
-	return bits
+	return reps, nil
+}
+
+// initsBits packs an initial vector into an integer, bit i set iff agent
+// i prefers 1, and reports whether that identifies the vector: ok is
+// false when some preference is neither 0 nor 1.
+func initsBits(inits []model.Value) (bits int, ok bool) {
+	for i, v := range inits {
+		if !v.IsSet() {
+			return 0, false
+		}
+		bits |= int(v) << i // Zero is 0, One is 1
+	}
+	return bits, true
 }
 
 // intern is pass 2 of ExpandQuotient: the expansion's rows for the index
@@ -525,7 +564,7 @@ func relabelsTo(repRes *engine.Result, inits []model.Value, perm []model.AgentID
 }
 
 // scenarioFingerprint renders a scenario's identity — the pattern's
-// canonical key plus the initial preferences — for representative lookup.
+// canonical key plus the initial preferences — for the expansion's errors.
 func scenarioFingerprint(p *model.Pattern, inits []model.Value) string {
 	return string(model.AppendScenarioKey(nil, p, inits))
 }

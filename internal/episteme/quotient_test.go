@@ -334,8 +334,8 @@ func TestCheckersRefuseQuotientedSystem(t *testing.T) {
 }
 
 // TestExpandQuotientRejects pins the expansion's guard rails: expanding
-// a non-quotiented system and expanding under a mismatched context both
-// fail loudly.
+// a non-quotiented system, expanding under a mismatched context, and
+// expanding representatives the table cannot hold all fail loudly.
 func TestExpandQuotientRejects(t *testing.T) {
 	c := fipContext31()
 	act := action.NewOpt(1)
@@ -360,6 +360,94 @@ func TestExpandQuotientRejects(t *testing.T) {
 	}
 	if _, err := ExpandQuotient(context.Background(), rep, Context{Exchange: exchange.NewFIP(3), T: 2}); err == nil {
 		t.Error("ExpandQuotient accepted a context with the wrong t")
+	}
+
+	// The representative table refuses a representative listed twice and
+	// one whose inits its bits cannot name, before any scenario is read.
+	refuses := func(label, want string, rep *System, c Context) {
+		t.Helper()
+		if sys, err := ExpandQuotient(context.Background(), rep, c); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: ExpandQuotient returned a system %v and error %v, want only an error containing %q", label, sys != nil, err, want)
+		}
+	}
+	first, second := rep.Runs[0], rep.Runs[1]
+	rep.Runs[1] = first
+	refuses("a representative twice", "carries representative", rep, c)
+	unset := *first
+	unset.Inits = slices.Clone(first.Inits)
+	unset.Inits[0] = model.None
+	rep.Runs[0], rep.Runs[1] = &unset, second
+	refuses("a representative preferring ⊥", "does not prefer 0 or 1", rep, c)
+	rep.Runs[0] = first
+
+	// The crash system's representatives are crash patterns, so the first
+	// SO scenario that is none has no representative pattern in the table.
+	crash := Context{Exchange: exchange.NewFIP(3), T: 1, Crash: true}
+	idx, err = BuildShardIndex(context.Background(), crash, act, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashRep, err := MergeSystems(context.Background(), []*ShardIndex{idx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuses("an SO scenario over crash representatives", "canonicalizes outside the representative set", crashRep, c)
+}
+
+// TestMapOrbitsMatchesOneShot holds pass 1's representative table to the
+// definition it replaced: for every ordinal g of SO n=3,4 t=1 and crash
+// n=3,4 t=2, at parallelism 1 and 7, mapOrbits' representative gRep[g]
+// and relabeling perms[gPerm[g]] are what the one-shot
+// model.CanonicalizeScenarioPerm and a lookup of the representative's
+// scenario fingerprint give.
+func TestMapOrbitsMatchesOneShot(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []Context{
+		{Exchange: exchange.NewFIP(3), T: 1},
+		{Exchange: exchange.NewFIP(4), T: 1},
+		{Exchange: exchange.NewFIP(3), T: 2, Crash: true},
+		{Exchange: exchange.NewFIP(4), T: 2, Crash: true},
+	} {
+		n := c.Exchange.N()
+		idx, err := BuildShardIndex(ctx, c, action.NewOpt(c.T), 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 7} {
+			label := fmt.Sprintf("n=%d t=%d crash=%v parallelism %d", n, c.T, c.Crash, par)
+			rep, err := MergeSystems(ctx, []*ShardIndex{idx}, WithParallelism(par))
+			if err != nil {
+				t.Fatal(err)
+			}
+			om, err := mapOrbits(ctx, rep, c)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			repOf := make(map[string]int32, len(rep.Runs))
+			for r, res := range rep.Runs {
+				repOf[scenarioFingerprint(res.Pattern, res.Inits)] = int32(r)
+			}
+			src, err := c.scenarioSource(n, rep.Horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := 0
+			for sc, more := src.Next(); more; sc, more = src.Next() {
+				repPat, repInits, _, perm := model.CanonicalizeScenarioPerm(sc.Pattern, sc.Inits)
+				r, known := repOf[scenarioFingerprint(repPat, repInits)]
+				if g >= len(om.gRep) {
+					t.Fatalf("%s: the orbit map stops at %d scenarios, the source goes on", label, g)
+				}
+				if !known || om.gRep[g] != r || !slices.Equal(om.perms[om.gPerm[g]], perm) {
+					t.Fatalf("%s: scenario %d maps to representative %d under %v, the one-shot search to %d (known %v) under %v",
+						label, g, om.gRep[g], om.perms[om.gPerm[g]], r, known, perm)
+				}
+				g++
+			}
+			if g != len(om.gRep) || g != len(om.runs) {
+				t.Fatalf("%s: the source has %d scenarios, the orbit map %d", label, g, len(om.gRep))
+			}
+		}
 	}
 }
 

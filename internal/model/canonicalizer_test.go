@@ -3,6 +3,7 @@ package model
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -78,6 +79,36 @@ func checkCanon(t *testing.T, c *Canonicalizer, p *Pattern, inits []Value, want 
 	}
 }
 
+// checkHalves runs the inits half of split, whose pattern half last ran
+// for p, on inits, and holds the answer, its pattern key and its inits
+// bits to want: the scenario key is the pattern key, a '/', and the inits
+// that the bits spell.
+func checkHalves(t *testing.T, split *Canonicalizer, p *Pattern, inits []Value, want wantCanon) {
+	t.Helper()
+	split.MinimizeInits(inits)
+	checkCanon(t, split, p, inits, want)
+	patKey, repInits, _ := strings.Cut(want.repKey, "/")
+	if got := string(split.AppendPatternKey(nil)); got != patKey {
+		t.Fatalf("%v %v: pattern key %s, want %s", p, inits, got, patKey)
+	}
+	wantBits := 0
+	for a, b := range repInits {
+		if b == '1' {
+			wantBits |= 1 << a
+		}
+	}
+	if bits, ok := split.InitsBits(); !ok || bits != wantBits {
+		t.Fatalf("%v %v: inits bits (%b, %v), want (%b, true)", p, inits, bits, ok, wantBits)
+	}
+}
+
+// oneShot asks the one-shot wrappers.
+func oneShot(p *Pattern, inits []Value) wantCanon {
+	rep, repInits, orbit, perm := CanonicalizeScenarioPerm(p, inits)
+	_, canonical := IsCanonicalScenario(p, inits)
+	return wantCanon{string(AppendScenarioKey(nil, rep, repInits)), orbit, perm, canonical}
+}
+
 // oldCanon asks the reference search.
 func oldCanon(p *Pattern, inits []Value) wantCanon {
 	rep, repInits, orbit, perm := oldCanonicalizeScenarioPerm(p, inits)
@@ -92,17 +123,21 @@ func oldCanon(p *Pattern, inits []Value) wantCanon {
 // on: for every scenario of the n=4,t=1 sweep (and n=3), in sweep order
 // through one long-lived Canonicalizer and through the one-shot wrappers,
 // the representative, orbit, canonical flag and — tie-break included —
-// the permutation are the old per-scenario search's.
+// the permutation are the old per-scenario search's. A third canonicalizer
+// runs the pattern half once per pattern and the inits half per scenario,
+// as ExpandQuotient's workers do.
 func TestCanonicalizerMatchesOldSearch(t *testing.T) {
 	for _, n := range []int{3, 4} {
-		var c Canonicalizer
+		var c, split Canonicalizer
 		scenarios := 0
 		so1Patterns(n, 3, func(p *Pattern) {
+			split.SearchPattern(p)
 			allInits(n, func(inits []Value) {
 				scenarios++
 				want := oldCanon(p, inits)
 				c.Canonicalize(p, inits)
 				checkCanon(t, &c, p, inits, want)
+				checkHalves(t, &split, p, inits, want)
 
 				rep, repInits, orbit, perm := CanonicalizeScenarioPerm(p, inits)
 				if got := string(AppendScenarioKey(nil, rep, repInits)); got != want.repKey || orbit != want.orbit || !slices.Equal(perm, want.perm) {
@@ -172,19 +207,28 @@ func checkBrute(t *testing.T, c *Canonicalizer, p *Pattern, inits []Value) {
 
 // TestCanonicalizerBruteForce checks the split-respecting search against
 // the definition over ALL n! permutations: every SO(1) scenario at n=3,
-// seeded samples at n=4 and n=5 with up to two faulty agents.
+// seeded samples at n=4 and n=5 with up to two faulty agents. The two
+// halves, the pattern half once per pattern, must give the one-shot
+// answers.
 func TestCanonicalizerBruteForce(t *testing.T) {
-	var c Canonicalizer
+	var c, split Canonicalizer
 	so1Patterns(3, 3, func(p *Pattern) {
-		allInits(3, func(inits []Value) { checkBrute(t, &c, p, inits) })
+		split.SearchPattern(p)
+		allInits(3, func(inits []Value) {
+			checkBrute(t, &c, p, inits)
+			checkHalves(t, &split, p, inits, oneShot(p, inits))
+		})
 	})
 	rng := rand.New(rand.NewSource(13))
 	for _, cfg := range []struct{ n, maxF, patterns int }{{4, 1, 150}, {4, 2, 150}, {5, 1, 60}, {5, 2, 60}} {
 		for k := 0; k < cfg.patterns; k++ {
 			p := randPattern(rng, cfg.n, 1+rng.Intn(3), cfg.maxF)
+			split.SearchPattern(p)
 			// A few vectors per pattern, so the pattern memo is hit too.
 			for v := 0; v < 4; v++ {
-				checkBrute(t, &c, p, randInits(rng, cfg.n))
+				inits := randInits(rng, cfg.n)
+				checkBrute(t, &c, p, inits)
+				checkHalves(t, &split, p, inits, oneShot(p, inits))
 			}
 		}
 	}
@@ -199,6 +243,12 @@ func TestCanonicalizerMemoInvalidation(t *testing.T) {
 	var long Canonicalizer
 	check := func(p *Pattern, inits []Value) {
 		t.Helper()
+		// The pattern half renders only the faulty senders' rows, which
+		// rests on no mutation through the API leaving a nonfaulty
+		// sender's drop behind.
+		if err := SO(p.N()).Admits(p); err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
 		var fresh Canonicalizer
 		fresh.Canonicalize(p, inits)
 		long.Canonicalize(p, inits)
@@ -249,8 +299,9 @@ func TestCanonicalizerMemoInvalidation(t *testing.T) {
 }
 
 // TestCanonicalizeDoesNotAllocate pins the steady state the quotiented
-// sweeps rely on: a warmed-up canonicalizer allocates nothing, whether
-// the pattern memo hits or misses.
+// sweeps and the expansion rely on: a warmed-up canonicalizer allocates
+// nothing, whether the pattern memo hits or misses, and neither do its
+// halves, its pattern key or its inits bits.
 func TestCanonicalizeDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pats := []*Pattern{NewPattern(5, 3), randPattern(rng, 5, 3, 1), randPattern(rng, 5, 3, 2)}
@@ -264,6 +315,13 @@ func TestCanonicalizeDoesNotAllocate(t *testing.T) {
 			c.Canonicalize(p, inits)
 			key = c.AppendRepresentativeKey(key[:0])
 			perm = c.Perm(perm)
+			c.SearchPattern(p)
+			c.MinimizeInits(inits)
+			c.MinimizeInits(inits)
+			key = c.AppendPatternKey(key[:0])
+			if _, ok := c.InitsBits(); !ok {
+				t.Fatal("binary inits read as not binary")
+			}
 		}
 	}
 	run()

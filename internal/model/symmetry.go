@@ -47,27 +47,15 @@ func checkPerm(n int, perm []AgentID) {
 	if len(perm) != n {
 		panic("model: permutation length does not match agent count")
 	}
-	var seen [64]bool
-	big := n > len(seen)
-	var seenBig map[AgentID]bool
-	if big {
-		seenBig = make(map[AgentID]bool, n)
-	}
+	seen := make([]bool, n)
 	for _, v := range perm {
 		if int(v) < 0 || int(v) >= n {
 			panic("model: permutation entry out of range")
 		}
-		if big {
-			if seenBig[v] {
-				panic("model: permutation entry repeated")
-			}
-			seenBig[v] = true
-		} else {
-			if seen[v] {
-				panic("model: permutation entry repeated")
-			}
-			seen[v] = true
+		if seen[v] {
+			panic("model: permutation entry repeated")
 		}
+		seen[v] = true
 	}
 }
 
@@ -123,13 +111,17 @@ func IsCanonicalScenario(p *Pattern, inits []Value) (int64, bool) {
 }
 
 // Canonicalizer canonicalizes scenarios one after another, reusing its
-// storage: after warm-up Canonicalize does not allocate. It splits the
-// lexicographic minimum the way the key is ordered. The drop bitmap
-// comes first, so per pattern it searches the split-respecting
-// permutations once for the minimal bitmap and keeps the coset of
-// permutations reaching it; per scenario it minimises only the n permuted
-// inits over that coset (a handful of members for most patterns, all n!
-// for the failure-free one).
+// storage: after warm-up it does not allocate. It takes the lexicographic
+// minimum in two halves, the way the key is ordered. The drop bitmap
+// comes first, so the pattern half (SearchPattern) searches the
+// split-respecting permutations once per pattern for the minimal bitmap
+// and keeps the coset of permutations reaching it; the inits half
+// (MinimizeInits) minimises only the n permuted inits over that coset (a
+// handful of members for most patterns, all n! for the failure-free one).
+// Canonicalize is the two halves in sequence. A caller that holds a
+// pattern's scenarios together runs the pattern half once and the inits
+// half per scenario, and can find the representative by its pattern key
+// (AppendPatternKey) and its inits as bits (InitsBits).
 //
 // The pattern half is remembered for the most recent pattern, compared by
 // content against a private copy — an enumerator that mutates one Pattern
@@ -138,8 +130,7 @@ func IsCanonicalScenario(p *Pattern, inits []Value) (int64, bool) {
 // pays; a source whose patterns never repeat pays one extra comparison.
 //
 // The zero value is ready to use. A Canonicalizer is not safe for
-// concurrent use, and the results of Canonicalize are valid until the
-// next call.
+// concurrent use, and its results are valid until the next call.
 type Canonicalizer struct {
 	// The remembered pattern: shape and a copy of its contents.
 	n, horizon int
@@ -158,7 +149,7 @@ type Canonicalizer struct {
 	coset     []AgentID
 	idInCoset bool // the identity permutation is a coset member
 
-	// Scenario half: the inits as key bytes by old agent, their minimum
+	// Inits half: the inits as key bytes by old agent, their minimum
 	// over the coset, the first member attaining it and how many do (the
 	// scenario's stabilizer order).
 	vals     []byte
@@ -167,14 +158,21 @@ type Canonicalizer struct {
 	minCount int64
 }
 
-// Canonicalize finds the canonical representative of (p, inits); the
-// other methods report it. len(inits) must equal p.N().
+// Canonicalize finds the canonical representative of (p, inits), the
+// pattern half then the inits half; the other methods report it.
+// len(inits) must equal p.N().
 func (c *Canonicalizer) Canonicalize(p *Pattern, inits []Value) {
-	if len(inits) != p.n {
+	c.SearchPattern(p)
+	c.MinimizeInits(inits)
+}
+
+// MinimizeInits runs the inits half for the scenario (p, inits), p the
+// pattern SearchPattern last ran for: the minimal permuted inits over the
+// coset, and the first member in search order attaining them.
+// len(inits) must equal p.N().
+func (c *Canonicalizer) MinimizeInits(inits []Value) {
+	if len(inits) != c.n {
 		panic("model: CanonicalizeScenario inits length does not match pattern")
-	}
-	if !c.remembers(p) {
-		c.searchPattern(p)
 	}
 	n := c.n
 	c.vals = c.vals[:0]
@@ -220,19 +218,17 @@ func (c *Canonicalizer) CanonicalPattern(p *Pattern) bool {
 			return false
 		}
 	}
-	if !c.remembers(p) {
-		c.searchPattern(p)
-	}
+	c.SearchPattern(p)
 	return c.idInCoset
 }
 
-// remembers reports whether p is the pattern the pattern half was run for.
-func (c *Canonicalizer) remembers(p *Pattern) bool {
-	return c.n == p.n && c.horizon == p.horizon && slices.Equal(c.faulty, p.faulty) && slices.Equal(c.drops, p.drops)
-}
-
-// searchPattern remembers p and runs the pattern half for it.
-func (c *Canonicalizer) searchPattern(p *Pattern) {
+// SearchPattern runs the pattern half for p, unless p is the pattern it
+// last ran for (compared by content): the minimal drop bitmap over the
+// split-respecting permutations, and the coset of those reaching it.
+func (c *Canonicalizer) SearchPattern(p *Pattern) {
+	if c.n == p.n && c.horizon == p.horizon && slices.Equal(c.faulty, p.faulty) && slices.Equal(c.drops, p.drops) {
+		return
+	}
 	c.n, c.horizon = p.n, p.horizon
 	c.faulty = append(c.faulty[:0], p.faulty...)
 	c.drops = append(c.drops[:0], p.drops...)
@@ -258,7 +254,14 @@ func (c *Canonicalizer) searchPattern(p *Pattern) {
 		}
 	}
 
+	// The nonfaulty senders' rows are '0' under every candidate: a
+	// Pattern cannot hold a drop by a nonfaulty agent (Drop marks the
+	// sender faulty, SetNonfaulty clears its row). They are filled here
+	// once, and evaluate renders only the faulty block's rows.
 	c.minDrops = slices.Grow(c.minDrops[:0], len(c.drops))[:len(c.drops)]
+	for i := range c.minDrops {
+		c.minDrops[i] = '0'
+	}
 	c.minInits = slices.Grow(c.minInits[:0], c.n)[:c.n]
 	c.coset = c.coset[:0]
 	c.search(0)
@@ -292,17 +295,18 @@ func (c *Canonicalizer) search(k int) {
 	}
 }
 
-// evaluate renders the drop bitmap under the current assignment straight
-// into minDrops, giving up at the first byte that loses to the running
-// minimum, and folds the leaf into the coset. The faulty bitmap is not
-// rendered: every candidate shares it.
+// evaluate renders the faulty senders' rows of the drop bitmap under the
+// current assignment straight into minDrops, giving up at the first byte
+// that loses to the running minimum, and folds the leaf into the coset.
+// The faulty bitmap and the nonfaulty senders' rows are not rendered:
+// every candidate shares them.
 func (c *Canonicalizer) evaluate() {
-	n, w := c.n, 0
+	n := c.n
 	less := len(c.coset) == 0 // the first leaf always becomes the minimum
 	for m := 0; m < c.horizon; m++ {
 		mBase := m * n * n
-		for _, from := range c.agents {
-			row := mBase + int(from)*n
+		for a := c.nonfaulty; a < n; a++ {
+			row, w := mBase+int(c.agents[a])*n, mBase+a*n
 			for _, to := range c.agents {
 				b := boolByte(c.drops[row+int(to)])
 				if !less && b != c.minDrops[w] {
@@ -348,19 +352,37 @@ func (c *Canonicalizer) Perm(dst []AgentID) []AgentID {
 	return dst
 }
 
-// AppendRepresentativeKey appends the representative's scenario key —
-// what AppendScenarioKey renders for the permuted pattern and inits,
-// without materializing either.
-func (c *Canonicalizer) AppendRepresentativeKey(dst []byte) []byte {
+// AppendPatternKey appends the representative's pattern key — what
+// Pattern.Key renders for the permuted pattern, without materializing
+// it. Every scenario of one pattern shares it.
+func (c *Canonicalizer) AppendPatternKey(dst []byte) []byte {
 	dst = appendInt(dst, c.n)
 	dst = append(dst, ':')
 	for a := 0; a < c.n; a++ {
 		dst = append(dst, boolByte(a >= c.nonfaulty))
 	}
 	dst = append(dst, ':')
-	dst = append(dst, c.minDrops...)
-	dst = append(dst, '/')
-	return append(dst, c.minInits...)
+	return append(dst, c.minDrops...)
+}
+
+// AppendRepresentativeKey appends the representative's scenario key —
+// what AppendScenarioKey renders for the permuted pattern and inits: the
+// pattern key, a '/', and the minimal inits.
+func (c *Canonicalizer) AppendRepresentativeKey(dst []byte) []byte {
+	return append(append(c.AppendPatternKey(dst), '/'), c.minInits...)
+}
+
+// InitsBits returns the representative's inits as an integer, bit a set
+// iff its agent a prefers 1, and whether that identifies them: ok is
+// false when some preference is neither 0 nor 1.
+func (c *Canonicalizer) InitsBits() (bits int, ok bool) {
+	for a, v := range c.minInits {
+		if v != '0' && v != '1' {
+			return 0, false
+		}
+		bits |= int(v-'0') << a
+	}
+	return bits, true
 }
 
 // AppendScenarioKey appends a fingerprint of the scenario (p, inits):

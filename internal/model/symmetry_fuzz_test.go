@@ -80,9 +80,10 @@ func (s *fuzzScenario) decode() (*Pattern, []Value, []AgentID) {
 // on for full-sweep equivalence. CanonicalPattern, Quotient's per-pattern
 // prefilter, must be exact. One Canonicalizer lives across the whole
 // fuzzed sequence, as it does in those sweeps, and must answer every
-// scenario as a fresh one does whatever it was shown or asked before.
+// scenario as a fresh one does whatever it was shown or asked before; so
+// must a second one driven through the two halves.
 func FuzzCanonicalizeScenario(f *testing.F) {
-	var long Canonicalizer
+	var long, split Canonicalizer
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
 	f.Add([]byte{1, 1, 0xff, 0x0f, 3, 1, 2})
@@ -125,6 +126,9 @@ func FuzzCanonicalizeScenario(f *testing.F) {
 			t.Fatalf("long-lived canonicalizer = (%s, %d, %v), fresh one (%s, %d, %v)",
 				got, long.Orbit(), long.Perm(nil), want, orbit, perm)
 		}
+
+		split.SearchPattern(p)
+		checkHalves(t, &split, p, inits, wantCanon{string(AppendScenarioKey(nil, rep, repInits)), orbit, perm, isRep})
 
 		// The returned permutation is split-respecting: the
 		// representative has the same shape with its faulty agents in

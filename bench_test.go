@@ -1,8 +1,9 @@
 package eba_test
 
-// One benchmark per experiment table/figure (E1–E12, mirroring DESIGN.md's
-// index), one of synthesis, plus micro-benchmarks for the load-bearing
-// substrates. Run with:
+// One benchmark per experiment table that runs outside the theorem matrix
+// (E1–E4, E11, E12), the model checker's builds and checks, one of
+// synthesis, plus micro-benchmarks for the load-bearing substrates. Run
+// with:
 //
 //	go test -bench=. -benchmem
 //
@@ -110,7 +111,7 @@ func BenchmarkE4Example71(b *testing.B) {
 	}
 }
 
-func BenchmarkE5TerminationBound(b *testing.B) {
+func BenchmarkRandomSORunBasicN6(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n, tf := 6, 2
 	st := stack(b, "basic", n, tf)
@@ -126,7 +127,7 @@ func BenchmarkE5TerminationBound(b *testing.B) {
 	}
 }
 
-func BenchmarkE6ImplementsMin(b *testing.B) {
+func BenchmarkBuildImplementsMinN3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys := buildSystem(b, "min", 3, 1)
 		if ms, err := sys.CheckImplements(context.Background(), episteme.P0, 1); err != nil || len(ms) != 0 {
@@ -135,7 +136,7 @@ func BenchmarkE6ImplementsMin(b *testing.B) {
 	}
 }
 
-func BenchmarkE7ImplementsBasic(b *testing.B) {
+func BenchmarkBuildImplementsBasicN3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys := buildSystem(b, "basic", 3, 1)
 		if ms, err := sys.CheckImplements(context.Background(), episteme.P0, 1); err != nil || len(ms) != 0 {
@@ -144,7 +145,7 @@ func BenchmarkE7ImplementsBasic(b *testing.B) {
 	}
 }
 
-func BenchmarkE8ImplementsFIP(b *testing.B) {
+func BenchmarkBuildImplementsFIPN3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys := buildSystem(b, "fip", 3, 1)
 		if ms, err := sys.CheckImplements(context.Background(), episteme.P1, 1); err != nil || len(ms) != 0 {
@@ -153,7 +154,7 @@ func BenchmarkE8ImplementsFIP(b *testing.B) {
 	}
 }
 
-func BenchmarkE9OptimalityCharacterization(b *testing.B) {
+func BenchmarkCheckOptimalityFIPn3Parallel(b *testing.B) {
 	sys := buildSystem(b, "fip", 3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -163,7 +164,7 @@ func BenchmarkE9OptimalityCharacterization(b *testing.B) {
 	}
 }
 
-func BenchmarkE10Safety(b *testing.B) {
+func BenchmarkCheckSafetyMinN3(b *testing.B) {
 	sys := buildSystem(b, "min", 3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -702,6 +703,28 @@ func BenchmarkBuildSystem(b *testing.B) {
 	}
 }
 
+// BenchmarkRepresentativeBuild executes and indexes the 7,758 orbit
+// representatives of SO n=5,t=1 (BuildShardIndex 0/1), the model checker's
+// round memo under each kind of state: min's values converge in its graph,
+// fip's pointers never do.
+func BenchmarkRepresentativeBuild(b *testing.B) {
+	for _, name := range []string{"min", "fip"} {
+		b.Run(name, func(b *testing.B) {
+			st := stack(b, name, 5, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				idx, err := eba.BuildShardIndex(context.Background(), st, 0, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(idx.Runs) != 7758 {
+					b.Fatalf("%d representatives, want 7758", len(idx.Runs))
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCheckImplements is the model checker's reference check
 // workload: a cold CheckImplements(P1) — including the concurrent C_N
 // condensation builds — on a fresh γ_fip n=3, t=1 system each iteration.
@@ -729,9 +752,10 @@ func BenchmarkEngineStepFIP(b *testing.B) {
 	for i := 0; i < n; i++ {
 		states[i] = ex.Initial(model.AgentID(i), model.One)
 	}
+	next, buf := make([]model.State, n), engine.NewBuffers()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.Step(ex, pat, 0, states, acts); err != nil {
+		if _, err := engine.StepInto(ex, pat, 0, states, acts, next, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,7 +17,10 @@
 //     messages and a clean one yield the same messages — the engine hands
 //     every exchange the same rows round after round;
 //  8. a model.KeyPermuter maps agent i's key to agent π(i)'s key in the
-//     scenario's twin relabeled by π (drawn from the seed), at every time.
+//     scenario's twin relabeled by π (drawn from the seed), at every time;
+//  9. states are comparable with == (model.State's contract): the model
+//     checker's round memo keys a map by state vectors, and a state type
+//     holding a slice, a map or a func would panic there.
 //
 // Two drivers exercise the conventions: CheckExchange samples random
 // omission behavior (cheap, any n), and CheckExchangePatterns drives the
@@ -31,6 +34,7 @@ package conformance
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 
 	"repro/internal/model"
 )
@@ -82,6 +86,7 @@ func initialStates(ex model.Exchange, inits []model.Value, label lazyLabel, r *r
 		if s.Time() != 0 || s.Init() != inits[i] || s.Decided() != model.None || s.JustDecided() != model.None {
 			r.report("%s: initial state of agent %d is not ⟨0, %v, ⊥, ⊥⟩: %s", label, i, inits[i], s.Key())
 		}
+		checkComparable(s, label, r)
 	}
 	return states
 }
@@ -136,8 +141,15 @@ func (tw *twin) check(ex model.Exchange, states []model.State, label lazyLabel, 
 	}
 }
 
+// checkComparable verifies convention 9 on one state.
+func checkComparable(s model.State, label lazyLabel, r *reporter) {
+	if !reflect.TypeOf(s).Comparable() {
+		r.report("%s: state type %T is not comparable with ==", label, s)
+	}
+}
+
 // checkRound drives one round: every agent sends under its action, the
-// deliver rule decides which messages arrive, and conventions 2–8 are
+// deliver rule decides which messages arrive, and conventions 2–9 are
 // verified on the resulting transition. It returns the successor states,
 // or false when a structural violation (wrong outbox size) makes
 // continuing meaningless.
@@ -232,6 +244,7 @@ func checkRound(ex model.Exchange, m int, states []model.State, acts []model.Act
 		if next[i].Init() != prev.Init() {
 			r.report("%s round %d: agent %d initial preference changed", label, m, i)
 		}
+		checkComparable(next[i], label, r)
 	}
 	tw.follow(ex, m, acts, outbox, inbox, next, label, r)
 	return next, true

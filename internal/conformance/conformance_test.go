@@ -111,6 +111,42 @@ func TestConformanceCatchesFrozenTime(t *testing.T) {
 	}
 }
 
+// sliceExchange wraps Min in states that carry a slice of notes: correct
+// in every other respect, but not comparable with ==, so the model
+// checker's round memo would panic keying a map by them.
+type sliceExchange struct {
+	*exchange.Min
+}
+
+type sliceState struct {
+	model.State
+	notes []model.Value
+}
+
+func (e sliceExchange) Initial(i model.AgentID, init model.Value) model.State {
+	return sliceState{e.Min.Initial(i, init), []model.Value{init}}
+}
+
+func (e sliceExchange) Messages(i model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
+	return e.Min.Messages(i, s.(sliceState).State, a, out)
+}
+
+func (e sliceExchange) Update(i model.AgentID, s model.State, a model.Action, recv []model.Message) model.State {
+	return sliceState{e.Min.Update(i, s.(sliceState).State, a, recv), s.(sliceState).notes}
+}
+
+func TestConformanceCatchesIncomparableState(t *testing.T) {
+	vs := CheckExchange(sliceExchange{exchange.NewMin(3)}, 7, 5)
+	if len(vs) == 0 || !strings.Contains(vs[0], "not comparable") {
+		t.Fatalf("a state holding a slice was not reported: %q", vs)
+	}
+	for _, v := range vs {
+		if !strings.Contains(v, "not comparable") {
+			t.Fatalf("an incomparable but otherwise conformant exchange drew another report: %s", v)
+		}
+	}
+}
+
 // TestAllExchangesConformUnderEnumeratedPatterns drives every exchange
 // through the exhaustive SO(1) pattern stream — the streaming counterpart
 // of the random-omission check, covering the failure model's exact

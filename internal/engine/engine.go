@@ -110,10 +110,9 @@ type Result struct {
 // NewResult returns the empty ledger of a run of n agents over horizon
 // rounds: the trace slices sized, every decision None, inits recorded as
 // given (an executor that must not alias its caller's slice passes a
-// copy). The executors that keep their own round loop — RunBuffered, the
-// model checker's memoizing one, the knowledge-based-program builder —
-// start from it and fill it in through Record and Stats.Add, so the
-// ledger's rules are written once.
+// copy). The executors that keep their own round loop — RunBuffered and
+// the model checker's memoizing one — start from it and fill it in
+// through Record and Stats.Add, so the ledger's rules are written once.
 func NewResult(n, horizon int, pat *model.Pattern, inits []model.Value) *Result {
 	res := &Result{
 		N:             n,
@@ -260,20 +259,6 @@ func RunBuffered(cfg Config, buf *Buffers) (*Result, error) {
 	return res, nil
 }
 
-// Step executes one synchronous round (round m+1) on a throwaway Buffers
-// and returns the time-m+1 states in a fresh slice. It serves callers
-// that advance a run one round at a time between other work — the
-// knowledge-based-program builder in internal/episteme chooses actions by
-// evaluating knowledge tests between rounds.
-func Step(ex model.Exchange, pat *model.Pattern, m int, states []model.State, acts []model.Action) ([]model.State, Stats, error) {
-	next := make([]model.State, ex.N())
-	stats, err := StepInto(ex, pat, m, states, acts, next, NewBuffers())
-	if err != nil {
-		return nil, stats, err
-	}
-	return next, stats, nil
-}
-
 // StepInto is the round, written once: μ selects the messages each agent
 // sends given its chosen action, writing them into buf's outbox rows; the
 // failure pattern filters deliveries into the inbox rows; and δ produces
@@ -283,7 +268,8 @@ func Step(ex model.Exchange, pat *model.Pattern, m int, states []model.State, ac
 // inbox slice δ receives (they copy what they need into the fresh state),
 // which is what makes reusing both across rounds and runs sound. The
 // produced states never alias buf, so a caller may retain them — the
-// model checker's memoizing executor interns transition rows across runs.
+// model checker's memoizing executor shares each round's successor row
+// across runs.
 func StepInto(ex model.Exchange, pat *model.Pattern, m int, states []model.State, acts []model.Action,
 	next []model.State, buf *Buffers) (Stats, error) {
 

@@ -29,7 +29,7 @@ func TestStepRejectsShortMessageVector(t *testing.T) {
 	for i := range states {
 		states[i] = ex.Initial(model.AgentID(i), model.One)
 	}
-	_, _, err := Step(ex, adversary.FailureFree(n, 2), 0, states, make([]model.Action, n))
+	_, err := StepInto(ex, adversary.FailureFree(n, 2), 0, states, make([]model.Action, n), make([]model.State, n), NewBuffers())
 	if err == nil || !strings.Contains(err.Error(), "entries") {
 		t.Errorf("short message vector not rejected: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestStepRejectsTimeWarp(t *testing.T) {
 	for i := range states {
 		states[i] = ex.Initial(model.AgentID(i), model.One)
 	}
-	_, _, err := Step(ex, adversary.FailureFree(n, 2), 0, states, make([]model.Action, n))
+	_, err := StepInto(ex, adversary.FailureFree(n, 2), 0, states, make([]model.Action, n), make([]model.State, n), NewBuffers())
 	if err == nil || !strings.Contains(err.Error(), "time") {
 		t.Errorf("time warp not rejected: %v", err)
 	}
@@ -72,7 +72,8 @@ func TestStepStats(t *testing.T) {
 		ex.Initial(1, model.One),
 	}
 	acts := []model.Action{model.Decide1, model.Decide1}
-	next, stats, err := Step(ex, pat, 0, states, acts)
+	next := make([]model.State, n)
+	stats, err := StepInto(ex, pat, 0, states, acts, next, NewBuffers())
 	if err != nil {
 		t.Fatal(err)
 	}

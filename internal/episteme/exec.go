@@ -8,170 +8,152 @@ import (
 )
 
 // memoExec is the model checker's execution substrate: an engine.Executor
-// that memoizes work across the runs of one exhaustive enumeration.
-// Exhaustive sweeps execute the same round many times — patterns sharing
-// a drop prefix drive identical state vectors through identical
-// deliveries — so the (state vector, actions, round drops) triple
-// determines the next state vector and the round's traffic stats.
-// memoExec interns local states into dense ids, memoizes the action
-// protocol per (agent, state id) — action protocols are functions of the
-// local state, the premise CheckImplements' per-class dedup already rests
-// on — memoizes round transitions per triple, and interns the time-0
-// state vectors per initial assignment. Runs that revisit a transition
-// alias the same immutable state objects, which also lets every
-// downstream key computation hit the same cached fingerprints.
+// that shares work across the runs of one exhaustive enumeration. The
+// engine is deterministic and the context synchronous, so a round's
+// outcome is a function of the time-m state vector, the actions chosen on
+// it and the round's drops. memoExec keeps the runs' histories as a
+// graph: a node is one time's state vector with the actions chosen on it,
+// and an edge, keyed by a node and the round's n²-bit drop mask, leads to
+// the next node and carries the round's traffic stats. A run takes one
+// read-locked lookup per round and executes only the rounds no earlier
+// run took from the same node.
 //
-// The memo keys state vectors by interned ids and round deliveries by an
-// n²-bit mask, so it requires n ≤ 8; larger systems (far beyond
-// exhaustive checking anyway) fall back to the plain engine. Safe for
-// concurrent use by the Runner's worker pool.
+// Histories that reach equal state vectors before the horizon share one
+// node. States are compared with == (model.State's contract), so Emin's
+// and Ebasic's value states converge, while an Efip state, a pointer,
+// equals only itself. Every run through a node aliases its immutable
+// state row, which is what the direct index build groups runs by.
+//
+// Drop masks and node keys cover n ≤ 8, and one memo serves the runs of
+// one horizon; other configurations (far beyond exhaustive checking
+// anyway) run on the plain engine. Safe for concurrent use by the
+// Runner's worker pool.
 type memoExec struct {
+	horizon int
 	mu      sync.RWMutex
-	stateID map[string]int32
-	acts    [][]model.Action // [agent][stateID] → memoized action, or actUnknown
-	actVecs map[[8]int32][]model.Action
-	steps   map[stepKey]stepVal
-	initial map[uint32][]model.State
+	roots   map[uint32]memoNode         // packed initial preferences → time-0 node
+	edges   map[memoEdgeKey]memoEdge    // (node, round drops) → next node and stats
+	nodes   map[[8]model.State]memoNode // state vector → node, for times 1..horizon-1
 }
 
-// actUnknown marks an action-memo slot that has not been evaluated yet.
-const actUnknown = model.Action(-128)
-
-// stepKey identifies one round transition up to trace equality.
-type stepKey struct {
-	m      int
-	states [8]int32
-	acts   [8]int8
-	drops  uint64
+// memoNode is one time's state vector, identified by the row's first
+// element, and the actions chosen on it: immutable slices every run
+// through the node aliases. Held by value, since a short-lived object per
+// round would fragment the heap the rows stay in.
+type memoNode struct {
+	states []model.State
+	acts   []model.Action // nil at the horizon, where no round is left
 }
 
-// stepVal is the shared outcome of a memoized transition. The state
-// slice is immutable and aliased by every run that hits the entry.
-type stepVal struct {
-	next  []model.State
+// memoEdgeKey is one round's departure, memoEdge its arrival and traffic.
+type memoEdgeKey struct {
+	from  *model.State // &states[0] of the departing node
+	drops uint64
+}
+
+type memoEdge struct {
+	to    memoNode
 	stats engine.Stats
 }
 
-func newMemoExec(n int) *memoExec {
+func newMemoExec(horizon int) *memoExec {
 	return &memoExec{
-		stateID: make(map[string]int32, 1024),
-		acts:    make([][]model.Action, n),
-		actVecs: make(map[[8]int32][]model.Action, 1024),
-		steps:   make(map[stepKey]stepVal, 1024),
-		initial: make(map[uint32][]model.State),
+		horizon: horizon,
+		roots:   make(map[uint32]memoNode),
+		edges:   make(map[memoEdgeKey]memoEdge, 1024),
+		nodes:   make(map[[8]model.State]memoNode, 1024),
 	}
 }
 
 // Name identifies the executor.
 func (e *memoExec) Name() string { return "episteme-memo" }
 
-// internState returns the dense id of a local-state key, growing the
-// per-agent action memos alongside the id space.
-func (e *memoExec) internState(key string) int32 {
-	e.mu.RLock()
-	id, ok := e.stateID[key]
-	e.mu.RUnlock()
-	if ok {
-		return id
-	}
-	e.mu.Lock()
-	id, ok = e.stateID[key]
-	if !ok {
-		id = int32(len(e.stateID))
-		e.stateID[key] = id
-		for i := range e.acts {
-			e.acts[i] = append(e.acts[i], actUnknown)
+// newNode evaluates the action protocol on a state vector, unless the
+// vector is at the horizon. It runs outside the lock: action protocols
+// are functions of the local state, so a racing duplicate chooses the
+// same actions and is simply dropped.
+func (e *memoExec) newNode(act model.ActionProtocol, states []model.State) memoNode {
+	nd := memoNode{states: states}
+	if states[0].Time() < e.horizon {
+		nd.acts = make([]model.Action, len(states))
+		for i, s := range states {
+			nd.acts[i] = act.Act(model.AgentID(i), s)
 		}
 	}
-	e.mu.Unlock()
-	return id
+	return nd
 }
 
-// actFor returns the memoized action of agent i at the interned state,
-// evaluating the protocol on the first visit.
-func (e *memoExec) actFor(act model.ActionProtocol, i model.AgentID, id int32, st model.State) model.Action {
-	e.mu.RLock()
-	a := e.acts[i][id]
-	e.mu.RUnlock()
-	if a != actUnknown {
-		return a
-	}
-	a = act.Act(i, st)
-	e.mu.Lock()
-	e.acts[i][id] = a
-	e.mu.Unlock()
-	return a
-}
-
-// actVecFor returns the shared action vector of an interned state vector:
-// actions are functions of the local state, so every run revisiting the
-// vector records the same immutable slice.
-func (e *memoExec) actVecFor(act model.ActionProtocol, ids [8]int32, states []model.State) []model.Action {
-	e.mu.RLock()
-	acts, ok := e.actVecs[ids]
-	e.mu.RUnlock()
-	if ok {
-		return acts
-	}
-	acts = make([]model.Action, len(states))
-	for i := range states {
-		acts[i] = e.actFor(act, model.AgentID(i), ids[i], states[i])
-	}
-	e.mu.Lock()
-	if prev, again := e.actVecs[ids]; again {
-		acts = prev
-	} else {
-		e.actVecs[ids] = acts
-	}
-	e.mu.Unlock()
-	return acts
-}
-
-// initialStates returns the shared time-0 state vector for an initial
-// assignment (at most 2ⁿ distinct vectors exist).
-func (e *memoExec) initialStates(ex model.Exchange, inits []model.Value) []model.State {
+// root returns the shared time-0 node of a configuration's initial
+// assignment (at most 2ⁿ exist).
+func (e *memoExec) root(cfg engine.Config) memoNode {
 	var key uint32
-	for i, v := range inits {
+	for i, v := range cfg.Inits {
 		key |= uint32(v&3) << (2 * uint(i))
 	}
 	e.mu.RLock()
-	states, ok := e.initial[key]
+	nd, ok := e.roots[key]
 	e.mu.RUnlock()
 	if ok {
-		return states
+		return nd
 	}
-	states = make([]model.State, len(inits))
-	for i := range inits {
-		states[i] = ex.Initial(model.AgentID(i), inits[i])
+	states := make([]model.State, len(cfg.Inits))
+	for i, v := range cfg.Inits {
+		states[i] = cfg.Exchange.Initial(model.AgentID(i), v)
 	}
+	nd = e.newNode(cfg.Action, states)
 	e.mu.Lock()
-	if prev, again := e.initial[key]; again {
-		states = prev
-	} else {
-		e.initial[key] = states
+	defer e.mu.Unlock()
+	if prev, again := e.roots[key]; again {
+		return prev
 	}
-	e.mu.Unlock()
-	return states
+	e.roots[key] = nd
+	return nd
+}
+
+// step executes the round an edge key names and lands the edge. The
+// first edge landed for a key wins, and a successor before the horizon
+// joins an equal node when the graph already holds one.
+func (e *memoExec) step(cfg engine.Config, m int, from memoNode, key memoEdgeKey, buf *engine.Buffers) (memoEdge, error) {
+	next := make([]model.State, len(from.states))
+	stats, err := engine.StepInto(cfg.Exchange, cfg.Pattern, m, from.states, from.acts, next, buf)
+	if err != nil {
+		return memoEdge{}, err
+	}
+	nd := e.newNode(cfg.Action, next)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if prev, again := e.edges[key]; again {
+		return prev, nil
+	}
+	if nd.acts != nil { // a leaf has no round left to share
+		var vec [8]model.State
+		copy(vec[:], next)
+		if prev, ok := e.nodes[vec]; ok {
+			nd = prev
+		} else {
+			e.nodes[vec] = nd
+		}
+	}
+	ed := memoEdge{to: nd, stats: stats}
+	e.edges[key] = ed
+	return ed, nil
 }
 
 // dropMask packs round-m delivery of every ordered pair into a bitmask.
 func dropMask(pat *model.Pattern, m, n int) uint64 {
 	var mask uint64
-	bit := uint(0)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if !pat.Delivered(m, model.AgentID(i), model.AgentID(j)) {
-				mask |= 1 << bit
+				mask |= 1 << uint(i*n+j)
 			}
-			bit++
 		}
 	}
 	return mask
 }
 
-// Execute runs one configuration like engine.RunBuffered, but serves
-// actions, round transitions, and initial states from the shared memo
-// when identical ones have already been computed. Results are
+// Execute runs one configuration like engine.RunBuffered, walking the
+// graph and executing only the rounds it does not hold yet. Results are
 // bit-identical to the plain engine's (shared state objects are equal by
 // construction); only the work is shared. Result.Inits aliases
 // cfg.Inits, a row the scenario source shares read-only, and a System's
@@ -181,50 +163,26 @@ func (e *memoExec) Execute(cfg engine.Config, buf *engine.Buffers) (*engine.Resu
 	if err != nil {
 		return nil, err
 	}
-	if n > 8 {
-		// The memo's packed keys cover n ≤ 8; beyond that, run plain.
+	if n > 8 || horizon != e.horizon {
 		return engine.RunBuffered(cfg, buf)
 	}
-	ex, act, pat := cfg.Exchange, cfg.Action, cfg.Pattern
-	res := engine.NewResult(n, horizon, pat, cfg.Inits)
-	cur := e.initialStates(ex, cfg.Inits)
-	res.States[0] = cur
-
+	res := engine.NewResult(n, horizon, cfg.Pattern, cfg.Inits)
+	nd := e.root(cfg)
+	res.States[0] = nd.states
 	for m := 0; m < horizon; m++ {
-		key := stepKey{m: m, drops: dropMask(pat, m, n)}
-		for i := 0; i < n; i++ {
-			key.states[i] = e.internState(cur[i].Key())
-		}
-		acts := e.actVecFor(act, key.states, cur)
-		for i := 0; i < n; i++ {
-			key.acts[i] = int8(acts[i])
-		}
-		res.Record(m, acts)
-
+		res.Record(m, nd.acts)
+		key := memoEdgeKey{from: &nd.states[0], drops: dropMask(cfg.Pattern, m, n)}
 		e.mu.RLock()
-		val, ok := e.steps[key]
+		ed, ok := e.edges[key]
 		e.mu.RUnlock()
 		if !ok {
-			next := make([]model.State, n)
-			stats, err := engine.StepInto(ex, pat, m, cur, acts, next, buf)
-			if err != nil {
+			if ed, err = e.step(cfg, m, nd, key, buf); err != nil {
 				return nil, err
 			}
-			val = stepVal{next: next, stats: stats}
-			e.mu.Lock()
-			if prev, again := e.steps[key]; again {
-				val = prev
-			} else {
-				e.steps[key] = val
-			}
-			e.mu.Unlock()
 		}
-		res.Stats.Add(val.stats)
-		cur = val.next
-		res.States[m+1] = cur
+		res.Stats.Add(ed.stats)
+		nd = ed.to
+		res.States[m+1] = nd.states
 	}
 	return res, nil
 }
-
-// Interface compliance.
-var _ engine.Executor = (*memoExec)(nil)

@@ -585,8 +585,8 @@ func TestExpandQuotientReportsLowestFailingSlot(t *testing.T) {
 // TestExpandedRunsOwnTheirInits writes into every Inits of an expanded
 // fip n=3 system. ExpandQuotient carves its runs' inits from its own
 // slabs: no run holds a row of its scenario source, and the
-// representatives' runs, which do hold rows of their build's source
-// (memoExec aliases them), must read as before.
+// representatives' runs, whose Inits are their build's source rows
+// (memoExec records each scenario's row uncopied), must read as before.
 func TestExpandedRunsOwnTheirInits(t *testing.T) {
 	c := Context{Exchange: exchange.NewFIP(3), T: 1}
 	rep, err := buildStripe(context.Background(), c, action.NewOpt(1), 0, 1, buildOptions(c, []Option{WithParallelism(2)}))

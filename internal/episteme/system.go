@@ -396,7 +396,7 @@ func buildStripe(ctx context.Context, c Context, act model.ActionProtocol, shard
 		return nil, err
 	}
 	runner := core.NewRunner(cacheStack(c, act, n, horizon),
-		core.WithExecutor(newMemoExec(n)),
+		core.WithExecutor(newMemoExec(horizon)),
 		core.WithParallelism(o.par))
 	// A quotiented source annotates each representative with its orbit
 	// size as the scenario Weight; RunSource drops scenarios, so collect
@@ -437,10 +437,10 @@ func buildStripe(ctx context.Context, c Context, act model.ActionProtocol, shard
 // traces (index.go's direct-build producer).
 func (s *System) buildIndex(ctx context.Context) error {
 	n := s.N
-	// The memoizing executor aliases identical state rows across runs, so
-	// group runs by row identity first, once per time: a slot's memo code
-	// is the run's row group, and the keys are rendered once per distinct
-	// row instead of once per run.
+	// The memoizing executor hands every run through one node of its graph
+	// the node's state row, so group runs by row identity first, once per
+	// time: a slot's memo code is the run's row group, and the keys are
+	// rendered once per distinct row instead of once per run.
 	rowOf := make([][]int32, s.Horizon+1)
 	rowCount := make([]int, s.Horizon+1)
 	err := s.parallel(ctx, s.Horizon+1, func(m int) {

@@ -28,6 +28,13 @@ type Message interface {
 // the "just decided" observation jd. Concrete exchanges add more (Ebasic's
 // #1 counter, Efip's communication graph) and expose it on their own state
 // types.
+//
+// A state must be comparable with ==: a pointer, or a value of a
+// comparable type. States that are equal must behave alike — the same
+// components, the same key, the same messages and successors — because
+// the model checker's round memo lets equal state vectors share one
+// history from there on. A pointer state is equal only to itself, which
+// the contract always allows.
 type State interface {
 	// Time is the state's time component; all agents have Time() == m at
 	// time m (the system is synchronous).

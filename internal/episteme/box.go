@@ -85,7 +85,7 @@ func (s *System) BoxComponents(member func(q Point, faulty uint64) uint64) []int
 // set only.
 func (s *System) memberNAndDecided(v model.Value) func(Point, uint64) uint64 {
 	return func(p Point, faulty uint64) uint64 {
-		res := s.Runs[p.Run]
+		res := s.Runs[p.Run].Result
 		var members uint64
 		for i := range res.DecisionRound {
 			if id := model.AgentID(i); decided(res, id, v, p.Time) && !faultyAt(faulty, id) {
@@ -148,7 +148,7 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 			if faultyAt(faulty, i) {
 				return true // B^N: only nonfaulty alternatives count
 			}
-			return s.Exists(v, q) && compOK[comp[q.Run]] && !decided(s.Runs[q.Run], i, v.Flip(), q.Time)
+			return s.Exists(v, q) && compOK[comp[q.Run]] && !decided(s.Runs[q.Run].Result, i, v.Flip(), q.Time)
 		})
 		if err != nil {
 			return nil, err
@@ -157,7 +157,7 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 		// The equivalence fails at a nonfaulty agent whose ○decided_i = v
 		// differs from the belief.
 		err = s.screen(ctx, maxTime, func(m, row int) (bad uint64) {
-			res, faulty := s.Runs[s.rowRun(m, row)], s.faultyMasks(m)[row]
+			res, faulty := s.Runs[s.rowRun(m, row)].Result, s.faultyMasks(m)[row]
 			for i := 0; i < s.N; i++ {
 				slot := m*s.N + i
 				if !faultyAt(faulty, model.AgentID(i)) &&
@@ -168,7 +168,7 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 			return bad
 		}, func(i model.AgentID, m, run, _ int) {
 			if rp.keep() {
-				lhs := decided(s.Runs[run], i, v, m)
+				lhs := decided(s.Runs[run].Result, i, v, m)
 				rp.lines = append(rp.lines, fmt.Sprintf(
 					"v=%v run %d time %d agent %d: ○decided=%v but characterization=%v",
 					v, run, m, i, lhs, !lhs))

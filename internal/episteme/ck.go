@@ -266,7 +266,7 @@ func (s *System) buildCNLayer(m int) *cnLayer {
 // the body of P1's common-knowledge guards, with the run's nonfaulty set
 // read from its faulty mask.
 func (s *System) guardBody(run, m int, faulty uint64) [2]bool {
-	res := s.Runs[run]
+	res := s.Runs[run].Result
 	var exists, decidedN [2]bool
 	for i, iv := range res.Inits {
 		if iv.IsSet() {

@@ -108,7 +108,7 @@ func TestDecidedValAndDeciding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := &System{N: n, T: tf, Horizon: tf + 2, Runs: []*engine.Result{res}}
+	sys := &System{N: n, T: tf, Horizon: tf + 2, Runs: []Run{ownRun(res)}}
 	// Agent 0 decides 0 in round 1: deciding at time 0, decided from 1 on.
 	if !sys.Deciding(0, model.Zero, Point{0, 0}) {
 		t.Error("agent 0 should be deciding 0 at time 0")

@@ -9,14 +9,13 @@ import (
 	"testing"
 
 	"repro/internal/action"
-	"repro/internal/engine"
 )
 
 // literalSystem is an unindexed System of the given shape whose runs are
 // never read: the index kernel is told a row count by its producer and
 // knows nothing else of them.
 func literalSystem(n, horizon, nRuns, par int) *System {
-	return &System{N: n, Horizon: horizon, Runs: make([]*engine.Result, nRuns), par: par}
+	return &System{N: n, Horizon: horizon, Runs: make([]Run, nRuns), par: par}
 }
 
 // perRow is the rows of a producer whose memo code is the row itself.

@@ -990,7 +990,7 @@ func TestCKFoldOnRandomSystems(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	vetoed, heldAcrossEdge := 0, 0
 	for trial := 0; trial < 300; trial++ {
-		sys := &System{N: n, T: tf, Horizon: 1, Runs: make([]*engine.Result, runs)}
+		sys := &System{N: n, T: tf, Horizon: 1, Runs: make([]Run, runs)}
 		for r := range sys.Runs {
 			// Agent 0 is faulty in most runs and one more agent in a few,
 			// so that a faulty set is often common to a component and
@@ -1011,7 +1011,7 @@ func TestCKFoldOnRandomSystems(t *testing.T) {
 					res.Decision[i], res.DecisionRound[i] = model.Value(rng.Intn(2)), 1
 				}
 			}
-			sys.Runs[r] = res
+			sys.Runs[r] = ownRun(res)
 		}
 		sys.classOf = make([][]int32, 2*n)
 		sys.classRuns = make([][][]int, 2*n)

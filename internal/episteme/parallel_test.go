@@ -20,23 +20,28 @@ import (
 // inits, full state-key and action traces, the decision ledger, and the
 // traffic stats. Two runs with equal fingerprints are interchangeable for
 // every checker.
-func resultFingerprint(res *engine.Result) string {
+func resultFingerprint(run Run) string {
 	var b strings.Builder
-	b.WriteString(ledgerFingerprint(res))
-	for m := range res.States {
-		for i := range res.States[m] {
-			fmt.Fprintf(&b, "s[%d][%d]=%s\n", m, i, res.States[m][i].Key())
+	b.WriteString(ledgerFingerprint(run))
+	for m := range run.States {
+		for i := range run.States[m] {
+			fmt.Fprintf(&b, "s[%d][%d]=%s\n", m, i, run.States[m][i].Key())
 		}
 	}
 	return b.String()
 }
 
 // ledgerFingerprint is resultFingerprint without the state traces, which
-// an expanded system does not carry.
-func ledgerFingerprint(res *engine.Result) string {
+// an expanded system does not carry. The pattern and stats are the run's
+// own, not its ledger's.
+func ledgerFingerprint(run Run) string {
 	return fmt.Sprintf("pat=%s inits=%v dec=%v rounds=%v stats=%+v acts=%v\n",
-		res.Pattern.Key(), res.Inits, res.Decision, res.DecisionRound, res.Stats, res.Actions)
+		run.Pattern.Key(), run.Inits, run.Decision, run.DecisionRound, run.Stats, run.Actions)
 }
+
+// ownRun is an executed run as a System holds it: the Result is its own
+// ledger.
+func ownRun(res *engine.Result) Run { return Run{res, res.Pattern, res.Stats} }
 
 func fipContext31() Context {
 	return Context{Exchange: exchange.NewFIP(3), T: 1}
@@ -62,7 +67,7 @@ func TestBuildSystemMatchesPlainEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := resultFingerprint(res), resultFingerprint(plain); got != want {
+		if got, want := resultFingerprint(res), resultFingerprint(ownRun(plain)); got != want {
 			t.Fatalf("run %d differs from the plain engine:\nmemo:\n%s\nplain:\n%s", ri, got, want)
 		}
 	}

@@ -73,10 +73,11 @@ func expandable(c Context) (model.KeyPermuter, error) {
 // re-enumerates c's scenario source and cross-checks every orbit against
 // the representative weights, so a mismatched context fails loudly instead
 // of mis-expanding. The expanded system carries no state traces (like a
-// merged one): System.Key and the checkers ride the interned class tables.
-// Its time-Horizon slots are interned on first read, which the
-// implements checks never make; until then the system keeps pass 1's
-// per-run arrays and rep alive.
+// merged one), and the runs of a prefix unit share one ledger (Run):
+// System.Key and the checkers ride the interned class tables. Its
+// time-Horizon slots are interned on first read, which the implements
+// checks never make; until then the system keeps pass 1's per-run arrays
+// and rep alive.
 func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error) {
 	if !rep.Quotiented() {
 		return nil, fmt.Errorf("episteme: ExpandQuotient on a system that is not quotiented")
@@ -103,15 +104,15 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 // orbitMap is pass 1's account of the full sweep: scenario ordinal g is
 // representative gRep[g] relabeled by perms[gPerm[g]] (π with π·g =
 // representative; invs holds π⁻¹, isID marks the identity), and runs[g] is
-// its synthesized run. unitOf and unitFirst are the System's (system.go,
-// "Rows"); lastDrops[g] packs the last round's drops of scenario g, t bits
-// per recipient: bit i·t+k says the k-th faulty agent's message to agent i
-// is lost.
+// its run. unitOf and unitFirst are the System's (system.go, "Rows");
+// lastDrops[g] packs the last round's drops of scenario g, t bits per
+// recipient: bit i·t+k says the k-th faulty agent's message to agent i is
+// lost.
 type orbitMap struct {
 	gRep, gPerm []int32
 	perms, invs [][]model.AgentID
 	isID        []bool
-	runs        []*engine.Result
+	runs        []Run
 	unitOf      []int32
 	unitFirst   []int32
 	lastDrops   []uint64
@@ -120,12 +121,13 @@ type orbitMap struct {
 // mapOrbits is pass 1 of ExpandQuotient, which has validated c against
 // rep: it re-enumerates the full sweep, mapping scenario ordinal g to its
 // representative and the relabeling π with π·g = representative, and
-// synthesizes g's run, the representative's ledger relabeled (g's agent i
-// is the representative's agent π(i)). The source is read in batches of
-// one orbitChunk-scenario chunk per worker of rep's pool. The workers
+// writes g's run: g's own pattern and stats, and its unit's ledger, the
+// representative's relabeled (g's agent i is the representative's agent
+// π(i)). The source is read in batches of one orbitChunk-scenario chunk
+// per worker of rep's pool. The workers
 // canonicalize their chunks; a serial stitch in ordinal order numbers
 // relabelings, prefixes and units and counts the orbits; the workers then
-// synthesize their chunks' runs, units' first runs before the rest. Ids
+// write their chunks' runs, units' first runs before the rest. Ids
 // depend on ordinals alone and the lowest ordinal's error is reported, so
 // the map and its errors are the same at every worker count.
 //
@@ -150,7 +152,7 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	om := &orbitMap{
 		gRep:      make([]int32, 0, total),
 		gPerm:     make([]int32, 0, total),
-		runs:      make([]*engine.Result, 0, total),
+		runs:      make([]Run, 0, total),
 		unitOf:    make([]int32, 0, total),
 		lastDrops: make([]uint64, 0, total),
 	}
@@ -231,7 +233,7 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 				}
 				om.unitOf = append(om.unitOf, *cell-1)
 				om.lastDrops = append(om.lastDrops, drops)
-				om.runs = append(om.runs, nil)
+				om.runs = append(om.runs, Run{})
 			}
 		}
 		for _, firsts := range []bool{true, false} {
@@ -263,8 +265,8 @@ const orbitChunk = 2048
 
 // orbitWorker is one pass-1 worker: its chunk of the current batch —
 // scenarios base, base+1, … — what canonicalize learned of each, the
-// chunk's first error, and the scratch and run slabs it keeps from batch to
-// batch.
+// chunk's first error, and the scratch and ledger slabs it keeps from
+// batch to batch.
 type orbitWorker struct {
 	base  int
 	sc    []core.Scenario
@@ -315,11 +317,11 @@ func (wk *orbitWorker) canonicalize(rep *System, reps *repTable) {
 	}
 }
 
-// expand synthesizes the runs of the chunk's stitched scenarios: the ones
-// that open their unit when firsts, the others otherwise, whose unit's
-// first run is then synthesized already. At a run whose ledger differs
-// from its unit's first it records the error, lower than any the chunk
-// had, and stops.
+// expand writes the runs of the chunk's stitched scenarios: the ones that
+// open their unit, with its ledger synthesized, when firsts, the others,
+// with the first's ledger, otherwise. At a run whose relabeled ledger
+// differs from that it records the error, lower than any the chunk had,
+// and stops. Message counts are permutation-invariant: stats are the rep's.
 func (wk *orbitWorker) expand(rep *System, om *orbitMap, firsts bool) {
 	for k, sc := range wk.sc {
 		g := wk.base + k
@@ -327,16 +329,14 @@ func (wk *orbitWorker) expand(rep *System, om *orbitMap, firsts bool) {
 		if (f == g) != firsts {
 			continue
 		}
-		var first *engine.Result
-		if f != g {
-			first = om.runs[f]
-		}
-		res := wk.slabs.expandRun(rep.Runs[om.gRep[g]], sc, om.perms[om.gPerm[g]], first)
-		if res == nil {
+		repRun, perm, ledger := &rep.Runs[om.gRep[g]], om.perms[om.gPerm[g]], om.runs[f].Result
+		if f == g {
+			ledger = wk.slabs.ledger(repRun.Result, sc.Inits, perm)
+		} else if !relabelsTo(repRun.Result, sc.Inits, perm, ledger) {
 			wk.err = fmt.Errorf("episteme: runs %d and %d share their initial preferences, faulty set and every drop before the last round, but their relabeled ledgers differ (asymmetric stack or context mismatch?)", f, g)
 			return
 		}
-		om.runs[g] = res
+		om.runs[g] = Run{ledger, sc.Pattern, repRun.Stats}
 	}
 }
 
@@ -476,18 +476,17 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	return sys, nil
 }
 
-// runSlabs backs the runs pass 1 synthesizes: each field of an expanded
-// Result is carved from a chunk shared with its neighbours, since the
-// expanded System keeps every run alive together anyway.
+// runSlabs backs the ledgers pass 1 synthesizes: each slice of a unit's
+// ledger is carved from a chunk shared with its neighbours, since the
+// expanded System keeps every ledger alive together anyway.
 type runSlabs struct {
-	results []engine.Result
 	values  []model.Value
 	rounds  []int
 	rows    [][]model.Action
 	actions []model.Action
 }
 
-// slabRuns is the number of runs' worth of storage one slab chunk holds.
+// slabRuns is the number of ledgers' worth of storage one slab chunk holds.
 const slabRuns = 1024
 
 // carve cuts k elements off the front of *slab, replacing an exhausted
@@ -501,35 +500,19 @@ func carve[T any](slab *[]T, k int) []T {
 	return out
 }
 
-// expandRun synthesizes the run of scenario sc from its representative's
-// run: by agent symmetry run(sc) is run(rep) with the agents relabeled
-// under π⁻¹ (sc's agent i is rep's agent π(i)). State traces are not
-// reconstructed — the expanded system answers knowledge queries through
-// its interned class tables, like a merged one. first is the run of the
-// lowest scenario of sc's unit, nil when sc is that scenario: a later
-// member's relabeled ledger must equal first's, whose slices it then
-// shares; expandRun returns nil when it does not.
-func (sl *runSlabs) expandRun(repRes *engine.Result, sc core.Scenario, perm []model.AgentID, first *engine.Result) *engine.Result {
+// ledger synthesizes a unit's ledger from the representative's run of its
+// first scenario, whose initial preferences are inits: by agent symmetry
+// it is the representative's with the agents relabeled under π⁻¹ (the
+// scenario's agent i is the representative's agent π(i)). State traces
+// are not reconstructed — the expanded system answers knowledge queries
+// through its interned class tables, like a merged one — and the ledger
+// carries no Pattern and zero Stats: those are each run's own (Run).
+func (sl *runSlabs) ledger(repRes *engine.Result, inits []model.Value, perm []model.AgentID) *engine.Result {
 	n := repRes.N
-	res := &carve(&sl.results, 1)[0]
-	*res = engine.Result{
-		N:       n,
-		Horizon: repRes.Horizon,
-		Pattern: sc.Pattern,
-		Stats:   repRes.Stats, // message counts are permutation-invariant
-	}
-	if first != nil {
-		if !relabelsTo(repRes, sc.Inits, perm, first) {
-			return nil
-		}
-		res.Inits, res.Actions, res.Decision, res.DecisionRound = first.Inits, first.Actions, first.Decision, first.DecisionRound
-		return res
-	}
-	res.Inits = carve(&sl.values, n)
-	res.Actions = carve(&sl.rows, len(repRes.Actions))
-	res.Decision = carve(&sl.values, n)
-	res.DecisionRound = carve(&sl.rounds, n)
-	copy(res.Inits, sc.Inits)
+	res := &engine.Result{N: n, Horizon: repRes.Horizon,
+		Inits: carve(&sl.values, n), Actions: carve(&sl.rows, len(repRes.Actions)),
+		Decision: carve(&sl.values, n), DecisionRound: carve(&sl.rounds, n)}
+	copy(res.Inits, inits)
 	for i := 0; i < n; i++ {
 		res.Decision[i] = repRes.Decision[perm[i]]
 		res.DecisionRound[i] = repRes.DecisionRound[perm[i]]

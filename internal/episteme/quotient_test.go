@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -373,10 +374,11 @@ func TestExpandQuotientRejects(t *testing.T) {
 	first, second := rep.Runs[0], rep.Runs[1]
 	rep.Runs[1] = first
 	refuses("a representative twice", "carries representative", rep, c)
-	unset := *first
+	// Copying a Run shares its ledger: the doctored run gets a fresh one.
+	unset := *first.Result
 	unset.Inits = slices.Clone(first.Inits)
 	unset.Inits[0] = model.None
-	rep.Runs[0], rep.Runs[1] = &unset, second
+	rep.Runs[0], rep.Runs[1] = ownRun(&unset), second
 	refuses("a representative preferring ⊥", "does not prefer 0 or 1", rep, c)
 	rep.Runs[0] = first
 
@@ -621,5 +623,42 @@ func TestExpandedRunsOwnTheirInits(t *testing.T) {
 		if !slices.Equal(res.Inits, before[r]) {
 			t.Fatalf("representative %d's inits read %v after the expanded runs were written, want %v", r, res.Inits, before[r])
 		}
+	}
+}
+
+// TestExpandQuotientAllocCeiling holds the bytes one ExpandQuotient of fip
+// n=4,t=1 allocates per expanded run, the first read of its last layer
+// left out. An expanded run is its unit's ledger plus its own pattern and
+// stats (Run): about 220 B. The ceiling sits about 10 % above that and
+// below the ≈339 B a run cost when each carried an engine.Result of its
+// own, so that one cannot come back unnoticed. Lower the ceiling when a
+// change earns it.
+func TestExpandQuotientAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	const runs, ceiling = 32784, 245 // bytes per expanded run
+	c := Context{Exchange: exchange.NewFIP(4), T: 1}
+	ctx := context.Background()
+	idx, err := BuildShardIndex(ctx, c, action.NewOpt(1), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := MergeSystems(ctx, []*ShardIndex{idx}, WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expand := func() {
+		if sys, err := ExpandQuotient(ctx, rep, c); err != nil || len(sys.Runs) != runs {
+			t.Fatalf("expanded %v runs, error %v; want %d runs", sys != nil && len(sys.Runs) == runs, err, runs)
+		}
+	}
+	expand() // the first expansion interns the representatives' last layer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	expand()
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / runs; per > ceiling {
+		t.Errorf("ExpandQuotient allocates %.1f bytes per expanded run, ceiling %d", per, ceiling)
 	}
 }

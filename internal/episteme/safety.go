@@ -16,7 +16,7 @@ import (
 // to an initial 0). Receipt by time m is therefore equivalent to having
 // decided 0 by round m+1.
 func (s *System) receivedChainBy(i model.AgentID, run, m int) bool {
-	return decided(s.Runs[run], i, model.Zero, m)
+	return decided(s.Runs[run].Result, i, model.Zero, m)
 }
 
 // CheckSafety verifies the safety condition of Definition 6.2 for the
@@ -112,7 +112,7 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 		c, run := s.classOf[slot][row], s.rowRun(m, row)
 		one = !allOnes[slot][c] && !s.receivedChainBy(i, run, m)
 		if m < s.Horizon {
-			res := s.Runs[run]
+			res := s.Runs[run].Result
 			decidedBefore := res.Round(i) != 0 && res.Round(i) <= m
 			two = !decidedBefore && someDeciding0[slot][c] && !witness[slot][c] && !s.knowsFaulty(i, m, c)
 		}

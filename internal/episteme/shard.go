@@ -156,8 +156,8 @@ func exportShardIndex(sys *System, shardIndex, shardCount int) (*ShardIndex, err
 		idx.Quotient = true
 		idx.Mults = append([]int64{}, sys.weights...)
 	}
-	for k, res := range sys.Runs {
-		if err := idx.Runs[k].Encode(res); err != nil {
+	for k, run := range sys.Runs { // a stripe's runs own their ledgers
+		if err := idx.Runs[k].Encode(run.Result); err != nil {
 			return nil, err
 		}
 	}
@@ -517,7 +517,7 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 	}
 
 	n, horizon := ref.N, ref.Horizon
-	runs := make([]*engine.Result, total)
+	runs := make([]Run, total)
 	var weights []int64
 	if ref.Quotient {
 		weights = make([]int64, total)
@@ -528,7 +528,7 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 		if err != nil {
 			return nil, fmt.Errorf("episteme: shard %d run %d (global %d): %w", g%k, g/k, g, err)
 		}
-		runs[g] = res
+		runs[g] = Run{res, res.Pattern, res.Stats}
 		if weights != nil {
 			weights[g] = idx.Mults[g/k]
 		}

@@ -224,6 +224,18 @@ func (c Context) scenarioSource(n, horizon int) (core.Source, error) {
 	return source.CrossInits(pats, n)
 }
 
+// Run is one run of a System. The embedded Result is its ledger (Inits,
+// Actions, Decision, DecisionRound; States when traced); Pattern and Stats
+// are the run's own and shadow the ledger's. An expanded system's runs
+// share one ledger per prefix unit (System, "Rows"), with a nil Pattern
+// and zero Stats; every other system's runs own theirs. Copying a Run
+// shares its ledger.
+type Run struct {
+	*engine.Result
+	Pattern *model.Pattern
+	Stats   engine.Stats
+}
+
 // Point is a point (run, time) of an interpreted system.
 type Point struct {
 	// Run indexes System.Runs.
@@ -242,8 +254,8 @@ type System struct {
 	// N is the number of agents, T the failure bound, Horizon the number
 	// of rounds.
 	N, T, Horizon int
-	// Runs holds every enumerated run.
-	Runs []*engine.Result
+	// Runs holds every enumerated run, in enumeration order.
+	Runs []Run
 
 	// weights, when non-nil, marks a symmetry-quotiented system: Runs are
 	// the canonical orbit representatives of the sweep and weights[r] is
@@ -402,9 +414,9 @@ func buildStripe(ctx context.Context, c Context, act model.ActionProtocol, shard
 	// size as the scenario Weight; RunSource drops scenarios, so collect
 	// run results and weights side by side from the stream (same ordering
 	// and fail-fast semantics as RunSource, and its capped preallocation).
-	var runs []*engine.Result
+	var runs []Run
 	if count, ok := src.Count(); ok && count >= 0 {
-		runs = make([]*engine.Result, 0, min(count, 1<<20))
+		runs = make([]Run, 0, min(count, 1<<20))
 	}
 	var weights []int64
 	if o.quotient {
@@ -417,7 +429,7 @@ func buildStripe(ctx context.Context, c Context, act model.ActionProtocol, shard
 			cancel(oc.Err)
 			return nil, oc.Err
 		}
-		runs = append(runs, oc.Result)
+		runs = append(runs, Run{oc.Result, oc.Result.Pattern, oc.Result.Stats})
 		if o.quotient {
 			weights = append(weights, oc.Scenario.EffectiveWeight())
 		}
@@ -717,7 +729,7 @@ func (s *System) Exists(v model.Value, p Point) bool {
 // DecidedVal returns decided_i at p: the value agent i has decided by time
 // p.Time, or None.
 func (s *System) DecidedVal(i model.AgentID, p Point) model.Value {
-	res := s.Runs[p.Run]
+	res := s.Runs[p.Run].Result
 	if r := res.Round(i); r > 0 && r <= p.Time {
 		return res.Decided(i)
 	}
@@ -727,7 +739,7 @@ func (s *System) DecidedVal(i model.AgentID, p Point) model.Value {
 // JustDecided reports jdecided_i = v at p: agent i decided v exactly in
 // round p.Time.
 func (s *System) JustDecided(i model.AgentID, v model.Value, p Point) bool {
-	res := s.Runs[p.Run]
+	res := s.Runs[p.Run].Result
 	return res.Round(i) == p.Time && res.Decided(i) == v
 }
 
@@ -736,7 +748,7 @@ func (s *System) JustDecided(i model.AgentID, v model.Value, p Point) bool {
 // false (nothing is recorded beyond the horizon; the paper's protocols
 // have all decided by then).
 func (s *System) Deciding(i model.AgentID, v model.Value, p Point) bool {
-	res := s.Runs[p.Run]
+	res := s.Runs[p.Run].Result
 	return res.Round(i) == p.Time+1 && res.Decided(i) == v
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/action"
 	"repro/internal/adversary"
+	"repro/internal/engine"
 	"repro/internal/exchange"
 	"repro/internal/model"
 )
@@ -311,6 +312,95 @@ func TestExpandQuotientRefusesDoctoredLedger(t *testing.T) {
 			first = err.Error()
 		} else if err.Error() != first {
 			t.Fatalf("parallelism %d reports %q, parallelism 1 %q", par, err, first)
+		}
+	}
+}
+
+// TestExpandedRunsShareUnitLedgers pins how an expanded system holds its
+// runs: each run's pattern and stats are its own and equal the per-run
+// build's, the runs of one prefix unit hold one *engine.Result — exactly
+// the runs whose initial preferences, faulty set and drops before the last
+// round agree — and that shared ledger carries no pattern and zero stats,
+// so a read through it cannot answer for another run of the unit.
+func TestExpandedRunsShareUnitLedgers(t *testing.T) {
+	type stack struct {
+		name string
+		ex   func(n int) model.Exchange
+		act  func(n, t int) model.ActionProtocol
+	}
+	stacks := []stack{
+		{"fip", func(n int) model.Exchange { return exchange.NewFIP(n) }, func(_, t int) model.ActionProtocol { return action.NewOpt(t) }},
+		{"min", func(n int) model.Exchange { return exchange.NewMin(n) }, func(_, t int) model.ActionProtocol { return action.NewMin(t) }},
+		{"basic", func(n int) model.Exchange { return exchange.NewBasic(n) }, func(n, _ int) model.ActionProtocol { return action.NewBasic(n) }},
+	}
+	cells := []struct {
+		n, t  int
+		crash bool
+		units int // 0 = not pinned
+	}{
+		{3, 1, false, 392}, {4, 1, false, 4112}, {3, 2, true, 0}, {4, 2, true, 0},
+	}
+	ctx := context.Background()
+	for _, st := range stacks {
+		for _, cell := range cells {
+			kind := "SO"
+			if cell.crash {
+				kind = "crash"
+			}
+			t.Run(fmt.Sprintf("%s %s n=%d t=%d", st.name, kind, cell.n, cell.t), func(t *testing.T) {
+				if raceEnabled && cell.n > 3 {
+					t.Skip("n=4 outlasts the race detector's budget; n=3 covers the layout")
+				}
+				c := Context{Exchange: st.ex(cell.n), T: cell.t, Crash: cell.crash}
+				want, err := BuildSystem(ctx, perRunContext(c), st.act(cell.n, cell.t), WithParallelism(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := BuildSystem(ctx, c, st.act(cell.n, cell.t), WithParallelism(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.unitOf == nil || len(got.Runs) != len(want.Runs) {
+					t.Fatalf("expanded %d runs (layered %v), the per-run build %d", len(got.Runs), got.unitOf != nil, len(want.Runs))
+				}
+				// The units as the per-run build's scenarios define them.
+				unitOfPrefix := make(map[string]int)
+				var key []byte
+				for g, run := range got.Runs {
+					w := want.Runs[g]
+					if run.Pattern.Key() != w.Pattern.Key() || run.Stats != w.Stats {
+						t.Fatalf("run %d: pattern %s stats %+v, the per-run build's %s %+v",
+							g, run.Pattern.Key(), run.Stats, w.Pattern.Key(), w.Stats)
+					}
+					if gf, wf := ledgerFingerprint(run), ledgerFingerprint(w); gf != wf {
+						t.Fatalf("run %d: expanded\n%sper-run\n%s", g, gf, wf)
+					}
+					if run.Result.Pattern != nil || run.Result.Stats != (engine.Stats{}) {
+						t.Fatalf("run %d: its ledger carries pattern %v and stats %+v", g, run.Result.Pattern, run.Result.Stats)
+					}
+					key = fmt.Appendf(w.Pattern.AppendPrefixKey(key[:0], got.Horizon-1), "/%v", w.Inits)
+					u, seen := unitOfPrefix[string(key)]
+					if !seen {
+						u = len(unitOfPrefix)
+						unitOfPrefix[string(key)] = u
+					}
+					if int(got.unitOf[g]) != u {
+						t.Fatalf("run %d is in unit %d, its prefix in unit %d", g, got.unitOf[g], u)
+					}
+					if first := got.Runs[got.unitFirst[u]].Result; run.Result != first {
+						t.Fatalf("run %d holds ledger %p, its unit's first run %d holds %p", g, run.Result, got.unitFirst[u], first)
+					}
+				}
+				ledgers := make(map[*engine.Result]bool)
+				for _, run := range got.Runs {
+					ledgers[run.Result] = true
+				}
+				units := len(unitOfPrefix)
+				if len(ledgers) != units || len(got.unitFirst) != units || (cell.units != 0 && units != cell.units) {
+					t.Fatalf("%d distinct ledgers, %d units in the system, %d prefix units in the sweep; want %d (0: not pinned)",
+						len(ledgers), len(got.unitFirst), units, cell.units)
+				}
+			})
 		}
 	}
 }

@@ -104,8 +104,10 @@ func E6TheoremMatrix(parallelism int) *Table {
 				optimality = len(must(sys.CheckOptimalityFIP(ctx, -1, 0)))
 			}
 			es := earlyStop{t: c.t}
-			for _, res := range sys.Runs {
-				es.add(res)
+			for _, run := range sys.Runs {
+				res := *run.Result // an expanded run shares its unit's ledger
+				res.Pattern = run.Pattern
+				es.add(&res)
 			}
 
 			// Naive's spec is gated below, where it must fail.

@@ -17,6 +17,7 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	eba "repro"
@@ -366,6 +367,61 @@ func BenchmarkExpandQuotientN5(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fresh()
+	}
+}
+
+// BenchmarkLargerCellsFIP runs two of the theorem matrix's larger cells
+// for fip, each iteration end to end: BuildSystem, then implements (P1),
+// safety and Thm 7.5, and fails when a count moves off ROADMAP's
+// larger-cells table. live-MB is the heap that survives a collection right
+// after the first read of the last layer, which the two last checks make
+// and which sets these cells' peak; run one cell per process, under
+// /usr/bin/time or GODEBUG=gctrace=1, for the peak itself.
+func BenchmarkLargerCellsFIP(b *testing.B) {
+	for _, cell := range []struct {
+		name                           string
+		n, t                           int
+		crash                          bool
+		implements, safety, optimality int
+	}{
+		{"crash-n5-t2", 5, 2, true, 0, 0, 0},
+		{"SO-n3-t2", 3, 2, false, 81, 975492, 196608},
+	} {
+		b.Run(cell.name, func(b *testing.B) {
+			st := stack(b, "fip", cell.n, cell.t)
+			mc := episteme.ContextFor(st)
+			mc.Crash = cell.crash
+			ctx := context.Background()
+			var live float64
+			for i := 0; i < b.N; i++ {
+				sys, err := episteme.BuildSystem(ctx, mc, st.Action)
+				if err != nil {
+					b.Fatal(err)
+				}
+				implements, err := sys.CheckImplements(ctx, episteme.P1, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sys.Key(0, episteme.Point{Run: 0, Time: sys.Horizon}) // the last layer's first read
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				live += float64(ms.HeapAlloc) / (1 << 20)
+				safety, err := sys.CheckSafety(ctx, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				optimality, err := sys.CheckOptimalityFIP(ctx, -1, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(implements) != cell.implements || len(safety) != cell.safety || len(optimality) != cell.optimality {
+					b.Fatalf("implements %d, safety %d, Thm 7.5 %d; the larger-cells table has %d, %d, %d",
+						len(implements), len(safety), len(optimality), cell.implements, cell.safety, cell.optimality)
+				}
+			}
+			b.ReportMetric(live/float64(b.N), "live-MB")
+		})
 	}
 }
 

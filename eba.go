@@ -87,7 +87,7 @@ type (
 	SpecOptions = spec.Options
 	// System is an interpreted system built by exhaustive enumeration.
 	System = episteme.System
-	// Run is one run of a System: a shared ledger, its own pattern and stats.
+	// Run is one run of a System: a shared ledger, its pattern, its *Stats.
 	Run = episteme.Run
 	// Program identifies a knowledge-based program (ProgramP0/ProgramP1).
 	Program = episteme.Program

@@ -45,8 +45,9 @@ func (s *System) BoxComponents(member func(q Point, faulty uint64) uint64) []int
 			bits[u] = member(Point{Run: s.rowRun(0, u), Time: m}, faulty[u])
 			if s.layered(m) && bits[u] != 0 && !joined[u] {
 				joined[u] = true
-				for _, r := range s.unitRuns[u][1:] {
-					union(s.unitRuns[u][0], r)
+				runs := s.unitRuns.of(int32(u))
+				for _, r := range runs[1:] {
+					union(int(runs[0]), int(r))
 				}
 			}
 		}

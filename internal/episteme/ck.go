@@ -34,7 +34,7 @@ type cnLayer struct {
 	next [][]int32
 	// members lists the rows in each component (class-node components may
 	// be empty).
-	members [][]int
+	members members
 	// ck[v][c] reports C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v) at the points
 	// of component c (the formula is a function of the component: every
 	// point of it reaches the same set).
@@ -120,7 +120,7 @@ type cnGraph struct {
 	base []int32
 	// classOf and classRuns are the slice's n slots of the System's.
 	classOf   [][]int32
-	classRuns [][][]int
+	classRuns []members
 	faulty    []uint64
 }
 
@@ -129,12 +129,12 @@ type cnGraph struct {
 func (g *cnGraph) classNode(r int32, i int) int32 { return g.base[i] + g.classOf[i][r] }
 
 // members returns the runs of class node v.
-func (g *cnGraph) members(v int32) []int {
+func (g *cnGraph) members(v int32) []int32 {
 	i := g.n - 1
 	for v < g.base[i] {
 		i--
 	}
-	return g.classRuns[i][v-g.base[i]]
+	return g.classRuns[i].of(v - g.base[i])
 }
 
 // buildCNLayer condenses the time-m accessibility graph and folds the
@@ -154,19 +154,18 @@ func (s *System) buildCNLayer(m int) *cnLayer {
 	}
 	g.base[0] = int32(runs)
 	for i := 0; i < n; i++ {
-		g.base[i+1] = g.base[i] + int32(len(g.classRuns[i]))
+		g.base[i+1] = g.base[i] + int32(len(g.classRuns[i].off)-1)
 	}
 
 	comp, nComp := g.scc()
 	layer := &cnLayer{
-		comp:    comp[:runs],
-		next:    make([][]int32, nComp),
-		members: make([][]int, nComp),
-		reach:   make(map[int32][]int),
+		comp:  comp[:runs],
+		next:  make([][]int32, nComp),
+		reach: make(map[int32][]int),
 	}
 	// Group the nodes by component with a counting sort: component c's
 	// nodes are grouped[off[c]:off[c+1]] in ascending order, its runs
-	// (the low node ids) first; the runs alone land in memberSlab at
+	// (the low node ids) first; the runs alone land in members at
 	// runOff[c]:runOff[c+1].
 	off := make([]int32, nComp+1)
 	runOff := make([]int32, nComp+1)
@@ -186,7 +185,7 @@ func (s *System) buildCNLayer(m int) *cnLayer {
 		grouped[fill[c]] = int32(v)
 		fill[c]++
 	}
-	memberSlab := make([]int, runs)
+	layer.members = members{rows: make([]int32, runs), off: runOff}
 
 	// Build the DAG and fold the guard over it. Walking one source
 	// component at a time lets a stamp per target component deduplicate its
@@ -226,13 +225,9 @@ func (s *System) buildCNLayer(m int) *cnLayer {
 				}
 			}
 		}
-		if nRuns > 0 {
-			members := memberSlab[runOff[cv]:runOff[cv+1]:runOff[cv+1]]
-			for k, v := range nodes[:nRuns] {
-				members[k] = int(v)
-				inter[cv] &= g.faulty[v]
-			}
-			layer.members[cv] = members
+		copy(layer.members.rows[runOff[cv]:], nodes[:nRuns])
+		for _, v := range nodes[:nRuns] {
+			inter[cv] &= g.faulty[v]
 		}
 		enough := bits.OnesCount64(inter[cv]) >= s.T
 		ck0[cv], ck1[cv] = enough, enough
@@ -336,7 +331,7 @@ func (g *cnGraph) scc() (comp []int32, nComp int) {
 				members := g.members(v)
 				for k := int(f.child); k < len(members); k++ {
 					if wi := marks[members[k]].index; wi == 0 {
-						next, f.child = int32(members[k]), int32(k+1)
+						next, f.child = members[k], int32(k+1)
 						break
 					} else if wi < low {
 						low = wi
@@ -392,12 +387,10 @@ func (l *cnLayer) computeReach(src int32) []int {
 	visited[src] = true
 	stack := []int32{src}
 	var order []int32
-	size := 0
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		order = append(order, c)
-		size += len(l.members[c])
 		for _, d := range l.next[c] {
 			if !visited[d] {
 				visited[d] = true
@@ -405,22 +398,21 @@ func (l *cnLayer) computeReach(src int32) []int {
 			}
 		}
 	}
-	out := make([]int, 0, size)
-	for _, c := range order {
-		out = append(out, l.members[c]...)
-	}
-	return out
+	return concat(l.members, order)
 }
 
-// runsOfUnits returns the runs of the given units, unit by unit.
-func (s *System) runsOfUnits(units []int) []int {
+// concat returns the given lists of ms end to end, as ints: the runs of
+// some units, or the rows of some components.
+func concat[L int | int32](ms members, lists []L) []int {
 	size := 0
-	for _, u := range units {
-		size += len(s.unitRuns[u])
+	for _, c := range lists {
+		size += len(ms.of(int32(c)))
 	}
 	out := make([]int, 0, size)
-	for _, u := range units {
-		out = append(out, s.unitRuns[u]...)
+	for _, c := range lists {
+		for _, r := range ms.of(int32(c)) {
+			out = append(out, int(r))
+		}
 	}
 	return out
 }
@@ -440,7 +432,7 @@ func (s *System) CNReachable(p Point) []int {
 	}
 	out = layer.computeReach(src)
 	if s.layered(p.Time) {
-		out = s.runsOfUnits(out)
+		out = concat(s.unitRuns, out)
 	}
 	layer.mu.Lock()
 	if prev, ok := layer.reach[src]; ok {

@@ -40,7 +40,7 @@ type slotRows struct {
 func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*System, error) {
 	nSlots := (s.Horizon + 1) * s.N
 	s.classOf = make([][]int32, nSlots)
-	s.classRuns = make([][][]int, nSlots)
+	s.classRuns = make([]members, nSlots)
 	s.classKey = make([][]string, nSlots)
 	s.classGlobal = make([][]int32, nSlots)
 	if err := s.intern(ctx, 0, s.Horizon*s.N, rows); err != nil {
@@ -106,7 +106,7 @@ func (s *System) intern(ctx context.Context, from, to int, rows func(slot int) s
 			classOf[g] = cls
 		}
 		s.classOf[slot] = classOf
-		s.classRuns[slot] = packClassRuns(classOf, len(classKey))
+		s.classRuns[slot] = packMembers(classOf, len(classKey))
 		s.classKey[slot] = classKey
 	})
 	if err != nil {
@@ -139,27 +139,30 @@ func (s *System) intern(ctx context.Context, from, to int, rows func(slot int) s
 	return nil
 }
 
-// packClassRuns carves a slot's per-class member lists out of one flat
-// []int slab: a counting pass sizes each class, every list is a subslice
-// of the slab, and a fill pass appends runs in ascending order —
-// the same member order the append-per-class construction produced, at
-// one allocation per slot instead of one per class. Index slots at late
-// times have tens of thousands of near-singleton classes; the slab is
-// what keeps building them allocation-cheap.
-func packClassRuns(classOf []int32, nClasses int) [][]int {
-	counts := make([]int, nClasses)
+// members is a table of member lists in compressed sparse rows: list c
+// is rows[off[c]:off[c+1]], with no slice header per list.
+type members struct {
+	rows, off []int32
+}
+
+// of returns list c. The slice is shared; do not mutate.
+func (ms members) of(c int32) []int32 { return ms.rows[ms.off[c]:ms.off[c+1]] }
+
+// packMembers lists the rows of each of nClasses classes: a counting pass
+// finds where each list ends, and a fill pass from the last row down steps
+// each list's offset back to its start, so the lists come out ascending.
+func packMembers(classOf []int32, nClasses int) members {
+	ms := members{rows: make([]int32, len(classOf)), off: make([]int32, nClasses+1)}
 	for _, c := range classOf {
-		counts[c]++
+		ms.off[c]++
 	}
-	slab := make([]int, len(classOf))
-	out := make([][]int, nClasses)
-	off := 0
-	for c, cnt := range counts {
-		out[c] = slab[off : off : off+cnt]
-		off += cnt
+	for c := 1; c <= nClasses; c++ {
+		ms.off[c] += ms.off[c-1]
 	}
-	for r, c := range classOf {
-		out[c] = append(out[c], r)
+	for r := len(classOf) - 1; r >= 0; r-- {
+		c := classOf[r]
+		ms.off[c]--
+		ms.rows[ms.off[c]] = int32(r)
 	}
-	return out
+	return ms
 }

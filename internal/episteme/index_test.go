@@ -53,7 +53,7 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 	if got, want := sys.classOf[0], []int32{0, 1, 0, 2, 1, 0, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("classOf = %v, want %v", got, want)
 	}
-	if got, want := sys.classRuns[0], [][]int{{0, 2, 5}, {1, 4}, {3, 6}}; !reflect.DeepEqual(got, want) {
+	if got, want := sys.classRuns[0], (members{rows: []int32{0, 2, 5, 1, 4, 3, 6}, off: []int32{0, 3, 5, 7}}); !reflect.DeepEqual(got, want) {
 		t.Errorf("classRuns = %v, want %v", got, want)
 	}
 	if got, want := sys.classKey[0], []string{"b", "a", "c"}; !reflect.DeepEqual(got, want) {

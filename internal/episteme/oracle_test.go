@@ -335,7 +335,8 @@ func TestBoxComponentsMatchPerRun(t *testing.T) {
 				for _, c := range got {
 					size[c]++
 				}
-				for u, runs := range sys.unitRuns {
+				for u := range len(sys.unitRuns.off) - 1 {
+					runs := sys.unitRuns.of(int32(u))
 					one, singletons := true, true
 					for _, r := range runs {
 						one = one && got[r] == got[runs[0]]
@@ -548,13 +549,15 @@ func oracleBuildCNLayer(s *System, m int) *oracleCNLayer {
 	base := make([]int, n+1)
 	base[0] = runs
 	for i := 0; i < n; i++ {
-		base[i+1] = base[i] + len(s.classRuns[m*n+i])
+		base[i+1] = base[i] + len(s.classRuns[m*n+i].off) - 1
 	}
 	adj := make([][]int, base[n])
 	for i := 0; i < n; i++ {
 		slot := m*n + i
-		for c, members := range s.classRuns[slot] {
-			adj[base[i]+c] = members
+		for c := range len(s.classRuns[slot].off) - 1 {
+			for _, r := range s.classRuns[slot].of(int32(c)) {
+				adj[base[i]+c] = append(adj[base[i]+c], int(r))
+			}
 		}
 	}
 	// One slab backs every run's out-edges (at most n each).
@@ -736,7 +739,7 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 	sys := &System{N: n, T: rep.T, Horizon: horizon, Runs: runs, par: rep.parallelism()}
 	nSlots := (horizon + 1) * n
 	sys.classOf = make([][]int32, nSlots)
-	sys.classRuns = make([][][]int, nSlots)
+	sys.classRuns = make([]members, nSlots)
 	sys.classKey = make([][]string, nSlots)
 	sys.classGlobal = make([][]int32, nSlots)
 	globalByKey := make(map[string]int32)
@@ -779,7 +782,7 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 				classOf[g] = cls
 			}
 			sys.classOf[slot] = classOf
-			sys.classRuns[slot] = packClassRuns(classOf, len(classKey))
+			sys.classRuns[slot] = packMembers(classOf, len(classKey))
 			sys.classKey[slot] = classKey
 		}
 	})
@@ -815,9 +818,9 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 // per component.
 func compareCNLayer(t *testing.T, label string, got *cnLayer, want *oracleCNLayer) {
 	t.Helper()
-	if len(got.comp) != len(want.comp) || len(got.next) != len(want.next) || len(got.members) != len(want.members) {
+	if len(got.comp) != len(want.comp) || len(got.next) != len(want.next) || len(got.members.off)-1 != len(want.members) {
 		t.Fatalf("%s: %d runs, %d/%d components; oracle %d runs, %d/%d components",
-			label, len(got.comp), len(got.next), len(got.members), len(want.comp), len(want.next), len(want.members))
+			label, len(got.comp), len(got.next), len(got.members.off)-1, len(want.comp), len(want.next), len(want.members))
 	}
 	for r, c := range want.comp {
 		if int(got.comp[r]) != c {
@@ -836,8 +839,8 @@ func compareCNLayer(t *testing.T, label string, got *cnLayer, want *oracleCNLaye
 				t.Fatalf("%s: component %d has successor %d, not numbered below it", label, c, d)
 			}
 		}
-		if !slices.Equal(got.members[c], want.members[c]) {
-			t.Fatalf("%s: component %d holds runs %v, oracle %v", label, c, got.members[c], want.members[c])
+		if !slices.Equal(concat(got.members, []int{c}), want.members[c]) {
+			t.Fatalf("%s: component %d holds runs %v, oracle %v", label, c, got.members.of(int32(c)), want.members[c])
 		}
 	}
 }
@@ -1014,21 +1017,22 @@ func TestCKFoldOnRandomSystems(t *testing.T) {
 			sys.Runs[r] = ownRun(res)
 		}
 		sys.classOf = make([][]int32, 2*n)
-		sys.classRuns = make([][][]int, 2*n)
+		sys.classRuns = make([]members, 2*n)
 		for slot := range sys.classOf {
 			k := runs/3 + rng.Intn(runs)
 			sys.classOf[slot] = make([]int32, runs)
 			for r := range sys.classOf[slot] {
 				sys.classOf[slot][r] = int32(rng.Intn(k))
 			}
-			sys.classRuns[slot] = packClassRuns(sys.classOf[slot], k)
+			sys.classRuns[slot] = packMembers(sys.classOf[slot], k)
 		}
 
 		label := fmt.Sprintf("random system %d", trial)
 		layer := sys.cnLayerAt(1)
 		compareCNLayer(t, label, layer, oracleBuildCNLayer(sys, 1))
 		compareCKFold(t, label, sys, 1)
-		for c, members := range layer.members {
+		for c := range layer.next {
+			members := concat(layer.members, []int{c})
 			if len(members) == 0 || len(layer.next[c]) == 0 {
 				continue
 			}

@@ -35,13 +35,18 @@ func resultFingerprint(run Run) string {
 // an expanded system does not carry. The pattern and stats are the run's
 // own, not its ledger's.
 func ledgerFingerprint(run Run) string {
-	return fmt.Sprintf("pat=%s inits=%v dec=%v rounds=%v stats=%+v acts=%v\n",
-		run.Pattern.Key(), run.Inits, run.Decision, run.DecisionRound, run.Stats, run.Actions)
+	return fmt.Sprintf("pat=%s stats=%+v %s", run.Pattern.Key(), *run.Stats, ledgerContent(run.Result))
 }
 
 // ownRun is an executed run as a System holds it: the Result is its own
 // ledger.
-func ownRun(res *engine.Result) Run { return Run{res, res.Pattern, res.Stats} }
+func ownRun(res *engine.Result) Run { return Run{res, res.Pattern, &res.Stats} }
+
+// ledgerContent renders what a ledger records whoever holds it: inits,
+// decisions, decision rounds and actions.
+func ledgerContent(res *engine.Result) string {
+	return fmt.Sprintf("inits=%v dec=%v rounds=%v acts=%v\n", res.Inits, res.Decision, res.DecisionRound, res.Actions)
+}
 
 func fipContext31() Context {
 	return Context{Exchange: exchange.NewFIP(3), T: 1}

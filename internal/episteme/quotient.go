@@ -29,7 +29,7 @@
 // synchronous context nothing an agent holds before time Horizon can
 // depend on the last round's omissions; so pass 1 also groups the
 // scenarios into prefix units — same inits, same faulty set, same drops
-// before the last round — whose runs share one ledger, and pass 2 interns
+// before the last round — whose runs share a ledger, and pass 2 interns
 // the slots of times < Horizon over units. Only the last time slice is
 // interned over runs, under a memo code that says which unit a run
 // belongs to and what the last round dropped toward the slot's agent —
@@ -39,8 +39,10 @@ package episteme
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -73,7 +75,7 @@ func expandable(c Context) (model.KeyPermuter, error) {
 // re-enumerates c's scenario source and cross-checks every orbit against
 // the representative weights, so a mismatched context fails loudly instead
 // of mis-expanding. The expanded system carries no state traces (like a
-// merged one), and the runs of a prefix unit share one ledger (Run):
+// merged one), and its runs share one ledger per distinct content (Run):
 // System.Key and the checkers ride the interned class tables. Its
 // time-Horizon slots are interned on first read, which the implements
 // checks never make; until then the system keeps pass 1's per-run arrays
@@ -107,7 +109,9 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 // its run. unitOf and unitFirst are the System's (system.go, "Rows");
 // lastDrops[g] packs the last round's drops of scenario g, t bits per
 // recipient: bit i·t+k says the k-th faulty agent's message to agent i is
-// lost.
+// lost. stats[r] is representative r's traffic, copied so that rep can be
+// released after the last layer's read. ledgers, under mu, holds the runs'
+// ledgers by content (appendLedgerKey): a few hundred shapes in a sweep.
 type orbitMap struct {
 	gRep, gPerm []int32
 	perms, invs [][]model.AgentID
@@ -116,15 +120,18 @@ type orbitMap struct {
 	unitOf      []int32
 	unitFirst   []int32
 	lastDrops   []uint64
+	stats       []engine.Stats
+	mu          sync.Mutex
+	ledgers     map[string]*engine.Result
 }
 
 // mapOrbits is pass 1 of ExpandQuotient, which has validated c against
 // rep: it re-enumerates the full sweep, mapping scenario ordinal g to its
 // representative and the relabeling π with π·g = representative, and
-// writes g's run: g's own pattern and stats, and its unit's ledger, the
-// representative's relabeled (g's agent i is the representative's agent
-// π(i)). The source is read in batches of one orbitChunk-scenario chunk
-// per worker of rep's pool. The workers
+// writes g's run: g's own pattern, its representative's stats, and its
+// unit's ledger, the representative's relabeled (g's agent i is the
+// representative's agent π(i)). The source is read in batches of one
+// orbitChunk-scenario chunk per worker of rep's pool. The workers
 // canonicalize their chunks; a serial stitch in ordinal order numbers
 // relabelings, prefixes and units and counts the orbits; the workers then
 // write their chunks' runs, units' first runs before the rest. Ids
@@ -155,6 +162,11 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 		runs:      make([]Run, 0, total),
 		unitOf:    make([]int32, 0, total),
 		lastDrops: make([]uint64, 0, total),
+		stats:     make([]engine.Stats, len(rep.Runs)),
+		ledgers:   make(map[string]*engine.Result),
+	}
+	for r, run := range rep.Runs {
+		om.stats[r] = *run.Stats
 	}
 	var (
 		permID    = make(map[uint64]int32)
@@ -265,8 +277,7 @@ const orbitChunk = 2048
 
 // orbitWorker is one pass-1 worker: its chunk of the current batch —
 // scenarios base, base+1, … — what canonicalize learned of each, the
-// chunk's first error, and the scratch and ledger slabs it keeps from
-// batch to batch.
+// chunk's first error, and the scratch it keeps from batch to batch.
 type orbitWorker struct {
 	base  int
 	sc    []core.Scenario
@@ -275,7 +286,6 @@ type orbitWorker struct {
 	err   error
 	canon model.Canonicalizer
 	key   []byte
-	slabs runSlabs
 }
 
 // canonicalize finds each scenario's representative and relabeling,
@@ -318,7 +328,7 @@ func (wk *orbitWorker) canonicalize(rep *System, reps *repTable) {
 }
 
 // expand writes the runs of the chunk's stitched scenarios: the ones that
-// open their unit, with its ledger synthesized, when firsts, the others,
+// open their unit, with a ledger of its content, when firsts, the others,
 // with the first's ledger, otherwise. At a run whose relabeled ledger
 // differs from that it records the error, lower than any the chunk had,
 // and stops. Message counts are permutation-invariant: stats are the rep's.
@@ -329,15 +339,35 @@ func (wk *orbitWorker) expand(rep *System, om *orbitMap, firsts bool) {
 		if (f == g) != firsts {
 			continue
 		}
-		repRun, perm, ledger := &rep.Runs[om.gRep[g]], om.perms[om.gPerm[g]], om.runs[f].Result
-		if f == g {
-			ledger = wk.slabs.ledger(repRun.Result, sc.Inits, perm)
-		} else if !relabelsTo(repRun.Result, sc.Inits, perm, ledger) {
+		r, perm, ledger := om.gRep[g], om.perms[om.gPerm[g]], om.runs[f].Result
+		if repRes := rep.Runs[r].Result; f == g {
+			wk.key = appendLedgerKey(wk.key[:0], repRes, sc.Inits, perm)
+			om.mu.Lock()
+			if ledger = om.ledgers[string(wk.key)]; ledger == nil {
+				ledger = relabeledLedger(repRes, sc.Inits, perm)
+				om.ledgers[string(wk.key)] = ledger
+			}
+			om.mu.Unlock()
+		} else if !relabelsTo(repRes, sc.Inits, perm, ledger) {
 			wk.err = fmt.Errorf("episteme: runs %d and %d share their initial preferences, faulty set and every drop before the last round, but their relabeled ledgers differ (asymmetric stack or context mismatch?)", f, g)
 			return
 		}
-		om.runs[g] = Run{ledger, sc.Pattern, repRun.Stats}
+		om.runs[g] = Run{ledger, sc.Pattern, &om.stats[r]}
 	}
+}
+
+// appendLedgerKey appends the content key of repRes's ledger relabeled
+// under perm with the given initial preferences: per agent its initial
+// preference, decision, decision round (a varint) and actions.
+func appendLedgerKey(key []byte, repRes *engine.Result, inits []model.Value, perm []model.AgentID) []byte {
+	for i, a := range perm {
+		key = append(key, byte(inits[i]), byte(repRes.Decision[a]))
+		key = binary.AppendUvarint(key, uint64(repRes.DecisionRound[a]))
+		for _, row := range repRes.Actions {
+			key = append(key, byte(row[a]))
+		}
+	}
+	return key
 }
 
 // repTable finds a representative by its pattern key and its inits as
@@ -420,7 +450,7 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 		strides[slot/n] = max(strides[slot/n], len(keys))
 	}
 	sys := &System{N: n, T: rep.T, Horizon: rep.Horizon, Runs: om.runs, par: rep.parallelism(),
-		unitOf: unitOf, unitFirst: unitFirst, unitRuns: packClassRuns(unitOf, len(unitFirst))}
+		unitOf: unitOf, unitFirst: unitFirst, unitRuns: packMembers(unitOf, len(unitFirst))}
 	sys, err := sys.indexed(ctx, func(slot int) slotRows {
 		m, i := slot/n, slot%n
 		key := func(g int) (string, error) {
@@ -476,53 +506,26 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	return sys, nil
 }
 
-// runSlabs backs the ledgers pass 1 synthesizes: each slice of a unit's
-// ledger is carved from a chunk shared with its neighbours, since the
-// expanded System keeps every ledger alive together anyway.
-type runSlabs struct {
-	values  []model.Value
-	rounds  []int
-	rows    [][]model.Action
-	actions []model.Action
-}
-
-// slabRuns is the number of ledgers' worth of storage one slab chunk holds.
-const slabRuns = 1024
-
-// carve cuts k elements off the front of *slab, replacing an exhausted
-// slab with a fresh chunk sized for slabRuns such requests.
-func carve[T any](slab *[]T, k int) []T {
-	if len(*slab) < k {
-		*slab = make([]T, k*slabRuns)
-	}
-	out := (*slab)[:k:k]
-	*slab = (*slab)[k:]
-	return out
-}
-
-// ledger synthesizes a unit's ledger from the representative's run of its
-// first scenario, whose initial preferences are inits: by agent symmetry
-// it is the representative's with the agents relabeled under π⁻¹ (the
-// scenario's agent i is the representative's agent π(i)). State traces
-// are not reconstructed — the expanded system answers knowledge queries
-// through its interned class tables, like a merged one — and the ledger
-// carries no Pattern and zero Stats: those are each run's own (Run).
-func (sl *runSlabs) ledger(repRes *engine.Result, inits []model.Value, perm []model.AgentID) *engine.Result {
+// relabeledLedger synthesizes a unit's ledger from the representative's
+// run of its first scenario, whose initial preferences are inits: by agent
+// symmetry it is the representative's with the agents relabeled under π⁻¹
+// (the scenario's agent i is the representative's agent π(i)). State
+// traces are not reconstructed — the expanded system answers knowledge
+// queries through its interned class tables, like a merged one — and the
+// ledger carries no Pattern and zero Stats: those are each run's own (Run).
+func relabeledLedger(repRes *engine.Result, inits []model.Value, perm []model.AgentID) *engine.Result {
 	n := repRes.N
-	res := &engine.Result{N: n, Horizon: repRes.Horizon,
-		Inits: carve(&sl.values, n), Actions: carve(&sl.rows, len(repRes.Actions)),
-		Decision: carve(&sl.values, n), DecisionRound: carve(&sl.rounds, n)}
-	copy(res.Inits, inits)
-	for i := 0; i < n; i++ {
-		res.Decision[i] = repRes.Decision[perm[i]]
-		res.DecisionRound[i] = repRes.DecisionRound[perm[i]]
+	res := &engine.Result{N: n, Horizon: repRes.Horizon, Inits: slices.Clone(inits),
+		Actions: make([][]model.Action, len(repRes.Actions)), Decision: make([]model.Value, n), DecisionRound: make([]int, n)}
+	for i, a := range perm {
+		res.Decision[i] = repRes.Decision[a]
+		res.DecisionRound[i] = repRes.DecisionRound[a]
 	}
 	for m, row := range repRes.Actions {
-		acts := carve(&sl.actions, n)
-		for i := range acts {
-			acts[i] = row[perm[i]]
+		res.Actions[m] = make([]model.Action, n)
+		for i, a := range perm {
+			res.Actions[m][i] = row[a]
 		}
-		res.Actions[m] = acts
 	}
 	return res
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/action"
 	"repro/internal/exchange"
@@ -43,7 +44,7 @@ func compareSystems(t *testing.T, label string, got, want *System) {
 			fmt.Sprint(g.Decision) != fmt.Sprint(w.Decision) ||
 			fmt.Sprint(g.DecisionRound) != fmt.Sprint(w.DecisionRound) ||
 			fmt.Sprint(g.Actions) != fmt.Sprint(w.Actions) ||
-			g.Stats != w.Stats {
+			*g.Stats != *w.Stats {
 			t.Fatalf("%s: run %d ledgers differ", label, r)
 		}
 	}
@@ -628,16 +629,16 @@ func TestExpandedRunsOwnTheirInits(t *testing.T) {
 
 // TestExpandQuotientAllocCeiling holds the bytes one ExpandQuotient of fip
 // n=4,t=1 allocates per expanded run, the first read of its last layer
-// left out. An expanded run is its unit's ledger plus its own pattern and
-// stats (Run): about 220 B. The ceiling sits about 10 % above that and
-// below the ≈339 B a run cost when each carried an engine.Result of its
-// own, so that one cannot come back unnoticed. Lower the ceiling when a
-// change earns it.
+// left out. An expanded run is three words (Run) over a ledger shared by
+// content, with its unit's members in int32 tables: about 140 B. The
+// ceiling sits about 10 % above that and below the ≈220 B a run cost with
+// a ledger per unit and a Stats copy per run, so that neither can come
+// back unnoticed. Lower the ceiling when a change earns it.
 func TestExpandQuotientAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on its own")
 	}
-	const runs, ceiling = 32784, 245 // bytes per expanded run
+	const runs, ceiling = 32784, 155 // bytes per expanded run
 	c := Context{Exchange: exchange.NewFIP(4), T: 1}
 	ctx := context.Background()
 	idx, err := BuildShardIndex(ctx, c, action.NewOpt(1), 0, 1)
@@ -660,5 +661,15 @@ func TestExpandQuotientAllocCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := float64(after.TotalAlloc-before.TotalAlloc) / runs; per > ceiling {
 		t.Errorf("ExpandQuotient allocates %.1f bytes per expanded run, ceiling %d", per, ceiling)
+	}
+}
+
+// TestRunSize pins a Run at three words: its ledger, its pattern and its
+// stats, each a pointer. A run is the one per-run record an expanded
+// System keeps, so a word more is 5 MB at n=5,t=1 and 10 MB at crash
+// n=5,t=2.
+func TestRunSize(t *testing.T) {
+	if size := unsafe.Sizeof(Run{}); size != 24 {
+		t.Errorf("a Run is %d bytes, want 24", size)
 	}
 }

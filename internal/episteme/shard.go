@@ -528,7 +528,7 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 		if err != nil {
 			return nil, fmt.Errorf("episteme: shard %d run %d (global %d): %w", g%k, g/k, g, err)
 		}
-		runs[g] = Run{res, res.Pattern, res.Stats}
+		runs[g] = Run{res, res.Pattern, &res.Stats}
 		if weights != nil {
 			weights[g] = idx.Mults[g/k]
 		}

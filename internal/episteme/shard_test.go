@@ -94,7 +94,7 @@ func TestMergeSystemsBitIdentical(t *testing.T) {
 				fmt.Sprint(ms.Decision) != fmt.Sprint(ss.Decision) ||
 				fmt.Sprint(ms.DecisionRound) != fmt.Sprint(ss.DecisionRound) ||
 				fmt.Sprint(ms.Actions) != fmt.Sprint(ss.Actions) ||
-				ms.Stats != ss.Stats {
+				*ms.Stats != *ss.Stats {
 				t.Fatalf("k=%d run %d ledgers differ", k, r)
 			}
 		}

@@ -109,7 +109,7 @@ func (s *System) synthesizeSlice(ctx context.Context, prog Program, m int, table
 	classes := func(i int, fn func(id model.AgentID, c int, p Point)) error {
 		id := model.AgentID(i)
 		return s.parallel(ctx, s.classCount(id, m), func(c int) {
-			fn(id, c, Point{Run: s.rowRun(m, s.rowsOfClass(id, m, int32(c))[0]), Time: m})
+			fn(id, c, Point{Run: s.rowRun(m, int(s.rowsOfClass(id, m, int32(c))[0])), Time: m})
 		})
 	}
 	for i := range acts {

@@ -227,13 +227,13 @@ func (c Context) scenarioSource(n, horizon int) (core.Source, error) {
 // Run is one run of a System. The embedded Result is its ledger (Inits,
 // Actions, Decision, DecisionRound; States when traced); Pattern and Stats
 // are the run's own and shadow the ledger's. An expanded system's runs
-// share one ledger per prefix unit (System, "Rows"), with a nil Pattern
-// and zero Stats; every other system's runs own theirs. Copying a Run
-// shares its ledger.
+// share one ledger per distinct content, with a nil Pattern and zero
+// Stats; every other system's runs own theirs. Copying a Run shares its
+// ledger and its Stats.
 type Run struct {
 	*engine.Result
 	Pattern *model.Pattern
-	Stats   engine.Stats
+	Stats   *engine.Stats
 }
 
 // Point is a point (run, time) of an interpreted system.
@@ -277,7 +277,7 @@ type System struct {
 	// Actions — the last recorded action is taken on a time-(Horizon−1)
 	// state); only their time-Horizon states differ. Units are numbered by
 	// first appearance in run order: unitFirst[u] is unit u's lowest run,
-	// unitRuns[u] its runs, ascending. The index slots of times < Horizon
+	// unitRuns.of(u) its runs, ascending. The index slots of times < Horizon
 	// of a layered system have one row per unit instead of one per run;
 	// everywhere else — the last time slice, and every slot of a system
 	// with unitOf nil — a row is a run. layered, rowOf and rowRun are the
@@ -286,14 +286,14 @@ type System struct {
 	// rows are runs in every system, are interned on first read (lastLayer).
 	unitOf    []int32
 	unitFirst []int32
-	unitRuns  [][]int
+	unitRuns  members
 
 	// Interned local-state index. A slot is a (time, agent) pair,
 	// slot = m*N + i; within a slot, rows carrying the same local state
 	// form a class identified by a dense int:
 	//
 	//	classOf[slot][row]    → the row's class id in the slot
-	//	classRuns[slot][c]    → the rows of class c, ascending
+	//	classRuns[slot].of(c) → the rows of class c, ascending
 	//	classKey[slot][c]     → the class's local-state key
 	//	classGlobal[slot][c]  → system-wide dense id of that key, shared
 	//	                        across slots (cross-time state identity)
@@ -302,7 +302,7 @@ type System struct {
 	// first run is always its unit's first run. The time-Horizon slots are
 	// nil until lastLayer interns them from the producer's lastRows.
 	classOf     [][]int32
-	classRuns   [][][]int
+	classRuns   []members
 	classKey    [][]string
 	classGlobal [][]int32
 	lastOnce    sync.Once
@@ -429,7 +429,7 @@ func buildStripe(ctx context.Context, c Context, act model.ActionProtocol, shard
 			cancel(oc.Err)
 			return nil, oc.Err
 		}
-		runs = append(runs, Run{oc.Result, oc.Result.Pattern, oc.Result.Stats})
+		runs = append(runs, Run{oc.Result, oc.Result.Pattern, &oc.Result.Stats})
 		if o.quotient {
 			weights = append(weights, oc.Scenario.EffectiveWeight())
 		}
@@ -540,8 +540,8 @@ func (s *System) classCount(i model.AgentID, m int) int {
 
 // rowsOfClass returns the rows of class c in agent i's time-m slot,
 // ascending. The returned slice is shared; do not mutate.
-func (s *System) rowsOfClass(i model.AgentID, m int, c int32) []int {
-	return s.classRuns[s.readSlot(i, m)][c]
+func (s *System) rowsOfClass(i model.AgentID, m int, c int32) []int32 {
+	return s.classRuns[s.readSlot(i, m)].of(c)
 }
 
 // Key returns agent i's local-state key at point p, from the index:
@@ -554,14 +554,14 @@ func (s *System) Key(i model.AgentID, p Point) string {
 }
 
 // runsOfClass returns the runs of class c in agent i's time-m slot,
-// ascending. The returned slice may be shared; do not mutate.
+// ascending.
 func (s *System) runsOfClass(i model.AgentID, m int, c int32) []int {
-	rows := s.rowsOfClass(i, m, c)
+	slot := s.readSlot(i, m)
 	if !s.layered(m) {
-		return rows
+		return concat(s.classRuns[slot], []int32{c})
 	}
 	// Units interleave in run order: their concatenation needs sorting.
-	runs := s.runsOfUnits(rows)
+	runs := concat(s.unitRuns, s.classRuns[slot].of(c))
 	slices.Sort(runs)
 	return runs
 }
@@ -584,15 +584,15 @@ func (s *System) Knows(i model.AgentID, p Point, phi func(Point) bool) bool {
 	rows := s.rowsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run))
 	if !s.layered(p.Time) {
 		for _, r := range rows {
-			if !phi(Point{Run: r, Time: p.Time}) {
+			if !phi(Point{Run: int(r), Time: p.Time}) {
 				return false
 			}
 		}
 		return true
 	}
 	for _, u := range rows {
-		for _, r := range s.unitRuns[u] {
-			if !phi(Point{Run: r, Time: p.Time}) {
+		for _, r := range s.unitRuns.of(u) {
+			if !phi(Point{Run: int(r), Time: p.Time}) {
 				return false
 			}
 		}
@@ -604,7 +604,7 @@ func (s *System) Knows(i model.AgentID, p Point, phi func(Point) bool) bool {
 // rowRun): one question per row of the class, put to the row's first run.
 func (s *System) knowsOfRows(i model.AgentID, p Point, phi func(Point) bool) bool {
 	for _, row := range s.rowsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run)) {
-		if !phi(Point{Run: s.rowRun(p.Time, row), Time: p.Time}) {
+		if !phi(Point{Run: s.rowRun(p.Time, int(row)), Time: p.Time}) {
 			return false
 		}
 	}

@@ -318,20 +318,24 @@ func TestExpandQuotientRefusesDoctoredLedger(t *testing.T) {
 
 // TestExpandedRunsShareUnitLedgers pins how an expanded system holds its
 // runs: each run's pattern and stats are its own and equal the per-run
-// build's, the runs of one prefix unit hold one *engine.Result — exactly
-// the runs whose initial preferences, faulty set and drops before the last
-// round agree — and that shared ledger carries no pattern and zero stats,
-// so a read through it cannot answer for another run of the unit.
+// build's, the runs of one prefix unit hold one *engine.Result — units
+// being exactly the runs whose initial preferences, faulty set and drops
+// before the last round agree — units whose ledgers have equal content
+// hold one too, so ledger pointers and contents correspond one to one, and
+// a shared ledger carries no pattern and zero stats, so a read through it
+// cannot answer for another run.
 func TestExpandedRunsShareUnitLedgers(t *testing.T) {
 	type stack struct {
 		name string
 		ex   func(n int) model.Exchange
 		act  func(n, t int) model.ActionProtocol
+		// ledgers is the distinct ledger count of each cell below.
+		ledgers [4]int
 	}
 	stacks := []stack{
-		{"fip", func(n int) model.Exchange { return exchange.NewFIP(n) }, func(_, t int) model.ActionProtocol { return action.NewOpt(t) }},
-		{"min", func(n int) model.Exchange { return exchange.NewMin(n) }, func(_, t int) model.ActionProtocol { return action.NewMin(t) }},
-		{"basic", func(n int) model.Exchange { return exchange.NewBasic(n) }, func(n, _ int) model.ActionProtocol { return action.NewBasic(n) }},
+		{"fip", func(n int) model.Exchange { return exchange.NewFIP(n) }, func(_, t int) model.ActionProtocol { return action.NewOpt(t) }, [4]int{23, 58, 33, 197}},
+		{"min", func(n int) model.Exchange { return exchange.NewMin(n) }, func(_, t int) model.ActionProtocol { return action.NewMin(t) }, [4]int{17, 44, 26, 98}},
+		{"basic", func(n int) model.Exchange { return exchange.NewBasic(n) }, func(n, _ int) model.ActionProtocol { return action.NewBasic(n) }, [4]int{23, 58, 50, 184}},
 	}
 	cells := []struct {
 		n, t  int
@@ -342,7 +346,7 @@ func TestExpandedRunsShareUnitLedgers(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, st := range stacks {
-		for _, cell := range cells {
+		for ci, cell := range cells {
 			kind := "SO"
 			if cell.crash {
 				kind = "crash"
@@ -368,9 +372,9 @@ func TestExpandedRunsShareUnitLedgers(t *testing.T) {
 				var key []byte
 				for g, run := range got.Runs {
 					w := want.Runs[g]
-					if run.Pattern.Key() != w.Pattern.Key() || run.Stats != w.Stats {
+					if run.Pattern.Key() != w.Pattern.Key() || *run.Stats != *w.Stats {
 						t.Fatalf("run %d: pattern %s stats %+v, the per-run build's %s %+v",
-							g, run.Pattern.Key(), run.Stats, w.Pattern.Key(), w.Stats)
+							g, run.Pattern.Key(), *run.Stats, w.Pattern.Key(), *w.Stats)
 					}
 					if gf, wf := ledgerFingerprint(run), ledgerFingerprint(w); gf != wf {
 						t.Fatalf("run %d: expanded\n%sper-run\n%s", g, gf, wf)
@@ -391,14 +395,22 @@ func TestExpandedRunsShareUnitLedgers(t *testing.T) {
 						t.Fatalf("run %d holds ledger %p, its unit's first run %d holds %p", g, run.Result, got.unitFirst[u], first)
 					}
 				}
-				ledgers := make(map[*engine.Result]bool)
-				for _, run := range got.Runs {
-					ledgers[run.Result] = true
-				}
 				units := len(unitOfPrefix)
-				if len(ledgers) != units || len(got.unitFirst) != units || (cell.units != 0 && units != cell.units) {
-					t.Fatalf("%d distinct ledgers, %d units in the system, %d prefix units in the sweep; want %d (0: not pinned)",
-						len(ledgers), len(got.unitFirst), units, cell.units)
+				if len(got.unitFirst) != units || (cell.units != 0 && units != cell.units) {
+					t.Fatalf("%d units in the system, %d prefix units in the sweep; want %d (0: not pinned)",
+						len(got.unitFirst), units, cell.units)
+				}
+				ledgerOf := make(map[string]*engine.Result)
+				for g, run := range got.Runs {
+					content := ledgerContent(run.Result)
+					if l, seen := ledgerOf[content]; !seen {
+						ledgerOf[content] = run.Result
+					} else if l != run.Result {
+						t.Fatalf("run %d holds ledger %p, another run ledger %p of the same content %s", g, run.Result, l, content)
+					}
+				}
+				if len(ledgerOf) != st.ledgers[ci] {
+					t.Fatalf("%d distinct ledgers over %d units, want %d", len(ledgerOf), units, st.ledgers[ci])
 				}
 			})
 		}

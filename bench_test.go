@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	eba "repro"
 	"repro/internal/adversary"
@@ -373,10 +374,12 @@ func BenchmarkExpandQuotientN5(b *testing.B) {
 // BenchmarkLargerCellsFIP runs two of the theorem matrix's larger cells
 // for fip, each iteration end to end: BuildSystem, then implements (P1),
 // safety and Thm 7.5, and fails when a count moves off ROADMAP's
-// larger-cells table. live-MB is the heap that survives a collection right
-// after the first read of the last layer, which the two last checks make
-// and which sets these cells' peak; run one cell per process, under
-// /usr/bin/time or GODEBUG=gctrace=1, for the peak itself.
+// larger-cells table. The first read of the last layer, which the two last
+// checks need and which sets these cells' peak, is reported on its own:
+// last-layer-s and last-layer-MB are its time and what it allocates, and
+// live-MB is the heap that survives a collection right after it; run one
+// cell per process, under /usr/bin/time or GODEBUG=gctrace=1, for the
+// peak itself.
 func BenchmarkLargerCellsFIP(b *testing.B) {
 	for _, cell := range []struct {
 		name                           string
@@ -392,7 +395,7 @@ func BenchmarkLargerCellsFIP(b *testing.B) {
 			mc := episteme.ContextFor(st)
 			mc.Crash = cell.crash
 			ctx := context.Background()
-			var live float64
+			var live, lastS, lastMB float64
 			for i := 0; i < b.N; i++ {
 				sys, err := episteme.BuildSystem(ctx, mc, st.Action)
 				if err != nil {
@@ -402,8 +405,13 @@ func BenchmarkLargerCellsFIP(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				var before, ms runtime.MemStats
+				runtime.ReadMemStats(&before)
+				start := time.Now()
 				sys.Key(0, episteme.Point{Run: 0, Time: sys.Horizon}) // the last layer's first read
-				var ms runtime.MemStats
+				lastS += time.Since(start).Seconds()
+				runtime.ReadMemStats(&ms)
+				lastMB += float64(ms.TotalAlloc-before.TotalAlloc) / (1 << 20)
 				runtime.GC()
 				runtime.ReadMemStats(&ms)
 				live += float64(ms.HeapAlloc) / (1 << 20)
@@ -420,6 +428,8 @@ func BenchmarkLargerCellsFIP(b *testing.B) {
 						len(implements), len(safety), len(optimality), cell.implements, cell.safety, cell.optimality)
 				}
 			}
+			b.ReportMetric(lastS/float64(b.N), "last-layer-s")
+			b.ReportMetric(lastMB/float64(b.N), "last-layer-MB")
 			b.ReportMetric(live/float64(b.N), "live-MB")
 		})
 	}

@@ -20,7 +20,10 @@
 //     scenario's twin relabeled by π (drawn from the seed), at every time;
 //  9. states are comparable with == (model.State's contract): the model
 //     checker's round memo keys a map by state vectors, and a state type
-//     holding a slice, a map or a func would panic there.
+//     holding a slice, a map or a func would panic there;
+//  10. a key names its time: no agent's key at one time is its key at
+//     another, in any run — the model checker identifies a state by its
+//     (time, agent) slot and its class there, with no id across times.
 //
 // Two drivers exercise the conventions: CheckExchange samples random
 // omission behavior (cheap, any n), and CheckExchangePatterns drives the
@@ -45,9 +48,16 @@ type Patterns interface {
 	Next() (*model.Pattern, bool)
 }
 
-// reporter accumulates violation descriptions.
+// reporter accumulates violation descriptions, and the time at which each
+// agent first held each key (convention 10).
 type reporter struct {
-	out []string
+	out   []string
+	times map[agentKey]int
+}
+
+type agentKey struct {
+	agent model.AgentID
+	key   string
 }
 
 func (r *reporter) report(format string, args ...interface{}) {
@@ -76,6 +86,22 @@ func sameMessage(a, b model.Message) bool {
 	return a.Announces() == b.Announces() && a.Bits() == b.Bits() && a.String() == b.String()
 }
 
+// checkState verifies conventions 9 and 10 on agent i's state s.
+func (r *reporter) checkState(i int, s model.State, label lazyLabel) {
+	if !reflect.TypeOf(s).Comparable() {
+		r.report("%s: state type %T is not comparable with ==", label, s)
+	}
+	if r.times == nil {
+		r.times = make(map[agentKey]int)
+	}
+	k := agentKey{model.AgentID(i), s.Key()}
+	if m, seen := r.times[k]; !seen {
+		r.times[k] = s.Time()
+	} else if m != s.Time() {
+		r.report("%s: agent %d's key %q at time %d is its key at time %d too: the key does not name its time", label, i, k.key, s.Time(), m)
+	}
+}
+
 // initialStates builds and convention-checks the initial states (1).
 func initialStates(ex model.Exchange, inits []model.Value, label lazyLabel, r *reporter) []model.State {
 	n := ex.N()
@@ -86,7 +112,7 @@ func initialStates(ex model.Exchange, inits []model.Value, label lazyLabel, r *r
 		if s.Time() != 0 || s.Init() != inits[i] || s.Decided() != model.None || s.JustDecided() != model.None {
 			r.report("%s: initial state of agent %d is not ⟨0, %v, ⊥, ⊥⟩: %s", label, i, inits[i], s.Key())
 		}
-		checkComparable(s, label, r)
+		r.checkState(i, s, label)
 	}
 	return states
 }
@@ -134,17 +160,10 @@ func (tw *twin) follow(ex model.Exchange, m int, acts []model.Action, outbox, in
 func (tw *twin) check(ex model.Exchange, states []model.State, label lazyLabel, r *reporter) {
 	for i, s := range states {
 		want := tw.states[tw.perm[i]].Key()
-		if got, err := ex.(model.KeyPermuter).PermuteKey(s.Key(), tw.perm); err != nil || got != want {
+		if got, err := ex.(model.KeyPermuter).AppendPermuteKey(nil, s.Key(), tw.perm); err != nil || string(got) != want {
 			r.report("%s time %d: agent %d's key %q rewrites under %v to %q (err %v), but the relabeled run's agent %d holds %q",
 				label, s.Time(), i, s.Key(), tw.perm, got, err, tw.perm[i], want)
 		}
-	}
-}
-
-// checkComparable verifies convention 9 on one state.
-func checkComparable(s model.State, label lazyLabel, r *reporter) {
-	if !reflect.TypeOf(s).Comparable() {
-		r.report("%s: state type %T is not comparable with ==", label, s)
 	}
 }
 
@@ -244,7 +263,7 @@ func checkRound(ex model.Exchange, m int, states []model.State, acts []model.Act
 		if next[i].Init() != prev.Init() {
 			r.report("%s round %d: agent %d initial preference changed", label, m, i)
 		}
-		checkComparable(next[i], label, r)
+		r.checkState(i, next[i], label)
 	}
 	tw.follow(ex, m, acts, outbox, inbox, next, label, r)
 	return next, true

@@ -182,7 +182,7 @@ func TestPatternCheckCatchesMislabeledClass(t *testing.T) {
 }
 
 // idKeyExchange is Emin with the agent's id appended to every state key
-// while keeping Emin's identity PermuteKey — the one-line method copied
+// while keeping Emin's identity AppendPermuteKey — the one-line method copied
 // onto an exchange whose keys do name an agent.
 type idKeyExchange struct {
 	*exchange.Min
@@ -207,17 +207,19 @@ func (e idKeyExchange) Update(i model.AgentID, s model.State, a model.Action, re
 	return idKeyState{e.Min.Update(i, s.(idKeyState).State, a, recv), i}
 }
 
-// identityFIP is Efip with Emin's identity PermuteKey in place of the
-// graph rewrite its keys need.
+// identityFIP is Efip with Emin's identity AppendPermuteKey in place of
+// the graph rewrite its keys need.
 type identityFIP struct {
 	*exchange.FIP
 }
 
-func (identityFIP) PermuteKey(key string, _ []model.AgentID) (string, error) { return key, nil }
+func (identityFIP) AppendPermuteKey(dst []byte, key string, _ []model.AgentID) ([]byte, error) {
+	return append(dst, key...), nil
+}
 
 // TestConformanceChecksKeyPermuter is convention 8 under both drivers:
 // the exchanges the model checker quotients keep the model.KeyPermuter
-// contract against their relabeled twins, and an identity PermuteKey over
+// contract against their relabeled twins, and an identity AppendPermuteKey over
 // keys that embed the agent id is reported.
 func TestConformanceChecksKeyPermuter(t *testing.T) {
 	drivers := map[string]func(model.Exchange) []string{
@@ -242,7 +244,7 @@ func TestConformanceChecksKeyPermuter(t *testing.T) {
 		for _, ex := range []model.Exchange{idKeyExchange{exchange.NewMin(3)}, identityFIP{exchange.NewFIP(3)}} {
 			vs := check(ex)
 			if len(vs) == 0 || !strings.Contains(vs[0], "relabeled run") {
-				t.Errorf("%s driver: an identity PermuteKey over agent-named %T keys was not reported: %v", name, ex, vs)
+				t.Errorf("%s driver: an identity AppendPermuteKey over agent-named %T keys was not reported: %v", name, ex, vs)
 			}
 		}
 	}
@@ -258,5 +260,53 @@ func TestPatternCheckRejectsSizeMismatch(t *testing.T) {
 	vs := CheckExchangePatterns(exchange.NewMin(3), pats, 7)
 	if len(vs) == 0 {
 		t.Fatal("pattern/exchange size mismatch not reported")
+	}
+}
+
+// timelessExchange is Emin with the time field of every key blanked: a
+// well-formed Emin key still, so every other convention holds, but an
+// agent that hears nothing holds one key round after round.
+type timelessExchange struct {
+	*exchange.Min
+}
+
+type timelessState struct{ model.State }
+
+func (s timelessState) Key() string {
+	return fmt.Sprintf("min:*:%v:%v:%v", s.Init(), s.Decided(), s.JustDecided())
+}
+
+func (e timelessExchange) Initial(i model.AgentID, init model.Value) model.State {
+	return timelessState{e.Min.Initial(i, init)}
+}
+
+func (e timelessExchange) Messages(i model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
+	return e.Min.Messages(i, s.(timelessState).State, a, out)
+}
+
+func (e timelessExchange) Update(i model.AgentID, s model.State, a model.Action, recv []model.Message) model.State {
+	return timelessState{e.Min.Update(i, s.(timelessState).State, a, recv)}
+}
+
+// TestConformanceChecksKeyNamesTime is convention 10 under both drivers:
+// keys that carry no time are reported, and nothing else is.
+func TestConformanceChecksKeyNamesTime(t *testing.T) {
+	pats, err := adversary.NewSOPatterns(3, 1, 3, adversary.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, vs := range map[string][]string{
+		"random":   CheckExchange(timelessExchange{exchange.NewMin(3)}, 7, 5),
+		"patterns": CheckExchangePatterns(timelessExchange{exchange.NewMin(3)}, pats, 7),
+	} {
+		if len(vs) == 0 {
+			t.Errorf("%s driver: keys that carry no time were not reported", name)
+		}
+		for _, v := range vs {
+			if !strings.Contains(v, "does not name its time") {
+				t.Errorf("%s driver: a timeless but otherwise conformant exchange drew another report: %s", name, v)
+				break
+			}
+		}
 	}
 }

@@ -13,21 +13,25 @@
 
 package episteme
 
-import "context"
+import (
+	"cmp"
+	"context"
+)
 
-// slotRows is a producer's account of one slot: it has n rows, and key(g)
-// is row g's local-state key there. A row is a run, except in the slots
-// before the horizon of a time-layered system, where it is a prefix unit
-// (system.go, "Rows") — the kernel is told a count and never looks. A
-// producer that can tell cheaply that two rows carry the same key says so
-// with a memo code — code(g) in [0, codes), equal codes implying equal
-// keys — and the kernel asks key once per distinct code instead of once
-// per row.
+// slotRows is a producer's account of one slot: it has n rows, and
+// key(dst, g) appends row g's local-state key there to dst. A row is a
+// run, except in the slots before the horizon of a time-layered system,
+// where it is a prefix unit (system.go, "Rows") — the kernel is told a
+// count and never looks. A producer that can tell cheaply that two rows
+// carry the same key says so with a memo code — code(g) in [0, codes),
+// equal codes implying equal keys — and the kernel asks key once per
+// distinct code instead of once per row. classes sizes the key map.
 type slotRows struct {
-	n     int
-	codes int
-	code  func(g int) int
-	key   func(g int) (string, error)
+	n       int
+	codes   int
+	classes int
+	code    func(g int) int
+	key     func(dst []byte, g int) ([]byte, error)
 }
 
 // indexed builds s's index from the producer's rows and returns s, or no
@@ -42,7 +46,6 @@ func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*Sy
 	s.classOf = make([][]int32, nSlots)
 	s.classRuns = make([]members, nSlots)
 	s.classKey = make([][]string, nSlots)
-	s.classGlobal = make([][]int32, nSlots)
 	if err := s.intern(ctx, 0, s.Horizon*s.N, rows); err != nil {
 		return nil, err
 	}
@@ -70,19 +73,18 @@ func (s *System) lastLayer() {
 // first appearance in ascending row order through a dense first-sight
 // table over the memo codes (seen[code] = class id + 1, so the key is
 // asked for and hashed once per first-seen code), member lists packed per
-// class. The classes are then folded into the system-wide ids in slot
-// order, replaying slots [0, from): a map sized once costs less than one
-// kept and grown.
+// class. A worker's keys are written into one buffer and looked up there;
+// a key becomes a string only when it opens a class. There are no ids
+// across slots: a key names its time (conformance convention 10), so a
+// slot and a class there identify one agent's local state system-wide.
 func (s *System) intern(ctx context.Context, from, to int, rows func(slot int) slotRows) error {
 	slotErr := make([]error, to-from)
 	err := s.parallel(ctx, to-from, func(k int) {
 		slot := from + k
 		p := rows(slot)
-		// A producer's codes bound its keys from above; half of that is
-		// where the late slots of a sweep land, and starting there spares
-		// the map most of its doublings.
-		byKey := make(map[string]int32, min(p.codes, p.n)/2)
+		byKey := make(map[string]int32, p.classes)
 		var classKey []string
+		var buf []byte
 		classOf := make([]int32, p.n)
 		seen := make([]int32, p.codes)
 		for g := range classOf {
@@ -91,16 +93,16 @@ func (s *System) intern(ctx context.Context, from, to int, rows func(slot int) s
 				classOf[g] = *cell - 1
 				continue
 			}
-			key, err := p.key(g)
-			if err != nil {
+			var err error
+			if buf, err = p.key(buf[:0], g); err != nil {
 				slotErr[k] = err
 				return
 			}
-			cls, known := byKey[key]
+			cls, known := byKey[string(buf)]
 			if !known {
 				cls = int32(len(classKey))
-				byKey[key] = cls
-				classKey = append(classKey, key)
+				classKey = append(classKey, string(buf))
+				byKey[classKey[cls]] = cls
 			}
 			*cell = cls + 1
 			classOf[g] = cls
@@ -109,34 +111,7 @@ func (s *System) intern(ctx context.Context, from, to int, rows func(slot int) s
 		s.classRuns[slot] = packMembers(classOf, len(classKey))
 		s.classKey[slot] = classKey
 	})
-	if err != nil {
-		return err
-	}
-	for _, e := range slotErr {
-		if e != nil {
-			return e
-		}
-	}
-	classes := 0
-	for _, keys := range s.classKey[:to] {
-		classes += len(keys)
-	}
-	globalByKey := make(map[string]int32, classes)
-	for slot, keys := range s.classKey[:to] {
-		global := make([]int32, len(keys))
-		for c, key := range keys {
-			id, known := globalByKey[key]
-			if !known {
-				id = int32(len(globalByKey))
-				globalByKey[key] = id
-			}
-			global[c] = id
-		}
-		if slot >= from {
-			s.classGlobal[slot] = global
-		}
-	}
-	return nil
+	return cmp.Or(err, cmp.Or(slotErr...))
 }
 
 // members is a table of member lists in compressed sparse rows: list c

@@ -20,7 +20,10 @@ func literalSystem(n, horizon, nRuns, par int) *System {
 
 // perRow is the rows of a producer whose memo code is the row itself.
 func perRow(n int, key func(g int) (string, error)) slotRows {
-	return slotRows{n: n, codes: n, code: func(g int) int { return g }, key: key}
+	return slotRows{n: n, codes: n, code: func(g int) int { return g }, key: func(dst []byte, g int) ([]byte, error) {
+		k, err := key(g)
+		return append(dst, k...), err
+	}}
 }
 
 // TestInternSlotsFirstAppearance pins the kernel's whole contract on one
@@ -36,9 +39,9 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 		n:     len(keys),
 		codes: 4,
 		code:  func(g int) int { return codes[g] },
-		key: func(g int) (string, error) {
+		key: func(dst []byte, g int) ([]byte, error) {
 			asked[g]++
-			return keys[g], nil
+			return append(dst, keys[g]...), nil
 		},
 	}
 	// At horizon 0 the one slot is the last layer: interned on first read.
@@ -64,30 +67,32 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 	}
 }
 
-// TestInternSlotsGlobalFold: the system-wide ids are assigned in slot
-// order, then class order, and a key met again in a later slot keeps its
-// id.
-func TestInternSlotsGlobalFold(t *testing.T) {
+// TestInternSlotsLastLayerOnFirstRead: the slots before the horizon are
+// interned by indexed, each on its own, and the time-Horizon slots on
+// their first read; a key met in two slots is a class of each, with no id
+// shared between them.
+func TestInternSlotsLastLayerOnFirstRead(t *testing.T) {
 	keys := [][]string{{"x", "y", "x"}, {"y", "z", "z"}, {"w", "x", "z"}, {"y", "y", "v"}}
 	rows := func(slot int) slotRows {
 		return perRow(3, func(g int) (string, error) { return keys[slot][g], nil })
 	}
-	want := [][]int32{{0, 1}, {1, 2}, {3, 0, 2}, {1, 4}}
+	want := [][]string{{"x", "y"}, {"y", "z"}, {"w", "x", "z"}, {"y", "v"}}
 	for _, par := range []int{1, 3} {
 		sys, err := literalSystem(2, 1, 3, par).indexed(context.Background(), rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The time-Horizon slots 2 and 3 fold on first read, continuing the
-		// ids of slots 0 and 1.
-		if !reflect.DeepEqual(sys.classGlobal, append(want[:2:2], nil, nil)) {
-			t.Errorf("parallelism %d: before the first read, classGlobal = %v", par, sys.classGlobal)
+		if !reflect.DeepEqual(sys.classKey, append(want[:2:2], nil, nil)) {
+			t.Errorf("parallelism %d: before the first read, classKey = %q", par, sys.classKey)
 		}
 		if got := sys.classCount(0, 1); got != 3 {
 			t.Errorf("parallelism %d: slot 2 has %d classes, want 3", par, got)
 		}
-		if !reflect.DeepEqual(sys.classGlobal, want) {
-			t.Errorf("parallelism %d: classGlobal = %v, want %v", par, sys.classGlobal, want)
+		if !reflect.DeepEqual(sys.classKey, want) {
+			t.Errorf("parallelism %d: classKey = %q, want %q", par, sys.classKey, want)
+		}
+		if got, want := sys.classOf, [][]int32{{0, 1, 0}, {0, 1, 1}, {0, 1, 2}, {0, 0, 1}}; !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d: classOf = %v, want %v", par, got, want)
 		}
 	}
 }

@@ -186,28 +186,23 @@ func (s *System) mismatches(ctx context.Context, maxMismatches int, want func(i 
 	// them in. The scan reads times < Horizon only, where every slot has
 	// the same rows; rows ascend with their first runs, and a run that is
 	// not its row's first repeats the first's states, so walking the rows
-	// finds the same first occurrences as walking the runs. seen is sized
-	// from those slots' ids, never from the last layer's.
-	globals := 0
-	for _, ids := range s.classGlobal[:s.Horizon*s.N] {
-		for _, id := range ids {
-			globals = max(globals, int(id)+1)
-		}
-	}
-	seen := make([][]bool, s.N)
-	for i := range seen {
-		seen[i] = make([]bool, globals)
+	// finds the same first occurrences as walking the runs. A state is its
+	// slot and class there: a key names its time (conformance convention
+	// 10), so no agent meets one state in two slots.
+	seen := make([][]bool, s.Horizon*s.N)
+	for slot := range seen {
+		seen[slot] = make([]bool, len(s.classKey[slot]))
 	}
 	var items []implItem
 	for row, rows := 0, s.rowCount(0); row < rows; row++ {
 		for m := 0; m < s.Horizon; m++ {
 			for i := 0; i < s.N; i++ {
 				slot := m*s.N + i
-				gid := s.classGlobal[slot][s.classOf[slot][row]]
-				if seen[i][gid] {
+				c := s.classOf[slot][row]
+				if seen[slot][c] {
 					continue
 				}
-				seen[i][gid] = true
+				seen[slot][c] = true
 				items = append(items, implItem{agent: model.AgentID(i), run: s.rowRun(m, row), time: m})
 			}
 		}

@@ -741,8 +741,6 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 	sys.classOf = make([][]int32, nSlots)
 	sys.classRuns = make([]members, nSlots)
 	sys.classKey = make([][]string, nSlots)
-	sys.classGlobal = make([][]int32, nSlots)
-	globalByKey := make(map[string]int32)
 
 	type triple struct {
 		src model.AgentID
@@ -766,10 +764,12 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 				if !hit {
 					key := rep.classKey[m*n+int(srcAgent)][rc]
 					if !isID[pid] {
-						key, sliceErr[m] = kp.PermuteKey(key, invs[pid])
+						var rewritten []byte
+						rewritten, sliceErr[m] = kp.AppendPermuteKey(nil, key, invs[pid])
 						if sliceErr[m] != nil {
 							return
 						}
+						key = string(rewritten)
 					}
 					cls, hit = byKey[key]
 					if !hit {
@@ -793,21 +793,6 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 		if e != nil {
 			return nil, fmt.Errorf("episteme: expanding quotiented keys: %w", e)
 		}
-	}
-	// Fold the system-wide key interning sequentially in slot order,
-	// exactly as buildIndex and MergeSystems do.
-	for slot := 0; slot < nSlots; slot++ {
-		keys := sys.classKey[slot]
-		global := make([]int32, len(keys))
-		for c, key := range keys {
-			id, known := globalByKey[key]
-			if !known {
-				id = int32(len(globalByKey))
-				globalByKey[key] = id
-			}
-			global[c] = id
-		}
-		sys.classGlobal[slot] = global
 	}
 	return sys, nil
 }

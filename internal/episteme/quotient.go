@@ -453,38 +453,42 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 		unitOf: unitOf, unitFirst: unitFirst, unitRuns: packMembers(unitOf, len(unitFirst))}
 	sys, err := sys.indexed(ctx, func(slot int) slotRows {
 		m, i := slot/n, slot%n
-		key := func(g int) (string, error) {
+		key := func(dst []byte, g int) ([]byte, error) {
 			pid := gPerm[g]
 			repSlot := m*n + int(perms[pid][i])
 			repKey := rep.classKey[repSlot][rep.classOf[repSlot][gRep[g]]]
 			if isID[pid] {
-				return repKey, nil
+				return append(dst, repKey...), nil
 			}
-			rewritten, err := kp.PermuteKey(repKey, invs[pid])
+			dst, err := kp.AppendPermuteKey(dst, repKey, invs[pid])
 			if err != nil {
-				return "", fmt.Errorf("episteme: expanding quotiented keys: %w", err)
+				return dst, fmt.Errorf("episteme: expanding quotiented keys: %w", err)
 			}
-			return rewritten, nil
+			return dst, nil
 		}
 		if m == rep.Horizon {
 			shift, mask := uint(i)*t, uint64(1)<<t-1
 			return slotRows{
-				n:     len(om.runs),
-				codes: len(unitFirst) << t,
-				code:  func(g int) int { return int(unitOf[g])<<t | int(lastDrops[g]>>shift&mask) },
-				key:   key,
+				n:       len(om.runs),
+				codes:   len(unitFirst) << t,
+				classes: min(len(unitFirst)<<t, len(om.runs)) / 2,
+				code:    func(g int) int { return int(unitOf[g])<<t | int(lastDrops[g]>>shift&mask) },
+				key:     key,
 			}
 		}
+		// The representatives' own runs are rows here, under the identity:
+		// the slot has at least their classes.
 		stride := strides[m]
 		return slotRows{
-			n:     len(unitFirst),
-			codes: len(perms) * stride,
+			n:       len(unitFirst),
+			codes:   len(perms) * stride,
+			classes: len(rep.classKey[slot]),
 			code: func(u int) int {
 				g := unitFirst[u]
 				pid := gPerm[g]
 				return int(pid)*stride + int(rep.classOf[m*n+int(perms[pid][i])][gRep[g]])
 			},
-			key: func(u int) (string, error) { return key(int(unitFirst[u])) },
+			key: func(dst []byte, u int) ([]byte, error) { return key(dst, int(unitFirst[u])) },
 		}
 	})
 	if err != nil {
@@ -495,9 +499,10 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	// representative key of that slice is rewritten once here, under the
 	// first relabeling that moves an agent.
 	if pid := slices.Index(isID, false); pid >= 0 {
+		var buf []byte
 		for _, keys := range rep.classKey[rep.Horizon*n:] {
 			for _, k := range keys {
-				if _, err := kp.PermuteKey(k, invs[pid]); err != nil {
+				if buf, err = kp.AppendPermuteKey(buf[:0], k, invs[pid]); err != nil {
 					return nil, fmt.Errorf("episteme: expanding quotiented keys: %w", err)
 				}
 			}

@@ -19,7 +19,7 @@ import (
 
 // compareSystems fails the test unless the two systems are structurally
 // identical: shapes, every run's ledgers, and the full interned index
-// (class ids, member lists, keys, global interning). Field-by-field
+// (class ids, member lists, keys). Field-by-field
 // rather than fingerprint strings so the n=4 comparison (32,784 runs)
 // stays cheap. Class ids and member lists are read run by run through
 // the accessors, so a time-layered system and a per-run one compare equal
@@ -59,10 +59,6 @@ func compareSystems(t *testing.T, label string, got, want *System) {
 			if got.classKey[slot][c] != want.classKey[slot][c] {
 				t.Fatalf("%s: slot %d class %d key differs:\n got %q\nwant %q",
 					label, slot, c, got.classKey[slot][c], want.classKey[slot][c])
-			}
-			if got.classGlobal[slot][c] != want.classGlobal[slot][c] {
-				t.Fatalf("%s: slot %d class %d global id %d, want %d",
-					label, slot, c, got.classGlobal[slot][c], want.classGlobal[slot][c])
 			}
 		}
 		i, m := model.AgentID(slot%want.N), slot/want.N
@@ -478,9 +474,9 @@ type countingPermuter struct {
 	rewrites atomic.Int64
 }
 
-func (e *countingPermuter) PermuteKey(key string, perm []model.AgentID) (string, error) {
+func (e *countingPermuter) AppendPermuteKey(dst []byte, key string, perm []model.AgentID) ([]byte, error) {
 	e.rewrites.Add(1)
-	return e.FIP.PermuteKey(key, perm)
+	return e.FIP.AppendPermuteKey(dst, key, perm)
 }
 
 // TestExpandQuotientCancelsDuringEnumeration cancels the context while
@@ -522,12 +518,12 @@ type refusingPermuter struct {
 	refusals atomic.Int64
 }
 
-func (e *refusingPermuter) PermuteKey(key string, perm []model.AgentID) (string, error) {
+func (e *refusingPermuter) AppendPermuteKey(dst []byte, key string, perm []model.AgentID) ([]byte, error) {
 	if key == e.refuse {
 		e.refusals.Add(1)
-		return "", fmt.Errorf("refusing to rewrite %q under %v", key, perm)
+		return dst, fmt.Errorf("refusing to rewrite %q under %v", key, perm)
 	}
-	return e.FIP.PermuteKey(key, perm)
+	return e.FIP.AppendPermuteKey(dst, key, perm)
 }
 
 // TestExpandQuotientReportsLowestFailingSlot: pass 2 shards over (time,
@@ -627,18 +623,12 @@ func TestExpandedRunsOwnTheirInits(t *testing.T) {
 	}
 }
 
-// TestExpandQuotientAllocCeiling holds the bytes one ExpandQuotient of fip
-// n=4,t=1 allocates per expanded run, the first read of its last layer
-// left out. An expanded run is three words (Run) over a ledger shared by
-// content, with its unit's members in int32 tables: about 140 B. The
-// ceiling sits about 10 % above that and below the ≈220 B a run cost with
-// a ledger per unit and a Stats copy per run, so that neither can come
-// back unnoticed. Lower the ceiling when a change earns it.
-func TestExpandQuotientAllocCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates on its own")
-	}
-	const runs, ceiling = 32784, 155 // bytes per expanded run
+// fipN4Expander returns a function that expands fip n=4,t=1's 1,637
+// representatives into a fresh 32,784-run System, once they have been
+// expanded once: the first expansion interns the representatives' last
+// layer.
+func fipN4Expander(t *testing.T) func() *System {
+	t.Helper()
 	c := Context{Exchange: exchange.NewFIP(4), T: 1}
 	ctx := context.Background()
 	idx, err := BuildShardIndex(ctx, c, action.NewOpt(1), 0, 1)
@@ -649,18 +639,59 @@ func TestExpandQuotientAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expand := func() {
-		if sys, err := ExpandQuotient(ctx, rep, c); err != nil || len(sys.Runs) != runs {
-			t.Fatalf("expanded %v runs, error %v; want %d runs", sys != nil && len(sys.Runs) == runs, err, runs)
+	expand := func() *System {
+		sys, err := ExpandQuotient(ctx, rep, c)
+		if err != nil || len(sys.Runs) != 32784 {
+			t.Fatalf("expanded %v runs, error %v; want 32784 runs", sys != nil && len(sys.Runs) == 32784, err)
 		}
+		return sys
 	}
-	expand() // the first expansion interns the representatives' last layer
+	expand()
+	return expand
+}
+
+// bytesPerRun is what f allocates, over 32,784 runs.
+func bytesPerRun(f func()) float64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	expand()
+	f()
 	runtime.ReadMemStats(&after)
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / runs; per > ceiling {
+	return float64(after.TotalAlloc-before.TotalAlloc) / 32784
+}
+
+// TestExpandQuotientAllocCeiling holds the bytes one ExpandQuotient of fip
+// n=4,t=1 allocates per expanded run, the first read of its last layer
+// left out. An expanded run is three words (Run) over a ledger shared by
+// content, with its unit's members in int32 tables, and a key is a string
+// only when it opens a class: about 115 B. The ceiling sits about 13 %
+// above that and below the ≈140 B a run cost with a key string per rewrite
+// and key maps presized for every memo code, so that neither can come back
+// unnoticed. Lower the ceiling when a change earns it.
+func TestExpandQuotientAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	const ceiling = 130 // bytes per expanded run
+	expand := fipN4Expander(t)
+	if per := bytesPerRun(func() { expand() }); per > ceiling {
 		t.Errorf("ExpandQuotient allocates %.1f bytes per expanded run, ceiling %d", per, ceiling)
+	}
+}
+
+// TestLastLayerAllocCeiling holds the bytes the first read of a fresh fip
+// n=4,t=1 expansion's last layer allocates per run: its slots' tables and
+// the keys of their classes, about 200 B. The ceiling sits about 12 %
+// above that and below the ≈265 B a run cost when each read replayed every
+// class of the system into system-wide ids, so that fold cannot come back
+// unnoticed.
+func TestLastLayerAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	const ceiling = 225 // bytes per run
+	sys := fipN4Expander(t)()
+	if per := bytesPerRun(sys.lastLayer); per > ceiling {
+		t.Errorf("the last layer's first read allocates %.1f bytes per run, ceiling %d", per, ceiling)
 	}
 }
 

@@ -535,7 +535,8 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 	}
 
 	// The shard-merge producer: global run g's key is its shard's key for
-	// its shard-local class, so (shard, local class) is the memo code.
+	// its shard-local class, so (shard, local class) is the memo code, and
+	// a merged slot has at least its largest shard's classes.
 	sys := &System{N: n, T: ref.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}
 	return sys.indexed(ctx, func(slot int) slotRows {
 		stride := 0
@@ -543,14 +544,15 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 			stride = max(stride, len(idx.ClassKeys[slot]))
 		}
 		return slotRows{
-			n:     total,
-			codes: k * stride,
+			n:       total,
+			codes:   k * stride,
+			classes: stride,
 			code: func(g int) int {
 				return (g%k)*stride + int(byShard[g%k].ClassOf[slot][g/k])
 			},
-			key: func(g int) (string, error) {
+			key: func(dst []byte, g int) ([]byte, error) {
 				idx := byShard[g%k]
-				return idx.ClassKeys[slot][idx.ClassOf[slot][g/k]], nil
+				return append(dst, idx.ClassKeys[slot][idx.ClassOf[slot][g/k]]...), nil
 			},
 		}
 	})

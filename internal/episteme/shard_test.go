@@ -33,7 +33,7 @@ func buildMerged(t *testing.T, c Context, act model.ActionProtocol, k int) *Syst
 }
 
 // indexFingerprint renders a System's full interned index: class tables,
-// member lists, and global ids per slot — the class of every run and the
+// member lists per slot — the class of every run and the
 // runs of every class, read through the accessors so that a time-layered
 // system renders as the per-run system it stands for.
 func indexFingerprint(sys *System) string {
@@ -49,7 +49,7 @@ func indexFingerprint(sys *System) string {
 		for c := range runs {
 			runs[c] = sys.runsOfClass(i, m, int32(c))
 		}
-		fmt.Fprintf(&b, "slot %d keys=%q global=%v\n", slot, sys.classKey[slot], sys.classGlobal[slot])
+		fmt.Fprintf(&b, "slot %d keys=%q\n", slot, sys.classKey[slot])
 		fmt.Fprintf(&b, "slot %d of=%v runs=%v\n", slot, of, runs)
 	}
 	return b.String()

@@ -295,18 +295,15 @@ type System struct {
 	//	classOf[slot][row]    → the row's class id in the slot
 	//	classRuns[slot].of(c) → the rows of class c, ascending
 	//	classKey[slot][c]     → the class's local-state key
-	//	classGlobal[slot][c]  → system-wide dense id of that key, shared
-	//	                        across slots (cross-time state identity)
 	//
 	// Class ids are by first appearance in run order either way: a class's
 	// first run is always its unit's first run. The time-Horizon slots are
 	// nil until lastLayer interns them from the producer's lastRows.
-	classOf     [][]int32
-	classRuns   []members
-	classKey    [][]string
-	classGlobal [][]int32
-	lastOnce    sync.Once
-	lastRows    func(slot int) slotRows
+	classOf   [][]int32
+	classRuns []members
+	classKey  [][]string
+	lastOnce  sync.Once
+	lastRows  func(slot int) slotRows
 
 	// cn lazily caches the per-time condensations of the C_N
 	// accessibility graph; cnMu guards the map, each slot builds once.
@@ -476,10 +473,11 @@ func (s *System) buildIndex(ctx context.Context) error {
 		m, i := slot/n, slot%n
 		groups := rowOf[m]
 		return slotRows{
-			n:     len(s.Runs),
-			codes: rowCount[m],
-			code:  func(r int) int { return int(groups[r]) },
-			key:   func(r int) (string, error) { return s.Runs[r].States[m][i].Key(), nil },
+			n:       len(s.Runs),
+			codes:   rowCount[m],
+			classes: rowCount[m] / 2,
+			code:    func(r int) int { return int(groups[r]) },
+			key:     func(dst []byte, r int) ([]byte, error) { return append(dst, s.Runs[r].States[m][i].Key()...), nil },
 		}
 	})
 	return err

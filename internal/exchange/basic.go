@@ -114,9 +114,9 @@ func (e *Basic) Initial(_ model.AgentID, init model.Value) model.State {
 	return BasicState{init: init, decided: model.None, jd: model.None}
 }
 
-// PermuteKey returns an Ebasic key unchanged (model.KeyPermuter).
-func (e *Basic) PermuteKey(key string, _ []model.AgentID) (string, error) {
-	return anonymousKey(key, "basic", 5)
+// AppendPermuteKey appends an Ebasic key unchanged (model.KeyPermuter).
+func (e *Basic) AppendPermuteKey(dst []byte, key string, _ []model.AgentID) ([]byte, error) {
+	return appendAnonymousKey(dst, key, "basic", 5)
 }
 
 // Messages broadcasts the decided bit in a deciding round; an undecided,

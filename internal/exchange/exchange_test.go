@@ -158,9 +158,10 @@ func TestBasicKeyIncludesNumOnes(t *testing.T) {
 }
 
 // TestAnonymousPermuteKey: Emin and Ebasic keys name no agent, so
-// PermuteKey hands every key of the exchange back unchanged under any
+// AppendPermuteKey appends every key of the exchange unchanged under any
 // relabeling, and refuses what is not a key of that exchange — the other
-// tuple exchange's, a truncated one, a full-information one.
+// tuple exchange's, a truncated one, a full-information one — appending
+// nothing.
 func TestAnonymousPermuteKey(t *testing.T) {
 	perm := []model.AgentID{2, 0, 1}
 	min, basic := NewMin(3), NewBasic(3)
@@ -177,13 +178,13 @@ func TestAnonymousPermuteKey(t *testing.T) {
 			[]string{"basic:0:1:⊥:⊥", "min:0:1:⊥:⊥", "basics:0:1:⊥:⊥:0", NewFIP(3).Initial(0, model.One).Key()}},
 	} {
 		for _, key := range tc.good {
-			if got, err := tc.ex.PermuteKey(key, perm); err != nil || got != key {
-				t.Errorf("%T.PermuteKey(%q) = (%q, %v), want the key unchanged", tc.ex, key, got, err)
+			if got, err := tc.ex.AppendPermuteKey([]byte("kept"), key, perm); err != nil || string(got) != "kept"+key {
+				t.Errorf("%T.AppendPermuteKey(%q) = (%q, %v), want the key appended unchanged", tc.ex, key, got, err)
 			}
 		}
 		for _, key := range tc.bad {
-			if got, err := tc.ex.PermuteKey(key, perm); err == nil {
-				t.Errorf("%T.PermuteKey(%q) = %q, want an error", tc.ex, key, got)
+			if got, err := tc.ex.AppendPermuteKey([]byte("kept"), key, perm); err == nil || string(got) != "kept" {
+				t.Errorf("%T.AppendPermuteKey(%q) = (%q, %v), want an error and nothing appended", tc.ex, key, got, err)
 			}
 		}
 	}

@@ -109,11 +109,11 @@ func (e *FIP) Messages(_ model.AgentID, s model.State, a model.Action, out []mod
 	return out
 }
 
-// PermuteKey rewrites an interned fip state key under an agent
+// AppendPermuteKey rewrites an interned fip state key under an agent
 // relabeling (model.KeyPermuter): the full-information key is the graph
-// key, so the rewrite is graph.PermuteKey.
-func (e *FIP) PermuteKey(key string, perm []model.AgentID) (string, error) {
-	return graph.PermuteKey(key, perm)
+// key, so the rewrite is graph.AppendPermuteKey.
+func (e *FIP) AppendPermuteKey(dst []byte, key string, perm []model.AgentID) ([]byte, error) {
+	return graph.AppendPermuteKey(dst, key, perm)
 }
 
 // Update advances time, extends the graph by one round, records which

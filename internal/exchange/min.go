@@ -62,13 +62,13 @@ func minKey(tag string, time int, vs ...model.Value) string {
 	return b.String()
 }
 
-// anonymousKey is PermuteKey for minKey's tuples, which name no agent: the
-// key itself, once its tag and field count show it is one.
-func anonymousKey(key, tag string, fields int) (string, error) {
+// appendAnonymousKey is AppendPermuteKey for minKey's tuples, which name
+// no agent: the key itself, once its tag and field count show it is one.
+func appendAnonymousKey(dst []byte, key, tag string, fields int) ([]byte, error) {
 	if !strings.HasPrefix(key, tag+":") || strings.Count(key, ":") != fields {
-		return "", fmt.Errorf("exchange: %q is not a well-formed %s state key", key, tag)
+		return dst, fmt.Errorf("exchange: %q is not a well-formed %s state key", key, tag)
 	}
-	return key, nil
+	return append(dst, key...), nil
 }
 
 // Min is the minimal information-exchange protocol Emin(n).
@@ -104,9 +104,9 @@ func (e *Min) Initial(_ model.AgentID, init model.Value) model.State {
 	return MinState{init: init, decided: model.None, jd: model.None}
 }
 
-// PermuteKey returns an Emin key unchanged (model.KeyPermuter).
-func (e *Min) PermuteKey(key string, _ []model.AgentID) (string, error) {
-	return anonymousKey(key, "min", 4)
+// AppendPermuteKey appends an Emin key unchanged (model.KeyPermuter).
+func (e *Min) AppendPermuteKey(dst []byte, key string, _ []model.AgentID) ([]byte, error) {
+	return appendAnonymousKey(dst, key, "min", 4)
 }
 
 // Messages broadcasts the decided bit in a deciding round and stays silent

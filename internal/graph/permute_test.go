@@ -27,7 +27,8 @@ func randGraph(rng *rand.Rand, n, m int) *Graph {
 }
 
 // permuteGraph rebuilds g under the relabeling perm, going through the
-// graph API rather than key rewriting — the oracle PermuteKey must match.
+// graph API rather than key rewriting — the oracle AppendPermuteKey must
+// match.
 func permuteGraph(g *Graph, perm []model.AgentID) *Graph {
 	n := g.N()
 	h := New(perm[g.Owner()], n)
@@ -57,13 +58,13 @@ func TestPermuteKeyMatchesGraphPermutation(t *testing.T) {
 		for i, v := range permInts {
 			perm[i] = model.AgentID(v)
 		}
-		got, err := PermuteKey(g.Key(), perm)
+		got, err := AppendPermuteKey(nil, g.Key(), perm)
 		if err != nil {
-			t.Fatalf("PermuteKey(%q): %v", g.Key(), err)
+			t.Fatalf("AppendPermuteKey(%q): %v", g.Key(), err)
 		}
 		want := permuteGraph(g, perm).Key()
-		if got != want {
-			t.Fatalf("PermuteKey mismatch for %q under %v:\n got  %q\n want %q", g.Key(), perm, got, want)
+		if string(got) != want {
+			t.Fatalf("AppendPermuteKey mismatch for %q under %v:\n got  %q\n want %q", g.Key(), perm, got, want)
 		}
 	}
 }
@@ -74,32 +75,37 @@ func TestPermuteKeyIdentity(t *testing.T) {
 	id := []model.AgentID{0, 1, 2, 3}
 	for trial := 0; trial < 50; trial++ {
 		g := randGraph(rng, n, rng.Intn(4))
-		got, err := PermuteKey(g.Key(), id)
+		got, err := AppendPermuteKey(nil, g.Key(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != g.Key() {
+		if string(got) != g.Key() {
 			t.Fatalf("identity rewrite changed key: %q vs %q", got, g.Key())
 		}
 	}
 }
 
+// MalformedKeys are not graph keys for three agents; the differential
+// test in permute_oracle_test.go replays them too.
+var MalformedKeys = []string{
+	"",
+	"0",
+	"0|",
+	"x|1|???",
+	"0|x|???",
+	"3|0|???",                     // owner out of range
+	"0|1|??",                      // short prefs
+	"0|1|???" + "?????????",       // missing round separator
+	"0|1|???|????????",            // short round section
+	"0|1|???|?????????|",          // trailing separator
+	"0|2|???|?????????x?????????", // second round section without '|'
+}
+
 func TestPermuteKeyMalformed(t *testing.T) {
 	perm := []model.AgentID{0, 1, 2}
-	for _, key := range []string{
-		"",
-		"0",
-		"0|",
-		"x|1|???",
-		"0|x|???",
-		"3|0|???",               // owner out of range
-		"0|1|??",                // short prefs
-		"0|1|???" + "?????????", // missing round separator
-		"0|1|???|????????",      // short round section
-		"0|1|???|?????????|",    // trailing separator
-	} {
-		if _, err := PermuteKey(key, perm); err == nil {
-			t.Errorf("PermuteKey(%q) succeeded, want error", key)
+	for _, key := range MalformedKeys {
+		if got, err := AppendPermuteKey([]byte("kept"), key, perm); err == nil || string(got) != "kept" {
+			t.Errorf("AppendPermuteKey(%q) = (%q, %v), want an error and dst unextended", key, got, err)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package model
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // MarshalText encodes the pattern in a compact, human-editable form:
@@ -61,84 +62,88 @@ func (p *Pattern) AppendText(dst []byte) ([]byte, error) {
 }
 
 // UnmarshalText decodes the MarshalText form, replacing the receiver's
-// contents. It implements encoding.TextUnmarshaler.
+// contents. It implements encoding.TextUnmarshaler. A field may repeat:
+// the last n and h hold, and faulty ids and drops accumulate.
 func (p *Pattern) UnmarshalText(text []byte) error {
 	var n, h int
-	var faulty []int
-	type drop struct{ m, i, j int }
-	var drops []drop
-
-	for _, field := range strings.Split(string(text), ";") {
-		k, v, found := strings.Cut(field, "=")
-		if !found {
-			return fmt.Errorf("model: bad pattern field %q", field)
-		}
-		switch k {
-		case "n":
-			x, err := strconv.Atoi(v)
-			if err != nil || x <= 0 {
-				return fmt.Errorf("model: bad agent count %q", v)
-			}
-			n = x
-		case "h":
-			x, err := strconv.Atoi(v)
-			if err != nil || x < 0 {
-				return fmt.Errorf("model: bad horizon %q", v)
-			}
-			h = x
-		case "f":
-			if v == "" {
-				continue
-			}
-			for _, part := range strings.Split(v, ",") {
-				x, err := strconv.Atoi(part)
-				if err != nil {
-					return fmt.Errorf("model: bad faulty id %q", part)
-				}
-				faulty = append(faulty, x)
-			}
-		case "d":
-			if v == "" {
-				continue
-			}
-			for _, part := range strings.Split(v, ",") {
-				nums := strings.Split(part, ":")
-				if len(nums) != 3 {
-					return fmt.Errorf("model: bad drop %q", part)
-				}
-				var d drop
-				var err error
-				if d.m, err = strconv.Atoi(nums[0]); err != nil {
-					return fmt.Errorf("model: bad drop %q", part)
-				}
-				if d.i, err = strconv.Atoi(nums[1]); err != nil {
-					return fmt.Errorf("model: bad drop %q", part)
-				}
-				if d.j, err = strconv.Atoi(nums[2]); err != nil {
-					return fmt.Errorf("model: bad drop %q", part)
-				}
-				drops = append(drops, d)
-			}
-		default:
-			return fmt.Errorf("model: unknown pattern field %q", k)
-		}
+	if err := decodePattern(text, &n, &h, nil); err != nil {
+		return err
 	}
 	if n == 0 {
 		return fmt.Errorf("model: pattern text missing n")
 	}
 	q := NewPattern(n, h)
-	for _, f := range faulty {
-		if f < 0 || f >= n {
-			return fmt.Errorf("model: faulty id %d out of range", f)
-		}
-		q.SetFaulty(AgentID(f))
-	}
-	for _, d := range drops {
-		if d.m < 0 || d.m >= h || d.i < 0 || d.i >= n || d.j < 0 || d.j >= n {
-			return fmt.Errorf("model: drop (%d,%d,%d) out of range", d.m, d.i, d.j)
-		}
-		q.Drop(d.m, AgentID(d.i), AgentID(d.j))
+	if err := decodePattern(text, &n, &h, q); err != nil {
+		return err
 	}
 	*p = *q
 	return nil
+}
+
+// decodePattern reads the fields of a MarshalText form in place, in order,
+// setting n and h. With q nil it checks the fields' syntax; with q it
+// applies the faulty ids and drops to q, checking them against q's shape:
+// an out-of-range faulty id is reported before any out-of-range drop.
+func decodePattern(text []byte, n, h *int, q *Pattern) error {
+	var dropErr error
+	for rest, more := text, true; more; {
+		var field []byte
+		field, rest, more = bytes.Cut(rest, []byte(";"))
+		k, v, found := bytes.Cut(field, []byte("="))
+		if !found {
+			return fmt.Errorf("model: bad pattern field %q", field)
+		}
+		switch string(k) {
+		case "n":
+			x, err := strconv.Atoi(string(v))
+			if err != nil || x <= 0 {
+				return fmt.Errorf("model: bad agent count %q", v)
+			}
+			*n = x
+		case "h":
+			x, err := strconv.Atoi(string(v))
+			if err != nil || x < 0 {
+				return fmt.Errorf("model: bad horizon %q", v)
+			}
+			*h = x
+		case "f", "d":
+			for items, more := v, len(v) > 0; more; {
+				var part []byte
+				part, items, more = bytes.Cut(items, []byte(","))
+				if k[0] == 'f' {
+					f, err := strconv.Atoi(string(part))
+					switch {
+					case err != nil:
+						return fmt.Errorf("model: bad faulty id %q", part)
+					case q != nil && (f < 0 || f >= q.n):
+						return fmt.Errorf("model: faulty id %d out of range", f)
+					case q != nil:
+						q.SetFaulty(AgentID(f))
+					}
+					continue
+				}
+				switch m, i, j, ok := parseDrop(part); {
+				case !ok:
+					return fmt.Errorf("model: bad drop %q", part)
+				case q != nil && (m < 0 || m >= q.horizon || i < 0 || i >= q.n || j < 0 || j >= q.n):
+					dropErr = cmp.Or(dropErr, fmt.Errorf("model: drop (%d,%d,%d) out of range", m, i, j))
+				case q != nil:
+					q.Drop(m, AgentID(i), AgentID(j))
+				}
+			}
+		default:
+			return fmt.Errorf("model: unknown pattern field %q", k)
+		}
+	}
+	return dropErr
+}
+
+// parseDrop reads one m:i:j drop; ok is false unless it is three integers.
+func parseDrop(part []byte) (m, i, j int, ok bool) {
+	ms, rest, ok1 := bytes.Cut(part, []byte(":"))
+	is, js, ok2 := bytes.Cut(rest, []byte(":"))
+	m, errM := strconv.Atoi(string(ms))
+	i, errI := strconv.Atoi(string(is))
+	j, errJ := strconv.Atoi(string(js))
+	return m, i, j, ok1 && ok2 && bytes.IndexByte(js, ':') < 0 && errM == nil && errI == nil && errJ == nil
 }

@@ -92,24 +92,26 @@ type Exchange interface {
 
 // KeyPermuter is the opt-in symmetry extension of Exchange: it rewrites
 // an interned state key under an agent relabeling, without access to the
-// state itself. PermuteKey(s.Key(), perm) must equal the key of the state
-// the same agent's counterpart perm[i] reaches in the permuted run — the
-// contract that lets the model checker expand a symmetry-quotiented
-// system into the full one by string rewriting alone (the permuted runs
-// were never executed, so no State values exist for them).
+// state itself. AppendPermuteKey(nil, s.Key(), perm) must spell the key
+// of the state the same agent's counterpart perm[i] reaches in the
+// permuted run — the contract that lets the model checker expand a
+// symmetry-quotiented system into the full one by key rewriting alone
+// (the permuted runs were never executed, so no State values exist for
+// them).
 //
 // Efip rewrites the agent ids its graph keys embed; Emin and Ebasic, whose
-// keys name no agent, return them unchanged — an identity that is only
+// keys name no agent, append them unchanged — an identity that is only
 // right because no key names an agent (conformance convention 8 checks
 // it). Implementing it is the whole selection: episteme.BuildSystem and
 // core.Runner.RunShard run one representative per agent-permutation orbit
 // of such an exchange, trusting its action protocol to be symmetric too,
 // and every run of an exchange that does not.
 type KeyPermuter interface {
-	// PermuteKey rewrites key under perm, where perm[i] is the new
-	// identity of old agent i (the Pattern.Permute convention). It
-	// returns an error if key is not a well-formed key of this exchange.
-	PermuteKey(key string, perm []AgentID) (string, error)
+	// AppendPermuteKey appends key rewritten under perm to dst and
+	// returns the extended buffer, where perm[i] is the new identity of
+	// old agent i (the Pattern.Permute convention). It returns an error
+	// if key is not a well-formed key of this exchange.
+	AppendPermuteKey(dst []byte, key string, perm []AgentID) ([]byte, error)
 }
 
 // ActionProtocol is a (deterministic, memoryless) action protocol

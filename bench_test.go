@@ -17,6 +17,7 @@ import (
 	"context"
 	"io"
 	"math/rand"
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -358,6 +359,52 @@ func BenchmarkExpandQuotientN4(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkVerifySuiteN4 runs the benchmark's verify-n4-full path, one
+// sub-benchmark per stack: each iteration builds the 4 stripes of n=4,t=1
+// with BuildShardIndex, writes and reads each back, merges them with
+// MergeSystems and writes the safety and optimality verdicts, which must
+// equal the committed golden block. B/op is one stack's bytes per pass.
+func BenchmarkVerifySuiteN4(b *testing.B) {
+	ctx := context.Background()
+	for _, name := range []string{"fip", "min", "basic"} {
+		b.Run(name, func(b *testing.B) {
+			st := stack(b, name, 4, 1)
+			golden, err := os.ReadFile("benchmark/golden/verdict-" + name + "-n4-t1-full.txt")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				shards := make([]*episteme.ShardIndex, 4)
+				for k := range shards {
+					idx, err := episteme.BuildShardIndex(ctx, episteme.ContextFor(st), st.Action, k, len(shards))
+					if err != nil {
+						b.Fatal(err)
+					}
+					var file bytes.Buffer
+					if err := episteme.WriteShardIndex(&file, idx); err != nil {
+						b.Fatal(err)
+					}
+					if shards[k], err = episteme.ReadShardIndex(&file); err != nil {
+						b.Fatal(err)
+					}
+				}
+				sys, err := episteme.MergeSystems(ctx, shards)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var block bytes.Buffer
+				if err := eba.WriteVerdicts(ctx, &block, sys, st.Name, eba.VerdictOptions{Safety: true, Optimality: true}); err != nil {
+					b.Fatal(err)
+				}
+				if !bytes.Equal(block.Bytes(), golden) {
+					b.Fatalf("%s verdict block differs from its golden:\n%s", name, block.Bytes())
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkExpandQuotientN5 expands the 7,758 fip representatives at
@@ -729,7 +776,7 @@ func BenchmarkGraphMergeAndKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h := g.Clone()
 		h.Merge(g)
-		_ = h.Key()
+		_ = string(h.AppendKey(nil))
 	}
 }
 

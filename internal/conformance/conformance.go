@@ -23,7 +23,10 @@
 //     holding a slice, a map or a func would panic there;
 //  10. a key names its time: no agent's key at one time is its key at
 //     another, in any run — the model checker identifies a state by its
-//     (time, agent) slot and its class there, with no id across times.
+//     (time, agent) slot and its class there, with no id across times;
+//  11. AppendKey appends: after a prefix it adds exactly the key it
+//     appends to nil and leaves the prefix alone — the model checker
+//     renders keys into one reused buffer.
 //
 // Two drivers exercise the conventions: CheckExchange samples random
 // omission behavior (cheap, any n), and CheckExchangePatterns drives the
@@ -86,15 +89,20 @@ func sameMessage(a, b model.Message) bool {
 	return a.Announces() == b.Announces() && a.Bits() == b.Bits() && a.String() == b.String()
 }
 
-// checkState verifies conventions 9 and 10 on agent i's state s.
+// checkState verifies conventions 9 to 11 on agent i's state s.
 func (r *reporter) checkState(i int, s model.State, label lazyLabel) {
 	if !reflect.TypeOf(s).Comparable() {
 		r.report("%s: state type %T is not comparable with ==", label, s)
 	}
+	const prefix = "prefix|"
+	key := string(s.AppendKey(nil))
+	if got := string(s.AppendKey([]byte(prefix))); got != prefix+key {
+		r.report("%s: agent %d's AppendKey after %q gives %q, not the prefix and %q", label, i, prefix, got, key)
+	}
 	if r.times == nil {
 		r.times = make(map[agentKey]int)
 	}
-	k := agentKey{model.AgentID(i), s.Key()}
+	k := agentKey{model.AgentID(i), key}
 	if m, seen := r.times[k]; !seen {
 		r.times[k] = s.Time()
 	} else if m != s.Time() {
@@ -110,7 +118,7 @@ func initialStates(ex model.Exchange, inits []model.Value, label lazyLabel, r *r
 		states[i] = ex.Initial(model.AgentID(i), inits[i])
 		s := states[i]
 		if s.Time() != 0 || s.Init() != inits[i] || s.Decided() != model.None || s.JustDecided() != model.None {
-			r.report("%s: initial state of agent %d is not ⟨0, %v, ⊥, ⊥⟩: %s", label, i, inits[i], s.Key())
+			r.report("%s: initial state of agent %d is not ⟨0, %v, ⊥, ⊥⟩: %s", label, i, inits[i], s.AppendKey(nil))
 		}
 		r.checkState(i, s, label)
 	}
@@ -159,10 +167,10 @@ func (tw *twin) follow(ex model.Exchange, m int, acts []model.Action, outbox, in
 // check verifies convention 8 at one time.
 func (tw *twin) check(ex model.Exchange, states []model.State, label lazyLabel, r *reporter) {
 	for i, s := range states {
-		want := tw.states[tw.perm[i]].Key()
-		if got, err := ex.(model.KeyPermuter).AppendPermuteKey(nil, s.Key(), tw.perm); err != nil || string(got) != want {
+		key, want := string(s.AppendKey(nil)), tw.states[tw.perm[i]].AppendKey(nil)
+		if got, err := ex.(model.KeyPermuter).AppendPermuteKey(nil, key, tw.perm); err != nil || string(got) != string(want) {
 			r.report("%s time %d: agent %d's key %q rewrites under %v to %q (err %v), but the relabeled run's agent %d holds %q",
-				label, s.Time(), i, s.Key(), tw.perm, got, err, tw.perm[i], want)
+				label, s.Time(), i, key, tw.perm, got, err, tw.perm[i], want)
 		}
 	}
 }
@@ -256,7 +264,7 @@ func checkRound(ex model.Exchange, m int, states []model.State, acts []model.Act
 		}
 		// Convention 6: δ is a function of its inputs.
 		again := ex.Update(model.AgentID(i), prev, acts[i], inbox[i])
-		if again.Key() != next[i].Key() {
+		if string(again.AppendKey(nil)) != string(next[i].AppendKey(nil)) {
 			r.report("%s round %d: agent %d δ is not deterministic", label, m, i)
 		}
 		// Init is immutable.

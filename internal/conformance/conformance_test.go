@@ -2,12 +2,14 @@ package conformance
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/exchange"
 	"repro/internal/model"
+	"repro/internal/registry"
 )
 
 func TestAllExchangesConform(t *testing.T) {
@@ -193,7 +195,9 @@ type idKeyState struct {
 	id model.AgentID
 }
 
-func (s idKeyState) Key() string { return fmt.Sprintf("%s@%d", s.State.Key(), s.id) }
+func (s idKeyState) AppendKey(dst []byte) []byte {
+	return fmt.Appendf(s.State.AppendKey(dst), "@%d", s.id)
+}
 
 func (e idKeyExchange) Initial(i model.AgentID, init model.Value) model.State {
 	return idKeyState{e.Min.Initial(i, init), i}
@@ -272,8 +276,8 @@ type timelessExchange struct {
 
 type timelessState struct{ model.State }
 
-func (s timelessState) Key() string {
-	return fmt.Sprintf("min:*:%v:%v:%v", s.Init(), s.Decided(), s.JustDecided())
+func (s timelessState) AppendKey(dst []byte) []byte {
+	return fmt.Appendf(dst, "min:*:%v:%v:%v", s.Init(), s.Decided(), s.JustDecided())
 }
 
 func (e timelessExchange) Initial(i model.AgentID, init model.Value) model.State {
@@ -307,6 +311,153 @@ func TestConformanceChecksKeyNamesTime(t *testing.T) {
 				t.Errorf("%s driver: a timeless but otherwise conformant exchange drew another report: %s", name, v)
 				break
 			}
+		}
+	}
+}
+
+// freshKeyExchange is Emin with an AppendKey that ignores dst and returns
+// a fresh key: right on a nil buffer, wrong on every other.
+type freshKeyExchange struct {
+	*exchange.Min
+}
+
+type freshKeyState struct{ model.State }
+
+func (s freshKeyState) AppendKey([]byte) []byte { return s.State.AppendKey(nil) }
+
+func (e freshKeyExchange) Initial(i model.AgentID, init model.Value) model.State {
+	return freshKeyState{e.Min.Initial(i, init)}
+}
+
+func (e freshKeyExchange) Messages(i model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
+	return e.Min.Messages(i, s.(freshKeyState).State, a, out)
+}
+
+func (e freshKeyExchange) Update(i model.AgentID, s model.State, a model.Action, recv []model.Message) model.State {
+	return freshKeyState{e.Min.Update(i, s.(freshKeyState).State, a, recv)}
+}
+
+// TestConformanceChecksAppendKey is convention 11 under both drivers: an
+// AppendKey that drops the buffer it is given is reported, and nothing
+// else is.
+func TestConformanceChecksAppendKey(t *testing.T) {
+	pats, err := adversary.NewSOPatterns(3, 1, 3, adversary.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, vs := range map[string][]string{
+		"random":   CheckExchange(freshKeyExchange{exchange.NewMin(3)}, 7, 5),
+		"patterns": CheckExchangePatterns(freshKeyExchange{exchange.NewMin(3)}, pats, 7),
+	} {
+		if len(vs) == 0 {
+			t.Errorf("%s driver: an AppendKey that drops its buffer was not reported", name)
+		}
+		for _, v := range vs {
+			if !strings.Contains(v, "AppendKey after") {
+				t.Errorf("%s driver: an exchange that only drops AppendKey's buffer drew another report: %s", name, v)
+				break
+			}
+		}
+	}
+}
+
+// recordingExchange hands out an exchange's states and keeps every one.
+// It hides the exchange's model.KeyPermuter, so the twins of convention 8
+// add none.
+type recordingExchange struct {
+	model.Exchange
+	states []model.State
+}
+
+func (e *recordingExchange) Initial(i model.AgentID, init model.Value) model.State {
+	s := e.Exchange.Initial(i, init)
+	e.states = append(e.states, s)
+	return s
+}
+
+func (e *recordingExchange) Update(i model.AgentID, s model.State, a model.Action, recv []model.Message) model.State {
+	next := e.Exchange.Update(i, s, a, recv)
+	e.states = append(e.states, next)
+	return next
+}
+
+// stringKey is model.State's Key() string as it was before states
+// appended their keys, kept as the oracle AppendKey must spell:
+// tag:time:init:decided:jd for Emin, then :#1 for Ebasic, and for Efip
+// the graph's owner|time|prefs|round 1|… with ? for an unknown label.
+func stringKey(t *testing.T, s model.State) string {
+	tuple := func(tag string, s model.State) string {
+		var b strings.Builder
+		b.WriteString(tag + ":" + strconv.Itoa(s.Time()))
+		for _, v := range []model.Value{s.Init(), s.Decided(), s.JustDecided()} {
+			b.WriteString(":" + v.String())
+		}
+		return b.String()
+	}
+	switch s := s.(type) {
+	case exchange.MinState:
+		return tuple("min", s)
+	case exchange.BasicState:
+		return tuple("basic", s) + ":" + strconv.Itoa(s.NumOnes())
+	case *exchange.FIPState:
+		g := s.Graph()
+		var b strings.Builder
+		b.WriteString(strconv.Itoa(int(g.Owner())) + "|" + strconv.Itoa(g.M()) + "|")
+		for j := 0; j < g.N(); j++ {
+			if v := g.Pref(model.AgentID(j)); v.IsSet() {
+				b.WriteString(v.String())
+			} else {
+				b.WriteByte('?')
+			}
+		}
+		for k := 0; k < g.M(); k++ {
+			b.WriteByte('|')
+			for i := 0; i < g.N(); i++ {
+				for j := 0; j < g.N(); j++ {
+					b.WriteString(g.Edge(k, model.AgentID(i), model.AgentID(j)).String())
+				}
+			}
+		}
+		return b.String()
+	}
+	t.Fatalf("no string key for a %T state", s)
+	return ""
+}
+
+// TestAppendKeyMatchesStringKey drives every registered exchange through
+// the exhaustive SO(1) sweeps at n = 2, 3 and 4, under the conventions
+// (11 checks that AppendKey appends after a prefix), and holds every state
+// it reaches to two more things: AppendKey spells the key the string form
+// did, and appending every key into a buffer with room allocates nothing.
+func TestAppendKeyMatchesStringKey(t *testing.T) {
+	for _, name := range registry.ExchangeNames() {
+		info, err := registry.Exchange(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 2; n <= 4; n++ {
+			pats, err := adversary.NewSOPatterns(n, 1, 3, adversary.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &recordingExchange{Exchange: info.New(n)}
+			if vs := CheckExchangePatterns(rec, pats, 5); len(vs) != 0 {
+				t.Fatalf("%s n=%d: %s", name, n, strings.Join(vs, "\n  "))
+			}
+			var buf []byte
+			for _, s := range rec.states {
+				if buf = s.AppendKey(buf[:0]); string(buf) != stringKey(t, s) {
+					t.Fatalf("%s n=%d: AppendKey gives %q, the string key was %q", name, n, buf, stringKey(t, s))
+				}
+			}
+			if allocs := testing.AllocsPerRun(1, func() {
+				for _, s := range rec.states {
+					buf = s.AppendKey(buf[:0])
+				}
+			}); allocs != 0 {
+				t.Errorf("%s n=%d: appending %d keys into a buffer with room allocated %v times", name, n, len(rec.states), allocs)
+			}
+			t.Logf("%s n=%d: %d states", name, n, len(rec.states))
 		}
 	}
 }

@@ -39,7 +39,7 @@ func assertSameRun(t *testing.T, label string, want, got *engine.Result) {
 	}
 	for m := range want.States {
 		for i := range want.States[m] {
-			if want.States[m][i].Key() != got.States[m][i].Key() {
+			if string(want.States[m][i].AppendKey(nil)) != string(got.States[m][i].AppendKey(nil)) {
 				t.Fatalf("%s: state differs at time %d agent %d", label, m, i)
 			}
 		}

@@ -20,7 +20,7 @@ func runSignature(res *Result) string {
 	var b strings.Builder
 	for m := range res.States {
 		for i := range res.States[m] {
-			b.WriteString(res.States[m][i].Key())
+			b.WriteString(string(res.States[m][i].AppendKey(nil)))
 			b.WriteByte(';')
 		}
 	}
@@ -250,10 +250,10 @@ func TestGraphClonesAreIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := res.States[tf+1][0].(*exchange.FIPState).Graph()
-	key := g.Key()
+	key := string(g.AppendKey(nil))
 
 	clones := []*graph.Graph{g.Clone(), g.CloneFor(1), g.CloneExtended()}
-	cloneKeys := []string{clones[0].Key(), clones[1].Key(), clones[2].Key()}
+	cloneKeys := []string{string(clones[0].AppendKey(nil)), string(clones[1].AppendKey(nil)), string(clones[2].AppendKey(nil))}
 	// Scribbling the source must not reach any clone.
 	for k := 0; k < g.M(); k++ {
 		for i := 0; i < n; i++ {
@@ -264,23 +264,23 @@ func TestGraphClonesAreIndependent(t *testing.T) {
 			}
 		}
 	}
-	if g.Key() == key {
+	if string(g.AppendKey(nil)) == key {
 		t.Fatal("scribbling changed nothing — test is vacuous")
 	}
 	for c, cl := range clones {
-		if cl.Key() != cloneKeys[c] {
+		if string(cl.AppendKey(nil)) != cloneKeys[c] {
 			t.Fatalf("clone %d shares memory with its scribbled source", c)
 		}
 	}
 	// And scribbling a clone must not reach the (re-keyed) source.
-	key = g.Key()
+	key = string(g.AppendKey(nil))
 	for c, cl := range clones {
 		for j := 0; j < n; j++ {
 			if !cl.Pref(model.AgentID(j)).IsSet() {
 				cl.SetPref(model.AgentID(j), model.Zero)
 			}
 		}
-		if g.Key() != key {
+		if string(g.AppendKey(nil)) != key {
 			t.Fatalf("scribbling clone %d reached the source", c)
 		}
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -20,13 +19,12 @@ func (s stubState) Time() int                { return s.time }
 func (s stubState) Init() model.Value        { return s.init }
 func (s stubState) Decided() model.Value     { return s.decided }
 func (s stubState) JustDecided() model.Value { return s.jd }
-func (s stubState) Key() string {
-	var b strings.Builder
-	b.WriteString("stub:")
+func (s stubState) AppendKey(dst []byte) []byte {
+	dst = append(dst, "stub:"...)
 	for _, v := range []int{s.time, int(s.init), int(s.decided), int(s.jd)} {
-		b.WriteByte(byte('a' + v + 1))
+		dst = append(dst, byte('a'+v+1))
 	}
-	return b.String()
+	return dst
 }
 
 // stubMsg announces a decision; it is 1 bit on the wire.
@@ -185,7 +183,7 @@ func TestRunDeterminism(t *testing.T) {
 	b := MustRun(stubConfig(4, 3, inits, p))
 	for m := range a.States {
 		for i := range a.States[m] {
-			if a.States[m][i].Key() != b.States[m][i].Key() {
+			if string(a.States[m][i].AppendKey(nil)) != string(b.States[m][i].AppendKey(nil)) {
 				t.Fatalf("states differ at time %d agent %d", m, i)
 			}
 		}

@@ -422,6 +422,7 @@ func concat[L int | int32](ms members, lists []L) []int {
 // is served from the per-time condensation; closures are cached per
 // source component. Safe for concurrent use.
 func (s *System) CNReachable(p Point) []int {
+	s.mustCheckable()
 	layer := s.cnLayerAt(p.Time)
 	src := layer.comp[s.rowOf(p.Time, p.Run)]
 	layer.mu.RLock()
@@ -459,6 +460,7 @@ func (s *System) CKTFaulty(q Point, v model.Value) bool {
 // KnowsCK evaluates K_i(C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v)) at p:
 // the common-knowledge guard of the knowledge-based program P1.
 func (s *System) KnowsCK(i model.AgentID, p Point, v model.Value) bool {
+	s.mustCheckable()
 	layer := s.cnLayerAt(p.Time)
 	ck := layer.ck[v]
 	for _, row := range s.rowsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run)) {

@@ -56,12 +56,14 @@ type memoEdge struct {
 	stats engine.Stats
 }
 
+// newMemoExec sizes no map: an n=4 stripe's graph holds a few hundred
+// edges and nodes, where a 1,024-entry hint cost 577 KB before any run.
 func newMemoExec(horizon int) *memoExec {
 	return &memoExec{
 		horizon: horizon,
 		roots:   make(map[uint32]memoNode),
-		edges:   make(map[memoEdgeKey]memoEdge, 1024),
-		nodes:   make(map[[8]model.State]memoNode, 1024),
+		edges:   make(map[memoEdgeKey]memoEdge),
+		nodes:   make(map[[8]model.State]memoNode),
 	}
 }
 

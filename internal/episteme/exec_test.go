@@ -133,7 +133,7 @@ func (w *memoWalk) check(t *testing.T, r int, got, want *engine.Result) {
 			// The engine is deterministic, so later runs of this history
 			// need only alias the row checked here.
 			for i, s := range got.States[m] {
-				if g, e := s.Key(), want.States[m][i].Key(); g != e {
+				if g, e := string(s.AppendKey(nil)), string(want.States[m][i].AppendKey(nil)); g != e {
 					t.Fatalf("parallelism %d, run %d: agent %d's time-%d key is %q, the plain engine's %q", w.par, r, i, m, g, e)
 				}
 			}

@@ -5,8 +5,9 @@
 // and all three must yield the same tables for the same sweep. They do
 // because none of them assigns an id: each only says, per slot, what run
 // g's local-state key is (slotRows), and indexed numbers the classes
-// by first appearance in ascending run order. Keys (model.State.Key) and
-// run order are functions of the sweep alone, so the tables are —
+// by first appearance in ascending run order. Keys
+// (model.State.AppendKey) and run order are functions of the sweep
+// alone, so the tables are —
 // whichever producer supplied the rows and however many workers interned
 // them. docs/architecture.md, "Index construction: one kernel, three
 // producers".
@@ -107,9 +108,10 @@ func (s *System) intern(ctx context.Context, from, to int, rows func(slot int) s
 			*cell = cls + 1
 			classOf[g] = cls
 		}
-		s.classOf[slot] = classOf
-		s.classRuns[slot] = packMembers(classOf, len(classKey))
-		s.classKey[slot] = classKey
+		s.classOf[slot], s.classKey[slot] = classOf, classKey
+		if !s.Quotiented() { // nothing reads a representative system's member lists
+			s.classRuns[slot] = packMembers(classOf, len(classKey))
+		}
 	})
 	return cmp.Or(err, cmp.Or(slotErr...))
 }

@@ -102,6 +102,7 @@ func (s *System) kbpPhaseB(i model.AgentID, p Point, deciding0 func(q Point, j m
 // system generated by the candidate implementation, per the definition of
 // "P implements P-kb in γ" (Section 4).
 func (s *System) KBPAction(prog Program, i model.AgentID, p Point) model.Action {
+	s.mustCheckable()
 	if a, determined := s.kbpPhaseA(prog, i, p); determined {
 		return a
 	}

@@ -25,7 +25,7 @@ func resultFingerprint(run Run) string {
 	b.WriteString(ledgerFingerprint(run))
 	for m := range run.States {
 		for i := range run.States[m] {
-			fmt.Fprintf(&b, "s[%d][%d]=%s\n", m, i, run.States[m][i].Key())
+			fmt.Fprintf(&b, "s[%d][%d]=%s\n", m, i, string(run.States[m][i].AppendKey(nil)))
 		}
 	}
 	return b.String()

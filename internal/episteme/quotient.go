@@ -106,10 +106,8 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 // orbitMap is pass 1's account of the full sweep: scenario ordinal g is
 // representative gRep[g] relabeled by perms[gPerm[g]] (π with π·g =
 // representative; invs holds π⁻¹, isID marks the identity), and runs[g] is
-// its run. unitOf and unitFirst are the System's (system.go, "Rows");
-// lastDrops[g] packs the last round's drops of scenario g, t bits per
-// recipient: bit i·t+k says the k-th faulty agent's message to agent i is
-// lost. stats[r] is representative r's traffic, copied so that rep can be
+// its run. unitOf and unitFirst are the System's (system.go, "Rows").
+// stats[r] is representative r's traffic, copied so that rep can be
 // released after the last layer's read. ledgers, under mu, holds the runs'
 // ledgers by content (appendLedgerKey): a few hundred shapes in a sweep.
 type orbitMap struct {
@@ -119,7 +117,6 @@ type orbitMap struct {
 	runs        []Run
 	unitOf      []int32
 	unitFirst   []int32
-	lastDrops   []uint64
 	stats       []engine.Stats
 	mu          sync.Mutex
 	ledgers     map[string]*engine.Result
@@ -141,9 +138,8 @@ type orbitMap struct {
 // The source hands every scenario of one pattern the same *model.Pattern
 // (the runs keep it, so it is immutable from here on), which makes the
 // pattern's share of the unit — faulty set and drops before the last
-// round, interned to a dense prefix id — and its last-round drop bits
-// once-per-pattern work; per scenario a unit is one first-sight cell over
-// (prefix id, inits bits).
+// round, interned to a dense prefix id — once-per-pattern work; per
+// scenario a unit is one first-sight cell over (prefix id, inits bits).
 func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	n, horizon := rep.N, rep.Horizon
 	reps, err := newRepTable(rep)
@@ -157,13 +153,12 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	}
 	total, _ := src.Count() // a capacity hint; 0 when the source cannot say
 	om := &orbitMap{
-		gRep:      make([]int32, 0, total),
-		gPerm:     make([]int32, 0, total),
-		runs:      make([]Run, 0, total),
-		unitOf:    make([]int32, 0, total),
-		lastDrops: make([]uint64, 0, total),
-		stats:     make([]engine.Stats, len(rep.Runs)),
-		ledgers:   make(map[string]*engine.Result),
+		gRep:    make([]int32, 0, total),
+		gPerm:   make([]int32, 0, total),
+		runs:    make([]Run, 0, total),
+		unitOf:  make([]int32, 0, total),
+		stats:   make([]engine.Stats, len(rep.Runs)),
+		ledgers: make(map[string]*engine.Result),
 	}
 	for r, run := range rep.Runs {
 		om.stats[r] = *run.Stats
@@ -173,9 +168,8 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 		counts    = make([]int64, len(rep.Runs))
 		prefixID  = make(map[string]int32)
 		unitSeen  []int32        // [prefix id << n | inits bits] → unit + 1, 0 = unseen
-		pat       *model.Pattern // the pattern prefix and drops were computed for
+		pat       *model.Pattern // the pattern prefix was computed for
 		prefix    int32
-		drops     uint64
 		prefixKey []byte
 		workers   = make([]orbitWorker, rep.parallelism())
 		chunks    = func(fn func(wk *orbitWorker)) error {
@@ -232,10 +226,7 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 						prefixID[string(prefixKey)] = id
 						unitSeen = append(unitSeen, make([]int32, 1<<n)...)
 					}
-					prefix, drops = id, 0
-					for j := 0; j < n; j++ {
-						drops |= pat.FaultyDropsTo(horizon-1, model.AgentID(j)) << (j * rep.T)
-					}
+					prefix = id
 				}
 				bits, _ := initsBits(sc.Inits) // binary: canonicalize found its representative
 				cell := &unitSeen[int(prefix)<<n|bits]
@@ -244,7 +235,6 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 					*cell = int32(len(om.unitFirst))
 				}
 				om.unitOf = append(om.unitOf, *cell-1)
-				om.lastDrops = append(om.lastDrops, drops)
 				om.runs = append(om.runs, Run{})
 			}
 		}
@@ -437,11 +427,12 @@ func initsBits(inits []model.Value) (bits int, ok bool) {
 // delivering; so equal codes imply equal keys. A unit's runs differ in at
 // most those t bits per agent, which makes the code near-exact: it asks
 // for about one key per class where (relabeling, rep class) asked for
-// more than two.
+// more than two. The drops are read off the run's own pattern, once per
+// pattern: a pattern's runs are consecutive and share one *Pattern.
 func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermuter) (*System, error) {
 	n, t := rep.N, uint(rep.T)
 	gRep, gPerm, perms, invs, isID := om.gRep, om.gPerm, om.perms, om.invs, om.isID
-	unitOf, unitFirst, lastDrops := om.unitOf, om.unitFirst, om.lastDrops
+	runs, unitOf, unitFirst := om.runs, om.unitOf, om.unitFirst
 	rep.lastLayer()
 	// strides[m] is the largest representative class count of time slice m:
 	// the row length of that slice's code space.
@@ -449,7 +440,7 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	for slot, keys := range rep.classKey {
 		strides[slot/n] = max(strides[slot/n], len(keys))
 	}
-	sys := &System{N: n, T: rep.T, Horizon: rep.Horizon, Runs: om.runs, par: rep.parallelism(),
+	sys := &System{N: n, T: rep.T, Horizon: rep.Horizon, Runs: runs, par: rep.parallelism(),
 		unitOf: unitOf, unitFirst: unitFirst, unitRuns: packMembers(unitOf, len(unitFirst))}
 	sys, err := sys.indexed(ctx, func(slot int) slotRows {
 		m, i := slot/n, slot%n
@@ -467,13 +458,19 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 			return dst, nil
 		}
 		if m == rep.Horizon {
-			shift, mask := uint(i)*t, uint64(1)<<t-1
+			var pat *model.Pattern // the pattern drops were read off
+			var drops int
 			return slotRows{
-				n:       len(om.runs),
+				n:       len(runs),
 				codes:   len(unitFirst) << t,
-				classes: min(len(unitFirst)<<t, len(om.runs)) / 2,
-				code:    func(g int) int { return int(unitOf[g])<<t | int(lastDrops[g]>>shift&mask) },
-				key:     key,
+				classes: min(len(unitFirst)<<t, len(runs)) / 2,
+				code: func(g int) int {
+					if p := runs[g].Pattern; p != pat {
+						pat, drops = p, int(p.FaultyDropsTo(m-1, model.AgentID(i)))
+					}
+					return int(unitOf[g])<<t | drops
+				},
+				key: key,
 			}
 		}
 		// The representatives' own runs are rows here, under the identity:

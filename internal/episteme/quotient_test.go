@@ -662,16 +662,17 @@ func bytesPerRun(f func()) float64 {
 // TestExpandQuotientAllocCeiling holds the bytes one ExpandQuotient of fip
 // n=4,t=1 allocates per expanded run, the first read of its last layer
 // left out. An expanded run is three words (Run) over a ledger shared by
-// content, with its unit's members in int32 tables, and a key is a string
-// only when it opens a class: about 115 B. The ceiling sits about 13 %
-// above that and below the ≈140 B a run cost with a key string per rewrite
-// and key maps presized for every memo code, so that neither can come back
-// unnoticed. Lower the ceiling when a change earns it.
+// content, with its unit's members in int32 tables, a key is a string only
+// when it opens a class, and pass 1 keeps no per-run array of last-round
+// drops: about 107 B. The ceiling sits about 13 % above that and below the
+// ≈115 B a run cost with that array, and the ≈140 B with a key string per
+// rewrite and key maps presized for every memo code, so that none of them
+// can come back unnoticed. Lower the ceiling when a change earns it.
 func TestExpandQuotientAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on its own")
 	}
-	const ceiling = 130 // bytes per expanded run
+	const ceiling = 120 // bytes per expanded run
 	expand := fipN4Expander(t)
 	if per := bytesPerRun(func() { expand() }); per > ceiling {
 		t.Errorf("ExpandQuotient allocates %.1f bytes per expanded run, ceiling %d", per, ceiling)
@@ -692,6 +693,44 @@ func TestLastLayerAllocCeiling(t *testing.T) {
 	sys := fipN4Expander(t)()
 	if per := bytesPerRun(sys.lastLayer); per > ceiling {
 		t.Errorf("the last layer's first read allocates %.1f bytes per run, ceiling %d", per, ceiling)
+	}
+}
+
+// TestStripeBuildAllocCeiling holds the bytes BuildShardIndex allocates
+// per representative for stripe 0 of 4 of fip and min n=4,t=1, 410
+// representatives each: executing them through the round memo, indexing
+// their states and exporting the stripe. A stripe's memo holds a few
+// hundred edges and nodes, and the keys are appended straight into the
+// index kernel's buffer: about 3,880 B for fip and 1,590 B for min. Each
+// ceiling sits about 12 % above, and below what a stripe costs with the
+// memo's maps presized to 1,024 entries (≈4,580 and ≈2,880 B), so those
+// hints cannot come back unnoticed.
+func TestStripeBuildAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	for _, tc := range []struct {
+		name    string
+		ex      model.Exchange
+		act     model.ActionProtocol
+		ceiling float64 // bytes per representative
+	}{
+		{"fip", exchange.NewFIP(4), action.NewOpt(1), 4350},
+		{"min", exchange.NewMin(4), action.NewMin(1), 1780},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		idx, err := BuildShardIndex(context.Background(), Context{Exchange: tc.ex, T: 1}, tc.act, 0, 4, WithParallelism(2))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(idx.Runs) != 410 {
+			t.Fatalf("%s: stripe 0/4 holds %d representatives, want 410", tc.name, len(idx.Runs))
+		}
+		if per := float64(after.TotalAlloc-before.TotalAlloc) / 410; per > tc.ceiling {
+			t.Errorf("%s: BuildShardIndex allocates %.0f bytes per representative, ceiling %.0f", tc.name, per, tc.ceiling)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@
 //
 // The merge invariant, pinned by TestMergeSystemsBitIdentical and the CI
 // shard-equivalence smoke: class keys are canonical fingerprints of local
-// states (model.State.Key), so handing the index kernel (index.go) the K
+// states (model.State.AppendKey), so handing the index kernel (index.go) the K
 // partial tables in global run order reproduces the exact class structure
 // — ids, member lists, global interning — the single-process build
 // produces, and every verdict (CheckImplements, CheckSafety,
@@ -380,8 +380,9 @@ func (idx *ShardIndex) Digest() string {
 }
 
 // Validate checks the index's internal consistency: bounds, table shapes,
-// class ids referencing declared classes, and every run's ledgers in
-// shape and in range (ShardRun.WellFormed). ReadShardIndex callers that
+// class ids referencing declared classes, every run's ledgers in shape and
+// in range (ShardRun.WellFormed), and every run's pattern text naming the
+// index's n and horizon (model.PatternShape). ReadShardIndex callers that
 // accept indexes across a trust boundary (the fabric coordinator) call it
 // before merging; MergeSystems always does.
 func (idx *ShardIndex) Validate() error {
@@ -425,21 +426,25 @@ func (idx *ShardIndex) Validate() error {
 		if !idx.Runs[k].WellFormed(idx.N, idx.Horizon) {
 			return fmt.Errorf("episteme: shard %d/%d run %d has malformed ledgers", idx.Shard, idx.Shards, k)
 		}
+		n, h, err := model.PatternShape([]byte(idx.Runs[k].Pattern))
+		if err == nil && (n != idx.N || h != idx.Horizon) {
+			err = fmt.Errorf("its pattern is for n=%d, horizon=%d", n, h)
+		}
+		if err != nil {
+			return fmt.Errorf("episteme: shard %d/%d run %d: %w", idx.Shard, idx.Shards, k, err)
+		}
 	}
 	return nil
 }
 
 // restoreRun rebuilds the engine.Result of one exported run, whose
-// ledgers Validate has vetted. States stay nil: a merged System answers
-// every knowledge query through the interned class tables, never through
-// state traces.
+// ledgers and pattern shape Validate has vetted. States stay nil: a merged
+// System answers every knowledge query through the interned class tables,
+// never through state traces.
 func restoreRun(sr *ShardRun, n, horizon int) (*engine.Result, error) {
 	pat := new(model.Pattern)
 	if err := pat.UnmarshalText([]byte(sr.Pattern)); err != nil {
 		return nil, err
-	}
-	if pat.N() != n {
-		return nil, fmt.Errorf("pattern is for %d agents, system for %d", pat.N(), n)
 	}
 	inits := make([]model.Value, n)
 	for i, v := range sr.Inits {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -345,5 +346,86 @@ func TestShardIndexRejectsOutOfRangeLedgers(t *testing.T) {
 		if sys, err := MergeSystems(context.Background(), []*ShardIndex{bad}); sys != nil || err == nil || err.Error() != want {
 			t.Errorf("%s: MergeSystems = (system: %v, %v), want only %q", tc.name, sys != nil, err, want)
 		}
+	}
+}
+
+// TestShardIndexRejectsForeignPatterns doctors the first run's pattern
+// text in the file of a well-formed index, fip n=2,t=1, to a text that
+// parses but names another shape: ReadShardIndex reads the file, and
+// Validate and MergeSystems refuse it with an error, never a panic. A text
+// naming four billion agents once reached the pattern's allocation.
+func TestShardIndexRejectsForeignPatterns(t *testing.T) {
+	idx, err := BuildShardIndex(context.Background(), Context{Exchange: exchange.NewFIP(2), T: 1}, action.NewOpt(1), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pristine bytes.Buffer
+	if err := WriteShardIndex(&pristine, idx); err != nil {
+		t.Fatal(err)
+	}
+	head, rest, ok := bytes.Cut(pristine.Bytes(), []byte(`{"pattern":"`))
+	_, tail, ok2 := bytes.Cut(rest, []byte(`"`))
+	if !ok || !ok2 {
+		t.Fatal("the index has no pattern text")
+	}
+	for text, want := range map[string]string{
+		"n=4000000000;h=3;f=;d=": "episteme: shard 0/1 run 0: model: pattern text names n=4000000000, h=3; at most 64 of each",
+		"n=2;h=65;f=;d=":         "episteme: shard 0/1 run 0: model: pattern text names n=2, h=65; at most 64 of each",
+		"n=3;h=3;f=;d=":          "episteme: shard 0/1 run 0: its pattern is for n=3, horizon=3",
+		"n=2;h=4;f=;d=":          "episteme: shard 0/1 run 0: its pattern is for n=2, horizon=4",
+		"h=3;f=;d=":              "episteme: shard 0/1 run 0: model: pattern text missing n",
+	} {
+		doctored := slices.Concat(head, []byte(`{"pattern":"`+text+`"`), tail)
+		bad, err := ReadShardIndex(bytes.NewReader(doctored))
+		if err != nil {
+			t.Fatalf("%s: ReadShardIndex: %v", text, err)
+		}
+		if err := bad.Validate(); err == nil || err.Error() != want {
+			t.Errorf("%s: Validate = %v, want %q", text, err, want)
+		}
+		if sys, err := MergeSystems(context.Background(), []*ShardIndex{bad}); sys != nil || err == nil || err.Error() != want {
+			t.Errorf("%s: MergeSystems = (system: %v, %v), want only %q", text, sys != nil, err, want)
+		}
+	}
+}
+
+// TestPointQueriesRefuseQuotientedSystem: a merge of quotiented stripes
+// packs no member lists, and every point query that would read them
+// panics with the checkers' refusal instead of answering over the
+// representatives. The expanded system answers them.
+func TestPointQueriesRefuseQuotientedSystem(t *testing.T) {
+	c := Context{Exchange: exchange.NewFIP(3), T: 1}
+	sys := buildMerged(t, c, action.NewOpt(1), 2)
+	if !sys.Quotiented() {
+		t.Fatal("fip n=3 stripes are not quotiented")
+	}
+	sys.lastLayer()
+	for slot, ms := range sys.classRuns {
+		if ms.rows != nil || ms.off != nil {
+			t.Fatalf("slot %d of a quotiented system packs member lists", slot)
+		}
+	}
+	want := sys.checkableSystem().Error()
+	full, err := ExpandQuotient(context.Background(), sys, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Point{Run: 1, Time: 1}
+	for name, query := range map[string]func(s *System){
+		"Knows":       func(s *System) { s.Knows(0, p, func(Point) bool { return true }) },
+		"Class":       func(s *System) { s.Class(1, p) },
+		"KnowsCK":     func(s *System) { s.KnowsCK(2, p, model.Zero) },
+		"CNReachable": func(s *System) { s.CNReachable(p) },
+		"KBPAction":   func(s *System) { s.KBPAction(P1, 0, p) },
+	} {
+		query(full)
+		func() {
+			defer func() {
+				if err, ok := recover().(error); !ok || err.Error() != want {
+					t.Errorf("%s on a quotiented system: recovered %v, want a panic with %q", name, err, want)
+				}
+			}()
+			query(sys)
+		}()
 	}
 }

@@ -35,9 +35,10 @@ func (p *Synthesized) Act(i model.AgentID, s model.State) model.Action {
 	if p.noopFrom >= 0 && s.Time() >= p.noopFrom {
 		return model.Noop
 	}
-	a, ok := p.table[synthKey(i, s.Key())]
+	key := string(s.AppendKey(nil))
+	a, ok := p.table[synthKey(i, key)]
 	if !ok {
-		panic(fmt.Sprintf("episteme: %s has no action for agent %d state %s", p.name, i, s.Key()))
+		panic(fmt.Sprintf("episteme: %s has no action for agent %d state %s", p.name, i, key))
 	}
 	return a
 }

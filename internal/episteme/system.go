@@ -262,7 +262,9 @@ type System struct {
 	// run r's orbit size (source.Quotient). A quotiented system is an
 	// intermediate — ExpandQuotient rebuilds the full system from it; the
 	// checkers refuse to run on one, since every knowledge query would
-	// silently ignore the collapsed runs.
+	// silently ignore the collapsed runs, and the point queries (Knows,
+	// Class, KnowsCK, CNReachable, KBPAction) panic with their refusal. Its
+	// index packs no member lists (classRuns).
 	weights []int64
 
 	// par is the checker worker count (resolved, >= 1).
@@ -340,6 +342,14 @@ func (s *System) checkableSystem() error {
 		return fmt.Errorf("episteme: checking a symmetry-quotiented system; ExpandQuotient it first")
 	}
 	return nil
+}
+
+// mustCheckable is checkableSystem for the point queries, which return no
+// error: a quotiented system has no member lists to answer them from.
+func (s *System) mustCheckable() {
+	if err := s.checkableSystem(); err != nil {
+		panic(err)
+	}
 }
 
 // parallelism returns the checker worker count (>= 1 even on Systems
@@ -477,7 +487,7 @@ func (s *System) buildIndex(ctx context.Context) error {
 			codes:   rowCount[m],
 			classes: rowCount[m] / 2,
 			code:    func(r int) int { return int(groups[r]) },
-			key:     func(dst []byte, r int) ([]byte, error) { return append(dst, s.Runs[r].States[m][i].Key()...), nil },
+			key:     func(dst []byte, r int) ([]byte, error) { return s.Runs[r].States[m][i].AppendKey(dst), nil },
 		}
 	})
 	return err
@@ -546,7 +556,7 @@ func (s *System) rowsOfClass(i model.AgentID, m int, c int32) []int32 {
 // merged, cached and expanded Systems carry no state traces.
 func (s *System) Key(i model.AgentID, p Point) string {
 	if s.classKey == nil {
-		return s.Runs[p.Run].States[p.Time][i].Key()
+		return string(s.Runs[p.Run].States[p.Time][i].AppendKey(nil))
 	}
 	return s.classKey[s.readSlot(i, p.Time)][s.classAt(i, p.Time, p.Run)]
 }
@@ -567,6 +577,7 @@ func (s *System) runsOfClass(i model.AgentID, m int, c int32) []int {
 // Class returns the points agent i cannot distinguish from p, in run
 // order.
 func (s *System) Class(i model.AgentID, p Point) []Point {
+	s.mustCheckable()
 	runs := s.runsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run))
 	out := make([]Point, len(runs))
 	for k, r := range runs {
@@ -579,6 +590,7 @@ func (s *System) Class(i model.AgentID, p Point) []Point {
 // from p. φ may be any function of the point, so on a layered slot every
 // run of every unit of the class is asked.
 func (s *System) Knows(i model.AgentID, p Point, phi func(Point) bool) bool {
+	s.mustCheckable()
 	rows := s.rowsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run))
 	if !s.layered(p.Time) {
 		for _, r := range rows {

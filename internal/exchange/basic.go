@@ -77,9 +77,10 @@ func (s BasicState) JustDecided() model.Value { return s.jd }
 // last round (0 once the agent has decided).
 func (s BasicState) NumOnes() int { return s.numOnes }
 
-// Key returns the canonical fingerprint of the state.
-func (s BasicState) Key() string {
-	return minKey("basic", s.time, s.init, s.decided, s.jd) + ":" + strconv.Itoa(s.numOnes)
+// AppendKey appends the canonical fingerprint of the state.
+func (s BasicState) AppendKey(dst []byte) []byte {
+	dst = appendMinKey(dst, "basic", s.time, s.init, s.decided, s.jd)
+	return strconv.AppendInt(append(dst, ':'), int64(s.numOnes), 10)
 }
 
 // Basic is the basic information-exchange protocol Ebasic(n).

@@ -66,8 +66,9 @@ func (s *FIPState) JustDecided() model.Value { return s.jd }
 // it.
 func (s *FIPState) Graph() *graph.Graph { return s.g }
 
-// Key is the graph's fingerprint: full information, nothing else.
-func (s *FIPState) Key() string { return s.g.Key() }
+// AppendKey appends the graph's fingerprint: full information, nothing
+// else.
+func (s *FIPState) AppendKey(dst []byte) []byte { return s.g.AppendKey(dst) }
 
 // FIP is the full-information exchange Efip(n) of Section A.2.7.
 type FIP struct {

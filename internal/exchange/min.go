@@ -44,26 +44,24 @@ func (s MinState) Decided() model.Value { return s.decided }
 // JustDecided returns the paper's jd component.
 func (s MinState) JustDecided() model.Value { return s.jd }
 
-// Key returns the canonical fingerprint of the state.
-func (s MinState) Key() string {
-	return minKey("min", s.time, s.init, s.decided, s.jd)
+// AppendKey appends the canonical fingerprint of the state.
+func (s MinState) AppendKey(dst []byte) []byte {
+	return appendMinKey(dst, "min", s.time, s.init, s.decided, s.jd)
 }
 
-// minKey builds a canonical key for the simple tuple states.
-func minKey(tag string, time int, vs ...model.Value) string {
-	var b strings.Builder
-	b.WriteString(tag)
-	b.WriteByte(':')
-	b.WriteString(strconv.Itoa(time))
+// appendMinKey appends a canonical key for the simple tuple states:
+// tag:time:v1:v2:….
+func appendMinKey(dst []byte, tag string, time int, vs ...model.Value) []byte {
+	dst = strconv.AppendInt(append(append(dst, tag...), ':'), int64(time), 10)
 	for _, v := range vs {
-		b.WriteByte(':')
-		b.WriteString(v.String())
+		dst = append(append(dst, ':'), v.String()...)
 	}
-	return b.String()
+	return dst
 }
 
-// appendAnonymousKey is AppendPermuteKey for minKey's tuples, which name
-// no agent: the key itself, once its tag and field count show it is one.
+// appendAnonymousKey is AppendPermuteKey for appendMinKey's tuples, which
+// name no agent: the key itself, once its tag and field count show it is
+// one.
 func appendAnonymousKey(dst []byte, key, tag string, fields int) ([]byte, error) {
 	if !strings.HasPrefix(key, tag+":") || strings.Count(key, ":") != fields {
 		return dst, fmt.Errorf("exchange: %q is not a well-formed %s state key", key, tag)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/model"
 )
@@ -62,10 +61,6 @@ type Graph struct {
 	// edges[k][int(i)*n+int(j)] labels the edge (i,k) → (j,k+1), i.e. the
 	// message from i to j in round k+1, for k in [0, m).
 	edges [][]Label
-	// key caches the canonical fingerprint; every mutator invalidates it.
-	// Atomic so concurrent readers of a quiescent graph (the model
-	// checker's worker pool) may race benignly on the first computation.
-	key atomic.Pointer[string]
 }
 
 // New returns the time-0 communication graph of the given agent: no edges,
@@ -110,19 +105,7 @@ func (g *Graph) SetPref(j model.AgentID, v model.Value) {
 	if g.prefs[j].IsSet() && g.prefs[j] != v {
 		panic(fmt.Sprintf("graph: conflicting preference labels for agent %d", j))
 	}
-	if g.prefs[j] != v {
-		g.prefs[j] = v
-		g.invalidateKey()
-	}
-}
-
-// invalidateKey drops the cached fingerprint; the Load guard keeps
-// already-invalid graphs (the common case inside a merge loop) free of
-// atomic stores.
-func (g *Graph) invalidateKey() {
-	if g.key.Load() != nil {
-		g.key.Store(nil)
-	}
+	g.prefs[j] = v
 }
 
 // Edge returns the label of the edge (i,k) → (j,k+1): the message from i
@@ -148,17 +131,13 @@ func (g *Graph) SetEdge(k int, i, j model.AgentID, l Label) {
 	if *slot != Unknown && *slot != l {
 		panic(fmt.Sprintf("graph: conflicting labels for edge (%d,%d)→(%d,%d)", i, k, j, k+1))
 	}
-	if *slot != l {
-		*slot = l
-		g.invalidateKey()
-	}
+	*slot = l
 }
 
 // Extend appends one round of Unknown edges, advancing M by one.
 func (g *Graph) Extend() {
 	g.edges = append(g.edges, make([]Label, g.n*g.n))
 	g.m++
-	g.invalidateKey()
 }
 
 // CloneExtended is Clone followed by Extend in one backing allocation:
@@ -195,7 +174,6 @@ func (g *Graph) Clone() *Graph {
 	for k := range g.edges {
 		h.edges[k] = append([]Label(nil), g.edges[k]...)
 	}
-	h.key.Store(g.key.Load())
 	return h
 }
 
@@ -204,7 +182,6 @@ func (g *Graph) Clone() *Graph {
 func (g *Graph) CloneFor(owner model.AgentID) *Graph {
 	h := g.Clone()
 	h.owner = owner
-	h.key.Store(nil)
 	return h
 }
 
@@ -218,7 +195,6 @@ func (g *Graph) Merge(other *Graph) {
 	if other.m > g.m {
 		panic("graph: Merge of a graph from the future")
 	}
-	changed := false
 	for j := 0; j < g.n; j++ {
 		v := other.prefs[j]
 		if !v.IsSet() || g.prefs[j] == v {
@@ -228,7 +204,6 @@ func (g *Graph) Merge(other *Graph) {
 			panic(fmt.Sprintf("graph: conflicting preference labels for agent %d", j))
 		}
 		g.prefs[j] = v
-		changed = true
 	}
 	for k := 0; k < other.m; k++ {
 		dst := g.edges[k]
@@ -241,11 +216,7 @@ func (g *Graph) Merge(other *Graph) {
 					idx/g.n, k, idx%g.n, k+1))
 			}
 			dst[idx] = l
-			changed = true
 		}
-	}
-	if changed {
-		g.invalidateKey()
 	}
 }
 
@@ -257,44 +228,23 @@ func (g *Graph) Bits() int {
 	return 2*g.n*g.n*g.m + 2*g.n
 }
 
-// Key returns a canonical fingerprint. Two full-information local states
-// are indistinguishable iff their graphs have equal keys. The fingerprint
-// is computed once and cached until the next mutation; the model
-// checker's index, its memoized action evaluation, and the synthesis
-// table all ask for the same graph's key.
-func (g *Graph) Key() string {
-	if k := g.key.Load(); k != nil {
-		return *k
-	}
-	k := g.computeKey()
-	g.key.Store(&k)
-	return k
-}
-
-func (g *Graph) computeKey() string {
-	var b strings.Builder
-	b.Grow(16 + g.n + g.n*g.n*g.m)
-	b.WriteString(strconv.Itoa(int(g.owner)))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(g.m))
-	b.WriteByte('|')
+// AppendKey appends the graph's canonical fingerprint to dst: owner, time,
+// preference labels and every round's edge labels. Two full-information
+// local states are indistinguishable iff their graphs have equal keys. No
+// key is cached: the model checker renders each distinct state's once.
+func (g *Graph) AppendKey(dst []byte) []byte {
+	dst = append(strconv.AppendInt(dst, int64(g.owner), 10), '|')
+	dst = append(strconv.AppendInt(dst, int64(g.m), 10), '|')
 	for _, v := range g.prefs {
-		switch v {
-		case model.Zero:
-			b.WriteByte('0')
-		case model.One:
-			b.WriteByte('1')
-		default:
-			b.WriteByte('?')
-		}
+		dst = append(dst, "01?"[min(uint(v), 2)]) // None, a negative Value, reads ?
 	}
 	for k := 0; k < g.m; k++ {
-		b.WriteByte('|')
+		dst = append(dst, '|')
 		for _, l := range g.edges[k] {
-			b.WriteByte("?01"[l])
+			dst = append(dst, "?01"[l])
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // String renders the graph for debugging.

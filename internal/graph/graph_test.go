@@ -135,20 +135,20 @@ func TestKeyDistinguishes(t *testing.T) {
 	g := New(0, 2)
 	g.Extend()
 	h := g.Clone()
-	if g.Key() != h.Key() {
+	if string(g.AppendKey(nil)) != string(h.AppendKey(nil)) {
 		t.Error("equal graphs have different keys")
 	}
 	h.SetEdge(0, 1, 0, Sent)
-	if g.Key() == h.Key() {
+	if string(g.AppendKey(nil)) == string(h.AppendKey(nil)) {
 		t.Error("different labels, same key")
 	}
 	i := g.Clone()
 	i.SetPref(1, model.Zero)
-	if g.Key() == i.Key() {
+	if string(g.AppendKey(nil)) == string(i.AppendKey(nil)) {
 		t.Error("different prefs, same key")
 	}
 	j := g.CloneFor(1)
-	if g.Key() == j.Key() {
+	if string(g.AppendKey(nil)) == string(j.AppendKey(nil)) {
 		t.Error("different owner, same key")
 	}
 }
@@ -294,38 +294,53 @@ func TestNewRefValidation(t *testing.T) {
 	}
 }
 
-func TestKeyCacheInvalidation(t *testing.T) {
+// TestKeyFollowsMutations: a graph keeps no key between calls, so every
+// mutator shows in the next AppendKey, and one that changes nothing does
+// not.
+func TestKeyFollowsMutations(t *testing.T) {
 	g := New(0, 3)
-	k0 := g.Key()
-	if g.Key() != k0 {
-		t.Fatal("cached key differs from first computation")
+	k0 := string(g.AppendKey(nil))
+	if string(g.AppendKey(nil)) != k0 {
+		t.Fatal("a second AppendKey differs from the first")
 	}
 	g.SetPref(1, model.One)
-	k1 := g.Key()
+	k1 := string(g.AppendKey(nil))
 	if k1 == k0 {
-		t.Fatal("SetPref did not invalidate the key cache")
+		t.Fatal("SetPref did not change the key")
 	}
 	g.Extend()
-	k2 := g.Key()
+	k2 := string(g.AppendKey(nil))
 	if k2 == k1 {
-		t.Fatal("Extend did not invalidate the key cache")
+		t.Fatal("Extend did not change the key")
 	}
 	g.SetEdge(0, 0, 1, Sent)
-	k3 := g.Key()
+	k3 := string(g.AppendKey(nil))
 	if k3 == k2 {
-		t.Fatal("SetEdge did not invalidate the key cache")
+		t.Fatal("SetEdge did not change the key")
 	}
-	// Clone shares content, so it may share the cached key; CloneFor
-	// changes the owner, so its key must differ.
-	if g.Clone().Key() != k3 {
+	// Clone shares content, so it shares the key; CloneFor changes the
+	// owner, so its key must differ.
+	if string(g.Clone().AppendKey(nil)) != k3 {
 		t.Error("Clone key differs from the original")
 	}
-	if g.CloneFor(2).Key() == k3 {
+	if string(g.CloneFor(2).AppendKey(nil)) == k3 {
 		t.Error("CloneFor key should differ (owner is part of the fingerprint)")
 	}
 	// Re-setting an already-known label must not change the key.
 	g.SetEdge(0, 0, 1, Sent)
-	if g.Key() != k3 {
+	if string(g.AppendKey(nil)) != k3 {
 		t.Error("idempotent SetEdge changed the key")
+	}
+	h := New(0, 3)
+	h.Extend()
+	h.SetPref(1, model.One)
+	h.SetEdge(0, 0, 1, Sent)
+	g.Merge(h)
+	if string(g.AppendKey(nil)) != k3 {
+		t.Error("a Merge that adds nothing changed the key")
+	}
+	h.SetEdge(0, 2, 1, NotSent)
+	if g.Merge(h); string(g.AppendKey(nil)) == k3 {
+		t.Error("a Merge that adds a label did not change the key")
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // AppendPermuteKey appends to dst an interned graph key (the exact format
-// produced by Graph.Key) rewritten under the agent relabeling perm, where
+// Graph.AppendKey produces) rewritten under the agent relabeling perm, where
 // perm[i] is the new identity of old agent i — the same convention as
 // Pattern.Permute — and returns the extended buffer. The result is the key
 // the permuted run's graph would intern for agent perm[owner]: the owner

@@ -133,9 +133,9 @@ func TestAppendPermuteKeyMatchesStringRewrite(t *testing.T) {
 		// TestAnonymousPermuteKey's keys: none is a graph key.
 		"min", "min:", "min:1:0:⊥", "min:0:1:⊥:⊥", "min:3:1:0:⊥", "minimal:0:1:⊥:⊥",
 		"basic:0:1:⊥:⊥", "basic:0:1:⊥:⊥:0", "basics:0:1:⊥:⊥:0",
-		min.Initial(1, model.Zero).Key(), basic.Initial(2, model.Zero).Key(),
+		string(min.Initial(1, model.Zero).AppendKey(nil)), string(basic.Initial(2, model.Zero).AppendKey(nil)),
 		// A three-agent key is malformed for four.
-		fip.Initial(0, model.One).Key(),
+		string(fip.Initial(0, model.One).AppendKey(nil)),
 	}, graph.MalformedKeys...)
 	for _, perm := range append(permutations(3), permutations(4)...) {
 		for _, key := range malformed {

@@ -58,13 +58,13 @@ func TestPermuteKeyMatchesGraphPermutation(t *testing.T) {
 		for i, v := range permInts {
 			perm[i] = model.AgentID(v)
 		}
-		got, err := AppendPermuteKey(nil, g.Key(), perm)
+		got, err := AppendPermuteKey(nil, string(g.AppendKey(nil)), perm)
 		if err != nil {
-			t.Fatalf("AppendPermuteKey(%q): %v", g.Key(), err)
+			t.Fatalf("AppendPermuteKey(%q): %v", string(g.AppendKey(nil)), err)
 		}
-		want := permuteGraph(g, perm).Key()
+		want := string(permuteGraph(g, perm).AppendKey(nil))
 		if string(got) != want {
-			t.Fatalf("AppendPermuteKey mismatch for %q under %v:\n got  %q\n want %q", g.Key(), perm, got, want)
+			t.Fatalf("AppendPermuteKey mismatch for %q under %v:\n got  %q\n want %q", string(g.AppendKey(nil)), perm, got, want)
 		}
 	}
 }
@@ -75,12 +75,12 @@ func TestPermuteKeyIdentity(t *testing.T) {
 	id := []model.AgentID{0, 1, 2, 3}
 	for trial := 0; trial < 50; trial++ {
 		g := randGraph(rng, n, rng.Intn(4))
-		got, err := AppendPermuteKey(nil, g.Key(), id)
+		got, err := AppendPermuteKey(nil, string(g.AppendKey(nil)), id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != g.Key() {
-			t.Fatalf("identity rewrite changed key: %q vs %q", got, g.Key())
+		if string(got) != string(g.AppendKey(nil)) {
+			t.Fatalf("identity rewrite changed key: %q vs %q", got, string(g.AppendKey(nil)))
 		}
 	}
 }

@@ -55,7 +55,7 @@ func TestMergeCommutativeOnConsistentViews(t *testing.T) {
 		ab.Merge(b)
 		ba := b.CloneFor(9)
 		ba.Merge(a)
-		return ab.Key() == ba.Key()
+		return string(ab.AppendKey(nil)) == string(ba.AppendKey(nil))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -68,7 +68,7 @@ func TestMergeIdempotent(t *testing.T) {
 		g := viewAt(res, 3, 2)
 		h := g.Clone()
 		h.Merge(g)
-		return h.Key() == g.Key()
+		return string(h.AppendKey(nil)) == string(g.AppendKey(nil))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -87,7 +87,7 @@ func TestMergeAssociativeOnConsistentViews(t *testing.T) {
 		bc.Merge(c)
 		right := a.CloneFor(9)
 		right.Merge(bc)
-		return left.Key() == right.Key()
+		return string(left.AppendKey(nil)) == string(right.AppendKey(nil))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -141,7 +141,7 @@ func TestKeyCanonical(t *testing.T) {
 	f := func(seed int64) bool {
 		res := harvest(t, seed)
 		g := viewAt(res, 2, 0)
-		if g.Clone().Key() != g.Key() {
+		if string(g.Clone().AppendKey(nil)) != string(g.AppendKey(nil)) {
 			return false
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -153,7 +153,7 @@ func TestKeyCanonical(t *testing.T) {
 			j := model.AgentID(rng.Intn(h.N()))
 			if h.Edge(k, i, j) == graph.Unknown {
 				h.SetEdge(k, i, j, graph.Sent)
-				return h.Key() != g.Key()
+				return string(h.AppendKey(nil)) != string(g.AppendKey(nil))
 			}
 		}
 		return true // no unknown edge found; nothing to flip

@@ -63,14 +63,12 @@ func (p *Pattern) AppendText(dst []byte) ([]byte, error) {
 
 // UnmarshalText decodes the MarshalText form, replacing the receiver's
 // contents. It implements encoding.TextUnmarshaler. A field may repeat:
-// the last n and h hold, and faulty ids and drops accumulate.
+// the last n and h hold, and faulty ids and drops accumulate. An n or an
+// h over 64 is refused (PatternShape).
 func (p *Pattern) UnmarshalText(text []byte) error {
-	var n, h int
-	if err := decodePattern(text, &n, &h, nil); err != nil {
+	n, h, err := PatternShape(text)
+	if err != nil {
 		return err
-	}
-	if n == 0 {
-		return fmt.Errorf("model: pattern text missing n")
 	}
 	q := NewPattern(n, h)
 	if err := decodePattern(text, &n, &h, q); err != nil {
@@ -78,6 +76,26 @@ func (p *Pattern) UnmarshalText(text []byte) error {
 	}
 	*p = *q
 	return nil
+}
+
+// maxTextShape bounds the n and the h a pattern text may name: agent sets
+// are uint64 masks, and a text is not a way to allocate n·n·h drops.
+const maxTextShape = 64
+
+// PatternShape returns the agent count n and horizon h a MarshalText form
+// names, checking its syntax as UnmarshalText does, without building the
+// pattern. It refuses a text without n, and an n or an h over 64.
+func PatternShape(text []byte) (n, h int, err error) {
+	if err := decodePattern(text, &n, &h, nil); err != nil {
+		return 0, 0, err
+	}
+	if n == 0 {
+		return 0, 0, fmt.Errorf("model: pattern text missing n")
+	}
+	if n > maxTextShape || h > maxTextShape {
+		return 0, 0, fmt.Errorf("model: pattern text names n=%d, h=%d; at most %d of each", n, h, maxTextShape)
+	}
+	return n, h, nil
 }
 
 // decodePattern reads the fields of a MarshalText form in place, in order,

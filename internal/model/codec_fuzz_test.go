@@ -94,24 +94,28 @@ func splitUnmarshalText(text []byte) (*model.Pattern, error) {
 	return q, nil
 }
 
-// patternTextTooLarge reports whether text names an n or an h over 64:
-// both decoders would build a pattern of n·n·h drops before looking at
-// the ranges.
+// patternTextTooLarge reports whether the n or the h that holds in text,
+// the last of each, is over 64, which UnmarshalText refuses; the
+// Split-based decoder would build a pattern of n·n·h drops first.
 func patternTextTooLarge(text []byte) bool {
+	n, h := 0, 0
 	for _, field := range strings.Split(string(text), ";") {
 		k, v, _ := strings.Cut(field, "=")
-		if x, err := strconv.Atoi(v); err == nil && (k == "n" || k == "h") && x > 64 {
-			return true
+		if x, err := strconv.Atoi(v); err == nil && k == "n" {
+			n = x
+		} else if err == nil && k == "h" {
+			h = x
 		}
 	}
-	return false
+	return n > 64 || h > 64
 }
 
 // FuzzPatternText holds Pattern.UnmarshalText to the Split-based decoder
 // it replaced: the same texts accepted, with equal patterns, the same
 // refused, with the same error; and an accepted text re-marshals to the
 // canonical form, which decodes to the same pattern and marshals to
-// itself.
+// itself. A text whose n or h is over 64 is refused, and never reaches
+// the pattern's allocation.
 func FuzzPatternText(f *testing.F) {
 	for _, seed := range []string{
 		"n=3;h=3;f=0;d=0:0:1,0:0:2,1:0:2",
@@ -131,12 +135,22 @@ func FuzzPatternText(f *testing.F) {
 		"garbage",
 		"n=",
 		"",
+		"n=4000000000;h=3;f=;d=",
+		"n=3;h=65;f=;d=",
+		"n=100;n=3;h=2;f=;d=",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, text []byte) {
 		if patternTextTooLarge(text) {
-			t.Skip()
+			var p model.Pattern
+			if err := p.UnmarshalText(text); err == nil {
+				t.Fatalf("UnmarshalText(%q) accepted n=%d, h=%d", text, p.N(), p.Horizon())
+			}
+			if n, h, err := model.PatternShape(text); err == nil {
+				t.Fatalf("PatternShape(%q) accepted n=%d, h=%d", text, n, h)
+			}
+			return
 		}
 		want, wantErr := splitUnmarshalText(text)
 		var got model.Pattern

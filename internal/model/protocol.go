@@ -50,11 +50,13 @@ type State interface {
 	// round that some agent just decided v, None otherwise.
 	JustDecided() Value
 
-	// Key returns a canonical fingerprint of the local state. Two local
-	// states of the same agent are indistinguishable (in the sense of the
-	// knowledge relation ~_i) iff their keys are equal. Keys are only
-	// comparable between states produced by the same exchange protocol.
-	Key() string
+	// AppendKey appends a canonical fingerprint of the local state, its
+	// key, to dst and returns the extended buffer, allocating only when
+	// dst lacks the room. Two local states of the same agent are
+	// indistinguishable (in the sense of the knowledge relation ~_i) iff
+	// their keys are equal. Keys are only comparable between states
+	// produced by the same exchange protocol.
+	AppendKey(dst []byte) []byte
 }
 
 // Exchange is an information-exchange protocol E = ⟨E_1,...,E_n⟩
@@ -92,8 +94,8 @@ type Exchange interface {
 
 // KeyPermuter is the opt-in symmetry extension of Exchange: it rewrites
 // an interned state key under an agent relabeling, without access to the
-// state itself. AppendPermuteKey(nil, s.Key(), perm) must spell the key
-// of the state the same agent's counterpart perm[i] reaches in the
+// state itself. Rewriting the key s.AppendKey appends under perm must spell
+// the key of the state the same agent's counterpart perm[i] reaches in the
 // permuted run — the contract that lets the model checker expand a
 // symmetry-quotiented system into the full one by key rewriting alone
 // (the permuted runs were never executed, so no State values exist for

@@ -22,7 +22,7 @@ func assertSameResult(t *testing.T, seq, conc *engine.Result) {
 	}
 	for m := range seq.States {
 		for i := range seq.States[m] {
-			if seq.States[m][i].Key() != conc.States[m][i].Key() {
+			if string(seq.States[m][i].AppendKey(nil)) != string(conc.States[m][i].AppendKey(nil)) {
 				t.Fatalf("state differs at time %d agent %d", m, i)
 			}
 		}
@@ -152,7 +152,7 @@ func TestConcurrentReuseResultsOwnTheirMemory(t *testing.T) {
 		var keys []string
 		for m := range res.States {
 			for i := range res.States[m] {
-				keys = append(keys, res.States[m][i].Key())
+				keys = append(keys, string(res.States[m][i].AppendKey(nil)))
 			}
 		}
 		snaps = append(snaps, snap{res: res, keys: keys})
@@ -161,7 +161,7 @@ func TestConcurrentReuseResultsOwnTheirMemory(t *testing.T) {
 			k := 0
 			for m := range sn.res.States {
 				for i := range sn.res.States[m] {
-					if sn.res.States[m][i].Key() != sn.keys[k] {
+					if string(sn.res.States[m][i].AppendKey(nil)) != sn.keys[k] {
 						t.Fatalf("trial %d scribbled over result %d (time %d agent %d)", trial, s, m, i)
 					}
 					k++

@@ -112,7 +112,7 @@ func TestSourceSOSweepMatchesEagerSlice(t *testing.T) {
 		}
 		for m := range want[k].States {
 			for i := range want[k].States[m] {
-				if want[k].States[m][i].Key() != oc.Result.States[m][i].Key() {
+				if string(want[k].States[m][i].AppendKey(nil)) != string(oc.Result.States[m][i].AppendKey(nil)) {
 					t.Fatalf("scenario %d: state differs at time %d agent %d", k, m, i)
 				}
 			}

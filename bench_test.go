@@ -423,10 +423,11 @@ func BenchmarkExpandQuotientN5(b *testing.B) {
 // safety and Thm 7.5, and fails when a count moves off ROADMAP's
 // larger-cells table. The first read of the last layer, which the two last
 // checks need and which sets these cells' peak, is reported on its own:
-// last-layer-s and last-layer-MB are its time and what it allocates, and
-// live-MB is the heap that survives a collection right after it; run one
-// cell per process, under /usr/bin/time or GODEBUG=gctrace=1, for the
-// peak itself.
+// last-layer-s and last-layer-MB are its time, on a freshly collected
+// heap, and what it allocates, and live-MB is the heap that survives a
+// collection right after it; safety-s and thm75-s time the two checks.
+// Run one cell per process, under /usr/bin/time or GODEBUG=gctrace=1, for
+// the peak itself.
 func BenchmarkLargerCellsFIP(b *testing.B) {
 	for _, cell := range []struct {
 		name                           string
@@ -442,7 +443,7 @@ func BenchmarkLargerCellsFIP(b *testing.B) {
 			mc := episteme.ContextFor(st)
 			mc.Crash = cell.crash
 			ctx := context.Background()
-			var live, lastS, lastMB float64
+			var live, lastS, lastMB, safetyS, thm75S float64
 			for i := 0; i < b.N; i++ {
 				sys, err := episteme.BuildSystem(ctx, mc, st.Action)
 				if err != nil {
@@ -452,6 +453,8 @@ func BenchmarkLargerCellsFIP(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				// Collect first, so the read's time is not a collection's.
+				runtime.GC()
 				var before, ms runtime.MemStats
 				runtime.ReadMemStats(&before)
 				start := time.Now()
@@ -462,14 +465,18 @@ func BenchmarkLargerCellsFIP(b *testing.B) {
 				runtime.GC()
 				runtime.ReadMemStats(&ms)
 				live += float64(ms.HeapAlloc) / (1 << 20)
+				start = time.Now()
 				safety, err := sys.CheckSafety(ctx, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
+				safetyS += time.Since(start).Seconds()
+				start = time.Now()
 				optimality, err := sys.CheckOptimalityFIP(ctx, -1, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
+				thm75S += time.Since(start).Seconds()
 				if len(implements) != cell.implements || len(safety) != cell.safety || len(optimality) != cell.optimality {
 					b.Fatalf("implements %d, safety %d, Thm 7.5 %d; the larger-cells table has %d, %d, %d",
 						len(implements), len(safety), len(optimality), cell.implements, cell.safety, cell.optimality)
@@ -478,6 +485,8 @@ func BenchmarkLargerCellsFIP(b *testing.B) {
 			b.ReportMetric(lastS/float64(b.N), "last-layer-s")
 			b.ReportMetric(lastMB/float64(b.N), "last-layer-MB")
 			b.ReportMetric(live/float64(b.N), "live-MB")
+			b.ReportMetric(safetyS/float64(b.N), "safety-s")
+			b.ReportMetric(thm75S/float64(b.N), "thm75-s")
 		})
 	}
 }

@@ -3,6 +3,7 @@ package episteme
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/engine"
 	"repro/internal/model"
@@ -13,11 +14,12 @@ import (
 // S whose members at a point member returns as a mask. Within a run, any
 // time can reach any other time (the ⊡ part), so runs are the component
 // units; two runs are joined when some agent belongs to S at equal-time
-// points of both and has the same local state there. member must be a row
-// function (see foldClasses): it is asked once per prefix unit and time.
-// Before the horizon rows are unioned, and a unit with a member joins its
-// own runs once; at time Horizon runs are unioned, reading their unit's
-// members. The result maps each run to a component id.
+// points of both and has the same local state there. member must read
+// only the ledger and the faulty set, which the runs of a row share
+// (frame): it is asked once per time-0 row and time. A row with a member
+// joins its own runs, which share every local state, and each agent's
+// member rows of a class are joined through their first runs. The result
+// maps each run to a component id.
 func (s *System) BoxComponents(member func(q Point, faulty uint64) uint64) []int {
 	parent := make([]int, len(s.Runs))
 	for i := range parent {
@@ -35,40 +37,34 @@ func (s *System) BoxComponents(member func(q Point, faulty uint64) uint64) []int
 			parent[ra] = rb
 		}
 	}
-	// The time-0 rows are the units (the runs, when nothing is layered):
-	// bits[u] holds unit u's members at time m, joined[u] whether its runs
-	// are joined yet.
-	faulty := s.faultyMasks(0)
-	bits, joined := make([]uint64, len(faulty)), make([]bool, len(faulty))
+	firsts0, rows0, faulty0 := s.frame.firstRuns(0), s.frame.runRows(0), s.frame.faulty(0)
+	masks := make([]uint64, len(firsts0)) // the time-0 rows' members at time m
+	classOf, first := make([][]int32, s.N), make([][]int, s.N)
 	for m := 0; m <= s.Horizon; m++ {
-		for u := range bits {
-			bits[u] = member(Point{Run: s.rowRun(0, u), Time: m}, faulty[u])
-			if s.layered(m) && bits[u] != 0 && !joined[u] {
-				joined[u] = true
-				runs := s.unitRuns.of(int32(u))
-				for _, r := range runs[1:] {
-					union(int(runs[0]), int(r))
-				}
-			}
+		for row, r := range firsts0 {
+			masks[row] = member(Point{Run: int(r), Time: m}, faulty0[row])
 		}
-		// Group rows by (time, agent, class) among S-members; union each
-		// group through its rows' first runs.
-		for i := 0; i < s.N; i++ {
-			slot := s.readSlot(model.AgentID(i), m)
-			// first[c] is the first S-member run seen in class c.
-			first := make([]int, len(s.classKey[slot]))
-			for c := range first {
-				first[c] = -1
+		// first[i][c] is the first S-member run seen in agent i's class c,
+		// plus one: 0 is none yet.
+		for i := range first {
+			slot := s.slot(model.AgentID(i), m)
+			classOf[i], first[i] = s.frame.classes(slot), make([]int, len(s.frame.keys(slot)))
+		}
+		rowRuns := s.frame.rowRuns(m)
+		for row, run := range s.frame.firstRuns(m) {
+			mask := masks[rows0[run]]
+			if mask == 0 {
+				continue
 			}
-			for row, c := range s.classOf[slot] {
-				run := s.rowRun(m, row)
-				if bits[s.rowOf(0, run)]>>uint(i)&1 == 0 {
-					continue
-				}
-				if first[c] < 0 {
-					first[c] = run
+			for _, r := range rowRuns.of(int32(row))[1:] {
+				union(int(r), int(run))
+			}
+			for ; mask != 0; mask &= mask - 1 {
+				i := bits.TrailingZeros64(mask)
+				if c := classOf[i][row]; first[i][c] == 0 {
+					first[i][c] = int(run) + 1
 				} else {
-					union(first[c], run)
+					union(first[i][c]-1, int(run))
 				}
 			}
 		}
@@ -140,10 +136,11 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 				compOK[comp[r]] = false
 			}
 		}
-		// compOK[comp[r]] is a row function before the horizon: a unit with
-		// an N∧Z (N∧O) member is one component, and a unit with none has
-		// none at the horizon either, so its runs are singletons whose
-		// compOK is the unit's ∃v (docs/architecture.md, "Readers").
+		// compOK[comp[r]] is a row function: a row that is not a run is a
+		// prefix unit (indexFrame), a unit with an N∧Z (N∧O) member is one
+		// component, and a unit with none has none at the horizon either,
+		// so its runs are singletons whose compOK is the unit's ∃v
+		// (docs/architecture.md, "Readers").
 		var err error
 		believes, err = s.foldClasses(ctx, believes, maxTime, false, func(i model.AgentID, q Point, faulty uint64) bool {
 			if faultyAt(faulty, i) {
@@ -157,17 +154,18 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 
 		// The equivalence fails at a nonfaulty agent whose ○decided_i = v
 		// differs from the belief.
-		err = s.screen(ctx, maxTime, func(m, row int) (bad uint64) {
-			res, faulty := s.Runs[s.rowRun(m, row)].Result, s.faultyMasks(m)[row]
+		classOf := s.classTables(maxTime)
+		err = s.screen(ctx, maxTime, func(m, row int, q Point, faulty uint64) (bad uint64) {
+			res := s.Runs[q.Run].Result
 			for i := 0; i < s.N; i++ {
 				slot := m*s.N + i
 				if !faultyAt(faulty, model.AgentID(i)) &&
-					decided(res, model.AgentID(i), v, m) != believes[slot][s.classOf[slot][row]] {
+					decided(res, model.AgentID(i), v, m) != believes[slot][classOf[slot][row]] {
 					bad |= 1 << uint(i)
 				}
 			}
 			return bad
-		}, func(i model.AgentID, m, run, _ int) {
+		}, func(i model.AgentID, m, run, _, _ int) {
 			if rp.keep() {
 				lhs := decided(s.Runs[run].Result, i, v, m)
 				rp.lines = append(rp.lines, fmt.Sprintf(

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -20,11 +21,10 @@ import (
 // every point — P1's common-knowledge guard — which is folded over the DAG
 // once, as the layer is built.
 //
-// The graph's run nodes are the slice's index rows (system.go, "Rows"):
-// before the horizon of a time-layered system one node stands for a whole
-// prefix unit, whose runs share their faulty set, their classes and the
-// guard body, hence their successors and their component; the layer is
-// linear in units there, and only CNReachable turns rows back into runs.
+// The graph's run nodes are the frame's rows: the runs of a row share
+// their faulty set, their classes and the guard body, hence their
+// successors and their component; the layer is linear in rows, and only
+// CNReachable turns rows back into runs.
 type cnLayer struct {
 	// comp maps each row to its component id.
 	comp []int32
@@ -79,33 +79,6 @@ func (s *System) prebuildCN(ctx context.Context) error {
 	return s.parallel(ctx, s.Horizon, func(m int) { s.cnLayerAt(m) })
 }
 
-// faultyTable is a per-row table of faulty sets, built once.
-type faultyTable struct {
-	once  sync.Once
-	masks []uint64
-}
-
-// faultyMasks returns the faulty set of every time-m row as a bitmask
-// over agents, computed on first use.
-func (s *System) faultyMasks(m int) []uint64 {
-	tab := &s.runFaulty
-	if s.layered(m) {
-		tab = &s.unitFaulty
-	}
-	tab.once.Do(func() {
-		tab.masks = make([]uint64, s.rowCount(m))
-		for row := range tab.masks {
-			pat := s.Runs[s.rowRun(m, row)].Pattern
-			for i := 0; i < s.N; i++ {
-				if pat.Faulty(model.AgentID(i)) {
-					tab.masks[row] |= 1 << uint(i)
-				}
-			}
-		}
-	})
-	return tab.masks
-}
-
 // cnGraph is the time-m accessibility graph, read from the interned
 // index without building adjacency lists. Nodes are the slice's rows
 // ("runs" below) followed by every index class of the slice: agent i's
@@ -118,7 +91,7 @@ type cnGraph struct {
 	n, runs int
 	// base has n+1 entries; base[n] is the node count.
 	base []int32
-	// classOf and classRuns are the slice's n slots of the System's.
+	// classOf and classRuns are the frame's tables of the slice's n slots.
 	classOf   [][]int32
 	classRuns []members
 	faulty    []uint64
@@ -141,19 +114,18 @@ func (g *cnGraph) members(v int32) []int32 {
 // common-knowledge guard over the condensation.
 func (s *System) buildCNLayer(m int) *cnLayer {
 	n := s.N
-	if m == s.Horizon {
-		s.lastLayer()
-	}
-	runs := s.rowCount(m)
+	firsts := s.frame.firstRuns(m)
+	runs := len(firsts)
 	g := &cnGraph{
 		n: n, runs: runs,
 		base:      make([]int32, n+1),
-		classOf:   s.classOf[m*n : (m+1)*n],
-		classRuns: s.classRuns[m*n : (m+1)*n],
-		faulty:    s.faultyMasks(m),
+		classOf:   make([][]int32, n),
+		classRuns: make([]members, n),
+		faulty:    s.frame.faulty(m),
 	}
 	g.base[0] = int32(runs)
 	for i := 0; i < n; i++ {
+		g.classOf[i], g.classRuns[i] = s.frame.classes(m*n+i), s.frame.members(m*n+i)
 		g.base[i+1] = g.base[i] + int32(len(g.classRuns[i].off)-1)
 	}
 
@@ -242,7 +214,7 @@ func (s *System) buildCNLayer(m int) *cnLayer {
 	// throughout".)
 	for r, c := range layer.comp {
 		if ck0[c] || ck1[c] {
-			b := s.guardBody(s.rowRun(m, r), m, g.faulty[r])
+			b := s.guardBody(int(firsts[r]), m, g.faulty[r])
 			ck0[c] = ck0[c] && b[0]
 			ck1[c] = ck1[c] && b[1]
 		}
@@ -373,24 +345,24 @@ func (g *cnGraph) scc() (comp []int32, nComp int) {
 // computeReach walks the condensation DAG from src, collecting the rows
 // of every reachable component. Pure: it reads only immutable layer
 // state.
-func (l *cnLayer) computeReach(src int32) []int {
+func (l *cnLayer) computeReach(src int32) []int32 {
 	// ≥1 step: start from the successors of src — but src's own component
 	// is reachable whenever it lies on a cycle, which it always does here
 	// (a nonfaulty agent's self-indistinguishability routes r back to r
 	// through its class node, and N is nonempty since t < n). Components
 	// containing runs always have such a cycle, so include src.
 	//
-	// The walk lists the reachable components in visiting order first, so
-	// the result — most runs of the slice, typically — is allocated once
+	// The walk lists the reachable components' member lists first, so the
+	// result — most rows of the slice, typically — is allocated once
 	// instead of doubling its way up.
 	visited := make([]bool, len(l.next))
 	visited[src] = true
 	stack := []int32{src}
-	var order []int32
+	var lists [][]int32
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		order = append(order, c)
+		lists = append(lists, l.members.of(c))
 		for _, d := range l.next[c] {
 			if !visited[d] {
 				visited[d] = true
@@ -398,23 +370,7 @@ func (l *cnLayer) computeReach(src int32) []int {
 			}
 		}
 	}
-	return concat(l.members, order)
-}
-
-// concat returns the given lists of ms end to end, as ints: the runs of
-// some units, or the rows of some components.
-func concat[L int | int32](ms members, lists []L) []int {
-	size := 0
-	for _, c := range lists {
-		size += len(ms.of(int32(c)))
-	}
-	out := make([]int, 0, size)
-	for _, c := range lists {
-		for _, r := range ms.of(int32(c)) {
-			out = append(out, int(r))
-		}
-	}
-	return out
+	return slices.Concat(lists...)
 }
 
 // CNReachable returns the runs whose time-p.Time points are reachable from
@@ -424,17 +380,14 @@ func concat[L int | int32](ms members, lists []L) []int {
 func (s *System) CNReachable(p Point) []int {
 	s.mustCheckable()
 	layer := s.cnLayerAt(p.Time)
-	src := layer.comp[s.rowOf(p.Time, p.Run)]
+	src := layer.comp[s.frame.runRows(p.Time)[p.Run]]
 	layer.mu.RLock()
 	out, ok := layer.reach[src]
 	layer.mu.RUnlock()
 	if ok {
 		return out
 	}
-	out = layer.computeReach(src)
-	if s.layered(p.Time) {
-		out = concat(s.unitRuns, out)
-	}
+	out = s.runsOfRows(p.Time, layer.computeReach(src))
 	layer.mu.Lock()
 	if prev, ok := layer.reach[src]; ok {
 		out = prev
@@ -454,7 +407,7 @@ func (s *System) CNReachable(p Point) []int {
 // per component, so this is two index reads.
 func (s *System) CKTFaulty(q Point, v model.Value) bool {
 	layer := s.cnLayerAt(q.Time)
-	return layer.ck[v][layer.comp[s.rowOf(q.Time, q.Run)]]
+	return layer.ck[v][layer.comp[s.frame.runRows(q.Time)[q.Run]]]
 }
 
 // KnowsCK evaluates K_i(C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v)) at p:
@@ -463,10 +416,5 @@ func (s *System) KnowsCK(i model.AgentID, p Point, v model.Value) bool {
 	s.mustCheckable()
 	layer := s.cnLayerAt(p.Time)
 	ck := layer.ck[v]
-	for _, row := range s.rowsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run)) {
-		if !ck[layer.comp[row]] {
-			return false
-		}
-	}
-	return true
+	return s.everyRow(i, p, func(row int) bool { return ck[layer.comp[row]] })
 }

@@ -74,3 +74,7 @@ func checkOptimality(t *testing.T, sys *System, maxTime, max int) []string {
 	}
 	return vs
 }
+
+// indexOf returns sys's production frame, for the tests that read its
+// tables or its units.
+func indexOf(sys *System) *indexFrame { return sys.frame.(*indexFrame) }

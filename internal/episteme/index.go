@@ -5,7 +5,8 @@
 // and all three must yield the same tables for the same sweep. They do
 // because none of them assigns an id: each only says, per slot, what run
 // g's local-state key is (slotRows), and indexed numbers the classes
-// by first appearance in ascending run order. Keys
+// by first appearance in ascending run order into the System's frame, an
+// indexFrame, which alone knows how its rows are laid out. Keys
 // (model.State.AppendKey) and run order are functions of the sweep
 // alone, so the tables are —
 // whichever producer supplied the rows and however many workers interned
@@ -17,12 +18,150 @@ package episteme
 import (
 	"cmp"
 	"context"
+	"sync"
+
+	"repro/internal/model"
 )
+
+// frame is the Kripke frame the checkers read, and all they read of the
+// index: at each time the points grouped into rows, and per (time, agent)
+// slot the classes of rows that carry one local state. The runs of a row
+// share every agent's local state at that time, their ledger and their
+// faulty set, so a predicate that reads only those — a row function — may
+// be asked once per row, at its first run. A time's rows ascend with
+// their first runs. How rows are laid out is the implementation's
+// business: indexFrame's are prefix units before the horizon of an
+// expanded system and runs everywhere else. Safe for concurrent use.
+type frame interface {
+	firstRuns(m int) []int32  // each time-m row's lowest run
+	runRows(m int) []int32    // each run's time-m row
+	rowRuns(m int) members    // each time-m row's runs, ascending
+	faulty(m int) []uint64    // each time-m row's faulty set, a mask over agents
+	classes(slot int) []int32 // slot m*N+i's class id of each time-m row
+	members(slot int) members // the slot's member lists: class c's rows, ascending
+	keys(slot int) []string   // the local-state key of each of the slot's classes
+}
+
+// indexFrame is the frame every construction builds: the interned index
+// over the layout below, the one place that layout is known.
+type indexFrame struct {
+	sys *System // whose runs the rows group
+
+	// Rows. unitOf, when non-nil, marks a time-layered system (only
+	// ExpandQuotient builds one): unitOf[run] is the run's prefix unit —
+	// the runs sharing its initial vector, faulty set and every drop sent
+	// before the last round. The context is synchronous and the engine
+	// deterministic, so a unit's runs share every local state at every time
+	// < Horizon and the whole ledger (Inits, Decision, DecisionRound,
+	// Actions — the last recorded action is taken on a time-(Horizon−1)
+	// state); only their time-Horizon states differ. Units are numbered by
+	// first appearance in run order: unitFirst[u] is unit u's lowest run,
+	// unitRuns.of(u) its runs, ascending. The index slots of times < Horizon
+	// of a layered system have one row per unit instead of one per run;
+	// everywhere else — the last time slice, and every slot of a system
+	// with unitOf nil — a row is a run, and ident (pick) maps rows to runs.
+	// docs/architecture.md, "Time-layered expansion: prefix units".
+	unitOf    []int32
+	unitFirst []int32
+	unitRuns  members
+	identOnce sync.Once
+	ident     []int32
+
+	// Interned local-state index, per slot = m*N + i:
+	//
+	//	classOf[slot][row]    → the row's class id in the slot
+	//	classRuns[slot].of(c) → the rows of class c, ascending
+	//	classKey[slot][c]     → the class's local-state key
+	//
+	// Class ids are by first appearance in run order either way: a class's
+	// first run is always its unit's first run. The time-Horizon slots are
+	// nil until lastLayer interns them from the producer's lastRows.
+	classOf   [][]int32
+	classRuns []members
+	classKey  [][]string
+	lastOnce  sync.Once
+	lastRows  func(slot int) slotRows
+
+	// runFaulty and unitFaulty hold every row's faulty set, per run and per
+	// unit, each filled on first use: the C_N graph walk reads it once per
+	// edge, where Runs[r].Pattern is a pointer chase.
+	runFaulty, unitFaulty faultyTable
+}
+
+// faultyTable is a per-row table of faulty sets, built once.
+type faultyTable struct {
+	once  sync.Once
+	masks []uint64
+}
+
+// layered reports whether the time-m rows are prefix units, not runs.
+func (x *indexFrame) layered(m int) bool { return x.unitOf != nil && m < x.sys.Horizon }
+
+func (x *indexFrame) firstRuns(m int) []int32 { return x.pick(m, x.unitFirst) }
+func (x *indexFrame) runRows(m int) []int32   { return x.pick(m, x.unitOf) }
+
+func (x *indexFrame) rowRuns(m int) members {
+	if x.layered(m) {
+		return x.unitRuns
+	}
+	runs := x.pick(m, nil) // makes ident first
+	return members{rows: runs, off: x.ident}
+}
+
+// pick returns the unit table units when the time-m rows are units, and
+// the first len(Runs) entries of ident when they are runs. ident[r] = r
+// for r ≤ len(Runs), made on first use, is both the runs and the offsets
+// of one-run member lists.
+func (x *indexFrame) pick(m int, units []int32) []int32 {
+	if x.layered(m) {
+		return units
+	}
+	x.identOnce.Do(func() {
+		x.ident = make([]int32, len(x.sys.Runs)+1)
+		for r := range x.ident {
+			x.ident[r] = int32(r)
+		}
+	})
+	return x.ident[:len(x.sys.Runs)]
+}
+
+func (x *indexFrame) faulty(m int) []uint64 {
+	tab := &x.runFaulty
+	if x.layered(m) {
+		tab = &x.unitFaulty
+	}
+	tab.once.Do(func() {
+		firsts := x.firstRuns(m)
+		tab.masks = make([]uint64, len(firsts))
+		for row, r := range firsts {
+			pat := x.sys.Runs[r].Pattern
+			for i := 0; i < x.sys.N; i++ {
+				if pat.Faulty(model.AgentID(i)) {
+					tab.masks[row] |= 1 << uint(i)
+				}
+			}
+		}
+	})
+	return tab.masks
+}
+
+func (x *indexFrame) classes(slot int) []int32 { return x.read(slot).classOf[slot] }
+func (x *indexFrame) members(slot int) members { return x.read(slot).classRuns[slot] }
+func (x *indexFrame) keys(slot int) []string   { return x.read(slot).classKey[slot] }
+
+// read returns x with slot interned: a time-Horizon slot is read through
+// lastLayer.
+func (x *indexFrame) read(slot int) *indexFrame {
+	if slot >= x.sys.Horizon*x.sys.N {
+		x.lastLayer()
+	}
+	return x
+}
 
 // slotRows is a producer's account of one slot: it has n rows, and
 // key(dst, g) appends row g's local-state key there to dst. A row is a
 // run, except in the slots before the horizon of a time-layered system,
-// where it is a prefix unit (system.go, "Rows") — the kernel is told a
+// where it is a prefix unit (indexFrame, "Rows") — the kernel is told a
 // count and never looks. A producer that can tell cheaply that two rows
 // carry the same key says so with a memo code — code(g) in [0, codes),
 // equal codes implying equal keys — and the kernel asks key once per
@@ -35,38 +174,41 @@ type slotRows struct {
 	key     func(dst []byte, g int) ([]byte, error)
 }
 
-// indexed builds s's index from the producer's rows and returns s, or no
-// System at all when the build fails: every construction ends here. The
-// slots of times before the horizon are interned now; the time-Horizon
-// slots keep the producer's rows and are interned on first read
-// (lastLayer), since Theorems 6.5, 6.6 and A.21's checks never read them.
-// The error is the context's cancellation cause, or else the lowest
-// failing slot's first key error — the same error at every worker count.
-func (s *System) indexed(ctx context.Context, rows func(slot int) slotRows) (*System, error) {
+// indexed builds s's frame x from the producer's rows and returns s, or
+// no System at all when the build fails: every construction ends here. x
+// carries the producer's units, if any. The slots of times before the
+// horizon are interned now; the time-Horizon slots keep the producer's
+// rows and are interned on first read (lastLayer), since Theorems 6.5,
+// 6.6 and A.21's checks never read them. The error is the context's
+// cancellation cause, or else the lowest failing slot's first key error —
+// the same error at every worker count.
+func (s *System) indexed(ctx context.Context, x *indexFrame, rows func(slot int) slotRows) (*System, error) {
 	nSlots := (s.Horizon + 1) * s.N
-	s.classOf = make([][]int32, nSlots)
-	s.classRuns = make([]members, nSlots)
-	s.classKey = make([][]string, nSlots)
-	if err := s.intern(ctx, 0, s.Horizon*s.N, rows); err != nil {
+	x.sys = s
+	x.classOf = make([][]int32, nSlots)
+	x.classRuns = make([]members, nSlots)
+	x.classKey = make([][]string, nSlots)
+	if err := x.intern(ctx, 0, s.Horizon*s.N, rows); err != nil {
 		return nil, err
 	}
-	s.lastRows = rows
+	x.lastRows = rows
+	s.frame = x
 	return s, nil
 }
 
 // lastLayer interns the time-Horizon slots once, as an eager build would
-// have, and drops the producer's rows; every reader of such a slot asks
+// have, and drops the producer's rows; every read of such a slot asks
 // for it first, and none has a context to give. Only ExpandQuotient's keys
 // can fail, and it vets them before it returns the System.
-func (s *System) lastLayer() {
-	s.lastOnce.Do(func() {
-		if s.lastRows == nil {
-			return // a System assembled literally
+func (x *indexFrame) lastLayer() {
+	x.lastOnce.Do(func() {
+		if x.lastRows == nil {
+			return // a frame assembled literally
 		}
-		if err := s.intern(context.Background(), s.Horizon*s.N, len(s.classOf), s.lastRows); err != nil {
+		if err := x.intern(context.Background(), x.sys.Horizon*x.sys.N, len(x.classOf), x.lastRows); err != nil {
 			panic(err)
 		}
-		s.lastRows = nil
+		x.lastRows = nil
 	})
 }
 
@@ -78,9 +220,9 @@ func (s *System) lastLayer() {
 // a key becomes a string only when it opens a class. There are no ids
 // across slots: a key names its time (conformance convention 10), so a
 // slot and a class there identify one agent's local state system-wide.
-func (s *System) intern(ctx context.Context, from, to int, rows func(slot int) slotRows) error {
+func (x *indexFrame) intern(ctx context.Context, from, to int, rows func(slot int) slotRows) error {
 	slotErr := make([]error, to-from)
-	err := s.parallel(ctx, to-from, func(k int) {
+	err := x.sys.parallel(ctx, to-from, func(k int) {
 		slot := from + k
 		p := rows(slot)
 		byKey := make(map[string]int32, p.classes)
@@ -108,9 +250,9 @@ func (s *System) intern(ctx context.Context, from, to int, rows func(slot int) s
 			*cell = cls + 1
 			classOf[g] = cls
 		}
-		s.classOf[slot], s.classKey[slot] = classOf, classKey
-		if !s.Quotiented() { // nothing reads a representative system's member lists
-			s.classRuns[slot] = packMembers(classOf, len(classKey))
+		x.classOf[slot], x.classKey[slot] = classOf, classKey
+		if !x.sys.Quotiented() { // nothing reads a representative system's member lists
+			x.classRuns[slot] = packMembers(classOf, len(classKey))
 		}
 	})
 	return cmp.Or(err, cmp.Or(slotErr...))

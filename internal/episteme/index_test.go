@@ -45,21 +45,21 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 		},
 	}
 	// At horizon 0 the one slot is the last layer: interned on first read.
-	sys, err := literalSystem(1, 0, len(keys), 1).indexed(context.Background(), func(int) slotRows { return rows })
+	sys, err := literalSystem(1, 0, len(keys), 1).indexed(context.Background(), &indexFrame{}, func(int) slotRows { return rows })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.classOf[0] != nil || !reflect.DeepEqual(asked, make([]int, len(keys))) {
+	if indexOf(sys).classOf[0] != nil || !reflect.DeepEqual(asked, make([]int, len(keys))) {
 		t.Fatal("the time-Horizon slot was interned before anything read it")
 	}
-	sys.lastLayer()
-	if got, want := sys.classOf[0], []int32{0, 1, 0, 2, 1, 0, 2}; !reflect.DeepEqual(got, want) {
+	indexOf(sys).lastLayer()
+	if got, want := indexOf(sys).classOf[0], []int32{0, 1, 0, 2, 1, 0, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("classOf = %v, want %v", got, want)
 	}
-	if got, want := sys.classRuns[0], (members{rows: []int32{0, 2, 5, 1, 4, 3, 6}, off: []int32{0, 3, 5, 7}}); !reflect.DeepEqual(got, want) {
+	if got, want := indexOf(sys).classRuns[0], (members{rows: []int32{0, 2, 5, 1, 4, 3, 6}, off: []int32{0, 3, 5, 7}}); !reflect.DeepEqual(got, want) {
 		t.Errorf("classRuns = %v, want %v", got, want)
 	}
-	if got, want := sys.classKey[0], []string{"b", "a", "c"}; !reflect.DeepEqual(got, want) {
+	if got, want := indexOf(sys).classKey[0], []string{"b", "a", "c"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("classKey = %v, want %v", got, want)
 	}
 	if want := []int{1, 1, 0, 1, 0, 1, 0}; !reflect.DeepEqual(asked, want) {
@@ -78,20 +78,20 @@ func TestInternSlotsLastLayerOnFirstRead(t *testing.T) {
 	}
 	want := [][]string{{"x", "y"}, {"y", "z"}, {"w", "x", "z"}, {"y", "v"}}
 	for _, par := range []int{1, 3} {
-		sys, err := literalSystem(2, 1, 3, par).indexed(context.Background(), rows)
+		sys, err := literalSystem(2, 1, 3, par).indexed(context.Background(), &indexFrame{}, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(sys.classKey, append(want[:2:2], nil, nil)) {
-			t.Errorf("parallelism %d: before the first read, classKey = %q", par, sys.classKey)
+		if !reflect.DeepEqual(indexOf(sys).classKey, append(want[:2:2], nil, nil)) {
+			t.Errorf("parallelism %d: before the first read, classKey = %q", par, indexOf(sys).classKey)
 		}
-		if got := sys.classCount(0, 1); got != 3 {
+		if got := len(sys.frame.keys(2)); got != 3 {
 			t.Errorf("parallelism %d: slot 2 has %d classes, want 3", par, got)
 		}
-		if !reflect.DeepEqual(sys.classKey, want) {
-			t.Errorf("parallelism %d: classKey = %q, want %q", par, sys.classKey, want)
+		if !reflect.DeepEqual(indexOf(sys).classKey, want) {
+			t.Errorf("parallelism %d: classKey = %q, want %q", par, indexOf(sys).classKey, want)
 		}
-		if got, want := sys.classOf, [][]int32{{0, 1, 0}, {0, 1, 1}, {0, 1, 2}, {0, 0, 1}}; !reflect.DeepEqual(got, want) {
+		if got, want := indexOf(sys).classOf, [][]int32{{0, 1, 0}, {0, 1, 1}, {0, 1, 2}, {0, 0, 1}}; !reflect.DeepEqual(got, want) {
 			t.Errorf("parallelism %d: classOf = %v, want %v", par, got, want)
 		}
 	}
@@ -101,7 +101,7 @@ func TestInternSlotsLastLayerOnFirstRead(t *testing.T) {
 // come back as slot 3's, and no System, at every worker count.
 func TestInternSlotsReportsLowestFailingSlot(t *testing.T) {
 	for _, par := range []int{1, 2, 7} {
-		sys, err := literalSystem(4, 1, 5, par).indexed(context.Background(), func(slot int) slotRows {
+		sys, err := literalSystem(4, 1, 5, par).indexed(context.Background(), &indexFrame{}, func(slot int) slotRows {
 			return perRow(5, func(g int) (string, error) {
 				if (slot == 3 || slot == 7) && g >= 2 {
 					return "", fmt.Errorf("slot %d run %d has no key", slot, g)
@@ -125,7 +125,7 @@ func TestInternSlotsCancellation(t *testing.T) {
 		ctx := &cancelOnNthErr{Context: inner, cancel: cancel, cause: cause}
 		ctx.left.Store(looks)
 		var slots atomic.Int32
-		sys, err := literalSystem(2, 1, 3, 1).indexed(ctx, func(int) slotRows {
+		sys, err := literalSystem(2, 1, 3, 1).indexed(ctx, &indexFrame{}, func(int) slotRows {
 			slots.Add(1)
 			return perRow(3, func(int) (string, error) { return "k", nil })
 		})

@@ -1,8 +1,10 @@
 package episteme
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -81,7 +83,7 @@ func (s *System) kbpPhaseA(prog Program, i model.AgentID, p Point) (model.Action
 // "j is deciding 0 at q" supplied by the caller: the recorded actions for
 // a completed system, or the phase-A resolutions while Synthesize grows
 // its table — either way a function of q's ledger, asked once per row
-// (System.rowRun).
+// (frame).
 func (s *System) kbpPhaseB(i model.AgentID, p Point, deciding0 func(q Point, j model.AgentID) bool) model.Action {
 	nobodyDeciding0 := func(q Point) bool {
 		for j := 0; j < s.N; j++ {
@@ -182,30 +184,16 @@ func (s *System) mismatches(ctx context.Context, maxMismatches int, want func(i 
 	if err := s.checkableSystem(); err != nil {
 		return nil, err
 	}
-	// One work item per distinct (agent, state) pair, in first-occurrence
-	// (run, time, agent) order — the order the sequential checker visited
-	// them in. The scan reads times < Horizon only, where every slot has
-	// the same rows; rows ascend with their first runs, and a run that is
-	// not its row's first repeats the first's states, so walking the rows
-	// finds the same first occurrences as walking the runs. A state is its
-	// slot and class there: a key names its time (conformance convention
-	// 10), so no agent meets one state in two slots.
-	seen := make([][]bool, s.Horizon*s.N)
-	for slot := range seen {
-		seen[slot] = make([]bool, len(s.classKey[slot]))
-	}
+	// One work item per distinct (agent, state) pair of the times before
+	// the horizon, at the first run of the class's lowest row: the state's
+	// first occurrence, since rows ascend with their first runs. A state is
+	// its slot and class there: a key names its time (conformance
+	// convention 10), so no agent meets one state in two slots.
 	var items []implItem
-	for row, rows := 0, s.rowCount(0); row < rows; row++ {
-		for m := 0; m < s.Horizon; m++ {
-			for i := 0; i < s.N; i++ {
-				slot := m*s.N + i
-				c := s.classOf[slot][row]
-				if seen[slot][c] {
-					continue
-				}
-				seen[slot][c] = true
-				items = append(items, implItem{agent: model.AgentID(i), run: s.rowRun(m, row), time: m})
-			}
+	for slot := 0; slot < s.Horizon*s.N; slot++ {
+		m, ms, firsts := slot/s.N, s.frame.members(slot), s.frame.firstRuns(slot/s.N)
+		for c := range len(s.frame.keys(slot)) {
+			items = append(items, implItem{agent: model.AgentID(slot % s.N), run: int(firsts[ms.of(int32(c))[0]]), time: m})
 		}
 	}
 
@@ -232,6 +220,10 @@ func (s *System) mismatches(ctx context.Context, maxMismatches int, want func(i 
 			out = append(out, *m)
 		}
 	}
+	// The states' first occurrences, in the canonical (run, time, agent) order.
+	slices.SortFunc(out, func(a, b Mismatch) int {
+		return cmp.Or(cmp.Compare(a.Run, b.Run), cmp.Compare(a.Time, b.Time), cmp.Compare(a.Agent, b.Agent))
+	})
 	if maxMismatches > 0 && len(out) > maxMismatches {
 		extra := len(out) - maxMismatches
 		out = append(out[:maxMismatches], Mismatch{More: extra})

@@ -23,7 +23,7 @@ import (
 func TestLastLayerInternedOnceOnFirstRead(t *testing.T) {
 	const n, horizon, nRuns = 3, 2, 40
 	var asked [(horizon + 1) * n]atomic.Int32
-	sys, err := literalSystem(n, horizon, nRuns, 2).indexed(context.Background(), func(slot int) slotRows {
+	sys, err := literalSystem(n, horizon, nRuns, 2).indexed(context.Background(), &indexFrame{}, func(slot int) slotRows {
 		asked[slot].Add(1)
 		return perRow(nRuns, func(g int) (string, error) { return fmt.Sprint(slot/n, g%(slot+2)), nil })
 	})
@@ -56,7 +56,7 @@ func TestLastLayerInternedOnceOnFirstRead(t *testing.T) {
 			t.Errorf("slot %d: producer asked %d times, want once", slot, got)
 		}
 	}
-	if sys.lastRows != nil {
+	if indexOf(sys).lastRows != nil {
 		t.Error("the producer's rows outlive the layer they describe")
 	}
 }
@@ -90,7 +90,7 @@ func TestExpandedLastLayerDeferred(t *testing.T) {
 	lone := &countingPermuter{FIP: exchange.NewFIP(4)}
 	ref := expandFIP4(t, lone, 2)
 	before := lone.rewrites.Load()
-	ref.lastLayer()
+	indexOf(ref).lastLayer()
 	once := lone.rewrites.Load() - before
 	if once == 0 {
 		t.Fatal("interning the last layer rewrote no key; the count cannot tell one build from two")
@@ -101,8 +101,8 @@ func TestExpandedLastLayerDeferred(t *testing.T) {
 	if ms := checkImplements(t, sys, P1, 5); len(ms) != 0 {
 		t.Fatalf("CheckImplements(P1) = %v", ms)
 	}
-	for slot := sys.Horizon * sys.N; slot < len(sys.classOf); slot++ {
-		if sys.classOf[slot] != nil || sys.classKey[slot] != nil || sys.lastRows == nil {
+	for slot := sys.Horizon * sys.N; slot < len(indexOf(sys).classOf); slot++ {
+		if indexOf(sys).classOf[slot] != nil || indexOf(sys).classKey[slot] != nil || indexOf(sys).lastRows == nil {
 			t.Fatalf("slot %d is interned after ExpandQuotient and CheckImplements(P1)", slot)
 		}
 	}
@@ -161,8 +161,8 @@ func TestExpandQuotientRefusesDoctoredLastKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep.lastLayer()
-		rep.classKey[rep.Horizon*rep.N+1][0] = "doctored"
+		indexOf(rep).lastLayer()
+		indexOf(rep).classKey[rep.Horizon*rep.N+1][0] = "doctored"
 		sys, err := ExpandQuotient(ctx, rep, c)
 		if sys != nil || err == nil || !strings.HasPrefix(err.Error(), `episteme: expanding quotiented keys: graph: malformed key "doctored"`) {
 			t.Fatalf("parallelism %d: ExpandQuotient of a doctored time-Horizon key = (system: %v, %v), want only the rewrite error", par, sys != nil, err)
@@ -197,7 +197,7 @@ func TestExpandQuotientSameAtEveryParallelism(t *testing.T) {
 			want = sys
 		} else {
 			compareSystems(t, fmt.Sprintf("parallelism %d", par), sys, want)
-			if !slices.Equal(sys.unitOf, want.unitOf) || !slices.Equal(sys.unitFirst, want.unitFirst) {
+			if !slices.Equal(indexOf(sys).unitOf, indexOf(want).unitOf) || !slices.Equal(indexOf(sys).unitFirst, indexOf(want).unitFirst) {
 				t.Fatalf("parallelism %d numbers the prefix units differently", par)
 			}
 		}

@@ -97,7 +97,7 @@ func oracleBoxComponents(s *System, member func(i model.AgentID, p Point) bool) 
 		for i := 0; i < s.N; i++ {
 			id := model.AgentID(i)
 			// first[c] is the first S-member run seen in class c.
-			first := make([]int, s.classCount(id, m))
+			first := make([]int, len(s.frame.keys(s.slot(id, m))))
 			for c := range first {
 				first[c] = -1
 			}
@@ -135,13 +135,25 @@ func oracleMemberNAndDecided(s *System, v model.Value) func(model.AgentID, Point
 
 // oracleSafety is CheckSafety with every clause evaluated per point.
 func oracleSafety(s *System) []string {
+	// classRuns lists the runs of agent i's class at (run, m), made once
+	// per class.
+	lists := make(map[[2]int][]int)
+	classRuns := func(i model.AgentID, m, run int) []int {
+		key := [2]int{s.slot(i, m), int(s.classAt(i, m, run))}
+		runs, ok := lists[key]
+		if !ok {
+			runs = s.runsOfClass(i, m, int32(key[1]))
+			lists[key] = runs
+		}
+		return runs
+	}
 	var out []string
 	for r, res := range s.Runs {
 		for m := 0; m <= s.Horizon; m++ {
 			p := Point{Run: r, Time: m}
 			for i := 0; i < s.N; i++ {
 				id := model.AgentID(i)
-				if !s.receivedChainBy(id, r, m) && !oracleExistsIndistAllOnes(s, id, p) {
+				if !s.receivedChainBy(id, r, m) && !oracleExistsIndistAllOnes(s, classRuns(id, m, r)) {
 					out = append(out, fmt.Sprintf("clause 1: run %d time %d agent %d", r, m, i))
 				}
 				if m >= s.Horizon {
@@ -160,7 +172,7 @@ func oracleSafety(s *System) []string {
 				if decidedBefore || !cannotRuleOut || knowsFaulty {
 					continue
 				}
-				if !oracleSafetyClause2Witness(s, id, p) {
+				if !oracleSafetyClause2Witness(s, classRuns, id, p) {
 					out = append(out, fmt.Sprintf("clause 2: run %d time %d agent %d", r, m, i))
 				}
 			}
@@ -169,10 +181,11 @@ func oracleSafety(s *System) []string {
 	return out
 }
 
-// oracleExistsIndistAllOnes reports whether some run indistinguishable
-// from p to agent i has every initial preference equal to 1.
-func oracleExistsIndistAllOnes(s *System, i model.AgentID, p Point) bool {
-	for _, r := range s.runsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run)) {
+// oracleExistsIndistAllOnes reports whether some run of class, the runs
+// an agent cannot distinguish from a point, has every initial preference
+// equal to 1.
+func oracleExistsIndistAllOnes(s *System, class []int) bool {
+	for _, r := range class {
 		allOnes := true
 		for _, v := range s.Runs[r].Inits {
 			if v != model.One {
@@ -189,9 +202,9 @@ func oracleExistsIndistAllOnes(s *System, i model.AgentID, p Point) bool {
 
 // oracleSafetyClause2Witness searches for the runs r' (and, for m ≥ 1,
 // r”) required by clause (2) of Definition 6.2.
-func oracleSafetyClause2Witness(s *System, i model.AgentID, p Point) bool {
+func oracleSafetyClause2Witness(s *System, classRuns func(i model.AgentID, m, run int) []int, i model.AgentID, p Point) bool {
 	m := p.Time
-	for _, rp := range s.runsOfClass(i, m, s.classAt(i, m, p.Run)) {
+	for _, rp := range classRuns(i, m, p.Run) {
 		q := Point{Run: rp, Time: m}
 		if !s.Nonfaulty(i, q) {
 			continue
@@ -206,7 +219,7 @@ func oracleSafetyClause2Witness(s *System, i model.AgentID, p Point) bool {
 			}
 			// Need r'' with r'_j(m) = r''_j(m), j and some j' nonfaulty in
 			// r'', and j' deciding 0 in round m of r''.
-			for _, rpp := range s.runsOfClass(jd, m, s.classAt(jd, m, rp)) {
+			for _, rpp := range classRuns(jd, m, rp) {
 				qq := Point{Run: rpp, Time: m}
 				if !s.Nonfaulty(jd, qq) {
 					continue
@@ -265,10 +278,7 @@ func TestCheckersMatchPerPointOracle(t *testing.T) {
 			// The oracle scans classes point by point: it runs on the per-run
 			// build, the checkers on the build every front-end gets (for fip,
 			// the expanded one).
-			ref, err := BuildSystem(context.Background(), perRunContext(tc.c), tc.act, WithParallelism(1))
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref, sys1 := oracleBuild(t, tc)
 			wantOpt := append(oracleOptimality(ref, model.Zero, -1), oracleOptimality(ref, model.One, -1)...)
 			wantSafety := oracleSafety(ref)
 			if tc.wantOp != (len(wantOpt) > 0) || tc.wantSf != (len(wantSafety) > 0) {
@@ -276,9 +286,12 @@ func TestCheckersMatchPerPointOracle(t *testing.T) {
 					len(wantOpt), len(wantSafety), tc.wantOp, tc.wantSf)
 			}
 			for _, par := range []int{1, goruntime.GOMAXPROCS(0), 7} {
-				sys, err := BuildSystem(context.Background(), tc.c, tc.act, WithParallelism(par))
-				if err != nil {
-					t.Fatal(err)
+				sys := sys1
+				if par != 1 {
+					var err error
+					if sys, err = BuildSystem(context.Background(), tc.c, tc.act, WithParallelism(par)); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if got := checkOptimality(t, sys, -1, 0); !slices.Equal(got, wantOpt) {
 					t.Errorf("par=%d: CheckOptimalityFIP returned %d violations, oracle %d; first difference: %s",
@@ -309,22 +322,13 @@ func TestCheckersMatchPerPointOracle(t *testing.T) {
 // Thm 7.5 belief a row function: each prefix unit is one component, or
 // every run of it is a singleton.
 func TestBoxComponentsMatchPerRun(t *testing.T) {
-	cases := append(oracleCases(), oracleCase{name: "crash fip+Popt n=3 t=2",
-		c: Context{Exchange: exchange.NewFIP(3), T: 2, Crash: true}, act: action.NewOpt(2)})
 	joinedUnits := 0
-	for _, tc := range cases {
+	for _, tc := range frameCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.slow && (testing.Short() || raceEnabled) {
 				t.Skip("the per-run pass at n=4 is slow under the race detector")
 			}
-			ref, err := BuildSystem(context.Background(), perRunContext(tc.c), tc.act, WithParallelism(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys, err := BuildSystem(context.Background(), tc.c, tc.act)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref, sys := oracleBuild(t, tc)
 			for _, v := range []model.Value{model.Zero, model.One} {
 				got := partitionLabels(sys.BoxComponents(sys.memberNAndDecided(v)))
 				want := partitionLabels(oracleBoxComponents(ref, oracleMemberNAndDecided(ref, v)))
@@ -335,8 +339,8 @@ func TestBoxComponentsMatchPerRun(t *testing.T) {
 				for _, c := range got {
 					size[c]++
 				}
-				for u := range len(sys.unitRuns.off) - 1 {
-					runs := sys.unitRuns.of(int32(u))
+				for u := range len(indexOf(sys).unitRuns.off) - 1 {
+					runs := indexOf(sys).unitRuns.of(int32(u))
 					one, singletons := true, true
 					for _, r := range runs {
 						one = one && got[r] == got[runs[0]]
@@ -540,7 +544,6 @@ type oracleCNLayer struct {
 // oracleBuildCNLayer assembles the time-m accessibility graph as
 // adjacency lists and condenses it.
 func oracleBuildCNLayer(s *System, m int) *oracleCNLayer {
-	s.lastLayer()
 	n := s.N
 	runs := len(s.Runs)
 
@@ -549,13 +552,13 @@ func oracleBuildCNLayer(s *System, m int) *oracleCNLayer {
 	base := make([]int, n+1)
 	base[0] = runs
 	for i := 0; i < n; i++ {
-		base[i+1] = base[i] + len(s.classRuns[m*n+i].off) - 1
+		base[i+1] = base[i] + len(s.frame.members(m*n+i).off) - 1
 	}
 	adj := make([][]int, base[n])
 	for i := 0; i < n; i++ {
 		slot := m*n + i
-		for c := range len(s.classRuns[slot].off) - 1 {
-			for _, r := range s.classRuns[slot].of(int32(c)) {
+		for c := range len(s.frame.members(slot).off) - 1 {
+			for _, r := range s.frame.members(slot).of(int32(c)) {
 				adj[base[i]+c] = append(adj[base[i]+c], int(r))
 			}
 		}
@@ -569,7 +572,7 @@ func oracleBuildCNLayer(s *System, m int) *oracleCNLayer {
 			if !pat.Nonfaulty(model.AgentID(i)) {
 				continue
 			}
-			outs = append(outs, base[i]+int(s.classOf[m*n+i][r]))
+			outs = append(outs, base[i]+int(s.frame.classes(m*n + i)[r]))
 		}
 		adj[r] = outs[start:len(outs):len(outs)]
 	}
@@ -731,16 +734,15 @@ func oracleCKTFaulty(s *System, q Point, v model.Value) bool {
 // oracleIntern is expansion pass 2 as it was: one worker per time slice,
 // one map lookup per run and slot.
 func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPermuter) (*System, error) {
-	rep.lastLayer()
+	indexOf(rep).lastLayer()
 	n, horizon := rep.N, rep.Horizon
 	gRep, gPerm, perms, invs, isID, runs := om.gRep, om.gPerm, om.perms, om.invs, om.isID, om.runs
 
 	nRuns := len(runs)
 	sys := &System{N: n, T: rep.T, Horizon: horizon, Runs: runs, par: rep.parallelism()}
 	nSlots := (horizon + 1) * n
-	sys.classOf = make([][]int32, nSlots)
-	sys.classRuns = make([]members, nSlots)
-	sys.classKey = make([][]string, nSlots)
+	x := &indexFrame{sys: sys, classOf: make([][]int32, nSlots), classRuns: make([]members, nSlots), classKey: make([][]string, nSlots)}
+	sys.frame = x
 
 	type triple struct {
 		src model.AgentID
@@ -758,11 +760,11 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 			for g := 0; g < nRuns; g++ {
 				pid := gPerm[g]
 				srcAgent := perms[pid][i]
-				rc := rep.classOf[m*n+int(srcAgent)][gRep[g]]
+				rc := indexOf(rep).classOf[m*n+int(srcAgent)][gRep[g]]
 				tk := triple{src: srcAgent, pid: pid, rc: rc}
 				cls, hit := cache[tk]
 				if !hit {
-					key := rep.classKey[m*n+int(srcAgent)][rc]
+					key := indexOf(rep).classKey[m*n+int(srcAgent)][rc]
 					if !isID[pid] {
 						var rewritten []byte
 						rewritten, sliceErr[m] = kp.AppendPermuteKey(nil, key, invs[pid])
@@ -781,9 +783,9 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 				}
 				classOf[g] = cls
 			}
-			sys.classOf[slot] = classOf
-			sys.classRuns[slot] = packMembers(classOf, len(classKey))
-			sys.classKey[slot] = classKey
+			x.classOf[slot] = classOf
+			x.classRuns[slot] = packMembers(classOf, len(classKey))
+			x.classKey[slot] = classKey
 		}
 	})
 	if err != nil {
@@ -824,10 +826,19 @@ func compareCNLayer(t *testing.T, label string, got *cnLayer, want *oracleCNLaye
 				t.Fatalf("%s: component %d has successor %d, not numbered below it", label, c, d)
 			}
 		}
-		if !slices.Equal(concat(got.members, []int{c}), want.members[c]) {
+		if !slices.Equal(rowInts(got.members.of(int32(c))), want.members[c]) {
 			t.Fatalf("%s: component %d holds runs %v, oracle %v", label, c, got.members.of(int32(c)), want.members[c])
 		}
 	}
+}
+
+// rowInts returns a member list as ints.
+func rowInts(rows []int32) []int {
+	out := make([]int, len(rows))
+	for k, r := range rows {
+		out[k] = int(r)
+	}
+	return out
 }
 
 // compareCKFold fails the test unless the guard folded into the time-m
@@ -1001,15 +1012,15 @@ func TestCKFoldOnRandomSystems(t *testing.T) {
 			}
 			sys.Runs[r] = ownRun(res)
 		}
-		sys.classOf = make([][]int32, 2*n)
-		sys.classRuns = make([]members, 2*n)
-		for slot := range sys.classOf {
+		x := &indexFrame{sys: sys, classOf: make([][]int32, 2*n), classRuns: make([]members, 2*n)}
+		sys.frame = x
+		for slot := range x.classOf {
 			k := runs/3 + rng.Intn(runs)
-			sys.classOf[slot] = make([]int32, runs)
-			for r := range sys.classOf[slot] {
-				sys.classOf[slot][r] = int32(rng.Intn(k))
+			x.classOf[slot] = make([]int32, runs)
+			for r := range x.classOf[slot] {
+				x.classOf[slot][r] = int32(rng.Intn(k))
 			}
-			sys.classRuns[slot] = packMembers(sys.classOf[slot], k)
+			x.classRuns[slot] = packMembers(x.classOf[slot], k)
 		}
 
 		label := fmt.Sprintf("random system %d", trial)
@@ -1017,16 +1028,16 @@ func TestCKFoldOnRandomSystems(t *testing.T) {
 		compareCNLayer(t, label, layer, oracleBuildCNLayer(sys, 1))
 		compareCKFold(t, label, sys, 1)
 		for c := range layer.next {
-			members := concat(layer.members, []int{c})
+			members := layer.members.of(int32(c))
 			if len(members) == 0 || len(layer.next[c]) == 0 {
 				continue
 			}
 			for v, val := range []model.Value{model.Zero, model.One} {
 				own, common := true, ^uint64(0)
 				for _, r := range members {
-					p := Point{Run: r, Time: 1}
+					p := Point{Run: int(r), Time: 1}
 					own = own && sys.NoDecidedN(val.Flip(), p) && sys.Exists(val, p)
-					common &= oracleFaultyMask(sys, r)
+					common &= oracleFaultyMask(sys, int(r))
 				}
 				own = own && bits.OnesCount64(common) >= tf
 				if own && !layer.ck[v][c] {

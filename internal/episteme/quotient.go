@@ -24,7 +24,7 @@
 // (expandable) — and ExpandQuotient refuses rather than producing
 // silently wrong class structure.
 //
-// The expanded system is time-layered (system.go, "Rows"). The sweep
+// The expanded system is time-layered (indexFrame, "Rows"). The sweep
 // crosses every earlier history with every last-round drop set, and in a
 // synchronous context nothing an agent holds before time Horizon can
 // depend on the last round's omissions; so pass 1 also groups the
@@ -33,7 +33,7 @@
 // the slots of times < Horizon over units. Only the last time slice is
 // interned over runs, under a memo code that says which unit a run
 // belongs to and what the last round dropped toward the slot's agent —
-// and only when something first reads it (index.go, lastLayer).
+// and only when something first reads it (indexFrame.lastLayer).
 
 package episteme
 
@@ -106,7 +106,7 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 // orbitMap is pass 1's account of the full sweep: scenario ordinal g is
 // representative gRep[g] relabeled by perms[gPerm[g]] (π with π·g =
 // representative; invs holds π⁻¹, isID marks the identity), and runs[g] is
-// its run. unitOf and unitFirst are the System's (system.go, "Rows").
+// its run. unitOf and unitFirst are the frame's (indexFrame, "Rows").
 // stats[r] is representative r's traffic, copied so that rep can be
 // released after the last layer's read. ledgers, under mu, holds the runs'
 // ledgers by content (appendLedgerKey): a few hundred shapes in a sweep.
@@ -433,21 +433,22 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	n, t := rep.N, uint(rep.T)
 	gRep, gPerm, perms, invs, isID := om.gRep, om.gPerm, om.perms, om.invs, om.isID
 	runs, unitOf, unitFirst := om.runs, om.unitOf, om.unitFirst
-	rep.lastLayer()
+	rx := rep.frame.(*indexFrame) // a producer reads the tables whole
+	rx.lastLayer()
 	// strides[m] is the largest representative class count of time slice m:
 	// the row length of that slice's code space.
 	strides := make([]int, rep.Horizon+1)
-	for slot, keys := range rep.classKey {
+	for slot, keys := range rx.classKey {
 		strides[slot/n] = max(strides[slot/n], len(keys))
 	}
-	sys := &System{N: n, T: rep.T, Horizon: rep.Horizon, Runs: runs, par: rep.parallelism(),
-		unitOf: unitOf, unitFirst: unitFirst, unitRuns: packMembers(unitOf, len(unitFirst))}
-	sys, err := sys.indexed(ctx, func(slot int) slotRows {
+	sys := &System{N: n, T: rep.T, Horizon: rep.Horizon, Runs: runs, par: rep.parallelism()}
+	units := &indexFrame{unitOf: unitOf, unitFirst: unitFirst, unitRuns: packMembers(unitOf, len(unitFirst))}
+	sys, err := sys.indexed(ctx, units, func(slot int) slotRows {
 		m, i := slot/n, slot%n
 		key := func(dst []byte, g int) ([]byte, error) {
 			pid := gPerm[g]
 			repSlot := m*n + int(perms[pid][i])
-			repKey := rep.classKey[repSlot][rep.classOf[repSlot][gRep[g]]]
+			repKey := rx.classKey[repSlot][rx.classOf[repSlot][gRep[g]]]
 			if isID[pid] {
 				return append(dst, repKey...), nil
 			}
@@ -479,11 +480,11 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 		return slotRows{
 			n:       len(unitFirst),
 			codes:   len(perms) * stride,
-			classes: len(rep.classKey[slot]),
+			classes: len(rx.classKey[slot]),
 			code: func(u int) int {
 				g := unitFirst[u]
 				pid := gPerm[g]
-				return int(pid)*stride + int(rep.classOf[m*n+int(perms[pid][i])][gRep[g]])
+				return int(pid)*stride + int(rx.classOf[m*n+int(perms[pid][i])][gRep[g]])
 			},
 			key: func(dst []byte, u int) ([]byte, error) { return key(dst, int(unitFirst[u])) },
 		}
@@ -497,7 +498,7 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	// first relabeling that moves an agent.
 	if pid := slices.Index(isID, false); pid >= 0 {
 		var buf []byte
-		for _, keys := range rep.classKey[rep.Horizon*n:] {
+		for _, keys := range rx.classKey[rep.Horizon*n:] {
 			for _, k := range keys {
 				if buf, err = kp.AppendPermuteKey(buf[:0], k, invs[pid]); err != nil {
 					return nil, fmt.Errorf("episteme: expanding quotiented keys: %w", err)

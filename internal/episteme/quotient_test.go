@@ -27,8 +27,8 @@ import (
 // interned first, so the tables compared are whole.
 func compareSystems(t *testing.T, label string, got, want *System) {
 	t.Helper()
-	got.lastLayer()
-	want.lastLayer()
+	indexOf(got).lastLayer()
+	indexOf(want).lastLayer()
 	if got.N != want.N || got.T != want.T || got.Horizon != want.Horizon {
 		t.Fatalf("%s: shape (%d,%d,%d), want (%d,%d,%d)", label, got.N, got.T, got.Horizon, want.N, want.T, want.Horizon)
 	}
@@ -48,17 +48,17 @@ func compareSystems(t *testing.T, label string, got, want *System) {
 			t.Fatalf("%s: run %d ledgers differ", label, r)
 		}
 	}
-	if len(got.classKey) != len(want.classKey) {
-		t.Fatalf("%s: %d index slots, want %d", label, len(got.classKey), len(want.classKey))
+	if len(indexOf(got).classKey) != len(indexOf(want).classKey) {
+		t.Fatalf("%s: %d index slots, want %d", label, len(indexOf(got).classKey), len(indexOf(want).classKey))
 	}
-	for slot := range want.classKey {
-		if len(got.classKey[slot]) != len(want.classKey[slot]) {
-			t.Fatalf("%s: slot %d has %d classes, want %d", label, slot, len(got.classKey[slot]), len(want.classKey[slot]))
+	for slot := range indexOf(want).classKey {
+		if len(indexOf(got).classKey[slot]) != len(indexOf(want).classKey[slot]) {
+			t.Fatalf("%s: slot %d has %d classes, want %d", label, slot, len(indexOf(got).classKey[slot]), len(indexOf(want).classKey[slot]))
 		}
-		for c := range want.classKey[slot] {
-			if got.classKey[slot][c] != want.classKey[slot][c] {
+		for c := range indexOf(want).classKey[slot] {
+			if indexOf(got).classKey[slot][c] != indexOf(want).classKey[slot][c] {
 				t.Fatalf("%s: slot %d class %d key differs:\n got %q\nwant %q",
-					label, slot, c, got.classKey[slot][c], want.classKey[slot][c])
+					label, slot, c, indexOf(got).classKey[slot][c], indexOf(want).classKey[slot][c])
 			}
 		}
 		i, m := model.AgentID(slot%want.N), slot/want.N
@@ -67,7 +67,7 @@ func compareSystems(t *testing.T, label string, got, want *System) {
 				t.Fatalf("%s: slot %d run %d class %d, want %d", label, slot, r, g, w)
 			}
 		}
-		for c := range want.classKey[slot] {
+		for c := range indexOf(want).classKey[slot] {
 			gr, wr := got.runsOfClass(i, m, int32(c)), want.runsOfClass(i, m, int32(c))
 			if len(gr) != len(wr) {
 				t.Fatalf("%s: slot %d class %d has %d members, want %d", label, slot, c, len(gr), len(wr))
@@ -171,7 +171,7 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("per-run BuildSystem: %v", err)
 			}
-			if full.unitOf != nil || full.Runs[0].States == nil {
+			if indexOf(full).unitOf != nil || full.Runs[0].States == nil {
 				t.Fatal("the reference build went through the quotient")
 			}
 			wantImpl := checkImplements(t, full, tc.prog, 50)
@@ -198,7 +198,7 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildSystem: %v", err)
 			}
-			if quot.unitOf == nil {
+			if indexOf(quot).unitOf == nil {
 				t.Fatalf("BuildSystem over %s did not go through the quotient", tc.name)
 			}
 			systems["quotient-unsharded"] = quot
@@ -293,9 +293,9 @@ func TestQuotientRequiresKeyPermuter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, BuildSystem%s: %v", name, label, err)
 			}
-			if sys.Quotiented() || sys.unitOf != nil || len(sys.Runs) != scenarios {
+			if sys.Quotiented() || indexOf(sys).unitOf != nil || len(sys.Runs) != scenarios {
 				t.Errorf("%s, BuildSystem%s: %d runs (quotiented %v, layered %v), want %d per-run",
-					name, label, len(sys.Runs), sys.Quotiented(), sys.unitOf != nil, scenarios)
+					name, label, len(sys.Runs), sys.Quotiented(), indexOf(sys).unitOf != nil, scenarios)
 			}
 		}
 		for key, val := range store.m {
@@ -544,7 +544,7 @@ func TestExpandQuotientReportsLowestFailingSlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refuse = rep.classKey[1*rep.N+1][0]
+		refuse = indexOf(rep).classKey[1*rep.N+1][0]
 	}
 	var want string
 	for _, par := range []int{1, 2, 7} {
@@ -691,7 +691,7 @@ func TestLastLayerAllocCeiling(t *testing.T) {
 	}
 	const ceiling = 225 // bytes per run
 	sys := fipN4Expander(t)()
-	if per := bytesPerRun(sys.lastLayer); per > ceiling {
+	if per := bytesPerRun(indexOf(sys).lastLayer); per > ceiling {
 		t.Errorf("the last layer's first read allocates %.1f bytes per run, ceiling %d", per, ceiling)
 	}
 }

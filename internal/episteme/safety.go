@@ -101,33 +101,34 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 		return nil, err
 	}
 
-	// The clause instances at agent i of a row. Clause (1): no 0-chain
-	// received by (r,m) → some indistinguishable point lies in an all-1
-	// run; at time Horizon a row is a run, and the class table is read
-	// first. Clause (2): i cannot rule out a 0-decision, has not decided
-	// before round m+1 and does not know it is faulty; deciding_j is
-	// undefined beyond the trace.
-	clauses := func(i model.AgentID, m, row int) (one, two bool) {
+	// The clause instances at agent i of a row, at its first run q.
+	// Clause (1): no 0-chain received by (r,m) → some indistinguishable
+	// point lies in an all-1 run; at time Horizon a row is a run. Clause
+	// (2): i cannot rule out a 0-decision, has not decided before round m+1
+	// and does not know it is faulty; deciding_j is undefined beyond the
+	// trace.
+	classOf := s.classTables(s.Horizon)
+	clauses := func(i model.AgentID, m, row int, q Point) (one, two bool) {
 		slot := s.slot(i, m)
-		c, run := s.classOf[slot][row], s.rowRun(m, row)
-		one = !allOnes[slot][c] && !s.receivedChainBy(i, run, m)
+		c := classOf[slot][row]
+		one = !allOnes[slot][c] && !s.receivedChainBy(i, q.Run, m)
 		if m < s.Horizon {
-			res := s.Runs[run].Result
+			res := s.Runs[q.Run].Result
 			decidedBefore := res.Round(i) != 0 && res.Round(i) <= m
-			two = !decidedBefore && someDeciding0[slot][c] && !witness[slot][c] && !s.knowsFaulty(i, m, c)
+			two = !decidedBefore && someDeciding0[slot][c] && !witness[slot][c] && !s.knowsFaulty(i, q)
 		}
 		return one, two
 	}
 	rp := report{max: max}
-	err = s.screen(ctx, s.Horizon, func(m, row int) (bad uint64) {
+	err = s.screen(ctx, s.Horizon, func(m, row int, q Point, _ uint64) (bad uint64) {
 		for i := 0; i < s.N; i++ {
-			if one, two := clauses(model.AgentID(i), m, row); one || two {
+			if one, two := clauses(model.AgentID(i), m, row, q); one || two {
 				bad |= 1 << uint(i)
 			}
 		}
 		return bad
-	}, func(i model.AgentID, m, run, row int) {
-		one, two := clauses(i, m, row)
+	}, func(i model.AgentID, m, run, row, first int) {
+		one, two := clauses(i, m, row, Point{Run: first, Time: m})
 		if one && rp.keep() {
 			rp.lines = append(rp.lines, fmt.Sprintf("clause 1: run %d time %d agent %d", run, m, i))
 		}
@@ -141,14 +142,8 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 	return rp.done(), nil
 }
 
-// knowsFaulty reports K_i(i ∉ N) in agent i's time-m class c: every row
-// of the class has i faulty.
-func (s *System) knowsFaulty(i model.AgentID, m int, c int32) bool {
-	faulty := s.faultyMasks(m)
-	for _, row := range s.rowsOfClass(i, m, c) {
-		if !faultyAt(faulty[row], i) {
-			return false
-		}
-	}
-	return true
+// knowsFaulty reports K_i(i ∉ N) at p: every row of i's class has i faulty.
+func (s *System) knowsFaulty(i model.AgentID, p Point) bool {
+	faulty := s.frame.faulty(p.Time)
+	return s.everyRow(i, p, func(row int) bool { return faultyAt(faulty[row], i) })
 }

@@ -161,8 +161,9 @@ func exportShardIndex(sys *System, shardIndex, shardCount int) (*ShardIndex, err
 			return nil, err
 		}
 	}
-	sys.lastLayer()
-	idx.ClassKeys, idx.ClassOf = sys.classKey, sys.classOf
+	x := sys.frame.(*indexFrame) // every build's frame; exported whole
+	x.lastLayer()
+	idx.ClassKeys, idx.ClassOf = x.classKey, x.classOf
 	return idx, nil
 }
 
@@ -543,7 +544,7 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 	// its shard-local class, so (shard, local class) is the memo code, and
 	// a merged slot has at least its largest shard's classes.
 	sys := &System{N: n, T: ref.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}
-	return sys.indexed(ctx, func(slot int) slotRows {
+	return sys.indexed(ctx, &indexFrame{}, func(slot int) slotRows {
 		stride := 0
 		for _, idx := range byShard {
 			stride = max(stride, len(idx.ClassKeys[slot]))

@@ -38,19 +38,19 @@ func buildMerged(t *testing.T, c Context, act model.ActionProtocol, k int) *Syst
 // runs of every class, read through the accessors so that a time-layered
 // system renders as the per-run system it stands for.
 func indexFingerprint(sys *System) string {
-	sys.lastLayer()
+	indexOf(sys).lastLayer()
 	var b strings.Builder
-	for slot := range sys.classKey {
+	for slot := range indexOf(sys).classKey {
 		i, m := model.AgentID(slot%sys.N), slot/sys.N
 		of := make([]int32, len(sys.Runs))
 		for r := range of {
 			of[r] = sys.classAt(i, m, r)
 		}
-		runs := make([][]int, len(sys.classKey[slot]))
+		runs := make([][]int, len(indexOf(sys).classKey[slot]))
 		for c := range runs {
 			runs[c] = sys.runsOfClass(i, m, int32(c))
 		}
-		fmt.Fprintf(&b, "slot %d keys=%q\n", slot, sys.classKey[slot])
+		fmt.Fprintf(&b, "slot %d keys=%q\n", slot, indexOf(sys).classKey[slot])
 		fmt.Fprintf(&b, "slot %d of=%v runs=%v\n", slot, of, runs)
 	}
 	return b.String()
@@ -399,8 +399,8 @@ func TestPointQueriesRefuseQuotientedSystem(t *testing.T) {
 	if !sys.Quotiented() {
 		t.Fatal("fip n=3 stripes are not quotiented")
 	}
-	sys.lastLayer()
-	for slot, ms := range sys.classRuns {
+	indexOf(sys).lastLayer()
+	for slot, ms := range indexOf(sys).classRuns {
 		if ms.rows != nil || ms.off != nil {
 			t.Fatalf("slot %d of a quotiented system packs member lists", slot)
 		}

@@ -101,20 +101,20 @@ func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*
 
 // synthesizeSlice evaluates the program once per (agent, class) of the
 // time-m slots — for m ≥ 1 the build's last layer, interned on first read
-// (readSlot) — and records the actions in table: phase A's past-determined
-// guards first, then the decide-1 guard against phase A's decide-0
-// resolutions.
+// — and records the actions in table: phase A's past-determined guards
+// first, then the decide-1 guard against phase A's decide-0 resolutions.
 func (s *System) synthesizeSlice(ctx context.Context, prog Program, m int, table map[string]model.Action) error {
 	acts := make([][]model.Action, s.N)
 	determined := make([][]bool, s.N)
 	classes := func(i int, fn func(id model.AgentID, c int, p Point)) error {
 		id := model.AgentID(i)
-		return s.parallel(ctx, s.classCount(id, m), func(c int) {
-			fn(id, c, Point{Run: s.rowRun(m, int(s.rowsOfClass(id, m, int32(c))[0])), Time: m})
+		ms, firsts := s.frame.members(s.slot(id, m)), s.frame.firstRuns(m)
+		return s.parallel(ctx, len(acts[i]), func(c int) {
+			fn(id, c, Point{Run: int(firsts[ms.of(int32(c))[0]]), Time: m})
 		})
 	}
 	for i := range acts {
-		acts[i] = make([]model.Action, s.classCount(model.AgentID(i), m))
+		acts[i] = make([]model.Action, len(s.frame.keys(s.slot(model.AgentID(i), m))))
 		determined[i] = make([]bool, len(acts[i]))
 		if err := classes(i, func(id model.AgentID, c int, p Point) {
 			acts[i][c], determined[i][c] = s.kbpPhaseA(prog, id, p)
@@ -136,7 +136,7 @@ func (s *System) synthesizeSlice(ctx context.Context, prog Program, m int, table
 		}
 	}
 	for i, row := range acts {
-		for c, key := range s.classKey[s.readSlot(model.AgentID(i), m)] {
+		for c, key := range s.frame.keys(s.slot(model.AgentID(i), m)) {
 			table[synthKey(model.AgentID(i), key)] = row[c]
 		}
 	}

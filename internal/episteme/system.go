@@ -22,20 +22,22 @@
 //   - Enumeration: runs stream from internal/source's pattern × inits
 //     product through core.Runner.RunSource — the same worker pool,
 //     cancellation, and ordering machinery every other sweep in the
-//     repository uses. Action decisions are memoized per local state
-//     across runs, so the thousands of runs that revisit a state pay for
-//     its analysis once. Over an exchange with model.KeyPermuter (Efip,
-//     Emin, Ebasic) only one run per agent-permutation orbit is executed
-//     and the rest are rebuilt by relabeling (quotient.go); the builders
-//     decide.
+//     repository uses. Rounds are memoized per state vector across runs
+//     (exec.go): the runs that reach one vector share its node, whose
+//     actions are chosen once. Over an exchange with model.KeyPermuter
+//     (Efip, Emin, Ebasic) only one run per agent-permutation orbit is
+//     executed and the rest are rebuilt by relabeling (quotient.go); the
+//     builders decide.
 //   - Representation: local states are interned into dense class ids per
 //     (time, agent) slot at index-build time; every knowledge query after
 //     that is integer indexing, never string hashing. Index slots are
-//     built in parallel. A system expanded from the symmetry quotient is
-//     time-layered: before the horizon its index has one row per prefix
-//     unit — the runs that differ only in the last round's omissions,
-//     which nothing before time Horizon can depend on — instead of one
-//     per run (System, "Rows").
+//     built in parallel. The tables form the system's Kripke frame, the
+//     one structure the checkers read (index.go, frame). A system
+//     expanded from the symmetry quotient is time-layered: before the
+//     horizon its frame has one row per prefix unit — the runs that
+//     differ only in the last round's omissions, which nothing before
+//     time Horizon can depend on — instead of one per run (indexFrame,
+//     "Rows").
 //   - Evaluation: a System is safe for concurrent use, per-time C_N
 //     condensations build concurrently — each folding P1's
 //     common-knowledge guard once per component as it is built — and the
@@ -270,53 +272,12 @@ type System struct {
 	// par is the checker worker count (resolved, >= 1).
 	par int
 
-	// Rows. unitOf, when non-nil, marks a time-layered system (only
-	// ExpandQuotient builds one): unitOf[run] is the run's prefix unit —
-	// the runs sharing its initial vector, faulty set and every drop sent
-	// before the last round. The context is synchronous and the engine
-	// deterministic, so a unit's runs share every local state at every time
-	// < Horizon and the whole ledger (Inits, Decision, DecisionRound,
-	// Actions — the last recorded action is taken on a time-(Horizon−1)
-	// state); only their time-Horizon states differ. Units are numbered by
-	// first appearance in run order: unitFirst[u] is unit u's lowest run,
-	// unitRuns.of(u) its runs, ascending. The index slots of times < Horizon
-	// of a layered system have one row per unit instead of one per run;
-	// everywhere else — the last time slice, and every slot of a system
-	// with unitOf nil — a row is a run. layered, rowOf and rowRun are the
-	// whole of that knowledge; docs/architecture.md, "Time-layered
-	// expansion: prefix units". The time-Horizon slots, the one slice whose
-	// rows are runs in every system, are interned on first read (lastLayer).
-	unitOf    []int32
-	unitFirst []int32
-	unitRuns  members
-
-	// Interned local-state index. A slot is a (time, agent) pair,
-	// slot = m*N + i; within a slot, rows carrying the same local state
-	// form a class identified by a dense int:
-	//
-	//	classOf[slot][row]    → the row's class id in the slot
-	//	classRuns[slot].of(c) → the rows of class c, ascending
-	//	classKey[slot][c]     → the class's local-state key
-	//
-	// Class ids are by first appearance in run order either way: a class's
-	// first run is always its unit's first run. The time-Horizon slots are
-	// nil until lastLayer interns them from the producer's lastRows.
-	classOf   [][]int32
-	classRuns []members
-	classKey  [][]string
-	lastOnce  sync.Once
-	lastRows  func(slot int) slotRows
+	frame frame // rows and classes: all the checkers read of the index
 
 	// cn lazily caches the per-time condensations of the C_N
 	// accessibility graph; cnMu guards the map, each slot builds once.
 	cnMu sync.Mutex
 	cn   map[int]*cnSlot
-
-	// runFaulty and unitFaulty hold every row's faulty set as a bitmask
-	// over agents, per run and per unit, each filled on first use
-	// (faultyMasks): the C_N graph walk and the guard fold read it once per
-	// edge, where Runs[r].Pattern is a pointer chase.
-	runFaulty, unitFaulty faultyTable
 }
 
 // Quotiented reports whether the system's runs are symmetry-orbit
@@ -479,7 +440,7 @@ func (s *System) buildIndex(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	_, err = s.indexed(ctx, func(slot int) slotRows {
+	_, err = s.indexed(ctx, &indexFrame{}, func(slot int) slotRows {
 		m, i := slot/n, slot%n
 		groups := rowOf[m]
 		return slotRows{
@@ -496,81 +457,37 @@ func (s *System) buildIndex(ctx context.Context) error {
 // slot returns the index slot of agent i at time m.
 func (s *System) slot(i model.AgentID, m int) int { return m*s.N + int(i) }
 
-// readSlot is slot for a reader of the index: at time Horizon it interns
-// the last layer first.
-func (s *System) readSlot(i model.AgentID, m int) int {
-	if m == s.Horizon {
-		s.lastLayer()
-	}
-	return s.slot(i, m)
-}
-
-// layered reports whether the time-m index slots have one row per prefix
-// unit rather than one per run.
-func (s *System) layered(m int) bool { return s.unitOf != nil && m < s.Horizon }
-
-// rowCount returns the number of index rows at time m.
-func (s *System) rowCount(m int) int {
-	if s.layered(m) {
-		return len(s.unitFirst)
-	}
-	return len(s.Runs)
-}
-
-// rowOf returns the time-m index row of a run.
-func (s *System) rowOf(m, run int) int {
-	if s.layered(m) {
-		return int(s.unitOf[run])
-	}
-	return run
-}
-
-// rowRun returns the lowest run of a time-m index row. A predicate that
-// reads only a run's ledger, faulty set and states before the horizon —
-// all that the knowledge-based programs and the C_N guard ask about —
-// holds at a row's first run iff it holds at all of its runs.
-func (s *System) rowRun(m, row int) int {
-	if s.layered(m) {
-		return int(s.unitFirst[row])
-	}
-	return row
-}
-
 // classAt returns the dense class id of agent i's local state at (run, m).
 func (s *System) classAt(i model.AgentID, m, run int) int32 {
-	return s.classOf[s.readSlot(i, m)][s.rowOf(m, run)]
-}
-
-// classCount returns the number of classes in agent i's time-m slot.
-func (s *System) classCount(i model.AgentID, m int) int {
-	return len(s.classKey[s.readSlot(i, m)])
-}
-
-// rowsOfClass returns the rows of class c in agent i's time-m slot,
-// ascending. The returned slice is shared; do not mutate.
-func (s *System) rowsOfClass(i model.AgentID, m int, c int32) []int32 {
-	return s.classRuns[s.readSlot(i, m)].of(c)
+	return s.frame.classes(s.slot(i, m))[s.frame.runRows(m)[run]]
 }
 
 // Key returns agent i's local-state key at point p, from the index:
 // merged, cached and expanded Systems carry no state traces.
 func (s *System) Key(i model.AgentID, p Point) string {
-	if s.classKey == nil {
-		return string(s.Runs[p.Run].States[p.Time][i].AppendKey(nil))
+	return s.frame.keys(s.slot(i, p.Time))[s.classAt(i, p.Time, p.Run)]
+}
+
+// runsOfRows returns the runs of the given time-m rows, row by row.
+func (s *System) runsOfRows(m int, rows []int32) []int {
+	rowRuns, size := s.frame.rowRuns(m), 0
+	for _, row := range rows {
+		size += len(rowRuns.of(row))
 	}
-	return s.classKey[s.readSlot(i, p.Time)][s.classAt(i, p.Time, p.Run)]
+	out := make([]int, 0, size)
+	for _, row := range rows {
+		for _, r := range rowRuns.of(row) {
+			out = append(out, int(r))
+		}
+	}
+	return out
 }
 
 // runsOfClass returns the runs of class c in agent i's time-m slot,
 // ascending.
 func (s *System) runsOfClass(i model.AgentID, m int, c int32) []int {
-	slot := s.readSlot(i, m)
-	if !s.layered(m) {
-		return concat(s.classRuns[slot], []int32{c})
-	}
-	// Units interleave in run order: their concatenation needs sorting.
-	runs := concat(s.unitRuns, s.classRuns[slot].of(c))
-	slices.Sort(runs)
+	runs := s.runsOfRows(m, s.frame.members(s.slot(i, m)).of(c))
+	slices.Sort(runs) // the runs of several rows interleave
 	return runs
 }
 
@@ -586,39 +503,38 @@ func (s *System) Class(i model.AgentID, p Point) []Point {
 	return out
 }
 
-// Knows evaluates K_i φ at p: φ holds at every point i cannot distinguish
-// from p. φ may be any function of the point, so on a layered slot every
-// run of every unit of the class is asked.
-func (s *System) Knows(i model.AgentID, p Point, phi func(Point) bool) bool {
-	s.mustCheckable()
-	rows := s.rowsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run))
-	if !s.layered(p.Time) {
-		for _, r := range rows {
-			if !phi(Point{Run: int(r), Time: p.Time}) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, u := range rows {
-		for _, r := range s.unitRuns.of(u) {
-			if !phi(Point{Run: int(r), Time: p.Time}) {
-				return false
-			}
+// everyRow reports whether holds is true at every row of agent i's class
+// at p: K_i of a row function.
+func (s *System) everyRow(i model.AgentID, p Point, holds func(row int) bool) bool {
+	for _, row := range s.frame.members(s.slot(i, p.Time)).of(s.classAt(i, p.Time, p.Run)) {
+		if !holds(int(row)) {
+			return false
 		}
 	}
 	return true
 }
 
-// knowsOfRows evaluates K_i φ at p for a φ that is constant on a row (see
-// rowRun): one question per row of the class, put to the row's first run.
-func (s *System) knowsOfRows(i model.AgentID, p Point, phi func(Point) bool) bool {
-	for _, row := range s.rowsOfClass(i, p.Time, s.classAt(i, p.Time, p.Run)) {
-		if !phi(Point{Run: s.rowRun(p.Time, int(row)), Time: p.Time}) {
-			return false
+// Knows evaluates K_i φ at p: φ holds at every point i cannot distinguish
+// from p. φ may be any function of the point, so every run of every row
+// of the class is asked.
+func (s *System) Knows(i model.AgentID, p Point, phi func(Point) bool) bool {
+	s.mustCheckable()
+	rowRuns := s.frame.rowRuns(p.Time)
+	return s.everyRow(i, p, func(row int) bool {
+		for _, r := range rowRuns.of(int32(row)) {
+			if !phi(Point{Run: int(r), Time: p.Time}) {
+				return false
+			}
 		}
-	}
-	return true
+		return true
+	})
+}
+
+// knowsOfRows evaluates K_i φ at p for a row function φ: one question per
+// row of the class, put to the row's first run.
+func (s *System) knowsOfRows(i model.AgentID, p Point, phi func(Point) bool) bool {
+	firsts := s.frame.firstRuns(p.Time)
+	return s.everyRow(i, p, func(row int) bool { return phi(Point{Run: int(firsts[row]), Time: p.Time}) })
 }
 
 // foldClasses evaluates pred once at every row of time ≤ maxTime for
@@ -629,30 +545,25 @@ func (s *System) knowsOfRows(i model.AgentID, p Point, phi func(Point) bool) boo
 // the number of points: a condition on agent i's class is computed in one
 // pass over the rows and then read per point, never re-derived by
 // scanning the class from each of its members. pred is asked at each
-// row's first run (rowRun) and given the row's faulty set as a mask, so
-// it must be a row function: it may read the ledger, the faulty set and
-// the states before the horizon (at time Horizon rows are runs). Slots
-// fold in parallel; passing the previous result back as tables reuses its
-// storage.
+// row's first run and given the row's faulty set as a mask, so it must be
+// a row function (frame). Slots fold in parallel; passing the previous
+// result back as tables reuses its storage.
 func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, exists bool, pred func(i model.AgentID, q Point, faulty uint64) bool) ([][]bool, error) {
 	nSlots := (maxTime + 1) * s.N
 	if tables == nil {
 		tables = make([][]bool, nSlots)
 	}
-	if maxTime >= s.Horizon {
-		s.lastLayer()
-	}
 	err := s.parallel(ctx, nSlots, func(slot int) {
 		i, m := model.AgentID(slot%s.N), slot/s.N
 		if tables[slot] == nil {
-			tables[slot] = make([]bool, s.classCount(i, m))
+			tables[slot] = make([]bool, len(s.frame.keys(slot)))
 		}
-		table, faulty := tables[slot], s.faultyMasks(m)
+		table, firsts, faulty := tables[slot], s.frame.firstRuns(m), s.frame.faulty(m)
 		for c := range table {
 			table[c] = !exists
 		}
-		for row, c := range s.classOf[slot] {
-			if table[c] != exists && pred(i, Point{Run: s.rowRun(m, row), Time: m}, faulty[row]) == exists {
+		for row, c := range s.frame.classes(slot) {
+			if table[c] != exists && pred(i, Point{Run: int(firsts[row]), Time: m}, faulty[row]) == exists {
 				table[c] = exists
 			}
 		}
@@ -660,37 +571,49 @@ func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, 
 	return tables, err
 }
 
+// classTables returns each slot's classes of rows, times ≤ maxTime.
+func (s *System) classTables(maxTime int) [][]int32 {
+	tabs := make([][]int32, (maxTime+1)*s.N)
+	for slot := range tabs {
+		tabs[slot] = s.frame.classes(slot)
+	}
+	return tabs
+}
+
 // faultyAt reports whether agent i is in the faulty set mask.
 func faultyAt(mask uint64, i model.AgentID) bool { return mask>>uint(i)&1 != 0 }
 
 // screen asks fails once per row of every time ≤ maxTime, on the worker
 // pool, for the agents (bit i for agent i) at which the row fails — a row
-// function (see foldClasses) — then calls add at every point so marked,
-// in the canonical (run, time, agent) order, with the point's row.
-func (s *System) screen(ctx context.Context, maxTime int, fails func(m, row int) uint64, add func(i model.AgentID, m, run, row int)) error {
+// function, asked at the row's first run with the row's faulty set — then
+// calls add at every point so marked, in the canonical (run, time, agent)
+// order, with the point's row and the row's first run.
+func (s *System) screen(ctx context.Context, maxTime int, fails func(m, row int, q Point, faulty uint64) uint64, add func(i model.AgentID, m, run, row, first int)) error {
 	const chunk = 1024
-	bad := make([][]uint64, maxTime+1)
+	bad, rowOf, firstOf := make([][]uint64, maxTime+1), make([][]int32, maxTime+1), make([][]int32, maxTime+1)
 	var marked []int // the times with a failing row
 	for m := range bad {
-		bad[m] = make([]uint64, s.rowCount(m))
+		firsts, faulty := s.frame.firstRuns(m), s.frame.faulty(m)
+		bad[m] = make([]uint64, len(firsts))
 		err := s.parallel(ctx, (len(bad[m])+chunk-1)/chunk, func(k int) {
 			rows := bad[m][k*chunk : min(k*chunk+chunk, len(bad[m]))]
 			for j := range rows {
-				rows[j] = fails(m, k*chunk+j)
+				row := k*chunk + j
+				rows[j] = fails(m, row, Point{Run: int(firsts[row]), Time: m}, faulty[row])
 			}
 		})
 		if err != nil {
 			return err
 		}
 		if slices.ContainsFunc(bad[m], func(b uint64) bool { return b != 0 }) {
-			marked = append(marked, m)
+			marked, rowOf[m], firstOf[m] = append(marked, m), s.frame.runRows(m), firsts
 		}
 	}
 	for r := 0; r < len(s.Runs) && len(marked) > 0; r++ {
 		for _, m := range marked {
-			row := s.rowOf(m, r)
+			row := int(rowOf[m][r])
 			for mask := bad[m][row]; mask != 0; mask &= mask - 1 {
-				add(model.AgentID(bits.TrailingZeros64(mask)), m, r, row)
+				add(model.AgentID(bits.TrailingZeros64(mask)), m, r, row, int(firstOf[m][row]))
 			}
 		}
 	}

@@ -44,7 +44,7 @@ type pointDiffer struct {
 }
 
 func newPointDiffer(t *testing.T, label string, got, want *System) *pointDiffer {
-	if got.unitOf == nil || want.unitOf != nil {
+	if indexOf(got).unitOf == nil || indexOf(want).unitOf != nil {
 		t.Fatalf("%s: want a layered system against a per-run one", label)
 	}
 	return &pointDiffer{
@@ -52,7 +52,7 @@ func newPointDiffer(t *testing.T, label string, got, want *System) *pointDiffer 
 		// "q is the lowest run of its prefix unit" depends on the run
 		// ordinal alone, and is false exactly at the runs an evaluator that
 		// asked each unit's first run only would never ask.
-		firstOfUnit: func(q Point) bool { return int(got.unitFirst[got.unitOf[q.Run]]) == q.Run },
+		firstOfUnit: func(q Point) bool { return int(indexOf(got).unitFirst[indexOf(got).unitOf[q.Run]]) == q.Run },
 		reachSame:   make(map[[2]*int]bool),
 	}
 }
@@ -180,7 +180,7 @@ func TestLayeredSystemAnswersLikeDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if units := len(got.unitFirst); units >= len(got.Runs) || (tc.units != 0 && units != tc.units) {
+			if units := len(indexOf(got).unitFirst); units >= len(got.Runs) || (tc.units != 0 && units != tc.units) {
 				t.Fatalf("%d units for %d runs, want %d (0: fewer than runs)", units, len(got.Runs), tc.units)
 			}
 			compareSystems(t, tc.name, got, want)
@@ -218,7 +218,7 @@ func TestLayeredVerdictsListSameRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if direct.unitOf != nil {
+		if indexOf(direct).unitOf != nil {
 			t.Fatal("the reference build went through the quotient")
 		}
 		for _, par := range []int{1, 2, 7} {
@@ -364,8 +364,8 @@ func TestExpandedRunsShareUnitLedgers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.unitOf == nil || len(got.Runs) != len(want.Runs) {
-					t.Fatalf("expanded %d runs (layered %v), the per-run build %d", len(got.Runs), got.unitOf != nil, len(want.Runs))
+				if indexOf(got).unitOf == nil || len(got.Runs) != len(want.Runs) {
+					t.Fatalf("expanded %d runs (layered %v), the per-run build %d", len(got.Runs), indexOf(got).unitOf != nil, len(want.Runs))
 				}
 				// The units as the per-run build's scenarios define them.
 				unitOfPrefix := make(map[string]int)
@@ -388,17 +388,17 @@ func TestExpandedRunsShareUnitLedgers(t *testing.T) {
 						u = len(unitOfPrefix)
 						unitOfPrefix[string(key)] = u
 					}
-					if int(got.unitOf[g]) != u {
-						t.Fatalf("run %d is in unit %d, its prefix in unit %d", g, got.unitOf[g], u)
+					if int(indexOf(got).unitOf[g]) != u {
+						t.Fatalf("run %d is in unit %d, its prefix in unit %d", g, indexOf(got).unitOf[g], u)
 					}
-					if first := got.Runs[got.unitFirst[u]].Result; run.Result != first {
-						t.Fatalf("run %d holds ledger %p, its unit's first run %d holds %p", g, run.Result, got.unitFirst[u], first)
+					if first := got.Runs[indexOf(got).unitFirst[u]].Result; run.Result != first {
+						t.Fatalf("run %d holds ledger %p, its unit's first run %d holds %p", g, run.Result, indexOf(got).unitFirst[u], first)
 					}
 				}
 				units := len(unitOfPrefix)
-				if len(got.unitFirst) != units || (cell.units != 0 && units != cell.units) {
+				if len(indexOf(got).unitFirst) != units || (cell.units != 0 && units != cell.units) {
 					t.Fatalf("%d units in the system, %d prefix units in the sweep; want %d (0: not pinned)",
-						len(got.unitFirst), units, cell.units)
+						len(indexOf(got).unitFirst), units, cell.units)
 				}
 				ledgerOf := make(map[string]*engine.Result)
 				for g, run := range got.Runs {

@@ -37,12 +37,13 @@ func (s *System) BoxComponents(member func(q Point, faulty uint64) uint64) []int
 			parent[ra] = rb
 		}
 	}
-	firsts0, rows0, faulty0 := s.frame.firstRuns(0), s.frame.runRows(0), s.frame.faulty(0)
-	masks := make([]uint64, len(firsts0)) // the time-0 rows' members at time m
+	l0, faulty0 := s.frame.layout(0), s.frame.faulty(0)
+	masks := make([]uint64, l0.n) // the time-0 rows' members at time m
+	joined := make([]bool, l0.n)  // the time-0 rows whose runs are one component
 	classOf, first := make([][]int32, s.N), make([][]int, s.N)
 	for m := 0; m <= s.Horizon; m++ {
-		for row, r := range firsts0 {
-			masks[row] = member(Point{Run: int(r), Time: m}, faulty0[row])
+		for row := range masks {
+			masks[row] = member(Point{Run: l0.first(row), Time: m}, faulty0[row])
 		}
 		// first[i][c] is the first S-member run seen in agent i's class c,
 		// plus one: 0 is none yet.
@@ -50,21 +51,26 @@ func (s *System) BoxComponents(member func(q Point, faulty uint64) uint64) []int
 			slot := s.slot(model.AgentID(i), m)
 			classOf[i], first[i] = s.frame.classes(slot), make([]int, len(s.frame.keys(slot)))
 		}
-		rowRuns := s.frame.rowRuns(m)
-		for row, run := range s.frame.firstRuns(m) {
-			mask := masks[rows0[run]]
+		l := s.frame.layout(m)
+		for row := range l.n {
+			run := l.first(row)
+			row0 := l0.row(run)
+			mask := masks[row0]
 			if mask == 0 {
 				continue
 			}
-			for _, r := range rowRuns.of(int32(row))[1:] {
-				union(int(r), int(run))
+			// A row's runs lie in one time-0 row; once that row is joined,
+			// joining them again would change nothing.
+			if !joined[row0] {
+				l.each(row, func(r int) bool { union(r, run); return true })
+				joined[row0] = l == l0 // the time-m rows are the time-0 rows
 			}
 			for ; mask != 0; mask &= mask - 1 {
 				i := bits.TrailingZeros64(mask)
 				if c := classOf[i][row]; first[i][c] == 0 {
-					first[i][c] = int(run) + 1
+					first[i][c] = run + 1
 				} else {
-					union(first[i][c]-1, int(run))
+					union(first[i][c]-1, run)
 				}
 			}
 		}

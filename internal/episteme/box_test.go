@@ -88,7 +88,7 @@ func TestMemberNAndDecided(t *testing.T) {
 	sys := buildFIP(t, 3, 1, 0)
 	members := sys.memberNAndDecided(model.One)
 	member := func(i model.AgentID, p Point) bool {
-		return members(p, sys.frame.faulty(p.Time)[sys.frame.runRows(p.Time)[p.Run]])>>uint(i)&1 != 0
+		return members(p, sys.frame.faulty(p.Time)[sys.frame.layout(p.Time).row(p.Run)])>>uint(i)&1 != 0
 	}
 	// In the all-1 failure-free run, agents decide 1 in round 2 (time 1):
 	// members from time 0 ("about to decide") onward... the set includes

@@ -114,8 +114,8 @@ func (g *cnGraph) members(v int32) []int32 {
 // common-knowledge guard over the condensation.
 func (s *System) buildCNLayer(m int) *cnLayer {
 	n := s.N
-	firsts := s.frame.firstRuns(m)
-	runs := len(firsts)
+	l := s.frame.layout(m)
+	runs := l.n
 	g := &cnGraph{
 		n: n, runs: runs,
 		base:      make([]int32, n+1),
@@ -214,7 +214,7 @@ func (s *System) buildCNLayer(m int) *cnLayer {
 	// throughout".)
 	for r, c := range layer.comp {
 		if ck0[c] || ck1[c] {
-			b := s.guardBody(int(firsts[r]), m, g.faulty[r])
+			b := s.guardBody(l.first(r), m, g.faulty[r])
 			ck0[c] = ck0[c] && b[0]
 			ck1[c] = ck1[c] && b[1]
 		}
@@ -380,7 +380,7 @@ func (l *cnLayer) computeReach(src int32) []int32 {
 func (s *System) CNReachable(p Point) []int {
 	s.mustCheckable()
 	layer := s.cnLayerAt(p.Time)
-	src := layer.comp[s.frame.runRows(p.Time)[p.Run]]
+	src := layer.comp[s.frame.layout(p.Time).row(p.Run)]
 	layer.mu.RLock()
 	out, ok := layer.reach[src]
 	layer.mu.RUnlock()
@@ -407,7 +407,7 @@ func (s *System) CNReachable(p Point) []int {
 // per component, so this is two index reads.
 func (s *System) CKTFaulty(q Point, v model.Value) bool {
 	layer := s.cnLayerAt(q.Time)
-	return layer.ck[v][layer.comp[s.frame.runRows(q.Time)[q.Run]]]
+	return layer.ck[v][layer.comp[s.frame.layout(q.Time).row(q.Run)]]
 }
 
 // KnowsCK evaluates K_i(C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v)) at p:

@@ -325,7 +325,7 @@ func TestSynthesizeQuotientMatchesPerRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		quoSys, runSys := build(t, tc.c, quoSynth), build(t, perRunContext(tc.c), runSynth)
-		if indexOf(quoSys).unitOf == nil || indexOf(runSys).unitOf != nil {
+		if indexOf(quoSys).units == nil || indexOf(runSys).units != nil {
 			t.Fatalf("%s: the quotiented synthesis is not expanded, or the per-run one is", name)
 		}
 		if !maps.Equal(quoSynth.table, runSynth.table) {

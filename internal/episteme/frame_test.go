@@ -17,7 +17,7 @@ import (
 // with one key → class map per slot, no index kernel and no units. Every
 // row is a run, at every time.
 type naiveFrame struct {
-	ident    []int32  // ident[r] = r, r ≤ len(runs): rows are runs
+	rows     layout   // every row a run
 	masks    []uint64 // run r's faulty set
 	classOf  [][]int32
 	lists    []members
@@ -25,10 +25,7 @@ type naiveFrame struct {
 }
 
 func newNaiveFrame(ref *System) *naiveFrame {
-	f := &naiveFrame{ident: make([]int32, len(ref.Runs)+1), masks: make([]uint64, len(ref.Runs))}
-	for r := range f.ident {
-		f.ident[r] = int32(r)
-	}
+	f := &naiveFrame{rows: layout{n: len(ref.Runs)}, masks: make([]uint64, len(ref.Runs))}
 	for r := range ref.Runs {
 		f.masks[r] = oracleFaultyMask(ref, r)
 	}
@@ -60,9 +57,7 @@ func newNaiveFrame(ref *System) *naiveFrame {
 	return f
 }
 
-func (f *naiveFrame) firstRuns(int) []int32    { return f.ident[:len(f.masks)] }
-func (f *naiveFrame) runRows(int) []int32      { return f.ident[:len(f.masks)] }
-func (f *naiveFrame) rowRuns(int) members      { return members{rows: f.ident[:len(f.masks)], off: f.ident} }
+func (f *naiveFrame) layout(int) *layout       { return &f.rows }
 func (f *naiveFrame) faulty(int) []uint64      { return f.masks }
 func (f *naiveFrame) classes(slot int) []int32 { return f.classOf[slot] }
 func (f *naiveFrame) members(slot int) members { return f.lists[slot] }
@@ -174,7 +169,7 @@ func TestCheckersMatchNaiveFrame(t *testing.T) {
 			ref, sys := oracleBuild(t, tc)
 			naive := newNaiveFrame(ref)
 			// Four workers first: they make the production frame's first
-			// reads (last layer, identity table, faulty masks) together.
+			// reads (last layer, faulty masks) together.
 			for _, par := range []int{4, 1} {
 				got, want := frameReport(t, onFrame(sys, sys.frame, par)), frameReport(t, onFrame(ref, naive, par))
 				if !slices.Equal(got, want) {
@@ -183,5 +178,109 @@ func TestCheckersMatchNaiveFrame(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFrameRowsArePrefixUnits holds an expanded system's rows to their
+// definition, for every frame case and SO n=3,t=2: at each time before
+// the horizon a run's row is the first-appearance number of its prefix
+// key and inits bits over the enumeration, at the horizon it is the run
+// itself, and each unit's runs ascend from its first run.
+func TestFrameRowsArePrefixUnits(t *testing.T) {
+	cases := append(frameCases(), oracleCase{name: "min n=3 t=2",
+		c: Context{Exchange: exchange.NewMin(3), T: 2}, act: action.NewMin(2), slow: true})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.slow && (testing.Short() || raceEnabled) {
+				t.Skip("the n=4 and t=2 sweeps take seconds, minutes under the race detector")
+			}
+			sys, err := BuildSystem(context.Background(), tc.c, tc.act, WithParallelism(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := indexOf(sys)
+			if x.units == nil {
+				t.Fatal("the build is not time-layered")
+			}
+			src, err := tc.c.scenarioSource(sys.N, sys.Horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unitOf := make(map[string]int)
+			var firsts []int // each unit's first run, by first appearance
+			var key []byte
+			g := 0
+			for sc, more := src.Next(); more; sc, more = src.Next() {
+				bits, _ := initsBits(sc.Inits)
+				key = fmt.Appendf(sc.Pattern.AppendPrefixKey(key[:0], sys.Horizon-1), "/%d", bits)
+				u, seen := unitOf[string(key)]
+				if !seen {
+					u = len(firsts)
+					unitOf[string(key)] = u
+					firsts = append(firsts, g)
+				}
+				for m := 0; m <= sys.Horizon; m++ {
+					want := u
+					if m == sys.Horizon {
+						want = g
+					}
+					if row := x.layout(m).row(g); row != want {
+						t.Fatalf("run %d time %d: row %d, want %d", g, m, row, want)
+					}
+				}
+				g++
+			}
+			if g != len(sys.Runs) {
+				t.Fatalf("the enumeration has %d scenarios, the system %d runs", g, len(sys.Runs))
+			}
+			l, runs := x.layout(0), 0
+			if l.n != len(firsts) {
+				t.Fatalf("%d units, the enumeration has %d", l.n, len(firsts))
+			}
+			for u := range l.n {
+				prev := -1
+				l.each(u, func(r int) bool {
+					if (prev < 0 && (r != firsts[u] || r != l.first(u))) || (prev >= 0 && r <= prev) || l.row(r) != u {
+						t.Fatalf("unit %d (first run %d, frame's %d) lists run %d after %d, of row %d", u, firsts[u], l.first(u), r, prev, l.row(r))
+					}
+					prev, runs = r, runs+1
+					return true
+				})
+			}
+			if runs != len(sys.Runs) {
+				t.Fatalf("the units list %d runs, the system has %d", runs, len(sys.Runs))
+			}
+		})
+	}
+}
+
+// TestFrameReadsDoNotAllocate pins the served knowledge path's frame reads
+// at zero allocations on an expanded system: Knows, KnowsCK and a row's
+// runs, at every time.
+func TestFrameReadsDoNotAllocate(t *testing.T) {
+	sys, err := BuildSystem(context.Background(), Context{Exchange: exchange.NewFIP(3), T: 1}, action.NewOpt(1), WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if indexOf(sys).units == nil {
+		t.Fatal("the build is not time-layered")
+	}
+	every := func(q Point) bool { return q.Run >= 0 } // asks every run of every row
+	for m := 0; m <= sys.Horizon; m++ {
+		p := Point{Run: len(sys.Runs) - 1, Time: m}
+		l := sys.frame.layout(m)
+		sys.KnowsCK(0, p, model.One) // the time-m C_N layer is built once
+		for _, read := range []struct {
+			name string
+			fn   func()
+		}{
+			{"Knows", func() { sys.Knows(1, p, every) }},
+			{"KnowsCK", func() { sys.KnowsCK(1, p, model.Zero) }},
+			{"a row's runs", func() { l.each(l.row(p.Run), func(r int) bool { return r >= 0 }) }},
+		} {
+			if allocs := testing.AllocsPerRun(50, read.fn); allocs != 0 {
+				t.Errorf("time %d: %s allocates %v times per call", m, read.name, allocs)
+			}
+		}
 	}
 }

@@ -33,13 +33,60 @@ import (
 // business: indexFrame's are prefix units before the horizon of an
 // expanded system and runs everywhere else. Safe for concurrent use.
 type frame interface {
-	firstRuns(m int) []int32  // each time-m row's lowest run
-	runRows(m int) []int32    // each run's time-m row
-	rowRuns(m int) members    // each time-m row's runs, ascending
+	layout(m int) *layout     // how the time-m rows group the runs; do not mutate
 	faulty(m int) []uint64    // each time-m row's faulty set, a mask over agents
 	classes(slot int) []int32 // slot m*N+i's class id of each time-m row
 	members(slot int) members // the slot's member lists: class c's rows, ascending
 	keys(slot int) []string   // the local-state key of each of the slot's classes
+}
+
+// layout is how one time's n rows group a system's runs: with prefix nil
+// a row is a run. Otherwise the rows are an expanded system's prefix units
+// (indexFrame, "Rows"). Its sweep is pattern-major over all 2^shift
+// initial vectors, so run g is pattern g>>shift at vector g mod 2^shift;
+// prefix[p] is pattern p's prefix ordinal by first appearance, pats.of(q)
+// prefix q's patterns, ascending, and unit q·2^shift + v holds q's
+// patterns' runs at vector v, firsts[u] the first. No table is per run,
+// and no read allocates. masks, each row's faulty set, is made on first
+// use (the C_N walk reads it per edge, where a Pattern is a pointer chase).
+type layout struct {
+	n      int
+	prefix []int32
+	pats   members
+	firsts []int32
+	shift  uint
+	once   sync.Once
+	masks  []uint64
+}
+
+// row returns run's row.
+func (l *layout) row(run int) int {
+	if l.prefix == nil {
+		return run
+	}
+	return int(l.prefix[run>>l.shift])<<l.shift | run&(1<<l.shift-1)
+}
+
+// first returns row's lowest run.
+func (l *layout) first(row int) int {
+	if l.prefix == nil {
+		return row
+	}
+	return int(l.firsts[row])
+}
+
+// each calls yield on row's runs in ascending order until it returns
+// false, and reports whether it never did.
+func (l *layout) each(row int, yield func(run int) bool) bool {
+	if l.prefix == nil {
+		return yield(row)
+	}
+	for _, p := range l.pats.of(int32(row >> l.shift)) {
+		if !yield(int(p)<<l.shift | row&(1<<l.shift-1)) {
+			return false
+		}
+	}
+	return true
 }
 
 // indexFrame is the frame every construction builds: the interned index
@@ -47,25 +94,14 @@ type frame interface {
 type indexFrame struct {
 	sys *System // whose runs the rows group
 
-	// Rows. unitOf, when non-nil, marks a time-layered system (only
-	// ExpandQuotient builds one): unitOf[run] is the run's prefix unit —
-	// the runs sharing its initial vector, faulty set and every drop sent
-	// before the last round. The context is synchronous and the engine
-	// deterministic, so a unit's runs share every local state at every time
-	// < Horizon and the whole ledger (Inits, Decision, DecisionRound,
-	// Actions — the last recorded action is taken on a time-(Horizon−1)
-	// state); only their time-Horizon states differ. Units are numbered by
-	// first appearance in run order: unitFirst[u] is unit u's lowest run,
-	// unitRuns.of(u) its runs, ascending. The index slots of times < Horizon
-	// of a layered system have one row per unit instead of one per run;
-	// everywhere else — the last time slice, and every slot of a system
-	// with unitOf nil — a row is a run, and ident (pick) maps rows to runs.
+	// Rows. Before the horizon of a time-layered system (units non-nil;
+	// only ExpandQuotient builds one) a row is a prefix unit: the
+	// runs sharing their initial vector, faulty set and every drop before
+	// the last round, and so every local state before the horizon and the
+	// whole ledger. Everywhere else a row is a run (perRun).
 	// docs/architecture.md, "Time-layered expansion: prefix units".
-	unitOf    []int32
-	unitFirst []int32
-	unitRuns  members
-	identOnce sync.Once
-	ident     []int32
+	units  *layout
+	perRun layout
 
 	// Interned local-state index, per slot = m*N + i:
 	//
@@ -81,68 +117,29 @@ type indexFrame struct {
 	classKey  [][]string
 	lastOnce  sync.Once
 	lastRows  func(slot int) slotRows
-
-	// runFaulty and unitFaulty hold every row's faulty set, per run and per
-	// unit, each filled on first use: the C_N graph walk reads it once per
-	// edge, where Runs[r].Pattern is a pointer chase.
-	runFaulty, unitFaulty faultyTable
 }
 
-// faultyTable is a per-row table of faulty sets, built once.
-type faultyTable struct {
-	once  sync.Once
-	masks []uint64
-}
-
-// layered reports whether the time-m rows are prefix units, not runs.
-func (x *indexFrame) layered(m int) bool { return x.unitOf != nil && m < x.sys.Horizon }
-
-func (x *indexFrame) firstRuns(m int) []int32 { return x.pick(m, x.unitFirst) }
-func (x *indexFrame) runRows(m int) []int32   { return x.pick(m, x.unitOf) }
-
-func (x *indexFrame) rowRuns(m int) members {
-	if x.layered(m) {
-		return x.unitRuns
+func (x *indexFrame) layout(m int) *layout {
+	if x.units != nil && m < x.sys.Horizon {
+		return x.units
 	}
-	runs := x.pick(m, nil) // makes ident first
-	return members{rows: runs, off: x.ident}
-}
-
-// pick returns the unit table units when the time-m rows are units, and
-// the first len(Runs) entries of ident when they are runs. ident[r] = r
-// for r ≤ len(Runs), made on first use, is both the runs and the offsets
-// of one-run member lists.
-func (x *indexFrame) pick(m int, units []int32) []int32 {
-	if x.layered(m) {
-		return units
-	}
-	x.identOnce.Do(func() {
-		x.ident = make([]int32, len(x.sys.Runs)+1)
-		for r := range x.ident {
-			x.ident[r] = int32(r)
-		}
-	})
-	return x.ident[:len(x.sys.Runs)]
+	return &x.perRun
 }
 
 func (x *indexFrame) faulty(m int) []uint64 {
-	tab := &x.runFaulty
-	if x.layered(m) {
-		tab = &x.unitFaulty
-	}
-	tab.once.Do(func() {
-		firsts := x.firstRuns(m)
-		tab.masks = make([]uint64, len(firsts))
-		for row, r := range firsts {
-			pat := x.sys.Runs[r].Pattern
+	l := x.layout(m)
+	l.once.Do(func() {
+		l.masks = make([]uint64, l.n)
+		for row := range l.masks {
+			pat := x.sys.Runs[l.first(row)].Pattern
 			for i := 0; i < x.sys.N; i++ {
 				if pat.Faulty(model.AgentID(i)) {
-					tab.masks[row] |= 1 << uint(i)
+					l.masks[row] |= 1 << uint(i)
 				}
 			}
 		}
 	})
-	return tab.masks
+	return l.masks
 }
 
 func (x *indexFrame) classes(slot int) []int32 { return x.read(slot).classOf[slot] }
@@ -184,7 +181,7 @@ type slotRows struct {
 // the same error at every worker count.
 func (s *System) indexed(ctx context.Context, x *indexFrame, rows func(slot int) slotRows) (*System, error) {
 	nSlots := (s.Horizon + 1) * s.N
-	x.sys = s
+	x.sys, x.perRun.n = s, len(s.Runs)
 	x.classOf = make([][]int32, nSlots)
 	x.classRuns = make([]members, nSlots)
 	x.classKey = make([][]string, nSlots)

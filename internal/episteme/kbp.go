@@ -189,11 +189,15 @@ func (s *System) mismatches(ctx context.Context, maxMismatches int, want func(i 
 	// first occurrence, since rows ascend with their first runs. A state is
 	// its slot and class there: a key names its time (conformance
 	// convention 10), so no agent meets one state in two slots.
-	var items []implItem
-	for slot := 0; slot < s.Horizon*s.N; slot++ {
-		m, ms, firsts := slot/s.N, s.frame.members(slot), s.frame.firstRuns(slot/s.N)
+	size := 0
+	for slot := range s.Horizon * s.N {
+		size += len(s.frame.keys(slot))
+	}
+	items := make([]implItem, 0, size)
+	for slot := range s.Horizon * s.N {
+		m, ms, l := slot/s.N, s.frame.members(slot), s.frame.layout(slot/s.N)
 		for c := range len(s.frame.keys(slot)) {
-			items = append(items, implItem{agent: model.AgentID(slot % s.N), run: int(firsts[ms.of(int32(c))[0]]), time: m})
+			items = append(items, implItem{agent: model.AgentID(slot % s.N), run: l.first(int(ms.of(int32(c))[0])), time: m})
 		}
 	}
 

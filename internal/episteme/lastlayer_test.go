@@ -197,7 +197,7 @@ func TestExpandQuotientSameAtEveryParallelism(t *testing.T) {
 			want = sys
 		} else {
 			compareSystems(t, fmt.Sprintf("parallelism %d", par), sys, want)
-			if !slices.Equal(indexOf(sys).unitOf, indexOf(want).unitOf) || !slices.Equal(indexOf(sys).unitFirst, indexOf(want).unitFirst) {
+			if got, w := indexOf(sys).units, indexOf(want).units; !slices.Equal(got.prefix, w.prefix) || !slices.Equal(got.pats.rows, w.pats.rows) || !slices.Equal(got.pats.off, w.pats.off) {
 				t.Fatalf("parallelism %d numbers the prefix units differently", par)
 			}
 		}

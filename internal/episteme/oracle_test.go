@@ -339,8 +339,10 @@ func TestBoxComponentsMatchPerRun(t *testing.T) {
 				for _, c := range got {
 					size[c]++
 				}
-				for u := range len(indexOf(sys).unitRuns.off) - 1 {
-					runs := indexOf(sys).unitRuns.of(int32(u))
+				units := indexOf(sys).units
+				for u := range units.n {
+					var runs []int
+					units.each(u, func(r int) bool { runs = append(runs, r); return true })
 					one, singletons := true, true
 					for _, r := range runs {
 						one = one && got[r] == got[runs[0]]
@@ -736,12 +738,12 @@ func oracleCKTFaulty(s *System, q Point, v model.Value) bool {
 func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPermuter) (*System, error) {
 	indexOf(rep).lastLayer()
 	n, horizon := rep.N, rep.Horizon
-	gRep, gPerm, perms, invs, isID, runs := om.gRep, om.gPerm, om.perms, om.invs, om.isID, om.runs
+	perms, invs, isID, runs := om.perms, om.invs, om.isID, om.runs
 
 	nRuns := len(runs)
 	sys := &System{N: n, T: rep.T, Horizon: horizon, Runs: runs, par: rep.parallelism()}
 	nSlots := (horizon + 1) * n
-	x := &indexFrame{sys: sys, classOf: make([][]int32, nSlots), classRuns: make([]members, nSlots), classKey: make([][]string, nSlots)}
+	x := &indexFrame{sys: sys, perRun: layout{n: nRuns}, classOf: make([][]int32, nSlots), classRuns: make([]members, nSlots), classKey: make([][]string, nSlots)}
 	sys.frame = x
 
 	type triple struct {
@@ -758,9 +760,9 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 			classOf := make([]int32, nRuns)
 			cache := make(map[triple]int32)
 			for g := 0; g < nRuns; g++ {
-				pid := gPerm[g]
+				r, pid := om.rep(g)
 				srcAgent := perms[pid][i]
-				rc := indexOf(rep).classOf[m*n+int(srcAgent)][gRep[g]]
+				rc := indexOf(rep).classOf[m*n+int(srcAgent)][r]
 				tk := triple{src: srcAgent, pid: pid, rc: rc}
 				cls, hit := cache[tk]
 				if !hit {
@@ -1012,7 +1014,7 @@ func TestCKFoldOnRandomSystems(t *testing.T) {
 			}
 			sys.Runs[r] = ownRun(res)
 		}
-		x := &indexFrame{sys: sys, classOf: make([][]int32, 2*n), classRuns: make([]members, 2*n)}
+		x := &indexFrame{sys: sys, perRun: layout{n: runs}, classOf: make([][]int32, 2*n), classRuns: make([]members, 2*n)}
 		sys.frame = x
 		for slot := range x.classOf {
 			k := runs/3 + rng.Intn(runs)

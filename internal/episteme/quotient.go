@@ -104,23 +104,26 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 }
 
 // orbitMap is pass 1's account of the full sweep: scenario ordinal g is
-// representative gRep[g] relabeled by perms[gPerm[g]] (π with π·g =
-// representative; invs holds π⁻¹, isID marks the identity), and runs[g] is
-// its run. unitOf and unitFirst are the frame's (indexFrame, "Rows").
-// stats[r] is representative r's traffic, copied so that rep can be
-// released after the last layer's read. ledgers, under mu, holds the runs'
-// ledgers by content (appendLedgerKey): a few hundred shapes in a sweep.
+// representative r relabeled by perms[pid] (code[g] = r·n! + pid; π·g =
+// representative, invs holds π⁻¹, isID marks the identity), runs[g] is
+// its run and units the frame's layout (indexFrame, "Rows"). stats[r] is
+// representative r's traffic, copied so that rep can be released after
+// the last layer's read. ledgers, under mu, holds the runs' ledgers by
+// content (appendLedgerKey): a few hundred shapes in a sweep.
 type orbitMap struct {
-	gRep, gPerm []int32
+	code        []int32
+	nPerms      int32
 	perms, invs [][]model.AgentID
 	isID        []bool
 	runs        []Run
-	unitOf      []int32
-	unitFirst   []int32
+	units       *layout
 	stats       []engine.Stats
 	mu          sync.Mutex
 	ledgers     map[string]*engine.Result
 }
+
+// rep returns scenario g's representative and relabeling id.
+func (om *orbitMap) rep(g int) (r, pid int32) { return om.code[g] / om.nPerms, om.code[g] % om.nPerms }
 
 // mapOrbits is pass 1 of ExpandQuotient, which has validated c against
 // rep: it re-enumerates the full sweep, mapping scenario ordinal g to its
@@ -130,18 +133,21 @@ type orbitMap struct {
 // representative's agent π(i)). The source is read in batches of one
 // orbitChunk-scenario chunk per worker of rep's pool. The workers
 // canonicalize their chunks; a serial stitch in ordinal order numbers
-// relabelings, prefixes and units and counts the orbits; the workers then
-// write their chunks' runs, units' first runs before the rest. Ids
-// depend on ordinals alone and the lowest ordinal's error is reported, so
-// the map and its errors are the same at every worker count.
+// relabelings and prefixes and counts the orbits; the workers then write
+// their chunks' runs, units' first runs before the rest. Ids depend on
+// ordinals alone and the lowest ordinal's error is reported, so the map
+// and its errors are the same at every worker count.
 //
-// The source hands every scenario of one pattern the same *model.Pattern
-// (the runs keep it, so it is immutable from here on), which makes the
-// pattern's share of the unit — faulty set and drops before the last
-// round, interned to a dense prefix id — once-per-pattern work; per
-// scenario a unit is one first-sight cell over (prefix id, inits bits).
+// The source is pattern-major over all 2ⁿ initial vectors, each pattern's
+// scenarios sharing one *model.Pattern (immutable from here on, as the
+// runs keep it), and a pattern off that grid is refused: a pattern's
+// prefix ordinal, recorded once, and a run's ordinal give its unit.
 func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	n, horizon := rep.N, rep.Horizon
+	nPerms := model.Factorial(n)
+	if int64(len(rep.Runs)) > (1<<31-1)/nPerms {
+		return nil, fmt.Errorf("episteme: ExpandQuotient codes a run's orbit in 31 bits, %d representatives × %d! relabelings do not fit", len(rep.Runs), n)
+	}
 	reps, err := newRepTable(rep)
 	if err != nil {
 		return nil, err
@@ -153,10 +159,10 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	}
 	total, _ := src.Count() // a capacity hint; 0 when the source cannot say
 	om := &orbitMap{
-		gRep:    make([]int32, 0, total),
-		gPerm:   make([]int32, 0, total),
+		code:    make([]int32, 0, total),
+		nPerms:  int32(nPerms),
 		runs:    make([]Run, 0, total),
-		unitOf:  make([]int32, 0, total),
+		units:   &layout{shift: uint(n)},
 		stats:   make([]engine.Stats, len(rep.Runs)),
 		ledgers: make(map[string]*engine.Result),
 	}
@@ -167,12 +173,14 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 		permID    = make(map[uint64]int32)
 		counts    = make([]int64, len(rep.Runs))
 		prefixID  = make(map[string]int32)
-		unitSeen  []int32        // [prefix id << n | inits bits] → unit + 1, 0 = unseen
-		pat       *model.Pattern // the pattern prefix was computed for
-		prefix    int32
+		pat       *model.Pattern // the last pattern stitched
 		prefixKey []byte
-		workers   = make([]orbitWorker, rep.parallelism())
-		chunks    = func(fn func(wk *orbitWorker)) error {
+		grid      = 1<<n - 1 // g&grid is g's initial vector
+		offGrid   = func() error {
+			return fmt.Errorf("episteme: pattern %d does not carry all 2^%d initial vectors", len(om.units.prefix)-1, n)
+		}
+		workers = make([]orbitWorker, rep.parallelism())
+		chunks  = func(fn func(wk *orbitWorker)) error {
 			return parallelDo(ctx, len(workers), len(workers), func(w int) { fn(&workers[w]) })
 		}
 	)
@@ -212,11 +220,13 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 					permID[code] = pid
 					om.perms = append(om.perms, slices.Clone(perm))
 					om.invs = append(om.invs, invertPerm(perm))
-					om.isID = append(om.isID, isIdentity(perm))
+					om.isID = append(om.isID, slices.IsSorted(perm)) // a sorted permutation is the identity
 				}
-				om.gRep = append(om.gRep, r)
-				om.gPerm = append(om.gPerm, pid)
+				om.code = append(om.code, r*om.nPerms+pid)
 
+				if (sc.Pattern != pat) != (g&grid == 0) {
+					return nil, offGrid()
+				}
 				if sc.Pattern != pat {
 					pat = sc.Pattern
 					prefixKey = pat.AppendPrefixKey(prefixKey[:0], horizon-1)
@@ -224,17 +234,12 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 					if !known {
 						id = int32(len(prefixID))
 						prefixID[string(prefixKey)] = id
-						unitSeen = append(unitSeen, make([]int32, 1<<n)...)
+						for v := range 1 << n { // the prefix's units open here
+							om.units.firsts = append(om.units.firsts, int32(g+v))
+						}
 					}
-					prefix = id
+					om.units.prefix = append(om.units.prefix, id)
 				}
-				bits, _ := initsBits(sc.Inits) // binary: canonicalize found its representative
-				cell := &unitSeen[int(prefix)<<n|bits]
-				if *cell == 0 {
-					om.unitFirst = append(om.unitFirst, int32(g))
-					*cell = int32(len(om.unitFirst))
-				}
-				om.unitOf = append(om.unitOf, *cell-1)
 				om.runs = append(om.runs, Run{})
 			}
 		}
@@ -254,6 +259,10 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 			return nil, err
 		}
 	}
+	if len(om.runs)&grid != 0 {
+		return nil, offGrid()
+	}
+	om.units.n, om.units.pats = len(om.units.firsts), packMembers(om.units.prefix, len(prefixID))
 	for r, cnt := range counts {
 		if w := rep.Weight(r); cnt != w {
 			return nil, fmt.Errorf("episteme: representative %d stands for %d scenarios, enumeration visited %d (context mismatch?)", r, w, cnt)
@@ -325,11 +334,12 @@ func (wk *orbitWorker) canonicalize(rep *System, reps *repTable) {
 func (wk *orbitWorker) expand(rep *System, om *orbitMap, firsts bool) {
 	for k, sc := range wk.sc {
 		g := wk.base + k
-		f := int(om.unitFirst[om.unitOf[g]])
+		f := om.units.first(om.units.row(g))
 		if (f == g) != firsts {
 			continue
 		}
-		r, perm, ledger := om.gRep[g], om.perms[om.gPerm[g]], om.runs[f].Result
+		r, pid := om.rep(g)
+		perm, ledger := om.perms[pid], om.runs[f].Result
 		if repRes := rep.Runs[r].Result; f == g {
 			wk.key = appendLedgerKey(wk.key[:0], repRes, sc.Inits, perm)
 			om.mu.Lock()
@@ -375,17 +385,18 @@ type repTable struct {
 func newRepTable(rep *System) (*repTable, error) {
 	n := rep.N
 	reps := &repTable{base: make(map[string]int32), slots: make([]int32, 1<<n)}
+	var key []byte
 	for r, res := range rep.Runs {
 		bits, ok := initsBits(res.Inits)
 		if !ok || len(res.Inits) != n {
 			return nil, fmt.Errorf("episteme: quotiented system's representative %q does not prefer 0 or 1 at each of its %d agents",
 				scenarioFingerprint(res.Pattern, res.Inits), n)
 		}
-		key := res.Pattern.Key()
-		base, known := reps.base[key]
+		key = res.Pattern.AppendKey(key[:0])
+		base, known := reps.base[string(key)]
 		if !known {
 			base = int32(len(reps.slots))
-			reps.base[key] = base
+			reps.base[string(key)] = base
 			reps.slots = append(reps.slots, make([]int32, 1<<n)...)
 		}
 		slot := &reps.slots[int(base)+bits]
@@ -420,8 +431,8 @@ func initsBits(inits []model.Value) (bits int, ok bool) {
 // each distinct pair pays for the string rewrite once, and every other
 // unit is two integer reads.
 //
-// At the horizon a row is a run, and the code is unitOf[g]<<t |
-// (the last round's drops toward i): agent i's final state is a function
+// At the horizon a row is a run, and the code is unit(g)<<t | (the last
+// round's drops toward i): agent i's final state is a function
 // of the states before the last round — the unit's — and of which of the
 // faulty agents' last-round messages reach i, nonfaulty senders always
 // delivering; so equal codes imply equal keys. A unit's runs differ in at
@@ -431,8 +442,7 @@ func initsBits(inits []model.Value) (bits int, ok bool) {
 // pattern: a pattern's runs are consecutive and share one *Pattern.
 func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermuter) (*System, error) {
 	n, t := rep.N, uint(rep.T)
-	gRep, gPerm, perms, invs, isID := om.gRep, om.gPerm, om.perms, om.invs, om.isID
-	runs, unitOf, unitFirst := om.runs, om.unitOf, om.unitFirst
+	perms, invs, isID, runs, units := om.perms, om.invs, om.isID, om.runs, om.units
 	rx := rep.frame.(*indexFrame) // a producer reads the tables whole
 	rx.lastLayer()
 	// strides[m] is the largest representative class count of time slice m:
@@ -442,13 +452,12 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 		strides[slot/n] = max(strides[slot/n], len(keys))
 	}
 	sys := &System{N: n, T: rep.T, Horizon: rep.Horizon, Runs: runs, par: rep.parallelism()}
-	units := &indexFrame{unitOf: unitOf, unitFirst: unitFirst, unitRuns: packMembers(unitOf, len(unitFirst))}
-	sys, err := sys.indexed(ctx, units, func(slot int) slotRows {
+	sys, err := sys.indexed(ctx, &indexFrame{units: units}, func(slot int) slotRows {
 		m, i := slot/n, slot%n
 		key := func(dst []byte, g int) ([]byte, error) {
-			pid := gPerm[g]
+			r, pid := om.rep(g)
 			repSlot := m*n + int(perms[pid][i])
-			repKey := rx.classKey[repSlot][rx.classOf[repSlot][gRep[g]]]
+			repKey := rx.classKey[repSlot][rx.classOf[repSlot][r]]
 			if isID[pid] {
 				return append(dst, repKey...), nil
 			}
@@ -463,13 +472,13 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 			var drops int
 			return slotRows{
 				n:       len(runs),
-				codes:   len(unitFirst) << t,
-				classes: min(len(unitFirst)<<t, len(runs)) / 2,
+				codes:   units.n << t,
+				classes: min(units.n<<t, len(runs)) / 2,
 				code: func(g int) int {
 					if p := runs[g].Pattern; p != pat {
 						pat, drops = p, int(p.FaultyDropsTo(m-1, model.AgentID(i)))
 					}
-					return int(unitOf[g])<<t | drops
+					return units.row(g)<<t | drops
 				},
 				key: key,
 			}
@@ -478,15 +487,14 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 		// the slot has at least their classes.
 		stride := strides[m]
 		return slotRows{
-			n:       len(unitFirst),
+			n:       units.n,
 			codes:   len(perms) * stride,
 			classes: len(rx.classKey[slot]),
 			code: func(u int) int {
-				g := unitFirst[u]
-				pid := gPerm[g]
-				return int(pid)*stride + int(rx.classOf[m*n+int(perms[pid][i])][gRep[g]])
+				r, pid := om.rep(units.first(u))
+				return int(pid)*stride + int(rx.classOf[m*n+int(perms[pid][i])][r])
 			},
-			key: func(dst []byte, u int) ([]byte, error) { return key(dst, int(unitFirst[u])) },
+			key: func(dst []byte, u int) ([]byte, error) { return key(dst, units.first(u)) },
 		}
 	})
 	if err != nil {
@@ -578,13 +586,4 @@ func invertPerm(perm []model.AgentID) []model.AgentID {
 		inv[a] = model.AgentID(i)
 	}
 	return inv
-}
-
-func isIdentity(perm []model.AgentID) bool {
-	for i, a := range perm {
-		if int(a) != i {
-			return false
-		}
-	}
-	return true
 }

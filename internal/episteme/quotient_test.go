@@ -171,7 +171,7 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("per-run BuildSystem: %v", err)
 			}
-			if indexOf(full).unitOf != nil || full.Runs[0].States == nil {
+			if indexOf(full).units != nil || full.Runs[0].States == nil {
 				t.Fatal("the reference build went through the quotient")
 			}
 			wantImpl := checkImplements(t, full, tc.prog, 50)
@@ -198,7 +198,7 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildSystem: %v", err)
 			}
-			if indexOf(quot).unitOf == nil {
+			if indexOf(quot).units == nil {
 				t.Fatalf("BuildSystem over %s did not go through the quotient", tc.name)
 			}
 			systems["quotient-unsharded"] = quot
@@ -293,9 +293,9 @@ func TestQuotientRequiresKeyPermuter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s, BuildSystem%s: %v", name, label, err)
 			}
-			if sys.Quotiented() || indexOf(sys).unitOf != nil || len(sys.Runs) != scenarios {
+			if sys.Quotiented() || indexOf(sys).units != nil || len(sys.Runs) != scenarios {
 				t.Errorf("%s, BuildSystem%s: %d runs (quotiented %v, layered %v), want %d per-run",
-					name, label, len(sys.Runs), sys.Quotiented(), indexOf(sys).unitOf != nil, scenarios)
+					name, label, len(sys.Runs), sys.Quotiented(), indexOf(sys).units != nil, scenarios)
 			}
 		}
 		for key, val := range store.m {
@@ -395,8 +395,8 @@ func TestExpandQuotientRejects(t *testing.T) {
 
 // TestMapOrbitsMatchesOneShot holds pass 1's representative table to the
 // definition it replaced: for every ordinal g of SO n=3,4 t=1 and crash
-// n=3,4 t=2, at parallelism 1 and 7, mapOrbits' representative gRep[g]
-// and relabeling perms[gPerm[g]] are what the one-shot
+// n=3,4 t=2, at parallelism 1 and 7, mapOrbits' representative and
+// relabeling of g (orbitMap.rep) are what the one-shot
 // model.CanonicalizeScenarioPerm and a lookup of the representative's
 // scenario fingerprint give.
 func TestMapOrbitsMatchesOneShot(t *testing.T) {
@@ -434,17 +434,17 @@ func TestMapOrbitsMatchesOneShot(t *testing.T) {
 			for sc, more := src.Next(); more; sc, more = src.Next() {
 				repPat, repInits, _, perm := model.CanonicalizeScenarioPerm(sc.Pattern, sc.Inits)
 				r, known := repOf[scenarioFingerprint(repPat, repInits)]
-				if g >= len(om.gRep) {
+				if g >= len(om.code) {
 					t.Fatalf("%s: the orbit map stops at %d scenarios, the source goes on", label, g)
 				}
-				if !known || om.gRep[g] != r || !slices.Equal(om.perms[om.gPerm[g]], perm) {
+				if gr, pid := om.rep(g); !known || gr != r || !slices.Equal(om.perms[pid], perm) {
 					t.Fatalf("%s: scenario %d maps to representative %d under %v, the one-shot search to %d (known %v) under %v",
-						label, g, om.gRep[g], om.perms[om.gPerm[g]], r, known, perm)
+						label, g, gr, om.perms[pid], r, known, perm)
 				}
 				g++
 			}
-			if g != len(om.gRep) || g != len(om.runs) {
-				t.Fatalf("%s: the source has %d scenarios, the orbit map %d", label, g, len(om.gRep))
+			if g != len(om.code) || g != len(om.runs) {
+				t.Fatalf("%s: the source has %d scenarios, the orbit map %d", label, g, len(om.code))
 			}
 		}
 	}

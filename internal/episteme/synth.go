@@ -108,9 +108,9 @@ func (s *System) synthesizeSlice(ctx context.Context, prog Program, m int, table
 	determined := make([][]bool, s.N)
 	classes := func(i int, fn func(id model.AgentID, c int, p Point)) error {
 		id := model.AgentID(i)
-		ms, firsts := s.frame.members(s.slot(id, m)), s.frame.firstRuns(m)
+		ms, l := s.frame.members(s.slot(id, m)), s.frame.layout(m)
 		return s.parallel(ctx, len(acts[i]), func(c int) {
-			fn(id, c, Point{Run: int(firsts[ms.of(int32(c))[0]]), Time: m})
+			fn(id, c, Point{Run: l.first(int(ms.of(int32(c))[0])), Time: m})
 		})
 	}
 	for i := range acts {

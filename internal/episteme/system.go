@@ -459,7 +459,7 @@ func (s *System) slot(i model.AgentID, m int) int { return m*s.N + int(i) }
 
 // classAt returns the dense class id of agent i's local state at (run, m).
 func (s *System) classAt(i model.AgentID, m, run int) int32 {
-	return s.frame.classes(s.slot(i, m))[s.frame.runRows(m)[run]]
+	return s.frame.classes(s.slot(i, m))[s.frame.layout(m).row(run)]
 }
 
 // Key returns agent i's local-state key at point p, from the index:
@@ -470,15 +470,13 @@ func (s *System) Key(i model.AgentID, p Point) string {
 
 // runsOfRows returns the runs of the given time-m rows, row by row.
 func (s *System) runsOfRows(m int, rows []int32) []int {
-	rowRuns, size := s.frame.rowRuns(m), 0
+	l, size := s.frame.layout(m), 0
 	for _, row := range rows {
-		size += len(rowRuns.of(row))
+		l.each(int(row), func(int) bool { size++; return true })
 	}
 	out := make([]int, 0, size)
 	for _, row := range rows {
-		for _, r := range rowRuns.of(row) {
-			out = append(out, int(r))
-		}
+		l.each(int(row), func(r int) bool { out = append(out, r); return true })
 	}
 	return out
 }
@@ -519,22 +517,17 @@ func (s *System) everyRow(i model.AgentID, p Point, holds func(row int) bool) bo
 // of the class is asked.
 func (s *System) Knows(i model.AgentID, p Point, phi func(Point) bool) bool {
 	s.mustCheckable()
-	rowRuns := s.frame.rowRuns(p.Time)
+	l := s.frame.layout(p.Time)
 	return s.everyRow(i, p, func(row int) bool {
-		for _, r := range rowRuns.of(int32(row)) {
-			if !phi(Point{Run: int(r), Time: p.Time}) {
-				return false
-			}
-		}
-		return true
+		return l.each(row, func(r int) bool { return phi(Point{Run: r, Time: p.Time}) })
 	})
 }
 
 // knowsOfRows evaluates K_i φ at p for a row function φ: one question per
 // row of the class, put to the row's first run.
 func (s *System) knowsOfRows(i model.AgentID, p Point, phi func(Point) bool) bool {
-	firsts := s.frame.firstRuns(p.Time)
-	return s.everyRow(i, p, func(row int) bool { return phi(Point{Run: int(firsts[row]), Time: p.Time}) })
+	l := s.frame.layout(p.Time)
+	return s.everyRow(i, p, func(row int) bool { return phi(Point{Run: l.first(row), Time: p.Time}) })
 }
 
 // foldClasses evaluates pred once at every row of time ≤ maxTime for
@@ -558,12 +551,12 @@ func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, 
 		if tables[slot] == nil {
 			tables[slot] = make([]bool, len(s.frame.keys(slot)))
 		}
-		table, firsts, faulty := tables[slot], s.frame.firstRuns(m), s.frame.faulty(m)
+		table, l, faulty := tables[slot], s.frame.layout(m), s.frame.faulty(m)
 		for c := range table {
 			table[c] = !exists
 		}
 		for row, c := range s.frame.classes(slot) {
-			if table[c] != exists && pred(i, Point{Run: int(firsts[row]), Time: m}, faulty[row]) == exists {
+			if table[c] != exists && pred(i, Point{Run: l.first(row), Time: m}, faulty[row]) == exists {
 				table[c] = exists
 			}
 		}
@@ -590,30 +583,30 @@ func faultyAt(mask uint64, i model.AgentID) bool { return mask>>uint(i)&1 != 0 }
 // order, with the point's row and the row's first run.
 func (s *System) screen(ctx context.Context, maxTime int, fails func(m, row int, q Point, faulty uint64) uint64, add func(i model.AgentID, m, run, row, first int)) error {
 	const chunk = 1024
-	bad, rowOf, firstOf := make([][]uint64, maxTime+1), make([][]int32, maxTime+1), make([][]int32, maxTime+1)
+	bad, layouts := make([][]uint64, maxTime+1), make([]*layout, maxTime+1)
 	var marked []int // the times with a failing row
 	for m := range bad {
-		firsts, faulty := s.frame.firstRuns(m), s.frame.faulty(m)
-		bad[m] = make([]uint64, len(firsts))
+		l, faulty := s.frame.layout(m), s.frame.faulty(m)
+		bad[m] = make([]uint64, l.n)
 		err := s.parallel(ctx, (len(bad[m])+chunk-1)/chunk, func(k int) {
 			rows := bad[m][k*chunk : min(k*chunk+chunk, len(bad[m]))]
 			for j := range rows {
 				row := k*chunk + j
-				rows[j] = fails(m, row, Point{Run: int(firsts[row]), Time: m}, faulty[row])
+				rows[j] = fails(m, row, Point{Run: l.first(row), Time: m}, faulty[row])
 			}
 		})
 		if err != nil {
 			return err
 		}
 		if slices.ContainsFunc(bad[m], func(b uint64) bool { return b != 0 }) {
-			marked, rowOf[m], firstOf[m] = append(marked, m), s.frame.runRows(m), firsts
+			marked, layouts[m] = append(marked, m), l
 		}
 	}
 	for r := 0; r < len(s.Runs) && len(marked) > 0; r++ {
 		for _, m := range marked {
-			row := int(rowOf[m][r])
+			row := layouts[m].row(r)
 			for mask := bad[m][row]; mask != 0; mask &= mask - 1 {
-				add(model.AgentID(bits.TrailingZeros64(mask)), m, r, row, int(firstOf[m][row]))
+				add(model.AgentID(bits.TrailingZeros64(mask)), m, r, row, layouts[m].first(row))
 			}
 		}
 	}

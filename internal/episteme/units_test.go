@@ -44,7 +44,7 @@ type pointDiffer struct {
 }
 
 func newPointDiffer(t *testing.T, label string, got, want *System) *pointDiffer {
-	if indexOf(got).unitOf == nil || indexOf(want).unitOf != nil {
+	if indexOf(got).units == nil || indexOf(want).units != nil {
 		t.Fatalf("%s: want a layered system against a per-run one", label)
 	}
 	return &pointDiffer{
@@ -52,7 +52,7 @@ func newPointDiffer(t *testing.T, label string, got, want *System) *pointDiffer 
 		// "q is the lowest run of its prefix unit" depends on the run
 		// ordinal alone, and is false exactly at the runs an evaluator that
 		// asked each unit's first run only would never ask.
-		firstOfUnit: func(q Point) bool { return int(indexOf(got).unitFirst[indexOf(got).unitOf[q.Run]]) == q.Run },
+		firstOfUnit: func(q Point) bool { u := indexOf(got).units; return u.first(u.row(q.Run)) == q.Run },
 		reachSame:   make(map[[2]*int]bool),
 	}
 }
@@ -180,7 +180,7 @@ func TestLayeredSystemAnswersLikeDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if units := len(indexOf(got).unitFirst); units >= len(got.Runs) || (tc.units != 0 && units != tc.units) {
+			if units := indexOf(got).units.n; units >= len(got.Runs) || (tc.units != 0 && units != tc.units) {
 				t.Fatalf("%d units for %d runs, want %d (0: fewer than runs)", units, len(got.Runs), tc.units)
 			}
 			compareSystems(t, tc.name, got, want)
@@ -218,7 +218,7 @@ func TestLayeredVerdictsListSameRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if indexOf(direct).unitOf != nil {
+		if indexOf(direct).units != nil {
 			t.Fatal("the reference build went through the quotient")
 		}
 		for _, par := range []int{1, 2, 7} {
@@ -272,9 +272,11 @@ func TestExpandQuotientRefusesDoctoredLedger(t *testing.T) {
 		// Doctor the representative of the first run that is a later member
 		// of a unit whose first member has another representative.
 		doctored := -1
-		for g, u := range om.unitOf {
-			if f := om.unitFirst[u]; int(f) != g && om.gRep[f] != om.gRep[g] {
-				doctored = int(om.gRep[g])
+		for g := range om.runs {
+			f := om.units.first(om.units.row(g))
+			r, _ := om.rep(g)
+			if fr, _ := om.rep(f); f != g && fr != r {
+				doctored = int(r)
 				break
 			}
 		}
@@ -289,11 +291,12 @@ func TestExpandQuotientRefusesDoctoredLedger(t *testing.T) {
 		}
 		// The lowest pair the doctoring sets apart, from pass 1's own map.
 		decision := func(g, i int) model.Value {
-			return rep.Runs[om.gRep[g]].Decision[om.perms[om.gPerm[g]][i]]
+			r, pid := om.rep(g)
+			return rep.Runs[r].Decision[om.perms[pid][i]]
 		}
 		want := ""
-		for g, u := range om.unitOf {
-			f := int(om.unitFirst[u])
+		for g := range om.runs {
+			f := om.units.first(om.units.row(g))
 			for i := 0; i < rep.N && want == ""; i++ {
 				if decision(g, i) != decision(f, i) {
 					want = fmt.Sprintf("episteme: runs %d and %d share ", f, g)
@@ -364,8 +367,9 @@ func TestExpandedRunsShareUnitLedgers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if indexOf(got).unitOf == nil || len(got.Runs) != len(want.Runs) {
-					t.Fatalf("expanded %d runs (layered %v), the per-run build %d", len(got.Runs), indexOf(got).unitOf != nil, len(want.Runs))
+				units := indexOf(got).units
+				if units == nil || len(got.Runs) != len(want.Runs) {
+					t.Fatalf("expanded %d runs (layered %v), the per-run build %d", len(got.Runs), units != nil, len(want.Runs))
 				}
 				// The units as the per-run build's scenarios define them.
 				unitOfPrefix := make(map[string]int)
@@ -388,17 +392,16 @@ func TestExpandedRunsShareUnitLedgers(t *testing.T) {
 						u = len(unitOfPrefix)
 						unitOfPrefix[string(key)] = u
 					}
-					if int(indexOf(got).unitOf[g]) != u {
-						t.Fatalf("run %d is in unit %d, its prefix in unit %d", g, indexOf(got).unitOf[g], u)
+					if units.row(g) != u {
+						t.Fatalf("run %d is in unit %d, its prefix in unit %d", g, units.row(g), u)
 					}
-					if first := got.Runs[indexOf(got).unitFirst[u]].Result; run.Result != first {
-						t.Fatalf("run %d holds ledger %p, its unit's first run %d holds %p", g, run.Result, indexOf(got).unitFirst[u], first)
+					if first := got.Runs[units.first(u)].Result; run.Result != first {
+						t.Fatalf("run %d holds ledger %p, its unit's first run %d holds %p", g, run.Result, units.first(u), first)
 					}
 				}
-				units := len(unitOfPrefix)
-				if len(indexOf(got).unitFirst) != units || (cell.units != 0 && units != cell.units) {
+				if units.n != len(unitOfPrefix) || (cell.units != 0 && units.n != cell.units) {
 					t.Fatalf("%d units in the system, %d prefix units in the sweep; want %d (0: not pinned)",
-						len(indexOf(got).unitFirst), units, cell.units)
+						units.n, len(unitOfPrefix), cell.units)
 				}
 				ledgerOf := make(map[string]*engine.Result)
 				for g, run := range got.Runs {
@@ -410,7 +413,7 @@ func TestExpandedRunsShareUnitLedgers(t *testing.T) {
 					}
 				}
 				if len(ledgerOf) != st.ledgers[ci] {
-					t.Fatalf("%d distinct ledgers over %d units, want %d", len(ledgerOf), units, st.ledgers[ci])
+					t.Fatalf("%d distinct ledgers over %d units, want %d", len(ledgerOf), units.n, st.ledgers[ci])
 				}
 			})
 		}

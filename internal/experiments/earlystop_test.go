@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestE20EarlyStopping(t *testing.T) {
 	tb := E20EarlyStopping(7, 60, 0)
@@ -23,8 +26,10 @@ func TestEarlyStopping(t *testing.T) {
 		"SO n2 t1": "3", "SO n3 t1": "4", "SO n4 t1": "5",
 		"crash n3 t1": "4", "crash n3 t2": "124", "crash n4 t2": "475",
 	}
-	for _, row := range matrix().Rows {
-		context, stack, over := row[0], row[1], row[len(row)-1]
+	tb := matrix()
+	col := slices.Index(tb.Columns, "runs over min(f+2,t+2)")
+	for _, row := range tb.Rows {
+		context, stack, over := row[0], row[1], row[col]
 		t.Run(context+"/"+stack, func(t *testing.T) {
 			want := "0"
 			if stack == "min" || stack == "fip+pmin" || stack == "naive" {

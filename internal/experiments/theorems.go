@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/episteme"
 	"repro/internal/registry"
+	"repro/internal/spec"
 )
 
 // checkOpts translates the experiments' Parallelism knob into model
@@ -62,7 +64,11 @@ func dash(v int) any {
 //     columns): Pbasic, Popt and Popt-nock never exceed it, since every
 //     agent sends in every round and a missing message exposes its
 //     sender; Pmin's runs past it are pinned, since its rule reads only
-//     an initial or announced 0 and the clock, over Emin or Efip alike.
+//     an initial or announced 0 and the clock, over Emin or Efip alike;
+//   - the dominance column (Cor 7.8, §8): the (run, agent) pairs where the
+//     stack decides later than Popt in the same context, with the largest
+//     gap, and the relation to Popt, from spec.CompareRuns run by run;
+//     Popt's row is built first and keeps one byte per (run, agent).
 //
 // The theorems assume sending omissions with n−t ≥ 2, so the n−t = 1 and
 // crash cells are reported, not gated on the knowledge columns.
@@ -72,7 +78,7 @@ func E6TheoremMatrix(parallelism int) *Table {
 		Title: "theorem matrix: one exhaustive system per (context, stack), every check read from it",
 		Claim: "Thms 6.5, 6.6, A.21 (implements); §8 (synth); Prop 6.4 (safety); Thm 7.5 / Cor 7.8; Prop 6.1 (spec, decided by t+2); §1 (no eager 0-bias under omissions); early stopping by min(f+2, t+2)",
 		Columns: []string{"context", "stack", "runs", "implements", "synth", "safety", "Thm 7.5", "spec",
-			"max round f=0", "f=1", "f=2", "runs over min(f+2,t+2)"},
+			"max round f=0", "f=1", "f=2", "runs over min(f+2,t+2)", "later than Popt (gap)", "vs Popt"},
 		Pass: true,
 	}
 	ctx := context.Background()
@@ -83,7 +89,11 @@ func E6TheoremMatrix(parallelism int) *Table {
 	}{{"SO", 2, 1, -1}, {"SO", 3, 1, 4}, {"SO", 4, 1, 5}, {"crash", 3, 1, -1}, {"crash", 3, 2, 124}, {"crash", 4, 2, 475}} {
 		crash := c.kind == "crash"
 		synths := make(map[string]*episteme.Synthesized) // by exchange and program
-		for _, name := range []string{"min", "basic", "fip", "fip-nock", "fip+pmin", "naive"} {
+		names := []string{"min", "basic", "fip", "fip-nock", "fip+pmin", "naive"}
+		rows := make([][]any, len(names))
+		var popt []uint8                            // Popt's decision round per (run, agent)
+		for _, k := range []int{2, 0, 1, 3, 4, 5} { // Popt first: every other row is read against it
+			name := names[k]
 			st := stackFor(name, c.n, c.t)
 			info := must(registry.Stack(name))
 			mc := episteme.ContextFor(st)
@@ -103,11 +113,18 @@ func E6TheoremMatrix(parallelism int) *Table {
 			if info.Exchange == "fip" {
 				optimality = len(must(sys.CheckOptimalityFIP(ctx, -1, 0)))
 			}
-			es := earlyStop{t: c.t}
-			for _, run := range sys.Runs {
+			es, dom := earlyStop{t: c.t}, dominance{popt: popt}
+			for g, run := range sys.Runs {
 				res := *run.Result // an expanded run shares its unit's ledger
 				res.Pattern = run.Pattern
 				es.add(&res)
+				if name == "fip" {
+					for _, r := range res.DecisionRound {
+						popt = append(popt, uint8(r))
+					}
+				} else {
+					dom.add(g, &res)
+				}
 			}
 
 			// Naive's spec is gated below, where it must fail.
@@ -127,22 +144,75 @@ func E6TheoremMatrix(parallelism int) *Table {
 				case "fip":
 					pass = pass && safety > 0 && optimality == 0
 				case "fip+pmin":
-					pass = pass && optimality > 0
+					pass = pass && optimality > 0 && optimality == dom.later
 				case "naive":
 					pass = pass && es.violations > 0
 				}
+			}
+			if !crash && c.n-c.t >= 2 && dom.earlier && dom.later == 0 {
+				pass = false // Cor 7.8: nothing strictly dominates Popt
 			}
 			if !pass {
 				t.Pass = false
 			}
 			row := []any{fmt.Sprintf("%s n%d t%d", c.kind, c.n, c.t), name, len(sys.Runs),
 				dash(implements), dash(synthesized), safety, dash(optimality), es.violations}
-			t.AddRow(append(append(row, es.roundCells()...), es.over)...)
+			rows[k] = append(append(append(row, es.roundCells()...), es.over), dom.cells(name == "fip")...)
+		}
+		for _, row := range rows {
+			t.AddRow(row...)
 		}
 	}
 	t.Notes = append(t.Notes,
 		"gated in SO with n−t ≥ 2: implements 0; safety 0 for min and basic, >0 for fip; Thm 7.5 0 for fip, >0 for fip+pmin; spec >0 for naive",
 		"gated everywhere: synth 0 iff implements 0; spec 0 (Validity in the strong form, per Prop 6.1), but for naive under SO; no decision after t+2; runs over 0 for basic, fip and fip-nock, and min's pinned in SO n3,n4 t1 and crash n3,n4 t2",
-		"⊡-reachability is computed on the horizon-(t+2) system; all decisions fall within it")
+		"⊡-reachability is computed on the horizon-(t+2) system; all decisions fall within it",
+		"later than Popt: nonfaulty (run, agent) pairs deciding after Popt in the same scenario (largest gap in rounds); gated in SO with n−t ≥ 2: no row strictly dominates Popt (Cor 7.8), and fip+pmin's Thm 7.5 count equals its later pairs")
 	return t
+}
+
+// dominance folds a row's runs against Popt's in the same context, run by
+// run (the systems enumerate one source, so run g is one scenario in
+// both): the nonfaulty (run, agent) pairs where the row decides later
+// than Popt, the largest gap in rounds, and whether it ever decides
+// earlier.
+type dominance struct {
+	popt       []uint8 // Popt's decision round per (run, agent)
+	ref        engine.Result
+	later, gap int
+	earlier    bool
+}
+
+func (d *dominance) add(g int, res *engine.Result) {
+	d.ref = engine.Result{N: res.N, Pattern: res.Pattern, Inits: res.Inits, DecisionRound: d.ref.DecisionRound[:0]}
+	for _, r := range d.popt[g*res.N : (g+1)*res.N] {
+		d.ref.DecisionRound = append(d.ref.DecisionRound, int(r))
+	}
+	rel := must(spec.CompareRuns([]*engine.Result{&d.ref}, []*engine.Result{res}))
+	d.later += rel.StrictCount
+	d.earlier = d.earlier || !rel.Dominates
+	for _, i := range res.Pattern.NonfaultySet() {
+		d.gap = max(d.gap, res.Round(i)-d.ref.Round(i))
+	}
+}
+
+// cells renders the later pairs with the largest gap, and the relation to
+// Popt; "-" on Popt's own row.
+func (d *dominance) cells(self bool) []any {
+	if self {
+		return []any{"-", "-"}
+	}
+	later, rel := fmt.Sprint(d.later), "equal"
+	if d.later > 0 {
+		later = fmt.Sprintf("%d (%d)", d.later, d.gap)
+	}
+	switch {
+	case d.later > 0 && d.earlier:
+		rel = "incomparable"
+	case d.later > 0:
+		rel = "dominated"
+	case d.earlier:
+		rel = "dominates"
+	}
+	return []any{later, rel}
 }

@@ -138,7 +138,7 @@ func (s *canonSearch) currentPerm() []AgentID {
 // orbit returns n!/|stabilizer|; the candidates achieving the minimum
 // are exactly one coset of the scenario's stabilizer.
 func (s *canonSearch) orbit() int64 {
-	return factorial(s.n) / s.minCount
+	return Factorial(s.n) / s.minCount
 }
 
 // isIdentityMin reports whether the identity permutation attains the

@@ -170,11 +170,11 @@ func (p *Pattern) Clone() *Pattern {
 // Key returns a canonical fingerprint of the pattern, suitable for use as a
 // map key when deduplicating enumerated patterns.
 func (p *Pattern) Key() string {
-	return string(p.appendKey(make([]byte, 0, 4+len(p.faulty)+len(p.drops))))
+	return string(p.AppendKey(make([]byte, 0, 4+len(p.faulty)+len(p.drops))))
 }
 
-// appendKey appends Key's bytes to dst.
-func (p *Pattern) appendKey(dst []byte) []byte {
+// AppendKey appends Key's bytes to dst.
+func (p *Pattern) AppendKey(dst []byte) []byte {
 	dst = appendInt(dst, p.n)
 	dst = append(dst, ':')
 	for _, f := range p.faulty {

@@ -330,7 +330,7 @@ func (c *Canonicalizer) evaluate() {
 // attaining the minimal inits are exactly one coset of the scenario's
 // stabilizer.
 func (c *Canonicalizer) Orbit() int64 {
-	return factorial(c.n) / c.minCount
+	return Factorial(c.n) / c.minCount
 }
 
 // IsCanonical reports whether the scenario is its own representative,
@@ -389,7 +389,7 @@ func (c *Canonicalizer) InitsBits() (bits int, ok bool) {
 // Pattern.Key(), a '/', and one byte per initial preference. Scenarios of
 // one shape are equal iff their keys are.
 func AppendScenarioKey(dst []byte, p *Pattern, inits []Value) []byte {
-	dst = append(p.appendKey(dst), '/')
+	dst = append(p.AppendKey(dst), '/')
 	for _, v := range inits {
 		dst = append(dst, valueByte(v))
 	}
@@ -407,7 +407,8 @@ func valueByte(v Value) byte {
 	}
 }
 
-func factorial(n int) int64 {
+// Factorial returns n!, the number of relabelings of n agents.
+func Factorial(n int) int64 {
 	f := int64(1)
 	for k := 2; k <= n; k++ {
 		f *= int64(k)

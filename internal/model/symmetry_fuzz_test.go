@@ -147,8 +147,8 @@ func FuzzCanonicalizeScenario(f *testing.F) {
 		}
 
 		// The orbit size divides n! (orbit-stabilizer).
-		if orbit < 1 || factorial(n)%orbit != 0 {
-			t.Fatalf("orbit %d does not divide %d! = %d", orbit, n, factorial(n))
+		if orbit < 1 || Factorial(n)%orbit != 0 {
+			t.Fatalf("orbit %d does not divide %d! = %d", orbit, n, Factorial(n))
 		}
 
 		// Idempotent: the representative is its own representative.

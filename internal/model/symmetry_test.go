@@ -239,7 +239,7 @@ func TestOrbitSizeDividesFactorial(t *testing.T) {
 		p := randPattern(rng, n, 1+rng.Intn(3), n-1)
 		inits := randInits(rng, n)
 		_, _, orbit := CanonicalizeScenario(p, inits)
-		if orbit <= 0 || factorial(n)%orbit != 0 {
+		if orbit <= 0 || Factorial(n)%orbit != 0 {
 			t.Fatalf("orbit %d does not divide %d! (n=%d)", orbit, n, n)
 		}
 	}

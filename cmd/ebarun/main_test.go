@@ -1,6 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	eba "repro"
@@ -143,5 +149,60 @@ func TestNaiveStackReportsViolationWithoutFailing(t *testing.T) {
 	// check the command completes.
 	if err := run([]string{"-stack", "naive", "-n", "3", "-t", "1", "-adversary", "silent:0", "-inits", "011"}); err != nil {
 		t.Errorf("naive run failed: %v", err)
+	}
+}
+
+// TestReplayOutcomeRecord replays an outcome-stream record — the first
+// of the fip n=3,t=1 sweep in which some message is dropped and the
+// agents prefer both values — through -adversary pattern:<text> and
+// -inits, and gets the record's decisions.
+func TestReplayOutcomeRecord(t *testing.T) {
+	stack, err := makeStack("fip", 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := eba.SourceSO(3, 1, stack.Horizon())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if _, err := eba.NewRunner(stack).RunShard(context.Background(), src, 0, 1, &stream); err != nil {
+		t.Fatal(err)
+	}
+	or, err := eba.NewOutcomeReader(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := regexp.MustCompile(`d=[0-9]`)
+	rec, err := or.Next()
+	for err == nil && !(dropped.MatchString(rec.Pattern) && slices.Contains(rec.Inits, 0) && slices.Contains(rec.Inits, 1)) {
+		rec, err = or.Next()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	inits := fmt.Sprint(rec.Inits[0], rec.Inits[1], rec.Inits[2])
+	inits = strings.ReplaceAll(inits, " ", "")
+	spec := "pattern:" + rec.Pattern
+	if err := run([]string{"-stack", "fip", "-n", "3", "-t", "1", "-adversary", spec, "-inits", inits}); err != nil {
+		t.Fatalf("ebarun -adversary %s -inits %s: %v", spec, inits, err)
+	}
+	pat, err := makeAdversary(spec, 3, 1, stack.Horizon(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values, err := makeInits(inits, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eba.NewRunner(stack).Run(context.Background(), eba.Scenario{Pattern: pat, Inits: values})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		if int(res.Decision[i]) != rec.Decisions[i] || res.DecisionRound[i] != rec.Rounds[i] {
+			t.Fatalf("agent %d decides %v in round %d on replay; the record says %d in round %d",
+				i, res.Decision[i], res.DecisionRound[i], rec.Decisions[i], rec.Rounds[i])
+		}
 	}
 }

@@ -87,7 +87,9 @@ type (
 	SpecOptions = spec.Options
 	// System is an interpreted system built by exhaustive enumeration.
 	System = episteme.System
-	// Run is one run of a System: a shared ledger, its pattern, its *Stats.
+	// Run is one run of a System: its pattern, its *Stats and its initial
+	// preferences (Init); what its agents did is read through the System
+	// (DecidedVal, Ledger).
 	Run = episteme.Run
 	// Program identifies a knowledge-based program (ProgramP0/ProgramP1).
 	Program = episteme.Program

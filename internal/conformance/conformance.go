@@ -26,7 +26,11 @@
 //     (time, agent) slot and its class there, with no id across times;
 //  11. AppendKey appends: after a prefix it adds exactly the key it
 //     appends to nil and leaves the prefix alone — the model checker
-//     renders keys into one reused buffer.
+//     renders keys into one reused buffer;
+//  12. equal keys imply equal states: within one driver's runs, an
+//     agent's states that share a key are deeply equal — the model checker
+//     knows a state only by its key, so a lossy key would merge classes
+//     every checker and oracle then agree on.
 //
 // Two drivers exercise the conventions: CheckExchange samples random
 // omission behavior (cheap, any n), and CheckExchangePatterns drives the
@@ -39,6 +43,7 @@ package conformance
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 
@@ -51,11 +56,11 @@ type Patterns interface {
 	Next() (*model.Pattern, bool)
 }
 
-// reporter accumulates violation descriptions, and the time at which each
-// agent first held each key (convention 10).
+// reporter accumulates violation descriptions, and the state in which
+// each agent first held each key (conventions 10 and 12).
 type reporter struct {
 	out   []string
-	times map[agentKey]int
+	first map[agentKey]model.State
 }
 
 type agentKey struct {
@@ -89,7 +94,7 @@ func sameMessage(a, b model.Message) bool {
 	return a.Announces() == b.Announces() && a.Bits() == b.Bits() && a.String() == b.String()
 }
 
-// checkState verifies conventions 9 to 11 on agent i's state s.
+// checkState verifies conventions 9 to 12 on agent i's state s.
 func (r *reporter) checkState(i int, s model.State, label lazyLabel) {
 	if !reflect.TypeOf(s).Comparable() {
 		r.report("%s: state type %T is not comparable with ==", label, s)
@@ -99,14 +104,16 @@ func (r *reporter) checkState(i int, s model.State, label lazyLabel) {
 	if got := string(s.AppendKey([]byte(prefix))); got != prefix+key {
 		r.report("%s: agent %d's AppendKey after %q gives %q, not the prefix and %q", label, i, prefix, got, key)
 	}
-	if r.times == nil {
-		r.times = make(map[agentKey]int)
+	if r.first == nil {
+		r.first = make(map[agentKey]model.State)
 	}
 	k := agentKey{model.AgentID(i), key}
-	if m, seen := r.times[k]; !seen {
-		r.times[k] = s.Time()
-	} else if m != s.Time() {
-		r.report("%s: agent %d's key %q at time %d is its key at time %d too: the key does not name its time", label, i, k.key, s.Time(), m)
+	if first, seen := r.first[k]; !seen {
+		r.first[k] = s
+	} else if first.Time() != s.Time() {
+		r.report("%s: agent %d's key %q at time %d is its key at time %d too: the key does not name its time", label, i, k.key, s.Time(), first.Time())
+	} else if !reflect.DeepEqual(first, s) {
+		r.report("%s: agent %d's key %q at time %d is the key of another state: %+v and %+v", label, i, k.key, s.Time(), first, s)
 	}
 }
 
@@ -277,13 +284,17 @@ func checkRound(ex model.Exchange, m int, states []model.State, acts []model.Act
 	return next, true
 }
 
-// randomActions draws plausible actions: agents that have not decided
-// occasionally decide a random value.
-func randomActions(rng *rand.Rand, states []model.State) []model.Action {
+// randomActions draws plausible actions as an action protocol would, a
+// function of the agent and its state: an undecided agent occasionally
+// decides a value, both drawn from a hash of the seed, the agent and its
+// key. States that share a key then act alike, as convention 12 needs.
+func randomActions(seed int64, states []model.State) []model.Action {
 	acts := make([]model.Action, len(states))
-	for i := range acts {
-		if states[i].Decided() == model.None && rng.Intn(4) == 0 {
-			acts[i] = model.Decide(model.Value(rng.Intn(2)))
+	for i, s := range states {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d|%d|%s", seed, i, s.AppendKey(nil))
+		if d := h.Sum64(); s.Decided() == model.None && d%4 == 0 {
+			acts[i] = model.Decide(model.Value(d >> 2 & 1))
 		}
 	}
 	return acts
@@ -308,7 +319,7 @@ func CheckExchange(ex model.Exchange, seed int64, trials int) []string {
 		tw := newTwin(ex, inits, states, perms, label, r)
 		rounds := 2 + rng.Intn(4)
 		for m := 0; m < rounds; m++ {
-			acts := randomActions(rng, states)
+			acts := randomActions(seed, states)
 			// Random omissions: self-messages always arrive.
 			next, ok := checkRound(ex, m, states, acts, func(i, j model.AgentID) bool {
 				return i == j || rng.Intn(3) != 0
@@ -351,7 +362,7 @@ func CheckExchangePatterns(ex model.Exchange, patterns Patterns, seed int64) []s
 		states := initialStates(ex, inits, label, r)
 		tw := newTwin(ex, inits, states, perms, label, r)
 		for m := 0; m < pat.Horizon(); m++ {
-			acts := randomActions(rng, states)
+			acts := randomActions(seed, states)
 			next, ok := checkRound(ex, m, states, acts, func(i, j model.AgentID) bool {
 				return pat.Delivered(m, i, j)
 			}, tw, label, r)

@@ -315,6 +315,55 @@ func TestConformanceChecksKeyNamesTime(t *testing.T) {
 	}
 }
 
+// blindExchange is Emin with the jd field of every key blanked: a
+// well-formed Emin key that names its time, but one that two states
+// differing in jd share.
+type blindExchange struct {
+	*exchange.Min
+}
+
+type blindState struct{ model.State }
+
+func (s blindState) AppendKey(dst []byte) []byte {
+	return fmt.Appendf(dst, "min:%d:%v:%v:*", s.Time(), s.Init(), s.Decided())
+}
+
+func (e blindExchange) Initial(i model.AgentID, init model.Value) model.State {
+	return blindState{e.Min.Initial(i, init)}
+}
+
+func (e blindExchange) Messages(i model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
+	return e.Min.Messages(i, s.(blindState).State, a, out)
+}
+
+func (e blindExchange) Update(i model.AgentID, s model.State, a model.Action, recv []model.Message) model.State {
+	return blindState{e.Min.Update(i, s.(blindState).State, a, recv)}
+}
+
+// TestConformanceChecksKeysAreFaithful is convention 12 under both
+// drivers: a key that two different states share is reported, and
+// nothing else is.
+func TestConformanceChecksKeysAreFaithful(t *testing.T) {
+	pats, err := adversary.NewSOPatterns(3, 1, 3, adversary.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, vs := range map[string][]string{
+		"random":   CheckExchange(blindExchange{exchange.NewMin(3)}, 7, 20),
+		"patterns": CheckExchangePatterns(blindExchange{exchange.NewMin(3)}, pats, 7),
+	} {
+		if len(vs) == 0 {
+			t.Errorf("%s driver: a key that hides jd was not reported", name)
+		}
+		for _, v := range vs {
+			if !strings.Contains(v, "is the key of another state") {
+				t.Errorf("%s driver: a jd-blind but otherwise conformant exchange drew another report: %s", name, v)
+				break
+			}
+		}
+	}
+}
+
 // freshKeyExchange is Emin with an AppendKey that ignores dst and returns
 // a fresh key: right on a nil buffer, wrong on every other.
 type freshKeyExchange struct {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/engine"
 	"repro/internal/model"
 )
 
@@ -15,7 +14,7 @@ import (
 // time can reach any other time (the ⊡ part), so runs are the component
 // units; two runs are joined when some agent belongs to S at equal-time
 // points of both and has the same local state there. member must read
-// only the ledger and the faulty set, which the runs of a row share
+// only the labelling and the faulty set, which the runs of a row share
 // (frame): it is asked once per time-0 row and time. A row with a member
 // joins its own runs, which share every local state, and each agent's
 // member rows of a class are joined through their first runs. The result
@@ -84,14 +83,13 @@ func (s *System) BoxComponents(member func(q Point, faulty uint64) uint64) []int
 
 // memberNAndDecided returns the membership test for the indexical sets
 // N∧O (v = 1) and N∧Z (v = 0): nonfaulty agents that have decided v or
-// are about to decide v at the point. It reads the ledger and the faulty
-// set only.
+// are about to decide v at the point. It reads the labelling and the
+// faulty set only.
 func (s *System) memberNAndDecided(v model.Value) func(Point, uint64) uint64 {
 	return func(p Point, faulty uint64) uint64 {
-		res := s.Runs[p.Run].Result
 		var members uint64
-		for i := range res.DecisionRound {
-			if id := model.AgentID(i); decided(res, id, v, p.Time) && !faultyAt(faulty, id) {
+		for i, d := range s.labels.of(p.Run) {
+			if id := model.AgentID(i); d.by(v, p.Time+1) && !faultyAt(faulty, id) {
 				members |= 1 << uint(i)
 			}
 		}
@@ -148,11 +146,11 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 		// so its runs are singletons whose compOK is the unit's ∃v
 		// (docs/architecture.md, "Readers").
 		var err error
-		believes, err = s.foldClasses(ctx, believes, maxTime, false, func(i model.AgentID, q Point, faulty uint64) bool {
+		believes, err = s.foldClasses(ctx, believes, maxTime, false, func(i model.AgentID, q Point, faulty uint64, ds []firstDecide) bool {
 			if faultyAt(faulty, i) {
 				return true // B^N: only nonfaulty alternatives count
 			}
-			return s.Exists(v, q) && compOK[comp[q.Run]] && !decided(s.Runs[q.Run].Result, i, v.Flip(), q.Time)
+			return s.Exists(v, q) && compOK[comp[q.Run]] && !ds[i].by(v.Flip(), q.Time+1)
 		})
 		if err != nil {
 			return nil, err
@@ -161,19 +159,17 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 		// The equivalence fails at a nonfaulty agent whose ○decided_i = v
 		// differs from the belief.
 		classOf := s.classTables(maxTime)
-		err = s.screen(ctx, maxTime, func(m, row int, q Point, faulty uint64) (bad uint64) {
-			res := s.Runs[q.Run].Result
-			for i := 0; i < s.N; i++ {
+		err = s.screen(ctx, maxTime, func(m, row int, q Point, faulty uint64, ds []firstDecide) (bad uint64) {
+			for i, d := range ds {
 				slot := m*s.N + i
-				if !faultyAt(faulty, model.AgentID(i)) &&
-					decided(res, model.AgentID(i), v, m) != believes[slot][classOf[slot][row]] {
+				if !faultyAt(faulty, model.AgentID(i)) && d.by(v, m+1) != believes[slot][classOf[slot][row]] {
 					bad |= 1 << uint(i)
 				}
 			}
 			return bad
 		}, func(i model.AgentID, m, run, _, _ int) {
 			if rp.keep() {
-				lhs := decided(s.Runs[run].Result, i, v, m)
+				lhs := s.labels.of(run)[i].by(v, m+1)
 				rp.lines = append(rp.lines, fmt.Sprintf(
 					"v=%v run %d time %d agent %d: ○decided=%v but characterization=%v",
 					v, run, m, i, lhs, !lhs))
@@ -184,10 +180,4 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 		}
 	}
 	return rp.done(), nil
-}
-
-// decided reports ○(decided_i = v) at time m of a run: agent i decides v
-// in a round ≤ m+1.
-func decided(res *engine.Result, i model.AgentID, v model.Value, m int) bool {
-	return res.Decided(i) == v && res.Round(i) != 0 && res.Round(i) <= m+1
 }

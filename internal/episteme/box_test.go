@@ -20,13 +20,7 @@ func TestBoxComponentsJoinRuns(t *testing.T) {
 	// every time, so the runs must share a component.
 	var ffRun, markedRun = -1, -1
 	for r, res := range sys.Runs {
-		allOnes := true
-		for _, v := range res.Inits {
-			if v != model.One {
-				allOnes = false
-			}
-		}
-		if !allOnes {
+		if sys.Exists(model.Zero, Point{Run: r}) {
 			continue
 		}
 		drops := false
@@ -65,13 +59,7 @@ func TestBoxComponentsJoinRuns(t *testing.T) {
 		if res.Pattern.NumFaulty() != 0 {
 			continue
 		}
-		allZero := true
-		for _, v := range res.Inits {
-			if v != model.Zero {
-				allZero = false
-			}
-		}
-		if allZero {
+		if !sys.Exists(model.One, Point{Run: r}) {
 			zeroRun = r
 			break
 		}
@@ -99,13 +87,7 @@ func TestMemberNAndDecided(t *testing.T) {
 		if res.Pattern.NumFaulty() != 0 {
 			continue
 		}
-		allOnes := true
-		for _, v := range res.Inits {
-			if v != model.One {
-				allOnes = false
-			}
-		}
-		if allOnes {
+		if !sys.Exists(model.Zero, Point{Run: r}) {
 			ffRun = r
 			break
 		}

@@ -233,17 +233,11 @@ func (s *System) buildCNLayer(m int) *cnLayer {
 // the body of P1's common-knowledge guards, with the run's nonfaulty set
 // read from its faulty mask.
 func (s *System) guardBody(run, m int, faulty uint64) [2]bool {
-	res := s.Runs[run].Result
 	var exists, decidedN [2]bool
-	for i, iv := range res.Inits {
-		if iv.IsSet() {
-			exists[iv] = true
-		}
-		if faulty>>uint(i)&1 != 0 {
-			continue
-		}
-		if r := res.DecisionRound[i]; r > 0 && r <= m && res.Decision[i].IsSet() {
-			decidedN[res.Decision[i]] = true
+	for i, d := range s.labels.of(run) {
+		exists[s.Runs[run].Init(model.AgentID(i))] = true
+		if !faultyAt(faulty, model.AgentID(i)) && d.by(d.v, m) {
+			decidedN[d.v] = true
 		}
 	}
 	return [2]bool{exists[0] && !decidedN[1], exists[1] && !decidedN[0]}

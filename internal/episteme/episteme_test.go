@@ -108,7 +108,10 @@ func TestDecidedValAndDeciding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := &System{N: n, T: tf, Horizon: tf + 2, Runs: []Run{ownRun(res)}}
+	sys, err := fromResults(context.Background(), &System{N: n, T: tf, Horizon: tf + 2}, []*engine.Result{res})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Agent 0 decides 0 in round 1: deciding at time 0, decided from 1 on.
 	if !sys.Deciding(0, model.Zero, Point{0, 0}) {
 		t.Error("agent 0 should be deciding 0 at time 0")
@@ -335,7 +338,7 @@ func TestSynthesizeQuotientMatchesPerRun(t *testing.T) {
 			t.Fatalf("%s: %d vs %d runs", name, len(quoSys.Runs), len(runSys.Runs))
 		}
 		for r := range runSys.Runs {
-			if got, want := ledgerFingerprint(quoSys.Runs[r]), ledgerFingerprint(runSys.Runs[r]); got != want {
+			if got, want := runLedger(quoSys, r), runLedger(runSys, r); got != want {
 				t.Fatalf("%s: run %d differs:\nquotiented: %s\nper-run:    %s", name, r, got, want)
 			}
 		}

@@ -118,7 +118,7 @@ func (w *memoWalk) check(t *testing.T, r int, got, want *engine.Result) {
 	if !slices.Equal(got.Inits, want.Inits) || !slices.EqualFunc(got.Actions, want.Actions, slices.Equal) ||
 		!slices.Equal(got.Decision, want.Decision) || !slices.Equal(got.DecisionRound, want.DecisionRound) ||
 		got.Stats != want.Stats {
-		t.Fatalf("parallelism %d, run %d differs from the plain engine:\nmemo:  %splain: %s", w.par, r, ledgerFingerprint(ownRun(got)), ledgerFingerprint(ownRun(want)))
+		t.Fatalf("parallelism %d, run %d differs from the plain engine:\nmemo:  %splain: %s", w.par, r, ledgerFingerprint(got), ledgerFingerprint(want))
 	}
 	var h memoHistory
 	for i, v := range got.Inits {

@@ -47,7 +47,7 @@ func TrueF() Formula { return Atom("true", func(*System, Point) bool { return tr
 // InitIs is the paper's init_i = v.
 func InitIs(i model.AgentID, v model.Value) Formula {
 	return Atom(fmt.Sprintf("init_%d=%v", i, v), func(sys *System, p Point) bool {
-		return sys.Runs[p.Run].Inits[i] == v
+		return sys.Runs[p.Run].Init(i) == v
 	})
 }
 

@@ -68,7 +68,7 @@ func TestTemporalOperators(t *testing.T) {
 	runIdx := -1
 	for r, res := range sys.Runs {
 		if res.Pattern.NumFaulty() == 0 &&
-			res.Inits[0] == model.Zero && res.Inits[1] == model.One && res.Inits[2] == model.One {
+			res.Init(0) == model.Zero && res.Init(1) == model.One && res.Init(2) == model.One {
 			runIdx = r
 			break
 		}

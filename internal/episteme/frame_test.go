@@ -9,13 +9,14 @@ import (
 	"testing"
 
 	"repro/internal/action"
+	"repro/internal/engine"
 	"repro/internal/exchange"
 	"repro/internal/model"
 )
 
-// naiveFrame is the reference frame: built from a traced per-run build
-// with one key → class map per slot, no index kernel and no units. Every
-// row is a run, at every time.
+// naiveFrame is the reference frame: built from a traced sweep with one
+// key → class map per slot, no index kernel and no units. Every row is a
+// run, at every time.
 type naiveFrame struct {
 	rows     layout   // every row a run
 	masks    []uint64 // run r's faulty set
@@ -24,19 +25,24 @@ type naiveFrame struct {
 	classKey [][]string
 }
 
-func newNaiveFrame(ref *System) *naiveFrame {
-	f := &naiveFrame{rows: layout{n: len(ref.Runs)}, masks: make([]uint64, len(ref.Runs))}
-	for r := range ref.Runs {
-		f.masks[r] = oracleFaultyMask(ref, r)
+func newNaiveFrame(traced []*engine.Result) *naiveFrame {
+	f := &naiveFrame{rows: layout{n: len(traced)}, masks: make([]uint64, len(traced))}
+	n, horizon := traced[0].N, traced[0].Horizon
+	for r, res := range traced {
+		for i := range model.AgentID(n) {
+			if res.Pattern.Faulty(i) {
+				f.masks[r] |= 1 << uint(i)
+			}
+		}
 	}
-	for slot := 0; slot < (ref.Horizon+1)*ref.N; slot++ {
-		m, i := slot/ref.N, slot%ref.N
+	for slot := 0; slot < (horizon+1)*n; slot++ {
+		m, i := slot/n, slot%n
 		byKey := make(map[string]int32)
 		var keys []string
 		var lists [][]int32
-		classOf := make([]int32, len(ref.Runs))
-		for r, run := range ref.Runs {
-			key := string(run.States[m][i].AppendKey(nil))
+		classOf := make([]int32, len(traced))
+		for r, res := range traced {
+			key := string(res.States[m][i].AppendKey(nil))
 			c, ok := byKey[key]
 			if !ok {
 				c = int32(len(keys))
@@ -63,10 +69,35 @@ func (f *naiveFrame) classes(slot int) []int32 { return f.classOf[slot] }
 func (f *naiveFrame) members(slot int) members { return f.lists[slot] }
 func (f *naiveFrame) keys(slot int) []string   { return f.classKey[slot] }
 
-// onFrame returns a System over sys's runs that reads f, with its own
-// worker count and C_N cache.
-func onFrame(sys *System, f frame, par int) *System {
-	return &System{N: sys.N, T: sys.T, Horizon: sys.Horizon, Runs: sys.Runs, par: par, frame: f}
+// naiveLabels is the reference labelling: each run's own ledger, as the
+// engine recorded it, with no class and no first-decide rule — every row
+// a run, its decisions the engine's Decision and DecisionRound.
+func naiveLabels(traced []*engine.Result) *labels {
+	n := traced[0].N
+	lb := &labels{n: n, rows: &layout{n: len(traced)}, decided: make([]firstDecide, len(traced)*n),
+		act: func(i model.AgentID, m, run int) model.Action { return traced[run].Actions[m][i] }}
+	for r, res := range traced {
+		for i := range n {
+			lb.decided[r*n+i] = firstDecide{res.Decision[i], uint8(res.DecisionRound[i])}
+		}
+	}
+	return lb
+}
+
+// onFrame returns a System of sys's shape over runs that reads f and lb,
+// with its own worker count and C_N cache.
+func onFrame(sys *System, runs []Run, f frame, lb *labels, par int) *System {
+	return &System{N: sys.N, T: sys.T, Horizon: sys.Horizon, Runs: runs, par: par, frame: f, labels: lb}
+}
+
+// naiveRuns is the runs of a traced sweep as a System holds them.
+func naiveRuns(traced []*engine.Result) []Run {
+	runs := make([]Run, len(traced))
+	for r, res := range traced {
+		bits, _ := initsBits(res.Inits)
+		runs[r] = Run{res.Pattern, &res.Stats, uint64(bits)}
+	}
+	return runs
 }
 
 // frameCases is every oracle case plus crash fip n=3,t=2.
@@ -75,28 +106,35 @@ func frameCases() []oracleCase {
 		c: Context{Exchange: exchange.NewFIP(3), T: 2, Crash: true}, act: action.NewOpt(2)})
 }
 
-// oracleBuilds holds each frame case's per-run reference build and its
-// production build, made once per test binary and shared by the tests
-// that compare checkers over them.
-var oracleBuilds = map[string][2]*System{}
-
-// oracleBuild returns tc's traced per-run build and the build every
+// oracleSet is one frame case's sweep three ways: as the engine records
+// it (tracedSweep), as the per-run build and as the build every
 // front-end gets (for fip, the expanded one), both on one worker.
-func oracleBuild(t *testing.T, tc oracleCase) (ref, sys *System) {
+type oracleSet struct {
+	traced   []*engine.Result
+	ref, sys *System
+}
+
+// oracleBuilds holds each frame case's oracleSet, made once per test
+// binary and shared by the tests that compare checkers over them.
+var oracleBuilds = map[string]oracleSet{}
+
+// oracleBuild returns tc's oracleSet.
+func oracleBuild(t *testing.T, tc oracleCase) oracleSet {
 	t.Helper()
 	if b, ok := oracleBuilds[tc.name]; ok {
-		return b[0], b[1]
+		return b
 	}
 	ctx := context.Background()
-	ref, err := BuildSystem(ctx, perRunContext(tc.c), tc.act, WithParallelism(1))
-	if err != nil {
+	b := oracleSet{traced: tracedSweep(t, tc.c, tc.act)}
+	var err error
+	if b.ref, err = BuildSystem(ctx, perRunContext(tc.c), tc.act, WithParallelism(1)); err != nil {
 		t.Fatal(err)
 	}
-	if sys, err = BuildSystem(ctx, tc.c, tc.act, WithParallelism(1)); err != nil {
+	if b.sys, err = BuildSystem(ctx, tc.c, tc.act, WithParallelism(1)); err != nil {
 		t.Fatal(err)
 	}
-	oracleBuilds[tc.name] = [2]*System{ref, sys}
-	return ref, sys
+	oracleBuilds[tc.name] = b
+	return b
 }
 
 // frameReport renders every checker's verdict on s: implements (P0 and
@@ -156,22 +194,24 @@ func frameReport(t *testing.T, s *System) []string {
 }
 
 // TestCheckersMatchNaiveFrame runs every checker over the production
-// frame of each frame case's build and over the naive frame of its traced
-// per-run build, at parallelism 4 and 1, and requires byte-identical
-// reports (frameReport): the checkers read nothing of the index but the
-// frame.
+// frame and labelling of each frame case's build and over the naive frame
+// and the naive per-run labelling of its traced sweep, at parallelism 4
+// and 1, and requires byte-identical reports (frameReport): the checkers
+// read nothing of the index but the frame, and nothing of the protocol
+// but the labelling.
 func TestCheckersMatchNaiveFrame(t *testing.T) {
 	for _, tc := range frameCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.slow && (testing.Short() || raceEnabled) {
 				t.Skip("the n=4 builds take seconds, a minute under the race detector")
 			}
-			ref, sys := oracleBuild(t, tc)
-			naive := newNaiveFrame(ref)
+			b := oracleBuild(t, tc)
+			naive, sys := newNaiveFrame(b.traced), b.sys
 			// Four workers first: they make the production frame's first
 			// reads (last layer, faulty masks) together.
 			for _, par := range []int{4, 1} {
-				got, want := frameReport(t, onFrame(sys, sys.frame, par)), frameReport(t, onFrame(ref, naive, par))
+				got := frameReport(t, onFrame(sys, sys.Runs, sys.frame, sys.labels, par))
+				want := frameReport(t, onFrame(sys, naiveRuns(b.traced), naive, naiveLabels(b.traced), par))
 				if !slices.Equal(got, want) {
 					t.Fatalf("par=%d: the production frame's report (%d lines) differs from the naive frame's (%d); first difference: %s",
 						par, len(got), len(want), firstDiff(got, want))
@@ -282,5 +322,49 @@ func TestFrameReadsDoNotAllocate(t *testing.T) {
 				t.Errorf("time %d: %s allocates %v times per call", m, read.name, allocs)
 			}
 		}
+	}
+}
+
+// TestLabellingMatchesEngineLedger holds the labelling to the engine's
+// ledgers: at every point of every frame case's per-run and production
+// build, DecidedVal, JustDecided and Deciding answer as the traced run's
+// Decision and DecisionRound say, and every run's Ledger is the traced
+// run's, actions included.
+func TestLabellingMatchesEngineLedger(t *testing.T) {
+	for _, tc := range frameCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.slow && (testing.Short() || raceEnabled) {
+				t.Skip("the n=4 builds take seconds, a minute under the race detector")
+			}
+			b := oracleBuild(t, tc)
+			for _, sys := range []*System{b.ref, b.sys} {
+				for r, res := range b.traced {
+					if got, want := runLedger(sys, r), ledgerFingerprint(res); got != want {
+						t.Fatalf("run %d: the labelling reads\n%sthe engine recorded\n%s", r, got, want)
+					}
+					for m := 0; m <= sys.Horizon; m++ {
+						p := Point{Run: r, Time: m}
+						for i := range model.AgentID(sys.N) {
+							d, round := res.Decided(i), res.Round(i)
+							want := model.None
+							if round > 0 && round <= m {
+								want = d
+							}
+							if got := sys.DecidedVal(i, p); got != want {
+								t.Fatalf("run %d time %d agent %d: DecidedVal %v, the ledger says %v", r, m, i, got, want)
+							}
+							for _, v := range []model.Value{model.Zero, model.One} {
+								if got, want := sys.JustDecided(i, v, p), round == m && d == v; got != want {
+									t.Fatalf("run %d time %d agent %d: JustDecided(%v) %v, the ledger says %v", r, m, i, v, got, want)
+								}
+								if got, want := sys.Deciding(i, v, p), round == m+1 && d == v; got != want {
+									t.Fatalf("run %d time %d agent %d: Deciding(%v) %v, the ledger says %v", r, m, i, v, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 )
 
@@ -17,6 +19,35 @@ type perRun struct{ model.Exchange }
 func perRunContext(c Context) Context {
 	c.Exchange = perRun{c.Exchange}
 	return c
+}
+
+// tracedSweep is c's sweep as the engine records it: every scenario of
+// the context's source streamed through a core.Runner on the memoizing
+// executor, in enumeration order — a System's run order — with state
+// traces. No System keeps a trace or a ledger; the tests hold its frame
+// and its labelling to these.
+func tracedSweep(t testing.TB, c Context, act model.ActionProtocol) []*engine.Result {
+	t.Helper()
+	n, horizon := c.Exchange.N(), c.horizonOrDefault()
+	src, err := c.scenarioSource(n, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := core.NewRunner(cacheStack(c, act, n, horizon), core.WithExecutor(newMemoExec(horizon)))
+	traced, err := runner.RunSource(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return traced
+}
+
+// initsOf is run r's initial preferences as a vector.
+func initsOf(sys *System, r int) []model.Value {
+	inits := make([]model.Value, sys.N)
+	for i := range inits {
+		inits[i] = sys.Runs[r].Init(model.AgentID(i))
+	}
+	return inits
 }
 
 // The checker wrappers below keep the theorem tests focused on verdicts:

@@ -1,23 +1,24 @@
-// Index construction: the one place class ids are assigned.
+// Index construction: the one place class ids and actions are assigned.
 //
 // Three constructions produce a System — the direct build (system.go),
 // the shard merge (shard.go) and the quotient expansion (quotient.go) —
 // and all three must yield the same tables for the same sweep. They do
 // because none of them assigns an id: each only says, per slot, what run
-// g's local-state key is (slotRows), and indexed numbers the classes
-// by first appearance in ascending run order into the System's frame, an
-// indexFrame, which alone knows how its rows are laid out. Keys
-// (model.State.AppendKey) and run order are functions of the sweep
-// alone, so the tables are —
-// whichever producer supplied the rows and however many workers interned
-// them. docs/architecture.md, "Index construction: one kernel, three
-// producers".
+// g's local-state key is and, before the horizon, what g does there
+// (slotRows), and indexed numbers the classes by first appearance in
+// ascending run order into the System's frame, an indexFrame, which alone
+// knows how its rows are laid out, and labels each class with its action.
+// Keys (model.State.AppendKey) and run order are functions of the sweep
+// alone, so the tables are — whichever producer supplied the rows and
+// however many workers interned them. docs/architecture.md, "Index
+// construction: one kernel, three producers".
 
 package episteme
 
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/model"
@@ -26,8 +27,8 @@ import (
 // frame is the Kripke frame the checkers read, and all they read of the
 // index: at each time the points grouped into rows, and per (time, agent)
 // slot the classes of rows that carry one local state. The runs of a row
-// share every agent's local state at that time, their ledger and their
-// faulty set, so a predicate that reads only those — a row function — may
+// share every agent's local state at that time, their actions (labels) and
+// their faulty set, so a predicate that reads only those — a row function — may
 // be asked once per row, at its first run. A time's rows ascend with
 // their first runs. How rows are laid out is the implementation's
 // business: indexFrame's are prefix units before the horizon of an
@@ -97,8 +98,8 @@ type indexFrame struct {
 	// Rows. Before the horizon of a time-layered system (units non-nil;
 	// only ExpandQuotient builds one) a row is a prefix unit: the
 	// runs sharing their initial vector, faulty set and every drop before
-	// the last round, and so every local state before the horizon and the
-	// whole ledger. Everywhere else a row is a run (perRun).
+	// the last round, and so every local state before the horizon and
+	// every action. Everywhere else a row is a run (perRun).
 	// docs/architecture.md, "Time-layered expansion: prefix units".
 	units  *layout
 	perRun layout
@@ -155,41 +156,116 @@ func (x *indexFrame) read(slot int) *indexFrame {
 	return x
 }
 
-// slotRows is a producer's account of one slot: it has n rows, and
-// key(dst, g) appends row g's local-state key there to dst. A row is a
-// run, except in the slots before the horizon of a time-layered system,
-// where it is a prefix unit (indexFrame, "Rows") — the kernel is told a
-// count and never looks. A producer that can tell cheaply that two rows
-// carry the same key says so with a memo code — code(g) in [0, codes),
-// equal codes implying equal keys — and the kernel asks key once per
-// distinct code instead of once per row. classes sizes the key map.
+// slotRows is a producer's account of one slot: it has n rows, key(dst,
+// g) appends row g's local-state key there to dst, and in a slot before
+// the horizon act(g) is what row g's agent does there. A row is a run,
+// except in the slots before the horizon of a time-layered system, where
+// it is a prefix unit (indexFrame, "Rows") — the kernel is told a count
+// and never looks. A producer that can tell cheaply that two rows carry
+// the same key says so with a memo code — code(g) in [0, codes), equal
+// codes implying equal keys — and the kernel asks key once per distinct
+// code instead of once per row. classes sizes the key map.
 type slotRows struct {
 	n       int
 	codes   int
 	classes int
 	code    func(g int) int
 	key     func(dst []byte, g int) ([]byte, error)
+	act     func(g int) model.Action
 }
 
-// indexed builds s's frame x from the producer's rows and returns s, or
-// no System at all when the build fails: every construction ends here. x
-// carries the producer's units, if any. The slots of times before the
-// horizon are interned now; the time-Horizon slots keep the producer's
-// rows and are interned on first read (lastLayer), since Theorems 6.5,
-// 6.6 and A.21's checks never read them. The error is the context's
-// cancellation cause, or else the lowest failing slot's first key error —
-// the same error at every worker count.
+// labels is the action protocol over the frame — the system's
+// labelling — and all the checkers read of what the agents do: act(i, m,
+// run) is agent i's action at (run, m) for m before the horizon, and
+// decided[rows.row(run)·n+i] agent i's first decide in the run with its
+// round, the run's decision. Both are row functions. newLabels makes every
+// construction's from the kernel's class labels, acts[slot][c].
+type labels struct {
+	n       int
+	act     func(i model.AgentID, m, run int) model.Action
+	acts    [][]model.Action
+	rows    *layout
+	decided []firstDecide
+}
+
+// firstDecide is an agent's decision in a run and its round, or (None, 0)
+// if it never decides.
+type firstDecide struct {
+	v     model.Value
+	round uint8
+}
+
+// by reports whether the agent decided v in a round ≤ r.
+func (d firstDecide) by(v model.Value, r int) bool {
+	return d.v == v && d.round != 0 && int(d.round) <= r
+}
+
+// in reports whether the agent decided v in round r.
+func (d firstDecide) in(v model.Value, r int) bool { return d.v == v && int(d.round) == r }
+
+// of returns run's decisions, one per agent.
+func (lb *labels) of(run int) []firstDecide { return lb.ofRow(lb.rows, lb.rows.row(run)) }
+
+// ofRow returns the decisions of row of layout l: a row of the labels' own
+// layout indexes them, any other is read at its first run.
+func (lb *labels) ofRow(l *layout, row int) []firstDecide {
+	if l != lb.rows {
+		row = lb.rows.row(l.first(row))
+	}
+	k := row * lb.n
+	return lb.decided[k : k+lb.n : k+lb.n]
+}
+
+// newLabels labels s's frame with acts, each pre-horizon class's action,
+// and reads every pre-horizon row's decisions off them: the first decide
+// at a time before the horizon is the decision.
+func newLabels(s *System, acts [][]model.Action) *labels {
+	f, n := s.frame, s.N
+	lb := &labels{n: n, acts: acts, rows: f.layout(0), act: func(i model.AgentID, m, run int) model.Action {
+		slot := m*n + int(i)
+		return acts[slot][f.classes(slot)[f.layout(m).row(run)]]
+	}}
+	lb.decided = make([]firstDecide, lb.rows.n*n)
+	for k := range lb.decided {
+		lb.decided[k].v = model.None
+	}
+	for slot := range s.Horizon * n {
+		m, i, classOf := slot/n, slot%n, f.classes(slot)
+		for row := range lb.rows.n {
+			d := &lb.decided[row*n+i]
+			if v := acts[slot][classOf[row]].Decision(); d.round == 0 && v.IsSet() {
+				*d = firstDecide{v, uint8(m + 1)}
+			}
+		}
+	}
+	return lb
+}
+
+// indexed builds s's frame x and its labelling from the producer's rows
+// and returns s, or no System at all when the build fails: every
+// construction ends here. x carries the producer's units, if any. The
+// slots of times before the horizon are interned and labelled now; the
+// time-Horizon slots keep the producer's rows and are interned on first
+// read (lastLayer), since Theorems 6.5, 6.6 and A.21's checks never read
+// them. The error is the context's cancellation cause, or else the lowest
+// failing slot's first key error or refusal — the same error at every
+// worker count.
 func (s *System) indexed(ctx context.Context, x *indexFrame, rows func(slot int) slotRows) (*System, error) {
+	if s.Horizon > 255 {
+		return nil, fmt.Errorf("episteme: a decision round is a byte, the horizon is %d", s.Horizon)
+	}
 	nSlots := (s.Horizon + 1) * s.N
 	x.sys, x.perRun.n = s, len(s.Runs)
 	x.classOf = make([][]int32, nSlots)
 	x.classRuns = make([]members, nSlots)
 	x.classKey = make([][]string, nSlots)
-	if err := x.intern(ctx, 0, s.Horizon*s.N, rows); err != nil {
+	acts := make([][]model.Action, s.Horizon*s.N)
+	if err := x.intern(ctx, 0, len(acts), rows, acts); err != nil {
 		return nil, err
 	}
 	x.lastRows = rows
 	s.frame = x
+	s.labels = newLabels(s, acts)
 	return s, nil
 }
 
@@ -202,7 +278,7 @@ func (x *indexFrame) lastLayer() {
 		if x.lastRows == nil {
 			return // a frame assembled literally
 		}
-		if err := x.intern(context.Background(), x.sys.Horizon*x.sys.N, len(x.classOf), x.lastRows); err != nil {
+		if err := x.intern(context.Background(), x.sys.Horizon*x.sys.N, len(x.classOf), x.lastRows, nil); err != nil {
 			panic(err)
 		}
 		x.lastRows = nil
@@ -217,37 +293,54 @@ func (x *indexFrame) lastLayer() {
 // a key becomes a string only when it opens a class. There are no ids
 // across slots: a key names its time (conformance convention 10), so a
 // slot and a class there identify one agent's local state system-wide.
-func (x *indexFrame) intern(ctx context.Context, from, to int, rows func(slot int) slotRows) error {
+// When acts is non-nil, acts[slot] receives each class's action, the
+// action of its first row, and a class whose rows act differently is
+// refused: an action protocol is a function of the local state, so its
+// key hides something the protocol reads.
+func (x *indexFrame) intern(ctx context.Context, from, to int, rows func(slot int) slotRows, acts [][]model.Action) error {
 	slotErr := make([]error, to-from)
 	err := x.sys.parallel(ctx, to-from, func(k int) {
 		slot := from + k
 		p := rows(slot)
 		byKey := make(map[string]int32, p.classes)
 		var classKey []string
+		var classAct []model.Action
 		var buf []byte
 		classOf := make([]int32, p.n)
 		seen := make([]int32, p.codes)
 		for g := range classOf {
 			cell := &seen[p.code(g)]
-			if *cell != 0 {
-				classOf[g] = *cell - 1
+			if *cell == 0 {
+				var err error
+				if buf, err = p.key(buf[:0], g); err != nil {
+					slotErr[k] = err
+					return
+				}
+				cls, known := byKey[string(buf)]
+				if !known {
+					cls = int32(len(classKey))
+					classKey = append(classKey, string(buf))
+					byKey[classKey[cls]] = cls
+				}
+				*cell = cls + 1
+			}
+			cls := *cell - 1
+			classOf[g] = cls
+			if acts == nil {
 				continue
 			}
-			var err error
-			if buf, err = p.key(buf[:0], g); err != nil {
-				slotErr[k] = err
+			if a := p.act(g); int(cls) == len(classAct) {
+				classAct = append(classAct, a)
+			} else if a != classAct[cls] {
+				slotErr[k] = fmt.Errorf("episteme: agent %d's local state %q at time %d (class %d) acts %v in row %d and %v in an earlier row: the action is not a function of the key (a key that hides what the protocol reads, or an asymmetric stack)",
+					slot%x.sys.N, classKey[cls], slot/x.sys.N, cls, a, g, classAct[cls])
 				return
 			}
-			cls, known := byKey[string(buf)]
-			if !known {
-				cls = int32(len(classKey))
-				classKey = append(classKey, string(buf))
-				byKey[classKey[cls]] = cls
-			}
-			*cell = cls + 1
-			classOf[g] = cls
 		}
 		x.classOf[slot], x.classKey[slot] = classOf, classKey
+		if acts != nil {
+			acts[slot] = classAct
+		}
 		if !x.sys.Quotiented() { // nothing reads a representative system's member lists
 			x.classRuns[slot] = packMembers(classOf, len(classKey))
 		}

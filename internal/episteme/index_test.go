@@ -1,14 +1,18 @@
 package episteme
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/action"
+	"repro/internal/exchange"
+	"repro/internal/model"
 )
 
 // literalSystem is an unindexed System of the given shape whose runs are
@@ -18,12 +22,13 @@ func literalSystem(n, horizon, nRuns, par int) *System {
 	return &System{N: n, Horizon: horizon, Runs: make([]Run, nRuns), par: par}
 }
 
-// perRow is the rows of a producer whose memo code is the row itself.
+// perRow is the rows of a producer whose memo code is the row itself,
+// and whose every row does noop.
 func perRow(n int, key func(g int) (string, error)) slotRows {
 	return slotRows{n: n, codes: n, code: func(g int) int { return g }, key: func(dst []byte, g int) ([]byte, error) {
 		k, err := key(g)
 		return append(dst, k...), err
-	}}
+	}, act: func(int) model.Action { return model.Noop }}
 }
 
 // TestInternSlotsFirstAppearance pins the kernel's whole contract on one
@@ -162,4 +167,73 @@ func TestRestoringBuildsCancellation(t *testing.T) {
 	if sys, err := MergeSystems(ctx, []*ShardIndex{idx}); sys != nil || !errors.Is(err, cause) {
 		t.Errorf("MergeSystems = (system: %v, %v), want only the cause", sys != nil, err)
 	}
+}
+
+// noJD is Emin with jd hidden from its keys: Pmin decides 0 on hearing
+// that someone just decided 0, which the key no longer shows.
+type noJD struct{ *exchange.Min }
+
+// noJDState is an Emin state whose key drops its last field, jd.
+type noJDState struct{ model.State }
+
+func (s noJDState) AppendKey(dst []byte) []byte {
+	out := s.State.AppendKey(dst)
+	return out[:len(dst)+bytes.LastIndexByte(out[len(dst):], ':')]
+}
+
+func (e noJD) Initial(i model.AgentID, v model.Value) model.State {
+	return noJDState{e.Min.Initial(i, v)}
+}
+func (e noJD) Messages(i model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
+	return e.Min.Messages(i, s.(noJDState).State, a, out)
+}
+func (e noJD) Update(i model.AgentID, s model.State, a model.Action, recv []model.Message) model.State {
+	return noJDState{e.Min.Update(i, s.(noJDState).State, a, recv)}
+}
+
+// AppendPermuteKey rewrites an Emin key, which names no agent, into noJD's:
+// jd dropped.
+func (noJD) AppendPermuteKey(dst []byte, key string, _ []model.AgentID) ([]byte, error) {
+	return append(dst, key[:strings.LastIndexByte(key, ':')]...), nil
+}
+
+// TestLabellingRefusesHiddenField: a key that hides a field its protocol
+// acts on — Emin's without jd, under Pmin — makes every construction
+// refuse the class whose rows act differently, instead of a System: the
+// direct build (with the quotient and without), the merge of stripes whose
+// keys lost jd, and the expansion of sound representatives under keys
+// that lose it.
+func TestLabellingRefusesHiddenField(t *testing.T) {
+	ctx := context.Background()
+	c, act := Context{Exchange: exchange.NewMin(3), T: 1}, action.NewMin(1)
+	mutant := Context{Exchange: noJD{exchange.NewMin(3)}, T: 1}
+	refused := func(what string, sys *System, err error) {
+		t.Helper()
+		if sys != nil || err == nil || !strings.Contains(err.Error(), "is not a function of the key") {
+			t.Errorf("%s = (system: %v, %v), want only the refusal", what, sys != nil, err)
+		}
+	}
+	sys, err := BuildSystem(ctx, mutant, act)
+	refused("BuildSystem", sys, err)
+	sys, err = BuildSystem(ctx, perRunContext(mutant), act)
+	refused("the per-run BuildSystem", sys, err)
+
+	idx, err := BuildShardIndex(ctx, c, act, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := MergeSystems(ctx, []*ShardIndex{idx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err = ExpandQuotient(ctx, rep, mutant)
+	refused("ExpandQuotient", sys, err)
+
+	for _, keys := range idx.ClassKeys {
+		for c, key := range keys {
+			keys[c] = key[:strings.LastIndexByte(key, ':')]
+		}
+	}
+	sys, err = MergeSystems(ctx, []*ShardIndex{idx})
+	refused("MergeSystems", sys, err)
 }

@@ -58,11 +58,10 @@ func (s *System) kbpPhaseA(prog Program, i model.AgentID, p Point) (model.Action
 		}
 	}
 	// if init_i = 0 ∨ K_i(∨_j jdecided_j = 0) then decide(0)
-	// (init_i is read off the run's recorded inits rather than the local
-	// state so merged Systems — whose runs carry no state traces — can
-	// evaluate the program; State().Init() equals Inits[i] by the State
-	// contract.)
-	if s.Runs[p.Run].Inits[i] == model.Zero {
+	// (init_i is read off the run's initial preferences rather than the
+	// local state, which no System keeps; State().Init() equals them by the
+	// State contract.)
+	if s.Runs[p.Run].Init(i) == model.Zero {
 		return model.Decide0, true
 	}
 	someJustDecided0 := func(q Point) bool {
@@ -80,10 +79,9 @@ func (s *System) kbpPhaseA(prog Program, i model.AgentID, p Point) (model.Action
 }
 
 // kbpPhaseB resolves the decide-1 guard K_i(⋀_j ¬(deciding_j = 0)), with
-// "j is deciding 0 at q" supplied by the caller: the recorded actions for
-// a completed system, or the phase-A resolutions while Synthesize grows
-// its table — either way a function of q's ledger, asked once per row
-// (frame).
+// "j is deciding 0 at q" supplied by the caller: the labelling of a
+// completed system, or the phase-A resolutions while Synthesize grows its
+// table — either way a row function, asked once per row (frame).
 func (s *System) kbpPhaseB(i model.AgentID, p Point, deciding0 func(q Point, j model.AgentID) bool) model.Action {
 	nobodyDeciding0 := func(q Point) bool {
 		for j := 0; j < s.N; j++ {
@@ -148,7 +146,7 @@ type implItem struct {
 
 // CheckImplements verifies that the system's generating protocol
 // implements the knowledge-based program: at every reachable local state,
-// the recorded action equals the program's action with knowledge
+// the protocol's action equals the program's action with knowledge
 // interpreted in this very system. An empty result is a machine check of
 // Theorem 6.5 (P_min/P0 in γ_min), Theorem 6.6 (P_basic/P0 in γ_basic), or
 // Theorem A.21 (P_opt/P1 in γ_fip), depending on how the system was built.
@@ -177,7 +175,7 @@ func (s *System) CheckImplements(ctx context.Context, prog Program, maxMismatche
 
 // mismatches asks want once per distinct (agent, local state) of the times
 // before the horizon and reports where its action differs from the
-// recorded one; ok = false from want skips the state. The states shard
+// labelled one; ok = false from want skips the state. The states shard
 // over the worker pool and come back in the canonical first-occurrence
 // order; maxMismatches caps the report as CheckImplements documents.
 func (s *System) mismatches(ctx context.Context, maxMismatches int, want func(i model.AgentID, p Point) (model.Action, bool)) ([]Mismatch, error) {
@@ -206,7 +204,7 @@ func (s *System) mismatches(ctx context.Context, maxMismatches int, want func(i 
 		it := items[k]
 		p := Point{Run: it.run, Time: it.time}
 		act, ok := want(it.agent, p)
-		got := s.Runs[it.run].Actions[it.time][it.agent]
+		got := s.labels.act(it.agent, it.time, it.run)
 		if ok && got != act {
 			found[k] = &Mismatch{
 				Agent: it.agent, Run: it.run, Time: it.time,

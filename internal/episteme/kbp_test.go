@@ -119,17 +119,18 @@ func TestGraphCommonVMatchesSemanticCommonKnowledge(t *testing.T) {
 	// no-decided_N(1−v) ∧ ∃v)) evaluated semantically over the full
 	// interpreted system. This is stronger than CheckImplements, which
 	// only compares final actions.
-	// The graph is read off the state trace, which only a per-run build
+	// The graph is read off the sweep's state traces, which no System
 	// keeps.
-	sys, err := BuildSystem(context.Background(), perRunContext(fipContext31()), action.NewOpt(1))
+	sys, err := BuildSystem(context.Background(), fipContext31(), action.NewOpt(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	traced := tracedSweep(t, fipContext31(), action.NewOpt(1))
 	checked, fired := 0, 0
 	sys.Points(-1, func(p Point) {
 		for i := 0; i < sys.N; i++ {
 			id := model.AgentID(i)
-			st := sys.Runs[p.Run].States[p.Time][i].(*exchange.FIPState)
+			st := traced[p.Run].States[p.Time][i].(*exchange.FIPState)
 			ref := graph.NewRef(sys.T, st.Graph())
 			for _, v := range []model.Value{model.Zero, model.One} {
 				got := ref.CommonV(v, id, p.Time)
@@ -276,7 +277,7 @@ func TestNMinusTOneMismatchSets(t *testing.T) {
 					p := Point{Run: r, Time: m}
 					for i := 0; i < sys.N; i++ {
 						id := model.AgentID(i)
-						if sys.DecidedVal(id, p) == model.None && sys.Runs[r].Actions[m][i] == model.Noop {
+						if sys.DecidedVal(id, p) == model.None && !sys.Deciding(id, model.Zero, p) && !sys.Deciding(id, model.One, p) {
 							predicted[at{id, m, sys.Key(id, p)}] = true
 						}
 					}

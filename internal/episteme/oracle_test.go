@@ -19,7 +19,9 @@ import (
 // 7.5 and Definition 6.2: every knowledge or witness condition is
 // re-evaluated at every point by scanning the point's whole
 // indistinguishability class. They cost Σ|class|² and exist only as the
-// reference the class-folded checkers are compared against.
+// reference the class-folded checkers are compared against. They read
+// decisions through the point queries DecidedVal and JustDecided, which
+// TestLabellingMatchesEngineLedger holds to the engine's ledgers.
 
 // oracleOptimality is the value-v half of CheckOptimalityFIP with the
 // belief evaluated per point through System.Knows.
@@ -39,7 +41,7 @@ func oracleOptimality(s *System, v model.Value, maxTime int) []string {
 			compOK[c] = false
 		}
 	}
-	for r, res := range s.Runs {
+	for r := range s.Runs {
 		for m := 0; m <= maxTime; m++ {
 			p := Point{Run: r, Time: m}
 			for i := 0; i < s.N; i++ {
@@ -47,14 +49,12 @@ func oracleOptimality(s *System, v model.Value, maxTime int) []string {
 				if !s.Nonfaulty(id, p) {
 					continue
 				}
-				lhs := res.Decided(id) == v && res.Round(id) != 0 && res.Round(id) <= m+1
+				lhs := s.DecidedVal(id, Point{Run: r, Time: m + 1}) == v
 				rhs := s.Knows(id, p, func(q Point) bool {
 					if !s.Nonfaulty(id, q) {
 						return true // B^N: only nonfaulty alternatives count
 					}
-					qres := s.Runs[q.Run]
-					decidedOther := qres.Decided(id) == v.Flip() &&
-						qres.Round(id) != 0 && qres.Round(id) <= q.Time+1
+					decidedOther := s.DecidedVal(id, Point{Run: q.Run, Time: q.Time + 1}) == v.Flip()
 					return s.Exists(v, q) && compOK[comp[q.Run]] && !decidedOther
 				})
 				if lhs != rhs {
@@ -125,11 +125,7 @@ func oracleBoxComponents(s *System, member func(i model.AgentID, p Point) bool) 
 // and N∧Z (v = 0), reading the faulty set through the run's pattern.
 func oracleMemberNAndDecided(s *System, v model.Value) func(model.AgentID, Point) bool {
 	return func(i model.AgentID, p Point) bool {
-		if !s.Nonfaulty(i, p) {
-			return false
-		}
-		res := s.Runs[p.Run]
-		return res.Decided(i) == v && res.Round(i) != 0 && res.Round(i) <= p.Time+1
+		return s.Nonfaulty(i, p) && s.DecidedVal(i, Point{Run: p.Run, Time: p.Time + 1}) == v
 	}
 }
 
@@ -148,18 +144,18 @@ func oracleSafety(s *System) []string {
 		return runs
 	}
 	var out []string
-	for r, res := range s.Runs {
+	for r := range s.Runs {
 		for m := 0; m <= s.Horizon; m++ {
 			p := Point{Run: r, Time: m}
 			for i := 0; i < s.N; i++ {
 				id := model.AgentID(i)
-				if !s.receivedChainBy(id, r, m) && !oracleExistsIndistAllOnes(s, classRuns(id, m, r)) {
+				if s.DecidedVal(id, Point{Run: r, Time: m + 1}) != model.Zero && !oracleExistsIndistAllOnes(s, classRuns(id, m, r)) {
 					out = append(out, fmt.Sprintf("clause 1: run %d time %d agent %d", r, m, i))
 				}
 				if m >= s.Horizon {
 					continue
 				}
-				decidedBefore := res.Round(id) != 0 && res.Round(id) <= m
+				decidedBefore := s.DecidedVal(id, p).IsSet()
 				cannotRuleOut := !s.Knows(id, p, func(q Point) bool {
 					for j := 0; j < s.N; j++ {
 						if s.Deciding(model.AgentID(j), model.Zero, q) {
@@ -186,14 +182,7 @@ func oracleSafety(s *System) []string {
 // equal to 1.
 func oracleExistsIndistAllOnes(s *System, class []int) bool {
 	for _, r := range class {
-		allOnes := true
-		for _, v := range s.Runs[r].Inits {
-			if v != model.One {
-				allOnes = false
-				break
-			}
-		}
-		if allOnes {
+		if !s.Exists(model.Zero, Point{Run: r}) {
 			return true
 		}
 	}
@@ -229,8 +218,7 @@ func oracleSafetyClause2Witness(s *System, classRuns func(i model.AgentID, m, ru
 					if !s.Nonfaulty(jpd, qq) {
 						continue
 					}
-					res := s.Runs[rpp]
-					if res.Round(jpd) == m && res.Decided(jpd) == model.Zero {
+					if s.JustDecided(jpd, model.Zero, qq) {
 						return true
 					}
 				}
@@ -278,7 +266,8 @@ func TestCheckersMatchPerPointOracle(t *testing.T) {
 			// The oracle scans classes point by point: it runs on the per-run
 			// build, the checkers on the build every front-end gets (for fip,
 			// the expanded one).
-			ref, sys1 := oracleBuild(t, tc)
+			b := oracleBuild(t, tc)
+			ref, sys1 := b.ref, b.sys
 			wantOpt := append(oracleOptimality(ref, model.Zero, -1), oracleOptimality(ref, model.One, -1)...)
 			wantSafety := oracleSafety(ref)
 			if tc.wantOp != (len(wantOpt) > 0) || tc.wantSf != (len(wantSafety) > 0) {
@@ -328,7 +317,8 @@ func TestBoxComponentsMatchPerRun(t *testing.T) {
 			if tc.slow && (testing.Short() || raceEnabled) {
 				t.Skip("the per-run pass at n=4 is slow under the race detector")
 			}
-			ref, sys := oracleBuild(t, tc)
+			b := oracleBuild(t, tc)
+			ref, sys := b.ref, b.sys
 			for _, v := range []model.Value{model.Zero, model.One} {
 				got := partitionLabels(sys.BoxComponents(sys.memberNAndDecided(v)))
 				want := partitionLabels(oracleBoxComponents(ref, oracleMemberNAndDecided(ref, v)))
@@ -450,8 +440,11 @@ func TestCrashT2TheoremCounts(t *testing.T) {
 				tc.n, got, want)
 		}
 		earlier, earlierRuns := 0, 0
-		for r, res := range sys.Runs {
-			other, before := nock.Runs[r], earlier
+		var res, other engine.Result
+		for r := range sys.Runs {
+			sys.Ledger(r, &res)
+			nock.Ledger(r, &other)
+			before := earlier
 			if res.Pattern.String() != other.Pattern.String() || !slices.Equal(res.Inits, other.Inits) {
 				t.Fatalf("n=%d: run %d enumerates different scenarios under Popt and Popt-nock", tc.n, r)
 			}
@@ -752,11 +745,13 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 		rc  int32
 	}
 	sliceErr := make([]error, horizon+1)
+	acts, racts := make([][]model.Action, horizon*n), rep.labels.acts
 	err := parallelDo(ctx, sys.par, horizon+1, func(m int) {
 		for i := 0; i < n && sliceErr[m] == nil; i++ {
 			slot := m*n + i
 			byKey := make(map[string]int32)
 			var classKey []string
+			var classAct []model.Action // the label of each class's first run
 			classOf := make([]int32, nRuns)
 			cache := make(map[triple]int32)
 			for g := 0; g < nRuns; g++ {
@@ -780,6 +775,9 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 						cls = int32(len(classKey))
 						byKey[key] = cls
 						classKey = append(classKey, key)
+						if m < horizon {
+							classAct = append(classAct, racts[m*n+int(srcAgent)][rc])
+						}
 					}
 					cache[tk] = cls
 				}
@@ -788,6 +786,9 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 			x.classOf[slot] = classOf
 			x.classRuns[slot] = packMembers(classOf, len(classKey))
 			x.classKey[slot] = classKey
+			if m < horizon {
+				acts[slot] = classAct
+			}
 		}
 	})
 	if err != nil {
@@ -798,6 +799,7 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 			return nil, fmt.Errorf("episteme: expanding quotiented keys: %w", e)
 		}
 	}
+	sys.labels = newLabels(sys, acts)
 	return sys, nil
 }
 
@@ -992,6 +994,7 @@ func TestCKFoldOnRandomSystems(t *testing.T) {
 	vetoed, heldAcrossEdge := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		sys := &System{N: n, T: tf, Horizon: 1, Runs: make([]Run, runs)}
+		ledgers := make([]*engine.Result, runs) // decisions no protocol takes
 		for r := range sys.Runs {
 			// Agent 0 is faulty in most runs and one more agent in a few,
 			// so that a faulty set is often common to a component and
@@ -1012,8 +1015,10 @@ func TestCKFoldOnRandomSystems(t *testing.T) {
 					res.Decision[i], res.DecisionRound[i] = model.Value(rng.Intn(2)), 1
 				}
 			}
-			sys.Runs[r] = ownRun(res)
+			bits, _ := initsBits(res.Inits)
+			sys.Runs[r], ledgers[r] = Run{pat, &res.Stats, uint64(bits)}, res
 		}
+		sys.labels = naiveLabels(ledgers)
 		x := &indexFrame{sys: sys, perRun: layout{n: runs}, classOf: make([][]int32, 2*n), classRuns: make([]members, 2*n)}
 		sys.frame = x
 		for slot := range x.classOf {

@@ -16,31 +16,47 @@ import (
 	"repro/internal/model"
 )
 
-// resultFingerprint renders everything observable about a run: pattern,
-// inits, full state-key and action traces, the decision ledger, and the
-// traffic stats. Two runs with equal fingerprints are interchangeable for
-// every checker.
-func resultFingerprint(run Run) string {
+// runFingerprint renders everything observable about run r of sys: its
+// pattern and traffic, its ledger read through the labelling, and every
+// agent's local-state key at every time. Two runs with equal fingerprints
+// are interchangeable for every checker.
+func runFingerprint(sys *System, r int) string {
 	var b strings.Builder
-	b.WriteString(ledgerFingerprint(run))
-	for m := range run.States {
-		for i := range run.States[m] {
-			fmt.Fprintf(&b, "s[%d][%d]=%s\n", m, i, string(run.States[m][i].AppendKey(nil)))
+	b.WriteString(runLedger(sys, r))
+	for m := 0; m <= sys.Horizon; m++ {
+		for i := range model.AgentID(sys.N) {
+			fmt.Fprintf(&b, "s[%d][%d]=%s\n", m, i, sys.Key(i, Point{Run: r, Time: m}))
 		}
 	}
 	return b.String()
 }
 
-// ledgerFingerprint is resultFingerprint without the state traces, which
-// an expanded system does not carry. The pattern and stats are the run's
-// own, not its ledger's.
-func ledgerFingerprint(run Run) string {
-	return fmt.Sprintf("pat=%s stats=%+v %s", run.Pattern.Key(), *run.Stats, ledgerContent(run.Result))
+// runLedger is ledgerFingerprint of run r of sys, read through its
+// labelling.
+func runLedger(sys *System, r int) string {
+	var res engine.Result
+	sys.Ledger(r, &res)
+	return ledgerFingerprint(&res)
 }
 
-// ownRun is an executed run as a System holds it: the Result is its own
-// ledger.
-func ownRun(res *engine.Result) Run { return Run{res, res.Pattern, &res.Stats} }
+// resultFingerprint is runFingerprint of an executed run, its keys read
+// off its state trace.
+func resultFingerprint(res *engine.Result) string {
+	var b strings.Builder
+	b.WriteString(ledgerFingerprint(res))
+	for m := range res.States {
+		for i := range res.States[m] {
+			fmt.Fprintf(&b, "s[%d][%d]=%s\n", m, i, string(res.States[m][i].AppendKey(nil)))
+		}
+	}
+	return b.String()
+}
+
+// ledgerFingerprint is resultFingerprint without the state trace: the
+// pattern, the traffic and the ledger's content.
+func ledgerFingerprint(res *engine.Result) string {
+	return fmt.Sprintf("pat=%s stats=%+v %s", res.Pattern.Key(), res.Stats, ledgerContent(res))
+}
 
 // ledgerContent renders what a ledger records whoever holds it: inits,
 // decisions, decision rounds and actions.
@@ -52,16 +68,18 @@ func fipContext31() Context {
 	return Context{Exchange: exchange.NewFIP(3), T: 1}
 }
 
-// TestBuildSystemMatchesPlainEngine pins the memoizing executor against
-// the plain engine: every run of the system must be bit-identical to
-// executing its scenario through engine.Run — state traces included, so
-// the build is the per-run one.
+// TestBuildSystemMatchesPlainEngine pins the per-run build against the
+// plain engine: every run of the system — its ledger read through the
+// labelling, its keys through the index — must be bit-identical to
+// executing its scenario through engine.Run.
 func TestBuildSystemMatchesPlainEngine(t *testing.T) {
 	sys, err := BuildSystem(context.Background(), perRunContext(fipContext31()), action.NewOpt(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ri, res := range sys.Runs {
+	var res engine.Result
+	for ri := range sys.Runs {
+		sys.Ledger(ri, &res)
 		plain, err := engine.Run(engine.Config{
 			Exchange: exchange.NewFIP(3),
 			Action:   action.NewOpt(1),
@@ -72,7 +90,7 @@ func TestBuildSystemMatchesPlainEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := resultFingerprint(res), resultFingerprint(ownRun(plain)); got != want {
+		if got, want := runFingerprint(sys, ri), resultFingerprint(plain); got != want {
 			t.Fatalf("run %d differs from the plain engine:\nmemo:\n%s\nplain:\n%s", ri, got, want)
 		}
 	}
@@ -102,7 +120,7 @@ func TestBuildSystemParallelismDeterminism(t *testing.T) {
 			t.Fatalf("%s: %d vs %d runs", name, len(seq.Runs), len(par.Runs))
 		}
 		for r := range seq.Runs {
-			if resultFingerprint(seq.Runs[r]) != resultFingerprint(par.Runs[r]) {
+			if runFingerprint(seq, r) != runFingerprint(par, r) {
 				t.Fatalf("%s: run %d differs between parallelism levels", name, r)
 			}
 		}
@@ -171,7 +189,7 @@ func TestSynthesizeParallelismDeterminism(t *testing.T) {
 			}
 		}
 		for r := range seqSys.Runs {
-			if resultFingerprint(seqSys.Runs[r]) != resultFingerprint(parSys.Runs[r]) {
+			if runFingerprint(seqSys, r) != runFingerprint(parSys, r) {
 				t.Fatalf("%s: synthesized run %d differs between parallelism levels", name, r)
 			}
 		}

@@ -10,8 +10,8 @@
 // to (representative, relabeling) — per pattern one canonical search and
 // one lookup of the representative pattern's slots (repTable), per
 // scenario the inits minimised and one slot read — and synthesizes the
-// full system's decision ledgers and interned class tables by permuting
-// the representative's — class ids assigned by the same index kernel
+// full system's interned class tables and their labels by permuting the
+// representative's — class ids assigned by the same index kernel
 // (index.go) every other construction uses, so every verdict over the
 // expanded system is bit-identical to the per-run build's (pinned by
 // TestQuotientSystemBitIdentical against an exchange whose KeyPermuter is
@@ -29,8 +29,8 @@
 // synchronous context nothing an agent holds before time Horizon can
 // depend on the last round's omissions; so pass 1 also groups the
 // scenarios into prefix units — same inits, same faulty set, same drops
-// before the last round — whose runs share a ledger, and pass 2 interns
-// the slots of times < Horizon over units. Only the last time slice is
+// before the last round — and pass 2 interns and labels the slots of
+// times < Horizon over units. Only the last time slice is
 // interned over runs, under a memo code that says which unit a run
 // belongs to and what the last round dropped toward the slot's agent —
 // and only when something first reads it (indexFrame.lastLayer).
@@ -39,13 +39,10 @@ package episteme
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/model"
 )
 
@@ -74,12 +71,12 @@ func expandable(c Context) (model.KeyPermuter, error) {
 // be the context the quotiented system was built in — the expansion
 // re-enumerates c's scenario source and cross-checks every orbit against
 // the representative weights, so a mismatched context fails loudly instead
-// of mis-expanding. The expanded system carries no state traces (like a
-// merged one), and its runs share one ledger per distinct content (Run):
-// System.Key and the checkers ride the interned class tables. Its
-// time-Horizon slots are interned on first read, which the implements
-// checks never make; until then the system keeps pass 1's per-run arrays
-// and rep alive.
+// of mis-expanding. The expansion's labels are the representatives',
+// relabeled, and the index kernel refuses a class whose units act
+// differently: an asymmetric stack or a key that hides what the protocol
+// reads. Its time-Horizon slots are interned on first read, which the
+// implements checks never make; until then the system keeps pass 1's
+// per-run arrays and rep alive.
 func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error) {
 	if !rep.Quotiented() {
 		return nil, fmt.Errorf("episteme: ExpandQuotient on a system that is not quotiented")
@@ -106,10 +103,7 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 // orbitMap is pass 1's account of the full sweep: scenario ordinal g is
 // representative r relabeled by perms[pid] (code[g] = r·n! + pid; π·g =
 // representative, invs holds π⁻¹, isID marks the identity), runs[g] is
-// its run and units the frame's layout (indexFrame, "Rows"). stats[r] is
-// representative r's traffic, copied so that rep can be released after
-// the last layer's read. ledgers, under mu, holds the runs' ledgers by
-// content (appendLedgerKey): a few hundred shapes in a sweep.
+// its run and units the frame's layout (indexFrame, "Rows").
 type orbitMap struct {
 	code        []int32
 	nPerms      int32
@@ -117,9 +111,6 @@ type orbitMap struct {
 	isID        []bool
 	runs        []Run
 	units       *layout
-	stats       []engine.Stats
-	mu          sync.Mutex
-	ledgers     map[string]*engine.Result
 }
 
 // rep returns scenario g's representative and relabeling id.
@@ -128,15 +119,14 @@ func (om *orbitMap) rep(g int) (r, pid int32) { return om.code[g] / om.nPerms, o
 // mapOrbits is pass 1 of ExpandQuotient, which has validated c against
 // rep: it re-enumerates the full sweep, mapping scenario ordinal g to its
 // representative and the relabeling π with π·g = representative, and
-// writes g's run: g's own pattern, its representative's stats, and its
-// unit's ledger, the representative's relabeled (g's agent i is the
-// representative's agent π(i)). The source is read in batches of one
-// orbitChunk-scenario chunk per worker of rep's pool. The workers
-// canonicalize their chunks; a serial stitch in ordinal order numbers
-// relabelings and prefixes and counts the orbits; the workers then write
-// their chunks' runs, units' first runs before the rest. Ids depend on
-// ordinals alone and the lowest ordinal's error is reported, so the map
-// and its errors are the same at every worker count.
+// writes g's run: g's own pattern and initial preferences, and its
+// representative's stats (message counts are permutation-invariant). The
+// source is read in batches of one orbitChunk-scenario chunk per worker of
+// rep's pool. The workers canonicalize their chunks; a serial stitch in
+// ordinal order numbers relabelings and prefixes, counts the orbits and
+// writes the runs. Ids depend on ordinals alone and the lowest ordinal's
+// error is reported, so the map and its errors are the same at every
+// worker count.
 //
 // The source is pattern-major over all 2ⁿ initial vectors, each pattern's
 // scenarios sharing one *model.Pattern (immutable from here on, as the
@@ -159,15 +149,10 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	}
 	total, _ := src.Count() // a capacity hint; 0 when the source cannot say
 	om := &orbitMap{
-		code:    make([]int32, 0, total),
-		nPerms:  int32(nPerms),
-		runs:    make([]Run, 0, total),
-		units:   &layout{shift: uint(n)},
-		stats:   make([]engine.Stats, len(rep.Runs)),
-		ledgers: make(map[string]*engine.Result),
-	}
-	for r, run := range rep.Runs {
-		om.stats[r] = *run.Stats
+		code:   make([]int32, 0, total),
+		nPerms: int32(nPerms),
+		runs:   make([]Run, 0, total),
+		units:  &layout{shift: uint(n)},
 	}
 	var (
 		permID    = make(map[uint64]int32)
@@ -186,7 +171,7 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	)
 	for w := range workers {
 		workers[w] = orbitWorker{sc: make([]core.Scenario, 0, orbitChunk),
-			rep: make([]int32, orbitChunk), perm: make([]model.AgentID, n*orbitChunk)}
+			rep: make([]int32, orbitChunk), inits: make([]uint64, orbitChunk), perm: make([]model.AgentID, n*orbitChunk)}
 	}
 	for more := true; more; {
 		for w := range workers {
@@ -240,12 +225,7 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 					}
 					om.units.prefix = append(om.units.prefix, id)
 				}
-				om.runs = append(om.runs, Run{})
-			}
-		}
-		for _, firsts := range []bool{true, false} {
-			if err := chunks(func(wk *orbitWorker) { wk.expand(rep, om, firsts) }); err != nil {
-				return nil, err
+				om.runs = append(om.runs, Run{sc.Pattern, rep.Runs[r].Stats, wk.inits[k]})
 			}
 		}
 		for w := range workers {
@@ -281,6 +261,7 @@ type orbitWorker struct {
 	base  int
 	sc    []core.Scenario
 	rep   []int32
+	inits []uint64        // Run.inits per scenario
 	perm  []model.AgentID // n per scenario
 	err   error
 	canon model.Canonicalizer
@@ -309,10 +290,11 @@ func (wk *orbitWorker) canonicalize(rep *System, reps *repTable) {
 			wk.key = wk.canon.AppendPatternKey(wk.key[:0])
 			base = int(reps.base[string(wk.key)])
 		}
+		own, isBits := initsBits(sc.Inits)
 		wk.canon.MinimizeInits(sc.Inits)
 		bits, ok := wk.canon.InitsBits()
 		r := reps.slots[base+bits] - 1
-		if !ok || r < 0 {
+		if !ok || !isBits || r < 0 {
 			wk.err, wk.sc = fmt.Errorf("episteme: scenario %q canonicalizes outside the representative set (context mismatch?)",
 				scenarioFingerprint(sc.Pattern, sc.Inits)), wk.sc[:k]
 			return
@@ -321,53 +303,9 @@ func (wk *orbitWorker) canonicalize(rep *System, reps *repTable) {
 			wk.err, wk.sc = fmt.Errorf("episteme: representative %d carries weight %d, its orbit has size %d", r, w, orbit), wk.sc[:k]
 			return
 		}
-		wk.rep[k] = r
+		wk.rep[k], wk.inits[k] = r, uint64(own)
 		wk.canon.Perm(wk.perm[k*n : (k+1)*n])
 	}
-}
-
-// expand writes the runs of the chunk's stitched scenarios: the ones that
-// open their unit, with a ledger of its content, when firsts, the others,
-// with the first's ledger, otherwise. At a run whose relabeled ledger
-// differs from that it records the error, lower than any the chunk had,
-// and stops. Message counts are permutation-invariant: stats are the rep's.
-func (wk *orbitWorker) expand(rep *System, om *orbitMap, firsts bool) {
-	for k, sc := range wk.sc {
-		g := wk.base + k
-		f := om.units.first(om.units.row(g))
-		if (f == g) != firsts {
-			continue
-		}
-		r, pid := om.rep(g)
-		perm, ledger := om.perms[pid], om.runs[f].Result
-		if repRes := rep.Runs[r].Result; f == g {
-			wk.key = appendLedgerKey(wk.key[:0], repRes, sc.Inits, perm)
-			om.mu.Lock()
-			if ledger = om.ledgers[string(wk.key)]; ledger == nil {
-				ledger = relabeledLedger(repRes, sc.Inits, perm)
-				om.ledgers[string(wk.key)] = ledger
-			}
-			om.mu.Unlock()
-		} else if !relabelsTo(repRes, sc.Inits, perm, ledger) {
-			wk.err = fmt.Errorf("episteme: runs %d and %d share their initial preferences, faulty set and every drop before the last round, but their relabeled ledgers differ (asymmetric stack or context mismatch?)", f, g)
-			return
-		}
-		om.runs[g] = Run{ledger, sc.Pattern, &om.stats[r]}
-	}
-}
-
-// appendLedgerKey appends the content key of repRes's ledger relabeled
-// under perm with the given initial preferences: per agent its initial
-// preference, decision, decision round (a varint) and actions.
-func appendLedgerKey(key []byte, repRes *engine.Result, inits []model.Value, perm []model.AgentID) []byte {
-	for i, a := range perm {
-		key = append(key, byte(inits[i]), byte(repRes.Decision[a]))
-		key = binary.AppendUvarint(key, uint64(repRes.DecisionRound[a]))
-		for _, row := range repRes.Actions {
-			key = append(key, byte(row[a]))
-		}
-	}
-	return key
 }
 
 // repTable finds a representative by its pattern key and its inits as
@@ -381,17 +319,13 @@ type repTable struct {
 }
 
 // newRepTable indexes rep's runs, refusing a representative that is there
-// twice or whose inits are not n preferences in {0,1}.
+// twice.
 func newRepTable(rep *System) (*repTable, error) {
 	n := rep.N
 	reps := &repTable{base: make(map[string]int32), slots: make([]int32, 1<<n)}
 	var key []byte
 	for r, res := range rep.Runs {
-		bits, ok := initsBits(res.Inits)
-		if !ok || len(res.Inits) != n {
-			return nil, fmt.Errorf("episteme: quotiented system's representative %q does not prefer 0 or 1 at each of its %d agents",
-				scenarioFingerprint(res.Pattern, res.Inits), n)
-		}
+		bits := int(res.inits)
 		key = res.Pattern.AppendKey(key[:0])
 		base, known := reps.base[string(key)]
 		if !known {
@@ -401,7 +335,7 @@ func newRepTable(rep *System) (*repTable, error) {
 		}
 		slot := &reps.slots[int(base)+bits]
 		if *slot != 0 {
-			return nil, fmt.Errorf("episteme: quotiented system carries representative %q twice", scenarioFingerprint(res.Pattern, res.Inits))
+			return nil, fmt.Errorf("episteme: quotiented system carries representative %d twice, as run %d", *slot-1, r)
 		}
 		*slot = int32(r) + 1
 	}
@@ -423,7 +357,8 @@ func initsBits(inits []model.Value) (bits int, ok bool) {
 
 // intern is pass 2 of ExpandQuotient: the expansion's rows for the index
 // kernel (index.go). For slot (m, i), run g's key is the representative's
-// key at (m, π(i)) rewritten under π⁻¹.
+// key at (m, π(i)) rewritten under π⁻¹, and before the horizon its action
+// is the representative's label there.
 //
 // Before the horizon a row is a unit, read at its first run. Inside a
 // slot the relabeling fixes the source agent π(i), so (relabeling, rep
@@ -443,7 +378,7 @@ func initsBits(inits []model.Value) (bits int, ok bool) {
 func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermuter) (*System, error) {
 	n, t := rep.N, uint(rep.T)
 	perms, invs, isID, runs, units := om.perms, om.invs, om.isID, om.runs, om.units
-	rx := rep.frame.(*indexFrame) // a producer reads the tables whole
+	rx, racts := rep.frame.(*indexFrame), rep.labels.acts // a producer reads the tables whole
 	rx.lastLayer()
 	// strides[m] is the largest representative class count of time slice m:
 	// the row length of that slice's code space.
@@ -486,15 +421,26 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 		// The representatives' own runs are rows here, under the identity:
 		// the slot has at least their classes.
 		stride := strides[m]
+		// repClass returns unit u's relabeling, and its representative's slot
+		// and class there.
+		repClass := func(u int) (pid int32, src int, rc int32) {
+			r, pid := om.rep(units.first(u))
+			src = m*n + int(perms[pid][i])
+			return pid, src, rx.classOf[src][r]
+		}
 		return slotRows{
 			n:       units.n,
 			codes:   len(perms) * stride,
 			classes: len(rx.classKey[slot]),
 			code: func(u int) int {
-				r, pid := om.rep(units.first(u))
-				return int(pid)*stride + int(rx.classOf[m*n+int(perms[pid][i])][r])
+				pid, _, rc := repClass(u)
+				return int(pid)*stride + int(rc)
 			},
 			key: func(dst []byte, u int) ([]byte, error) { return key(dst, units.first(u)) },
+			act: func(u int) model.Action {
+				_, src, rc := repClass(u)
+				return racts[src][rc]
+			},
 		}
 	})
 	if err != nil {
@@ -515,49 +461,6 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 		}
 	}
 	return sys, nil
-}
-
-// relabeledLedger synthesizes a unit's ledger from the representative's
-// run of its first scenario, whose initial preferences are inits: by agent
-// symmetry it is the representative's with the agents relabeled under π⁻¹
-// (the scenario's agent i is the representative's agent π(i)). State
-// traces are not reconstructed — the expanded system answers knowledge
-// queries through its interned class tables, like a merged one — and the
-// ledger carries no Pattern and zero Stats: those are each run's own (Run).
-func relabeledLedger(repRes *engine.Result, inits []model.Value, perm []model.AgentID) *engine.Result {
-	n := repRes.N
-	res := &engine.Result{N: n, Horizon: repRes.Horizon, Inits: slices.Clone(inits),
-		Actions: make([][]model.Action, len(repRes.Actions)), Decision: make([]model.Value, n), DecisionRound: make([]int, n)}
-	for i, a := range perm {
-		res.Decision[i] = repRes.Decision[a]
-		res.DecisionRound[i] = repRes.DecisionRound[a]
-	}
-	for m, row := range repRes.Actions {
-		res.Actions[m] = make([]model.Action, n)
-		for i, a := range perm {
-			res.Actions[m][i] = row[a]
-		}
-	}
-	return res
-}
-
-// relabelsTo reports whether repRes relabeled under perm, with the given
-// initial preferences, is run's ledger.
-func relabelsTo(repRes *engine.Result, inits []model.Value, perm []model.AgentID, run *engine.Result) bool {
-	if !slices.Equal(inits, run.Inits) || len(repRes.Actions) != len(run.Actions) {
-		return false
-	}
-	for i, a := range perm {
-		if repRes.Decision[a] != run.Decision[i] || repRes.DecisionRound[a] != run.DecisionRound[i] {
-			return false
-		}
-		for m, row := range repRes.Actions {
-			if row[a] != run.Actions[m][i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // scenarioFingerprint renders a scenario's identity — the pattern's

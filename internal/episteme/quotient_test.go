@@ -13,12 +13,14 @@ import (
 	"unsafe"
 
 	"repro/internal/action"
+	"repro/internal/engine"
 	"repro/internal/exchange"
 	"repro/internal/model"
 )
 
 // compareSystems fails the test unless the two systems are structurally
-// identical: shapes, every run's ledgers, and the full interned index
+// identical: shapes, every run's ledger read through the labelling, and
+// the full interned index
 // (class ids, member lists, keys). Field-by-field
 // rather than fingerprint strings so the n=4 comparison (32,784 runs)
 // stays cheap. Class ids and member lists are read run by run through
@@ -35,16 +37,16 @@ func compareSystems(t *testing.T, label string, got, want *System) {
 	if len(got.Runs) != len(want.Runs) {
 		t.Fatalf("%s: %d runs, want %d", label, len(got.Runs), len(want.Runs))
 	}
+	var g, w engine.Result
 	for r := range got.Runs {
-		g, w := got.Runs[r], want.Runs[r]
+		got.Ledger(r, &g)
+		want.Ledger(r, &w)
 		if g.Pattern.Key() != w.Pattern.Key() {
 			t.Fatalf("%s: run %d patterns differ", label, r)
 		}
-		if fmt.Sprint(g.Inits) != fmt.Sprint(w.Inits) ||
-			fmt.Sprint(g.Decision) != fmt.Sprint(w.Decision) ||
-			fmt.Sprint(g.DecisionRound) != fmt.Sprint(w.DecisionRound) ||
-			fmt.Sprint(g.Actions) != fmt.Sprint(w.Actions) ||
-			*g.Stats != *w.Stats {
+		if !slices.Equal(g.Inits, w.Inits) || !slices.Equal(g.Decision, w.Decision) ||
+			!slices.Equal(g.DecisionRound, w.DecisionRound) || !slices.EqualFunc(g.Actions, w.Actions, slices.Equal) ||
+			g.Stats != w.Stats {
 			t.Fatalf("%s: run %d ledgers differ", label, r)
 		}
 	}
@@ -171,7 +173,7 @@ func TestQuotientSystemBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("per-run BuildSystem: %v", err)
 			}
-			if indexOf(full).units != nil || full.Runs[0].States == nil {
+			if indexOf(full).units != nil {
 				t.Fatal("the reference build went through the quotient")
 			}
 			wantImpl := checkImplements(t, full, tc.prog, 50)
@@ -360,24 +362,18 @@ func TestExpandQuotientRejects(t *testing.T) {
 		t.Error("ExpandQuotient accepted a context with the wrong t")
 	}
 
-	// The representative table refuses a representative listed twice and
-	// one whose inits its bits cannot name, before any scenario is read.
+	// The representative table refuses a representative listed twice,
+	// before any scenario is read.
 	refuses := func(label, want string, rep *System, c Context) {
 		t.Helper()
 		if sys, err := ExpandQuotient(context.Background(), rep, c); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: ExpandQuotient returned a system %v and error %v, want only an error containing %q", label, sys != nil, err, want)
 		}
 	}
-	first, second := rep.Runs[0], rep.Runs[1]
-	rep.Runs[1] = first
+	second := rep.Runs[1]
+	rep.Runs[1] = rep.Runs[0]
 	refuses("a representative twice", "carries representative", rep, c)
-	// Copying a Run shares its ledger: the doctored run gets a fresh one.
-	unset := *first.Result
-	unset.Inits = slices.Clone(first.Inits)
-	unset.Inits[0] = model.None
-	rep.Runs[0], rep.Runs[1] = ownRun(&unset), second
-	refuses("a representative preferring ⊥", "does not prefer 0 or 1", rep, c)
-	rep.Runs[0] = first
+	rep.Runs[1] = second
 
 	// The crash system's representatives are crash patterns, so the first
 	// SO scenario that is none has no representative pattern in the table.
@@ -424,7 +420,7 @@ func TestMapOrbitsMatchesOneShot(t *testing.T) {
 			}
 			repOf := make(map[string]int32, len(rep.Runs))
 			for r, res := range rep.Runs {
-				repOf[scenarioFingerprint(res.Pattern, res.Inits)] = int32(r)
+				repOf[scenarioFingerprint(res.Pattern, initsOf(rep, r))] = int32(r)
 			}
 			src, err := c.scenarioSource(n, rep.Horizon)
 			if err != nil {
@@ -581,11 +577,9 @@ func TestExpandQuotientReportsLowestFailingSlot(t *testing.T) {
 	}
 }
 
-// TestExpandedRunsOwnTheirInits writes into every Inits of an expanded
-// fip n=3 system. ExpandQuotient carves its runs' inits from its own
-// slabs: no run holds a row of its scenario source, and the
-// representatives' runs, whose Inits are their build's source rows
-// (memoExec records each scenario's row uncopied), must read as before.
+// TestExpandedRunsOwnTheirInits: every run of an expanded fip n=3 system
+// holds its own scenario's initial preferences, not its representative's,
+// and the representatives read as before once expanded.
 func TestExpandedRunsOwnTheirInits(t *testing.T) {
 	c := Context{Exchange: exchange.NewFIP(3), T: 1}
 	rep, err := buildStripe(context.Background(), c, action.NewOpt(1), 0, 1, buildOptions(c, []Option{WithParallelism(2)}))
@@ -595,30 +589,28 @@ func TestExpandedRunsOwnTheirInits(t *testing.T) {
 	if !rep.Quotiented() {
 		t.Fatal("fip n=3 built unquotiented")
 	}
-	before := make([][]model.Value, len(rep.Runs))
-	for r, res := range rep.Runs {
-		before[r] = slices.Clone(res.Inits)
+	before := make([]string, len(rep.Runs))
+	for r := range rep.Runs {
+		before[r] = runLedger(rep, r)
 	}
 	sys, err := ExpandQuotient(context.Background(), rep, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Runs share an inits slice only as members of one unit, which share
-	// their whole ledger; a row of the expansion's own source would be
-	// shared by every pattern's runs with that vector.
-	ledger := make(map[*model.Value]*model.Value)
-	for r, res := range sys.Runs {
-		if d, seen := ledger[&res.Inits[0]]; seen && d != &res.Decision[0] {
-			t.Fatalf("run %d shares its inits with a run of another ledger", r)
-		}
-		ledger[&res.Inits[0]] = &res.Decision[0]
-		for i := range res.Inits {
-			res.Inits[i] = model.None
-		}
+	src, err := c.scenarioSource(sys.N, sys.Horizon)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for r, res := range rep.Runs {
-		if !slices.Equal(res.Inits, before[r]) {
-			t.Fatalf("representative %d's inits read %v after the expanded runs were written, want %v", r, res.Inits, before[r])
+	g := 0
+	for sc, more := src.Next(); more; sc, more = src.Next() {
+		if got := initsOf(sys, g); !slices.Equal(got, sc.Inits) {
+			t.Fatalf("run %d holds inits %v, its scenario %v", g, got, sc.Inits)
+		}
+		g++
+	}
+	for r := range rep.Runs {
+		if got := runLedger(rep, r); got != before[r] {
+			t.Fatalf("representative %d reads %s after the expansion, %s before", r, got, before[r])
 		}
 	}
 }
@@ -734,10 +726,10 @@ func TestStripeBuildAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestRunSize pins a Run at three words: its ledger, its pattern and its
-// stats, each a pointer. A run is the one per-run record an expanded
-// System keeps, so a word more is 5 MB at n=5,t=1 and 10 MB at crash
-// n=5,t=2.
+// TestRunSize pins a Run at three words: its pattern and its stats, each
+// a pointer, and its initial preferences as bits. A run is the one
+// per-run record an expanded System keeps, so a word more is 5 MB at
+// n=5,t=1 and 10 MB at crash n=5,t=2.
 func TestRunSize(t *testing.T) {
 	if size := unsafe.Sizeof(Run{}); size != 24 {
 		t.Errorf("a Run is %d bytes, want 24", size)

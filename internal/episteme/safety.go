@@ -7,18 +7,6 @@ import (
 	"repro/internal/model"
 )
 
-// receivedChainBy reports whether agent i has received a 0-chain by time
-// m in the given run. A 0-chain of length m' ends with its last agent
-// first deciding 0 in round m'+1 (Definition in Section 6), and under any
-// implementation of P0 the converse holds as well (the Lemma A.5
-// argument: the decide-0 guard is veridical, so each 0-decision is
-// anchored by an actual just-decided-0 predecessor in the same run, back
-// to an initial 0). Receipt by time m is therefore equivalent to having
-// decided 0 by round m+1.
-func (s *System) receivedChainBy(i model.AgentID, run, m int) bool {
-	return decided(s.Runs[run].Result, i, model.Zero, m)
-}
-
 // CheckSafety verifies the safety condition of Definition 6.2 for the
 // system (which should be generated by an implementation of P0). It
 // returns a description of every violated clause instance, in run order;
@@ -38,22 +26,17 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 		return nil, err
 	}
 	// Clause (1)'s witness: some indistinguishable run is all-1.
-	allOnes, err := s.foldClasses(ctx, nil, s.Horizon, true, func(_ model.AgentID, q Point, _ uint64) bool {
-		for _, v := range s.Runs[q.Run].Inits {
-			if v != model.One {
-				return false
-			}
-		}
-		return true
+	allOnes, err := s.foldClasses(ctx, nil, s.Horizon, true, func(_ model.AgentID, q Point, _ uint64, _ []firstDecide) bool {
+		return !s.Exists(model.Zero, q)
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Clause (2)'s premise ¬K_i(⋀_j ¬(deciding_j = 0)); deciding_j is
 	// undefined beyond the trace, so clause (2) stops at Horizon-1.
-	someDeciding0, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(_ model.AgentID, q Point, _ uint64) bool {
-		for j := 0; j < s.N; j++ {
-			if s.Deciding(model.AgentID(j), model.Zero, q) {
+	someDeciding0, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(_ model.AgentID, q Point, _ uint64, ds []firstDecide) bool {
+		for _, d := range ds {
+			if d.in(model.Zero, q.Time+1) {
 				return true
 			}
 		}
@@ -65,12 +48,12 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 	// Clause (2)'s witnesses, innermost first. chained[slot(j,m)][c]: some
 	// run r'' of j's class c has j and some j' nonfaulty, j' deciding 0 in
 	// round m of r''.
-	chained, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(j model.AgentID, q Point, faulty uint64) bool {
+	chained, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(j model.AgentID, q Point, faulty uint64, ds []firstDecide) bool {
 		if faultyAt(faulty, j) {
 			return false
 		}
-		for jp := 0; jp < s.N; jp++ {
-			if jpd := model.AgentID(jp); !faultyAt(faulty, jpd) && s.JustDecided(jpd, model.Zero, q) {
+		for jp, d := range ds {
+			if !faultyAt(faulty, model.AgentID(jp)) && d.in(model.Zero, q.Time) {
 				return true
 			}
 		}
@@ -82,13 +65,13 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 	// witness[slot(i,m)][c]: some run r' of i's class c has i and some j
 	// nonfaulty, j deciding 0 at (r',m), and (for m ≥ 1) an r'' as above
 	// that j cannot distinguish from r'.
-	witness, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(i model.AgentID, q Point, faulty uint64) bool {
+	witness, err := s.foldClasses(ctx, nil, s.Horizon-1, true, func(i model.AgentID, q Point, faulty uint64, ds []firstDecide) bool {
 		if faultyAt(faulty, i) {
 			return false
 		}
-		for j := 0; j < s.N; j++ {
+		for j, d := range ds {
 			jd := model.AgentID(j)
-			if faultyAt(faulty, jd) || !s.Deciding(jd, model.Zero, q) {
+			if faultyAt(faulty, jd) || !d.in(model.Zero, q.Time+1) {
 				continue
 			}
 			if q.Time == 0 || chained[s.slot(jd, q.Time)][s.classAt(jd, q.Time, q.Run)] {
@@ -103,32 +86,35 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 
 	// The clause instances at agent i of a row, at its first run q.
 	// Clause (1): no 0-chain received by (r,m) → some indistinguishable
-	// point lies in an all-1 run; at time Horizon a row is a run. Clause
-	// (2): i cannot rule out a 0-decision, has not decided before round m+1
-	// and does not know it is faulty; deciding_j is undefined beyond the
-	// trace.
+	// point lies in an all-1 run; at time Horizon a row is a run. A 0-chain
+	// of length m' ends with its last agent first deciding 0 in round m'+1
+	// (Definition in Section 6), and under any implementation of P0 the
+	// converse holds as well (the Lemma A.5 argument: the decide-0 guard is
+	// veridical, so each 0-decision is anchored by an actual
+	// just-decided-0 predecessor in the same run, back to an initial 0), so
+	// receipt by time m is having decided 0 by round m+1. Clause (2): i
+	// cannot rule out a 0-decision, has not decided before round m+1 and
+	// does not know it is faulty; deciding_j is undefined beyond the trace.
 	classOf := s.classTables(s.Horizon)
-	clauses := func(i model.AgentID, m, row int, q Point) (one, two bool) {
+	clauses := func(i model.AgentID, m, row int, q Point, d firstDecide) (one, two bool) {
 		slot := s.slot(i, m)
 		c := classOf[slot][row]
-		one = !allOnes[slot][c] && !s.receivedChainBy(i, q.Run, m)
+		one = !allOnes[slot][c] && !d.by(model.Zero, m+1)
 		if m < s.Horizon {
-			res := s.Runs[q.Run].Result
-			decidedBefore := res.Round(i) != 0 && res.Round(i) <= m
-			two = !decidedBefore && someDeciding0[slot][c] && !witness[slot][c] && !s.knowsFaulty(i, q)
+			two = !d.by(d.v, m) && someDeciding0[slot][c] && !witness[slot][c] && !s.knowsFaulty(i, q)
 		}
 		return one, two
 	}
 	rp := report{max: max}
-	err = s.screen(ctx, s.Horizon, func(m, row int, q Point, _ uint64) (bad uint64) {
-		for i := 0; i < s.N; i++ {
-			if one, two := clauses(model.AgentID(i), m, row, q); one || two {
+	err = s.screen(ctx, s.Horizon, func(m, row int, q Point, _ uint64, ds []firstDecide) (bad uint64) {
+		for i, d := range ds {
+			if one, two := clauses(model.AgentID(i), m, row, q, d); one || two {
 				bad |= 1 << uint(i)
 			}
 		}
 		return bad
 	}, func(i model.AgentID, m, run, row, first int) {
-		one, two := clauses(i, m, row, Point{Run: first, Time: m})
+		one, two := clauses(i, m, row, Point{Run: first, Time: m}, s.labels.of(first)[i])
 		if one && rp.keep() {
 			rp.lines = append(rp.lines, fmt.Sprintf("clause 1: run %d time %d agent %d", run, m, i))
 		}

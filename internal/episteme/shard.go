@@ -156,8 +156,10 @@ func exportShardIndex(sys *System, shardIndex, shardCount int) (*ShardIndex, err
 		idx.Quotient = true
 		idx.Mults = append([]int64{}, sys.weights...)
 	}
-	for k, run := range sys.Runs { // a stripe's runs own their ledgers
-		if err := idx.Runs[k].Encode(run.Result); err != nil {
+	var res engine.Result
+	for k := range sys.Runs {
+		sys.Ledger(k, &res)
+		if err := idx.Runs[k].Encode(&res); err != nil {
 			return nil, err
 		}
 	}
@@ -382,8 +384,9 @@ func (idx *ShardIndex) Digest() string {
 
 // Validate checks the index's internal consistency: bounds, table shapes,
 // class ids referencing declared classes, every run's ledgers in shape and
-// in range (ShardRun.WellFormed), and every run's pattern text naming the
-// index's n and horizon (model.PatternShape). ReadShardIndex callers that
+// in range (ShardRun.WellFormed), its decisions its actions' first
+// decides, and every run's pattern text naming the index's n and horizon
+// (model.PatternShape). ReadShardIndex callers that
 // accept indexes across a trust boundary (the fabric coordinator) call it
 // before merging; MergeSystems always does.
 func (idx *ShardIndex) Validate() error {
@@ -424,8 +427,20 @@ func (idx *ShardIndex) Validate() error {
 		return fmt.Errorf("episteme: shard %d/%d carries multiplicities but is not quotiented", idx.Shard, idx.Shards)
 	}
 	for k := range idx.Runs {
-		if !idx.Runs[k].WellFormed(idx.N, idx.Horizon) {
+		sr := &idx.Runs[k]
+		if !sr.WellFormed(idx.N, idx.Horizon) {
 			return fmt.Errorf("episteme: shard %d/%d run %d has malformed ledgers", idx.Shard, idx.Shards, k)
+		}
+		for i := range idx.N {
+			d, r := model.None, 0
+			for m := len(sr.Actions) - 1; m >= 0; m-- {
+				if v := model.Action(sr.Actions[m][i]).Decision(); v.IsSet() {
+					d, r = v, m+1
+				}
+			}
+			if sr.Decisions[i] != int(d) || sr.Rounds[i] != r {
+				return fmt.Errorf("episteme: shard %d/%d run %d: agent %d's decision is not its first decide", idx.Shard, idx.Shards, k, i)
+			}
 		}
 		n, h, err := model.PatternShape([]byte(idx.Runs[k].Pattern))
 		if err == nil && (n != idx.N || h != idx.Horizon) {
@@ -436,22 +451,6 @@ func (idx *ShardIndex) Validate() error {
 		}
 	}
 	return nil
-}
-
-// restoreRun rebuilds the engine.Result of one exported run, whose
-// ledgers and pattern shape Validate has vetted. States stay nil: a merged
-// System answers every knowledge query through the interned class tables,
-// never through state traces.
-func restoreRun(sr *ShardRun, n, horizon int) (*engine.Result, error) {
-	pat := new(model.Pattern)
-	if err := pat.UnmarshalText([]byte(sr.Pattern)); err != nil {
-		return nil, err
-	}
-	inits := make([]model.Value, n)
-	for i, v := range sr.Inits {
-		inits[i] = model.Value(v)
-	}
-	return sr.Restore(engine.Config{Pattern: pat, Inits: inits, Horizon: horizon}), nil
 }
 
 // MergeSystems re-interns K partial indexes — one per stripe of a K-way
@@ -466,9 +465,8 @@ func restoreRun(sr *ShardRun, n, horizon int) (*engine.Result, error) {
 // agreeing on (n, t, horizon), with stripe lengths consistent with one
 // total (no gap, no overlap).
 //
-// Merged Systems carry no state traces (Key and every checker work off
-// the interned index), which is what lets a shard's contribution cross a
-// process boundary as JSON.
+// A merged System's labels are the stripes' recorded actions, and the
+// index kernel refuses a class whose runs act differently.
 func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*System, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("episteme: merge of zero shard indexes")
@@ -523,18 +521,24 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 	}
 
 	n, horizon := ref.N, ref.Horizon
-	runs := make([]Run, total)
+	runs, stats := make([]Run, total), make([]engine.Stats, total)
 	var weights []int64
 	if ref.Quotient {
 		weights = make([]int64, total)
 	}
 	for g := 0; g < total; g++ {
 		idx := byShard[g%k]
-		res, err := restoreRun(&idx.Runs[g/k], n, horizon)
-		if err != nil {
+		sr := &idx.Runs[g/k]
+		pat := new(model.Pattern)
+		if err := pat.UnmarshalText([]byte(sr.Pattern)); err != nil {
 			return nil, fmt.Errorf("episteme: shard %d run %d (global %d): %w", g%k, g/k, g, err)
 		}
-		runs[g] = Run{res, res.Pattern, &res.Stats}
+		var bits uint64
+		for i, v := range sr.Inits { // Validate has vetted them: each 0 or 1
+			bits |= uint64(v) << uint(i)
+		}
+		stats[g] = engine.Stats(sr.Stats)
+		runs[g] = Run{pat, &stats[g], bits}
 		if weights != nil {
 			weights[g] = idx.Mults[g/k]
 		}
@@ -542,7 +546,8 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 
 	// The shard-merge producer: global run g's key is its shard's key for
 	// its shard-local class, so (shard, local class) is the memo code, and
-	// a merged slot has at least its largest shard's classes.
+	// a merged slot has at least its largest shard's classes; its action
+	// is its stripe's record.
 	sys := &System{N: n, T: ref.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}
 	return sys.indexed(ctx, &indexFrame{}, func(slot int) slotRows {
 		stride := 0
@@ -560,6 +565,7 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 				idx := byShard[g%k]
 				return append(dst, idx.ClassKeys[slot][idx.ClassOf[slot][g/k]]...), nil
 			},
+			act: func(g int) model.Action { return model.Action(byShard[g%k].Runs[g/k].Actions[slot/n][slot%n]) },
 		}
 	})
 }

@@ -87,16 +87,8 @@ func TestMergeSystemsBitIdentical(t *testing.T) {
 			t.Fatalf("k=%d merged %d runs, single %d", k, len(merged.Runs), len(single.Runs))
 		}
 		for r := range merged.Runs {
-			ms, ss := merged.Runs[r], single.Runs[r]
-			if ms.Pattern.Key() != ss.Pattern.Key() {
-				t.Fatalf("k=%d run %d patterns differ", k, r)
-			}
-			if fmt.Sprint(ms.Inits) != fmt.Sprint(ss.Inits) ||
-				fmt.Sprint(ms.Decision) != fmt.Sprint(ss.Decision) ||
-				fmt.Sprint(ms.DecisionRound) != fmt.Sprint(ss.DecisionRound) ||
-				fmt.Sprint(ms.Actions) != fmt.Sprint(ss.Actions) ||
-				*ms.Stats != *ss.Stats {
-				t.Fatalf("k=%d run %d ledgers differ", k, r)
+			if got, want := runLedger(merged, r), runLedger(single, r); got != want {
+				t.Fatalf("k=%d run %d ledgers differ:\n got %s\nwant %s", k, r, got, want)
 			}
 		}
 		if got := indexFingerprint(merged); got != wantIndex {

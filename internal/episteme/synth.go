@@ -52,7 +52,7 @@ var _ model.ActionProtocol = (*Synthesized)(nil)
 
 // Synthesize derives the concrete protocol the knowledge-based program
 // induces in the context, in Horizon BuildSystem calls and no loop of its
-// own. Knowledge at time m depends only on the runs' ledgers before m and
+// own. Knowledge at time m depends only on the runs' actions before m and
 // on their time-m states and faulty sets, and the build at horizon m has
 // exactly the time-m points of the build at the context's horizon: every
 // failure pattern of horizon m is the prefix of one of the full horizon,
@@ -146,7 +146,7 @@ func (s *System) synthesizeSlice(ctx context.Context, prog Program, m int, table
 // Diff compares the table with the protocol that generated ref, a system
 // of the same context: one Mismatch per distinct (agent, local state) of
 // ref at a time before the horizon that the table covers and where ref's
-// recorded action (Got) differs from the table's (Want), in the canonical
+// action (Got) differs from the table's (Want), in the canonical
 // first-occurrence order of CheckImplements, capped like it. An empty
 // result means the two protocols agree on every state reachable under
 // either: the two systems are then the same system, and a state of ref

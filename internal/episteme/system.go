@@ -226,17 +226,18 @@ func (c Context) scenarioSource(n, horizon int) (core.Source, error) {
 	return source.CrossInits(pats, n)
 }
 
-// Run is one run of a System. The embedded Result is its ledger (Inits,
-// Actions, Decision, DecisionRound; States when traced); Pattern and Stats
-// are the run's own and shadow the ledger's. An expanded system's runs
-// share one ledger per distinct content, with a nil Pattern and zero
-// Stats; every other system's runs own theirs. Copying a Run shares its
-// ledger and its Stats.
+// Run is one run of a System: its failure pattern, its message traffic
+// and its initial preferences. What its agents do is the System's
+// labelling, read through DecidedVal, JustDecided, Deciding and Ledger.
+// The runs of one orbit of an expanded system share their Stats.
 type Run struct {
-	*engine.Result
 	Pattern *model.Pattern
 	Stats   *engine.Stats
+	inits   uint64 // bit i set iff agent i prefers 1
 }
+
+// Init returns agent i's initial preference.
+func (r Run) Init(i model.AgentID) model.Value { return model.Value(r.inits >> uint(i) & 1) }
 
 // Point is a point (run, time) of an interpreted system.
 type Point struct {
@@ -272,7 +273,8 @@ type System struct {
 	// par is the checker worker count (resolved, >= 1).
 	par int
 
-	frame frame // rows and classes: all the checkers read of the index
+	frame  frame   // rows and classes: all the checkers read of the index
+	labels *labels // what each class does: all they read of the protocol
 
 	// cn lazily caches the per-time condensations of the C_N
 	// accessibility graph; cnMu guards the map, each slot builds once.
@@ -382,9 +384,9 @@ func buildStripe(ctx context.Context, c Context, act model.ActionProtocol, shard
 	// size as the scenario Weight; RunSource drops scenarios, so collect
 	// run results and weights side by side from the stream (same ordering
 	// and fail-fast semantics as RunSource, and its capped preallocation).
-	var runs []Run
+	var results []*engine.Result
 	if count, ok := src.Count(); ok && count >= 0 {
-		runs = make([]Run, 0, min(count, 1<<20))
+		results = make([]*engine.Result, 0, min(count, 1<<20))
 	}
 	var weights []int64
 	if o.quotient {
@@ -397,7 +399,7 @@ func buildStripe(ctx context.Context, c Context, act model.ActionProtocol, shard
 			cancel(oc.Err)
 			return nil, oc.Err
 		}
-		runs = append(runs, Run{oc.Result, oc.Result.Pattern, &oc.Result.Stats})
+		results = append(results, oc.Result)
 		if o.quotient {
 			weights = append(weights, oc.Scenario.EffectiveWeight())
 		}
@@ -405,28 +407,33 @@ func buildStripe(ctx context.Context, c Context, act model.ActionProtocol, shard
 	if rctx.Err() != nil {
 		return nil, context.Cause(rctx)
 	}
-
-	sys := &System{N: n, T: c.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}
-	if err := sys.buildIndex(ctx); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	return fromResults(ctx, &System{N: n, T: c.T, Horizon: horizon, weights: weights, par: o.par}, results)
 }
 
-// buildIndex interns the local states of every time from the runs' state
-// traces (index.go's direct-build producer).
-func (s *System) buildIndex(ctx context.Context) error {
+// fromResults completes s from its executed runs (index.go's direct-build
+// producer): the runs keep their scenarios and traffic, the local states
+// of every time are interned from the state traces — the last layer too,
+// so that nothing keeps the results — and the classes are labelled with
+// their actions.
+func fromResults(ctx context.Context, s *System, results []*engine.Result) (*System, error) {
 	n := s.N
+	stats := make([]engine.Stats, len(results))
+	s.Runs = make([]Run, len(results))
+	for r, res := range results {
+		bits, _ := initsBits(res.Inits) // the scenario source's, each 0 or 1
+		stats[r] = res.Stats
+		s.Runs[r] = Run{res.Pattern, &stats[r], uint64(bits)}
+	}
 	// The memoizing executor hands every run through one node of its graph
 	// the node's state row, so group runs by row identity first, once per
 	// time: a slot's memo code is the run's row group, and the keys are
 	// rendered once per distinct row instead of once per run.
 	rowOf := make([][]int32, s.Horizon+1)
 	rowCount := make([]int, s.Horizon+1)
-	err := s.parallel(ctx, s.Horizon+1, func(m int) {
-		groups := make([]int32, len(s.Runs))
-		rowIdx := make(map[*model.State]int32, len(s.Runs))
-		for r, res := range s.Runs {
+	if err := s.parallel(ctx, s.Horizon+1, func(m int) {
+		groups := make([]int32, len(results))
+		rowIdx := make(map[*model.State]int32, len(results))
+		for r, res := range results {
 			head := &res.States[m][0]
 			g, ok := rowIdx[head]
 			if !ok {
@@ -436,22 +443,26 @@ func (s *System) buildIndex(ctx context.Context) error {
 			groups[r] = g
 		}
 		rowOf[m], rowCount[m] = groups, len(rowIdx)
-	})
-	if err != nil {
-		return err
+	}); err != nil {
+		return nil, err
 	}
-	_, err = s.indexed(ctx, &indexFrame{}, func(slot int) slotRows {
+	x := &indexFrame{}
+	if _, err := s.indexed(ctx, x, func(slot int) slotRows {
 		m, i := slot/n, slot%n
 		groups := rowOf[m]
 		return slotRows{
-			n:       len(s.Runs),
+			n:       len(results),
 			codes:   rowCount[m],
 			classes: rowCount[m] / 2,
 			code:    func(r int) int { return int(groups[r]) },
-			key:     func(dst []byte, r int) ([]byte, error) { return s.Runs[r].States[m][i].AppendKey(dst), nil },
+			key:     func(dst []byte, r int) ([]byte, error) { return results[r].States[m][i].AppendKey(dst), nil },
+			act:     func(r int) model.Action { return results[r].Actions[m][i] },
 		}
-	})
-	return err
+	}); err != nil {
+		return nil, err
+	}
+	x.lastLayer()
+	return s, nil
 }
 
 // slot returns the index slot of agent i at time m.
@@ -539,9 +550,9 @@ func (s *System) knowsOfRows(i model.AgentID, p Point, phi func(Point) bool) boo
 // pass over the rows and then read per point, never re-derived by
 // scanning the class from each of its members. pred is asked at each
 // row's first run and given the row's faulty set as a mask, so it must be
-// a row function (frame). Slots fold in parallel; passing the previous
-// result back as tables reuses its storage.
-func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, exists bool, pred func(i model.AgentID, q Point, faulty uint64) bool) ([][]bool, error) {
+// a row function (frame), with the row's decisions. Slots fold in
+// parallel; passing the previous result back as tables reuses its storage.
+func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, exists bool, pred func(i model.AgentID, q Point, faulty uint64, ds []firstDecide) bool) ([][]bool, error) {
 	nSlots := (maxTime + 1) * s.N
 	if tables == nil {
 		tables = make([][]bool, nSlots)
@@ -556,7 +567,7 @@ func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, 
 			table[c] = !exists
 		}
 		for row, c := range s.frame.classes(slot) {
-			if table[c] != exists && pred(i, Point{Run: l.first(row), Time: m}, faulty[row]) == exists {
+			if table[c] != exists && pred(i, Point{Run: l.first(row), Time: m}, faulty[row], s.labels.ofRow(l, row)) == exists {
 				table[c] = exists
 			}
 		}
@@ -581,7 +592,7 @@ func faultyAt(mask uint64, i model.AgentID) bool { return mask>>uint(i)&1 != 0 }
 // function, asked at the row's first run with the row's faulty set — then
 // calls add at every point so marked, in the canonical (run, time, agent)
 // order, with the point's row and the row's first run.
-func (s *System) screen(ctx context.Context, maxTime int, fails func(m, row int, q Point, faulty uint64) uint64, add func(i model.AgentID, m, run, row, first int)) error {
+func (s *System) screen(ctx context.Context, maxTime int, fails func(m, row int, q Point, faulty uint64, ds []firstDecide) uint64, add func(i model.AgentID, m, run, row, first int)) error {
 	const chunk = 1024
 	bad, layouts := make([][]uint64, maxTime+1), make([]*layout, maxTime+1)
 	var marked []int // the times with a failing row
@@ -592,7 +603,7 @@ func (s *System) screen(ctx context.Context, maxTime int, fails func(m, row int,
 			rows := bad[m][k*chunk : min(k*chunk+chunk, len(bad[m]))]
 			for j := range rows {
 				row := k*chunk + j
-				rows[j] = fails(m, row, Point{Run: l.first(row), Time: m}, faulty[row])
+				rows[j] = fails(m, row, Point{Run: l.first(row), Time: m}, faulty[row], s.labels.ofRow(l, row))
 			}
 		})
 		if err != nil {
@@ -644,20 +655,15 @@ func (s *System) Nonfaulty(i model.AgentID, p Point) bool {
 
 // Exists reports ∃v at p: some agent started with initial preference v.
 func (s *System) Exists(v model.Value, p Point) bool {
-	for _, iv := range s.Runs[p.Run].Inits {
-		if iv == v {
-			return true
-		}
-	}
-	return false
+	inits := s.Runs[p.Run].inits
+	return v == model.One && inits != 0 || v == model.Zero && inits != 1<<uint(s.N)-1
 }
 
 // DecidedVal returns decided_i at p: the value agent i has decided by time
 // p.Time, or None.
 func (s *System) DecidedVal(i model.AgentID, p Point) model.Value {
-	res := s.Runs[p.Run].Result
-	if r := res.Round(i); r > 0 && r <= p.Time {
-		return res.Decided(i)
+	if d := s.labels.of(p.Run)[i]; d.by(d.v, p.Time) {
+		return d.v
 	}
 	return model.None
 }
@@ -665,8 +671,7 @@ func (s *System) DecidedVal(i model.AgentID, p Point) model.Value {
 // JustDecided reports jdecided_i = v at p: agent i decided v exactly in
 // round p.Time.
 func (s *System) JustDecided(i model.AgentID, v model.Value, p Point) bool {
-	res := s.Runs[p.Run].Result
-	return res.Round(i) == p.Time && res.Decided(i) == v
+	return s.labels.of(p.Run)[i].in(v, p.Time)
 }
 
 // Deciding reports deciding_i = v at p: agent i is undecided at p and its
@@ -674,8 +679,31 @@ func (s *System) JustDecided(i model.AgentID, v model.Value, p Point) bool {
 // false (nothing is recorded beyond the horizon; the paper's protocols
 // have all decided by then).
 func (s *System) Deciding(i model.AgentID, v model.Value, p Point) bool {
-	res := s.Runs[p.Run].Result
-	return res.Round(i) == p.Time+1 && res.Decided(i) == v
+	return s.labels.of(p.Run)[i].in(v, p.Time+1)
+}
+
+// Ledger fills res with run's record as the engine keeps one, minus the
+// state trace: its pattern, initial preferences and traffic, and each
+// agent's actions, decision and decision round, read through the
+// labelling. res's slices are reused.
+func (s *System) Ledger(run int, res *engine.Result) {
+	r := s.Runs[run]
+	*res = engine.Result{N: s.N, Horizon: s.Horizon, Pattern: r.Pattern, Stats: *r.Stats,
+		Inits: res.Inits[:0], Actions: res.Actions[:0], Decision: res.Decision[:0], DecisionRound: res.DecisionRound[:0]}
+	for i, d := range s.labels.of(run) {
+		res.Inits = append(res.Inits, r.Init(model.AgentID(i)))
+		res.Decision, res.DecisionRound = append(res.Decision, d.v), append(res.DecisionRound, int(d.round))
+	}
+	for m := range s.Horizon {
+		var row []model.Action
+		if m < cap(res.Actions) {
+			row = res.Actions[:m+1][m][:0]
+		}
+		for i := range model.AgentID(s.N) {
+			row = append(row, s.labels.act(i, m, run))
+		}
+		res.Actions = append(res.Actions, row)
+	}
 }
 
 // NoDecidedN reports no-decided_N(v) at p: no nonfaulty agent has decided

@@ -246,12 +246,13 @@ func TestLayeredVerdictsListSameRuns(t *testing.T) {
 	}
 }
 
-// TestExpandQuotientRefusesDoctoredLedger: the runs of a prefix unit share
-// one ledger, so pass 1 checks that every later member's relabeled ledger
-// is its unit's first member's. A representative whose decision was
-// changed after the build gives some unit two ledgers; the expansion must
-// refuse, naming the lowest such pair of run ordinals, in the same words
-// whatever the worker count of the system it expands.
+// TestExpandQuotientRefusesDoctoredLedger: a unit's ledger is its
+// representative's labels, relabeled, and the index kernel refuses a
+// class whose units act differently. A representative label changed after
+// the build — agent 0's time-0 action on its first class — sets the units
+// that read it apart from their class's others; the expansion must refuse,
+// naming the time-0 slot, in the same words whatever the worker count of
+// the system it expands.
 func TestExpandQuotientRefusesDoctoredLedger(t *testing.T) {
 	c := Context{Exchange: exchange.NewFIP(4), T: 1}
 	ctx := context.Background()
@@ -265,51 +266,16 @@ func TestExpandQuotientRefusesDoctoredLedger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		om, err := mapOrbits(ctx, rep, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Doctor the representative of the first run that is a later member
-		// of a unit whose first member has another representative.
-		doctored := -1
-		for g := range om.runs {
-			f := om.units.first(om.units.row(g))
-			r, _ := om.rep(g)
-			if fr, _ := om.rep(f); f != g && fr != r {
-				doctored = int(r)
-				break
-			}
-		}
-		if doctored < 0 {
-			t.Fatal("every unit's runs share one representative; nothing to doctor")
-		}
-		dec := rep.Runs[doctored].Decision
-		if dec[0] == model.One {
-			dec[0] = model.Zero
+		acts := rep.labels.acts[0]
+		if acts[0] == model.Noop {
+			acts[0] = model.Decide0
 		} else {
-			dec[0] = model.One
-		}
-		// The lowest pair the doctoring sets apart, from pass 1's own map.
-		decision := func(g, i int) model.Value {
-			r, pid := om.rep(g)
-			return rep.Runs[r].Decision[om.perms[pid][i]]
-		}
-		want := ""
-		for g := range om.runs {
-			f := om.units.first(om.units.row(g))
-			for i := 0; i < rep.N && want == ""; i++ {
-				if decision(g, i) != decision(f, i) {
-					want = fmt.Sprintf("episteme: runs %d and %d share ", f, g)
-				}
-			}
-		}
-		if want == "" {
-			t.Fatal("the doctored decision set no unit apart")
+			acts[0] = model.Noop
 		}
 		sys, err := ExpandQuotient(ctx, rep, c)
-		if sys != nil || err == nil || !strings.HasPrefix(err.Error(), want) {
-			t.Fatalf("parallelism %d: ExpandQuotient of a doctored representative = (system: %v, %v), want only an error starting %q",
-				par, sys != nil, err, want)
+		if sys != nil || err == nil || !strings.Contains(err.Error(), "at time 0") || !strings.Contains(err.Error(), "not a function of the key") {
+			t.Fatalf("parallelism %d: ExpandQuotient of a doctored representative = (system: %v, %v), want only the refusal of a time-0 class",
+				par, sys != nil, err)
 		}
 		if par == 1 {
 			first = err.Error()
@@ -319,14 +285,11 @@ func TestExpandQuotientRefusesDoctoredLedger(t *testing.T) {
 	}
 }
 
-// TestExpandedRunsShareUnitLedgers pins how an expanded system holds its
-// runs: each run's pattern and stats are its own and equal the per-run
-// build's, the runs of one prefix unit hold one *engine.Result — units
-// being exactly the runs whose initial preferences, faulty set and drops
-// before the last round agree — units whose ledgers have equal content
-// hold one too, so ledger pointers and contents correspond one to one, and
-// a shared ledger carries no pattern and zero stats, so a read through it
-// cannot answer for another run.
+// TestExpandedRunsShareUnitLedgers pins how an expanded system reads its
+// runs: each run's pattern, stats and ledger equal the per-run build's,
+// the runs of one prefix unit read one ledger — units being exactly the
+// runs whose initial preferences, faulty set and drops before the last
+// round agree — and the distinct ledgers number as pinned.
 func TestExpandedRunsShareUnitLedgers(t *testing.T) {
 	type stack struct {
 		name string
@@ -373,20 +336,15 @@ func TestExpandedRunsShareUnitLedgers(t *testing.T) {
 				}
 				// The units as the per-run build's scenarios define them.
 				unitOfPrefix := make(map[string]int)
+				ledgers := make(map[string]bool)
 				var key []byte
-				for g, run := range got.Runs {
-					w := want.Runs[g]
-					if run.Pattern.Key() != w.Pattern.Key() || *run.Stats != *w.Stats {
-						t.Fatalf("run %d: pattern %s stats %+v, the per-run build's %s %+v",
-							g, run.Pattern.Key(), *run.Stats, w.Pattern.Key(), *w.Stats)
-					}
-					if gf, wf := ledgerFingerprint(run), ledgerFingerprint(w); gf != wf {
+				var res engine.Result
+				for g := range got.Runs {
+					if gf, wf := runLedger(got, g), runLedger(want, g); gf != wf {
 						t.Fatalf("run %d: expanded\n%sper-run\n%s", g, gf, wf)
 					}
-					if run.Result.Pattern != nil || run.Result.Stats != (engine.Stats{}) {
-						t.Fatalf("run %d: its ledger carries pattern %v and stats %+v", g, run.Result.Pattern, run.Result.Stats)
-					}
-					key = fmt.Appendf(w.Pattern.AppendPrefixKey(key[:0], got.Horizon-1), "/%v", w.Inits)
+					w := want.Runs[g]
+					key = fmt.Appendf(w.Pattern.AppendPrefixKey(key[:0], got.Horizon-1), "/%v", initsOf(want, g))
 					u, seen := unitOfPrefix[string(key)]
 					if !seen {
 						u = len(unitOfPrefix)
@@ -395,25 +353,19 @@ func TestExpandedRunsShareUnitLedgers(t *testing.T) {
 					if units.row(g) != u {
 						t.Fatalf("run %d is in unit %d, its prefix in unit %d", g, units.row(g), u)
 					}
-					if first := got.Runs[units.first(u)].Result; run.Result != first {
-						t.Fatalf("run %d holds ledger %p, its unit's first run %d holds %p", g, run.Result, units.first(u), first)
+					got.Ledger(g, &res)
+					content := ledgerContent(&res)
+					if got.Ledger(units.first(u), &res); ledgerContent(&res) != content {
+						t.Fatalf("run %d reads ledger %s, its unit's first run %d %s", g, content, units.first(u), ledgerContent(&res))
 					}
+					ledgers[content] = true
 				}
 				if units.n != len(unitOfPrefix) || (cell.units != 0 && units.n != cell.units) {
 					t.Fatalf("%d units in the system, %d prefix units in the sweep; want %d (0: not pinned)",
 						units.n, len(unitOfPrefix), cell.units)
 				}
-				ledgerOf := make(map[string]*engine.Result)
-				for g, run := range got.Runs {
-					content := ledgerContent(run.Result)
-					if l, seen := ledgerOf[content]; !seen {
-						ledgerOf[content] = run.Result
-					} else if l != run.Result {
-						t.Fatalf("run %d holds ledger %p, another run ledger %p of the same content %s", g, run.Result, l, content)
-					}
-				}
-				if len(ledgerOf) != st.ledgers[ci] {
-					t.Fatalf("%d distinct ledgers over %d units, want %d", len(ledgerOf), units.n, st.ledgers[ci])
+				if len(ledgers) != st.ledgers[ci] {
+					t.Fatalf("%d distinct ledgers over %d units, want %d", len(ledgers), units.n, st.ledgers[ci])
 				}
 			})
 		}

@@ -114,9 +114,9 @@ func E6TheoremMatrix(parallelism int) *Table {
 				optimality = len(must(sys.CheckOptimalityFIP(ctx, -1, 0)))
 			}
 			es, dom := earlyStop{t: c.t}, dominance{popt: popt}
-			for g, run := range sys.Runs {
-				res := *run.Result // an expanded run shares its unit's ledger
-				res.Pattern = run.Pattern
+			var res engine.Result
+			for g := range sys.Runs {
+				sys.Ledger(g, &res) // read through the system's labelling
 				es.add(&res)
 				if name == "fip" {
 					for _, r := range res.DecisionRound {

@@ -39,7 +39,7 @@ func (s *System) BoxComponents(member func(q Point, faulty uint64) uint64) []int
 	l0, faulty0 := s.frame.layout(0), s.frame.faulty(0)
 	masks := make([]uint64, l0.n) // the time-0 rows' members at time m
 	joined := make([]bool, l0.n)  // the time-0 rows whose runs are one component
-	classOf, first := make([][]int32, s.N), make([][]int, s.N)
+	classOf, first := make([]classIDs, s.N), make([][]int, s.N)
 	for m := 0; m <= s.Horizon; m++ {
 		for row := range masks {
 			masks[row] = member(Point{Run: l0.first(row), Time: m}, faulty0[row])
@@ -66,7 +66,7 @@ func (s *System) BoxComponents(member func(q Point, faulty uint64) uint64) []int
 			}
 			for ; mask != 0; mask &= mask - 1 {
 				i := bits.TrailingZeros64(mask)
-				if c := classOf[i][row]; first[i][c] == 0 {
+				if c := classOf[i].at(row); first[i][c] == 0 {
 					first[i][c] = run + 1
 				} else {
 					union(first[i][c]-1, run)
@@ -162,7 +162,7 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 		err = s.screen(ctx, maxTime, func(m, row int, q Point, faulty uint64, ds []firstDecide) (bad uint64) {
 			for i, d := range ds {
 				slot := m*s.N + i
-				if !faultyAt(faulty, model.AgentID(i)) && d.by(v, m+1) != believes[slot][classOf[slot][row]] {
+				if !faultyAt(faulty, model.AgentID(i)) && d.by(v, m+1) != believes[slot][classOf[slot].at(row)] {
 					bad |= 1 << uint(i)
 				}
 			}

@@ -91,15 +91,16 @@ type cnGraph struct {
 	n, runs int
 	// base has n+1 entries; base[n] is the node count.
 	base []int32
-	// classOf and classRuns are the frame's tables of the slice's n slots.
-	classOf   [][]int32
+	// classOf and classRuns are the frame's class ids and member lists of
+	// the slice's n slots.
+	classOf   []classIDs
 	classRuns []members
 	faulty    []uint64
 }
 
 // classNode returns run r's successor through agent i: the node of i's
 // class at r.
-func (g *cnGraph) classNode(r int32, i int) int32 { return g.base[i] + g.classOf[i][r] }
+func (g *cnGraph) classNode(r int32, i int) int32 { return g.base[i] + g.classOf[i].at(int(r)) }
 
 // members returns the runs of class node v.
 func (g *cnGraph) members(v int32) []int32 {
@@ -119,7 +120,7 @@ func (s *System) buildCNLayer(m int) *cnLayer {
 	g := &cnGraph{
 		n: n, runs: runs,
 		base:      make([]int32, n+1),
-		classOf:   make([][]int32, n),
+		classOf:   make([]classIDs, n),
 		classRuns: make([]members, n),
 		faulty:    s.frame.faulty(m),
 	}

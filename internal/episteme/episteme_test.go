@@ -376,10 +376,11 @@ func TestSynthesizedPanicsOutsideContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	foreign := exchange.NewBasic(2).Initial(0, model.One)
-	// While the table grows, a state at or past the cutoff does noop and
-	// one before it must be in the table.
-	for cutoff, want := range map[int]bool{-1: true, 0: false, 1: true} {
-		synth.noopFrom = cutoff
+	// While the table grows, a state at or past the cutoff does noop, and
+	// one before it outside the table does noop and is reported; the
+	// complete table panics.
+	for cutoff, want := range map[int]bool{-1: true, 0: false, 1: false} {
+		synth.noopFrom, synth.miss = cutoff, ""
 		panicked := func() (panicked bool) {
 			defer func() { panicked = recover() != nil }()
 			synth.Act(0, foreign)
@@ -387,6 +388,9 @@ func TestSynthesizedPanicsOutsideContext(t *testing.T) {
 		}()
 		if panicked != want {
 			t.Errorf("cutoff %d: Act on a foreign time-0 state panicked: %v, want %v", cutoff, panicked, want)
+		}
+		if reported := synth.miss != ""; reported != (cutoff == 1) {
+			t.Errorf("cutoff %d: Act on a foreign time-0 state reported %q", cutoff, synth.miss)
 		}
 	}
 }

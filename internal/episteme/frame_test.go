@@ -21,6 +21,7 @@ type naiveFrame struct {
 	rows     layout   // every row a run
 	masks    []uint64 // run r's faulty set
 	classOf  [][]int32
+	ids      []classIDs // classOf packed
 	lists    []members
 	classKey [][]string
 }
@@ -58,16 +59,17 @@ func newNaiveFrame(traced []*engine.Result) *naiveFrame {
 			ms.rows = append(ms.rows, l...)
 			ms.off = append(ms.off, int32(len(ms.rows)))
 		}
-		f.classOf, f.lists, f.classKey = append(f.classOf, classOf), append(f.lists, ms), append(f.classKey, keys)
+		f.classOf, f.ids = append(f.classOf, classOf), append(f.ids, packClassIDs(classOf, len(keys)))
+		f.lists, f.classKey = append(f.lists, ms), append(f.classKey, keys)
 	}
 	return f
 }
 
-func (f *naiveFrame) layout(int) *layout       { return &f.rows }
-func (f *naiveFrame) faulty(int) []uint64      { return f.masks }
-func (f *naiveFrame) classes(slot int) []int32 { return f.classOf[slot] }
-func (f *naiveFrame) members(slot int) members { return f.lists[slot] }
-func (f *naiveFrame) keys(slot int) []string   { return f.classKey[slot] }
+func (f *naiveFrame) layout(int) *layout        { return &f.rows }
+func (f *naiveFrame) faulty(int) []uint64       { return f.masks }
+func (f *naiveFrame) classes(slot int) classIDs { return f.ids[slot] }
+func (f *naiveFrame) members(slot int) members  { return f.lists[slot] }
+func (f *naiveFrame) keys(slot int) []string    { return f.classKey[slot] }
 
 // naiveLabels is the reference labelling: each run's own ledger, as the
 // engine recorded it, with no class and no first-decide rule — every row

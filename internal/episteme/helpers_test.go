@@ -109,3 +109,25 @@ func checkOptimality(t *testing.T, sys *System, maxTime, max int) []string {
 // indexOf returns sys's production frame, for the tests that read its
 // tables or its units.
 func indexOf(sys *System) *indexFrame { return sys.frame.(*indexFrame) }
+
+// keysOf returns sys's class keys slot by slot, nil for a slot not yet
+// interned.
+func keysOf(sys *System) [][]string {
+	keys := make([][]string, len(indexOf(sys).slots))
+	for slot := range keys {
+		keys[slot] = indexOf(sys).slots[slot].keys
+	}
+	return keys
+}
+
+// idsOf returns sys's class ids slot by slot, unpacked, nil for a slot not
+// yet interned.
+func idsOf(sys *System) [][]int32 {
+	ids := make([][]int32, len(indexOf(sys).slots))
+	for slot := range ids {
+		if t := indexOf(sys).slots[slot].ids; t.words != nil {
+			ids[slot] = t.unpack(nil)
+		}
+	}
+	return ids
+}

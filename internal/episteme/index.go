@@ -19,6 +19,8 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/model"
@@ -34,11 +36,11 @@ import (
 // business: indexFrame's are prefix units before the horizon of an
 // expanded system and runs everywhere else. Safe for concurrent use.
 type frame interface {
-	layout(m int) *layout     // how the time-m rows group the runs; do not mutate
-	faulty(m int) []uint64    // each time-m row's faulty set, a mask over agents
-	classes(slot int) []int32 // slot m*N+i's class id of each time-m row
-	members(slot int) members // the slot's member lists: class c's rows, ascending
-	keys(slot int) []string   // the local-state key of each of the slot's classes
+	layout(m int) *layout      // how the time-m rows group the runs; do not mutate
+	faulty(m int) []uint64     // each time-m row's faulty set, a mask over agents
+	classes(slot int) classIDs // slot m*N+i's class id of each time-m row
+	members(slot int) members  // the slot's member lists: class c's rows, ascending
+	keys(slot int) []string    // the local-state key of each of the slot's classes
 }
 
 // layout is how one time's n rows group a system's runs: with prefix nil
@@ -104,20 +106,24 @@ type indexFrame struct {
 	units  *layout
 	perRun layout
 
-	// Interned local-state index, per slot = m*N + i:
-	//
-	//	classOf[slot][row]    → the row's class id in the slot
-	//	classRuns[slot].of(c) → the rows of class c, ascending
-	//	classKey[slot][c]     → the class's local-state key
-	//
-	// Class ids are by first appearance in run order either way: a class's
-	// first run is always its unit's first run. The time-Horizon slots are
-	// nil until lastLayer interns them from the producer's lastRows.
-	classOf   [][]int32
-	classRuns []members
-	classKey  [][]string
-	lastOnce  sync.Once
-	lastRows  func(slot int) slotRows
+	// Interned local-state index, one slotIndex per slot = m*N + i. Class
+	// ids are by first appearance in run order either way: a class's first
+	// run is always its unit's first run. The time-Horizon slots are empty
+	// until lastLayer interns them from the producer's lastRows.
+	slots    []slotIndex
+	lastOnce sync.Once
+	lastRows func(slot int) slotRows
+}
+
+// slotIndex is one slot's tables: ids.at(row) is the row's class id,
+// keys[c] class c's local-state key, and lists.of(c) the rows of class c,
+// ascending — made on first read (members), since safety and the folds
+// read ids only.
+type slotIndex struct {
+	ids   classIDs
+	keys  []string
+	once  sync.Once
+	lists members
 }
 
 func (x *indexFrame) layout(m int) *layout {
@@ -143,17 +149,27 @@ func (x *indexFrame) faulty(m int) []uint64 {
 	return l.masks
 }
 
-func (x *indexFrame) classes(slot int) []int32 { return x.read(slot).classOf[slot] }
-func (x *indexFrame) members(slot int) members { return x.read(slot).classRuns[slot] }
-func (x *indexFrame) keys(slot int) []string   { return x.read(slot).classKey[slot] }
+func (x *indexFrame) classes(slot int) classIDs { return x.read(slot).ids }
+func (x *indexFrame) keys(slot int) []string    { return x.read(slot).keys }
 
-// read returns x with slot interned: a time-Horizon slot is read through
-// lastLayer.
-func (x *indexFrame) read(slot int) *indexFrame {
+func (x *indexFrame) members(slot int) members {
+	t := x.read(slot)
+	t.once.Do(func() {
+		sc := internScratch.Get().(*scratch)
+		sc.ids = t.ids.unpack(sc.ids)
+		t.lists = packMembers(sc.ids, len(t.keys))
+		internScratch.Put(sc)
+	})
+	return t.lists
+}
+
+// read returns slot's tables, interned: a time-Horizon slot is read
+// through lastLayer.
+func (x *indexFrame) read(slot int) *slotIndex {
 	if slot >= x.sys.Horizon*x.sys.N {
 		x.lastLayer()
 	}
-	return x
+	return &x.slots[slot]
 }
 
 // slotRows is a producer's account of one slot: it has n rows, key(dst,
@@ -164,7 +180,8 @@ func (x *indexFrame) read(slot int) *indexFrame {
 // and never looks. A producer that can tell cheaply that two rows carry
 // the same key says so with a memo code — code(g) in [0, codes), equal
 // codes implying equal keys — and the kernel asks key once per distinct
-// code instead of once per row. classes sizes the key map.
+// code instead of once per row. classes sizes the key map: a count the
+// slot is proven to reach or never to pass, or 0 where there is none.
 type slotRows struct {
 	n       int
 	codes   int
@@ -223,20 +240,20 @@ func newLabels(s *System, acts [][]model.Action) *labels {
 	f, n := s.frame, s.N
 	lb := &labels{n: n, acts: acts, rows: f.layout(0), act: func(i model.AgentID, m, run int) model.Action {
 		slot := m*n + int(i)
-		return acts[slot][f.classes(slot)[f.layout(m).row(run)]]
+		return acts[slot][f.classes(slot).at(f.layout(m).row(run))]
 	}}
 	lb.decided = make([]firstDecide, lb.rows.n*n)
 	for k := range lb.decided {
 		lb.decided[k].v = model.None
 	}
 	for slot := range s.Horizon * n {
-		m, i, classOf := slot/n, slot%n, f.classes(slot)
-		for row := range lb.rows.n {
+		m, i := slot/n, slot%n
+		f.classes(slot).each(func(row int, c int32) {
 			d := &lb.decided[row*n+i]
-			if v := acts[slot][classOf[row]].Decision(); d.round == 0 && v.IsSet() {
+			if v := acts[slot][c].Decision(); d.round == 0 && v.IsSet() {
 				*d = firstDecide{v, uint8(m + 1)}
 			}
-		}
+		})
 	}
 	return lb
 }
@@ -256,9 +273,7 @@ func (s *System) indexed(ctx context.Context, x *indexFrame, rows func(slot int)
 	}
 	nSlots := (s.Horizon + 1) * s.N
 	x.sys, x.perRun.n = s, len(s.Runs)
-	x.classOf = make([][]int32, nSlots)
-	x.classRuns = make([]members, nSlots)
-	x.classKey = make([][]string, nSlots)
+	x.slots = make([]slotIndex, nSlots)
 	acts := make([][]model.Action, s.Horizon*s.N)
 	if err := x.intern(ctx, 0, len(acts), rows, acts); err != nil {
 		return nil, err
@@ -278,7 +293,7 @@ func (x *indexFrame) lastLayer() {
 		if x.lastRows == nil {
 			return // a frame assembled literally
 		}
-		if err := x.intern(context.Background(), x.sys.Horizon*x.sys.N, len(x.classOf), x.lastRows, nil); err != nil {
+		if err := x.intern(context.Background(), x.sys.Horizon*x.sys.N, len(x.slots), x.lastRows, nil); err != nil {
 			panic(err)
 		}
 		x.lastRows = nil
@@ -288,44 +303,45 @@ func (x *indexFrame) lastLayer() {
 // intern builds index slots [from, to), one worker per slot: class ids by
 // first appearance in ascending row order through a dense first-sight
 // table over the memo codes (seen[code] = class id + 1, so the key is
-// asked for and hashed once per first-seen code), member lists packed per
-// class. A worker's keys are written into one buffer and looked up there;
-// a key becomes a string only when it opens a class. There are no ids
-// across slots: a key names its time (conformance convention 10), so a
-// slot and a class there identify one agent's local state system-wide.
-// When acts is non-nil, acts[slot] receives each class's action, the
-// action of its first row, and a class whose rows act differently is
-// refused: an action protocol is a function of the local state, so its
-// key hides something the protocol reads.
+// asked for and hashed once per first-seen code). A worker numbers the
+// rows into scratch it reuses from slot to slot (internScratch), and packs
+// them when the slot's class count is known; keys are written into the
+// scratch buffer and looked up there, and a key becomes a string only when
+// it opens a class. There are no ids across slots: a key names its time
+// (conformance convention 10), so a slot and a class there identify one
+// agent's local state system-wide. When acts is non-nil, acts[slot]
+// receives each class's action, the action of its first row, and a class
+// whose rows act differently is refused: an action protocol is a function
+// of the local state, so its key hides something the protocol reads.
 func (x *indexFrame) intern(ctx context.Context, from, to int, rows func(slot int) slotRows, acts [][]model.Action) error {
 	slotErr := make([]error, to-from)
 	err := x.sys.parallel(ctx, to-from, func(k int) {
+		sc := internScratch.Get().(*scratch)
+		defer internScratch.Put(sc)
 		slot := from + k
 		p := rows(slot)
 		byKey := make(map[string]int32, p.classes)
 		var classKey []string
 		var classAct []model.Action
-		var buf []byte
-		classOf := make([]int32, p.n)
-		seen := make([]int32, p.codes)
-		for g := range classOf {
-			cell := &seen[p.code(g)]
+		sc.ids, sc.seen = slices.Grow(sc.ids[:0], p.n)[:p.n], append(sc.seen[:0], make([]int32, p.codes)...)
+		for g := range sc.ids {
+			cell := &sc.seen[p.code(g)]
 			if *cell == 0 {
 				var err error
-				if buf, err = p.key(buf[:0], g); err != nil {
+				if sc.buf, err = p.key(sc.buf[:0], g); err != nil {
 					slotErr[k] = err
 					return
 				}
-				cls, known := byKey[string(buf)]
+				cls, known := byKey[string(sc.buf)]
 				if !known {
 					cls = int32(len(classKey))
-					classKey = append(classKey, string(buf))
+					classKey = append(classKey, string(sc.buf))
 					byKey[classKey[cls]] = cls
 				}
 				*cell = cls + 1
 			}
 			cls := *cell - 1
-			classOf[g] = cls
+			sc.ids[g] = cls
 			if acts == nil {
 				continue
 			}
@@ -337,15 +353,72 @@ func (x *indexFrame) intern(ctx context.Context, from, to int, rows func(slot in
 				return
 			}
 		}
-		x.classOf[slot], x.classKey[slot] = classOf, classKey
+		x.slots[slot].ids, x.slots[slot].keys = packClassIDs(sc.ids, len(classKey)), classKey
 		if acts != nil {
 			acts[slot] = classAct
 		}
-		if !x.sys.Quotiented() { // nothing reads a representative system's member lists
-			x.classRuns[slot] = packMembers(classOf, len(classKey))
-		}
 	})
 	return cmp.Or(err, cmp.Or(slotErr...))
+}
+
+// internScratch lends the kernel's workers their row table, first-sight
+// table and key buffer, from slot to slot and build to build.
+var internScratch = sync.Pool{New: func() any { return new(scratch) }}
+
+type scratch struct {
+	ids, seen []int32
+	buf       []byte
+}
+
+// classIDs is one slot's class id of each of its n rows, packed at the
+// width its class count needs, ⌈log₂ classes⌉ bits, into words: row r's
+// id is bits [r·width, (r+1)·width) of the table, low bits first, and may
+// straddle two words. A word past the last lets at read two words
+// without a branch; one class packs to width 0.
+type classIDs struct {
+	words       []uint64
+	width, mask uint64
+	n           int
+}
+
+// packClassIDs packs ids, each below classes.
+func packClassIDs(ids []int32, classes int) classIDs {
+	width := uint64(bits.Len(uint(max(classes, 1) - 1)))
+	c := classIDs{make([]uint64, uint64(len(ids))*width/64+2), width, 1<<width - 1, len(ids)}
+	var word, bit uint64 // the word being filled, and the next id's first bit
+	for _, id := range ids {
+		if word |= uint64(id) << (bit % 64); bit%64+width >= 64 { // full: id's high bits open the next
+			c.words[bit/64], word = word, uint64(id)>>1>>(^bit%64)
+		}
+		bit += width
+	}
+	c.words[bit/64] = word
+	return c
+}
+
+// at returns row's class id.
+func (c classIDs) at(row int) int32 {
+	bit := uint64(row) * c.width
+	hi := c.words[bit/64+1] // the id's high bits, if it straddles
+	return int32((c.words[bit/64]>>(bit%64) | hi<<1<<(^bit%64)) & c.mask)
+}
+
+// each calls fn with every row and its class id, in row order: at, with
+// the bit offset stepped instead of multiplied.
+func (c classIDs) each(fn func(row int, id int32)) {
+	var bit uint64
+	for row := range c.n {
+		hi := c.words[bit/64+1]
+		fn(row, int32((c.words[bit/64]>>(bit%64)|hi<<1<<(^bit%64))&c.mask))
+		bit += c.width
+	}
+}
+
+// unpack returns the ids in dst's storage, grown as needed.
+func (c classIDs) unpack(dst []int32) []int32 {
+	dst = slices.Grow(dst[:0], c.n)[:c.n]
+	c.each(func(r int, id int32) { dst[r] = id })
+	return dst
 }
 
 // members is a table of member lists in compressed sparse rows: list c

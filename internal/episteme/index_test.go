@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -54,17 +57,17 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if indexOf(sys).classOf[0] != nil || !reflect.DeepEqual(asked, make([]int, len(keys))) {
+	if idsOf(sys)[0] != nil || !reflect.DeepEqual(asked, make([]int, len(keys))) {
 		t.Fatal("the time-Horizon slot was interned before anything read it")
 	}
 	indexOf(sys).lastLayer()
-	if got, want := indexOf(sys).classOf[0], []int32{0, 1, 0, 2, 1, 0, 2}; !reflect.DeepEqual(got, want) {
+	if got, want := idsOf(sys)[0], []int32{0, 1, 0, 2, 1, 0, 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("classOf = %v, want %v", got, want)
 	}
-	if got, want := indexOf(sys).classRuns[0], (members{rows: []int32{0, 2, 5, 1, 4, 3, 6}, off: []int32{0, 3, 5, 7}}); !reflect.DeepEqual(got, want) {
+	if got, want := sys.frame.members(0), (members{rows: []int32{0, 2, 5, 1, 4, 3, 6}, off: []int32{0, 3, 5, 7}}); !reflect.DeepEqual(got, want) {
 		t.Errorf("classRuns = %v, want %v", got, want)
 	}
-	if got, want := indexOf(sys).classKey[0], []string{"b", "a", "c"}; !reflect.DeepEqual(got, want) {
+	if got, want := keysOf(sys)[0], []string{"b", "a", "c"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("classKey = %v, want %v", got, want)
 	}
 	if want := []int{1, 1, 0, 1, 0, 1, 0}; !reflect.DeepEqual(asked, want) {
@@ -87,16 +90,16 @@ func TestInternSlotsLastLayerOnFirstRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(indexOf(sys).classKey, append(want[:2:2], nil, nil)) {
-			t.Errorf("parallelism %d: before the first read, classKey = %q", par, indexOf(sys).classKey)
+		if !reflect.DeepEqual(keysOf(sys), append(want[:2:2], nil, nil)) {
+			t.Errorf("parallelism %d: before the first read, classKey = %q", par, keysOf(sys))
 		}
 		if got := len(sys.frame.keys(2)); got != 3 {
 			t.Errorf("parallelism %d: slot 2 has %d classes, want 3", par, got)
 		}
-		if !reflect.DeepEqual(indexOf(sys).classKey, want) {
-			t.Errorf("parallelism %d: classKey = %q, want %q", par, indexOf(sys).classKey, want)
+		if !reflect.DeepEqual(keysOf(sys), want) {
+			t.Errorf("parallelism %d: classKey = %q, want %q", par, keysOf(sys), want)
 		}
-		if got, want := indexOf(sys).classOf, [][]int32{{0, 1, 0}, {0, 1, 1}, {0, 1, 2}, {0, 0, 1}}; !reflect.DeepEqual(got, want) {
+		if got, want := idsOf(sys), [][]int32{{0, 1, 0}, {0, 1, 1}, {0, 1, 2}, {0, 0, 1}}; !reflect.DeepEqual(got, want) {
 			t.Errorf("parallelism %d: classOf = %v, want %v", par, got, want)
 		}
 	}
@@ -236,4 +239,123 @@ func TestLabellingRefusesHiddenField(t *testing.T) {
 	}
 	sys, err = MergeSystems(ctx, []*ShardIndex{idx})
 	refused("MergeSystems", sys, err)
+}
+
+// TestClassIDsMatchNaiveFrame holds the packed class ids to the naive
+// frame's: in every slot of every n ≤ 3 matrix context, built directly,
+// merged from three stripes and expanded from the quotient, at(row) and
+// the walk read the class of the row's first run, and the slot's first
+// member-list read is packMembers of those ids.
+func TestClassIDsMatchNaiveFrame(t *testing.T) {
+	for _, cx := range []struct {
+		n, t  int
+		crash bool
+	}{{2, 1, false}, {3, 1, false}, {3, 1, true}, {3, 2, true}} {
+		for _, tc := range []struct {
+			ex  model.Exchange
+			act model.ActionProtocol
+		}{
+			{exchange.NewMin(cx.n), action.NewMin(cx.t)},
+			{exchange.NewBasic(cx.n), action.NewBasic(cx.n)},
+			{exchange.NewFIP(cx.n), action.NewOpt(cx.t)},
+		} {
+			c := Context{Exchange: tc.ex, T: cx.t, Crash: cx.crash}
+			naive := newNaiveFrame(tracedSweep(t, c, tc.act))
+			for name, sys := range map[string]*System{
+				"direct":   build(t, perRunContext(c), tc.act),
+				"merged":   buildMerged(t, perRunContext(c), tc.act, 3),
+				"expanded": build(t, c, tc.act),
+			} {
+				label := fmt.Sprintf("%s n=%d t=%d crash=%v %s", tc.ex.Name(), cx.n, cx.t, cx.crash, name)
+				indexOf(sys).lastLayer()
+				for slot := range indexOf(sys).slots {
+					l, ids := sys.frame.layout(slot/sys.N), sys.frame.classes(slot)
+					want := make([]int32, l.n)
+					for row := range want {
+						want[row] = naive.classOf[slot][l.first(row)]
+					}
+					var walked []int32
+					ids.each(func(row int, c int32) {
+						if row != len(walked) {
+							t.Fatalf("%s slot %d: the walk reads row %d after %d rows", label, slot, row, len(walked))
+						}
+						walked = append(walked, c)
+					})
+					for row := range want {
+						if got := ids.at(row); got != want[row] || walked[row] != want[row] {
+							t.Fatalf("%s slot %d row %d: at reads %d and the walk %d, want %d", label, slot, row, got, walked[row], want[row])
+						}
+					}
+					if len(walked) != len(want) {
+						t.Fatalf("%s slot %d: the walk reads %d rows, want %d", label, slot, len(walked), len(want))
+					}
+					nc := len(sys.frame.keys(slot))
+					if got := sys.frame.members(slot); !reflect.DeepEqual(got, packMembers(want, nc)) {
+						t.Fatalf("%s slot %d: member lists %v, want packMembers of the ids", label, slot, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClassIDsWidths packs ids at the widths of 1, 2, 3, 4, 2³⁰+1 and
+// 2³¹+1 classes — 0, 1, 2, 2, 31 and 32 bits — over rows that straddle
+// words wherever the width does not divide 64, and reads them back.
+func TestClassIDsWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, tc := range []struct {
+		classes int
+		width   uint64
+	}{{1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {1<<30 + 1, 31}, {1<<31 + 1, 32}} {
+		ids := make([]int32, 203)
+		for r := range ids {
+			ids[r] = int32(rng.Int63n(int64(tc.classes)))
+		}
+		top := int32(min(tc.classes-1, math.MaxInt32)) // the widest id an int32 holds, at both ends
+		ids[0], ids[len(ids)-1] = top, top
+		packed := packClassIDs(ids, tc.classes)
+		if packed.width != tc.width || packed.n != len(ids) {
+			t.Fatalf("%d classes: packed at width %d over %d rows, want width %d", tc.classes, packed.width, packed.n, tc.width)
+		}
+		straddles := 0
+		for r, want := range ids {
+			if got := packed.at(r); got != want {
+				t.Fatalf("%d classes: row %d reads %d, want %d", tc.classes, r, got, want)
+			}
+			if bit := uint64(r) * tc.width; bit/64 != (bit+tc.width-1)/64 && tc.width > 0 {
+				straddles++
+			}
+		}
+		if (straddles > 0) != (tc.width == 3 || tc.width == 31) {
+			t.Errorf("%d classes: %d rows straddle two words", tc.classes, straddles)
+		}
+		packed.each(func(r int, c int32) {
+			if c != ids[r] {
+				t.Fatalf("%d classes: the walk reads %d at row %d, want %d", tc.classes, c, r, ids[r])
+			}
+		})
+	}
+}
+
+// TestMembersFirstReadIsShared: concurrent first reads of one slot's
+// member lists build them once and return one table.
+func TestMembersFirstReadIsShared(t *testing.T) {
+	sys := build(t, Context{Exchange: exchange.NewMin(3), T: 1}, action.NewMin(1))
+	slot := sys.Horizon*sys.N + 1 // in the last layer, read first here
+	got := make([]members, 8)
+	var wg sync.WaitGroup
+	for k := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k] = sys.frame.members(slot)
+		}()
+	}
+	wg.Wait()
+	for k, ms := range got {
+		if &ms.rows[0] != &got[0].rows[0] || &ms.off[0] != &got[0].off[0] {
+			t.Fatalf("read %d returned a second table", k)
+		}
+	}
 }

@@ -163,6 +163,11 @@ func (s *System) CheckImplements(ctx context.Context, prog Program, maxMismatche
 	if err := s.checkableSystem(); err != nil {
 		return nil, err
 	}
+	// The knowledge tests, the C_N layers and the work items all read the
+	// member lists: they are made first, one slot per worker.
+	if err := s.parallel(ctx, s.Horizon*s.N, func(slot int) { s.frame.members(slot) }); err != nil {
+		return nil, err
+	}
 	if prog == P1 {
 		if err := s.prebuildCN(ctx); err != nil {
 			return nil, err

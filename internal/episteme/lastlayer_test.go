@@ -101,8 +101,8 @@ func TestExpandedLastLayerDeferred(t *testing.T) {
 	if ms := checkImplements(t, sys, P1, 5); len(ms) != 0 {
 		t.Fatalf("CheckImplements(P1) = %v", ms)
 	}
-	for slot := sys.Horizon * sys.N; slot < len(indexOf(sys).classOf); slot++ {
-		if indexOf(sys).classOf[slot] != nil || indexOf(sys).classKey[slot] != nil || indexOf(sys).lastRows == nil {
+	for slot := sys.Horizon * sys.N; slot < len(indexOf(sys).slots); slot++ {
+		if indexOf(sys).slots[slot].ids.words != nil || indexOf(sys).slots[slot].keys != nil || indexOf(sys).lastRows == nil {
 			t.Fatalf("slot %d is interned after ExpandQuotient and CheckImplements(P1)", slot)
 		}
 	}
@@ -162,7 +162,7 @@ func TestExpandQuotientRefusesDoctoredLastKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		indexOf(rep).lastLayer()
-		indexOf(rep).classKey[rep.Horizon*rep.N+1][0] = "doctored"
+		indexOf(rep).slots[rep.Horizon*rep.N+1].keys[0] = "doctored"
 		sys, err := ExpandQuotient(ctx, rep, c)
 		if sys != nil || err == nil || !strings.HasPrefix(err.Error(), `episteme: expanding quotiented keys: graph: malformed key "doctored"`) {
 			t.Fatalf("parallelism %d: ExpandQuotient of a doctored time-Horizon key = (system: %v, %v), want only the rewrite error", par, sys != nil, err)

@@ -567,7 +567,7 @@ func oracleBuildCNLayer(s *System, m int) *oracleCNLayer {
 			if !pat.Nonfaulty(model.AgentID(i)) {
 				continue
 			}
-			outs = append(outs, base[i]+int(s.frame.classes(m*n + i)[r]))
+			outs = append(outs, base[i]+int(s.frame.classes(m*n+i).at(int(r))))
 		}
 		adj[r] = outs[start:len(outs):len(outs)]
 	}
@@ -736,7 +736,7 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 	nRuns := len(runs)
 	sys := &System{N: n, T: rep.T, Horizon: horizon, Runs: runs, par: rep.parallelism()}
 	nSlots := (horizon + 1) * n
-	x := &indexFrame{sys: sys, perRun: layout{n: nRuns}, classOf: make([][]int32, nSlots), classRuns: make([]members, nSlots), classKey: make([][]string, nSlots)}
+	x := &indexFrame{sys: sys, perRun: layout{n: nRuns}, slots: make([]slotIndex, nSlots)}
 	sys.frame = x
 
 	type triple struct {
@@ -757,11 +757,11 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 			for g := 0; g < nRuns; g++ {
 				r, pid := om.rep(g)
 				srcAgent := perms[pid][i]
-				rc := indexOf(rep).classOf[m*n+int(srcAgent)][r]
+				rc := indexOf(rep).slots[m*n+int(srcAgent)].ids.at(int(r))
 				tk := triple{src: srcAgent, pid: pid, rc: rc}
 				cls, hit := cache[tk]
 				if !hit {
-					key := indexOf(rep).classKey[m*n+int(srcAgent)][rc]
+					key := indexOf(rep).slots[m*n+int(srcAgent)].keys[rc]
 					if !isID[pid] {
 						var rewritten []byte
 						rewritten, sliceErr[m] = kp.AppendPermuteKey(nil, key, invs[pid])
@@ -783,9 +783,7 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 				}
 				classOf[g] = cls
 			}
-			x.classOf[slot] = classOf
-			x.classRuns[slot] = packMembers(classOf, len(classKey))
-			x.classKey[slot] = classKey
+			x.slots[slot].ids, x.slots[slot].keys = packClassIDs(classOf, len(classKey)), classKey
 			if m < horizon {
 				acts[slot] = classAct
 			}
@@ -1019,15 +1017,15 @@ func TestCKFoldOnRandomSystems(t *testing.T) {
 			sys.Runs[r], ledgers[r] = Run{pat, &res.Stats, uint64(bits)}, res
 		}
 		sys.labels = naiveLabels(ledgers)
-		x := &indexFrame{sys: sys, perRun: layout{n: runs}, classOf: make([][]int32, 2*n), classRuns: make([]members, 2*n)}
+		x := &indexFrame{sys: sys, perRun: layout{n: runs}, slots: make([]slotIndex, 2*n)}
 		sys.frame = x
-		for slot := range x.classOf {
+		for slot := range x.slots {
 			k := runs/3 + rng.Intn(runs)
-			x.classOf[slot] = make([]int32, runs)
-			for r := range x.classOf[slot] {
-				x.classOf[slot][r] = int32(rng.Intn(k))
+			ids := make([]int32, runs)
+			for r := range ids {
+				ids[r] = int32(rng.Intn(k))
 			}
-			x.classRuns[slot] = packMembers(x.classOf[slot], k)
+			x.slots[slot].ids, x.slots[slot].keys = packClassIDs(ids, k), make([]string, k)
 		}
 
 		label := fmt.Sprintf("random system %d", trial)

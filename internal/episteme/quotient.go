@@ -375,16 +375,22 @@ func initsBits(inits []model.Value) (bits int, ok bool) {
 // for about one key per class where (relabeling, rep class) asked for
 // more than two. The drops are read off the run's own pattern, once per
 // pattern: a pattern's runs are consecutive and share one *Pattern.
+// Every key there is a representative key of that slice relabeled, so a
+// slot has at most len(perms) × the slice's largest representative class
+// count of classes, which sizes its key map.
 func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermuter) (*System, error) {
 	n, t := rep.N, uint(rep.T)
 	perms, invs, isID, runs, units := om.perms, om.invs, om.isID, om.runs, om.units
 	rx, racts := rep.frame.(*indexFrame), rep.labels.acts // a producer reads the tables whole
 	rx.lastLayer()
 	// strides[m] is the largest representative class count of time slice m:
-	// the row length of that slice's code space.
-	strides := make([]int, rep.Horizon+1)
-	for slot, keys := range rx.classKey {
-		strides[slot/n] = max(strides[slot/n], len(keys))
+	// the row length of that slice's code space. Every unit reads its
+	// representative's class twice, so the few representatives' ids are
+	// read unpacked.
+	strides, repOf := make([]int, rep.Horizon+1), make([][]int32, len(rx.slots))
+	for slot := range rx.slots {
+		strides[slot/n] = max(strides[slot/n], len(rx.slots[slot].keys))
+		repOf[slot] = rx.slots[slot].ids.unpack(nil)
 	}
 	sys := &System{N: n, T: rep.T, Horizon: rep.Horizon, Runs: runs, par: rep.parallelism()}
 	sys, err := sys.indexed(ctx, &indexFrame{units: units}, func(slot int) slotRows {
@@ -392,7 +398,7 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 		key := func(dst []byte, g int) ([]byte, error) {
 			r, pid := om.rep(g)
 			repSlot := m*n + int(perms[pid][i])
-			repKey := rx.classKey[repSlot][rx.classOf[repSlot][r]]
+			repKey := rx.slots[repSlot].keys[repOf[repSlot][r]]
 			if isID[pid] {
 				return append(dst, repKey...), nil
 			}
@@ -408,7 +414,7 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 			return slotRows{
 				n:       len(runs),
 				codes:   units.n << t,
-				classes: min(units.n<<t, len(runs)) / 2,
+				classes: min(units.n<<t, len(perms)*strides[m]),
 				code: func(g int) int {
 					if p := runs[g].Pattern; p != pat {
 						pat, drops = p, int(p.FaultyDropsTo(m-1, model.AgentID(i)))
@@ -426,12 +432,12 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 		repClass := func(u int) (pid int32, src int, rc int32) {
 			r, pid := om.rep(units.first(u))
 			src = m*n + int(perms[pid][i])
-			return pid, src, rx.classOf[src][r]
+			return pid, src, repOf[src][r]
 		}
 		return slotRows{
 			n:       units.n,
 			codes:   len(perms) * stride,
-			classes: len(rx.classKey[slot]),
+			classes: len(rx.slots[slot].keys),
 			code: func(u int) int {
 				pid, _, rc := repClass(u)
 				return int(pid)*stride + int(rc)
@@ -452,8 +458,8 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	// first relabeling that moves an agent.
 	if pid := slices.Index(isID, false); pid >= 0 {
 		var buf []byte
-		for _, keys := range rx.classKey[rep.Horizon*n:] {
-			for _, k := range keys {
+		for slot := rep.Horizon * n; slot < len(rx.slots); slot++ {
+			for _, k := range rx.slots[slot].keys {
 				if buf, err = kp.AppendPermuteKey(buf[:0], k, invs[pid]); err != nil {
 					return nil, fmt.Errorf("episteme: expanding quotiented keys: %w", err)
 				}

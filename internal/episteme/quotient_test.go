@@ -50,17 +50,17 @@ func compareSystems(t *testing.T, label string, got, want *System) {
 			t.Fatalf("%s: run %d ledgers differ", label, r)
 		}
 	}
-	if len(indexOf(got).classKey) != len(indexOf(want).classKey) {
-		t.Fatalf("%s: %d index slots, want %d", label, len(indexOf(got).classKey), len(indexOf(want).classKey))
+	if len(keysOf(got)) != len(keysOf(want)) {
+		t.Fatalf("%s: %d index slots, want %d", label, len(keysOf(got)), len(keysOf(want)))
 	}
-	for slot := range indexOf(want).classKey {
-		if len(indexOf(got).classKey[slot]) != len(indexOf(want).classKey[slot]) {
-			t.Fatalf("%s: slot %d has %d classes, want %d", label, slot, len(indexOf(got).classKey[slot]), len(indexOf(want).classKey[slot]))
+	for slot := range keysOf(want) {
+		if len(keysOf(got)[slot]) != len(keysOf(want)[slot]) {
+			t.Fatalf("%s: slot %d has %d classes, want %d", label, slot, len(keysOf(got)[slot]), len(keysOf(want)[slot]))
 		}
-		for c := range indexOf(want).classKey[slot] {
-			if indexOf(got).classKey[slot][c] != indexOf(want).classKey[slot][c] {
+		for c := range keysOf(want)[slot] {
+			if keysOf(got)[slot][c] != keysOf(want)[slot][c] {
 				t.Fatalf("%s: slot %d class %d key differs:\n got %q\nwant %q",
-					label, slot, c, indexOf(got).classKey[slot][c], indexOf(want).classKey[slot][c])
+					label, slot, c, keysOf(got)[slot][c], keysOf(want)[slot][c])
 			}
 		}
 		i, m := model.AgentID(slot%want.N), slot/want.N
@@ -69,7 +69,7 @@ func compareSystems(t *testing.T, label string, got, want *System) {
 				t.Fatalf("%s: slot %d run %d class %d, want %d", label, slot, r, g, w)
 			}
 		}
-		for c := range indexOf(want).classKey[slot] {
+		for c := range keysOf(want)[slot] {
 			gr, wr := got.runsOfClass(i, m, int32(c)), want.runsOfClass(i, m, int32(c))
 			if len(gr) != len(wr) {
 				t.Fatalf("%s: slot %d class %d has %d members, want %d", label, slot, c, len(gr), len(wr))
@@ -540,7 +540,7 @@ func TestExpandQuotientReportsLowestFailingSlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refuse = indexOf(rep).classKey[1*rep.N+1][0]
+		refuse = indexOf(rep).slots[1*rep.N+1].keys[0]
 	}
 	var want string
 	for _, par := range []int{1, 2, 7} {
@@ -620,10 +620,16 @@ func TestExpandedRunsOwnTheirInits(t *testing.T) {
 // expanded once: the first expansion interns the representatives' last
 // layer.
 func fipN4Expander(t *testing.T) func() *System {
+	return n4Expander(t, exchange.NewFIP(4), action.NewOpt(1))
+}
+
+// n4Expander is fipN4Expander over any exchange with model.KeyPermuter
+// and action protocol at n=4,t=1.
+func n4Expander(t *testing.T, ex model.Exchange, act model.ActionProtocol) func() *System {
 	t.Helper()
-	c := Context{Exchange: exchange.NewFIP(4), T: 1}
+	c := Context{Exchange: ex, T: 1}
 	ctx := context.Background()
-	idx, err := BuildShardIndex(ctx, c, action.NewOpt(1), 0, 1)
+	idx, err := BuildShardIndex(ctx, c, act, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,37 +660,50 @@ func bytesPerRun(f func()) float64 {
 // TestExpandQuotientAllocCeiling holds the bytes one ExpandQuotient of fip
 // n=4,t=1 allocates per expanded run, the first read of its last layer
 // left out. An expanded run is three words (Run) over a ledger shared by
-// content, with its unit's members in int32 tables, a key is a string only
-// when it opens a class, and pass 1 keeps no per-run array of last-round
-// drops: about 107 B. The ceiling sits about 13 % above that and below the
-// ≈115 B a run cost with that array, and the ≈140 B with a key string per
-// rewrite and key maps presized for every memo code, so that none of them
-// can come back unnoticed. Lower the ceiling when a change earns it.
+// content, its unit's class ids are packed at the bits their slot's class
+// count needs, its member lists are made on first read, and a key is a
+// string only when it opens a class: about 74 B. The ceiling sits about
+// 12 % above that and below the ≈87 B a run cost with int32 class ids and
+// member lists packed at every build, so that neither can come back
+// unnoticed. Lower the ceiling when a change earns it.
 func TestExpandQuotientAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on its own")
 	}
-	const ceiling = 120 // bytes per expanded run
+	const ceiling = 83 // bytes per expanded run
 	expand := fipN4Expander(t)
 	if per := bytesPerRun(func() { expand() }); per > ceiling {
 		t.Errorf("ExpandQuotient allocates %.1f bytes per expanded run, ceiling %d", per, ceiling)
 	}
 }
 
-// TestLastLayerAllocCeiling holds the bytes the first read of a fresh fip
-// n=4,t=1 expansion's last layer allocates per run: its slots' tables and
-// the keys of their classes, about 200 B. The ceiling sits about 12 %
-// above that and below the ≈265 B a run cost when each read replayed every
-// class of the system into system-wide ids, so that fold cannot come back
+// TestLastLayerAllocCeiling holds the bytes the first read of a fresh
+// n=4,t=1 expansion's last layer allocates per run: its slots' packed
+// class ids, key maps sized by their proven bound and the keys of their
+// classes, about 186 B for fip and 13.5 B for min, 8 B when the kernel's
+// scratch is left from the expansion. Each ceiling sits about 12 % above
+// the larger reading. Fip's is below the ≈200 B a run cost with int32 ids, eager
+// member lists and a key map presized to half the codes; min's is below
+// the ≈66 B it cost then, the ≈39 B with that presized map alone and the
+// ≈31 B with eager member lists alone, so that none can come back
 // unnoticed.
 func TestLastLayerAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on its own")
 	}
-	const ceiling = 225 // bytes per run
-	sys := fipN4Expander(t)()
-	if per := bytesPerRun(indexOf(sys).lastLayer); per > ceiling {
-		t.Errorf("the last layer's first read allocates %.1f bytes per run, ceiling %d", per, ceiling)
+	for _, tc := range []struct {
+		name    string
+		ex      model.Exchange
+		act     model.ActionProtocol
+		ceiling float64 // bytes per run
+	}{
+		{"fip", exchange.NewFIP(4), action.NewOpt(1), 208},
+		{"min", exchange.NewMin(4), action.NewMin(1), 15},
+	} {
+		sys := n4Expander(t, tc.ex, tc.act)()
+		if per := bytesPerRun(indexOf(sys).lastLayer); per > tc.ceiling {
+			t.Errorf("%s: the last layer's first read allocates %.1f bytes per run, ceiling %.0f", tc.name, per, tc.ceiling)
+		}
 	}
 }
 

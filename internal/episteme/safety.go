@@ -98,7 +98,7 @@ func (s *System) CheckSafety(ctx context.Context, max int) ([]string, error) {
 	classOf := s.classTables(s.Horizon)
 	clauses := func(i model.AgentID, m, row int, q Point, d firstDecide) (one, two bool) {
 		slot := s.slot(i, m)
-		c := classOf[slot][row]
+		c := classOf[slot].at(row)
 		one = !allOnes[slot][c] && !d.by(model.Zero, m+1)
 		if m < s.Horizon {
 			two = !d.by(d.v, m) && someDeciding0[slot][c] && !witness[slot][c] && !s.knowsFaulty(i, q)

@@ -139,8 +139,9 @@ func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, s
 }
 
 // exportShardIndex reduces a stripe's System to its serializable partial
-// index. The index takes the System's class tables rather than copying
-// them: BuildShardIndex drops the System once it is exported.
+// index. The index takes the System's class keys rather than copying
+// them and unpacks its class ids: BuildShardIndex drops the System once it
+// is exported.
 func exportShardIndex(sys *System, shardIndex, shardCount int) (*ShardIndex, error) {
 	idx := &ShardIndex{
 		Kind:    shardIndexKind,
@@ -165,7 +166,10 @@ func exportShardIndex(sys *System, shardIndex, shardCount int) (*ShardIndex, err
 	}
 	x := sys.frame.(*indexFrame) // every build's frame; exported whole
 	x.lastLayer()
-	idx.ClassKeys, idx.ClassOf = x.classKey, x.classOf
+	idx.ClassKeys, idx.ClassOf = make([][]string, len(x.slots)), make([][]int32, len(x.slots))
+	for slot := range x.slots {
+		idx.ClassKeys[slot], idx.ClassOf[slot] = x.slots[slot].keys, x.slots[slot].ids.unpack(make([]int32, x.slots[slot].ids.n))
+	}
 	return idx, nil
 }
 

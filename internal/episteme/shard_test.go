@@ -40,17 +40,17 @@ func buildMerged(t *testing.T, c Context, act model.ActionProtocol, k int) *Syst
 func indexFingerprint(sys *System) string {
 	indexOf(sys).lastLayer()
 	var b strings.Builder
-	for slot := range indexOf(sys).classKey {
+	for slot := range keysOf(sys) {
 		i, m := model.AgentID(slot%sys.N), slot/sys.N
 		of := make([]int32, len(sys.Runs))
 		for r := range of {
 			of[r] = sys.classAt(i, m, r)
 		}
-		runs := make([][]int, len(indexOf(sys).classKey[slot]))
+		runs := make([][]int, len(keysOf(sys)[slot]))
 		for c := range runs {
 			runs[c] = sys.runsOfClass(i, m, int32(c))
 		}
-		fmt.Fprintf(&b, "slot %d keys=%q\n", slot, indexOf(sys).classKey[slot])
+		fmt.Fprintf(&b, "slot %d keys=%q\n", slot, keysOf(sys)[slot])
 		fmt.Fprintf(&b, "slot %d of=%v runs=%v\n", slot, of, runs)
 	}
 	return b.String()
@@ -392,8 +392,8 @@ func TestPointQueriesRefuseQuotientedSystem(t *testing.T) {
 		t.Fatal("fip n=3 stripes are not quotiented")
 	}
 	indexOf(sys).lastLayer()
-	for slot, ms := range indexOf(sys).classRuns {
-		if ms.rows != nil || ms.off != nil {
+	for slot := range indexOf(sys).slots {
+		if ms := indexOf(sys).slots[slot].lists; ms.rows != nil || ms.off != nil {
 			t.Fatalf("slot %d of a quotiented system packs member lists", slot)
 		}
 	}

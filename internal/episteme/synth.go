@@ -2,8 +2,10 @@ package episteme
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/model"
 )
@@ -20,6 +22,10 @@ type Synthesized struct {
 	// does not cover yet: every state from then on does noop. It is -1
 	// once the table is complete.
 	noopFrom int
+	// miss is, while Synthesize grows the table, the least report of a
+	// state a build met outside it; mu guards it.
+	mu   sync.Mutex
+	miss string
 }
 
 // Name identifies the synthesized protocol, e.g. "synth(P0)".
@@ -30,7 +36,9 @@ func (p *Synthesized) Size() int { return len(p.table) }
 
 // Act looks the state up in the synthesized table. It panics on a state
 // outside the table: such a state is not reachable in the context the
-// protocol was synthesized for.
+// protocol was synthesized for. While Synthesize grows the table, such a
+// state is a key that collides across times or hides a field; Act then
+// does noop and the build fails with the least such report.
 func (p *Synthesized) Act(i model.AgentID, s model.State) model.Action {
 	if p.noopFrom >= 0 && s.Time() >= p.noopFrom {
 		return model.Noop
@@ -38,7 +46,15 @@ func (p *Synthesized) Act(i model.AgentID, s model.State) model.Action {
 	key := string(s.AppendKey(nil))
 	a, ok := p.table[synthKey(i, key)]
 	if !ok {
-		panic(fmt.Sprintf("episteme: %s has no action for agent %d state %s", p.name, i, key))
+		miss := fmt.Sprintf("episteme: %s has no action for agent %d at time %d, state %s", p.name, i, s.Time(), key)
+		if p.noopFrom < 0 {
+			panic(miss)
+		}
+		p.mu.Lock()
+		if p.miss == "" || miss < p.miss {
+			p.miss = miss
+		}
+		p.mu.Unlock()
 	}
 	return a
 }
@@ -88,6 +104,9 @@ func Synthesize(ctx context.Context, c Context, prog Program, opts ...Option) (*
 		// horizon-1 build, whose every action is noop.
 		c.Horizon = max(m, 1)
 		sys, err := BuildSystem(ctx, c, synth, par)
+		if synth.miss != "" {
+			return nil, errors.New(synth.miss)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -266,8 +266,8 @@ type System struct {
 	// intermediate — ExpandQuotient rebuilds the full system from it; the
 	// checkers refuse to run on one, since every knowledge query would
 	// silently ignore the collapsed runs, and the point queries (Knows,
-	// Class, KnowsCK, CNReachable, KBPAction) panic with their refusal. Its
-	// index packs no member lists (classRuns).
+	// Class, KnowsCK, CNReachable, KBPAction) panic with their refusal, so
+	// nothing reads its member lists.
 	weights []int64
 
 	// par is the checker worker count (resolved, >= 1).
@@ -451,12 +451,11 @@ func fromResults(ctx context.Context, s *System, results []*engine.Result) (*Sys
 		m, i := slot/n, slot%n
 		groups := rowOf[m]
 		return slotRows{
-			n:       len(results),
-			codes:   rowCount[m],
-			classes: rowCount[m] / 2,
-			code:    func(r int) int { return int(groups[r]) },
-			key:     func(dst []byte, r int) ([]byte, error) { return results[r].States[m][i].AppendKey(dst), nil },
-			act:     func(r int) model.Action { return results[r].Actions[m][i] },
+			n:     len(results),
+			codes: rowCount[m],
+			code:  func(r int) int { return int(groups[r]) },
+			key:   func(dst []byte, r int) ([]byte, error) { return results[r].States[m][i].AppendKey(dst), nil },
+			act:   func(r int) model.Action { return results[r].Actions[m][i] },
 		}
 	}); err != nil {
 		return nil, err
@@ -470,7 +469,7 @@ func (s *System) slot(i model.AgentID, m int) int { return m*s.N + int(i) }
 
 // classAt returns the dense class id of agent i's local state at (run, m).
 func (s *System) classAt(i model.AgentID, m, run int) int32 {
-	return s.frame.classes(s.slot(i, m))[s.frame.layout(m).row(run)]
+	return s.frame.classes(s.slot(i, m)).at(s.frame.layout(m).row(run))
 }
 
 // Key returns agent i's local-state key at point p, from the index:
@@ -566,18 +565,18 @@ func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, 
 		for c := range table {
 			table[c] = !exists
 		}
-		for row, c := range s.frame.classes(slot) {
+		s.frame.classes(slot).each(func(row int, c int32) {
 			if table[c] != exists && pred(i, Point{Run: l.first(row), Time: m}, faulty[row], s.labels.ofRow(l, row)) == exists {
 				table[c] = exists
 			}
-		}
+		})
 	})
 	return tables, err
 }
 
 // classTables returns each slot's classes of rows, times ≤ maxTime.
-func (s *System) classTables(maxTime int) [][]int32 {
-	tabs := make([][]int32, (maxTime+1)*s.N)
+func (s *System) classTables(maxTime int) []classIDs {
+	tabs := make([]classIDs, (maxTime+1)*s.N)
 	for slot := range tabs {
 		tabs[slot] = s.frame.classes(slot)
 	}

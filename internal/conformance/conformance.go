@@ -174,7 +174,7 @@ func (tw *twin) follow(ex model.Exchange, m int, acts []model.Action, outbox, in
 // check verifies convention 8 at one time.
 func (tw *twin) check(ex model.Exchange, states []model.State, label lazyLabel, r *reporter) {
 	for i, s := range states {
-		key, want := string(s.AppendKey(nil)), tw.states[tw.perm[i]].AppendKey(nil)
+		key, want := s.AppendKey(nil), tw.states[tw.perm[i]].AppendKey(nil)
 		if got, err := ex.(model.KeyPermuter).AppendPermuteKey(nil, key, tw.perm); err != nil || string(got) != string(want) {
 			r.report("%s time %d: agent %d's key %q rewrites under %v to %q (err %v), but the relabeled run's agent %d holds %q",
 				label, s.Time(), i, key, tw.perm, got, err, tw.perm[i], want)

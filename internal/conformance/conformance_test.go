@@ -217,7 +217,7 @@ type identityFIP struct {
 	*exchange.FIP
 }
 
-func (identityFIP) AppendPermuteKey(dst []byte, key string, _ []model.AgentID) ([]byte, error) {
+func (identityFIP) AppendPermuteKey(dst []byte, key []byte, _ []model.AgentID) ([]byte, error) {
 	return append(dst, key...), nil
 }
 

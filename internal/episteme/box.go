@@ -48,7 +48,7 @@ func (s *System) BoxComponents(member func(q Point, faulty uint64) uint64) []int
 		// plus one: 0 is none yet.
 		for i := range first {
 			slot := s.slot(model.AgentID(i), m)
-			classOf[i], first[i] = s.frame.classes(slot), make([]int, len(s.frame.keys(slot)))
+			classOf[i], first[i] = s.frame.classes(slot), make([]int, s.frame.keys(slot).len())
 		}
 		l := s.frame.layout(m)
 		for row := range l.n {

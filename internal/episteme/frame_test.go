@@ -24,6 +24,7 @@ type naiveFrame struct {
 	ids      []classIDs // classOf packed
 	lists    []members
 	classKey [][]string
+	slabs    []classKeys // classKey in slabs
 }
 
 func newNaiveFrame(traced []*engine.Result) *naiveFrame {
@@ -60,7 +61,7 @@ func newNaiveFrame(traced []*engine.Result) *naiveFrame {
 			ms.off = append(ms.off, int32(len(ms.rows)))
 		}
 		f.classOf, f.ids = append(f.classOf, classOf), append(f.ids, packClassIDs(classOf, len(keys)))
-		f.lists, f.classKey = append(f.lists, ms), append(f.classKey, keys)
+		f.lists, f.classKey, f.slabs = append(f.lists, ms), append(f.classKey, keys), append(f.slabs, slabOf(keys))
 	}
 	return f
 }
@@ -69,7 +70,7 @@ func (f *naiveFrame) layout(int) *layout        { return &f.rows }
 func (f *naiveFrame) faulty(int) []uint64       { return f.masks }
 func (f *naiveFrame) classes(slot int) classIDs { return f.ids[slot] }
 func (f *naiveFrame) members(slot int) members  { return f.lists[slot] }
-func (f *naiveFrame) keys(slot int) []string    { return f.classKey[slot] }
+func (f *naiveFrame) keys(slot int) classKeys   { return f.slabs[slot] }
 
 // naiveLabels is the reference labelling: each run's own ledger, as the
 // engine recorded it, with no class and no first-decide rule — every row

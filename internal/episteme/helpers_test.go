@@ -115,9 +115,28 @@ func indexOf(sys *System) *indexFrame { return sys.frame.(*indexFrame) }
 func keysOf(sys *System) [][]string {
 	keys := make([][]string, len(indexOf(sys).slots))
 	for slot := range keys {
-		keys[slot] = indexOf(sys).slots[slot].keys
+		keys[slot] = stringsOf(indexOf(sys).slots[slot].keys)
 	}
 	return keys
+}
+
+// stringsOf returns a slab's keys as strings, nil for an empty slab.
+func stringsOf(k classKeys) []string {
+	var keys []string
+	for c := range int32(k.len()) {
+		keys = append(keys, string(k.at(c)))
+	}
+	return keys
+}
+
+// slabOf stores keys in one slab, as the index kernel does.
+func slabOf(keys []string) classKeys {
+	k := classKeys{off: []int32{0}}
+	for _, key := range keys {
+		k.slab = append(k.slab, key...)
+		k.off = append(k.off, int32(len(k.slab)))
+	}
+	return k
 }
 
 // idsOf returns sys's class ids slot by slot, unpacked, nil for a slot not

@@ -16,9 +16,12 @@
 package episteme
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -40,7 +43,7 @@ type frame interface {
 	faulty(m int) []uint64     // each time-m row's faulty set, a mask over agents
 	classes(slot int) classIDs // slot m*N+i's class id of each time-m row
 	members(slot int) members  // the slot's member lists: class c's rows, ascending
-	keys(slot int) []string    // the local-state key of each of the slot's classes
+	keys(slot int) classKeys   // the local-state key of each of the slot's classes
 }
 
 // layout is how one time's n rows group a system's runs: with prefix nil
@@ -116,15 +119,28 @@ type indexFrame struct {
 }
 
 // slotIndex is one slot's tables: ids.at(row) is the row's class id,
-// keys[c] class c's local-state key, and lists.of(c) the rows of class c,
-// ascending — made on first read (members), since safety and the folds
+// keys.at(c) class c's local-state key, and lists.of(c) the rows of class
+// c, ascending — made on first read (members), since safety and the folds
 // read ids only.
 type slotIndex struct {
 	ids   classIDs
-	keys  []string
+	keys  classKeys
 	once  sync.Once
 	lists members
 }
+
+// classKeys is one slot's class keys in one exact-sized slab: class c's key
+// is slab[off[c]:off[c+1]], with no string or slice header per class.
+type classKeys struct {
+	slab []byte
+	off  []int32
+}
+
+// len returns the number of classes.
+func (k classKeys) len() int { return max(len(k.off)-1, 0) }
+
+// at returns class c's key. The slice is shared; do not mutate.
+func (k classKeys) at(c int32) []byte { return k.slab[k.off[c]:k.off[c+1]:k.off[c+1]] }
 
 func (x *indexFrame) layout(m int) *layout {
 	if x.units != nil && m < x.sys.Horizon {
@@ -150,14 +166,14 @@ func (x *indexFrame) faulty(m int) []uint64 {
 }
 
 func (x *indexFrame) classes(slot int) classIDs { return x.read(slot).ids }
-func (x *indexFrame) keys(slot int) []string    { return x.read(slot).keys }
+func (x *indexFrame) keys(slot int) classKeys   { return x.read(slot).keys }
 
 func (x *indexFrame) members(slot int) members {
 	t := x.read(slot)
 	t.once.Do(func() {
 		sc := internScratch.Get().(*scratch)
 		sc.ids = t.ids.unpack(sc.ids)
-		t.lists = packMembers(sc.ids, len(t.keys))
+		t.lists = packMembers(sc.ids, t.keys.len())
 		internScratch.Put(sc)
 	})
 	return t.lists
@@ -180,15 +196,13 @@ func (x *indexFrame) read(slot int) *slotIndex {
 // and never looks. A producer that can tell cheaply that two rows carry
 // the same key says so with a memo code — code(g) in [0, codes), equal
 // codes implying equal keys — and the kernel asks key once per distinct
-// code instead of once per row. classes sizes the key map: a count the
-// slot is proven to reach or never to pass, or 0 where there is none.
+// code instead of once per row.
 type slotRows struct {
-	n       int
-	codes   int
-	classes int
-	code    func(g int) int
-	key     func(dst []byte, g int) ([]byte, error)
-	act     func(g int) model.Action
+	n     int
+	codes int
+	code  func(g int) int
+	key   func(dst []byte, g int) ([]byte, error)
+	act   func(g int) model.Action
 }
 
 // labels is the action protocol over the frame — the system's
@@ -305,9 +319,11 @@ func (x *indexFrame) lastLayer() {
 // table over the memo codes (seen[code] = class id + 1, so the key is
 // asked for and hashed once per first-seen code). A worker numbers the
 // rows into scratch it reuses from slot to slot (internScratch), and packs
-// them when the slot's class count is known; keys are written into the
-// scratch buffer and looked up there, and a key becomes a string only when
-// it opens a class. There are no ids across slots: a key names its time
+// them when the slot's class count is known. Keys are looked up through an
+// open-addressed table of class ids (scratch.find) that holds no key
+// bytes: a class is its first row, whose key is asked for again to compare
+// with one that hashes alike and, once the slot is numbered, to fill its
+// exact-sized slab. There are no ids across slots: a key names its time
 // (conformance convention 10), so a slot and a class there identify one
 // agent's local state system-wide. When acts is non-nil, acts[slot]
 // receives each class's action, the action of its first row, and a class
@@ -320,23 +336,17 @@ func (x *indexFrame) intern(ctx context.Context, from, to int, rows func(slot in
 		defer internScratch.Put(sc)
 		slot := from + k
 		p := rows(slot)
-		byKey := make(map[string]int32, p.classes)
-		var classKey []string
 		var classAct []model.Action
 		sc.ids, sc.seen = slices.Grow(sc.ids[:0], p.n)[:p.n], append(sc.seen[:0], make([]int32, p.codes)...)
+		sc.firsts, sc.sums, sc.size = sc.firsts[:0], sc.sums[:0], 0
+		sc.resize(16)
 		for g := range sc.ids {
 			cell := &sc.seen[p.code(g)]
 			if *cell == 0 {
-				var err error
-				if sc.buf, err = p.key(sc.buf[:0], g); err != nil {
+				cls, err := sc.find(&p, g)
+				if err != nil {
 					slotErr[k] = err
 					return
-				}
-				cls, known := byKey[string(sc.buf)]
-				if !known {
-					cls = int32(len(classKey))
-					classKey = append(classKey, string(sc.buf))
-					byKey[classKey[cls]] = cls
 				}
 				*cell = cls + 1
 			}
@@ -348,12 +358,22 @@ func (x *indexFrame) intern(ctx context.Context, from, to int, rows func(slot in
 			if a := p.act(g); int(cls) == len(classAct) {
 				classAct = append(classAct, a)
 			} else if a != classAct[cls] {
+				key, _ := p.key(nil, int(sc.firsts[cls])) // asked before, without error
 				slotErr[k] = fmt.Errorf("episteme: agent %d's local state %q at time %d (class %d) acts %v in row %d and %v in an earlier row: the action is not a function of the key (a key that hides what the protocol reads, or an asymmetric stack)",
-					slot%x.sys.N, classKey[cls], slot/x.sys.N, cls, a, g, classAct[cls])
+					slot%x.sys.N, key, slot/x.sys.N, cls, a, g, classAct[cls])
 				return
 			}
 		}
-		x.slots[slot].ids, x.slots[slot].keys = packClassIDs(sc.ids, len(classKey)), classKey
+		if sc.size > math.MaxInt32 {
+			slotErr[k] = fmt.Errorf("episteme: agent %d's class keys at time %d pass 2 GiB", slot%x.sys.N, slot/x.sys.N)
+			return
+		}
+		keys := classKeys{make([]byte, 0, sc.size), make([]int32, 1, len(sc.firsts)+1)}
+		for _, g := range sc.firsts {
+			keys.slab, _ = p.key(keys.slab, int(g)) // asked before, without error
+			keys.off = append(keys.off, int32(len(keys.slab)))
+		}
+		x.slots[slot].ids, x.slots[slot].keys = packClassIDs(sc.ids, len(sc.firsts)), keys
 		if acts != nil {
 			acts[slot] = classAct
 		}
@@ -361,13 +381,63 @@ func (x *indexFrame) intern(ctx context.Context, from, to int, rows func(slot in
 	return cmp.Or(err, cmp.Or(slotErr...))
 }
 
-// internScratch lends the kernel's workers their row table, first-sight
-// table and key buffer, from slot to slot and build to build.
-var internScratch = sync.Pool{New: func() any { return new(scratch) }}
+// internScratch lends the kernel's workers their tables, from slot to
+// slot and build to build; internSeed hashes keys for the key table, on
+// which no class id depends.
+var (
+	internScratch = sync.Pool{New: func() any { return new(scratch) }}
+	internSeed    = maphash.MakeSeed()
+)
 
+// scratch is one kernel worker's tables: ids numbers the rows, seen the
+// memo codes. Class c of the slot so far opened at row firsts[c] with a
+// key whose hash's low 32 bits are sums[c], and size is the classes' key
+// bytes. table, a power of two at most half full, holds c+1 at the first
+// free place from sums[c] on, 0 elsewhere; buf and cand hold the keys
+// being compared.
 type scratch struct {
-	ids, seen []int32
-	buf       []byte
+	ids, seen, firsts, table []int32
+	sums                     []uint32
+	buf, cand                []byte
+	size                     int
+}
+
+// find returns the class of row g's key: the class whose first row's key
+// is those bytes, or else a new class that opens at g.
+func (sc *scratch) find(p *slotRows, g int) (int32, error) {
+	var err error
+	if sc.buf, err = p.key(sc.buf[:0], g); err != nil {
+		return 0, err
+	}
+	h, mask := uint32(maphash.Bytes(internSeed, sc.buf)), uint32(len(sc.table)-1)
+	i := h & mask
+	for ; sc.table[i] != 0; i = (i + 1) & mask {
+		if c := sc.table[i] - 1; sc.sums[c] == h {
+			if sc.cand, err = p.key(sc.cand[:0], int(sc.firsts[c])); err != nil || bytes.Equal(sc.cand, sc.buf) {
+				return c, err
+			}
+		}
+	}
+	c := int32(len(sc.firsts))
+	sc.table[i], sc.firsts, sc.sums, sc.size = c+1, append(sc.firsts, int32(g)), append(sc.sums, h), sc.size+len(sc.buf)
+	if 2*len(sc.firsts) > len(sc.table) {
+		sc.resize(2 * len(sc.table))
+	}
+	return c, nil
+}
+
+// resize empties the key table at size places, reusing its storage, and
+// enters every class again.
+func (sc *scratch) resize(size int) {
+	sc.table = append(sc.table[:0], make([]int32, size)...)
+	mask := uint32(size - 1)
+	for c, h := range sc.sums {
+		i := h & mask
+		for sc.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		sc.table[i] = int32(c) + 1
+	}
 }
 
 // classIDs is one slot's class id of each of its n rows, packed at the

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -37,7 +38,9 @@ func perRow(n int, key func(g int) (string, error)) slotRows {
 // TestInternSlotsFirstAppearance pins the kernel's whole contract on one
 // literal slot: class ids by first appearance in ascending run order,
 // members ascending, two memo codes with one key sharing a class, and the
-// key asked for once per distinct code.
+// key asked for once per distinct code, again at a class's first row for
+// each later code whose key hashes alike (run 5's, at run 0), and once
+// more per class to fill the slot's slab.
 func TestInternSlotsFirstAppearance(t *testing.T) {
 	keys := []string{"b", "a", "b", "c", "a", "b", "c"}
 	// Runs 0 and 2 share code 0, run 5 carries the same key under code 3.
@@ -70,7 +73,7 @@ func TestInternSlotsFirstAppearance(t *testing.T) {
 	if got, want := keysOf(sys)[0], []string{"b", "a", "c"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("classKey = %v, want %v", got, want)
 	}
-	if want := []int{1, 1, 0, 1, 0, 1, 0}; !reflect.DeepEqual(asked, want) {
+	if want := []int{3, 2, 0, 2, 0, 1, 0}; !reflect.DeepEqual(asked, want) {
 		t.Errorf("key asked %v times per run, want %v", asked, want)
 	}
 }
@@ -93,7 +96,7 @@ func TestInternSlotsLastLayerOnFirstRead(t *testing.T) {
 		if !reflect.DeepEqual(keysOf(sys), append(want[:2:2], nil, nil)) {
 			t.Errorf("parallelism %d: before the first read, classKey = %q", par, keysOf(sys))
 		}
-		if got := len(sys.frame.keys(2)); got != 3 {
+		if got := sys.frame.keys(2).len(); got != 3 {
 			t.Errorf("parallelism %d: slot 2 has %d classes, want 3", par, got)
 		}
 		if !reflect.DeepEqual(keysOf(sys), want) {
@@ -196,8 +199,8 @@ func (e noJD) Update(i model.AgentID, s model.State, a model.Action, recv []mode
 
 // AppendPermuteKey rewrites an Emin key, which names no agent, into noJD's:
 // jd dropped.
-func (noJD) AppendPermuteKey(dst []byte, key string, _ []model.AgentID) ([]byte, error) {
-	return append(dst, key[:strings.LastIndexByte(key, ':')]...), nil
+func (noJD) AppendPermuteKey(dst []byte, key []byte, _ []model.AgentID) ([]byte, error) {
+	return append(dst, key[:bytes.LastIndexByte(key, ':')]...), nil
 }
 
 // TestLabellingRefusesHiddenField: a key that hides a field its protocol
@@ -241,12 +244,11 @@ func TestLabellingRefusesHiddenField(t *testing.T) {
 	refused("MergeSystems", sys, err)
 }
 
-// TestClassIDsMatchNaiveFrame holds the packed class ids to the naive
-// frame's: in every slot of every n ≤ 3 matrix context, built directly,
-// merged from three stripes and expanded from the quotient, at(row) and
-// the walk read the class of the row's first run, and the slot's first
-// member-list read is packMembers of those ids.
-func TestClassIDsMatchNaiveFrame(t *testing.T) {
+// eachConstruction calls check with every n ≤ 3 matrix context's system
+// of min, basic and fip built directly, merged from three stripes and
+// expanded from the quotient, its last layer interned, and the naive frame
+// of its traced sweep.
+func eachConstruction(t *testing.T, check func(label string, sys *System, naive *naiveFrame)) {
 	for _, cx := range []struct {
 		n, t  int
 		crash bool
@@ -266,37 +268,111 @@ func TestClassIDsMatchNaiveFrame(t *testing.T) {
 				"merged":   buildMerged(t, perRunContext(c), tc.act, 3),
 				"expanded": build(t, c, tc.act),
 			} {
-				label := fmt.Sprintf("%s n=%d t=%d crash=%v %s", tc.ex.Name(), cx.n, cx.t, cx.crash, name)
 				indexOf(sys).lastLayer()
-				for slot := range indexOf(sys).slots {
-					l, ids := sys.frame.layout(slot/sys.N), sys.frame.classes(slot)
-					want := make([]int32, l.n)
-					for row := range want {
-						want[row] = naive.classOf[slot][l.first(row)]
-					}
-					var walked []int32
-					ids.each(func(row int, c int32) {
-						if row != len(walked) {
-							t.Fatalf("%s slot %d: the walk reads row %d after %d rows", label, slot, row, len(walked))
-						}
-						walked = append(walked, c)
-					})
-					for row := range want {
-						if got := ids.at(row); got != want[row] || walked[row] != want[row] {
-							t.Fatalf("%s slot %d row %d: at reads %d and the walk %d, want %d", label, slot, row, got, walked[row], want[row])
-						}
-					}
-					if len(walked) != len(want) {
-						t.Fatalf("%s slot %d: the walk reads %d rows, want %d", label, slot, len(walked), len(want))
-					}
-					nc := len(sys.frame.keys(slot))
-					if got := sys.frame.members(slot); !reflect.DeepEqual(got, packMembers(want, nc)) {
-						t.Fatalf("%s slot %d: member lists %v, want packMembers of the ids", label, slot, got)
-					}
-				}
+				check(fmt.Sprintf("%s n=%d t=%d crash=%v %s", tc.ex.Name(), cx.n, cx.t, cx.crash, name), sys, naive)
 			}
 		}
 	}
+}
+
+// TestClassIDsMatchNaiveFrame holds the packed class ids to the naive
+// frame's: in every slot of every n ≤ 3 matrix context, built directly,
+// merged from three stripes and expanded from the quotient, at(row) and
+// the walk read the class of the row's first run, and the slot's first
+// member-list read is packMembers of those ids.
+func TestClassIDsMatchNaiveFrame(t *testing.T) {
+	eachConstruction(t, func(label string, sys *System, naive *naiveFrame) {
+		for slot := range indexOf(sys).slots {
+			l, ids := sys.frame.layout(slot/sys.N), sys.frame.classes(slot)
+			want := make([]int32, l.n)
+			for row := range want {
+				want[row] = naive.classOf[slot][l.first(row)]
+			}
+			var walked []int32
+			ids.each(func(row int, c int32) {
+				if row != len(walked) {
+					t.Fatalf("%s slot %d: the walk reads row %d after %d rows", label, slot, row, len(walked))
+				}
+				walked = append(walked, c)
+			})
+			for row := range want {
+				if got := ids.at(row); got != want[row] || walked[row] != want[row] {
+					t.Fatalf("%s slot %d row %d: at reads %d and the walk %d, want %d", label, slot, row, got, walked[row], want[row])
+				}
+			}
+			if len(walked) != len(want) {
+				t.Fatalf("%s slot %d: the walk reads %d rows, want %d", label, slot, len(walked), len(want))
+			}
+			nc := sys.frame.keys(slot).len()
+			if got := sys.frame.members(slot); !reflect.DeepEqual(got, packMembers(want, nc)) {
+				t.Fatalf("%s slot %d: member lists %v, want packMembers of the ids", label, slot, got)
+			}
+		}
+	})
+}
+
+// TestInternKeyTable holds the kernel's key table and slab to their
+// contract on three literal slots — distinct memo codes carrying one key
+// share a class, keys that share a 4 KiB prefix stay apart, and a slot of
+// 2¹⁷ classes grows the table far past the 16 places a slot starts with —
+// and, in every construction of eachConstruction, each slot's class ids
+// and key bytes to the naive frame's: class c's key is the bytes of the
+// slab between its offsets, and the slab holds nothing else.
+func TestInternKeyTable(t *testing.T) {
+	long := strings.Repeat("k", 4096)
+	many := make([]string, 1<<18) // every key twice, under distinct codes
+	for g := range many {
+		many[g] = fmt.Sprint(g % (1 << 17))
+	}
+	for _, tc := range []struct {
+		name  string
+		keys  []string
+		codes []int
+	}{
+		{"shared", []string{"x", "y", "x", "y", "x"}, []int{0, 1, 2, 3, 0}},
+		{"prefixes", []string{long + "a", long + "b", long + "a", long, long + "ab", long + "b"}, nil},
+		{"many", many, nil},
+	} {
+		rows := slotRows{n: len(tc.keys), codes: len(tc.keys), code: func(g int) int { return g },
+			key: func(dst []byte, g int) ([]byte, error) { return append(dst, tc.keys[g]...), nil }}
+		if tc.codes != nil {
+			rows.code = func(g int) int { return tc.codes[g] }
+		}
+		sys, err := literalSystem(1, 0, len(tc.keys), 1).indexed(context.Background(), &indexFrame{}, func(int) slotRows { return rows })
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantKeys []string
+		wantIDs, first := make([]int32, len(tc.keys)), map[string]int32{}
+		for g, key := range tc.keys {
+			c, ok := first[key]
+			if !ok {
+				c, wantKeys = int32(len(wantKeys)), append(wantKeys, key)
+				first[key] = c
+			}
+			wantIDs[g] = c
+		}
+		keys := sys.frame.keys(0)
+		if got := stringsOf(keys); !slices.Equal(got, wantKeys) || len(keys.slab) != len(strings.Join(wantKeys, "")) {
+			t.Errorf("%s: %d classes, want %d, or the slab holds more than their keys", tc.name, len(got), len(wantKeys))
+		}
+		if got := idsOf(sys)[0]; !slices.Equal(got, wantIDs) {
+			t.Errorf("%s: class ids differ from first appearance", tc.name)
+		}
+	}
+	eachConstruction(t, func(label string, sys *System, naive *naiveFrame) {
+		for slot := range indexOf(sys).slots {
+			l, keys := sys.frame.layout(slot/sys.N), sys.frame.keys(slot)
+			for row := range l.n {
+				if got, want := sys.frame.classes(slot).at(row), naive.classOf[slot][l.first(row)]; got != want {
+					t.Fatalf("%s slot %d row %d: class %d, want %d", label, slot, row, got, want)
+				}
+			}
+			if got := stringsOf(keys); !slices.Equal(got, naive.classKey[slot]) || int(keys.off[len(keys.off)-1]) != len(keys.slab) {
+				t.Fatalf("%s slot %d: keys %q, want %q", label, slot, got, naive.classKey[slot])
+			}
+		}
+	})
 }
 
 // TestClassIDsWidths packs ids at the widths of 1, 2, 3, 4, 2³⁰+1 and

@@ -137,13 +137,6 @@ func (m Mismatch) String() string {
 		m.Agent, m.Run, m.Time, m.Got, m.Want, m.Key)
 }
 
-// implItem is one unit of CheckImplements work: the first point carrying
-// a distinct (agent, local state) pair.
-type implItem struct {
-	agent     model.AgentID
-	run, time int
-}
-
 // CheckImplements verifies that the system's generating protocol
 // implements the knowledge-based program: at every reachable local state,
 // the protocol's action equals the program's action with knowledge
@@ -152,7 +145,7 @@ type implItem struct {
 // Theorem A.21 (P_opt/P1 in γ_fip), depending on how the system was built.
 //
 // Both sides are functions of the local state, so each distinct (agent,
-// state) class is checked once; the classes shard over the worker pool
+// state) class is checked once; the slots shard over the worker pool
 // (for P1 the per-time C_N condensations are prebuilt concurrently), and
 // disagreements come back in the canonical first-occurrence order
 // regardless of parallelism. When maxMismatches > 0 caps the report, the
@@ -163,8 +156,8 @@ func (s *System) CheckImplements(ctx context.Context, prog Program, maxMismatche
 	if err := s.checkableSystem(); err != nil {
 		return nil, err
 	}
-	// The knowledge tests, the C_N layers and the work items all read the
-	// member lists: they are made first, one slot per worker.
+	// The knowledge tests and the C_N layers read the member lists: they
+	// are made first, one slot per worker.
 	if err := s.parallel(ctx, s.Horizon*s.N, func(slot int) { s.frame.members(slot) }); err != nil {
 		return nil, err
 	}
@@ -180,53 +173,38 @@ func (s *System) CheckImplements(ctx context.Context, prog Program, maxMismatche
 
 // mismatches asks want once per distinct (agent, local state) of the times
 // before the horizon and reports where its action differs from the
-// labelled one; ok = false from want skips the state. The states shard
-// over the worker pool and come back in the canonical first-occurrence
-// order; maxMismatches caps the report as CheckImplements documents.
+// labelled one; ok = false from want skips the state. A state is its slot
+// and class there (a key names its time, conformance convention 10, so no
+// agent meets one state in two slots), asked at the first run of the
+// class's lowest row, the state's first occurrence: a slot's walk meets
+// each class first at that row, since ids are by first appearance and rows
+// ascend with their first runs. The slots walk on the worker pool, and the
+// mismatches come back in the canonical first-occurrence order;
+// maxMismatches caps the report as CheckImplements documents.
 func (s *System) mismatches(ctx context.Context, maxMismatches int, want func(i model.AgentID, p Point) (model.Action, bool)) ([]Mismatch, error) {
 	if err := s.checkableSystem(); err != nil {
 		return nil, err
 	}
-	// One work item per distinct (agent, state) pair of the times before
-	// the horizon, at the first run of the class's lowest row: the state's
-	// first occurrence, since rows ascend with their first runs. A state is
-	// its slot and class there: a key names its time (conformance
-	// convention 10), so no agent meets one state in two slots.
-	size := 0
-	for slot := range s.Horizon * s.N {
-		size += len(s.frame.keys(slot))
-	}
-	items := make([]implItem, 0, size)
-	for slot := range s.Horizon * s.N {
-		m, ms, l := slot/s.N, s.frame.members(slot), s.frame.layout(slot/s.N)
-		for c := range len(s.frame.keys(slot)) {
-			items = append(items, implItem{agent: model.AgentID(slot % s.N), run: l.first(int(ms.of(int32(c))[0])), time: m})
-		}
-	}
-
-	found := make([]*Mismatch, len(items))
-	err := s.parallel(ctx, len(items), func(k int) {
-		it := items[k]
-		p := Point{Run: it.run, Time: it.time}
-		act, ok := want(it.agent, p)
-		got := s.labels.act(it.agent, it.time, it.run)
-		if ok && got != act {
-			found[k] = &Mismatch{
-				Agent: it.agent, Run: it.run, Time: it.time,
-				Key: s.Key(it.agent, p), Got: got, Want: act,
+	found := make([][]Mismatch, s.Horizon*s.N)
+	err := s.parallel(ctx, len(found), func(slot int) {
+		i, m, l := model.AgentID(slot%s.N), slot/s.N, s.frame.layout(slot/s.N)
+		next := int32(0) // the first class the walk has not met
+		s.frame.classes(slot).each(func(row int, c int32) {
+			if c != next {
+				return
 			}
-		}
+			next++
+			p := Point{Run: l.first(row), Time: m}
+			act, ok := want(i, p)
+			if got := s.labels.act(i, m, p.Run); ok && got != act {
+				found[slot] = append(found[slot], Mismatch{Agent: i, Run: p.Run, Time: m, Key: s.Key(i, p), Got: got, Want: act})
+			}
+		})
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	var out []Mismatch
-	for _, m := range found {
-		if m != nil {
-			out = append(out, *m)
-		}
-	}
+	out := slices.Concat(found...)
 	// The states' first occurrences, in the canonical (run, time, agent) order.
 	slices.SortFunc(out, func(a, b Mismatch) int {
 		return cmp.Or(cmp.Compare(a.Run, b.Run), cmp.Compare(a.Time, b.Time), cmp.Compare(a.Agent, b.Agent))

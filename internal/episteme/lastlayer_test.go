@@ -102,7 +102,7 @@ func TestExpandedLastLayerDeferred(t *testing.T) {
 		t.Fatalf("CheckImplements(P1) = %v", ms)
 	}
 	for slot := sys.Horizon * sys.N; slot < len(indexOf(sys).slots); slot++ {
-		if indexOf(sys).slots[slot].ids.words != nil || indexOf(sys).slots[slot].keys != nil || indexOf(sys).lastRows == nil {
+		if indexOf(sys).slots[slot].ids.words != nil || indexOf(sys).slots[slot].keys.off != nil || indexOf(sys).lastRows == nil {
 			t.Fatalf("slot %d is interned after ExpandQuotient and CheckImplements(P1)", slot)
 		}
 	}
@@ -162,7 +162,10 @@ func TestExpandQuotientRefusesDoctoredLastKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		indexOf(rep).lastLayer()
-		indexOf(rep).slots[rep.Horizon*rep.N+1].keys[0] = "doctored"
+		doctored := &indexOf(rep).slots[rep.Horizon*rep.N+1].keys
+		keys := stringsOf(*doctored)
+		keys[0] = "doctored"
+		*doctored = slabOf(keys)
 		sys, err := ExpandQuotient(ctx, rep, c)
 		if sys != nil || err == nil || !strings.HasPrefix(err.Error(), `episteme: expanding quotiented keys: graph: malformed key "doctored"`) {
 			t.Fatalf("parallelism %d: ExpandQuotient of a doctored time-Horizon key = (system: %v, %v), want only the rewrite error", par, sys != nil, err)

@@ -97,7 +97,7 @@ func oracleBoxComponents(s *System, member func(i model.AgentID, p Point) bool) 
 		for i := 0; i < s.N; i++ {
 			id := model.AgentID(i)
 			// first[c] is the first S-member run seen in class c.
-			first := make([]int, len(s.frame.keys(s.slot(id, m))))
+			first := make([]int, s.frame.keys(s.slot(id, m)).len())
 			for c := range first {
 				first[c] = -1
 			}
@@ -761,10 +761,10 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 				tk := triple{src: srcAgent, pid: pid, rc: rc}
 				cls, hit := cache[tk]
 				if !hit {
-					key := indexOf(rep).slots[m*n+int(srcAgent)].keys[rc]
+					key := string(indexOf(rep).slots[m*n+int(srcAgent)].keys.at(rc))
 					if !isID[pid] {
 						var rewritten []byte
-						rewritten, sliceErr[m] = kp.AppendPermuteKey(nil, key, invs[pid])
+						rewritten, sliceErr[m] = kp.AppendPermuteKey(nil, []byte(key), invs[pid])
 						if sliceErr[m] != nil {
 							return
 						}
@@ -783,7 +783,7 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 				}
 				classOf[g] = cls
 			}
-			x.slots[slot].ids, x.slots[slot].keys = packClassIDs(classOf, len(classKey)), classKey
+			x.slots[slot].ids, x.slots[slot].keys = packClassIDs(classOf, len(classKey)), slabOf(classKey)
 			if m < horizon {
 				acts[slot] = classAct
 			}
@@ -1025,7 +1025,7 @@ func TestCKFoldOnRandomSystems(t *testing.T) {
 			for r := range ids {
 				ids[r] = int32(rng.Intn(k))
 			}
-			x.slots[slot].ids, x.slots[slot].keys = packClassIDs(ids, k), make([]string, k)
+			x.slots[slot].ids, x.slots[slot].keys = packClassIDs(ids, k), slabOf(make([]string, k))
 		}
 
 		label := fmt.Sprintf("random system %d", trial)

@@ -375,9 +375,6 @@ func initsBits(inits []model.Value) (bits int, ok bool) {
 // for about one key per class where (relabeling, rep class) asked for
 // more than two. The drops are read off the run's own pattern, once per
 // pattern: a pattern's runs are consecutive and share one *Pattern.
-// Every key there is a representative key of that slice relabeled, so a
-// slot has at most len(perms) × the slice's largest representative class
-// count of classes, which sizes its key map.
 func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermuter) (*System, error) {
 	n, t := rep.N, uint(rep.T)
 	perms, invs, isID, runs, units := om.perms, om.invs, om.isID, om.runs, om.units
@@ -389,7 +386,7 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	// read unpacked.
 	strides, repOf := make([]int, rep.Horizon+1), make([][]int32, len(rx.slots))
 	for slot := range rx.slots {
-		strides[slot/n] = max(strides[slot/n], len(rx.slots[slot].keys))
+		strides[slot/n] = max(strides[slot/n], rx.slots[slot].keys.len())
 		repOf[slot] = rx.slots[slot].ids.unpack(nil)
 	}
 	sys := &System{N: n, T: rep.T, Horizon: rep.Horizon, Runs: runs, par: rep.parallelism()}
@@ -398,7 +395,7 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 		key := func(dst []byte, g int) ([]byte, error) {
 			r, pid := om.rep(g)
 			repSlot := m*n + int(perms[pid][i])
-			repKey := rx.slots[repSlot].keys[repOf[repSlot][r]]
+			repKey := rx.slots[repSlot].keys.at(repOf[repSlot][r])
 			if isID[pid] {
 				return append(dst, repKey...), nil
 			}
@@ -412,9 +409,8 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 			var pat *model.Pattern // the pattern drops were read off
 			var drops int
 			return slotRows{
-				n:       len(runs),
-				codes:   units.n << t,
-				classes: min(units.n<<t, len(perms)*strides[m]),
+				n:     len(runs),
+				codes: units.n << t,
 				code: func(g int) int {
 					if p := runs[g].Pattern; p != pat {
 						pat, drops = p, int(p.FaultyDropsTo(m-1, model.AgentID(i)))
@@ -424,8 +420,6 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 				key: key,
 			}
 		}
-		// The representatives' own runs are rows here, under the identity:
-		// the slot has at least their classes.
 		stride := strides[m]
 		// repClass returns unit u's relabeling, and its representative's slot
 		// and class there.
@@ -435,9 +429,8 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 			return pid, src, repOf[src][r]
 		}
 		return slotRows{
-			n:       units.n,
-			codes:   len(perms) * stride,
-			classes: len(rx.slots[slot].keys),
+			n:     units.n,
+			codes: len(perms) * stride,
 			code: func(u int) int {
 				pid, _, rc := repClass(u)
 				return int(pid)*stride + int(rc)
@@ -459,8 +452,8 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	if pid := slices.Index(isID, false); pid >= 0 {
 		var buf []byte
 		for slot := rep.Horizon * n; slot < len(rx.slots); slot++ {
-			for _, k := range rx.slots[slot].keys {
-				if buf, err = kp.AppendPermuteKey(buf[:0], k, invs[pid]); err != nil {
+			for c := range int32(rx.slots[slot].keys.len()) {
+				if buf, err = kp.AppendPermuteKey(buf[:0], rx.slots[slot].keys.at(c), invs[pid]); err != nil {
 					return nil, fmt.Errorf("episteme: expanding quotiented keys: %w", err)
 				}
 			}

@@ -50,17 +50,18 @@ func compareSystems(t *testing.T, label string, got, want *System) {
 			t.Fatalf("%s: run %d ledgers differ", label, r)
 		}
 	}
-	if len(keysOf(got)) != len(keysOf(want)) {
-		t.Fatalf("%s: %d index slots, want %d", label, len(keysOf(got)), len(keysOf(want)))
+	gotKeys, wantKeys := keysOf(got), keysOf(want)
+	if len(gotKeys) != len(wantKeys) {
+		t.Fatalf("%s: %d index slots, want %d", label, len(gotKeys), len(wantKeys))
 	}
-	for slot := range keysOf(want) {
-		if len(keysOf(got)[slot]) != len(keysOf(want)[slot]) {
-			t.Fatalf("%s: slot %d has %d classes, want %d", label, slot, len(keysOf(got)[slot]), len(keysOf(want)[slot]))
+	for slot := range wantKeys {
+		if len(gotKeys[slot]) != len(wantKeys[slot]) {
+			t.Fatalf("%s: slot %d has %d classes, want %d", label, slot, len(gotKeys[slot]), len(wantKeys[slot]))
 		}
-		for c := range keysOf(want)[slot] {
-			if keysOf(got)[slot][c] != keysOf(want)[slot][c] {
+		for c := range wantKeys[slot] {
+			if gotKeys[slot][c] != wantKeys[slot][c] {
 				t.Fatalf("%s: slot %d class %d key differs:\n got %q\nwant %q",
-					label, slot, c, keysOf(got)[slot][c], keysOf(want)[slot][c])
+					label, slot, c, gotKeys[slot][c], wantKeys[slot][c])
 			}
 		}
 		i, m := model.AgentID(slot%want.N), slot/want.N
@@ -69,7 +70,7 @@ func compareSystems(t *testing.T, label string, got, want *System) {
 				t.Fatalf("%s: slot %d run %d class %d, want %d", label, slot, r, g, w)
 			}
 		}
-		for c := range keysOf(want)[slot] {
+		for c := range wantKeys[slot] {
 			gr, wr := got.runsOfClass(i, m, int32(c)), want.runsOfClass(i, m, int32(c))
 			if len(gr) != len(wr) {
 				t.Fatalf("%s: slot %d class %d has %d members, want %d", label, slot, c, len(gr), len(wr))
@@ -470,7 +471,7 @@ type countingPermuter struct {
 	rewrites atomic.Int64
 }
 
-func (e *countingPermuter) AppendPermuteKey(dst []byte, key string, perm []model.AgentID) ([]byte, error) {
+func (e *countingPermuter) AppendPermuteKey(dst []byte, key []byte, perm []model.AgentID) ([]byte, error) {
 	e.rewrites.Add(1)
 	return e.FIP.AppendPermuteKey(dst, key, perm)
 }
@@ -514,8 +515,8 @@ type refusingPermuter struct {
 	refusals atomic.Int64
 }
 
-func (e *refusingPermuter) AppendPermuteKey(dst []byte, key string, perm []model.AgentID) ([]byte, error) {
-	if key == e.refuse {
+func (e *refusingPermuter) AppendPermuteKey(dst []byte, key []byte, perm []model.AgentID) ([]byte, error) {
+	if string(key) == e.refuse {
 		e.refusals.Add(1)
 		return dst, fmt.Errorf("refusing to rewrite %q under %v", key, perm)
 	}
@@ -540,7 +541,7 @@ func TestExpandQuotientReportsLowestFailingSlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refuse = indexOf(rep).slots[1*rep.N+1].keys[0]
+		refuse = string(indexOf(rep).slots[1*rep.N+1].keys.at(0))
 	}
 	var want string
 	for _, par := range []int{1, 2, 7} {
@@ -661,16 +662,17 @@ func bytesPerRun(f func()) float64 {
 // n=4,t=1 allocates per expanded run, the first read of its last layer
 // left out. An expanded run is three words (Run) over a ledger shared by
 // content, its unit's class ids are packed at the bits their slot's class
-// count needs, its member lists are made on first read, and a key is a
-// string only when it opens a class: about 74 B. The ceiling sits about
-// 12 % above that and below the ≈87 B a run cost with int32 class ids and
-// member lists packed at every build, so that neither can come back
-// unnoticed. Lower the ceiling when a change earns it.
+// count needs, its member lists are made on first read, and a slot's keys
+// are one exact-sized slab found through the kernel's own key table: about
+// 65 B. The ceiling sits about 12 % above that and below the ≈75 B a run
+// cost with a key map and a string per class, and the ≈87 B with int32
+// class ids and member lists packed at every build, so that none can come
+// back unnoticed. Lower the ceiling when a change earns it.
 func TestExpandQuotientAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on its own")
 	}
-	const ceiling = 83 // bytes per expanded run
+	const ceiling = 73 // bytes per expanded run
 	expand := fipN4Expander(t)
 	if per := bytesPerRun(func() { expand() }); per > ceiling {
 		t.Errorf("ExpandQuotient allocates %.1f bytes per expanded run, ceiling %d", per, ceiling)
@@ -679,14 +681,14 @@ func TestExpandQuotientAllocCeiling(t *testing.T) {
 
 // TestLastLayerAllocCeiling holds the bytes the first read of a fresh
 // n=4,t=1 expansion's last layer allocates per run: its slots' packed
-// class ids, key maps sized by their proven bound and the keys of their
-// classes, about 186 B for fip and 13.5 B for min, 8 B when the kernel's
-// scratch is left from the expansion. Each ceiling sits about 12 % above
-// the larger reading. Fip's is below the ≈200 B a run cost with int32 ids, eager
-// member lists and a key map presized to half the codes; min's is below
-// the ≈66 B it cost then, the ≈39 B with that presized map alone and the
-// ≈31 B with eager member lists alone, so that none can come back
-// unnoticed.
+// class ids and each slot's keys in one exact-sized slab, about 98 B for
+// fip and 13.5 B for min, 8 B when the kernel's scratch is left from the
+// expansion. Each ceiling sits about 12 % above the larger reading. Fip's
+// is below the ≈186 B a run cost with a key map and a string per class,
+// and the ≈200 B with int32 ids, eager member lists and a key map presized
+// to half the codes; min's is below the ≈66 B it cost then, the ≈39 B
+// with that presized map alone and the ≈31 B with eager member lists
+// alone, so that none can come back unnoticed.
 func TestLastLayerAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on its own")
@@ -697,7 +699,7 @@ func TestLastLayerAllocCeiling(t *testing.T) {
 		act     model.ActionProtocol
 		ceiling float64 // bytes per run
 	}{
-		{"fip", exchange.NewFIP(4), action.NewOpt(1), 208},
+		{"fip", exchange.NewFIP(4), action.NewOpt(1), 110},
 		{"min", exchange.NewMin(4), action.NewMin(1), 15},
 	} {
 		sys := n4Expander(t, tc.ex, tc.act)()

@@ -139,9 +139,9 @@ func BuildShardIndex(ctx context.Context, c Context, act model.ActionProtocol, s
 }
 
 // exportShardIndex reduces a stripe's System to its serializable partial
-// index. The index takes the System's class keys rather than copying
-// them and unpacks its class ids: BuildShardIndex drops the System once it
-// is exported.
+// index. A slot's class keys become strings that share one copy of its
+// slab, and its class ids are unpacked: BuildShardIndex drops the System
+// once it is exported.
 func exportShardIndex(sys *System, shardIndex, shardCount int) (*ShardIndex, error) {
 	idx := &ShardIndex{
 		Kind:    shardIndexKind,
@@ -168,7 +168,13 @@ func exportShardIndex(sys *System, shardIndex, shardCount int) (*ShardIndex, err
 	x.lastLayer()
 	idx.ClassKeys, idx.ClassOf = make([][]string, len(x.slots)), make([][]int32, len(x.slots))
 	for slot := range x.slots {
-		idx.ClassKeys[slot], idx.ClassOf[slot] = x.slots[slot].keys, x.slots[slot].ids.unpack(make([]int32, x.slots[slot].ids.n))
+		t := &x.slots[slot]
+		slab := string(t.keys.slab)
+		idx.ClassKeys[slot] = make([]string, t.keys.len())
+		for c := range idx.ClassKeys[slot] {
+			idx.ClassKeys[slot][c] = slab[t.keys.off[c]:t.keys.off[c+1]]
+		}
+		idx.ClassOf[slot] = t.ids.unpack(make([]int32, t.ids.n))
 	}
 	return idx, nil
 }
@@ -549,9 +555,8 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 	}
 
 	// The shard-merge producer: global run g's key is its shard's key for
-	// its shard-local class, so (shard, local class) is the memo code, and
-	// a merged slot has at least its largest shard's classes; its action
-	// is its stripe's record.
+	// its shard-local class, so (shard, local class) is the memo code; its
+	// action is its stripe's record.
 	sys := &System{N: n, T: ref.T, Horizon: horizon, Runs: runs, weights: weights, par: o.par}
 	return sys.indexed(ctx, &indexFrame{}, func(slot int) slotRows {
 		stride := 0
@@ -559,9 +564,8 @@ func MergeSystems(ctx context.Context, shards []*ShardIndex, opts ...Option) (*S
 			stride = max(stride, len(idx.ClassKeys[slot]))
 		}
 		return slotRows{
-			n:       total,
-			codes:   k * stride,
-			classes: stride,
+			n:     total,
+			codes: k * stride,
 			code: func(g int) int {
 				return (g%k)*stride + int(byShard[g%k].ClassOf[slot][g/k])
 			},

@@ -40,17 +40,18 @@ func buildMerged(t *testing.T, c Context, act model.ActionProtocol, k int) *Syst
 func indexFingerprint(sys *System) string {
 	indexOf(sys).lastLayer()
 	var b strings.Builder
-	for slot := range keysOf(sys) {
+	keys := keysOf(sys)
+	for slot := range keys {
 		i, m := model.AgentID(slot%sys.N), slot/sys.N
 		of := make([]int32, len(sys.Runs))
 		for r := range of {
 			of[r] = sys.classAt(i, m, r)
 		}
-		runs := make([][]int, len(keysOf(sys)[slot]))
+		runs := make([][]int, len(keys[slot]))
 		for c := range runs {
 			runs[c] = sys.runsOfClass(i, m, int32(c))
 		}
-		fmt.Fprintf(&b, "slot %d keys=%q\n", slot, keysOf(sys)[slot])
+		fmt.Fprintf(&b, "slot %d keys=%q\n", slot, keys[slot])
 		fmt.Fprintf(&b, "slot %d of=%v runs=%v\n", slot, of, runs)
 	}
 	return b.String()

@@ -133,7 +133,7 @@ func (s *System) synthesizeSlice(ctx context.Context, prog Program, m int, table
 		})
 	}
 	for i := range acts {
-		acts[i] = make([]model.Action, len(s.frame.keys(s.slot(model.AgentID(i), m))))
+		acts[i] = make([]model.Action, s.frame.keys(s.slot(model.AgentID(i), m)).len())
 		determined[i] = make([]bool, len(acts[i]))
 		if err := classes(i, func(id model.AgentID, c int, p Point) {
 			acts[i][c], determined[i][c] = s.kbpPhaseA(prog, id, p)
@@ -155,8 +155,9 @@ func (s *System) synthesizeSlice(ctx context.Context, prog Program, m int, table
 		}
 	}
 	for i, row := range acts {
-		for c, key := range s.frame.keys(s.slot(model.AgentID(i), m)) {
-			table[synthKey(model.AgentID(i), key)] = row[c]
+		keys := s.frame.keys(s.slot(model.AgentID(i), m))
+		for c, a := range row {
+			table[synthKey(model.AgentID(i), string(keys.at(int32(c))))] = a
 		}
 	}
 	return nil

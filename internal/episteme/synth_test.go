@@ -34,7 +34,7 @@ func (e timelessExchange) Update(i model.AgentID, s model.State, a model.Action,
 
 // AppendPermuteKey passes a key through, as Emin's does: it names no
 // agent.
-func (e timelessExchange) AppendPermuteKey(dst []byte, key string, _ []model.AgentID) ([]byte, error) {
+func (e timelessExchange) AppendPermuteKey(dst []byte, key []byte, _ []model.AgentID) ([]byte, error) {
 	return append(dst, key...), nil
 }
 

@@ -473,9 +473,10 @@ func (s *System) classAt(i model.AgentID, m, run int) int32 {
 }
 
 // Key returns agent i's local-state key at point p, from the index:
-// merged, cached and expanded Systems carry no state traces.
+// merged, cached and expanded Systems carry no state traces. The index
+// keeps keys as bytes, so each call copies one.
 func (s *System) Key(i model.AgentID, p Point) string {
-	return s.frame.keys(s.slot(i, p.Time))[s.classAt(i, p.Time, p.Run)]
+	return string(s.frame.keys(s.slot(i, p.Time)).at(s.classAt(i, p.Time, p.Run)))
 }
 
 // runsOfRows returns the runs of the given time-m rows, row by row.
@@ -559,7 +560,7 @@ func (s *System) foldClasses(ctx context.Context, tables [][]bool, maxTime int, 
 	err := s.parallel(ctx, nSlots, func(slot int) {
 		i, m := model.AgentID(slot%s.N), slot/s.N
 		if tables[slot] == nil {
-			tables[slot] = make([]bool, len(s.frame.keys(slot)))
+			tables[slot] = make([]bool, s.frame.keys(slot).len())
 		}
 		table, l, faulty := tables[slot], s.frame.layout(m), s.frame.faulty(m)
 		for c := range table {

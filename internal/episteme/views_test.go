@@ -214,7 +214,8 @@ func TestKeysAreFaithful(t *testing.T) {
 				if stateOf[i] == nil {
 					stateOf[i] = make(map[string]int32)
 				}
-				keys, checked := sys.frame.keys(slot), make([]bool, len(sys.frame.keys(slot)))
+				keys := stringsOf(sys.frame.keys(slot))
+				checked := make([]bool, len(keys))
 				for r, c := range classes {
 					if checked[c] {
 						continue

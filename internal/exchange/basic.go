@@ -116,7 +116,7 @@ func (e *Basic) Initial(_ model.AgentID, init model.Value) model.State {
 }
 
 // AppendPermuteKey appends an Ebasic key unchanged (model.KeyPermuter).
-func (e *Basic) AppendPermuteKey(dst []byte, key string, _ []model.AgentID) ([]byte, error) {
+func (e *Basic) AppendPermuteKey(dst []byte, key []byte, _ []model.AgentID) ([]byte, error) {
 	return appendAnonymousKey(dst, key, "basic", 5)
 }
 

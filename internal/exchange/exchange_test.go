@@ -178,12 +178,12 @@ func TestAnonymousPermuteKey(t *testing.T) {
 			[]string{"basic:0:1:⊥:⊥", "min:0:1:⊥:⊥", "basics:0:1:⊥:⊥:0", string(NewFIP(3).Initial(0, model.One).AppendKey(nil))}},
 	} {
 		for _, key := range tc.good {
-			if got, err := tc.ex.AppendPermuteKey([]byte("kept"), key, perm); err != nil || string(got) != "kept"+key {
+			if got, err := tc.ex.AppendPermuteKey([]byte("kept"), []byte(key), perm); err != nil || string(got) != "kept"+key {
 				t.Errorf("%T.AppendPermuteKey(%q) = (%q, %v), want the key appended unchanged", tc.ex, key, got, err)
 			}
 		}
 		for _, key := range tc.bad {
-			if got, err := tc.ex.AppendPermuteKey([]byte("kept"), key, perm); err == nil || string(got) != "kept" {
+			if got, err := tc.ex.AppendPermuteKey([]byte("kept"), []byte(key), perm); err == nil || string(got) != "kept" {
 				t.Errorf("%T.AppendPermuteKey(%q) = (%q, %v), want an error and nothing appended", tc.ex, key, got, err)
 			}
 		}

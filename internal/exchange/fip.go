@@ -113,7 +113,7 @@ func (e *FIP) Messages(_ model.AgentID, s model.State, a model.Action, out []mod
 // AppendPermuteKey rewrites an interned fip state key under an agent
 // relabeling (model.KeyPermuter): the full-information key is the graph
 // key, so the rewrite is graph.AppendPermuteKey.
-func (e *FIP) AppendPermuteKey(dst []byte, key string, perm []model.AgentID) ([]byte, error) {
+func (e *FIP) AppendPermuteKey(dst []byte, key []byte, perm []model.AgentID) ([]byte, error) {
 	return graph.AppendPermuteKey(dst, key, perm)
 }
 

@@ -1,9 +1,9 @@
 package exchange
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/model"
 )
@@ -62,8 +62,8 @@ func appendMinKey(dst []byte, tag string, time int, vs ...model.Value) []byte {
 // appendAnonymousKey is AppendPermuteKey for appendMinKey's tuples, which
 // name no agent: the key itself, once its tag and field count show it is
 // one.
-func appendAnonymousKey(dst []byte, key, tag string, fields int) ([]byte, error) {
-	if !strings.HasPrefix(key, tag+":") || strings.Count(key, ":") != fields {
+func appendAnonymousKey(dst, key []byte, tag string, fields int) ([]byte, error) {
+	if !bytes.HasPrefix(key, []byte(tag+":")) || bytes.Count(key, []byte(":")) != fields {
 		return dst, fmt.Errorf("exchange: %q is not a well-formed %s state key", key, tag)
 	}
 	return append(dst, key...), nil
@@ -103,7 +103,7 @@ func (e *Min) Initial(_ model.AgentID, init model.Value) model.State {
 }
 
 // AppendPermuteKey appends an Emin key unchanged (model.KeyPermuter).
-func (e *Min) AppendPermuteKey(dst []byte, key string, _ []model.AgentID) ([]byte, error) {
+func (e *Min) AppendPermuteKey(dst []byte, key []byte, _ []model.AgentID) ([]byte, error) {
 	return appendAnonymousKey(dst, key, "min", 4)
 }
 

@@ -1,9 +1,9 @@
 package graph
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/model"
 )
@@ -21,21 +21,21 @@ import (
 //
 // AppendPermuteKey returns dst unextended and an error if the key is not a
 // well-formed graph key for len(perm) agents.
-func AppendPermuteKey(dst []byte, key string, perm []model.AgentID) ([]byte, error) {
+func AppendPermuteKey(dst []byte, key []byte, perm []model.AgentID) ([]byte, error) {
 	n := len(perm)
-	ownerStr, rest, ok := strings.Cut(key, "|")
+	ownerStr, rest, ok := bytes.Cut(key, []byte{'|'})
 	if !ok {
 		return dst, fmt.Errorf("graph: malformed key %q: no owner section", key)
 	}
-	owner, err := strconv.Atoi(ownerStr)
+	owner, err := strconv.Atoi(string(ownerStr))
 	if err != nil || owner < 0 || owner >= n {
 		return dst, fmt.Errorf("graph: malformed key %q: bad owner %q for n=%d", key, ownerStr, n)
 	}
-	mStr, rest, ok := strings.Cut(rest, "|")
+	mStr, rest, ok := bytes.Cut(rest, []byte{'|'})
 	if !ok {
 		return dst, fmt.Errorf("graph: malformed key %q: no round section", key)
 	}
-	m, err := strconv.Atoi(mStr)
+	m, err := strconv.Atoi(string(mStr))
 	if err != nil || m < 0 {
 		return dst, fmt.Errorf("graph: malformed key %q: bad round count %q", key, mStr)
 	}

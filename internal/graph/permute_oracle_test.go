@@ -108,7 +108,7 @@ func TestAppendPermuteKeyMatchesStringRewrite(t *testing.T) {
 	check := func(key string, perm []model.AgentID) {
 		t.Helper()
 		want, wantErr := stringPermuteKey(key, perm)
-		got, err := graph.AppendPermuteKey([]byte("prefix:"), key, perm)
+		got, err := graph.AppendPermuteKey([]byte("prefix:"), []byte(key), perm)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("AppendPermuteKey(%q, %v) error %v, the string rewrite's %v", key, perm, err, wantErr)
 		}
@@ -148,7 +148,7 @@ func TestAppendPermuteKeyMatchesStringRewrite(t *testing.T) {
 // key allocates nothing.
 func TestAppendPermuteKeyAllocs(t *testing.T) {
 	keys := fipClassKeys(t, 4)
-	key := keys[len(keys)-1] // a time-Horizon key, the longest
+	key := []byte(keys[len(keys)-1]) // a time-Horizon key, the longest
 	perm := []model.AgentID{2, 0, 3, 1}
 	buf := make([]byte, 0, len(key))
 	if allocs := testing.AllocsPerRun(100, func() {

@@ -58,7 +58,7 @@ func TestPermuteKeyMatchesGraphPermutation(t *testing.T) {
 		for i, v := range permInts {
 			perm[i] = model.AgentID(v)
 		}
-		got, err := AppendPermuteKey(nil, string(g.AppendKey(nil)), perm)
+		got, err := AppendPermuteKey(nil, g.AppendKey(nil), perm)
 		if err != nil {
 			t.Fatalf("AppendPermuteKey(%q): %v", string(g.AppendKey(nil)), err)
 		}
@@ -75,7 +75,7 @@ func TestPermuteKeyIdentity(t *testing.T) {
 	id := []model.AgentID{0, 1, 2, 3}
 	for trial := 0; trial < 50; trial++ {
 		g := randGraph(rng, n, rng.Intn(4))
-		got, err := AppendPermuteKey(nil, string(g.AppendKey(nil)), id)
+		got, err := AppendPermuteKey(nil, g.AppendKey(nil), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ var MalformedKeys = []string{
 func TestPermuteKeyMalformed(t *testing.T) {
 	perm := []model.AgentID{0, 1, 2}
 	for _, key := range MalformedKeys {
-		if got, err := AppendPermuteKey([]byte("kept"), key, perm); err == nil || string(got) != "kept" {
+		if got, err := AppendPermuteKey([]byte("kept"), []byte(key), perm); err == nil || string(got) != "kept" {
 			t.Errorf("AppendPermuteKey(%q) = (%q, %v), want an error and dst unextended", key, got, err)
 		}
 	}

@@ -113,7 +113,7 @@ type KeyPermuter interface {
 	// returns the extended buffer, where perm[i] is the new identity of
 	// old agent i (the Pattern.Permute convention). It returns an error
 	// if key is not a well-formed key of this exchange.
-	AppendPermuteKey(dst []byte, key string, perm []AgentID) ([]byte, error)
+	AppendPermuteKey(dst []byte, key []byte, perm []AgentID) ([]byte, error)
 }
 
 // ActionProtocol is a (deterministic, memoryless) action protocol

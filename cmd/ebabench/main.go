@@ -3,7 +3,9 @@
 // in internal/experiments): the message-complexity and decision-time
 // claims of Section 8, Example 7.1, the theorem matrix that model-checks
 // every (context, stack) system and compares it with the protocol
-// synthesized from its program, the ablations, and early stopping.
+// synthesized from its program, the ablations, and early stopping. Last
+// comes E6L, the theorem matrix's larger rows (n ≤ 5), each pinned: about
+// a minute and under 2 GB, which the command's tests leave out.
 // Each table is printed with its pass/fail verdict and the command exits
 // nonzero if any experiment fails to reproduce the paper's claim. Randomized scenario sweeps fan out over
 // the library's batch Runner; -parallel controls the worker count and
@@ -28,13 +30,20 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], experiments.Generators, largerCells); err != nil {
 		fmt.Fprintln(os.Stderr, "ebabench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// largerCells is the theorem matrix's larger rows, which the command
+// prints after every other table and its tests leave out.
+func largerCells(cfg experiments.Config) []func() *experiments.Table {
+	return []func() *experiments.Table{func() *experiments.Table { return experiments.E6LargerCells(cfg.Parallelism) }}
+}
+
+// run prints the tables of every generator list in order.
+func run(args []string, lists ...func(experiments.Config) []func() *experiments.Table) error {
 	fs := flag.NewFlagSet("ebabench", flag.ContinueOnError)
 	var (
 		seed     = fs.Int64("seed", experiments.DefaultConfig.Seed, "random seed")
@@ -57,13 +66,15 @@ func run(args []string) error {
 
 	failures := 0
 	start := time.Now()
-	for _, gen := range experiments.Generators(cfg) {
-		t0 := time.Now()
-		tb := gen()
-		fmt.Print(tb.Render())
-		fmt.Printf("  (%.2fs)\n\n", time.Since(t0).Seconds())
-		if !tb.Pass {
-			failures++
+	for _, list := range lists {
+		for _, gen := range list(cfg) {
+			t0 := time.Now()
+			tb := gen()
+			fmt.Print(tb.Render())
+			fmt.Printf("  (%.2fs)\n\n", time.Since(t0).Seconds())
+			if !tb.Pass {
+				failures++
+			}
 		}
 	}
 	fmt.Printf("total: %.1fs\n", time.Since(start).Seconds())

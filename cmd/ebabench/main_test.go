@@ -1,9 +1,15 @@
 package main
 
-import "testing"
+import (
+	"testing"
 
+	"repro/internal/experiments"
+)
+
+// TestBenchEndToEnd prints every table but E6L, the larger rows, which
+// only the command builds.
 func TestBenchEndToEnd(t *testing.T) {
-	if err := run([]string{"-trials", "25", "-seed", "7"}); err != nil {
+	if err := run([]string{"-trials", "25", "-seed", "7"}, experiments.Generators); err != nil {
 		t.Errorf("ebabench failed: %v", err)
 	}
 }
@@ -16,7 +22,7 @@ func TestBenchFlagError(t *testing.T) {
 		{"-trials", "-1"}, // a negative count would make the random sources unbounded
 		{"-parallel", "-5"},
 	} {
-		if err := run(args); err == nil {
+		if err := run(args, experiments.Generators, largerCells); err == nil {
 			t.Errorf("ebabench %v accepted", args)
 		}
 	}

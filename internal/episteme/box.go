@@ -181,3 +181,69 @@ func (s *System) CheckOptimalityFIP(ctx context.Context, maxTime, max int) ([]st
 	}
 	return rp.done(), nil
 }
+
+// OneClassFlips counts the one-class relabellings of the system's
+// labelling that keep the spec and decide earlier (passingFlips): each is
+// a protocol over the same runs that strictly dominates the stack's. Over
+// Efip in E6's contexts they are exactly the classes of
+// CheckOptimalityFIP's ⇐ lines (TestThm75MatchesOneClassFlips): Theorem
+// 7.5's ⇐ direction read without knowledge.
+func (s *System) OneClassFlips() (int, error) {
+	if err := s.checkableSystem(); err != nil {
+		return 0, err
+	}
+	return len(s.passingFlips()), nil
+}
+
+// flip names a one-class relabelling: agent i's class c at time m decides
+// v.
+type flip struct {
+	v    model.Value
+	m, i int
+	c    int32
+}
+
+// passingFlips returns the flips of s's labelling that keep the spec and
+// decide earlier. Over Efip a protocol is a labelling of a frame that does
+// not depend on it, so relabelling one pre-horizon class (m, i, c) of an
+// agent that has not decided there as "decide v" is a competitor over the
+// same runs, in which agent i alone decides otherwise: v, in round m+1, in
+// the class's runs. The flip passes when v is some agent's initial
+// preference in each of them (Validity, at faulty deciders too, as E6's
+// spec column checks it), every other nonfaulty decider decides v in each
+// where i is nonfaulty (Agreement), and i is nonfaulty in one: there it
+// now decides earlier, so a passing flip is a protocol that strictly
+// dominates the stack. It reads only the labelling's decisions, the
+// frame's member lists and faulty masks, and the runs' initial
+// preferences, all row functions.
+func (s *System) passingFlips() map[flip]bool {
+	flips, l := map[flip]bool{}, s.frame.layout(0)
+	for slot := range s.Horizon * s.N {
+		m, i := slot/s.N, slot%s.N
+		faulty, ms := s.frame.faulty(m), s.frame.members(slot)
+		for c := range int32(len(ms.off) - 1) {
+			rows := ms.of(c)
+			if d := s.labels.ofRow(l, int(rows[0]))[i]; d.round != 0 && int(d.round) <= m+1 {
+				continue // decided before m, or deciding in round m+1: nothing earlier to gain
+			}
+			for _, v := range []model.Value{model.Zero, model.One} {
+				spec, earlier := true, false
+				for _, row := range rows {
+					ds, f := s.labels.ofRow(l, int(row)), faulty[row]
+					spec = spec && s.Exists(v, Point{Run: l.first(int(row))})
+					if faultyAt(f, model.AgentID(i)) {
+						continue
+					}
+					earlier = true
+					for j, d := range ds {
+						spec = spec && (j == i || faultyAt(f, model.AgentID(j)) || d.round == 0 || d.v == v)
+					}
+				}
+				if spec && earlier {
+					flips[flip{v, m, i, c}] = true
+				}
+			}
+		}
+	}
+	return flips
+}

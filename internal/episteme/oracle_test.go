@@ -731,7 +731,7 @@ func oracleCKTFaulty(s *System, q Point, v model.Value) bool {
 func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPermuter) (*System, error) {
 	indexOf(rep).lastLayer()
 	n, horizon := rep.N, rep.Horizon
-	perms, invs, isID, runs := om.perms, om.invs, om.isID, om.runs
+	perms, invs, runs := om.perms, om.invs, om.runs
 
 	nRuns := len(runs)
 	sys := &System{N: n, T: rep.T, Horizon: horizon, Runs: runs, par: rep.parallelism()}
@@ -762,7 +762,7 @@ func oracleIntern(ctx context.Context, om *orbitMap, rep *System, kp model.KeyPe
 				cls, hit := cache[tk]
 				if !hit {
 					key := string(indexOf(rep).slots[m*n+int(srcAgent)].keys.at(rc))
-					if !isID[pid] {
+					if pid != 0 { // not the identity
 						var rewritten []byte
 						rewritten, sliceErr[m] = kp.AppendPermuteKey(nil, []byte(key), invs[pid])
 						if sliceErr[m] != nil {

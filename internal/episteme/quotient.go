@@ -6,13 +6,14 @@
 // the full one, exactly: the paper's exchanges and action protocols are
 // agent-symmetric, so the run of any scenario g is the run of its
 // canonical representative with the agents relabeled. ExpandQuotient
-// re-enumerates the full sweep WITHOUT executing it, maps each scenario
-// to (representative, relabeling) — per pattern one canonical search and
-// one lookup of the representative pattern's slots (repTable), per
-// scenario the inits minimised and one slot read — and synthesizes the
-// full system's interned class tables and their labels by permuting the
-// representative's — class ids assigned by the same index kernel
-// (index.go) every other construction uses, so every verdict over the
+// re-enumerates the full sweep's patterns WITHOUT executing anything,
+// maps each scenario to (representative, relabeling) — per pattern, on
+// the system's workers, one canonical search, one lookup of the
+// representative pattern's slots (repTable) and the inits minimised for
+// all 2ⁿ initial vectors at once, per scenario one slot read — and
+// synthesizes the full system's interned class tables and their labels by
+// permuting the representative's — class ids assigned by the same index
+// kernel (index.go) every other construction uses, so every verdict over the
 // expanded system is bit-identical to the per-run build's (pinned by
 // TestQuotientSystemBitIdentical against an exchange whose KeyPermuter is
 // hidden, and by the committed verdict goldens).
@@ -38,11 +39,12 @@
 package episteme
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -57,8 +59,8 @@ func expandable(c Context) (model.KeyPermuter, error) {
 	if !ok {
 		return nil, fmt.Errorf("episteme: exchange %q does not implement model.KeyPermuter; its local-state keys cannot cross an agent relabeling", c.Exchange.Name())
 	}
-	if n := c.Exchange.N(); n > maxPermCodeAgents {
-		return nil, fmt.Errorf("episteme: ExpandQuotient interns relabelings of at most %d agents, system has %d", maxPermCodeAgents, n)
+	if n := c.Exchange.N(); n > maxRelabelAgents {
+		return nil, fmt.Errorf("episteme: ExpandQuotient interns relabelings of at most %d agents, system has %d", maxRelabelAgents, n)
 	} else if n*c.T > 64 {
 		return nil, fmt.Errorf("episteme: ExpandQuotient packs a run's last-round drops into 64 bits, n·t = %d", n*c.T)
 	}
@@ -69,7 +71,7 @@ func expandable(c Context) (model.KeyPermuter, error) {
 // one (BuildSystem builds and expands in one call; sharded flows expand
 // once, after MergeSystems reassembles the representative system). c must
 // be the context the quotiented system was built in — the expansion
-// re-enumerates c's scenario source and cross-checks every orbit against
+// re-enumerates c's patterns and cross-checks every orbit against
 // the representative weights, so a mismatched context fails loudly instead
 // of mis-expanding. The expansion's labels are the representatives',
 // relabeled, and the index kernel refuses a class whose units act
@@ -102,13 +104,13 @@ func ExpandQuotient(ctx context.Context, rep *System, c Context) (*System, error
 
 // orbitMap is pass 1's account of the full sweep: scenario ordinal g is
 // representative r relabeled by perms[pid] (code[g] = r·n! + pid; π·g =
-// representative, invs holds π⁻¹, isID marks the identity), runs[g] is
-// its run and units the frame's layout (indexFrame, "Rows").
+// representative, invs holds π⁻¹), runs[g] is its run and units the
+// frame's layout (indexFrame, "Rows"). A relabeling's id is its rank
+// among the n! permutations in lexicographic order, so 0 is the identity.
 type orbitMap struct {
 	code        []int32
 	nPerms      int32
 	perms, invs [][]model.AgentID
-	isID        []bool
 	runs        []Run
 	units       *layout
 }
@@ -120,18 +122,20 @@ func (om *orbitMap) rep(g int) (r, pid int32) { return om.code[g] / om.nPerms, o
 // rep: it re-enumerates the full sweep, mapping scenario ordinal g to its
 // representative and the relabeling π with π·g = representative, and
 // writes g's run: g's own pattern and initial preferences, and its
-// representative's stats (message counts are permutation-invariant). The
-// source is read in batches of one orbitChunk-scenario chunk per worker of
-// rep's pool. The workers canonicalize their chunks; a serial stitch in
-// ordinal order numbers relabelings and prefixes, counts the orbits and
-// writes the runs. Ids depend on ordinals alone and the lowest ordinal's
-// error is reported, so the map and its errors are the same at every
-// worker count.
+// representative's stats (message counts are permutation-invariant).
 //
-// The source is pattern-major over all 2ⁿ initial vectors, each pattern's
-// scenarios sharing one *model.Pattern (immutable from here on, as the
-// runs keep it), and a pattern off that grid is refused: a pattern's
-// prefix ordinal, recorded once, and a run's ordinal give its unit.
+// The sweep is c's patterns, each crossed with all 2ⁿ initial vectors,
+// inits varying fastest (Context.scenarioSource), so g = pattern·2ⁿ + v
+// with v the vector's bits. One serial pass drains the pattern source,
+// cloning each pattern (the runs keep it) and numbering its prefix: a
+// pattern's prefix ordinal and a run's ordinal give its unit. Then the
+// rep's workers take orbitChunk patterns at a time and, per pattern, run
+// the canonicalizer's pattern half, look up the representative pattern's
+// slots (repTable) and run the inits half for all 2ⁿ vectors at once,
+// writing each run and its orbit code at g and counting the orbits per
+// worker. Ids depend on ordinals alone, and each chunk keeps its first
+// error, so the lowest ordinal's is reported: the map and its errors are
+// the same at every worker count.
 func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	n, horizon := rep.N, rep.Horizon
 	nPerms := model.Factorial(n)
@@ -142,108 +146,55 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	src, err := c.scenarioSource(n, horizon)
+	src, err := c.patternSource(n, horizon)
 	if err != nil {
 		return nil, err
 	}
 	total, _ := src.Count() // a capacity hint; 0 when the source cannot say
-	om := &orbitMap{
-		code:   make([]int32, 0, total),
-		nPerms: int32(nPerms),
-		runs:   make([]Run, 0, total),
-		units:  &layout{shift: uint(n)},
-	}
 	var (
-		permID    = make(map[uint64]int32)
-		counts    = make([]int64, len(rep.Runs))
+		pats      = make([]*model.Pattern, 0, total)
+		units     = &layout{shift: uint(n)}
 		prefixID  = make(map[string]int32)
-		pat       *model.Pattern // the last pattern stitched
 		prefixKey []byte
-		grid      = 1<<n - 1 // g&grid is g's initial vector
-		offGrid   = func() error {
-			return fmt.Errorf("episteme: pattern %d does not carry all 2^%d initial vectors", len(om.units.prefix)-1, n)
-		}
-		workers = make([]orbitWorker, rep.parallelism())
-		chunks  = func(fn func(wk *orbitWorker)) error {
-			return parallelDo(ctx, len(workers), len(workers), func(w int) { fn(&workers[w]) })
-		}
 	)
-	for w := range workers {
-		workers[w] = orbitWorker{sc: make([]core.Scenario, 0, orbitChunk),
-			rep: make([]int32, orbitChunk), inits: make([]uint64, orbitChunk), perm: make([]model.AgentID, n*orbitChunk)}
+	for p, more := src.Next(); more; p, more = src.Next() {
+		p = p.Clone()
+		prefixKey = p.AppendPrefixKey(prefixKey[:0], horizon-1)
+		id, known := prefixID[string(prefixKey)]
+		if !known {
+			id = int32(len(prefixID))
+			prefixID[string(prefixKey)] = id
+			for v := range 1 << n { // the prefix's units open here
+				units.firsts = append(units.firsts, int32(len(pats)<<n+v))
+			}
+		}
+		units.prefix, pats = append(units.prefix, id), append(pats, p)
 	}
-	for more := true; more; {
-		for w := range workers {
-			wk := &workers[w]
-			wk.base, wk.sc = len(om.runs)+w*orbitChunk, wk.sc[:0]
-			for more && len(wk.sc) < orbitChunk {
-				var sc core.Scenario
-				if sc, more = src.Next(); more {
-					wk.sc = append(wk.sc, sc)
-				}
-			}
-		}
-		if err := chunks(func(wk *orbitWorker) { wk.canonicalize(rep, reps) }); err != nil {
-			return nil, err
-		}
-		failed := false
-		for w := range workers {
-			wk := &workers[w]
-			if failed {
-				wk.sc, wk.err = wk.sc[:0], nil // past an error, of a higher ordinal
-			}
-			failed = failed || wk.err != nil
-			for k, sc := range wk.sc {
-				g, r := wk.base+k, wk.rep[k]
-				counts[r]++
-				perm := wk.perm[k*n : (k+1)*n]
-				code := permCode(perm)
-				pid, seen := permID[code]
-				if !seen {
-					pid = int32(len(om.perms))
-					permID[code] = pid
-					om.perms = append(om.perms, slices.Clone(perm))
-					om.invs = append(om.invs, invertPerm(perm))
-					om.isID = append(om.isID, slices.IsSorted(perm)) // a sorted permutation is the identity
-				}
-				om.code = append(om.code, r*om.nPerms+pid)
+	units.n, units.pats = len(units.firsts), packMembers(units.prefix, len(prefixID))
+	om := &orbitMap{code: make([]int32, len(pats)<<n), nPerms: int32(nPerms), runs: make([]Run, len(pats)<<n), units: units}
+	om.perms, om.invs = relabelings(n)
 
-				if (sc.Pattern != pat) != (g&grid == 0) {
-					return nil, offGrid()
-				}
-				if sc.Pattern != pat {
-					pat = sc.Pattern
-					prefixKey = pat.AppendPrefixKey(prefixKey[:0], horizon-1)
-					id, known := prefixID[string(prefixKey)]
-					if !known {
-						id = int32(len(prefixID))
-						prefixID[string(prefixKey)] = id
-						for v := range 1 << n { // the prefix's units open here
-							om.units.firsts = append(om.units.firsts, int32(g+v))
-						}
-					}
-					om.units.prefix = append(om.units.prefix, id)
-				}
-				om.runs = append(om.runs, Run{sc.Pattern, rep.Runs[r].Stats, wk.inits[k]})
+	var next atomic.Int64 // the first pattern of the next chunk
+	chunkErr := make([]error, (len(pats)+orbitChunk-1)/orbitChunk)
+	workers := make([]orbitWorker, rep.parallelism())
+	err = parallelDo(ctx, len(workers), len(workers), func(w int) {
+		wk := &workers[w]
+		wk.counts, wk.out = make([]int64, len(rep.Runs)), make([]model.VectorOrbit, 1<<n)
+		for from := int(next.Add(orbitChunk) - orbitChunk); from < len(pats); from = int(next.Add(orbitChunk) - orbitChunk) {
+			if chunkErr[from/orbitChunk] = wk.mapChunk(rep, reps, om, pats, from); chunkErr[from/orbitChunk] != nil || ctx.Err() != nil {
+				return
 			}
 		}
-		for w := range workers {
-			if err := workers[w].err; err != nil {
-				return nil, err
-			}
+	})
+	if err = cmp.Or(err, cmp.Or(chunkErr...)); err != nil {
+		return nil, err
+	}
+	for _, wk := range workers[1:] {
+		for r, cnt := range wk.counts {
+			workers[0].counts[r] += cnt
 		}
 	}
-	if es, isErr := src.(core.ErrorSource); isErr {
-		if err := es.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if len(om.runs)&grid != 0 {
-		return nil, offGrid()
-	}
-	om.units.n, om.units.pats = len(om.units.firsts), packMembers(om.units.prefix, len(prefixID))
-	for r, cnt := range counts {
+	for r, cnt := range workers[0].counts {
 		if w := rep.Weight(r); cnt != w {
 			return nil, fmt.Errorf("episteme: representative %d stands for %d scenarios, enumeration visited %d (context mismatch?)", r, w, cnt)
 		}
@@ -251,61 +202,44 @@ func mapOrbits(ctx context.Context, rep *System, c Context) (*orbitMap, error) {
 	return om, nil
 }
 
-// orbitChunk is how many scenarios one pass-1 worker takes per batch.
-const orbitChunk = 2048
+// orbitChunk is how many patterns a pass-1 worker takes at a time.
+const orbitChunk = 64
 
-// orbitWorker is one pass-1 worker: its chunk of the current batch —
-// scenarios base, base+1, … — what canonicalize learned of each, the
-// chunk's first error, and the scratch it keeps from batch to batch.
+// orbitWorker is one pass-1 worker's canonicalizer and scratch, and how
+// many scenarios it mapped to each representative.
 type orbitWorker struct {
-	base  int
-	sc    []core.Scenario
-	rep   []int32
-	inits []uint64        // Run.inits per scenario
-	perm  []model.AgentID // n per scenario
-	err   error
-	canon model.Canonicalizer
-	key   []byte
+	canon  model.Canonicalizer
+	key    []byte
+	out    []model.VectorOrbit
+	counts []int64
 }
 
-// canonicalize finds each scenario's representative and relabeling,
-// checking the scenario against the fault bound and the representative's
-// weight: per pattern the canonicalizer's pattern half and the lookup of
-// the representative pattern's slots, per scenario its inits half and one
-// slot read. At the first failure it records the error and cuts the chunk
-// there.
-func (wk *orbitWorker) canonicalize(rep *System, reps *repTable) {
-	n := rep.N
-	var pat *model.Pattern
-	base := 0 // pat's slots in reps
-	for k, sc := range wk.sc {
-		g := wk.base + k
-		if sc.Pattern != pat {
-			pat = sc.Pattern
-			if f := pat.NumFaulty(); f > rep.T {
-				wk.err, wk.sc = fmt.Errorf("episteme: scenario %d has %d faulty agents, the system bounds them by %d (context mismatch?)", g, f, rep.T), wk.sc[:k]
-				return
+// mapChunk maps the scenarios of the orbitChunk patterns from pats[from]
+// on, checking each against the fault bound and its representative's
+// weight, and stops at the first that fails.
+func (wk *orbitWorker) mapChunk(rep *System, reps *repTable, om *orbitMap, pats []*model.Pattern, from int) error {
+	for p := from; p < min(from+orbitChunk, len(pats)); p++ {
+		pat, g0 := pats[p], p<<rep.N
+		if f := pat.NumFaulty(); f > rep.T {
+			return fmt.Errorf("episteme: scenario %d has %d faulty agents, the system bounds them by %d (context mismatch?)", g0, f, rep.T)
+		}
+		wk.canon.SearchPattern(pat)
+		wk.key = wk.canon.AppendPatternKey(wk.key[:0])
+		base := int(reps.base[string(wk.key)])
+		wk.canon.MinimizeVectors(wk.out)
+		for v, o := range wk.out {
+			r := reps.slots[base+int(o.Bits)] - 1
+			if r < 0 {
+				return fmt.Errorf("episteme: scenario %q canonicalizes outside the representative set (context mismatch?)", scenarioFingerprint(Run{Pattern: pat, inits: uint64(v)}))
 			}
-			wk.canon.SearchPattern(pat)
-			wk.key = wk.canon.AppendPatternKey(wk.key[:0])
-			base = int(reps.base[string(wk.key)])
+			if w := rep.Weight(int(r)); o.Orbit != w {
+				return fmt.Errorf("episteme: representative %d carries weight %d, its orbit has size %d", r, w, o.Orbit)
+			}
+			wk.counts[r]++
+			om.code[g0+v], om.runs[g0+v] = r*om.nPerms+o.Perm, Run{pat, rep.Runs[r].Stats, uint64(v)}
 		}
-		own, isBits := initsBits(sc.Inits)
-		wk.canon.MinimizeInits(sc.Inits)
-		bits, ok := wk.canon.InitsBits()
-		r := reps.slots[base+bits] - 1
-		if !ok || !isBits || r < 0 {
-			wk.err, wk.sc = fmt.Errorf("episteme: scenario %q canonicalizes outside the representative set (context mismatch?)",
-				scenarioFingerprint(sc.Pattern, sc.Inits)), wk.sc[:k]
-			return
-		}
-		if w, orbit := rep.Weight(int(r)), wk.canon.Orbit(); orbit != w {
-			wk.err, wk.sc = fmt.Errorf("episteme: representative %d carries weight %d, its orbit has size %d", r, w, orbit), wk.sc[:k]
-			return
-		}
-		wk.rep[k], wk.inits[k] = r, uint64(own)
-		wk.canon.Perm(wk.perm[k*n : (k+1)*n])
 	}
+	return nil
 }
 
 // repTable finds a representative by its pattern key and its inits as
@@ -377,7 +311,7 @@ func initsBits(inits []model.Value) (bits int, ok bool) {
 // pattern: a pattern's runs are consecutive and share one *Pattern.
 func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermuter) (*System, error) {
 	n, t := rep.N, uint(rep.T)
-	perms, invs, isID, runs, units := om.perms, om.invs, om.isID, om.runs, om.units
+	perms, invs, runs, units := om.perms, om.invs, om.runs, om.units
 	rx, racts := rep.frame.(*indexFrame), rep.labels.acts // a producer reads the tables whole
 	rx.lastLayer()
 	// strides[m] is the largest representative class count of time slice m:
@@ -396,7 +330,7 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 			r, pid := om.rep(g)
 			repSlot := m*n + int(perms[pid][i])
 			repKey := rx.slots[repSlot].keys.at(repOf[repSlot][r])
-			if isID[pid] {
+			if pid == 0 { // the identity
 				return append(dst, repKey...), nil
 			}
 			dst, err := kp.AppendPermuteKey(dst, repKey, invs[pid])
@@ -449,7 +383,7 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	// refuse; KeyPermuter's error is a function of the key alone, so every
 	// representative key of that slice is rewritten once here, under the
 	// first relabeling that moves an agent.
-	if pid := slices.Index(isID, false); pid >= 0 {
+	if pid := 1; pid < len(perms) {
 		var buf []byte
 		for slot := rep.Horizon * n; slot < len(rx.slots); slot++ {
 			for c := range int32(rx.slots[slot].keys.len()) {
@@ -462,30 +396,38 @@ func (om *orbitMap) intern(ctx context.Context, rep *System, kp model.KeyPermute
 	return sys, nil
 }
 
-// scenarioFingerprint renders a scenario's identity — the pattern's
-// canonical key plus the initial preferences — for the expansion's errors.
-func scenarioFingerprint(p *model.Pattern, inits []model.Value) string {
-	return string(model.AppendScenarioKey(nil, p, inits))
+// scenarioFingerprint renders a run's scenario — its pattern's canonical
+// key, a '/' and the initial preferences — for the expansion's errors.
+func scenarioFingerprint(run Run) string {
+	key := append(run.Pattern.AppendKey(nil), '/')
+	for i := range run.Pattern.N() {
+		key = append(key, byte('0'+run.inits>>i&1))
+	}
+	return string(key)
 }
 
-// maxPermCodeAgents is the largest agent count permCode can encode.
-const maxPermCodeAgents = 16
+// maxRelabelAgents is the largest agent count ExpandQuotient relabels:
+// it lists all n! relabelings, 6.5 MB at 9 agents.
+const maxRelabelAgents = 9
 
-// permCode packs a permutation of at most maxPermCodeAgents agents into
-// an integer, four bits per entry, for interning.
-func permCode(perm []model.AgentID) uint64 {
-	var code uint64
-	for _, a := range perm {
-		code = code<<4 | uint64(a)
+// relabelings returns the n! permutations of n agents in lexicographic
+// order, the order model.VectorOrbit ranks them in, and their inverses.
+func relabelings(n int) (perms, invs [][]model.AgentID) {
+	var list func(perm []model.AgentID)
+	list = func(perm []model.AgentID) {
+		if len(perm) == n {
+			inv := make([]model.AgentID, n)
+			for i, a := range perm {
+				inv[a] = model.AgentID(i)
+			}
+			perms, invs = append(perms, slices.Clone(perm)), append(invs, inv)
+		}
+		for a := range model.AgentID(n) {
+			if !slices.Contains(perm, a) {
+				list(append(perm, a))
+			}
+		}
 	}
-	return code
-}
-
-// invertPerm returns π⁻¹.
-func invertPerm(perm []model.AgentID) []model.AgentID {
-	inv := make([]model.AgentID, len(perm))
-	for i, a := range perm {
-		inv[a] = model.AgentID(i)
-	}
-	return inv
+	list(make([]model.AgentID, 0, n))
+	return perms, invs
 }

@@ -391,57 +391,87 @@ func TestExpandQuotientRejects(t *testing.T) {
 }
 
 // TestMapOrbitsMatchesOneShot holds pass 1's representative table to the
-// definition it replaced: for every ordinal g of SO n=3,4 t=1 and crash
-// n=3,4 t=2, at parallelism 1 and 7, mapOrbits' representative and
-// relabeling of g (orbitMap.rep) are what the one-shot
-// model.CanonicalizeScenarioPerm and a lookup of the representative's
-// scenario fingerprint give.
+// definition it replaced: for every ordinal g of SO n=3,4 t=1, SO n=3,t=2
+// (197,377 patterns, many chunks per worker) and crash n=3,4 t=2, at
+// parallelism 1, 2 and 7, mapOrbits' representative and relabeling of g
+// (orbitMap.rep) are what the one-shot model.CanonicalizeScenarioPerm and
+// a lookup of the representative's scenario fingerprint give, and its run
+// holds g's own pattern and inits. SO n=3,t=2 is skipped under -short and
+// -race.
 func TestMapOrbitsMatchesOneShot(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []Context{
 		{Exchange: exchange.NewFIP(3), T: 1},
 		{Exchange: exchange.NewFIP(4), T: 1},
+		{Exchange: exchange.NewMin(3), T: 2},
 		{Exchange: exchange.NewFIP(3), T: 2, Crash: true},
 		{Exchange: exchange.NewFIP(4), T: 2, Crash: true},
 	} {
 		n := c.Exchange.N()
-		idx, err := BuildShardIndex(ctx, c, action.NewOpt(c.T), 0, 1)
+		if n == 3 && c.T == 2 && !c.Crash && (testing.Short() || raceEnabled) {
+			continue
+		}
+		act := model.ActionProtocol(action.NewOpt(c.T))
+		if c.Exchange.Name() == "Emin" {
+			act = action.NewMin(c.T)
+		}
+		idx, err := BuildShardIndex(ctx, c, act, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 7} {
-			label := fmt.Sprintf("n=%d t=%d crash=%v parallelism %d", n, c.T, c.Crash, par)
-			rep, err := MergeSystems(ctx, []*ShardIndex{idx}, WithParallelism(par))
-			if err != nil {
-				t.Fatal(err)
+		rep, err := MergeSystems(ctx, []*ShardIndex{idx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		repOf := make(map[string]int32, len(rep.Runs))
+		for r, res := range rep.Runs {
+			repOf[string(model.AppendScenarioKey(nil, res.Pattern, initsOf(rep, r)))] = int32(r)
+		}
+		// The one-shot answer for each ordinal, its relabeling packed four
+		// bits an agent, and each pattern's key.
+		type answer struct{ r, bits, perm int32 }
+		pack := func(perm []model.AgentID) (code int32) {
+			for _, a := range perm {
+				code = code<<4 | int32(a)
 			}
+			return code
+		}
+		var want []answer
+		var keys []string
+		src, err := c.scenarioSource(n, rep.Horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sc, more := src.Next(); more; sc, more = src.Next() {
+			repPat, repInits, _, perm := model.CanonicalizeScenarioPerm(sc.Pattern, sc.Inits)
+			r, known := repOf[string(model.AppendScenarioKey(nil, repPat, repInits))]
+			if !known {
+				t.Fatalf("scenario %d has no representative", len(want))
+			}
+			bits, _ := initsBits(sc.Inits)
+			if bits == 0 {
+				keys = append(keys, sc.Pattern.Key())
+			}
+			want = append(want, answer{r, int32(bits), pack(perm)})
+		}
+		for _, par := range []int{1, 2, 7} {
+			label := fmt.Sprintf("n=%d t=%d crash=%v parallelism %d", n, c.T, c.Crash, par)
+			rep.par = par // pass 1's worker count
 			om, err := mapOrbits(ctx, rep, c)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			repOf := make(map[string]int32, len(rep.Runs))
-			for r, res := range rep.Runs {
-				repOf[scenarioFingerprint(res.Pattern, initsOf(rep, r))] = int32(r)
+			if len(om.code) != len(want) || len(om.runs) != len(want) {
+				t.Fatalf("%s: the source has %d scenarios, the orbit map %d", label, len(want), len(om.code))
 			}
-			src, err := c.scenarioSource(n, rep.Horizon)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := 0
-			for sc, more := src.Next(); more; sc, more = src.Next() {
-				repPat, repInits, _, perm := model.CanonicalizeScenarioPerm(sc.Pattern, sc.Inits)
-				r, known := repOf[scenarioFingerprint(repPat, repInits)]
-				if g >= len(om.code) {
-					t.Fatalf("%s: the orbit map stops at %d scenarios, the source goes on", label, g)
+			for g, w := range want {
+				if gr, pid := om.rep(g); gr != w.r || pack(om.perms[pid]) != w.perm {
+					t.Fatalf("%s: scenario %d maps to representative %d under %v, the one-shot search to %d under %x",
+						label, g, gr, om.perms[pid], w.r, w.perm)
 				}
-				if gr, pid := om.rep(g); !known || gr != r || !slices.Equal(om.perms[pid], perm) {
-					t.Fatalf("%s: scenario %d maps to representative %d under %v, the one-shot search to %d (known %v) under %v",
-						label, g, gr, om.perms[pid], r, known, perm)
+				if run := om.runs[g]; run.inits != uint64(w.bits) || w.bits == 0 && run.Pattern.Key() != keys[g>>n] {
+					t.Fatalf("%s: run %d holds pattern %s and inits %b, its scenario %s and %b", label, g, run.Pattern.Key(), run.inits, keys[g>>n], w.bits)
 				}
-				g++
-			}
-			if g != len(om.code) || g != len(om.runs) {
-				t.Fatalf("%s: the source has %d scenarios, the orbit map %d", label, g, len(om.code))
 			}
 		}
 	}
@@ -478,8 +508,8 @@ func (e *countingPermuter) AppendPermuteKey(dst []byte, key []byte, perm []model
 
 // TestExpandQuotientCancelsDuringEnumeration cancels the context while
 // pass 1 is re-enumerating the n=4 sweep (at its second look, one
-// 2,048-scenario chunk of 32,784 in): the expansion must stop there with the cause,
-// without ever reaching pass 2's key rewriting.
+// 64-pattern chunk of 2,049 in): the expansion must stop there with the
+// cause, without ever reaching pass 2's key rewriting.
 func TestExpandQuotientCancelsDuringEnumeration(t *testing.T) {
 	c := Context{Exchange: exchange.NewFIP(4), T: 1}
 	idx, err := BuildShardIndex(context.Background(), c, action.NewOpt(1), 0, 1, WithParallelism(1))
@@ -662,17 +692,19 @@ func bytesPerRun(f func()) float64 {
 // n=4,t=1 allocates per expanded run, the first read of its last layer
 // left out. An expanded run is three words (Run) over a ledger shared by
 // content, its unit's class ids are packed at the bits their slot's class
-// count needs, its member lists are made on first read, and a slot's keys
-// are one exact-sized slab found through the kernel's own key table: about
-// 65 B. The ceiling sits about 12 % above that and below the ≈75 B a run
-// cost with a key map and a string per class, and the ≈87 B with int32
-// class ids and member lists packed at every build, so that none can come
-// back unnoticed. Lower the ceiling when a change earns it.
+// count needs, its member lists are made on first read, a slot's keys are
+// one exact-sized slab found through the kernel's own key table, and pass
+// 1 reads patterns, not scenarios, into no per-scenario buffer: 55–58 B.
+// The ceiling sits about 12 % above that and below the ≈65 B a run cost
+// with pass 1's scenario chunks and relabeling map, the ≈75 B with a key
+// map and a string per class, and the ≈87 B with int32 class ids and
+// member lists packed at every build, so that none can come back
+// unnoticed. Lower the ceiling when a change earns it.
 func TestExpandQuotientAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates on its own")
 	}
-	const ceiling = 73 // bytes per expanded run
+	const ceiling = 64 // bytes per expanded run
 	expand := fipN4Expander(t)
 	if per := bytesPerRun(func() { expand() }); per > ceiling {
 		t.Errorf("ExpandQuotient allocates %.1f bytes per expanded run, ceiling %d", per, ceiling)

@@ -4,7 +4,8 @@
 // has an identifier (E1–E4, E6, E11–E16, E20) and a generator returning a
 // Table; Generators lists them in the order cmd/ebabench prints them.
 // E6 is the theorem matrix: one exhaustive system per (context, stack),
-// with every theorem-level column read from it.
+// with every theorem-level column read from it; E6LargerCells is its
+// larger rows, which only cmd/ebabench prints.
 package experiments
 
 import (

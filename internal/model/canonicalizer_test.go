@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -80,27 +81,77 @@ func checkCanon(t *testing.T, c *Canonicalizer, p *Pattern, inits []Value, want 
 }
 
 // checkHalves runs the inits half of split, whose pattern half last ran
-// for p, on inits, and holds the answer, its pattern key and its inits
-// bits to want: the scenario key is the pattern key, a '/', and the inits
-// that the bits spell.
+// for p, on inits, and holds the answer and its pattern key to want: the
+// scenario key is the pattern key, a '/', and the inits.
 func checkHalves(t *testing.T, split *Canonicalizer, p *Pattern, inits []Value, want wantCanon) {
 	t.Helper()
 	split.MinimizeInits(inits)
 	checkCanon(t, split, p, inits, want)
-	patKey, repInits, _ := strings.Cut(want.repKey, "/")
+	patKey, _, _ := strings.Cut(want.repKey, "/")
 	if got := string(split.AppendPatternKey(nil)); got != patKey {
 		t.Fatalf("%v %v: pattern key %s, want %s", p, inits, got, patKey)
 	}
-	wantBits := 0
-	for a, b := range repInits {
-		if b == '1' {
-			wantBits |= 1 << a
+}
+
+// VectorsMatchInits holds MinimizeVectors, for the pattern c last
+// searched, to what MinimizeInits gives for every vector of zeros and
+// ones: the representative's inits (AppendRepresentativeKey's, read as
+// bits), Perm, ranked by its place in a lexicographic listing of the n!
+// permutations, and Orbit. It returns the first disagreement, and leaves
+// c's inits half at the last vector. It is exported for the sweep test in
+// package model_test.
+func VectorsMatchInits(c *Canonicalizer, out []VectorOrbit) error {
+	c.MinimizeVectors(out)
+	inits, ranks := make([]Value, c.n), lexRanks[c.n]
+	var key []byte
+	var perm []AgentID
+	for v, got := range out {
+		for i := range inits {
+			inits[i] = Value(v >> i & 1)
+		}
+		c.MinimizeInits(inits)
+		key = c.AppendRepresentativeKey(key[:0])
+		bits := 0
+		for a, b := range key[len(key)-c.n:] {
+			bits |= int(b-'0') << a
+		}
+		perm = c.Perm(perm)
+		if want := (VectorOrbit{int32(bits), ranks[packPerm(perm)], c.Orbit()}); got != want {
+			return fmt.Errorf("inits %v: MinimizeVectors gives %+v, the inits half %+v (relabeling %v)", inits, got, want, perm)
 		}
 	}
-	if bits, ok := split.InitsBits(); !ok || bits != wantBits {
-		t.Fatalf("%v %v: inits bits (%b, %v), want (%b, true)", p, inits, bits, ok, wantBits)
-	}
+	return nil
 }
+
+// packPerm packs a permutation of at most 16 agents four bits an agent.
+func packPerm(perm []AgentID) (code uint64) {
+	for _, a := range perm {
+		code = code<<4 | uint64(a)
+	}
+	return code
+}
+
+// lexRanks[n] numbers the permutations of n ≤ 6 agents as a
+// lexicographic listing does, keyed by packPerm.
+var lexRanks = func() (tables [7]map[uint64]int32) {
+	for n := range tables {
+		ranks := make(map[uint64]int32)
+		var list func(prefix []AgentID)
+		list = func(prefix []AgentID) {
+			if len(prefix) == n {
+				ranks[packPerm(prefix)] = int32(len(ranks))
+			}
+			for a := range AgentID(n) {
+				if !slices.Contains(prefix, a) {
+					list(append(prefix, a))
+				}
+			}
+		}
+		list(make([]AgentID, 0, n))
+		tables[n] = ranks
+	}
+	return tables
+}()
 
 // oneShot asks the one-shot wrappers.
 func oneShot(p *Pattern, inits []Value) wantCanon {
@@ -301,7 +352,7 @@ func TestCanonicalizerMemoInvalidation(t *testing.T) {
 // TestCanonicalizeDoesNotAllocate pins the steady state the quotiented
 // sweeps and the expansion rely on: a warmed-up canonicalizer allocates
 // nothing, whether the pattern memo hits or misses, and neither do its
-// halves, its pattern key or its inits bits.
+// halves, its pattern key or the inits half over every vector at once.
 func TestCanonicalizeDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pats := []*Pattern{NewPattern(5, 3), randPattern(rng, 5, 3, 1), randPattern(rng, 5, 3, 2)}
@@ -309,6 +360,7 @@ func TestCanonicalizeDoesNotAllocate(t *testing.T) {
 	var c Canonicalizer
 	var key []byte
 	var perm []AgentID
+	out := make([]VectorOrbit, 1<<5)
 	run := func() {
 		for _, p := range pats {
 			c.Canonicalize(p, inits)
@@ -319,9 +371,7 @@ func TestCanonicalizeDoesNotAllocate(t *testing.T) {
 			c.MinimizeInits(inits)
 			c.MinimizeInits(inits)
 			key = c.AppendPatternKey(key[:0])
-			if _, ok := c.InitsBits(); !ok {
-				t.Fatal("binary inits read as not binary")
-			}
+			c.MinimizeVectors(out)
 		}
 	}
 	run()

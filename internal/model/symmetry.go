@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"math/bits"
 	"slices"
 )
 
@@ -120,8 +121,9 @@ func IsCanonicalScenario(p *Pattern, inits []Value) (int64, bool) {
 // handful of members for most patterns, all n! for the failure-free one).
 // Canonicalize is the two halves in sequence. A caller that holds a
 // pattern's scenarios together runs the pattern half once and the inits
-// half per scenario, and can find the representative by its pattern key
-// (AppendPatternKey) and its inits as bits (InitsBits).
+// half per scenario, or once for all 2ⁿ vectors (MinimizeVectors), and can
+// find the representative by its pattern key (AppendPatternKey) and its
+// inits as bits (VectorOrbit).
 //
 // The pattern half is remembered for the most recent pattern, compared by
 // content against a private copy — an enumerator that mutates one Pattern
@@ -151,11 +153,22 @@ type Canonicalizer struct {
 
 	// Inits half: the inits as key bytes by old agent, their minimum
 	// over the coset, the first member attaining it and how many do (the
-	// scenario's stabilizer order).
-	vals     []byte
-	minInits []byte
-	best     int
-	minCount int64
+	// scenario's stabilizer order). keys and ranks are MinimizeVectors'
+	// scratch.
+	vals        []byte
+	minInits    []byte
+	best        int
+	minCount    int64
+	keys, ranks []int32
+}
+
+// VectorOrbit is the inits half's answer for one initial vector: the
+// representative's inits as bits, bit a set iff its agent a prefers 1;
+// the rank of the relabeling Perm gives among the n! permutations in
+// lexicographic order (the identity is 0); and the orbit size Orbit gives.
+type VectorOrbit struct {
+	Bits, Perm int32
+	Orbit      int64
 }
 
 // Canonicalize finds the canonical representative of (p, inits), the
@@ -200,6 +213,60 @@ func (c *Canonicalizer) MinimizeInits(inits []Value) {
 		case cmp == 0:
 			c.minCount++
 		}
+	}
+}
+
+// MinimizeVectors runs the inits half for all 2ⁿ initial vectors of
+// zeros and ones at once, p the pattern SearchPattern last ran for:
+// out[v] is what MinimizeInits would report for the vector whose agent i
+// prefers bit i of v. Each coset member's relabeling is ranked once, and
+// its permuted inits for v are those for v less its lowest set bit, plus
+// that bit. len(out) must be 2ⁿ.
+func (c *Canonicalizer) MinimizeVectors(out []VectorOrbit) {
+	n, fact := c.n, Factorial(c.n)
+	if len(out) != 1<<n {
+		panic("model: MinimizeVectors needs one entry per initial vector")
+	}
+	c.keys, c.ranks = slices.Grow(c.keys[:0], len(out))[:len(out)], c.ranks[:0]
+	for k := 0; k*n < len(c.coset); k++ {
+		// The member sends old agent member[a] to a, whose bit in a key of
+		// permuted inits, ordered as their key bytes, is w[member[a]]. The
+		// relabeling's rank counts, per old agent, the later ones sent lower.
+		var w [32]int32
+		for a, old := range c.coset[k*n : (k+1)*n] {
+			w[old] = 1 << (n - 1 - a)
+		}
+		rank := int64(0)
+		for i := range n {
+			for j := i + 1; j < n; j++ {
+				if w[j] > w[i] {
+					rank += Factorial(n - 1 - i)
+				}
+			}
+		}
+		c.ranks = append(c.ranks, int32(rank))
+		// out[v] holds the least key so far, its first member and how many
+		// reach it.
+		for v := range out {
+			key := int32(0)
+			if v > 0 {
+				key = c.keys[v&(v-1)] | w[bits.TrailingZeros(uint(v))]
+			}
+			c.keys[v] = key
+			switch {
+			case k == 0 || key < out[v].Bits:
+				out[v] = VectorOrbit{key, int32(k), 1}
+			case key == out[v].Bits:
+				out[v].Orbit++
+			}
+		}
+	}
+	for v, o := range out {
+		rev := int32(0) // the key's bits, new agent 0 the least significant
+		for a := range n {
+			rev |= o.Bits >> (n - 1 - a) & 1 << a
+		}
+		out[v] = VectorOrbit{rev, c.ranks[o.Perm], fact / o.Orbit}
 	}
 }
 
@@ -370,19 +437,6 @@ func (c *Canonicalizer) AppendPatternKey(dst []byte) []byte {
 // pattern key, a '/', and the minimal inits.
 func (c *Canonicalizer) AppendRepresentativeKey(dst []byte) []byte {
 	return append(append(c.AppendPatternKey(dst), '/'), c.minInits...)
-}
-
-// InitsBits returns the representative's inits as an integer, bit a set
-// iff its agent a prefers 1, and whether that identifies them: ok is
-// false when some preference is neither 0 nor 1.
-func (c *Canonicalizer) InitsBits() (bits int, ok bool) {
-	for a, v := range c.minInits {
-		if v != '0' && v != '1' {
-			return 0, false
-		}
-		bits |= int(v-'0') << a
-	}
-	return bits, true
 }
 
 // AppendScenarioKey appends a fingerprint of the scenario (p, inits):

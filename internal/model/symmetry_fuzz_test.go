@@ -81,7 +81,8 @@ func (s *fuzzScenario) decode() (*Pattern, []Value, []AgentID) {
 // prefilter, must be exact. One Canonicalizer lives across the whole
 // fuzzed sequence, as it does in those sweeps, and must answer every
 // scenario as a fresh one does whatever it was shown or asked before; so
-// must a second one driven through the two halves.
+// must a second one driven through the two halves, whose inits half over
+// every vector at once must agree with its inits half per vector.
 func FuzzCanonicalizeScenario(f *testing.F) {
 	var long, split Canonicalizer
 	f.Add([]byte{})
@@ -129,6 +130,9 @@ func FuzzCanonicalizeScenario(f *testing.F) {
 
 		split.SearchPattern(p)
 		checkHalves(t, &split, p, inits, wantCanon{string(AppendScenarioKey(nil, rep, repInits)), orbit, perm, isRep})
+		if err := VectorsMatchInits(&split, make([]VectorOrbit, 1<<n)); err != nil {
+			t.Fatalf("%s: %v", p.Key(), err)
+		}
 
 		// The returned permutation is split-respecting: the
 		// representative has the same shape with its faulty agents in

@@ -1,6 +1,7 @@
 package exchange
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/model"
@@ -297,6 +298,90 @@ func TestFIPKeyExcludesDecided(t *testing.T) {
 	}
 	if string(a.AppendKey(nil)) != string(b.AppendKey(nil)) {
 		t.Error("decided leaked into the FIP state key")
+	}
+}
+
+// fipRound runs one synchronous Efip round from states, agent i hearing
+// from agent j unless drop(j, i), and returns the next states with what
+// each agent received.
+func fipRound(e *FIP, states []model.State, drop func(j, i int) bool) ([]model.State, [][]model.Message) {
+	n := len(states)
+	outboxes := make([][]model.Message, n)
+	for j := range states {
+		outboxes[j] = send(e, model.AgentID(j), states[j], model.Noop)
+	}
+	next := make([]model.State, n)
+	recvs := make([][]model.Message, n)
+	for i := range states {
+		recvs[i] = make([]model.Message, n)
+		for j := range recvs[i] {
+			if !drop(j, i) {
+				recvs[i][j] = outboxes[j][i]
+			}
+		}
+		next[i] = e.Update(model.AgentID(i), states[i], model.Noop, recvs[i])
+	}
+	return next, recvs
+}
+
+// fipStates returns the n=5 Efip states after two rounds in which agent 4
+// drops its messages to agents 0 and 1.
+func fipStates() (*FIP, []model.State) {
+	e := NewFIP(5)
+	states := make([]model.State, 5)
+	for i := range states {
+		states[i] = e.Initial(model.AgentID(i), model.Value(i%2))
+	}
+	for round := 0; round < 2; round++ {
+		states, _ = fipRound(e, states, func(j, i int) bool { return j == 4 && i < 2 })
+	}
+	return e, states
+}
+
+// TestFIPUpdateAllocs pins an Update at two allocations: the new state,
+// which holds its graph by value, and the graph's label slab.
+func TestFIPUpdateAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's instrumentation allocates on its own")
+			}
+		}
+	}
+	e, states := fipStates()
+	recv := make([]model.Message, e.N())
+	for j := range recv {
+		if j != 3 {
+			recv[j] = send(e, model.AgentID(j), states[j], model.Noop)[0]
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { e.Update(0, states[0], model.Decide1, recv) }); got != 2 {
+		t.Errorf("FIP.Update makes %.0f allocations, want 2", got)
+	}
+}
+
+// TestFIPUpdateLeavesReceivedGraphs checks that a recipient's Update
+// changes no graph it received: a message points into its sender's
+// state, which every other recipient reads too.
+func TestFIPUpdateLeavesReceivedGraphs(t *testing.T) {
+	e, states := fipStates()
+	keys := make([]string, len(states))
+	for j := range states {
+		keys[j] = string(states[j].AppendKey(nil))
+	}
+	_, recvs := fipRound(e, states, func(j, i int) bool { return (i+j)%3 == 0 && i != j })
+	for i, recv := range recvs {
+		for j, m := range recv {
+			if m == nil {
+				continue
+			}
+			if m.(FIPMsg).G != states[j].(*FIPState).Graph() {
+				t.Fatalf("agent %d's message to %d does not point into its state", j, i)
+			}
+			if got := string(m.(FIPMsg).G.AppendKey(nil)); got != keys[j] {
+				t.Fatalf("agent %d's graph, received by %d, reads %s after the round, %s before", j, i, got, keys[j])
+			}
+		}
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 
 // FIPMsg is a full-information message: the sender's entire communication
 // graph, tagged with the decision class required of every EBA context.
-// The graph is shared by pointer and must be treated as immutable by
-// recipients; FIP.Update never mutates a received graph.
+// G points into the sender's FIPState, which is immutable: recipients
+// must treat the graph as read-only, and FIP.Update only merges from it.
 type FIPMsg struct {
 	// G is the sender's communication graph at sending time.
 	G *graph.Graph
@@ -40,14 +40,16 @@ func (m FIPMsg) String() string {
 // corresponding runs of different action protocols state-identical.
 //
 // States are handled by pointer: boxing a *FIPState into model.State
-// copies one word instead of heap-allocating a 40-byte box per agent per
-// round. Callers must treat the pointed-to state as immutable.
+// copies one word instead of heap-allocating a box per agent per round.
+// The state holds its graph by value, so a state is two objects — itself
+// and the graph's label slab — and the messages its agent sends point
+// into it. Callers must treat the pointed-to state as immutable.
 type FIPState struct {
 	time    int
 	init    model.Value
 	decided model.Value
 	jd      model.Value
-	g       *graph.Graph
+	g       graph.Graph
 }
 
 // Time returns the state's time component.
@@ -64,7 +66,7 @@ func (s *FIPState) JustDecided() model.Value { return s.jd }
 
 // Graph returns the agent's communication graph. Callers must not mutate
 // it.
-func (s *FIPState) Graph() *graph.Graph { return s.g }
+func (s *FIPState) Graph() *graph.Graph { return &s.g }
 
 // AppendKey appends the graph's fingerprint: full information, nothing
 // else.
@@ -92,18 +94,18 @@ func (e *FIP) N() int { return e.n }
 // Initial returns the time-0 state: a graph recording only the agent's own
 // initial preference.
 func (e *FIP) Initial(i model.AgentID, init model.Value) model.State {
-	g := graph.New(i, e.n)
-	g.SetPref(i, init)
-	return &FIPState{init: init, decided: model.None, jd: model.None, g: g}
+	s := &FIPState{init: init, decided: model.None, jd: model.None, g: *graph.New(i, e.n)}
+	s.g.SetPref(i, init)
+	return s
 }
 
 // Messages broadcasts the agent's graph to everyone, every round, tagged
-// with this round's decision class. The graph is shared by pointer and
-// the FIPMsg is boxed once, so the per-round send side of the
+// with this round's decision class. The message points into the sender's
+// state and is boxed once, so the per-round send side of the
 // full-information exchange allocates exactly one interface header.
 func (e *FIP) Messages(_ model.AgentID, s model.State, a model.Action, out []model.Message) []model.Message {
 	st := s.(*FIPState)
-	var msg model.Message = FIPMsg{G: st.g, Announce: a.Decision()}
+	var msg model.Message = FIPMsg{G: &st.g, Announce: a.Decision()}
 	for j := range out {
 		out[j] = msg
 	}
@@ -117,14 +119,22 @@ func (e *FIP) AppendPermuteKey(dst []byte, key []byte, perm []model.AgentID) ([]
 	return graph.AppendPermuteKey(dst, key, perm)
 }
 
-// Update advances time, extends the graph by one round, records which
-// agents delivered this round (Sent/NotSent labels on the new in-edges),
-// merges every received graph, and refreshes the cached decided/jd
-// components. The agent's own in-edge is always Sent: self-delivery is
+// Update advances time, extends the graph by one round straight into the
+// new state, records which agents delivered this round (Sent/NotSent
+// labels on the new in-edges), merges every received graph, and refreshes
+// the cached decided/jd components: two allocations, the state and its
+// label slab. The agent's own in-edge is always Sent: self-delivery is
 // memory and is not subject to the adversary (footnote 3 of the paper).
 func (e *FIP) Update(i model.AgentID, s model.State, a model.Action, received []model.Message) model.State {
 	st := s.(*FIPState)
-	ng := st.g.CloneExtended()
+	ns := &FIPState{
+		time:    st.time + 1,
+		init:    st.init,
+		decided: st.decided,
+		jd:      announcedValue(received),
+	}
+	ng := &ns.g
+	st.g.CloneExtended(ng)
 	for j := 0; j < e.n; j++ {
 		jj := model.AgentID(j)
 		if jj == i {
@@ -137,13 +147,6 @@ func (e *FIP) Update(i model.AgentID, s model.State, a model.Action, received []
 		}
 		ng.SetEdge(st.time, jj, i, graph.Sent)
 		ng.Merge(received[j].(FIPMsg).G)
-	}
-	ns := &FIPState{
-		time:    st.time + 1,
-		init:    st.init,
-		decided: st.decided,
-		jd:      announcedValue(received),
-		g:       ng,
 	}
 	if d := a.Decision(); d.IsSet() {
 		ns.decided = d

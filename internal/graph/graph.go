@@ -10,7 +10,10 @@
 // exchange: for every round it records, for every ordered pair of agents,
 // whether the owner knows the message was delivered (Sent), knows it was
 // not (NotSent), or does not know (Unknown); and for every agent whether
-// the owner knows its initial preference.
+// the owner knows its initial preference. All of it is one flat slab of
+// labels, preferences first and then one n²-label block per round, so a
+// graph carries no per-round slice headers and its labels hold nothing
+// for the collector to scan.
 package graph
 
 import (
@@ -51,36 +54,23 @@ func (l Label) String() string {
 
 // Graph is a communication graph G_{i,m}: agent i's view of rounds 1..m.
 // The zero value is not usable; construct with New.
+//
+// Every label lives in one pointer-free slab: the n preference labels
+// first (Unknown for "?", NotSent for 0, Sent for 1), then round k's n²
+// edge labels at offset n + k·n², the label of i → j at i·n + j within
+// its round. A graph is therefore one object besides its header, and a
+// full-information state that holds its Graph by value is two.
 type Graph struct {
-	owner model.AgentID
-	n     int
-	m     int
-	// prefs[j] is the initial-preference label of agent j: Zero, One, or
-	// None for "?".
-	prefs []model.Value
-	// edges[k][int(i)*n+int(j)] labels the edge (i,k) → (j,k+1), i.e. the
-	// message from i to j in round k+1, for k in [0, m).
-	edges [][]Label
+	owner  model.AgentID
+	n      int
+	m      int
+	labels []Label
 }
 
 // New returns the time-0 communication graph of the given agent: no edges,
 // no preference labels.
 func New(owner model.AgentID, n int) *Graph {
-	return &Graph{
-		owner: owner,
-		n:     n,
-		prefs: newPrefs(n),
-		edges: nil,
-	}
-}
-
-// newPrefs returns an all-"?" preference vector.
-func newPrefs(n int) []model.Value {
-	p := make([]model.Value, n)
-	for i := range p {
-		p[i] = model.None
-	}
-	return p
+	return &Graph{owner: owner, n: n, labels: make([]Label, n)}
 }
 
 // Owner is the agent whose view this graph is.
@@ -93,7 +83,7 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.m }
 
 // Pref returns the preference label of agent j (None = "?").
-func (g *Graph) Pref(j model.AgentID) model.Value { return g.prefs[j] }
+func (g *Graph) Pref(j model.AgentID) model.Value { return model.Value(g.labels[j]) - 1 }
 
 // SetPref records agent j's initial preference. Recording a value that
 // contradicts an already-known value panics: in a valid execution labels
@@ -102,10 +92,12 @@ func (g *Graph) SetPref(j model.AgentID, v model.Value) {
 	if !v.IsSet() {
 		panic("graph: SetPref with unset value")
 	}
-	if g.prefs[j].IsSet() && g.prefs[j] != v {
-		panic(fmt.Sprintf("graph: conflicting preference labels for agent %d", j))
-	}
-	g.prefs[j] = v
+	g.set(int(j), Label(v+1))
+}
+
+// edge is the slab index of the edge (i,k) → (j,k+1).
+func (g *Graph) edge(k int, i, j model.AgentID) int {
+	return g.n + k*g.n*g.n + int(i)*g.n + int(j)
 }
 
 // Edge returns the label of the edge (i,k) → (j,k+1): the message from i
@@ -114,7 +106,7 @@ func (g *Graph) Edge(k int, i, j model.AgentID) Label {
 	if k < 0 || k >= g.m {
 		return Unknown
 	}
-	return g.edges[k][int(i)*g.n+int(j)]
+	return g.labels[g.edge(k, i, j)]
 }
 
 // SetEdge records the label of the edge (i,k) → (j,k+1). Overwriting a
@@ -124,65 +116,54 @@ func (g *Graph) SetEdge(k int, i, j model.AgentID, l Label) {
 	if k < 0 || k >= g.m {
 		panic(fmt.Sprintf("graph: SetEdge round %d outside [0,%d)", k, g.m))
 	}
-	slot := &g.edges[k][int(i)*g.n+int(j)]
-	if l == Unknown {
-		return
+	if l != Unknown {
+		g.set(g.edge(k, i, j), l)
 	}
-	if *slot != Unknown && *slot != l {
-		panic(fmt.Sprintf("graph: conflicting labels for edge (%d,%d)→(%d,%d)", i, k, j, k+1))
+}
+
+// set writes the known label l at slab index idx, panicking when it
+// contradicts the label already there.
+func (g *Graph) set(idx int, l Label) {
+	if old := g.labels[idx]; old != Unknown && old != l {
+		panic(g.conflict(idx))
 	}
-	*slot = l
+	g.labels[idx] = l
+}
+
+// conflict describes a contradiction at slab index idx.
+func (g *Graph) conflict(idx int) string {
+	if idx < g.n {
+		return fmt.Sprintf("graph: conflicting preference labels for agent %d", idx)
+	}
+	k, e := (idx-g.n)/(g.n*g.n), (idx-g.n)%(g.n*g.n)
+	return fmt.Sprintf("graph: conflicting labels for edge (%d,%d)→(%d,%d)", e/g.n, k, e%g.n, k+1)
 }
 
 // Extend appends one round of Unknown edges, advancing M by one.
 func (g *Graph) Extend() {
-	g.edges = append(g.edges, make([]Label, g.n*g.n))
+	g.labels = append(g.labels, make([]Label, g.n*g.n)...)
 	g.m++
 }
 
-// CloneExtended is Clone followed by Extend in one backing allocation:
-// the per-round hot path of the full-information exchange, which clones
-// the owner's graph and opens the next round every Update.
-func (g *Graph) CloneExtended() *Graph {
-	sz := g.n * g.n
-	flat := make([]Label, (g.m+1)*sz)
-	h := &Graph{
-		owner: g.owner,
-		n:     g.n,
-		m:     g.m + 1,
-		prefs: append([]model.Value(nil), g.prefs...),
-		edges: make([][]Label, g.m+1),
-	}
-	for k := range g.edges {
-		row := flat[k*sz : (k+1)*sz : (k+1)*sz]
-		copy(row, g.edges[k])
-		h.edges[k] = row
-	}
-	h.edges[g.m] = flat[g.m*sz : (g.m+1)*sz : (g.m+1)*sz]
-	return h
+// CloneExtended writes into dst a copy of g followed by one round of
+// Unknown edges, in one allocation: the per-round hot path of the
+// full-information exchange, which extends the owner's graph straight
+// into the next state every Update. dst may be g itself.
+func (g *Graph) CloneExtended(dst *Graph) {
+	labels := make([]Label, len(g.labels)+g.n*g.n)
+	copy(labels, g.labels)
+	*dst = Graph{owner: g.owner, n: g.n, m: g.m + 1, labels: labels}
 }
 
 // Clone returns a deep copy (with the same owner).
 func (g *Graph) Clone() *Graph {
-	h := &Graph{
-		owner: g.owner,
-		n:     g.n,
-		m:     g.m,
-		prefs: append([]model.Value(nil), g.prefs...),
-		edges: make([][]Label, g.m),
-	}
-	for k := range g.edges {
-		h.edges[k] = append([]Label(nil), g.edges[k]...)
-	}
-	return h
+	return g.CloneFor(g.owner)
 }
 
 // CloneFor returns a deep copy owned by a different agent (used when a
 // graph is shipped in a message and merged by the recipient).
 func (g *Graph) CloneFor(owner model.AgentID) *Graph {
-	h := g.Clone()
-	h.owner = owner
-	return h
+	return &Graph{owner: owner, n: g.n, m: g.m, labels: append([]Label(nil), g.labels...)}
 }
 
 // Merge folds every known label of other into g. The graphs must describe
@@ -195,28 +176,15 @@ func (g *Graph) Merge(other *Graph) {
 	if other.m > g.m {
 		panic("graph: Merge of a graph from the future")
 	}
-	for j := 0; j < g.n; j++ {
-		v := other.prefs[j]
-		if !v.IsSet() || g.prefs[j] == v {
+	dst := g.labels[:len(other.labels)]
+	for idx, l := range other.labels {
+		if l == Unknown || dst[idx] == l {
 			continue
 		}
-		if g.prefs[j].IsSet() {
-			panic(fmt.Sprintf("graph: conflicting preference labels for agent %d", j))
+		if dst[idx] != Unknown {
+			panic(g.conflict(idx))
 		}
-		g.prefs[j] = v
-	}
-	for k := 0; k < other.m; k++ {
-		dst := g.edges[k]
-		for idx, l := range other.edges[k] {
-			if l == Unknown || dst[idx] == l {
-				continue
-			}
-			if dst[idx] != Unknown {
-				panic(fmt.Sprintf("graph: conflicting labels for edge (%d,%d)→(%d,%d)",
-					idx/g.n, k, idx%g.n, k+1))
-			}
-			dst[idx] = l
-		}
+		dst[idx] = l
 	}
 }
 
@@ -235,12 +203,11 @@ func (g *Graph) Bits() int {
 func (g *Graph) AppendKey(dst []byte) []byte {
 	dst = append(strconv.AppendInt(dst, int64(g.owner), 10), '|')
 	dst = append(strconv.AppendInt(dst, int64(g.m), 10), '|')
-	for _, v := range g.prefs {
-		dst = append(dst, "01?"[min(uint(v), 2)]) // None, a negative Value, reads ?
-	}
-	for k := 0; k < g.m; k++ {
-		dst = append(dst, '|')
-		for _, l := range g.edges[k] {
+	for off, end := 0, g.n; off < len(g.labels); off, end = end, end+g.n*g.n {
+		if off > 0 {
+			dst = append(dst, '|')
+		}
+		for _, l := range g.labels[off:end] {
 			dst = append(dst, "?01"[l])
 		}
 	}
@@ -251,8 +218,8 @@ func (g *Graph) AppendKey(dst []byte) []byte {
 func (g *Graph) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "G{owner=%d m=%d prefs=", g.owner, g.m)
-	for _, v := range g.prefs {
-		b.WriteString(v.String())
+	for j := 0; j < g.n; j++ {
+		b.WriteString(g.Pref(model.AgentID(j)).String())
 	}
 	for k := 0; k < g.m; k++ {
 		fmt.Fprintf(&b, " r%d:", k+1)
